@@ -17,17 +17,11 @@
 //!   `migration_krps` (service keeps running through the migration),
 //!   `migration_errors` and `migration_lost_conns` (both expected at 0).
 //!
-//! ## `--shards N` / `NEAT_SHARDS=N`
-//!
-//! Accepted for CI-matrix uniformity: the core stack's message type
-//! carries `Rc`-backed zero-copy packet buffers and is not `Send`, so the
-//! scenario always executes on the serial engine regardless of the
-//! requested shard count. The determinism job still runs the quick
-//! profile at `--shards 1`, `2`, and `4` and requires byte-identical
-//! JSON — guarding that no reported number depends on the requested
-//! parallelism (or anything else environmental). The `neat-obs` registry
-//! is disabled for the entire binary so the embedded snapshot stays
-//! empty and shard-independent too.
+//! The scenario runs on the serial engine (the core stack's message type
+//! carries `Rc`-backed packet buffers and is not `Send`). The `neat-obs`
+//! registry is disabled for the entire binary so the embedded snapshot
+//! stays empty; tier-2 CI runs the quick profile twice and requires
+//! byte-identical JSON.
 //!
 //! Everything is virtual-time deterministic: fixed seeds, no wall clock
 //! in any reported number.
@@ -157,20 +151,12 @@ fn main() {
     // registry out of the report entirely.
     neat_obs::set_thread_enabled(false);
     let args: Vec<String> = std::env::args().collect();
-    let shards: usize = args
-        .iter()
-        .position(|a| a == "--shards")
-        .and_then(|i| args.get(i + 1).cloned())
-        .or_else(|| std::env::var("NEAT_SHARDS").ok())
-        .map(|s| s.parse().expect("--shards expects a positive integer"))
-        .unwrap_or(1)
-        .max(1);
     let runs = if quick() || args.iter().any(|a| a == "--quick") {
         3
     } else {
         10
     };
-    println!("failover: {runs} crash runs + 1 live migration, {shards} shard worker(s)");
+    println!("failover: {runs} crash runs + 1 live migration");
 
     let mut report = BenchReport::new("failover");
     let mut t = Table::new(

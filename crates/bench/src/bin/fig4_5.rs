@@ -10,8 +10,6 @@ use neat_apps::scenario::{MonoTestbed, MonoTestbedSpec, Workload};
 use neat_apps::FileStore;
 use neat_bench::{quick, windows, BenchReport, Table};
 use neat_monolith::MonoTuning;
-#[allow(unused_imports)]
-use neat_sim::Time;
 
 fn main() {
     let all_sizes: &[usize] = &[

@@ -18,9 +18,8 @@ use std::process::Command;
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick") || neat_bench::quick();
-    // `--shards N` is forwarded to shard-aware experiments (conn_scale;
-    // failover accepts it for CI-matrix uniformity) via NEAT_SHARDS;
-    // shard-oblivious binaries ignore it.
+    // `--shards N` is forwarded to the shard-aware experiment
+    // (conn_scale) via NEAT_SHARDS; the other binaries ignore it.
     let shards = args
         .iter()
         .position(|a| a == "--shards")

@@ -88,25 +88,6 @@ impl Table {
             .field("columns", self.header.to_json())
             .field("rows", Json::Array(rows))
     }
-
-    /// Print to stdout and write `results/<name>.txt` (append, paper-shaped
-    /// text) plus `results/BENCH_<name>.json` (overwrite, machine-readable).
-    pub fn emit(&self, name: &str) {
-        let text = self.render();
-        println!("{text}");
-        let _ = std::fs::create_dir_all("results");
-        if let Ok(mut f) = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(format!("results/{name}.txt"))
-        {
-            let _ = f.write_all(text.as_bytes());
-        }
-        let _ = std::fs::write(
-            format!("results/BENCH_{name}.json"),
-            self.to_json().render(),
-        );
-    }
 }
 
 /// Accumulates everything one experiment binary produces — paper-shaped

@@ -14,36 +14,14 @@ pub enum StackMode {
     Multi,
 }
 
-/// Which mechanism keeps the buddy's copy of per-flow state current.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ReplMechanism {
-    /// Ship incremental TCB checkpoints after every flush (primary).
-    #[default]
-    Checkpoint,
-    /// Ship the deterministic input log; the buddy replays it through a
-    /// scratch stack on demand (State-Compute Replication style).
-    InputLog,
-}
-
 /// Buddy-replica flow replication (the transparent-recovery extension to
 /// §3.6, plus live flow migration for `scale_down`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ReplicationConfig {
     /// Master switch. Off by default: replication costs one checkpoint
     /// message per flush per replica, and the reliability benches measure
     /// both modes.
     pub enabled: bool,
-    /// Checkpoint streaming (default) or input-log replay.
-    pub mechanism: ReplMechanism,
-}
-
-impl Default for ReplicationConfig {
-    fn default() -> Self {
-        ReplicationConfig {
-            enabled: false,
-            mechanism: ReplMechanism::Checkpoint,
-        }
-    }
 }
 
 /// Configuration of one NEaT deployment on a server machine.
@@ -108,13 +86,6 @@ impl NeatConfig {
     /// Builder-style switch: same deployment, buddy replication on.
     pub fn replicated(mut self) -> NeatConfig {
         self.replication.enabled = true;
-        self
-    }
-
-    /// Builder-style switch to the input-log replay mechanism.
-    pub fn with_input_log(mut self) -> NeatConfig {
-        self.replication.enabled = true;
-        self.replication.mechanism = ReplMechanism::InputLog;
         self
     }
 }

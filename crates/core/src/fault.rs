@@ -49,6 +49,7 @@ impl CodeSizes {
             ))
             + loc(include_str!("../../tcp/src/types.rs"))
             + loc(include_str!("tcp_comp.rs"))
+            + loc(include_str!("stack_host.rs"))
             + loc(include_str!("sock_server.rs"));
         let ip = loc(include_str!("ip_comp.rs"))
             + loc(include_str!("netcode.rs"))

@@ -9,20 +9,9 @@
 //!   supervisor handoff ([`Msg::ReplHandoff`]) surrenders its copy of the
 //!   dead replica's flows so the respawned replica can adopt them.
 //!
-//! Two mechanisms are implemented (config-selected, checkpoint primary):
-//!
-//! * **Checkpoint** ([`ReplMechanism::Checkpoint`]): incremental encoded
-//!   [`neat_tcp::TcbImage`]s of every flow touched since the last flush.
-//!   The store is a plain map; handoff is a drain.
-//! * **InputLog** ([`ReplMechanism::InputLog`], State-Compute-Replication
-//!   style): the primary streams its deterministic input records; the
-//!   buddy replays them through a live *mirror* [`SockServer`] whose
-//!   allocation counters are synced to the primary's, so replayed socket
-//!   ids, ISSs and checkpoints match the primary's exactly. Handoff
-//!   exports the mirror. Limitation (documented in DESIGN.md): flows
-//!   already established when a buddy is (re)assigned predate the log the
-//!   mirror sees and are not covered — the checkpoint mechanism has no
-//!   such gap, which is why it is the default.
+//! The mechanism is checkpoint streaming: incremental encoded
+//! [`neat_tcp::TcbImage`]s of every flow touched since the last flush.
+//! The buddy's store is a plain map; handoff is a drain.
 //!
 //! The output-commit argument for why a delta-per-flush is enough: crashes
 //! are delivered as messages ([`Msg::Poison`]), so a flush — input
@@ -32,146 +21,79 @@
 //! fabric, and the buddy's copy is never behind anything the peer or the
 //! application has observed.
 
-use crate::config::{NeatConfig, ReplMechanism, ReplicationConfig};
-use crate::msg::{InputRec, Msg, ReplFlow, ReplPayload};
+use crate::config::NeatConfig;
+use crate::msg::{Msg, ReplFlow, ReplPayload};
 use crate::sock_server::SockServer;
-use neat_net::{FlowKey, TcpHeader};
+use neat_net::FlowKey;
 use neat_sim::ProcId;
-use neat_tcp::TcpConfig;
 use std::collections::HashMap;
-use std::net::Ipv4Addr;
-
-/// What a buddy holds on behalf of one primary.
-#[derive(Debug)]
-enum BuddyStore {
-    /// Latest checkpoint per flow.
-    Checkpoint(HashMap<FlowKey, ReplFlow>),
-    /// Live replay mirror of the primary (input-log mechanism).
-    Mirror(Box<SockServer>),
-}
 
 /// Per-replica replication engine (both the primary and the buddy half).
 #[derive(Debug)]
 pub struct FlowRepl {
-    cfg: ReplicationConfig,
-    tcp_cfg: TcpConfig,
-    local_ip: Ipv4Addr,
+    enabled: bool,
     /// Who we stream our deltas to.
     buddy: Option<ProcId>,
     /// Next delta must re-baseline the buddy (fresh assignment).
     need_full: bool,
-    /// Input records accumulated since the last delta (log mechanism).
-    pending_log: Vec<InputRec>,
-    /// Stores held on behalf of other replicas, keyed by their pid.
-    store: HashMap<ProcId, BuddyStore>,
+    /// Latest checkpoint per flow, held on behalf of other replicas and
+    /// keyed by their pid.
+    store: HashMap<ProcId, HashMap<FlowKey, ReplFlow>>,
 }
 
 impl FlowRepl {
     pub fn new(cfg: &NeatConfig) -> FlowRepl {
         FlowRepl {
-            cfg: cfg.replication,
-            tcp_cfg: cfg.tcp.clone(),
-            local_ip: cfg.ip,
+            enabled: cfg.replication.enabled,
             buddy: None,
             need_full: false,
-            pending_log: Vec::new(),
             store: HashMap::new(),
         }
-    }
-
-    pub fn enabled(&self) -> bool {
-        self.cfg.enabled
-    }
-
-    /// Is input-log recording live? (Procs skip cloning wire bytes into
-    /// records when it is not.)
-    pub fn logging(&self) -> bool {
-        self.cfg.enabled && self.cfg.mechanism == ReplMechanism::InputLog && self.buddy.is_some()
     }
 
     /// Supervisor (re)assigned our buddy. The next delta re-baselines it.
     /// Also turns checkpoint-delta tracking on in our own stack.
     pub fn set_buddy(&mut self, srv: &mut SockServer, buddy: Option<ProcId>) {
-        if !self.cfg.enabled {
+        if !self.enabled {
             return;
         }
         self.buddy = buddy;
         self.need_full = buddy.is_some();
-        self.pending_log.clear();
-        srv.set_repl_tracking(buddy.is_some() && self.cfg.mechanism == ReplMechanism::Checkpoint);
-    }
-
-    pub fn buddy(&self) -> Option<ProcId> {
-        self.buddy
-    }
-
-    /// Append one input record (log mechanism; call only when
-    /// [`FlowRepl::logging`]).
-    pub fn record(&mut self, rec: InputRec) {
-        self.pending_log.push(rec);
+        srv.set_repl_tracking(buddy.is_some());
     }
 
     /// End-of-flush: build the delta message owed to the buddy, if any.
-    /// Returns `(buddy, msg)` ready to send.
+    /// Returns `(buddy, msg)` ready to send. (`_now` is unused; the frozen
+    /// `benchmark/` crate calls this with three arguments.)
     pub fn collect_delta(
         &mut self,
         srv: &mut SockServer,
         queue: usize,
-        now: u64,
+        _now: u64,
     ) -> Option<(ProcId, Msg)> {
         let buddy = self.buddy?;
-        if !self.cfg.enabled {
+        if !self.enabled {
             return None;
         }
-        let payload = match self.cfg.mechanism {
-            ReplMechanism::Checkpoint => {
-                if self.need_full {
-                    self.need_full = false;
-                    let flows = srv.full_checkpoint();
-                    // The dirty/closed sets are folded into the snapshot.
-                    let _ = srv.take_checkpoint_delta();
-                    ReplPayload::Checkpoint {
-                        full: true,
-                        flows,
-                        closed: Vec::new(),
-                    }
-                } else {
-                    let (flows, closed) = srv.take_checkpoint_delta();
-                    if flows.is_empty() && closed.is_empty() {
-                        return None;
-                    }
-                    ReplPayload::Checkpoint {
-                        full: false,
-                        flows,
-                        closed,
-                    }
-                }
+        let payload = if self.need_full {
+            self.need_full = false;
+            let flows = srv.full_checkpoint();
+            // The dirty/closed sets are folded into the snapshot.
+            let _ = srv.take_checkpoint_delta();
+            ReplPayload {
+                full: true,
+                flows,
+                closed: Vec::new(),
             }
-            ReplMechanism::InputLog => {
-                if self.need_full {
-                    self.need_full = false;
-                    // Re-baseline: the mirror starts empty, learns our
-                    // listeners, and adopts our allocation counters so
-                    // every replayed allocation matches ours.
-                    let mut head = Vec::new();
-                    for (port, app) in srv.listeners() {
-                        head.push(InputRec::Listen { port, app });
-                    }
-                    let (next_id, iss, next_port) = srv.stack.alloc_state();
-                    head.push(InputRec::SyncAlloc {
-                        next_id,
-                        iss,
-                        next_port,
-                    });
-                    head.append(&mut self.pending_log);
-                    self.pending_log = head;
-                } else if self.pending_log.is_empty() {
-                    return None;
-                }
-                self.pending_log.push(InputRec::Flush { now });
-                ReplPayload::Log {
-                    recs: std::mem::take(&mut self.pending_log),
-                }
+        } else {
+            let (flows, closed) = srv.take_checkpoint_delta();
+            if flows.is_empty() && closed.is_empty() {
+                return None;
+            }
+            ReplPayload {
+                full: false,
+                flows,
+                closed,
             }
         };
         neat_obs::counter_add("repl.deltas_sent", 1);
@@ -181,48 +103,15 @@ impl FlowRepl {
     /// Buddy half: fold one incoming delta from `from` into its store.
     pub fn apply_delta(&mut self, from: ProcId, payload: ReplPayload) {
         neat_obs::counter_add("repl.deltas_applied", 1);
-        match payload {
-            ReplPayload::Checkpoint {
-                full,
-                flows,
-                closed,
-            } => {
-                let entry = self
-                    .store
-                    .entry(from)
-                    .or_insert_with(|| BuddyStore::Checkpoint(HashMap::new()));
-                if !matches!(entry, BuddyStore::Checkpoint(_)) || full {
-                    *entry = BuddyStore::Checkpoint(HashMap::new());
-                }
-                let BuddyStore::Checkpoint(map) = entry else {
-                    unreachable!()
-                };
-                for f in flows {
-                    map.insert(f.flow, f);
-                }
-                for k in closed {
-                    map.remove(&k);
-                }
-            }
-            ReplPayload::Log { recs } => {
-                if !self.store.contains_key(&from)
-                    || !matches!(self.store[&from], BuddyStore::Mirror(_))
-                {
-                    self.store.insert(
-                        from,
-                        BuddyStore::Mirror(Box::new(SockServer::new(
-                            self.local_ip,
-                            self.tcp_cfg.clone(),
-                        ))),
-                    );
-                }
-                let Some(BuddyStore::Mirror(srv)) = self.store.get_mut(&from) else {
-                    unreachable!()
-                };
-                for rec in recs {
-                    replay(srv, rec);
-                }
-            }
+        let map = self.store.entry(from).or_default();
+        if payload.full {
+            map.clear();
+        }
+        for f in payload.flows {
+            map.insert(f.flow, f);
+        }
+        for k in payload.closed {
+            map.remove(&k);
         }
     }
 
@@ -230,81 +119,17 @@ impl FlowRepl {
     /// handoff, or cleanup). Deterministically ordered by the flow's
     /// socket id in its previous owner.
     pub fn take_flows_for(&mut self, owner: ProcId) -> Vec<ReplFlow> {
-        match self.store.remove(&owner) {
-            None => Vec::new(),
-            Some(BuddyStore::Checkpoint(map)) => {
-                let mut flows: Vec<ReplFlow> = map.into_values().collect();
-                flows.sort_unstable_by_key(|f| f.old_sock);
-                flows
-            }
-            Some(BuddyStore::Mirror(mut srv)) => srv.export_for_migration(),
-        }
+        let mut flows: Vec<ReplFlow> = self
+            .store
+            .remove(&owner)
+            .map(|map| map.into_values().collect())
+            .unwrap_or_default();
+        flows.sort_unstable_by_key(|f| f.old_sock);
+        flows
     }
 
     /// Drop the store held for `owner` (it was removed, not crashed).
     pub fn forget(&mut self, owner: ProcId) {
         self.store.remove(&owner);
-    }
-
-    /// Flows currently held on behalf of `owner` (diagnostics/tests).
-    pub fn held_for(&self, owner: ProcId) -> usize {
-        match self.store.get(&owner) {
-            None => 0,
-            Some(BuddyStore::Checkpoint(map)) => map.len(),
-            Some(BuddyStore::Mirror(srv)) => srv.conn_count(),
-        }
-    }
-}
-
-/// Apply one input record to a mirror. The mirror's outputs (wire
-/// segments, app messages) are computed and discarded — only the state
-/// they imply is wanted.
-fn replay(srv: &mut SockServer, rec: InputRec) {
-    // The `from`/`me` pids only shape discarded messages.
-    const NOBODY: ProcId = ProcId(0);
-    match rec {
-        InputRec::SyncAlloc {
-            next_id,
-            iss,
-            next_port,
-        } => srv.stack.sync_alloc(next_id, iss, next_port),
-        InputRec::Listen { port, app } => {
-            srv.handle_app(app, Msg::Listen { port, app }, 0);
-        }
-        InputRec::Connect {
-            remote,
-            app,
-            token,
-            now,
-        } => {
-            srv.handle_app(app, Msg::Connect { remote, app, token }, now);
-        }
-        InputRec::Seg { src, bytes, now } => {
-            if let Ok((h, r)) = TcpHeader::parse(&bytes, src, srv.stack.local_ip) {
-                srv.stack.handle_segment(src, &h, &bytes[r], now);
-            }
-        }
-        InputRec::Send { sock, data } => {
-            // Flows predating the log (no mirror socket) are skipped so
-            // their backlog can't accrete in the mirror.
-            if srv.stack.state(sock).is_some() {
-                srv.handle_app(NOBODY, Msg::ConnSend { sock, data }, 0);
-            }
-        }
-        InputRec::Close { sock, now } => {
-            srv.handle_app(NOBODY, Msg::ConnClose { sock }, now);
-        }
-        InputRec::SetOpt { sock, opt } => {
-            // Same pre-log-flow guard as Send.
-            if srv.stack.state(sock).is_some() {
-                srv.handle_app(NOBODY, Msg::SetSockOpt { sock, opt }, 0);
-            }
-        }
-        InputRec::Timer { now } => srv.on_timer(now),
-        InputRec::Flush { now } => {
-            srv.process_events(NOBODY);
-            let _ = srv.poll_wire(now);
-            let _ = srv.take_app_msgs();
-        }
     }
 }

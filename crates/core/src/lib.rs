@@ -48,6 +48,7 @@ pub mod reliability;
 pub mod security;
 pub mod sock_server;
 pub mod sockets;
+pub mod stack_host;
 pub mod stack_single;
 pub mod supervisor;
 pub mod syscall;
@@ -57,6 +58,6 @@ pub mod udp_comp;
 #[cfg(test)]
 mod tests_components;
 
-pub use config::{NeatConfig, ReplMechanism, ReplicationConfig, StackMode};
-pub use msg::{ConnHandle, InputRec, Msg, ReplFlow, ReplPayload};
+pub use config::{NeatConfig, ReplicationConfig, StackMode};
+pub use msg::{ConnHandle, Msg, ReplFlow, ReplPayload};
 pub use placement::{Placement, Slot};

@@ -188,8 +188,8 @@ pub enum Msg {
     /// Supervisor → stack replica: your checkpoint buddy is `buddy`
     /// (`None` disables streaming, e.g. when the ring shrinks to one).
     SetBuddy { buddy: Option<ProcId> },
-    /// Stack replica → its buddy: one replication delta for `queue` —
-    /// either TCB checkpoints or input-log records, per config.
+    /// Stack replica → its buddy: one replication delta (TCB checkpoints)
+    /// for `queue`.
     ReplDelta { queue: usize, payload: ReplPayload },
     /// Supervisor → buddy of a crashed replica: replica `old` serving
     /// `queue` died; send your latest copy of its flows to `to` (the
@@ -237,6 +237,22 @@ pub enum Msg {
     AppTick { token: u64 },
 }
 
+impl Msg {
+    /// The socket-operation set: exactly the messages
+    /// [`SockServer::handle_app`](crate::sock_server::SockServer::handle_app)
+    /// acts on. Every stack host routes on this one predicate.
+    pub fn is_sock_op(&self) -> bool {
+        matches!(
+            self,
+            Msg::Listen { .. }
+                | Msg::Connect { .. }
+                | Msg::ConnSend { .. }
+                | Msg::ConnClose { .. }
+                | Msg::SetSockOpt { .. }
+        )
+    }
+}
+
 /// One replicated flow: everything the adopting stack needs to resume the
 /// connection and re-wire its app binding.
 #[derive(Debug, Clone)]
@@ -255,67 +271,15 @@ pub struct ReplFlow {
     pub img: Vec<u8>,
 }
 
-/// The body of one replication delta.
+/// The body of one replication delta: TCB checkpoints. `flows` supersede
+/// the buddy's copies; `closed` flows are forgotten. `full` marks a
+/// from-scratch snapshot (the buddy drops everything it held for this
+/// primary first).
 #[derive(Debug, Clone)]
-pub enum ReplPayload {
-    /// TCB checkpoints: `flows` supersede the buddy's copies; `closed`
-    /// flows are forgotten. `full` marks a from-scratch snapshot (buddy
-    /// drops everything it held for this queue first).
-    Checkpoint {
-        full: bool,
-        flows: Vec<ReplFlow>,
-        closed: Vec<neat_net::FlowKey>,
-    },
-    /// Deterministic input-log records; the buddy replays them through a
-    /// scratch stack when (and only when) state is actually needed.
-    Log { recs: Vec<InputRec> },
-}
-
-/// One record of the deterministic input log (State-Compute Replication).
-/// Replaying these through a fresh `SockServer` with the same config
-/// reproduces the exact socket table, ids included, because id and ISS
-/// allocation are deterministic counters.
-#[derive(Debug, Clone)]
-pub enum InputRec {
-    /// Primary's allocation counters at buddy-assignment time, so the
-    /// mirror's replayed socket ids / ISSs / ephemeral ports line up
-    /// exactly with the primary's.
-    SyncAlloc {
-        next_id: u64,
-        iss: u32,
-        next_port: u16,
-    },
-    /// App opened a listener.
-    Listen { port: u16, app: ProcId },
-    /// App requested an active open.
-    Connect {
-        remote: (Ipv4Addr, u16),
-        app: ProcId,
-        token: u64,
-        now: u64,
-    },
-    /// An inbound, already-parsed TCP segment (raw post-IP bytes).
-    Seg {
-        src: Ipv4Addr,
-        bytes: Vec<u8>,
-        now: u64,
-    },
-    /// App enqueued stream bytes.
-    Send {
-        sock: neat_tcp::SocketId,
-        data: Vec<u8>,
-    },
-    /// App closed a connection.
-    Close { sock: neat_tcp::SocketId, now: u64 },
-    /// App set a per-socket option.
-    SetOpt {
-        sock: neat_tcp::SocketId,
-        opt: neat_tcp::SockOpt,
-    },
-    /// End-of-flush boundary (wire output + event pump point).
-    Flush { now: u64 },
-    /// A timer tick fired.
-    Timer { now: u64 },
+pub struct ReplPayload {
+    pub full: bool,
+    pub flows: Vec<ReplFlow>,
+    pub closed: Vec<neat_net::FlowKey>,
 }
 
 /// Pipeline neighbour roles for multi-component rewiring.

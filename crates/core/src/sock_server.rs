@@ -8,7 +8,7 @@
 //! these messages model shared-memory queue operations, not kernel calls.
 
 use crate::msg::{ConnHandle, Msg, ReplFlow};
-use neat_net::FlowKey;
+use neat_net::{FlowKey, TcpHeader};
 use neat_sim::ProcId;
 use neat_tcp::{SockEvent, SocketId, TcbImage, TcpConfig, TcpStack};
 use std::collections::{HashMap, VecDeque};
@@ -240,6 +240,14 @@ impl SockServer {
         }
     }
 
+    /// One inbound TCP segment (post-IP bytes) from `src`. A bad checksum
+    /// or malformed header is silently dropped, like hardware would.
+    pub fn rx_segment(&mut self, src: Ipv4Addr, seg: &[u8], now: u64) {
+        if let Ok((h, range)) = TcpHeader::parse(seg, src, self.stack.local_ip) {
+            self.stack.handle_segment(src, &h, &seg[range], now);
+        }
+    }
+
     /// Take the application messages produced so far.
     pub fn take_app_msgs(&mut self) -> Vec<(ProcId, Msg)> {
         std::mem::take(&mut self.to_app)
@@ -276,30 +284,9 @@ impl SockServer {
         self.stack.budget()
     }
 
-    /// Ports currently being listened on.
-    pub fn listen_ports(&self) -> Vec<u16> {
-        self.listeners.keys().copied().collect()
-    }
-
-    /// Listening ports with their owning apps, sorted by port.
-    pub fn listeners(&self) -> Vec<(u16, ProcId)> {
-        let mut v: Vec<(u16, ProcId)> = self
-            .listeners
-            .iter()
-            .map(|(port, (_, app))| (*port, *app))
-            .collect();
-        v.sort_unstable_by_key(|(p, _)| *p);
-        v
-    }
-
     // ------------------------------------------------------------------
     // Flow replication & migration
     // ------------------------------------------------------------------
-
-    /// Application bound to a connection socket, if any.
-    pub fn owner_of(&self, sock: SocketId) -> Option<ProcId> {
-        self.owners.get(&sock).copied()
-    }
 
     /// App-stream bytes the stack has accepted on `sock`.
     pub fn app_bytes_of(&self, sock: SocketId) -> u64 {
@@ -413,7 +400,6 @@ impl SockServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use neat_net::TcpHeader;
 
     const SERVER: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
     const CLIENT: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 9);

@@ -6,35 +6,52 @@
 //! coarser fault isolation: a fault anywhere in the replica loses the
 //! replica's entire state, including TCP connections (§3.7, Figure 13).
 
-use crate::flow_repl::FlowRepl;
-use crate::msg::{InputRec, Msg};
+use crate::msg::{Msg, NeighborRole};
 use crate::netcode::{FrameIo, RxClass};
-use crate::sock_server::SockServer;
+use crate::stack_host::{StackHost, WireSink};
 use neat_net::ethernet::MacAddr;
 use neat_net::ipv4::IpProtocol;
 use neat_net::udp::UdpHeader;
-use neat_sim::{calibration, Ctx, Event, ProcId, Process, Time};
+use neat_sim::{calibration, Ctx, Event, ProcId, Process};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
+
+/// Below TCP in this replica shape: in-process IP/link handling, the
+/// replica's own loopback device, and the driver the frames go out through.
+struct FrameWire {
+    io: FrameIo,
+    driver: ProcId,
+}
+
+impl WireSink for FrameWire {
+    fn tx_segment(
+        &mut self,
+        ctx: &mut Ctx<'_, Msg>,
+        dst: Ipv4Addr,
+        seg: Vec<u8>,
+    ) -> Option<Vec<u8>> {
+        ctx.charge(calibration::IP_TX_PKT);
+        if dst == self.io.ip {
+            return Some(seg);
+        }
+        self.io
+            .send_ip(dst, IpProtocol::Tcp, &seg, ctx.now().as_nanos());
+        None
+    }
+
+    fn tx_done(&mut self, ctx: &mut Ctx<'_, Msg>) {
+        for frame in self.io.drain() {
+            ctx.send(self.driver, Msg::NetTx(frame));
+        }
+    }
+}
 
 /// A whole-stack replica process.
 pub struct SingleStackProc {
     pub name: String,
-    /// NIC queue this replica is fed from.
-    pub queue: usize,
-    driver: ProcId,
-    supervisor: ProcId,
-    io: FrameIo,
-    sock: SockServer,
-    repl: FlowRepl,
+    host: StackHost,
+    wire: FrameWire,
     udp_binds: HashMap<u16, ProcId>,
-    /// Termination state (§3.4): no new work; report when drained.
-    terminating: bool,
-    drained_reported: bool,
-    /// Earliest armed timer deadline (avoid timer storms).
-    armed: Option<u64>,
-    /// ASLR layout token — randomized at every (re)start (§3.8).
-    pub layout_token: u64,
 }
 
 impl SingleStackProc {
@@ -55,124 +72,28 @@ impl SingleStackProc {
         }
         SingleStackProc {
             name: name.into(),
-            queue,
-            driver,
-            supervisor,
-            io,
-            sock: SockServer::new(ip, cfg.tcp.clone()),
-            repl: FlowRepl::new(cfg),
+            host: StackHost::new(queue, supervisor, ip, cfg),
+            wire: FrameWire { io, driver },
             udp_binds: HashMap::new(),
-            terminating: false,
-            drained_reported: false,
-            armed: None,
-            layout_token: 0,
         }
-    }
-
-    fn flush(&mut self, ctx: &mut Ctx<'_, Msg>) {
-        // Loopback traffic can generate new events/segments in the same
-        // handler; iterate to quiescence (bounded: each round consumes
-        // queued stack output).
-        for _ in 0..32 {
-            let had_loopback = self.flush_once(ctx);
-            if !had_loopback {
-                break;
-            }
-        }
-    }
-
-    /// One flush round; returns true if loopback segments were processed
-    /// (meaning another round may be needed).
-    fn flush_once(&mut self, ctx: &mut Ctx<'_, Msg>) -> bool {
-        let now = ctx.now().as_nanos();
-        let me = ctx.self_id;
-        // Stack events → app messages; charge per socket op + open/close.
-        let (_, opened, closed) = self.sock.process_events(me);
-        ctx.charge(opened as u64 * calibration::TCP_OPEN + closed as u64 * calibration::TCP_CLOSE);
-        // Outbound segments → IP encapsulation; segments addressed to our
-        // own IP take the replica's loopback device (§3.3: "this also
-        // allows the loopback devices to be implemented by each of the
-        // replicas") — no NIC, no driver, no other replica involved.
-        let mut loopback = Vec::new();
-        for (dst, seg) in self.sock.poll_wire(now) {
-            ctx.charge(calibration::TCP_TX_SEG + calibration::IP_TX_PKT);
-            if dst == self.io.ip {
-                loopback.push(seg);
-            } else {
-                self.io.send_ip(dst, IpProtocol::Tcp, &seg, now);
-            }
-        }
-        let had_loopback = !loopback.is_empty();
-        for seg in loopback {
-            ctx.charge(calibration::TCP_RX_SEG);
-            let src = self.io.ip;
-            if self.repl.logging() {
-                self.repl.record(InputRec::Seg {
-                    src,
-                    bytes: seg.clone(),
-                    now,
-                });
-            }
-            if let Ok((h, range)) = neat_net::TcpHeader::parse(&seg, src, src) {
-                self.sock.stack.handle_segment(src, &h, &seg[range], now);
-            }
-        }
-        // Wire frames → driver.
-        for frame in self.io.drain() {
-            ctx.send(self.driver, Msg::NetTx(frame));
-        }
-        // App notifications.
-        for (app, msg) in self.sock.take_app_msgs() {
-            ctx.charge(calibration::SOCK_OP);
-            ctx.send(app, msg);
-        }
-        // Replication delta: the flush is atomic w.r.t. crashes (Poison is
-        // a message), so every output above is covered by this delta.
-        if let Some((buddy, delta)) = self.repl.collect_delta(&mut self.sock, self.queue, now) {
-            ctx.charge(calibration::SOCK_OP);
-            ctx.send(buddy, delta);
-        }
-        // Timer re-arm.
-        if let Some(d) = self.sock.next_timeout() {
-            if self.armed.map(|a| d < a).unwrap_or(true) {
-                self.armed = Some(d);
-                let delay = d.saturating_sub(now);
-                ctx.set_timer(Time::from_nanos(delay), 0);
-            }
-        }
-        // Lazy-termination GC (§3.4).
-        if self.terminating && !self.drained_reported && self.sock.conn_count() == 0 {
-            self.drained_reported = true;
-            ctx.send(self.supervisor, Msg::Drained { queue: self.queue });
-        }
-        had_loopback
     }
 
     fn handle_frame(&mut self, ctx: &mut Ctx<'_, Msg>, frame: neat_net::PktBuf) {
         let now = ctx.now().as_nanos();
+        let io = &mut self.wire.io;
         if !neat_net::pktbuf::pooling() {
             // Pool ablation: the pre-pool header strip copied the L4
             // payload out of the frame instead of taking a window.
             ctx.charge(calibration::copy_cost(frame.len()));
         }
-        match self.io.classify_rx(&frame, now) {
+        match io.classify_rx(&frame, now) {
             RxClass::Tcp { src, seg } => {
-                ctx.charge(calibration::IP_RX_PKT + calibration::TCP_RX_SEG);
-                if self.repl.logging() {
-                    self.repl.record(InputRec::Seg {
-                        src,
-                        bytes: seg.to_vec(),
-                        now,
-                    });
-                }
-                if let Ok((h, range)) = neat_net::TcpHeader::parse(&seg, src, self.io.ip) {
-                    self.sock.stack.handle_segment(src, &h, &seg[range], now);
-                }
-                // Bad checksum → silently dropped, like hardware.
+                ctx.charge(calibration::IP_RX_PKT);
+                self.host.rx_segment(ctx, src, &seg);
             }
             RxClass::Udp { src, dgram } => {
                 ctx.charge(calibration::IP_RX_PKT + calibration::UDP_PKT);
-                if let Ok((h, range)) = UdpHeader::parse(&dgram, src, self.io.ip) {
+                if let Ok((h, range)) = UdpHeader::parse(&dgram, src, io.ip) {
                     match self.udp_binds.get(&h.dst_port).copied() {
                         Some(app) => {
                             ctx.send(
@@ -191,7 +112,7 @@ impl SingleStackProc {
                                 code: neat_net::icmp::PORT_UNREACHABLE,
                                 original: orig,
                             };
-                            self.io.send_ip(src, IpProtocol::Icmp, &icmp.emit(), now);
+                            io.send_ip(src, IpProtocol::Icmp, &icmp.emit(), now);
                         }
                     }
                 }
@@ -225,7 +146,7 @@ impl Process<Msg> for SingleStackProc {
             }
         }
         if deferred_flush {
-            self.flush(ctx);
+            self.host.flush(ctx, &mut self.wire);
         }
     }
 
@@ -239,117 +160,22 @@ impl Process<Msg> for SingleStackProc {
                 }
             }
             Event::Start => {
-                // Fresh ASLR layout on every start (§3.8).
-                self.layout_token = ctx.rng().gen();
+                self.host.on_start(ctx);
                 // Announce to the driver: packets may flow to this replica.
                 ctx.send(
-                    self.driver,
+                    self.wire.driver,
                     Msg::Announce {
-                        queue: self.queue,
+                        queue: self.host.queue,
                         head: ctx.self_id,
                     },
                 );
             }
-            Event::Timer { .. } => {
-                self.armed = None;
-                let now = ctx.now().as_nanos();
-                if self.repl.logging() {
-                    self.repl.record(InputRec::Timer { now });
-                }
-                self.sock.on_timer(now);
-                self.flush(ctx);
-            }
+            Event::Timer { .. } => self.host.on_timer(ctx, &mut self.wire),
             Event::Message { from, msg } => match msg {
                 Msg::NetRx(frame) => {
                     self.handle_frame(ctx, frame);
-                    self.flush(ctx);
+                    self.host.flush(ctx, &mut self.wire);
                 }
-                m @ (Msg::Listen { .. }
-                | Msg::Connect { .. }
-                | Msg::ConnSend { .. }
-                | Msg::ConnClose { .. }
-                | Msg::SetSockOpt { .. }) => {
-                    // Refuse new listens/connects while terminating; data
-                    // on existing connections still flows.
-                    if self.terminating && matches!(m, Msg::Listen { .. } | Msg::Connect { .. }) {
-                        return;
-                    }
-                    let now = ctx.now().as_nanos();
-                    if self.repl.logging() {
-                        match &m {
-                            Msg::Listen { port, app } => self.repl.record(InputRec::Listen {
-                                port: *port,
-                                app: *app,
-                            }),
-                            Msg::Connect { remote, app, token } => {
-                                self.repl.record(InputRec::Connect {
-                                    remote: *remote,
-                                    app: *app,
-                                    token: *token,
-                                    now,
-                                })
-                            }
-                            Msg::ConnSend { sock, data } => self.repl.record(InputRec::Send {
-                                sock: *sock,
-                                data: data.clone(),
-                            }),
-                            Msg::ConnClose { sock } => {
-                                self.repl.record(InputRec::Close { sock: *sock, now })
-                            }
-                            Msg::SetSockOpt { sock, opt } => self.repl.record(InputRec::SetOpt {
-                                sock: *sock,
-                                opt: *opt,
-                            }),
-                            _ => {}
-                        }
-                    }
-                    let ops = self.sock.handle_app(from, m, now);
-                    ctx.charge(ops as u64 * calibration::SOCK_OP);
-                    self.flush(ctx);
-                }
-                Msg::SetBuddy { buddy } => {
-                    self.repl.set_buddy(&mut self.sock, buddy);
-                    // Re-baseline immediately so the buddy's store starts
-                    // complete.
-                    self.flush(ctx);
-                }
-                Msg::ReplDelta { queue: _, payload } => {
-                    ctx.charge(calibration::SOCK_OP);
-                    self.repl.apply_delta(from, payload);
-                }
-                Msg::ReplHandoff { queue: _, old, to } => {
-                    let flows = self.repl.take_flows_for(old);
-                    ctx.charge(calibration::SOCK_OP);
-                    ctx.send(to, Msg::ReplRestore { old, flows });
-                }
-                Msg::ReplRestore { old, flows } => {
-                    let me = ctx.self_id;
-                    ctx.charge(flows.len() as u64 * calibration::TCP_OPEN);
-                    let restored = self.sock.restore_flows(me, old, flows);
-                    neat_obs::counter_add("repl.flows_restored", restored.len() as u64);
-                    ctx.send(
-                        self.supervisor,
-                        Msg::ReplRestored {
-                            queue: self.queue,
-                            flows: restored,
-                        },
-                    );
-                    self.flush(ctx);
-                }
-                Msg::MigrateOut { to } => {
-                    let flows = self.sock.export_for_migration();
-                    ctx.charge(flows.len() as u64 * calibration::TCP_CLOSE);
-                    neat_obs::counter_add("repl.flows_migrated", flows.len() as u64);
-                    ctx.send(
-                        to,
-                        Msg::ReplRestore {
-                            old: ctx.self_id,
-                            flows,
-                        },
-                    );
-                    self.flush(ctx);
-                }
-                Msg::ReplForget { owner } => self.repl.forget(owner),
                 Msg::UdpBind { port, app } => {
                     ctx.charge(calibration::SOCK_OP);
                     self.udp_binds.insert(port, app);
@@ -361,22 +187,18 @@ impl Process<Msg> for SingleStackProc {
                 } => {
                     ctx.charge(calibration::UDP_PKT + calibration::IP_TX_PKT);
                     let now = ctx.now().as_nanos();
-                    let dgram = UdpHeader::emit(src_port, dst.1, &data, self.io.ip, dst.0);
-                    self.io.send_ip(dst.0, IpProtocol::Udp, &dgram, now);
-                    self.flush(ctx);
+                    let io = &mut self.wire.io;
+                    let dgram = UdpHeader::emit(src_port, dst.1, &data, io.ip, dst.0);
+                    io.send_ip(dst.0, IpProtocol::Udp, &dgram, now);
+                    self.host.flush(ctx, &mut self.wire);
                 }
-                Msg::Terminate => {
-                    self.terminating = true;
-                    self.supervisor = from;
-                    self.flush(ctx);
-                }
-                Msg::SetNeighbor { role, pid } => match role {
-                    crate::msg::NeighborRole::Driver => self.driver = pid,
-                    crate::msg::NeighborRole::Supervisor => self.supervisor = pid,
-                    _ => {}
-                },
+                Msg::SetNeighbor {
+                    role: NeighborRole::Driver,
+                    pid,
+                } => self.wire.driver = pid,
                 Msg::Poison => ctx.crash_self(),
-                _ => {}
+                // Everything above the wire is the host's.
+                other => self.host.on_msg(ctx, from, other, &mut self.wire),
             },
         }
     }

@@ -4,25 +4,42 @@
 //! read/write control state, and in-flight data" (§6.6) — which is why only
 //! TCP faults cause visible state loss in the fault-injection experiments.
 
-use crate::flow_repl::FlowRepl;
-use crate::msg::{InputRec, Msg, NeighborRole};
-use crate::sock_server::SockServer;
-use neat_sim::{calibration, Ctx, Event, ProcId, Process, Time};
+use crate::msg::{Msg, NeighborRole};
+use crate::stack_host::{StackHost, WireSink};
+use neat_sim::{Ctx, Event, ProcId, Process};
 use std::net::Ipv4Addr;
+
+/// Below TCP in this replica shape: the replica's IP process.
+struct IpWire {
+    ip: Option<ProcId>,
+}
+
+impl WireSink for IpWire {
+    fn tx_segment(
+        &mut self,
+        ctx: &mut Ctx<'_, Msg>,
+        dst: Ipv4Addr,
+        seg: Vec<u8>,
+    ) -> Option<Vec<u8>> {
+        if let Some(ip) = self.ip {
+            ctx.send(
+                ip,
+                Msg::IpTx {
+                    dst,
+                    protocol: 6,
+                    payload: seg,
+                },
+            );
+        }
+        None
+    }
+}
 
 /// The TCP process.
 pub struct TcpProc {
     pub name: String,
-    pub queue: usize,
-    supervisor: ProcId,
-    ip: Option<ProcId>,
-    sock: SockServer,
-    repl: FlowRepl,
-    terminating: bool,
-    drained_reported: bool,
-    armed: Option<u64>,
-    /// ASLR layout token — randomized at every (re)start (§3.8).
-    pub layout_token: u64,
+    host: StackHost,
+    wire: IpWire,
 }
 
 impl TcpProc {
@@ -36,55 +53,8 @@ impl TcpProc {
     ) -> TcpProc {
         TcpProc {
             name: name.into(),
-            queue,
-            supervisor,
-            ip,
-            sock: SockServer::new(local_ip, cfg.tcp.clone()),
-            repl: FlowRepl::new(cfg),
-            terminating: false,
-            drained_reported: false,
-            armed: None,
-            layout_token: 0,
-        }
-    }
-
-    fn flush(&mut self, ctx: &mut Ctx<'_, Msg>) {
-        let now = ctx.now().as_nanos();
-        let me = ctx.self_id;
-        let (_, opened, closed) = self.sock.process_events(me);
-        ctx.charge(opened as u64 * calibration::TCP_OPEN + closed as u64 * calibration::TCP_CLOSE);
-        for (dst, seg) in self.sock.poll_wire(now) {
-            ctx.charge(calibration::TCP_TX_SEG);
-            if let Some(ip) = self.ip {
-                ctx.send(
-                    ip,
-                    Msg::IpTx {
-                        dst,
-                        protocol: 6,
-                        payload: seg,
-                    },
-                );
-            }
-        }
-        for (app, msg) in self.sock.take_app_msgs() {
-            ctx.charge(calibration::SOCK_OP);
-            ctx.send(app, msg);
-        }
-        // Replication delta last: crashes arrive as messages, so the whole
-        // flush is atomic — every output above is covered by this delta.
-        if let Some((buddy, delta)) = self.repl.collect_delta(&mut self.sock, self.queue, now) {
-            ctx.charge(calibration::SOCK_OP);
-            ctx.send(buddy, delta);
-        }
-        if let Some(d) = self.sock.next_timeout() {
-            if self.armed.map(|a| d < a).unwrap_or(true) {
-                self.armed = Some(d);
-                ctx.set_timer(Time::from_nanos(d.saturating_sub(now)), 0);
-            }
-        }
-        if self.terminating && !self.drained_reported && self.sock.conn_count() == 0 {
-            self.drained_reported = true;
-            ctx.send(self.supervisor, Msg::Drained { queue: self.queue });
+            host: StackHost::new(queue, supervisor, local_ip, cfg),
+            wire: IpWire { ip },
         }
     }
 }
@@ -101,27 +71,14 @@ impl Process<Msg> for TcpProc {
         for msg in msgs {
             match msg {
                 Msg::IpRxTcp { src, seg } => {
-                    ctx.charge(calibration::TCP_RX_SEG);
-                    let now = ctx.now().as_nanos();
-                    if self.repl.logging() {
-                        self.repl.record(InputRec::Seg {
-                            src,
-                            bytes: seg.to_vec(),
-                            now,
-                        });
-                    }
-                    if let Ok((h, range)) =
-                        neat_net::TcpHeader::parse(&seg, src, self.sock.stack.local_ip)
-                    {
-                        self.sock.stack.handle_segment(src, &h, &seg[range], now);
-                    }
+                    self.host.rx_segment(ctx, src, &seg);
                     deferred_flush = true;
                 }
                 other => self.on_event(ctx, Event::Message { from, msg: other }),
             }
         }
         if deferred_flush {
-            self.flush(ctx);
+            self.host.flush(ctx, &mut self.wire);
         }
     }
 
@@ -134,132 +91,20 @@ impl Process<Msg> for TcpProc {
                     self.on_event(ctx, Event::Message { from, msg });
                 }
             }
-            Event::Start => {
-                self.layout_token = ctx.rng().gen();
-            }
-            Event::Timer { .. } => {
-                self.armed = None;
-                let now = ctx.now().as_nanos();
-                if self.repl.logging() {
-                    self.repl.record(InputRec::Timer { now });
-                }
-                self.sock.on_timer(now);
-                self.flush(ctx);
-            }
+            Event::Start => self.host.on_start(ctx),
+            Event::Timer { .. } => self.host.on_timer(ctx, &mut self.wire),
             Event::Message { from, msg } => match msg {
                 Msg::IpRxTcp { src, seg } => {
-                    ctx.charge(calibration::TCP_RX_SEG);
-                    let now = ctx.now().as_nanos();
-                    if self.repl.logging() {
-                        self.repl.record(InputRec::Seg {
-                            src,
-                            bytes: seg.to_vec(),
-                            now,
-                        });
-                    }
-                    if let Ok((h, range)) =
-                        neat_net::TcpHeader::parse(&seg, src, self.sock.stack.local_ip)
-                    {
-                        self.sock.stack.handle_segment(src, &h, &seg[range], now);
-                    }
-                    self.flush(ctx);
+                    self.host.rx_segment(ctx, src, &seg);
+                    self.host.flush(ctx, &mut self.wire);
                 }
-                m @ (Msg::Listen { .. }
-                | Msg::Connect { .. }
-                | Msg::ConnSend { .. }
-                | Msg::ConnClose { .. }
-                | Msg::SetSockOpt { .. }) => {
-                    if self.terminating && matches!(m, Msg::Listen { .. } | Msg::Connect { .. }) {
-                        return;
-                    }
-                    let now = ctx.now().as_nanos();
-                    if self.repl.logging() {
-                        match &m {
-                            Msg::Listen { port, app } => self.repl.record(InputRec::Listen {
-                                port: *port,
-                                app: *app,
-                            }),
-                            Msg::Connect { remote, app, token } => {
-                                self.repl.record(InputRec::Connect {
-                                    remote: *remote,
-                                    app: *app,
-                                    token: *token,
-                                    now,
-                                })
-                            }
-                            Msg::ConnSend { sock, data } => self.repl.record(InputRec::Send {
-                                sock: *sock,
-                                data: data.clone(),
-                            }),
-                            Msg::ConnClose { sock } => {
-                                self.repl.record(InputRec::Close { sock: *sock, now })
-                            }
-                            Msg::SetSockOpt { sock, opt } => self.repl.record(InputRec::SetOpt {
-                                sock: *sock,
-                                opt: *opt,
-                            }),
-                            _ => {}
-                        }
-                    }
-                    let ops = self.sock.handle_app(from, m, now);
-                    ctx.charge(ops as u64 * calibration::SOCK_OP);
-                    self.flush(ctx);
-                }
-                Msg::SetBuddy { buddy } => {
-                    self.repl.set_buddy(&mut self.sock, buddy);
-                    // Re-baseline immediately so the buddy's store starts
-                    // complete.
-                    self.flush(ctx);
-                }
-                Msg::ReplDelta { queue: _, payload } => {
-                    ctx.charge(calibration::SOCK_OP);
-                    self.repl.apply_delta(from, payload);
-                }
-                Msg::ReplHandoff { queue: _, old, to } => {
-                    let flows = self.repl.take_flows_for(old);
-                    ctx.charge(calibration::SOCK_OP);
-                    ctx.send(to, Msg::ReplRestore { old, flows });
-                }
-                Msg::ReplRestore { old, flows } => {
-                    let me = ctx.self_id;
-                    ctx.charge(flows.len() as u64 * calibration::TCP_OPEN);
-                    let restored = self.sock.restore_flows(me, old, flows);
-                    neat_obs::counter_add("repl.flows_restored", restored.len() as u64);
-                    ctx.send(
-                        self.supervisor,
-                        Msg::ReplRestored {
-                            queue: self.queue,
-                            flows: restored,
-                        },
-                    );
-                    self.flush(ctx);
-                }
-                Msg::MigrateOut { to } => {
-                    let flows = self.sock.export_for_migration();
-                    ctx.charge(flows.len() as u64 * calibration::TCP_CLOSE);
-                    neat_obs::counter_add("repl.flows_migrated", flows.len() as u64);
-                    ctx.send(
-                        to,
-                        Msg::ReplRestore {
-                            old: ctx.self_id,
-                            flows,
-                        },
-                    );
-                    self.flush(ctx);
-                }
-                Msg::ReplForget { owner } => self.repl.forget(owner),
-                Msg::SetNeighbor { role, pid } => match role {
-                    NeighborRole::Ip => self.ip = Some(pid),
-                    NeighborRole::Supervisor => self.supervisor = pid,
-                    _ => {}
-                },
-                Msg::Terminate => {
-                    self.terminating = true;
-                    self.supervisor = from;
-                    self.flush(ctx);
-                }
+                Msg::SetNeighbor {
+                    role: NeighborRole::Ip,
+                    pid,
+                } => self.wire.ip = Some(pid),
                 Msg::Poison => ctx.crash_self(),
-                _ => {}
+                // Everything above the wire is the host's.
+                other => self.host.on_msg(ctx, from, other, &mut self.wire),
             },
         }
     }

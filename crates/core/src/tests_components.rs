@@ -449,3 +449,276 @@ fn crashed_replica_fails_inflight_connects_without_leaking() {
     );
     assert_eq!(*pending.borrow(), 0, "pending_connect token reclaimed");
 }
+
+// ----------------------------------------------------------------------
+// The shared stack host's contract, checked for both replica shapes.
+// ----------------------------------------------------------------------
+
+/// A probe that also plays a script: on start it sends `script` to `to`,
+/// then records what comes back, like [`Probe`].
+struct Actor {
+    to: ProcId,
+    script: Vec<Msg>,
+    log: Rc<RefCell<Vec<String>>>,
+}
+
+impl Process<Msg> for Actor {
+    fn name(&self) -> String {
+        "actor".into()
+    }
+    fn on_event(&mut self, ctx: &mut Ctx<'_, Msg>, ev: Event<Msg>) {
+        match ev {
+            Event::Start => {
+                for msg in self.script.drain(..) {
+                    ctx.send(self.to, msg);
+                }
+            }
+            Event::Message { msg, .. } => self.log.borrow_mut().push(Probe::describe(&msg)),
+            Event::Timer { .. } | Event::Batch { .. } => {}
+        }
+    }
+}
+
+/// Spawn one stack host of either shape; `below` stands in for the driver
+/// (single-component) or the IP process (multi-component).
+fn spawn_stack_host(
+    sim: &mut Sim<Msg>,
+    t: neat_sim::HwThreadId,
+    single: bool,
+    below: ProcId,
+) -> ProcId {
+    let cfg = crate::config::NeatConfig::single(1);
+    let sup = ProcId(0);
+    if single {
+        let p = crate::stack_single::SingleStackProc::new(
+            "neat.0",
+            0,
+            below,
+            sup,
+            cfg.ip,
+            cfg.mac,
+            &cfg,
+            vec![],
+        );
+        sim.spawn(t, Box::new(p))
+    } else {
+        let p = crate::tcp_comp::TcpProc::new("tcp.0", 0, sup, Some(below), cfg.ip, &cfg);
+        sim.spawn(t, Box::new(p))
+    }
+}
+
+#[test]
+fn terminating_host_fails_connects_and_reports_drained_once() {
+    // §3.4 lazy termination: a terminating replica takes no new work. A
+    // refused `Connect` must be answered — `SocketLib` only reclaims a
+    // `pending_connect` token on `ConnFailed`/`ReplicaRestarted`, never on
+    // `ReplicaRemoved` — and `Drained` goes to whoever sent `Terminate`,
+    // exactly once, however many flushes follow.
+    for single in [true, false] {
+        let (mut sim, th) = mini_sim();
+        let (below, _) = probe(&mut sim, th[0]);
+        let (app, app_log) = probe(&mut sim, th[1]);
+        let stack = spawn_stack_host(&mut sim, th[2], single, below);
+        let sup_log = Rc::new(RefCell::new(Vec::new()));
+        let script = vec![
+            // Before termination socket ops are served: the reply proves
+            // the op reached the host in this shape.
+            Msg::Listen { port: 80, app },
+            Msg::Terminate,
+            Msg::Listen { port: 81, app },
+            Msg::Connect {
+                remote: (std::net::Ipv4Addr::new(10, 0, 0, 9), 80),
+                app,
+                token: 9,
+            },
+            // Ops on existing sockets still flush; no second `Drained`.
+            Msg::ConnClose {
+                sock: neat_tcp::SocketId(1),
+            },
+        ];
+        sim.spawn(
+            th[3],
+            Box::new(Actor {
+                to: stack,
+                script,
+                log: sup_log.clone(),
+            }),
+        );
+        sim.run_until(Time::from_millis(5));
+        assert_eq!(
+            app_log.borrow().as_slice(),
+            ["ConnFailed { token: 9 }"],
+            "single={single}: refused connect is answered, nothing else reaches the app"
+        );
+        assert_eq!(
+            sup_log.borrow().as_slice(),
+            ["ListenOk(80)", "Drained { queue: 0 }"],
+            "single={single}: listen served before, refused after; drained once"
+        );
+    }
+}
+
+/// One sample of every [`Msg`] variant, as a chain: each arm yields the
+/// next variant's sample and the last yields `None`. The match has no
+/// wildcard, so a new variant fails to compile here — link it in.
+fn next_sample(m: &Msg) -> Option<Msg> {
+    let ip = std::net::Ipv4Addr::new(10, 0, 0, 9);
+    let app = ProcId(77);
+    let sock = neat_tcp::SocketId(1);
+    let conn = crate::msg::ConnHandle {
+        stack: ProcId(50),
+        sock,
+    };
+    let flow = neat_net::FlowKey::tcp(ip, 1234, ip, 80);
+    let pkt = || neat_net::PktBuf::from(vec![0u8; 60]);
+    Some(match m {
+        Msg::WireFrame(_) => Msg::RxFrame {
+            queue: 0,
+            frame: pkt(),
+        },
+        Msg::RxFrame { .. } => Msg::HostTx(pkt()),
+        Msg::HostTx(_) => Msg::NicAddFilter { flow, queue: 0 },
+        Msg::NicAddFilter { .. } => Msg::NicSetAccepting {
+            queue: 0,
+            accepting: true,
+        },
+        Msg::NicSetAccepting { .. } => Msg::NicGrowQueues { n: 2 },
+        Msg::NicGrowQueues { .. } => Msg::NicSetTracking { on: true },
+        Msg::NicSetTracking { .. } => Msg::NetRx(pkt()),
+        Msg::NetRx(_) => Msg::NetTx(pkt()),
+        Msg::NetTx(_) => Msg::Announce {
+            queue: 0,
+            head: app,
+        },
+        Msg::Announce { .. } => Msg::PfPass(pkt()),
+        Msg::PfPass(_) => Msg::IpRxTcp {
+            src: ip,
+            seg: pkt(),
+        },
+        Msg::IpRxTcp { .. } => Msg::IpRxUdp {
+            src: ip,
+            dgram: pkt(),
+        },
+        Msg::IpRxUdp { .. } => Msg::IpTx {
+            dst: ip,
+            protocol: 6,
+            payload: vec![],
+        },
+        Msg::IpTx { .. } => Msg::SetNeighbor {
+            role: NeighborRole::Ip,
+            pid: app,
+        },
+        Msg::SetNeighbor { .. } => Msg::Listen { port: 80, app },
+        Msg::Listen { .. } => Msg::ListenOk { port: 80 },
+        Msg::ListenOk { .. } => Msg::Connect {
+            remote: (ip, 80),
+            app,
+            token: 1,
+        },
+        Msg::Connect { .. } => Msg::ConnOpen { conn, token: 1 },
+        Msg::ConnOpen { .. } => Msg::ConnFailed { token: 1 },
+        Msg::ConnFailed { .. } => Msg::Incoming { port: 80, conn },
+        Msg::Incoming { .. } => Msg::ConnSend {
+            sock,
+            data: vec![1],
+        },
+        Msg::ConnSend { .. } => Msg::ConnData {
+            conn,
+            data: vec![1],
+        },
+        Msg::ConnData { .. } => Msg::ConnClose { sock },
+        Msg::ConnClose { .. } => Msg::SetSockOpt {
+            sock,
+            opt: neat_tcp::SockOpt::InitialCwnd(10),
+        },
+        Msg::SetSockOpt { .. } => Msg::ConnEof { conn },
+        Msg::ConnEof { .. } => Msg::ConnClosed {
+            conn,
+            aborted: false,
+        },
+        Msg::ConnClosed { .. } => Msg::UdpBind { port: 53, app },
+        Msg::UdpBind { .. } => Msg::UdpTx {
+            src_port: 53,
+            dst: (ip, 53),
+            data: vec![],
+        },
+        Msg::UdpTx { .. } => Msg::UdpData {
+            port: 53,
+            src: (ip, 53),
+            data: vec![],
+        },
+        Msg::UdpData { .. } => Msg::SysListen { port: 80, app },
+        Msg::SysListen { .. } => Msg::SysListenDone { port: 80 },
+        Msg::SysListenDone { .. } => Msg::SysCall { token: 1 },
+        Msg::SysCall { .. } => Msg::SysReply { token: 1 },
+        Msg::SysReply { .. } => Msg::Crashed {
+            pid: app,
+            name: String::new(),
+        },
+        Msg::Crashed { .. } => Msg::ReplicaDown { queue: 0 },
+        Msg::ReplicaDown { .. } => Msg::ReplicaRestarted { old: app, new: app },
+        Msg::ReplicaRestarted { .. } => Msg::ReplicaAdded { stack: app },
+        Msg::ReplicaAdded { .. } => Msg::ReplicaRemoved { stack: app },
+        Msg::ReplicaRemoved { .. } => Msg::RegisterApp { app },
+        Msg::RegisterApp { .. } => Msg::ScaleUp,
+        Msg::ScaleUp => Msg::ScaleDown,
+        Msg::ScaleDown => Msg::Drained { queue: 0 },
+        Msg::Drained { .. } => Msg::Terminate,
+        Msg::Terminate => Msg::SetBuddy { buddy: None },
+        Msg::SetBuddy { .. } => Msg::ReplDelta {
+            queue: 0,
+            payload: crate::msg::ReplPayload {
+                full: true,
+                flows: vec![],
+                closed: vec![],
+            },
+        },
+        Msg::ReplDelta { .. } => Msg::ReplHandoff {
+            queue: 0,
+            old: app,
+            to: app,
+        },
+        Msg::ReplHandoff { .. } => Msg::ReplRestore {
+            old: app,
+            flows: vec![],
+        },
+        Msg::ReplRestore { .. } => Msg::ReplRestored {
+            queue: 0,
+            flows: vec![flow],
+        },
+        Msg::ReplRestored { .. } => Msg::ConnMigrated {
+            old: conn,
+            new: conn,
+            app_bytes: 0,
+        },
+        Msg::ConnMigrated { .. } => Msg::MigrateOut { to: app },
+        Msg::MigrateOut { .. } => Msg::ReplForget { owner: app },
+        Msg::ReplForget { .. } => Msg::Poison,
+        Msg::Poison => Msg::AppTick { token: 1 },
+        Msg::AppTick { .. } => return None,
+    })
+}
+
+#[test]
+fn is_sock_op_is_exactly_what_sock_server_handles() {
+    // Every host routes on `Msg::is_sock_op()`; `SockServer::handle_app`
+    // is what acts on the routed message. If the two disagree on any
+    // variant, a socket op is either dropped by the hosts or flushed for
+    // nothing — so a sixth op cannot be added to one and not the other.
+    use crate::sock_server::SockServer;
+    let ip = std::net::Ipv4Addr::new(10, 0, 0, 1);
+    let mut next = Some(Msg::WireFrame(vec![0u8; 60].into()));
+    let (mut variants, mut ops) = (0, 0);
+    while let Some(m) = next {
+        next = next_sample(&m);
+        let what = Probe::describe(&m);
+        let claimed = m.is_sock_op();
+        let mut srv = SockServer::new(ip, neat_tcp::TcpConfig::default());
+        let handled = srv.handle_app(ProcId(77), m, 0) != 0;
+        assert_eq!(claimed, handled, "{what}: is_sock_op vs handle_app");
+        variants += 1;
+        ops += claimed as usize;
+    }
+    assert_eq!(ops, 5, "Listen, Connect, ConnSend, ConnClose, SetSockOpt");
+    assert!(variants > 50, "the chain walked the whole enum: {variants}");
+}

@@ -142,23 +142,11 @@ impl Process<Msg> for KernelCtxProc {
                     if let RxClass::Tcp { src, seg } = class {
                         let vfs = self.shared.borrow().scaled(MONO_VFS_PER_OP / 2);
                         ctx.charge(calibration::TCP_RX_SEG + vfs);
-                        let local_ip = self.shared.borrow().sock.stack.local_ip;
-                        if let Ok((h, range)) = neat_net::TcpHeader::parse(&seg, src, local_ip) {
-                            self.shared.borrow_mut().sock.stack.handle_segment(
-                                src,
-                                &h,
-                                &seg[range],
-                                now,
-                            );
-                        }
+                        self.shared.borrow_mut().sock.rx_segment(src, &seg, now);
                     }
                     self.flush(ctx);
                 }
-                m @ (Msg::Listen { .. }
-                | Msg::Connect { .. }
-                | Msg::ConnSend { .. }
-                | Msg::ConnClose { .. }
-                | Msg::SetSockOpt { .. }) => {
+                m if m.is_sock_op() => {
                     self.obs.syscalls.inc();
                     let now = ctx.now().as_nanos();
                     // Syscall path: boundary crossing + VFS + locks.
@@ -170,7 +158,7 @@ impl Process<Msg> for KernelCtxProc {
                         // The listener's application lives on this core.
                         sh.app_ctx.insert(*app, self.idx);
                     }
-                    let ops = sh.handle_app_msg(from, m, now);
+                    let ops = sh.sock.handle_app(from, m, now);
                     ctx.charge(ops as u64 * calibration::SOCK_OP);
                     drop(sh);
                     self.flush(ctx);
@@ -250,14 +238,6 @@ impl Process<Msg> for MonoIrqProc {
             let dst = self.route(&frame, queue);
             ctx.send(dst, Msg::NetRx(frame));
         }
-    }
-}
-
-/// Extension hook: `MonoShared` needs a message-consuming variant of
-/// `handle_app` (the `SockServer` one takes `Msg` by value).
-impl MonoShared {
-    pub fn handle_app_msg(&mut self, from: ProcId, msg: Msg, now: u64) -> u32 {
-        self.sock.handle_app(from, msg, now)
     }
 }
 

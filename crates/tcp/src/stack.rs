@@ -783,22 +783,6 @@ impl TcpStack {
         Ok(id)
     }
 
-    /// Allocation counters `(next_id, iss_counter, next_port)` — the
-    /// deterministic state an input-log mirror must share with its
-    /// primary so replayed allocations produce identical ids and ISSs.
-    pub fn alloc_state(&self) -> (u64, u32, u16) {
-        (self.next_id, self.iss_counter, self.next_port)
-    }
-
-    /// Adopt a primary's allocation counters (input-log mirror bootstrap).
-    pub fn sync_alloc(&mut self, next_id: u64, iss: u32, next_port: u16) {
-        self.next_id = self.next_id.max(next_id);
-        self.iss_counter = iss;
-        if (self.port_lo..=self.port_hi).contains(&next_port) {
-            self.next_port = next_port;
-        }
-    }
-
     /// Silently remove a connection that was migrated to another replica:
     /// no FIN, no RST, no user event — the flow lives on elsewhere. The
     /// flow key is quarantined so late in-flight segments are dropped

@@ -182,42 +182,69 @@ fn repeated_crashes_keep_recovering() {
     assert!(stats.recoveries >= 2);
 }
 
+/// The replica process that owns TCP state under `cfg`.
+fn tcp_owner(cfg: &NeatConfig) -> Role {
+    match cfg.mode {
+        neat::config::StackMode::Single => Role::Single,
+        neat::config::StackMode::Multi => Role::Tcp,
+    }
+}
+
+/// Both replica shapes, replication on: they share one `StackHost`, so
+/// every replicated property must hold for each.
+fn replicated_shapes() -> [NeatConfig; 2] {
+    [
+        NeatConfig::multi(2).replicated(),
+        NeatConfig::single(2).replicated(),
+    ]
+}
+
 #[test]
 fn replicated_tcp_crash_is_transparent() {
-    // With buddy replication on, the TCP component crash that loses state
-    // in `multi_component_tcp_crash_loses_state_but_recovers` becomes
-    // fully transparent: the buddy hands the dead replica's flows to the
+    // With buddy replication on, the TCP-owner crash that loses state in
+    // `multi_component_tcp_crash_loses_state_but_recovers` becomes fully
+    // transparent: the buddy hands the dead replica's flows to the
     // respawned head and clients never notice.
-    let mut tb = loaded_testbed(NeatConfig::multi(2).replicated(), 4);
-    tb.sim.run_until(Time::from_millis(150));
-    let errs_before = tb.total_errors();
+    for cfg in replicated_shapes() {
+        let mode = cfg.mode;
+        let victim = tcp_owner(&cfg);
+        let mut tb = loaded_testbed(cfg, 4);
+        tb.sim.run_until(Time::from_millis(150));
+        let errs_before = tb.total_errors();
 
-    poison(&mut tb, 0, Role::Tcp);
-    let after = tb.measure(Time::from_millis(100), Time::from_millis(300));
+        poison(&mut tb, 0, victim);
+        let after = tb.measure(Time::from_millis(100), Time::from_millis(300));
 
-    let stats = tb.deployment.sup_stats.borrow().clone();
-    assert_eq!(stats.crashes_seen, 1);
-    assert_eq!(stats.recoveries, 1);
-    assert_eq!(
-        stats.stateful_losses, 0,
-        "replication preserves the TCP state across the crash"
-    );
-    assert!(
-        stats.handoffs_completed >= 1,
-        "the buddy completed a flow handoff: {stats:?}"
-    );
-    let lost: u64 = tb
-        .web_metrics
-        .iter()
-        .map(|m| m.borrow().conns_lost_to_crash)
-        .sum();
-    assert_eq!(lost, 0, "no established connection died with the replica");
-    assert_eq!(
-        tb.total_errors(),
-        errs_before,
-        "clients saw no error from the crash"
-    );
-    assert!(after.requests > 500, "service continued: {after:?}");
+        let stats = tb.deployment.sup_stats.borrow().clone();
+        assert_eq!(stats.crashes_seen, 1, "{mode:?}");
+        assert_eq!(stats.recoveries, 1, "{mode:?}");
+        assert_eq!(
+            stats.stateful_losses, 0,
+            "{mode:?}: replication preserves the TCP state across the crash"
+        );
+        assert!(
+            stats.handoffs_completed >= 1,
+            "{mode:?}: the buddy completed a flow handoff: {stats:?}"
+        );
+        let lost: u64 = tb
+            .web_metrics
+            .iter()
+            .map(|m| m.borrow().conns_lost_to_crash)
+            .sum();
+        assert_eq!(
+            lost, 0,
+            "{mode:?}: no established connection died with the replica"
+        );
+        assert_eq!(
+            tb.total_errors(),
+            errs_before,
+            "{mode:?}: clients saw no error from the crash"
+        );
+        assert!(
+            after.requests > 500,
+            "{mode:?}: service continued: {after:?}"
+        );
+    }
 }
 
 #[test]
@@ -271,12 +298,14 @@ fn replicated_crash_is_transparent_under_every_congestion_controller() {
     }
 }
 
-/// One fixed-seed replicated run with a TCP crash at 150 ms; returns the
-/// per-client received-byte-stream digests at 500 ms virtual time.
-fn crashed_run_digests() -> Vec<u64> {
-    let mut tb = loaded_testbed(NeatConfig::multi(2).replicated(), 4);
+/// One fixed-seed replicated run with a TCP-owner crash at 150 ms;
+/// returns the per-client received-byte-stream digests at 500 ms virtual
+/// time.
+fn crashed_run_digests(cfg: NeatConfig) -> Vec<u64> {
+    let victim = tcp_owner(&cfg);
+    let mut tb = loaded_testbed(cfg, 4);
     tb.sim.run_until(Time::from_millis(150));
-    poison(&mut tb, 0, Role::Tcp);
+    poison(&mut tb, 0, victim);
     tb.sim.run_until(Time::from_millis(500));
     tb.client_metrics
         .iter()
@@ -290,16 +319,19 @@ fn replicated_crash_recovery_is_byte_identical() {
     // client application reads — across the crash, the handoff, and the
     // resumed connections — must be reproducible. Two identically seeded
     // runs have to deliver identical streams.
-    let a = crashed_run_digests();
-    let b = crashed_run_digests();
-    assert!(
-        a.iter().all(|&d| d != 0),
-        "every client received data: {a:?}"
-    );
-    assert_eq!(
-        a, b,
-        "fixed-seed crash recovery delivers byte-identical client streams"
-    );
+    for cfg in replicated_shapes() {
+        let mode = cfg.mode;
+        let a = crashed_run_digests(cfg.clone());
+        let b = crashed_run_digests(cfg);
+        assert!(
+            a.iter().all(|&d| d != 0),
+            "{mode:?}: every client received data: {a:?}"
+        );
+        assert_eq!(
+            a, b,
+            "{mode:?}: fixed-seed crash recovery delivers byte-identical client streams"
+        );
+    }
 }
 
 #[test]
