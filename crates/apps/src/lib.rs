@@ -7,6 +7,8 @@
 //! scenario builder that assembles complete simulated testbeds (server
 //! machine + NEaT or monolith deployment + client machine + 10GbE link).
 
+#![forbid(unsafe_code)]
+
 pub mod http;
 pub mod httperf;
 pub mod scenario;

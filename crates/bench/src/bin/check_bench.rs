@@ -5,7 +5,9 @@
 //! baselines in `baselines/bench_baselines.json`, and exits non-zero when
 //! any metric drifts out of tolerance — so a perf regression (or an
 //! accidental determinism break) fails the build rather than landing
-//! silently.
+//! silently. The bench sets must match in both directions: a baseline
+//! block with no results file and a results file with no baseline block
+//! (a new, ungated bench, or a stale file) both fail.
 //!
 //! ```text
 //! check_bench                     # compare, exit 1 on drift
@@ -22,39 +24,15 @@
 //! { "benches": { "table1": { "best_krps": { "value": 230.1, "rel_tol": 0.1 } } } }
 //! ```
 //!
-//! A metric passes when `|measured - value| <= rel_tol * |value| + abs_tol`
-//! (`abs_tol` optional, default 0). The quick suite is deterministic with
-//! fixed seeds, so tolerances only need to absorb intentional calibration
-//! shifts, not run-to-run noise.
+//! A metric passes when `|measured - value| <= rel_tol * |value|`. The
+//! quick suite is deterministic with fixed seeds and every gated metric
+//! is virtual-time, so tolerances only need to absorb intentional
+//! calibration shifts, not run-to-run noise.
 
 use neat_util::Json;
 
 const BASELINES: &str = "baselines/bench_baselines.json";
 const DEFAULT_REL_TOL: f64 = 0.10;
-
-/// Per-metric tolerance overrides applied by `--write`: `(key, rel, abs)`.
-///
-/// The quick suite's virtual-time metrics are deterministic and get the
-/// tight default, but wall-clock-derived metrics (parallel speedup,
-/// events/sec) measure the *host* — baselines may be written on a 1-CPU
-/// container while CI runs 4-vCPU runners — so they carry a wide band
-/// here and are instead gated semantically inside the bench itself
-/// (par_scale fails below 1.5x speedup on hosts with >= 4 CPUs).
-const WALL_CLOCK_TOLS: &[(&str, f64, f64)] = &[
-    ("sim.parallel_speedup", 3.0, 2.0),
-    ("par_scale_speedup_2x", 3.0, 2.0),
-    ("par_scale_speedup_4x", 3.0, 2.0),
-    ("par_scale_speedup_8x", 3.0, 2.0),
-    ("par_scale_serial_meps", 3.0, 5.0),
-];
-
-fn tolerance_for(key: &str) -> (f64, f64) {
-    WALL_CLOCK_TOLS
-        .iter()
-        .find(|(k, _, _)| *k == key)
-        .map(|(_, rel, abs)| (*rel, *abs))
-        .unwrap_or((DEFAULT_REL_TOL, 0.0))
-}
 
 fn load(path: &str) -> Result<Json, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
@@ -75,16 +53,33 @@ fn result_metrics(bench: &str) -> Result<Vec<(String, f64)>, String> {
         .collect())
 }
 
+/// The `x` of every `results/BENCH_x.json` present, sorted.
+fn result_benches() -> Vec<String> {
+    let mut benches: Vec<String> = std::fs::read_dir("results")
+        .map(|rd| {
+            rd.filter_map(|e| {
+                let name = e.ok()?.file_name().into_string().ok()?;
+                Some(
+                    name.strip_prefix("BENCH_")?
+                        .strip_suffix(".json")?
+                        .to_string(),
+                )
+            })
+            .collect()
+        })
+        .unwrap_or_default();
+    benches.sort();
+    benches
+}
+
 fn write_baselines(benches: &[&str]) -> Result<(), String> {
     let mut out = Json::object();
     for bench in benches {
         let mut obj = Json::object();
         for (k, v) in result_metrics(bench)? {
-            let (rel, abs) = tolerance_for(&k);
-            let mut spec = Json::object().field("value", v).field("rel_tol", rel);
-            if abs > 0.0 {
-                spec = spec.field("abs_tol", abs);
-            }
+            let spec = Json::object()
+                .field("value", v)
+                .field("rel_tol", DEFAULT_REL_TOL);
             obj = obj.field(k, spec);
         }
         out = out.field(*bench, obj);
@@ -126,13 +121,12 @@ fn check() -> Result<Vec<String>, String> {
                 .get("rel_tol")
                 .and_then(|v| v.as_f64())
                 .unwrap_or(DEFAULT_REL_TOL);
-            let abs = spec.get("abs_tol").and_then(|v| v.as_f64()).unwrap_or(0.0);
             let Some(&(_, got)) = measured.iter().find(|(k, _)| k == key) else {
                 failures.push(format!("{bench}.{key}: metric missing from results"));
                 continue;
             };
             checked += 1;
-            let allowed = rel * value.abs() + abs;
+            let allowed = rel * value.abs();
             let drift = (got - value).abs();
             if drift > allowed {
                 failures.push(format!(
@@ -140,6 +134,14 @@ fn check() -> Result<Vec<String>, String> {
                      (drift {drift:.3} > allowed {allowed:.3})"
                 ));
             }
+        }
+    }
+    for bench in result_benches() {
+        if !benches.iter().any(|(b, _)| *b == bench) {
+            failures.push(format!(
+                "{bench}: results/BENCH_{bench}.json has no baseline block in {BASELINES} \
+                 (gate the new bench with scripts/regen_baselines.sh, or delete the stale file)"
+            ));
         }
     }
     println!("check_bench: {checked} metrics compared against {BASELINES}");
@@ -150,20 +152,7 @@ fn main() {
     let write = std::env::args().any(|a| a == "--write-baselines" || a == "--write");
     if write {
         // Every results file present becomes a baseline entry.
-        let mut benches: Vec<String> = std::fs::read_dir("results")
-            .map(|rd| {
-                rd.filter_map(|e| {
-                    let name = e.ok()?.file_name().into_string().ok()?;
-                    Some(
-                        name.strip_prefix("BENCH_")?
-                            .strip_suffix(".json")?
-                            .to_string(),
-                    )
-                })
-                .collect()
-            })
-            .unwrap_or_default();
-        benches.sort();
+        let benches = result_benches();
         let refs: Vec<&str> = benches.iter().map(|s| s.as_str()).collect();
         if refs.is_empty() {
             eprintln!("no results/BENCH_*.json found — run run_all first");
@@ -181,7 +170,7 @@ fn main() {
             for f in &failures {
                 eprintln!("FAIL {f}");
             }
-            eprintln!("check_bench: {} metric(s) out of tolerance", failures.len());
+            eprintln!("check_bench: {} check(s) failed", failures.len());
             std::process::exit(1);
         }
         Err(e) => {

@@ -19,6 +19,8 @@
 //! | `fig13`  | expected state preserved vs max throughput |
 //! | `run_all`| everything above, writing `results/*.txt` + summary |
 
+#![forbid(unsafe_code)]
+
 use neat_util::{Json, ToJson};
 use std::fmt::Write as _;
 use std::io::Write as _;

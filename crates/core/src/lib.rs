@@ -33,6 +33,8 @@
 //! blueprints, the user-space socket library with subsocket replication,
 //! and dynamic scale-up/down with lazy termination (§3.4).
 
+#![forbid(unsafe_code)]
+
 pub mod boot;
 pub mod config;
 pub mod driver;

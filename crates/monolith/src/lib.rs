@@ -19,6 +19,8 @@
 //! violation of isolation, because shared memory *is* the monolith's
 //! architecture.
 
+#![forbid(unsafe_code)]
+
 pub mod boot;
 pub mod ctx_proc;
 pub mod shared;

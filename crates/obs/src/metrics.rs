@@ -42,11 +42,12 @@ fn with<R>(f: impl FnOnce(&mut Registry) -> R) -> R {
 ///
 /// Handles are indices into the registering thread's registry, so a handle
 /// created on the main thread must never be dereferenced on a worker whose
-/// registry has different (or no) registrations. Parallel executors call
-/// `set_thread_enabled(false)` at worker start: every handle operation and
-/// by-name registration on that thread becomes a no-op, which both prevents
-/// cross-registry indexing and keeps the main thread's snapshot independent
-/// of how work was spread across threads (determinism across shard counts).
+/// registry has different (or no) registrations. While disabled, every
+/// handle operation and by-name registration on the thread is a no-op,
+/// which both prevents cross-registry indexing on a worker thread and lets
+/// a driver keep part of its work out of the snapshot (`conn_scale` runs
+/// its client lanes disabled so the report shows the server stack alone;
+/// `failover` keeps the registry out of its report entirely).
 pub fn set_thread_enabled(on: bool) {
     ENABLED.with(|e| e.set(on));
 }

@@ -95,9 +95,8 @@ pub const WAKE_REMOTE: Cycles = 60;
 
 /// Latency between a process faulting and its crash monitor receiving the
 /// notification (the kernel notices the exception and performs one IPC
-/// round to the reincarnation server). Also an engine invariant: this is
-/// the minimum horizon of any crash's cross-process effect, which the
-/// parallel executor checks against its synchronization window.
+/// round to the reincarnation server). This is the minimum horizon of any
+/// crash's cross-process effect.
 pub const CRASH_NOTIFY_LATENCY: Time = Time(50_000);
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,5 @@
 //! The discrete-event engine: per-machine event heaps, dispatch, CPU-time
-//! accounting — organised so the same history can be produced serially or
-//! by parallel shard workers.
+//! accounting.
 //!
 //! The engine owns all machines and processes and advances simulated time by
 //! dispatching events in `(time, origin machine, origin sequence)` order.
@@ -26,20 +25,16 @@
 //! each domain computes from purely local history. A handler only ever
 //! reads and writes its own domain (enforced by [`Ctx`]'s narrow surface),
 //! so the history of a domain depends only on the time-ordered set of
-//! events addressed to it, never on how domains interleave on host
-//! threads. That is what lets [`crate::Sim::run_sharded`] execute domains
-//! on real OS threads under conservative time windows and still produce
-//! bit-identical results to [`crate::Sim::run_until`] for any shard count
-//! — see `parallel.rs` and DESIGN.md "Parallel engine & determinism".
+//! events addressed to it: nothing that happens on another machine can
+//! change its pids, sequence numbers or RNG draws — see DESIGN.md
+//! "Scheduling domains & determinism". [`Sim::run_until`] is the only
+//! event loop; it merges the domain heaps by that key.
 //!
 //! Machine-local rules that uphold the contract (asserted, not implied):
 //!
 //! * `Ctx::spawn` targets a hardware thread of the calling process's own
 //!   machine (the harness-level [`Sim::spawn`] can target any machine);
 //! * `Ctx::is_alive` answers for processes of the caller's machine only;
-//! * cross-machine sends must declare at least
-//!   [`SimConfig::link_latency_ns`] of extra delivery delay (the
-//!   conservative lookahead of the parallel executor);
 //! * per-link coalescing applies to machine-local links only, and the
 //!   MWAIT wake-up charge is paid for machine-local destinations only
 //!   (cross-machine traffic is signalled by the receiving NIC's IRQ path,
@@ -54,7 +49,6 @@ use crate::calibration;
 use crate::machine::{
     HwThread, HwThreadId, Machine, MachineId, MachineSpec, ThreadKind, ThreadStats,
 };
-use crate::parallel::ParStats;
 use crate::process::{Event, ProcId, Process};
 use crate::time::{Cycles, Time};
 
@@ -74,13 +68,6 @@ pub struct SimConfig {
     pub batch_ns: u64,
     /// Flush an open batch early once it holds this many messages.
     pub batch_max: usize,
-    /// Declared minimum extra delivery delay of every cross-machine send,
-    /// in nanoseconds (asserted at send time). Together with the channel
-    /// latency this bounds the conservative synchronization window of
-    /// [`Sim::run_sharded`]: larger declared link latency ⇒ larger
-    /// windows ⇒ fewer barriers. `0` (the default) declares nothing and
-    /// keeps the window at the bare channel latency.
-    pub link_latency_ns: u64,
 }
 
 impl Default for SimConfig {
@@ -89,7 +76,6 @@ impl Default for SimConfig {
             seed: 0xEA7_F00D,
             batch_ns: 0,
             batch_max: 32,
-            link_latency_ns: 0,
         }
     }
 }
@@ -102,7 +88,6 @@ impl SimConfig {
             seed,
             batch_ns: 2_000,
             batch_max: 32,
-            ..SimConfig::default()
         }
     }
 }
@@ -159,18 +144,18 @@ struct LinkBatch<M> {
 /// that domain's private sequence number — globally unique, and computable
 /// from the origin domain's local history alone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub(crate) struct Origin {
-    pub dom: u32,
-    pub seq: u64,
+struct Origin {
+    dom: u32,
+    seq: u64,
 }
 
-pub(crate) struct HeapEv<M> {
-    pub time: Time,
-    pub origin: Origin,
-    pub kind: HeapKind<M>,
+struct HeapEv<M> {
+    time: Time,
+    origin: Origin,
+    kind: HeapKind<M>,
 }
 
-pub(crate) enum HeapKind<M> {
+enum HeapKind<M> {
     /// Deliver an event to a process (immediately if its thread is free,
     /// else onto the thread's FIFO queue).
     Deliver { dst: ProcId, ev: Event<M> },
@@ -242,9 +227,8 @@ enum Output<M> {
     },
 }
 
-/// Crash-monitor message constructor. `Send + Sync` because a crash inside
-/// a parallel shard worker invokes it on that worker's thread.
-type CrashHook<M> = Box<dyn Fn(ProcId, &str) -> M + Send + Sync>;
+/// Crash-monitor message constructor.
+type CrashHook<M> = Box<dyn Fn(ProcId, &str) -> M>;
 
 /// Bits reserved for a domain's local pid counter: pids are
 /// `(domain + 1) << PID_DOM_SHIFT | local`, so allocation is a purely
@@ -252,46 +236,44 @@ type CrashHook<M> = Box<dyn Fn(ProcId, &str) -> M + Send + Sync>;
 /// pid itself. `ProcId(0)` stays the reserved "external" sender.
 const PID_DOM_SHIFT: u32 = 40;
 
-pub(crate) fn domain_of_pid(pid: ProcId) -> u32 {
+fn domain_of_pid(pid: ProcId) -> u32 {
     debug_assert!(pid.0 >> PID_DOM_SHIFT != 0, "pid {pid:?} has no domain");
     (pid.0 >> PID_DOM_SHIFT) as u32 - 1
 }
 
 /// Location of a hardware thread: owning domain + index within it.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct ThreadLoc {
-    pub dom: u32,
-    pub idx: u32,
+struct ThreadLoc {
+    dom: u32,
+    idx: u32,
 }
 
-/// Immutable-during-run topology shared by every executor thread.
-pub(crate) struct Topo {
-    pub machines: Vec<Machine>,
+/// Immutable-during-run topology: machines and the thread → domain map.
+struct Topo {
+    machines: Vec<Machine>,
     /// Global `HwThreadId` → (domain, local index).
-    pub thread_loc: Vec<ThreadLoc>,
+    thread_loc: Vec<ThreadLoc>,
 }
 
 impl Topo {
-    pub(crate) fn loc(&self, t: HwThreadId) -> ThreadLoc {
+    fn loc(&self, t: HwThreadId) -> ThreadLoc {
         self.thread_loc[t.0]
     }
 }
 
-/// All mutable scheduling state of one machine. A domain is the unit of
-/// shard ownership: during a parallel window exactly one worker thread
-/// touches it.
-pub(crate) struct DomainState<M> {
-    pub dom: u32,
-    pub heap: BinaryHeap<HeapEv<M>>,
+/// All mutable scheduling state of one machine.
+struct DomainState<M> {
+    dom: u32,
+    heap: BinaryHeap<HeapEv<M>>,
     /// Private monotone event-sequence counter (origin identity).
-    pub seq: u64,
+    seq: u64,
     /// Private pid allocator (low bits of this domain's pids).
     next_pid: u64,
-    pub rng: Rng,
+    rng: Rng,
     /// This machine's hardware threads, indexed by local thread index.
-    pub threads: Vec<HwThread>,
+    threads: Vec<HwThread>,
     /// Global ids of the local threads (export/debug naming).
-    pub thread_ids: Vec<HwThreadId>,
+    thread_ids: Vec<HwThreadId>,
     /// Per-local-thread FIFO of events waiting for the thread.
     pending: Vec<VecDeque<(ProcId, Event<M>)>>,
     /// Whether a ThreadResume marker is scheduled per local thread.
@@ -300,11 +282,11 @@ pub(crate) struct DomainState<M> {
     /// Open per-link batches keyed by `(src, dst)` (machine-local links).
     batches: HashMap<(ProcId, ProcId), LinkBatch<M>>,
     batch_epoch: u64,
-    pub batch_stats: BatchStats,
-    pub events_dispatched: u64,
-    pub spawns: u64,
-    pub crashes: u64,
-    pub exits: u64,
+    batch_stats: BatchStats,
+    events_dispatched: u64,
+    spawns: u64,
+    crashes: u64,
+    exits: u64,
 }
 
 impl<M> DomainState<M> {
@@ -349,13 +331,20 @@ impl<M> DomainState<M> {
         o
     }
 
-    fn push(&mut self, time: Time, dst: ProcId, ev: Event<M>) {
-        let origin = self.next_origin();
+    /// Schedule a delivery whose identity was drawn by the (possibly other)
+    /// domain that sent it.
+    fn deliver(&mut self, time: Time, origin: Origin, dst: ProcId, ev: Event<M>) {
         self.heap.push(HeapEv {
             time,
             origin,
             kind: HeapKind::Deliver { dst, ev },
         });
+    }
+
+    /// Schedule a delivery originated by this domain itself.
+    fn push(&mut self, time: Time, dst: ProcId, ev: Event<M>) {
+        let origin = self.next_origin();
+        self.deliver(time, origin, dst, ev);
     }
 
     fn ensure_thread_books(&mut self) {
@@ -366,46 +355,6 @@ impl<M> DomainState<M> {
     }
 }
 
-/// How the running kernel resolves a domain index to mutable state: the
-/// serial engine owns every domain; a shard worker owns a subset and
-/// forwards the rest through its outbox.
-pub(crate) enum DomMap<'a> {
-    /// `domains[i]` is domain `i` (the serial engine).
-    Identity,
-    /// `map[dom]` is the position in the owned slice, or `None` if the
-    /// domain belongs to another shard.
-    Partial(&'a [Option<usize>]),
-}
-
-/// A message crossing shard boundaries, exchanged at window barriers.
-pub(crate) struct Handoff<M> {
-    pub time: Time,
-    pub origin: Origin,
-    pub dst: ProcId,
-    pub ev: Event<M>,
-}
-
-/// Per-destination-shard buffers a worker fills during a window.
-pub(crate) type Outbox<M> = Vec<Vec<Handoff<M>>>;
-
-/// The executing kernel: the domain slice it may touch plus the routing
-/// table for everything else. Both the serial engine and each parallel
-/// shard worker drive dispatch through this one code path, which is what
-/// keeps their histories identical.
-pub(crate) struct Kernel<'a, M> {
-    pub domains: &'a mut [DomainState<M>],
-    pub map: DomMap<'a>,
-    pub topo: &'a Topo,
-    pub batch_ns: Time,
-    pub batch_max: usize,
-    pub link_latency: Time,
-    pub crash_monitor: Option<&'a (ProcId, CrashHook<M>)>,
-    /// Per-shard outboxes (parallel workers only). `None` means every
-    /// domain is local and cross-domain pushes go straight to its heap.
-    pub outbox: Option<(&'a [u32], &'a mut Outbox<M>)>,
-    pub tracing: bool,
-}
-
 #[path = "engine_kernel.rs"]
 mod engine_kernel;
 
@@ -414,16 +363,13 @@ pub struct Sim<M> {
     now: Time,
     /// Simulation seed: each machine derives its RNG stream from this.
     seed: u64,
-    pub(crate) topo: Topo,
-    pub(crate) domains: Vec<DomainState<M>>,
+    topo: Topo,
+    domains: Vec<DomainState<M>>,
     /// `(monitor process, message constructor)` notified on crashes.
-    pub(crate) crash_monitor: Option<(ProcId, CrashHook<M>)>,
+    crash_monitor: Option<(ProcId, CrashHook<M>)>,
     /// Coalescing horizon (zero = batching off) and early-flush depth.
-    pub(crate) batch_ns: Time,
-    pub(crate) batch_max: usize,
-    pub(crate) link_latency: Time,
-    /// Filled in by the last [`Sim::run_sharded`] call.
-    pub(crate) par_stats: ParStats,
+    batch_ns: Time,
+    batch_max: usize,
 }
 
 impl<M: 'static> Sim<M> {
@@ -439,8 +385,6 @@ impl<M: 'static> Sim<M> {
             crash_monitor: None,
             batch_ns: Time(config.batch_ns),
             batch_max: config.batch_max.max(1),
-            link_latency: Time(config.link_latency_ns),
-            par_stats: ParStats::default(),
         }
     }
 
@@ -454,12 +398,6 @@ impl<M: 'static> Sim<M> {
         s
     }
 
-    /// Shard-execution statistics of the last [`Sim::run_sharded`] call
-    /// (zeroed if only the serial engine ran).
-    pub fn par_stats(&self) -> &ParStats {
-        &self.par_stats
-    }
-
     /// Current simulated time.
     pub fn now(&self) -> Time {
         self.now
@@ -467,13 +405,6 @@ impl<M: 'static> Sim<M> {
 
     pub fn events_dispatched(&self) -> u64 {
         self.domains.iter().map(|d| d.events_dispatched).sum()
-    }
-
-    /// The conservative lookahead between machines: channel latency plus
-    /// the declared minimum cross-machine link latency. This is the window
-    /// size of [`Sim::run_sharded`].
-    pub fn lookahead(&self) -> Time {
-        calibration::CHANNEL_LATENCY + self.link_latency
     }
 
     /// Add a machine; its hardware threads are created immediately and it
@@ -610,13 +541,11 @@ impl<M: 'static> Sim<M> {
     }
 
     /// Register the process to be notified (via a constructed message) when
-    /// any other process crashes — the reincarnation-server role. The hook
-    /// is `Send + Sync` because crashes inside parallel shard workers
-    /// invoke it on the worker's thread.
+    /// any other process crashes — the reincarnation-server role.
     pub fn set_crash_monitor(
         &mut self,
         monitor: ProcId,
-        hook: impl Fn(ProcId, &str) -> M + Send + Sync + 'static,
+        hook: impl Fn(ProcId, &str) -> M + 'static,
     ) {
         self.crash_monitor = Some((monitor, Box::new(hook)));
     }
@@ -723,15 +652,13 @@ impl<M: 'static> Sim<M> {
         neat_obs::gauge_set("sim.batch.batched_msgs", b.batched_msgs as f64);
         neat_obs::gauge_set("sim.batch.deliveries", b.batch_deliveries as f64);
         neat_obs::gauge_set("sim.batch.occupancy", b.occupancy());
-        self.par_stats.export_obs();
     }
 
     /// Run until the event queue is exhausted or simulated time reaches
     /// `until`. Returns the number of events dispatched.
     ///
-    /// Serial reference executor: picks the globally smallest
-    /// `(time, origin)` key across all domain heaps. `run_sharded`
-    /// produces the exact same history on worker threads.
+    /// Picks the globally smallest `(time, origin)` key across all domain
+    /// heaps, so the merged order is a function of per-domain history only.
     pub fn run_until(&mut self, until: Time) -> u64 {
         let mut dispatched = 0u64;
         loop {
@@ -750,18 +677,7 @@ impl<M: 'static> Sim<M> {
             }
             let ev = self.domains[di].heap.pop().unwrap();
             self.now = ev.time;
-            let mut kernel = Kernel {
-                domains: &mut self.domains,
-                map: DomMap::Identity,
-                topo: &self.topo,
-                batch_ns: self.batch_ns,
-                batch_max: self.batch_max,
-                link_latency: self.link_latency,
-                crash_monitor: self.crash_monitor.as_ref(),
-                outbox: None,
-                tracing: neat_obs::tracing(),
-            };
-            kernel.dispatch(di, ev);
+            self.dispatch(di, ev);
             self.domains[di].events_dispatched += 1;
             dispatched += 1;
         }
@@ -769,10 +685,6 @@ impl<M: 'static> Sim<M> {
             self.now = until;
         }
         dispatched
-    }
-
-    pub(crate) fn set_now(&mut self, t: Time) {
-        self.now = t;
     }
 }
 
@@ -782,8 +694,7 @@ impl<M: 'static> Sim<M> {
 /// there is no other channel, which is what makes the isolation claim of
 /// the design hold by construction in this reproduction. All state it can
 /// reach directly belongs to the executing process's machine; effects on
-/// other machines travel as messages, which is also what makes a handler
-/// safe to run inside a parallel shard worker.
+/// other machines travel as messages.
 pub struct Ctx<'a, M> {
     dom: &'a mut DomainState<M>,
     topo: &'a Topo,
@@ -849,7 +760,7 @@ impl<'a, M: 'static> Ctx<'a, M> {
         // The MWAIT wake store applies to machine-local destinations only:
         // a cross-machine send reaches the peer through its NIC, whose IRQ
         // path the receiver-side costs already model — and peeking at the
-        // remote thread's state here would break shard isolation.
+        // remote thread's state here would break domain isolation.
         if domain_of_pid(dst) == self.dom.dom {
             if let Some(slot) = self.dom.procs.get(&dst) {
                 let lt = self.topo.loc(slot.thread).idx as usize;
@@ -883,7 +794,7 @@ impl<'a, M: 'static> Ctx<'a, M> {
     /// must belong to the calling process's machine: remote-machine
     /// process management goes through a message to a peer on that
     /// machine (or the harness between runs), never directly — that is
-    /// what keeps spawning deterministic under sharded execution.
+    /// what keeps pid allocation a function of the machine's own history.
     pub fn spawn(&mut self, thread: HwThreadId, proc: Box<dyn Process<M>>, delay: Time) -> ProcId {
         assert_eq!(
             self.topo.loc(thread).dom,
@@ -937,7 +848,7 @@ impl<'a, M: 'static> Ctx<'a, M> {
             domain_of_pid(pid),
             self.dom.dom,
             "Ctx::is_alive queried a process on another machine; liveness \
-             is machine-local under the sharded engine"
+             is machine-local (remote liveness travels by message)"
         );
         self.dom.procs.get(&pid).map(|s| s.alive).unwrap_or(false)
     }

@@ -1,49 +1,13 @@
 //! The dispatch core of the discrete-event engine (a child module of
 //! `engine` — split out so each engine source file stays within the CI
-//! module-size guard while keeping private-item access).
-//!
-//! [`Kernel`] is the borrowed view a dispatch step operates on: the
-//! domains it may touch, the topology, and the shard outboxes. Both the
-//! serial `Sim::run_until` loop and the parallel shard workers drive
-//! the same `Kernel` code, which is what makes their histories
-//! bit-identical.
+//! module-size guard while keeping private-item access): what
+//! [`Sim::run_until`] does with each event it pops.
 
 use super::*;
 
-impl<'a, M: 'static> Kernel<'a, M> {
-    fn pos(&self, dom: u32) -> Option<usize> {
-        match self.map {
-            DomMap::Identity => Some(dom as usize),
-            DomMap::Partial(map) => map[dom as usize],
-        }
-    }
-
-    /// Schedule a Deliver event originated by `origin` into `dom`'s heap,
-    /// or across the shard boundary via the outbox.
-    fn route(&mut self, dom: u32, time: Time, origin: Origin, dst: ProcId, ev: Event<M>) {
-        match self.pos(dom) {
-            Some(p) => self.domains[p].heap.push(HeapEv {
-                time,
-                origin,
-                kind: HeapKind::Deliver { dst, ev },
-            }),
-            None => {
-                let (shard_of, outbox) = self
-                    .outbox
-                    .as_mut()
-                    .expect("non-local domain without an outbox");
-                outbox[shard_of[dom as usize] as usize].push(Handoff {
-                    time,
-                    origin,
-                    dst,
-                    ev,
-                });
-            }
-        }
-    }
-
+impl<M: 'static> Sim<M> {
     /// Dispatch one event popped from the heap of the domain at `di`.
-    pub(crate) fn dispatch(&mut self, di: usize, ev: HeapEv<M>) {
+    pub(super) fn dispatch(&mut self, di: usize, ev: HeapEv<M>) {
         let HeapEv { time, kind, .. } = ev;
         match kind {
             HeapKind::Deliver { dst, ev } => {
@@ -219,7 +183,7 @@ impl<'a, M: 'static> Kernel<'a, M> {
         let d = &mut self.domains[di];
         // Tracing hook: name the span before the event is consumed. Guarded
         // so the disabled path pays one bool read, no format.
-        let span_name = if self.tracing {
+        let span_name = if neat_obs::tracing() {
             let pname = d.procs.get(&dst).map(|s| s.name.as_str()).unwrap_or("?");
             Some(format!("{pname} [{}]", ev.label()))
         } else {
@@ -261,7 +225,7 @@ impl<'a, M: 'static> Kernel<'a, M> {
 
         let mut ctx = Ctx {
             dom: d,
-            topo: self.topo,
+            topo: &self.topo,
             batching: self.batch_ns.as_nanos() > 0,
             sender_kind: kind,
             self_id: dst,
@@ -321,29 +285,18 @@ impl<'a, M: 'static> Kernel<'a, M> {
                 } => {
                     let at = end + calibration::CHANNEL_LATENCY + extra_delay;
                     let to_dom = domain_of_pid(to);
-                    if to_dom == src_dom {
-                        // Only latency-free local sends coalesce; anything
-                        // with explicit wire/propagation delay keeps its
-                        // own event.
-                        if self.batch_ns.as_nanos() > 0 && extra_delay.as_nanos() == 0 {
-                            self.enqueue_batched(di, dst, to, msg, at, time);
-                        } else {
-                            let origin = self.domains[di].next_origin();
-                            self.route(to_dom, at, origin, to, Event::Message { from: dst, msg });
-                        }
+                    // Only latency-free local sends coalesce; anything with
+                    // explicit wire/propagation delay, and everything that
+                    // crosses machines, keeps its own event.
+                    if to_dom == src_dom
+                        && self.batch_ns.as_nanos() > 0
+                        && extra_delay.as_nanos() == 0
+                    {
+                        self.enqueue_batched(di, dst, to, msg, at, time);
                     } else {
-                        // Cross-machine: the topology promised at least
-                        // `link_latency` of wire delay — the conservative
-                        // lookahead the parallel executor relies on.
-                        assert!(
-                            extra_delay >= self.link_latency,
-                            "cross-machine send {dst:?}->{to:?} carries {}ns extra delay, \
-                             below the declared link latency of {}ns",
-                            extra_delay.as_nanos(),
-                            self.link_latency.as_nanos()
-                        );
                         let origin = self.domains[di].next_origin();
-                        self.route(to_dom, at, origin, to, Event::Message { from: dst, msg });
+                        let ev = Event::Message { from: dst, msg };
+                        self.domains[to_dom as usize].deliver(at, origin, to, ev);
                     }
                 }
                 Output::Timer { delay, token } => {
@@ -395,13 +348,7 @@ impl<'a, M: 'static> Kernel<'a, M> {
     }
 
     fn reap(&mut self, pid: ProcId, mode: DieMode, at: Time) {
-        let dom = domain_of_pid(pid);
-        let Some(p) = self.pos(dom) else {
-            panic!(
-                "kill of {pid:?} crosses a shard boundary; process management \
-                 is machine-local under run_sharded"
-            );
-        };
+        let p = domain_of_pid(pid) as usize;
         let d = &mut self.domains[p];
         let (name, thread) = match d.procs.get_mut(&pid) {
             Some(slot) if slot.alive => {
@@ -415,7 +362,7 @@ impl<'a, M: 'static> Kernel<'a, M> {
             DieMode::Crash => d.crashes += 1,
             DieMode::Exit => d.exits += 1,
         }
-        if self.tracing {
+        if neat_obs::tracing() {
             let what = match mode {
                 DieMode::Crash => "crash",
                 DieMode::Exit => "exit",
@@ -428,21 +375,20 @@ impl<'a, M: 'static> Kernel<'a, M> {
             );
         }
         if mode == DieMode::Crash {
-            if let Some((monitor, hook)) = self.crash_monitor {
+            if let Some((monitor, hook)) = &self.crash_monitor {
                 let msg = hook(pid, &name);
-                let monitor = *monitor;
                 // Crash detection latency: the kernel notices the fault and
                 // notifies the monitor (one exception + IPC round).
                 let origin = self.domains[p].next_origin();
-                self.route(
-                    domain_of_pid(monitor),
+                let ev = Event::Message {
+                    from: ProcId(0),
+                    msg,
+                };
+                self.domains[domain_of_pid(*monitor) as usize].deliver(
                     at + calibration::CRASH_NOTIFY_LATENCY,
                     origin,
-                    monitor,
-                    Event::Message {
-                        from: ProcId(0),
-                        msg,
-                    },
+                    *monitor,
+                    ev,
                 );
             }
         }

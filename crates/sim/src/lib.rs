@@ -26,17 +26,17 @@
 //! **CPU cycles** and converted using the owning core's frequency, including
 //! an SMT capacity penalty when the sibling hardware thread is busy.
 
+#![forbid(unsafe_code)]
+
 pub mod calibration;
 pub mod engine;
 pub mod machine;
-pub mod parallel;
 pub mod process;
 pub mod stats;
 pub mod time;
 
 pub use engine::{BatchStats, Ctx, Sim, SimConfig};
 pub use machine::{HwThreadId, MachineId, MachineSpec, ThreadKind, ThreadStats};
-pub use parallel::ParStats;
 pub use process::{Event, ProcId, Process};
 pub use stats::{Histogram, RateMeter};
 pub use time::{Cycles, Freq, Time};

@@ -29,6 +29,8 @@
 //! components (see [`components`]): connection management, reliability,
 //! flow control, and congestion control.
 
+#![forbid(unsafe_code)]
+
 pub mod assembler;
 pub mod budget;
 pub mod buffer;

@@ -12,8 +12,6 @@
 //! * [`check`] — a quickcheck-style property-test harness: seeded case
 //!   generation, failure-seed reporting, greedy shrinking. Replaces
 //!   `proptest`.
-//! * [`bench`] — a monotonic-timer micro-benchmark runner with a
-//!   criterion-shaped API. Replaces `criterion`.
 //! * [`hash`] — rustc-style FxHash plus deterministic `HashMap`/`HashSet`
 //!   aliases for hot-path id-keyed maps. Replaces `rustc-hash`/`fxhash`.
 //!
@@ -23,7 +21,8 @@
 //! always yields the same stream on every platform (no `HashMap` ordering,
 //! no OS entropy, no time-of-day anywhere in this crate).
 
-pub mod bench;
+#![forbid(unsafe_code)]
+
 pub mod check;
 pub mod hash;
 pub mod json;
