@@ -4,10 +4,12 @@
 
 use crate::httperf::{ClientMetrics, HttperfConfig, HttperfProc};
 use crate::webserver::{FileStore, WebMetrics, WebServerProc};
-use neat::boot::{boot_neat, spawn_nic, wire_link, NeatDeployment, NeatSlots, ReplicaSlots};
+use neat::boot::{boot_neat, spawn_nic, wire_link, NeatDeployment, NeatSlots};
 use neat::config::{NeatConfig, StackMode};
 use neat::msg::Msg;
+use neat::nic_proc::{NicMode, NicProc};
 use neat::placement::{Placement, Slot};
+use neat::replica::ReplicaSlots;
 use neat::sockets::SocketLib;
 use neat_net::MacAddr;
 use neat_sim::{HwThreadId, MachineId, MachineSpec, ProcId, Sim, SimConfig, Time};
@@ -162,35 +164,15 @@ impl Testbed {
     /// boot phase (listeners replicated, ARP settled) before the load
     /// generators start.
     pub fn build(spec: TestbedSpec) -> Testbed {
-        let mut sim: Sim<Msg> = Sim::new(SimConfig {
-            seed: spec.seed,
-            batch_ns: spec.batch_ns,
-            ..SimConfig::default()
-        });
-        let server_machine = sim.add_machine(spec.server.clone());
-        let client_machine = sim.add_machine(MachineSpec::load_generator());
-
-        // --- NICs and link ---
-        let server_nic = {
-            let dev = sim.add_device_thread(server_machine);
-            let nic = neat_nic::Nic::new(
-                neat_nic::NicConfig {
-                    queue_pairs: spec.neat.replicas.max(1),
-                    ..Default::default()
-                },
-                neat_nic::FaultInjector::new(spec.wire_faults.clone(), spec.seed ^ 0xFA_17),
-            );
-            sim.spawn(
-                dev,
-                Box::new(neat::nic_proc::NicProc::new(
-                    "nic.srv",
-                    nic,
-                    neat::nic_proc::NicMode::Server { driver: ProcId(0) },
-                )),
-            )
-        };
-        let client_nic = spawn_nic(&mut sim, client_machine, "nic.cli", 1, false);
-        wire_link(&mut sim, server_nic, client_nic);
+        let nic = neat_nic::Nic::new(
+            neat_nic::NicConfig {
+                queue_pairs: spec.neat.replicas.max(1),
+                ..Default::default()
+            },
+            neat_nic::FaultInjector::new(spec.wire_faults.clone(), spec.seed ^ 0xFA_17),
+        );
+        let (mut sim, [server_machine, client_machine], [server_nic, client_nic]) =
+            two_machines(spec.seed, spec.batch_ns, &spec.server, nic);
 
         // --- server-side layout ---
         let (pre, web_slots) = layout_resolved(&spec);
@@ -205,26 +187,19 @@ impl Testbed {
             replicas: pre
                 .replicas
                 .iter()
-                .map(|(a, b)| match (spec.neat.mode, b) {
-                    (StackMode::Single, _) => ReplicaSlots::Single(to_hw(*a)),
-                    (StackMode::Multi, Some(ip)) => ReplicaSlots::Multi {
-                        tcp: to_hw(*a),
-                        ip: to_hw(*ip),
+                .map(|&(a, ip)| match ip {
+                    None => ReplicaSlots::Single(to_hw(a)),
+                    Some(ip) => ReplicaSlots::Multi {
+                        tcp: to_hw(a),
+                        ip: to_hw(ip),
                     },
-                    _ => unreachable!(),
                 })
                 .collect(),
             spare: pre.spare.iter().map(|s| to_hw(*s)).collect(),
         };
         let driver_thread = slots.driver;
-        let replica_threads: Vec<HwThreadId> = slots
-            .replicas
-            .iter()
-            .map(|r| match r {
-                ReplicaSlots::Single(t) => *t,
-                ReplicaSlots::Multi { tcp, .. } => *tcp,
-            })
-            .collect();
+        // The thread of each replica's socket-owning head.
+        let replica_threads = pre.replicas.iter().map(|&(a, _)| to_hw(a)).collect();
 
         let mut cfg = spec.neat.clone();
         cfg.ip = SERVER_IP;
@@ -267,38 +242,15 @@ impl Testbed {
         // --- boot phase: let listeners replicate before load arrives ---
         sim.run_until(Time::from_millis(5));
 
-        // --- httperf clients ---
-        let mut clients = Vec::new();
-        let mut client_metrics = Vec::new();
-        for i in 0..spec.clients {
-            let port = BASE_PORT + (i % spec.web_instances.max(1)) as u16;
-            let range_lo = 16_000 + (i as u16) * 3_000;
-            let cfg = HttperfConfig {
-                target: (SERVER_IP, port),
-                num_conns: spec.workload.conns_per_client,
-                requests_per_conn: spec.workload.requests_per_conn,
-                path: spec.workload.path.clone(),
-                timeout_ns: spec.workload.timeout_ns,
-                port_range: (range_lo, range_lo + 2_999),
-                open_spacing_ns: 50_000,
-                think_ns: spec.workload.think_ns,
-                sock_opts: spec.sock_opts.clone(),
-            };
-            let metrics = Rc::new(RefCell::new(ClientMetrics::default()));
-            let proc = HttperfProc::new(
-                format!("httperf.{i}"),
-                cfg,
-                client_nic,
-                CLIENT_IP,
-                CLIENT_MAC,
-                vec![(SERVER_IP, SERVER_MAC)],
-                metrics.clone(),
-            );
-            let core = (i as u32) % MachineSpec::load_generator().cores;
-            let t = sim.hw_thread(client_machine, core, 0);
-            clients.push(sim.spawn(t, Box::new(proc)));
-            client_metrics.push(metrics);
-        }
+        let (clients, client_metrics) = spawn_clients(
+            &mut sim,
+            client_machine,
+            client_nic,
+            spec.clients,
+            spec.web_instances,
+            &spec.workload,
+            &spec.sock_opts,
+        );
 
         Testbed {
             sim,
@@ -317,66 +269,145 @@ impl Testbed {
 
     /// Sum of reported (error-adjusted) client requests so far.
     pub fn total_reported(&self) -> u64 {
-        self.client_metrics
-            .iter()
-            .map(|m| m.borrow().reported_requests())
-            .sum()
+        total(&self.client_metrics, ClientMetrics::reported_requests)
     }
 
     pub fn total_bytes(&self) -> u64 {
-        self.client_metrics
-            .iter()
-            .map(|m| m.borrow().response_bytes)
-            .sum()
+        total(&self.client_metrics, |m| m.response_bytes)
     }
 
     pub fn total_errors(&self) -> u64 {
-        self.client_metrics
-            .iter()
-            .map(|m| m.borrow().conn_errors)
-            .sum()
+        total(&self.client_metrics, |m| m.conn_errors)
     }
 
     /// Merged latency histogram across clients.
     pub fn merged_latency(&self) -> neat_sim::Histogram {
-        let mut h = neat_sim::Histogram::new();
-        for m in &self.client_metrics {
-            h.merge(&m.borrow().latency);
-        }
-        h
+        merged_latency(&self.client_metrics)
     }
 
     /// Run a warmup, then measure a window; returns the report.
     pub fn measure(&mut self, warmup: Time, window: Time) -> RunReport {
-        let t0 = self.sim.now();
-        self.sim.run_until(t0 + warmup);
-        let req0 = self.total_reported();
-        let bytes0 = self.total_bytes();
-        let err0 = self.total_errors();
-        self.sim.reset_all_stats();
-        // Metric values (counters, gauges, histograms) restart with the
-        // window; registrations and handles survive.
-        neat_obs::reset();
-        let start = self.sim.now();
-        self.sim.run_until(start + window);
-        let duration = self.sim.now().since(start);
-        // Publish engine-side gauges (per-thread utilisation, queue
-        // high-water marks) into the registry for this window, plus the
-        // packet-pool and link-coalescing counters.
-        self.sim.export_obs();
-        neat_net::pktbuf::export_obs();
-        let requests = self.total_reported().saturating_sub(req0);
-        let bytes = self.total_bytes().saturating_sub(bytes0);
-        let lat = self.merged_latency();
-        RunReport {
-            duration,
-            requests,
-            krps: requests as f64 / duration.as_secs_f64() / 1e3,
-            mbps: bytes as f64 / 1e6 / duration.as_secs_f64(),
-            mean_latency: lat.mean(),
-            p99_latency: lat.quantile(0.99),
-            conn_errors: self.total_errors().saturating_sub(err0),
-        }
+        measure(&mut self.sim, &self.client_metrics, warmup, window)
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The load-generator half, shared by both testbeds
+// ---------------------------------------------------------------------------
+
+type Metrics = [Rc<RefCell<ClientMetrics>>];
+
+/// What both testbeds start from: the server and the load-generator
+/// machine, and the server NIC (`nic`) cabled to the load generator's.
+fn two_machines(
+    seed: u64,
+    batch_ns: u64,
+    server: &MachineSpec,
+    nic: neat_nic::Nic,
+) -> (Sim<Msg>, [MachineId; 2], [ProcId; 2]) {
+    let mut sim: Sim<Msg> = Sim::new(SimConfig {
+        seed,
+        batch_ns,
+        ..SimConfig::default()
+    });
+    let server_machine = sim.add_machine(server.clone());
+    let client_machine = sim.add_machine(MachineSpec::load_generator());
+    let dev = sim.add_device_thread(server_machine);
+    let mode = NicMode::Server { driver: ProcId(0) };
+    let server_nic = sim.spawn(dev, Box::new(NicProc::new("nic.srv", nic, mode)));
+    let client_nic = spawn_nic(&mut sim, client_machine, "nic.cli", 1, false);
+    wire_link(&mut sim, server_nic, client_nic);
+    let machines = [server_machine, client_machine];
+    (sim, machines, [server_nic, client_nic])
+}
+
+/// Spawn `clients` httperf instances on the client machine, spread
+/// round-robin over the `webs` server ports.
+fn spawn_clients(
+    sim: &mut Sim<Msg>,
+    machine: MachineId,
+    nic: ProcId,
+    clients: usize,
+    webs: usize,
+    workload: &Workload,
+    sock_opts: &[neat_tcp::SockOpt],
+) -> (Vec<ProcId>, Vec<Rc<RefCell<ClientMetrics>>>) {
+    let mut pids = Vec::new();
+    let mut all_metrics = Vec::new();
+    for i in 0..clients {
+        let port = BASE_PORT + (i % webs.max(1)) as u16;
+        let range_lo = 16_000 + (i as u16) * 3_000;
+        let cfg = HttperfConfig {
+            target: (SERVER_IP, port),
+            num_conns: workload.conns_per_client,
+            requests_per_conn: workload.requests_per_conn,
+            path: workload.path.clone(),
+            timeout_ns: workload.timeout_ns,
+            port_range: (range_lo, range_lo + 2_999),
+            open_spacing_ns: 50_000,
+            think_ns: workload.think_ns,
+            sock_opts: sock_opts.to_vec(),
+        };
+        let metrics = Rc::new(RefCell::new(ClientMetrics::default()));
+        let proc = HttperfProc::new(
+            format!("httperf.{i}"),
+            cfg,
+            nic,
+            CLIENT_IP,
+            CLIENT_MAC,
+            vec![(SERVER_IP, SERVER_MAC)],
+            metrics.clone(),
+        );
+        let core = (i as u32) % MachineSpec::load_generator().cores;
+        let t = sim.hw_thread(machine, core, 0);
+        pids.push(sim.spawn(t, Box::new(proc)));
+        all_metrics.push(metrics);
+    }
+    (pids, all_metrics)
+}
+
+fn total(metrics: &Metrics, of: impl Fn(&ClientMetrics) -> u64) -> u64 {
+    metrics.iter().map(|m| of(&m.borrow())).sum()
+}
+
+fn merged_latency(metrics: &Metrics) -> neat_sim::Histogram {
+    let mut h = neat_sim::Histogram::new();
+    for m in metrics {
+        h.merge(&m.borrow().latency);
+    }
+    h
+}
+
+/// Run a warmup, then measure a window over the clients' metrics.
+fn measure(sim: &mut Sim<Msg>, metrics: &Metrics, warmup: Time, window: Time) -> RunReport {
+    let t0 = sim.now();
+    sim.run_until(t0 + warmup);
+    let req0 = total(metrics, ClientMetrics::reported_requests);
+    let bytes0 = total(metrics, |m| m.response_bytes);
+    let err0 = total(metrics, |m| m.conn_errors);
+    sim.reset_all_stats();
+    // Metric values (counters, gauges, histograms) restart with the
+    // window; registrations and handles survive.
+    neat_obs::reset();
+    let start = sim.now();
+    sim.run_until(start + window);
+    let duration = sim.now().since(start);
+    // Publish engine-side gauges (per-thread utilisation, queue
+    // high-water marks) into the registry for this window, plus the
+    // packet-pool and link-coalescing counters.
+    sim.export_obs();
+    neat_net::pktbuf::export_obs();
+    let requests = total(metrics, ClientMetrics::reported_requests).saturating_sub(req0);
+    let bytes = total(metrics, |m| m.response_bytes).saturating_sub(bytes0);
+    let lat = merged_latency(metrics);
+    RunReport {
+        duration,
+        requests,
+        krps: requests as f64 / duration.as_secs_f64() / 1e3,
+        mbps: bytes as f64 / 1e6 / duration.as_secs_f64(),
+        mean_latency: lat.mean(),
+        p99_latency: lat.quantile(0.99),
+        conn_errors: total(metrics, |m| m.conn_errors).saturating_sub(err0),
     }
 }
 
@@ -384,12 +415,10 @@ impl Testbed {
 fn layout_resolved(spec: &TestbedSpec) -> (PreSlots, Vec<Slot>) {
     let m = &spec.server;
     let mut p = Placement::new(m.cores, m.threads_per_core);
-    match spec.placement {
+    let mut replicas = Vec::new();
+    let (os, syscall, driver) = match spec.placement {
         PlacementPlan::Dedicated => {
-            let os = p.dedicated_core();
-            let syscall = p.dedicated_core();
-            let driver = p.dedicated_core();
-            let mut replicas = Vec::new();
+            let os_side = (p.dedicated_core(), p.dedicated_core(), p.dedicated_core());
             for _ in 0..spec.neat.replicas {
                 replicas.push(match spec.neat.mode {
                     StackMode::Single => (p.dedicated_core(), None),
@@ -400,26 +429,7 @@ fn layout_resolved(spec: &TestbedSpec) -> (PreSlots, Vec<Slot>) {
                     }
                 });
             }
-            let mut webs = Vec::new();
-            for _ in 0..spec.web_instances {
-                // On non-SMT machines only thread 0 exists; on SMT machines
-                // the Dedicated plan still uses one thread per core first.
-                webs.push(
-                    p.next_remaining()
-                        .expect("not enough cores for the web instances"),
-                );
-            }
-            let spare = p.remaining();
-            (
-                PreSlots {
-                    os,
-                    syscall,
-                    driver,
-                    replicas,
-                    spare,
-                },
-                webs,
-            )
+            os_side
         }
         PlacementPlan::HtColocated => {
             assert!(m.threads_per_core >= 2);
@@ -439,7 +449,6 @@ fn layout_resolved(spec: &TestbedSpec) -> (PreSlots, Vec<Slot>) {
                 p.at(s.core, s.thread)
             };
             let mut idx = 0u32;
-            let mut replicas = Vec::new();
             match spec.neat.mode {
                 StackMode::Single => {
                     for _ in 0..spec.neat.replicas {
@@ -466,23 +475,26 @@ fn layout_resolved(spec: &TestbedSpec) -> (PreSlots, Vec<Slot>) {
                     }
                 }
             }
-            let mut webs = Vec::new();
-            for _ in 0..spec.web_instances {
-                webs.push(p.next_remaining().expect("web thread"));
-            }
-            let spare = p.remaining();
-            (
-                PreSlots {
-                    os,
-                    syscall,
-                    driver,
-                    replicas,
-                    spare,
-                },
-                webs,
-            )
+            (os, syscall, driver)
         }
+    };
+    // Webs take what is left — on SMT machines the Dedicated plan still
+    // uses one thread per core first — and the rest is spare.
+    let mut webs = Vec::new();
+    for _ in 0..spec.web_instances {
+        webs.push(
+            p.next_remaining()
+                .expect("not enough cores for the web instances"),
+        );
     }
+    let pre = PreSlots {
+        os,
+        syscall,
+        driver,
+        replicas,
+        spare: p.remaining(),
+    };
+    (pre, webs)
 }
 
 // ---------------------------------------------------------------------------
@@ -551,42 +563,25 @@ pub struct MonoTestbed {
 
 impl MonoTestbed {
     pub fn build(spec: MonoTestbedSpec) -> MonoTestbed {
-        let mut sim: Sim<Msg> = Sim::new(SimConfig {
-            seed: spec.seed,
-            batch_ns: spec.batch_ns,
-            ..SimConfig::default()
-        });
-        let server_machine = sim.add_machine(spec.server.clone());
-        let client_machine = sim.add_machine(MachineSpec::load_generator());
-
         // One kernel context (and one web) per hardware thread used.
         let m = &spec.server;
+        let used = ((m.cores * m.threads_per_core) as usize).min(spec.web_instances);
+        let nic_cfg = neat_nic::NicConfig {
+            queue_pairs: used,
+            tso: spec.tuning.tso,
+            tso_mss: 1460,
+            ..Default::default()
+        };
+        let nic = neat_nic::Nic::new(nic_cfg, neat_nic::FaultInjector::disabled(7));
+        let (mut sim, [server_machine, client_machine], [server_nic, client_nic]) =
+            two_machines(spec.seed, spec.batch_ns, m, nic);
         let mut threads = Vec::new();
         for c in 0..m.cores {
             for t in 0..m.threads_per_core {
                 threads.push(sim.hw_thread(server_machine, c, t));
             }
         }
-        threads.truncate(spec.web_instances);
-
-        let mut nic_cfg = neat_nic::NicConfig {
-            queue_pairs: threads.len(),
-            tso: spec.tuning.tso,
-            ..Default::default()
-        };
-        nic_cfg.tso_mss = 1460;
-        let nic_hw = neat_nic::Nic::new(nic_cfg, neat_nic::FaultInjector::disabled(7));
-        let dev = sim.add_device_thread(server_machine);
-        let server_nic = sim.spawn(
-            dev,
-            Box::new(neat::nic_proc::NicProc::new(
-                "nic.srv",
-                nic_hw,
-                neat::nic_proc::NicMode::Server { driver: ProcId(0) },
-            )),
-        );
-        let client_nic = spawn_nic(&mut sim, client_machine, "nic.cli", 1, false);
-        wire_link(&mut sim, server_nic, client_nic);
+        threads.truncate(used);
 
         let deployment = neat_monolith::boot_monolith(
             &mut sim,
@@ -627,37 +622,15 @@ impl MonoTestbed {
 
         sim.run_until(Time::from_millis(5));
 
-        let mut clients = Vec::new();
-        let mut client_metrics = Vec::new();
-        for i in 0..spec.clients {
-            let port = BASE_PORT + (i % spec.web_instances.max(1)) as u16;
-            let range_lo = 16_000 + (i as u16) * 3_000;
-            let cfg = HttperfConfig {
-                target: (SERVER_IP, port),
-                num_conns: spec.workload.conns_per_client,
-                requests_per_conn: spec.workload.requests_per_conn,
-                path: spec.workload.path.clone(),
-                timeout_ns: spec.workload.timeout_ns,
-                port_range: (range_lo, range_lo + 2_999),
-                open_spacing_ns: 50_000,
-                think_ns: spec.workload.think_ns,
-                sock_opts: Vec::new(),
-            };
-            let metrics = Rc::new(RefCell::new(ClientMetrics::default()));
-            let proc = HttperfProc::new(
-                format!("httperf.{i}"),
-                cfg,
-                client_nic,
-                CLIENT_IP,
-                CLIENT_MAC,
-                vec![(SERVER_IP, SERVER_MAC)],
-                metrics.clone(),
-            );
-            let core = (i as u32) % MachineSpec::load_generator().cores;
-            let t = sim.hw_thread(client_machine, core, 0);
-            clients.push(sim.spawn(t, Box::new(proc)));
-            client_metrics.push(metrics);
-        }
+        let (clients, client_metrics) = spawn_clients(
+            &mut sim,
+            client_machine,
+            client_nic,
+            spec.clients,
+            spec.web_instances,
+            &spec.workload,
+            &[],
+        );
 
         MonoTestbed {
             sim,
@@ -670,65 +643,8 @@ impl MonoTestbed {
         }
     }
 
-    pub fn total_reported(&self) -> u64 {
-        self.client_metrics
-            .iter()
-            .map(|m| m.borrow().reported_requests())
-            .sum()
-    }
-
-    pub fn total_bytes(&self) -> u64 {
-        self.client_metrics
-            .iter()
-            .map(|m| m.borrow().response_bytes)
-            .sum()
-    }
-
-    pub fn total_errors(&self) -> u64 {
-        self.client_metrics
-            .iter()
-            .map(|m| m.borrow().conn_errors)
-            .sum()
-    }
-
-    pub fn merged_latency(&self) -> neat_sim::Histogram {
-        let mut h = neat_sim::Histogram::new();
-        for m in &self.client_metrics {
-            h.merge(&m.borrow().latency);
-        }
-        h
-    }
-
     pub fn measure(&mut self, warmup: Time, window: Time) -> RunReport {
-        let t0 = self.sim.now();
-        self.sim.run_until(t0 + warmup);
-        let req0 = self.total_reported();
-        let bytes0 = self.total_bytes();
-        let err0 = self.total_errors();
-        self.sim.reset_all_stats();
-        // Metric values (counters, gauges, histograms) restart with the
-        // window; registrations and handles survive.
-        neat_obs::reset();
-        let start = self.sim.now();
-        self.sim.run_until(start + window);
-        let duration = self.sim.now().since(start);
-        // Publish engine-side gauges (per-thread utilisation, queue
-        // high-water marks) into the registry for this window, plus the
-        // packet-pool and link-coalescing counters.
-        self.sim.export_obs();
-        neat_net::pktbuf::export_obs();
-        let requests = self.total_reported().saturating_sub(req0);
-        let bytes = self.total_bytes().saturating_sub(bytes0);
-        let lat = self.merged_latency();
-        RunReport {
-            duration,
-            requests,
-            krps: requests as f64 / duration.as_secs_f64() / 1e3,
-            mbps: bytes as f64 / 1e6 / duration.as_secs_f64(),
-            mean_latency: lat.mean(),
-            p99_latency: lat.quantile(0.99),
-            conn_errors: self.total_errors().saturating_sub(err0),
-        }
+        measure(&mut self.sim, &self.client_metrics, warmup, window)
     }
 }
 

@@ -31,7 +31,7 @@ use neat_util::Rng;
 
 struct Outcome {
     transparent: bool,
-    target: neat::supervisor::Role,
+    target: neat::replica::Role,
 }
 
 fn one_run(seed: u64, sizes: &CodeSizes, replicated: bool) -> Outcome {
@@ -55,7 +55,7 @@ fn one_run(seed: u64, sizes: &CodeSizes, replicated: bool) -> Outcome {
     let target = pick_target(sizes, &mut rng);
     let replica = rng.gen_range(0usize..2);
     let pid = match target {
-        neat::supervisor::Role::Driver => tb.deployment.driver,
+        neat::replica::Role::Driver => tb.deployment.driver,
         role => tb.deployment.comp_pids[replica]
             .iter()
             .find(|(r, _)| *r == role)

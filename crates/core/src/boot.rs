@@ -1,38 +1,24 @@
 //! Boot builder: assembles a NEaT deployment on a simulated machine.
 //!
-//! Spawns the NIC device engines, the driver, the stack replicas (single-
-//! or multi-component), the SYSCALL server, and the supervisor, and wires
-//! them together in dependency order. Application processes are added by
-//! the workload crates afterwards.
+//! Brings up, in dependency order, the driver, the stack replicas (made by
+//! [`crate::replica`], like every later replica), the SYSCALL server and
+//! the supervisor, and hands the supervisor its registry. The NIC device
+//! engines come first; application processes are added by the workload
+//! crates afterwards.
 
-use crate::config::{NeatConfig, StackMode};
+use crate::config::NeatConfig;
 use crate::driver::DriverProc;
-use crate::ip_comp::IpProc;
-use crate::msg::{Msg, NeighborRole};
+use crate::msg::Msg;
 use crate::nic_proc::{default_server_nic, NicMode, NicProc};
-use crate::pf_comp::PfProc;
-use crate::stack_single::SingleStackProc;
-use crate::supervisor::{Role, SupStats, Supervisor};
+use crate::replica::{spawn_replica, Comps, ReplicaEnv, ReplicaSlots, Role};
+use crate::supervisor::{SupStats, Supervisor};
 use crate::syscall::SyscallProc;
-use crate::tcp_comp::TcpProc;
-use crate::udp_comp::UdpProc;
 use neat_net::MacAddr;
 use neat_nic::{FaultInjector, Nic, NicConfig};
 use neat_sim::{HwThreadId, MachineId, ProcId, Sim};
 use std::cell::RefCell;
 use std::net::Ipv4Addr;
 use std::rc::Rc;
-
-/// Hardware-thread assignments for one replica.
-#[derive(Debug, Clone, Copy)]
-pub enum ReplicaSlots {
-    /// Single-component: the whole stack on one thread.
-    Single(HwThreadId),
-    /// Multi-component: TCP on its own thread; IP (plus the colocated PF
-    /// and UDP processes) on another — matching the paper's layouts where
-    /// only TCP and IP get dedicated cores (Figure 6a).
-    Multi { tcp: HwThreadId, ip: HwThreadId },
-}
 
 /// Thread assignments for the OS side of the machine.
 #[derive(Debug, Clone)]
@@ -55,7 +41,8 @@ pub struct NeatDeployment {
     pub supervisor: ProcId,
     /// Socket-owning head per replica (TCP comp or single stack).
     pub sockets_heads: Vec<ProcId>,
-    /// All component pids per replica (fault-injection targets).
+    /// Boot-time component pids per replica, in spawn order
+    /// (fault-injection targets).
     pub comp_pids: Vec<Vec<(Role, ProcId)>>,
     pub sup_stats: Rc<RefCell<SupStats>>,
     pub config: NeatConfig,
@@ -97,14 +84,14 @@ pub fn wire_link(sim: &mut Sim<Msg>, a: ProcId, b: ProcId) {
     sim.send_external(
         a,
         Msg::SetNeighbor {
-            role: NeighborRole::PeerNic,
+            role: Role::PeerNic,
             pid: b,
         },
     );
     sim.send_external(
         b,
         Msg::SetNeighbor {
-            role: NeighborRole::PeerNic,
+            role: Role::PeerNic,
             pid: a,
         },
     );
@@ -132,114 +119,38 @@ pub fn boot_neat(
     sim.send_external(
         nic,
         Msg::SetNeighbor {
-            role: NeighborRole::Driver,
+            role: Role::Driver,
             pid: driver,
         },
     );
 
     // --- replicas ---
-    let mut sockets_heads = Vec::new();
-    let mut comp_pids: Vec<Vec<(Role, ProcId)>> = Vec::new();
-    // Per-queue component registry handed to the supervisor.
-    type QueueComps = Vec<(Role, ProcId, HwThreadId)>;
-    let mut registry: Vec<(usize, QueueComps)> = Vec::new();
+    // The supervisor is spawned last (it takes the finished registry), so
+    // boot-time components are built with no supervisor pid; the heads,
+    // the only components that report to it, are told below.
+    let env = ReplicaEnv {
+        cfg: &cfg,
+        arp_seed: &arp_seed,
+        driver,
+        supervisor: ProcId(0),
+    };
+    let mut registry: Vec<Comps> = Vec::new();
     for (q, rslot) in slots.replicas.iter().enumerate() {
-        match (*rslot, cfg.mode) {
-            (ReplicaSlots::Single(t), StackMode::Single) => {
-                let proc = SingleStackProc::new(
-                    format!("neat.{q}"),
-                    q,
-                    driver,
-                    ProcId(0), // learns the supervisor from Terminate
-                    cfg.ip,
-                    cfg.mac,
-                    &cfg,
-                    arp_seed.clone(),
-                );
-                let pid = sim.spawn(t, Box::new(proc));
-                sockets_heads.push(pid);
-                comp_pids.push(vec![(Role::Single, pid)]);
-                registry.push((q, vec![(Role::Single, pid, t)]));
-            }
-            (
-                ReplicaSlots::Multi {
-                    tcp: t_tcp,
-                    ip: t_ip,
-                },
-                StackMode::Multi,
-            ) => {
-                let tcp = sim.spawn(
-                    t_tcp,
-                    Box::new(TcpProc::new(
-                        format!("tcp.{q}"),
-                        q,
-                        ProcId(0),
-                        None,
-                        cfg.ip,
-                        &cfg,
-                    )),
-                );
-                let udp = sim.spawn(
-                    t_ip,
-                    Box::new(UdpProc::new(format!("udp.{q}"), q, None, cfg.ip)),
-                );
-                let ip = sim.spawn(
-                    t_ip,
-                    Box::new(IpProc::new(
-                        format!("ip.{q}"),
-                        q,
-                        driver,
-                        Some(tcp),
-                        Some(udp),
-                        cfg.ip,
-                        cfg.mac,
-                        arp_seed.clone(),
-                    )),
-                );
-                let pf = sim.spawn(
-                    t_ip,
-                    Box::new(PfProc::new(
-                        format!("pf.{q}"),
-                        q,
-                        driver,
-                        Some(ip),
-                        Vec::new(),
-                    )),
-                );
-                sim.send_external(
-                    tcp,
-                    Msg::SetNeighbor {
-                        role: NeighborRole::Ip,
-                        pid: ip,
-                    },
-                );
-                sim.send_external(
-                    udp,
-                    Msg::SetNeighbor {
-                        role: NeighborRole::Ip,
-                        pid: ip,
-                    },
-                );
-                sockets_heads.push(tcp);
-                comp_pids.push(vec![
-                    (Role::Tcp, tcp),
-                    (Role::Ip, ip),
-                    (Role::Pf, pf),
-                    (Role::Udp, udp),
-                ]);
-                registry.push((
-                    q,
-                    vec![
-                        (Role::Tcp, tcp, t_tcp),
-                        (Role::Udp, udp, t_ip),
-                        (Role::Ip, ip, t_ip),
-                        (Role::Pf, pf, t_ip),
-                    ],
-                ));
-            }
-            _ => panic!("replica slot kind does not match stack mode"),
-        }
+        let mut comps = Comps::default();
+        spawn_replica(
+            sim,
+            Sim::spawn,
+            Sim::send_external,
+            &env,
+            q,
+            &rslot.plan(),
+            &mut comps,
+        );
+        registry.push(comps);
     }
+    let sockets_heads: Vec<ProcId> = registry.iter().filter_map(Comps::sockets_head).collect();
+    let pids = |c: &Comps| c.iter().map(|&(role, pid, _)| (role, pid)).collect();
+    let comp_pids = registry.iter().map(pids).collect();
 
     // --- SYSCALL server ---
     let syscall = sim.spawn(
@@ -260,22 +171,19 @@ pub fn boot_neat(
         slots.spare.clone(),
         sup_stats.clone(),
     );
-    for (q, comps) in registry {
-        sup.register_replica(q, comps);
+    for comps in registry {
+        sup.register_replica(comps);
     }
     let supervisor = sim.spawn(slots.os, Box::new(sup));
     sim.set_crash_monitor(supervisor, |pid, name| Msg::Crashed {
         pid,
         name: name.to_string(),
     });
-    // Boot-time heads were built before the supervisor existed; tell them
-    // where it lives so supervisor-directed reports (`ReplRestored`) work
-    // outside the Terminate path too.
     for &head in &sockets_heads {
         sim.send_external(
             head,
             Msg::SetNeighbor {
-                role: NeighborRole::Supervisor,
+                role: Role::Supervisor,
                 pid: supervisor,
             },
         );

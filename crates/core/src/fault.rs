@@ -7,7 +7,7 @@
 //! component sources*, measured at compile time, and an activated fault
 //! crashes the owning process — exercising the real recovery path.
 
-use crate::supervisor::Role;
+use crate::replica::Role;
 use neat_util::Rng;
 
 /// Per-component code sizes (lines), measured from the real sources.

@@ -4,8 +4,8 @@
 //! read-only state (the ARP cache is reconstructible), so its crash
 //! recovery is application-transparent (Table 3).
 
-use crate::msg::{Msg, NeighborRole};
 use crate::netcode::{FrameIo, RxClass};
+use crate::{msg::Msg, replica::Role};
 use neat_net::ethernet::MacAddr;
 use neat_net::ipv4::IpProtocol;
 use neat_sim::{calibration, Ctx, Event, ProcId, Process};
@@ -105,9 +105,9 @@ impl Process<Msg> for IpProc {
                     self.drain_wire(ctx);
                 }
                 Msg::SetNeighbor { role, pid } => match role {
-                    NeighborRole::Tcp => self.tcp = Some(pid),
-                    NeighborRole::Udp => self.udp = Some(pid),
-                    NeighborRole::Driver => self.driver = pid,
+                    Role::Tcp => self.tcp = Some(pid),
+                    Role::Udp => self.udp = Some(pid),
+                    Role::Driver => self.driver = pid,
                     _ => {}
                 },
                 Msg::Poison => ctx.crash_self(),

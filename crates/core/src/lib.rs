@@ -47,6 +47,7 @@ pub mod nic_proc;
 pub mod pf_comp;
 pub mod placement;
 pub mod reliability;
+pub mod replica;
 pub mod security;
 pub mod sock_server;
 pub mod sockets;

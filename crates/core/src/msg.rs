@@ -6,6 +6,7 @@
 //! There is deliberately no other channel: this enum *is* the attack
 //! surface, the failure surface, and the performance surface of the system.
 
+use crate::replica::Role;
 use neat_net::PktBuf;
 use neat_sim::ProcId;
 use std::net::Ipv4Addr;
@@ -80,8 +81,9 @@ pub enum Msg {
         protocol: u8,
         payload: Vec<u8>,
     },
-    /// Supervisor → component: (re)wire a pipeline neighbour.
-    SetNeighbor { role: NeighborRole, pid: ProcId },
+    /// Supervisor → component: (re)wire a neighbour — the new `role` is
+    /// `pid`.
+    SetNeighbor { role: Role, pid: ProcId },
 
     // ------------------------------------------------------------------
     // Socket fast path (application library ↔ stack replica), §3.2
@@ -280,23 +282,4 @@ pub struct ReplPayload {
     pub full: bool,
     pub flows: Vec<ReplFlow>,
     pub closed: Vec<neat_net::FlowKey>,
-}
-
-/// Pipeline neighbour roles for multi-component rewiring.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NeighborRole {
-    /// The driver this component transmits through.
-    Driver,
-    /// The packet filter ahead of IP.
-    PacketFilter,
-    /// The IP component.
-    Ip,
-    /// The TCP component.
-    Tcp,
-    /// The UDP component.
-    Udp,
-    /// The NIC at the other end of the link (device wiring).
-    PeerNic,
-    /// The supervisor / reincarnation server.
-    Supervisor,
 }

@@ -164,8 +164,8 @@ impl Process<Msg> for NicProc {
                     self.default_owner.get_or_insert(head);
                 }
                 Msg::SetNeighbor { role, pid } => match role {
-                    crate::msg::NeighborRole::PeerNic => self.peer = Some(pid),
-                    crate::msg::NeighborRole::Driver => {
+                    crate::replica::Role::PeerNic => self.peer = Some(pid),
+                    crate::replica::Role::Driver => {
                         if let NicMode::Server { driver } = &mut self.mode {
                             *driver = pid;
                         }

@@ -6,7 +6,7 @@
 //! stateless — a crash loses nothing but in-flight frames, so its recovery
 //! is fully transparent (Table 3).
 
-use crate::msg::{Msg, NeighborRole};
+use crate::{msg::Msg, replica::Role};
 use neat_sim::{calibration, Ctx, Event, ProcId, Process};
 use std::net::Ipv4Addr;
 
@@ -113,8 +113,8 @@ impl Process<Msg> for PfProc {
                     }
                 }
                 Msg::SetNeighbor { role, pid } => match role {
-                    NeighborRole::Ip => self.ip = Some(pid),
-                    NeighborRole::Driver => self.driver = pid,
+                    Role::Ip => self.ip = Some(pid),
+                    Role::Driver => self.driver = pid,
                     _ => {}
                 },
                 Msg::Poison => ctx.crash_self(),

@@ -8,8 +8,8 @@
 //! statically dispatched.
 
 use crate::flow_repl::FlowRepl;
-use crate::msg::{Msg, NeighborRole};
 use crate::sock_server::SockServer;
+use crate::{msg::Msg, replica::Role};
 use neat_sim::{calibration, Ctx, ProcId, Time};
 use std::net::Ipv4Addr;
 
@@ -153,7 +153,7 @@ impl StackHost {
                 self.flush(ctx, wire);
             }
             Msg::SetNeighbor {
-                role: NeighborRole::Supervisor,
+                role: Role::Supervisor,
                 pid,
             } => self.supervisor = pid,
             _ => {}

@@ -6,9 +6,9 @@
 //! coarser fault isolation: a fault anywhere in the replica loses the
 //! replica's entire state, including TCP connections (§3.7, Figure 13).
 
-use crate::msg::{Msg, NeighborRole};
 use crate::netcode::{FrameIo, RxClass};
 use crate::stack_host::{StackHost, WireSink};
+use crate::{msg::Msg, replica::Role};
 use neat_net::ethernet::MacAddr;
 use neat_net::ipv4::IpProtocol;
 use neat_net::udp::UdpHeader;
@@ -193,7 +193,7 @@ impl Process<Msg> for SingleStackProc {
                     self.host.flush(ctx, &mut self.wire);
                 }
                 Msg::SetNeighbor {
-                    role: NeighborRole::Driver,
+                    role: Role::Driver,
                     pid,
                 } => self.wire.driver = pid,
                 Msg::Poison => ctx.crash_self(),

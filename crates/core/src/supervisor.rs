@@ -4,42 +4,29 @@
 //! paper's recovery and scaling protocols:
 //!
 //! * **Stateless recovery (§3.6)** — when a component crashes, all its
-//!   state is gone (the engine drops the process). The supervisor restarts
-//!   a fresh instance on the same hardware thread after a recovery delay,
-//!   rewires its pipeline neighbours, and — only if the dead component was
-//!   a TCP/socket owner — tells applications and the SYSCALL server that
+//!   state is gone (the engine drops the process). After a recovery delay
+//!   the supervisor has [`crate::replica`] start the crashed role again on
+//!   the same hardware thread, and — only if the dead component was a
+//!   TCP/socket owner — tells applications and the SYSCALL server that
 //!   connection handles on the old pid are dead. Other replicas never
 //!   notice: isolation means there is nothing to clean up across replicas.
-//! * **Scale-up/down (§3.4)** — scale-up grows the NIC queue set and boots
-//!   a replica on spare threads; scale-down marks a replica *terminating*
-//!   (the NIC stops steering new flows to it) and garbage-collects it only
-//!   once its connection count drains to zero — lazy termination that
-//!   never breaks a connection.
+//! * **Scale-up/down (§3.4)** — scale-up grows the NIC queue set and starts
+//!   a whole replica on spare threads; scale-down marks a replica
+//!   *terminating* (the NIC stops steering new flows to it) and
+//!   garbage-collects it only once its connection count drains to zero —
+//!   lazy termination that never breaks a connection.
+//!
+//! How a replica's processes are built and wired is not decided here.
 
-use crate::config::{NeatConfig, StackMode};
-use crate::ip_comp::IpProc;
-use crate::msg::{Msg, NeighborRole};
-use crate::pf_comp::PfProc;
-use crate::stack_single::SingleStackProc;
-use crate::tcp_comp::TcpProc;
-use crate::udp_comp::UdpProc;
+use crate::config::NeatConfig;
+use crate::msg::Msg;
+use crate::replica::{spawn_replica, Comps, ReplicaEnv, ReplicaSlots, Role};
 use neat_net::MacAddr;
 use neat_sim::{Ctx, Event, HwThreadId, ProcId, Process, Time};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::rc::Rc;
-
-/// Component roles within a replica.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Role {
-    Single,
-    Pf,
-    Ip,
-    Tcp,
-    Udp,
-    Driver,
-}
 
 /// Harness-visible supervisor counters (shared instrumentation handle).
 #[derive(Debug, Default, Clone)]
@@ -63,8 +50,8 @@ pub struct SupStats {
 #[derive(Debug)]
 struct ReplicaRec {
     queue: usize,
-    /// role → (pid, thread). Removed replicas have this emptied.
-    comps: HashMap<Role, (ProcId, HwThreadId)>,
+    /// Removed replicas have this emptied.
+    comps: Comps,
     terminating: bool,
     alive: bool,
 }
@@ -146,44 +133,30 @@ impl Supervisor {
         }
     }
 
-    /// Register a booted replica (called by the boot builder).
-    pub fn register_replica(&mut self, queue: usize, comps: Vec<(Role, ProcId, HwThreadId)>) {
-        while self.replicas.len() <= queue {
-            self.replicas.push(ReplicaRec {
-                queue: self.replicas.len(),
-                comps: HashMap::new(),
-                terminating: false,
-                alive: false,
-            });
-        }
-        let rec = &mut self.replicas[queue];
-        rec.alive = true;
-        for (role, pid, thread) in comps {
-            rec.comps.insert(role, (pid, thread));
-        }
+    /// Register a replica as the next queue (called by the boot builder,
+    /// in queue order).
+    pub fn register_replica(&mut self, comps: Comps) {
+        self.replicas.push(ReplicaRec {
+            queue: self.replicas.len(),
+            comps,
+            terminating: false,
+            alive: true,
+        });
     }
 
     /// The socket-owning head of a replica (TCP comp or single stack).
     fn sockets_head(&self, queue: usize) -> Option<ProcId> {
-        let rec = self.replicas.get(queue)?;
-        rec.comps
-            .get(&Role::Tcp)
-            .or_else(|| rec.comps.get(&Role::Single))
-            .map(|(p, _)| *p)
+        self.replicas.get(queue)?.comps.sockets_head()
     }
 
     fn find_crashed(&self, pid: ProcId) -> Option<(Option<usize>, Role, HwThreadId)> {
         if pid == self.driver {
             return Some((None, Role::Driver, self.driver_thread));
         }
-        for rec in &self.replicas {
-            for (role, (p, t)) in &rec.comps {
-                if *p == pid {
-                    return Some((Some(rec.queue), *role, *t));
-                }
-            }
-        }
-        None
+        self.replicas.iter().find_map(|rec| {
+            let (role, _, t) = rec.comps.iter().find(|c| c.1 == pid)?;
+            Some((Some(rec.queue), *role, *t))
+        })
     }
 
     fn stale_crash(&mut self) {
@@ -277,11 +250,7 @@ impl Supervisor {
         // may have been removed (scale-down completed against a dead head)
         // or marked terminating. Never `unwrap()` our way into respawning
         // a replica that no longer exists.
-        if role != Role::Driver {
-            let Some(q) = queue else {
-                self.stale_crash();
-                return;
-            };
+        if let Some(q) = queue {
             let Some(rec) = self.replicas.get(q) else {
                 self.stale_crash();
                 return;
@@ -309,153 +278,66 @@ impl Supervisor {
                 ctx.now().as_nanos(),
             );
         }
+        let Some(q) = queue else {
+            return self.respawn_driver(ctx, thread);
+        };
+        self.spawn_into(ctx, q, &[(role, thread)]);
+        if let (Role::Single | Role::Tcp, Some(new)) = (role, self.replicas[q].comps.pid(role)) {
+            self.head_restarted(ctx, q, old_pid, new);
+        }
+    }
+
+    /// Have [`crate::replica`] start `plan`'s components for replica `q`
+    /// — as at boot, except that process creation costs the spawn delay
+    /// and the components know the supervisor from the start.
+    fn spawn_into(&mut self, ctx: &mut Ctx<'_, Msg>, q: usize, plan: &[(Role, HwThreadId)]) {
+        let env = ReplicaEnv {
+            cfg: &self.cfg,
+            arp_seed: &self.arp_seed,
+            driver: self.driver,
+            supervisor: ctx.self_id,
+        };
         let delay = Time::from_nanos(self.cfg.spawn_delay_ns);
-        match role {
-            Role::Driver => {
-                let queues = self.replicas.len().max(self.cfg.replicas);
-                let drv = crate::driver::DriverProc::new("drv", self.nic, queues);
-                let new = ctx.spawn(thread, Box::new(drv), delay);
-                self.driver = new;
+        spawn_replica(
+            ctx,
+            |ctx, thread, proc| ctx.spawn(thread, proc, delay),
+            Ctx::send,
+            &env,
+            q,
+            plan,
+            &mut self.replicas[q].comps,
+        );
+    }
+
+    fn respawn_driver(&mut self, ctx: &mut Ctx<'_, Msg>, thread: HwThreadId) {
+        let queues = self.replicas.len().max(self.cfg.replicas);
+        let drv = crate::driver::DriverProc::new("drv", self.nic, queues);
+        let new = ctx.spawn(
+            thread,
+            Box::new(drv),
+            Time::from_nanos(self.cfg.spawn_delay_ns),
+        );
+        self.driver = new;
+        let driver_is_new = || Msg::SetNeighbor {
+            role: Role::Driver,
+            pid: new,
+        };
+        ctx.send(self.nic, driver_is_new());
+        // Re-announce every live head and repoint TX paths.
+        for rec in self.replicas.iter().filter(|r| r.alive) {
+            let comps = &rec.comps;
+            if let Some(head) = comps.pid(Role::Pf).or_else(|| comps.pid(Role::Single)) {
                 ctx.send(
-                    self.nic,
-                    Msg::SetNeighbor {
-                        role: NeighborRole::Driver,
-                        pid: new,
+                    new,
+                    Msg::Announce {
+                        queue: rec.queue,
+                        head,
                     },
                 );
-                // Re-announce every live head and repoint TX paths.
-                for rec in &self.replicas {
-                    if !rec.alive {
-                        continue;
-                    }
-                    let head = rec
-                        .comps
-                        .get(&Role::Pf)
-                        .or_else(|| rec.comps.get(&Role::Single));
-                    if let Some((head_pid, _)) = head {
-                        ctx.send(
-                            self.driver,
-                            Msg::Announce {
-                                queue: rec.queue,
-                                head: *head_pid,
-                            },
-                        );
-                    }
-                    for r in [Role::Ip, Role::Single, Role::Pf] {
-                        if let Some((pid, _)) = rec.comps.get(&r) {
-                            ctx.send(
-                                *pid,
-                                Msg::SetNeighbor {
-                                    role: NeighborRole::Driver,
-                                    pid: new,
-                                },
-                            );
-                        }
-                    }
-                }
             }
-            Role::Single => {
-                let Some(q) = queue else {
-                    return;
-                };
-                let proc = SingleStackProc::new(
-                    format!("neat.{q}"),
-                    q,
-                    self.driver,
-                    ctx.self_id,
-                    self.cfg.ip,
-                    self.cfg.mac,
-                    &self.cfg,
-                    self.arp_seed.clone(),
-                );
-                let new = ctx.spawn(thread, Box::new(proc), delay);
-                self.replicas[q].comps.insert(Role::Single, (new, thread));
-                self.head_restarted(ctx, q, old_pid, new);
-            }
-            Role::Tcp => {
-                let Some(q) = queue else {
-                    return;
-                };
-                let ip_pid = self.replicas[q].comps.get(&Role::Ip).map(|(p, _)| *p);
-                let proc = TcpProc::new(
-                    format!("tcp.{q}"),
-                    q,
-                    ctx.self_id,
-                    ip_pid,
-                    self.cfg.ip,
-                    &self.cfg,
-                );
-                let new = ctx.spawn(thread, Box::new(proc), delay);
-                self.replicas[q].comps.insert(Role::Tcp, (new, thread));
-                if let Some(ip) = ip_pid {
-                    ctx.send(
-                        ip,
-                        Msg::SetNeighbor {
-                            role: NeighborRole::Tcp,
-                            pid: new,
-                        },
-                    );
-                }
-                self.head_restarted(ctx, q, old_pid, new);
-            }
-            Role::Ip => {
-                let Some(q) = queue else {
-                    return;
-                };
-                let rec = &self.replicas[q];
-                let tcp = rec.comps.get(&Role::Tcp).map(|(p, _)| *p);
-                let udp = rec.comps.get(&Role::Udp).map(|(p, _)| *p);
-                let pf = rec.comps.get(&Role::Pf).map(|(p, _)| *p);
-                let proc = IpProc::new(
-                    format!("ip.{q}"),
-                    q,
-                    self.driver,
-                    tcp,
-                    udp,
-                    self.cfg.ip,
-                    self.cfg.mac,
-                    self.arp_seed.clone(),
-                );
-                let new = ctx.spawn(thread, Box::new(proc), delay);
-                self.replicas[q].comps.insert(Role::Ip, (new, thread));
-                // Neighbours of the new IP are baked in; repoint PF, TCP,
-                // and UDP at it.
-                for (r, pid) in [
-                    (NeighborRole::Ip, pf),
-                    (NeighborRole::Ip, tcp),
-                    (NeighborRole::Ip, udp),
-                ] {
-                    if let Some(p) = pid {
-                        ctx.send(p, Msg::SetNeighbor { role: r, pid: new });
-                    }
-                }
-            }
-            Role::Pf => {
-                let Some(q) = queue else {
-                    return;
-                };
-                let ip = self.replicas[q].comps.get(&Role::Ip).map(|(p, _)| *p);
-                let proc = PfProc::new(format!("pf.{q}"), q, self.driver, ip, Vec::new());
-                let new = ctx.spawn(thread, Box::new(proc), delay);
-                self.replicas[q].comps.insert(Role::Pf, (new, thread));
-                // PF announces itself to the driver on Start.
-            }
-            Role::Udp => {
-                let Some(q) = queue else {
-                    return;
-                };
-                let ip = self.replicas[q].comps.get(&Role::Ip).map(|(p, _)| *p);
-                let proc = UdpProc::new(format!("udp.{q}"), q, ip, self.cfg.ip);
-                let new = ctx.spawn(thread, Box::new(proc), delay);
-                self.replicas[q].comps.insert(Role::Udp, (new, thread));
-                if let Some(ip) = ip {
-                    ctx.send(
-                        ip,
-                        Msg::SetNeighbor {
-                            role: NeighborRole::Udp,
-                            pid: new,
-                        },
-                    );
+            for (role, pid, _) in rec.comps.iter() {
+                if matches!(role, Role::Ip | Role::Single | Role::Pf) {
+                    ctx.send(*pid, driver_is_new());
                 }
             }
         }
@@ -503,111 +385,15 @@ impl Supervisor {
     }
 
     fn scale_up(&mut self, ctx: &mut Ctx<'_, Msg>) {
-        let queue = self.replicas.len();
-        let delay = Time::from_nanos(self.cfg.spawn_delay_ns);
-        let needed = match self.cfg.mode {
-            StackMode::Single => 1,
-            StackMode::Multi => 2,
+        let Some(slots) = ReplicaSlots::take(self.cfg.mode, &mut self.spare) else {
+            return;
         };
-        if self.spare.len() < needed {
-            return; // no cores left — the paper's hard resource wall
-        }
+        let queue = self.replicas.len();
         ctx.send(self.driver, Msg::NicGrowQueues { n: queue + 1 });
-        match self.cfg.mode {
-            StackMode::Single => {
-                let t = self.spare.remove(0);
-                let proc = SingleStackProc::new(
-                    format!("neat.{queue}"),
-                    queue,
-                    self.driver,
-                    ctx.self_id,
-                    self.cfg.ip,
-                    self.cfg.mac,
-                    &self.cfg,
-                    self.arp_seed.clone(),
-                );
-                let pid = ctx.spawn(t, Box::new(proc), delay);
-                self.register_replica(queue, vec![(Role::Single, pid, t)]);
-                self.notify_apps(ctx, || Msg::ReplicaAdded { stack: pid });
-            }
-            StackMode::Multi => {
-                let t_tcp = self.spare.remove(0);
-                let t_ip = self.spare.remove(0);
-                // Spawn TCP and UDP first so IP can be wired at build time;
-                // PF and UDP share the IP thread (as in the paper's
-                // placements, where only TCP and IP get dedicated cores).
-                let tcp = ctx.spawn(
-                    t_tcp,
-                    Box::new(TcpProc::new(
-                        format!("tcp.{queue}"),
-                        queue,
-                        ctx.self_id,
-                        None,
-                        self.cfg.ip,
-                        &self.cfg,
-                    )),
-                    delay,
-                );
-                let udp = ctx.spawn(
-                    t_ip,
-                    Box::new(UdpProc::new(
-                        format!("udp.{queue}"),
-                        queue,
-                        None,
-                        self.cfg.ip,
-                    )),
-                    delay,
-                );
-                let ip = ctx.spawn(
-                    t_ip,
-                    Box::new(IpProc::new(
-                        format!("ip.{queue}"),
-                        queue,
-                        self.driver,
-                        Some(tcp),
-                        Some(udp),
-                        self.cfg.ip,
-                        self.cfg.mac,
-                        self.arp_seed.clone(),
-                    )),
-                    delay,
-                );
-                let pf = ctx.spawn(
-                    t_ip,
-                    Box::new(PfProc::new(
-                        format!("pf.{queue}"),
-                        queue,
-                        self.driver,
-                        Some(ip),
-                        Vec::new(),
-                    )),
-                    delay,
-                );
-                ctx.send(
-                    tcp,
-                    Msg::SetNeighbor {
-                        role: NeighborRole::Ip,
-                        pid: ip,
-                    },
-                );
-                ctx.send(
-                    udp,
-                    Msg::SetNeighbor {
-                        role: NeighborRole::Ip,
-                        pid: ip,
-                    },
-                );
-                self.register_replica(
-                    queue,
-                    vec![
-                        (Role::Tcp, tcp, t_tcp),
-                        (Role::Udp, udp, t_ip),
-                        (Role::Ip, ip, t_ip),
-                        (Role::Pf, pf, t_ip),
-                    ],
-                );
-                self.notify_apps(ctx, || Msg::ReplicaAdded { stack: tcp });
-            }
+        self.register_replica(Comps::default());
+        self.spawn_into(ctx, queue, &slots.plan());
+        if let Some(stack) = self.sockets_head(queue) {
+            self.notify_apps(ctx, || Msg::ReplicaAdded { stack });
         }
         self.stats.borrow_mut().scale_ups += 1;
         neat_obs::counter_add("sup.scale_ups", 1);
@@ -666,18 +452,15 @@ impl Supervisor {
             return;
         }
         rec.alive = false;
-        let head = rec
-            .comps
-            .get(&Role::Tcp)
-            .or_else(|| rec.comps.get(&Role::Single))
-            .map(|(p, _)| *p);
-        let comps: Vec<(ProcId, HwThreadId)> = rec.comps.drain().map(|(_, v)| v).collect();
-        for (pid, thread) in comps {
-            ctx.kill(pid, false);
+        let head = rec.comps.sockets_head();
+        // In spawn order, so the freed threads line up for the next
+        // scale-up the way boot laid them out (TCP's first, then IP's).
+        for (_, pid, thread) in std::mem::take(&mut rec.comps).iter() {
+            ctx.kill(*pid, false);
             // The freed threads become spare capacity (the paper: "makes
             // the corresponding cores available to the applications").
-            if !self.spare.contains(&thread) {
-                self.spare.push(thread);
+            if !self.spare.contains(thread) {
+                self.spare.push(*thread);
             }
         }
         ctx.send(self.driver, Msg::ReplicaDown { queue });

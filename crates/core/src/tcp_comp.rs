@@ -4,8 +4,8 @@
 //! read/write control state, and in-flight data" (§6.6) — which is why only
 //! TCP faults cause visible state loss in the fault-injection experiments.
 
-use crate::msg::{Msg, NeighborRole};
 use crate::stack_host::{StackHost, WireSink};
+use crate::{msg::Msg, replica::Role};
 use neat_sim::{Ctx, Event, ProcId, Process};
 use std::net::Ipv4Addr;
 
@@ -99,7 +99,7 @@ impl Process<Msg> for TcpProc {
                     self.host.flush(ctx, &mut self.wire);
                 }
                 Msg::SetNeighbor {
-                    role: NeighborRole::Ip,
+                    role: Role::Ip,
                     pid,
                 } => self.wire.ip = Some(pid),
                 Msg::Poison => ctx.crash_self(),

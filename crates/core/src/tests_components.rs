@@ -3,7 +3,8 @@
 //! (the integration tests in `tests/` cover full deployments).
 
 use crate::driver::DriverProc;
-use crate::msg::{Msg, NeighborRole};
+use crate::msg::Msg;
+use crate::replica::Role;
 use crate::syscall::SyscallProc;
 use neat_sim::{Ctx, Event, MachineSpec, ProcId, Process, Sim, SimConfig, Time};
 use std::cell::RefCell;
@@ -243,7 +244,7 @@ fn nic_proc_serializes_and_links() {
     sim.send_external(
         nic,
         Msg::SetNeighbor {
-            role: NeighborRole::PeerNic,
+            role: Role::PeerNic,
             pid: peer,
         },
     );
@@ -605,7 +606,7 @@ fn next_sample(m: &Msg) -> Option<Msg> {
             payload: vec![],
         },
         Msg::IpTx { .. } => Msg::SetNeighbor {
-            role: NeighborRole::Ip,
+            role: Role::Ip,
             pid: app,
         },
         Msg::SetNeighbor { .. } => Msg::Listen { port: 80, app },

@@ -4,7 +4,7 @@
 //! pseudostateless)" — UDP keeps only the bind table, which applications
 //! re-establish after a restart, so recovery is transparent (Table 3).
 
-use crate::msg::{Msg, NeighborRole};
+use crate::{msg::Msg, replica::Role};
 use neat_net::udp::UdpHeader;
 use neat_sim::{calibration, Ctx, Event, ProcId, Process};
 use std::collections::HashMap;
@@ -110,7 +110,7 @@ impl Process<Msg> for UdpProc {
                 }
             }
             Msg::SetNeighbor {
-                role: NeighborRole::Ip,
+                role: Role::Ip,
                 pid,
             } => {
                 self.ip_comp = Some(pid);

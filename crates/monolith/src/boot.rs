@@ -80,7 +80,7 @@ pub fn boot_monolith(
     sim.send_external(
         nic,
         Msg::SetNeighbor {
-            role: neat::msg::NeighborRole::Driver,
+            role: neat::replica::Role::Driver,
             pid: irq,
         },
     );

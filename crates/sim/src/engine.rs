@@ -569,6 +569,16 @@ impl<M: 'static> Sim<M> {
             .map(|s| s.name.as_str())
     }
 
+    /// The live process called `name` (harness-level: how a test finds a
+    /// replica the supervisor spawned later). The newest if several match.
+    pub fn live_pid(&self, name: &str) -> Option<ProcId> {
+        let procs = self.domains.iter().flat_map(|d| d.procs.iter());
+        procs
+            .filter(|(_, s)| s.alive && s.name == name)
+            .map(|(pid, _)| *pid)
+            .max()
+    }
+
     pub fn proc_thread(&self, pid: ProcId) -> Option<HwThreadId> {
         let dom = domain_of_pid(pid) as usize;
         self.domains.get(dom)?.procs.get(&pid).map(|s| s.thread)

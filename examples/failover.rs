@@ -9,7 +9,7 @@
 
 use neat::config::NeatConfig;
 use neat::msg::Msg;
-use neat::supervisor::Role;
+use neat::replica::Role;
 use neat_apps::scenario::{Testbed, TestbedSpec, Workload};
 use neat_sim::Time;
 

@@ -8,7 +8,8 @@
 #
 # Usage:
 #   scripts/ci.sh                 # every tier (the full gate)
-#   scripts/ci.sh --tier1         # build + test + fmt + clippy only
+#   scripts/ci.sh --tier1         # size + one-builder guards, build,
+#                                 # test, fmt, clippy
 #   scripts/ci.sh --tier2         # quick benches + regression gates
 #                                 # (expects a tier-1 build already present)
 #
@@ -58,9 +59,25 @@ module_size_guard() {
     fi
 }
 
+# One-builder guard: stack components are constructed in replica.rs only
+# (tests_components.rs builds them bare to test them, and is exempt).
+one_builder_guard() {
+    builders=$(grep -lE '(SingleStackProc|TcpProc|IpProc|PfProc|UdpProc)::new\(' \
+        crates/core/src/*.rs | grep -v tests_components.rs || true)
+    if [ "$builders" != "crates/core/src/replica.rs" ]; then
+        echo "ONE-BUILDER FAILURE: replicas are built in one place; boot," >&2
+        echo "scale-up and recovery call replica::spawn_replica/component." >&2
+        echo "Stack components are constructed in:" >&2
+        echo "$builders" >&2
+        exit 1
+    fi
+}
+
 if [ "$TIER1" = 1 ]; then
     echo "==> [tier1] module-size guard (deployed sources <= 900 lines)"
     module_size_guard
+    echo "==> [tier1] one-builder guard (components constructed in replica.rs only)"
+    one_builder_guard
 
     run cargo build --release --offline
 

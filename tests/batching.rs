@@ -10,9 +10,10 @@
 //! topology.
 
 use neat::driver::DriverProc;
-use neat::msg::{Msg, NeighborRole};
+use neat::msg::Msg;
 use neat::netcode::{FrameIo, RxClass};
 use neat::nic_proc::{default_server_nic, NicMode, NicProc};
+use neat::replica::Role;
 use neat::sockets::{LibEvent, SocketLib};
 use neat::stack_single::SingleStackProc;
 use neat_net::ethernet::MacAddr;
@@ -253,7 +254,7 @@ fn run(batch_ns: u64) -> (BTreeMap<usize, Vec<u8>>, u64) {
     sim.send_external(
         srv_nic,
         Msg::SetNeighbor {
-            role: NeighborRole::Driver,
+            role: Role::Driver,
             pid: drv,
         },
     );
@@ -307,14 +308,14 @@ fn run(batch_ns: u64) -> (BTreeMap<usize, Vec<u8>>, u64) {
     sim.send_external(
         srv_nic,
         Msg::SetNeighbor {
-            role: NeighborRole::PeerNic,
+            role: Role::PeerNic,
             pid: cli_nic,
         },
     );
     sim.send_external(
         cli_nic,
         Msg::SetNeighbor {
-            role: NeighborRole::PeerNic,
+            role: Role::PeerNic,
             pid: srv_nic,
         },
     );

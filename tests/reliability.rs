@@ -4,7 +4,7 @@
 
 use neat::config::NeatConfig;
 use neat::msg::Msg;
-use neat::supervisor::Role;
+use neat::replica::Role;
 use neat_apps::scenario::{Testbed, TestbedSpec, Workload};
 use neat_sim::Time;
 
@@ -205,15 +205,33 @@ fn replicated_tcp_crash_is_transparent() {
     // `multi_component_tcp_crash_loses_state_but_recovers` becomes fully
     // transparent: the buddy hands the dead replica's flows to the
     // respawned head and clients never notice.
-    for cfg in replicated_shapes() {
-        let mode = cfg.mode;
+    // The last case crashes a head made by scale-up, not by boot: one
+    // booted replica, a second added under load (the supervisor re-forms
+    // the buddy ring), and the new one is the victim once connection
+    // turnover has given it flows to lose.
+    let booted = replicated_shapes().map(|cfg| (cfg, false));
+    let scaled_up = (NeatConfig::multi(1).replicated(), true);
+    for (cfg, scale_up) in booted.into_iter().chain([scaled_up]) {
+        let mode = (cfg.mode, scale_up);
         let victim = tcp_owner(&cfg);
         let mut tb = loaded_testbed(cfg, 4);
         tb.sim.run_until(Time::from_millis(150));
+        if scale_up {
+            tb.sim.send_external(tb.deployment.supervisor, Msg::ScaleUp);
+            tb.sim.run_until(Time::from_millis(500));
+        }
         let errs_before = tb.total_errors();
 
-        poison(&mut tb, 0, victim);
-        let after = tb.measure(Time::from_millis(100), Time::from_millis(300));
+        if scale_up {
+            let head = tb.sim.live_pid("tcp.1").expect("scale-up added tcp.1");
+            tb.sim.send_external(head, Msg::Poison);
+        } else {
+            poison(&mut tb, 0, victim);
+        }
+        tb.sim.run_until(tb.sim.now() + Time::from_millis(100));
+        let restored = neat_obs::counter("repl.flows_restored").get();
+        assert!(restored > 0, "{mode:?}: the victim owned flows");
+        let after = tb.measure(Time::from_millis(0), Time::from_millis(300));
 
         let stats = tb.deployment.sup_stats.borrow().clone();
         assert_eq!(stats.crashes_seen, 1, "{mode:?}");
