@@ -399,13 +399,6 @@ impl Process<Msg> for HttperfProc {
 
     fn on_event(&mut self, ctx: &mut Ctx<'_, Msg>, ev: Event<Msg>) {
         match ev {
-            // Delivered via `on_batch` in practice; unroll defensively if a
-            // batch ever reaches the scalar path.
-            Event::Batch { from, msgs } => {
-                for msg in msgs {
-                    self.on_event(ctx, Event::Message { from, msg });
-                }
-            }
             Event::Start => {
                 // Register with the client NIC hub (ARP/default traffic).
                 ctx.send(

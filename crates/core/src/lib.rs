@@ -29,8 +29,9 @@
 //! The crate provides both the **single-component** replica (whole stack in
 //! one process, `NEaT Nx` in the figures) and the **multi-component**
 //! replica (packet filter → IP → TCP/UDP pipeline, `Multi Nx`), the SYSCALL
-//! server, the NIC driver process, the crash supervisor with replica
-//! blueprints, the user-space socket library with subsocket replication,
+//! server, the NIC driver process, the one replica builder ([`replica`])
+//! that boot, scale-up and recovery share, the crash supervisor, the
+//! user-space socket library with subsocket replication,
 //! and dynamic scale-up/down with lazy termination (§3.4).
 
 #![forbid(unsafe_code)]

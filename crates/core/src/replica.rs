@@ -82,7 +82,7 @@ impl ReplicaSlots {
 /// The live components of one replica, `(role, pid, thread)` in spawn order
 /// — so whatever walks a replica (kill and thread release, crash lookup,
 /// driver re-announce) is deterministic, never hash-ordered.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 pub struct Comps(Vec<(Role, ProcId, HwThreadId)>);
 
 impl Comps {

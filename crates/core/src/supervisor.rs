@@ -335,7 +335,7 @@ impl Supervisor {
                     },
                 );
             }
-            for (role, pid, _) in rec.comps.iter() {
+            for (role, pid, _) in comps.iter() {
                 if matches!(role, Role::Ip | Role::Single | Role::Pf) {
                     ctx.send(*pid, driver_is_new());
                 }
@@ -499,13 +499,6 @@ impl Process<Msg> for Supervisor {
 
     fn on_event(&mut self, ctx: &mut Ctx<'_, Msg>, ev: Event<Msg>) {
         match ev {
-            // Delivered via `on_batch` in practice; unroll defensively if a
-            // batch ever reaches the scalar path.
-            Event::Batch { from, msgs } => {
-                for msg in msgs {
-                    self.on_event(ctx, Event::Message { from, msg });
-                }
-            }
             Event::Start => {
                 // Initial buddy-ring assignment (no-op unless replication
                 // is enabled in the config).

@@ -214,7 +214,7 @@ fn syscall_slow_path_round_trip() {
                         ctx.send(self.app, Msg::SysReply { token });
                     }
                 }
-                Event::Timer { .. } | Event::Batch { .. } => {}
+                Event::Timer { .. } => {}
             }
         }
     }
@@ -331,7 +331,7 @@ fn loopback_connects_within_one_replica() {
                         }
                     }
                 }
-                Event::Timer { .. } | Event::Batch { .. } => {}
+                Event::Timer { .. } => {}
             }
         }
     }
@@ -412,7 +412,7 @@ fn crashed_replica_fails_inflight_connects_without_leaking() {
                     }
                     *self.pending.borrow_mut() = self.lib.pending_connects();
                 }
-                Event::Timer { .. } | Event::Batch { .. } => {}
+                Event::Timer { .. } => {}
             }
         }
     }
@@ -475,7 +475,7 @@ impl Process<Msg> for Actor {
                 }
             }
             Event::Message { msg, .. } => self.log.borrow_mut().push(Probe::describe(&msg)),
-            Event::Timer { .. } | Event::Batch { .. } => {}
+            Event::Timer { .. } => {}
         }
     }
 }

@@ -156,9 +156,9 @@ struct HeapEv<M> {
 }
 
 enum HeapKind<M> {
-    /// Deliver an event to a process (immediately if its thread is free,
-    /// else onto the thread's FIFO queue).
-    Deliver { dst: ProcId, ev: Event<M> },
+    /// Deliver to a process (immediately if its thread is free, else onto
+    /// the thread's FIFO queue).
+    Deliver { dst: ProcId, ev: Delivery<M> },
     /// A hardware thread finished its current work: pop its queue.
     /// Carries the thread's *local* index within its domain.
     ThreadResume(u32),
@@ -275,7 +275,7 @@ struct DomainState<M> {
     /// Global ids of the local threads (export/debug naming).
     thread_ids: Vec<HwThreadId>,
     /// Per-local-thread FIFO of events waiting for the thread.
-    pending: Vec<VecDeque<(ProcId, Event<M>)>>,
+    pending: Vec<VecDeque<(ProcId, Delivery<M>)>>,
     /// Whether a ThreadResume marker is scheduled per local thread.
     resume_scheduled: Vec<bool>,
     procs: HashMap<ProcId, ProcSlot<M>>,
@@ -333,16 +333,16 @@ impl<M> DomainState<M> {
 
     /// Schedule a delivery whose identity was drawn by the (possibly other)
     /// domain that sent it.
-    fn deliver(&mut self, time: Time, origin: Origin, dst: ProcId, ev: Event<M>) {
+    fn deliver(&mut self, time: Time, origin: Origin, dst: ProcId, ev: impl Into<Delivery<M>>) {
         self.heap.push(HeapEv {
             time,
             origin,
-            kind: HeapKind::Deliver { dst, ev },
+            kind: HeapKind::Deliver { dst, ev: ev.into() },
         });
     }
 
     /// Schedule a delivery originated by this domain itself.
-    fn push(&mut self, time: Time, dst: ProcId, ev: Event<M>) {
+    fn push(&mut self, time: Time, dst: ProcId, ev: impl Into<Delivery<M>>) {
         let origin = self.next_origin();
         self.deliver(time, origin, dst, ev);
     }
@@ -357,6 +357,7 @@ impl<M> DomainState<M> {
 
 #[path = "engine_kernel.rs"]
 mod engine_kernel;
+use engine_kernel::Delivery;
 
 /// The simulation world.
 pub struct Sim<M> {

@@ -5,6 +5,20 @@
 
 use super::*;
 
+/// What the engine queues for a process: an [`Event`] for `on_event`, or a
+/// coalesced per-link run for `on_batch`. Private to the engine, so no
+/// `on_event` can be handed a batch.
+pub(super) enum Delivery<M> {
+    Event(Event<M>),
+    Batch { from: ProcId, msgs: Vec<M> },
+}
+
+impl<M> From<Event<M>> for Delivery<M> {
+    fn from(ev: Event<M>) -> Self {
+        Delivery::Event(ev)
+    }
+}
+
 impl<M: 'static> Sim<M> {
     /// Dispatch one event popped from the heap of the domain at `di`.
     pub(super) fn dispatch(&mut self, di: usize, ev: HeapEv<M>) {
@@ -105,7 +119,7 @@ impl<M: 'static> Sim<M> {
         } else {
             d.batch_stats.batched_msgs += msgs.len() as u64;
             d.batch_stats.batch_deliveries += 1;
-            d.push(at, dst, Event::Batch { from: src, msgs });
+            d.push(at, dst, Delivery::Batch { from: src, msgs });
         }
     }
 
@@ -179,13 +193,17 @@ impl<M: 'static> Sim<M> {
 
     /// Run one handler on a free local thread at `time`
     /// (>= thread.busy_until).
-    fn execute(&mut self, di: usize, lt: usize, dst: ProcId, ev: Event<M>, time: Time) {
+    fn execute(&mut self, di: usize, lt: usize, dst: ProcId, ev: Delivery<M>, time: Time) {
         let d = &mut self.domains[di];
         // Tracing hook: name the span before the event is consumed. Guarded
         // so the disabled path pays one bool read, no format.
         let span_name = if neat_obs::tracing() {
             let pname = d.procs.get(&dst).map(|s| s.name.as_str()).unwrap_or("?");
-            Some(format!("{pname} [{}]", ev.label()))
+            let label = match &ev {
+                Delivery::Event(ev) => ev.label(),
+                Delivery::Batch { .. } => "batch",
+            };
+            Some(format!("{pname} [{label}]"))
         } else {
             None
         };
@@ -238,8 +256,8 @@ impl<M: 'static> Sim<M> {
             last_send_dst: None,
         };
         match ev {
-            Event::Batch { from, msgs } => proc.on_batch(&mut ctx, from, msgs),
-            ev => proc.on_event(&mut ctx, ev),
+            Delivery::Batch { from, msgs } => proc.on_batch(&mut ctx, from, msgs),
+            Delivery::Event(ev) => proc.on_event(&mut ctx, ev),
         }
         let Ctx {
             charged,

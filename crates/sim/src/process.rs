@@ -24,11 +24,6 @@ pub enum Event<M> {
     Start,
     /// A message from another process (or from a device engine).
     Message { from: ProcId, msg: M },
-    /// A coalesced run of messages from one sender, delivered as a single
-    /// wakeup (§3.4: amortize dispatch and wake costs over the batch).
-    /// Produced by the engine's per-link coalescing; handled via
-    /// [`Process::on_batch`].
-    Batch { from: ProcId, msgs: Vec<M> },
     /// A timer set via [`crate::Ctx::set_timer`] fired.
     Timer { token: u64 },
 }
@@ -39,7 +34,6 @@ impl<M> Event<M> {
         match self {
             Event::Start => "start",
             Event::Message { .. } => "msg",
-            Event::Batch { .. } => "batch",
             Event::Timer { .. } => "timer",
         }
     }
@@ -63,7 +57,9 @@ pub trait Process<M>: 'static {
         crate::calibration::MSG_RECV
     }
 
-    /// Handle a coalesced batch from one sender in a single wakeup. The
+    /// Handle a coalesced run of messages from one sender in a single
+    /// wakeup (§3.4: amortize dispatch and wake costs over the batch) — the
+    /// only way a batch reaches a process; `on_event` never sees one. The
     /// default unrolls into per-message [`Process::on_event`] calls —
     /// behaviour-identical to unbatched delivery, while the batch still
     /// pays [`Process::dispatch_cost`] only once. Batch-aware processes

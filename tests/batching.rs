@@ -67,7 +67,7 @@ impl Process<Msg> for EchoApp {
                     }
                 }
             }
-            Event::Timer { .. } | Event::Batch { .. } => {}
+            Event::Timer { .. } => {}
         }
     }
 }
@@ -215,11 +215,6 @@ impl Process<Msg> for FetchClient {
                 if let Msg::NetRx(frame) = msg {
                     self.absorb(ctx, &frame);
                     self.drain(ctx);
-                }
-            }
-            Event::Batch { from, msgs } => {
-                for msg in msgs {
-                    self.on_event(ctx, Event::Message { from, msg });
                 }
             }
         }
