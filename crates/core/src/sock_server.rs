@@ -11,29 +11,65 @@ use crate::msg::{ConnHandle, Msg, ReplFlow};
 use neat_net::{FlowKey, TcpHeader};
 use neat_sim::ProcId;
 use neat_tcp::{SockEvent, SocketId, TcbImage, TcpConfig, TcpStack};
-use std::collections::{HashMap, VecDeque};
+use neat_util::FxHashMap;
+use std::collections::VecDeque;
 use std::net::Ipv4Addr;
+
+/// What the server keeps for one connection socket, from `Connect` /
+/// accept / restore until the stack's `Closed` or a migration export.
+#[derive(Debug)]
+struct Conn {
+    /// The owning application.
+    owner: ProcId,
+    /// The token of an active open that has not completed yet.
+    connecting: Option<u64>,
+    /// Data accepted from the app but not yet pushed into the stack
+    /// (send-buffer backpressure).
+    backlog: VecDeque<u8>,
+    /// Application stream bytes the stack has accepted — the
+    /// replication-side half of the output-commit contract: a migrated
+    /// library compares this against its own sent counter and resends
+    /// the difference.
+    app_bytes: u64,
+}
+
+impl Conn {
+    fn new(owner: ProcId, connecting: Option<u64>, app_bytes: u64) -> Conn {
+        Conn {
+            owner,
+            connecting,
+            backlog: VecDeque::new(),
+            app_bytes,
+        }
+    }
+
+    /// Push queued app data into the stack, 16 KiB at a time, straight
+    /// from the queue's own storage.
+    fn flush_backlog(&mut self, stack: &mut TcpStack, sock: SocketId) {
+        while !self.backlog.is_empty() {
+            let len = self.backlog.len().min(16 * 1024);
+            match stack.send(sock, &self.backlog.make_contiguous()[..len]) {
+                Ok(n) if n > 0 => {
+                    self.backlog.drain(..n);
+                    self.app_bytes += n as u64;
+                }
+                _ => break,
+            }
+        }
+        if self.backlog.is_empty() {
+            self.backlog = VecDeque::new(); // don't sit on a reply-sized buffer
+        }
+    }
+}
 
 /// Stack-side socket service.
 #[derive(Debug)]
 pub struct SockServer {
     pub stack: TcpStack,
-    /// Connection socket → owning application.
-    owners: HashMap<SocketId, ProcId>,
-    /// Listening port → (listener socket, owning application).
-    listeners: HashMap<u16, (SocketId, ProcId)>,
-    /// Listener socket id → port (reverse map).
-    listener_ports: HashMap<SocketId, u16>,
-    /// Pending active opens: socket → (app, token).
-    connects: HashMap<SocketId, (ProcId, u64)>,
-    /// Data accepted from apps but not yet pushed into the stack
-    /// (send-buffer backpressure).
-    backlog: HashMap<SocketId, VecDeque<u8>>,
-    /// Application stream bytes the stack has accepted per connection —
-    /// the replication-side half of the output-commit contract: a
-    /// migrated library compares this against its own sent counter and
-    /// resends the difference.
-    app_bytes: HashMap<SocketId, u64>,
+    /// Connection socket → its one record.
+    conns: FxHashMap<SocketId, Conn>,
+    /// Listener socket → (port, owning application).
+    listeners: FxHashMap<SocketId, (u16, ProcId)>,
     /// Messages owed to applications.
     to_app: Vec<(ProcId, Msg)>,
     /// Count of sockets opened/accepted (TCP_OPEN/TCP_CLOSE charging).
@@ -45,12 +81,8 @@ impl SockServer {
     pub fn new(local_ip: Ipv4Addr, cfg: TcpConfig) -> SockServer {
         SockServer {
             stack: TcpStack::new(local_ip, cfg),
-            owners: HashMap::new(),
-            listeners: HashMap::new(),
-            listener_ports: HashMap::new(),
-            connects: HashMap::new(),
-            backlog: HashMap::new(),
-            app_bytes: HashMap::new(),
+            conns: FxHashMap::default(),
+            listeners: FxHashMap::default(),
             to_app: Vec::new(),
             opened: 0,
             closed: 0,
@@ -63,8 +95,7 @@ impl SockServer {
         match msg {
             Msg::Listen { port, app } => {
                 if let Ok(lid) = self.stack.listen(port) {
-                    self.listeners.insert(port, (lid, app));
-                    self.listener_ports.insert(lid, port);
+                    self.listeners.insert(lid, (port, app));
                 }
                 self.to_app.push((from, Msg::ListenOk { port }));
                 1
@@ -72,17 +103,19 @@ impl SockServer {
             Msg::Connect { remote, app, token } => {
                 match self.stack.connect(remote.0, remote.1, now) {
                     Ok(sock) => {
-                        self.owners.insert(sock, app);
-                        self.connects.insert(sock, (app, token));
+                        self.conns.insert(sock, Conn::new(app, Some(token), 0));
                     }
                     Err(_) => self.to_app.push((app, Msg::ConnFailed { token })),
                 }
                 1
             }
             Msg::ConnSend { sock, data } => {
-                let q = self.backlog.entry(sock).or_default();
-                q.extend(data);
-                self.flush_backlog(sock);
+                // A send that raced the stack's `Closed` has no record
+                // left to queue on: dropped, like a write to a dead fd.
+                if let Some(c) = self.conns.get_mut(&sock) {
+                    c.backlog.extend(data);
+                    c.flush_backlog(&mut self.stack, sock);
+                }
                 1
             }
             Msg::ConnClose { sock } => {
@@ -97,27 +130,6 @@ impl SockServer {
         }
     }
 
-    fn flush_backlog(&mut self, sock: SocketId) {
-        if let Some(q) = self.backlog.get_mut(&sock) {
-            while !q.is_empty() {
-                let chunk: Vec<u8> = q.iter().copied().take(16 * 1024).collect();
-                match self.stack.send(sock, &chunk) {
-                    Ok(n) => {
-                        q.drain(..n);
-                        if n == 0 {
-                            break;
-                        }
-                        *self.app_bytes.entry(sock).or_insert(0) += n as u64;
-                    }
-                    Err(_) => break,
-                }
-            }
-            if q.is_empty() {
-                self.backlog.remove(&sock);
-            }
-        }
-    }
-
     /// Translate queued stack events into application messages. `me` is
     /// the pid handles should reference. Returns (events handled,
     /// connections opened, connections closed) for cost charging.
@@ -125,81 +137,66 @@ impl SockServer {
         let mut handled = 0;
         let mut opened = 0;
         let mut closed = 0;
+        let handle = |sock| ConnHandle { stack: me, sock };
         while let Some(ev) = self.stack.poll_event() {
             handled += 1;
             match ev {
                 SockEvent::Acceptable(lid) => {
-                    let Some(port) = self.listener_ports.get(&lid).copied() else {
-                        continue;
-                    };
-                    let Some((_, app)) = self.listeners.get(&port).copied() else {
+                    let Some((port, app)) = self.listeners.get(&lid).copied() else {
                         continue;
                     };
                     while let Ok(sock) = self.stack.accept(lid) {
-                        self.owners.insert(sock, app);
+                        self.conns.insert(sock, Conn::new(app, None, 0));
                         opened += 1;
                         self.opened += 1;
-                        self.to_app.push((
-                            app,
-                            Msg::Incoming {
-                                port,
-                                conn: ConnHandle { stack: me, sock },
-                            },
-                        ));
+                        let conn = handle(sock);
+                        self.to_app.push((app, Msg::Incoming { port, conn }));
                         // Data may already have arrived with the handshake.
                         self.pump_readable(me, sock);
                     }
                 }
                 SockEvent::Connected(sock) => {
-                    if let Some((app, token)) = self.connects.remove(&sock) {
+                    let Some(c) = self.conns.get_mut(&sock) else {
+                        continue;
+                    };
+                    if let Some(token) = c.connecting.take() {
                         opened += 1;
                         self.opened += 1;
-                        self.to_app.push((
-                            app,
-                            Msg::ConnOpen {
-                                conn: ConnHandle { stack: me, sock },
-                                token,
-                            },
-                        ));
+                        let conn = handle(sock);
+                        self.to_app.push((c.owner, Msg::ConnOpen { conn, token }));
                     }
                 }
                 SockEvent::Readable(sock) => {
                     self.pump_readable(me, sock);
                 }
                 SockEvent::Writable(sock) => {
-                    self.flush_backlog(sock);
+                    if let Some(c) = self.conns.get_mut(&sock) {
+                        c.flush_backlog(&mut self.stack, sock);
+                    }
                 }
                 SockEvent::PeerClosed(sock) => {
                     // Drain any remaining data first, then signal EOF.
                     self.pump_readable(me, sock);
-                    if let Some(app) = self.owners.get(&sock).copied() {
-                        self.to_app.push((
-                            app,
-                            Msg::ConnEof {
-                                conn: ConnHandle { stack: me, sock },
-                            },
-                        ));
+                    if let Some(c) = self.conns.get(&sock) {
+                        let conn = handle(sock);
+                        self.to_app.push((c.owner, Msg::ConnEof { conn }));
                     }
                 }
                 SockEvent::Closed(sock) | SockEvent::Aborted(sock) => {
                     let aborted = matches!(ev, SockEvent::Aborted(_));
-                    if let Some((app, token)) = self.connects.remove(&sock) {
+                    let Some(c) = self.conns.remove(&sock) else {
+                        continue;
+                    };
+                    if let Some(token) = c.connecting {
                         // Active open failed.
-                        let _ = app;
-                        self.to_app.push((app, Msg::ConnFailed { token }));
-                    } else if let Some(app) = self.owners.remove(&sock) {
+                        self.to_app.push((c.owner, Msg::ConnFailed { token }));
+                    } else {
                         closed += 1;
                         self.closed += 1;
-                        self.to_app.push((
-                            app,
-                            Msg::ConnClosed {
-                                conn: ConnHandle { stack: me, sock },
-                                aborted,
-                            },
-                        ));
+                        let conn = handle(sock);
+                        self.to_app
+                            .push((c.owner, Msg::ConnClosed { conn, aborted }));
                     }
-                    self.backlog.remove(&sock);
-                    self.app_bytes.remove(&sock);
                 }
             }
         }
@@ -207,7 +204,7 @@ impl SockServer {
     }
 
     fn pump_readable(&mut self, me: ProcId, sock: SocketId) {
-        let Some(app) = self.owners.get(&sock).copied() else {
+        let Some(app) = self.conns.get(&sock).map(|c| c.owner) else {
             return;
         };
         // Vectored drain: pull the whole receive buffer through one
@@ -230,13 +227,8 @@ impl SockServer {
             }
         }
         if !data.is_empty() {
-            self.to_app.push((
-                app,
-                Msg::ConnData {
-                    conn: ConnHandle { stack: me, sock },
-                    data,
-                },
-            ));
+            let conn = ConnHandle { stack: me, sock };
+            self.to_app.push((app, Msg::ConnData { conn, data }));
         }
     }
 
@@ -290,7 +282,7 @@ impl SockServer {
 
     /// App-stream bytes the stack has accepted on `sock`.
     pub fn app_bytes_of(&self, sock: SocketId) -> u64 {
-        self.app_bytes.get(&sock).copied().unwrap_or(0)
+        self.conns.get(&sock).map_or(0, |c| c.app_bytes)
     }
 
     /// Enable (or disable) checkpoint-delta tracking in the stack.
@@ -305,39 +297,28 @@ impl SockServer {
     pub fn take_checkpoint_delta(&mut self) -> (Vec<ReplFlow>, Vec<FlowKey>) {
         let dirty = self.stack.take_repl_dirty();
         let closed = self.stack.take_repl_closed();
-        let mut flows = Vec::new();
-        for (id, flow, img) in dirty {
-            let Some(owner) = self.owners.get(&id).copied() else {
-                continue;
-            };
-            flows.push(ReplFlow {
+        (self.repl_flows(dirty), closed)
+    }
+
+    /// Pair the stack's checkpoints with their app binding.
+    fn repl_flows(&self, images: Vec<(SocketId, FlowKey, TcbImage)>) -> Vec<ReplFlow> {
+        let bound = |(id, flow, img): (SocketId, FlowKey, TcbImage)| {
+            let c = self.conns.get(&id)?;
+            Some(ReplFlow {
                 flow,
                 old_sock: id,
-                owner,
-                app_bytes: self.app_bytes_of(id),
+                owner: c.owner,
+                app_bytes: c.app_bytes,
                 img: img.encode(),
-            });
-        }
-        (flows, closed)
+            })
+        };
+        images.into_iter().filter_map(bound).collect()
     }
 
     /// Checkpoint every app-bound replicable connection (sent when a
     /// buddy is first assigned, so its store starts complete).
     pub fn full_checkpoint(&self) -> Vec<ReplFlow> {
-        self.stack
-            .export_all_conns()
-            .into_iter()
-            .filter_map(|(id, flow, img)| {
-                let owner = self.owners.get(&id).copied()?;
-                Some(ReplFlow {
-                    flow,
-                    old_sock: id,
-                    owner,
-                    app_bytes: self.app_bytes_of(id),
-                    img: img.encode(),
-                })
-            })
-            .collect()
+        self.repl_flows(self.stack.export_all_conns())
     }
 
     /// Adopt replicated flows (failover restore or live-migration import).
@@ -353,8 +334,8 @@ impl SockServer {
             };
             match self.stack.restore_conn(&img) {
                 Ok(new_id) => {
-                    self.owners.insert(new_id, f.owner);
-                    self.app_bytes.insert(new_id, f.app_bytes);
+                    self.conns
+                        .insert(new_id, Conn::new(f.owner, None, f.app_bytes));
                     self.opened += 1;
                     self.to_app.push((
                         f.owner,
@@ -388,9 +369,7 @@ impl SockServer {
         let exported = self.full_checkpoint();
         for f in &exported {
             self.stack.remove_conn(f.old_sock);
-            self.owners.remove(&f.old_sock);
-            self.app_bytes.remove(&f.old_sock);
-            self.backlog.remove(&f.old_sock);
+            self.conns.remove(&f.old_sock);
         }
         self.closed += exported.len() as u64;
         exported
@@ -527,6 +506,63 @@ mod tests {
                 .any(|(_, m)| matches!(m, Msg::ConnClosed { aborted: false, .. })),
             "close surfaced: {msgs:?}"
         );
+    }
+
+    fn app_msgs(srv: &mut SockServer) -> Vec<Msg> {
+        srv.take_app_msgs().into_iter().map(|(_, m)| m).collect()
+    }
+
+    #[test]
+    fn failed_active_open_leaves_no_record() {
+        let mut srv = SockServer::new(SERVER, cfg());
+        let mut client = TcpStack::new(CLIENT, cfg()); // nobody listens on 81
+        let connect = Msg::Connect {
+            remote: (CLIENT, 81),
+            app: APP,
+            token: 7,
+        };
+        srv.handle_app(APP, connect, 0);
+        assert_eq!(srv.conns.len(), 1, "the open is on record while in flight");
+        pump(&mut client, &mut srv, 0);
+        let msgs = app_msgs(&mut srv);
+        assert!(
+            matches!(msgs[..], [Msg::ConnFailed { token: 7 }]),
+            "the RST fails the open: {msgs:?}"
+        );
+        assert_eq!(srv.conns.len(), 0, "a failed open leaves nothing behind");
+        assert_eq!(srv.conn_count(), 0);
+    }
+
+    #[test]
+    fn send_to_a_closed_socket_is_dropped() {
+        let mut srv = SockServer::new(SERVER, cfg());
+        let mut client = TcpStack::new(CLIENT, cfg());
+        srv.handle_app(APP, Msg::Listen { port: 80, app: APP }, 0);
+        let cconn = client.connect(SERVER, 80, 0).unwrap();
+        pump(&mut client, &mut srv, 0);
+        let conn = app_msgs(&mut srv)
+            .into_iter()
+            .find_map(|m| match m {
+                Msg::Incoming { conn, .. } => Some(conn),
+                _ => None,
+            })
+            .unwrap();
+        assert_eq!(srv.conns.len(), 1);
+        client.abort(cconn).unwrap();
+        pump(&mut client, &mut srv, 100);
+        let msgs = app_msgs(&mut srv);
+        assert!(
+            matches!(msgs[..], [Msg::ConnClosed { aborted: true, .. }]),
+            "the peer's RST closes the connection: {msgs:?}"
+        );
+        // The app's reply was already in flight when the close came out.
+        let late = Msg::ConnSend {
+            sock: conn.sock,
+            data: vec![1; 100],
+        };
+        assert_eq!(srv.handle_app(APP, late, 200), 1, "still one socket op");
+        assert_eq!(srv.conns.len(), 0, "nothing queues on a closed socket");
+        assert!(srv.poll_wire(200).is_empty() && app_msgs(&mut srv).is_empty());
     }
 
     #[test]

@@ -16,7 +16,8 @@
 
 use crate::msg::{ConnHandle, Msg};
 use neat_sim::{Ctx, ProcId};
-use std::collections::{HashMap, HashSet, VecDeque};
+use neat_util::{FxHashMap, FxHashSet};
+use std::collections::VecDeque;
 
 pub use neat_tcp::Readiness;
 pub use neat_tcp::{SockOpt, SockOptKind};
@@ -95,26 +96,30 @@ pub enum LibEvent {
     Closed { fd: Fd, err: Option<SockErr> },
 }
 
-/// Per-fd receive-side state: bytes delivered by the stack but not yet
-/// pulled by the application, plus the EOF latch.
-#[derive(Debug, Default)]
-struct RxState {
-    buf: VecDeque<u8>,
-    eof: bool,
-}
-
 /// Retained tail of recently written bytes, kept per fd so a migrated
 /// connection can resend whatever the old replica accepted after its last
 /// replication checkpoint (the `app_bytes` gap in [`Msg::ConnMigrated`]).
 const TX_TAIL_CAP: usize = 64 * 1024;
 
-/// Per-fd transmit-side bookkeeping for transparent migration.
+/// Everything the library keeps for one fd, from `connect()` or an
+/// `Incoming` until [`SocketLib::release`].
 #[derive(Debug, Default)]
-struct TxState {
+struct FdState {
+    /// The `(replica, socket)` behind the fd; `None` while its
+    /// `connect()` is in flight.
+    conn: Option<ConnHandle>,
+    /// Bytes delivered by the stack but not yet pulled by the application.
+    rx: VecDeque<u8>,
+    /// The peer's FIN arrived: `recv` reads as EOF once `rx` is drained.
+    eof: bool,
     /// Total bytes ever written on this fd.
     sent_total: u64,
     /// The last up-to-[`TX_TAIL_CAP`] of those bytes.
     tail: VecDeque<u8>,
+    /// Last-set socket options: the library-side shadow `get_opt` answers
+    /// from, and the flush source when an option is set while the
+    /// `connect()` is still in flight (applied as soon as the fd binds).
+    opts: Vec<SockOpt>,
 }
 
 /// Per-process socket library state.
@@ -125,25 +130,20 @@ pub struct SocketLib {
     /// Socket-owning heads of the live replicas.
     replicas: Vec<ProcId>,
     listen_ports: Vec<u16>,
-    conn_of: HashMap<Fd, ConnHandle>,
-    fd_of: HashMap<ConnHandle, Fd>,
-    rx: HashMap<Fd, RxState>,
-    tx: HashMap<Fd, TxState>,
+    fds: FxHashMap<Fd, FdState>,
+    /// Reverse index: which fd a stack's message about `conn` is for.
+    fd_of: FxHashMap<ConnHandle, Fd>,
     /// Stacks reported dead by the supervisor. In-flight messages from
     /// them (e.g. an `Incoming` racing the crash report) must not bind a
     /// fresh fd to a handle that can never carry data again.
-    dead_stacks: HashSet<ProcId>,
+    dead_stacks: FxHashSet<ProcId>,
     next_fd: Fd,
     next_token: u64,
     /// In-flight active opens: token → (fd, chosen replica). Recording the
     /// replica is what lets a crash between SYN and `Connected` be
     /// reconciled against the supervisor's restart report instead of
     /// leaking the entry forever.
-    pending_connect: HashMap<u64, (Fd, ProcId)>,
-    /// Last-set per-fd socket options: the library-side shadow `get_opt`
-    /// answers from, and the flush source when an option is set while the
-    /// `connect()` is still in flight (applied as soon as the fd binds).
-    opts: HashMap<Fd, Vec<SockOpt>>,
+    pending_connect: FxHashMap<u64, (Fd, ProcId)>,
     /// Connections lost to replica crashes (reliability accounting).
     pub lost_to_crash: u64,
     registered: bool,
@@ -160,15 +160,12 @@ impl SocketLib {
             supervisor,
             replicas,
             listen_ports: Vec::new(),
-            conn_of: HashMap::new(),
-            fd_of: HashMap::new(),
-            rx: HashMap::new(),
-            tx: HashMap::new(),
-            dead_stacks: HashSet::new(),
+            fds: FxHashMap::default(),
+            fd_of: FxHashMap::default(),
+            dead_stacks: FxHashSet::default(),
             next_fd: 3, // 0..2 are stdio, of course
             next_token: 1,
-            pending_connect: HashMap::new(),
-            opts: HashMap::new(),
+            pending_connect: FxHashMap::default(),
             lost_to_crash: 0,
             registered: false,
             route_override: None,
@@ -202,14 +199,9 @@ impl SocketLib {
         ctx.charge(neat_sim::calibration::SYSCALL_CLIENT);
         self.listen_ports.push(port);
         if self.syscall == ProcId(0) {
-            for r in self.replicas.clone() {
-                ctx.send(
-                    r,
-                    Msg::Listen {
-                        port,
-                        app: ctx.self_id,
-                    },
-                );
+            for &r in &self.replicas {
+                let app = ctx.self_id;
+                ctx.send(r, Msg::Listen { port, app });
             }
         } else {
             ctx.send(
@@ -238,6 +230,7 @@ impl SocketLib {
         self.next_token += 1;
         let idx = ctx.rng().gen_range(0..self.replicas.len());
         let replica = self.replicas[idx];
+        self.fds.insert(fd, FdState::default());
         self.pending_connect.insert(token, (fd, replica));
         ctx.send(
             replica,
@@ -257,33 +250,21 @@ impl SocketLib {
         fd: Fd,
         data: Vec<u8>,
     ) -> Result<usize, SockErr> {
-        let Some(conn) = self.conn_of.get(&fd) else {
-            return Err(SockErr::NotConnected);
-        };
+        let (st, ConnHandle { stack, sock }) = self.bound_mut(fd)?;
         let len = data.len();
         ctx.charge(neat_sim::calibration::copy_cost(len));
-        let to = self.route_override.unwrap_or(conn.stack);
-        let tx = self.tx.entry(fd).or_default();
-        tx.sent_total += len as u64;
-        tx.tail.extend(data.iter().copied());
-        while tx.tail.len() > TX_TAIL_CAP {
-            tx.tail.pop_front();
-        }
-        ctx.send(
-            to,
-            Msg::ConnSend {
-                sock: conn.sock,
-                data,
-            },
-        );
+        st.sent_total += len as u64;
+        st.tail.extend(&data);
+        let excess = st.tail.len().saturating_sub(TX_TAIL_CAP);
+        st.tail.drain(..excess);
+        let to = self.route_override.unwrap_or(stack);
+        ctx.send(to, Msg::ConnSend { sock, data });
         Ok(len)
     }
 
     /// POSIX `close()` on a connection fd.
     pub fn close(&mut self, ctx: &mut Ctx<'_, Msg>, fd: Fd) -> Result<(), SockErr> {
-        let Some(conn) = self.conn_of.get(&fd) else {
-            return Err(SockErr::NotConnected);
-        };
+        let (_, conn) = self.bound_mut(fd)?;
         let to = self.route_override.unwrap_or(conn.stack);
         ctx.send(to, Msg::ConnClose { sock: conn.sock });
         Ok(())
@@ -295,25 +276,14 @@ impl SocketLib {
     /// buffered and applied the moment the fd binds; on a bound fd the
     /// option reaches the owning replica immediately.
     pub fn set_opt(&mut self, ctx: &mut Ctx<'_, Msg>, fd: Fd, opt: SockOpt) -> Result<(), SockErr> {
-        let bound = self.conn_of.contains_key(&fd);
-        let pending = self.pending_connect.values().any(|&(pfd, _)| pfd == fd);
-        if !bound && !pending {
-            return Err(SockErr::NotConnected);
-        }
-        let shadow = self.opts.entry(fd).or_default();
-        match shadow.iter_mut().find(|o| o.kind() == opt.kind()) {
+        let st = self.fds.get_mut(&fd).ok_or(SockErr::NotConnected)?;
+        match st.opts.iter_mut().find(|o| o.kind() == opt.kind()) {
             Some(slot) => *slot = opt,
-            None => shadow.push(opt),
+            None => st.opts.push(opt),
         }
-        if let Some(conn) = self.conn_of.get(&fd) {
-            let to = self.route_override.unwrap_or(conn.stack);
-            ctx.send(
-                to,
-                Msg::SetSockOpt {
-                    sock: conn.sock,
-                    opt,
-                },
-            );
+        if let Some(ConnHandle { stack, sock }) = st.conn {
+            let to = self.route_override.unwrap_or(stack);
+            ctx.send(to, Msg::SetSockOpt { sock, opt });
         }
         Ok(())
     }
@@ -323,58 +293,46 @@ impl SocketLib {
     /// `None` means the option was never set here, i.e. the stack default
     /// applies.
     pub fn get_opt(&self, fd: Fd, kind: SockOptKind) -> Option<SockOpt> {
-        self.opts
-            .get(&fd)?
-            .iter()
-            .copied()
-            .find(|o| o.kind() == kind)
+        let opts = &self.fds.get(&fd)?.opts;
+        opts.iter().copied().find(|o| o.kind() == kind)
     }
 
     /// Flush options set before the fd was bound to its connection.
     fn flush_opts(&mut self, ctx: &mut Ctx<'_, Msg>, fd: Fd) {
-        let Some(conn) = self.conn_of.get(&fd) else {
+        let route = self.route_override;
+        let Ok((st, ConnHandle { stack, sock })) = self.bound_mut(fd) else {
             return;
         };
-        let to = self.route_override.unwrap_or(conn.stack);
-        let sock = conn.sock;
-        for &opt in self.opts.get(&fd).into_iter().flatten() {
-            ctx.send(to, Msg::SetSockOpt { sock, opt });
+        for &opt in &st.opts {
+            ctx.send(route.unwrap_or(stack), Msg::SetSockOpt { sock, opt });
         }
     }
 
     /// Unified non-blocking readiness query. Mirrors `poll(2)` semantics:
     /// `readable` is also set at EOF so the reader observes it via `recv`.
     pub fn poll(&self, fd: Fd) -> Readiness {
-        let bound = self.conn_of.contains_key(&fd);
-        match self.rx.get(&fd) {
-            Some(st) => Readiness {
-                readable: !st.buf.is_empty() || st.eof,
-                writable: bound,
-                hup: st.eof || !bound,
-            },
-            None => Readiness {
-                readable: false,
-                writable: bound,
-                hup: !bound,
-            },
+        let st = self.fds.get(&fd);
+        let bound = st.is_some_and(|st| st.conn.is_some());
+        let eof = st.is_some_and(|st| st.eof);
+        Readiness {
+            readable: eof || st.is_some_and(|st| !st.rx.is_empty()),
+            writable: bound,
+            hup: eof || !bound,
         }
     }
 
     /// Non-blocking read: drain everything buffered for `fd`. `Ok` with an
     /// empty vec means EOF; `Err(WouldBlock)` means no data yet.
     pub fn recv(&mut self, ctx: &mut Ctx<'_, Msg>, fd: Fd) -> Result<Vec<u8>, SockErr> {
-        if !self.conn_of.contains_key(&fd) && !self.rx.contains_key(&fd) {
-            return Err(SockErr::NotConnected);
-        }
-        let st = self.rx.entry(fd).or_default();
-        if st.buf.is_empty() {
+        let (st, _) = self.bound_mut(fd)?;
+        if st.rx.is_empty() {
             return if st.eof {
                 Ok(Vec::new()) // EOF, like read() == 0
             } else {
                 Err(SockErr::WouldBlock)
             };
         }
-        let data: Vec<u8> = std::mem::take(&mut st.buf).into();
+        let data: Vec<u8> = std::mem::take(&mut st.rx).into();
         // The app-side copy out of the stack's buffers is the one copy the
         // zero-copy frame plane cannot elide.
         ctx.charge(neat_sim::calibration::copy_cost(data.len()));
@@ -387,26 +345,71 @@ impl SocketLib {
         fd
     }
 
-    fn bind(&mut self, conn: ConnHandle, fd: Fd) {
-        self.conn_of.insert(fd, conn);
-        self.fd_of.insert(conn, fd);
+    /// The state and handle of a bound fd (`NotConnected` while its
+    /// `connect()` is in flight, and for an fd the library does not know).
+    fn bound_mut(&mut self, fd: Fd) -> Result<(&mut FdState, ConnHandle), SockErr> {
+        let st = self.fds.get_mut(&fd).ok_or(SockErr::NotConnected)?;
+        let conn = st.conn.ok_or(SockErr::NotConnected)?;
+        Ok((st, conn))
     }
 
-    fn unbind(&mut self, conn: &ConnHandle) -> Option<Fd> {
-        let fd = self.fd_of.remove(conn)?;
-        self.conn_of.remove(&fd);
-        self.rx.remove(&fd);
-        self.tx.remove(&fd);
-        self.opts.remove(&fd);
-        Some(fd)
+    /// Point `fd` (and the reverse index) at `conn`.
+    fn bind(&mut self, conn: ConnHandle, fd: Fd) -> Option<&FdState> {
+        let st = self.fds.get_mut(&fd)?;
+        st.conn = Some(conn);
+        self.fd_of.insert(conn, fd);
+        Some(st)
+    }
+
+    /// The fd a stack's message about `conn` is for, and its state.
+    fn by_conn(&mut self, conn: &ConnHandle) -> Option<(Fd, &mut FdState)> {
+        let fd = *self.fd_of.get(conn)?;
+        Some((fd, self.fds.get_mut(&fd)?))
+    }
+
+    /// The one way an fd leaves the library: its state and its entry in
+    /// the reverse index go together.
+    fn release(&mut self, fd: Fd) {
+        if let Some(conn) = self.fds.remove(&fd).and_then(|st| st.conn) {
+            self.fd_of.remove(&conn);
+        }
+    }
+
+    /// Reap every fd bound to the dead replica `stack` — and, with
+    /// `connects`, every fd whose `connect()` to it is still in flight —
+    /// in ascending fd order.
+    fn reap(&mut self, stack: ProcId, connects: bool) -> Vec<LibEvent> {
+        let bound = self.fd_of.iter().filter(|(conn, _)| conn.stack == stack);
+        let mut dead: Vec<(Fd, Option<u64>)> = bound.map(|(_, &fd)| (fd, None)).collect();
+        if connects {
+            let orphaned = (self.pending_connect.iter()).filter(|(_, (_, to))| *to == stack);
+            dead.extend(orphaned.map(|(&token, &(fd, _))| (fd, Some(token))));
+        }
+        dead.sort_unstable();
+        let reaped = |(fd, token): (Fd, Option<u64>)| {
+            self.release(fd);
+            self.lost_to_crash += 1;
+            // A SYN sent to the dead replica will never be answered.
+            match token.and_then(|token| self.pending_connect.remove(&token)) {
+                Some(_) => LibEvent::ConnectFailed {
+                    fd,
+                    err: SockErr::ReplicaLost,
+                },
+                None => LibEvent::Closed {
+                    fd,
+                    err: Some(SockErr::ConnReset),
+                },
+            }
+        };
+        dead.into_iter().map(reaped).collect()
     }
 
     pub fn open_conns(&self) -> usize {
-        self.conn_of.len()
+        self.fd_of.len()
     }
 
     pub fn replica_of(&self, fd: Fd) -> Option<ProcId> {
-        self.conn_of.get(&fd).map(|c| c.stack)
+        Some(self.fds.get(&fd)?.conn?.stack)
     }
 
     /// In-flight `connect()`s that have not completed yet (diagnostics;
@@ -415,64 +418,101 @@ impl SocketLib {
         self.pending_connect.len()
     }
 
+    /// Open this process's listening subsockets on replica `stack`.
+    fn relisten(&self, ctx: &mut Ctx<'_, Msg>, stack: ProcId) {
+        for &port in &self.listen_ports {
+            let app = ctx.self_id;
+            ctx.send(stack, Msg::Listen { port, app });
+        }
+    }
+
     /// Translate one inbound message into library events. Unrecognized
     /// messages yield no events (the app handles them itself).
     pub fn handle(&mut self, ctx: &mut Ctx<'_, Msg>, msg: &Msg) -> Vec<LibEvent> {
         match msg {
-            Msg::SysListenDone { port } => vec![LibEvent::ListenReady { port: *port }],
+            Msg::ReplicaRestarted { old, new } => {
+                // Handles still on the dead replica are gone — either
+                // stateless recovery (§3.6) or the flows buddy replication
+                // could not restore. Reap them *eagerly*: free the fd and
+                // its buffers now and tell the app with a reset, instead of
+                // leaving entries to be discovered on the next poll.
+                // In-flight connects are reconciled against the restart
+                // report too, instead of leaking their tokens.
+                self.dead_stacks.insert(*old);
+                let evs = self.reap(*old, true);
+                for r in &mut self.replicas {
+                    if *r == *old {
+                        *r = *new;
+                    }
+                }
+                self.relisten(ctx, *new);
+                evs
+            }
+            Msg::ReplicaAdded { stack } => {
+                self.replicas.push(*stack);
+                self.relisten(ctx, *stack);
+                vec![]
+            }
+            Msg::ReplicaRemoved { stack } => {
+                self.replicas.retain(|r| r != stack);
+                self.dead_stacks.insert(*stack);
+                // An orderly removal drains (or migrates) every connection
+                // first, so normally nothing is bound here. If the replica
+                // died mid-drain, its remaining handles are gone: reap them
+                // eagerly, as in the restart path. (Its in-flight connects
+                // it refuses itself while terminating.)
+                self.reap(*stack, false)
+            }
+            _ => self.handle_conn(ctx, msg).into_iter().collect(),
+        }
+    }
+
+    /// The per-connection messages: each yields at most one event.
+    fn handle_conn(&mut self, ctx: &mut Ctx<'_, Msg>, msg: &Msg) -> Option<LibEvent> {
+        Some(match msg {
+            Msg::SysListenDone { port } => LibEvent::ListenReady { port: *port },
             Msg::ListenOk { port } if self.syscall == ProcId(0) => {
-                vec![LibEvent::ListenReady { port: *port }]
+                LibEvent::ListenReady { port: *port }
             }
             Msg::Incoming { port, conn } => {
                 if self.dead_stacks.contains(&conn.stack) {
                     // The accept raced the owning replica's crash report:
                     // binding it would leak an fd that can never progress.
-                    return vec![];
+                    return None;
                 }
                 let fd = self.alloc_fd();
+                self.fds.insert(fd, FdState::default());
                 self.bind(*conn, fd);
-                vec![LibEvent::Accepted { fd, port: *port }]
+                LibEvent::Accepted { fd, port: *port }
             }
-            Msg::ConnOpen { conn, token } => match self.pending_connect.remove(token) {
-                Some((fd, _)) => {
-                    self.bind(*conn, fd);
-                    self.flush_opts(ctx, fd);
-                    vec![LibEvent::Connected { fd }]
-                }
-                None => vec![],
-            },
-            Msg::ConnFailed { token } => match self.pending_connect.remove(token) {
-                Some((fd, _)) => {
-                    self.opts.remove(&fd);
-                    vec![LibEvent::ConnectFailed {
-                        fd,
-                        err: SockErr::ConnRefused,
-                    }]
-                }
-                None => vec![],
-            },
-            Msg::ConnData { conn, data } => match self.fd_of.get(conn) {
-                Some(&fd) => {
-                    let st = self.rx.entry(fd).or_default();
-                    st.buf.extend(data.iter().copied());
-                    vec![LibEvent::Readable { fd }]
-                }
-                None => vec![],
-            },
-            Msg::ConnEof { conn } => match self.fd_of.get(conn) {
-                Some(&fd) => {
-                    self.rx.entry(fd).or_default().eof = true;
-                    vec![LibEvent::Readable { fd }]
-                }
-                None => vec![],
-            },
-            Msg::ConnClosed { conn, aborted } => match self.unbind(conn) {
-                Some(fd) => vec![LibEvent::Closed {
-                    fd,
-                    err: aborted.then_some(SockErr::ConnReset),
-                }],
-                None => vec![],
-            },
+            Msg::ConnOpen { conn, token } => {
+                let (fd, _) = self.pending_connect.remove(token)?;
+                self.bind(*conn, fd);
+                self.flush_opts(ctx, fd);
+                LibEvent::Connected { fd }
+            }
+            Msg::ConnFailed { token } => {
+                let (fd, _) = self.pending_connect.remove(token)?;
+                self.release(fd);
+                let err = SockErr::ConnRefused;
+                LibEvent::ConnectFailed { fd, err }
+            }
+            Msg::ConnData { conn, data } => {
+                let (fd, st) = self.by_conn(conn)?;
+                st.rx.extend(data);
+                LibEvent::Readable { fd }
+            }
+            Msg::ConnEof { conn } => {
+                let (fd, st) = self.by_conn(conn)?;
+                st.eof = true;
+                LibEvent::Readable { fd }
+            }
+            Msg::ConnClosed { conn, aborted } => {
+                let (fd, _) = self.by_conn(conn)?;
+                self.release(fd);
+                let err = aborted.then_some(SockErr::ConnReset);
+                LibEvent::Closed { fd, err }
+            }
             Msg::ConnMigrated {
                 old,
                 new,
@@ -482,145 +522,32 @@ impl SocketLib {
                 // the fd, then resend whatever the app wrote that the
                 // restored state never saw. No event — the application is
                 // not supposed to notice.
-                let Some(fd) = self.fd_of.remove(old) else {
-                    return vec![];
-                };
-                self.conn_of.insert(fd, *new);
-                self.fd_of.insert(*new, fd);
-                let gap = self
-                    .tx
-                    .get(&fd)
-                    .map(|t| t.sent_total.saturating_sub(*app_bytes))
-                    .unwrap_or(0);
-                if gap == 0 {
-                    return vec![];
+                let fd = self.fd_of.remove(old)?;
+                let st = self.bind(*new, fd)?;
+                let gap = st.sent_total.saturating_sub(*app_bytes) as usize;
+                if gap > st.tail.len() {
+                    // The gap outruns the retained tail: the stream
+                    // cannot be made whole, so surface a reset.
+                    self.release(fd);
+                    self.lost_to_crash += 1;
+                    let err = Some(SockErr::ConnReset);
+                    return Some(LibEvent::Closed { fd, err });
                 }
-                let tail_bytes = match self.tx.get(&fd) {
-                    Some(t) if gap as usize <= t.tail.len() => {
-                        let skip = t.tail.len() - gap as usize;
-                        t.tail.iter().skip(skip).copied().collect::<Vec<u8>>()
-                    }
-                    _ => {
-                        // The gap outruns the retained tail: the stream
-                        // cannot be made whole, so surface a reset.
-                        if let Some(fd) = self.unbind(new) {
-                            self.lost_to_crash += 1;
-                            return vec![LibEvent::Closed {
-                                fd,
-                                err: Some(SockErr::ConnReset),
-                            }];
-                        }
-                        return vec![];
-                    }
-                };
-                let to = self.route_override.unwrap_or(new.stack);
-                ctx.charge(neat_sim::calibration::copy_cost(tail_bytes.len()));
-                ctx.send(
-                    to,
-                    Msg::ConnSend {
-                        sock: new.sock,
-                        data: tail_bytes,
-                    },
-                );
-                vec![]
-            }
-            Msg::ReplicaRestarted { old, new } => {
-                // Handles still on the dead replica are gone — either
-                // stateless recovery (§3.6) or the flows buddy replication
-                // could not restore. Reap them *eagerly*: free the fd and
-                // its buffers now and tell the app with a reset, instead of
-                // leaving entries to be discovered on the next poll.
-                self.dead_stacks.insert(*old);
-                let dead: Vec<ConnHandle> = self
-                    .fd_of
-                    .keys()
-                    .filter(|c| c.stack == *old)
-                    .copied()
-                    .collect();
-                let mut evs = Vec::new();
-                for conn in dead {
-                    if let Some(fd) = self.unbind(&conn) {
-                        self.lost_to_crash += 1;
-                        evs.push(LibEvent::Closed {
-                            fd,
-                            err: Some(SockErr::ConnReset),
-                        });
-                    }
-                }
-                // Reconcile in-flight connects against the restart report:
-                // a SYN sent to the dead replica will never be answered, so
-                // fail those fds instead of leaking their tokens.
-                let orphaned: Vec<u64> = self
-                    .pending_connect
-                    .iter()
-                    .filter(|(_, (_, replica))| replica == old)
-                    .map(|(tok, _)| *tok)
-                    .collect();
-                for tok in orphaned {
-                    if let Some((fd, _)) = self.pending_connect.remove(&tok) {
-                        self.lost_to_crash += 1;
-                        evs.push(LibEvent::ConnectFailed {
-                            fd,
-                            err: SockErr::ReplicaLost,
-                        });
-                    }
-                }
-                for r in &mut self.replicas {
-                    if *r == *old {
-                        *r = *new;
-                    }
-                }
-                // Re-establish listening subsockets on the new replica.
-                for port in self.listen_ports.clone() {
+                if gap > 0 {
+                    let data: Vec<u8> = st.tail.range(st.tail.len() - gap..).copied().collect();
+                    let to = self.route_override.unwrap_or(new.stack);
+                    ctx.charge(neat_sim::calibration::copy_cost(gap));
                     ctx.send(
-                        *new,
-                        Msg::Listen {
-                            port,
-                            app: ctx.self_id,
+                        to,
+                        Msg::ConnSend {
+                            sock: new.sock,
+                            data,
                         },
                     );
                 }
-                evs
+                return None;
             }
-            Msg::ReplicaAdded { stack } => {
-                self.replicas.push(*stack);
-                for port in self.listen_ports.clone() {
-                    ctx.send(
-                        *stack,
-                        Msg::Listen {
-                            port,
-                            app: ctx.self_id,
-                        },
-                    );
-                }
-                vec![]
-            }
-            Msg::ReplicaRemoved { stack } => {
-                self.replicas.retain(|r| r != stack);
-                self.dead_stacks.insert(*stack);
-                // An orderly removal drains (or migrates) every connection
-                // first, so normally nothing is bound here. If the replica
-                // died mid-drain, its remaining handles are gone: reap them
-                // eagerly, as in the restart path.
-                let dead: Vec<ConnHandle> = self
-                    .fd_of
-                    .keys()
-                    .filter(|c| c.stack == *stack)
-                    .copied()
-                    .collect();
-                let mut evs = Vec::new();
-                for conn in dead {
-                    if let Some(fd) = self.unbind(&conn) {
-                        self.lost_to_crash += 1;
-                        evs.push(LibEvent::Closed {
-                            fd,
-                            err: Some(SockErr::ConnReset),
-                        });
-                    }
-                }
-                evs
-            }
-            _ => vec![],
-        }
+            _ => return None,
+        })
     }
 }

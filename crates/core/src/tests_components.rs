@@ -384,13 +384,19 @@ fn loopback_connects_within_one_replica() {
 fn crashed_replica_fails_inflight_connects_without_leaking() {
     // §3.6 + the non-blocking API: a SYN sent to a replica that dies
     // before answering must surface `ConnectFailed(ReplicaLost)` and must
-    // not leak its `pending_connect` token.
+    // not leak its `pending_connect` token; fds bound to the dead replica
+    // are reset; and the whole reap comes out in ascending fd order, not
+    // in some hash map's.
+    use crate::msg::ConnHandle;
     use crate::sockets::{LibEvent, SockErr, SocketLib};
+
+    const REMOTE: (std::net::Ipv4Addr, u16) = (std::net::Ipv4Addr::new(192, 168, 69, 1), 80);
 
     struct App {
         lib: SocketLib,
-        failures: Rc<RefCell<Vec<SockErr>>>,
-        pending: Rc<RefCell<usize>>,
+        events: Rc<RefCell<Vec<LibEvent>>>,
+        /// `(open_conns, pending_connects)` after the last event.
+        counts: Rc<RefCell<(usize, usize)>>,
     }
     impl Process<Msg> for App {
         fn name(&self) -> String {
@@ -399,40 +405,47 @@ fn crashed_replica_fails_inflight_connects_without_leaking() {
         fn on_event(&mut self, ctx: &mut Ctx<'_, Msg>, ev: Event<Msg>) {
             match ev {
                 Event::Start => {
-                    self.lib
-                        .connect(ctx, (std::net::Ipv4Addr::new(192, 168, 69, 1), 80))
-                        .unwrap();
-                    *self.pending.borrow_mut() = self.lib.pending_connects();
+                    for _ in 0..3 {
+                        self.lib.connect(ctx, REMOTE).unwrap();
+                    }
                 }
                 Event::Message { msg, .. } => {
-                    for e in self.lib.handle(ctx, &msg) {
-                        if let LibEvent::ConnectFailed { err, .. } = e {
-                            self.failures.borrow_mut().push(err);
-                        }
+                    self.events.borrow_mut().extend(self.lib.handle(ctx, &msg));
+                    // Interleave bound and connecting fds.
+                    if matches!(msg, Msg::Incoming { .. }) {
+                        self.lib.connect(ctx, REMOTE).unwrap();
                     }
-                    *self.pending.borrow_mut() = self.lib.pending_connects();
                 }
                 Event::Timer { .. } => {}
             }
+            *self.counts.borrow_mut() = (self.lib.open_conns(), self.lib.pending_connects());
         }
     }
 
     let (mut sim, th) = mini_sim();
-    // The replica swallows the Connect and never answers (it will "crash").
+    // The replica swallows the Connects and never answers (it will "crash").
     let (replica, _) = probe(&mut sim, th[0]);
     let (replacement, _) = probe(&mut sim, th[1]);
-    let failures = Rc::new(RefCell::new(Vec::new()));
-    let pending = Rc::new(RefCell::new(0));
+    let events = Rc::new(RefCell::new(Vec::new()));
+    let counts = Rc::new(RefCell::new((0, 0)));
     let app = sim.spawn(
         th[2],
         Box::new(App {
             lib: SocketLib::new(ProcId(0), vec![replica], None),
-            failures: failures.clone(),
-            pending: pending.clone(),
+            events: events.clone(),
+            counts: counts.clone(),
         }),
     );
+    for sock in 1..=3 {
+        let conn = ConnHandle {
+            stack: replica,
+            sock: neat_tcp::SocketId(sock),
+        };
+        sim.send_external(app, Msg::Incoming { port: 80, conn });
+    }
     sim.run_until(Time::from_micros(50));
-    assert_eq!(*pending.borrow(), 1, "one connect in flight");
+    assert_eq!(*counts.borrow(), (3, 6), "3 accepted, 6 connects in flight");
+    let before = events.borrow().len();
 
     // The supervisor reports the restart; the library reconciles.
     sim.send_external(
@@ -443,12 +456,32 @@ fn crashed_replica_fails_inflight_connects_without_leaking() {
         },
     );
     sim.run_until(Time::from_micros(100));
+    // fds 3–5 connect at start; then accept, connect, accept, ... from 6.
+    let lost = |fd| LibEvent::ConnectFailed {
+        fd,
+        err: SockErr::ReplicaLost,
+    };
+    let reset = |fd| LibEvent::Closed {
+        fd,
+        err: Some(SockErr::ConnReset),
+    };
+    let want = [
+        lost(3),
+        lost(4),
+        lost(5),
+        reset(6),
+        lost(7),
+        reset(8),
+        lost(9),
+        reset(10),
+        lost(11),
+    ];
     assert_eq!(
-        failures.borrow().as_slice(),
-        &[SockErr::ReplicaLost],
-        "in-flight connect surfaced as ReplicaLost"
+        events.borrow()[before..],
+        want,
+        "in-flight connects surface as ReplicaLost, bound fds as resets, in fd order"
     );
-    assert_eq!(*pending.borrow(), 0, "pending_connect token reclaimed");
+    assert_eq!(*counts.borrow(), (0, 0), "every fd and token reclaimed");
 }
 
 // ----------------------------------------------------------------------

@@ -41,10 +41,10 @@ pub struct CcDecision {
 
 /// The event-driven interface the socket's ACK and send paths consult.
 ///
-/// `Send` so a whole [`TcpStack`](crate::TcpStack) can migrate to a shard
-/// worker thread (conn_scale's lane executor); every controller is plain
-/// data.
-pub trait CongestionControl: std::fmt::Debug + Send {
+/// Every controller is plain data — events in, a [`CcDecision`] out, no
+/// reference to the socket that owns it — which is what lets one be
+/// swapped per flow ([`SockOpt::CongestionAlgo`](crate::SockOpt)).
+pub trait CongestionControl: std::fmt::Debug {
     /// Which algorithm this controller implements.
     fn algo(&self) -> CongestionAlgo;
 

@@ -744,3 +744,167 @@ fn all_controllers_keep_loss_floor_and_monotone_ssthresh() {
         },
     );
 }
+
+/// `TcpStack`: the structures that name a connection — slot table, demux,
+/// timer wheel, budget, dirty queue, replication list, listener backlog
+/// and accept queue — agree after every stimulus, whatever the
+/// interleaving of user calls, segment loss and timers
+/// (`TcpStack::check_consistent`); and once everything has closed and
+/// TIME_WAIT has run out, nothing at all is left in either stack.
+#[test]
+fn stack_tables_agree_and_drain_to_zero() {
+    use crate::stack::TcpStack;
+    use crate::types::TcpConfig;
+    use neat_net::TcpHeader;
+    use std::collections::VecDeque;
+
+    const IPS: [Ipv4Addr; 2] = [Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 0, 0, 2)];
+
+    /// Two stacks, each listening on port 80, joined by a lossy wire the
+    /// property drives by hand.
+    struct Net {
+        stacks: [TcpStack; 2],
+        listeners: [SocketId; 2],
+        /// `wire[i]`: segments stack `i` sent that `1 - i` has not seen.
+        wire: [VecDeque<(TcpHeader, Vec<u8>)>; 2],
+        /// Ids each side's user holds (from `connect` and `accept`).
+        known: [Vec<SocketId>; 2],
+        now: u64,
+    }
+
+    impl Net {
+        fn new() -> Net {
+            let cfg = TcpConfig {
+                initial_rto_ns: 50_000_000,
+                ..TcpConfig::default()
+            };
+            let mut stacks = IPS.map(|ip| TcpStack::new(ip, cfg.clone()));
+            stacks[1].set_repl_tracking(true);
+            let listeners = [stacks[0].listen(80).unwrap(), stacks[1].listen(80).unwrap()];
+            Net {
+                stacks,
+                listeners,
+                wire: Default::default(),
+                known: Default::default(),
+                now: 0,
+            }
+        }
+
+        /// Put what each stack has to say on its wire (which is also where
+        /// closed sockets are reaped), then check both.
+        fn settle(&mut self) {
+            for (s, wire) in self.stacks.iter_mut().zip(&mut self.wire) {
+                while let Some((_, h, p)) = s.poll_transmit(self.now) {
+                    wire.push_back((h, p));
+                }
+                while s.poll_event().is_some() {}
+                s.check_consistent();
+            }
+        }
+
+        fn deliver(&mut self, from: usize) {
+            if let Some((h, p)) = self.wire[from].pop_front() {
+                self.stacks[1 - from].handle_segment(IPS[from], &h, &p, self.now);
+            }
+        }
+
+        /// Deliver everything, losslessly, until both stacks fall silent.
+        fn pump(&mut self) {
+            self.settle();
+            while self.wire.iter().any(|w| !w.is_empty()) {
+                self.deliver(0);
+                self.deliver(1);
+                self.settle();
+            }
+        }
+
+        fn run_timers(&mut self, until: u64) {
+            self.now = self.now.max(until);
+            for s in &mut self.stacks {
+                while let Some(t) = s.next_timeout().filter(|t| *t <= until) {
+                    s.on_timer(t);
+                }
+            }
+            // The buddy's checkpoint drain, on the replicating side.
+            self.stacks[1].take_repl_dirty();
+            self.stacks[1].take_repl_closed();
+        }
+
+        fn accept(&mut self, side: usize) {
+            if let Ok(id) = self.stacks[side].accept(self.listeners[side]) {
+                self.known[side].push(id);
+            }
+        }
+
+        fn step(&mut self, (op, pick, arg): (u8, u8, u16)) {
+            let side = (pick & 1) as usize;
+            let s = &mut self.stacks[side];
+            let ids = &mut self.known[side];
+            ids.retain(|id| s.state(*id).is_some());
+            let id = ids.get((pick >> 1) as usize % ids.len().max(1)).copied();
+            match (op % 10, id) {
+                (0, _) if ids.len() < 6 => ids.extend(s.connect(IPS[1 - side], 80, self.now)),
+                (1, _) => self.accept(side),
+                (2, Some(id)) => drop(s.send(id, &vec![arg as u8; arg as usize % 4000 + 1])),
+                (3, Some(id)) => drop(s.recv(id, &mut [0u8; 2048])),
+                (4, Some(id)) => drop(s.close(id, self.now)),
+                (5, Some(id)) => drop(s.abort(id)),
+                (6 | 7, _) => self.deliver(side),
+                (8, _) => drop(self.wire[side].pop_front()),
+                (9, _) => self.run_timers(self.now + arg as u64 * 1_000_000),
+                _ => {}
+            }
+            self.settle();
+        }
+    }
+
+    check(
+        "stack_tables_agree_and_drain_to_zero",
+        Config::default().cases(256),
+        |rng| {
+            vec_of(rng, 1..200, |r| {
+                (r.gen::<u8>(), r.gen::<u8>(), r.gen::<u16>())
+            })
+        },
+        |ops| {
+            let mut net = Net::new();
+            for op in ops {
+                net.step(op);
+            }
+            // Wind down over a lossless wire: accept and close whatever
+            // the users can reach, and let every deadline (retransmits,
+            // TIME_WAIT) run out.
+            for _ in 0..400 {
+                for side in 0..2 {
+                    while net.stacks[side].acceptable(net.listeners[side]) > 0 {
+                        net.accept(side);
+                    }
+                    for id in net.known[side].clone() {
+                        let _ = net.stacks[side].close(id, net.now);
+                    }
+                }
+                net.pump();
+                match net.stacks.iter().filter_map(|s| s.next_timeout()).min() {
+                    Some(t) => net.run_timers(t),
+                    None => break,
+                }
+            }
+            // What is left waits on a peer that is gone (FIN_WAIT_2, a
+            // zero window nobody will open): abort it.
+            for s in &mut net.stacks {
+                for id in s.socket_ids() {
+                    let _ = s.abort(id);
+                }
+            }
+            net.pump();
+            for s in &net.stacks {
+                prop_assert_eq!(s.socket_ids().len(), 0);
+                prop_assert_eq!(s.conn_count(), 0, "demux entries");
+                prop_assert_eq!(s.next_timeout(), None, "armed timers");
+                prop_assert_eq!(s.budget().bytes_total(), 0, "budget bytes");
+                prop_assert_eq!(s.budget().conns(), 0);
+            }
+            Ok(())
+        },
+    );
+}

@@ -7,6 +7,14 @@ use super::*;
 const CLIENT_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
 const SERVER_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
 
+impl TcpSocket {
+    /// The footprint the stack's budget currently holds for this socket
+    /// (what `TcpStack::check_consistent` sums).
+    pub(crate) fn accounted(&self) -> usize {
+        self.accounted
+    }
+}
+
 fn cfg() -> TcpConfig {
     TcpConfig {
         initial_rto_ns: 50_000_000,

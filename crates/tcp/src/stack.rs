@@ -36,7 +36,6 @@ use std::net::Ipv4Addr;
 #[derive(Debug)]
 struct Listener {
     id: SocketId,
-    port: u16,
     /// Connections past the handshake, ready for `accept`.
     accept_q: VecDeque<SocketId>,
     /// Connections still in SYN-RECEIVED.
@@ -80,28 +79,87 @@ fn base_conn_cost() -> u64 {
     (std::mem::size_of::<TcpSocket>() + 64) as u64
 }
 
+fn flow_of(s: &TcpSocket) -> FlowKey {
+    FlowKey::tcp(s.remote_ip, s.remote_port, s.local_ip, s.local_port)
+}
+
+/// Everything the stack keeps for one connection, found with one probe
+/// per stimulus. The flags sit *beside* the socket, not in it, so
+/// `size_of::<TcpSocket>()` and the budget accounting built on it do not
+/// move when the stack's bookkeeping does.
+#[derive(Debug)]
+struct Slot {
+    sock: TcpSocket,
+    /// Its id is in `dirty`.
+    queued: bool,
+    /// Its id is in `repl_dirty`.
+    repl_dirty: bool,
+    /// Port of the listener whose SYN backlog or accept queue holds it.
+    pending: Option<u16>,
+}
+
+/// The follow-ups a stimulus owes its slot. Each caller runs the subset it
+/// needs, in this order, against the stack's (disjoint) sink fields.
+impl Slot {
+    fn drain_events(&mut self, out: &mut VecDeque<SockEvent>) {
+        for e in std::mem::take(&mut self.sock.events) {
+            // A backlog socket's Connected already surfaced as the
+            // listener's Acceptable; all others pass through.
+            if !(matches!(e, SockEvent::Connected(_)) && self.pending.is_some()) {
+                out.push_back(e);
+            }
+        }
+    }
+
+    fn mark_dirty(&mut self, dirty: &mut VecDeque<SocketId>, repl: &mut Option<Vec<SocketId>>) {
+        if !std::mem::replace(&mut self.queued, true) {
+            dirty.push_back(self.sock.id);
+        }
+        if let Some(ids) = repl {
+            if !std::mem::replace(&mut self.repl_dirty, true) {
+                ids.push(self.sock.id);
+            }
+        }
+    }
+
+    /// (Re-)arm the wheel with the socket's earliest deadline, or disarm
+    /// when it no longer needs one. O(1) either way.
+    fn arm_timer(&self, timers: &mut TimerWheel) {
+        match self.sock.next_timeout() {
+            Some(d) => timers.schedule(self.sock.id.0, d),
+            None => {
+                timers.cancel(self.sock.id.0);
+            }
+        }
+    }
+
+    /// Bring the budget in sync with the socket's current footprint.
+    fn account(&mut self, budget: &mut ConnBudget) {
+        let new = self.sock.mem_bytes();
+        let old = self.sock.swap_accounted(new);
+        budget.adjust(new as i64 - old as i64);
+    }
+}
+
 /// One isolated TCP stack instance.
 #[derive(Debug)]
 pub struct TcpStack {
     pub local_ip: Ipv4Addr,
     cfg: TcpConfig,
-    sockets: FxHashMap<SocketId, TcpSocket>,
+    sockets: FxHashMap<SocketId, Slot>,
     /// Established/opening connections by flow (remote side as src):
     /// the O(1) hashed TCB table every inbound segment resolves through.
     conns: DemuxTable,
     listeners: FxHashMap<u16, Listener>,
     /// Listener id -> port (O(1) accept/acceptable/poll by id).
     listener_of: FxHashMap<SocketId, u16>,
-    /// Which listener a pending (not yet accepted) socket belongs to.
-    pending_of: FxHashMap<SocketId, u16>,
     next_id: u64,
     next_port: u16,
     port_lo: u16,
     port_hi: u16,
     iss_counter: u32,
-    /// Sockets that may have segments to transmit.
+    /// Sockets that may have segments to transmit (`Slot::queued`), FIFO.
     dirty: VecDeque<SocketId>,
-    dirty_set: FxHashSet<SocketId>,
     /// Raw segments owed to peers with no socket (RSTs).
     raw_out: VecDeque<(Ipv4Addr, TcpHeader, Vec<u8>)>,
     /// User-visible events.
@@ -110,10 +168,10 @@ pub struct TcpStack {
     timers: TimerWheel,
     /// Accounted connection memory (and the optional bound on it).
     budget: ConnBudget,
-    /// Checkpoint-delta tracking for buddy replication: every socket that
-    /// was touched since the last [`TcpStack::take_repl_dirty`] drain.
-    repl_track: bool,
-    repl_dirty: FxHashSet<SocketId>,
+    /// Checkpoint-delta tracking for buddy replication, `Some` while on:
+    /// every socket touched since the last [`TcpStack::take_repl_dirty`]
+    /// drain (`Slot::repl_dirty`).
+    repl_dirty: Option<Vec<SocketId>>,
     /// Flows that closed since the last drain (buddy forgets them).
     repl_closed: Vec<FlowKey>,
     /// Flows handed to another replica: late segments for them are dropped
@@ -137,20 +195,17 @@ impl TcpStack {
             conns: DemuxTable::new(demux_key),
             listeners: FxHashMap::default(),
             listener_of: FxHashMap::default(),
-            pending_of: FxHashMap::default(),
             next_id: 1,
             next_port: 49_152,
             port_lo: 49_152,
             port_hi: 65_535,
             iss_counter: 0x1234_5678,
             dirty: VecDeque::new(),
-            dirty_set: FxHashSet::default(),
             raw_out: VecDeque::new(),
             events: VecDeque::new(),
             timers: TimerWheel::new(0),
             budget,
-            repl_track: false,
-            repl_dirty: FxHashSet::default(),
+            repl_dirty: None,
             repl_closed: Vec::new(),
             migrated_out: FxHashSet::default(),
             stats: StackStats::default(),
@@ -181,45 +236,23 @@ impl TcpStack {
         SeqNum(self.iss_counter)
     }
 
-    fn mark_dirty(&mut self, id: SocketId) {
-        if self.dirty_set.insert(id) {
-            self.dirty.push_back(id);
-        }
-        if self.repl_track {
-            self.repl_dirty.insert(id);
-        }
-    }
-
-    /// (Re-)arm the wheel with the socket's earliest deadline, or disarm
-    /// when it no longer needs one. O(1) either way.
-    fn arm_timer(&mut self, id: SocketId) {
-        match self.sockets.get(&id).and_then(|s| s.next_timeout()) {
-            Some(d) => self.timers.schedule(id.0, d),
-            None => {
-                self.timers.cancel(id.0);
-            }
-        }
-    }
-
-    /// Bring the budget in sync with the socket's current footprint.
-    fn account(&mut self, id: SocketId) {
-        if let Some(s) = self.sockets.get_mut(&id) {
-            let new = s.mem_bytes();
-            let old = s.swap_accounted(new);
-            self.budget.adjust(new as i64 - old as i64);
-        }
-    }
-
-    /// Register a freshly created connection socket.
-    fn install_socket(&mut self, flow: FlowKey, mut sock: TcpSocket) {
-        let id = sock.id;
+    /// Register a freshly created connection socket: the one insert of a
+    /// connection's life in this stack ([`TcpStack::detach`] is the one
+    /// remove).
+    fn install_socket(&mut self, flow: FlowKey, mut sock: TcpSocket, pending: Option<u16>) {
         let bytes = sock.mem_bytes();
         sock.swap_accounted(bytes);
         self.budget.on_open(bytes as u64);
-        self.conns.insert(flow, id);
-        self.sockets.insert(id, sock);
-        self.mark_dirty(id);
-        self.arm_timer(id);
+        self.conns.insert(flow, sock.id);
+        let mut slot = Slot {
+            sock,
+            queued: false,
+            repl_dirty: false,
+            pending,
+        };
+        slot.mark_dirty(&mut self.dirty, &mut self.repl_dirty);
+        slot.arm_timer(&mut self.timers);
+        self.sockets.insert(slot.sock.id, slot);
     }
 
     // ------------------------------------------------------------------
@@ -236,7 +269,6 @@ impl TcpStack {
             port,
             Listener {
                 id,
-                port,
                 accept_q: VecDeque::new(),
                 syn_backlog: 0,
             },
@@ -275,7 +307,7 @@ impl TcpStack {
             now,
         );
         let flow = FlowKey::tcp(remote_ip, remote_port, self.local_ip, port);
-        self.install_socket(flow, sock);
+        self.install_socket(flow, sock, None);
         self.stats.conns_opened += 1;
         Ok(id)
     }
@@ -302,7 +334,9 @@ impl TcpStack {
         let port = *self.listener_of.get(&listener).ok_or(TcpError::NoSocket)?;
         let l = self.listeners.get_mut(&port).ok_or(TcpError::NoSocket)?;
         let id = l.accept_q.pop_front().ok_or(TcpError::WouldBlock)?;
-        self.pending_of.remove(&id);
+        if let Some(slot) = self.sockets.get_mut(&id) {
+            slot.pending = None;
+        }
         self.stats.conns_accepted += 1;
         self.obs.conns_accepted.inc();
         Ok(id)
@@ -310,29 +344,26 @@ impl TcpStack {
 
     /// Number of connections ready to accept on a listener.
     pub fn acceptable(&self, listener: SocketId) -> usize {
-        self.listener_of
-            .get(&listener)
-            .and_then(|port| self.listeners.get(port))
-            .map(|l| l.accept_q.len())
-            .unwrap_or(0)
+        self.listener(listener).map_or(0, |l| l.accept_q.len())
     }
 
     pub fn send(&mut self, id: SocketId, data: &[u8]) -> Result<usize, TcpError> {
-        let s = self.sockets.get_mut(&id).ok_or(TcpError::NoSocket)?;
-        let r = s.send(data);
+        let slot = self.sockets.get_mut(&id).ok_or(TcpError::NoSocket)?;
+        let r = slot.sock.send(data);
         if r.is_ok() {
-            self.mark_dirty(id);
-            self.account(id);
+            slot.mark_dirty(&mut self.dirty, &mut self.repl_dirty);
+            slot.account(&mut self.budget);
         }
         r
     }
 
     pub fn recv(&mut self, id: SocketId, buf: &mut [u8]) -> Result<usize, TcpError> {
-        let s = self.sockets.get_mut(&id).ok_or(TcpError::NoSocket)?;
-        let r = s.recv(buf);
+        let slot = self.sockets.get_mut(&id).ok_or(TcpError::NoSocket)?;
+        let r = slot.sock.recv(buf);
         if r.is_ok() {
-            self.mark_dirty(id); // window update may be owed
-            self.account(id);
+            // A window update may be owed.
+            slot.mark_dirty(&mut self.dirty, &mut self.repl_dirty);
+            slot.account(&mut self.budget);
         }
         r
     }
@@ -346,10 +377,10 @@ impl TcpStack {
         id: SocketId,
         bufs: &mut [&mut [u8]],
     ) -> Result<usize, TcpError> {
-        let s = self.sockets.get_mut(&id).ok_or(TcpError::NoSocket)?;
+        let slot = self.sockets.get_mut(&id).ok_or(TcpError::NoSocket)?;
         let mut total = 0usize;
         for buf in bufs.iter_mut() {
-            match s.recv(buf) {
+            match slot.sock.recv(buf) {
                 Ok(0) => break, // EOF — nothing more will come
                 Ok(n) => {
                     total += n;
@@ -367,8 +398,9 @@ impl TcpStack {
             }
         }
         if total > 0 {
-            self.mark_dirty(id); // window update may be owed
-            self.account(id);
+            // A window update may be owed.
+            slot.mark_dirty(&mut self.dirty, &mut self.repl_dirty);
+            slot.account(&mut self.budget);
         }
         Ok(total)
     }
@@ -377,30 +409,21 @@ impl TcpStack {
     /// surfaces sit on). Works for listeners (readable == accept ready)
     /// and connections alike; unknown ids read as pure hang-up.
     pub fn poll(&self, id: SocketId) -> Readiness {
-        if let Some(l) = self
-            .listener_of
-            .get(&id)
-            .and_then(|port| self.listeners.get(port))
-        {
+        if let Some(l) = self.listener(id) {
             return Readiness {
                 readable: !l.accept_q.is_empty(),
-                writable: false,
-                hup: false,
+                ..Readiness::default()
             };
         }
-        match self.sockets.get(&id) {
-            Some(s) => {
-                let st = s.state();
-                Readiness {
-                    readable: s.recv_available() > 0 || s.at_eof(),
-                    writable: st.can_send() && s.send_room() > 0,
-                    hup: s.at_eof() || st.is_closed(),
-                }
-            }
+        match self.sock(id) {
+            Some(s) => Readiness {
+                readable: s.recv_available() > 0 || s.at_eof(),
+                writable: s.state().can_send() && s.send_room() > 0,
+                hup: s.at_eof() || s.state().is_closed(),
+            },
             None => Readiness {
-                readable: false,
-                writable: false,
                 hup: true,
+                ..Readiness::default()
             },
         }
     }
@@ -409,51 +432,57 @@ impl TcpStack {
     /// controller, override the initial cwnd, or resize the receive
     /// buffer. Takes effect immediately on the live connection.
     pub fn set_opt(&mut self, id: SocketId, opt: SockOpt) -> Result<(), TcpError> {
-        let s = self.sockets.get_mut(&id).ok_or(TcpError::NoSocket)?;
-        s.set_opt(opt);
-        self.mark_dirty(id); // cc algo / buffers are replicated state
-        self.account(id);
+        let slot = self.sockets.get_mut(&id).ok_or(TcpError::NoSocket)?;
+        slot.sock.set_opt(opt);
+        // The cc algo and buffer sizes are replicated state.
+        slot.mark_dirty(&mut self.dirty, &mut self.repl_dirty);
+        slot.account(&mut self.budget);
         Ok(())
     }
 
     /// Read back the current value of a per-socket option.
     pub fn get_opt(&self, id: SocketId, kind: SockOptKind) -> Result<SockOpt, TcpError> {
-        let s = self.sockets.get(&id).ok_or(TcpError::NoSocket)?;
+        let s = self.sock(id).ok_or(TcpError::NoSocket)?;
         s.get_opt(kind).ok_or(TcpError::NoSocket)
     }
 
     pub fn close(&mut self, id: SocketId, now: u64) -> Result<(), TcpError> {
-        let s = self.sockets.get_mut(&id).ok_or(TcpError::NoSocket)?;
-        s.close(now);
-        self.mark_dirty(id);
-        self.arm_timer(id);
+        let slot = self.sockets.get_mut(&id).ok_or(TcpError::NoSocket)?;
+        slot.sock.close(now);
+        slot.mark_dirty(&mut self.dirty, &mut self.repl_dirty);
+        slot.arm_timer(&mut self.timers);
         Ok(())
     }
 
     pub fn abort(&mut self, id: SocketId) -> Result<(), TcpError> {
-        let s = self.sockets.get_mut(&id).ok_or(TcpError::NoSocket)?;
-        s.abort();
-        self.mark_dirty(id);
+        let slot = self.sockets.get_mut(&id).ok_or(TcpError::NoSocket)?;
+        slot.sock.abort();
+        slot.mark_dirty(&mut self.dirty, &mut self.repl_dirty);
         Ok(())
     }
 
+    fn sock(&self, id: SocketId) -> Option<&TcpSocket> {
+        self.sockets.get(&id).map(|slot| &slot.sock)
+    }
+
+    fn listener(&self, id: SocketId) -> Option<&Listener> {
+        self.listeners.get(self.listener_of.get(&id)?)
+    }
+
     pub fn state(&self, id: SocketId) -> Option<TcpState> {
-        self.sockets.get(&id).map(|s| s.state())
+        self.sock(id).map(|s| s.state())
     }
 
     pub fn recv_available(&self, id: SocketId) -> usize {
-        self.sockets
-            .get(&id)
-            .map(|s| s.recv_available())
-            .unwrap_or(0)
+        self.sock(id).map_or(0, |s| s.recv_available())
     }
 
     pub fn send_room(&self, id: SocketId) -> usize {
-        self.sockets.get(&id).map(|s| s.send_room()).unwrap_or(0)
+        self.sock(id).map_or(0, |s| s.send_room())
     }
 
     pub fn at_eof(&self, id: SocketId) -> bool {
-        self.sockets.get(&id).map(|s| s.at_eof()).unwrap_or(true)
+        self.sock(id).is_none_or(|s| s.at_eof())
     }
 
     /// Live (non-listener) connection count — drives the lazy-termination
@@ -504,35 +533,28 @@ impl TcpStack {
         // No connection: maybe a listener (SYN only).
         if h.flags.syn && !h.flags.ack {
             if let Some(l) = self.listeners.get_mut(&h.dst_port) {
-                if l.syn_backlog + l.accept_q.len() >= self.cfg.backlog {
-                    // Backlog overflow: drop the SYN (retry will come).
+                // Backlog overflow, or out of connection memory: shed the
+                // SYN (a retry will come).
+                if l.syn_backlog + l.accept_q.len() >= self.cfg.backlog
+                    || !self.budget.admit(base_conn_cost())
+                {
                     self.stats.demux_misses += 1;
                     neat_obs::counter_add("tcp.syn_dropped", 1);
                     return;
                 }
-                let lport = l.port;
-                if !self.budget.admit(base_conn_cost()) {
-                    // Out of connection memory: shed exactly like a
-                    // backlog overflow.
-                    self.stats.demux_misses += 1;
-                    neat_obs::counter_add("tcp.syn_dropped", 1);
-                    return;
-                }
-                let l = self.listeners.get_mut(&h.dst_port).unwrap();
                 l.syn_backlog += 1;
                 let id = self.alloc_id();
                 let iss = self.next_iss();
                 let sock = TcpSocket::accept_from_syn(
                     id,
                     &self.cfg,
-                    (self.local_ip, lport),
+                    (self.local_ip, h.dst_port),
                     (src, h.src_port),
                     h,
                     iss,
                     now,
                 );
-                self.install_socket(flow, sock);
-                self.pending_of.insert(id, lport);
+                self.install_socket(flow, sock, Some(h.dst_port));
                 return;
             }
         }
@@ -559,41 +581,28 @@ impl TcpStack {
     }
 
     fn deliver(&mut self, id: SocketId, h: &TcpHeader, payload: &[u8], now: u64) {
-        let was_pending = self.pending_of.contains_key(&id);
-        if let Some(s) = self.sockets.get_mut(&id) {
-            let before = s.state();
-            s.on_segment(h, payload, now);
-            let after = s.state();
-            // Handshake completed on a backlog socket → accept queue.
-            if was_pending && before == TcpState::SynReceived && after == TcpState::Established {
-                if let Some(port) = self.pending_of.get(&id).copied() {
-                    if let Some(l) = self.listeners.get_mut(&port) {
-                        l.syn_backlog = l.syn_backlog.saturating_sub(1);
-                        l.accept_q.push_back(id);
-                        self.events.push_back(SockEvent::Acceptable(l.id));
-                    }
-                }
-            }
-        }
-        self.drain_socket_events(id);
-        self.mark_dirty(id);
-        self.arm_timer(id);
-        self.account(id);
-    }
-
-    fn drain_socket_events(&mut self, id: SocketId) {
-        let evs = match self.sockets.get_mut(&id) {
-            Some(s) => std::mem::take(&mut s.events),
-            None => return,
+        let Some(slot) = self.sockets.get_mut(&id) else {
+            return;
         };
-        for e in evs {
-            // Connected events for backlog sockets become Acceptable at the
-            // listener; all others pass through.
-            if matches!(e, SockEvent::Connected(_)) && self.pending_of.contains_key(&id) {
-                continue; // already surfaced via Acceptable above
+        let before = slot.sock.state();
+        slot.sock.on_segment(h, payload, now);
+        // Handshake completed on a backlog socket → accept queue
+        // (CLOSE-WAIT: the completing ACK came with the peer's FIN).
+        let open = matches!(
+            slot.sock.state(),
+            TcpState::Established | TcpState::CloseWait
+        );
+        if before == TcpState::SynReceived && open {
+            if let Some(l) = slot.pending.and_then(|port| self.listeners.get_mut(&port)) {
+                l.syn_backlog = l.syn_backlog.saturating_sub(1);
+                l.accept_q.push_back(id);
+                self.events.push_back(SockEvent::Acceptable(l.id));
             }
-            self.events.push_back(e);
         }
+        slot.drain_events(&mut self.events);
+        slot.mark_dirty(&mut self.dirty, &mut self.repl_dirty);
+        slot.arm_timer(&mut self.timers);
+        slot.account(&mut self.budget);
     }
 
     // ------------------------------------------------------------------
@@ -608,19 +617,19 @@ impl TcpStack {
             return Some(raw);
         }
         while let Some(id) = self.dirty.front().copied() {
-            if let Some(s) = self.sockets.get_mut(&id) {
-                if let Some((h, payload)) = s.poll_transmit(now) {
-                    let dst = s.remote_ip;
+            // A migrated-out connection may still be queued: skip it.
+            if let Some(slot) = self.sockets.get_mut(&id) {
+                if let Some((h, payload)) = slot.sock.poll_transmit(now) {
                     self.stats.tx_segments += 1;
                     self.obs.tx_segments.inc();
-                    self.arm_timer(id);
-                    return Some((dst, h, payload));
+                    slot.arm_timer(&mut self.timers);
+                    return Some((slot.sock.remote_ip, h, payload));
                 }
+                slot.queued = false;
+                slot.drain_events(&mut self.events);
+                slot.account(&mut self.budget);
             }
             self.dirty.pop_front();
-            self.dirty_set.remove(&id);
-            self.drain_socket_events(id);
-            self.account(id);
             // A socket that drained its last segment and reached Closed
             // is quiescent here — reap it now (no global GC sweeps).
             self.maybe_reap(id);
@@ -645,13 +654,12 @@ impl TcpStack {
     /// Fire all timers due at `now`, cascading the wheel as needed.
     pub fn on_timer(&mut self, now: u64) {
         for key in self.timers.advance(now) {
-            let id = SocketId(key);
-            if let Some(s) = self.sockets.get_mut(&id) {
-                s.on_timer(now);
-                self.drain_socket_events(id);
-                self.mark_dirty(id);
-                self.arm_timer(id);
-                self.account(id);
+            if let Some(slot) = self.sockets.get_mut(&SocketId(key)) {
+                slot.sock.on_timer(now);
+                slot.drain_events(&mut self.events);
+                slot.mark_dirty(&mut self.dirty, &mut self.repl_dirty);
+                slot.arm_timer(&mut self.timers);
+                slot.account(&mut self.budget);
             }
         }
     }
@@ -661,33 +669,35 @@ impl TcpStack {
     /// old every-tick scan over all sockets, which was O(n) per timer at
     /// 100k+ connections.
     fn maybe_reap(&mut self, id: SocketId) {
-        let dead = match self.sockets.get(&id) {
-            Some(s) => {
-                s.state() == TcpState::Closed
-                    && !self.dirty_set.contains(&id)
-                    && s.events.is_empty()
-            }
-            None => false,
-        };
-        if !dead {
-            return;
-        }
-        if let Some(mut s) = self.sockets.remove(&id) {
-            let flow = FlowKey::tcp(s.remote_ip, s.remote_port, s.local_ip, s.local_port);
-            self.conns.remove(&flow);
-            self.timers.cancel(id.0);
-            let bytes = s.swap_accounted(0);
-            self.budget.on_close(bytes as u64);
-            if let Some(port) = self.pending_of.remove(&id) {
-                if let Some(l) = self.listeners.get_mut(&port) {
-                    l.accept_q.retain(|x| *x != id);
-                }
-            }
-            if self.repl_track {
-                self.repl_dirty.remove(&id);
-                self.repl_closed.push(flow);
+        let dead = self.sockets.get(&id).is_some_and(|s| {
+            s.sock.state() == TcpState::Closed && !s.queued && s.sock.events.is_empty()
+        });
+        if dead {
+            let flow = self.detach(id);
+            if self.repl_dirty.is_some() {
+                self.repl_closed.extend(flow);
             }
         }
+    }
+
+    /// The one way a connection leaves the stack: its slot, demux entry,
+    /// deadline, budget share and seat in its listener's SYN backlog or
+    /// accept queue go together. Ids are never reused, so one still
+    /// sitting in `dirty` or `repl_dirty` is skipped when it comes up.
+    fn detach(&mut self, id: SocketId) -> Option<FlowKey> {
+        let mut slot = self.sockets.remove(&id)?;
+        let flow = flow_of(&slot.sock);
+        self.conns.remove(&flow);
+        self.timers.cancel(id.0);
+        self.budget.on_close(slot.sock.swap_accounted(0) as u64);
+        if let Some(l) = slot.pending.and_then(|port| self.listeners.get_mut(&port)) {
+            let ready = l.accept_q.len();
+            l.accept_q.retain(|x| *x != id);
+            if l.accept_q.len() == ready {
+                l.syn_backlog = l.syn_backlog.saturating_sub(1); // died mid-handshake
+            }
+        }
+        Some(flow)
     }
 
     /// All live socket ids (diagnostics).
@@ -704,11 +714,16 @@ impl TcpStack {
     /// so the owning replica can ship incremental TCB checkpoints to its
     /// buddy.
     pub fn set_repl_tracking(&mut self, on: bool) {
-        self.repl_track = on;
-        if !on {
-            self.repl_dirty.clear();
-            self.repl_closed.clear();
+        if on {
+            self.repl_dirty.get_or_insert_with(Vec::new);
+            return;
         }
+        for id in self.repl_dirty.take().into_iter().flatten() {
+            if let Some(slot) = self.sockets.get_mut(&id) {
+                slot.repl_dirty = false;
+            }
+        }
+        self.repl_closed.clear();
     }
 
     /// Drain the set of sockets touched since the last call, as
@@ -717,17 +732,16 @@ impl TcpStack {
     /// their own. Sorted by socket id for deterministic replication
     /// traffic.
     pub fn take_repl_dirty(&mut self) -> Vec<(SocketId, FlowKey, TcbImage)> {
-        if self.repl_dirty.is_empty() {
-            return Vec::new();
-        }
-        let mut ids: Vec<SocketId> = self.repl_dirty.drain().collect();
-        ids.sort_unstable();
         let mut out = Vec::new();
-        for id in ids {
-            if let Some(s) = self.sockets.get(&id) {
-                if TcbImage::replicable(s.state()) {
-                    let flow = FlowKey::tcp(s.remote_ip, s.remote_port, s.local_ip, s.local_port);
-                    out.push((id, flow, s.snapshot()));
+        let Some(ids) = self.repl_dirty.as_mut() else {
+            return out;
+        };
+        ids.sort_unstable();
+        for id in ids.drain(..) {
+            if let Some(slot) = self.sockets.get_mut(&id) {
+                slot.repl_dirty = false;
+                if TcbImage::replicable(slot.sock.state()) {
+                    out.push((id, flow_of(&slot.sock), slot.sock.snapshot()));
                 }
             }
         }
@@ -744,21 +758,11 @@ impl TcpStack {
     /// assignment, and the export half of live migration). Sorted by
     /// socket id for determinism.
     pub fn export_all_conns(&self) -> Vec<(SocketId, FlowKey, TcbImage)> {
-        let mut ids: Vec<SocketId> = self
-            .sockets
-            .keys()
-            .copied()
-            .filter(|id| !self.listener_of.contains_key(id))
+        let mut out: Vec<_> = (self.sockets.values().map(|slot| &slot.sock))
+            .filter(|s| TcbImage::replicable(s.state()))
+            .map(|s| (s.id, flow_of(s), s.snapshot()))
             .collect();
-        ids.sort_unstable();
-        let mut out = Vec::new();
-        for id in ids {
-            let s = &self.sockets[&id];
-            if TcbImage::replicable(s.state()) {
-                let flow = FlowKey::tcp(s.remote_ip, s.remote_port, s.local_ip, s.local_port);
-                out.push((id, flow, s.snapshot()));
-            }
-        }
+        out.sort_unstable_by_key(|(id, ..)| *id);
         out
     }
 
@@ -778,7 +782,7 @@ impl TcpStack {
         self.migrated_out.remove(&flow);
         let id = self.alloc_id();
         let sock = TcpSocket::restore(id, &self.cfg, img);
-        self.install_socket(flow, sock);
+        self.install_socket(flow, sock, None);
         self.stats.conns_opened += 1;
         Ok(id)
     }
@@ -788,18 +792,9 @@ impl TcpStack {
     /// flow key is quarantined so late in-flight segments are dropped
     /// rather than RST'd.
     pub fn remove_conn(&mut self, id: SocketId) -> bool {
-        let Some(mut s) = self.sockets.remove(&id) else {
-            return false;
-        };
-        let flow = FlowKey::tcp(s.remote_ip, s.remote_port, s.local_ip, s.local_port);
-        self.conns.remove(&flow);
-        self.timers.cancel(id.0);
-        let bytes = s.swap_accounted(0);
-        self.budget.on_close(bytes as u64);
-        self.pending_of.remove(&id);
-        self.repl_dirty.remove(&id);
-        self.migrated_out.insert(flow);
-        true
+        let flow = self.detach(id);
+        self.migrated_out.extend(flow);
+        flow.is_some()
     }
 }
 

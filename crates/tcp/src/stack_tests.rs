@@ -7,6 +7,53 @@ use super::*;
 const CLIENT_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
 const SERVER_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
 
+impl TcpStack {
+    /// Every structure that names a connection agrees with the slot table
+    /// (ROADMAP item 4a: demux ↔ socket table ↔ timer wheel ↔ budget ↔
+    /// listener queues). Panics on the first disagreement.
+    pub(crate) fn check_consistent(&self) {
+        // Slots and demux entries pair off one to one (listeners have
+        // neither).
+        assert_eq!(self.conns.len(), self.sockets.len(), "demux vs slots");
+        let mut pending: FxHashMap<u16, usize> = FxHashMap::default();
+        for (id, slot) in &self.sockets {
+            assert_eq!(slot.sock.id, *id);
+            assert_eq!(self.conns.get(&flow_of(&slot.sock)), Some(*id), "{id:?}");
+            let queued = self.dirty.iter().filter(|q| *q == id).count();
+            assert_eq!(queued, slot.queued as usize, "{id:?} in dirty");
+            let tracked = self.repl_dirty.iter().flatten().filter(|t| *t == id);
+            assert_eq!(
+                tracked.count(),
+                slot.repl_dirty as usize,
+                "{id:?} in repl_dirty"
+            );
+            if let Some(port) = slot.pending {
+                assert!(
+                    self.listeners.contains_key(&port),
+                    "{id:?} pending on {port}"
+                );
+                *pending.entry(port).or_default() += 1;
+            }
+        }
+        // The budget holds exactly the slots' accounted bytes.
+        assert_eq!(self.budget.conns(), self.sockets.len(), "budget conns");
+        let accounted: usize = self.sockets.values().map(|s| s.sock.accounted()).sum();
+        assert_eq!(self.budget.bytes_total(), accounted as u64, "budget bytes");
+        // A listener's backlog + accept queue are its pending slots.
+        for (port, l) in &self.listeners {
+            assert_eq!(self.listener_of.get(&l.id), Some(port));
+            let want = pending.get(port).copied().unwrap_or(0);
+            assert_eq!(l.syn_backlog + l.accept_q.len(), want, "port {port}");
+            for id in &l.accept_q {
+                assert_eq!(self.sockets[id].pending, Some(*port), "{id:?} queued");
+            }
+        }
+        // The wheel holds no deadline for an id without a slot.
+        let armed = |id: &&SocketId| self.timers.deadline_of(id.0).is_some();
+        assert_eq!(self.sockets.keys().filter(armed).count(), self.timers.len());
+    }
+}
+
 fn pair() -> (TcpStack, TcpStack) {
     let cfg = TcpConfig {
         initial_rto_ns: 50_000_000,
@@ -304,6 +351,14 @@ fn listener_removal_stops_new_conns() {
     assert_eq!(c.conn_count(), 0);
 }
 
+/// The stack's per-connection flags sit beside `TcpSocket`, not in it:
+/// its size is what `mem_bytes()`, `base_conn_cost()` and the gated
+/// `conn_scale_mem_per_conn_bytes` are built on.
+#[test]
+fn socket_size_is_pinned() {
+    assert_eq!(std::mem::size_of::<TcpSocket>(), 544, "the parent's value");
+}
+
 #[test]
 fn budget_accounts_lifecycle() {
     let (mut c, mut s) = pair();
@@ -365,4 +420,29 @@ fn memory_limit_sheds_new_connections() {
         Err(TcpError::NoMemory),
         "budget-refused connect"
     );
+}
+
+#[test]
+fn fin_after_lost_handshake_ack_is_still_accepted() {
+    // The client's handshake ACK is lost and its next segment is already
+    // the FIN: the server socket goes SYN-RECEIVED → CLOSE-WAIT in one
+    // segment and must still reach the accept queue.
+    let (mut c, mut s) = pair();
+    let l = s.listen(80).unwrap();
+    let conn = c.connect(SERVER_IP, 80, 0).unwrap();
+    let (_, syn, p) = c.poll_transmit(0).unwrap();
+    s.handle_segment(CLIENT_IP, &syn, &p, 0);
+    let (_, synack, p) = s.poll_transmit(0).unwrap();
+    c.handle_segment(SERVER_IP, &synack, &p, 0);
+    let _lost_ack = c.poll_transmit(0).unwrap();
+    c.close(conn, 0).unwrap();
+    let (_, fin, p) = c.poll_transmit(0).unwrap();
+    assert!(fin.flags.fin);
+    s.handle_segment(CLIENT_IP, &fin, &p, 0);
+    s.check_consistent();
+    assert_eq!(s.acceptable(l), 1);
+    let srv = s.accept(l).unwrap();
+    assert_eq!(s.state(srv), Some(TcpState::CloseWait));
+    assert!(s.at_eof(srv), "the app reads EOF straight away");
+    s.check_consistent();
 }
