@@ -354,7 +354,7 @@ impl HttperfProc {
 
     fn scan_timeouts(&mut self, ctx: &mut Ctx<'_, Msg>) {
         let now = ctx.now().as_nanos();
-        let timed_out: Vec<SocketId> = self
+        let mut timed_out: Vec<SocketId> = self
             .conns
             .iter()
             .filter(|(_, r)| {
@@ -364,6 +364,9 @@ impl HttperfProc {
             })
             .map(|(s, _)| *s)
             .collect();
+        // Each failure aborts, reconnects and takes the next ephemeral port:
+        // the order must not be `conns`' hash order.
+        timed_out.sort_unstable();
         for sock in timed_out {
             self.conn_failed(ctx, sock);
         }
@@ -447,5 +450,116 @@ impl Process<Msg> for HttperfProc {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use neat_net::tcp::TcpFlags;
+    use neat_sim::{MachineSpec, Sim, SimConfig};
+
+    const SERVER_IP: Ipv4Addr = Ipv4Addr::new(192, 168, 69, 1);
+    const CLIENT_IP: Ipv4Addr = Ipv4Addr::new(192, 168, 69, 100);
+
+    /// One client frame as the wire saw it: when, source port, flags.
+    type WireLog = Rc<RefCell<Vec<(Time, u16, TcpFlags)>>>;
+
+    /// NIC, wire and server in one process: completes handshakes and ACKs
+    /// requests but never answers one, so every request times out.
+    struct MutePeer {
+        stack: TcpStack,
+        io: FrameIo,
+        log: WireLog,
+    }
+
+    impl Process<Msg> for MutePeer {
+        fn name(&self) -> String {
+            "mute-peer".into()
+        }
+        fn on_event(&mut self, ctx: &mut Ctx<'_, Msg>, ev: Event<Msg>) {
+            let Event::Message {
+                from,
+                msg: Msg::NetTx(frame),
+            } = ev
+            else {
+                return;
+            };
+            let now = ctx.now().as_nanos();
+            if let RxClass::Tcp { src, seg } = self.io.classify_rx(&frame, now) {
+                let (h, range) = neat_net::TcpHeader::parse(&seg, src, SERVER_IP).unwrap();
+                self.log.borrow_mut().push((ctx.now(), h.src_port, h.flags));
+                self.stack.handle_segment(src, &h, &seg[range], now);
+            }
+            while let Some((dst, h, payload)) = self.stack.poll_transmit(now) {
+                let seg = h.emit(&payload, SERVER_IP, dst);
+                self.io.send_ip(dst, IpProtocol::Tcp, &seg, now);
+            }
+            for f in self.io.drain() {
+                ctx.send(from, Msg::NetRx(f));
+            }
+        }
+    }
+
+    /// Six requests time out in one 50 ms scan. Each failure sends an RST
+    /// and opens a replacement on the next ephemeral port, so the wire
+    /// shows which replacement stood in for which failed connection: it
+    /// must be socket-id order (= original port order), not `conns`' hash
+    /// order, which differs from process to process.
+    #[test]
+    fn same_scan_timeouts_are_replaced_in_socket_id_order() {
+        let mut sim: Sim<Msg> = Sim::new(SimConfig::default());
+        let m = sim.add_machine(MachineSpec::amd_opteron_6168());
+        let log = WireLog::default();
+        let (peer_mac, client_mac) = (MacAddr::local(1), MacAddr::local(2));
+        let mut peer = MutePeer {
+            stack: TcpStack::new(SERVER_IP, TcpConfig::default()),
+            io: FrameIo::new(SERVER_IP, peer_mac),
+            log: log.clone(),
+        };
+        peer.io.seed_arp(CLIENT_IP, client_mac);
+        peer.stack.listen(8000).unwrap();
+        let peer = sim.spawn(sim.hw_thread(m, 0, 0), Box::new(peer));
+        let cfg = HttperfConfig {
+            target: (SERVER_IP, 8000),
+            num_conns: 6,
+            timeout_ns: 10_000_000,
+            ..HttperfConfig::default()
+        };
+        let client = HttperfProc::new(
+            "httperf",
+            cfg,
+            peer,
+            CLIENT_IP,
+            client_mac,
+            vec![(SERVER_IP, peer_mac)],
+            Rc::default(),
+        );
+        sim.spawn(sim.hw_thread(m, 1, 0), Box::new(client));
+        sim.run_until(Time::from_millis(60));
+
+        // (port of the failed connection, port of its replacement), in the
+        // order the scan at 50 ms put them on the wire.
+        let log = log.borrow();
+        let scan: Vec<_> = log
+            .iter()
+            .filter(|(t, _, f)| *t >= Time::from_millis(50) && (f.rst || f.syn))
+            .collect();
+        let mut pairs: Vec<(u16, u16)> = scan
+            .chunks(2)
+            .map(|c| {
+                assert!(
+                    c[0].2.rst && c[1].2.syn,
+                    "RST then SYN per failure: {scan:?}"
+                );
+                (c[0].1, c[1].1)
+            })
+            .collect();
+        assert_eq!(pairs.len(), 6, "all six timed out in the one scan");
+        pairs.sort_unstable();
+        assert!(
+            pairs.windows(2).all(|w| w[0].1 < w[1].1),
+            "replacement ports ascend with the failed socket's id: {pairs:?}"
+        );
     }
 }

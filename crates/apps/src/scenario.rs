@@ -394,7 +394,7 @@ fn measure(sim: &mut Sim<Msg>, metrics: &Metrics, warmup: Time, window: Time) ->
     let duration = sim.now().since(start);
     // Publish engine-side gauges (per-thread utilisation, queue
     // high-water marks) into the registry for this window, plus the
-    // packet-pool and link-coalescing counters.
+    // packet-buffer and link-coalescing counters.
     sim.export_obs();
     neat_net::pktbuf::export_obs();
     let requests = total(metrics, ClientMetrics::reported_requests).saturating_sub(req0);
@@ -516,10 +516,11 @@ pub struct MonoTestbedSpec {
     pub seed: u64,
     /// Shared-memory cost factor of the machine (see `MonoShared`).
     pub hw_factor: f64,
-    /// Per-link message-coalescing horizon (0 disables). The baseline
-    /// keeps it too: it models NAPI-style interrupt moderation.
-    pub batch_ns: u64,
 }
+
+/// Per-link message-coalescing horizon of the baseline: it models
+/// NAPI-style interrupt moderation, the same 2 µs the NEaT testbed runs.
+const MONO_BATCH_NS: u64 = 2_000;
 
 impl MonoTestbedSpec {
     pub fn amd(tuning: neat_monolith::MonoTuning) -> MonoTestbedSpec {
@@ -533,7 +534,6 @@ impl MonoTestbedSpec {
             files: FileStore::paper_default(),
             seed: 0x11_u64,
             hw_factor: 1.0,
-            batch_ns: 2_000,
         }
     }
 
@@ -574,7 +574,7 @@ impl MonoTestbed {
         };
         let nic = neat_nic::Nic::new(nic_cfg, neat_nic::FaultInjector::disabled(7));
         let (mut sim, [server_machine, client_machine], [server_nic, client_nic]) =
-            two_machines(spec.seed, spec.batch_ns, m, nic);
+            two_machines(spec.seed, MONO_BATCH_NS, m, nic);
         let mut threads = Vec::new();
         for c in 0..m.cores {
             for t in 0..m.threads_per_core {

@@ -9,7 +9,8 @@
 //! 4. **MWAIT spin window** — the §4 fast-channel trade-off: longer
 //!    spinning lowers low-load latency but burns idle CPU.
 //! 5. **Batching × zero-copy pool** (§3.4) — per-link message coalescing
-//!    and the refcounted `PktBuf` pool, on/off in all four combinations.
+//!    and the modelled per-hop copy charge (`pktbuf::set_pooling`; `PktBuf`
+//!    handles are views either way), on/off in all four combinations.
 
 use neat::config::NeatConfig;
 use neat::msg::Msg;
@@ -136,7 +137,7 @@ fn ablate_congestion(report: &mut BenchReport) {
 }
 
 /// 5. Batched zero-copy message path (§3.4) — per-link coalescing × the
-///    refcounted packet-buffer pool, at the replica count where per-message
+///    modelled per-hop copy charge, at the replica count where per-message
 ///    wakeups dominate (NEaT 8x HT on the Xeon). The `batching off, pool
 ///    off` row is the scalar-dispatch, copy-everywhere ablation the
 ///    headline speedup is measured against.

@@ -85,8 +85,8 @@ impl DriverProc {
                 self.rx_forwarded += 1;
                 self.obs.rx_forwarded.inc();
                 if !neat_net::pktbuf::pooling() {
-                    // Pool ablation: the pre-pool path deep-copied the
-                    // frame into the replica's channel here.
+                    // Copy-charge ablation: a stack without shared buffers
+                    // deep-copies the frame into the replica's channel here.
                     ctx.charge(calibration::copy_cost(frame.len()));
                 }
                 ctx.send(head, Msg::NetRx(frame));

@@ -66,8 +66,8 @@ impl Process<Msg> for IpProc {
                 Msg::PfPass(frame) | Msg::NetRx(frame) => {
                     ctx.charge(calibration::IP_RX_PKT);
                     if !neat_net::pktbuf::pooling() {
-                        // Pool ablation: the pre-pool header strip copied
-                        // the L4 payload instead of taking a window.
+                        // Copy-charge ablation: without views the header
+                        // strip copies the L4 payload out of the frame.
                         ctx.charge(calibration::copy_cost(frame.len()));
                     }
                     let now = ctx.now().as_nanos();

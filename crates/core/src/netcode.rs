@@ -38,7 +38,7 @@ pub struct FrameIo {
     arp: ArpCache,
     /// Packets awaiting ARP resolution, keyed by next-hop IP.
     pending: HashMap<Ipv4Addr, Vec<Vec<u8>>>,
-    /// Frames ready to go out on the wire (pooled handles from birth).
+    /// Frames ready to go out on the wire (`PktBuf` handles from birth).
     out: Vec<PktBuf>,
     /// Last time an ARP request was sent per destination (rate limit).
     last_arp_req: HashMap<Ipv4Addr, u64>,

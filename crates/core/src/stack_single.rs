@@ -82,8 +82,8 @@ impl SingleStackProc {
         let now = ctx.now().as_nanos();
         let io = &mut self.wire.io;
         if !neat_net::pktbuf::pooling() {
-            // Pool ablation: the pre-pool header strip copied the L4
-            // payload out of the frame instead of taking a window.
+            // Copy-charge ablation: without views the header strip
+            // copies the L4 payload out of the frame.
             ctx.charge(calibration::copy_cost(frame.len()));
         }
         match io.classify_rx(&frame, now) {

@@ -1,88 +1,70 @@
-//! `PktBuf` — reference-counted packet buffers from a per-thread pool.
+//! `PktBuf` — a reference-counted view onto packet bytes.
 //!
 //! The NEaT fast path (§3.4) never copies payload between pipeline stages:
 //! NIC → driver → IP → TCP → socket hand over *ownership* of a buffer, not
 //! its bytes. This module gives the simulated pipeline the same shape: a
-//! frame is granted once from the pool, every later hop clones a cheap
-//! handle or takes a zero-copy `slice` view (header stripping), and when
-//! the last handle drops the backing storage returns to the pool's free
-//! list for reuse.
+//! frame is granted once ([`PktBuf::from_vec`] takes the producer's bytes,
+//! no copy), every later hop clones a cheap handle or takes a zero-copy
+//! `slice` view (header stripping), and the allocator gets the bytes back
+//! when the last handle drops. Nothing is recycled: there is no buffer
+//! pool behind this, only views.
 //!
-//! The pool keeps grant/return accounting so teardown can assert that no
-//! buffer leaked ([`assert_quiescent`]), and counts every clone/view that
+//! Per-thread counters keep grant/return accounting so teardown can assert
+//! that no buffer leaked ([`assert_quiescent`]), and count every view that
 //! would have been a deep copy on the old `Vec<u8>` path (`copies_avoided`
-//! — one of the headline bench metrics). Pooled reuse can be disabled at
-//! runtime ([`set_pooling`]) for the ablation axis; handles keep their
-//! zero-copy semantics either way, only free-list recycling stops.
+//! — one of the headline bench metrics). [`set_pooling`] is the cost-model
+//! switch of the ablation axis: handles behave the same either way, only
+//! the simulated per-hop copy charge changes.
 
 use std::cell::RefCell;
 use std::fmt;
 use std::ops::Deref;
 use std::rc::Rc;
 
-/// Aggregate pool counters (one pool per thread; the sim is
-/// single-threaded, so in practice this is global to a run).
+/// Aggregate counters (one set per thread; the sim is single-threaded,
+/// so in practice this is global to a run).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
-    /// Buffers granted out of the pool over its lifetime.
+    /// Buffers granted over the thread's lifetime.
     pub grants: u64,
-    /// Grants satisfied by recycling a free-list buffer.
+    /// Always 0: no grant recycles storage. Kept because the `pktbuf.reused`
+    /// gauge is part of every committed `BENCH_*.json`.
     pub reused: u64,
     /// Backing buffers currently held by live handles.
     pub outstanding: u64,
-    /// Handle clones / zero-copy views that replaced a deep copy.
+    /// Zero-copy views that replaced a deep copy.
     pub copies_avoided: u64,
 }
 
-struct PoolState {
-    free: Vec<Vec<u8>>,
+struct State {
     stats: PoolStats,
-    /// Free-list depth bound (buffers beyond this are dropped on return).
-    free_cap: usize,
-    /// Optional grant ceiling — `try_copy_from` fails beyond it.
-    max_outstanding: Option<u64>,
     pooling: bool,
 }
 
-impl Default for PoolState {
-    fn default() -> PoolState {
-        PoolState {
-            free: Vec::new(),
-            stats: PoolStats::default(),
-            free_cap: 4096,
-            max_outstanding: None,
-            pooling: true,
-        }
-    }
-}
-
 thread_local! {
-    static POOL: RefCell<PoolState> = RefCell::new(PoolState::default());
+    static STATE: RefCell<State> = RefCell::new(State {
+        stats: PoolStats::default(),
+        pooling: true,
+    });
 }
 
-fn with_pool<R>(f: impl FnOnce(&mut PoolState) -> R) -> R {
-    POOL.with(|p| f(&mut p.borrow_mut()))
+fn with_state<R>(f: impl FnOnce(&mut State) -> R) -> R {
+    STATE.with(|p| f(&mut p.borrow_mut()))
 }
 
-/// The backing storage. Its `Drop` is what returns storage to the pool —
-/// it runs exactly once, when the last [`PktBuf`] handle goes away.
+/// The backing storage. Its `Drop` settles the grant accounting — it runs
+/// exactly once, when the last [`PktBuf`] handle goes away.
 struct PktStorage {
     data: Vec<u8>,
 }
 
 impl Drop for PktStorage {
     fn drop(&mut self) {
-        let data = std::mem::take(&mut self.data);
-        with_pool(|p| {
-            p.stats.outstanding = p.stats.outstanding.saturating_sub(1);
-            if p.pooling && p.free.len() < p.free_cap {
-                p.free.push(data);
-            }
-        });
+        with_state(|p| p.stats.outstanding = p.stats.outstanding.saturating_sub(1));
     }
 }
 
-/// A cheap handle onto a pooled, immutable packet buffer, with an
+/// A cheap handle onto an immutable packet buffer, with an
 /// `(offset, len)` window for zero-copy header stripping. `Clone` is a
 /// refcount bump; `Deref` yields the windowed bytes.
 #[derive(Clone)]
@@ -96,7 +78,7 @@ impl PktBuf {
     /// Grant a buffer by taking ownership of existing bytes (no copy).
     pub fn from_vec(data: Vec<u8>) -> PktBuf {
         let len = data.len();
-        with_pool(|p| {
+        with_state(|p| {
             p.stats.grants += 1;
             p.stats.outstanding += 1;
         });
@@ -104,45 +86,6 @@ impl PktBuf {
             storage: Rc::new(PktStorage { data }),
             off: 0,
             len,
-        }
-    }
-
-    /// Grant a buffer and copy `bytes` into it, recycling free-list
-    /// storage when the pool has any (the RX-ring refill path).
-    pub fn copy_from(bytes: &[u8]) -> PktBuf {
-        let mut data = with_pool(|p| {
-            p.stats.grants += 1;
-            p.stats.outstanding += 1;
-            if let Some(mut v) = p.free.pop() {
-                p.stats.reused += 1;
-                v.clear();
-                Some(v)
-            } else {
-                None
-            }
-        })
-        .unwrap_or_default();
-        data.extend_from_slice(bytes);
-        let len = data.len();
-        PktBuf {
-            storage: Rc::new(PktStorage { data }),
-            off: 0,
-            len,
-        }
-    }
-
-    /// Like [`PktBuf::copy_from`], but respects the grant ceiling set by
-    /// [`set_max_outstanding`] — `None` when the pool is exhausted.
-    pub fn try_copy_from(bytes: &[u8]) -> Option<PktBuf> {
-        let exhausted = with_pool(|p| {
-            p.max_outstanding
-                .map(|cap| p.stats.outstanding >= cap)
-                .unwrap_or(false)
-        });
-        if exhausted {
-            None
-        } else {
-            Some(PktBuf::copy_from(bytes))
         }
     }
 
@@ -151,19 +94,12 @@ impl PktBuf {
     /// touching the frame.
     pub fn slice(&self, off: usize, len: usize) -> PktBuf {
         assert!(off + len <= self.len, "slice out of bounds");
-        with_pool(|p| p.stats.copies_avoided += 1);
+        with_state(|p| p.stats.copies_avoided += 1);
         PktBuf {
             storage: Rc::clone(&self.storage),
             off: self.off + off,
             len,
         }
-    }
-
-    /// A handle clone that *counts* as an avoided copy (use instead of
-    /// `.clone()` on hops that used to deep-copy the `Vec<u8>`).
-    pub fn share(&self) -> PktBuf {
-        with_pool(|p| p.stats.copies_avoided += 1);
-        self.clone()
     }
 
     pub fn len(&self) -> usize {
@@ -223,43 +159,29 @@ impl From<Vec<u8>> for PktBuf {
     }
 }
 
-/// Current pool counters.
+/// Current counters.
 pub fn stats() -> PoolStats {
-    with_pool(|p| p.stats)
+    with_state(|p| p.stats)
 }
 
-/// Whether the zero-copy pool is enabled (see [`set_pooling`]). Simulation
-/// components consult this to charge the per-hop deep-copy cost the pool
-/// avoids when the ablation turns it off.
+/// The cost-model flag of the `pool` ablation axis (see [`set_pooling`]).
+/// Simulation components consult it to charge the per-hop deep copy that
+/// handing views around avoids.
 pub fn pooling() -> bool {
-    with_pool(|p| p.pooling)
+    with_state(|p| p.pooling)
 }
 
-/// Enable/disable the zero-copy pool (the `pool` ablation axis): free-list
-/// recycling stops, and cost-model call sites charge the deep copies the
-/// pool would have avoided (handles themselves keep working either way).
+/// Switch the cost model only: with `false`, the `copy_cost` call sites
+/// charge a deep copy per hop, as a stack without shared buffers would
+/// pay. Handles, views and counters behave the same either way.
 pub fn set_pooling(on: bool) {
-    with_pool(|p| {
-        p.pooling = on;
-        if !on {
-            p.free.clear();
-        }
-    });
+    with_state(|p| p.pooling = on);
 }
 
-/// Cap live grants; `try_copy_from` fails beyond the cap. `None` lifts it.
-pub fn set_max_outstanding(cap: Option<u64>) {
-    with_pool(|p| p.max_outstanding = cap);
-}
-
-/// Forget counters and the free list (test/bench isolation). Does not
-/// affect live handles — their storage simply won't be recycled.
+/// Forget the counters (test/bench isolation); the model flag stays.
+/// Live handles are unaffected.
 pub fn reset() {
-    with_pool(|p| {
-        let pooling = p.pooling;
-        *p = PoolState::default();
-        p.pooling = pooling;
-    });
+    with_state(|p| p.stats = PoolStats::default());
 }
 
 /// Teardown invariant: every granted buffer has been returned. Call after
@@ -269,12 +191,12 @@ pub fn assert_quiescent() {
     let s = stats();
     assert_eq!(
         s.outstanding, 0,
-        "PktBuf pool not quiescent: {} buffer(s) still outstanding (granted {}, reused {})",
+        "PktBuf accounting not quiescent: {} buffer(s) still outstanding (granted {}, reused {})",
         s.outstanding, s.grants, s.reused
     );
 }
 
-/// Publish pool counters into the `neat-obs` registry (cold path; called
+/// Publish the counters into the `neat-obs` registry (cold path; called
 /// at measurement-window boundaries).
 pub fn export_obs() {
     let s = stats();
@@ -288,15 +210,9 @@ pub fn export_obs() {
 mod tests {
     use super::*;
 
-    fn fresh() {
-        reset();
-        set_max_outstanding(None);
-        set_pooling(true);
-    }
-
     #[test]
     fn grant_slice_and_return() {
-        fresh();
+        reset();
         let frame = PktBuf::from_vec((0..100u8).collect());
         assert_eq!(stats().outstanding, 1);
         let l4 = frame.slice(34, 66);
@@ -307,61 +223,5 @@ mod tests {
         assert_eq!(stats().outstanding, 1, "view keeps storage alive");
         drop(l4);
         assert_quiescent();
-    }
-
-    #[test]
-    fn free_list_reuse() {
-        fresh();
-        let a = PktBuf::copy_from(&[1, 2, 3]);
-        drop(a);
-        let b = PktBuf::copy_from(&[4, 5]);
-        let s = stats();
-        assert_eq!(s.grants, 2);
-        assert_eq!(s.reused, 1, "second grant recycles the first buffer");
-        assert_eq!(&b[..], &[4, 5]);
-        drop(b);
-        assert_quiescent();
-    }
-
-    #[test]
-    fn exhaustion_respects_grant_cap() {
-        fresh();
-        set_max_outstanding(Some(2));
-        let a = PktBuf::try_copy_from(&[1]).unwrap();
-        let b = PktBuf::try_copy_from(&[2]).unwrap();
-        assert!(PktBuf::try_copy_from(&[3]).is_none(), "pool exhausted");
-        drop(a);
-        let c = PktBuf::try_copy_from(&[3]).expect("freed grant is reusable");
-        assert_eq!(&c[..], &[3]);
-        drop(b);
-        drop(c);
-        assert_quiescent();
-        set_max_outstanding(None);
-    }
-
-    #[test]
-    fn share_counts_avoided_copies() {
-        fresh();
-        let a = PktBuf::from_vec(vec![9; 16]);
-        let b = a.share();
-        let c = b.share();
-        assert_eq!(stats().copies_avoided, 2);
-        assert_eq!(a, c);
-        drop((a, b, c));
-        assert_quiescent();
-    }
-
-    #[test]
-    fn pooling_off_still_zero_copy_but_no_reuse() {
-        fresh();
-        set_pooling(false);
-        let a = PktBuf::copy_from(&[1, 2, 3]);
-        let v = a.slice(1, 2);
-        assert_eq!(&v[..], &[2, 3]);
-        drop(a);
-        drop(v);
-        let _b = PktBuf::copy_from(&[4]);
-        assert_eq!(stats().reused, 0, "free list disabled");
-        set_pooling(true);
     }
 }

@@ -149,7 +149,7 @@ impl Nic {
     /// frames (after TSO) each paired with its serialization time.
     pub fn host_tx(&mut self, frame: PktBuf) -> Vec<(PktBuf, Time)> {
         let frames = if self.cfg.tso {
-            let split = tso::tso_split_pkt(frame, self.cfg.tso_mss);
+            let split = tso::tso_split(frame, self.cfg.tso_mss);
             if split.len() > 1 {
                 self.stats.tso_splits += 1;
             }

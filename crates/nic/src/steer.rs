@@ -38,6 +38,11 @@ pub struct Steering {
     pub track_flows: bool,
     /// Idle tracking filters older than this are reclaimable.
     filter_idle_ns: u64,
+    /// No entry can be idle before this instant: a lower bound on
+    /// `min(seen) + filter_idle_ns` (valid because the clock, and so every
+    /// `seen`, only moves forward). A full-table scan earlier than this
+    /// removes nothing and is skipped.
+    purge_due: u64,
     num_queues: usize,
     /// Which queues currently accept *new* flows (termination-state
     /// replicas are excluded here per §3.4's lazy scale-down).
@@ -52,6 +57,7 @@ impl Steering {
             max_filters: 8_192,
             track_flows: true,
             filter_idle_ns: 10_000_000_000,
+            purge_due: 0,
             num_queues,
             accepting: vec![true; num_queues],
         }
@@ -114,18 +120,13 @@ impl Steering {
     }
 
     fn hash_accepting(&self, key: &FlowKey) -> usize {
-        let accepting: Vec<usize> = self
-            .accepting
-            .iter()
-            .enumerate()
-            .filter(|(_, a)| **a)
-            .map(|(i, _)| i)
-            .collect();
-        if accepting.is_empty() {
+        let mut open = (0..self.accepting.len()).filter(|&q| self.accepting[q]);
+        let n = open.clone().count();
+        if n == 0 {
             return self.rss.queue_for(key, self.num_queues);
         }
-        let idx = self.rss.queue_for(key, accepting.len());
-        accepting[idx]
+        open.nth(self.rss.queue_for(key, n))
+            .expect("queue_for(_, n) < n")
     }
 
     /// Classify with flow tracking (the data-plane fast path of a tracking
@@ -145,14 +146,22 @@ impl Steering {
         }
         let q = self.hash_accepting(&flow.key);
         if self.track_flows && flow.is_syn {
-            if self.filters.len() >= self.max_filters {
+            let idle = self.filter_idle_ns;
+            if self.filters.len() >= self.max_filters && now_ns >= self.purge_due {
                 // Reclaim idle entries (connections long gone).
-                let idle = self.filter_idle_ns;
-                self.filters
-                    .retain(|_, (_, seen)| now_ns.saturating_sub(*seen) < idle);
+                let mut oldest = u64::MAX;
+                self.filters.retain(|_, (_, seen)| {
+                    let keep = now_ns.saturating_sub(*seen) < idle;
+                    if keep {
+                        oldest = oldest.min(*seen);
+                    }
+                    keep
+                });
+                self.purge_due = oldest.saturating_add(idle);
             }
             if self.filters.len() < self.max_filters {
                 self.filters.insert(flow.key, (q, now_ns));
+                self.purge_due = self.purge_due.min(now_ns.saturating_add(idle));
             }
         }
         q
@@ -165,6 +174,7 @@ impl Steering {
             return false;
         }
         self.filters.insert(key, (queue, 0));
+        self.purge_due = self.purge_due.min(self.filter_idle_ns);
         true
     }
 
@@ -313,5 +323,91 @@ mod tests {
         let s = Steering::new(4);
         assert_eq!(s.classify(&[0u8; 10]), 0);
         assert_eq!(s.classify(&[0u8; 100]), 0);
+    }
+
+    /// The reference: `classify_track` as it was before `purge_due` — a new
+    /// flow at a full table always scans, whether or not anything can have
+    /// idled out.
+    fn full_scan_track(s: &mut Steering, frame: &[u8], now_ns: u64) -> usize {
+        let flow = Steering::parse_flow(frame).unwrap();
+        if let Some(entry) = s.filters.get_mut(&flow.key) {
+            let q = entry.0;
+            entry.1 = now_ns;
+            if flow.is_rst {
+                s.filters.remove(&flow.key);
+            }
+            return q;
+        }
+        let q = s.hash_accepting(&flow.key);
+        if s.track_flows && flow.is_syn {
+            if s.filters.len() >= s.max_filters {
+                let idle = s.filter_idle_ns;
+                s.filters
+                    .retain(|_, (_, seen)| now_ns.saturating_sub(*seen) < idle);
+            }
+            if s.filters.len() < s.max_filters {
+                s.filters.insert(flow.key, (q, now_ns));
+            }
+        }
+        q
+    }
+
+    /// Skipping the scan before `purge_due` is invisible: idle expiry at a
+    /// full table, RST teardown and software filters leave the same table
+    /// and steer to the same queue as scanning on every SYN.
+    #[test]
+    fn tracking_expiry_matches_a_full_scan() {
+        use neat_util::check::{check, vec_of, Config};
+        use neat_util::{prop_assert_eq, Rng};
+        let small = || {
+            let mut s = Steering::new(4);
+            s.max_filters = 8;
+            s.filter_idle_ns = 1000;
+            s
+        };
+        check(
+            "tracking_expiry_matches_a_full_scan",
+            Config::default().cases(256),
+            |rng: &mut Rng| {
+                vec_of(rng, 1..120, |r| {
+                    (r.gen_range(0u8..10), r.gen_range(0u16..3001))
+                })
+            },
+            |steps| {
+                let (mut fast, mut naive) = (small(), small());
+                let mut now = 0u64;
+                for (i, (op, arg)) in steps.into_iter().enumerate() {
+                    // 24 ports over an 8-entry table: SYNs are mostly fresh
+                    // flows, data and RSTs mostly hit tracked ones.
+                    let port = 1000 + arg % 24;
+                    let key = FlowKey::tcp(SRC, port, DST, 80);
+                    match op {
+                        // SYN-heavy, so the table fills, idles out as a
+                        // whole and fills again within one case.
+                        0..=6 => {
+                            let flags = match op {
+                                0..=3 => TcpFlags::SYN,
+                                4 | 5 => TcpFlags::ack(),
+                                _ => TcpFlags::rst(),
+                            };
+                            let f = tcp_frame(port, flags);
+                            let q = fast.classify_track(&f, now);
+                            prop_assert_eq!(q, full_scan_track(&mut naive, &f, now), "step {i}");
+                        }
+                        7 => {
+                            let q = arg as usize % 4;
+                            prop_assert_eq!(fast.add_filter(key, q), naive.add_filter(key, q));
+                        }
+                        8 => {
+                            fast.remove_filter(&key);
+                            naive.remove_filter(&key);
+                        }
+                        _ => now += arg as u64,
+                    }
+                    prop_assert_eq!(&fast.filters, &naive.filters, "step {i}");
+                }
+                Ok(())
+            },
+        );
     }
 }

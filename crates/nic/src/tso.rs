@@ -10,70 +10,34 @@ use neat_net::ipv4::{IpProtocol, Ipv4Header};
 use neat_net::tcp::TcpHeader;
 use neat_net::PktBuf;
 
-/// [`tso_split`] on pooled buffers: frames that need no split pass the
-/// original handle through untouched (zero-copy fast path); oversized
-/// frames materialize fresh per-segment buffers.
-pub fn tso_split_pkt(frame: PktBuf, mss: usize) -> Vec<PktBuf> {
-    if !needs_split(&frame, mss) {
-        return vec![frame];
-    }
-    tso_split(frame.to_vec(), mss)
-        .into_iter()
-        .map(PktBuf::from_vec)
-        .collect()
-}
-
-/// Cheap pre-check: is this an IPv4/TCP frame with payload beyond `mss`?
-fn needs_split(frame: &[u8], mss: usize) -> bool {
-    let Ok((eth, ip_off)) = EthernetFrame::parse(frame) else {
-        return false;
-    };
-    if eth.ethertype != EtherType::Ipv4 {
-        return false;
-    }
-    let Ok((ip, l4_range)) = Ipv4Header::parse(&frame[ip_off..]) else {
-        return false;
-    };
-    if ip.protocol != IpProtocol::Tcp {
-        return false;
-    }
-    let l4 = &frame[ip_off..][l4_range];
-    let Ok((_, payload_range)) = TcpHeader::parse(l4, ip.src, ip.dst) else {
-        return false;
-    };
-    l4[payload_range].len() > mss
-}
-
 /// Split an Ethernet frame carrying an oversized IPv4/TCP payload into
-/// MSS-sized frames. Non-TCP frames and frames already within `mss` pass
-/// through unchanged.
-pub fn tso_split(frame: Vec<u8>, mss: usize) -> Vec<Vec<u8>> {
-    let Ok((eth, ip_off)) = EthernetFrame::parse(&frame) else {
-        return vec![frame];
-    };
+/// MSS-sized frames, one fresh buffer per segment. Everything else — not
+/// IPv4, not TCP, a header that does not parse or verify, a payload already
+/// within `mss` — passes the original handle through untouched.
+pub fn tso_split(frame: PktBuf, mss: usize) -> Vec<PktBuf> {
+    cut(&frame, mss).unwrap_or_else(|| vec![frame])
+}
+
+/// The segments of `frame`, or `None` when it is not to be split. The one
+/// parse of the three headers (both checksums verified) happens here.
+fn cut(frame: &[u8], mss: usize) -> Option<Vec<PktBuf>> {
+    let (eth, ip_off) = EthernetFrame::parse(frame).ok()?;
     if eth.ethertype != EtherType::Ipv4 {
-        return vec![frame];
+        return None;
     }
-    let Ok((ip, l4_range)) = Ipv4Header::parse(&frame[ip_off..]) else {
-        return vec![frame];
-    };
+    let (ip, l4_range) = Ipv4Header::parse(&frame[ip_off..]).ok()?;
     if ip.protocol != IpProtocol::Tcp {
-        return vec![frame];
+        return None;
     }
     let l4 = &frame[ip_off..][l4_range];
-    let Ok((tcp, payload_range)) = TcpHeader::parse(l4, ip.src, ip.dst) else {
-        return vec![frame];
-    };
+    let (tcp, payload_range) = TcpHeader::parse(l4, ip.src, ip.dst).ok()?;
     let payload = &l4[payload_range];
     if payload.len() <= mss {
-        return vec![frame];
+        return None;
     }
-
-    let mut out = Vec::new();
-    let mut off = 0;
-    while off < payload.len() {
-        let end = (off + mss).min(payload.len());
-        let last = end == payload.len();
+    let segment = |(i, chunk): (usize, &[u8])| {
+        let off = i * mss;
+        let last = off + chunk.len() == payload.len();
         let mut h = tcp;
         h.seq = tcp.seq + off as u32;
         // FIN/PSH only on the final segment.
@@ -83,12 +47,11 @@ pub fn tso_split(frame: Vec<u8>, mss: usize) -> Vec<Vec<u8>> {
         // here never carry them, but clear defensively.
         h.mss = None;
         h.window_scale = None;
-        let seg = h.emit(&payload[off..end], ip.src, ip.dst);
+        let seg = h.emit(chunk, ip.src, ip.dst);
         let ip_pkt = Ipv4Header::new(ip.src, ip.dst, IpProtocol::Tcp, seg.len()).emit(&seg);
-        out.push(eth.emit(&ip_pkt));
-        off = end;
-    }
-    out
+        PktBuf::from_vec(eth.emit(&ip_pkt))
+    };
+    Some(payload.chunks(mss).enumerate().map(segment).collect())
 }
 
 #[cfg(test)]
@@ -123,15 +86,44 @@ mod tests {
     #[test]
     fn small_frame_passthrough() {
         let f = build(b"tiny", TcpFlags::psh_ack());
+        let out = tso_split(f.clone().into(), 1460);
+        assert_eq!(out, vec![PktBuf::from(f)]);
+    }
+
+    #[test]
+    fn passthrough_keeps_the_handle() {
+        let f = PktBuf::from(build(b"tiny", TcpFlags::psh_ack()));
+        let before = neat_net::pktbuf::stats();
         let out = tso_split(f.clone(), 1460);
-        assert_eq!(out, vec![f]);
+        assert_eq!(out.len(), 1);
+        assert_eq!(
+            f.refcount(),
+            2,
+            "the output is a handle on the input's storage"
+        );
+        assert_eq!(neat_net::pktbuf::stats().grants, before.grants, "no grant");
+    }
+
+    #[test]
+    fn split_grants_one_buffer_per_segment() {
+        let f = PktBuf::from(build(&[9u8; 4000], TcpFlags::psh_ack()));
+        let before = neat_net::pktbuf::stats();
+        let out = tso_split(f, 1460);
+        assert_eq!(out.len(), 3);
+        let after = neat_net::pktbuf::stats();
+        assert_eq!(after.grants - before.grants, 3, "no whole-frame grant");
+        assert_eq!(
+            after.outstanding,
+            before.outstanding + 3 - 1,
+            "input released"
+        );
     }
 
     #[test]
     fn oversized_frame_splits_with_correct_seqs() {
         let payload: Vec<u8> = (0..4000u32).map(|i| (i % 256) as u8).collect();
         let f = build(&payload, TcpFlags::psh_ack());
-        let out = tso_split(f, 1460);
+        let out = tso_split(f.into(), 1460);
         assert_eq!(out.len(), 3);
         let mut reassembled = Vec::new();
         let mut expect_seq = SeqNum(1000);
@@ -151,7 +143,7 @@ mod tests {
     fn fin_only_on_last() {
         let payload = vec![7u8; 3000];
         let f = build(&payload, TcpFlags::fin_ack());
-        let out = tso_split(f, 1460);
+        let out = tso_split(f.into(), 1460);
         assert!(out.len() > 1);
         for (i, frame) in out.iter().enumerate() {
             let (h, _) = parse_seg(frame);
@@ -164,7 +156,7 @@ mod tests {
         // parse_seg would fail on a bad checksum; also verify IP header.
         let payload = vec![1u8; 5000];
         let f = build(&payload, TcpFlags::psh_ack());
-        for frame in tso_split(f, 1000) {
+        for frame in tso_split(f.into(), 1000) {
             let (_, off) = EthernetFrame::parse(&frame).unwrap();
             assert!(Ipv4Header::parse(&frame[off..]).is_ok());
             parse_seg(&frame);
@@ -182,6 +174,12 @@ mod tests {
             }
             .emit(&ip)
         };
-        assert_eq!(tso_split(udpish.clone(), 1460), vec![udpish]);
+        // An oversized TCP frame whose checksum does not verify is not the
+        // NIC's to cut either: it leaves as the one frame it came in as.
+        let mut bad_tcp = build(&[3u8; 4000], TcpFlags::psh_ack());
+        *bad_tcp.last_mut().unwrap() ^= 0xff;
+        for f in [udpish, bad_tcp] {
+            assert_eq!(tso_split(f.clone().into(), 1460), vec![PktBuf::from(f)]);
+        }
     }
 }

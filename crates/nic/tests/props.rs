@@ -156,7 +156,7 @@ fn tso_framing_invariants() {
                 return Ok(());
             }
             let f = frame(0x0A00_0001, 9999, 80, TcpFlags::psh_ack(), &payload);
-            let out = neat_nic::tso::tso_split(f, mss);
+            let out = neat_nic::tso::tso_split(f.into(), mss);
             let mut covered = 0usize;
             let mut expect_seq = SeqNum(1);
             for w in &out {

@@ -13,8 +13,8 @@
 //!   exportable as chrome://tracing JSON. Off by default; zero-cost when
 //!   disabled; never perturbs deterministic replay.
 //! * **Stats primitives** ([`stats`]) — the log-bucketed [`Histogram`]
-//!   and [`RateMeter`] that used to live in `neat_sim::stats`; the
-//!   simulator re-exports `Time`-typed wrappers.
+//!   that used to live in `neat_sim::stats`; the simulator re-exports a
+//!   `Time`-typed wrapper.
 //!
 //! The crate depends only on `neat-util` (for JSON), so every layer of
 //! the workspace — simulator, NIC, TCP, NEaT core, monolith baseline,
@@ -30,5 +30,5 @@ pub use metrics::{
     clear, counter, counter_add, gauge, gauge_set, histogram, reset, set_thread_enabled, snapshot,
     thread_enabled, Counter, Gauge, HistogramHandle,
 };
-pub use stats::{Histogram, RateMeter};
+pub use stats::Histogram;
 pub use trace::tracing;

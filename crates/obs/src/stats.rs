@@ -1,11 +1,10 @@
-//! Value-space measurement primitives: log-bucketed histograms and rate
-//! meters.
+//! Value-space measurement primitives: log-bucketed histograms.
 //!
 //! These used to live in `neat_sim::stats`, keyed to simulated `Time`;
 //! the bucket logic moved here (value space: plain `u64`, conventionally
 //! nanoseconds) so that every layer of the system — including ones below
 //! the simulator — can record into the same histogram type. `neat_sim`
-//! re-exports thin `Time`-typed wrappers on top.
+//! re-exports a thin `Time`-typed wrapper on top.
 
 use neat_util::{Json, ToJson};
 
@@ -146,51 +145,6 @@ impl ToJson for Histogram {
     }
 }
 
-/// Counts discrete completions over a window and reports a rate.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RateMeter {
-    pub count: u64,
-    pub bytes: u64,
-}
-
-impl RateMeter {
-    pub fn add(&mut self, bytes: u64) {
-        self.count += 1;
-        self.bytes += bytes;
-    }
-
-    /// Completions per second over an elapsed window in seconds.
-    pub fn per_sec(&self, elapsed_secs: f64) -> f64 {
-        if elapsed_secs <= 0.0 {
-            0.0
-        } else {
-            self.count as f64 / elapsed_secs
-        }
-    }
-
-    /// Kilo-completions per second (the paper's krps unit).
-    pub fn krps(&self, elapsed_secs: f64) -> f64 {
-        self.per_sec(elapsed_secs) / 1e3
-    }
-
-    /// Payload megabytes per second.
-    pub fn mbps(&self, elapsed_secs: f64) -> f64 {
-        if elapsed_secs <= 0.0 {
-            0.0
-        } else {
-            self.bytes as f64 / 1e6 / elapsed_secs
-        }
-    }
-}
-
-impl ToJson for RateMeter {
-    fn to_json(&self) -> Json {
-        Json::object()
-            .field("count", self.count)
-            .field("bytes", self.bytes)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -251,16 +205,6 @@ mod tests {
         // The quantile reports the last bucket's lower bound, bounded by max.
         assert!(h.quantile(1.0) <= h.max());
         assert!(h.quantile(0.5) == h.quantile(1.0), "same saturated bucket");
-    }
-
-    #[test]
-    fn rate_meter_zero_elapsed_is_zero_not_nan() {
-        let mut r = RateMeter::default();
-        r.add(1000);
-        assert_eq!(r.per_sec(0.0), 0.0);
-        assert_eq!(r.krps(0.0), 0.0);
-        assert_eq!(r.mbps(0.0), 0.0);
-        assert_eq!(r.per_sec(-1.0), 0.0, "negative elapsed treated as empty");
     }
 
     #[test]

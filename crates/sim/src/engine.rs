@@ -80,18 +80,6 @@ impl Default for SimConfig {
     }
 }
 
-impl SimConfig {
-    /// The batched fast path with default horizon/depth (what testbeds
-    /// run); `seed` as in [`SimConfig::default`].
-    pub fn batched(seed: u64) -> SimConfig {
-        SimConfig {
-            seed,
-            batch_ns: 2_000,
-            batch_max: 32,
-        }
-    }
-}
-
 /// Counters for the per-link coalescing machinery (exported as `sim.batch.*`
 /// gauges; also queried directly by the ablation benches).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

@@ -38,5 +38,5 @@ pub mod time;
 pub use engine::{BatchStats, Ctx, Sim, SimConfig};
 pub use machine::{HwThreadId, MachineId, MachineSpec, ThreadKind, ThreadStats};
 pub use process::{Event, ProcId, Process};
-pub use stats::{Histogram, RateMeter};
+pub use stats::Histogram;
 pub use time::{Cycles, Freq, Time};

@@ -1,4 +1,4 @@
-//! Measurement utilities: latency histograms and rate meters.
+//! Measurement utilities: latency histograms.
 //!
 //! The benchmark harness reports the same quantities httperf does in the
 //! paper: successful request rate (krps), throughput (MB/s), and response
@@ -6,7 +6,7 @@
 //!
 //! The bucket/merge/quantile machinery lives in [`neat_obs::stats`] so
 //! that every layer of the workspace shares one histogram implementation;
-//! these are thin [`Time`]-typed wrappers preserving the original
+//! this is a thin [`Time`]-typed wrapper preserving the original
 //! simulator-facing API.
 
 use crate::time::Time;
@@ -71,48 +71,6 @@ impl ToJson for Histogram {
     }
 }
 
-/// Counts discrete completions over a window and reports a rate.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RateMeter {
-    pub count: u64,
-    pub bytes: u64,
-}
-
-impl RateMeter {
-    pub fn add(&mut self, bytes: u64) {
-        self.count += 1;
-        self.bytes += bytes;
-    }
-
-    fn inner(&self) -> neat_obs::RateMeter {
-        neat_obs::RateMeter {
-            count: self.count,
-            bytes: self.bytes,
-        }
-    }
-
-    /// Completions per second over `elapsed`.
-    pub fn per_sec(&self, elapsed: Time) -> f64 {
-        self.inner().per_sec(elapsed.as_secs_f64())
-    }
-
-    /// Kilo-completions per second (the paper's krps unit).
-    pub fn krps(&self, elapsed: Time) -> f64 {
-        self.inner().krps(elapsed.as_secs_f64())
-    }
-
-    /// Payload megabytes per second.
-    pub fn mbps(&self, elapsed: Time) -> f64 {
-        self.inner().mbps(elapsed.as_secs_f64())
-    }
-}
-
-impl ToJson for RateMeter {
-    fn to_json(&self) -> Json {
-        self.inner().to_json()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -164,18 +122,6 @@ mod tests {
     }
 
     #[test]
-    fn rate_meter_units() {
-        let mut r = RateMeter::default();
-        for _ in 0..224_000 {
-            r.add(20);
-        }
-        let e = Time::from_secs(1);
-        assert!((r.krps(e) - 224.0).abs() < 1e-9);
-        assert!((r.mbps(e) - 4.48).abs() < 1e-9);
-        assert_eq!(RateMeter::default().per_sec(Time::ZERO), 0.0);
-    }
-
-    #[test]
     fn empty_histogram_is_sane() {
         let h = Histogram::new();
         assert_eq!(h.mean(), Time::ZERO);
@@ -222,14 +168,5 @@ mod tests {
         assert_eq!(h.max(), huge);
         assert!(h.quantile(1.0) <= huge);
         assert!(h.quantile(0.5) > Time::ZERO);
-    }
-
-    #[test]
-    fn rate_meter_zero_elapsed() {
-        let mut r = RateMeter::default();
-        r.add(100);
-        assert_eq!(r.per_sec(Time::ZERO), 0.0);
-        assert_eq!(r.krps(Time::ZERO), 0.0);
-        assert_eq!(r.mbps(Time::ZERO), 0.0);
     }
 }

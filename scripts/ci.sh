@@ -9,7 +9,7 @@
 # Usage:
 #   scripts/ci.sh                 # every tier (the full gate)
 #   scripts/ci.sh --tier1         # size + one-builder guards, build,
-#                                 # test, fmt, clippy
+#                                 # test, pinned-shapes guard, fmt, clippy
 #   scripts/ci.sh --tier2         # quick benches + regression gates
 #                                 # (expects a tier-1 build already present)
 #
@@ -73,6 +73,20 @@ one_builder_guard() {
     fi
 }
 
+# Pinned-shapes guard (ROADMAP rule i): the frozen benchmark lane calls
+# the product through fixed signatures and builds some of its types field
+# by field, so it must keep compiling against this tree. Builds into
+# benchmark/target (git-ignored); reads benchmark/, writes nothing tracked.
+pinned_shapes_guard() {
+    echo "==> cargo check --offline --all-targets --manifest-path benchmark/Cargo.toml"
+    if ! cargo check --offline --all-targets --manifest-path benchmark/Cargo.toml; then
+        echo "PINNED-SHAPES FAILURE (ROADMAP rule i): benchmark/ is frozen and no" >&2
+        echo "longer compiles against the product. Restore the signature or type" >&2
+        echo "it names; changing one is a [benchmark]-class PR of its own." >&2
+        exit 1
+    fi
+}
+
 if [ "$TIER1" = 1 ]; then
     echo "==> [tier1] module-size guard (deployed sources <= 900 lines)"
     module_size_guard
@@ -82,6 +96,9 @@ if [ "$TIER1" = 1 ]; then
     run cargo build --release --offline
 
     run cargo test -q --offline
+
+    echo "==> [tier1] pinned-shapes guard (frozen benchmark/ compiles against the product)"
+    pinned_shapes_guard
 
     # Formatting is checked only when rustfmt is installed; minimal
     # toolchains without the rustfmt component still get a green gate.

@@ -352,7 +352,7 @@ fn tso_split_preserves_stream() {
                 ethertype: EtherType::Ipv4,
             }
             .emit(&ip);
-            let frames = neat_nic::tso::tso_split(frame, mss);
+            let frames = neat_nic::tso::tso_split(frame.into(), mss);
             let mut asm = Assembler::new(64 * 1024);
             let mut rcv = SeqNum(5_000);
             let mut out = Vec::new();
