@@ -3,13 +3,13 @@
 //!
 //! For each configuration we (a) measure its peak request rate and (b)
 //! compute the expected fraction of TCP state preserved after one
-//! uniformly-placed code fault, using the real component code sizes of
-//! this repository (§6.6's methodology). Both axes improve with the number
-//! of replicas — the paper's "reliability and scalability coexist" point.
+//! uniformly-placed code fault, using the pinned component code sizes
+//! (`CodeSizes::PINNED`, §6.6's methodology). Both axes improve with the
+//! number of replicas — the paper's "reliability and scalability coexist"
+//! point.
 
-use neat::config::{NeatConfig, StackMode};
-use neat::fault::CodeSizes;
-use neat::reliability::expected_state_preserved;
+use neat::config::NeatConfig;
+use neat::fault::{expected_state_preserved, CodeSizes};
 use neat_apps::scenario::{PlacementPlan, Testbed, TestbedSpec, Workload};
 use neat_bench::{krps, windows, BenchReport, Table};
 
@@ -39,7 +39,6 @@ fn peak(cfg: &Config) -> Option<f64> {
 }
 
 fn main() {
-    let sizes = CodeSizes::measured();
     let configs = [
         Config {
             label: "NEaT 1x",
@@ -110,14 +109,7 @@ fn main() {
     );
     let mut report = BenchReport::new("fig13");
     for c in &configs {
-        let preserved = expected_state_preserved(
-            &sizes,
-            match c.cfg.mode {
-                StackMode::Single => StackMode::Single,
-                StackMode::Multi => StackMode::Multi,
-            },
-            c.cfg.replicas,
-        );
+        let preserved = expected_state_preserved(&CodeSizes::PINNED, c.cfg.mode, c.cfg.replicas);
         let max = peak(c);
         match c.label {
             "NEaT 1x" => {

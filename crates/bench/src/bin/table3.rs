@@ -9,8 +9,9 @@
 //!   component, whose per-connection state is irrecoverable under
 //!   stateless recovery.
 //!
-//! Our component code sizes are measured from this repository's sources,
-//! so the exact split differs from the paper's lwIP-era stack (our TCP is
+//! Our component code sizes are pinned model data (`CodeSizes::PINNED`,
+//! counted once from this repository's sources), so the exact split
+//! differs from the paper's lwIP-era stack (our TCP is
 //! a larger fraction); the *mechanism* — only TCP faults lose state, all
 //! components recover, other replicas unaffected — is what this
 //! experiment verifies, 100 failing runs at a time.
@@ -117,7 +118,7 @@ fn main() {
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(if quick() { 10 } else { 100 });
-    let sizes = CodeSizes::measured();
+    let sizes = CodeSizes::PINNED;
     println!(
         "component code sizes (lines): tcp={} ip={} udp={} pf={} driver={} (tcp fraction {:.1}%)",
         sizes.tcp,
@@ -150,8 +151,9 @@ fn main() {
     // Headline (CI-gated): transparency with buddy replication on.
     report.metric("transparent_pct", pct(repl_transparent));
     // Stateless recovery is gated per target class, not on the sampled
-    // mix: which class a sample lands in moves with source line counts,
-    // what recovery does with a crashed TCP (or other) component does not.
+    // mix: which class a sample lands in follows the pinned weights and
+    // the seed, what recovery does with a crashed TCP (or other) component
+    // is what is under test.
     let (tcp_inj, tcp_ok) = by_target.get("Tcp").copied().unwrap_or_default();
     let rate = |ok: usize, inj: usize| ok as f64 / inj.max(1) as f64 * 100.0;
     report.metric("stateless_tcp_transparent_pct", rate(tcp_ok, tcp_inj));
@@ -180,7 +182,7 @@ fn main() {
     report.table(&t2);
     report.finish();
     println!(
-        "Expected stateless split tracks the measured TCP code fraction\n\
+        "Expected stateless split tracks the pinned TCP code fraction\n\
          ({:.1}%); the paper's stack measured 46.2%. With buddy-replica\n\
          flow replication the respawned TCP component adopts the dead\n\
          replica's flows, so TCP crashes become transparent too. In all\n\

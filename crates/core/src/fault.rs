@@ -1,16 +1,18 @@
-//! Fault injection (§6.6, Table 3).
+//! Fault injection and the reliability law (§6.6, Table 3, Figure 13).
 //!
 //! The paper "injected faults into various (randomly selected) parts of
 //! the code in the network stack", with the probability a component is hit
-//! proportional to its code size. We reproduce the same mechanism: the
-//! component weights are the *actual line counts of this repository's
-//! component sources*, measured at compile time, and an activated fault
-//! crashes the owning process — exercising the real recovery path.
+//! proportional to its code size, and from the same sizes estimates "the
+//! resulting expected fraction of state preserved after a failure". The
+//! component sizes are a *parameter of that model*, pinned as data
+//! ([`CodeSizes::PINNED`]); an activated fault crashes the owning process,
+//! exercising the real recovery path.
 
+use crate::config::StackMode;
 use crate::replica::Role;
 use neat_util::Rng;
 
-/// Per-component code sizes (lines), measured from the real sources.
+/// Per-component code sizes (lines): the weights of the fault model.
 #[derive(Debug, Clone, Copy)]
 pub struct CodeSizes {
     pub tcp: usize,
@@ -20,20 +22,102 @@ pub struct CodeSizes {
     pub driver: usize,
 }
 
-/// Count non-empty lines of *deployed* code: everything up to the
-/// `#[cfg(test)]` module (tests never run in the replica processes).
-fn loc(s: &str) -> usize {
-    s.split("#[cfg(test)]")
-        .next()
-        .unwrap_or("")
-        .lines()
-        .filter(|l| !l.trim().is_empty())
-        .count()
+impl CodeSizes {
+    /// The law: a code fault lands in a component with probability equal
+    /// to that component's share of the stack's lines, and only TCP holds
+    /// state that stateless recovery cannot rebuild — so P(state loss) is
+    /// TCP's share (74.5 % here; the paper's lwIP-era stack: 46.2 %).
+    ///
+    /// The recipe behind the numbers: non-blank lines of each component's
+    /// sources up to the file's first `#[cfg(test)]` — tcp: `neat-tcp`'s
+    /// `socket`, `stack`, `buffer`, `assembler`, `rto`, `tcb`, `types` and
+    /// `components/*`, plus `tcp_comp`, `stack_host`, `sock_server`; ip:
+    /// `ip_comp`, `netcode` and `neat-net`'s `ipv4`, `arp`, `icmp`,
+    /// `checksum`, `ethernet`; udp: `udp_comp` and `neat-net`'s `udp`; pf:
+    /// `pf_comp`; driver: `driver`. Counted on the tree of PR 20
+    /// (commit 46b1bb6) and frozen there: no result depends on what the
+    /// sources look like today (`tests::pinned_sizes_track_the_sources`
+    /// prints the drift and asks for a re-pin only when the TCP share has
+    /// left ±15 %). Re-pinning is a deliberate act: it moves `fig13`'s
+    /// `multi2_state_pct` and `table3`'s sampled targets, so the PR that
+    /// does it quotes old and new values and regenerates those baselines.
+    pub const PINNED: CodeSizes = CodeSizes {
+        tcp: 4068,
+        ip: 888,
+        udp: 185,
+        pf: 110,
+        driver: 211,
+    };
+
+    pub fn total(&self) -> usize {
+        self.tcp + self.ip + self.udp + self.pf + self.driver
+    }
+
+    /// Fraction of stack code that is the (stateful) TCP component —
+    /// the probability a uniform code fault loses connection state.
+    pub fn tcp_fraction(&self) -> f64 {
+        self.tcp as f64 / self.total() as f64
+    }
+
+    /// Fraction of code inside a single-component replica (everything
+    /// except the shared driver).
+    pub fn replica_fraction_single(&self) -> f64 {
+        (self.tcp + self.ip + self.udp + self.pf) as f64 / self.total() as f64
+    }
 }
 
-impl CodeSizes {
-    /// Count the real sources making up each component of the stack.
-    pub fn measured() -> CodeSizes {
+/// Draw a fault target with probability proportional to code size.
+pub fn pick_target(sizes: &CodeSizes, rng: &mut Rng) -> Role {
+    let total = sizes.total();
+    let x = rng.gen_range(0..total);
+    if x < sizes.tcp {
+        Role::Tcp
+    } else if x < sizes.tcp + sizes.ip {
+        Role::Ip
+    } else if x < sizes.tcp + sizes.ip + sizes.udp {
+        Role::Udp
+    } else if x < sizes.tcp + sizes.ip + sizes.udp + sizes.pf {
+        Role::Pf
+    } else {
+        Role::Driver
+    }
+}
+
+/// Expected fraction of TCP state preserved after one stack failure
+/// (Figure 13). Only the TCP component holds irrecoverable state, and the
+/// state is partitioned evenly across N replicas, so:
+///
+/// * multi-component: `preserved = 1 − P(fault hits TCP)/N`
+/// * single-component: a fault anywhere inside a replica loses that
+///   replica's whole TCP state: `preserved = 1 − P(fault in replica
+///   code)/N` (driver faults lose nothing — transparent recovery, §3.5).
+pub fn expected_state_preserved(sizes: &CodeSizes, mode: StackMode, replicas: usize) -> f64 {
+    assert!(replicas >= 1);
+    let p_loss = match mode {
+        StackMode::Multi => sizes.tcp_fraction(),
+        StackMode::Single => sizes.replica_fraction_single(),
+    };
+    1.0 - p_loss / replicas as f64
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Non-blank lines of *deployed* code: everything up to the file's
+    /// first `#[cfg(test)]`.
+    fn loc(s: &str) -> usize {
+        s.split("#[cfg(test)]")
+            .next()
+            .unwrap_or("")
+            .lines()
+            .filter(|l| !l.trim().is_empty())
+            .count()
+    }
+
+    /// [`CodeSizes::PINNED`]'s recipe applied to the sources as they are
+    /// today.
+    fn measured() -> CodeSizes {
         let tcp = loc(include_str!("../../tcp/src/socket.rs"))
             + loc(include_str!("../../tcp/src/stack.rs"))
             + loc(include_str!("../../tcp/src/buffer.rs"))
@@ -70,63 +154,41 @@ impl CodeSizes {
         }
     }
 
-    pub fn total(&self) -> usize {
-        self.tcp + self.ip + self.udp + self.pf + self.driver
-    }
-
-    /// Fraction of stack code that is the (stateful) TCP component —
-    /// the probability a uniform code fault loses connection state.
-    pub fn tcp_fraction(&self) -> f64 {
-        self.tcp as f64 / self.total() as f64
-    }
-
-    /// Fraction of code inside a single-component replica (everything
-    /// except the shared driver).
-    pub fn replica_fraction_single(&self) -> f64 {
-        (self.tcp + self.ip + self.udp + self.pf) as f64 / self.total() as f64
-    }
-}
-
-/// Draw a fault target with probability proportional to code size.
-pub fn pick_target(sizes: &CodeSizes, rng: &mut Rng) -> Role {
-    let total = sizes.total();
-    let x = rng.gen_range(0..total);
-    if x < sizes.tcp {
-        Role::Tcp
-    } else if x < sizes.tcp + sizes.ip {
-        Role::Ip
-    } else if x < sizes.tcp + sizes.ip + sizes.udp {
-        Role::Udp
-    } else if x < sizes.tcp + sizes.ip + sizes.udp + sizes.pf {
-        Role::Pf
-    } else {
-        Role::Driver
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
+    /// A prompt to re-pin, not a gate on formatting: prints the drift and
+    /// fails only when the model's one load-bearing number — TCP's share —
+    /// no longer describes the tree.
     #[test]
-    fn sizes_are_measured_and_tcp_dominates() {
-        let s = CodeSizes::measured();
-        assert!(s.tcp > 1000, "tcp sources are substantial: {s:?}");
-        assert!(s.ip > 300);
-        assert!(s.udp > 50);
-        assert!(s.pf > 20);
-        assert!(s.driver > 20);
-        assert!(
-            s.tcp > s.ip && s.tcp > s.udp && s.tcp > s.pf && s.tcp > s.driver,
-            "TCP is the largest component, as in the paper: {s:?}"
+    fn pinned_sizes_track_the_sources() {
+        let (p, m) = (CodeSizes::PINNED, measured());
+        for (name, pinned, now) in [
+            ("tcp", p.tcp, m.tcp),
+            ("ip", p.ip, m.ip),
+            ("udp", p.udp, m.udp),
+            ("pf", p.pf, m.pf),
+            ("driver", p.driver, m.driver),
+        ] {
+            println!("{name:<7} pinned {pinned:>5}  measured {now:>5}");
+        }
+        let (pf, mf) = (p.tcp_fraction(), m.tcp_fraction());
+        println!(
+            "tcp fraction pinned {:.1}%  measured {:.1}%",
+            pf * 100.0,
+            mf * 100.0
         );
-        let f = s.tcp_fraction();
-        assert!((0.30..0.75).contains(&f), "tcp fraction {f}");
+        assert!(
+            m.tcp > m.ip && m.tcp > m.udp && m.tcp > m.pf && m.tcp > m.driver,
+            "TCP is the largest component, as in the paper: {m:?}"
+        );
+        assert!(
+            (mf / pf - 1.0).abs() <= 0.15,
+            "measured TCP share {mf:.3} has left ±15 % of the pinned {pf:.3}: \
+             re-pin CodeSizes::PINNED deliberately (see its doc comment)"
+        );
     }
 
     #[test]
     fn pick_target_matches_weights() {
-        let s = CodeSizes::measured();
+        let s = CodeSizes::PINNED;
         let mut rng = Rng::seed_from_u64(7);
         let mut tcp_hits = 0;
         let n = 20_000;
@@ -145,12 +207,55 @@ mod tests {
 
     #[test]
     fn all_targets_reachable() {
-        let s = CodeSizes::measured();
+        let s = CodeSizes::PINNED;
         let mut rng = Rng::seed_from_u64(3);
         let mut seen = std::collections::HashSet::new();
         for _ in 0..50_000 {
             seen.insert(format!("{:?}", pick_target(&s, &mut rng)));
         }
         assert_eq!(seen.len(), 5, "every component can be hit: {seen:?}");
+    }
+
+    #[test]
+    fn more_replicas_preserve_more() {
+        let s = CodeSizes::PINNED;
+        let m1 = expected_state_preserved(&s, StackMode::Multi, 1);
+        let m2 = expected_state_preserved(&s, StackMode::Multi, 2);
+        let m4 = expected_state_preserved(&s, StackMode::Multi, 4);
+        assert!(m1 < m2 && m2 < m4, "{m1} {m2} {m4}");
+        assert!(m4 > 0.80);
+    }
+
+    #[test]
+    fn multi_beats_single_at_equal_replicas() {
+        // Finer isolation: only TCP faults lose state in multi mode.
+        let s = CodeSizes::PINNED;
+        for n in 1..=4 {
+            let multi = expected_state_preserved(&s, StackMode::Multi, n);
+            let single = expected_state_preserved(&s, StackMode::Single, n);
+            assert!(
+                multi > single,
+                "multi {multi} vs single {single} at {n} replicas"
+            );
+        }
+    }
+
+    #[test]
+    fn single_1x_loses_almost_everything() {
+        // Figure 13's bottom-left point: NEaT 1x preserves ~nothing.
+        let s = CodeSizes::PINNED;
+        let p = expected_state_preserved(&s, StackMode::Single, 1);
+        assert!(p < 0.2, "NEaT 1x preserves little: {p}");
+    }
+
+    #[test]
+    fn bounds_hold() {
+        let s = CodeSizes::PINNED;
+        for n in 1..=8 {
+            for mode in [StackMode::Single, StackMode::Multi] {
+                let p = expected_state_preserved(&s, mode, n);
+                assert!((0.0..=1.0).contains(&p));
+            }
+        }
     }
 }

@@ -47,7 +47,6 @@ pub mod netcode;
 pub mod nic_proc;
 pub mod pf_comp;
 pub mod placement;
-pub mod reliability;
 pub mod replica;
 pub mod security;
 pub mod sock_server;
