@@ -9,9 +9,8 @@
 //!   component, whose per-connection state is irrecoverable under
 //!   stateless recovery.
 //!
-//! Our component code sizes are pinned model data (`CodeSizes::PINNED`,
-//! counted once from this repository's sources), so the exact split
-//! differs from the paper's lwIP-era stack (our TCP is
+//! Our component code sizes are pinned model data (`CodeSizes::PINNED`),
+//! so the exact split differs from the paper's lwIP-era stack (our TCP is
 //! a larger fraction); the *mechanism* — only TCP faults lose state, all
 //! components recover, other replicas unaffected — is what this
 //! experiment verifies, 100 failing runs at a time.
@@ -151,9 +150,8 @@ fn main() {
     // Headline (CI-gated): transparency with buddy replication on.
     report.metric("transparent_pct", pct(repl_transparent));
     // Stateless recovery is gated per target class, not on the sampled
-    // mix: which class a sample lands in follows the pinned weights and
-    // the seed, what recovery does with a crashed TCP (or other) component
-    // is what is under test.
+    // mix: which class a sample lands in follows the pinned weights and the
+    // seed; what recovery does with a crashed component is what is tested.
     let (tcp_inj, tcp_ok) = by_target.get("Tcp").copied().unwrap_or_default();
     let rate = |ok: usize, inj: usize| ok as f64 / inj.max(1) as f64 * 100.0;
     report.metric("stateless_tcp_transparent_pct", rate(tcp_ok, tcp_inj));

@@ -1,12 +1,10 @@
 //! Fault injection and the reliability law (§6.6, Table 3, Figure 13).
 //!
 //! The paper "injected faults into various (randomly selected) parts of
-//! the code in the network stack", with the probability a component is hit
-//! proportional to its code size, and from the same sizes estimates "the
-//! resulting expected fraction of state preserved after a failure". The
-//! component sizes are a *parameter of that model*, pinned as data
-//! ([`CodeSizes::PINNED`]); an activated fault crashes the owning process,
-//! exercising the real recovery path.
+//! the code in the network stack", a component being hit with probability
+//! proportional to its code size, and from the same sizes estimates the
+//! "expected fraction of state preserved after a failure". An activated
+//! fault crashes the owning process — exercising the real recovery path.
 
 use crate::config::StackMode;
 use crate::replica::Role;
@@ -23,24 +21,24 @@ pub struct CodeSizes {
 }
 
 impl CodeSizes {
-    /// The law: a code fault lands in a component with probability equal
-    /// to that component's share of the stack's lines, and only TCP holds
-    /// state that stateless recovery cannot rebuild — so P(state loss) is
-    /// TCP's share (74.5 % here; the paper's lwIP-era stack: 46.2 %).
+    /// The weights are a parameter of the model, not a measurement. The
+    /// law: a code fault lands in a component with probability equal to
+    /// its share of the stack's lines, and only TCP holds state that
+    /// stateless recovery cannot rebuild — so P(state loss) is TCP's share
+    /// (74.5 % here; the paper's lwIP-era stack: 46.2 %).
     ///
-    /// The recipe behind the numbers: non-blank lines of each component's
-    /// sources up to the file's first `#[cfg(test)]` — tcp: `neat-tcp`'s
-    /// `socket`, `stack`, `buffer`, `assembler`, `rto`, `tcb`, `types` and
-    /// `components/*`, plus `tcp_comp`, `stack_host`, `sock_server`; ip:
-    /// `ip_comp`, `netcode` and `neat-net`'s `ipv4`, `arp`, `icmp`,
-    /// `checksum`, `ethernet`; udp: `udp_comp` and `neat-net`'s `udp`; pf:
-    /// `pf_comp`; driver: `driver`. Counted on the tree of PR 20
-    /// (commit 46b1bb6) and frozen there: no result depends on what the
-    /// sources look like today (`tests::pinned_sizes_track_the_sources`
-    /// prints the drift and asks for a re-pin only when the TCP share has
-    /// left ±15 %). Re-pinning is a deliberate act: it moves `fig13`'s
-    /// `multi2_state_pct` and `table3`'s sampled targets, so the PR that
-    /// does it quotes old and new values and regenerates those baselines.
+    /// Recipe: non-blank lines of each component's sources up to the
+    /// file's first `#[cfg(test)]` — tcp: `neat-tcp`'s `socket`, `stack`,
+    /// `buffer`, `assembler`, `rto`, `tcb`, `types`, `components/*` and
+    /// `tcp_comp`, `stack_host`, `sock_server`; ip: `ip_comp`, `netcode`
+    /// and `neat-net`'s `ipv4`, `arp`, `icmp`, `checksum`, `ethernet`;
+    /// udp: `udp_comp` and `neat-net`'s `udp`; pf: `pf_comp`; driver:
+    /// `driver`. Counted on the tree of PR 20 (commit 46b1bb6) and frozen:
+    /// no result follows the sources from there on, and
+    /// `tests::pinned_sizes_track_the_sources` only prints the drift until
+    /// TCP's share has left ±15 %. Re-pinning is a deliberate act — it
+    /// moves `fig13`'s `multi2_state_pct` and `table3`'s sampled targets,
+    /// so the PR that does it quotes old and new and regenerates both.
     pub const PINNED: CodeSizes = CodeSizes {
         tcp: 4068,
         ip: 888,

@@ -151,10 +151,6 @@ pub enum Msg {
     SysListen { port: u16, app: ProcId },
     /// SYSCALL → app: all subsockets are in place.
     SysListenDone { port: u16 },
-    /// App → SYSCALL: miscellaneous slow-path call (modelled load).
-    SysCall { token: u64 },
-    /// SYSCALL → app: slow-path reply.
-    SysReply { token: u64 },
 
     // ------------------------------------------------------------------
     // Supervisor / reincarnation server, §3.6 & §3.4
@@ -231,12 +227,6 @@ pub enum Msg {
     // ------------------------------------------------------------------
     /// Harness → any component: an injected fault activates — crash.
     Poison,
-
-    // ------------------------------------------------------------------
-    // Application-level control (used by the workload crates)
-    // ------------------------------------------------------------------
-    /// Generic app kick/timer payload for workload processes.
-    AppTick { token: u64 },
 }
 
 impl Msg {

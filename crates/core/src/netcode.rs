@@ -44,6 +44,7 @@ pub struct FrameIo {
     last_arp_req: HashMap<Ipv4Addr, u64>,
     pub rx_bad_checksum: u64,
     pub rx_not_for_us: u64,
+    pub rx_fragments: u64,
 }
 
 impl FrameIo {
@@ -57,6 +58,7 @@ impl FrameIo {
             last_arp_req: HashMap::new(),
             rx_bad_checksum: 0,
             rx_not_for_us: 0,
+            rx_fragments: 0,
         }
     }
 
@@ -105,6 +107,12 @@ impl FrameIo {
                 };
                 if ip.dst != self.ip {
                     self.rx_not_for_us += 1;
+                    return RxClass::Dropped;
+                }
+                // The stack does not reassemble: a fragment is not a whole
+                // segment or datagram and must not reach L4 as one.
+                if ip.more_frags || ip.frag_offset != 0 {
+                    self.rx_fragments += 1;
                     return RxClass::Dropped;
                 }
                 // Strip headers by narrowing the refcounted handle — no
@@ -296,6 +304,39 @@ mod tests {
         let f = PktBuf::from_vec(bytes);
         assert!(matches!(a.classify_rx(&f, 0), RxClass::Dropped));
         assert_eq!(a.rx_bad_checksum, 1);
+    }
+
+    #[test]
+    fn a_fragment_is_dropped_not_delivered() {
+        let mut a = a();
+        let frame = |h: Ipv4Header, payload: &[u8]| {
+            let eth = EthernetFrame {
+                dst: MacAddr::local(1),
+                src: MacAddr::local(2),
+                ethertype: EtherType::Ipv4,
+            };
+            PktBuf::from_vec(eth.emit(&h.emit(payload)))
+        };
+        // First fragment of a TCP segment: offset 0, more to come.
+        let mut first = Ipv4Header::new(B_IP, A_IP, IpProtocol::Tcp, 16);
+        first.dont_frag = false;
+        first.more_frags = true;
+        assert!(matches!(
+            a.classify_rx(&frame(first, &[0u8; 16]), 0),
+            RxClass::Dropped
+        ));
+        // Last fragment of a UDP datagram whose eight leading bytes read as
+        // a UDP header (ports 53 → 53, length 12, checksum 0 = "none").
+        let mut last = Ipv4Header::new(B_IP, A_IP, IpProtocol::Udp, 12);
+        last.dont_frag = false;
+        last.frag_offset = 8;
+        let body = [0, 53, 0, 53, 0, 12, 0, 0, b'e', b'v', b'i', b'l'];
+        assert!(neat_net::udp::UdpHeader::parse(&body, B_IP, A_IP).is_ok());
+        assert!(matches!(
+            a.classify_rx(&frame(last, &body), 0),
+            RxClass::Dropped
+        ));
+        assert_eq!(a.rx_fragments, 2);
     }
 
     #[test]

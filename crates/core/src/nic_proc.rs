@@ -52,12 +52,6 @@ impl NicProc {
         }
     }
 
-    /// Wire to the peer NIC (done by the builder once both exist).
-    pub fn with_peer(mut self, peer: ProcId) -> NicProc {
-        self.peer = Some(peer);
-        self
-    }
-
     fn transmit(&mut self, ctx: &mut Ctx<'_, Msg>, frame: PktBuf) {
         let Some(peer) = self.peer else { return };
         for (wire_frame, ser_time) in self.nic.host_tx(frame) {

@@ -6,8 +6,6 @@
 //! [`Placement`] is a simple slot allocator over a machine's `(core,
 //! thread)` grid that reproduces those layouts.
 
-use neat_sim::{MachineId, Sim};
-
 /// One hardware-thread slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Slot {
@@ -85,15 +83,6 @@ impl Placement {
         let s = self.remaining().into_iter().next()?;
         self.used.push(s);
         Some(s)
-    }
-
-    pub fn used_count(&self) -> usize {
-        self.used.len()
-    }
-
-    /// Resolve a slot to the simulator's hardware-thread id.
-    pub fn hw(&self, sim: &Sim<crate::Msg>, machine: MachineId, s: Slot) -> neat_sim::HwThreadId {
-        sim.hw_thread(machine, s.core, s.thread)
     }
 }
 

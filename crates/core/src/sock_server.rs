@@ -280,11 +280,6 @@ impl SockServer {
     // Flow replication & migration
     // ------------------------------------------------------------------
 
-    /// App-stream bytes the stack has accepted on `sock`.
-    pub fn app_bytes_of(&self, sock: SocketId) -> u64 {
-        self.conns.get(&sock).map_or(0, |c| c.app_bytes)
-    }
-
     /// Enable (or disable) checkpoint-delta tracking in the stack.
     pub fn set_repl_tracking(&mut self, on: bool) {
         self.stack.set_repl_tracking(on);

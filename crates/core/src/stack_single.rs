@@ -8,12 +8,11 @@
 
 use crate::netcode::{FrameIo, RxClass};
 use crate::stack_host::{StackHost, WireSink};
+use crate::udp_comp::Udp;
 use crate::{msg::Msg, replica::Role};
 use neat_net::ethernet::MacAddr;
 use neat_net::ipv4::IpProtocol;
-use neat_net::udp::UdpHeader;
 use neat_sim::{calibration, Ctx, Event, ProcId, Process};
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 /// Below TCP in this replica shape: in-process IP/link handling, the
@@ -51,7 +50,7 @@ pub struct SingleStackProc {
     pub name: String,
     host: StackHost,
     wire: FrameWire,
-    udp_binds: HashMap<u16, ProcId>,
+    udp: Udp,
 }
 
 impl SingleStackProc {
@@ -74,7 +73,7 @@ impl SingleStackProc {
             name: name.into(),
             host: StackHost::new(queue, supervisor, ip, cfg),
             wire: FrameWire { io, driver },
-            udp_binds: HashMap::new(),
+            udp: Udp::new(ip),
         }
     }
 
@@ -93,28 +92,8 @@ impl SingleStackProc {
             }
             RxClass::Udp { src, dgram } => {
                 ctx.charge(calibration::IP_RX_PKT + calibration::UDP_PKT);
-                if let Ok((h, range)) = UdpHeader::parse(&dgram, src, io.ip) {
-                    match self.udp_binds.get(&h.dst_port).copied() {
-                        Some(app) => {
-                            ctx.send(
-                                app,
-                                Msg::UdpData {
-                                    port: h.dst_port,
-                                    src: (src, h.src_port),
-                                    data: dgram[range].to_vec(),
-                                },
-                            );
-                        }
-                        None => {
-                            // ICMP port unreachable (RFC 1122).
-                            let orig: Vec<u8> = dgram.iter().take(28).copied().collect();
-                            let icmp = neat_net::icmp::IcmpMessage::DestUnreachable {
-                                code: neat_net::icmp::PORT_UNREACHABLE,
-                                original: orig,
-                            };
-                            io.send_ip(src, IpProtocol::Icmp, &icmp.emit(), now);
-                        }
-                    }
+                if let Some(icmp) = self.udp.rx(ctx, src, &dgram) {
+                    io.send_ip(src, IpProtocol::Icmp, &icmp, now);
                 }
             }
             RxClass::Icmp { .. } | RxClass::Arp => {
@@ -171,7 +150,7 @@ impl Process<Msg> for SingleStackProc {
                 }
                 Msg::UdpBind { port, app } => {
                     ctx.charge(calibration::SOCK_OP);
-                    self.udp_binds.insert(port, app);
+                    self.udp.bind(port, app);
                 }
                 Msg::UdpTx {
                     src_port,
@@ -179,10 +158,9 @@ impl Process<Msg> for SingleStackProc {
                     data,
                 } => {
                     ctx.charge(calibration::UDP_PKT + calibration::IP_TX_PKT);
+                    let dgram = self.udp.tx(src_port, dst, &data);
                     let now = ctx.now().as_nanos();
-                    let io = &mut self.wire.io;
-                    let dgram = UdpHeader::emit(src_port, dst.1, &data, io.ip, dst.0);
-                    io.send_ip(dst.0, IpProtocol::Udp, &dgram, now);
+                    self.wire.io.send_ip(dst.0, IpProtocol::Udp, &dgram, now);
                     self.host.flush(ctx, &mut self.wire);
                 }
                 Msg::SetNeighbor {

@@ -38,7 +38,7 @@ impl Process<Msg> for SyscallProc {
     }
 
     fn on_event(&mut self, ctx: &mut Ctx<'_, Msg>, ev: Event<Msg>) {
-        let Event::Message { from, msg } = ev else {
+        let Event::Message { msg, .. } = ev else {
             return;
         };
         match msg {
@@ -63,12 +63,6 @@ impl Process<Msg> for SyscallProc {
                         ctx.send(app, Msg::SysListenDone { port });
                     }
                 }
-            }
-            Msg::SysCall { token } => {
-                ctx.charge(calibration::SYSCALL_SERVER);
-                self.calls_served += 1;
-                neat_obs::counter_add("sys.calls_served", 1);
-                ctx.send(from, Msg::SysReply { token });
             }
             Msg::ReplicaRestarted { old, new } => {
                 for r in &mut self.replicas {

@@ -24,7 +24,6 @@ impl Probe {
             Msg::Listen { port, .. } => format!("Listen({port})"),
             Msg::ListenOk { port } => format!("ListenOk({port})"),
             Msg::SysListenDone { port } => format!("SysListenDone({port})"),
-            Msg::SysReply { token } => format!("SysReply({token})"),
             Msg::NicGrowQueues { n } => format!("NicGrowQueues({n})"),
             other => format!("{other:?}").chars().take(24).collect(),
         }
@@ -188,39 +187,6 @@ fn syscall_tracks_replica_lifecycle() {
     sim.run_until(Time::from_micros(60));
     assert!(r1_log.borrow().is_empty());
     assert_eq!(r2_log.borrow().as_slice(), ["Listen(81)"]);
-}
-
-#[test]
-fn syscall_slow_path_round_trip() {
-    let (mut sim, th) = mini_sim();
-    let (app, app_log) = probe(&mut sim, th[3]);
-    let sys = sim.spawn(th[2], Box::new(SyscallProc::new("syscall", vec![])));
-    sim.run_until(Time::from_micros(10));
-    // SysCall's reply goes to the sender; simulate the app sending by
-    // routing through the probe's pid as `from` via a forwarder.
-    struct Caller {
-        sys: ProcId,
-        app: ProcId,
-    }
-    impl Process<Msg> for Caller {
-        fn name(&self) -> String {
-            "caller".into()
-        }
-        fn on_event(&mut self, ctx: &mut Ctx<'_, Msg>, ev: Event<Msg>) {
-            match ev {
-                Event::Start => ctx.send(self.sys, Msg::SysCall { token: 7 }),
-                Event::Message { msg, .. } => {
-                    if let Msg::SysReply { token } = msg {
-                        ctx.send(self.app, Msg::SysReply { token });
-                    }
-                }
-                Event::Timer { .. } => {}
-            }
-        }
-    }
-    sim.spawn(th[4], Box::new(Caller { sys, app }));
-    sim.run_until(Time::from_micros(100));
-    assert_eq!(app_log.borrow().as_slice(), ["SysReply(7)"]);
 }
 
 #[test]
@@ -683,9 +649,7 @@ fn next_sample(m: &Msg) -> Option<Msg> {
         },
         Msg::UdpData { .. } => Msg::SysListen { port: 80, app },
         Msg::SysListen { .. } => Msg::SysListenDone { port: 80 },
-        Msg::SysListenDone { .. } => Msg::SysCall { token: 1 },
-        Msg::SysCall { .. } => Msg::SysReply { token: 1 },
-        Msg::SysReply { .. } => Msg::Crashed {
+        Msg::SysListenDone { .. } => Msg::Crashed {
             pid: app,
             name: String::new(),
         },
@@ -728,8 +692,7 @@ fn next_sample(m: &Msg) -> Option<Msg> {
         Msg::ConnMigrated { .. } => Msg::MigrateOut { to: app },
         Msg::MigrateOut { .. } => Msg::ReplForget { owner: app },
         Msg::ReplForget { .. } => Msg::Poison,
-        Msg::Poison => Msg::AppTick { token: 1 },
-        Msg::AppTick { .. } => return None,
+        Msg::Poison => return None,
     })
 }
 

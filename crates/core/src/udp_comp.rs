@@ -1,24 +1,77 @@
-//! The UDP component of the multi-component replica (§3.7).
+//! The UDP layer, and the UDP component of the multi-component replica
+//! (§3.7).
 //!
 //! "Excluding TCP, the other components are essentially stateless (or
 //! pseudostateless)" — UDP keeps only the bind table, which applications
 //! re-establish after a restart, so recovery is transparent (Table 3).
 
 use crate::{msg::Msg, replica::Role};
+use neat_net::icmp::{IcmpMessage, PORT_UNREACHABLE};
 use neat_net::udp::UdpHeader;
 use neat_sim::{calibration, Ctx, Event, ProcId, Process};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
+
+/// UDP itself, embedded by both replica shapes: the bind table and the
+/// datagram parse/emit. The embedding process charges the CPU cost and
+/// carries the returned bytes to IP its own way.
+pub(crate) struct Udp {
+    local_ip: Ipv4Addr,
+    binds: HashMap<u16, ProcId>,
+}
+
+impl Udp {
+    pub(crate) fn new(local_ip: Ipv4Addr) -> Udp {
+        Udp {
+            local_ip,
+            binds: HashMap::new(),
+        }
+    }
+
+    pub(crate) fn bind(&mut self, port: u16, app: ProcId) {
+        self.binds.insert(port, app);
+    }
+
+    /// Deliver one inbound datagram to the app bound to its port. With no
+    /// app bound, returns the ICMP port-unreachable (RFC 1122) to send
+    /// back to `src`.
+    pub(crate) fn rx(
+        &self,
+        ctx: &mut Ctx<'_, Msg>,
+        src: Ipv4Addr,
+        dgram: &[u8],
+    ) -> Option<Vec<u8>> {
+        let (h, range) = UdpHeader::parse(dgram, src, self.local_ip).ok()?;
+        let Some(&app) = self.binds.get(&h.dst_port) else {
+            let icmp = IcmpMessage::DestUnreachable {
+                code: PORT_UNREACHABLE,
+                original: dgram[..dgram.len().min(28)].to_vec(),
+            };
+            return Some(icmp.emit());
+        };
+        ctx.send(
+            app,
+            Msg::UdpData {
+                port: h.dst_port,
+                src: (src, h.src_port),
+                data: dgram[range].to_vec(),
+            },
+        );
+        None
+    }
+
+    /// The datagram to hand to IP for `dst`.
+    pub(crate) fn tx(&self, src_port: u16, dst: (Ipv4Addr, u16), data: &[u8]) -> Vec<u8> {
+        UdpHeader::emit(src_port, dst.1, data, self.local_ip, dst.0)
+    }
+}
 
 /// The UDP process.
 pub struct UdpProc {
     pub name: String,
     pub queue: usize,
     ip_comp: Option<ProcId>,
-    local_ip: Ipv4Addr,
-    binds: HashMap<u16, ProcId>,
-    pub rx_datagrams: u64,
-    pub unreachable_sent: u64,
+    udp: Udp,
 }
 
 impl UdpProc {
@@ -32,10 +85,20 @@ impl UdpProc {
             name: name.into(),
             queue,
             ip_comp,
-            local_ip,
-            binds: HashMap::new(),
-            rx_datagrams: 0,
-            unreachable_sent: 0,
+            udp: Udp::new(local_ip),
+        }
+    }
+
+    fn ip_tx(&self, ctx: &mut Ctx<'_, Msg>, dst: Ipv4Addr, protocol: u8, payload: Vec<u8>) {
+        if let Some(ip) = self.ip_comp {
+            ctx.send(
+                ip,
+                Msg::IpTx {
+                    dst,
+                    protocol,
+                    payload,
+                },
+            );
         }
     }
 }
@@ -52,44 +115,13 @@ impl Process<Msg> for UdpProc {
         match msg {
             Msg::IpRxUdp { src, dgram } => {
                 ctx.charge(calibration::UDP_PKT);
-                self.rx_datagrams += 1;
-                let Ok((h, range)) = UdpHeader::parse(&dgram, src, self.local_ip) else {
-                    return;
-                };
-                match self.binds.get(&h.dst_port).copied() {
-                    Some(app) => {
-                        ctx.send(
-                            app,
-                            Msg::UdpData {
-                                port: h.dst_port,
-                                src: (src, h.src_port),
-                                data: dgram[range].to_vec(),
-                            },
-                        );
-                    }
-                    None => {
-                        self.unreachable_sent += 1;
-                        let orig: Vec<u8> = dgram.iter().take(28).copied().collect();
-                        let icmp = neat_net::icmp::IcmpMessage::DestUnreachable {
-                            code: neat_net::icmp::PORT_UNREACHABLE,
-                            original: orig,
-                        };
-                        if let Some(ip) = self.ip_comp {
-                            ctx.send(
-                                ip,
-                                Msg::IpTx {
-                                    dst: src,
-                                    protocol: 1,
-                                    payload: icmp.emit(),
-                                },
-                            );
-                        }
-                    }
+                if let Some(icmp) = self.udp.rx(ctx, src, &dgram) {
+                    self.ip_tx(ctx, src, 1, icmp);
                 }
             }
             Msg::UdpBind { port, app } => {
                 ctx.charge(calibration::SOCK_OP);
-                self.binds.insert(port, app);
+                self.udp.bind(port, app);
             }
             Msg::UdpTx {
                 src_port,
@@ -97,17 +129,8 @@ impl Process<Msg> for UdpProc {
                 data,
             } => {
                 ctx.charge(calibration::UDP_PKT);
-                let dgram = UdpHeader::emit(src_port, dst.1, &data, self.local_ip, dst.0);
-                if let Some(ip) = self.ip_comp {
-                    ctx.send(
-                        ip,
-                        Msg::IpTx {
-                            dst: dst.0,
-                            protocol: 17,
-                            payload: dgram,
-                        },
-                    );
-                }
+                let dgram = self.udp.tx(src_port, dst, &data);
+                self.ip_tx(ctx, dst.0, 17, dgram);
             }
             Msg::SetNeighbor {
                 role: Role::Ip,

@@ -1,9 +1,9 @@
-//! IPv4 (RFC 791): header parse/emit with checksum, plus fragmentation and
-//! reassembly used by the stack's IP component.
+//! IPv4 (RFC 791): header parse/emit with checksum. The stack neither
+//! fragments (it emits DF with MSS-sized segments) nor reassembles: the
+//! fragment fields are parsed so the receive path can drop fragments.
 
 use crate::checksum;
 use crate::wire::{get_u16, need, set_u16, NetError, NetResult};
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 /// Transport protocols carried by this stack.
@@ -137,105 +137,6 @@ impl Ipv4Header {
     }
 }
 
-/// Split an IPv4 payload into fragments fitting `mtu` (which includes the
-/// 20-byte header). Offsets are kept 8-byte aligned as required.
-pub fn fragment(header: &Ipv4Header, payload: &[u8], mtu: usize) -> NetResult<Vec<Vec<u8>>> {
-    let max_data = (mtu.saturating_sub(IPV4_HEADER_LEN)) & !7;
-    if max_data == 0 {
-        return Err(NetError::BadLength);
-    }
-    if payload.len() + IPV4_HEADER_LEN <= mtu {
-        return Ok(vec![header.emit(payload)]);
-    }
-    if header.dont_frag {
-        return Err(NetError::Malformed);
-    }
-    let mut out = Vec::new();
-    let mut off = 0;
-    while off < payload.len() {
-        let end = (off + max_data).min(payload.len());
-        let mut h = *header;
-        h.frag_offset = off as u16;
-        h.more_frags = end < payload.len();
-        h.dont_frag = false;
-        out.push(h.emit(&payload[off..end]));
-        off = end;
-    }
-    Ok(out)
-}
-
-/// Reassembles fragmented IPv4 datagrams, keyed by (src, dst, proto, ident).
-#[derive(Debug, Default)]
-pub struct Reassembler {
-    pending: HashMap<(Ipv4Addr, Ipv4Addr, u8, u16), Partial>,
-}
-
-#[derive(Debug)]
-struct Partial {
-    /// (offset, data) pieces received so far.
-    pieces: Vec<(u16, Vec<u8>)>,
-    /// Total payload length, known once the last fragment arrives.
-    total: Option<usize>,
-    started_ns: u64,
-}
-
-impl Reassembler {
-    pub fn new() -> Reassembler {
-        Reassembler::default()
-    }
-
-    /// Offer one fragment; returns the reassembled full payload when
-    /// complete.
-    pub fn push(&mut self, h: &Ipv4Header, payload: &[u8], now_ns: u64) -> Option<Vec<u8>> {
-        if !h.more_frags && h.frag_offset == 0 {
-            return Some(payload.to_vec()); // unfragmented fast path
-        }
-        let key = (h.src, h.dst, u8::from(h.protocol), h.ident);
-        let p = self.pending.entry(key).or_insert(Partial {
-            pieces: Vec::new(),
-            total: None,
-            started_ns: now_ns,
-        });
-        p.pieces.push((h.frag_offset, payload.to_vec()));
-        if !h.more_frags {
-            p.total = Some(h.frag_offset as usize + payload.len());
-        }
-        let total = p.total?;
-        // Check contiguous coverage 0..total.
-        let mut pieces = p.pieces.clone();
-        pieces.sort_by_key(|(o, _)| *o);
-        let mut covered = 0usize;
-        for (o, d) in &pieces {
-            let o = *o as usize;
-            if o > covered {
-                return None; // gap
-            }
-            covered = covered.max(o + d.len());
-        }
-        if covered < total {
-            return None;
-        }
-        let mut out = vec![0u8; total];
-        for (o, d) in &pieces {
-            let o = *o as usize;
-            let end = (o + d.len()).min(total);
-            out[o..end].copy_from_slice(&d[..end - o]);
-        }
-        self.pending.remove(&key);
-        Some(out)
-    }
-
-    /// Drop partial datagrams older than `ttl_ns`.
-    pub fn expire(&mut self, now_ns: u64, ttl_ns: u64) {
-        self.pending
-            .retain(|_, p| now_ns.saturating_sub(p.started_ns) < ttl_ns);
-    }
-
-    pub fn pending(&self) -> usize {
-        self.pending.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -289,62 +190,6 @@ mod tests {
         set_u16(&mut longer, 10, 0);
         set_u16(&mut longer, 10, c);
         assert_eq!(Ipv4Header::parse(&longer), Err(NetError::BadLength));
-    }
-
-    #[test]
-    fn fragment_then_reassemble() {
-        let payload: Vec<u8> = (0..=255u8).cycle().take(4000).collect();
-        let mut h = hdr(payload.len());
-        h.dont_frag = false;
-        h.ident = 42;
-        let frags = fragment(&h, &payload, 1500).unwrap();
-        assert!(frags.len() >= 3);
-        let mut r = Reassembler::new();
-        let mut got = None;
-        for f in &frags {
-            let (fh, range) = Ipv4Header::parse(f).unwrap();
-            got = r.push(&fh, &f[range], 0);
-        }
-        assert_eq!(got.unwrap(), payload);
-        assert_eq!(r.pending(), 0);
-    }
-
-    #[test]
-    fn reassemble_out_of_order() {
-        let payload: Vec<u8> = (0..3000).map(|i| (i % 251) as u8).collect();
-        let mut h = hdr(payload.len());
-        h.dont_frag = false;
-        h.ident = 7;
-        let mut frags = fragment(&h, &payload, 1500).unwrap();
-        frags.reverse();
-        let mut r = Reassembler::new();
-        let mut got = None;
-        for f in &frags {
-            let (fh, range) = Ipv4Header::parse(f).unwrap();
-            got = r.push(&fh, &f[range], 0);
-        }
-        assert_eq!(got.unwrap(), payload);
-    }
-
-    #[test]
-    fn dont_frag_refuses_to_fragment() {
-        let payload = vec![0u8; 3000];
-        let h = hdr(payload.len()); // dont_frag = true by default
-        assert_eq!(fragment(&h, &payload, 1500), Err(NetError::Malformed));
-    }
-
-    #[test]
-    fn reassembler_expires_partials() {
-        let payload = vec![1u8; 3000];
-        let mut h = hdr(payload.len());
-        h.dont_frag = false;
-        let frags = fragment(&h, &payload, 1500).unwrap();
-        let (fh, range) = Ipv4Header::parse(&frags[0]).unwrap();
-        let mut r = Reassembler::new();
-        assert!(r.push(&fh, &frags[0][range], 0).is_none());
-        assert_eq!(r.pending(), 1);
-        r.expire(10_000_000_000, 5_000_000_000);
-        assert_eq!(r.pending(), 0);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! # neat-net — from-scratch wire formats for the NEaT network stack
 //!
 //! Every byte that crosses the simulated 10 GbE link in this reproduction is
-//! a real frame built and parsed by this crate: Ethernet II, ARP, IPv4
-//! (with fragmentation), ICMPv4, UDP, and TCP (with options). Checksums are
+//! a real frame built and parsed by this crate: Ethernet II, ARP, IPv4,
+//! ICMPv4, UDP, and TCP (with options). Checksums are
 //! computed and validated exactly as on the wire, which is what lets the
 //! NIC-level fault injector corrupt packets and have the stack detect it.
 //!

@@ -4,7 +4,6 @@
 use neat_net::arp::ArpPacket;
 use neat_net::checksum::{checksum, Checksum};
 use neat_net::ethernet::MacAddr;
-use neat_net::ipv4::{fragment, IpProtocol, Ipv4Header, Reassembler};
 use neat_net::udp::UdpHeader;
 use neat_util::check::{bytes, check, vec_of, Config};
 use neat_util::{prop_assert, prop_assert_eq};
@@ -72,81 +71,6 @@ fn checksum_verifies_and_detects() {
                 data[p + 1] = (new & 0xFF) as u8;
                 prop_assert!(!neat_net::checksum::verify(&data), "flip at {p} undetected");
             }
-            Ok(())
-        },
-    );
-}
-
-/// fragment → reassemble is the identity for any payload and MTU.
-#[test]
-fn fragmentation_roundtrip() {
-    check(
-        "fragmentation_roundtrip",
-        Config::default().cases(64),
-        |rng| {
-            (
-                bytes(rng, 1..6000),
-                rng.gen_range(68usize..1500),
-                rng.gen::<u16>(),
-            )
-        },
-        |(payload, mtu, ident)| {
-            if payload.is_empty() || mtu < 68 {
-                return Ok(());
-            }
-            let mut h = Ipv4Header::new(
-                Ipv4Addr::new(10, 0, 0, 1),
-                Ipv4Addr::new(10, 0, 0, 2),
-                IpProtocol::Udp,
-                payload.len(),
-            );
-            h.dont_frag = false;
-            h.ident = ident;
-            let frags = fragment(&h, &payload, mtu).unwrap();
-            let mut r = Reassembler::new();
-            let mut got = None;
-            for f in &frags {
-                let (fh, range) = Ipv4Header::parse(f).unwrap();
-                got = r.push(&fh, &f[range], 0);
-            }
-            prop_assert_eq!(got.expect("complete"), payload);
-            Ok(())
-        },
-    );
-}
-
-/// Reassembly works in any delivery order.
-#[test]
-fn fragmentation_reorder_roundtrip() {
-    check(
-        "fragmentation_reorder_roundtrip",
-        Config::default().cases(64),
-        |rng| (bytes(rng, 1500..5000), rng.gen::<u64>()),
-        |(payload, order_seed)| {
-            if payload.is_empty() {
-                return Ok(());
-            }
-            let mut h = Ipv4Header::new(
-                Ipv4Addr::new(1, 2, 3, 4),
-                Ipv4Addr::new(5, 6, 7, 8),
-                IpProtocol::Tcp,
-                payload.len(),
-            );
-            h.dont_frag = false;
-            h.ident = 99;
-            let mut frags = fragment(&h, &payload, 600).unwrap();
-            // Deterministic shuffle from the generated seed.
-            let mut s = neat_util::Rng::seed_from_u64(order_seed);
-            s.shuffle(&mut frags);
-            let mut r = Reassembler::new();
-            let mut got = None;
-            for f in &frags {
-                let (fh, range) = Ipv4Header::parse(f).unwrap();
-                if let Some(g) = r.push(&fh, &f[range], 0) {
-                    got = Some(g);
-                }
-            }
-            prop_assert_eq!(got.expect("complete"), payload);
             Ok(())
         },
     );

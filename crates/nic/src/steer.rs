@@ -194,10 +194,6 @@ impl Steering {
         self.accepting[queue] = accepting;
     }
 
-    pub fn is_accepting(&self, queue: usize) -> bool {
-        self.accepting[queue]
-    }
-
     /// Grow the queue set (scale-up, §3.4).
     pub fn grow(&mut self, num_queues: usize) {
         assert!(num_queues >= self.num_queues);

@@ -549,15 +549,6 @@ impl<M: 'static> Sim<M> {
             .unwrap_or(false)
     }
 
-    pub fn proc_name(&self, pid: ProcId) -> Option<&str> {
-        let dom = domain_of_pid(pid) as usize;
-        self.domains
-            .get(dom)?
-            .procs
-            .get(&pid)
-            .map(|s| s.name.as_str())
-    }
-
     /// The live process called `name` (harness-level: how a test finds a
     /// replica the supervisor spawned later). The newest if several match.
     pub fn live_pid(&self, name: &str) -> Option<ProcId> {
@@ -581,10 +572,6 @@ impl<M: 'static> Sim<M> {
     /// Activity statistics of a hardware thread since the last reset.
     pub fn thread_stats(&self, tid: HwThreadId) -> ThreadStats {
         self.thread_ref(tid).stats
-    }
-
-    pub fn thread_stats_since(&self, tid: HwThreadId) -> Time {
-        self.thread_ref(tid).stats_since
     }
 
     /// Reset activity accounting on all threads (start of a measurement
@@ -820,11 +807,6 @@ impl<'a, M: 'static> Ctx<'a, M> {
     /// crash monitor is notified. Used by fault injection (Table 3).
     pub fn crash_self(&mut self) {
         self.die = Some(DieMode::Crash);
-    }
-
-    /// Terminate this process voluntarily (lazy-termination GC, §3.4).
-    pub fn exit_self(&mut self) {
-        self.die = Some(DieMode::Exit);
     }
 
     /// This machine's deterministic RNG stream (independent per machine,

@@ -245,10 +245,6 @@ impl Machine {
         let idx = (core * self.spec.threads_per_core + thread) as usize;
         self.threads[idx]
     }
-
-    pub fn num_threads(&self) -> usize {
-        self.threads.len()
-    }
 }
 
 #[cfg(test)]

@@ -38,10 +38,6 @@ impl Time {
         Time(s * 1_000_000_000)
     }
 
-    pub fn from_secs_f64(s: f64) -> Time {
-        Time((s * 1e9) as u64)
-    }
-
     pub fn as_nanos(self) -> u64 {
         self.0
     }
@@ -110,10 +106,6 @@ impl Freq {
         Freq {
             khz: (g * 1e6) as u64,
         }
-    }
-
-    pub fn mhz(m: u64) -> Freq {
-        Freq { khz: m * 1_000 }
     }
 
     /// Convert a cycle count to wall-clock nanoseconds at this frequency,

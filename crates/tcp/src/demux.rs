@@ -57,11 +57,6 @@ impl DemuxTable {
         self.len == 0
     }
 
-    /// Allocated slot count (capacity accounting).
-    pub fn capacity_bytes(&self) -> usize {
-        self.slots.capacity() * std::mem::size_of::<Option<(FlowKey, SocketId)>>()
-    }
-
     #[inline]
     fn hash(&self, k: &FlowKey) -> u64 {
         // Two rounds of the FxHash mix over the packed tuple, keyed.

@@ -71,11 +71,6 @@ impl Rng {
         result
     }
 
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform value of any [`FromRng`] type (mirrors `rand::Rng::gen`).
     #[inline]
     pub fn gen<T: FromRng>(&mut self) -> T {

@@ -8,8 +8,9 @@
 #
 # Usage:
 #   scripts/ci.sh                 # every tier (the full gate)
-#   scripts/ci.sh --tier1         # size + one-builder guards, build,
-#                                 # test, pinned-shapes guard, fmt, clippy
+#   scripts/ci.sh --tier1         # size + one-builder + no-source-text
+#                                 # guards, build, test, pinned-shapes
+#                                 # guard, fmt, clippy
 #   scripts/ci.sh --tier2         # quick benches + regression gates
 #                                 # (expects a tier-1 build already present)
 #
@@ -46,7 +47,7 @@ esac
 # Module-size guard: no deployed source file may grow past 900 lines —
 # the socket-monolith decomposition stays decomposed. Out-of-line test
 # modules (`*_tests.rs`, `proptests.rs`) are exempt: they are not
-# deployed code (fault.rs's component weighing cuts them off too).
+# deployed code.
 module_size_guard() {
     oversized=$(find crates -path '*/src/*' -name '*.rs' \
         ! -name '*_tests.rs' ! -name 'proptests.rs' \
@@ -73,6 +74,24 @@ one_builder_guard() {
     fi
 }
 
+# No-source-text guard (DESIGN.md determinism rule 4): no result may
+# depend on how the sources are formatted, so no deployed code embeds a
+# source file. Only the text before a file's first `#[cfg(test)]` is
+# checked — fault.rs's test module re-counts the sources on purpose.
+no_source_text_guard() {
+    embedders=$(find crates -path '*/src/*' -name '*.rs' -exec awk '
+        /^[ \t]*#\[cfg\(test\)\]/ { exit }
+        { text = text " " $0 }
+        END { if (text ~ /include_str!\([ \t]*"[^"]*\.rs"/) print FILENAME }' {} \;)
+    if [ -n "$embedders" ]; then
+        echo "NO-SOURCE-TEXT FAILURE: deployed code include_str!s a .rs file, so a" >&2
+        echo "result could move with formatting. Model parameters are pinned data" >&2
+        echo "(CodeSizes::PINNED); measure sources only under #[cfg(test)]:" >&2
+        echo "$embedders" >&2
+        exit 1
+    fi
+}
+
 # Pinned-shapes guard (ROADMAP rule i): the frozen benchmark lane calls
 # the product through fixed signatures and builds some of its types field
 # by field, so it must keep compiling against this tree. Builds into
@@ -92,6 +111,8 @@ if [ "$TIER1" = 1 ]; then
     module_size_guard
     echo "==> [tier1] one-builder guard (components constructed in replica.rs only)"
     one_builder_guard
+    echo "==> [tier1] no-source-text guard (deployed code embeds no .rs file)"
+    no_source_text_guard
 
     run cargo build --release --offline
 
