@@ -22,6 +22,10 @@ pub struct Response {
 #[derive(Debug, Default)]
 pub struct StreamParser {
     buf: Vec<u8>,
+    /// The response at the front of `buf` whose head has parsed and whose
+    /// body is still arriving: where the body lies in `buf`, and everything
+    /// but the body. Boxed: most parsers never hold one.
+    head: Option<Box<(std::ops::Range<usize>, Response)>>,
 }
 
 impl StreamParser {
@@ -70,16 +74,39 @@ impl StreamParser {
         })
     }
 
-    /// Pop the next complete response (requires `Content-Length`).
+    /// Pop the next complete response (requires `Content-Length`). The
+    /// head is parsed once, however many calls the body takes to arrive.
     pub fn next_response(&mut self) -> Option<Response> {
+        let (body, mut resp) = match self.head.take() {
+            // Still arriving: the same box goes back.
+            Some(head) if self.buf.len() < head.0.end => {
+                self.head = Some(head);
+                return None;
+            }
+            Some(head) => *head,
+            None => self.parse_response_head()?,
+        };
+        if self.buf.len() < body.end {
+            self.head = Some(Box::new((body, resp)));
+            return None; // body not complete yet
+        }
+        resp.body = self.buf[body.clone()].to_vec();
+        self.buf.drain(..body.end);
+        Some(resp)
+    }
+
+    fn parse_response_head(&self) -> Option<(std::ops::Range<usize>, Response)> {
         let end = self.find_headers_end()?;
-        let head = String::from_utf8_lossy(&self.buf[..end]).to_string();
+        let head = String::from_utf8_lossy(&self.buf[..end]);
         let mut content_length = 0usize;
-        let mut status = 0u16;
-        let mut keep_alive = true;
+        let mut resp = Response {
+            status: 0,
+            body: Vec::new(),
+            keep_alive: true,
+        };
         for (i, l) in head.lines().enumerate() {
             if i == 0 {
-                status = l
+                resp.status = l
                     .split_whitespace()
                     .nth(1)
                     .and_then(|s| s.parse().ok())
@@ -90,19 +117,10 @@ impl StreamParser {
             if let Some(v) = ll.strip_prefix("content-length:") {
                 content_length = v.trim().parse().unwrap_or(0);
             } else if ll.starts_with("connection:") {
-                keep_alive = ll.contains("keep-alive");
+                resp.keep_alive = ll.contains("keep-alive");
             }
         }
-        if self.buf.len() < end + content_length {
-            return None; // body not complete yet
-        }
-        let body = self.buf[end..end + content_length].to_vec();
-        self.buf.drain(..end + content_length);
-        Some(Response {
-            status,
-            body,
-            keep_alive,
-        })
+        Some((end..end + content_length, resp))
     }
 }
 
@@ -115,19 +133,23 @@ pub fn format_request(path: &str, keep_alive: bool) -> Vec<u8> {
     .into_bytes()
 }
 
-/// Build a response with a body.
+/// Build a response with a body, in a buffer sized for both.
 pub fn format_response(status: u16, body: &[u8], keep_alive: bool) -> Vec<u8> {
+    use std::io::Write;
     let reason = match status {
         200 => "OK",
         404 => "Not Found",
         _ => "Status",
     };
     let conn = if keep_alive { "keep-alive" } else { "close" };
-    let mut out = format!(
+    // The head is at most 111 bytes (5-digit status, 20-digit length).
+    let mut out = Vec::with_capacity(112 + body.len());
+    write!(
+        out,
         "HTTP/1.1 {status} {reason}\r\nServer: weblite/1.0\r\nContent-Length: {}\r\nConnection: {conn}\r\n\r\n",
         body.len()
     )
-    .into_bytes();
+    .expect("writing to a Vec cannot fail");
     out.extend_from_slice(body);
     out
 }
@@ -197,6 +219,29 @@ mod tests {
         let r = p.next_response().unwrap();
         assert_eq!(r.body, b"hello world!");
         assert!(!r.keep_alive);
+    }
+
+    /// The head cached while a body arrives belongs to that response only.
+    #[test]
+    fn responses_fed_a_byte_at_a_time() {
+        let mut p = StreamParser::new();
+        let stream = [
+            format_response(200, b"first body", true),
+            format_response(404, b"x", false),
+        ]
+        .concat();
+        let mut got = Vec::new();
+        for byte in stream {
+            p.push(&[byte]);
+            got.extend(p.next_response());
+        }
+        let want = [(200, &b"first body"[..], true), (404, &b"x"[..], false)];
+        let got: Vec<_> = got
+            .iter()
+            .map(|r| (r.status, &r.body[..], r.keep_alive))
+            .collect();
+        assert_eq!(got, want);
+        assert_eq!(p.buffered(), 0);
     }
 
     #[test]

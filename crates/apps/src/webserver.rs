@@ -152,10 +152,10 @@ impl WebServerProc {
         ctx.charge(self.request_cycles);
         let mut m = self.metrics.borrow_mut();
         let (status, body) = match self.files.get(&req.path) {
-            Some(b) => (200, b.clone()),
+            Some(b) => (200, b.as_slice()),
             None => {
                 m.not_found += 1;
-                (404, b"not found".to_vec())
+                (404, b"not found".as_slice())
             }
         };
         m.requests_served += 1;
@@ -166,7 +166,7 @@ impl WebServerProc {
         st.requests_served += 1;
         let closing = !req.keep_alive || st.requests_served >= self.max_requests_per_conn;
         st.closing = closing;
-        let resp = http::format_response(status, &body, !closing);
+        let resp = http::format_response(status, body, !closing);
         ctx.charge(calibration::copy_cost(resp.len()));
         if self.lib.send(ctx, fd, resp).is_err() {
             // Connection raced away (reset/replica crash): stop serving it.

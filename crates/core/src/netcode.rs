@@ -6,10 +6,11 @@
 //! is pure protocol code — the owning process charges the CPU costs.
 
 use neat_net::arp::{ArpCache, ArpOp, ArpPacket};
-use neat_net::ethernet::{EtherType, EthernetFrame, MacAddr};
+use neat_net::ethernet::{EtherType, EthernetFrame, MacAddr, ETHERNET_HEADER_LEN};
 use neat_net::icmp::IcmpMessage;
-use neat_net::ipv4::{IpProtocol, Ipv4Header};
+use neat_net::ipv4::{IpProtocol, Ipv4Header, IPV4_HEADER_LEN};
 use neat_net::PktBuf;
+use neat_tcp::TcpStack;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
@@ -36,7 +37,8 @@ pub struct FrameIo {
     pub ip: Ipv4Addr,
     pub mac: MacAddr,
     arp: ArpCache,
-    /// Packets awaiting ARP resolution, keyed by next-hop IP.
+    /// Frames awaiting ARP resolution (destination MAC still zero), keyed
+    /// by next-hop IP.
     pending: HashMap<Ipv4Addr, Vec<Vec<u8>>>,
     /// Frames ready to go out on the wire (`PktBuf` handles from birth).
     out: Vec<PktBuf>,
@@ -143,53 +145,61 @@ impl FrameIo {
     }
 
     /// Encapsulate and queue an IP packet to `dst`, resolving the MAC via
-    /// ARP (packets queue while a request is outstanding).
+    /// ARP (packets queue while a request is outstanding). The frame is
+    /// built once, in the buffer it leaves in.
     pub fn send_ip(&mut self, dst: Ipv4Addr, protocol: IpProtocol, payload: &[u8], now_ns: u64) {
-        let pkt = Ipv4Header::new(self.ip, dst, protocol, payload.len()).emit(payload);
-        match self.arp.lookup(dst, now_ns) {
-            Some(mac) => {
-                let f = EthernetFrame {
-                    dst: mac,
-                    src: self.mac,
-                    ethertype: EtherType::Ipv4,
-                }
-                .emit(&pkt);
-                self.out.push(PktBuf::from_vec(f));
+        let mac = self.arp.lookup(dst, now_ns);
+        let mut f = Vec::with_capacity(ETHERNET_HEADER_LEN + IPV4_HEADER_LEN + payload.len());
+        EthernetFrame {
+            dst: mac.unwrap_or(MacAddr::ZERO), // filled in by `flush_pending`
+            src: self.mac,
+            ethertype: EtherType::Ipv4,
+        }
+        .emit_header_into(&mut f);
+        Ipv4Header::new(self.ip, dst, protocol, payload.len()).emit_header_into(&mut f);
+        f.extend_from_slice(payload);
+        if mac.is_some() {
+            self.out.push(PktBuf::from_vec(f));
+            return;
+        }
+        self.pending.entry(dst).or_default().push(f);
+        // Rate-limit ARP requests to one per second per target
+        // (smoltcp behaviour).
+        let due = self
+            .last_arp_req
+            .get(&dst)
+            .map(|t| now_ns.saturating_sub(*t) >= 1_000_000_000)
+            .unwrap_or(true);
+        if due {
+            self.last_arp_req.insert(dst, now_ns);
+            let req = ArpPacket::request(self.mac, self.ip, dst);
+            let f = EthernetFrame {
+                dst: MacAddr::BROADCAST,
+                src: self.mac,
+                ethertype: EtherType::Arp,
             }
-            None => {
-                self.pending.entry(dst).or_default().push(pkt);
-                // Rate-limit ARP requests to one per second per target
-                // (smoltcp behaviour).
-                let due = self
-                    .last_arp_req
-                    .get(&dst)
-                    .map(|t| now_ns.saturating_sub(*t) >= 1_000_000_000)
-                    .unwrap_or(true);
-                if due {
-                    self.last_arp_req.insert(dst, now_ns);
-                    let req = ArpPacket::request(self.mac, self.ip, dst);
-                    let f = EthernetFrame {
-                        dst: MacAddr::BROADCAST,
-                        src: self.mac,
-                        ethertype: EtherType::Arp,
-                    }
-                    .emit(&req.emit());
-                    self.out.push(PktBuf::from_vec(f));
-                }
-            }
+            .emit(&req.emit());
+            self.out.push(PktBuf::from_vec(f));
+        }
+    }
+
+    /// Frame and queue every segment `stack` owes the wire — the one TCP
+    /// drain loop of every process that owns both. `each` runs once per
+    /// segment, for the caller's model charges.
+    pub fn send_tcp(&mut self, stack: &mut TcpStack, now_ns: u64, mut each: impl FnMut()) {
+        let mut seg = Vec::new();
+        while let Some(dst) = stack.poll_transmit_into(now_ns, &mut seg) {
+            each();
+            self.send_ip(dst, IpProtocol::Tcp, &seg, now_ns);
+            seg.clear();
         }
     }
 
     fn flush_pending(&mut self, dst: Ipv4Addr, now_ns: u64) {
-        if let Some(pkts) = self.pending.remove(&dst) {
+        if let Some(frames) = self.pending.remove(&dst) {
             if let Some(mac) = self.arp.lookup(dst, now_ns) {
-                for pkt in pkts {
-                    let f = EthernetFrame {
-                        dst: mac,
-                        src: self.mac,
-                        ethertype: EtherType::Ipv4,
-                    }
-                    .emit(&pkt);
+                for mut f in frames {
+                    f[..6].copy_from_slice(&mac.0);
                     self.out.push(PktBuf::from_vec(f));
                 }
             }

@@ -113,7 +113,14 @@ impl SockServer {
                 // A send that raced the stack's `Closed` has no record
                 // left to queue on: dropped, like a write to a dead fd.
                 if let Some(c) = self.conns.get_mut(&sock) {
-                    c.backlog.extend(data);
+                    // With nothing queued ahead the reply's own buffer is
+                    // the queue: what the stack has no room for waits in
+                    // place, and nothing is copied but into the stack.
+                    if c.backlog.is_empty() {
+                        c.backlog = data.into();
+                    } else {
+                        c.backlog.extend(data);
+                    }
                     c.flush_backlog(&mut self.stack, sock);
                 }
                 1
@@ -245,12 +252,13 @@ impl SockServer {
         std::mem::take(&mut self.to_app)
     }
 
-    /// Wire segments owed: `(dst ip, raw TCP bytes)`.
+    /// Wire segments owed: `(dst ip, raw TCP bytes)`, each built in the
+    /// one buffer it is returned in.
     pub fn poll_wire(&mut self, now: u64) -> Vec<(Ipv4Addr, Vec<u8>)> {
         let mut out = Vec::new();
-        while let Some((dst, h, payload)) = self.stack.poll_transmit(now) {
-            let bytes = h.emit(&payload, self.stack.local_ip, dst);
-            out.push((dst, bytes));
+        let mut seg = Vec::new();
+        while let Some(dst) = self.stack.poll_transmit_into(now, &mut seg) {
+            out.push((dst, std::mem::take(&mut seg)));
         }
         out
     }
@@ -586,6 +594,16 @@ mod tests {
             },
             100,
         );
+        // Only what the 64 KiB send buffer had no room for is queued...
+        let c = &srv.conns[&conn.sock];
+        assert_eq!((c.app_bytes, c.backlog.len()), (64 << 10, 192 << 10));
+        // ...and a later send queues behind it, not ahead.
+        let tail = vec![9u8; 1000];
+        let data = tail.clone();
+        let sock = conn.sock;
+        srv.handle_app(APP, Msg::ConnSend { sock, data }, 100);
+        assert_eq!(srv.conns[&sock].backlog.len(), (192 << 10) + 1000);
+        let big = [big, tail].concat();
         // Drain repeatedly with timers (ACK clock).
         let mut received = Vec::new();
         let mut now = 100u64;
@@ -607,6 +625,7 @@ mod tests {
                 break;
             }
         }
-        assert_eq!(received.len(), big.len(), "entire backlog delivered");
+        assert!(received == big, "entire backlog delivered, in order");
+        assert!(srv.conns[&conn.sock].backlog.is_empty());
     }
 }

@@ -69,20 +69,15 @@ impl KernelCtxProc {
         let canonical = sh.canonical;
         let (_, opened, closed) = sh.sock.process_events(canonical);
         ctx.charge(opened as u64 * calibration::TCP_OPEN + closed as u64 * calibration::TCP_CLOSE);
-        let wire = sh.sock.poll_wire(now);
-        let mut io = self.io.borrow_mut();
-        for (dst, seg) in wire {
-            ctx.charge(
-                calibration::TCP_TX_SEG
-                    + calibration::IP_TX_PKT
-                    + sh.scaled(
-                        calibration::MONO_STACK_TX_OVERHEAD
-                            + calibration::MONO_SKB_PER_PKT
-                            + MONO_VFS_PER_OP / 2,
-                    ),
+        let per_seg = calibration::TCP_TX_SEG
+            + calibration::IP_TX_PKT
+            + sh.scaled(
+                calibration::MONO_STACK_TX_OVERHEAD
+                    + calibration::MONO_SKB_PER_PKT
+                    + MONO_VFS_PER_OP / 2,
             );
-            io.send_ip(dst, neat_net::ipv4::IpProtocol::Tcp, &seg, now);
-        }
+        let mut io = self.io.borrow_mut();
+        io.send_tcp(&mut sh.sock.stack, now, || ctx.charge(per_seg));
         for frame in io.drain() {
             ctx.send(self.nic, Msg::NetTx(frame));
         }

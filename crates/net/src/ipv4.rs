@@ -60,6 +60,7 @@ pub struct Ipv4Header {
 
 impl Ipv4Header {
     pub fn new(src: Ipv4Addr, dst: Ipv4Addr, protocol: IpProtocol, payload_len: usize) -> Self {
+        debug_assert!(payload_len <= 0xFFFF - IPV4_HEADER_LEN, "total_len");
         Ipv4Header {
             src,
             dst,
@@ -111,12 +112,24 @@ impl Ipv4Header {
         ))
     }
 
-    /// Emit the header (with checksum) followed by `payload`.
+    /// Emit the header (with checksum) followed by `payload`; the length
+    /// field is the payload's.
     pub fn emit(&self, payload: &[u8]) -> Vec<u8> {
         let total = IPV4_HEADER_LEN + payload.len();
-        let mut b = vec![0u8; IPV4_HEADER_LEN];
+        let mut h = *self;
+        h.total_len = total as u16;
+        let mut b = Vec::with_capacity(total);
+        h.emit_header_into(&mut b);
+        b.extend_from_slice(payload);
+        b
+    }
+
+    /// Append the 20-byte header (with checksum) to `out`; the length
+    /// field is `total_len`, the caller appends that payload behind it.
+    pub fn emit_header_into(&self, out: &mut Vec<u8>) {
+        let mut b = [0u8; IPV4_HEADER_LEN];
         b[0] = 0x45; // version 4, IHL 5
-        set_u16(&mut b, 2, total as u16);
+        set_u16(&mut b, 2, self.total_len);
         set_u16(&mut b, 4, self.ident);
         let mut ff = (self.frag_offset / 8) & 0x1FFF;
         if self.dont_frag {
@@ -132,8 +145,7 @@ impl Ipv4Header {
         b[16..20].copy_from_slice(&self.dst.octets());
         let c = checksum::checksum(&b);
         set_u16(&mut b, 10, c);
-        b.extend_from_slice(payload);
-        b
+        out.extend_from_slice(&b);
     }
 }
 

@@ -257,33 +257,46 @@ impl TcpHeader {
 
     /// Emit a full segment (header + options + payload) with checksum.
     pub fn emit(&self, payload: &[u8], src: Ipv4Addr, dst: Ipv4Addr) -> Vec<u8> {
-        let mut opts: Vec<u8> = Vec::new();
+        let mut b = Vec::new();
+        self.emit_into(&mut b, &[payload], src, dst);
+        b
+    }
+
+    /// Append a full segment to `out` — header, options, then the payload
+    /// `parts` in order (a stream buffer hands over its two halves) — and
+    /// patch the checksum in place. One reservation, no other allocation.
+    pub fn emit_into(&self, out: &mut Vec<u8>, parts: &[&[u8]], src: Ipv4Addr, dst: Ipv4Addr) {
+        let mut opts = [1u8; 8]; // NOP-padded to a multiple of 4
+        let mut olen = 0;
         if let Some(mss) = self.mss {
-            opts.extend_from_slice(&[2, 4]);
-            opts.extend_from_slice(&mss.to_be_bytes());
+            opts[..4].copy_from_slice(&[2, 4, (mss >> 8) as u8, mss as u8]);
+            olen = 4;
         }
         if let Some(ws) = self.window_scale {
-            opts.extend_from_slice(&[3, 3, ws, 1]); // +NOP pad to 4
+            opts[olen..olen + 3].copy_from_slice(&[3, 3, ws]);
+            olen += 4;
         }
-        while !opts.len().is_multiple_of(4) {
-            opts.push(1);
+        let data_off = TCP_HEADER_LEN + olen;
+        let mut h = [0u8; TCP_HEADER_LEN];
+        set_u16(&mut h, 0, self.src_port);
+        set_u16(&mut h, 2, self.dst_port);
+        set_u32(&mut h, 4, self.seq.0);
+        set_u32(&mut h, 8, self.ack.0);
+        h[12] = ((data_off / 4) as u8) << 4;
+        h[13] = self.flags.to_byte();
+        set_u16(&mut h, 14, self.window);
+        let start = out.len();
+        out.reserve(data_off + parts.iter().map(|p| p.len()).sum::<usize>());
+        out.extend_from_slice(&h);
+        out.extend_from_slice(&opts[..olen]);
+        for p in parts {
+            out.extend_from_slice(p);
         }
-        let data_off = TCP_HEADER_LEN + opts.len();
-        let mut b = vec![0u8; TCP_HEADER_LEN];
-        set_u16(&mut b, 0, self.src_port);
-        set_u16(&mut b, 2, self.dst_port);
-        set_u32(&mut b, 4, self.seq.0);
-        set_u32(&mut b, 8, self.ack.0);
-        b[12] = ((data_off / 4) as u8) << 4;
-        b[13] = self.flags.to_byte();
-        set_u16(&mut b, 14, self.window);
-        b.extend_from_slice(&opts);
-        b.extend_from_slice(payload);
-        let mut c = pseudo_header(src, dst, 6, b.len() as u16);
-        c.add(&b);
+        let seg = &mut out[start..];
+        let mut c = pseudo_header(src, dst, 6, seg.len() as u16);
+        c.add(seg);
         let csum = c.finish();
-        set_u16(&mut b, 16, csum);
-        b
+        set_u16(seg, 16, csum);
     }
 
     /// Sequence space consumed by this segment (SYN/FIN count as one).

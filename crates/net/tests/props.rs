@@ -2,9 +2,9 @@
 //! `neat_util::check` harness.
 
 use neat_net::arp::ArpPacket;
-use neat_net::checksum::{checksum, Checksum};
-use neat_net::ethernet::MacAddr;
+use neat_net::checksum::{checksum, pseudo_header, Checksum};
 use neat_net::udp::UdpHeader;
+use neat_net::{EtherType, EthernetFrame, Ipv4Header, MacAddr, SeqNum, TcpFlags, TcpHeader};
 use neat_util::check::{bytes, check, vec_of, Config};
 use neat_util::{prop_assert, prop_assert_eq};
 use std::net::Ipv4Addr;
@@ -152,6 +152,133 @@ fn rss_pure_and_stable() {
             prop_assert!(q < n);
             prop_assert_eq!(h.queue_for(&f, n), q);
             prop_assert_eq!(h.hash(&f), h.hash(&f));
+            Ok(())
+        },
+    );
+}
+
+/// `TcpHeader::emit` as it was before `emit_into`: one `Vec` for the
+/// options, one for the header that then grows by options and payload.
+fn legacy_tcp_emit(h: &TcpHeader, payload: &[u8], src: Ipv4Addr, dst: Ipv4Addr) -> Vec<u8> {
+    let mut opts: Vec<u8> = Vec::new();
+    if let Some(mss) = h.mss {
+        opts.extend_from_slice(&[2, 4]);
+        opts.extend_from_slice(&mss.to_be_bytes());
+    }
+    if let Some(ws) = h.window_scale {
+        opts.extend_from_slice(&[3, 3, ws, 1]);
+    }
+    while !opts.len().is_multiple_of(4) {
+        opts.push(1);
+    }
+    let f = h.flags;
+    let flags = [f.fin, f.syn, f.rst, f.psh, f.ack, f.urg];
+    let mut b = vec![0u8; 20];
+    b[0..2].copy_from_slice(&h.src_port.to_be_bytes());
+    b[2..4].copy_from_slice(&h.dst_port.to_be_bytes());
+    b[4..8].copy_from_slice(&h.seq.0.to_be_bytes());
+    b[8..12].copy_from_slice(&h.ack.0.to_be_bytes());
+    b[12] = (((20 + opts.len()) / 4) as u8) << 4;
+    b[13] = (0..6).map(|i| (flags[i] as u8) << i).sum();
+    b[14..16].copy_from_slice(&h.window.to_be_bytes());
+    b.extend_from_slice(&opts);
+    b.extend_from_slice(payload);
+    let mut c = pseudo_header(src, dst, 6, b.len() as u16);
+    c.add(&b);
+    let csum = c.finish();
+    b[16..18].copy_from_slice(&csum.to_be_bytes());
+    b
+}
+
+/// `emit_into` appends, byte for byte, what the old `emit` returned — for
+/// any header, option set and payload, after any bytes already in the
+/// buffer, and however the payload is cut into parts — and `emit` is it.
+#[test]
+fn tcp_emit_into_matches_legacy_emit() {
+    check(
+        "tcp_emit_into_matches_legacy_emit",
+        Config::default().cases(256),
+        |rng| {
+            (
+                (rng.gen::<u32>(), rng.gen::<u32>(), rng.gen::<u32>()),
+                (
+                    rng.gen::<u8>(),
+                    rng.gen::<u16>(),
+                    rng.gen::<u16>(),
+                    rng.gen::<u8>(),
+                ),
+                bytes(rng, 0..3000),
+                bytes(rng, 0..64),
+                rng.gen::<usize>(),
+            )
+        },
+        |((ports, seq, ack), (flags, window, mss, opts), payload, prefix, cut)| {
+            let h = TcpHeader {
+                src_port: (ports >> 16) as u16,
+                dst_port: ports as u16,
+                seq: SeqNum(seq),
+                ack: SeqNum(ack),
+                flags: TcpFlags {
+                    fin: flags & 1 != 0,
+                    syn: flags & 2 != 0,
+                    rst: flags & 4 != 0,
+                    psh: flags & 8 != 0,
+                    ack: flags & 16 != 0,
+                    urg: flags & 32 != 0,
+                },
+                window,
+                mss: (opts & 1 != 0).then_some(mss),
+                window_scale: (opts & 2 != 0).then_some(opts >> 2),
+            };
+            let (src, dst) = (Ipv4Addr::from(seq ^ ports), Ipv4Addr::from(ack ^ ports));
+            let want = legacy_tcp_emit(&h, &payload, src, dst);
+            prop_assert_eq!(&h.emit(&payload, src, dst), &want);
+            let (a, b) = payload.split_at(cut % (payload.len() + 1));
+            let mut out = prefix.clone();
+            h.emit_into(&mut out, &[a, b], src, dst);
+            prop_assert_eq!(&out[..prefix.len()], &prefix[..]);
+            prop_assert_eq!(&out[prefix.len()..], &want[..]);
+            Ok(())
+        },
+    );
+}
+
+/// The IPv4 and Ethernet header writers append what the `Vec`-returning
+/// `emit`s put in front of the payload.
+#[test]
+fn ip_and_ethernet_header_writers_match_emit() {
+    check(
+        "ip_and_ethernet_header_writers_match_emit",
+        Config::default().cases(128),
+        |rng| {
+            (
+                (rng.gen::<u32>(), rng.gen::<u32>(), rng.gen::<u8>()),
+                (rng.gen::<u16>(), rng.gen::<u16>(), rng.gen::<u8>()),
+                bytes(rng, 0..2000),
+                bytes(rng, 0..32),
+            )
+        },
+        |((src, dst, proto), (ident, frag, ttl), payload, prefix)| {
+            let mut ip = Ipv4Header::new(src.into(), dst.into(), proto.into(), payload.len());
+            ip.ident = ident;
+            ip.ttl = ttl;
+            ip.dont_frag = frag & 1 != 0;
+            ip.more_frags = frag & 2 != 0;
+            ip.frag_offset = frag & 0xFFF8;
+            let eth = EthernetFrame {
+                dst: MacAddr::local(ttl),
+                src: MacAddr::local(proto),
+                ethertype: EtherType::from(ident),
+            };
+            let mut out = prefix.clone();
+            eth.emit_header_into(&mut out);
+            ip.emit_header_into(&mut out);
+            out.extend_from_slice(&payload);
+            prop_assert_eq!(&out[..prefix.len()], &prefix[..]);
+            prop_assert_eq!(&out[prefix.len()..], &eth.emit(&ip.emit(&payload))[..]);
+            // ...and the length field of `emit` is the payload's own.
+            ip.total_len = 20;
+            prop_assert_eq!(&out[prefix.len() + 14..], &ip.emit(&payload)[..]);
             Ok(())
         },
     );

@@ -5,15 +5,16 @@
 //! The paper's testbed relies on this ("TSO … greatly improves performance
 //! and allows smaller configurations to reach a full 10Gb/s", §6).
 
-use neat_net::ethernet::{EtherType, EthernetFrame};
-use neat_net::ipv4::{IpProtocol, Ipv4Header};
-use neat_net::tcp::TcpHeader;
+use neat_net::ethernet::{EtherType, EthernetFrame, ETHERNET_HEADER_LEN};
+use neat_net::ipv4::{IpProtocol, Ipv4Header, IPV4_HEADER_LEN};
+use neat_net::tcp::{TcpHeader, TCP_HEADER_LEN};
 use neat_net::PktBuf;
 
 /// Split an Ethernet frame carrying an oversized IPv4/TCP payload into
 /// MSS-sized frames, one fresh buffer per segment. Everything else — not
 /// IPv4, not TCP, a header that does not parse or verify, a payload already
-/// within `mss` — passes the original handle through untouched.
+/// within `mss`, an `mss` of zero — passes the original handle through
+/// untouched.
 pub fn tso_split(frame: PktBuf, mss: usize) -> Vec<PktBuf> {
     cut(&frame, mss).unwrap_or_else(|| vec![frame])
 }
@@ -32,7 +33,7 @@ fn cut(frame: &[u8], mss: usize) -> Option<Vec<PktBuf>> {
     let l4 = &frame[ip_off..][l4_range];
     let (tcp, payload_range) = TcpHeader::parse(l4, ip.src, ip.dst).ok()?;
     let payload = &l4[payload_range];
-    if payload.len() <= mss {
+    if mss == 0 || payload.len() <= mss {
         return None;
     }
     let segment = |(i, chunk): (usize, &[u8])| {
@@ -47,9 +48,13 @@ fn cut(frame: &[u8], mss: usize) -> Option<Vec<PktBuf>> {
         // here never carry them, but clear defensively.
         h.mss = None;
         h.window_scale = None;
-        let seg = h.emit(chunk, ip.src, ip.dst);
-        let ip_pkt = Ipv4Header::new(ip.src, ip.dst, IpProtocol::Tcp, seg.len()).emit(&seg);
-        PktBuf::from_vec(eth.emit(&ip_pkt))
+        // All three headers and the chunk go into the one buffer granted.
+        let l4_len = TCP_HEADER_LEN + chunk.len();
+        let mut f = Vec::with_capacity(ETHERNET_HEADER_LEN + IPV4_HEADER_LEN + l4_len);
+        eth.emit_header_into(&mut f);
+        Ipv4Header::new(ip.src, ip.dst, IpProtocol::Tcp, l4_len).emit_header_into(&mut f);
+        h.emit_into(&mut f, &[chunk], ip.src, ip.dst);
+        PktBuf::from_vec(f)
     };
     Some(payload.chunks(mss).enumerate().map(segment).collect())
 }

@@ -3,7 +3,7 @@
 //! `neat_util::check` harness.
 
 use neat_net::tcp::{TcpFlags, TcpHeader};
-use neat_net::{EtherType, EthernetFrame, Ipv4Header, MacAddr, SeqNum};
+use neat_net::{EtherType, EthernetFrame, IpProtocol, Ipv4Header, MacAddr, SeqNum};
 use neat_nic::{FaultConfig, FaultInjector, Nic, NicConfig, Steering};
 use neat_util::check::{check, vec_of, Config};
 use neat_util::{prop_assert, prop_assert_eq};
@@ -217,6 +217,88 @@ fn grow_preserves_existing_flows() {
                     prop_assert_eq!(q, homes[i], "existing flow moved after grow");
                 }
             }
+            Ok(())
+        },
+    );
+}
+
+/// `tso_split` as it was before the one-buffer build: the frame parsed the
+/// same way, each segment composed from the three `Vec`-returning `emit`s.
+fn reference_split(frame: &[u8], mss: usize) -> Vec<Vec<u8>> {
+    let whole = || vec![frame.to_vec()];
+    let Ok((eth, off)) = EthernetFrame::parse(frame) else {
+        return whole();
+    };
+    let Ok((ip, r)) = Ipv4Header::parse(&frame[off..]) else {
+        return whole();
+    };
+    let l4 = &frame[off..][r];
+    let Ok((tcp, pr)) = TcpHeader::parse(l4, ip.src, ip.dst) else {
+        return whole();
+    };
+    let payload = &l4[pr];
+    if eth.ethertype != EtherType::Ipv4 || ip.protocol != IpProtocol::Tcp || payload.len() <= mss {
+        return whole();
+    }
+    let segment = |(i, chunk): (usize, &[u8])| {
+        let last = i * mss + chunk.len() == payload.len();
+        let mut h = tcp;
+        h.seq = tcp.seq + (i * mss) as u32;
+        h.flags.fin = tcp.flags.fin && last;
+        h.flags.psh = tcp.flags.psh && last;
+        h.mss = None;
+        h.window_scale = None;
+        let seg = h.emit(chunk, ip.src, ip.dst);
+        eth.emit(&Ipv4Header::new(ip.src, ip.dst, IpProtocol::Tcp, seg.len()).emit(&seg))
+    };
+    payload.chunks(mss).enumerate().map(segment).collect()
+}
+
+/// The one-buffer TSO cuts exactly the frames the three-`Vec` one did:
+/// FIN/PSH on the last segment only, options dropped, and a frame that is
+/// not TCP, does not verify, fits the MSS — or meets an MSS of zero —
+/// passed through as it came.
+#[test]
+fn tso_split_matches_three_emit_reference() {
+    check(
+        "tso_split_matches_three_emit_reference",
+        Config::default().cases(128),
+        |rng| {
+            (
+                neat_util::check::bytes(rng, 0..9000),
+                rng.gen_range(1usize..3000),
+                rng.gen::<u8>(),
+                rng.gen::<u16>(),
+            )
+        },
+        |(payload, mss, flags, damage)| {
+            let flags = TcpFlags {
+                fin: flags & 1 != 0,
+                psh: flags & 2 != 0,
+                ack: true,
+                ..TcpFlags::default()
+            };
+            let mut f = frame(0x0A00_0001, 9999, 80, flags, &payload);
+            match damage % 8 {
+                // An L4 checksum that does not verify.
+                0 => *f.last_mut().unwrap() ^= 0x5a,
+                // An IP header that does not verify.
+                1 => f[14 + 8] ^= 0x40,
+                // Not TCP: a well-formed IP packet whose protocol is UDP.
+                2 => {
+                    f[14 + 9] = 17;
+                    f[24..26].fill(0);
+                    let c = neat_net::checksum::checksum(&f[14..34]);
+                    f[24..26].copy_from_slice(&c.to_be_bytes());
+                }
+                _ => {}
+            }
+            let got = neat_nic::tso::tso_split(f.clone().into(), mss);
+            let got: Vec<Vec<u8>> = got.iter().map(|p| p.to_vec()).collect();
+            prop_assert_eq!(got, reference_split(&f, mss));
+            let through = neat_nic::tso::tso_split(f.clone().into(), 0);
+            prop_assert_eq!(through.len(), 1);
+            prop_assert_eq!(&through[0][..], &f[..]);
             Ok(())
         },
     );

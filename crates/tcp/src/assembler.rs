@@ -47,25 +47,26 @@ impl Assembler {
             + self.runs.iter().map(|(_, d)| d.capacity()).sum::<usize>()
     }
 
-    /// Insert a segment `[seq, seq+data.len())`. Data at or below `ack`
-    /// (already delivered) is trimmed. Returns false if capacity was
-    /// exceeded and the segment dropped.
-    pub fn insert(&mut self, mut seq: SeqNum, mut data: &[u8], ack: SeqNum) -> bool {
-        // Trim the already-received prefix.
-        let below = ack - seq;
-        if below > 0 {
-            if below as usize >= data.len() {
-                return true; // entirely old — nothing to keep
-            }
-            data = &data[below as usize..];
-            seq = ack;
-        }
-        if data.is_empty() {
-            return true;
-        }
-        if self.buffered + data.len() > self.cap {
+    /// What of a segment `[seq, seq+data.len())` is new above `ack`: the
+    /// bytes from `max(seq, ack)` on (none if all of it was delivered
+    /// before), or `None` if holding them would exceed the capacity and
+    /// the segment is to be dropped.
+    pub fn admit<'a>(&self, seq: SeqNum, data: &'a [u8], ack: SeqNum) -> Option<&'a [u8]> {
+        let below = ((ack - seq).max(0) as usize).min(data.len());
+        let fresh = &data[below..];
+        (self.buffered + fresh.len() <= self.cap).then_some(fresh)
+    }
+
+    /// Insert a segment `[seq, seq+data.len())`, less what [`Self::admit`]
+    /// trims. Returns false if it was dropped.
+    pub fn insert(&mut self, seq: SeqNum, data: &[u8], ack: SeqNum) -> bool {
+        let Some(data) = self.admit(seq, data, ack) else {
             return false;
+        };
+        if data.is_empty() {
+            return true; // entirely old — nothing to keep
         }
+        let seq = seq.max(ack);
         // Sort all runs (old + new) by start, then coalesce overlapping or
         // adjacent neighbours. On overlap the first-arrived bytes win —
         // honest TCP sends identical bytes, so the choice only matters for

@@ -66,16 +66,25 @@ impl SendBuffer {
         n
     }
 
-    /// Copy out up to `len` bytes starting at sequence `seq` (for transmit
-    /// or retransmit). Returns an empty vec if `seq` is outside the buffer.
-    pub fn peek(&self, seq: SeqNum, len: usize) -> Vec<u8> {
+    /// Up to `len` bytes starting at sequence `seq` (for transmit or
+    /// retransmit), as the ring's two halves in stream order. Both are
+    /// empty if `seq` is outside the buffer.
+    pub fn slices(&self, seq: SeqNum, len: usize) -> (&[u8], &[u8]) {
         let off = seq - self.base;
         if off < 0 || off as usize >= self.data.len() {
-            return Vec::new();
+            return (&[], &[]);
         }
         let off = off as usize;
         let end = (off + len).min(self.data.len());
-        self.data.range(off..end).copied().collect()
+        let (a, b) = self.data.as_slices();
+        let cut = |i: usize| i.min(a.len());
+        (&a[cut(off)..cut(end)], &b[off - cut(off)..end - cut(end)])
+    }
+
+    /// [`Self::slices`], copied out.
+    pub fn peek(&self, seq: SeqNum, len: usize) -> Vec<u8> {
+        let (a, b) = self.slices(seq, len);
+        [a, b].concat()
     }
 
     /// Allocated heap bytes (capacity, not configured cap) — the number
@@ -96,7 +105,8 @@ impl SendBuffer {
 
     /// Copy of every buffered byte, base first (checkpoint capture).
     pub fn contents(&self) -> Vec<u8> {
-        self.data.iter().copied().collect()
+        let (a, b) = self.data.as_slices();
+        [a, b].concat()
     }
 
     /// Rebuild a buffer from a checkpoint. `cap` is widened to fit the
@@ -136,9 +146,11 @@ impl RecvBuffer {
     /// Move up to `buf.len()` bytes out to the application.
     pub fn read(&mut self, buf: &mut [u8]) -> usize {
         let n = buf.len().min(self.data.len());
-        for (i, b) in self.data.drain(..n).enumerate() {
-            buf[i] = b;
-        }
+        let (a, b) = self.data.as_slices();
+        let cut = n.min(a.len());
+        buf[..cut].copy_from_slice(&a[..cut]);
+        buf[cut..n].copy_from_slice(&b[..n - cut]);
+        self.data.drain(..n);
         n
     }
 
@@ -174,7 +186,8 @@ impl RecvBuffer {
 
     /// Copy of every buffered byte (checkpoint capture).
     pub fn contents(&self) -> Vec<u8> {
-        self.data.iter().copied().collect()
+        let (a, b) = self.data.as_slices();
+        [a, b].concat()
     }
 
     /// Rebuild a buffer from a checkpoint (cap widened to fit).
@@ -263,5 +276,57 @@ mod tests {
         assert_eq!(r.read(&mut rest), 3);
         assert_eq!(&rest[..3], b"fgh");
         assert!(r.is_empty());
+    }
+
+    /// Fill, release part, refill: the ring's storage now wraps, and every
+    /// `peek`/`slices` window reads what a flat `Vec` model holds.
+    #[test]
+    fn send_buffer_peek_across_the_wrap_point() {
+        let mut s = SendBuffer::new(SeqNum(u32::MAX - 20), 64);
+        let stream: Vec<u8> = (0..=255).collect();
+        assert_eq!(s.push(&stream[..64]), 64);
+        assert_eq!(s.ack_to(s.base() + 40), 40);
+        assert_eq!(s.push(&stream[64..104]), 40);
+        let model = &stream[40..104];
+        let (a, b) = s.data.as_slices();
+        assert!(!a.is_empty() && !b.is_empty(), "storage wraps");
+        for off in 0..=model.len() {
+            for len in [0, 1, 7, 24, 25, 64, 100] {
+                let want = &model[off.min(model.len())..(off + len).min(model.len())];
+                let seq = s.base() + off as u32;
+                assert_eq!(s.peek(seq, len), want, "peek({off}, {len})");
+                let (a, b) = s.slices(seq, len);
+                assert_eq!([a, b].concat(), want, "slices({off}, {len})");
+            }
+        }
+        assert_eq!(s.contents(), model);
+    }
+
+    #[test]
+    fn recv_buffer_read_across_the_wrap_point() {
+        let stream: Vec<u8> = (0..=255).collect();
+        for first in [1, 13, 40, 63, 64] {
+            let mut r = RecvBuffer::new(64);
+            assert_eq!(r.write(&stream[..64]), 64);
+            let mut out = vec![0u8; first];
+            assert_eq!(r.read(&mut out), first);
+            assert_eq!(out, &stream[..first]);
+            assert_eq!(r.write(&stream[64..128]), first, "refill to the brim");
+            assert_eq!(r.contents(), &stream[first..64 + first]);
+            assert!(
+                first == 64 || !r.data.as_slices().1.is_empty(),
+                "storage wraps"
+            );
+            // Drain in uneven sips; the bytes come out in stream order.
+            let mut got = Vec::new();
+            for sip in [3usize, 0, 29, 64] {
+                let mut buf = vec![0xEE; sip];
+                let n = r.read(&mut buf);
+                assert_eq!(n, sip.min(64 - got.len()));
+                got.extend_from_slice(&buf[..n]);
+            }
+            assert_eq!(got, &stream[first..64 + first]);
+            assert!(r.is_empty());
+        }
     }
 }

@@ -219,7 +219,7 @@ impl TcpSocket {
     }
 
     /// Emit the RST a local abort owes (Closed state only).
-    pub(crate) fn transmit_rst(&mut self) -> Option<(TcpHeader, Vec<u8>)> {
+    pub(crate) fn transmit_rst(&mut self) -> Option<(TcpHeader, usize)> {
         if self.fc.ack_now && self.error == Some(TcpError::Reset) {
             self.fc.ack_now = false;
             let h = TcpHeader::new(
@@ -234,13 +234,13 @@ impl TcpSocket {
                 },
             );
             self.tx_segments += 1;
-            return Some((h, Vec::new()));
+            return Some((h, 0));
         }
         None
     }
 
     /// Emit our SYN (active open), once per `syn_sent` arming.
-    pub(crate) fn transmit_syn(&mut self, now: u64) -> Option<(TcpHeader, Vec<u8>)> {
+    pub(crate) fn transmit_syn(&mut self, now: u64) -> Option<(TcpHeader, usize)> {
         if self.cm.syn_sent {
             return None;
         }
@@ -260,12 +260,12 @@ impl TcpSocket {
             self.rel.rtt_sample = Some((self.cm.iss + 1, now));
         }
         self.tx_segments += 1;
-        Some((h, Vec::new()))
+        Some((h, 0))
     }
 
     /// Emit our SYN-ACK (passive open), once per `syn_sent` arming; an
     /// RTO re-arms it via `rtx_now`.
-    pub(crate) fn transmit_syn_ack(&mut self, now: u64) -> Option<(TcpHeader, Vec<u8>)> {
+    pub(crate) fn transmit_syn_ack(&mut self, now: u64) -> Option<(TcpHeader, usize)> {
         if !self.cm.syn_sent {
             self.cm.syn_sent = true;
             let mut h = TcpHeader::new(
@@ -285,7 +285,7 @@ impl TcpSocket {
                 self.rel.rtt_sample = Some((self.cm.iss + 1, now));
             }
             self.tx_segments += 1;
-            return Some((h, Vec::new()));
+            return Some((h, 0));
         }
         if self.rel.rtx_now {
             self.rel.rtx_now = false;
@@ -296,7 +296,7 @@ impl TcpSocket {
     }
 
     /// FIN emission once the stream is fully sent (transmit step 3).
-    pub(crate) fn transmit_fin(&mut self, now: u64) -> Option<(TcpHeader, Vec<u8>)> {
+    pub(crate) fn transmit_fin(&mut self, now: u64) -> Option<(TcpHeader, usize)> {
         let all_sent = self.rel.send_buf.len_from(self.rel.snd_nxt) == 0;
         let want_fin = matches!(
             self.cm.state,
@@ -320,7 +320,7 @@ impl TcpSocket {
             self.fc.ack_deadline = None;
             self.fc.ack_now = false;
             self.tx_segments += 1;
-            return Some((h, Vec::new()));
+            return Some((h, 0));
         }
         None
     }

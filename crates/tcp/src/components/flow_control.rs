@@ -112,29 +112,31 @@ impl TcpSocket {
         }
     }
 
-    /// RFC 793 step 7: payload delivery through the assembler into the
-    /// receive buffer, plus the ACK policy (every second segment, else
-    /// delayed; immediate on out-of-order).
+    /// RFC 793 step 7: payload delivery into the receive buffer — straight
+    /// in when nothing is held back and the segment leaves no gap, else
+    /// through the assembler — plus the ACK policy (every second segment,
+    /// else delayed; immediate on out-of-order).
     pub(crate) fn process_payload(&mut self, h: &TcpHeader, payload: &[u8], now: u64) {
         if payload.is_empty() || !self.cm.state.can_recv() {
             return;
         }
-        let inserted = self.fc.asm.insert(h.seq, payload, self.fc.rcv_nxt);
-        if inserted {
-            let mut delivered = false;
-            while let Some(run) = self.fc.asm.take_contiguous(self.fc.rcv_nxt) {
-                let n = self.fc.recv_buf.write(&run);
-                self.fc.rcv_nxt += n as u32;
-                delivered = delivered || n > 0;
-                if n < run.len() {
-                    // Receive buffer full: drop the tail; the shrunken
-                    // advertised window makes the peer resend later.
-                    break;
-                }
+        let rcv_nxt = self.fc.rcv_nxt;
+        let mut delivered = 0;
+        if self.fc.asm.is_empty() && h.seq - rcv_nxt <= 0 && !always_assemble() {
+            if let Some(fresh) = self.fc.asm.admit(h.seq, payload, rcv_nxt) {
+                delivered = self.fc.recv_buf.write(fresh);
             }
-            if delivered {
-                self.events.push(SockEvent::Readable(self.id));
+        } else if self.fc.asm.insert(h.seq, payload, rcv_nxt) {
+            // Runs are disjoint and never adjacent: at most one begins here.
+            if let Some(run) = self.fc.asm.take_contiguous(rcv_nxt) {
+                delivered = self.fc.recv_buf.write(&run);
             }
+        }
+        // A receive buffer that filled up drops the tail; the shrunken
+        // advertised window makes the peer resend it later.
+        self.fc.rcv_nxt += delivered as u32;
+        if delivered > 0 {
+            self.events.push(SockEvent::Readable(self.id));
         }
         // ACK policy: every second segment, else delayed.
         self.fc.ack_pending += 1;
@@ -150,13 +152,30 @@ impl TcpSocket {
 
     /// Transmit step 4: a pure ACK if one is owed (forced or delayed-ACK
     /// quota reached).
-    pub(crate) fn transmit_pure_ack(&mut self) -> Option<(TcpHeader, Vec<u8>)> {
+    pub(crate) fn transmit_pure_ack(&mut self) -> Option<(TcpHeader, usize)> {
         if self.fc.ack_now || (self.fc.ack_pending > 0 && self.fc.ack_deadline.is_none()) {
             self.fc.ack_now = false;
             self.fc.ack_pending = 0;
             self.fc.ack_deadline = None;
-            return Some((self.bare_ack(), Vec::new()));
+            return Some((self.bare_ack(), 0));
         }
         None
     }
+}
+
+/// Whether every payload goes through the assembler: only in the property
+/// test that compares `process_payload`'s fast path with its general one.
+#[cfg(not(test))]
+fn always_assemble() -> bool {
+    false
+}
+
+#[cfg(test)]
+thread_local! {
+    pub(crate) static ALWAYS_ASSEMBLE: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+#[cfg(test)]
+fn always_assemble() -> bool {
+    ALWAYS_ASSEMBLE.with(|on| on.get())
 }

@@ -159,7 +159,7 @@ impl TcpSocket {
 
     /// Transmit step 1: retransmission (RTO, fast retransmit, or
     /// zero-window probe) — one segment from `snd_una`, or the FIN.
-    pub(crate) fn rtx_transmit(&mut self) -> Option<(TcpHeader, Vec<u8>)> {
+    pub(crate) fn rtx_transmit(&mut self) -> Option<(TcpHeader, usize)> {
         if !self.rel.rtx_now {
             return None;
         }
@@ -168,7 +168,6 @@ impl TcpSocket {
         let avail = self.rel.send_buf.len_from(una);
         if avail > 0 {
             let len = avail.min(self.mss as usize).max(1);
-            let data = self.rel.send_buf.peek(una, len);
             let mut h = TcpHeader::new(
                 self.local_port,
                 self.remote_port,
@@ -181,7 +180,7 @@ impl TcpSocket {
             self.fc.ack_deadline = None;
             self.fc.ack_now = false;
             self.tx_segments += 1;
-            return Some((h, data));
+            return Some((h, len));
         }
         if let Some(fin_seq) = self.cm.fin_seq {
             if !self.fin_acked() {
@@ -195,7 +194,7 @@ impl TcpSocket {
                 );
                 h.window = self.window_field();
                 self.tx_segments += 1;
-                return Some((h, Vec::new()));
+                return Some((h, 0));
             }
         }
         None
@@ -204,7 +203,7 @@ impl TcpSocket {
     /// Transmit step 2: new data within the usable window, sized by the
     /// controller's [`CcDecision`](crate::components::CcDecision) — cwnd
     /// caps the window, `pacing_gate` caps the burst at one MSS.
-    pub(crate) fn transmit_new_data(&mut self, now: u64) -> Option<(TcpHeader, Vec<u8>)> {
+    pub(crate) fn transmit_new_data(&mut self, now: u64) -> Option<(TcpHeader, usize)> {
         let decision = self.cc.decision();
         let window = self.fc.snd_wnd.min(decision.cwnd);
         let in_flight = self.bytes_in_flight();
@@ -227,7 +226,6 @@ impl TcpSocket {
             // Nagle: hold sub-MSS segments while data is in flight.
             let nagle_blocks = self.cfg.nagle && in_flight > 0 && len < self.mss as usize;
             if !nagle_blocks && len > 0 {
-                let data = self.rel.send_buf.peek(self.rel.snd_nxt, len);
                 let mut h = TcpHeader::new(
                     self.local_port,
                     self.remote_port,
@@ -247,7 +245,7 @@ impl TcpSocket {
                 self.fc.ack_deadline = None;
                 self.fc.ack_now = false;
                 self.tx_segments += 1;
-                return Some((h, data));
+                return Some((h, len));
             }
         }
         None

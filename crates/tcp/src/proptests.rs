@@ -745,6 +745,129 @@ fn all_controllers_keep_loss_floor_and_monotone_ssthresh() {
     );
 }
 
+/// The in-order fast path of `process_payload` (straight into the receive
+/// buffer when the assembler is empty and the segment leaves no gap) is
+/// the general path, faster: a socket taking it and a socket whose every
+/// payload goes through the assembler (`ALWAYS_ASSEMBLE`, test-only) see
+/// the same random mix of in-order, overlapping, duplicate, old,
+/// beyond-window, over-capacity and buffer-filling segments, reads,
+/// `RecvBuf` resizes and timers — and agree after every step on the
+/// stream, `rcv_nxt`, the events raised and every ACK sent.
+#[test]
+fn in_order_bypass_matches_always_assembling() {
+    use crate::components::flow_control::ALWAYS_ASSEMBLE;
+    use crate::socket::TcpSocket;
+    use crate::types::{SockOpt, TcpConfig, TcpState};
+    use neat_net::{TcpFlags, TcpHeader};
+
+    const LOCAL: (Ipv4Addr, u16) = (Ipv4Addr::new(10, 0, 0, 1), 80);
+    const PEER: (Ipv4Addr, u16) = (Ipv4Addr::new(10, 0, 0, 2), 5555);
+
+    /// An established passive-open socket whose peer's stream starts at
+    /// `irs + 1`, plus the ACK number the peer uses.
+    fn established(irs: u32) -> (TcpSocket, SeqNum) {
+        let cfg = TcpConfig {
+            recv_buf: 4096,
+            ..TcpConfig::default()
+        };
+        let mut syn = TcpHeader::new(PEER.1, LOCAL.1, SeqNum(irs), SeqNum(0), TcpFlags::SYN);
+        syn.mss = Some(1460);
+        let mut s = TcpSocket::accept_from_syn(SocketId(1), &cfg, LOCAL, PEER, &syn, SeqNum(77), 0);
+        let (syn_ack, _) = s.poll_transmit(0).expect("SYN-ACK");
+        let ack = syn_ack.seq + 1;
+        s.on_segment(
+            &TcpHeader::new(PEER.1, LOCAL.1, SeqNum(irs) + 1, ack, TcpFlags::ack()),
+            &[],
+            0,
+        );
+        assert_eq!(s.state(), TcpState::Established);
+        s.events.clear();
+        (s, ack)
+    }
+
+    /// One step of the script, applied to one socket; returns what the
+    /// socket put on the wire or handed the application.
+    fn step(
+        s: &mut TcpSocket,
+        (irs, ack): (u32, SeqNum),
+        (op, a, b): (u8, u16, u16),
+        now: &mut u64,
+    ) -> Vec<(TcpHeader, Vec<u8>)> {
+        let mut out = Vec::new();
+        match op % 8 {
+            // A data segment somewhere around rcv_nxt: from 600 B behind
+            // it (old, overlapping) to beyond the 4 KiB window.
+            0..=3 => {
+                let nxt = s.fc.rcv_nxt.0.wrapping_sub(irs.wrapping_add(1));
+                let from = (nxt + u32::from(a % 6000)).saturating_sub(600);
+                let from = if op % 4 == 0 { nxt } else { from }; // in order
+                let len = u32::from(b % 1500) + 1;
+                let payload: Vec<u8> = (from..from + len).map(|p| (p * 31 + 7) as u8).collect();
+                let seq = SeqNum(irs) + 1 + from;
+                let h = TcpHeader::new(PEER.1, LOCAL.1, seq, ack, TcpFlags::psh_ack());
+                s.on_segment(&h, &payload, *now);
+            }
+            4 => {
+                let mut buf = vec![0u8; usize::from(a % 5000)];
+                let n = s.recv(&mut buf).unwrap_or(0);
+                buf.truncate(n);
+                out.push((s.bare_ack(), buf));
+            }
+            5 => s.set_opt(SockOpt::RecvBuf(usize::from(a % 8192))),
+            6 => {
+                *now += u64::from(a) * 10_000;
+                s.on_timer(*now);
+            }
+            _ => {}
+        }
+        out.extend(std::iter::from_fn(|| s.poll_transmit(*now)));
+        out
+    }
+
+    check(
+        "in_order_bypass_matches_always_assembling",
+        Config::default().cases(256),
+        |rng| {
+            (
+                rng.gen::<u32>(),
+                vec_of(rng, 1..120, |r| {
+                    (r.gen::<u8>(), r.gen::<u16>(), r.gen::<u16>())
+                }),
+            )
+        },
+        |(irs, ops)| {
+            let irs = irs | 0xFFFF_0000; // the stream crosses the sequence wrap
+            let (mut fast, ack) = established(irs);
+            let (mut slow, _) = established(irs);
+            let (mut now_fast, mut now_slow) = (0u64, 0u64);
+            let mut bypassed = 0;
+            for op in ops {
+                let before = (fast.fc.asm.is_empty(), fast.fc.rcv_nxt);
+                let sent_fast = step(&mut fast, (irs, ack), op, &mut now_fast);
+                ALWAYS_ASSEMBLE.with(|on| on.set(true));
+                let sent_slow = step(&mut slow, (irs, ack), op, &mut now_slow);
+                ALWAYS_ASSEMBLE.with(|on| on.set(false));
+                bypassed += usize::from(before.0 && before.1 != fast.fc.rcv_nxt);
+                prop_assert_eq!(&sent_fast, &sent_slow, "segments sent and bytes read");
+                prop_assert_eq!(fast.fc.rcv_nxt, slow.fc.rcv_nxt);
+                prop_assert_eq!(fast.fc.recv_buf.contents(), slow.fc.recv_buf.contents());
+                prop_assert_eq!(&fast.events, &slow.events);
+                prop_assert_eq!(fast.fc.asm.buffered(), slow.fc.asm.buffered());
+                prop_assert_eq!(fast.fc.asm.gaps(), slow.fc.asm.gaps());
+                prop_assert_eq!(
+                    (fast.fc.ack_now, fast.fc.ack_pending, fast.fc.ack_deadline),
+                    (slow.fc.ack_now, slow.fc.ack_pending, slow.fc.ack_deadline)
+                );
+                prop_assert_eq!(fast.next_timeout(), slow.next_timeout());
+            }
+            // The slow socket's assembler was used (its one-slot `runs`
+            // allocation is the 32 B the fast path no longer makes).
+            prop_assert!(bypassed == 0 || slow.fc.asm.heap_bytes() > 0);
+            Ok(())
+        },
+    );
+}
+
 /// `TcpStack`: the structures that name a connection — slot table, demux,
 /// timer wheel, budget, dirty queue, replication list, listener backlog
 /// and accept queue — agree after every stimulus, whatever the

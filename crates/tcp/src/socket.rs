@@ -394,9 +394,17 @@ impl TcpSocket {
     // ------------------------------------------------------------------
 
     /// Produce the next segment to transmit, if any. Call repeatedly until
-    /// `None`. Payload is returned separately from the header. Each state
-    /// routes to the component that owns the segment type.
+    /// `None`. Payload is returned separately from the header.
     pub fn poll_transmit(&mut self, now: u64) -> Option<(TcpHeader, Vec<u8>)> {
+        let (h, len) = self.poll_segment(now)?;
+        Some((h, self.rel.send_buf.peek(h.seq, len)))
+    }
+
+    /// The next segment's header and payload length; the payload itself
+    /// stays in the send buffer, at `h.seq`, for the caller to copy once
+    /// to where it is going. Each state routes to the component that owns
+    /// the segment type.
+    pub(crate) fn poll_segment(&mut self, now: u64) -> Option<(TcpHeader, usize)> {
         match self.cm.state {
             TcpState::Closed => self.transmit_rst(),
             TcpState::SynSent => self.transmit_syn(now),
@@ -405,7 +413,7 @@ impl TcpSocket {
                 if self.fc.ack_now {
                     self.fc.ack_now = false;
                     self.fc.ack_pending = 0;
-                    return Some((self.bare_ack(), Vec::new()));
+                    return Some((self.bare_ack(), 0));
                 }
                 None
             }
@@ -416,7 +424,7 @@ impl TcpSocket {
     /// Synchronized-state transmit priority: retransmission, then new
     /// data (reliability), then FIN (connection management), then a pure
     /// ACK (flow control).
-    fn poll_transmit_data(&mut self, now: u64) -> Option<(TcpHeader, Vec<u8>)> {
+    fn poll_transmit_data(&mut self, now: u64) -> Option<(TcpHeader, usize)> {
         if let Some(seg) = self.rtx_transmit() {
             return Some(seg);
         }

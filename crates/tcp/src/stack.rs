@@ -161,7 +161,7 @@ pub struct TcpStack {
     /// Sockets that may have segments to transmit (`Slot::queued`), FIFO.
     dirty: VecDeque<SocketId>,
     /// Raw segments owed to peers with no socket (RSTs).
-    raw_out: VecDeque<(Ipv4Addr, TcpHeader, Vec<u8>)>,
+    raw_out: VecDeque<(Ipv4Addr, TcpHeader)>,
     /// User-visible events.
     events: VecDeque<SockEvent>,
     /// One armed deadline per socket, hierarchically hashed.
@@ -575,7 +575,7 @@ impl TcpStack {
                 )
             };
             let rst = TcpHeader::new(h.dst_port, h.src_port, seq, ack, flags);
-            self.raw_out.push_back((src, rst, Vec::new()));
+            self.raw_out.push_back((src, rst));
             self.stats.rst_sent += 1;
         }
     }
@@ -611,19 +611,41 @@ impl TcpStack {
 
     /// Next segment to put on the wire: `(dst_ip, header, payload)`.
     pub fn poll_transmit(&mut self, now: u64) -> Option<(Ipv4Addr, TcpHeader, Vec<u8>)> {
-        if let Some(raw) = self.raw_out.pop_front() {
+        self.transmit_with(now, |dst, h, (a, b)| (dst, *h, [a, b].concat()))
+    }
+
+    /// Next segment, emitted behind whatever `out` already holds — header,
+    /// then the payload copied once, straight from the send buffer, then
+    /// the checksum. Returns the destination.
+    pub fn poll_transmit_into(&mut self, now: u64, out: &mut Vec<u8>) -> Option<Ipv4Addr> {
+        let src = self.local_ip;
+        self.transmit_with(now, |dst, h, (a, b)| {
+            h.emit_into(out, &[a, b], src, dst);
+            dst
+        })
+    }
+
+    /// Find the next segment owed and hand `f` its destination, header and
+    /// payload — the two halves of the owning send buffer's ring.
+    fn transmit_with<R>(
+        &mut self,
+        now: u64,
+        f: impl FnOnce(Ipv4Addr, &TcpHeader, (&[u8], &[u8])) -> R,
+    ) -> Option<R> {
+        if let Some((dst, h)) = self.raw_out.pop_front() {
             self.stats.tx_segments += 1;
             self.obs.tx_segments.inc();
-            return Some(raw);
+            return Some(f(dst, &h, (&[], &[])));
         }
         while let Some(id) = self.dirty.front().copied() {
             // A migrated-out connection may still be queued: skip it.
             if let Some(slot) = self.sockets.get_mut(&id) {
-                if let Some((h, payload)) = slot.sock.poll_transmit(now) {
+                if let Some((h, len)) = slot.sock.poll_segment(now) {
                     self.stats.tx_segments += 1;
                     self.obs.tx_segments.inc();
                     slot.arm_timer(&mut self.timers);
-                    return Some((slot.sock.remote_ip, h, payload));
+                    let payload = slot.sock.rel.send_buf.slices(h.seq, len);
+                    return Some(f(slot.sock.remote_ip, &h, payload));
                 }
                 slot.queued = false;
                 slot.drain_events(&mut self.events);

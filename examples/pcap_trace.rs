@@ -8,7 +8,6 @@
 //! ```
 
 use neat::netcode::{FrameIo, RxClass};
-use neat_net::ipv4::IpProtocol;
 use neat_net::pcap::PcapWriter;
 use neat_net::{MacAddr, PktBuf, TcpHeader};
 use neat_tcp::{TcpConfig, TcpStack};
@@ -32,10 +31,7 @@ impl Host {
 
     /// Push stack segments into Ethernet frames (via ARP as needed).
     fn pump_out(&mut self, now: u64) -> Vec<PktBuf> {
-        while let Some((dst, h, payload)) = self.stack.poll_transmit(now) {
-            let seg = h.emit(&payload, self.stack.local_ip, dst);
-            self.io.send_ip(dst, IpProtocol::Tcp, &seg, now);
-        }
+        self.io.send_tcp(&mut self.stack, now, || {});
         self.io.drain()
     }
 

@@ -17,7 +17,6 @@ use neat::replica::Role;
 use neat::sockets::{LibEvent, SocketLib};
 use neat::stack_single::SingleStackProc;
 use neat_net::ethernet::MacAddr;
-use neat_net::ipv4::IpProtocol;
 use neat_sim::{Ctx, Event, ProcId, Process, Sim, SimConfig, Time};
 use neat_tcp::{SockEvent, SocketId, TcpConfig, TcpStack};
 use std::cell::RefCell;
@@ -149,10 +148,7 @@ impl FetchClient {
                 _ => {}
             }
         }
-        while let Some((dst, h, payload)) = self.stack.poll_transmit(now) {
-            let seg = h.emit(&payload, self.stack.local_ip, dst);
-            self.io.send_ip(dst, IpProtocol::Tcp, &seg, now);
-        }
+        self.io.send_tcp(&mut self.stack, now, || {});
         for frame in self.io.drain() {
             ctx.send(self.nic, Msg::NetTx(frame));
         }
