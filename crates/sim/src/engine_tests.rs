@@ -355,3 +355,213 @@ fn smt_sibling_slows_execution() {
         "SMT contention should slow the thread: solo={solo_busy} paired={paired_busy}"
     );
 }
+
+#[test]
+fn dispatch_history_digest_is_pinned() {
+    // The engine's bookkeeping may change; the history it produces may not.
+    // Every handler invocation folds (now, self, event, payload) into one
+    // FNV-1a digest, over a run that uses every `Ctx` and harness entry
+    // point: local, cross-machine and delayed sends, bursts that coalesce,
+    // timers, `Ctx::spawn` (two pids reserved in one handler, one sent to
+    // before its slot exists), `Ctx::kill` as crash and as exit,
+    // `crash_self` under a crash monitor (with a send left in an open batch
+    // by the dying process), and sends to dead pids.
+    use std::cell::Cell;
+    use std::rc::Rc;
+
+    #[derive(Debug)]
+    enum D {
+        Tok(u32),
+        Crashed(u64),
+        Die,
+    }
+    struct Node {
+        h: Rc<Cell<u64>>,
+        local: ProcId,
+        remote: ProcId,
+        spare: HwThreadId,
+        child: Option<ProcId>,
+        first: u32,
+        budget: u32,
+    }
+    impl Node {
+        fn fold(&self, ctx: &Ctx<'_, D>, words: &[u64]) {
+            let mut h = self.h.get();
+            let head = [ctx.now().as_nanos(), ctx.self_id.0];
+            for b in head.iter().chain(words).flat_map(|w| w.to_le_bytes()) {
+                h = (h ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+            }
+            self.h.set(h);
+        }
+        fn act(&mut self, ctx: &mut Ctx<'_, D>, n: u32) {
+            if self.budget == 0 {
+                return;
+            }
+            self.budget -= 1;
+            ctx.charge(300 + 40 * (n as u64 % 7));
+            match n % 10 {
+                0 => (1..=3).for_each(|i| ctx.send(self.local, D::Tok(n + i))),
+                1 => ctx.send(self.remote, D::Tok(n + 1)),
+                2 => ctx.send_delayed(self.local, D::Tok(n + 1), Time(700)),
+                3 => ctx.set_timer(Time(1_500 + 9_000 * (n as u64 % 3)), n as u64 + 1),
+                4 => {
+                    let me = ctx.self_id;
+                    let node = |budget| {
+                        Box::new(Node {
+                            h: self.h.clone(),
+                            local: me,
+                            remote: self.remote,
+                            spare: self.spare,
+                            child: None,
+                            first: n + 5,
+                            budget,
+                        })
+                    };
+                    let late = ctx.spawn(self.spare, node(2), Time(2_000));
+                    let soon = ctx.spawn(self.spare, node(4), Time::ZERO);
+                    ctx.send(soon, D::Tok(n + 1));
+                    ctx.send(late, D::Tok(n + 2));
+                    ctx.send(self.local, D::Tok(n + 1));
+                    self.child = Some(soon);
+                }
+                k @ (5 | 7) => {
+                    if let Some(c) = self.child {
+                        ctx.kill(c, k == 5);
+                    }
+                    ctx.send(self.local, D::Tok(n + 1));
+                }
+                6 => {
+                    // The child may be dead by now: the message vanishes.
+                    ctx.send(self.child.unwrap_or(self.local), D::Tok(n + 3));
+                    ctx.send(self.local, D::Tok(n + 1));
+                }
+                8 => {
+                    if let Some(c) = self.child {
+                        ctx.send(c, D::Die);
+                    }
+                    ctx.send(self.remote, D::Tok(n + 1));
+                }
+                _ => {
+                    // Two links open at once, interleaved.
+                    ctx.send(self.local, D::Tok(n + 1));
+                    ctx.send(self.remote, D::Tok(n + 2));
+                    ctx.send(self.local, D::Tok(n + 5));
+                }
+            }
+        }
+    }
+    impl Process<D> for Node {
+        fn name(&self) -> String {
+            format!("node{}", self.first)
+        }
+        fn on_event(&mut self, ctx: &mut Ctx<'_, D>, ev: Event<D>) {
+            match ev {
+                Event::Start => {
+                    self.fold(ctx, &[0]);
+                    self.act(ctx, self.first);
+                }
+                Event::Timer { token } => {
+                    self.fold(ctx, &[1, token]);
+                    self.act(ctx, token as u32);
+                }
+                Event::Message { from, msg } => match msg {
+                    D::Tok(n) => {
+                        self.fold(ctx, &[2, from.0, n as u64]);
+                        self.act(ctx, n);
+                    }
+                    D::Crashed(p) => {
+                        self.fold(ctx, &[3, from.0, p]);
+                        ctx.send(self.local, D::Tok(p as u32 % 64));
+                    }
+                    D::Die => {
+                        self.fold(ctx, &[4, from.0]);
+                        ctx.send(self.local, D::Tok(self.first));
+                        ctx.crash_self();
+                    }
+                },
+            }
+        }
+    }
+
+    let run = |batch_ns: u64| {
+        let mut sim: Sim<D> = Sim::new(SimConfig {
+            batch_ns,
+            batch_max: 3,
+            ..SimConfig::default()
+        });
+        let m0 = sim.add_machine(MachineSpec::xeon_e5520_dual());
+        let m1 = sim.add_machine(MachineSpec::amd_opteron_6168());
+        let pid = |m: u64, l: u64| ProcId((m + 1) << 40 | l);
+        let h = Rc::new(Cell::new(0xcbf2_9ce4_8422_2325u64));
+        // (machine, core, smt thread, local, remote, first, budget)
+        let nodes = [
+            (m0, 0, 0, pid(0, 2), pid(1, 1), 0, 150),
+            (m0, 0, 1, pid(0, 1), pid(1, 2), 4, 150),
+            (m0, 1, 0, pid(0, 1), pid(1, 1), 0, 0), // the crash monitor
+            (m1, 0, 0, pid(1, 2), pid(0, 1), 1, 150),
+            (m1, 1, 0, pid(1, 1), pid(0, 2), 9, 150),
+        ];
+        let mut pids = Vec::new();
+        for (m, core, smt, local, remote, first, budget) in nodes {
+            let t = sim.hw_thread(m, core, smt);
+            let spare = sim.hw_thread(m, 2, 0);
+            pids.push(sim.spawn(
+                t,
+                Box::new(Node {
+                    h: h.clone(),
+                    local,
+                    remote,
+                    spare,
+                    child: None,
+                    first,
+                    budget,
+                }),
+            ));
+        }
+        assert_eq!(pids[0], pid(0, 1));
+        assert_eq!(pids[4], pid(1, 2));
+        sim.set_crash_monitor(pids[2], |p, name| D::Crashed(p.0 ^ name.len() as u64));
+        sim.run_until(Time::from_micros(150));
+        // Harness entry points between runs.
+        sim.send_external(pids[0], D::Tok(4));
+        sim.send_external(pids[3], D::Tok(8));
+        let late = sim.hw_thread(m1, 3, 0);
+        sim.spawn(
+            late,
+            Box::new(Node {
+                h: h.clone(),
+                local: pids[3],
+                remote: pids[1],
+                spare: late,
+                child: None,
+                first: 14,
+                budget: 20,
+            }),
+        );
+        sim.run_until(Time::from_millis(5));
+        let busy: u64 = (0..sim.num_hw_threads())
+            .map(|t| sim.thread_stats(HwThreadId(t)).busy_ns)
+            .sum();
+        (
+            h.get(),
+            sim.events_dispatched(),
+            busy,
+            sim.batch_stats(),
+            sim.now(),
+        )
+    };
+    let end = Time::from_millis(5);
+    let none = BatchStats::default();
+    assert_eq!(run(0), (0xabe5_78c2_3321_0dfb, 4143, 928_977, none, end));
+    let coalesced = BatchStats {
+        flush_timer: 409,
+        flush_depth: 300,
+        flush_close: 48,
+        batched_msgs: 1122,
+        batch_deliveries: 411,
+    };
+    assert_eq!(
+        run(2_000),
+        (0x3cb6_457b_075a_709b, 3542, 407_211, coalesced, end)
+    );
+}
