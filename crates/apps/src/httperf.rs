@@ -420,11 +420,11 @@ impl Process<Msg> for HttperfProc {
         self.name.clone()
     }
 
-    fn on_batch(&mut self, ctx: &mut Ctx<'_, Msg>, from: ProcId, msgs: Vec<Msg>) {
+    fn on_batch(&mut self, ctx: &mut Ctx<'_, Msg>, from: ProcId, msgs: &mut Vec<Msg>) {
         // Amortized delivery: absorb every frame in the batch, then run
         // the event/TX drain once for the whole run of responses.
         let mut deferred_drain = false;
-        for msg in msgs {
+        for msg in msgs.drain(..) {
             match msg {
                 Msg::NetRx(frame) => {
                     self.absorb_frame(ctx, &frame);

@@ -117,13 +117,13 @@ impl Process<Msg> for DriverProc {
         self.name.clone()
     }
 
-    fn on_batch(&mut self, ctx: &mut Ctx<'_, Msg>, from: ProcId, msgs: Vec<Msg>) {
+    fn on_batch(&mut self, ctx: &mut Ctx<'_, Msg>, from: ProcId, msgs: &mut Vec<Msg>) {
         // A coalesced run of frames is one vectored ring pass: the first
         // frame pays the usual (possibly cold) descriptor cost, the rest
         // pay the bulk vectored rate (§3.4; rx_pop_batch on the device
         // side is the matching NIC-facing drain).
         let mut in_run = false;
-        for msg in msgs {
+        for msg in msgs.drain(..) {
             match msg {
                 Msg::RxFrame { queue, frame } => {
                     let now = ctx.now().as_nanos();

@@ -97,7 +97,7 @@ impl Process<Msg> for NicProc {
         0 // device pipeline costs are charged explicitly in ns
     }
 
-    fn on_batch(&mut self, ctx: &mut Ctx<'_, Msg>, from: ProcId, msgs: Vec<Msg>) {
+    fn on_batch(&mut self, ctx: &mut Ctx<'_, Msg>, from: ProcId, msgs: &mut Vec<Msg>) {
         // A coalesced run of wire frames: push them all into the RX rings,
         // then drain each touched queue once — one descriptor-ring pass
         // per batch instead of one per frame.
@@ -106,7 +106,7 @@ impl Process<Msg> for NicProc {
             if msgs.iter().all(|m| matches!(m, Msg::WireFrame(_))) {
                 let now = ctx.now().as_nanos();
                 let mut touched: Vec<usize> = Vec::new();
-                for msg in msgs {
+                for msg in msgs.drain(..) {
                     let Msg::WireFrame(frame) = msg else {
                         unreachable!()
                     };
@@ -125,7 +125,7 @@ impl Process<Msg> for NicProc {
                 return;
             }
         }
-        for msg in msgs {
+        for msg in msgs.drain(..) {
             self.on_event(ctx, Event::Message { from, msg });
         }
     }

@@ -111,11 +111,11 @@ impl Process<Msg> for SingleStackProc {
         self.name.clone()
     }
 
-    fn on_batch(&mut self, ctx: &mut Ctx<'_, Msg>, from: ProcId, msgs: Vec<Msg>) {
+    fn on_batch(&mut self, ctx: &mut Ctx<'_, Msg>, from: ProcId, msgs: &mut Vec<Msg>) {
         // Amortized delivery: classify every frame in the batch, then run
         // the TX/event flush once for the whole run of packets.
         let mut deferred_flush = false;
-        for msg in msgs {
+        for msg in msgs.drain(..) {
             match msg {
                 Msg::NetRx(frame) => {
                     self.handle_frame(ctx, frame);

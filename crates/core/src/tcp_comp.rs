@@ -64,11 +64,11 @@ impl Process<Msg> for TcpProc {
         self.name.clone()
     }
 
-    fn on_batch(&mut self, ctx: &mut Ctx<'_, Msg>, from: ProcId, msgs: Vec<Msg>) {
+    fn on_batch(&mut self, ctx: &mut Ctx<'_, Msg>, from: ProcId, msgs: &mut Vec<Msg>) {
         // Amortized delivery: absorb every segment in the batch, then run
         // the TX/event flush once for the whole run.
         let mut deferred_flush = false;
-        for msg in msgs {
+        for msg in msgs.drain(..) {
             match msg {
                 Msg::IpRxTcp { src, seg } => {
                     self.host.rx_segment(ctx, src, &seg);

@@ -41,7 +41,7 @@
 //!   whose receiver-side costs the calibration already carries).
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 
 use neat_util::Rng;
 
@@ -117,6 +117,9 @@ impl BatchStats {
 
 /// One open per-link batch: messages coalescing toward a single delivery.
 struct LinkBatch<M> {
+    /// The message that opened the batch, until a second one joins it: a
+    /// batch that closes with one message never owned a vector.
+    lone: Option<M>,
     msgs: Vec<M>,
     /// Hard delivery deadline (`opened_at + batch_ns`).
     flush_at: Time,
@@ -182,6 +185,58 @@ struct ProcSlot<M> {
     thread: HwThreadId,
     name: String,
     alive: bool,
+    /// This process's open link batches by destination (machine-local
+    /// links). A process talks to a handful of peers: scanned, not hashed.
+    /// They outlive the process — what it sent before dying still arrives.
+    batches: Vec<(ProcId, LinkBatch<M>)>,
+}
+
+impl<M: 'static> ProcSlot<M> {
+    fn new(proc: Box<dyn Process<M>>, thread: HwThreadId) -> ProcSlot<M> {
+        ProcSlot {
+            name: proc.name(),
+            proc: Some(proc),
+            thread,
+            alive: true,
+            batches: Vec::new(),
+        }
+    }
+}
+
+/// A domain's process table, indexed by the local part of the pid. Pids are
+/// `first + k` for the k-th process the domain ever allocated, never reused
+/// and never removed, so the dense table holds exactly what a map keyed by
+/// pid would. A pid of another domain, `ProcId(0)`, or one `Ctx::spawn` has
+/// reserved but whose `Start` is not yet scheduled has no slot.
+struct ProcTable<M> {
+    first: u64,
+    slots: Vec<ProcSlot<M>>,
+}
+
+impl<M> ProcTable<M> {
+    fn index(&self, pid: ProcId) -> Option<usize> {
+        usize::try_from(pid.0.wrapping_sub(self.first)).ok()
+    }
+
+    fn get(&self, pid: ProcId) -> Option<&ProcSlot<M>> {
+        self.slots.get(self.index(pid)?)
+    }
+
+    fn get_mut(&mut self, pid: ProcId) -> Option<&mut ProcSlot<M>> {
+        let i = self.index(pid)?;
+        self.slots.get_mut(i)
+    }
+
+    /// Slots fill in allocation order: a domain runs one handler at a time
+    /// and applies its spawns in the order it reserved their pids.
+    fn insert(&mut self, pid: ProcId, slot: ProcSlot<M>) {
+        assert_eq!(self.index(pid), Some(self.slots.len()), "{pid:?}");
+        self.slots.push(slot);
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (ProcId, &ProcSlot<M>)> {
+        (self.first..).map(ProcId).zip(&self.slots)
+    }
 }
 
 /// How a process left the world.
@@ -224,9 +279,10 @@ type CrashHook<M> = Box<dyn Fn(ProcId, &str) -> M>;
 /// pid itself. `ProcId(0)` stays the reserved "external" sender.
 const PID_DOM_SHIFT: u32 = 40;
 
-fn domain_of_pid(pid: ProcId) -> u32 {
-    debug_assert!(pid.0 >> PID_DOM_SHIFT != 0, "pid {pid:?} has no domain");
-    (pid.0 >> PID_DOM_SHIFT) as u32 - 1
+/// Index of the domain that allocated `pid`; out of range for `ProcId(0)`
+/// (and for a pid nobody allocated), so look domains up with `get`.
+fn domain_of_pid(pid: ProcId) -> usize {
+    ((pid.0 >> PID_DOM_SHIFT) as usize).wrapping_sub(1)
 }
 
 /// Location of a hardware thread: owning domain + index within it.
@@ -266,10 +322,15 @@ struct DomainState<M> {
     pending: Vec<VecDeque<(ProcId, Delivery<M>)>>,
     /// Whether a ThreadResume marker is scheduled per local thread.
     resume_scheduled: Vec<bool>,
-    procs: HashMap<ProcId, ProcSlot<M>>,
-    /// Open per-link batches keyed by `(src, dst)` (machine-local links).
-    batches: HashMap<(ProcId, ProcId), LinkBatch<M>>,
+    procs: ProcTable<M>,
     batch_epoch: u64,
+    /// Scratch vectors a handler's [`Ctx`] borrows and `execute` hands back
+    /// empty, and message vectors of delivered batches awaiting the next
+    /// batch that grows past one message: capacity is kept, so a warmed-up
+    /// dispatch allocates nothing.
+    outputs: Vec<Output<M>>,
+    woken_threads: Vec<usize>,
+    spare_msgs: Vec<Vec<M>>,
     batch_stats: BatchStats,
     events_dispatched: u64,
     spawns: u64,
@@ -293,9 +354,14 @@ impl<M> DomainState<M> {
             thread_ids: Vec::new(),
             pending: Vec::new(),
             resume_scheduled: Vec::new(),
-            procs: HashMap::new(),
-            batches: HashMap::new(),
+            procs: ProcTable {
+                first: ((dom as u64 + 1) << PID_DOM_SHIFT) | 1,
+                slots: Vec::new(),
+            },
             batch_epoch: 0,
+            outputs: Vec::new(),
+            woken_threads: Vec::new(),
+            spare_msgs: Vec::new(),
             batch_stats: BatchStats::default(),
             events_dispatched: 0,
             spawns: 0,
@@ -499,34 +565,21 @@ impl<M: 'static> Sim<M> {
         let dom = self.topo.loc(thread).dom as usize;
         let d = &mut self.domains[dom];
         let pid = d.alloc_pid();
-        let name = proc.name();
         d.spawns += 1;
-        d.procs.insert(
-            pid,
-            ProcSlot {
-                proc: Some(proc),
-                thread,
-                name,
-                alive: true,
-            },
-        );
+        d.procs.insert(pid, ProcSlot::new(proc, thread));
         let now = self.now;
         d.push(now, pid, Event::Start);
         pid
     }
 
-    /// Inject a message from "outside" (harness code) into a process.
+    /// Inject a message from "outside" (harness code) into a process. The
+    /// sender it names is `ProcId(0)`; a reply to that vanishes.
     pub fn send_external(&mut self, dst: ProcId, msg: M) {
-        let now = self.now;
-        let dom = domain_of_pid(dst) as usize;
-        self.domains[dom].push(
-            now + calibration::CHANNEL_LATENCY,
-            dst,
-            Event::Message {
-                from: ProcId(0),
-                msg,
-            },
-        );
+        let at = self.now + calibration::CHANNEL_LATENCY;
+        if let Some(d) = self.domains.get_mut(domain_of_pid(dst)) {
+            let from = ProcId(0);
+            d.push(at, dst, Event::Message { from, msg });
+        }
     }
 
     /// Register the process to be notified (via a constructed message) when
@@ -541,12 +594,11 @@ impl<M: 'static> Sim<M> {
 
     /// Is the process still alive? (Harness-level: any machine.)
     pub fn is_alive(&self, pid: ProcId) -> bool {
-        let dom = domain_of_pid(pid) as usize;
-        self.domains
-            .get(dom)
-            .and_then(|d| d.procs.get(&pid))
-            .map(|s| s.alive)
-            .unwrap_or(false)
+        self.slot(pid).is_some_and(|s| s.alive)
+    }
+
+    fn slot(&self, pid: ProcId) -> Option<&ProcSlot<M>> {
+        self.domains.get(domain_of_pid(pid))?.procs.get(pid)
     }
 
     /// The live process called `name` (harness-level: how a test finds a
@@ -555,13 +607,12 @@ impl<M: 'static> Sim<M> {
         let procs = self.domains.iter().flat_map(|d| d.procs.iter());
         procs
             .filter(|(_, s)| s.alive && s.name == name)
-            .map(|(pid, _)| *pid)
+            .map(|(pid, _)| pid)
             .max()
     }
 
     pub fn proc_thread(&self, pid: ProcId) -> Option<HwThreadId> {
-        let dom = domain_of_pid(pid) as usize;
-        self.domains.get(dom)?.procs.get(&pid).map(|s| s.thread)
+        self.slot(pid).map(|s| s.thread)
     }
 
     fn thread_ref(&self, tid: HwThreadId) -> &HwThread {
@@ -615,7 +666,7 @@ impl<M: 'static> Sim<M> {
             "sim.live_procs",
             self.domains
                 .iter()
-                .flat_map(|d| d.procs.values())
+                .flat_map(|d| &d.procs.slots)
                 .filter(|s| s.alive)
                 .count() as f64,
         );
@@ -743,24 +794,23 @@ impl<'a, M: 'static> Ctx<'a, M> {
         if !self.batching && extra_delay.as_nanos() == 0 && self.sender_kind == ThreadKind::Cpu {
             self.charged += calibration::MSG_NOTIFY;
         }
-        // The MWAIT wake store applies to machine-local destinations only:
-        // a cross-machine send reaches the peer through its NIC, whose IRQ
+        // The MWAIT wake store applies to machine-local destinations only
+        // (this machine's table has no slot for any other pid): a
+        // cross-machine send reaches the peer through its NIC, whose IRQ
         // path the receiver-side costs already model — and peeking at the
         // remote thread's state here would break domain isolation.
-        if domain_of_pid(dst) == self.dom.dom {
-            if let Some(slot) = self.dom.procs.get(&dst) {
-                let lt = self.topo.loc(slot.thread).idx as usize;
-                let th = &self.dom.threads[lt];
-                if th.kind == ThreadKind::Cpu
-                    && th.busy_until + calibration::SPIN_POLL_WINDOW < self.start
-                    && !self.woken_threads.contains(&lt)
-                {
-                    // Destination thread is (by now) asleep: pay the wake
-                    // store — once per handler per thread; later messages
-                    // in the same burst find it already waking.
-                    self.woken_threads.push(lt);
-                    self.charged += calibration::WAKE_REMOTE;
-                }
+        if let Some(slot) = self.dom.procs.get(dst) {
+            let lt = self.topo.loc(slot.thread).idx as usize;
+            let th = &self.dom.threads[lt];
+            if th.kind == ThreadKind::Cpu
+                && th.busy_until + calibration::SPIN_POLL_WINDOW < self.start
+                && !self.woken_threads.contains(&lt)
+            {
+                // Destination thread is (by now) asleep: pay the wake
+                // store — once per handler per thread; later messages
+                // in the same burst find it already waking.
+                self.woken_threads.push(lt);
+                self.charged += calibration::WAKE_REMOTE;
             }
         }
         self.outputs.push(Output::Send {
@@ -827,11 +877,11 @@ impl<'a, M: 'static> Ctx<'a, M> {
     pub fn is_alive(&self, pid: ProcId) -> bool {
         assert_eq!(
             domain_of_pid(pid),
-            self.dom.dom,
+            self.dom.dom as usize,
             "Ctx::is_alive queried a process on another machine; liveness \
              is machine-local (remote liveness travels by message)"
         );
-        self.dom.procs.get(&pid).map(|s| s.alive).unwrap_or(false)
+        self.dom.procs.get(pid).is_some_and(|s| s.alive)
     }
 }
 #[cfg(test)]

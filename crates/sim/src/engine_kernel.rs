@@ -4,6 +4,7 @@
 //! [`Sim::run_until`] does with each event it pops.
 
 use super::*;
+use std::mem::take;
 
 /// What the engine queues for a process: an [`Event`] for `on_event`, or a
 /// coalesced per-link run for `on_batch`. Private to the engine, so no
@@ -19,6 +20,30 @@ impl<M> From<Event<M>> for Delivery<M> {
     }
 }
 
+impl<M> LinkBatch<M> {
+    fn len(&self) -> usize {
+        self.msgs.len() + self.lone.is_some() as usize
+    }
+
+    /// Append `msg`; the second message is what gives the batch a vector,
+    /// a recycled one from `spare` if there is one.
+    fn push(&mut self, msg: M, spare: &mut Vec<Vec<M>>) {
+        if let Some(first) = self.lone.take() {
+            self.msgs = spare.pop().unwrap_or_else(|| Vec::with_capacity(4));
+            self.msgs.push(first);
+        }
+        self.msgs.push(msg);
+    }
+}
+
+impl<M> ProcSlot<M> {
+    /// Where this sender's open batch toward `dst` sits, if it has one.
+    /// (Order among a sender's batches is never observed: `swap_remove`.)
+    fn batch_to(&self, dst: ProcId) -> Option<usize> {
+        self.batches.iter().position(|(to, _)| *to == dst)
+    }
+}
+
 impl<M: 'static> Sim<M> {
     /// Dispatch one event popped from the heap of the domain at `di`.
     pub(super) fn dispatch(&mut self, di: usize, ev: HeapEv<M>) {
@@ -26,7 +51,7 @@ impl<M: 'static> Sim<M> {
         match kind {
             HeapKind::Deliver { dst, ev } => {
                 let d = &mut self.domains[di];
-                let Some(slot) = d.procs.get(&dst) else {
+                let Some(slot) = d.procs.get(dst) else {
                     return;
                 };
                 if !slot.alive {
@@ -62,17 +87,16 @@ impl<M: 'static> Sim<M> {
             HeapKind::FlushBatch { src, dst, epoch } => {
                 // Stale unless the batch is still open under this epoch.
                 let d = &mut self.domains[di];
-                let live = d
-                    .batches
-                    .get(&(src, dst))
-                    .map(|b| b.epoch == epoch)
-                    .unwrap_or(false);
-                if live {
-                    let b = d.batches.remove(&(src, dst)).unwrap();
+                let Some(sender) = d.procs.get_mut(src) else {
+                    return;
+                };
+                let open = sender.batch_to(dst);
+                if let Some(i) = open.filter(|&i| sender.batches[i].1.epoch == epoch) {
+                    let (_, b) = sender.batches.swap_remove(i);
                     d.batch_stats.flush_timer += 1;
                     // The horizon IS the delivery instant (`time ==
                     // flush_at >= ready_at`), like interrupt moderation.
-                    self.deliver_batch(di, src, dst, b.msgs, time);
+                    self.deliver_batch(di, src, dst, b, time);
                 }
             }
             HeapKind::ThreadResume(lt) => {
@@ -80,11 +104,7 @@ impl<M: 'static> Sim<M> {
                 self.domains[di].resume_scheduled[lt] = false;
                 // Pop queued work until we find a live destination.
                 while let Some((dst, ev)) = self.domains[di].pending[lt].pop_front() {
-                    let alive = self.domains[di]
-                        .procs
-                        .get(&dst)
-                        .map(|s| s.alive)
-                        .unwrap_or(false);
+                    let alive = self.domains[di].procs.get(dst).is_some_and(|s| s.alive);
                     if !alive {
                         continue; // messages to dead processes vanish
                     }
@@ -111,10 +131,10 @@ impl<M: 'static> Sim<M> {
     /// Single-message batches degrade to a plain `Message` so receivers
     /// and traces can't tell a lone coalesced message from an unbatched
     /// one. Batched links are machine-local, so delivery is a local push.
-    fn deliver_batch(&mut self, di: usize, src: ProcId, dst: ProcId, msgs: Vec<M>, at: Time) {
+    fn deliver_batch(&mut self, di: usize, src: ProcId, dst: ProcId, b: LinkBatch<M>, at: Time) {
         let d = &mut self.domains[di];
-        if msgs.len() == 1 {
-            let msg = msgs.into_iter().next().unwrap();
+        let LinkBatch { lone, msgs, .. } = b;
+        if let Some(msg) = lone {
             d.push(at, dst, Event::Message { from: src, msg });
         } else {
             d.batch_stats.batched_msgs += msgs.len() as u64;
@@ -136,58 +156,57 @@ impl<M: 'static> Sim<M> {
         at: Time,
         now: Time,
     ) {
-        let key = (src, dst);
         let batch_max = self.batch_max;
         let d = &mut self.domains[di];
-        match d.batches.get_mut(&key) {
-            Some(b) if at <= b.flush_at => {
-                b.msgs.push(msg);
+        // `src` is the process `execute` is running: it has a slot.
+        let sender = d.procs.get_mut(src).expect("the sender has a slot");
+        match sender.batch_to(dst) {
+            Some(i) if at <= sender.batches[i].1.flush_at => {
+                let b = &mut sender.batches[i].1;
+                b.push(msg, &mut d.spare_msgs);
                 b.ready_at = b.ready_at.max(at);
-                if b.msgs.len() >= batch_max {
+                if b.len() >= batch_max {
                     // Depth flush: deliver now-complete batch at its
                     // ready time; the scheduled FlushBatch goes stale.
-                    let b = d.batches.remove(&key).unwrap();
+                    let (_, b) = sender.batches.swap_remove(i);
                     d.batch_stats.flush_depth += 1;
                     let at = b.ready_at.max(now);
-                    self.deliver_batch(di, src, dst, b.msgs, at);
+                    self.deliver_batch(di, src, dst, b, at);
                 }
             }
-            Some(_) => {
+            Some(i) => {
                 // The new message lands past the horizon: close the old
                 // batch (its flush event goes stale) and open a new one.
-                let old = d.batches.remove(&key).unwrap();
+                let (_, old) = sender.batches.swap_remove(i);
                 d.batch_stats.flush_close += 1;
                 let old_at = old.ready_at.max(now);
-                self.deliver_batch(di, src, dst, old.msgs, old_at);
-                self.open_batch(di, key, msg, at);
+                self.deliver_batch(di, src, dst, old, old_at);
+                self.open_batch(di, src, dst, msg, at);
             }
-            None => self.open_batch(di, key, msg, at),
+            None => self.open_batch(di, src, dst, msg, at),
         }
     }
 
-    fn open_batch(&mut self, di: usize, key: (ProcId, ProcId), msg: M, at: Time) {
+    fn open_batch(&mut self, di: usize, src: ProcId, dst: ProcId, msg: M, at: Time) {
         let d = &mut self.domains[di];
         d.batch_epoch += 1;
         let epoch = d.batch_epoch;
         let flush_at = at + self.batch_ns;
-        d.batches.insert(
-            key,
-            LinkBatch {
-                msgs: vec![msg],
-                flush_at,
-                ready_at: at,
-                epoch,
-            },
-        );
+        let batch = LinkBatch {
+            lone: Some(msg),
+            msgs: Vec::new(),
+            flush_at,
+            ready_at: at,
+            epoch,
+        };
+        let sender = d.procs.get_mut(src).expect("the sender has a slot");
+        sender.batches.push((dst, batch));
         let origin = d.next_origin();
+        let kind = HeapKind::FlushBatch { src, dst, epoch };
         d.heap.push(HeapEv {
             time: flush_at,
             origin,
-            kind: HeapKind::FlushBatch {
-                src: key.0,
-                dst: key.1,
-                epoch,
-            },
+            kind,
         });
     }
 
@@ -198,7 +217,7 @@ impl<M: 'static> Sim<M> {
         // Tracing hook: name the span before the event is consumed. Guarded
         // so the disabled path pays one bool read, no format.
         let span_name = if neat_obs::tracing() {
-            let pname = d.procs.get(&dst).map(|s| s.name.as_str()).unwrap_or("?");
+            let pname = d.procs.get(dst).map_or("?", |s| s.name.as_str());
             let label = match &ev {
                 Delivery::Event(ev) => ev.label(),
                 Delivery::Batch { .. } => "batch",
@@ -207,7 +226,7 @@ impl<M: 'static> Sim<M> {
         } else {
             None
         };
-        let mut proc = match d.procs.get_mut(&dst) {
+        let mut proc = match d.procs.get_mut(dst) {
             Some(slot) if slot.alive => match slot.proc.take() {
                 Some(p) => p,
                 None => return,
@@ -241,6 +260,7 @@ impl<M: 'static> Sim<M> {
             _ => 1.0,
         };
 
+        let (outputs, woken_threads) = (take(&mut d.outputs), take(&mut d.woken_threads));
         let mut ctx = Ctx {
             dom: d,
             topo: &self.topo,
@@ -250,20 +270,28 @@ impl<M: 'static> Sim<M> {
             start,
             charged: proc.dispatch_cost(),
             charged_ns: 0,
-            outputs: Vec::new(),
+            outputs,
             die: None,
-            woken_threads: Vec::new(),
+            woken_threads,
             last_send_dst: None,
         };
-        match ev {
-            Delivery::Batch { from, msgs } => proc.on_batch(&mut ctx, from, msgs),
-            Delivery::Event(ev) => proc.on_event(&mut ctx, ev),
-        }
+        let spent = match ev {
+            Delivery::Batch { from, mut msgs } => {
+                proc.on_batch(&mut ctx, from, &mut msgs);
+                msgs.clear();
+                Some(msgs)
+            }
+            Delivery::Event(ev) => {
+                proc.on_event(&mut ctx, ev);
+                None
+            }
+        };
         let Ctx {
             charged,
             charged_ns,
-            outputs,
+            mut outputs,
             die,
+            mut woken_threads,
             ..
         } = ctx;
 
@@ -277,6 +305,9 @@ impl<M: 'static> Sim<M> {
         };
         let end = start + work;
         let d = &mut self.domains[di];
+        d.spare_msgs.extend(spent);
+        woken_threads.clear();
+        d.woken_threads = woken_threads;
         {
             let th = &mut d.threads[lt];
             th.stats.smt_slow_sum += smt_slow;
@@ -293,8 +324,8 @@ impl<M: 'static> Sim<M> {
         }
 
         // --- Apply outputs at completion time.
-        let src_dom = d.dom;
-        for out in outputs {
+        let src_dom = d.dom as usize;
+        for out in outputs.drain(..) {
             match out {
                 Output::Send {
                     dst: to,
@@ -312,9 +343,13 @@ impl<M: 'static> Sim<M> {
                     {
                         self.enqueue_batched(di, dst, to, msg, at, time);
                     } else {
+                        // A send to `ProcId(0)` (the external sender) or to
+                        // a pid nobody allocated has nowhere to go.
                         let origin = self.domains[di].next_origin();
                         let ev = Event::Message { from: dst, msg };
-                        self.domains[to_dom as usize].deliver(at, origin, to, ev);
+                        if let Some(d) = self.domains.get_mut(to_dom) {
+                            d.deliver(at, origin, to, ev);
+                        }
                     }
                 }
                 Output::Timer { delay, token } => {
@@ -328,17 +363,8 @@ impl<M: 'static> Sim<M> {
                 } => {
                     // Ctx::spawn asserted thread is on this machine.
                     let d = &mut self.domains[di];
-                    let name = proc.name();
                     d.spawns += 1;
-                    d.procs.insert(
-                        pid,
-                        ProcSlot {
-                            proc: Some(proc),
-                            thread,
-                            name,
-                            alive: true,
-                        },
-                    );
+                    d.procs.insert(pid, ProcSlot::new(proc, thread));
                     d.push(end + delay, pid, Event::Start);
                 }
                 Output::Kill { pid, crash } => {
@@ -348,27 +374,24 @@ impl<M: 'static> Sim<M> {
             }
         }
 
-        // --- Self-termination or put the process back.
-        match die {
-            Some(mode) => {
-                // Put the (now doomed) process back so reap can drop it.
-                if let Some(slot) = self.domains[di].procs.get_mut(&dst) {
-                    slot.proc = Some(proc);
-                }
-                self.reap(dst, mode, end);
-            }
-            None => {
-                if let Some(slot) = self.domains[di].procs.get_mut(&dst) {
-                    slot.proc = Some(proc);
-                }
-            }
+        self.domains[di].outputs = outputs;
+
+        // --- Put the process back (reap drops a doomed one), then
+        // self-termination.
+        if let Some(slot) = self.domains[di].procs.get_mut(dst) {
+            slot.proc = Some(proc);
+        }
+        if let Some(mode) = die {
+            self.reap(dst, mode, end);
         }
     }
 
     fn reap(&mut self, pid: ProcId, mode: DieMode, at: Time) {
-        let p = domain_of_pid(pid) as usize;
-        let d = &mut self.domains[p];
-        let (name, thread) = match d.procs.get_mut(&pid) {
+        let p = domain_of_pid(pid);
+        let Some(d) = self.domains.get_mut(p) else {
+            return;
+        };
+        let (name, thread) = match d.procs.get_mut(pid) {
             Some(slot) if slot.alive => {
                 slot.alive = false;
                 slot.proc = None; // all state dropped — stateless recovery
@@ -402,12 +425,9 @@ impl<M: 'static> Sim<M> {
                     from: ProcId(0),
                     msg,
                 };
-                self.domains[domain_of_pid(*monitor) as usize].deliver(
-                    at + calibration::CRASH_NOTIFY_LATENCY,
-                    origin,
-                    *monitor,
-                    ev,
-                );
+                if let Some(d) = self.domains.get_mut(domain_of_pid(*monitor)) {
+                    d.deliver(at + calibration::CRASH_NOTIFY_LATENCY, origin, *monitor, ev);
+                }
             }
         }
     }

@@ -187,9 +187,9 @@ fn batching_coalesces_per_link_and_preserves_order() {
                 self.got.borrow_mut().push(n);
             }
         }
-        fn on_batch(&mut self, ctx: &mut Ctx<'_, TMsg>, from: ProcId, msgs: Vec<TMsg>) {
+        fn on_batch(&mut self, ctx: &mut Ctx<'_, TMsg>, from: ProcId, msgs: &mut Vec<TMsg>) {
             *self.wakeups.borrow_mut() += 1;
-            for msg in msgs {
+            for msg in msgs.drain(..) {
                 if let TMsg::Ping(n) = msg {
                     self.got.borrow_mut().push(n);
                 }
@@ -564,4 +564,63 @@ fn dispatch_history_digest_is_pinned() {
         run(2_000),
         (0x3cb6_457b_075a_709b, 3542, 407_211, coalesced, end)
     );
+}
+
+#[test]
+fn reply_to_external_sender_vanishes() {
+    // `send_external` and the crash hook deliver with `from: ProcId(0)`;
+    // `Echo` answers `from`. The reply has nowhere to go: it vanishes like
+    // a message to a dead process, and the sender still paid for the send.
+    let (mut sim, echo, _, pongs) = two_proc_sim();
+    let t2 = sim.hw_thread(MachineId(0), 2, 0);
+    let victim = sim.spawn(t2, Box::new(Echo { got: vec![] }));
+    sim.set_crash_monitor(echo, |_pid, _| TMsg::Ping(8));
+    sim.run_until(Time::from_millis(1));
+    let busy = |sim: &Sim<TMsg>| sim.thread_stats(sim.proc_thread(echo).unwrap()).busy_ns;
+    let before = busy(&sim);
+    sim.send_external(echo, TMsg::Ping(7));
+    sim.send_external(victim, TMsg::Die);
+    sim.run_until(Time::from_millis(2));
+    assert!(sim.is_alive(echo) && !sim.is_alive(victim));
+    assert_eq!(pongs.borrow().len(), 5, "nobody received the two replies");
+    let cycles = 2 * (calibration::MSG_RECV + 1000 + calibration::MSG_SEND);
+    let paid = MachineSpec::amd_opteron_6168().freq.cycles_to_time(cycles);
+    assert!(busy(&sim) - before >= paid.as_nanos() - 2, "send charged");
+    assert!(!sim.is_alive(ProcId(0)) && sim.proc_thread(ProcId(0)).is_none());
+}
+
+#[test]
+fn send_to_a_pid_nobody_allocated_vanishes() {
+    // No such slot on this machine, no such machine, and the external
+    // sender's pid — as a destination, a kill target and a harness query.
+    struct Stray(Vec<ProcId>);
+    impl Process<TMsg> for Stray {
+        fn name(&self) -> String {
+            "stray".into()
+        }
+        fn on_event(&mut self, ctx: &mut Ctx<'_, TMsg>, ev: Event<TMsg>) {
+            if let Event::Start = ev {
+                for &pid in &self.0 {
+                    ctx.send(pid, TMsg::Ping(1));
+                    ctx.send_delayed(pid, TMsg::Ping(2), Time(500));
+                    ctx.kill(pid, true);
+                }
+            }
+        }
+    }
+    for batch_ns in [0, 2_000] {
+        let mut sim: Sim<TMsg> = Sim::new(SimConfig {
+            batch_ns,
+            ..SimConfig::default()
+        });
+        let m = sim.add_machine(MachineSpec::amd_opteron_6168());
+        let nobody = [ProcId(1 << 40 | 99), ProcId(7 << 40 | 1), ProcId(0)];
+        let stray = sim.spawn(sim.hw_thread(m, 0, 0), Box::new(Stray(nobody.to_vec())));
+        for pid in nobody {
+            sim.send_external(pid, TMsg::Die);
+            assert!(!sim.is_alive(pid) && sim.proc_thread(pid).is_none());
+        }
+        sim.run_until(Time::from_millis(1));
+        assert!(sim.is_alive(stray));
+    }
 }

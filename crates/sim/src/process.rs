@@ -64,9 +64,11 @@ pub trait Process<M>: 'static {
     /// behaviour-identical to unbatched delivery, while the batch still
     /// pays [`Process::dispatch_cost`] only once. Batch-aware processes
     /// override this to amortize per-wakeup work (drain rings once, flush
-    /// once) across all `msgs`.
-    fn on_batch(&mut self, ctx: &mut crate::Ctx<'_, M>, from: ProcId, msgs: Vec<M>) {
-        for msg in msgs {
+    /// once) across all `msgs`. The vector is lent so the engine can reuse
+    /// it for a later batch: take the messages out (`drain(..)`); whatever
+    /// is left in it is dropped.
+    fn on_batch(&mut self, ctx: &mut crate::Ctx<'_, M>, from: ProcId, msgs: &mut Vec<M>) {
+        for msg in msgs.drain(..) {
             self.on_event(ctx, Event::Message { from, msg });
         }
     }

@@ -172,9 +172,9 @@ impl Process<Msg> for FetchClient {
         "fetch-client".into()
     }
 
-    fn on_batch(&mut self, ctx: &mut Ctx<'_, Msg>, from: ProcId, msgs: Vec<Msg>) {
+    fn on_batch(&mut self, ctx: &mut Ctx<'_, Msg>, from: ProcId, msgs: &mut Vec<Msg>) {
         let mut any = false;
-        for msg in msgs {
+        for msg in msgs.drain(..) {
             match msg {
                 Msg::NetRx(frame) => {
                     self.absorb(ctx, &frame);
