@@ -15,8 +15,8 @@ use neat::netcode::{FrameIo, RxClass};
 use neat_net::ethernet::MacAddr;
 use neat_sim::{calibration, Ctx, Event, Histogram, ProcId, Process, Time};
 use neat_tcp::{SockEvent, SockOpt, SocketId, TcpConfig, TcpStack};
+use neat_util::FxHashMap;
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::rc::Rc;
 
@@ -176,7 +176,8 @@ pub struct HttperfProc {
     nic: ProcId,
     stack: TcpStack,
     io: FrameIo,
-    conns: HashMap<SocketId, ConnRun>,
+    /// Probed; the one iteration is sorted at `scan_timeouts`.
+    conns: FxHashMap<SocketId, ConnRun>,
     armed: Option<u64>,
     pub metrics: Rc<RefCell<ClientMetrics>>,
     obs: ClientObs,
@@ -231,7 +232,7 @@ impl HttperfProc {
             nic,
             stack,
             io,
-            conns: HashMap::new(),
+            conns: FxHashMap::default(),
             armed: None,
             metrics,
             obs: ClientObs::new(),

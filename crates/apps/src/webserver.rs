@@ -8,15 +8,16 @@
 use crate::http;
 use neat::msg::Msg;
 use neat::sockets::{Fd, LibEvent, SockErr, SockOpt, SocketLib};
-use neat_sim::{calibration, Ctx, Event, Process};
+use neat_sim::{calibration, Ctx, Event, ProcId, Process};
+use neat_util::FxHashMap;
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
 /// In-memory document root.
 #[derive(Debug, Clone, Default)]
 pub struct FileStore {
-    files: HashMap<String, Vec<u8>>,
+    /// Only probed.
+    files: FxHashMap<String, Vec<u8>>,
 }
 
 impl FileStore {
@@ -81,7 +82,8 @@ pub struct WebServerProc {
     /// Close connections after this many requests (lighttpd
     /// `max-keep-alive-requests`; the paper sets 1000, tests use less).
     max_requests_per_conn: u32,
-    conns: HashMap<Fd, ConnState>,
+    /// Only probed.
+    conns: FxHashMap<Fd, ConnState>,
     /// CPU cycles of application work per served request. Defaults to the
     /// calibrated lighttpd cost; benches lower it to model a lightweight
     /// app (null-RPC style) when measuring the stack's own ceiling.
@@ -91,6 +93,9 @@ pub struct WebServerProc {
     sock_opts: Vec<SockOpt>,
     pub metrics: Rc<RefCell<WebMetrics>>,
     obs: WebObs,
+    /// `web.accepted.r<pid>` per replica, bumped on every accept: cached,
+    /// but registered at the replica's first (the snapshot's key order).
+    accepted_by: Vec<(ProcId, neat_obs::Counter)>,
 }
 
 /// Metrics-registry handles mirroring the hot-path [`WebMetrics`] counters.
@@ -126,11 +131,12 @@ impl WebServerProc {
             files,
             port,
             max_requests_per_conn,
-            conns: HashMap::new(),
+            conns: FxHashMap::default(),
             request_cycles: calibration::WEB_REQUEST,
             sock_opts: Vec::new(),
             metrics,
             obs: WebObs::new(),
+            accepted_by: Vec::new(),
         }
     }
 
@@ -250,9 +256,13 @@ impl Process<Msg> for WebServerProc {
                             self.obs.conns_accepted.inc();
                             if let Some(pid) = self.lib.replica_of(fd) {
                                 m.served_by.push(pid.0);
-                                // Per-replica accept counts (cold path: one
-                                // registry name lookup per accepted conn).
-                                neat_obs::counter_add(&format!("web.accepted.r{}", pid.0), 1);
+                                let known = self.accepted_by.iter().find(|(r, _)| *r == pid);
+                                let counter = known.map(|(_, c)| *c).unwrap_or_else(|| {
+                                    let c = neat_obs::counter(&format!("web.accepted.r{}", pid.0));
+                                    self.accepted_by.push((pid, c));
+                                    c
+                                });
+                                counter.inc();
                             }
                             drop(m);
                             self.conns.insert(

@@ -39,6 +39,10 @@ pub struct FlowRepl {
     /// Latest checkpoint per flow, held on behalf of other replicas and
     /// keyed by their pid.
     store: HashMap<ProcId, HashMap<FlowKey, ReplFlow>>,
+    /// `repl.deltas_sent`/`_applied`, bumped per delta: cached, but at first
+    /// use — the snapshot lists only registered metrics, in that order.
+    sent: Option<neat_obs::Counter>,
+    applied: Option<neat_obs::Counter>,
 }
 
 impl FlowRepl {
@@ -48,6 +52,8 @@ impl FlowRepl {
             buddy: None,
             need_full: false,
             store: HashMap::new(),
+            sent: None,
+            applied: None,
         }
     }
 
@@ -96,13 +102,15 @@ impl FlowRepl {
                 closed,
             }
         };
-        neat_obs::counter_add("repl.deltas_sent", 1);
+        let register = || neat_obs::counter("repl.deltas_sent");
+        self.sent.get_or_insert_with(register).inc();
         Some((buddy, Msg::ReplDelta { queue, payload }))
     }
 
     /// Buddy half: fold one incoming delta from `from` into its store.
     pub fn apply_delta(&mut self, from: ProcId, payload: ReplPayload) {
-        neat_obs::counter_add("repl.deltas_applied", 1);
+        let register = || neat_obs::counter("repl.deltas_applied");
+        self.applied.get_or_insert_with(register).inc();
         let map = self.store.entry(from).or_default();
         if payload.full {
             map.clear();

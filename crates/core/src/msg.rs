@@ -273,3 +273,24 @@ pub struct ReplPayload {
     pub flows: Vec<ReplFlow>,
     pub closed: Vec<neat_net::FlowKey>,
 }
+
+#[cfg(test)]
+mod tests {
+    use super::Msg;
+    use neat_sim::Event;
+    use std::mem::size_of;
+
+    /// Every message is moved into the sender's outputs, into a heap entry
+    /// and out to the handler: its size is paid per event. Ratchets, like
+    /// `socket_size_is_pinned` — moved down only (box the fat cold variant
+    /// rather than raise them).
+    #[test]
+    fn msg_size_is_pinned() {
+        assert!(size_of::<Msg>() <= 64, "{} B", size_of::<Msg>());
+        assert!(
+            size_of::<Event<Msg>>() <= 72,
+            "{} B",
+            size_of::<Event<Msg>>()
+        );
+    }
+}

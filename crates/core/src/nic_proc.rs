@@ -17,7 +17,7 @@ use crate::msg::Msg;
 use neat_net::PktBuf;
 use neat_nic::Nic;
 use neat_sim::{calibration, Ctx, Event, ProcId, Process};
-use std::collections::HashMap;
+use neat_util::FxHashMap;
 
 /// Which machine role this NIC plays.
 pub enum NicMode {
@@ -34,8 +34,8 @@ pub struct NicProc {
     mode: NicMode,
     /// The NIC at the other end of the cable.
     peer: Option<ProcId>,
-    /// Client-hub: local port → owning process.
-    port_owner: HashMap<u16, ProcId>,
+    /// Client-hub: local port → owning process. Only probed.
+    port_owner: FxHashMap<u16, ProcId>,
     /// Client-hub: processes registered for default/ARP traffic.
     default_owner: Option<ProcId>,
 }
@@ -47,7 +47,7 @@ impl NicProc {
             nic,
             mode,
             peer: None,
-            port_owner: HashMap::new(),
+            port_owner: FxHashMap::default(),
             default_owner: None,
         }
     }

@@ -10,7 +10,7 @@ use neat_net::ethernet::{EtherType, EthernetFrame};
 use neat_net::ipv4::{IpProtocol, Ipv4Header};
 use neat_net::wire::get_u16;
 use neat_net::{FlowKey, RssHasher};
-use std::collections::HashMap;
+use neat_util::FxHashMap;
 
 /// The flow fields extracted from a frame for classification.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,7 +29,9 @@ pub struct Steering {
     rss: RssHasher,
     /// Exact-match filters: flow → (queue, last-seen ns). The 82599 holds
     /// ~8k of these; idle entries expire like ATR's sampled filters.
-    filters: HashMap<FlowKey, (usize, u64)>,
+    /// Only probed; the one `retain` keeps or drops each entry on its own
+    /// `seen`, whatever order it visits them in.
+    filters: FxHashMap<FlowKey, (usize, u64)>,
     max_filters: usize,
     /// Learn a tracking filter from every new flow's SYN — the hardware
     /// extension §4 argues for ("ensure all the corresponding packets of
@@ -53,7 +55,7 @@ impl Steering {
     pub fn new(num_queues: usize) -> Steering {
         Steering {
             rss: RssHasher::default(),
-            filters: HashMap::new(),
+            filters: FxHashMap::default(),
             max_filters: 8_192,
             track_flows: true,
             filter_idle_ns: 10_000_000_000,

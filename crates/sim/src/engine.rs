@@ -117,9 +117,6 @@ impl BatchStats {
 
 /// One open per-link batch: messages coalescing toward a single delivery.
 struct LinkBatch<M> {
-    /// The message that opened the batch, until a second one joins it: a
-    /// batch that closes with one message never owned a vector.
-    lone: Option<M>,
     msgs: Vec<M>,
     /// Hard delivery deadline (`opened_at + batch_ns`).
     flush_at: Time,
@@ -185,9 +182,8 @@ struct ProcSlot<M> {
     thread: HwThreadId,
     name: String,
     alive: bool,
-    /// This process's open link batches by destination (machine-local
-    /// links). A process talks to a handful of peers: scanned, not hashed.
-    /// They outlive the process — what it sent before dying still arrives.
+    /// Its open link batches by destination (a handful of peers: scanned,
+    /// not hashed). What a process sent before dying still arrives.
     batches: Vec<(ProcId, LinkBatch<M>)>,
 }
 
@@ -203,11 +199,10 @@ impl<M: 'static> ProcSlot<M> {
     }
 }
 
-/// A domain's process table, indexed by the local part of the pid. Pids are
-/// `first + k` for the k-th process the domain ever allocated, never reused
-/// and never removed, so the dense table holds exactly what a map keyed by
-/// pid would. A pid of another domain, `ProcId(0)`, or one `Ctx::spawn` has
-/// reserved but whose `Start` is not yet scheduled has no slot.
+/// A domain's process table, indexed by the local part of the pid: pids are
+/// `first + k` for the k-th process the domain allocated, never reused and
+/// never removed, so it holds exactly what a map keyed by pid would. A pid of
+/// another domain, `ProcId(0)`, or one `Ctx::spawn` only reserved has no slot.
 struct ProcTable<M> {
     first: u64,
     slots: Vec<ProcSlot<M>>,
@@ -325,9 +320,8 @@ struct DomainState<M> {
     procs: ProcTable<M>,
     batch_epoch: u64,
     /// Scratch vectors a handler's [`Ctx`] borrows and `execute` hands back
-    /// empty, and message vectors of delivered batches awaiting the next
-    /// batch that grows past one message: capacity is kept, so a warmed-up
-    /// dispatch allocates nothing.
+    /// empty, and the message vectors of delivered batches awaiting the next
+    /// one opened: capacity is kept, so a warm dispatch allocates nothing.
     outputs: Vec<Output<M>>,
     woken_threads: Vec<usize>,
     spare_msgs: Vec<Vec<M>>,
@@ -795,10 +789,10 @@ impl<'a, M: 'static> Ctx<'a, M> {
             self.charged += calibration::MSG_NOTIFY;
         }
         // The MWAIT wake store applies to machine-local destinations only
-        // (this machine's table has no slot for any other pid): a
-        // cross-machine send reaches the peer through its NIC, whose IRQ
-        // path the receiver-side costs already model — and peeking at the
-        // remote thread's state here would break domain isolation.
+        // (no other pid has a slot here): a cross-machine send reaches the
+        // peer through its NIC, whose IRQ path the receiver-side costs
+        // already model — and peeking at the remote thread's state here
+        // would break domain isolation.
         if let Some(slot) = self.dom.procs.get(dst) {
             let lt = self.topo.loc(slot.thread).idx as usize;
             let th = &self.dom.threads[lt];

@@ -20,22 +20,6 @@ impl<M> From<Event<M>> for Delivery<M> {
     }
 }
 
-impl<M> LinkBatch<M> {
-    fn len(&self) -> usize {
-        self.msgs.len() + self.lone.is_some() as usize
-    }
-
-    /// Append `msg`; the second message is what gives the batch a vector,
-    /// a recycled one from `spare` if there is one.
-    fn push(&mut self, msg: M, spare: &mut Vec<Vec<M>>) {
-        if let Some(first) = self.lone.take() {
-            self.msgs = spare.pop().unwrap_or_else(|| Vec::with_capacity(4));
-            self.msgs.push(first);
-        }
-        self.msgs.push(msg);
-    }
-}
-
 impl<M> ProcSlot<M> {
     /// Where this sender's open batch toward `dst` sits, if it has one.
     /// (Order among a sender's batches is never observed: `swap_remove`.)
@@ -133,8 +117,10 @@ impl<M: 'static> Sim<M> {
     /// one. Batched links are machine-local, so delivery is a local push.
     fn deliver_batch(&mut self, di: usize, src: ProcId, dst: ProcId, b: LinkBatch<M>, at: Time) {
         let d = &mut self.domains[di];
-        let LinkBatch { lone, msgs, .. } = b;
-        if let Some(msg) = lone {
+        let mut msgs = b.msgs;
+        if msgs.len() == 1 {
+            let msg = msgs.pop().expect("one message");
+            d.spare_msgs.push(msgs);
             d.push(at, dst, Event::Message { from: src, msg });
         } else {
             d.batch_stats.batched_msgs += msgs.len() as u64;
@@ -158,14 +144,13 @@ impl<M: 'static> Sim<M> {
     ) {
         let batch_max = self.batch_max;
         let d = &mut self.domains[di];
-        // `src` is the process `execute` is running: it has a slot.
-        let sender = d.procs.get_mut(src).expect("the sender has a slot");
+        let sender = d.procs.get_mut(src).expect("a running process has a slot");
         match sender.batch_to(dst) {
             Some(i) if at <= sender.batches[i].1.flush_at => {
                 let b = &mut sender.batches[i].1;
-                b.push(msg, &mut d.spare_msgs);
+                b.msgs.push(msg);
                 b.ready_at = b.ready_at.max(at);
-                if b.len() >= batch_max {
+                if b.msgs.len() >= batch_max {
                     // Depth flush: deliver now-complete batch at its
                     // ready time; the scheduled FlushBatch goes stale.
                     let (_, b) = sender.batches.swap_remove(i);
@@ -192,14 +177,16 @@ impl<M: 'static> Sim<M> {
         d.batch_epoch += 1;
         let epoch = d.batch_epoch;
         let flush_at = at + self.batch_ns;
+        // Room for a few messages, so a burst does not regrow it per push.
+        let mut msgs = d.spare_msgs.pop().unwrap_or_else(|| Vec::with_capacity(4));
+        msgs.push(msg);
         let batch = LinkBatch {
-            lone: Some(msg),
-            msgs: Vec::new(),
+            msgs,
             flush_at,
             ready_at: at,
             epoch,
         };
-        let sender = d.procs.get_mut(src).expect("the sender has a slot");
+        let sender = d.procs.get_mut(src).expect("a running process has a slot");
         sender.batches.push((dst, batch));
         let origin = d.next_origin();
         let kind = HeapKind::FlushBatch { src, dst, epoch };

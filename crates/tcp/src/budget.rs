@@ -29,6 +29,9 @@ pub struct ConnBudget {
     /// 0 = unlimited.
     limit: u64,
     refused: u64,
+    /// The `tcp.conn.*` gauges, registered by the first `publish` and
+    /// cached: the socket server publishes on every timer tick.
+    gauges: Option<[neat_obs::Gauge; 3]>,
 }
 
 impl ConnBudget {
@@ -38,6 +41,7 @@ impl ConnBudget {
             bytes: 0,
             limit,
             refused: 0,
+            gauges: None,
         }
     }
 
@@ -99,10 +103,17 @@ impl ConnBudget {
     }
 
     /// Export the account through the global `neat-obs` registry.
-    pub fn publish(&self) {
-        neat_obs::gauge_set("tcp.conn.count", self.conns as f64);
-        neat_obs::gauge_set("tcp.conn.bytes_total", self.bytes as f64);
-        neat_obs::gauge_set("tcp.conn.bytes_per_conn", self.bytes_per_conn());
+    pub fn publish(&mut self) {
+        const NAMES: [&str; 3] = [
+            "tcp.conn.count",
+            "tcp.conn.bytes_total",
+            "tcp.conn.bytes_per_conn",
+        ];
+        let register = || NAMES.map(neat_obs::gauge);
+        let [count, total, per_conn] = *self.gauges.get_or_insert_with(register);
+        count.set(self.conns as f64);
+        total.set(self.bytes as f64);
+        per_conn.set(self.bytes_per_conn());
     }
 }
 

@@ -499,7 +499,7 @@ impl TcpStack {
     /// Export `tcp.conn.*` gauges for this stack instance through the
     /// global `neat-obs` registry (explicit because gauges are
     /// process-global — call it on the instance you want visible).
-    pub fn publish_mem_gauges(&self) {
+    pub fn publish_mem_gauges(&mut self) {
         self.budget.publish();
     }
 

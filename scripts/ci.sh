@@ -8,9 +8,9 @@
 #
 # Usage:
 #   scripts/ci.sh                 # every tier (the full gate)
-#   scripts/ci.sh --tier1         # size + one-builder + no-source-text
-#                                 # guards, build, test, pinned-shapes
-#                                 # guard, fmt, clippy
+#   scripts/ci.sh --tier1         # size + one-builder + no-source-text +
+#                                 # no-default-hasher guards, build, test,
+#                                 # pinned-shapes guard, fmt, clippy
 #   scripts/ci.sh --tier2         # quick benches + regression gates
 #                                 # (expects a tier-1 build already present)
 #
@@ -92,6 +92,31 @@ no_source_text_guard() {
     fi
 }
 
+# No-default-hasher guard (ROADMAP item A(b)): `RandomState` is a SipHash
+# per probe and an iteration order that differs from process to process, so
+# deployed code (the text before a file's first `#[cfg(test)]`) names no
+# `collections::HashMap`/`HashSet`, alone or in a `collections::{..}` group;
+# maps are `neat_util::Fx*`, `BTreeMap` or a `Vec`. Item A widens the scope
+# to `crates` (less `util/src/hash.rs`, which defines the aliases).
+HASHER_SCOPE="crates/sim/src crates/nic/src/steer.rs crates/core/src/nic_proc.rs
+    crates/apps/src/webserver.rs crates/apps/src/httperf.rs"
+no_default_hasher_guard() {
+    # shellcheck disable=SC2086 # the scope is a word list
+    users=$(find $HASHER_SCOPE -name '*.rs' ! -name '*_tests.rs' ! -path '*/util/src/hash.rs' \
+        -exec awk '
+        /^[ \t]*#\[cfg\(test\)\]/ { exit }
+        { text = text " " $0 }
+        END { if (text ~ /collections::([{][^}]*)?Hash(Map|Set)/) print FILENAME }' {} \;)
+    if [ -n "$users" ]; then
+        echo "NO-DEFAULT-HASHER FAILURE: deployed code uses std's HashMap/HashSet with" >&2
+        echo "the default hasher. Use neat_util::FxHashMap/FxHashSet for a map that is" >&2
+        echo "only probed; a BTreeMap, a Vec, or a sort at the iteration site for one" >&2
+        echo "whose order is observed:" >&2
+        echo "$users" >&2
+        exit 1
+    fi
+}
+
 # Pinned-shapes guard (ROADMAP rule i): the frozen benchmark lane calls
 # the product through fixed signatures and builds some of its types field
 # by field, so it must keep compiling against this tree. Builds into
@@ -113,6 +138,8 @@ if [ "$TIER1" = 1 ]; then
     one_builder_guard
     echo "==> [tier1] no-source-text guard (deployed code embeds no .rs file)"
     no_source_text_guard
+    echo "==> [tier1] no-default-hasher guard (engine + per-frame maps name no std HashMap/HashSet)"
+    no_default_hasher_guard
 
     run cargo build --release --offline
 
