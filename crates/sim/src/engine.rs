@@ -319,9 +319,8 @@ struct DomainState<M> {
     resume_scheduled: Vec<bool>,
     procs: ProcTable<M>,
     batch_epoch: u64,
-    /// Scratch vectors a handler's [`Ctx`] borrows and `execute` hands back
-    /// empty, and the message vectors of delivered batches awaiting the next
-    /// one opened: capacity is kept, so a warm dispatch allocates nothing.
+    /// Vectors reused with their capacity, so a warm dispatch allocates
+    /// nothing: [`Ctx`]'s scratch, and delivered batches' (see `recycle`).
     outputs: Vec<Output<M>>,
     woken_threads: Vec<usize>,
     spare_msgs: Vec<Vec<M>>,
@@ -393,6 +392,15 @@ impl<M> DomainState<M> {
     fn push(&mut self, time: Time, dst: ProcId, ev: impl Into<Delivery<M>>) {
         let origin = self.next_origin();
         self.deliver(time, origin, dst, ev);
+    }
+
+    /// Keep a delivered batch's vector for the next batch opened. A few
+    /// are enough (last in, first out; DESIGN.md has the unbounded numbers).
+    fn recycle(&mut self, mut msgs: Vec<M>) {
+        if self.spare_msgs.len() < 4 {
+            msgs.clear();
+            self.spare_msgs.push(msgs);
+        }
     }
 
     fn ensure_thread_books(&mut self) {
@@ -788,11 +796,10 @@ impl<'a, M: 'static> Ctx<'a, M> {
         if !self.batching && extra_delay.as_nanos() == 0 && self.sender_kind == ThreadKind::Cpu {
             self.charged += calibration::MSG_NOTIFY;
         }
-        // The MWAIT wake store applies to machine-local destinations only
-        // (no other pid has a slot here): a cross-machine send reaches the
-        // peer through its NIC, whose IRQ path the receiver-side costs
-        // already model — and peeking at the remote thread's state here
-        // would break domain isolation.
+        // The MWAIT wake store applies to machine-local destinations only:
+        // a cross-machine send reaches the peer through its NIC, whose IRQ
+        // path the receiver-side costs already model — and peeking at the
+        // remote thread's state here would break domain isolation.
         if let Some(slot) = self.dom.procs.get(dst) {
             let lt = self.topo.loc(slot.thread).idx as usize;
             let th = &self.dom.threads[lt];

@@ -21,8 +21,7 @@ impl<M> From<Event<M>> for Delivery<M> {
 }
 
 impl<M> ProcSlot<M> {
-    /// Where this sender's open batch toward `dst` sits, if it has one.
-    /// (Order among a sender's batches is never observed: `swap_remove`.)
+    /// Index of this sender's open batch toward `dst` (their order is never observed).
     fn batch_to(&self, dst: ProcId) -> Option<usize> {
         self.batches.iter().position(|(to, _)| *to == dst)
     }
@@ -120,7 +119,7 @@ impl<M: 'static> Sim<M> {
         let mut msgs = b.msgs;
         if msgs.len() == 1 {
             let msg = msgs.pop().expect("one message");
-            d.spare_msgs.push(msgs);
+            d.recycle(msgs);
             d.push(at, dst, Event::Message { from: src, msg });
         } else {
             d.batch_stats.batched_msgs += msgs.len() as u64;
@@ -265,7 +264,6 @@ impl<M: 'static> Sim<M> {
         let spent = match ev {
             Delivery::Batch { from, mut msgs } => {
                 proc.on_batch(&mut ctx, from, &mut msgs);
-                msgs.clear();
                 Some(msgs)
             }
             Delivery::Event(ev) => {
@@ -292,7 +290,9 @@ impl<M: 'static> Sim<M> {
         };
         let end = start + work;
         let d = &mut self.domains[di];
-        d.spare_msgs.extend(spent);
+        if let Some(msgs) = spent {
+            d.recycle(msgs);
+        }
         woken_threads.clear();
         d.woken_threads = woken_threads;
         {
@@ -330,8 +330,7 @@ impl<M: 'static> Sim<M> {
                     {
                         self.enqueue_batched(di, dst, to, msg, at, time);
                     } else {
-                        // A send to `ProcId(0)` (the external sender) or to
-                        // a pid nobody allocated has nowhere to go.
+                        // `ProcId(0)` or a pid nobody allocated: nowhere to go.
                         let origin = self.domains[di].next_origin();
                         let ev = Event::Message { from: dst, msg };
                         if let Some(d) = self.domains.get_mut(to_dom) {
@@ -363,8 +362,7 @@ impl<M: 'static> Sim<M> {
 
         self.domains[di].outputs = outputs;
 
-        // --- Put the process back (reap drops a doomed one), then
-        // self-termination.
+        // --- Put the process back; reap drops a doomed one.
         if let Some(slot) = self.domains[di].procs.get_mut(dst) {
             slot.proc = Some(proc);
         }
