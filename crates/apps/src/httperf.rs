@@ -178,6 +178,10 @@ pub struct HttperfProc {
     io: FrameIo,
     /// Probed; the one iteration is sorted at `scan_timeouts`.
     conns: FxHashMap<SocketId, ConnRun>,
+    /// The one request every connection sends, formatted once.
+    request: Vec<u8>,
+    /// What the last `Readable` read: one buffer for every connection.
+    rx: Vec<u8>,
     armed: Option<u64>,
     pub metrics: Rc<RefCell<ClientMetrics>>,
     obs: ClientObs,
@@ -228,6 +232,8 @@ impl HttperfProc {
         }
         HttperfProc {
             name: name.into(),
+            request: http::format_request(&cfg.path, true),
+            rx: Vec::new(),
             cfg,
             nic,
             stack,
@@ -263,22 +269,21 @@ impl HttperfProc {
         }
     }
 
-    /// Drain a connection's receive buffer: one read, into a buffer sized
-    /// to what waits.
-    fn read_all(&mut self, sock: SocketId) -> Vec<u8> {
-        let mut data = vec![0u8; self.stack.recv_available(sock)];
-        if !data.is_empty() {
-            let n = self.stack.recv(sock, &mut data).unwrap_or(0);
-            data.truncate(n);
+    /// Drain a connection's receive buffer into `rx`: one read, sized to
+    /// what waits.
+    fn read_all(&mut self, sock: SocketId) {
+        self.rx.clear();
+        self.rx.resize(self.stack.recv_available(sock), 0);
+        if !self.rx.is_empty() {
+            let n = self.stack.recv(sock, &mut self.rx).unwrap_or(0);
+            self.rx.truncate(n);
         }
-        data
     }
 
     fn issue_request(&mut self, ctx: &mut Ctx<'_, Msg>, sock: SocketId) {
         ctx.charge(calibration::CLIENT_REQUEST);
         let now = ctx.now().as_nanos();
-        let req = http::format_request(&self.cfg.path, true);
-        let _ = self.stack.send(sock, &req);
+        let _ = self.stack.send(sock, &self.request);
         if let Some(run) = self.conns.get_mut(&sock) {
             run.sent_at = Some(now);
         }
@@ -309,15 +314,15 @@ impl HttperfProc {
                     }
                 }
                 SockEvent::Readable(sock) => {
-                    let data = self.read_all(sock);
-                    ctx.charge(calibration::copy_cost(data.len()));
-                    if !data.is_empty() {
-                        self.metrics.borrow_mut().digest_bytes(&data);
+                    self.read_all(sock);
+                    ctx.charge(calibration::copy_cost(self.rx.len()));
+                    if !self.rx.is_empty() {
+                        self.metrics.borrow_mut().digest_bytes(&self.rx);
                     }
                     let Some(run) = self.conns.get_mut(&sock) else {
                         continue;
                     };
-                    run.parser.push(&data);
+                    run.parser.push(&self.rx);
                     let mut finished = false;
                     while let Some(resp) = run.parser.next_response() {
                         let mut m = self.metrics.borrow_mut();
@@ -342,8 +347,7 @@ impl HttperfProc {
                             ctx.set_timer(Time::from_nanos(self.cfg.think_ns), TOK_THINK + sock.0);
                         } else {
                             ctx.charge(calibration::CLIENT_REQUEST);
-                            let req = http::format_request(&self.cfg.path, true);
-                            let _ = self.stack.send(sock, &req);
+                            let _ = self.stack.send(sock, &self.request);
                             run.sent_at = Some(now);
                         }
                     }
@@ -367,7 +371,7 @@ impl HttperfProc {
         self.io.send_tcp(&mut self.stack, now, || {
             ctx.charge(calibration::TCP_TX_SEG / 2) // fast client cores
         });
-        for frame in self.io.drain() {
+        for frame in self.io.drain_out() {
             ctx.send(self.nic, Msg::NetTx(frame));
         }
         // --- timers ---

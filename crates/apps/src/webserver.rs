@@ -152,12 +152,21 @@ impl WebServerProc {
         self
     }
 
-    fn handle_request(&mut self, ctx: &mut Ctx<'_, Msg>, fd: Fd, req: http::Request) {
+    /// Serve the next complete request buffered on `fd`; `false` when
+    /// there is none, or the connection is closing. Nothing is copied but
+    /// the reply: the request is a view into the connection's parser.
+    fn serve_next(&mut self, ctx: &mut Ctx<'_, Msg>, fd: Fd) -> bool {
+        let Some(st) = self.conns.get_mut(&fd).filter(|st| !st.closing) else {
+            return false;
+        };
+        let Some(req) = st.parser.next_request() else {
+            return false;
+        };
         // The calibrated per-request application work (parse, file lookup,
         // header build, logging, bookkeeping).
         ctx.charge(self.request_cycles);
         let mut m = self.metrics.borrow_mut();
-        let (status, body) = match self.files.get(&req.path) {
+        let (status, body) = match self.files.get(req.path) {
             Some(b) => (200, b.as_slice()),
             None => {
                 m.not_found += 1;
@@ -168,7 +177,6 @@ impl WebServerProc {
         m.bytes_sent += body.len() as u64;
         drop(m);
         self.obs.requests_served.inc();
-        let st = self.conns.get_mut(&fd).expect("request on live conn");
         st.requests_served += 1;
         let closing = !req.keep_alive || st.requests_served >= self.max_requests_per_conn;
         st.closing = closing;
@@ -176,14 +184,11 @@ impl WebServerProc {
         ctx.charge(calibration::copy_cost(resp.len()));
         if self.lib.send(ctx, fd, resp).is_err() {
             // Connection raced away (reset/replica crash): stop serving it.
-            if let Some(st) = self.conns.get_mut(&fd) {
-                st.closing = true;
-            }
-            return;
-        }
-        if closing {
+            st.closing = true;
+        } else if closing {
             let _ = self.lib.close(ctx, fd);
         }
+        true
     }
 
     /// Drain everything readable on `fd` through the pull API and serve
@@ -204,15 +209,7 @@ impl WebServerProc {
                         continue;
                     }
                     st.parser.push(&data);
-                    while let Some(st) = self.conns.get_mut(&fd) {
-                        if st.closing {
-                            break;
-                        }
-                        match st.parser.next_request() {
-                            Some(req) => self.handle_request(ctx, fd, req),
-                            None => break,
-                        }
-                    }
+                    while self.serve_next(ctx, fd) {}
                 }
                 Err(SockErr::WouldBlock) => break,
                 Err(_) => return, // NotConnected / reset: Closed will clean up
@@ -243,7 +240,7 @@ impl Process<Msg> for WebServerProc {
             Event::Timer { .. } => {}
             Event::Message { msg, .. } => {
                 let before_lost = self.lib.lost_to_crash;
-                for le in self.lib.handle(ctx, &msg) {
+                for le in self.lib.handle(ctx, msg) {
                     match le {
                         LibEvent::ListenReady { .. } => {}
                         LibEvent::Accepted { fd, .. } => {

@@ -48,7 +48,7 @@ impl IpProc {
     }
 
     fn drain_wire(&mut self, ctx: &mut Ctx<'_, Msg>) {
-        for frame in self.io.drain() {
+        for frame in self.io.drain_out() {
             ctx.send(self.driver, Msg::NetTx(frame));
         }
     }

@@ -11,7 +11,7 @@ use neat_net::icmp::IcmpMessage;
 use neat_net::ipv4::{IpProtocol, Ipv4Header, IPV4_HEADER_LEN};
 use neat_net::PktBuf;
 use neat_tcp::TcpStack;
-use std::collections::HashMap;
+use neat_util::FxHashMap;
 use std::net::Ipv4Addr;
 
 /// What an inbound frame turned out to be.
@@ -38,12 +38,16 @@ pub struct FrameIo {
     pub mac: MacAddr,
     arp: ArpCache,
     /// Frames awaiting ARP resolution (destination MAC still zero), keyed
-    /// by next-hop IP.
-    pending: HashMap<Ipv4Addr, Vec<Vec<u8>>>,
+    /// by next-hop IP. Only probed; `pending_arp` sums lengths, which no
+    /// order changes.
+    pending: FxHashMap<Ipv4Addr, Vec<Vec<u8>>>,
     /// Frames ready to go out on the wire (`PktBuf` handles from birth).
     out: Vec<PktBuf>,
+    /// The segment `send_tcp` is framing: one buffer for all of them.
+    seg: Vec<u8>,
     /// Last time an ARP request was sent per destination (rate limit).
-    last_arp_req: HashMap<Ipv4Addr, u64>,
+    /// Only probed.
+    last_arp_req: FxHashMap<Ipv4Addr, u64>,
     pub rx_bad_checksum: u64,
     pub rx_not_for_us: u64,
     pub rx_fragments: u64,
@@ -55,9 +59,10 @@ impl FrameIo {
             ip,
             mac,
             arp: ArpCache::new(),
-            pending: HashMap::new(),
+            pending: FxHashMap::default(),
             out: Vec::new(),
-            last_arp_req: HashMap::new(),
+            seg: Vec::new(),
+            last_arp_req: FxHashMap::default(),
             rx_bad_checksum: 0,
             rx_not_for_us: 0,
             rx_fragments: 0,
@@ -187,12 +192,13 @@ impl FrameIo {
     /// drain loop of every process that owns both. `each` runs once per
     /// segment, for the caller's model charges.
     pub fn send_tcp(&mut self, stack: &mut TcpStack, now_ns: u64, mut each: impl FnMut()) {
-        let mut seg = Vec::new();
+        let mut seg = std::mem::take(&mut self.seg);
         while let Some(dst) = stack.poll_transmit_into(now_ns, &mut seg) {
             each();
             self.send_ip(dst, IpProtocol::Tcp, &seg, now_ns);
             seg.clear();
         }
+        self.seg = seg;
     }
 
     fn flush_pending(&mut self, dst: Ipv4Addr, now_ns: u64) {
@@ -206,9 +212,14 @@ impl FrameIo {
         }
     }
 
-    /// Take all frames queued for transmission.
+    /// Every frame queued for transmission, leaving the queue its storage.
+    pub fn drain_out(&mut self) -> std::vec::Drain<'_, PktBuf> {
+        self.out.drain(..)
+    }
+
+    /// [`Self::drain_out`] as a list of its own.
     pub fn drain(&mut self) -> Vec<PktBuf> {
-        std::mem::take(&mut self.out)
+        self.drain_out().collect()
     }
 
     pub fn pending_arp(&self) -> usize {

@@ -54,12 +54,13 @@ impl NicProc {
 
     fn transmit(&mut self, ctx: &mut Ctx<'_, Msg>, frame: PktBuf) {
         let Some(peer) = self.peer else { return };
-        for (wire_frame, ser_time) in self.nic.host_tx(frame) {
+        let latency = self.nic.link_latency();
+        self.nic.host_tx_each(frame, |wire_frame, ser_time| {
             // Serialization occupies the device pipeline — this is the
             // 10 Gb/s ceiling of Figures 4-5.
             ctx.charge_ns(ser_time.as_nanos());
-            ctx.send_delayed(peer, Msg::WireFrame(wire_frame), self.nic.link_latency());
-        }
+            ctx.send_delayed(peer, Msg::WireFrame(wire_frame), latency);
+        });
     }
 
     fn receive(&mut self, ctx: &mut Ctx<'_, Msg>, frame: PktBuf) {

@@ -214,26 +214,14 @@ impl SockServer {
         let Some(app) = self.conns.get(&sock).map(|c| c.owner) else {
             return;
         };
-        // Vectored drain: pull the whole receive buffer through one
-        // iovec-style call per 16 KiB rather than looping 4 KiB at a time.
-        let mut buf = [0u8; 16384];
-        let mut data = Vec::new();
-        loop {
-            let (a, rest) = buf.split_at_mut(4096);
-            let (b, rest) = rest.split_at_mut(4096);
-            let (c, d) = rest.split_at_mut(4096);
-            match self.stack.recv_vectored(sock, &mut [a, b, c, d]) {
-                Ok(0) => break,
-                Ok(n) => {
-                    data.extend_from_slice(&buf[..n]);
-                    if n < buf.len() {
-                        break;
-                    }
-                }
-                Err(_) => break,
-            }
+        // One read into the buffer the payload leaves in, sized to what
+        // waits.
+        let mut data = vec![0u8; self.stack.recv_available(sock)];
+        if data.is_empty() {
+            return; // and an empty read would still mark the socket dirty
         }
-        if !data.is_empty() {
+        if let Ok(n @ 1..) = self.stack.recv(sock, &mut data) {
+            data.truncate(n);
             let conn = ConnHandle { stack: me, sock };
             self.to_app.push((app, Msg::ConnData { conn, data }));
         }
@@ -247,9 +235,15 @@ impl SockServer {
         }
     }
 
-    /// Take the application messages produced so far.
+    /// The application messages produced so far, leaving the queue its
+    /// storage.
+    pub fn drain_app_msgs(&mut self) -> std::vec::Drain<'_, (ProcId, Msg)> {
+        self.to_app.drain(..)
+    }
+
+    /// [`Self::drain_app_msgs`] as a list of its own.
     pub fn take_app_msgs(&mut self) -> Vec<(ProcId, Msg)> {
-        std::mem::take(&mut self.to_app)
+        self.drain_app_msgs().collect()
     }
 
     /// Wire segments owed: `(dst ip, raw TCP bytes)`, each built in the
@@ -627,5 +621,112 @@ mod tests {
         }
         assert!(received == big, "entire backlog delivered, in order");
         assert!(srv.conns[&conn.sock].backlog.is_empty());
+    }
+
+    /// The `Vec`-returning shapes the frozen lane calls (`poll_wire`,
+    /// `take_app_msgs`, `FrameIo::drain`) are adaptors: two servers driven
+    /// in lock step over one scripted connection, one through them and one
+    /// through the in-place forms, put the same frames on the wire and
+    /// hand the application the same messages, in the same order.
+    #[test]
+    fn adaptors_return_what_the_in_place_forms_visit() {
+        use crate::netcode::{FrameIo, RxClass};
+        use neat_net::ipv4::IpProtocol;
+        use neat_net::{MacAddr, PktBuf};
+
+        struct Side {
+            srv: SockServer,
+            io: FrameIo,
+            client: TcpStack,
+            client_io: FrameIo,
+        }
+        type Out = (Vec<PktBuf>, Vec<(ProcId, Msg)>);
+        let side = || {
+            let mut s = Side {
+                srv: SockServer::new(SERVER, cfg()),
+                io: FrameIo::new(SERVER, MacAddr::local(1)),
+                client: TcpStack::new(CLIENT, cfg()),
+                client_io: FrameIo::new(CLIENT, MacAddr::local(2)),
+            };
+            s.io.seed_arp(CLIENT, MacAddr::local(2));
+            s.srv.handle_app(APP, Msg::Listen { port: 80, app: APP }, 0);
+            s
+        };
+        let adaptors = |s: &mut Side, now: u64| -> Out {
+            for (dst, seg) in s.srv.poll_wire(now) {
+                s.io.send_ip(dst, IpProtocol::Tcp, &seg, now);
+            }
+            (s.io.drain(), s.srv.take_app_msgs())
+        };
+        let in_place = |s: &mut Side, now: u64| -> Out {
+            s.io.send_tcp(&mut s.srv.stack, now, || {});
+            (s.io.drain_out().collect(), s.srv.drain_app_msgs().collect())
+        };
+        // Client segments in, server events, then everything the server
+        // owes out through `flush` and back into the client.
+        let round = |s: &mut Side, now: u64, flush: &dyn Fn(&mut Side, u64) -> Out| -> Out {
+            while let Some((_, h, p)) = s.client.poll_transmit(now) {
+                s.srv.rx_segment(CLIENT, &h.emit(&p, CLIENT, SERVER), now);
+            }
+            s.srv.process_events(ME);
+            let out = flush(s, now);
+            for frame in &out.0 {
+                if let RxClass::Tcp { src, seg } = s.client_io.classify_rx(frame, now) {
+                    let (h, range) = TcpHeader::parse(&seg, src, CLIENT).unwrap();
+                    s.client.handle_segment(src, &h, &seg[range], now);
+                }
+            }
+            out
+        };
+
+        let (mut a, mut b) = (side(), side());
+        let (ca, cb) = (
+            a.client.connect(SERVER, 80, 0),
+            b.client.connect(SERVER, 80, 0),
+        );
+        assert_eq!(ca, cb);
+        let conn = ca.unwrap();
+        let (mut frames, mut msgs, mut sock) = (0, 0, None);
+        for step in 0..40u64 {
+            let now = step * 1_000_000;
+            match step {
+                4 => assert_eq!(a.client.send(conn, b"GET /"), b.client.send(conn, b"GET /")),
+                8 => {
+                    let data = vec![7u8; 5000];
+                    let sock = sock.expect("accepted by now");
+                    let reply = |data| Msg::ConnSend { sock, data };
+                    a.srv.handle_app(APP, reply(data.clone()), now);
+                    b.srv.handle_app(APP, reply(data), now);
+                }
+                16 => assert_eq!(a.client.close(conn, now), b.client.close(conn, now)),
+                20 => {
+                    let sock = sock.expect("accepted by now");
+                    a.srv.handle_app(APP, Msg::ConnClose { sock }, now);
+                    b.srv.handle_app(APP, Msg::ConnClose { sock }, now);
+                }
+                _ => {}
+            }
+            for s in [&mut a, &mut b] {
+                s.srv.on_timer(now);
+                s.client.on_timer(now);
+            }
+            let (got, want) = (round(&mut a, now, &adaptors), round(&mut b, now, &in_place));
+            assert_eq!(got.0, want.0, "frames at step {step}");
+            assert_eq!(
+                format!("{:?}", got.1),
+                format!("{:?}", want.1),
+                "step {step}"
+            );
+            frames += got.0.len();
+            msgs += got.1.len();
+            for (_, m) in got.1 {
+                if let Msg::Incoming { conn, .. } = m {
+                    sock = Some(conn.sock);
+                }
+            }
+        }
+        // Handshake, request, a reply of several segments, both closes.
+        assert!(frames >= 8 && msgs >= 5, "{frames} frames, {msgs} messages");
+        assert_eq!((a.srv.conn_count(), b.srv.conn_count()), (0, 0));
     }
 }

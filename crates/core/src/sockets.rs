@@ -427,9 +427,10 @@ impl SocketLib {
     }
 
     /// Translate one inbound message into library events. Unrecognized
-    /// messages yield no events (the app handles them itself).
-    pub fn handle(&mut self, ctx: &mut Ctx<'_, Msg>, msg: &Msg) -> Vec<LibEvent> {
-        match msg {
+    /// messages yield no events (the app handles them itself). Only a
+    /// replica's death yields more than one, so only it builds a list.
+    pub fn handle(&mut self, ctx: &mut Ctx<'_, Msg>, msg: Msg) -> impl Iterator<Item = LibEvent> {
+        let (one, reaped) = match msg {
             Msg::ReplicaRestarted { old, new } => {
                 // Handles still on the dead replica are gone — either
                 // stateless recovery (§3.6) or the flows buddy replication
@@ -438,42 +439,41 @@ impl SocketLib {
                 // leaving entries to be discovered on the next poll.
                 // In-flight connects are reconciled against the restart
                 // report too, instead of leaking their tokens.
-                self.dead_stacks.insert(*old);
-                let evs = self.reap(*old, true);
+                self.dead_stacks.insert(old);
+                let evs = self.reap(old, true);
                 for r in &mut self.replicas {
-                    if *r == *old {
-                        *r = *new;
+                    if *r == old {
+                        *r = new;
                     }
                 }
-                self.relisten(ctx, *new);
-                evs
+                self.relisten(ctx, new);
+                (None, evs)
             }
             Msg::ReplicaAdded { stack } => {
-                self.replicas.push(*stack);
-                self.relisten(ctx, *stack);
-                vec![]
+                self.replicas.push(stack);
+                self.relisten(ctx, stack);
+                (None, vec![])
             }
             Msg::ReplicaRemoved { stack } => {
-                self.replicas.retain(|r| r != stack);
-                self.dead_stacks.insert(*stack);
+                self.replicas.retain(|r| *r != stack);
+                self.dead_stacks.insert(stack);
                 // An orderly removal drains (or migrates) every connection
                 // first, so normally nothing is bound here. If the replica
                 // died mid-drain, its remaining handles are gone: reap them
                 // eagerly, as in the restart path. (Its in-flight connects
                 // it refuses itself while terminating.)
-                self.reap(*stack, false)
+                (None, self.reap(stack, false))
             }
-            _ => self.handle_conn(ctx, msg).into_iter().collect(),
-        }
+            msg => (self.handle_conn(ctx, msg), vec![]),
+        };
+        one.into_iter().chain(reaped)
     }
 
     /// The per-connection messages: each yields at most one event.
-    fn handle_conn(&mut self, ctx: &mut Ctx<'_, Msg>, msg: &Msg) -> Option<LibEvent> {
+    fn handle_conn(&mut self, ctx: &mut Ctx<'_, Msg>, msg: Msg) -> Option<LibEvent> {
         Some(match msg {
-            Msg::SysListenDone { port } => LibEvent::ListenReady { port: *port },
-            Msg::ListenOk { port } if self.syscall == ProcId(0) => {
-                LibEvent::ListenReady { port: *port }
-            }
+            Msg::SysListenDone { port } => LibEvent::ListenReady { port },
+            Msg::ListenOk { port } if self.syscall == ProcId(0) => LibEvent::ListenReady { port },
             Msg::Incoming { port, conn } => {
                 if self.dead_stacks.contains(&conn.stack) {
                     // The accept raced the owning replica's crash report:
@@ -482,33 +482,39 @@ impl SocketLib {
                 }
                 let fd = self.alloc_fd();
                 self.fds.insert(fd, FdState::default());
-                self.bind(*conn, fd);
-                LibEvent::Accepted { fd, port: *port }
+                self.bind(conn, fd);
+                LibEvent::Accepted { fd, port }
             }
             Msg::ConnOpen { conn, token } => {
-                let (fd, _) = self.pending_connect.remove(token)?;
-                self.bind(*conn, fd);
+                let (fd, _) = self.pending_connect.remove(&token)?;
+                self.bind(conn, fd);
                 self.flush_opts(ctx, fd);
                 LibEvent::Connected { fd }
             }
             Msg::ConnFailed { token } => {
-                let (fd, _) = self.pending_connect.remove(token)?;
+                let (fd, _) = self.pending_connect.remove(&token)?;
                 self.release(fd);
                 let err = SockErr::ConnRefused;
                 LibEvent::ConnectFailed { fd, err }
             }
             Msg::ConnData { conn, data } => {
-                let (fd, st) = self.by_conn(conn)?;
-                st.rx.extend(data);
+                let (fd, st) = self.by_conn(&conn)?;
+                // With nothing unread ahead of it the payload's own buffer
+                // is the queue, as `ConnSend`'s is on the stack side.
+                if st.rx.is_empty() {
+                    st.rx = data.into();
+                } else {
+                    st.rx.extend(data);
+                }
                 LibEvent::Readable { fd }
             }
             Msg::ConnEof { conn } => {
-                let (fd, st) = self.by_conn(conn)?;
+                let (fd, st) = self.by_conn(&conn)?;
                 st.eof = true;
                 LibEvent::Readable { fd }
             }
             Msg::ConnClosed { conn, aborted } => {
-                let (fd, _) = self.by_conn(conn)?;
+                let (fd, _) = self.by_conn(&conn)?;
                 self.release(fd);
                 let err = aborted.then_some(SockErr::ConnReset);
                 LibEvent::Closed { fd, err }
@@ -522,9 +528,9 @@ impl SocketLib {
                 // the fd, then resend whatever the app wrote that the
                 // restored state never saw. No event — the application is
                 // not supposed to notice.
-                let fd = self.fd_of.remove(old)?;
-                let st = self.bind(*new, fd)?;
-                let gap = st.sent_total.saturating_sub(*app_bytes) as usize;
+                let fd = self.fd_of.remove(&old)?;
+                let st = self.bind(new, fd)?;
+                let gap = st.sent_total.saturating_sub(app_bytes) as usize;
                 if gap > st.tail.len() {
                     // The gap outruns the retained tail: the stream
                     // cannot be made whole, so surface a reset.

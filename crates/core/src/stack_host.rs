@@ -15,15 +15,17 @@ use std::net::Ipv4Addr;
 
 /// What sits below TCP in one replica shape.
 pub trait WireSink {
-    /// Take one outbound TCP segment for `dst` and charge the layers
-    /// below TCP for it. A sink that owns the replica's loopback device
-    /// hands back segments addressed to the replica itself; the host
-    /// feeds them straight into its own TCP.
+    /// Send one outbound TCP segment to `dst` and charge the layers below
+    /// TCP for it. `seg` is the host's one scratch buffer: a sink that
+    /// frames the segment reads it, a sink that ships it takes it. A sink
+    /// that owns the replica's loopback device hands back segments
+    /// addressed to the replica itself; the host feeds them straight into
+    /// its own TCP.
     fn tx_segment(
         &mut self,
         ctx: &mut Ctx<'_, Msg>,
         dst: Ipv4Addr,
-        seg: Vec<u8>,
+        seg: &mut Vec<u8>,
     ) -> Option<Vec<u8>>;
 
     /// End of a flush round: release what the sink queued. Runs after the
@@ -43,6 +45,8 @@ pub struct StackHost {
     drained_reported: bool,
     /// Earliest armed timer deadline (avoid timer storms).
     armed: Option<u64>,
+    /// The segment a flush is handing to the wire: one buffer for all.
+    seg: Vec<u8>,
     /// ASLR layout token — randomized at every (re)start (§3.8).
     pub layout_token: u64,
 }
@@ -62,6 +66,7 @@ impl StackHost {
             terminating: false,
             drained_reported: false,
             armed: None,
+            seg: Vec::new(),
             layout_token: 0,
         }
     }
@@ -178,9 +183,10 @@ impl StackHost {
             // allows the loopback devices to be implemented by each of the
             // replicas") — no NIC, no driver, no other replica involved.
             let mut loopback = Vec::new();
-            for (dst, seg) in self.sock.poll_wire(now) {
+            while let Some(dst) = self.sock.stack.poll_transmit_into(now, &mut self.seg) {
                 ctx.charge(calibration::TCP_TX_SEG);
-                loopback.extend(wire.tx_segment(ctx, dst, seg));
+                loopback.extend(wire.tx_segment(ctx, dst, &mut self.seg));
+                self.seg.clear();
             }
             let had_loopback = !loopback.is_empty();
             for seg in loopback {
@@ -188,7 +194,7 @@ impl StackHost {
             }
             wire.tx_done(ctx);
             // App notifications.
-            for (app, msg) in self.sock.take_app_msgs() {
+            for (app, msg) in self.sock.drain_app_msgs() {
                 ctx.charge(calibration::SOCK_OP);
                 ctx.send(app, msg);
             }

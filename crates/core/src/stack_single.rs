@@ -27,19 +27,19 @@ impl WireSink for FrameWire {
         &mut self,
         ctx: &mut Ctx<'_, Msg>,
         dst: Ipv4Addr,
-        seg: Vec<u8>,
+        seg: &mut Vec<u8>,
     ) -> Option<Vec<u8>> {
         ctx.charge(calibration::IP_TX_PKT);
         if dst == self.io.ip {
-            return Some(seg);
+            return Some(std::mem::take(seg));
         }
         self.io
-            .send_ip(dst, IpProtocol::Tcp, &seg, ctx.now().as_nanos());
+            .send_ip(dst, IpProtocol::Tcp, seg, ctx.now().as_nanos());
         None
     }
 
     fn tx_done(&mut self, ctx: &mut Ctx<'_, Msg>) {
-        for frame in self.io.drain() {
+        for frame in self.io.drain_out() {
             ctx.send(self.driver, Msg::NetTx(frame));
         }
     }

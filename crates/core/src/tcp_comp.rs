@@ -19,7 +19,7 @@ impl WireSink for IpWire {
         &mut self,
         ctx: &mut Ctx<'_, Msg>,
         dst: Ipv4Addr,
-        seg: Vec<u8>,
+        seg: &mut Vec<u8>,
     ) -> Option<Vec<u8>> {
         if let Some(ip) = self.ip {
             ctx.send(
@@ -27,7 +27,7 @@ impl WireSink for IpWire {
                 Msg::IpTx {
                     dst,
                     protocol: 6,
-                    payload: seg,
+                    payload: std::mem::take(seg),
                 },
             );
         }

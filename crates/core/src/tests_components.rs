@@ -277,7 +277,7 @@ fn loopback_connects_within_one_replica() {
                     self.lib.listen(ctx, 7777).unwrap();
                 }
                 Event::Message { msg, .. } => {
-                    for e in self.lib.handle(ctx, &msg) {
+                    for e in self.lib.handle(ctx, msg) {
                         match e {
                             LibEvent::ListenReady { .. } => {
                                 let fd = self.lib.connect(ctx, (self.server_ip, 7777)).unwrap();
@@ -376,9 +376,10 @@ fn crashed_replica_fails_inflight_connects_without_leaking() {
                     }
                 }
                 Event::Message { msg, .. } => {
-                    self.events.borrow_mut().extend(self.lib.handle(ctx, &msg));
+                    let incoming = matches!(msg, Msg::Incoming { .. });
+                    self.events.borrow_mut().extend(self.lib.handle(ctx, msg));
                     // Interleave bound and connecting fds.
-                    if matches!(msg, Msg::Incoming { .. }) {
+                    if incoming {
                         self.lib.connect(ctx, REMOTE).unwrap();
                     }
                 }

@@ -78,7 +78,7 @@ impl KernelCtxProc {
             );
         let mut io = self.io.borrow_mut();
         io.send_tcp(&mut sh.sock.stack, now, || ctx.charge(per_seg));
-        for frame in io.drain() {
+        for frame in io.drain_out() {
             ctx.send(self.nic, Msg::NetTx(frame));
         }
         drop(io);

@@ -3,7 +3,7 @@
 
 use crate::ethernet::MacAddr;
 use crate::wire::{get_u16, need, set_u16, NetError, NetResult};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
 /// ARP operation.
@@ -98,7 +98,10 @@ impl ArpPacket {
 /// Neighbour cache with per-entry expiry (one minute, like smoltcp).
 #[derive(Debug, Clone, Default)]
 pub struct ArpCache {
-    entries: HashMap<Ipv4Addr, (MacAddr, u64)>,
+    /// Only probed, once per transmitted frame. A handful of neighbours:
+    /// one tree node, and no hasher to choose (`neat-util`'s is a
+    /// dev-dependency here, and the frozen `benchmark/Cargo.lock` says so).
+    entries: BTreeMap<Ipv4Addr, (MacAddr, u64)>,
     /// Entry lifetime in nanoseconds.
     ttl_ns: u64,
 }
@@ -106,7 +109,7 @@ pub struct ArpCache {
 impl ArpCache {
     pub fn new() -> ArpCache {
         ArpCache {
-            entries: HashMap::new(),
+            entries: BTreeMap::new(),
             ttl_ns: 60_000_000_000,
         }
     }

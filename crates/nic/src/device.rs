@@ -145,28 +145,28 @@ impl Nic {
         self.rx_rings.get(queue).map(|r| r.len()).unwrap_or(0)
     }
 
-    /// The host hands the NIC a frame for transmission. Returns the wire
-    /// frames (after TSO) each paired with its serialization time.
-    pub fn host_tx(&mut self, frame: PktBuf) -> Vec<(PktBuf, Time)> {
-        let frames = if self.cfg.tso {
-            let split = tso::tso_split(frame, self.cfg.tso_mss);
-            if split.len() > 1 {
-                self.stats.tso_splits += 1;
-            }
-            split
-        } else {
-            vec![frame]
+    /// The host hands the NIC a frame for transmission: `each` gets the
+    /// wire frames (after TSO) in order, each with its serialization time.
+    pub fn host_tx_each(&mut self, frame: PktBuf, mut each: impl FnMut(PktBuf, Time)) {
+        let mut wire = |f: PktBuf| {
+            self.stats.tx_frames += 1;
+            self.obs.tx_frames.inc();
+            self.stats.tx_bytes += f.len() as u64;
+            let t = self.cfg.link.tx_time(f.len());
+            each(f, t);
         };
-        frames
-            .into_iter()
-            .map(|f| {
-                self.stats.tx_frames += 1;
-                self.obs.tx_frames.inc();
-                self.stats.tx_bytes += f.len() as u64;
-                let t = self.cfg.link.tx_time(f.len());
-                (f, t)
-            })
-            .collect()
+        if self.cfg.tso && tso::cut(&frame, self.cfg.tso_mss, &mut wire).is_some() {
+            self.stats.tso_splits += 1;
+        } else {
+            wire(frame);
+        }
+    }
+
+    /// [`Self::host_tx_each`] as a list, sized for the most it can be cut into.
+    pub fn host_tx(&mut self, frame: PktBuf) -> Vec<(PktBuf, Time)> {
+        let mut out = Vec::with_capacity(1 + frame.len() / self.cfg.tso_mss.max(1));
+        self.host_tx_each(frame, |f, t| out.push((f, t)));
+        out
     }
 
     /// One-way link latency to the peer NIC.
@@ -277,6 +277,32 @@ mod tests {
         let out = nic.host_tx(big.clone().into());
         assert_eq!(out.len(), 1);
         assert_eq!(&out[0].0[..], &big[..]);
+    }
+
+    /// `host_tx` is `host_tx_each`, collected: cut, passed through, or not
+    /// asked to cut at all, the same frames with the same times and stats.
+    #[test]
+    fn host_tx_is_host_tx_each_collected() {
+        let no_tso = NicConfig {
+            tso: false,
+            ..Default::default()
+        };
+        for cfg in [NicConfig::default(), no_tso] {
+            let mut listed = Nic::new(cfg.clone(), FaultInjector::disabled(1));
+            let mut visited = Nic::new(cfg, FaultInjector::disabled(1));
+            for payload in [&b"small"[..], &[9u8; 4000], &[3u8; 1460], &[5u8; 1461]] {
+                let f: PktBuf = frame(5000, payload).into();
+                let mut each = Vec::new();
+                visited.host_tx_each(f.clone(), |f, t| each.push((f, t)));
+                assert_eq!(listed.host_tx(f), each);
+            }
+            let (l, v) = (listed.stats, visited.stats);
+            assert_eq!(
+                (l.tx_frames, l.tx_bytes, l.tso_splits),
+                (v.tx_frames, v.tx_bytes, v.tso_splits)
+            );
+            assert_eq!(l.tx_frames, if listed.cfg.tso { 7 } else { 4 });
+        }
     }
 
     #[test]

@@ -16,12 +16,17 @@ use neat_net::PktBuf;
 /// within `mss`, an `mss` of zero — passes the original handle through
 /// untouched.
 pub fn tso_split(frame: PktBuf, mss: usize) -> Vec<PktBuf> {
-    cut(&frame, mss).unwrap_or_else(|| vec![frame])
+    let mut out = Vec::new();
+    if cut(&frame, mss, |seg| out.push(seg)).is_none() {
+        out.push(frame);
+    }
+    out
 }
 
-/// The segments of `frame`, or `None` when it is not to be split. The one
-/// parse of the three headers (both checksums verified) happens here.
-fn cut(frame: &[u8], mss: usize) -> Option<Vec<PktBuf>> {
+/// Hand `each` the segments of `frame` in order, or return `None` without
+/// calling it when the frame is not to be split. The one parse of the
+/// three headers (both checksums verified) happens here.
+pub fn cut(frame: &[u8], mss: usize, each: impl FnMut(PktBuf)) -> Option<()> {
     let (eth, ip_off) = EthernetFrame::parse(frame).ok()?;
     if eth.ethertype != EtherType::Ipv4 {
         return None;
@@ -56,7 +61,8 @@ fn cut(frame: &[u8], mss: usize) -> Option<Vec<PktBuf>> {
         h.emit_into(&mut f, &[chunk], ip.src, ip.dst);
         PktBuf::from_vec(f)
     };
-    Some(payload.chunks(mss).enumerate().map(segment).collect())
+    payload.chunks(mss).enumerate().map(segment).for_each(each);
+    Some(())
 }
 
 #[cfg(test)]

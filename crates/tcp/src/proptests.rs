@@ -303,7 +303,7 @@ fn wheel_matches_sorted_list_model() {
                     }
                     Op::Advance { delta } => {
                         now += delta;
-                        let fired = wheel.advance(now);
+                        let fired = wheel.fire(now);
                         let mut want: Vec<(u64, u64, u64)> = model
                             .iter()
                             .filter(|(_, (d, _))| *d <= now)
@@ -321,7 +321,7 @@ fn wheel_matches_sorted_list_model() {
             }
             // Drain everything left: all remaining keys must eventually
             // fire, in model order.
-            let fired = wheel.advance(u64::MAX - 1);
+            let fired = wheel.fire(u64::MAX - 1);
             let mut want: Vec<(u64, u64, u64)> =
                 model.iter().map(|(k, (d, s))| (*d, *s, *k)).collect();
             want.sort_unstable();
@@ -363,7 +363,7 @@ fn wheel_next_event_is_sound_lower_bound() {
                         earliest
                     );
                 }
-                for k in wheel.advance(t) {
+                for k in wheel.fire(t) {
                     let d = deadlines.remove(&k).expect("fired unknown key");
                     // Advancing exactly to the lower bound can only release
                     // timers whose true deadline IS that instant: never

@@ -101,13 +101,26 @@ struct Slot {
 /// The follow-ups a stimulus owes its slot. Each caller runs the subset it
 /// needs, in this order, against the stack's (disjoint) sink fields.
 impl Slot {
-    fn drain_events(&mut self, out: &mut VecDeque<SockEvent>) {
-        for e in std::mem::take(&mut self.sock.events) {
+    /// Lend the socket the stack's one event list for a stimulus, so a
+    /// socket at rest owns none. [`Slot::drain_events`] takes it back.
+    fn lend_events(&mut self, list: &mut Vec<SockEvent>) {
+        if self.sock.events.is_empty() {
+            self.sock.events = std::mem::take(list);
+        }
+    }
+
+    fn drain_events(&mut self, out: &mut VecDeque<SockEvent>, list: &mut Vec<SockEvent>) {
+        let mut events = std::mem::take(&mut self.sock.events);
+        for e in events.drain(..) {
             // A backlog socket's Connected already surfaced as the
             // listener's Acceptable; all others pass through.
             if !(matches!(e, SockEvent::Connected(_)) && self.pending.is_some()) {
                 out.push_back(e);
             }
+        }
+        // A list the socket grew itself (`close`/`abort`) is not kept.
+        if list.capacity() == 0 {
+            *list = events;
         }
     }
 
@@ -164,8 +177,12 @@ pub struct TcpStack {
     raw_out: VecDeque<(Ipv4Addr, TcpHeader)>,
     /// User-visible events.
     events: VecDeque<SockEvent>,
+    /// The list a socket queues its events on while a stimulus runs.
+    sock_events: Vec<SockEvent>,
     /// One armed deadline per socket, hierarchically hashed.
     timers: TimerWheel,
+    /// The keys `on_timer` is firing.
+    fired: Vec<u64>,
     /// Accounted connection memory (and the optional bound on it).
     budget: ConnBudget,
     /// Checkpoint-delta tracking for buddy replication, `Some` while on:
@@ -203,7 +220,9 @@ impl TcpStack {
             dirty: VecDeque::new(),
             raw_out: VecDeque::new(),
             events: VecDeque::new(),
+            sock_events: Vec::new(),
             timers: TimerWheel::new(0),
+            fired: Vec::new(),
             budget,
             repl_dirty: None,
             repl_closed: Vec::new(),
@@ -585,6 +604,7 @@ impl TcpStack {
             return;
         };
         let before = slot.sock.state();
+        slot.lend_events(&mut self.sock_events);
         slot.sock.on_segment(h, payload, now);
         // Handshake completed on a backlog socket → accept queue
         // (CLOSE-WAIT: the completing ACK came with the peer's FIN).
@@ -599,7 +619,7 @@ impl TcpStack {
                 self.events.push_back(SockEvent::Acceptable(l.id));
             }
         }
-        slot.drain_events(&mut self.events);
+        slot.drain_events(&mut self.events, &mut self.sock_events);
         slot.mark_dirty(&mut self.dirty, &mut self.repl_dirty);
         slot.arm_timer(&mut self.timers);
         slot.account(&mut self.budget);
@@ -648,7 +668,7 @@ impl TcpStack {
                     return Some(f(slot.sock.remote_ip, &h, payload));
                 }
                 slot.queued = false;
-                slot.drain_events(&mut self.events);
+                slot.drain_events(&mut self.events, &mut self.sock_events);
                 slot.account(&mut self.budget);
             }
             self.dirty.pop_front();
@@ -675,15 +695,19 @@ impl TcpStack {
 
     /// Fire all timers due at `now`, cascading the wheel as needed.
     pub fn on_timer(&mut self, now: u64) {
-        for key in self.timers.advance(now) {
+        let mut fired = std::mem::take(&mut self.fired);
+        self.timers.advance(now, &mut fired);
+        for key in fired.drain(..) {
             if let Some(slot) = self.sockets.get_mut(&SocketId(key)) {
+                slot.lend_events(&mut self.sock_events);
                 slot.sock.on_timer(now);
-                slot.drain_events(&mut self.events);
+                slot.drain_events(&mut self.events, &mut self.sock_events);
                 slot.mark_dirty(&mut self.dirty, &mut self.repl_dirty);
                 slot.arm_timer(&mut self.timers);
                 slot.account(&mut self.budget);
             }
         }
+        self.fired = fired;
     }
 
     /// Remove a socket if it is fully closed and quiescent: its final

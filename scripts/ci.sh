@@ -99,7 +99,8 @@ no_source_text_guard() {
 # maps are `neat_util::Fx*`, `BTreeMap` or a `Vec`. Item A widens the scope
 # to `crates` (less `util/src/hash.rs`, which defines the aliases).
 HASHER_SCOPE="crates/sim/src crates/nic/src/steer.rs crates/core/src/nic_proc.rs
-    crates/apps/src/webserver.rs crates/apps/src/httperf.rs"
+    crates/apps/src/webserver.rs crates/apps/src/httperf.rs
+    crates/core/src/netcode.rs crates/net/src/arp.rs"
 no_default_hasher_guard() {
     # shellcheck disable=SC2086 # the scope is a word list
     users=$(find $HASHER_SCOPE -name '*.rs' ! -name '*_tests.rs' ! -path '*/util/src/hash.rs' \

@@ -48,7 +48,7 @@ impl Process<Msg> for EchoApp {
         match ev {
             Event::Start => self.lib.listen(ctx, PORT).unwrap(),
             Event::Message { msg, .. } => {
-                for e in self.lib.handle(ctx, &msg) {
+                for e in self.lib.handle(ctx, msg) {
                     if let LibEvent::Readable { fd } = e {
                         while self.lib.poll(fd).readable {
                             let Ok(data) = self.lib.recv(ctx, fd) else {
