@@ -280,11 +280,6 @@ impl Testbed {
         total(&self.client_metrics, |m| m.conn_errors)
     }
 
-    /// Merged latency histogram across clients.
-    pub fn merged_latency(&self) -> neat_sim::Histogram {
-        merged_latency(&self.client_metrics)
-    }
-
     /// Run a warmup, then measure a window; returns the report.
     pub fn measure(&mut self, warmup: Time, window: Time) -> RunReport {
         measure(&mut self.sim, &self.client_metrics, warmup, window)

@@ -9,9 +9,9 @@
 //!   supervisor handoff ([`Msg::ReplHandoff`]) surrenders its copy of the
 //!   dead replica's flows so the respawned replica can adopt them.
 //!
-//! The mechanism is checkpoint streaming: incremental encoded
-//! [`neat_tcp::TcbImage`]s of every flow touched since the last flush.
-//! The buddy's store is a plain map; handoff is a drain.
+//! The mechanism is checkpoint streaming: the checkpoint bytes
+//! ([`neat_tcp::TcpSocket::checkpoint`]) of every flow touched since the
+//! last flush. The buddy's store is a plain map; handoff is a drain.
 //!
 //! The output-commit argument for why a delta-per-flush is enough: crashes
 //! are delivered as messages ([`Msg::Poison`]), so a flush — input
@@ -26,7 +26,7 @@ use crate::msg::{Msg, ReplFlow, ReplPayload};
 use crate::sock_server::SockServer;
 use neat_net::FlowKey;
 use neat_sim::ProcId;
-use std::collections::HashMap;
+use neat_util::FxHashMap;
 
 /// Per-replica replication engine (both the primary and the buddy half).
 #[derive(Debug)]
@@ -37,8 +37,9 @@ pub struct FlowRepl {
     /// Next delta must re-baseline the buddy (fresh assignment).
     need_full: bool,
     /// Latest checkpoint per flow, held on behalf of other replicas and
-    /// keyed by their pid.
-    store: HashMap<ProcId, HashMap<FlowKey, ReplFlow>>,
+    /// keyed by their pid. Only probed; its one iteration,
+    /// [`FlowRepl::take_flows_for`], sorts by `old_sock`.
+    store: FxHashMap<ProcId, FxHashMap<FlowKey, ReplFlow>>,
     /// `repl.deltas_sent`/`_applied`, bumped per delta: cached, but at first
     /// use — the snapshot lists only registered metrics, in that order.
     sent: Option<neat_obs::Counter>,
@@ -51,7 +52,7 @@ impl FlowRepl {
             enabled: cfg.replication.enabled,
             buddy: None,
             need_full: false,
-            store: HashMap::new(),
+            store: FxHashMap::default(),
             sent: None,
             applied: None,
         }
@@ -81,27 +82,11 @@ impl FlowRepl {
         if !self.enabled {
             return None;
         }
-        let payload = if self.need_full {
-            self.need_full = false;
-            let flows = srv.full_checkpoint();
-            // The dirty/closed sets are folded into the snapshot.
-            let _ = srv.take_checkpoint_delta();
-            ReplPayload {
-                full: true,
-                flows,
-                closed: Vec::new(),
-            }
-        } else {
-            let (flows, closed) = srv.take_checkpoint_delta();
-            if flows.is_empty() && closed.is_empty() {
-                return None;
-            }
-            ReplPayload {
-                full: false,
-                flows,
-                closed,
-            }
-        };
+        let full = std::mem::take(&mut self.need_full);
+        let payload = srv.checkpoint(full);
+        if !full && payload.flows.is_empty() && payload.closed.is_empty() {
+            return None;
+        }
         let register = || neat_obs::counter("repl.deltas_sent");
         self.sent.get_or_insert_with(register).inc();
         Some((buddy, Msg::ReplDelta { queue, payload }))
@@ -139,5 +124,52 @@ impl FlowRepl {
     /// Drop the store held for `owner` (it was removed, not crashed).
     pub fn forget(&mut self, owner: ProcId) {
         self.store.remove(&owner);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use neat_tcp::SocketId;
+    use std::net::Ipv4Addr;
+
+    fn flow(sock: u64) -> ReplFlow {
+        let client = Ipv4Addr::new(10, 0, (sock >> 8) as u8, sock as u8);
+        ReplFlow {
+            flow: FlowKey::tcp(client, 40_000, Ipv4Addr::new(10, 0, 0, 1), 80),
+            old_sock: SocketId(sock),
+            owner: ProcId(7),
+            app_bytes: sock,
+            img: vec![sock as u8],
+        }
+    }
+
+    /// The buddy's store is a hash map, but what it hands off (and so the
+    /// restore order, and through it the wire) is in ascending `old_sock`
+    /// however the deltas arrived.
+    #[test]
+    fn handoff_is_in_socket_order() {
+        let mut repl = FlowRepl::new(&NeatConfig::single(2).replicated());
+        let primary = ProcId(3);
+        // 1..=96 in a scrambled order (97 is prime), eight flows per delta;
+        // a last delta closes every fifth.
+        let socks: Vec<u64> = (1..=96).map(|i| i * 37 % 97).collect();
+        let delta = |flows, closed| ReplPayload {
+            full: false,
+            flows,
+            closed,
+        };
+        for chunk in socks.chunks(8) {
+            let flows = chunk.iter().map(|&s| flow(s)).collect();
+            repl.apply_delta(primary, delta(flows, Vec::new()));
+        }
+        let closed = (5..=96).step_by(5).map(|s| flow(s).flow).collect();
+        repl.apply_delta(primary, delta(Vec::new(), closed));
+        let got: Vec<u64> = (repl.take_flows_for(primary).iter())
+            .map(|f| f.old_sock.0)
+            .collect();
+        let want: Vec<u64> = (1..=96).filter(|s| s % 5 != 0).collect();
+        assert_eq!(got, want);
+        assert!(repl.take_flows_for(primary).is_empty(), "a handoff drains");
     }
 }

@@ -259,7 +259,7 @@ pub struct ReplFlow {
     /// Application stream bytes the checkpointed state had accepted from
     /// the app (drives the library's resend-tail on migration).
     pub app_bytes: u64,
-    /// Encoded [`neat_tcp::TcbImage`].
+    /// The flow's checkpoint bytes ([`neat_tcp::TcpSocket::checkpoint`]).
     pub img: Vec<u8>,
 }
 

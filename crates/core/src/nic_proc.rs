@@ -178,12 +178,6 @@ impl Process<Msg> for NicProc {
     }
 }
 
-/// Convenience: the serialization-bounded throughput sanity number used in
-/// tests — requests/sec the link itself supports at tiny frames.
-pub fn link_bound_small_frame_rps() -> f64 {
-    neat_nic::LinkModel::ten_gbe().max_fps(60) / 4.0 // ~4 frames per request
-}
-
 /// Build the default server NIC hardware with `queues` queue pairs.
 pub fn default_server_nic(queues: usize) -> Nic {
     Nic::new(
@@ -198,15 +192,6 @@ pub fn default_server_nic(queues: usize) -> Nic {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn link_bound_sanity() {
-        let rps = link_bound_small_frame_rps();
-        assert!(
-            rps > 1e6,
-            "link is never the bottleneck at 20B files: {rps}"
-        );
-    }
 
     #[test]
     fn default_nic_queue_count() {

@@ -57,12 +57,6 @@ impl Placement {
         s
     }
 
-    /// Claim the SMT sibling (thread 1) of an already-claimed core.
-    pub fn sibling_of(&mut self, s: Slot) -> Slot {
-        assert!(self.threads_per_core >= 2, "no SMT on this machine");
-        self.at(s.core, 1 - s.thread)
-    }
-
     /// All slots not yet claimed, cores-first order (thread 0 of every
     /// remaining core, then thread 1 of every core).
     pub fn remaining(&self) -> Vec<Slot> {
@@ -98,15 +92,6 @@ mod tests {
         assert_eq!(a, Slot { core: 0, thread: 0 });
         assert_eq!(b, Slot { core: 1, thread: 0 });
         assert_eq!(p.remaining().len(), 10);
-    }
-
-    #[test]
-    fn sibling_colocation() {
-        let mut p = Placement::new(8, 2);
-        let a = p.dedicated_core();
-        let sib = p.sibling_of(a);
-        assert_eq!(sib, Slot { core: 0, thread: 1 });
-        assert_eq!(p.remaining().len(), 14);
     }
 
     #[test]

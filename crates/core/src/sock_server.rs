@@ -7,10 +7,10 @@
 //! fast-path messages. The paper's "mostly system-call-less" design means
 //! these messages model shared-memory queue operations, not kernel calls.
 
-use crate::msg::{ConnHandle, Msg, ReplFlow};
+use crate::msg::{ConnHandle, Msg, ReplFlow, ReplPayload};
 use neat_net::{FlowKey, TcpHeader};
 use neat_sim::ProcId;
-use neat_tcp::{SockEvent, SocketId, TcbImage, TcpConfig, TcpStack};
+use neat_tcp::{SockEvent, SocketId, TcpConfig, TcpSocket, TcpStack};
 use neat_util::FxHashMap;
 use std::collections::VecDeque;
 use std::net::Ipv4Addr;
@@ -287,35 +287,26 @@ impl SockServer {
         self.stack.set_repl_tracking(on);
     }
 
-    /// Drain this flush's checkpoint delta: dirty replicable flows as
-    /// ready-to-ship [`ReplFlow`]s, plus the flows that closed. Flows not
-    /// yet bound to an app (accept-queue residents) are skipped — there is
-    /// no application handle to rebind on the far side.
-    pub fn take_checkpoint_delta(&mut self) -> (Vec<ReplFlow>, Vec<FlowKey>) {
-        let dirty = self.stack.take_repl_dirty();
-        let closed = self.stack.take_repl_closed();
-        (self.repl_flows(dirty), closed)
-    }
-
-    /// Pair the stack's checkpoints with their app binding.
-    fn repl_flows(&self, images: Vec<(SocketId, FlowKey, TcbImage)>) -> Vec<ReplFlow> {
-        let bound = |(id, flow, img): (SocketId, FlowKey, TcbImage)| {
-            let c = self.conns.get(&id)?;
-            Some(ReplFlow {
-                flow,
-                old_sock: id,
-                owner: c.owner,
-                app_bytes: c.app_bytes,
-                img: img.encode(),
-            })
-        };
-        images.into_iter().filter_map(bound).collect()
-    }
-
-    /// Checkpoint every app-bound replicable connection (sent when a
-    /// buddy is first assigned, so its store starts complete).
-    pub fn full_checkpoint(&self) -> Vec<ReplFlow> {
-        self.repl_flows(self.stack.export_all_conns())
+    /// This flush's checkpoint for the buddy: every app-bound replicable
+    /// flow touched since the last call and the flows that closed, or with
+    /// `full` every app-bound replicable flow.
+    pub fn checkpoint(&mut self, full: bool) -> ReplPayload {
+        let mut flows = Vec::new();
+        let mut closed = self.stack.take_repl_closed();
+        if full {
+            // The full image supersedes the dirty and closed sets: drop
+            // them unencoded.
+            self.stack.take_repl_dirty(|_, _| {});
+            closed = Vec::new();
+            self.stack.export_all_conns(bind(&self.conns, &mut flows));
+        } else {
+            self.stack.take_repl_dirty(bind(&self.conns, &mut flows));
+        }
+        ReplPayload {
+            full,
+            flows,
+            closed,
+        }
     }
 
     /// Adopt replicated flows (failover restore or live-migration import).
@@ -325,12 +316,10 @@ impl SockServer {
     pub fn restore_flows(&mut self, me: ProcId, old: ProcId, flows: Vec<ReplFlow>) -> Vec<FlowKey> {
         let mut restored = Vec::new();
         for f in flows {
-            let Some(img) = TcbImage::decode(&f.img) else {
-                neat_obs::counter_add("repl.decode_errors", 1);
-                continue;
-            };
-            match self.stack.restore_conn(&img) {
-                Ok(new_id) => {
+            match self.stack.restore_conn(&f.img) {
+                None => neat_obs::counter_add("repl.decode_errors", 1),
+                Some(Err(_)) => neat_obs::counter_add("repl.restore_refused", 1),
+                Some(Ok(new_id)) => {
                     self.conns
                         .insert(new_id, Conn::new(f.owner, None, f.app_bytes));
                     self.opened += 1;
@@ -350,9 +339,6 @@ impl SockServer {
                     ));
                     restored.push(f.flow);
                 }
-                Err(_) => {
-                    neat_obs::counter_add("repl.restore_refused", 1);
-                }
             }
         }
         restored
@@ -363,13 +349,36 @@ impl SockServer {
     /// keep living in the target replica. Unbound accept-queue residents
     /// stay behind and drain normally.
     pub fn export_for_migration(&mut self) -> Vec<ReplFlow> {
-        let exported = self.full_checkpoint();
+        let mut exported = Vec::new();
+        self.stack
+            .export_all_conns(bind(&self.conns, &mut exported));
         for f in &exported {
             self.stack.remove_conn(f.old_sock);
             self.conns.remove(&f.old_sock);
         }
         self.closed += exported.len() as u64;
         exported
+    }
+}
+
+/// The one place a [`ReplFlow`] is built: the visitor the stack calls
+/// with each socket it checkpoints. Flows not yet bound to an app
+/// (accept-queue residents) are skipped — there is no application handle
+/// to rebind on the far side.
+fn bind<'a>(
+    conns: &'a FxHashMap<SocketId, Conn>,
+    out: &'a mut Vec<ReplFlow>,
+) -> impl FnMut(FlowKey, &TcpSocket) + 'a {
+    move |flow, sock| {
+        if let Some(c) = conns.get(&sock.id) {
+            out.push(ReplFlow {
+                flow,
+                old_sock: sock.id,
+                owner: c.owner,
+                app_bytes: c.app_bytes,
+                img: sock.checkpoint(),
+            });
+        }
     }
 }
 

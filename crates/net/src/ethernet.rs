@@ -20,14 +20,6 @@ impl MacAddr {
     pub fn is_broadcast(&self) -> bool {
         *self == Self::BROADCAST
     }
-
-    pub fn is_multicast(&self) -> bool {
-        self.0[0] & 0x01 != 0 && !self.is_broadcast()
-    }
-
-    pub fn is_unicast(&self) -> bool {
-        self.0[0] & 0x01 == 0
-    }
 }
 
 impl fmt::Display for MacAddr {
@@ -155,9 +147,6 @@ mod tests {
     #[test]
     fn mac_classification() {
         assert!(MacAddr::BROADCAST.is_broadcast());
-        assert!(!MacAddr::BROADCAST.is_multicast());
-        assert!(MacAddr([0x01, 0, 0x5e, 0, 0, 1]).is_multicast());
-        assert!(MacAddr::local(3).is_unicast());
         assert_eq!(format!("{}", MacAddr::local(0x2a)), "02:00:00:00:00:2a");
     }
 

@@ -45,13 +45,6 @@ impl LinkModel {
     pub fn max_fps(&self, len: usize) -> f64 {
         1e9 / self.tx_time(len).as_nanos() as f64
     }
-
-    /// Theoretical payload goodput (bytes/second) at a given frame size
-    /// with `overhead` header bytes per frame.
-    pub fn goodput(&self, frame_len: usize, header_bytes: usize) -> f64 {
-        let payload = frame_len.saturating_sub(header_bytes) as f64;
-        payload * self.max_fps(frame_len)
-    }
 }
 
 #[cfg(test)]
@@ -79,13 +72,5 @@ mod tests {
         // 10GbE minimum-size frame rate ≈ 14.88 Mpps.
         let fps = l.max_fps(60);
         assert!((14.0e6..15.5e6).contains(&fps), "{fps}");
-    }
-
-    #[test]
-    fn goodput_below_line_rate() {
-        let l = LinkModel::ten_gbe();
-        let gp = l.goodput(1514, 54); // TCP/IP/Ethernet headers
-        assert!(gp < 10e9 / 8.0);
-        assert!(gp > 1.1e9, "~1.18 GB/s of TCP payload on 10GbE: {gp}");
     }
 }

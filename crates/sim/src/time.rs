@@ -118,11 +118,6 @@ impl Freq {
         let ns = (cycles as u128 * 1_000_000).div_ceil(self.khz as u128);
         Time(ns as u64)
     }
-
-    /// Convert a wall-clock duration to cycles at this frequency (floor).
-    pub fn time_to_cycles(self, t: Time) -> Cycles {
-        (t.0 as u128 * self.khz as u128 / 1_000_000) as u64
-    }
 }
 
 #[cfg(test)]
@@ -154,9 +149,7 @@ mod tests {
         // 1.9e9 cycles == 1 second
         assert_eq!(f.cycles_to_time(1_900_000_000), Time::from_secs(1));
         let f2 = Freq::ghz(2.26);
-        let t = f2.cycles_to_time(2_260_000);
-        assert_eq!(t, Time::from_millis(1));
-        assert_eq!(f2.time_to_cycles(t), 2_260_000);
+        assert_eq!(f2.cycles_to_time(2_260_000), Time::from_millis(1));
     }
 
     #[test]

@@ -103,20 +103,14 @@ impl SendBuffer {
         self.data.len().saturating_sub(off as usize)
     }
 
-    /// Copy of every buffered byte, base first (checkpoint capture).
-    pub fn contents(&self) -> Vec<u8> {
-        let (a, b) = self.data.as_slices();
-        [a, b].concat()
-    }
-
-    /// Rebuild a buffer from a checkpoint. `cap` is widened to fit the
-    /// snapshot so a restore can never silently truncate the stream.
-    pub fn from_parts(base: SeqNum, data: Vec<u8>, cap: usize) -> SendBuffer {
-        SendBuffer {
+    /// Rebuild a buffer from a checkpoint; `None` if `data` does not fit
+    /// `cap` (no buffer could have held it).
+    pub fn from_parts(base: SeqNum, data: &[u8], cap: usize) -> Option<SendBuffer> {
+        (data.len() <= cap).then(|| SendBuffer {
             base,
-            cap: cap.max(data.len()),
-            data: data.into(),
-        }
+            data: data.to_vec().into(),
+            cap,
+        })
     }
 }
 
@@ -184,18 +178,18 @@ impl RecvBuffer {
         self.data.capacity()
     }
 
-    /// Copy of every buffered byte (checkpoint capture).
-    pub fn contents(&self) -> Vec<u8> {
-        let (a, b) = self.data.as_slices();
-        [a, b].concat()
+    /// Every buffered byte, as the ring's two halves in stream order.
+    pub(crate) fn as_slices(&self) -> (&[u8], &[u8]) {
+        self.data.as_slices()
     }
 
-    /// Rebuild a buffer from a checkpoint (cap widened to fit).
-    pub fn from_parts(data: Vec<u8>, cap: usize) -> RecvBuffer {
-        RecvBuffer {
-            cap: cap.max(data.len()),
-            data: data.into(),
-        }
+    /// Rebuild a buffer from a checkpoint; `None` if `data` does not fit
+    /// `cap`.
+    pub fn from_parts(data: &[u8], cap: usize) -> Option<RecvBuffer> {
+        (data.len() <= cap).then(|| RecvBuffer {
+            data: data.to_vec().into(),
+            cap,
+        })
     }
 }
 
@@ -299,7 +293,8 @@ mod tests {
                 assert_eq!([a, b].concat(), want, "slices({off}, {len})");
             }
         }
-        assert_eq!(s.contents(), model);
+        let (a, b) = s.slices(s.base(), s.len());
+        assert_eq!([a, b].concat(), model);
     }
 
     #[test]
@@ -312,7 +307,8 @@ mod tests {
             assert_eq!(r.read(&mut out), first);
             assert_eq!(out, &stream[..first]);
             assert_eq!(r.write(&stream[64..128]), first, "refill to the brim");
-            assert_eq!(r.contents(), &stream[first..64 + first]);
+            let (a, b) = r.as_slices();
+            assert_eq!([a, b].concat(), &stream[first..64 + first]);
             assert!(
                 first == 64 || !r.data.as_slices().1.is_empty(),
                 "storage wraps"

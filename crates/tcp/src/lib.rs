@@ -49,10 +49,8 @@ mod proptests;
 pub use budget::ConnBudget;
 pub use components::{AckEvent, CcDecision, CongestionControl};
 pub use demux::DemuxTable;
-pub use rto::RttSnapshot;
 pub use socket::TcpSocket;
 pub use stack::TcpStack;
-pub use tcb::TcbImage;
 pub use types::{
     CongestionAlgo, Readiness, SockEvent, SockOpt, SockOptKind, SocketId, TcpConfig, TcpError,
     TcpState,

@@ -1,19 +1,21 @@
 //! RFC 6298 retransmission-timeout estimation with Karn's rule and
 //! exponential backoff.
 
-/// Smoothed RTT estimator producing the retransmission timeout.
+/// Smoothed RTT estimator producing the retransmission timeout. The
+/// learned fields travel in a TCB checkpoint (`tcb.rs`); the min/max
+/// clamps are constants of `new`, so they need not.
 #[derive(Debug, Clone)]
 pub struct RttEstimator {
     /// Smoothed RTT (ns); `None` until the first sample.
-    srtt: Option<f64>,
+    pub(crate) srtt: Option<f64>,
     /// RTT variance (ns).
-    rttvar: f64,
+    pub(crate) rttvar: f64,
     /// Current RTO (ns), including any backoff.
-    rto_ns: u64,
+    pub(crate) rto_ns: u64,
     /// Base RTO before backoff was applied.
-    base_rto_ns: u64,
+    pub(crate) base_rto_ns: u64,
     /// Consecutive backoffs applied since the last valid sample.
-    backoffs: u32,
+    pub(crate) backoffs: u32,
     min_rto_ns: u64,
     max_rto_ns: u64,
 }
@@ -75,40 +77,6 @@ impl RttEstimator {
     pub fn backoffs(&self) -> u32 {
         self.backoffs
     }
-
-    /// Checkpoint the estimator (f64s captured as raw bits so a
-    /// snapshot→restore round trip is exactly the identity).
-    pub fn snapshot(&self) -> RttSnapshot {
-        RttSnapshot {
-            srtt_bits: self.srtt.map(f64::to_bits),
-            rttvar_bits: self.rttvar.to_bits(),
-            rto_ns: self.rto_ns,
-            base_rto_ns: self.base_rto_ns,
-            backoffs: self.backoffs,
-        }
-    }
-
-    /// Rebuild an estimator from a checkpoint. The min/max clamps are
-    /// constants of `new`, so only the learned state travels.
-    pub fn restore(s: &RttSnapshot) -> RttEstimator {
-        let mut e = RttEstimator::new(s.rto_ns);
-        e.srtt = s.srtt_bits.map(f64::from_bits);
-        e.rttvar = f64::from_bits(s.rttvar_bits);
-        e.rto_ns = s.rto_ns;
-        e.base_rto_ns = s.base_rto_ns;
-        e.backoffs = s.backoffs;
-        e
-    }
-}
-
-/// Serializable image of an [`RttEstimator`] (part of a TCB checkpoint).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RttSnapshot {
-    pub srtt_bits: Option<u64>,
-    pub rttvar_bits: u64,
-    pub rto_ns: u64,
-    pub base_rto_ns: u64,
-    pub backoffs: u32,
 }
 
 #[cfg(test)]

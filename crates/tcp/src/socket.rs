@@ -440,4 +440,4 @@ impl TcpSocket {
 
 #[cfg(test)]
 #[path = "socket_tests.rs"]
-mod tests;
+pub(crate) mod tests;

@@ -15,7 +15,7 @@ impl TcpSocket {
     }
 }
 
-fn cfg() -> TcpConfig {
+pub(crate) fn cfg() -> TcpConfig {
     TcpConfig {
         initial_rto_ns: 50_000_000,
         ..TcpConfig::default()
@@ -35,7 +35,7 @@ fn client(now: u64) -> TcpSocket {
 
 /// Shuttle segments between two sockets until both are quiescent.
 /// Returns the number of segments exchanged.
-fn pump(a: &mut TcpSocket, b: &mut TcpSocket, now: u64) -> usize {
+pub(crate) fn pump(a: &mut TcpSocket, b: &mut TcpSocket, now: u64) -> usize {
     let mut n = 0;
     loop {
         let mut progressed = false;
@@ -61,7 +61,7 @@ fn pump(a: &mut TcpSocket, b: &mut TcpSocket, now: u64) -> usize {
 }
 
 /// Build an established client/server pair via a real 3-way handshake.
-fn established() -> (TcpSocket, TcpSocket) {
+pub(crate) fn established() -> (TcpSocket, TcpSocket) {
     let now = 0;
     let mut c = client(now);
     let (syn, _) = c.poll_transmit(now).expect("SYN");
@@ -487,12 +487,12 @@ fn sock_opt_selects_controller_and_resizes_buffers() {
 }
 
 #[test]
-fn snapshot_restore_preserves_selected_algorithm() {
+fn checkpoint_preserves_selected_algorithm() {
     let (mut c, _s) = established();
     c.set_opt(SockOpt::CongestionAlgo(CongestionAlgo::Dctcp));
-    let img = c.snapshot();
-    assert_eq!(img.cc_algo, CongestionAlgo::Dctcp);
-    let r = TcpSocket::restore(SocketId(99), &cfg(), &img);
+    let img = c.checkpoint();
+    assert_eq!(img.last(), Some(&4), "the algorithm is the last byte");
+    let r = TcpSocket::from_checkpoint(SocketId(99), &cfg(), &img).unwrap();
     assert_eq!(r.cc_algo(), CongestionAlgo::Dctcp);
-    assert_eq!(r.snapshot(), img, "snapshot/restore/snapshot is identity");
+    assert_eq!(r.checkpoint(), img, "checkpoint → restore is identity");
 }

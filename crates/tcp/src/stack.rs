@@ -21,7 +21,7 @@
 use crate::budget::ConnBudget;
 use crate::demux::DemuxTable;
 use crate::socket::TcpSocket;
-use crate::tcb::TcbImage;
+use crate::tcb::replicable;
 use crate::types::{
     Readiness, SockEvent, SockOpt, SockOptKind, SocketId, TcpConfig, TcpError, TcpState,
 };
@@ -772,26 +772,23 @@ impl TcpStack {
         self.repl_closed.clear();
     }
 
-    /// Drain the set of sockets touched since the last call, as
-    /// `(id, flow, image)` checkpoints. Only states that carry resumable
-    /// stream state are exported; handshake-phase sockets re-handshake on
-    /// their own. Sorted by socket id for deterministic replication
-    /// traffic.
-    pub fn take_repl_dirty(&mut self) -> Vec<(SocketId, FlowKey, TcbImage)> {
-        let mut out = Vec::new();
+    /// Drain the set of sockets touched since the last call, visiting
+    /// each that is in a [`replicable`] state (handshake-phase sockets
+    /// re-handshake on their own) with its flow, in socket-id order for
+    /// deterministic replication traffic.
+    pub fn take_repl_dirty(&mut self, mut visit: impl FnMut(FlowKey, &TcpSocket)) {
         let Some(ids) = self.repl_dirty.as_mut() else {
-            return out;
+            return;
         };
         ids.sort_unstable();
         for id in ids.drain(..) {
             if let Some(slot) = self.sockets.get_mut(&id) {
                 slot.repl_dirty = false;
-                if TcbImage::replicable(slot.sock.state()) {
-                    out.push((id, flow_of(&slot.sock), slot.sock.snapshot()));
+                if replicable(slot.sock.state()) {
+                    visit(flow_of(&slot.sock), &slot.sock);
                 }
             }
         }
-        out
     }
 
     /// Drain the flows that fully closed since the last call (the buddy
@@ -800,37 +797,41 @@ impl TcpStack {
         std::mem::take(&mut self.repl_closed)
     }
 
-    /// Checkpoint every replicable connection (full checkpoint on buddy
-    /// assignment, and the export half of live migration). Sorted by
-    /// socket id for determinism.
-    pub fn export_all_conns(&self) -> Vec<(SocketId, FlowKey, TcbImage)> {
-        let mut out: Vec<_> = (self.sockets.values().map(|slot| &slot.sock))
-            .filter(|s| TcbImage::replicable(s.state()))
-            .map(|s| (s.id, flow_of(s), s.snapshot()))
+    /// Visit every replicable connection with its flow, in socket-id
+    /// order (full checkpoint on buddy assignment, and the export half of
+    /// live migration).
+    pub fn export_all_conns(&self, mut visit: impl FnMut(FlowKey, &TcpSocket)) {
+        let mut socks: Vec<&TcpSocket> = (self.sockets.values().map(|slot| &slot.sock))
+            .filter(|s| replicable(s.state()))
             .collect();
-        out.sort_unstable_by_key(|(id, ..)| *id);
-        out
+        socks.sort_unstable_by_key(|s| s.id);
+        for s in socks {
+            visit(flow_of(s), s);
+        }
     }
 
-    /// Install a connection from a checkpoint (failover restore or live
-    /// migration import). The socket gets a fresh local id; deadlines in
-    /// the image are absolute sim times, so an expired deadline simply
-    /// fires on the next timer tick — the retransmission that resyncs the
-    /// peer.
-    pub fn restore_conn(&mut self, img: &TcbImage) -> Result<SocketId, TcpError> {
-        let flow = FlowKey::tcp(img.remote_ip, img.remote_port, img.local_ip, img.local_port);
+    /// Install a connection from a checkpoint image (failover restore or
+    /// live migration import); `None` if the bytes are not an image
+    /// [`TcpSocket::checkpoint`] could have written. The socket gets a
+    /// fresh local id — only once it is admitted, so a refused image
+    /// consumes none. Deadlines in the image are absolute sim times, so an
+    /// expired deadline simply fires on the next timer tick — the
+    /// retransmission that resyncs the peer.
+    pub fn restore_conn(&mut self, img: &[u8]) -> Option<Result<SocketId, TcpError>> {
+        let mut sock = TcpSocket::from_checkpoint(SocketId(0), &self.cfg, img)?;
+        let flow = flow_of(&sock);
         if self.conns.contains_key(&flow) {
-            return Err(TcpError::AddrInUse);
+            return Some(Err(TcpError::AddrInUse));
         }
         if !self.budget.admit(base_conn_cost()) {
-            return Err(TcpError::NoMemory);
+            return Some(Err(TcpError::NoMemory));
         }
         self.migrated_out.remove(&flow);
         let id = self.alloc_id();
-        let sock = TcpSocket::restore(id, &self.cfg, img);
+        sock.id = id;
         self.install_socket(flow, sock, None);
         self.stats.conns_opened += 1;
-        Ok(id)
+        Some(Ok(id))
     }
 
     /// Silently remove a connection that was migrated to another replica:

@@ -359,6 +359,26 @@ fn socket_size_is_pinned() {
     assert_eq!(std::mem::size_of::<TcpSocket>(), 544, "the parent's value");
 }
 
+/// A checkpoint moves a flow into another stack; an image the stack
+/// refuses — undecodable, or a flow it already holds — takes no socket id.
+#[test]
+fn restore_conn_adopts_a_flow_and_refusals_take_no_id() {
+    let (mut c, mut s) = pair();
+    let l = s.listen(80).unwrap();
+    c.connect(SERVER_IP, 80, 0).unwrap();
+    pump(&mut c, &mut s, 0);
+    s.accept(l).unwrap();
+    let mut img = Vec::new();
+    s.export_all_conns(|_, sock| img = sock.checkpoint());
+    let (_, mut adopter) = pair();
+    let id = adopter.restore_conn(&img).unwrap().unwrap();
+    assert_eq!(adopter.state(id), Some(TcpState::Established));
+    assert_eq!(adopter.restore_conn(&img), Some(Err(TcpError::AddrInUse)));
+    assert_eq!(adopter.restore_conn(&img[1..]), None);
+    assert_eq!(adopter.listen(80), Ok(SocketId(id.0 + 1)));
+    adopter.check_consistent();
+}
+
 #[test]
 fn budget_accounts_lifecycle() {
     let (mut c, mut s) = pair();

@@ -1,340 +1,167 @@
-//! TCB checkpoint images for flow replication (§3.6 extension).
+//! TCB checkpoints for flow replication (§3.6 extension).
 //!
-//! [`TcbImage`] is the serializable per-connection state one replica
-//! ships to its buddy so a restarted (or rebalanced) replica can resume
-//! the flow. `snapshot → restore → snapshot` is exactly the identity on
-//! this image space (property-tested), so a flow survives any number of
-//! hops unchanged.
+//! A checkpoint is the per-connection state one replica ships to its buddy
+//! so a restarted (or rebalanced) replica can resume the flow: the V2 wire
+//! format, written straight from the socket's components by
+//! [`TcpSocket::checkpoint`] and read straight into a fresh socket by
+//! [`TcpSocket::from_checkpoint`]. Each field is named once per direction.
+//! The reader is canonical — it accepts exactly the images the writer can
+//! produce, so `from_checkpoint(b)?.checkpoint() == b` for every `b` it
+//! accepts (property-tested) and a flow survives any number of hops
+//! unchanged.
 
 use crate::buffer::{RecvBuffer, SendBuffer};
 use crate::components;
-use crate::rto::RttEstimator;
 use crate::socket::TcpSocket;
 use crate::types::{CongestionAlgo, SocketId, TcpConfig, TcpState};
 use neat_net::SeqNum;
 use std::net::Ipv4Addr;
 
-/// A serializable TCB checkpoint.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TcbImage {
-    pub state: TcpState,
-    pub local_ip: Ipv4Addr,
-    pub local_port: u16,
-    pub remote_ip: Ipv4Addr,
-    pub remote_port: u16,
-    pub iss: SeqNum,
-    pub irs: SeqNum,
-    pub snd_nxt: SeqNum,
-    pub snd_wnd: u64,
-    pub snd_wl1: SeqNum,
-    pub snd_wl2: SeqNum,
-    pub mss: u16,
-    pub snd_wscale: u8,
-    pub rcv_wscale: u8,
-    pub syn_sent: bool,
-    pub send_base: SeqNum,
-    pub send_data: Vec<u8>,
-    pub send_cap: u64,
-    pub rcv_nxt: SeqNum,
-    pub recv_data: Vec<u8>,
-    pub recv_cap: u64,
-    pub peer_fin_rcvd: bool,
-    pub close_requested: bool,
-    pub fin_seq: Option<SeqNum>,
-    pub rtx_deadline: Option<u64>,
-    pub rtx_now: bool,
-    pub retries: u32,
-    pub dup_acks: u32,
-    pub rtt: crate::rto::RttSnapshot,
-    pub ack_pending: u32,
-    pub ack_deadline: Option<u64>,
-    pub ack_now: bool,
-    pub time_wait_deadline: Option<u64>,
-    pub probe_deadline: Option<u64>,
-    pub keepalive_deadline: Option<u64>,
-    pub tx_segments: u64,
-    pub rx_segments: u64,
-    pub retransmits: u64,
-    /// Controller selected for this flow (set per-socket via
-    /// `SockOpt::CongestionAlgo`); the restored side re-instantiates the
-    /// same algorithm from slow-start parameters.
-    pub cc_algo: CongestionAlgo,
+/// Wire format version tag — the first byte of every image. V2 appends the
+/// selected congestion algorithm; V1 images (no trailing algorithm byte)
+/// no longer decode — replicas upgrade in lockstep.
+const TCB_IMAGE_V2: u8 = 2;
+
+/// An image's length without its two stream rings, every option present.
+const IMAGE_FIXED_MAX: usize = 211;
+
+/// Does this state carry resumable stream state worth replicating?
+/// Handshake-in-progress and torn-down flows are recreated (or forgotten)
+/// by the normal protocol machinery instead.
+pub(crate) fn replicable(state: TcpState) -> bool {
+    matches!(
+        state,
+        TcpState::Established
+            | TcpState::FinWait1
+            | TcpState::FinWait2
+            | TcpState::Closing
+            | TcpState::CloseWait
+            | TcpState::LastAck
+    )
 }
 
 /// Checkpoint / restore for flow replication.
 impl TcpSocket {
-    /// Capture the transferable TCB: everything a peer replica needs to
-    /// resume this connection. The congestion controller's *dynamic*
-    /// state, the out-of-order assembler, and the outstanding RTT sample
-    /// are deliberately not part of the image — cc restarts from
-    /// slow-start parameters (but keeps its selected algorithm), ooo
-    /// segments are refilled by peer retransmission, and Karn's rule says
-    /// a sample that spans a migration must be discarded anyway.
-    pub fn snapshot(&self) -> TcbImage {
-        TcbImage {
-            state: self.cm.state,
-            local_ip: self.local_ip,
-            local_port: self.local_port,
-            remote_ip: self.remote_ip,
-            remote_port: self.remote_port,
-            iss: self.cm.iss,
-            irs: self.cm.irs,
-            snd_nxt: self.rel.snd_nxt,
-            snd_wnd: self.fc.snd_wnd as u64,
-            snd_wl1: self.fc.snd_wl1,
-            snd_wl2: self.fc.snd_wl2,
-            mss: self.mss,
-            snd_wscale: self.fc.snd_wscale,
-            rcv_wscale: self.fc.rcv_wscale,
-            syn_sent: self.cm.syn_sent,
-            send_base: self.rel.send_buf.base(),
-            send_data: self.rel.send_buf.contents(),
-            send_cap: (self.rel.send_buf.room() + self.rel.send_buf.len()) as u64,
-            rcv_nxt: self.fc.rcv_nxt,
-            recv_data: self.fc.recv_buf.contents(),
-            recv_cap: (self.fc.recv_buf.window() + self.fc.recv_buf.len()) as u64,
-            peer_fin_rcvd: self.cm.peer_fin_rcvd,
-            close_requested: self.cm.close_requested,
-            fin_seq: self.cm.fin_seq,
-            rtx_deadline: self.rel.rtx_deadline,
-            rtx_now: self.rel.rtx_now,
-            retries: self.rel.retries,
-            dup_acks: self.rel.dup_acks,
-            rtt: self.rel.rtt.snapshot(),
-            ack_pending: self.fc.ack_pending,
-            ack_deadline: self.fc.ack_deadline,
-            ack_now: self.fc.ack_now,
-            time_wait_deadline: self.cm.time_wait_deadline,
-            probe_deadline: self.fc.probe_deadline,
-            keepalive_deadline: self.cm.keepalive_deadline,
-            tx_segments: self.tx_segments,
-            rx_segments: self.rx_segments,
-            retransmits: self.retransmits,
-            cc_algo: self.cc.algo(),
-        }
-    }
-
-    /// Rebuild a socket from a checkpoint under a (possibly new) id. The
-    /// deadlines in the image are absolute simulation times, so a deadline
-    /// that expired while the flow was in transit fires on the next timer
-    /// tick — which is exactly the retransmission that re-synchronizes the
-    /// peer after the migration gap.
-    pub fn restore(id: SocketId, cfg: &TcpConfig, img: &TcbImage) -> TcpSocket {
-        let mut s = TcpSocket::new(id, cfg, img.iss);
-        s.cm.state = img.state;
-        s.local_ip = img.local_ip;
-        s.local_port = img.local_port;
-        s.remote_ip = img.remote_ip;
-        s.remote_port = img.remote_port;
-        s.cm.irs = img.irs;
-        s.rel.snd_nxt = img.snd_nxt;
-        s.fc.snd_wnd = img.snd_wnd as usize;
-        s.fc.snd_wl1 = img.snd_wl1;
-        s.fc.snd_wl2 = img.snd_wl2;
-        s.mss = img.mss;
-        s.fc.snd_wscale = img.snd_wscale;
-        s.fc.rcv_wscale = img.rcv_wscale;
-        s.cm.syn_sent = img.syn_sent;
-        s.rel.send_buf =
-            SendBuffer::from_parts(img.send_base, img.send_data.clone(), img.send_cap as usize);
-        s.fc.rcv_nxt = img.rcv_nxt;
-        s.fc.recv_buf = RecvBuffer::from_parts(img.recv_data.clone(), img.recv_cap as usize);
-        s.cm.peer_fin_rcvd = img.peer_fin_rcvd;
-        s.cm.close_requested = img.close_requested;
-        s.cm.fin_seq = img.fin_seq;
-        s.rel.rtx_deadline = img.rtx_deadline;
-        s.rel.rtx_now = img.rtx_now;
-        s.rel.retries = img.retries;
-        s.rel.dup_acks = img.dup_acks;
-        s.rel.rtt = RttEstimator::restore(&img.rtt);
-        s.cc = components::make(img.cc_algo, img.mss);
-        s.fc.ack_pending = img.ack_pending;
-        s.fc.ack_deadline = img.ack_deadline;
-        s.fc.ack_now = img.ack_now;
-        s.cm.time_wait_deadline = img.time_wait_deadline;
-        s.fc.probe_deadline = img.probe_deadline;
-        s.cm.keepalive_deadline = img.keepalive_deadline;
-        s.tx_segments = img.tx_segments;
-        s.rx_segments = img.rx_segments;
-        s.retransmits = img.retransmits;
-        s
-    }
-}
-
-/// Wire format version tag — the first byte of every encoded image.
-/// V2 appends the selected congestion algorithm; V1 images (no trailing
-/// algorithm byte) no longer decode — replicas upgrade in lockstep.
-const TCB_IMAGE_V2: u8 = 2;
-
-impl TcbImage {
-    /// Does this state carry resumable stream state worth replicating?
-    /// Handshake-in-progress and torn-down flows are recreated (or
-    /// forgotten) by the normal protocol machinery instead.
-    pub fn replicable(state: TcpState) -> bool {
-        matches!(
-            state,
-            TcpState::Established
-                | TcpState::FinWait1
-                | TcpState::FinWait2
-                | TcpState::Closing
-                | TcpState::CloseWait
-                | TcpState::LastAck
-        )
-    }
-
-    /// Serialize to the little-endian byte format that travels on the
-    /// replication channel.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = Vec::with_capacity(160 + self.send_data.len() + self.recv_data.len());
+    /// The transferable TCB as little-endian V2 bytes: everything a peer
+    /// replica needs to resume this connection. The congestion
+    /// controller's *dynamic* state, the out-of-order assembler, and the
+    /// outstanding RTT sample are deliberately not part of the image — cc
+    /// restarts from slow-start parameters (but keeps its selected
+    /// algorithm), ooo segments are refilled by peer retransmission, and
+    /// Karn's rule says a sample that spans a migration must be discarded
+    /// anyway. The f64s of the RTT estimator travel as raw bits.
+    pub fn checkpoint(&self) -> Vec<u8> {
+        let (cm, rel, fc) = (&self.cm, &self.rel, &self.fc);
+        let send = &rel.send_buf;
+        let recv = &fc.recv_buf;
+        let mut w = Vec::with_capacity(IMAGE_FIXED_MAX + send.len() + recv.len());
         w.push(TCB_IMAGE_V2);
-        w.push(state_code(self.state));
+        w.push(state_code(cm.state));
         w.extend(self.local_ip.octets());
         w.extend(self.local_port.to_le_bytes());
         w.extend(self.remote_ip.octets());
         w.extend(self.remote_port.to_le_bytes());
         for seq in [
-            self.iss,
-            self.irs,
-            self.snd_nxt,
-            self.snd_wl1,
-            self.snd_wl2,
-            self.send_base,
-            self.rcv_nxt,
+            cm.iss,
+            cm.irs,
+            rel.snd_nxt,
+            fc.snd_wl1,
+            fc.snd_wl2,
+            send.base(),
+            fc.rcv_nxt,
         ] {
             w.extend(seq.0.to_le_bytes());
         }
-        w.extend(self.snd_wnd.to_le_bytes());
+        w.extend((fc.snd_wnd as u64).to_le_bytes());
         w.extend(self.mss.to_le_bytes());
-        w.push(self.snd_wscale);
-        w.push(self.rcv_wscale);
-        put_bool(&mut w, self.syn_sent);
-        put_bytes(&mut w, &self.send_data);
-        w.extend(self.send_cap.to_le_bytes());
-        put_bytes(&mut w, &self.recv_data);
-        w.extend(self.recv_cap.to_le_bytes());
-        put_bool(&mut w, self.peer_fin_rcvd);
-        put_bool(&mut w, self.close_requested);
-        put_opt_u64(&mut w, self.fin_seq.map(|s| s.0 as u64));
-        put_opt_u64(&mut w, self.rtx_deadline);
-        put_bool(&mut w, self.rtx_now);
-        w.extend(self.retries.to_le_bytes());
-        w.extend(self.dup_acks.to_le_bytes());
-        put_opt_u64(&mut w, self.rtt.srtt_bits);
-        w.extend(self.rtt.rttvar_bits.to_le_bytes());
-        w.extend(self.rtt.rto_ns.to_le_bytes());
-        w.extend(self.rtt.base_rto_ns.to_le_bytes());
-        w.extend(self.rtt.backoffs.to_le_bytes());
-        w.extend(self.ack_pending.to_le_bytes());
-        put_opt_u64(&mut w, self.ack_deadline);
-        put_bool(&mut w, self.ack_now);
-        put_opt_u64(&mut w, self.time_wait_deadline);
-        put_opt_u64(&mut w, self.probe_deadline);
-        put_opt_u64(&mut w, self.keepalive_deadline);
+        w.push(fc.snd_wscale);
+        w.push(fc.rcv_wscale);
+        w.push(cm.syn_sent as u8);
+        put_ring(&mut w, send.slices(send.base(), send.len()));
+        w.extend(((send.room() + send.len()) as u64).to_le_bytes());
+        put_ring(&mut w, recv.as_slices());
+        w.extend(((recv.window() + recv.len()) as u64).to_le_bytes());
+        w.push(cm.peer_fin_rcvd as u8);
+        w.push(cm.close_requested as u8);
+        put_opt(&mut w, cm.fin_seq.map(|s| s.0 as u64));
+        put_opt(&mut w, rel.rtx_deadline);
+        w.push(rel.rtx_now as u8);
+        w.extend(rel.retries.to_le_bytes());
+        w.extend(rel.dup_acks.to_le_bytes());
+        put_opt(&mut w, rel.rtt.srtt.map(f64::to_bits));
+        w.extend(rel.rtt.rttvar.to_bits().to_le_bytes());
+        w.extend(rel.rtt.rto_ns.to_le_bytes());
+        w.extend(rel.rtt.base_rto_ns.to_le_bytes());
+        w.extend(rel.rtt.backoffs.to_le_bytes());
+        w.extend(fc.ack_pending.to_le_bytes());
+        put_opt(&mut w, fc.ack_deadline);
+        w.push(fc.ack_now as u8);
+        put_opt(&mut w, cm.time_wait_deadline);
+        put_opt(&mut w, fc.probe_deadline);
+        put_opt(&mut w, cm.keepalive_deadline);
         w.extend(self.tx_segments.to_le_bytes());
         w.extend(self.rx_segments.to_le_bytes());
         w.extend(self.retransmits.to_le_bytes());
-        w.push(algo_code(self.cc_algo));
+        w.push(algo_code(self.cc.algo()));
         w
     }
 
-    /// Parse an encoded image; `None` on truncation, bad version, or an
-    /// unknown state code (a corrupt checkpoint must never install).
-    pub fn decode(bytes: &[u8]) -> Option<TcbImage> {
-        let mut r = Reader { b: bytes, at: 0 };
+    /// Rebuild a socket from a checkpoint under a (possibly new) id; `None`
+    /// for any input [`TcpSocket::checkpoint`] cannot have written —
+    /// truncated, trailing bytes, bad version, state, algorithm, flag or
+    /// option tag, a `fin_seq` past 32 bits, a ring longer than its
+    /// capacity. The deadlines in the image are absolute simulation times,
+    /// so a deadline that expired while the flow was in transit fires on
+    /// the next timer tick — which is exactly the retransmission that
+    /// re-synchronizes the peer after the migration gap.
+    pub fn from_checkpoint(id: SocketId, cfg: &TcpConfig, bytes: &[u8]) -> Option<TcpSocket> {
+        let mut r = Reader(bytes);
         if r.u8()? != TCB_IMAGE_V2 {
             return None;
         }
         let state = state_from_code(r.u8()?)?;
-        let local_ip = Ipv4Addr::from(r.arr4()?);
-        let local_port = r.u16()?;
-        let remote_ip = Ipv4Addr::from(r.arr4()?);
-        let remote_port = r.u16()?;
-        let iss = SeqNum(r.u32()?);
-        let irs = SeqNum(r.u32()?);
-        let snd_nxt = SeqNum(r.u32()?);
-        let snd_wl1 = SeqNum(r.u32()?);
-        let snd_wl2 = SeqNum(r.u32()?);
-        let send_base = SeqNum(r.u32()?);
-        let rcv_nxt = SeqNum(r.u32()?);
-        let snd_wnd = r.u64()?;
-        let mss = r.u16()?;
-        let snd_wscale = r.u8()?;
-        let rcv_wscale = r.u8()?;
-        let syn_sent = r.boolean()?;
-        let send_data = r.bytes()?;
-        let send_cap = r.u64()?;
-        let recv_data = r.bytes()?;
-        let recv_cap = r.u64()?;
-        let peer_fin_rcvd = r.boolean()?;
-        let close_requested = r.boolean()?;
-        let fin_seq = r.opt_u64()?.map(|v| SeqNum(v as u32));
-        let rtx_deadline = r.opt_u64()?;
-        let rtx_now = r.boolean()?;
-        let retries = r.u32()?;
-        let dup_acks = r.u32()?;
-        let rtt = crate::rto::RttSnapshot {
-            srtt_bits: r.opt_u64()?,
-            rttvar_bits: r.u64()?,
-            rto_ns: r.u64()?,
-            base_rto_ns: r.u64()?,
-            backoffs: r.u32()?,
-        };
-        let ack_pending = r.u32()?;
-        let ack_deadline = r.opt_u64()?;
-        let ack_now = r.boolean()?;
-        let time_wait_deadline = r.opt_u64()?;
-        let probe_deadline = r.opt_u64()?;
-        let keepalive_deadline = r.opt_u64()?;
-        let tx_segments = r.u64()?;
-        let rx_segments = r.u64()?;
-        let retransmits = r.u64()?;
-        let cc_algo = algo_from_code(r.u8()?)?;
-        Some(TcbImage {
-            state,
-            local_ip,
-            local_port,
-            remote_ip,
-            remote_port,
-            iss,
-            irs,
-            snd_nxt,
-            snd_wnd,
-            snd_wl1,
-            snd_wl2,
-            mss,
-            snd_wscale,
-            rcv_wscale,
-            syn_sent,
-            send_base,
-            send_data,
-            send_cap,
-            rcv_nxt,
-            recv_data,
-            recv_cap,
-            peer_fin_rcvd,
-            close_requested,
-            fin_seq,
-            rtx_deadline,
-            rtx_now,
-            retries,
-            dup_acks,
-            rtt,
-            ack_pending,
-            ack_deadline,
-            ack_now,
-            time_wait_deadline,
-            probe_deadline,
-            keepalive_deadline,
-            tx_segments,
-            rx_segments,
-            retransmits,
-            cc_algo,
-        })
-    }
-
-    /// Heap footprint of the image (replication-store accounting).
-    pub fn heap_bytes(&self) -> usize {
-        self.send_data.capacity() + self.recv_data.capacity()
+        let local = (Ipv4Addr::from(r.arr()?), r.u16()?);
+        let remote = (Ipv4Addr::from(r.arr()?), r.u16()?);
+        let mut s = TcpSocket::new(id, cfg, r.seq()?);
+        s.cm.state = state;
+        (s.local_ip, s.local_port) = local;
+        (s.remote_ip, s.remote_port) = remote;
+        s.cm.irs = r.seq()?;
+        s.rel.snd_nxt = r.seq()?;
+        s.fc.snd_wl1 = r.seq()?;
+        s.fc.snd_wl2 = r.seq()?;
+        let send_base = r.seq()?;
+        s.fc.rcv_nxt = r.seq()?;
+        s.fc.snd_wnd = r.usize()?;
+        s.mss = r.u16()?;
+        s.fc.snd_wscale = r.u8()?;
+        s.fc.rcv_wscale = r.u8()?;
+        s.cm.syn_sent = r.flag()?;
+        s.rel.send_buf = SendBuffer::from_parts(send_base, r.ring()?, r.usize()?)?;
+        s.fc.recv_buf = RecvBuffer::from_parts(r.ring()?, r.usize()?)?;
+        s.cm.peer_fin_rcvd = r.flag()?;
+        s.cm.close_requested = r.flag()?;
+        s.cm.fin_seq = r.opt()?.map(u32::try_from).transpose().ok()?.map(SeqNum);
+        s.rel.rtx_deadline = r.opt()?;
+        s.rel.rtx_now = r.flag()?;
+        s.rel.retries = r.u32()?;
+        s.rel.dup_acks = r.u32()?;
+        s.rel.rtt.srtt = r.opt()?.map(f64::from_bits);
+        s.rel.rtt.rttvar = f64::from_bits(r.u64()?);
+        s.rel.rtt.rto_ns = r.u64()?;
+        s.rel.rtt.base_rto_ns = r.u64()?;
+        s.rel.rtt.backoffs = r.u32()?;
+        s.fc.ack_pending = r.u32()?;
+        s.fc.ack_deadline = r.opt()?;
+        s.fc.ack_now = r.flag()?;
+        s.cm.time_wait_deadline = r.opt()?;
+        s.fc.probe_deadline = r.opt()?;
+        s.cm.keepalive_deadline = r.opt()?;
+        s.tx_segments = r.u64()?;
+        s.rx_segments = r.u64()?;
+        s.retransmits = r.u64()?;
+        s.cc = components::make(algo_from_code(r.u8()?)?, s.mss);
+        r.0.is_empty().then_some(s)
     }
 }
 
@@ -392,16 +219,15 @@ fn algo_from_code(c: u8) -> Option<CongestionAlgo> {
     })
 }
 
-fn put_bool(w: &mut Vec<u8>, v: bool) {
-    w.push(v as u8);
+/// A stream ring: `u32` length, then its bytes in stream order.
+fn put_ring(w: &mut Vec<u8>, (a, b): (&[u8], &[u8])) {
+    w.extend(((a.len() + b.len()) as u32).to_le_bytes());
+    w.extend_from_slice(a);
+    w.extend_from_slice(b);
 }
 
-fn put_bytes(w: &mut Vec<u8>, v: &[u8]) {
-    w.extend((v.len() as u32).to_le_bytes());
-    w.extend(v);
-}
-
-fn put_opt_u64(w: &mut Vec<u8>, v: Option<u64>) {
+/// An option: tag 0, or tag 1 and the value.
+fn put_opt(w: &mut Vec<u8>, v: Option<u64>) {
     match v {
         Some(x) => {
             w.push(1);
@@ -411,28 +237,45 @@ fn put_opt_u64(w: &mut Vec<u8>, v: Option<u64>) {
     }
 }
 
-/// Bounds-checked little-endian reader over an encoded image.
-struct Reader<'a> {
-    b: &'a [u8],
-    at: usize,
-}
+/// Bounds-checked little-endian reader over the unread rest of an image.
+struct Reader<'a>(&'a [u8]);
 
-impl Reader<'_> {
-    fn take(&mut self, n: usize) -> Option<&[u8]> {
-        let end = self.at.checked_add(n)?;
-        if end > self.b.len() {
-            return None;
-        }
-        let s = &self.b[self.at..end];
-        self.at = end;
-        Some(s)
+impl<'a> Reader<'a> {
+    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
+        let (head, rest) = self.0.split_at_checked(n)?;
+        self.0 = rest;
+        Some(head)
+    }
+
+    fn arr<const N: usize>(&mut self) -> Option<[u8; N]> {
+        self.take(N)?.try_into().ok()
     }
 
     fn u8(&mut self) -> Option<u8> {
         Some(self.take(1)?[0])
     }
 
-    fn boolean(&mut self) -> Option<bool> {
+    fn u16(&mut self) -> Option<u16> {
+        Some(u16::from_le_bytes(self.arr()?))
+    }
+
+    fn u32(&mut self) -> Option<u32> {
+        Some(u32::from_le_bytes(self.arr()?))
+    }
+
+    fn u64(&mut self) -> Option<u64> {
+        Some(u64::from_le_bytes(self.arr()?))
+    }
+
+    fn usize(&mut self) -> Option<usize> {
+        self.u64()?.try_into().ok()
+    }
+
+    fn seq(&mut self) -> Option<SeqNum> {
+        Some(SeqNum(self.u32()?))
+    }
+
+    fn flag(&mut self) -> Option<bool> {
         match self.u8()? {
             0 => Some(false),
             1 => Some(true),
@@ -440,32 +283,20 @@ impl Reader<'_> {
         }
     }
 
-    fn u16(&mut self) -> Option<u16> {
-        Some(u16::from_le_bytes(self.take(2)?.try_into().ok()?))
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
-    }
-
-    fn arr4(&mut self) -> Option<[u8; 4]> {
-        self.take(4)?.try_into().ok()
-    }
-
-    fn bytes(&mut self) -> Option<Vec<u8>> {
-        let n = self.u32()? as usize;
-        Some(self.take(n)?.to_vec())
-    }
-
-    fn opt_u64(&mut self) -> Option<Option<u64>> {
+    fn opt(&mut self) -> Option<Option<u64>> {
         match self.u8()? {
             0 => Some(None),
             1 => Some(Some(self.u64()?)),
             _ => None,
         }
     }
+
+    fn ring(&mut self) -> Option<&'a [u8]> {
+        let n = self.u32()? as usize;
+        self.take(n)
+    }
 }
+
+#[cfg(test)]
+#[path = "tcb_tests.rs"]
+mod tests;

@@ -100,7 +100,7 @@ no_source_text_guard() {
 # to `crates` (less `util/src/hash.rs`, which defines the aliases).
 HASHER_SCOPE="crates/sim/src crates/nic/src/steer.rs crates/core/src/nic_proc.rs
     crates/apps/src/webserver.rs crates/apps/src/httperf.rs
-    crates/core/src/netcode.rs crates/net/src/arp.rs"
+    crates/core/src/netcode.rs crates/net/src/arp.rs crates/core/src/flow_repl.rs"
 no_default_hasher_guard() {
     # shellcheck disable=SC2086 # the scope is a word list
     users=$(find $HASHER_SCOPE -name '*.rs' ! -name '*_tests.rs' ! -path '*/util/src/hash.rs' \
@@ -139,7 +139,7 @@ if [ "$TIER1" = 1 ]; then
     one_builder_guard
     echo "==> [tier1] no-source-text guard (deployed code embeds no .rs file)"
     no_source_text_guard
-    echo "==> [tier1] no-default-hasher guard (engine + per-frame maps name no std HashMap/HashSet)"
+    echo "==> [tier1] no-default-hasher guard (engine + per-frame and replication maps name no std HashMap/HashSet)"
     no_default_hasher_guard
 
     run cargo build --release --offline

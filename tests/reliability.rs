@@ -267,7 +267,7 @@ fn replicated_tcp_crash_is_transparent() {
 
 #[test]
 fn replicated_crash_is_transparent_under_every_congestion_controller() {
-    // The TcbImage carries the per-socket controller selection, so buddy
+    // The checkpoint carries the per-socket controller selection, so buddy
     // failover must stay transparent whichever algorithm the sockets
     // picked via `SockOpt::CongestionAlgo` — including the controllers
     // that keep internal model state (BBR's bw filter, DCTCP's alpha),
