@@ -50,26 +50,30 @@ impl IcmpMessage {
         }
     }
 
+    /// The message with its checksum, header and body in one reservation.
     pub fn emit(&self) -> Vec<u8> {
-        let mut b = vec![0u8; 8];
-        match self {
+        let mut h = [0u8; 8];
+        let body = match self {
             IcmpMessage::EchoRequest { ident, seq, data }
             | IcmpMessage::EchoReply { ident, seq, data } => {
-                b[0] = if matches!(self, IcmpMessage::EchoRequest { .. }) {
+                h[0] = if matches!(self, IcmpMessage::EchoRequest { .. }) {
                     8
                 } else {
                     0
                 };
-                set_u16(&mut b, 4, *ident);
-                set_u16(&mut b, 6, *seq);
-                b.extend_from_slice(data);
+                set_u16(&mut h, 4, *ident);
+                set_u16(&mut h, 6, *seq);
+                data
             }
             IcmpMessage::DestUnreachable { code, original } => {
-                b[0] = 3;
-                b[1] = *code;
-                b.extend_from_slice(original);
+                h[0] = 3;
+                h[1] = *code;
+                original
             }
-        }
+        };
+        let mut b = Vec::with_capacity(h.len() + body.len());
+        b.extend_from_slice(&h);
+        b.extend_from_slice(body);
         let c = checksum::checksum(&b);
         set_u16(&mut b, 2, c);
         b

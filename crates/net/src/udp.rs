@@ -47,7 +47,8 @@ impl UdpHeader {
         ))
     }
 
-    /// Emit a full datagram (header + payload) with checksum.
+    /// Emit a full datagram (header + payload) with checksum, in one
+    /// reservation.
     pub fn emit(
         src_port: u16,
         dst_port: u16,
@@ -56,10 +57,12 @@ impl UdpHeader {
         dst: Ipv4Addr,
     ) -> Vec<u8> {
         let len = (UDP_HEADER_LEN + payload.len()) as u16;
-        let mut b = vec![0u8; UDP_HEADER_LEN];
-        set_u16(&mut b, 0, src_port);
-        set_u16(&mut b, 2, dst_port);
-        set_u16(&mut b, 4, len);
+        let mut h = [0u8; UDP_HEADER_LEN];
+        set_u16(&mut h, 0, src_port);
+        set_u16(&mut h, 2, dst_port);
+        set_u16(&mut h, 4, len);
+        let mut b = Vec::with_capacity(UDP_HEADER_LEN + payload.len());
+        b.extend_from_slice(&h);
         b.extend_from_slice(payload);
         let mut c = pseudo_header(src, dst, 17, len);
         c.add(&b);
