@@ -183,35 +183,6 @@ fn ablate_batching(report: &mut BenchReport) {
         let r = tb.measure(warm, win);
         let occupancy = tb.sim.batch_stats().occupancy();
         let copies = neat_net::pktbuf::stats().copies_avoided;
-        if std::env::var("NEAT_ABLATION_LOADS").is_ok() {
-            // Busy fraction excluding spin-poll: the true utilization.
-            let load = |t: neat_sim::HwThreadId| {
-                tb.sim.thread_stats(t).busy_ns as f64 / r.duration.as_nanos() as f64
-            };
-            let rep: Vec<String> = tb
-                .replica_threads
-                .iter()
-                .map(|t| format!("{:.0}%", load(*t) * 100.0))
-                .collect();
-            let web: Vec<String> = tb
-                .web_threads
-                .iter()
-                .map(|t| format!("{:.0}%", load(*t) * 100.0))
-                .collect();
-            let cli: Vec<String> = (0..4)
-                .map(|c| {
-                    let t = tb.sim.hw_thread(tb.client_machine, c, 0);
-                    format!("{:.0}%", load(t) * 100.0)
-                })
-                .collect();
-            eprintln!(
-                "batch={batch} pool={pool}: krps {:.1} lat {} occ {occupancy:.2} driver {:.0}% replicas {rep:?} webs {web:?} clients[0..4] {cli:?} errors {}",
-                r.krps,
-                r.mean_latency,
-                load(tb.driver_thread) * 100.0,
-                r.conn_errors
-            );
-        }
         if batch && pool {
             on_krps = r.krps;
             report.metric("batch_on_krps", r.krps);
@@ -270,11 +241,6 @@ fn ablate_low_load(report: &mut BenchReport) {
 
 fn main() {
     let mut report = BenchReport::new("ablations");
-    if std::env::var("NEAT_ABLATION_ONLY_BATCHING").is_ok() {
-        ablate_batching(&mut report);
-        report.finish();
-        return;
-    }
     ablate_tracking(&mut report);
     ablate_tso(&mut report);
     ablate_congestion(&mut report);

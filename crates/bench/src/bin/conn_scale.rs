@@ -393,7 +393,7 @@ impl Server {
         }
         while let Some(ev) = self.stack.poll_event() {
             match ev {
-                SockEvent::Readable(id) => self.read(id, now),
+                SockEvent::Readable(id) => self.read(id),
                 SockEvent::PeerClosed(id) => {
                     // Active-close side is the client; finish our half.
                     let _ = self.stack.close(id, now);
@@ -415,8 +415,7 @@ impl Server {
         }
     }
 
-    fn read(&mut self, id: SocketId, now: u64) {
-        let _ = now;
+    fn read(&mut self, id: SocketId) {
         let mut buf = [0u8; 4096];
         loop {
             let n = match self.stack.recv(id, &mut buf) {
@@ -616,24 +615,6 @@ fn main() {
     }
 
     // Headline numbers.
-    if std::env::var("CONN_SCALE_DEBUG").is_ok() {
-        let mut dist = std::collections::BTreeMap::new();
-        for id in server.stack.socket_ids() {
-            if let Some(st) = server.stack.state(id) {
-                *dist.entry(format!("{st:?}")).or_insert(0u64) += 1;
-            }
-        }
-        eprintln!("server socket states: {dist:?}");
-        let mut cdist = std::collections::BTreeMap::new();
-        for lane in &lanes {
-            for id in lane.stack.socket_ids() {
-                if let Some(st) = lane.stack.state(id) {
-                    *cdist.entry(format!("{st:?}")).or_insert(0u64) += 1;
-                }
-            }
-        }
-        eprintln!("client socket states: {cdist:?}");
-    }
     server.stack.publish_mem_gauges();
     let steady_secs = (steady_ticks - 20) as f64 * TICK_NS as f64 / 1e9;
     let krps = completed_steady as f64 / steady_secs / 1e3;

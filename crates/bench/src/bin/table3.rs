@@ -31,6 +31,7 @@ use neat_apps::scenario::{Testbed, TestbedSpec, Workload};
 use neat_bench::{quick, BenchReport, Table};
 use neat_sim::Time;
 use neat_util::Rng;
+use std::collections::BTreeMap;
 
 struct Outcome {
     transparent: bool,
@@ -97,9 +98,10 @@ fn campaign(
     runs: usize,
     sizes: &CodeSizes,
     replicated: bool,
-) -> (usize, std::collections::HashMap<String, (usize, usize)>) {
+) -> (usize, BTreeMap<String, (usize, usize)>) {
     let mut transparent = 0usize;
-    let mut by_target: std::collections::HashMap<String, (usize, usize)> = Default::default();
+    // Ordered by component name: the detail table walks it.
+    let mut by_target: BTreeMap<String, (usize, usize)> = BTreeMap::new();
     for i in 0..runs {
         let o = one_run(0x7AB1E3 + i as u64, sizes, replicated);
         let e = by_target.entry(format!("{:?}", o.target)).or_default();
@@ -165,13 +167,10 @@ fn main() {
         "Table 3 detail — injections and transparent recoveries per component",
         &["component", "injections", "stateless", "replicated"],
     );
-    let mut keys: Vec<_> = by_target.keys().cloned().collect();
-    keys.sort();
-    for k in keys {
-        let (inj, transp) = by_target[&k];
-        let repl_transp = repl_by_target.get(&k).map(|e| e.1).unwrap_or(0);
+    for (k, &(inj, transp)) in &by_target {
+        let repl_transp = repl_by_target.get(k).map(|e| e.1).unwrap_or(0);
         t2.row(&[
-            k,
+            k.clone(),
             inj.to_string(),
             transp.to_string(),
             repl_transp.to_string(),

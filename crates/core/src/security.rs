@@ -8,7 +8,7 @@
 //! stable layout across requests (Hacking Blind et al.). This module
 //! quantifies that unpredictability.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Observes the replica (layout) that served each consecutive connection.
 #[derive(Debug, Default)]
@@ -35,10 +35,19 @@ impl AslrObserver {
         self.sequence.is_empty()
     }
 
+    /// Connections served per layout, in layout order: a fixed order, so
+    /// the entropy sum below adds its terms the same way in every process.
+    fn counts(&self) -> BTreeMap<u64, usize> {
+        let mut counts = BTreeMap::new();
+        for &t in &self.sequence {
+            *counts.entry(t).or_default() += 1;
+        }
+        counts
+    }
+
     /// Number of distinct layouts observed.
     pub fn distinct_layouts(&self) -> usize {
-        let set: std::collections::HashSet<u64> = self.sequence.iter().copied().collect();
-        set.len()
+        self.counts().len()
     }
 
     /// Shannon entropy (bits) of the layout distribution: the attacker's
@@ -47,12 +56,9 @@ impl AslrObserver {
         if self.sequence.is_empty() {
             return 0.0;
         }
-        let mut counts: HashMap<u64, usize> = HashMap::new();
-        for &t in &self.sequence {
-            *counts.entry(t).or_default() += 1;
-        }
         let n = self.sequence.len() as f64;
-        -counts
+        -self
+            .counts()
             .values()
             .map(|&c| {
                 let p = c as f64 / n;

@@ -23,8 +23,8 @@ use crate::msg::Msg;
 use crate::replica::{spawn_replica, Comps, ReplicaEnv, ReplicaSlots, Role};
 use neat_net::MacAddr;
 use neat_sim::{Ctx, Event, HwThreadId, ProcId, Process, Time};
+use neat_util::FxHashMap;
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::rc::Rc;
 
@@ -88,14 +88,16 @@ pub struct Supervisor {
     apps: Vec<ProcId>,
     /// Spare hardware threads for scale-up.
     spare: Vec<HwThreadId>,
-    jobs: HashMap<u64, RespawnJob>,
+    // The four maps below are only probed (get/insert/remove by key).
+    /// Scheduled respawns: timer token → job.
+    jobs: FxHashMap<u64, RespawnJob>,
     /// Fallback timers for in-flight handoffs: token → queue.
-    fallback: HashMap<u64, usize>,
+    fallback: FxHashMap<u64, usize>,
     /// Handoffs awaiting [`Msg::ReplRestored`], keyed by queue.
-    pending_failover: HashMap<usize, PendingFailover>,
+    pending_failover: FxHashMap<usize, PendingFailover>,
     /// Last `(head, buddy)` told to each queue, to skip no-op
     /// [`Msg::SetBuddy`] sends (each one forces a full re-checkpoint).
-    assigned: HashMap<usize, (ProcId, Option<ProcId>)>,
+    assigned: FxHashMap<usize, (ProcId, Option<ProcId>)>,
     next_token: u64,
     pub stats: Rc<RefCell<SupStats>>,
 }
@@ -124,10 +126,10 @@ impl Supervisor {
             replicas: Vec::new(),
             apps: Vec::new(),
             spare,
-            jobs: HashMap::new(),
-            fallback: HashMap::new(),
-            pending_failover: HashMap::new(),
-            assigned: HashMap::new(),
+            jobs: FxHashMap::default(),
+            fallback: FxHashMap::default(),
+            pending_failover: FxHashMap::default(),
+            assigned: FxHashMap::default(),
             next_token: 1,
             stats,
         }

@@ -8,7 +8,7 @@
 
 use crate::msg::Msg;
 use neat_sim::{calibration, Ctx, Event, ProcId, Process};
-use std::collections::HashMap;
+use neat_util::FxHashMap;
 
 /// The SYSCALL server process.
 pub struct SyscallProc {
@@ -17,7 +17,8 @@ pub struct SyscallProc {
     /// single-component stack).
     replicas: Vec<ProcId>,
     /// In-flight listen replications: port → (app, acks outstanding).
-    pending_listen: HashMap<u16, (ProcId, usize)>,
+    /// Only probed.
+    pending_listen: FxHashMap<u16, (ProcId, usize)>,
     pub calls_served: u64,
 }
 
@@ -26,7 +27,7 @@ impl SyscallProc {
         SyscallProc {
             name: name.into(),
             replicas,
-            pending_listen: HashMap::new(),
+            pending_listen: FxHashMap::default(),
             calls_served: 0,
         }
     }

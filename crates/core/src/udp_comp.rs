@@ -9,7 +9,7 @@ use crate::{msg::Msg, replica::Role};
 use neat_net::icmp::{IcmpMessage, PORT_UNREACHABLE};
 use neat_net::udp::UdpHeader;
 use neat_sim::{calibration, Ctx, Event, ProcId, Process};
-use std::collections::HashMap;
+use neat_util::FxHashMap;
 use std::net::Ipv4Addr;
 
 /// UDP itself, embedded by both replica shapes: the bind table and the
@@ -17,14 +17,15 @@ use std::net::Ipv4Addr;
 /// carries the returned bytes to IP its own way.
 pub(crate) struct Udp {
     local_ip: Ipv4Addr,
-    binds: HashMap<u16, ProcId>,
+    /// Port → bound application. Only probed.
+    binds: FxHashMap<u16, ProcId>,
 }
 
 impl Udp {
     pub(crate) fn new(local_ip: Ipv4Addr) -> Udp {
         Udp {
             local_ip,
-            binds: HashMap::new(),
+            binds: FxHashMap::default(),
         }
     }
 

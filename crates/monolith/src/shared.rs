@@ -11,7 +11,7 @@ use neat::sock_server::SockServer;
 use neat_sim::calibration;
 use neat_sim::ProcId;
 use neat_tcp::TcpConfig;
-use std::collections::HashMap;
+use neat_util::FxHashMap;
 use std::net::Ipv4Addr;
 
 /// Baseline per-request kernel bookkeeping outside the stack proper: VFS,
@@ -35,8 +35,8 @@ pub struct MonoShared {
     pub canonical: ProcId,
     /// Last kernel-entry instant per context (contention estimation).
     last_op: Vec<u64>,
-    /// Application process → kernel-context index of its core.
-    pub app_ctx: HashMap<ProcId, usize>,
+    /// Application process → kernel-context index of its core. Only probed.
+    pub app_ctx: FxHashMap<ProcId, usize>,
     /// Accumulated contention cycles (diagnostics).
     pub contention_cycles: u64,
     pub ops: u64,
@@ -55,7 +55,7 @@ impl MonoShared {
             tuning,
             canonical: ProcId(0),
             last_op: vec![0; ctxs],
-            app_ctx: HashMap::new(),
+            app_ctx: FxHashMap::default(),
             contention_cycles: 0,
             ops: 0,
             hw_factor: 1.0,

@@ -10,9 +10,8 @@
 //! long-lived components stay valid across measurement windows.
 
 use crate::stats::Histogram;
-use neat_util::{Json, ToJson};
+use neat_util::{FxHashMap, Json, ToJson};
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 
 #[derive(Clone, Copy)]
 enum Id {
@@ -23,7 +22,8 @@ enum Id {
 
 #[derive(Default)]
 struct Registry {
-    names: HashMap<String, Id>,
+    /// Name -> handle. Only probed: export walks the vectors.
+    names: FxHashMap<String, Id>,
     counters: Vec<(String, u64)>,
     gauges: Vec<(String, f64)>,
     hists: Vec<(String, Histogram)>,

@@ -1,4 +1,4 @@
-//! The discrete-event engine: per-machine event heaps, dispatch, CPU-time
+//! The discrete-event engine: one event heap, dispatch, CPU-time
 //! accounting.
 //!
 //! The engine owns all machines and processes and advances simulated time by
@@ -14,21 +14,19 @@
 //!    the SMT capacity penalty when the sibling hardware thread is busy;
 //! 4. schedules the outputs at the handler's *completion* instant.
 //!
-//! ## Scheduling domains and the determinism contract
+//! ## Per-machine identity and the determinism contract
 //!
-//! All mutable scheduling state is partitioned into per-machine
-//! **domains**: each machine owns its event heap, hardware threads, FIFO
-//! backlogs, process table, per-link batches, pid allocator, sequence
-//! counter, and RNG stream. Every event carries the identity of the domain
-//! that *scheduled* it plus that domain's private sequence counter, and the
-//! canonical dispatch order is `(time, origin domain, origin seq)` — a key
-//! each domain computes from purely local history. A handler only ever
-//! reads and writes its own domain (enforced by [`Ctx`]'s narrow surface),
-//! so the history of a domain depends only on the time-ordered set of
-//! events addressed to it: nothing that happens on another machine can
-//! change its pids, sequence numbers or RNG draws — see DESIGN.md
-//! "Scheduling domains & determinism". [`Sim::run_until`] is the only
-//! event loop; it merges the domain heaps by that key.
+//! Scheduling state — the event heap, the hardware-thread table with its
+//! FIFO backlogs, the counters — is global. What stays per machine is what
+//! makes a machine's history its own: its sequence counter, pid allocator,
+//! RNG stream and process table. Every event carries the machine that
+//! *scheduled* it plus that machine's sequence number, so the dispatch key
+//! `(time, origin machine, origin seq)` is total and each part of it is
+//! computed from one machine's history alone. A handler reaches only its
+//! own machine's state (enforced by [`Ctx`]'s narrow surface), so nothing
+//! that happens on another machine can change its pids, sequence numbers or
+//! RNG draws — see DESIGN.md "Per-machine identity & determinism".
+//! [`Sim::run_until`] is the only event loop.
 //!
 //! Machine-local rules that uphold the contract (asserted, not implied):
 //!
@@ -41,6 +39,7 @@
 //!   whose receiver-side costs the calibration already carries).
 
 use std::cmp::Ordering;
+use std::collections::binary_heap::PeekMut;
 use std::collections::{BinaryHeap, VecDeque};
 
 use neat_util::Rng;
@@ -50,7 +49,7 @@ use crate::machine::{
     HwThread, HwThreadId, Machine, MachineId, MachineSpec, ThreadKind, ThreadStats,
 };
 use crate::process::{Event, ProcId, Process};
-use crate::time::{Cycles, Time};
+use crate::time::{Cycles, Freq, Time};
 
 /// Engine configuration.
 #[derive(Debug, Clone)]
@@ -105,14 +104,6 @@ impl BatchStats {
             self.batched_msgs as f64 / self.batch_deliveries as f64
         }
     }
-
-    fn merge(&mut self, o: &BatchStats) {
-        self.flush_timer += o.flush_timer;
-        self.flush_depth += o.flush_depth;
-        self.flush_close += o.flush_close;
-        self.batched_msgs += o.batched_msgs;
-        self.batch_deliveries += o.batch_deliveries;
-    }
 }
 
 /// One open per-link batch: messages coalescing toward a single delivery.
@@ -128,12 +119,12 @@ struct LinkBatch<M> {
     epoch: u64,
 }
 
-/// The identity a scheduled event carries: which domain scheduled it and
-/// that domain's private sequence number — globally unique, and computable
-/// from the origin domain's local history alone.
+/// The identity a scheduled event carries: which machine scheduled it and
+/// that machine's private sequence number — globally unique, and computable
+/// from the origin machine's history alone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct Origin {
-    dom: u32,
+    machine: usize,
     seq: u64,
 }
 
@@ -148,8 +139,7 @@ enum HeapKind<M> {
     /// the thread's FIFO queue).
     Deliver { dst: ProcId, ev: Delivery<M> },
     /// A hardware thread finished its current work: pop its queue.
-    /// Carries the thread's *local* index within its domain.
-    ThreadResume(u32),
+    ThreadResume(HwThreadId),
     /// The `batch_ns` horizon of a per-link batch expired: deliver it.
     /// Stale if the batch was already flushed (epoch mismatch).
     FlushBatch {
@@ -199,10 +189,10 @@ impl<M: 'static> ProcSlot<M> {
     }
 }
 
-/// A domain's process table, indexed by the local part of the pid: pids are
-/// `first + k` for the k-th process the domain allocated, never reused and
+/// A machine's process table, indexed by the local part of the pid: pids are
+/// `first + k` for the k-th process the machine allocated, never reused and
 /// never removed, so it holds exactly what a map keyed by pid would. A pid of
-/// another domain, `ProcId(0)`, or one `Ctx::spawn` only reserved has no slot.
+/// another machine, `ProcId(0)`, or one `Ctx::spawn` only reserved has no slot.
 struct ProcTable<M> {
     first: u64,
     slots: Vec<ProcSlot<M>>,
@@ -222,7 +212,7 @@ impl<M> ProcTable<M> {
         self.slots.get_mut(i)
     }
 
-    /// Slots fill in allocation order: a domain runs one handler at a time
+    /// Slots fill in allocation order: a machine runs one handler at a time
     /// and applies its spawns in the order it reserved their pids.
     fn insert(&mut self, pid: ProcId, slot: ProcSlot<M>) {
         assert_eq!(self.index(pid), Some(self.slots.len()), "{pid:?}");
@@ -268,146 +258,61 @@ enum Output<M> {
 /// Crash-monitor message constructor.
 type CrashHook<M> = Box<dyn Fn(ProcId, &str) -> M>;
 
-/// Bits reserved for a domain's local pid counter: pids are
-/// `(domain + 1) << PID_DOM_SHIFT | local`, so allocation is a purely
-/// domain-local operation and the owning domain can be recovered from the
+/// Bits reserved for a machine's local pid counter: pids are
+/// `(machine + 1) << PID_MACHINE_SHIFT | local`, so allocation is a purely
+/// machine-local operation and the owning machine can be recovered from the
 /// pid itself. `ProcId(0)` stays the reserved "external" sender.
-const PID_DOM_SHIFT: u32 = 40;
+const PID_MACHINE_SHIFT: u32 = 40;
 
-/// Index of the domain that allocated `pid`; out of range for `ProcId(0)`
-/// (and for a pid nobody allocated), so look domains up with `get`.
-fn domain_of_pid(pid: ProcId) -> usize {
-    ((pid.0 >> PID_DOM_SHIFT) as usize).wrapping_sub(1)
+/// Index of the machine that allocated `pid`; out of range for `ProcId(0)`
+/// (and for a pid nobody allocated), so look machines up with `get`.
+fn machine_of_pid(pid: ProcId) -> usize {
+    ((pid.0 >> PID_MACHINE_SHIFT) as usize).wrapping_sub(1)
 }
 
-/// Location of a hardware thread: owning domain + index within it.
-#[derive(Debug, Clone, Copy)]
-struct ThreadLoc {
-    dom: u32,
-    idx: u32,
-}
-
-/// Immutable-during-run topology: machines and the thread → domain map.
-struct Topo {
-    machines: Vec<Machine>,
-    /// Global `HwThreadId` → (domain, local index).
-    thread_loc: Vec<ThreadLoc>,
-}
-
-impl Topo {
-    fn loc(&self, t: HwThreadId) -> ThreadLoc {
-        self.thread_loc[t.0]
-    }
-}
-
-/// All mutable scheduling state of one machine.
-struct DomainState<M> {
-    dom: u32,
-    heap: BinaryHeap<HeapEv<M>>,
-    /// Private monotone event-sequence counter (origin identity).
+/// What makes one machine's history its own: the counters that stamp its
+/// events and name its processes, its RNG stream and its process table.
+struct MachineState<M> {
+    id: usize,
+    /// Monotone event-sequence counter (origin identity).
     seq: u64,
-    /// Private pid allocator (low bits of this domain's pids).
+    /// The next pid this machine hands out.
     next_pid: u64,
     rng: Rng,
-    /// This machine's hardware threads, indexed by local thread index.
-    threads: Vec<HwThread>,
-    /// Global ids of the local threads (export/debug naming).
-    thread_ids: Vec<HwThreadId>,
-    /// Per-local-thread FIFO of events waiting for the thread.
-    pending: Vec<VecDeque<(ProcId, Delivery<M>)>>,
-    /// Whether a ThreadResume marker is scheduled per local thread.
-    resume_scheduled: Vec<bool>,
     procs: ProcTable<M>,
-    batch_epoch: u64,
-    /// Vectors reused with their capacity, so a warm dispatch allocates
-    /// nothing: [`Ctx`]'s scratch, and delivered batches' (see `recycle`).
-    outputs: Vec<Output<M>>,
-    woken_threads: Vec<usize>,
-    spare_msgs: Vec<Vec<M>>,
-    batch_stats: BatchStats,
-    events_dispatched: u64,
-    spawns: u64,
-    crashes: u64,
-    exits: u64,
 }
 
-impl<M> DomainState<M> {
-    fn new(dom: u32, seed: u64) -> DomainState<M> {
-        // Independent per-machine stream: domain-separated SplitMix-style
-        // derivation so machine k's draws are stable however many other
-        // machines exist and wherever they execute.
-        let rng = Rng::seed_from_u64(seed ^ (dom as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        DomainState {
-            dom,
-            heap: BinaryHeap::new(),
+impl<M> MachineState<M> {
+    fn new(id: usize, seed: u64) -> MachineState<M> {
+        let tag = id as u64 + 1;
+        let first = (tag << PID_MACHINE_SHIFT) | 1;
+        MachineState {
+            id,
             seq: 0,
-            next_pid: 1,
-            rng,
-            threads: Vec::new(),
-            thread_ids: Vec::new(),
-            pending: Vec::new(),
-            resume_scheduled: Vec::new(),
+            next_pid: first,
+            // Independent per-machine stream: machine k's draws are stable
+            // however many other machines exist.
+            rng: Rng::seed_from_u64(seed ^ tag.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
             procs: ProcTable {
-                first: ((dom as u64 + 1) << PID_DOM_SHIFT) | 1,
+                first,
                 slots: Vec::new(),
             },
-            batch_epoch: 0,
-            outputs: Vec::new(),
-            woken_threads: Vec::new(),
-            spare_msgs: Vec::new(),
-            batch_stats: BatchStats::default(),
-            events_dispatched: 0,
-            spawns: 0,
-            crashes: 0,
-            exits: 0,
         }
     }
 
     fn alloc_pid(&mut self) -> ProcId {
-        let pid = ProcId(((self.dom as u64 + 1) << PID_DOM_SHIFT) | self.next_pid);
+        let pid = ProcId(self.next_pid);
         self.next_pid += 1;
         pid
     }
 
     fn next_origin(&mut self) -> Origin {
         let o = Origin {
-            dom: self.dom,
+            machine: self.id,
             seq: self.seq,
         };
         self.seq += 1;
         o
-    }
-
-    /// Schedule a delivery whose identity was drawn by the (possibly other)
-    /// domain that sent it.
-    fn deliver(&mut self, time: Time, origin: Origin, dst: ProcId, ev: impl Into<Delivery<M>>) {
-        self.heap.push(HeapEv {
-            time,
-            origin,
-            kind: HeapKind::Deliver { dst, ev: ev.into() },
-        });
-    }
-
-    /// Schedule a delivery originated by this domain itself.
-    fn push(&mut self, time: Time, dst: ProcId, ev: impl Into<Delivery<M>>) {
-        let origin = self.next_origin();
-        self.deliver(time, origin, dst, ev);
-    }
-
-    /// Keep a delivered batch's vector for the next batch opened. A few
-    /// are enough (last in, first out; DESIGN.md has the unbounded numbers).
-    fn recycle(&mut self, mut msgs: Vec<M>) {
-        if self.spare_msgs.len() < 4 {
-            msgs.clear();
-            self.spare_msgs.push(msgs);
-        }
-    }
-
-    fn ensure_thread_books(&mut self) {
-        while self.pending.len() < self.threads.len() {
-            self.pending.push(VecDeque::new());
-            self.resume_scheduled.push(false);
-        }
     }
 }
 
@@ -420,8 +325,27 @@ pub struct Sim<M> {
     now: Time,
     /// Simulation seed: each machine derives its RNG stream from this.
     seed: u64,
-    topo: Topo,
-    domains: Vec<DomainState<M>>,
+    machines: Vec<Machine>,
+    /// Per-machine identity, indexed like `machines`.
+    states: Vec<MachineState<M>>,
+    heap: BinaryHeap<HeapEv<M>>,
+    /// Every hardware thread, indexed by `HwThreadId`; beside it the
+    /// thread's FIFO of events waiting for it and whether a `ThreadResume`
+    /// marker is scheduled for it.
+    threads: Vec<HwThread>,
+    pending: Vec<VecDeque<(ProcId, Delivery<M>)>>,
+    resume_scheduled: Vec<bool>,
+    batch_epoch: u64,
+    /// Vectors reused with their capacity, so a warm dispatch allocates
+    /// nothing: [`Ctx`]'s scratch, and delivered batches' (see `recycle`).
+    outputs: Vec<Output<M>>,
+    woken_threads: Vec<usize>,
+    spare_msgs: Vec<Vec<M>>,
+    batch_stats: BatchStats,
+    events_dispatched: u64,
+    spawns: u64,
+    crashes: u64,
+    exits: u64,
     /// `(monitor process, message constructor)` notified on crashes.
     crash_monitor: Option<(ProcId, CrashHook<M>)>,
     /// Coalescing horizon (zero = batching off) and early-flush depth.
@@ -434,25 +358,30 @@ impl<M: 'static> Sim<M> {
         Sim {
             now: Time::ZERO,
             seed: config.seed,
-            topo: Topo {
-                machines: Vec::new(),
-                thread_loc: Vec::new(),
-            },
-            domains: Vec::new(),
+            machines: Vec::new(),
+            states: Vec::new(),
+            heap: BinaryHeap::new(),
+            threads: Vec::new(),
+            pending: Vec::new(),
+            resume_scheduled: Vec::new(),
+            batch_epoch: 0,
+            outputs: Vec::new(),
+            woken_threads: Vec::new(),
+            spare_msgs: Vec::new(),
+            batch_stats: BatchStats::default(),
+            events_dispatched: 0,
+            spawns: 0,
+            crashes: 0,
+            exits: 0,
             crash_monitor: None,
             batch_ns: Time(config.batch_ns),
             batch_max: config.batch_max.max(1),
         }
     }
 
-    /// Coalescing counters (occupancy, flush causes) for benches/tests,
-    /// merged across machines.
+    /// Coalescing counters (occupancy, flush causes) for benches/tests.
     pub fn batch_stats(&self) -> BatchStats {
-        let mut s = BatchStats::default();
-        for d in &self.domains {
-            s.merge(&d.batch_stats);
-        }
-        s
+        self.batch_stats
     }
 
     /// Current simulated time.
@@ -461,50 +390,28 @@ impl<M: 'static> Sim<M> {
     }
 
     pub fn events_dispatched(&self) -> u64 {
-        self.domains.iter().map(|d| d.events_dispatched).sum()
+        self.events_dispatched
     }
 
     /// Add a machine; its hardware threads are created immediately and it
-    /// becomes its own scheduling domain.
+    /// starts its own pid, sequence and RNG streams.
     pub fn add_machine(&mut self, spec: MachineSpec) -> MachineId {
-        let id = MachineId(self.topo.machines.len());
-        let dom = id.0 as u32;
-        let mut d = DomainState::new(dom, self.seed);
+        let id = MachineId(self.machines.len());
         let mut thread_ids = Vec::new();
         for core in 0..spec.cores {
-            let base = self.topo.thread_loc.len();
+            let base = self.threads.len();
             for t in 0..spec.threads_per_core {
-                let tid = HwThreadId(self.topo.thread_loc.len());
                 let sibling = if spec.threads_per_core == 2 {
-                    // Sibling is the other thread of this core; fix up below.
+                    // Sibling is the other thread of this core.
                     Some(HwThreadId(base + (1 - t as usize)))
                 } else {
                     None
                 };
-                self.topo.thread_loc.push(ThreadLoc {
-                    dom,
-                    idx: d.threads.len() as u32,
-                });
-                d.threads.push(HwThread {
-                    machine: id,
-                    core,
-                    thread: t,
-                    kind: ThreadKind::Cpu,
-                    freq: spec.freq,
-                    sibling,
-                    busy_until: Time::ZERO,
-                    stats: ThreadStats::default(),
-                    stats_since: Time::ZERO,
-                    util_ewma: 0.0,
-                    util_at: Time::ZERO,
-                });
-                d.thread_ids.push(tid);
-                thread_ids.push(tid);
+                thread_ids.push(self.add_thread(id, core, t, ThreadKind::Cpu, spec.freq, sibling));
             }
         }
-        d.ensure_thread_books();
-        self.domains.push(d);
-        self.topo.machines.push(Machine {
+        self.states.push(MachineState::new(id.0, self.seed));
+        self.machines.push(Machine {
             id,
             spec,
             threads: thread_ids,
@@ -515,72 +422,79 @@ impl<M: 'static> Sim<M> {
     /// Add a device engine (e.g. a NIC pipeline) to a machine. Device
     /// threads charge wall time directly and never sleep.
     pub fn add_device_thread(&mut self, machine: MachineId) -> HwThreadId {
-        let tid = HwThreadId(self.topo.thread_loc.len());
-        let dom = machine.0 as u32;
-        let d = &mut self.domains[machine.0];
-        self.topo.thread_loc.push(ThreadLoc {
-            dom,
-            idx: d.threads.len() as u32,
-        });
-        d.threads.push(HwThread {
+        let freq = self.machines[machine.0].spec.freq;
+        self.add_thread(machine, u32::MAX, 0, ThreadKind::Device, freq, None)
+    }
+
+    fn add_thread(
+        &mut self,
+        machine: MachineId,
+        core: u32,
+        thread: u32,
+        kind: ThreadKind,
+        freq: Freq,
+        sibling: Option<HwThreadId>,
+    ) -> HwThreadId {
+        self.threads.push(HwThread {
             machine,
-            core: u32::MAX,
-            thread: 0,
-            kind: ThreadKind::Device,
-            freq: self.topo.machines[machine.0].spec.freq,
-            sibling: None,
+            core,
+            thread,
+            kind,
+            freq,
+            sibling,
             busy_until: Time::ZERO,
             stats: ThreadStats::default(),
             stats_since: Time::ZERO,
             util_ewma: 0.0,
             util_at: Time::ZERO,
         });
-        d.thread_ids.push(tid);
-        d.ensure_thread_books();
-        tid
+        self.pending.push(VecDeque::new());
+        self.resume_scheduled.push(false);
+        HwThreadId(self.threads.len() - 1)
     }
 
     /// Total hardware threads across all machines (global ids are
     /// `0..num_hw_threads()`).
     pub fn num_hw_threads(&self) -> usize {
-        self.topo.thread_loc.len()
+        self.threads.len()
     }
 
     /// Hardware-thread id for `(machine, core, thread)`.
     pub fn hw_thread(&self, machine: MachineId, core: u32, thread: u32) -> HwThreadId {
-        self.topo.machines[machine.0].thread(core, thread)
+        self.machines[machine.0].thread(core, thread)
     }
 
     /// The machine a hardware thread belongs to.
     pub fn machine_of_thread(&self, t: HwThreadId) -> MachineId {
-        MachineId(self.topo.loc(t).dom as usize)
+        self.threads[t.0].machine
     }
 
     pub fn machine(&self, id: MachineId) -> &Machine {
-        &self.topo.machines[id.0]
+        &self.machines[id.0]
     }
 
     /// Spawn a process pinned to a hardware thread; it receives
     /// [`Event::Start`] at the current time. Harness-level: may target any
     /// machine (handler-level [`Ctx::spawn`] is machine-local).
     pub fn spawn(&mut self, thread: HwThreadId, proc: Box<dyn Process<M>>) -> ProcId {
-        let dom = self.topo.loc(thread).dom as usize;
-        let d = &mut self.domains[dom];
-        let pid = d.alloc_pid();
-        d.spawns += 1;
-        d.procs.insert(pid, ProcSlot::new(proc, thread));
-        let now = self.now;
-        d.push(now, pid, Event::Start);
+        let m = self.threads[thread.0].machine.0;
+        let pid = self.states[m].alloc_pid();
+        self.spawns += 1;
+        self.states[m]
+            .procs
+            .insert(pid, ProcSlot::new(proc, thread));
+        self.deliver(m, self.now, pid, Event::Start);
         pid
     }
 
     /// Inject a message from "outside" (harness code) into a process. The
     /// sender it names is `ProcId(0)`; a reply to that vanishes.
     pub fn send_external(&mut self, dst: ProcId, msg: M) {
-        let at = self.now + calibration::CHANNEL_LATENCY;
-        if let Some(d) = self.domains.get_mut(domain_of_pid(dst)) {
+        let m = machine_of_pid(dst);
+        if m < self.states.len() {
+            let at = self.now + calibration::CHANNEL_LATENCY;
             let from = ProcId(0);
-            d.push(at, dst, Event::Message { from, msg });
+            self.deliver(m, at, dst, Event::Message { from, msg });
         }
     }
 
@@ -600,13 +514,17 @@ impl<M: 'static> Sim<M> {
     }
 
     fn slot(&self, pid: ProcId) -> Option<&ProcSlot<M>> {
-        self.domains.get(domain_of_pid(pid))?.procs.get(pid)
+        self.states.get(machine_of_pid(pid))?.procs.get(pid)
+    }
+
+    fn slot_mut(&mut self, pid: ProcId) -> Option<&mut ProcSlot<M>> {
+        self.states.get_mut(machine_of_pid(pid))?.procs.get_mut(pid)
     }
 
     /// The live process called `name` (harness-level: how a test finds a
     /// replica the supervisor spawned later). The newest if several match.
     pub fn live_pid(&self, name: &str) -> Option<ProcId> {
-        let procs = self.domains.iter().flat_map(|d| d.procs.iter());
+        let procs = self.states.iter().flat_map(|m| m.procs.iter());
         procs
             .filter(|(_, s)| s.alive && s.name == name)
             .map(|(pid, _)| pid)
@@ -617,24 +535,16 @@ impl<M: 'static> Sim<M> {
         self.slot(pid).map(|s| s.thread)
     }
 
-    fn thread_ref(&self, tid: HwThreadId) -> &HwThread {
-        let loc = self.topo.loc(tid);
-        &self.domains[loc.dom as usize].threads[loc.idx as usize]
-    }
-
     /// Activity statistics of a hardware thread since the last reset.
     pub fn thread_stats(&self, tid: HwThreadId) -> ThreadStats {
-        self.thread_ref(tid).stats
+        self.threads[tid.0].stats
     }
 
     /// Reset activity accounting on all threads (start of a measurement
     /// window).
     pub fn reset_all_stats(&mut self) {
-        let now = self.now;
-        for d in &mut self.domains {
-            for t in &mut d.threads {
-                t.reset_stats(now);
-            }
+        for t in &mut self.threads {
+            t.reset_stats(self.now);
         }
     }
 
@@ -643,8 +553,7 @@ impl<M: 'static> Sim<M> {
     /// Called by the harness at the end of a measurement window so the
     /// bench reports carry the paper's Table-2-style CPU breakdowns.
     pub fn export_obs(&self) {
-        for (idx, loc) in self.topo.thread_loc.iter().enumerate() {
-            let t = &self.domains[loc.dom as usize].threads[loc.idx as usize];
+        for (idx, t) in self.threads.iter().enumerate() {
             if t.stats.events == 0 && t.stats.active_ns() == 0 {
                 continue; // unused thread: keep the snapshot compact
             }
@@ -658,33 +567,15 @@ impl<M: 'static> Sim<M> {
             neat_obs::gauge_set(&p("sleeps"), t.stats.sleeps as f64);
             neat_obs::gauge_set(&p("max_queue"), t.stats.max_queue as f64);
         }
+        let slots = self.states.iter().flat_map(|m| &m.procs.slots);
         neat_obs::gauge_set("sim.now_ns", self.now.as_nanos() as f64);
-        neat_obs::gauge_set("sim.events_dispatched", self.events_dispatched() as f64);
-        neat_obs::gauge_set(
-            "sim.heap_len",
-            self.domains.iter().map(|d| d.heap.len()).sum::<usize>() as f64,
-        );
-        neat_obs::gauge_set(
-            "sim.live_procs",
-            self.domains
-                .iter()
-                .flat_map(|d| &d.procs.slots)
-                .filter(|s| s.alive)
-                .count() as f64,
-        );
-        neat_obs::gauge_set(
-            "sim.spawns",
-            self.domains.iter().map(|d| d.spawns).sum::<u64>() as f64,
-        );
-        neat_obs::gauge_set(
-            "sim.crashes",
-            self.domains.iter().map(|d| d.crashes).sum::<u64>() as f64,
-        );
-        neat_obs::gauge_set(
-            "sim.exits",
-            self.domains.iter().map(|d| d.exits).sum::<u64>() as f64,
-        );
-        let b = self.batch_stats();
+        neat_obs::gauge_set("sim.events_dispatched", self.events_dispatched as f64);
+        neat_obs::gauge_set("sim.heap_len", self.heap.len() as f64);
+        neat_obs::gauge_set("sim.live_procs", slots.filter(|s| s.alive).count() as f64);
+        neat_obs::gauge_set("sim.spawns", self.spawns as f64);
+        neat_obs::gauge_set("sim.crashes", self.crashes as f64);
+        neat_obs::gauge_set("sim.exits", self.exits as f64);
+        let b = self.batch_stats;
         neat_obs::gauge_set("sim.batch.flush_timer", b.flush_timer as f64);
         neat_obs::gauge_set("sim.batch.flush_depth", b.flush_depth as f64);
         neat_obs::gauge_set("sim.batch.flush_close", b.flush_close as f64);
@@ -695,35 +586,24 @@ impl<M: 'static> Sim<M> {
 
     /// Run until the event queue is exhausted or simulated time reaches
     /// `until`. Returns the number of events dispatched.
-    ///
-    /// Picks the globally smallest `(time, origin)` key across all domain
-    /// heaps, so the merged order is a function of per-domain history only.
     pub fn run_until(&mut self, until: Time) -> u64 {
-        let mut dispatched = 0u64;
+        let before = self.events_dispatched;
         loop {
-            let mut best: Option<(Time, Origin, usize)> = None;
-            for (i, d) in self.domains.iter().enumerate() {
-                if let Some(top) = d.heap.peek() {
-                    let key = (top.time, top.origin);
-                    if best.map(|(t, o, _)| key < (t, o)).unwrap_or(true) {
-                        best = Some((top.time, top.origin, i));
-                    }
-                }
-            }
-            let Some((t, _, di)) = best else { break };
-            if t > until {
+            let Some(top) = self.heap.peek_mut() else {
+                break;
+            };
+            if top.time > until {
                 break;
             }
-            let ev = self.domains[di].heap.pop().unwrap();
+            let ev = PeekMut::pop(top);
             self.now = ev.time;
-            self.dispatch(di, ev);
-            self.domains[di].events_dispatched += 1;
-            dispatched += 1;
+            self.dispatch(ev);
+            self.events_dispatched += 1;
         }
         if self.now < until {
             self.now = until;
         }
-        dispatched
+        self.events_dispatched - before
     }
 }
 
@@ -731,12 +611,13 @@ impl<M: 'static> Sim<M> {
 ///
 /// Everything a process can do to the outside world goes through this —
 /// there is no other channel, which is what makes the isolation claim of
-/// the design hold by construction in this reproduction. All state it can
-/// reach directly belongs to the executing process's machine; effects on
-/// other machines travel as messages.
+/// the design hold by construction in this reproduction. The only state it
+/// can change belongs to the executing process's machine; effects on other
+/// machines travel as messages.
 pub struct Ctx<'a, M> {
-    dom: &'a mut DomainState<M>,
-    topo: &'a Topo,
+    local: &'a mut MachineState<M>,
+    threads: &'a [HwThread],
+    machines: &'a [Machine],
     batching: bool,
     sender_kind: ThreadKind,
     /// The process currently executing.
@@ -746,9 +627,9 @@ pub struct Ctx<'a, M> {
     charged_ns: u64,
     outputs: Vec<Output<M>>,
     die: Option<DieMode>,
-    /// Local thread indices already charged a wake store in this handler:
-    /// the MWAIT wake is paid once per sleeping destination per wakeup,
-    /// not per message (the batching amortization of §3.4).
+    /// Threads already charged a wake store in this handler: the MWAIT
+    /// wake is paid once per sleeping destination per wakeup, not per
+    /// message (the batching amortization of §3.4).
     woken_threads: Vec<usize>,
     /// Destination of the previous `send` in this handler: an immediate
     /// follow-up send to the same process appends to the same channel run
@@ -798,19 +679,18 @@ impl<'a, M: 'static> Ctx<'a, M> {
         }
         // The MWAIT wake store applies to machine-local destinations only:
         // a cross-machine send reaches the peer through its NIC, whose IRQ
-        // path the receiver-side costs already model — and peeking at the
-        // remote thread's state here would break domain isolation.
-        if let Some(slot) = self.dom.procs.get(dst) {
-            let lt = self.topo.loc(slot.thread).idx as usize;
-            let th = &self.dom.threads[lt];
+        // path the receiver-side costs already model.
+        if let Some(slot) = self.local.procs.get(dst) {
+            let t = slot.thread.0;
+            let th = &self.threads[t];
             if th.kind == ThreadKind::Cpu
                 && th.busy_until + calibration::SPIN_POLL_WINDOW < self.start
-                && !self.woken_threads.contains(&lt)
+                && !self.woken_threads.contains(&t)
             {
                 // Destination thread is (by now) asleep: pay the wake
                 // store — once per handler per thread; later messages
                 // in the same burst find it already waking.
-                self.woken_threads.push(lt);
+                self.woken_threads.push(t);
                 self.charged += calibration::WAKE_REMOTE;
             }
         }
@@ -834,12 +714,11 @@ impl<'a, M: 'static> Ctx<'a, M> {
     /// what keeps pid allocation a function of the machine's own history.
     pub fn spawn(&mut self, thread: HwThreadId, proc: Box<dyn Process<M>>, delay: Time) -> ProcId {
         assert_eq!(
-            self.topo.loc(thread).dom,
-            self.dom.dom,
+            self.threads[thread.0].machine.0, self.local.id,
             "Ctx::spawn targets a thread on another machine; spawn via a \
              process on that machine or from the harness instead"
         );
-        let pid = self.dom.alloc_pid();
+        let pid = self.local.alloc_pid();
         self.outputs.push(Output::Spawn {
             pid,
             thread,
@@ -863,12 +742,12 @@ impl<'a, M: 'static> Ctx<'a, M> {
     /// This machine's deterministic RNG stream (independent per machine,
     /// derived from the simulation seed).
     pub fn rng(&mut self) -> &mut Rng {
-        &mut self.dom.rng
+        &mut self.local.rng
     }
 
     /// Hardware-thread lookup helper for spawning onto specific cores.
     pub fn hw_thread(&self, machine: MachineId, core: u32, thread: u32) -> HwThreadId {
-        self.topo.machines[machine.0].thread(core, thread)
+        self.machines[machine.0].thread(core, thread)
     }
 
     /// Is another process on this machine currently alive? (Used by the
@@ -877,12 +756,12 @@ impl<'a, M: 'static> Ctx<'a, M> {
     /// information travels by message.
     pub fn is_alive(&self, pid: ProcId) -> bool {
         assert_eq!(
-            domain_of_pid(pid),
-            self.dom.dom as usize,
+            machine_of_pid(pid),
+            self.local.id,
             "Ctx::is_alive queried a process on another machine; liveness \
              is machine-local (remote liveness travels by message)"
         );
-        self.dom.procs.get(pid).is_some_and(|s| s.alive)
+        self.local.procs.get(pid).is_some_and(|s| s.alive)
     }
 }
 #[cfg(test)]

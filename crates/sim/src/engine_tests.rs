@@ -624,3 +624,86 @@ fn send_to_a_pid_nobody_allocated_vanishes() {
         assert!(sim.is_alive(stray));
     }
 }
+
+#[test]
+fn equal_instants_dispatch_by_origin_machine_then_enqueue_order() {
+    // Machines 0 and 1 each send three messages to a sink on machine 2,
+    // all arriving at one instant. Machine 1 enqueues first (its timer
+    // fires 200 µs earlier and its sends carry 200 µs more wire delay), yet
+    // machine 0's messages dispatch first: the key is (time, origin
+    // machine, origin seq), never the order of enqueueing across machines.
+    struct Sender {
+        sink: ProcId,
+        wait: Time,
+        wire: Time,
+        tag: u32,
+    }
+    impl Process<TMsg> for Sender {
+        fn name(&self) -> String {
+            "sender".into()
+        }
+        fn on_event(&mut self, ctx: &mut Ctx<'_, TMsg>, ev: Event<TMsg>) {
+            match ev {
+                Event::Start => ctx.set_timer(self.wait, 0),
+                Event::Timer { .. } => {
+                    for i in 0..3 {
+                        ctx.send_delayed(self.sink, TMsg::Ping(self.tag + i), self.wire);
+                    }
+                }
+                Event::Message { .. } => {}
+            }
+        }
+    }
+    struct Sink(std::rc::Rc<std::cell::RefCell<Vec<(ProcId, u32)>>>);
+    impl Process<TMsg> for Sink {
+        fn name(&self) -> String {
+            "sink".into()
+        }
+        fn on_event(&mut self, _ctx: &mut Ctx<'_, TMsg>, ev: Event<TMsg>) {
+            if let Event::Message {
+                from,
+                msg: TMsg::Ping(n),
+            } = ev
+            {
+                self.0.borrow_mut().push((from, n));
+            }
+        }
+    }
+    let mut sim: Sim<TMsg> = Sim::new(SimConfig::default());
+    let ms: Vec<_> = (0..3)
+        .map(|_| sim.add_machine(MachineSpec::amd_opteron_6168()))
+        .collect();
+    let got = std::rc::Rc::new(std::cell::RefCell::new(vec![]));
+    let sink = sim.spawn(sim.hw_thread(ms[2], 0, 0), Box::new(Sink(got.clone())));
+    let sender = |wait_us, wire_us, tag| {
+        Box::new(Sender {
+            sink,
+            wait: Time::from_micros(wait_us),
+            wire: Time::from_micros(wire_us),
+            tag,
+        })
+    };
+    let low = sim.spawn(sim.hw_thread(ms[0], 0, 0), sender(300, 100, 0));
+    let high = sim.spawn(sim.hw_thread(ms[1], 0, 0), sender(100, 300, 10));
+    // Both senders have sent; nothing has arrived. The six deliveries tie.
+    sim.run_until(Time::from_micros(400));
+    assert!(got.borrow().is_empty());
+    let arrivals: Vec<Time> = sim
+        .heap
+        .iter()
+        .filter(|e| matches!(e.kind, HeapKind::Deliver { dst, .. } if dst == sink))
+        .map(|e| e.time)
+        .collect();
+    assert_eq!(arrivals.len(), 6);
+    assert!(arrivals.iter().all(|&t| t == arrivals[0]), "{arrivals:?}");
+    sim.run_until(Time::from_millis(1));
+    let expect = [
+        (low, 0),
+        (low, 1),
+        (low, 2),
+        (high, 10),
+        (high, 11),
+        (high, 12),
+    ];
+    assert_eq!(*got.borrow(), expect);
+}

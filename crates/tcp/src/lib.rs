@@ -35,7 +35,6 @@ pub mod assembler;
 pub mod budget;
 pub mod buffer;
 pub mod components;
-pub mod demux;
 pub mod rto;
 pub mod socket;
 pub mod stack;
@@ -48,7 +47,6 @@ mod proptests;
 
 pub use budget::ConnBudget;
 pub use components::{AckEvent, CcDecision, CongestionControl};
-pub use demux::DemuxTable;
 pub use socket::TcpSocket;
 pub use stack::TcpStack;
 pub use types::{

@@ -6,12 +6,11 @@
 use crate::buffer::{RecvBuffer, SendBuffer};
 use crate::components::congestion_control::{make, AckEvent, Cubic, Reno};
 use crate::components::CongestionControl;
-use crate::demux::DemuxTable;
 use crate::rto::RttEstimator;
 use crate::types::CongestionAlgo;
 use crate::types::SocketId;
 use crate::wheel::TimerWheel;
-use neat_net::{FlowKey, SeqNum};
+use neat_net::SeqNum;
 use neat_util::check::{check, vec_of, Config};
 use neat_util::{prop_assert, prop_assert_eq};
 use std::collections::HashMap;
@@ -374,99 +373,6 @@ fn wheel_next_event_is_sound_lower_bound() {
                 prop_assert!(hops < 4096, "cascade converges");
             }
             prop_assert!(deadlines.is_empty(), "no deadline skipped");
-            Ok(())
-        },
-    );
-}
-
-/// Hashed demux table vs `HashMap`: random 4-tuple insert / lookup /
-/// remove streams agree exactly, across growth and Robin Hood
-/// backward-shift deletions.
-#[test]
-fn demux_matches_hashmap_model() {
-    #[derive(Debug, Clone)]
-    enum Op {
-        Insert(u8, u16, u16, u64),
-        Get(u8, u16, u16),
-        Remove(u8, u16, u16),
-    }
-
-    impl neat_util::check::Shrink for Op {
-        fn shrink(&self) -> Vec<Op> {
-            // Shrink the tuple fields jointly via the built-in tuple
-            // shrinker, preserving the op kind.
-            match self.clone() {
-                Op::Insert(a, sp, dp, id) => (a, sp, dp, id)
-                    .shrink()
-                    .into_iter()
-                    .map(|(a, sp, dp, id)| Op::Insert(a, sp, dp, id))
-                    .collect(),
-                Op::Get(a, sp, dp) => (a, sp, dp)
-                    .shrink()
-                    .into_iter()
-                    .map(|(a, sp, dp)| Op::Get(a, sp, dp))
-                    .collect(),
-                Op::Remove(a, sp, dp) => (a, sp, dp)
-                    .shrink()
-                    .into_iter()
-                    .map(|(a, sp, dp)| Op::Remove(a, sp, dp))
-                    .collect(),
-            }
-        }
-    }
-    // Deliberately tiny key space so collisions, displacement chains and
-    // re-insertions of just-removed keys all happen.
-    fn flow(a: u8, sp: u16, dp: u16) -> FlowKey {
-        FlowKey::tcp(
-            Ipv4Addr::new(10, 0, a % 4, a),
-            sp % 8,
-            Ipv4Addr::new(10, 0, 0, 1),
-            dp % 4,
-        )
-    }
-
-    check(
-        "demux_matches_hashmap_model",
-        Config::default().cases(256),
-        |rng| {
-            vec_of(rng, 1..120, |r| match r.gen_range(0u8..4) {
-                0 | 1 => Op::Insert(
-                    r.gen::<u8>(),
-                    r.gen::<u16>(),
-                    r.gen::<u16>(),
-                    r.gen::<u64>(),
-                ),
-                2 => Op::Get(r.gen::<u8>(), r.gen::<u16>(), r.gen::<u16>()),
-                _ => Op::Remove(r.gen::<u8>(), r.gen::<u16>(), r.gen::<u16>()),
-            })
-        },
-        |ops| {
-            let mut table = DemuxTable::new(0xDECAF);
-            let mut model: HashMap<FlowKey, SocketId> = HashMap::new();
-            for op in ops {
-                match op {
-                    Op::Insert(a, sp, dp, id) => {
-                        let k = flow(a, sp, dp);
-                        let id = SocketId(id);
-                        prop_assert_eq!(table.insert(k, id), model.insert(k, id));
-                    }
-                    Op::Get(a, sp, dp) => {
-                        let k = flow(a, sp, dp);
-                        prop_assert_eq!(table.get(&k), model.get(&k).copied());
-                        prop_assert_eq!(table.contains_key(&k), model.contains_key(&k));
-                    }
-                    Op::Remove(a, sp, dp) => {
-                        let k = flow(a, sp, dp);
-                        prop_assert_eq!(table.remove(&k), model.remove(&k));
-                    }
-                }
-                prop_assert_eq!(table.len(), model.len());
-                prop_assert_eq!(table.is_empty(), model.is_empty());
-            }
-            // Full sweep: every key the model holds must still resolve.
-            for (k, v) in &model {
-                prop_assert_eq!(table.get(k), Some(*v));
-            }
             Ok(())
         },
     );

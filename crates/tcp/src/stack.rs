@@ -8,8 +8,8 @@
 //!
 //! Scale-out structure (the million-connection refactor):
 //!
-//! * flow demux goes through the flat hashed [`DemuxTable`] — O(1) per
-//!   segment, no per-node allocation (see `demux.rs`);
+//! * flow demux is one `FxHashMap` probe per segment, keyed by the flow
+//!   (the NIC's flow-director table uses the same map and key);
 //! * all per-socket deadlines live in one hierarchical [`TimerWheel`] —
 //!   O(1) arm/cancel, cascade on demand (see `wheel.rs`);
 //! * listener lookup by id is a hash probe, not a scan;
@@ -19,7 +19,6 @@
 //!   optionally bounded (`TcpConfig::conn_memory_limit`).
 
 use crate::budget::ConnBudget;
-use crate::demux::DemuxTable;
 use crate::socket::TcpSocket;
 use crate::tcb::replicable;
 use crate::types::{
@@ -42,20 +41,8 @@ struct Listener {
     syn_backlog: usize,
 }
 
-/// Aggregate statistics for the experiments.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StackStats {
-    pub rx_segments: u64,
-    pub tx_segments: u64,
-    pub rst_sent: u64,
-    pub conns_opened: u64,
-    pub conns_accepted: u64,
-    pub demux_misses: u64,
-}
-
-/// Handles into the global `neat_obs` registry, mirroring the per-stack
-/// [`StackStats`] as process-wide aggregates (all stack instances of the
-/// simulation sum into the same named counters).
+/// Handles into the global `neat_obs` registry: process-wide aggregates
+/// (all stack instances of the simulation sum into the same named counters).
 #[derive(Debug, Clone, Copy)]
 struct StackObs {
     rx_segments: neat_obs::Counter,
@@ -160,9 +147,9 @@ pub struct TcpStack {
     pub local_ip: Ipv4Addr,
     cfg: TcpConfig,
     sockets: FxHashMap<SocketId, Slot>,
-    /// Established/opening connections by flow (remote side as src):
-    /// the O(1) hashed TCB table every inbound segment resolves through.
-    conns: DemuxTable,
+    /// Established/opening connections by flow (remote side as src): the
+    /// table every inbound segment resolves through. Only probed.
+    conns: FxHashMap<FlowKey, SocketId>,
     listeners: FxHashMap<u16, Listener>,
     /// Listener id -> port (O(1) accept/acceptable/poll by id).
     listener_of: FxHashMap<SocketId, u16>,
@@ -195,21 +182,17 @@ pub struct TcpStack {
     /// silently instead of answered with a RST that would kill the
     /// migrated connection. A fresh SYN lifts the quarantine.
     migrated_out: FxHashSet<FlowKey>,
-    pub stats: StackStats,
     obs: StackObs,
 }
 
 impl TcpStack {
     pub fn new(local_ip: Ipv4Addr, cfg: TcpConfig) -> TcpStack {
-        // Key the demux hash off the local address: deterministic for a
-        // fixed topology, distinct between stack instances.
-        let demux_key = 0x9e37_79b9_7f4a_7c15u64 ^ ((u32::from(local_ip) as u64) << 17);
         let budget = ConnBudget::new(cfg.conn_memory_limit);
         TcpStack {
             local_ip,
             cfg,
             sockets: FxHashMap::default(),
-            conns: DemuxTable::new(demux_key),
+            conns: FxHashMap::default(),
             listeners: FxHashMap::default(),
             listener_of: FxHashMap::default(),
             next_id: 1,
@@ -227,7 +210,6 @@ impl TcpStack {
             repl_dirty: None,
             repl_closed: Vec::new(),
             migrated_out: FxHashSet::default(),
-            stats: StackStats::default(),
             obs: StackObs::new(),
         }
     }
@@ -327,7 +309,6 @@ impl TcpStack {
         );
         let flow = FlowKey::tcp(remote_ip, remote_port, self.local_ip, port);
         self.install_socket(flow, sock, None);
-        self.stats.conns_opened += 1;
         Ok(id)
     }
 
@@ -356,7 +337,6 @@ impl TcpStack {
         if let Some(slot) = self.sockets.get_mut(&id) {
             slot.pending = None;
         }
-        self.stats.conns_accepted += 1;
         self.obs.conns_accepted.inc();
         Ok(id)
     }
@@ -529,10 +509,9 @@ impl TcpStack {
     /// Handle one TCP segment (post-IP). `src`/`dst` are the IPv4 addresses
     /// from the IP header; the caller has already validated those.
     pub fn handle_segment(&mut self, src: Ipv4Addr, h: &TcpHeader, payload: &[u8], now: u64) {
-        self.stats.rx_segments += 1;
         self.obs.rx_segments.inc();
         let flow = FlowKey::tcp(src, h.src_port, self.local_ip, h.dst_port);
-        if let Some(id) = self.conns.get(&flow) {
+        if let Some(&id) = self.conns.get(&flow) {
             self.deliver(id, h, payload, now);
             return;
         }
@@ -545,7 +524,6 @@ impl TcpStack {
             if h.flags.syn && !h.flags.ack {
                 self.migrated_out.remove(&flow);
             } else {
-                self.stats.demux_misses += 1;
                 return;
             }
         }
@@ -557,7 +535,6 @@ impl TcpStack {
                 if l.syn_backlog + l.accept_q.len() >= self.cfg.backlog
                     || !self.budget.admit(base_conn_cost())
                 {
-                    self.stats.demux_misses += 1;
                     neat_obs::counter_add("tcp.syn_dropped", 1);
                     return;
                 }
@@ -578,7 +555,6 @@ impl TcpStack {
             }
         }
         // Nothing matches: RST (unless the segment itself is a RST).
-        self.stats.demux_misses += 1;
         if !h.flags.rst {
             let (seq, ack, flags) = if h.flags.ack {
                 (h.ack, SeqNum(0), TcpFlags::rst())
@@ -595,7 +571,6 @@ impl TcpStack {
             };
             let rst = TcpHeader::new(h.dst_port, h.src_port, seq, ack, flags);
             self.raw_out.push_back((src, rst));
-            self.stats.rst_sent += 1;
         }
     }
 
@@ -653,7 +628,6 @@ impl TcpStack {
         f: impl FnOnce(Ipv4Addr, &TcpHeader, (&[u8], &[u8])) -> R,
     ) -> Option<R> {
         if let Some((dst, h)) = self.raw_out.pop_front() {
-            self.stats.tx_segments += 1;
             self.obs.tx_segments.inc();
             return Some(f(dst, &h, (&[], &[])));
         }
@@ -661,7 +635,6 @@ impl TcpStack {
             // A migrated-out connection may still be queued: skip it.
             if let Some(slot) = self.sockets.get_mut(&id) {
                 if let Some((h, len)) = slot.sock.poll_segment(now) {
-                    self.stats.tx_segments += 1;
                     self.obs.tx_segments.inc();
                     slot.arm_timer(&mut self.timers);
                     let payload = slot.sock.rel.send_buf.slices(h.seq, len);
@@ -830,7 +803,6 @@ impl TcpStack {
         let id = self.alloc_id();
         sock.id = id;
         self.install_socket(flow, sock, None);
-        self.stats.conns_opened += 1;
         Some(Ok(id))
     }
 

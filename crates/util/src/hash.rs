@@ -10,9 +10,9 @@
 //! identical on every run and platform.
 //!
 //! Adversarial flows could in principle craft collisions against an
-//! unkeyed hash; the TCP demux table layers a keyed mix on top (see
-//! `neat_tcp::demux`). These aliases are for *internal* id-keyed maps
-//! (socket ids, process ids) where the keyspace is program-controlled.
+//! unkeyed hash. The flow-keyed maps (the TCP demux, the NIC's flow
+//! director) use it anyway: their keys come from the simulated wire, whose
+//! peers are the workspace's own load generators.
 
 use std::hash::{BuildHasherDefault, Hasher};
 

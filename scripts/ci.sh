@@ -96,14 +96,13 @@ no_source_text_guard() {
 # per probe and an iteration order that differs from process to process, so
 # deployed code (the text before a file's first `#[cfg(test)]`) names no
 # `collections::HashMap`/`HashSet`, alone or in a `collections::{..}` group;
-# maps are `neat_util::Fx*`, `BTreeMap` or a `Vec`. Item A widens the scope
-# to `crates` (less `util/src/hash.rs`, which defines the aliases).
-HASHER_SCOPE="crates/sim/src crates/nic/src/steer.rs crates/core/src/nic_proc.rs
-    crates/apps/src/webserver.rs crates/apps/src/httperf.rs
-    crates/core/src/netcode.rs crates/net/src/arp.rs crates/core/src/flow_repl.rs"
+# maps are `neat_util::Fx*`, `BTreeMap` or a `Vec`. The scope is every
+# crate's sources, less test-only files and `util/src/hash.rs`, which
+# defines the aliases.
+HASHER_SCOPE="crates"
 no_default_hasher_guard() {
-    # shellcheck disable=SC2086 # the scope is a word list
-    users=$(find $HASHER_SCOPE -name '*.rs' ! -name '*_tests.rs' ! -path '*/util/src/hash.rs' \
+    users=$(find "$HASHER_SCOPE" -path '*/src/*' -name '*.rs' ! -name '*_tests.rs' \
+        ! -name 'proptests.rs' ! -path '*/util/src/hash.rs' \
         -exec awk '
         /^[ \t]*#\[cfg\(test\)\]/ { exit }
         { text = text " " $0 }
@@ -139,7 +138,7 @@ if [ "$TIER1" = 1 ]; then
     one_builder_guard
     echo "==> [tier1] no-source-text guard (deployed code embeds no .rs file)"
     no_source_text_guard
-    echo "==> [tier1] no-default-hasher guard (engine + per-frame and replication maps name no std HashMap/HashSet)"
+    echo "==> [tier1] no-default-hasher guard (deployed code names no std HashMap/HashSet)"
     no_default_hasher_guard
 
     run cargo build --release --offline
