@@ -38,7 +38,7 @@
 //!   (cross-machine traffic is signalled by the receiving NIC's IRQ path,
 //!   whose receiver-side costs the calibration already carries).
 
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::binary_heap::PeekMut;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -119,20 +119,21 @@ struct LinkBatch<M> {
     epoch: u64,
 }
 
-/// The identity a scheduled event carries: which machine scheduled it and
-/// that machine's private sequence number — globally unique, and computable
-/// from the origin machine's history alone.
+/// A scheduled event's place in the dispatch order. `origin` is the identity
+/// the event carries: the machine that scheduled it above [`ORIGIN_SEQ_BITS`]
+/// and that machine's private sequence number below — globally unique, and
+/// computable from the origin machine's history alone — so the derived order
+/// is `(time, origin machine, origin seq)`. `body` indexes the event in
+/// `Sim::bodies`; origins never tie, so it never decides the order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct Origin {
-    machine: usize,
-    seq: u64,
+struct Key {
+    time: Time,
+    origin: u64,
+    body: u32,
 }
 
-struct HeapEv<M> {
-    time: Time,
-    origin: Origin,
-    kind: HeapKind<M>,
-}
+/// Bits of [`Key::origin`] for the sequence number; the machine sits above.
+const ORIGIN_SEQ_BITS: u32 = 48;
 
 enum HeapKind<M> {
     /// Deliver to a process (immediately if its thread is free, else onto
@@ -147,24 +148,6 @@ enum HeapKind<M> {
         dst: ProcId,
         epoch: u64,
     },
-}
-
-impl<M> PartialEq for HeapEv<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.origin == other.origin
-    }
-}
-impl<M> Eq for HeapEv<M> {}
-impl<M> PartialOrd for HeapEv<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for HeapEv<M> {
-    // BinaryHeap is a max-heap; invert so the earliest event pops first.
-    fn cmp(&self, other: &Self) -> Ordering {
-        (other.time, other.origin).cmp(&(self.time, self.origin))
-    }
 }
 
 struct ProcSlot<M> {
@@ -306,11 +289,8 @@ impl<M> MachineState<M> {
         pid
     }
 
-    fn next_origin(&mut self) -> Origin {
-        let o = Origin {
-            machine: self.id,
-            seq: self.seq,
-        };
+    fn next_origin(&mut self) -> u64 {
+        let o = (self.id as u64) << ORIGIN_SEQ_BITS | self.seq;
         self.seq += 1;
         o
     }
@@ -328,12 +308,18 @@ pub struct Sim<M> {
     machines: Vec<Machine>,
     /// Per-machine identity, indexed like `machines`.
     states: Vec<MachineState<M>>,
-    heap: BinaryHeap<HeapEv<M>>,
+    /// Earliest key on top (`BinaryHeap` is a max-heap).
+    heap: BinaryHeap<Reverse<Key>>,
+    /// Event bodies by [`Key::body`]. A slot is under a heap key, or holds a
+    /// delivery that found its thread busy and whose index waits in that
+    /// thread's `pending` queue, or is `None` and listed in `free`.
+    bodies: Vec<Option<HeapKind<M>>>,
+    free: Vec<u32>,
     /// Every hardware thread, indexed by `HwThreadId`; beside it the
-    /// thread's FIFO of events waiting for it and whether a `ThreadResume`
-    /// marker is scheduled for it.
+    /// thread's FIFO of deliveries waiting for it (their body slots) and
+    /// whether a `ThreadResume` marker is scheduled for it.
     threads: Vec<HwThread>,
-    pending: Vec<VecDeque<(ProcId, Delivery<M>)>>,
+    pending: Vec<VecDeque<u32>>,
     resume_scheduled: Vec<bool>,
     batch_epoch: u64,
     /// Vectors reused with their capacity, so a warm dispatch allocates
@@ -361,6 +347,8 @@ impl<M: 'static> Sim<M> {
             machines: Vec::new(),
             states: Vec::new(),
             heap: BinaryHeap::new(),
+            bodies: Vec::new(),
+            free: Vec::new(),
             threads: Vec::new(),
             pending: Vec::new(),
             resume_scheduled: Vec::new(),
@@ -396,6 +384,14 @@ impl<M: 'static> Sim<M> {
     /// Add a machine; its hardware threads are created immediately and it
     /// starts its own pid, sequence and RNG streams.
     pub fn add_machine(&mut self, spec: MachineSpec) -> MachineId {
+        // The machine index fills the 16 bits of `Key::origin` above the
+        // sequence number. The sequence cannot reach 2^48: a machine draws one
+        // per event it schedules, and the engine dispatches a few million
+        // events per host second — 2^48 is years of running.
+        assert!(
+            self.machines.len() < 1 << (64 - ORIGIN_SEQ_BITS),
+            "at most 2^16 machines"
+        );
         let id = MachineId(self.machines.len());
         let mut thread_ids = Vec::new();
         for core in 0..spec.cores {
@@ -592,12 +588,12 @@ impl<M: 'static> Sim<M> {
             let Some(top) = self.heap.peek_mut() else {
                 break;
             };
-            if top.time > until {
+            if top.0.time > until {
                 break;
             }
-            let ev = PeekMut::pop(top);
-            self.now = ev.time;
-            self.dispatch(ev);
+            let Reverse(key) = PeekMut::pop(top);
+            self.now = key.time;
+            self.dispatch(key);
             self.events_dispatched += 1;
         }
         if self.now < until {

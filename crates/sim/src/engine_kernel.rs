@@ -29,9 +29,36 @@ impl<M> ProcSlot<M> {
 
 impl<M: 'static> Sim<M> {
     /// Schedule `kind` at `time`, stamped with machine `by`'s next origin.
+    /// The body takes a free slot, or a new one (the slab never shrinks, so
+    /// a warm run allocates nothing here).
     fn schedule(&mut self, by: usize, time: Time, kind: HeapKind<M>) {
         let origin = self.states[by].next_origin();
-        self.heap.push(HeapEv { time, origin, kind });
+        let body = match self.free.pop() {
+            Some(i) => {
+                self.bodies[i as usize] = Some(kind);
+                i
+            }
+            None => {
+                self.bodies.push(Some(kind));
+                // 2^32 live events would be hundreds of GB of bodies.
+                (self.bodies.len() - 1) as u32
+            }
+        };
+        self.heap.push(Reverse(Key { time, origin, body }));
+    }
+
+    /// Take an event's body out of its slot and free the slot.
+    fn release(&mut self, body: u32) -> Option<HeapKind<M>> {
+        self.free.push(body);
+        self.bodies[body as usize].take()
+    }
+
+    /// The destination of the delivery in slot `body`, if it is one.
+    fn delivery_dst(&self, body: u32) -> Option<ProcId> {
+        match self.bodies[body as usize] {
+            Some(HeapKind::Deliver { dst, .. }) => Some(dst),
+            _ => None,
+        }
     }
 
     /// Schedule a delivery to `dst` stamped by machine `by`. A pid of no
@@ -71,32 +98,33 @@ impl<M: 'static> Sim<M> {
         }
     }
 
-    /// Dispatch one event popped from the heap.
-    pub(super) fn dispatch(&mut self, ev: HeapEv<M>) {
-        let HeapEv { time, kind, .. } = ev;
-        match kind {
-            HeapKind::Deliver { dst, ev } => {
-                let Some(slot) = self.slot(dst).filter(|s| s.alive) else {
-                    return;
-                };
-                let t = slot.thread.0;
-                // FIFO server: if the thread is (or will be) busy, or has
-                // queued work, append; a resume marker fires at the end of
-                // the current work.
-                let busy_until = self.threads[t].busy_until;
-                if busy_until > time || !self.pending[t].is_empty() {
-                    self.pending[t].push_back((dst, ev));
-                    // Queue-depth high-water mark (per-thread backlog; a
-                    // compare+store, cheap enough to keep always-on).
-                    let depth = self.pending[t].len() as u64;
-                    let st = &mut self.threads[t].stats;
-                    st.max_queue = st.max_queue.max(depth);
-                    self.schedule_resume(t, busy_until.max(time));
-                } else {
-                    self.execute(t, dst, ev, time);
-                }
+    /// Dispatch the event under a key popped from the heap.
+    pub(super) fn dispatch(&mut self, Key { time, body, .. }: Key) {
+        if let Some(dst) = self.delivery_dst(body) {
+            let Some(slot) = self.slot(dst).filter(|s| s.alive) else {
+                self.release(body);
+                return;
+            };
+            let t = slot.thread.0;
+            // FIFO server: if the thread is (or will be) busy, or has queued
+            // work, append (the body stays in its slot); a resume marker
+            // fires at the end of the current work.
+            let busy_until = self.threads[t].busy_until;
+            if busy_until > time || !self.pending[t].is_empty() {
+                self.pending[t].push_back(body);
+                // Queue-depth high-water mark (per-thread backlog; a
+                // compare+store, cheap enough to keep always-on).
+                let depth = self.pending[t].len() as u64;
+                let st = &mut self.threads[t].stats;
+                st.max_queue = st.max_queue.max(depth);
+                self.schedule_resume(t, busy_until.max(time));
+            } else {
+                self.execute(t, body, time);
             }
-            HeapKind::FlushBatch { src, dst, epoch } => {
+            return;
+        }
+        match self.release(body) {
+            Some(HeapKind::FlushBatch { src, dst, epoch }) => {
                 // Stale unless the batch is still open under this epoch.
                 let Some(sender) = self.slot_mut(src) else {
                     return;
@@ -110,21 +138,27 @@ impl<M: 'static> Sim<M> {
                     self.deliver_batch(src, dst, b, time);
                 }
             }
-            HeapKind::ThreadResume(HwThreadId(t)) => {
+            Some(HeapKind::ThreadResume(HwThreadId(t))) => {
                 self.resume_scheduled[t] = false;
                 // Pop queued work until we find a live destination; messages
                 // to dead processes vanish.
-                while let Some((dst, ev)) = self.pending[t].pop_front() {
-                    if self.is_alive(dst) {
-                        self.execute(t, dst, ev, time);
+                while let Some(body) = self.pending[t].pop_front() {
+                    if self
+                        .delivery_dst(body)
+                        .is_some_and(|dst| self.is_alive(dst))
+                    {
+                        self.execute(t, body, time);
                         break;
                     }
+                    self.release(body);
                 }
                 // More work queued: chain the next marker.
                 if !self.pending[t].is_empty() {
                     self.schedule_resume(t, self.threads[t].busy_until.max(time));
                 }
             }
+            // Deliveries went above; a key's slot is never free.
+            Some(HeapKind::Deliver { .. }) | None => {}
         }
     }
 
@@ -202,9 +236,12 @@ impl<M: 'static> Sim<M> {
         self.schedule(machine_of_pid(src), flush_at, kind);
     }
 
-    /// Run one handler on the free thread `t` at `time`
-    /// (>= thread.busy_until).
-    fn execute(&mut self, t: usize, dst: ProcId, ev: Delivery<M>, time: Time) {
+    /// Run the delivery in slot `body` on the free thread `t` at `time`
+    /// (>= thread.busy_until), freeing the slot.
+    fn execute(&mut self, t: usize, body: u32, time: Time) {
+        let Some(HeapKind::Deliver { dst, ev }) = self.release(body) else {
+            return;
+        };
         let m = machine_of_pid(dst);
         // Tracing hook: name the span before the event is consumed. Guarded
         // so the disabled path pays one bool read, no format.

@@ -691,8 +691,11 @@ fn equal_instants_dispatch_by_origin_machine_then_enqueue_order() {
     let arrivals: Vec<Time> = sim
         .heap
         .iter()
-        .filter(|e| matches!(e.kind, HeapKind::Deliver { dst, .. } if dst == sink))
-        .map(|e| e.time)
+        .filter(|Reverse(k)| {
+            let body = &sim.bodies[k.body as usize];
+            matches!(body, Some(HeapKind::Deliver { dst, .. }) if *dst == sink)
+        })
+        .map(|Reverse(k)| k.time)
         .collect();
     assert_eq!(arrivals.len(), 6);
     assert!(arrivals.iter().all(|&t| t == arrivals[0]), "{arrivals:?}");
@@ -706,4 +709,138 @@ fn equal_instants_dispatch_by_origin_machine_then_enqueue_order() {
         (high, 12),
     ];
     assert_eq!(*got.borrow(), expect);
+}
+
+#[test]
+fn heap_key_is_24_bytes() {
+    assert_eq!(std::mem::size_of::<Key>(), 24);
+    assert_eq!(std::mem::size_of::<Reverse<Key>>(), 24);
+}
+
+/// Every body slot is accounted for exactly once: under a heap key, queued
+/// in a thread's `pending`, or free and `None`. Returns how many queued
+/// bodies wait for a dead process.
+fn assert_every_body_slot_accounted<M: 'static>(sim: &Sim<M>) -> usize {
+    let mut owners = vec![0u32; sim.bodies.len()];
+    for Reverse(k) in sim.heap.iter() {
+        owners[k.body as usize] += 1;
+        assert!(
+            sim.bodies[k.body as usize].is_some(),
+            "key over a free slot"
+        );
+    }
+    let mut dead_queued = 0;
+    for &b in sim.pending.iter().flatten() {
+        owners[b as usize] += 1;
+        let Some(HeapKind::Deliver { dst, .. }) = sim.bodies[b as usize] else {
+            panic!("a queued slot holds no delivery");
+        };
+        dead_queued += usize::from(!sim.is_alive(dst));
+    }
+    for &b in &sim.free {
+        owners[b as usize] += 1;
+        assert!(
+            sim.bodies[b as usize].is_none(),
+            "a free slot still holds a body"
+        );
+    }
+    let lost: Vec<usize> = (0..owners.len()).filter(|&i| owners[i] != 1).collect();
+    assert!(lost.is_empty(), "slots not owned exactly once: {lost:?}");
+    dead_queued
+}
+
+#[test]
+fn every_body_slot_is_keyed_queued_or_free() {
+    // A pump sends bursts (depth flushes leave their `FlushBatch` stale) to
+    // a slow sink that queues them and to a victim that is crashed while
+    // work waits for it and is sent to afterwards; every step of the run
+    // must leave each body slot with exactly one owner.
+    struct Pump {
+        slow: ProcId,
+        victim: ProcId,
+        round: u32,
+    }
+    impl Process<TMsg> for Pump {
+        fn name(&self) -> String {
+            "pump".into()
+        }
+        fn on_event(&mut self, ctx: &mut Ctx<'_, TMsg>, ev: Event<TMsg>) {
+            if matches!(ev, Event::Start | Event::Timer { .. }) {
+                self.round += 1;
+                for i in 0..4 {
+                    ctx.send(self.slow, TMsg::Ping(i));
+                }
+                ctx.send(self.victim, TMsg::Ping(self.round));
+                ctx.send(self.victim, TMsg::Ping(self.round));
+                if self.round == 40 {
+                    ctx.send(self.victim, TMsg::Die);
+                }
+                if self.round < 120 {
+                    ctx.set_timer(Time(6_000), 0);
+                }
+            }
+        }
+    }
+    struct Slow(u64);
+    impl Process<TMsg> for Slow {
+        fn name(&self) -> String {
+            "slow".into()
+        }
+        fn on_event(&mut self, ctx: &mut Ctx<'_, TMsg>, ev: Event<TMsg>) {
+            match ev {
+                Event::Message { msg: TMsg::Die, .. } => ctx.crash_self(),
+                Event::Message { .. } => ctx.charge(self.0),
+                _ => {}
+            }
+        }
+        fn on_batch(&mut self, ctx: &mut Ctx<'_, TMsg>, _from: ProcId, msgs: &mut Vec<TMsg>) {
+            for msg in msgs.drain(..) {
+                match msg {
+                    TMsg::Die => ctx.crash_self(),
+                    _ => ctx.charge(self.0),
+                }
+            }
+        }
+    }
+    let mut sim: Sim<TMsg> = Sim::new(SimConfig {
+        batch_ns: 2_000,
+        batch_max: 3,
+        ..SimConfig::default()
+    });
+    let m = sim.add_machine(MachineSpec::amd_opteron_6168());
+    // About 4.2 µs of work per 6 µs round for the sink, which queues the
+    // trailing message of each round behind the depth flush; 9.5 µs for
+    // the victim, whose backlog grows until it dies.
+    let slow = sim.spawn(sim.hw_thread(m, 1, 0), Box::new(Slow(2_000)));
+    let victim = sim.spawn(sim.hw_thread(m, 2, 0), Box::new(Slow(9_000)));
+    let pump = Pump {
+        slow,
+        victim,
+        round: 0,
+    };
+    sim.spawn(sim.hw_thread(m, 0, 0), Box::new(pump));
+    let (mut queued_steps, mut dead_queued) = (0, 0);
+    while !sim.heap.is_empty() {
+        sim.run_until(sim.now() + Time(700));
+        dead_queued += assert_every_body_slot_accounted(&sim);
+        queued_steps += usize::from(sim.pending.iter().any(|q| !q.is_empty()));
+    }
+    assert!(!sim.is_alive(victim));
+    assert!(sim.pending.iter().all(|q| q.is_empty()));
+    assert_eq!(
+        sim.free.len(),
+        sim.bodies.len(),
+        "all slots free once drained"
+    );
+    assert!(
+        sim.bodies.len() < 64,
+        "slots are reused: {}",
+        sim.bodies.len()
+    );
+    let b = sim.batch_stats();
+    assert!(b.flush_depth > 0 && b.flush_timer > 0, "{b:?}");
+    assert!(
+        queued_steps > 10 && dead_queued > 0,
+        "{queued_steps} {dead_queued}"
+    );
 }

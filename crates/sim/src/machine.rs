@@ -204,11 +204,16 @@ impl HwThread {
 
     /// Record that the thread executed a handler in `[start, end)`,
     /// updating the utilization EWMA (time constant ~100 us): idle gaps
-    /// decay it toward 0, busy periods push it toward 1.
+    /// decay it toward 0, busy periods push it toward 1. Only an SMT
+    /// sibling reads the EWMA (`recent_util`), so a thread without one
+    /// leaves it alone and skips its two `exp()`s.
     pub fn record_busy(&mut self, start: Time, end: Time) {
         self.stats.busy_ns += end.since(start).as_nanos();
         self.stats.events += 1;
         self.busy_until = end;
+        if self.sibling.is_none() {
+            return;
+        }
         const TAU_NS: f64 = 300_000.0;
         let idle = start.since(self.util_at).as_nanos() as f64;
         self.util_ewma *= (-idle / TAU_NS).exp();

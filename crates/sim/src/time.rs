@@ -114,9 +114,14 @@ impl Freq {
         if cycles == 0 {
             return Time::ZERO;
         }
-        // ns = cycles / (khz * 1e3 / 1e9) = cycles * 1e6 / khz
-        let ns = (cycles as u128 * 1_000_000).div_ceil(self.khz as u128);
-        Time(ns as u64)
+        // ns = cycles / (khz * 1e3 / 1e9) = cycles * 1e6 / khz, in u64 while
+        // the product fits (up to 1.8e13 cycles, hours of work) and in u128
+        // beyond: the same quotient either way.
+        let ns = match cycles.checked_mul(1_000_000) {
+            Some(scaled) => scaled.div_ceil(self.khz),
+            None => (cycles as u128 * 1_000_000).div_ceil(self.khz as u128) as u64,
+        };
+        Time(ns)
     }
 }
 
@@ -150,6 +155,26 @@ mod tests {
         assert_eq!(f.cycles_to_time(1_900_000_000), Time::from_secs(1));
         let f2 = Freq::ghz(2.26);
         assert_eq!(f2.cycles_to_time(2_260_000), Time::from_millis(1));
+    }
+
+    #[test]
+    fn u64_and_u128_conversions_agree_where_they_meet() {
+        let edge = u64::MAX / 1_000_000;
+        for f in [
+            Freq::ghz(1.9),
+            Freq::ghz(2.26),
+            Freq::ghz(3.0),
+            Freq { khz: 7 },
+        ] {
+            for cycles in [1, 999, edge - 1, edge, edge + 1, u64::MAX / 2, u64::MAX] {
+                let ns = (cycles as u128 * 1_000_000).div_ceil(f.khz as u128) as u64;
+                assert_eq!(
+                    f.cycles_to_time(cycles),
+                    Time(ns),
+                    "{cycles} cycles at {f:?}"
+                );
+            }
+        }
     }
 
     #[test]

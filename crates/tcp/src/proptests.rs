@@ -378,6 +378,194 @@ fn wheel_next_event_is_sound_lower_bound() {
     );
 }
 
+/// The wheel's lazily kept per-level minima answer `earliest_slot` exactly
+/// as the full scan over every occupied slot does — the same `(start,
+/// level, slot)`, stale-low slot minima included — after every `schedule`,
+/// `cancel`, `advance` and `next_event`. The cases arm deadlines in the past
+/// and 100 ns to 20 s ahead, park later rotations in a slot beside earlier
+/// ones and cancel slots' minima; the test checks that they did.
+#[test]
+fn wheel_earliest_slot_matches_full_scan() {
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// Arm `key` at `now + delta`, or at `now - delta` when `past`.
+        Schedule {
+            key: u64,
+            delta: u64,
+            past: bool,
+        },
+        /// Arm `key` `rot` level-0 rotations (64 ns each) after `of`'s
+        /// deadline, if `of` is armed.
+        Beside {
+            key: u64,
+            of: u64,
+            rot: u64,
+        },
+        Cancel {
+            key: u64,
+        },
+        Advance {
+            delta: u64,
+        },
+        /// Ask `next_event` and advance to exactly that instant, as the
+        /// stack's driver does.
+        Next,
+    }
+
+    impl neat_util::check::Shrink for Op {
+        fn shrink(&self) -> Vec<Op> {
+            match *self {
+                Op::Schedule { key, delta, past } => {
+                    let mut out: Vec<Op> = delta
+                        .shrink()
+                        .into_iter()
+                        .map(|d| Op::Schedule {
+                            key,
+                            delta: d,
+                            past,
+                        })
+                        .collect();
+                    out.extend(key.shrink().into_iter().map(|k| Op::Schedule {
+                        key: k,
+                        delta,
+                        past,
+                    }));
+                    out
+                }
+                Op::Beside { key, of, rot } => {
+                    let mut out: Vec<Op> = key
+                        .shrink()
+                        .into_iter()
+                        .map(|k| Op::Beside { key: k, of, rot })
+                        .collect();
+                    out.extend(
+                        of.shrink()
+                            .into_iter()
+                            .map(|o| Op::Beside { key, of: o, rot }),
+                    );
+                    out
+                }
+                Op::Cancel { key } => key
+                    .shrink()
+                    .into_iter()
+                    .map(|k| Op::Cancel { key: k })
+                    .collect(),
+                Op::Advance { delta } => delta
+                    .shrink()
+                    .into_iter()
+                    .map(|d| Op::Advance { delta: d })
+                    .collect(),
+                Op::Next => Vec::new(),
+            }
+        }
+    }
+
+    /// 100 ns to 20 s, spread over the powers of two in between; a third
+    /// under 128 ns, because a slot holds two rotations, or a minimum a
+    /// cancel made stale, only at level 0: a past deadline beside one
+    /// less than 64 ns ahead.
+    fn horizon(r: &mut neat_util::Rng) -> u64 {
+        if r.gen_range(0u8..3) == 0 {
+            return r.gen_range(0u64..128);
+        }
+        let hi = (100u64 << r.gen_range(0u32..28)).min(20_000_000_000);
+        r.gen_range(100u64..hi + 1)
+    }
+
+    // Cases that armed a past deadline, a horizon of 1 s or more, and
+    // steps after which a slot held a stale-low minimum or two rotations.
+    let seen = std::cell::Cell::new([0u32; 4]);
+    let count = |i: usize| {
+        let mut s = seen.get();
+        s[i] += 1;
+        seen.set(s);
+    };
+    check(
+        "wheel_earliest_slot_matches_full_scan",
+        Config::default().cases(1024),
+        |rng| {
+            vec_of(rng, 1..80, |r| match r.gen_range(0u8..9) {
+                0 | 1 => Op::Cancel {
+                    key: r.gen_range(0u64..6),
+                },
+                2..=4 => {
+                    let past = r.gen_range(0u8..3) == 0;
+                    Op::Schedule {
+                        key: r.gen_range(0u64..6),
+                        delta: horizon(r),
+                        past,
+                    }
+                }
+                5 => Op::Beside {
+                    key: r.gen_range(0u64..6),
+                    of: r.gen_range(0u64..6),
+                    rot: r.gen_range(1u64..3),
+                },
+                6 | 7 => Op::Advance { delta: horizon(r) },
+                _ => Op::Next,
+            })
+        },
+        |ops| {
+            let mut wheel = TimerWheel::new(1 << 40);
+            let mut now = 1u64 << 40;
+            let (mut past, mut far, mut stale_low, mut rotations) = (false, false, false, false);
+            for op in &ops {
+                match *op {
+                    Op::Schedule {
+                        key,
+                        delta,
+                        past: p,
+                    } => {
+                        past |= p;
+                        far |= delta >= 1_000_000_000;
+                        let deadline = if p { now - delta } else { now + delta };
+                        wheel.schedule(key, deadline);
+                    }
+                    Op::Beside { key, of, rot } => {
+                        if let Some(d) = wheel.deadline_of(of) {
+                            wheel.schedule(key, d + 64 * rot);
+                        }
+                    }
+                    Op::Cancel { key } => {
+                        wheel.cancel(key);
+                    }
+                    Op::Advance { delta } => {
+                        now += delta;
+                        wheel.fire(now);
+                    }
+                    Op::Next => {
+                        if let Some(t) = wheel.next_event() {
+                            now = now.max(t);
+                            wheel.fire(now);
+                        }
+                    }
+                }
+                let (low, rot) = wheel.slot_census();
+                stale_low |= low > 0;
+                rotations |= rot > 0;
+                prop_assert_eq!(
+                    wheel.earliest_slot(),
+                    wheel.earliest_slot_scan(),
+                    "after {:?}",
+                    op
+                );
+            }
+            for (i, hit) in [past, far, stale_low, rotations].into_iter().enumerate() {
+                if hit {
+                    count(i);
+                }
+            }
+            Ok(())
+        },
+    );
+    let [past, far, stale_low, rotations] = seen.get();
+    println!("cases with past deadlines {past}, ≥ 1 s horizons {far}, stale-low minima {stale_low}, rotations {rotations}");
+    assert!(
+        past.min(far).min(stale_low).min(rotations) > 0,
+        "a situation the property must cover never arose"
+    );
+}
+
 /// Reliability's retransmit queue vs a naive model: random push /
 /// transmit-advance / cumulative-ack streams leave exactly the model's
 /// unacked-byte suffix retransmittable, and the unsent tail

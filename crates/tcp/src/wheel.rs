@@ -35,12 +35,33 @@
 //! lower bound. Callers that sleep until `next_event` and then call
 //! `advance` converge on the exact deadline in at most 10 hops (every
 //! driver in this workspace already re-arms after firing).
+//!
+//! **How `next_event` is answered.** The answer is the occupied slot with
+//! the smallest `min_win << shift` (lowest level, then lowest slot, on
+//! ties). Rather than walk every occupied slot of every level on each call
+//! (and on each hop of `advance`), each level keeps its own minimum — the
+//! occupied slot with the smallest `min_win`, lowest slot on ties — and the
+//! answer is the smallest of those 11 values. The minimum is kept lazily:
+//! `place` lowers it in O(1); a `cancel` that empties the minimum's slot,
+//! and each slot `advance` consumes, only mark the level stale;
+//! `earliest_slot` rescans the stale levels before it compares, so a level
+//! is rescanned at most once per query however many cancels (one per ACK
+//! that re-arms an RTO) emptied its minimum meanwhile. The answer is
+//! exactly the full scan's, stale-low slot minima included, because it
+//! sets when the engine's timer events fire:
+//! `proptests::wheel_earliest_slot_matches_full_scan` holds the two equal
+//! after every operation.
 
 use neat_util::FxHashMap;
+use std::cell::Cell;
 
 const SLOT_BITS: u32 = 6;
 const SLOTS: usize = 1 << SLOT_BITS; // 64
 const LEVELS: usize = 11; // 11 * 6 = 66 bits >= u64
+
+/// A level's minimum `(min_win, slot)` when none of its slots is occupied;
+/// above every real one, `min_win == u64::MAX` included.
+const NO_SLOT: (u64, u8) = (u64::MAX, SLOTS as u8);
 
 /// One wheel slot: the keys parked in it plus the smallest slot-window id
 /// (`deadline >> shift`) seen among them. The minimum may go stale-low
@@ -72,6 +93,12 @@ pub struct TimerWheel {
     levels: Vec<Vec<Slot>>,
     /// Per-level bitmap of non-empty slots.
     occupied: [u64; LEVELS],
+    /// Per level, `(min_win, slot)` of the occupied slot with the smallest
+    /// `min_win`, lowest slot on ties ([`NO_SLOT`] if none) — valid unless
+    /// the level's bit in `stale` is set. Cells, because `next_event` takes
+    /// `&self` and brings stale levels up to date.
+    level_min: [Cell<(u64, u8)>; LEVELS],
+    stale: Cell<u16>,
     meta: FxHashMap<u64, Meta>,
     seq: u64,
     /// `advance`'s due entries, `(deadline, arm sequence, key)`, while it
@@ -87,6 +114,8 @@ impl TimerWheel {
             now: start,
             levels: vec![vec![Slot::default(); SLOTS]; LEVELS],
             occupied: [0; LEVELS],
+            level_min: std::array::from_fn(|_| Cell::new(NO_SLOT)),
+            stale: Cell::new(0),
             meta: FxHashMap::default(),
             seq: 0,
             due: Vec::new(),
@@ -118,10 +147,9 @@ impl TimerWheel {
         }
     }
 
-    /// Place `key` (whose meta exists with deadline/seq set) into the
-    /// wheel relative to `self.now`, updating level/slot/pos.
-    fn place(&mut self, key: u64) {
-        let m = self.meta[&key];
+    /// Place `key` with its `deadline` and `seq` in `m` into the wheel
+    /// relative to `self.now`, and record it (level, slot, pos filled in).
+    fn place(&mut self, key: u64, mut m: Meta) {
         let delta = m.deadline.saturating_sub(self.now);
         let level = Self::level_for(delta);
         let shift = SLOT_BITS * level as u32;
@@ -131,13 +159,16 @@ impl TimerWheel {
         if s.keys.is_empty() || win < s.min_win {
             s.min_win = win;
         }
-        let pos = s.keys.len() as u32;
+        // The slot's minimum only fell, or the slot just filled: the level's
+        // minimum can only fall to it.
+        let here = (s.min_win, slot as u8);
+        if here < self.level_min[level].get() {
+            self.level_min[level].set(here);
+        }
+        (m.level, m.slot, m.pos) = (level as u8, slot as u8, s.keys.len() as u32);
         s.keys.push(key);
         self.occupied[level] |= 1 << slot;
-        let m = self.meta.get_mut(&key).unwrap();
-        m.level = level as u8;
-        m.slot = slot as u8;
-        m.pos = pos;
+        self.meta.insert(key, m);
     }
 
     /// Arm (or re-arm, replacing any previous deadline) a timer for
@@ -146,46 +177,77 @@ impl TimerWheel {
         self.cancel(key);
         let seq = self.seq;
         self.seq += 1;
-        self.meta.insert(
-            key,
-            Meta {
-                deadline,
-                seq,
-                level: 0,
-                slot: 0,
-                pos: 0,
-            },
-        );
-        self.place(key);
+        let m = Meta {
+            deadline,
+            seq,
+            level: 0,
+            slot: 0,
+            pos: 0,
+        };
+        self.place(key, m);
     }
 
     /// Disarm `key`'s timer. Returns the deadline it held, if any. O(1).
     pub fn cancel(&mut self, key: u64) -> Option<u64> {
         let m = self.meta.remove(&key)?;
-        let s = &mut self.levels[m.level as usize][m.slot as usize];
+        let level = m.level as usize;
+        let s = &mut self.levels[level][m.slot as usize];
         s.keys.swap_remove(m.pos as usize);
-        if let Some(&moved) = s.keys.get(m.pos as usize) {
-            self.meta.get_mut(&moved).unwrap().pos = m.pos;
+        if let Some(moved) = s
+            .keys
+            .get(m.pos as usize)
+            .and_then(|k| self.meta.get_mut(k))
+        {
+            moved.pos = m.pos;
         }
         if s.keys.is_empty() {
-            self.occupied[m.level as usize] &= !(1 << m.slot);
+            self.occupied[level] &= !(1 << m.slot);
+            // Another slot emptying leaves the level's minimum where it is.
+            if self.level_min[level].get().1 == m.slot {
+                self.mark_stale(level);
+            }
         }
         Some(m.deadline)
     }
 
-    /// The earliest occupied slot boundary: `(window_start, level, slot)`.
-    fn earliest_slot(&self) -> Option<(u64, usize, usize)> {
+    fn mark_stale(&self, level: usize) {
+        self.stale.set(self.stale.get() | 1 << level);
+    }
+
+    /// `(min_win, slot)` of `level`'s occupied slot with the smallest
+    /// `min_win`, the lowest such slot; [`NO_SLOT`] when none is occupied.
+    fn scan_level(&self, level: usize) -> (u64, u8) {
+        let mut best = NO_SLOT;
+        let mut b = self.occupied[level];
+        while b != 0 {
+            let slot = b.trailing_zeros() as usize;
+            b &= b - 1;
+            let here = (self.levels[level][slot].min_win, slot as u8);
+            if here < best {
+                best = here;
+            }
+        }
+        best
+    }
+
+    /// The earliest occupied slot boundary: `(window_start, level, slot)`,
+    /// the lowest level and then the lowest slot on ties.
+    pub(crate) fn earliest_slot(&self) -> Option<(u64, usize, usize)> {
+        let mut stale = self.stale.replace(0);
+        while stale != 0 {
+            let level = stale.trailing_zeros() as usize;
+            stale &= stale - 1;
+            self.level_min[level].set(self.scan_level(level));
+        }
         let mut best: Option<(u64, usize, usize)> = None;
-        for (level, &bits) in self.occupied.iter().enumerate() {
-            let shift = SLOT_BITS * level as u32;
-            let mut b = bits;
-            while b != 0 {
-                let slot = b.trailing_zeros() as usize;
-                b &= b - 1;
-                let start = self.levels[level][slot].min_win << shift;
-                if best.map(|(t, _, _)| start < t).unwrap_or(true) {
-                    best = Some((start, level, slot));
-                }
+        for (level, min) in self.level_min.iter().enumerate() {
+            let (win, slot) = min.get();
+            if usize::from(slot) == SLOTS {
+                continue;
+            }
+            let start = win << (SLOT_BITS * level as u32);
+            if best.is_none_or(|(t, _, _)| start < t) {
+                best = Some((start, level, usize::from(slot)));
             }
         }
         best
@@ -214,10 +276,13 @@ impl TimerWheel {
             // holding on to its storage, read +3.6 % `peak_live_mb` @ `http_rr`.
             let mut keys = std::mem::take(&mut self.levels[level][slot].keys);
             self.occupied[level] &= !(1 << slot);
+            self.mark_stale(level);
             let mut kept = 0u32;
             let mut kept_min = u64::MAX;
             keys.retain(|&key| {
-                let m = self.meta.get_mut(&key).unwrap();
+                let Some(m) = self.meta.get_mut(&key) else {
+                    return false; // not armed: nothing to keep
+                };
                 if m.deadline >> shift != win {
                     // A later rotation of this slot (or a stale min after
                     // cancels): keep it parked and recompute the minimum.
@@ -226,6 +291,7 @@ impl TimerWheel {
                     kept += 1;
                     return true;
                 }
+                let m = *m;
                 if m.deadline <= now {
                     // Due: release it (cascading through intermediate
                     // levels would be wasted work).
@@ -235,7 +301,7 @@ impl TimerWheel {
                     // In this window but later than `now` — re-hash one or
                     // more levels down relative to the window start we
                     // just reached: never back into this slot.
-                    self.place(key);
+                    self.place(key, m);
                 }
                 false
             });
@@ -261,6 +327,43 @@ impl TimerWheel {
         let mut fired = Vec::new();
         self.advance(now, &mut fired);
         fired
+    }
+
+    /// The oracle for [`TimerWheel::earliest_slot`]: every occupied slot of
+    /// every level, scanned (how the wheel answered until the per-level
+    /// minima).
+    pub(crate) fn earliest_slot_scan(&self) -> Option<(u64, usize, usize)> {
+        let mut best: Option<(u64, usize, usize)> = None;
+        for (level, &bits) in self.occupied.iter().enumerate() {
+            let shift = SLOT_BITS * level as u32;
+            let mut b = bits;
+            while b != 0 {
+                let slot = b.trailing_zeros() as usize;
+                b &= b - 1;
+                let start = self.levels[level][slot].min_win << shift;
+                if best.map(|(t, _, _)| start < t).unwrap_or(true) {
+                    best = Some((start, level, slot));
+                }
+            }
+        }
+        best
+    }
+
+    /// Occupied slots whose `min_win` is below every key they hold (a cancel
+    /// took the minimum), and occupied slots holding keys of more than one
+    /// window (later rotations parked beside an earlier one).
+    pub(crate) fn slot_census(&self) -> (usize, usize) {
+        let (mut stale_low, mut rotations) = (0, 0);
+        for (level, slots) in self.levels.iter().enumerate() {
+            let shift = SLOT_BITS * level as u32;
+            for s in slots.iter().filter(|s| !s.keys.is_empty()) {
+                let wins = s.keys.iter().map(|k| self.meta[k].deadline >> shift);
+                let (lo, hi) = wins.fold((u64::MAX, 0), |(lo, hi), w| (lo.min(w), hi.max(w)));
+                stale_low += usize::from(s.min_win < lo);
+                rotations += usize::from(lo != hi);
+            }
+        }
+        (stale_low, rotations)
     }
 }
 

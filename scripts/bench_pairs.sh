@@ -15,6 +15,11 @@
 # `neat-benchmark` binaries are built once, offline, each into its own
 # target dir. Nothing under benchmark/ is written: the builds are --locked
 # and the runs write their traces into the work directory.
+#
+# Virtual time must not move in a host-time A/B (ROADMAP rule i): the
+# `model.*` values each run prints on its `detail` line are compared pair
+# by pair, and the script exits 1 naming the first key and seed that
+# differ. The lane workloads (`stack_*`) have no engine and report none.
 set -eu
 
 if [ $# -lt 2 ]; then
@@ -90,4 +95,20 @@ for name in runs["parent"][0]["metrics"]:
     print(f"{name:<40} {mp:>12.6g} {mc:>12.6g} {delta:>8} {hi - lo:>10.4g}  {lower} of {len(p)}")
 bad = [(side, r) for side in runs for r in runs[side] if not r["correct"] or r["failed"]]
 print("every run correct, 0 failed" if not bad else f"{len(bad)} runs incorrect or failing")
+
+def model(side, s):
+    for line in open(f"{work}/{side}-{s}.log"):
+        if line.startswith("detail "):
+            extra = json.loads(line[len("detail "):])["extra"]
+            return {k: v["value"] for k, v in extra.items() if k.startswith("model.")}
+    sys.exit(f"seed {s} {side}: no detail line")
+
+keys = 0
+for s in seeds:
+    p, c = model("parent", s), model("change", s)
+    keys += len(p)
+    for k in sorted(p.keys() | c.keys()):
+        if p.get(k) != c.get(k):
+            sys.exit(f"model.* differ: {k} at seed {s}: parent {p.get(k)} change {c.get(k)}")
+print("model.* equal in every pair" if keys else "no model.* values (a lane workload)")
 EOF
