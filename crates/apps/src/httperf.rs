@@ -13,7 +13,7 @@ use crate::http;
 use neat::msg::Msg;
 use neat::netcode::{FrameIo, RxClass};
 use neat_net::ethernet::MacAddr;
-use neat_sim::{calibration, Ctx, Event, Histogram, ProcId, Process, Time};
+use neat_sim::{calibration, Ctx, Event, ProcId, Process, Time};
 use neat_tcp::{SockEvent, SockOpt, SocketId, TcpConfig, TcpStack};
 use neat_util::FxHashMap;
 use std::cell::RefCell;
@@ -68,7 +68,8 @@ pub struct ClientMetrics {
     /// Successfully completed requests (on non-error connections so far).
     pub completed: u64,
     pub response_bytes: u64,
-    pub latency: Histogram,
+    /// Request-to-response latency, in ns.
+    pub latency: neat_obs::Histogram,
     /// Connections that errored (timeout / reset / replica crash).
     pub conn_errors: u64,
     /// Requests completed on connections that later errored — httperf
@@ -328,7 +329,7 @@ impl HttperfProc {
                         let mut m = self.metrics.borrow_mut();
                         if let Some(t0) = run.sent_at.take() {
                             let d = now.saturating_sub(t0);
-                            m.latency.record(Time::from_nanos(d));
+                            m.latency.record(d);
                             self.obs.latency.observe(d);
                         }
                         m.completed += 1;

@@ -17,16 +17,12 @@ fn load() -> Workload {
     }
 }
 
-fn measure(replicas: usize, webs: usize, plan: PlacementPlan) -> Option<f64> {
+fn measure(replicas: usize, webs: usize, plan: PlacementPlan) -> f64 {
     let mut spec = TestbedSpec::xeon(NeatConfig::single(replicas), webs);
     spec.placement = plan;
     spec.workload = load();
     let (warm, win) = windows();
-    std::panic::catch_unwind(move || {
-        let mut tb = Testbed::build(spec);
-        tb.measure(warm, win).krps
-    })
-    .ok()
+    Testbed::build(spec).measure(warm, win).krps
 }
 
 fn linux_reference() -> f64 {
@@ -67,15 +63,11 @@ Figure 10 — best single-component Xeon configuration (fully exploiting HT):
     for (name, replicas, plan) in curves {
         let mut cells = vec![name.to_string()];
         for webs in instances {
-            match measure(*replicas, webs, *plan) {
-                Some(v) => {
-                    if *name == "NEaT 4x HT" && webs == 9 {
-                        report.metric("neat4ht_webs9_krps", v);
-                    }
-                    cells.push(krps(v));
-                }
-                None => cells.push("-".into()),
+            let v = measure(*replicas, webs, *plan);
+            if *name == "NEaT 4x HT" && webs == 9 {
+                report.metric("neat4ht_webs9_krps", v);
             }
+            cells.push(krps(v));
         }
         t.row(&cells);
     }

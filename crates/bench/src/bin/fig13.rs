@@ -22,7 +22,7 @@ struct Config {
     threads: u32,
 }
 
-fn peak(cfg: &Config) -> Option<f64> {
+fn peak(cfg: &Config) -> f64 {
     let mut spec = TestbedSpec::xeon(cfg.cfg.clone(), cfg.webs);
     spec.placement = cfg.plan;
     spec.workload = Workload {
@@ -31,11 +31,7 @@ fn peak(cfg: &Config) -> Option<f64> {
         ..Workload::default()
     };
     let (warm, win) = windows();
-    std::panic::catch_unwind(move || {
-        let mut tb = Testbed::build(spec);
-        tb.measure(warm, win).krps
-    })
-    .ok()
+    Testbed::build(spec).measure(warm, win).krps
 }
 
 fn main() {
@@ -112,11 +108,7 @@ fn main() {
         let preserved = expected_state_preserved(&CodeSizes::PINNED, c.cfg.mode, c.cfg.replicas);
         let max = peak(c);
         match c.label {
-            "NEaT 1x" => {
-                if let Some(v) = max {
-                    report.metric("neat1_max_krps", v);
-                }
-            }
+            "NEaT 1x" => report.metric("neat1_max_krps", max),
             "Multi 2x" => report.metric("multi2_state_pct", preserved * 100.0),
             _ => {}
         }
@@ -124,7 +116,7 @@ fn main() {
             c.label.into(),
             c.cores.to_string(),
             c.threads.to_string(),
-            max.map(krps).unwrap_or_else(|| "-".into()),
+            krps(max),
             format!("{:.1}%", preserved * 100.0),
         ]);
     }

@@ -8,7 +8,7 @@ use neat::config::NeatConfig;
 use neat_apps::scenario::{PlacementPlan, Testbed, TestbedSpec, Workload};
 use neat_bench::{krps, windows, BenchReport, Table};
 
-fn measure(cfg: NeatConfig, webs: usize, plan: PlacementPlan) -> Option<f64> {
+fn measure(cfg: NeatConfig, webs: usize, plan: PlacementPlan) -> f64 {
     let mut spec = TestbedSpec::xeon(cfg, webs);
     spec.placement = plan;
     spec.workload = Workload {
@@ -17,11 +17,7 @@ fn measure(cfg: NeatConfig, webs: usize, plan: PlacementPlan) -> Option<f64> {
         ..Workload::default()
     };
     let (warm, win) = windows();
-    let built = std::panic::catch_unwind(move || {
-        let mut tb = Testbed::build(spec);
-        tb.measure(warm, win).krps
-    });
-    built.ok()
+    Testbed::build(spec).measure(warm, win).krps
 }
 
 fn print_layouts() {
@@ -57,15 +53,11 @@ fn main() {
     for (name, cfg, plan) in curves {
         let mut cells = vec![name.to_string()];
         for webs in instances {
-            match measure(cfg.clone(), webs, *plan) {
-                Some(v) => {
-                    if *name == "Multi 2x HT" && webs == 8 {
-                        report.metric("multi2ht_webs8_krps", v);
-                    }
-                    cells.push(krps(v));
-                }
-                None => cells.push("-".into()), // layout doesn't fit
+            let v = measure(cfg.clone(), webs, *plan);
+            if *name == "Multi 2x HT" && webs == 8 {
+                report.metric("multi2ht_webs8_krps", v);
             }
+            cells.push(krps(v));
         }
         t.row(&cells);
     }

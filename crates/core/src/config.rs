@@ -37,10 +37,6 @@ pub struct NeatConfig {
     pub mac: neat_net::MacAddr,
     /// TCP engine tunables (control-plane settings, §4).
     pub tcp: TcpConfig,
-    /// Delay to create and boot a replica process (spawn latency, §3.4).
-    pub spawn_delay_ns: u64,
-    /// Crash-to-restart delay for the supervisor's recovery path (§3.6).
-    pub recovery_delay_ns: u64,
     /// Buddy-replica flow replication (transparent recovery + migration).
     pub replication: ReplicationConfig,
 }
@@ -59,8 +55,6 @@ impl Default for NeatConfig {
                 gso_burst: 61_440,
                 ..TcpConfig::default()
             },
-            spawn_delay_ns: 2_000_000,    // 2 ms to fork+exec a replica
-            recovery_delay_ns: 5_000_000, // 5 ms crash-detect + restart
             replication: ReplicationConfig::default(),
         }
     }

@@ -18,10 +18,6 @@ pub struct DriverProc {
     /// Head process of each replica's ingress pipeline, indexed by queue.
     /// `None` while the replica is down (recovery hold).
     heads: Vec<Option<ProcId>>,
-    /// Frames dropped because the replica was down.
-    pub held_dropped: u64,
-    pub rx_forwarded: u64,
-    pub tx_forwarded: u64,
     /// End of the last descriptor operation (batch amortization).
     last_op_ns: u64,
     obs: DriverObs,
@@ -31,6 +27,7 @@ pub struct DriverProc {
 struct DriverObs {
     rx_forwarded: neat_obs::Counter,
     tx_forwarded: neat_obs::Counter,
+    /// Frames dropped because the replica was down.
     held_dropped: neat_obs::Counter,
 }
 
@@ -50,9 +47,6 @@ impl DriverProc {
             name: name.into(),
             nic,
             heads: vec![None; queues],
-            held_dropped: 0,
-            rx_forwarded: 0,
-            tx_forwarded: 0,
             last_op_ns: 0,
             obs: DriverObs::new(),
         }
@@ -82,7 +76,6 @@ impl DriverProc {
         ctx.charge(cost);
         match self.heads.get(queue).copied().flatten() {
             Some(head) if ctx.is_alive(head) => {
-                self.rx_forwarded += 1;
                 self.obs.rx_forwarded.inc();
                 if !neat_net::pktbuf::pooling() {
                     // Copy-charge ablation: a stack without shared buffers
@@ -94,7 +87,6 @@ impl DriverProc {
             _ => {
                 // Replica down: hold (drop) until it re-announces.
                 // TCP retransmission absorbs the gap (§3.6).
-                self.held_dropped += 1;
                 self.obs.held_dropped.inc();
             }
         }
@@ -103,7 +95,6 @@ impl DriverProc {
     /// TX forward: stack component -> NIC, at the given descriptor cost.
     fn tx_frame(&mut self, ctx: &mut Ctx<'_, Msg>, frame: neat_net::PktBuf, cost: u64) {
         ctx.charge(cost);
-        self.tx_forwarded += 1;
         self.obs.tx_forwarded.inc();
         if !neat_net::pktbuf::pooling() {
             ctx.charge(calibration::copy_cost(frame.len()));

@@ -108,9 +108,7 @@ impl Process<Msg> for NicProc {
                 let now = ctx.now().as_nanos();
                 let mut touched: Vec<usize> = Vec::new();
                 for msg in msgs.drain(..) {
-                    let Msg::WireFrame(frame) = msg else {
-                        unreachable!()
-                    };
+                    let Msg::WireFrame(frame) = msg else { continue };
                     ctx.charge_ns(calibration::NIC_DESC_NS);
                     if let Some(q) = self.nic.wire_rx(frame, now) {
                         if !touched.contains(&q) {

@@ -152,13 +152,7 @@ fn component(env: &ReplicaEnv<'_>, q: usize, role: Role, comps: &Comps) -> Box<d
             env.arp_seed.to_vec(),
         )),
         // PF announces itself to the driver on Start.
-        Role::Pf => Box::new(PfProc::new(
-            format!("pf.{q}"),
-            q,
-            env.driver,
-            ip,
-            Vec::new(),
-        )),
+        Role::Pf => Box::new(PfProc::new(format!("pf.{q}"), q, env.driver, ip)),
         _ => panic!("{role:?} is not a replica component"),
     }
 }

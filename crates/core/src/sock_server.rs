@@ -72,9 +72,6 @@ pub struct SockServer {
     listeners: FxHashMap<SocketId, (u16, ProcId)>,
     /// Messages owed to applications.
     to_app: Vec<(ProcId, Msg)>,
-    /// Count of sockets opened/accepted (TCP_OPEN/TCP_CLOSE charging).
-    pub opened: u64,
-    pub closed: u64,
 }
 
 impl SockServer {
@@ -84,8 +81,6 @@ impl SockServer {
             conns: FxHashMap::default(),
             listeners: FxHashMap::default(),
             to_app: Vec::new(),
-            opened: 0,
-            closed: 0,
         }
     }
 
@@ -155,7 +150,6 @@ impl SockServer {
                     while let Ok(sock) = self.stack.accept(lid) {
                         self.conns.insert(sock, Conn::new(app, None, 0));
                         opened += 1;
-                        self.opened += 1;
                         let conn = handle(sock);
                         self.to_app.push((app, Msg::Incoming { port, conn }));
                         // Data may already have arrived with the handshake.
@@ -168,7 +162,6 @@ impl SockServer {
                     };
                     if let Some(token) = c.connecting.take() {
                         opened += 1;
-                        self.opened += 1;
                         let conn = handle(sock);
                         self.to_app.push((c.owner, Msg::ConnOpen { conn, token }));
                     }
@@ -199,7 +192,6 @@ impl SockServer {
                         self.to_app.push((c.owner, Msg::ConnFailed { token }));
                     } else {
                         closed += 1;
-                        self.closed += 1;
                         let conn = handle(sock);
                         self.to_app
                             .push((c.owner, Msg::ConnClosed { conn, aborted }));
@@ -322,7 +314,6 @@ impl SockServer {
                 Some(Ok(new_id)) => {
                     self.conns
                         .insert(new_id, Conn::new(f.owner, None, f.app_bytes));
-                    self.opened += 1;
                     self.to_app.push((
                         f.owner,
                         Msg::ConnMigrated {
@@ -356,7 +347,6 @@ impl SockServer {
             self.stack.remove_conn(f.old_sock);
             self.conns.remove(&f.old_sock);
         }
-        self.closed += exported.len() as u64;
         exported
     }
 }
@@ -577,7 +567,7 @@ mod tests {
         let mut client = TcpStack::new(CLIENT, cfg());
         srv.handle_app(APP, Msg::Listen { port: 80, app: APP }, 0);
         srv.take_app_msgs();
-        let _cconn = client.connect(SERVER, 80, 0).unwrap();
+        let cconn = client.connect(SERVER, 80, 0).unwrap();
         pump(&mut client, &mut srv, 0);
         let conn = srv
             .take_app_msgs()
@@ -616,13 +606,11 @@ mod tests {
             client.on_timer(now);
             pump(&mut client, &mut srv, now);
             let mut buf = [0u8; 8192];
-            for id in client.socket_ids() {
-                while let Ok(n) = client.recv(id, &mut buf) {
-                    if n == 0 {
-                        break;
-                    }
-                    received.extend_from_slice(&buf[..n]);
+            while let Ok(n) = client.recv(cconn, &mut buf) {
+                if n == 0 {
+                    break;
                 }
+                received.extend_from_slice(&buf[..n]);
             }
             if received.len() >= big.len() {
                 break;

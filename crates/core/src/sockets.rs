@@ -8,9 +8,8 @@
 //! bookkeeping when the supervisor reports replica restarts.
 //!
 //! The API is errno-shaped: every fallible operation returns
-//! `Result<_, SockErr>`, and readiness is queried through the unified
-//! non-blocking `poll(fd) -> Readiness` surface shared with
-//! [`neat_tcp::TcpStack::poll`]. Incoming bytes are buffered per fd and
+//! `Result<_, SockErr>`, and readiness is queried through the
+//! non-blocking `poll(fd) -> Readiness`. Incoming bytes are buffered per fd and
 //! pulled with [`SocketLib::recv`] — [`LibEvent`] is only the wakeup
 //! channel, it never carries payload.
 

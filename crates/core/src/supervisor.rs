@@ -28,6 +28,13 @@ use std::cell::RefCell;
 use std::net::Ipv4Addr;
 use std::rc::Rc;
 
+/// Delay to create and boot a replica process: 2 ms to fork+exec (spawn
+/// latency, §3.4).
+const SPAWN_DELAY: Time = Time(2_000_000);
+/// Crash-to-restart delay of the recovery path: 5 ms to detect the crash
+/// and restart (§3.6).
+const RECOVERY_DELAY: Time = Time(5_000_000);
+
 /// Harness-visible supervisor counters (shared instrumentation handle).
 #[derive(Debug, Default, Clone)]
 pub struct SupStats {
@@ -231,7 +238,7 @@ impl Supervisor {
                 thread,
             },
         );
-        ctx.set_timer(Time::from_nanos(self.cfg.recovery_delay_ns), token);
+        ctx.set_timer(RECOVERY_DELAY, token);
     }
 
     fn notify_apps(&self, ctx: &mut Ctx<'_, Msg>, make: impl Fn() -> Msg) {
@@ -299,10 +306,9 @@ impl Supervisor {
             driver: self.driver,
             supervisor: ctx.self_id,
         };
-        let delay = Time::from_nanos(self.cfg.spawn_delay_ns);
         spawn_replica(
             ctx,
-            |ctx, thread, proc| ctx.spawn(thread, proc, delay),
+            |ctx, thread, proc| ctx.spawn(thread, proc, SPAWN_DELAY),
             Ctx::send,
             &env,
             q,
@@ -314,11 +320,7 @@ impl Supervisor {
     fn respawn_driver(&mut self, ctx: &mut Ctx<'_, Msg>, thread: HwThreadId) {
         let queues = self.replicas.len().max(self.cfg.replicas);
         let drv = crate::driver::DriverProc::new("drv", self.nic, queues);
-        let new = ctx.spawn(
-            thread,
-            Box::new(drv),
-            Time::from_nanos(self.cfg.spawn_delay_ns),
-        );
+        let new = ctx.spawn(thread, Box::new(drv), SPAWN_DELAY);
         self.driver = new;
         let driver_is_new = || Msg::SetNeighbor {
             role: Role::Driver,
@@ -374,10 +376,7 @@ impl Supervisor {
             );
             // Fallback: if the restore never confirms (e.g. the buddy dies
             // too), report the restart anyway so apps reap dead handles.
-            ctx.set_timer(
-                Time::from_nanos(self.cfg.spawn_delay_ns + self.cfg.recovery_delay_ns),
-                token,
-            );
+            ctx.set_timer(SPAWN_DELAY + RECOVERY_DELAY, token);
         } else {
             self.stats.borrow_mut().stateful_losses += 1;
             neat_obs::counter_add("sup.stateful_losses", 1);

@@ -37,9 +37,6 @@ pub struct MonoShared {
     last_op: Vec<u64>,
     /// Application process → kernel-context index of its core. Only probed.
     pub app_ctx: FxHashMap<ProcId, usize>,
-    /// Accumulated contention cycles (diagnostics).
-    pub contention_cycles: u64,
-    pub ops: u64,
     /// Machine-dependent cost factor on shared-memory operations: 1.0 for
     /// the two-die Magny-Cours AMD (HT-link hops), ~0.45 for the Nehalem
     /// Xeon with its integrated memory controller and on-die uncore —
@@ -56,8 +53,6 @@ impl MonoShared {
             canonical: ProcId(0),
             last_op: vec![0; ctxs],
             app_ctx: FxHashMap::default(),
-            contention_cycles: 0,
-            ops: 0,
             hw_factor: 1.0,
         }
     }
@@ -71,7 +66,6 @@ impl MonoShared {
     /// synchronization tax in cycles for one operation touching `pkts`
     /// packets' worth of shared lines.
     pub fn kernel_entry(&mut self, me: usize, now: u64, pkts: u64) -> u64 {
-        self.ops += 1;
         let waiters = self
             .last_op
             .iter()
@@ -86,10 +80,7 @@ impl MonoShared {
         } else {
             0
         };
-        let tax =
-            ((locks + bounce) as f64 * self.tuning.contention_factor() * self.hw_factor) as u64;
-        self.contention_cycles += tax;
-        tax
+        ((locks + bounce) as f64 * self.tuning.contention_factor() * self.hw_factor) as u64
     }
 
     /// The wrong-core penalty owed when context `me` hands data to `app`

@@ -20,7 +20,6 @@ pub struct NicConfig {
     pub tso_mss: usize,
     /// Enable TSO.
     pub tso: bool,
-    pub link: LinkModel,
 }
 
 impl Default for NicConfig {
@@ -30,7 +29,6 @@ impl Default for NicConfig {
             ring_size: 512,
             tso_mss: 1460,
             tso: true,
-            link: LinkModel::ten_gbe(),
         }
     }
 }
@@ -106,7 +104,7 @@ impl Nic {
     /// A frame arrived from the wire at `now_ns`. Returns the queue it was
     /// steered to, or `None` if faults or ring overflow consumed it.
     pub fn wire_rx(&mut self, frame: PktBuf, now_ns: u64) -> Option<usize> {
-        let frame = match self.rx_faults.apply(frame, now_ns) {
+        let frame = match self.rx_faults.apply(frame) {
             FaultOutcome::Pass(f) | FaultOutcome::Corrupted(f) => f,
             FaultOutcome::Dropped => return None,
         };
@@ -152,7 +150,7 @@ impl Nic {
             self.stats.tx_frames += 1;
             self.obs.tx_frames.inc();
             self.stats.tx_bytes += f.len() as u64;
-            let t = self.cfg.link.tx_time(f.len());
+            let t = LinkModel::ten_gbe().tx_time(f.len());
             each(f, t);
         };
         if self.cfg.tso && tso::cut(&frame, self.cfg.tso_mss, &mut wire).is_some() {
@@ -171,7 +169,7 @@ impl Nic {
 
     /// One-way link latency to the peer NIC.
     pub fn link_latency(&self) -> Time {
-        self.cfg.link.latency
+        LinkModel::ten_gbe().latency
     }
 
     // --- control plane (driver-configured), §4 ---

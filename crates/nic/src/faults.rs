@@ -1,7 +1,6 @@
-//! Link-level fault injection, modelled on smoltcp's example options:
-//! `--drop-chance`, `--corrupt-chance`, `--size-limit`, rate limiting via a
-//! token bucket. Used to demonstrate the stack's robustness and to stress
-//! the recovery experiments.
+//! Link-level fault injection, modelled on smoltcp's example options
+//! `--drop-chance` and `--corrupt-chance`. Used to demonstrate the stack's
+//! robustness and to stress the recovery experiments.
 
 use neat_net::PktBuf;
 use neat_util::Rng;
@@ -13,12 +12,6 @@ pub struct FaultConfig {
     pub drop_pct: u8,
     /// Probability (0–100) of flipping one bit in a frame.
     pub corrupt_pct: u8,
-    /// Drop frames larger than this many bytes (0 = unlimited).
-    pub size_limit: usize,
-    /// Token bucket size in frames (0 = no rate limit).
-    pub rate_tokens: u32,
-    /// Bucket refill interval in nanoseconds.
-    pub refill_interval_ns: u64,
 }
 
 /// What happened to a frame passed through the injector. `Pass` keeps
@@ -34,13 +27,11 @@ pub enum FaultOutcome {
     Dropped,
 }
 
-/// Stateful fault injector (token bucket + RNG).
+/// Stateful fault injector (an RNG stream).
 #[derive(Debug)]
 pub struct FaultInjector {
     cfg: FaultConfig,
     rng: Rng,
-    tokens: u32,
-    last_refill_ns: u64,
     pub dropped: u64,
     pub corrupted: u64,
     pub passed: u64,
@@ -48,12 +39,9 @@ pub struct FaultInjector {
 
 impl FaultInjector {
     pub fn new(cfg: FaultConfig, seed: u64) -> FaultInjector {
-        let tokens = cfg.rate_tokens;
         FaultInjector {
             cfg,
             rng: Rng::seed_from_u64(seed),
-            tokens,
-            last_refill_ns: 0,
             dropped: 0,
             corrupted: 0,
             passed: 0,
@@ -65,27 +53,8 @@ impl FaultInjector {
         FaultInjector::new(FaultConfig::default(), seed)
     }
 
-    /// Run one frame through the injector at simulated time `now_ns`.
-    pub fn apply(&mut self, frame: PktBuf, now_ns: u64) -> FaultOutcome {
-        // Size limit.
-        if self.cfg.size_limit > 0 && frame.len() > self.cfg.size_limit {
-            self.dropped += 1;
-            return FaultOutcome::Dropped;
-        }
-        // Token-bucket rate limit.
-        if self.cfg.rate_tokens > 0 {
-            if self.cfg.refill_interval_ns > 0
-                && now_ns.saturating_sub(self.last_refill_ns) >= self.cfg.refill_interval_ns
-            {
-                self.tokens = self.cfg.rate_tokens;
-                self.last_refill_ns = now_ns;
-            }
-            if self.tokens == 0 {
-                self.dropped += 1;
-                return FaultOutcome::Dropped;
-            }
-            self.tokens -= 1;
-        }
+    /// Run one frame through the injector.
+    pub fn apply(&mut self, frame: PktBuf) -> FaultOutcome {
         // Random drop.
         if self.cfg.drop_pct > 0 && self.rng.gen_range(0u32..100) < self.cfg.drop_pct as u32 {
             self.dropped += 1;
@@ -116,7 +85,7 @@ mod tests {
     fn disabled_passes_everything() {
         let mut f = FaultInjector::disabled(1);
         for i in 0..100u8 {
-            match f.apply(vec![i; 64].into(), 0) {
+            match f.apply(vec![i; 64].into()) {
                 FaultOutcome::Pass(v) => assert_eq!(&v[..], &vec![i; 64][..]),
                 other => panic!("unexpected {other:?}"),
             }
@@ -135,7 +104,7 @@ mod tests {
         );
         let mut drops = 0;
         for _ in 0..10_000 {
-            if f.apply(vec![0; 64].into(), 0) == FaultOutcome::Dropped {
+            if f.apply(vec![0; 64].into()) == FaultOutcome::Dropped {
                 drops += 1;
             }
         }
@@ -153,53 +122,13 @@ mod tests {
             7,
         );
         let orig = vec![0u8; 64];
-        match f.apply(orig.clone().into(), 0) {
+        match f.apply(orig.clone().into()) {
             FaultOutcome::Corrupted(v) => {
                 let flipped: u32 = v.iter().zip(&orig).map(|(a, b)| (a ^ b).count_ones()).sum();
                 assert_eq!(flipped, 1);
             }
             other => panic!("expected corruption, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn size_limit_drops_large() {
-        let mut f = FaultInjector::new(
-            FaultConfig {
-                size_limit: 100,
-                ..Default::default()
-            },
-            1,
-        );
-        assert_eq!(f.apply(vec![0; 101].into(), 0), FaultOutcome::Dropped);
-        assert!(matches!(
-            f.apply(vec![0; 100].into(), 0),
-            FaultOutcome::Pass(_)
-        ));
-    }
-
-    #[test]
-    fn token_bucket_limits_and_refills() {
-        let mut f = FaultInjector::new(
-            FaultConfig {
-                rate_tokens: 4,
-                refill_interval_ns: 50_000_000,
-                ..Default::default()
-            },
-            1,
-        );
-        let mut passed = 0;
-        for _ in 0..10 {
-            if matches!(f.apply(vec![0; 10].into(), 1000), FaultOutcome::Pass(_)) {
-                passed += 1;
-            }
-        }
-        assert_eq!(passed, 4, "bucket exhausted after 4 frames");
-        // After the refill interval, tokens return.
-        assert!(matches!(
-            f.apply(vec![0; 10].into(), 60_000_000),
-            FaultOutcome::Pass(_)
-        ));
     }
 
     #[test]
@@ -213,7 +142,7 @@ mod tests {
                 seed,
             );
             (0..64)
-                .map(|_| f.apply(vec![0; 8].into(), 0) == FaultOutcome::Dropped)
+                .map(|_| f.apply(vec![0; 8].into()) == FaultOutcome::Dropped)
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(9), run(9));

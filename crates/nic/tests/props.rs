@@ -88,13 +88,12 @@ fn fault_injector_conservation() {
                 FaultConfig {
                     drop_pct,
                     corrupt_pct,
-                    ..Default::default()
                 },
                 seed,
             );
             let orig = vec![0x5Au8; 64];
-            for i in 0..n {
-                match inj.apply(orig.clone().into(), i as u64) {
+            for _ in 0..n {
+                match inj.apply(orig.clone().into()) {
                     neat_nic::faults::FaultOutcome::Pass(f) => prop_assert_eq!(&f[..], &orig[..]),
                     neat_nic::faults::FaultOutcome::Corrupted(f) => {
                         let bits: u32 =
@@ -124,12 +123,11 @@ fn fault_injector_deterministic() {
                     FaultConfig {
                         drop_pct: 30,
                         corrupt_pct: 30,
-                        ..Default::default()
                     },
                     seed,
                 );
                 (0..n)
-                    .map(|i| inj.apply(vec![0xAAu8; 32].into(), i as u64))
+                    .map(|_| inj.apply(vec![0xAAu8; 32].into()))
                     .collect::<Vec<_>>()
             };
             prop_assert_eq!(run(seed), run(seed));

@@ -12,9 +12,9 @@
 //!   (dispatch spans, packet hops, TCP transitions, supervisor actions)
 //!   exportable as chrome://tracing JSON. Off by default; zero-cost when
 //!   disabled; never perturbs deterministic replay.
-//! * **Stats primitives** ([`stats`]) — the log-bucketed [`Histogram`]
-//!   that used to live in `neat_sim::stats`; the simulator re-exports a
-//!   `Time`-typed wrapper.
+//! * **Stats primitives** ([`stats`]) — the log-bucketed [`Histogram`],
+//!   the one histogram type in the workspace (the load generator's
+//!   latency record included).
 //!
 //! The crate depends only on `neat-util` (for JSON), so every layer of
 //! the workspace — simulator, NIC, TCP, NEaT core, monolith baseline,

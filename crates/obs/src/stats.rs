@@ -1,10 +1,8 @@
 //! Value-space measurement primitives: log-bucketed histograms.
 //!
-//! These used to live in `neat_sim::stats`, keyed to simulated `Time`;
-//! the bucket logic moved here (value space: plain `u64`, conventionally
-//! nanoseconds) so that every layer of the system — including ones below
-//! the simulator — can record into the same histogram type. `neat_sim`
-//! re-exports a thin `Time`-typed wrapper on top.
+//! Value space: plain `u64`, conventionally nanoseconds, so that every
+//! layer of the system — including ones below the simulator — records
+//! into the same histogram type.
 
 use neat_util::{Json, ToJson};
 
@@ -205,6 +203,75 @@ mod tests {
         // The quantile reports the last bucket's lower bound, bounded by max.
         assert!(h.quantile(1.0) <= h.max());
         assert!(h.quantile(0.5) == h.quantile(1.0), "same saturated bucket");
+    }
+
+    #[test]
+    fn histogram_orders_quantiles() {
+        let mut h = Histogram::new();
+        for i in 1..=1000u64 {
+            h.record(i * 1_000);
+        }
+        assert_eq!(h.count(), 1000);
+        let (p50, p99) = (h.quantile(0.5), h.quantile(0.99));
+        assert!(p50 < p99);
+        // Uniform 1..1000 us: p50 lands near 500 us (bucket bounds make
+        // this approximate).
+        assert!((350_000..700_000).contains(&p50), "p50={p50}");
+        assert_eq!((h.min(), h.max()), (1_000, 1_000_000));
+    }
+
+    #[test]
+    fn histogram_mean_exact() {
+        let mut h = Histogram::new();
+        h.record(100);
+        h.record(300);
+        assert_eq!(h.mean(), 200);
+    }
+
+    #[test]
+    fn histogram_merge_adds() {
+        let (mut a, mut b) = (Histogram::new(), Histogram::new());
+        a.record(10_000);
+        b.record(20_000);
+        a.merge(&b);
+        assert_eq!(a.count(), 2);
+        assert_eq!(a.max(), 20_000);
+    }
+
+    #[test]
+    fn small_values_exact_buckets() {
+        let mut h = Histogram::new();
+        h.record(3);
+        assert_eq!(h.quantile(1.0), 3);
+    }
+
+    #[test]
+    fn empty_and_single_sample_edge_cases() {
+        let empty = Histogram::new();
+        let mut single = Histogram::new();
+        single.record(42_000);
+        for q in [0.0, 0.5, 1.0] {
+            // The bucket lower bound for 42 000 is 40 960 (4 sub-bucket bits).
+            assert!((40_960..=42_000).contains(&single.quantile(q)), "q={q}");
+        }
+        let mut e = empty.clone();
+        e.merge(&single);
+        assert_eq!((e.count(), e.min()), (1, 42_000));
+        let mut s = single.clone();
+        s.merge(&empty);
+        assert_eq!(s, single);
+    }
+
+    #[test]
+    fn bucket_saturation_is_safe() {
+        // 40 000 s in ns is past the last bucket (≈ 17 s): it clamps, and
+        // max() still reports it exactly.
+        let mut h = Histogram::new();
+        let huge = 40_000 * 1_000_000_000;
+        h.record(huge);
+        assert_eq!(h.max(), huge);
+        assert!(h.quantile(1.0) <= huge);
+        assert!(h.quantile(0.5) > 0);
     }
 
     #[test]

@@ -152,7 +152,7 @@ pub const DRV_TX_PKT_VECTORED: Cycles = 180;
 /// spinning it is what the "Polling" column of Table 2 accounts).
 pub const DRV_POLL_ROUND: Cycles = 380;
 
-/// Packet-filter component: match one frame against the rule set.
+/// Packet-filter component: one filter pass over a frame.
 pub const PF_PKT: Cycles = 300;
 
 /// UDP component: process one datagram (port lookup, checksum).

@@ -32,11 +32,9 @@ pub mod calibration;
 pub mod engine;
 pub mod machine;
 pub mod process;
-pub mod stats;
 pub mod time;
 
 pub use engine::{BatchStats, Ctx, Sim, SimConfig};
 pub use machine::{HwThreadId, MachineId, MachineSpec, ThreadKind, ThreadStats};
 pub use process::{Event, ProcId, Process};
-pub use stats::Histogram;
 pub use time::{Cycles, Freq, Time};

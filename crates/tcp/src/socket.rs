@@ -14,9 +14,7 @@
 //! "TCP component map" for the ownership table).
 
 use crate::components::{self, CongestionControl, ConnMgmt, FlowControl, Reliability};
-use crate::types::{
-    CongestionAlgo, SockEvent, SockOpt, SockOptKind, SocketId, TcpConfig, TcpError, TcpState,
-};
+use crate::types::{SockEvent, SockOpt, SockOptKind, SocketId, TcpConfig, TcpError, TcpState};
 use neat_net::{SeqNum, TcpHeader};
 use std::net::Ipv4Addr;
 
@@ -188,15 +186,6 @@ impl TcpSocket {
     /// Peer closed and all data has been drained — EOF for the app.
     pub fn at_eof(&self) -> bool {
         self.cm.peer_fin_rcvd && self.fc.recv_buf.is_empty()
-    }
-
-    pub fn effective_mss(&self) -> u16 {
-        self.mss
-    }
-
-    /// The congestion-control algorithm currently driving this flow.
-    pub fn cc_algo(&self) -> CongestionAlgo {
-        self.cc.algo()
     }
 
     // ------------------------------------------------------------------

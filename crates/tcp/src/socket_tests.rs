@@ -3,6 +3,7 @@
 //! coordination (handshake, transfer, teardown, loss recovery).
 
 use super::*;
+use crate::types::CongestionAlgo;
 
 const CLIENT_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
 const SERVER_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
@@ -94,8 +95,8 @@ pub(crate) fn established() -> (TcpSocket, TcpSocket) {
 #[test]
 fn three_way_handshake() {
     let (c, s) = established();
-    assert_eq!(c.effective_mss(), 1460);
-    assert_eq!(s.effective_mss(), 1460);
+    assert_eq!(c.mss, 1460);
+    assert_eq!(s.mss, 1460);
     assert_eq!(c.bytes_in_flight(), 0);
     assert_eq!(s.bytes_in_flight(), 0);
 }
@@ -460,15 +461,15 @@ fn duplicate_segments_ignored() {
 #[test]
 fn sock_opt_selects_controller_and_resizes_buffers() {
     let (mut c, _s) = established();
-    assert_eq!(c.cc_algo(), CongestionAlgo::Reno, "stack default");
+    assert_eq!(c.cc.algo(), CongestionAlgo::Reno, "stack default");
     c.set_opt(SockOpt::CongestionAlgo(CongestionAlgo::Bbr));
-    assert_eq!(c.cc_algo(), CongestionAlgo::Bbr);
+    assert_eq!(c.cc.algo(), CongestionAlgo::Bbr);
     assert_eq!(
         c.get_opt(SockOptKind::CongestionAlgo),
         Some(SockOpt::CongestionAlgo(CongestionAlgo::Bbr))
     );
     c.set_opt(SockOpt::InitialCwnd(20));
-    let mss = c.effective_mss() as usize;
+    let mss = c.mss as usize;
     assert_eq!(
         c.get_opt(SockOptKind::InitialCwnd),
         Some(SockOpt::InitialCwnd(20))
@@ -493,6 +494,6 @@ fn checkpoint_preserves_selected_algorithm() {
     let img = c.checkpoint();
     assert_eq!(img.last(), Some(&4), "the algorithm is the last byte");
     let r = TcpSocket::from_checkpoint(SocketId(99), &cfg(), &img).unwrap();
-    assert_eq!(r.cc_algo(), CongestionAlgo::Dctcp);
+    assert_eq!(r.cc.algo(), CongestionAlgo::Dctcp);
     assert_eq!(r.checkpoint(), img, "checkpoint → restore is identity");
 }

@@ -21,9 +21,7 @@
 use crate::budget::ConnBudget;
 use crate::socket::TcpSocket;
 use crate::tcb::replicable;
-use crate::types::{
-    Readiness, SockEvent, SockOpt, SockOptKind, SocketId, TcpConfig, TcpError, TcpState,
-};
+use crate::types::{SockEvent, SockOpt, SockOptKind, SocketId, TcpConfig, TcpError, TcpState};
 use crate::wheel::TimerWheel;
 use neat_net::{FlowKey, SeqNum, TcpFlags, TcpHeader};
 use neat_util::{FxHashMap, FxHashSet};
@@ -278,13 +276,6 @@ impl TcpStack {
         Ok(id)
     }
 
-    /// Stop listening on a port (existing connections are unaffected).
-    pub fn unlisten(&mut self, port: u16) {
-        if let Some(l) = self.listeners.remove(&port) {
-            self.listener_of.remove(&l.id);
-        }
-    }
-
     /// Active open to `remote`. Returns the new socket id; the
     /// [`SockEvent::Connected`] event fires when the handshake completes.
     pub fn connect(
@@ -367,66 +358,6 @@ impl TcpStack {
         r
     }
 
-    /// Vectored receive: fill `bufs` in order from the receive buffer in a
-    /// single call (the iovec-shaped variant the batched delivery path
-    /// uses — one call drains what N per-segment wakeups used to).
-    /// Returns total bytes read; `Ok(0)` means EOF.
-    pub fn recv_vectored(
-        &mut self,
-        id: SocketId,
-        bufs: &mut [&mut [u8]],
-    ) -> Result<usize, TcpError> {
-        let slot = self.sockets.get_mut(&id).ok_or(TcpError::NoSocket)?;
-        let mut total = 0usize;
-        for buf in bufs.iter_mut() {
-            match slot.sock.recv(buf) {
-                Ok(0) => break, // EOF — nothing more will come
-                Ok(n) => {
-                    total += n;
-                    if n < buf.len() {
-                        break; // receive buffer drained
-                    }
-                }
-                Err(TcpError::WouldBlock) => {
-                    if total == 0 {
-                        return Err(TcpError::WouldBlock);
-                    }
-                    break;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        if total > 0 {
-            // A window update may be owed.
-            slot.mark_dirty(&mut self.dirty, &mut self.repl_dirty);
-            slot.account(&mut self.budget);
-        }
-        Ok(total)
-    }
-
-    /// Unified non-blocking readiness query (the one API `poll(fd)`
-    /// surfaces sit on). Works for listeners (readable == accept ready)
-    /// and connections alike; unknown ids read as pure hang-up.
-    pub fn poll(&self, id: SocketId) -> Readiness {
-        if let Some(l) = self.listener(id) {
-            return Readiness {
-                readable: !l.accept_q.is_empty(),
-                ..Readiness::default()
-            };
-        }
-        match self.sock(id) {
-            Some(s) => Readiness {
-                readable: s.recv_available() > 0 || s.at_eof(),
-                writable: s.state().can_send() && s.send_room() > 0,
-                hup: s.at_eof() || s.state().is_closed(),
-            },
-            None => Readiness {
-                hup: true,
-                ..Readiness::default()
-            },
-        }
-    }
-
     /// Apply a per-socket option ([`SockOpt`]): switch the congestion
     /// controller, override the initial cwnd, or resize the receive
     /// buffer. Takes effect immediately on the live connection.
@@ -474,14 +405,6 @@ impl TcpStack {
 
     pub fn recv_available(&self, id: SocketId) -> usize {
         self.sock(id).map_or(0, |s| s.recv_available())
-    }
-
-    pub fn send_room(&self, id: SocketId) -> usize {
-        self.sock(id).map_or(0, |s| s.send_room())
-    }
-
-    pub fn at_eof(&self, id: SocketId) -> bool {
-        self.sock(id).is_none_or(|s| s.at_eof())
     }
 
     /// Live (non-listener) connection count — drives the lazy-termination
@@ -717,11 +640,6 @@ impl TcpStack {
             }
         }
         Some(flow)
-    }
-
-    /// All live socket ids (diagnostics).
-    pub fn socket_ids(&self) -> Vec<SocketId> {
-        self.sockets.keys().copied().collect()
     }
 
     // ------------------------------------------------------------------

@@ -8,6 +8,11 @@ const CLIENT_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
 const SERVER_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
 
 impl TcpStack {
+    /// All live socket ids.
+    pub(crate) fn socket_ids(&self) -> Vec<SocketId> {
+        self.sockets.keys().copied().collect()
+    }
+
     /// Every structure that names a connection agrees with the slot table
     /// (ROADMAP item 4a: demux ↔ socket table ↔ timer wheel ↔ budget ↔
     /// listener queues). Panics on the first disagreement.
@@ -294,71 +299,6 @@ fn ephemeral_ports_unique() {
     ports.insert(0);
 }
 
-#[test]
-fn poll_readiness_tracks_lifecycle() {
-    let (mut c, mut s) = pair();
-    let l = s.listen(80).unwrap();
-    assert_eq!(s.poll(l), Readiness::default(), "idle listener");
-    let conn = c.connect(SERVER_IP, 80, 0).unwrap();
-    pump(&mut c, &mut s, 0);
-    assert!(s.poll(l).readable, "accept pending reads as readable");
-    let srv = s.accept(l).unwrap();
-    let r = c.poll(conn);
-    assert!(r.writable && !r.readable && !r.hup);
-    s.send(srv, b"hi").unwrap();
-    pump(&mut c, &mut s, 1000);
-    assert!(c.poll(conn).readable, "delivered data reads as readable");
-    s.close(srv, 2000).unwrap();
-    pump(&mut c, &mut s, 2000);
-    let mut buf = [0u8; 8];
-    c.recv(conn, &mut buf).unwrap();
-    let r = c.poll(conn);
-    assert!(r.hup, "peer FIN after drain is hup");
-    assert!(r.readable, "EOF is observable via read, like POLLIN");
-    assert!(c.poll(SocketId(9999)).is_hup_only(), "unknown id is hup");
-}
-
-#[test]
-fn recv_vectored_fills_multiple_buffers() {
-    let (mut c, mut s) = pair();
-    let l = s.listen(80).unwrap();
-    let conn = c.connect(SERVER_IP, 80, 0).unwrap();
-    pump(&mut c, &mut s, 0);
-    let srv = s.accept(l).unwrap();
-    let payload: Vec<u8> = (0..40u8).collect();
-    c.send(conn, &payload).unwrap();
-    pump(&mut c, &mut s, 1000);
-    let mut a = [0u8; 16];
-    let mut b = [0u8; 16];
-    let mut rest = [0u8; 16];
-    let n = s
-        .recv_vectored(srv, &mut [&mut a[..], &mut b[..], &mut rest[..]])
-        .unwrap();
-    assert_eq!(n, 40);
-    let mut got = Vec::new();
-    got.extend_from_slice(&a);
-    got.extend_from_slice(&b);
-    got.extend_from_slice(&rest[..8]);
-    assert_eq!(got, payload);
-    assert_eq!(
-        s.recv_vectored(srv, &mut [&mut a[..]]),
-        Err(TcpError::WouldBlock),
-        "drained"
-    );
-}
-
-#[test]
-fn listener_removal_stops_new_conns() {
-    let (mut c, mut s) = pair();
-    s.listen(80).unwrap();
-    s.unlisten(80);
-    let conn = c.connect(SERVER_IP, 80, 0).unwrap();
-    pump(&mut c, &mut s, 0);
-    // RST aborted + reaped inline: the id is gone and nothing leaks.
-    assert_eq!(c.state(conn), None, "RST expected");
-    assert_eq!(c.conn_count(), 0);
-}
-
 /// The stack's per-connection flags sit beside `TcpSocket`, not in it:
 /// its size is what `mem_bytes()`, `base_conn_cost()` and the gated
 /// `conn_scale_mem_per_conn_bytes` are built on.
@@ -471,6 +411,10 @@ fn fin_after_lost_handshake_ack_is_still_accepted() {
     assert_eq!(s.acceptable(l), 1);
     let srv = s.accept(l).unwrap();
     assert_eq!(s.state(srv), Some(TcpState::CloseWait));
-    assert!(s.at_eof(srv), "the app reads EOF straight away");
+    assert_eq!(
+        s.recv(srv, &mut [0u8; 8]),
+        Ok(0),
+        "the app reads EOF straight away"
+    );
     s.check_consistent();
 }

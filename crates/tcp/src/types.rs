@@ -157,9 +157,8 @@ impl Default for TcpConfig {
     }
 }
 
-/// Non-blocking readiness snapshot for one socket: the single query
-/// surface that replaces ad-hoc `acceptable`/`recv_available`/`send_room`
-/// probing. Mirrors `poll(2)`'s POLLIN/POLLOUT/POLLHUP bits.
+/// Non-blocking readiness snapshot for one socket, as the socket library's
+/// `poll(fd)` reports it. Mirrors `poll(2)`'s POLLIN/POLLOUT/POLLHUP bits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Readiness {
     /// Data (or, for listeners, a pending accept) can be consumed now.
@@ -169,13 +168,6 @@ pub struct Readiness {
     pub writable: bool,
     /// The peer hung up: EOF received, connection closed or aborted.
     pub hup: bool,
-}
-
-impl Readiness {
-    /// Nothing to do and nothing will become possible (closed/unknown).
-    pub fn is_hup_only(&self) -> bool {
-        self.hup && !self.readable && !self.writable
-    }
 }
 
 /// User-visible socket events, drained via [`crate::TcpStack::poll_event`].

@@ -44,20 +44,35 @@ case "${1:-}" in
     *) echo "unknown argument: $1 (want --tier1 or --tier2)" >&2; exit 2 ;;
 esac
 
-# Module-size guard: no deployed source file may grow past 900 lines —
+# Module-size guard: no deployed source file may grow past 800 lines —
 # the socket-monolith decomposition stays decomposed. Out-of-line test
 # modules (`*_tests.rs`, `proptests.rs`) are exempt: they are not
 # deployed code.
 module_size_guard() {
     oversized=$(find crates -path '*/src/*' -name '*.rs' \
         ! -name '*_tests.rs' ! -name 'proptests.rs' \
-        -exec awk 'END { if (NR > 900) print FILENAME ": " NR " lines" }' {} \;)
+        -exec awk 'END { if (NR > 800) print FILENAME ": " NR " lines" }' {} \;)
     if [ -n "$oversized" ]; then
-        echo "MODULE SIZE FAILURE: source files over 900 lines (split them" >&2
+        echo "MODULE SIZE FAILURE: source files over 800 lines (split them" >&2
         echo "into owned-state components; move tests to *_tests.rs):" >&2
         echo "$oversized" >&2
         exit 1
     fi
+}
+
+# Deployed line count (ROADMAP item 5's measure; reported, gates nothing):
+# non-blank lines of every `crates/*/src` file less the test-only files
+# (`*_tests.rs`, `proptests.rs`, `tests_components.rs`), each file cut
+# where the text `#[cfg(test)]` first occurs on a line — in a doc comment
+# too, which is where `fault.rs` first names it. (Cutting at the first
+# attribute line instead counts that file's doc-to-attribute span too.)
+deployed_line_count() {
+    find crates -path '*/src/*' -name '*.rs' ! -name '*_tests.rs' \
+        ! -name 'proptests.rs' ! -name 'tests_components.rs' -exec awk '
+        FNR == 1 { cut = 0 }
+        index($0, "#[cfg(test)]") { cut = 1 }
+        !cut && NF { n++ }
+        END { print n + 0 }' {} + | awk '{ s += $1 } END { print s }'
 }
 
 # One-builder guard: stack components are constructed in replica.rs only
@@ -132,8 +147,9 @@ pinned_shapes_guard() {
 }
 
 if [ "$TIER1" = 1 ]; then
-    echo "==> [tier1] module-size guard (deployed sources <= 900 lines)"
+    echo "==> [tier1] module-size guard (deployed sources <= 800 lines)"
     module_size_guard
+    echo "==> [tier1] deployed non-test lines under crates/*/src: $(deployed_line_count)"
     echo "==> [tier1] one-builder guard (components constructed in replica.rs only)"
     one_builder_guard
     echo "==> [tier1] no-source-text guard (deployed code embeds no .rs file)"

@@ -118,11 +118,9 @@ impl FetchClient {
                 }
                 SockEvent::Readable(sock) => {
                     let i = self.idx[&sock];
-                    // The unified vectored receive surface.
                     let mut buf = [0u8; 16384];
                     loop {
-                        let (a, b) = buf.split_at_mut(8192);
-                        match self.stack.recv_vectored(sock, &mut [a, b]) {
+                        match self.stack.recv(sock, &mut buf) {
                             Ok(0) => break,
                             Ok(n) => {
                                 self.streams
