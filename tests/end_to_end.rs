@@ -34,6 +34,29 @@ fn single_component_serves_http() {
     );
 }
 
+/// A report's latency covers the window only: the clients' latency
+/// records hold one sample per response completed inside it, none from
+/// before.
+#[test]
+fn latency_samples_only_the_window() {
+    let mut spec = TestbedSpec::amd(NeatConfig::single(1), 1);
+    spec.clients = 2;
+    spec.workload = small_workload();
+    let mut tb = Testbed::build(spec);
+    let completed =
+        |tb: &Testbed| -> u64 { tb.client_metrics.iter().map(|m| m.borrow().completed).sum() };
+    tb.sim.run_until(Time::from_millis(50));
+    let before = completed(&tb);
+    assert!(before > 0, "responses completed before the window");
+    tb.measure(Time::ZERO, Time::from_millis(50));
+    let samples: u64 = tb
+        .client_metrics
+        .iter()
+        .map(|m| m.borrow().latency.count())
+        .sum();
+    assert_eq!(samples, completed(&tb) - before);
+}
+
 #[test]
 fn multi_component_serves_http() {
     let mut spec = TestbedSpec::amd(NeatConfig::multi(2), 3);
