@@ -5,7 +5,7 @@
 //! embed a [`FrameIo`]; the httperf-side library stacks reuse it too. This
 //! is pure protocol code — the owning process charges the CPU costs.
 
-use neat_net::arp::{ArpCache, ArpOp, ArpPacket};
+use neat_net::arp::{ArpCache, ArpOp, ArpPacket, ARP_LEN};
 use neat_net::ethernet::{EtherType, EthernetFrame, MacAddr, ETHERNET_HEADER_LEN};
 use neat_net::icmp::IcmpMessage;
 use neat_net::ipv4::{IpProtocol, Ipv4Header, IPV4_HEADER_LEN};
@@ -31,6 +31,14 @@ pub enum RxClass {
     Dropped,
 }
 
+/// Frames one unresolved destination may hold while ARP is outstanding;
+/// beyond it the newest is dropped (Linux keeps a queue of this order per
+/// neighbour, `unres_qlen`).
+const MAX_PENDING_PER_DST: usize = 64;
+
+/// Where an IP frame's payload starts.
+const L4_OFF: usize = ETHERNET_HEADER_LEN + IPV4_HEADER_LEN;
+
 /// Per-instance link/network state.
 #[derive(Debug)]
 pub struct FrameIo {
@@ -38,9 +46,9 @@ pub struct FrameIo {
     pub mac: MacAddr,
     arp: ArpCache,
     /// Frames awaiting ARP resolution (destination MAC still zero), keyed
-    /// by next-hop IP. Only probed; `pending_arp` sums lengths, which no
-    /// order changes.
-    pending: FxHashMap<Ipv4Addr, Vec<Vec<u8>>>,
+    /// by next-hop IP, at most `MAX_PENDING_PER_DST` each. Only probed;
+    /// `pending_arp` sums lengths, which no order changes.
+    pending: FxHashMap<Ipv4Addr, Vec<PktBuf>>,
     /// Frames ready to go out on the wire (`PktBuf` handles from birth).
     out: Vec<PktBuf>,
     /// The segment `send_tcp` is framing: one buffer for all of them.
@@ -51,6 +59,8 @@ pub struct FrameIo {
     pub rx_bad_checksum: u64,
     pub rx_not_for_us: u64,
     pub rx_fragments: u64,
+    /// Frames dropped because their destination's ARP queue was full.
+    pub arp_queue_drops: u64,
 }
 
 impl FrameIo {
@@ -66,6 +76,7 @@ impl FrameIo {
             rx_bad_checksum: 0,
             rx_not_for_us: 0,
             rx_fragments: 0,
+            arp_queue_drops: 0,
         }
     }
 
@@ -97,13 +108,7 @@ impl FrameIo {
                 self.flush_pending(arp.sender_ip, now_ns);
                 if arp.op == ArpOp::Request && arp.target_ip == self.ip {
                     let reply = ArpPacket::reply_to(&arp, self.mac);
-                    let f = EthernetFrame {
-                        dst: arp.sender_mac,
-                        src: self.mac,
-                        ethertype: EtherType::Arp,
-                    }
-                    .emit(&reply.emit());
-                    self.out.push(PktBuf::from_vec(f));
+                    self.out.push(self.arp_frame(arp.sender_mac, &reply));
                 }
                 RxClass::Arp
             }
@@ -150,24 +155,22 @@ impl FrameIo {
     }
 
     /// Encapsulate and queue an IP packet to `dst`, resolving the MAC via
-    /// ARP (packets queue while a request is outstanding). The frame is
-    /// built once, in the buffer it leaves in.
+    /// ARP (packets queue while a request is outstanding, up to
+    /// `MAX_PENDING_PER_DST`). The frame is built once, in place, in the
+    /// buffer it leaves in.
     pub fn send_ip(&mut self, dst: Ipv4Addr, protocol: IpProtocol, payload: &[u8], now_ns: u64) {
-        let mac = self.arp.lookup(dst, now_ns);
-        let mut f = Vec::with_capacity(ETHERNET_HEADER_LEN + IPV4_HEADER_LEN + payload.len());
-        EthernetFrame {
-            dst: mac.unwrap_or(MacAddr::ZERO), // filled in by `flush_pending`
-            src: self.mac,
-            ethertype: EtherType::Ipv4,
-        }
-        .emit_header_into(&mut f);
-        Ipv4Header::new(self.ip, dst, protocol, payload.len()).emit_header_into(&mut f);
-        f.extend_from_slice(payload);
-        if mac.is_some() {
-            self.out.push(PktBuf::from_vec(f));
+        if let Some(mac) = self.arp.lookup(dst, now_ns) {
+            let f = self.ip_frame(mac, dst, protocol, payload);
+            self.out.push(f);
             return;
         }
-        self.pending.entry(dst).or_default().push(f);
+        if self.pending.get(&dst).map_or(0, Vec::len) < MAX_PENDING_PER_DST {
+            // The destination MAC is filled in by `flush_pending`.
+            let f = self.ip_frame(MacAddr::ZERO, dst, protocol, payload);
+            self.pending.entry(dst).or_default().push(f);
+        } else {
+            self.arp_queue_drops += 1;
+        }
         // Rate-limit ARP requests to one per second per target
         // (smoltcp behaviour).
         let due = self
@@ -178,14 +181,40 @@ impl FrameIo {
         if due {
             self.last_arp_req.insert(dst, now_ns);
             let req = ArpPacket::request(self.mac, self.ip, dst);
-            let f = EthernetFrame {
-                dst: MacAddr::BROADCAST,
-                src: self.mac,
-                ethertype: EtherType::Arp,
-            }
-            .emit(&req.emit());
-            self.out.push(PktBuf::from_vec(f));
+            self.out.push(self.arp_frame(MacAddr::BROADCAST, &req));
         }
+    }
+
+    fn ip_frame(
+        &self,
+        mac: MacAddr,
+        dst: Ipv4Addr,
+        protocol: IpProtocol,
+        payload: &[u8],
+    ) -> PktBuf {
+        let eth = EthernetFrame {
+            dst: mac,
+            src: self.mac,
+            ethertype: EtherType::Ipv4,
+        };
+        let ip = Ipv4Header::new(self.ip, dst, protocol, payload.len());
+        PktBuf::build(L4_OFF + payload.len(), |f| {
+            eth.emit_header_to(f);
+            ip.emit_header_to(&mut f[ETHERNET_HEADER_LEN..]);
+            f[L4_OFF..].copy_from_slice(payload);
+        })
+    }
+
+    fn arp_frame(&self, mac: MacAddr, arp: &ArpPacket) -> PktBuf {
+        let eth = EthernetFrame {
+            dst: mac,
+            src: self.mac,
+            ethertype: EtherType::Arp,
+        };
+        PktBuf::build(ETHERNET_HEADER_LEN + ARP_LEN, |f| {
+            eth.emit_header_to(f);
+            arp.emit_to(&mut f[ETHERNET_HEADER_LEN..]);
+        })
     }
 
     /// Frame and queue every segment `stack` owes the wire — the one TCP
@@ -201,12 +230,16 @@ impl FrameIo {
         self.seg = seg;
     }
 
+    /// Patch the resolved MAC into each waiting frame, in place (a queued
+    /// frame is its storage's only handle), and queue it for the wire.
     fn flush_pending(&mut self, dst: Ipv4Addr, now_ns: u64) {
         if let Some(frames) = self.pending.remove(&dst) {
             if let Some(mac) = self.arp.lookup(dst, now_ns) {
                 for mut f in frames {
-                    f[..6].copy_from_slice(&mac.0);
-                    self.out.push(PktBuf::from_vec(f));
+                    if let Some(b) = f.get_mut() {
+                        b[..6].copy_from_slice(&mac.0);
+                    }
+                    self.out.push(f);
                 }
             }
         }
@@ -371,6 +404,39 @@ mod tests {
         // After a second, a new request may go out.
         a.send_ip(B_IP, IpProtocol::Tcp, b"3", 1_500_000_000);
         assert_eq!(a.drain().len(), 1);
+    }
+
+    #[test]
+    fn a_silent_destination_holds_a_bounded_queue() {
+        let mut a = a();
+        for i in 0..10_000u64 {
+            a.send_ip(B_IP, IpProtocol::Tcp, b"lost", i);
+        }
+        assert_eq!(a.pending_arp(), MAX_PENDING_PER_DST);
+        assert_eq!(a.arp_queue_drops, 10_000 - MAX_PENDING_PER_DST as u64);
+        assert_eq!(a.drain().len(), 1, "one ARP request within the second");
+    }
+
+    #[test]
+    fn resolution_patches_the_waiting_frames_in_place() {
+        let mut a = a();
+        let mut b = b();
+        a.send_ip(B_IP, IpProtocol::Tcp, b"one", 0);
+        a.send_ip(B_IP, IpProtocol::Tcp, b"two", 0);
+        let request = a.drain().remove(0);
+        b.classify_rx(&request, 0);
+        let reply = b.drain().remove(0);
+        let grants = neat_net::pktbuf::stats().grants;
+        a.classify_rx(&reply, 10);
+        let flushed = a.drain();
+        assert_eq!(neat_net::pktbuf::stats().grants, grants, "no frame copied");
+        for (f, want) in flushed.iter().zip([&b"one"[..], b"two"]) {
+            assert_eq!(&f[..6], &MacAddr::local(2).0);
+            match b.classify_rx(f, 20) {
+                RxClass::Tcp { seg, .. } => assert_eq!(&seg[..], want),
+                other => panic!("expected TCP, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -53,12 +53,19 @@ impl ArpPacket {
 
     pub fn emit(&self) -> Vec<u8> {
         let mut b = vec![0u8; ARP_LEN];
-        set_u16(&mut b, 0, 1); // hardware: Ethernet
-        set_u16(&mut b, 2, 0x0800); // protocol: IPv4
+        self.emit_to(&mut b);
+        b
+    }
+
+    /// Write the 28-byte packet over the front of `out`.
+    pub fn emit_to(&self, out: &mut [u8]) {
+        let b = &mut out[..ARP_LEN];
+        set_u16(b, 0, 1); // hardware: Ethernet
+        set_u16(b, 2, 0x0800); // protocol: IPv4
         b[4] = 6;
         b[5] = 4;
         set_u16(
-            &mut b,
+            b,
             6,
             match self.op {
                 ArpOp::Request => 1,
@@ -69,7 +76,6 @@ impl ArpPacket {
         b[14..18].copy_from_slice(&self.sender_ip.octets());
         b[18..24].copy_from_slice(&self.target_mac.0);
         b[24..28].copy_from_slice(&self.target_ip.octets());
-        b
     }
 
     /// A request for `target_ip` from `(mac, ip)`.

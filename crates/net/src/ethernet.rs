@@ -1,6 +1,6 @@
 //! Ethernet II framing (the testbed's 10GbE link layer).
 
-use crate::wire::{get_u16, need, NetError, NetResult};
+use crate::wire::{get_u16, need, set_u16, NetError, NetResult};
 use std::fmt;
 
 /// A 48-bit MAC address.
@@ -97,17 +97,17 @@ impl EthernetFrame {
 
     /// Emit the header followed by `payload` into a fresh buffer.
     pub fn emit(&self, payload: &[u8]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(ETHERNET_HEADER_LEN + payload.len());
-        self.emit_header_into(&mut out);
-        out.extend_from_slice(payload);
+        let mut out = vec![0; ETHERNET_HEADER_LEN + payload.len()];
+        self.emit_header_to(&mut out);
+        out[ETHERNET_HEADER_LEN..].copy_from_slice(payload);
         out
     }
 
-    /// Append the 14-byte header to `out`.
-    pub fn emit_header_into(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.dst.0);
-        out.extend_from_slice(&self.src.0);
-        out.extend_from_slice(&u16::from(self.ethertype).to_be_bytes());
+    /// Write the 14-byte header over the front of `out`.
+    pub fn emit_header_to(&self, out: &mut [u8]) {
+        out[0..6].copy_from_slice(&self.dst.0);
+        out[6..12].copy_from_slice(&self.src.0);
+        set_u16(out, 12, u16::from(self.ethertype));
     }
 }
 

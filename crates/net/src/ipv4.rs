@@ -118,19 +118,20 @@ impl Ipv4Header {
         let total = IPV4_HEADER_LEN + payload.len();
         let mut h = *self;
         h.total_len = total as u16;
-        let mut b = Vec::with_capacity(total);
-        h.emit_header_into(&mut b);
-        b.extend_from_slice(payload);
+        let mut b = vec![0; total];
+        h.emit_header_to(&mut b);
+        b[IPV4_HEADER_LEN..].copy_from_slice(payload);
         b
     }
 
-    /// Append the 20-byte header (with checksum) to `out`; the length
-    /// field is `total_len`, the caller appends that payload behind it.
-    pub fn emit_header_into(&self, out: &mut Vec<u8>) {
-        let mut b = [0u8; IPV4_HEADER_LEN];
+    /// Write the 20-byte header (with checksum) over the front of `out`;
+    /// the length field is `total_len`, the payload goes behind it.
+    pub fn emit_header_to(&self, out: &mut [u8]) {
+        let b = &mut out[..IPV4_HEADER_LEN];
+        b.fill(0);
         b[0] = 0x45; // version 4, IHL 5
-        set_u16(&mut b, 2, self.total_len);
-        set_u16(&mut b, 4, self.ident);
+        set_u16(b, 2, self.total_len);
+        set_u16(b, 4, self.ident);
         let mut ff = (self.frag_offset / 8) & 0x1FFF;
         if self.dont_frag {
             ff |= 0x4000;
@@ -138,14 +139,13 @@ impl Ipv4Header {
         if self.more_frags {
             ff |= 0x2000;
         }
-        set_u16(&mut b, 6, ff);
+        set_u16(b, 6, ff);
         b[8] = self.ttl;
         b[9] = u8::from(self.protocol);
         b[12..16].copy_from_slice(&self.src.octets());
         b[16..20].copy_from_slice(&self.dst.octets());
-        let c = checksum::checksum(&b);
-        set_u16(&mut b, 10, c);
-        out.extend_from_slice(&b);
+        let c = checksum::checksum(b);
+        set_u16(b, 10, c);
     }
 }
 

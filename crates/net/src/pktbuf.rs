@@ -3,11 +3,17 @@
 //! The NEaT fast path (§3.4) never copies payload between pipeline stages:
 //! NIC → driver → IP → TCP → socket hand over *ownership* of a buffer, not
 //! its bytes. This module gives the simulated pipeline the same shape: a
-//! frame is granted once ([`PktBuf::from_vec`] takes the producer's bytes,
-//! no copy), every later hop clones a cheap handle or takes a zero-copy
-//! `slice` view (header stripping), and the allocator gets the bytes back
-//! when the last handle drops. Nothing is recycled: there is no buffer
-//! pool behind this, only views.
+//! frame is granted once, every later hop clones a cheap handle or takes a
+//! zero-copy `slice` view (header stripping), and the allocator gets the
+//! bytes back when the last handle drops. Nothing is recycled: there is no
+//! buffer pool behind this, only views.
+//!
+//! A grant is one heap block: an `Rc<[u8]>` of the frame's exact length,
+//! whose refcounts sit in front of the bytes. [`PktBuf::build`] allocates
+//! it zeroed and lets the producer write the frame into it through
+//! `Rc::get_mut` — the only handle exists, so the write needs no `unsafe`
+//! and the bytes are never copied. [`PktBuf::from_vec`] is the adaptor for
+//! bytes that already exist elsewhere: it copies them into a fresh block.
 //!
 //! Per-thread counters keep grant/return accounting so teardown can assert
 //! that no buffer leaked ([`assert_quiescent`]), and count every view that
@@ -18,6 +24,7 @@
 
 use std::cell::RefCell;
 use std::fmt;
+use std::iter;
 use std::ops::Deref;
 use std::rc::Rc;
 
@@ -52,40 +59,45 @@ fn with_state<R>(f: impl FnOnce(&mut State) -> R) -> R {
     STATE.with(|p| f(&mut p.borrow_mut()))
 }
 
-/// The backing storage. Its `Drop` settles the grant accounting — it runs
-/// exactly once, when the last [`PktBuf`] handle goes away.
-struct PktStorage {
-    data: Vec<u8>,
-}
-
-impl Drop for PktStorage {
-    fn drop(&mut self) {
-        with_state(|p| p.stats.outstanding = p.stats.outstanding.saturating_sub(1));
-    }
-}
-
 /// A cheap handle onto an immutable packet buffer, with an
 /// `(offset, len)` window for zero-copy header stripping. `Clone` is a
-/// refcount bump; `Deref` yields the windowed bytes.
+/// refcount bump; `Deref` yields the windowed bytes. 24 bytes: the slice
+/// pointer and a `u32` window (a frame is far below 4 GiB).
 #[derive(Clone)]
 pub struct PktBuf {
-    storage: Rc<PktStorage>,
-    off: usize,
-    len: usize,
+    storage: Rc<[u8]>,
+    off: u32,
+    len: u32,
 }
 
 impl PktBuf {
-    /// Grant a buffer by taking ownership of existing bytes (no copy).
+    /// Grant a `len`-byte buffer and let `fill` write it in place. One
+    /// allocation: `repeat_n` has an exact length, so the `Rc<[u8]>` is
+    /// sized once, and the fresh `Rc` is the only handle `get_mut` needs.
+    pub fn build(len: usize, fill: impl FnOnce(&mut [u8])) -> PktBuf {
+        let mut storage: Rc<[u8]> = iter::repeat_n(0, len).collect();
+        if let Some(bytes) = Rc::get_mut(&mut storage) {
+            fill(bytes);
+        }
+        Self::grant(storage)
+    }
+
+    /// Grant a buffer holding a copy of `data` (tests and cold paths; the
+    /// frame paths [`build`](Self::build) in place).
     pub fn from_vec(data: Vec<u8>) -> PktBuf {
-        let len = data.len();
+        Self::grant(Rc::from(data))
+    }
+
+    fn grant(storage: Rc<[u8]>) -> PktBuf {
+        assert!(storage.len() <= u32::MAX as usize, "a frame is under 4 GiB");
         with_state(|p| {
             p.stats.grants += 1;
             p.stats.outstanding += 1;
         });
         PktBuf {
-            storage: Rc::new(PktStorage { data }),
+            len: storage.len() as u32,
+            storage,
             off: 0,
-            len,
         }
     }
 
@@ -93,17 +105,24 @@ impl PktBuf {
     /// the header-strip operation: IP hands TCP the L4 bytes without
     /// touching the frame.
     pub fn slice(&self, off: usize, len: usize) -> PktBuf {
-        assert!(off + len <= self.len, "slice out of bounds");
+        assert!(off + len <= self.len(), "slice out of bounds");
         with_state(|p| p.stats.copies_avoided += 1);
         PktBuf {
             storage: Rc::clone(&self.storage),
-            off: self.off + off,
-            len,
+            off: self.off + off as u32,
+            len: len as u32,
         }
     }
 
+    /// The window's bytes, writable while this is the storage's only
+    /// handle (a frame not yet handed on); `None` once it is shared.
+    pub fn get_mut(&mut self) -> Option<&mut [u8]> {
+        let window = self.off as usize..(self.off + self.len) as usize;
+        Rc::get_mut(&mut self.storage).map(|b| &mut b[window])
+    }
+
     pub fn len(&self) -> usize {
-        self.len
+        self.len as usize
     }
 
     pub fn is_empty(&self) -> bool {
@@ -121,10 +140,19 @@ impl PktBuf {
     }
 }
 
+/// The last handle of a storage returns its grant.
+impl Drop for PktBuf {
+    fn drop(&mut self) {
+        if Rc::strong_count(&self.storage) == 1 {
+            with_state(|p| p.stats.outstanding = p.stats.outstanding.saturating_sub(1));
+        }
+    }
+}
+
 impl Deref for PktBuf {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        &self.storage.data[self.off..self.off + self.len]
+        &self.storage[self.off as usize..(self.off + self.len) as usize]
     }
 }
 
@@ -223,5 +251,93 @@ mod tests {
         assert_eq!(stats().outstanding, 1, "view keeps storage alive");
         drop(l4);
         assert_quiescent();
+    }
+
+    /// `PktBuf` rides in `Msg` and in every queued frame: it may not grow
+    /// past the 24 bytes of the `Vec`-era handle it replaced.
+    #[test]
+    fn size_is_pinned() {
+        assert_eq!(std::mem::size_of::<PktBuf>(), 24);
+    }
+
+    #[test]
+    fn build_writes_in_place_and_get_mut_needs_the_only_handle() {
+        reset();
+        let mut f = PktBuf::build(6, |b| b.copy_from_slice(b"abcdef"));
+        assert_eq!(&f[..], b"abcdef");
+        assert_eq!(stats().grants, 1);
+        let mut l4 = f.slice(2, 3);
+        assert!(f.get_mut().is_none() && l4.get_mut().is_none(), "shared");
+        drop(f);
+        l4.get_mut().unwrap().copy_from_slice(b"XYZ");
+        assert_eq!(&l4[..], b"XYZ");
+        drop(l4);
+        assert_quiescent();
+    }
+
+    /// Random build / clone / slice / drop sequences: after every step one
+    /// grant is outstanding per storage some live handle still holds, and
+    /// every build counted one grant; dropping what is left quiesces.
+    #[test]
+    fn grants_follow_the_storages_handles_hold() {
+        use neat_util::check::{check, vec_of, Config};
+        use neat_util::prop_assert_eq;
+        check(
+            "grants_follow_the_storages_handles_hold",
+            Config::default().cases(256),
+            |rng| {
+                vec_of(rng, 0..40, |r| {
+                    (r.gen_range(0u8..4), r.gen::<u16>(), r.gen::<u16>())
+                })
+            },
+            |ops| {
+                reset();
+                // Each live handle beside the build it came from and the
+                // bytes its window must show.
+                let mut live: Vec<(PktBuf, usize, Vec<u8>)> = Vec::new();
+                let mut builds = 0u64;
+                for (op, a, b) in ops {
+                    let (a, b) = (a as usize, b as usize);
+                    match op {
+                        0 => {
+                            let bytes: Vec<u8> =
+                                (0..a % 48).map(|i| (i + builds as usize) as u8).collect();
+                            let f = if b % 2 == 0 {
+                                PktBuf::build(bytes.len(), |w| w.copy_from_slice(&bytes))
+                            } else {
+                                PktBuf::from_vec(bytes.clone())
+                            };
+                            live.push((f, builds as usize, bytes));
+                            builds += 1;
+                        }
+                        _ if live.is_empty() => {}
+                        1 => {
+                            let (f, id, bytes) = &live[a % live.len()];
+                            let c = (f.clone(), *id, bytes.clone());
+                            live.push(c);
+                        }
+                        2 => {
+                            let (f, id, bytes) = &live[a % live.len()];
+                            let off = b % (f.len() + 1);
+                            let len = (a / 7) % (f.len() - off + 1);
+                            let v = (f.slice(off, len), *id, bytes[off..off + len].to_vec());
+                            live.push(v);
+                        }
+                        _ => drop(live.swap_remove(a % live.len())),
+                    }
+                    let mut ids: Vec<usize> = live.iter().map(|(_, id, _)| *id).collect();
+                    ids.sort_unstable();
+                    ids.dedup();
+                    prop_assert_eq!(stats().outstanding, ids.len() as u64);
+                    prop_assert_eq!(stats().grants, builds);
+                    for (f, _, bytes) in &live {
+                        prop_assert_eq!(&f[..], &bytes[..]);
+                    }
+                }
+                drop(live);
+                assert_quiescent();
+                Ok(())
+            },
+        );
     }
 }

@@ -266,18 +266,48 @@ impl TcpHeader {
     /// `parts` in order (a stream buffer hands over its two halves) — and
     /// patch the checksum in place. One reservation, no other allocation.
     pub fn emit_into(&self, out: &mut Vec<u8>, parts: &[&[u8]], src: Ipv4Addr, dst: Ipv4Addr) {
-        let mut opts = [1u8; 8]; // NOP-padded to a multiple of 4
+        let (h, hlen) = self.header();
+        let start = out.len();
+        out.reserve(hlen + parts.iter().map(|p| p.len()).sum::<usize>());
+        out.extend_from_slice(&h[..hlen]);
+        for p in parts {
+            out.extend_from_slice(p);
+        }
+        set_checksum(&mut out[start..], src, dst);
+    }
+
+    /// [`emit_into`](Self::emit_into) over the front of `out`, which holds
+    /// at least the header, its options and `parts`.
+    pub fn emit_to(&self, out: &mut [u8], parts: &[&[u8]], src: Ipv4Addr, dst: Ipv4Addr) {
+        let (h, mut at) = self.header();
+        out[..at].copy_from_slice(&h[..at]);
+        for p in parts {
+            out[at..at + p.len()].copy_from_slice(p);
+            at += p.len();
+        }
+        set_checksum(&mut out[..at], src, dst);
+    }
+
+    /// The header and its NOP-padded options, checksum zero; and their
+    /// length.
+    fn header(&self) -> ([u8; TCP_HEADER_LEN + 8], usize) {
+        let mut h = [0u8; TCP_HEADER_LEN + 8];
         let mut olen = 0;
         if let Some(mss) = self.mss {
-            opts[..4].copy_from_slice(&[2, 4, (mss >> 8) as u8, mss as u8]);
+            h[TCP_HEADER_LEN..TCP_HEADER_LEN + 4].copy_from_slice(&[
+                2,
+                4,
+                (mss >> 8) as u8,
+                mss as u8,
+            ]);
             olen = 4;
         }
         if let Some(ws) = self.window_scale {
-            opts[olen..olen + 3].copy_from_slice(&[3, 3, ws]);
+            let o = TCP_HEADER_LEN + olen;
+            h[o..o + 4].copy_from_slice(&[3, 3, ws, 1]);
             olen += 4;
         }
         let data_off = TCP_HEADER_LEN + olen;
-        let mut h = [0u8; TCP_HEADER_LEN];
         set_u16(&mut h, 0, self.src_port);
         set_u16(&mut h, 2, self.dst_port);
         set_u32(&mut h, 4, self.seq.0);
@@ -285,24 +315,21 @@ impl TcpHeader {
         h[12] = ((data_off / 4) as u8) << 4;
         h[13] = self.flags.to_byte();
         set_u16(&mut h, 14, self.window);
-        let start = out.len();
-        out.reserve(data_off + parts.iter().map(|p| p.len()).sum::<usize>());
-        out.extend_from_slice(&h);
-        out.extend_from_slice(&opts[..olen]);
-        for p in parts {
-            out.extend_from_slice(p);
-        }
-        let seg = &mut out[start..];
-        let mut c = pseudo_header(src, dst, 6, seg.len() as u16);
-        c.add(seg);
-        let csum = c.finish();
-        set_u16(seg, 16, csum);
+        (h, data_off)
     }
 
     /// Sequence space consumed by this segment (SYN/FIN count as one).
     pub fn seq_len(&self, payload_len: usize) -> u32 {
         payload_len as u32 + self.flags.syn as u32 + self.flags.fin as u32
     }
+}
+
+/// Sum `seg` over the IPv4 pseudo-header into its checksum field.
+fn set_checksum(seg: &mut [u8], src: Ipv4Addr, dst: Ipv4Addr) {
+    let mut c = pseudo_header(src, dst, 6, seg.len() as u16);
+    c.add(seg);
+    let csum = c.finish();
+    set_u16(seg, 16, csum);
 }
 
 #[cfg(test)]

@@ -333,13 +333,19 @@ fn tcp_emit_into_matches_legacy_emit() {
             h.emit_into(&mut out, &[a, b], src, dst);
             prop_assert_eq!(&out[..prefix.len()], &prefix[..]);
             prop_assert_eq!(&out[prefix.len()..], &want[..]);
+            // The slice form writes the same bytes over whatever the buffer
+            // held, and nothing behind them.
+            let mut over = [&prefix[..], &want[..], &prefix[..]].concat();
+            over[prefix.len()..prefix.len() + want.len()].fill(!cut as u8);
+            h.emit_to(&mut over[prefix.len()..], &[a, b], src, dst);
+            prop_assert_eq!(&over, &[&prefix[..], &want[..], &prefix[..]].concat());
             Ok(())
         },
     );
 }
 
-/// The IPv4 and Ethernet header writers append what the `Vec`-returning
-/// `emit`s put in front of the payload.
+/// The IPv4 and Ethernet header writers write what the `Vec`-returning
+/// `emit`s put in front of the payload, over whatever the buffer held.
 #[test]
 fn ip_and_ethernet_header_writers_match_emit() {
     check(
@@ -365,10 +371,9 @@ fn ip_and_ethernet_header_writers_match_emit() {
                 src: MacAddr::local(proto),
                 ethertype: EtherType::from(ident),
             };
-            let mut out = prefix.clone();
-            eth.emit_header_into(&mut out);
-            ip.emit_header_into(&mut out);
-            out.extend_from_slice(&payload);
+            let mut out = [&prefix[..], &[ttl ^ 0x5A; 34], &payload[..]].concat();
+            eth.emit_header_to(&mut out[prefix.len()..]);
+            ip.emit_header_to(&mut out[prefix.len() + 14..]);
             prop_assert_eq!(&out[..prefix.len()], &prefix[..]);
             prop_assert_eq!(&out[prefix.len()..], &eth.emit(&ip.emit(&payload))[..]);
             // ...and the length field of `emit` is the payload's own.

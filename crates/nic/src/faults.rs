@@ -65,12 +65,13 @@ impl FaultInjector {
             && !frame.is_empty()
             && self.rng.gen_range(0u32..100) < self.cfg.corrupt_pct as u32
         {
-            let mut bytes = frame.to_vec();
-            let idx = self.rng.gen_range(0..bytes.len());
+            let idx = self.rng.gen_range(0..frame.len());
             let bit = 1u8 << self.rng.gen_range(0u32..8);
-            bytes[idx] ^= bit;
             self.corrupted += 1;
-            return FaultOutcome::Corrupted(PktBuf::from_vec(bytes));
+            return FaultOutcome::Corrupted(PktBuf::build(frame.len(), |b| {
+                b.copy_from_slice(&frame);
+                b[idx] ^= bit;
+            }));
         }
         self.passed += 1;
         FaultOutcome::Pass(frame)

@@ -124,11 +124,14 @@ impl Steering {
     fn hash_accepting(&self, key: &FlowKey) -> usize {
         let mut open = (0..self.accepting.len()).filter(|&q| self.accepting[q]);
         let n = open.clone().count();
-        if n == 0 {
-            return self.rss.queue_for(key, self.num_queues);
+        // `queue_for(_, n) < n`, so with a queue open `nth` finds one.
+        if let Some(q) = (n > 0)
+            .then(|| open.nth(self.rss.queue_for(key, n)))
+            .flatten()
+        {
+            return q;
         }
-        open.nth(self.rss.queue_for(key, n))
-            .expect("queue_for(_, n) < n")
+        self.rss.queue_for(key, self.num_queues)
     }
 
     /// Classify with flow tracking (the data-plane fast path of a tracking

@@ -10,6 +10,9 @@ use neat_net::ipv4::{IpProtocol, Ipv4Header, IPV4_HEADER_LEN};
 use neat_net::tcp::{TcpHeader, TCP_HEADER_LEN};
 use neat_net::PktBuf;
 
+/// Where a cut segment's TCP header starts.
+const L4_OFF: usize = ETHERNET_HEADER_LEN + IPV4_HEADER_LEN;
+
 /// Split an Ethernet frame carrying an oversized IPv4/TCP payload into
 /// MSS-sized frames, one fresh buffer per segment. Everything else — not
 /// IPv4, not TCP, a header that does not parse or verify, a payload already
@@ -53,13 +56,15 @@ pub fn cut(frame: &[u8], mss: usize, each: impl FnMut(PktBuf)) -> Option<()> {
         // here never carry them, but clear defensively.
         h.mss = None;
         h.window_scale = None;
-        // All three headers and the chunk go into the one buffer granted.
+        // All three headers and the chunk are written into the one buffer
+        // granted, in place.
         let l4_len = TCP_HEADER_LEN + chunk.len();
-        let mut f = Vec::with_capacity(ETHERNET_HEADER_LEN + IPV4_HEADER_LEN + l4_len);
-        eth.emit_header_into(&mut f);
-        Ipv4Header::new(ip.src, ip.dst, IpProtocol::Tcp, l4_len).emit_header_into(&mut f);
-        h.emit_into(&mut f, &[chunk], ip.src, ip.dst);
-        PktBuf::from_vec(f)
+        PktBuf::build(L4_OFF + l4_len, |f| {
+            eth.emit_header_to(f);
+            Ipv4Header::new(ip.src, ip.dst, IpProtocol::Tcp, l4_len)
+                .emit_header_to(&mut f[ETHERNET_HEADER_LEN..]);
+            h.emit_to(&mut f[L4_OFF..], &[chunk], ip.src, ip.dst);
+        })
     };
     payload.chunks(mss).enumerate().map(segment).for_each(each);
     Some(())

@@ -8,8 +8,9 @@
 #
 # Usage:
 #   scripts/ci.sh                 # every tier (the full gate)
-#   scripts/ci.sh --tier1         # size + one-builder + no-source-text +
-#                                 # no-default-hasher guards, build, test,
+#   scripts/ci.sh --tier1         # size + panic-site + one-builder +
+#                                 # no-source-text + no-default-hasher
+#                                 # guards, build, test,
 #                                 # pinned-shapes guard, fmt, clippy
 #   scripts/ci.sh --tier2         # quick benches + regression gates
 #                                 # (expects a tier-1 build already present)
@@ -60,19 +61,50 @@ module_size_guard() {
     fi
 }
 
-# Deployed line count (ROADMAP item 5's measure; reported, gates nothing):
-# non-blank lines of every `crates/*/src` file less the test-only files
-# (`*_tests.rs`, `proptests.rs`, `tests_components.rs`), each file cut
-# where the text `#[cfg(test)]` first occurs on a line — in a doc comment
-# too, which is where `fault.rs` first names it. (Cutting at the first
-# attribute line instead counts that file's doc-to-attribute span too.)
-deployed_line_count() {
+# Run the awk program "$1" over the deployed sources: every `crates/*/src`
+# file less the test-only files (`*_tests.rs`, `proptests.rs`,
+# `tests_components.rs`), each file cut where the text `#[cfg(test)]`
+# first occurs on a line — in a doc comment too, which is where `fault.rs`
+# first names it. (Cutting at the first attribute line instead counts that
+# file's doc-to-attribute span too.) "$1" sees only the lines before the cut.
+deployed_awk() {
     find crates -path '*/src/*' -name '*.rs' ! -name '*_tests.rs' \
         ! -name 'proptests.rs' ! -name 'tests_components.rs' -exec awk '
         FNR == 1 { cut = 0 }
         index($0, "#[cfg(test)]") { cut = 1 }
-        !cut && NF { n++ }
-        END { print n + 0 }' {} + | awk '{ s += $1 } END { print s }'
+        cut { next }
+        '"$1" {} +
+}
+
+# Deployed line count (ROADMAP item 5's measure; reported, gates nothing):
+# the non-blank lines of the deployed sources.
+deployed_line_count() {
+    deployed_awk 'NF { n++ } END { print n + 0 }' | awk '{ s += $1 } END { print s }'
+}
+
+# Panic-site guard (ROADMAP item 4(d)): every `unwrap()`, `.expect(`,
+# `panic!` and `unreachable!` on a non-comment line of the deployed sources
+# is one site, and the count is pinned. A data-path site becomes an error
+# or a counted drop; a survivor says in a comment why it cannot fire. The
+# pin moves down only, in the change that removes a site.
+PANIC_SITES=23
+panic_site_guard() {
+    sites=$(deployed_awk '
+        /^[ \t]*\/\// { next }
+        { k = gsub(/unwrap\(\)|\.expect\(|panic!|unreachable!/, "&") }
+        { for (i = 0; i < k; i++) print FILENAME ":" FNR }')
+    count=$(printf '%s' "$sites" | grep -c . || true)
+    if [ "$count" -gt "$PANIC_SITES" ]; then
+        echo "PANIC-SITE FAILURE: deployed code has $count unwrap()/.expect(/panic!/" >&2
+        echo "unreachable! sites, the pin is $PANIC_SITES: make the new one an error, a" >&2
+        echo "counted drop or a let-else. The sites:" >&2
+        echo "$sites" >&2
+        exit 1
+    elif [ "$count" -lt "$PANIC_SITES" ]; then
+        echo "PANIC-SITE FAILURE: deployed code has $count sites, fewer than the pin:" >&2
+        echo "lower PANIC_SITES in scripts/ci.sh to $count." >&2
+        exit 1
+    fi
 }
 
 # One-builder guard: stack components are constructed in replica.rs only
@@ -150,6 +182,8 @@ if [ "$TIER1" = 1 ]; then
     echo "==> [tier1] module-size guard (deployed sources <= 800 lines)"
     module_size_guard
     echo "==> [tier1] deployed non-test lines under crates/*/src: $(deployed_line_count)"
+    echo "==> [tier1] panic-site guard (deployed unwrap/expect/panic/unreachable sites = $PANIC_SITES)"
+    panic_site_guard
     echo "==> [tier1] one-builder guard (components constructed in replica.rs only)"
     one_builder_guard
     echo "==> [tier1] no-source-text guard (deployed code embeds no .rs file)"

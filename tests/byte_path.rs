@@ -95,22 +95,22 @@ impl Path {
     }
 }
 
-/// Allocations and bytes per 100 000 B reply, PR 21 → PR 22 → this tree:
-/// 853 allocations / 1 240 006 B → 369 / 627 878 B → 266 / 619 426 B (the
-/// counts repeat to the byte, debug and release; the last step is the
-/// per-segment event lists, the TSO cut's and `host_tx`'s lists and the
-/// client's segment buffer).
+/// Allocations and bytes per 100 000 B reply, PR 21 → PR 22 → PR 24 →
+/// this tree: 853 allocations / 1 240 006 B → 369 / 627 878 B → 266 /
+/// 619 426 B → 175 / 617 720 B (the counts repeat to the byte, debug and
+/// release; PR 24's step is the per-segment event lists, the TSO cut's and
+/// `host_tx`'s lists and the client's segment buffer; the last is one
+/// block per frame, built in place, where a frame was a `Vec` and an `Rc`).
 ///
 /// Where the rest goes: the send and receive rings each double their way
 /// to 64 KiB (2 × 112 KiB), `poll_wire`, `send_ip` and the TSO cut each
-/// build a segment in one exact-size buffer (3 × the reply), and every
-/// frame costs its `PktBuf` grant. Going lower needs the pinned
-/// `poll_wire` / `send_ip` shapes re-pinned to a headroom buffer (ROADMAP
-/// item C).
+/// build a segment in one exact-size buffer (3 × the reply). Going lower
+/// needs the pinned `poll_wire` / `send_ip` shapes re-pinned to a headroom
+/// buffer (ROADMAP item C).
 #[test]
 fn allocations_per_reply_are_pinned() {
-    const MAX_ALLOCS: u64 = 266;
-    const MAX_BYTES: u64 = 619_426;
+    const MAX_ALLOCS: u64 = 175;
+    const MAX_BYTES: u64 = 617_720;
 
     let mut p = Path::new();
     p.srv.handle_app(APP, Msg::Listen { port: 80, app: APP }, 0);
