@@ -160,8 +160,7 @@ impl FrameIo {
     /// buffer it leaves in.
     pub fn send_ip(&mut self, dst: Ipv4Addr, protocol: IpProtocol, payload: &[u8], now_ns: u64) {
         if let Some(mac) = self.arp.lookup(dst, now_ns) {
-            let f = self.ip_frame(mac, dst, protocol, payload);
-            self.out.push(f);
+            self.out.push(self.ip_frame(mac, dst, protocol, payload));
             return;
         }
         if self.pending.get(&dst).map_or(0, Vec::len) < MAX_PENDING_PER_DST {
