@@ -134,6 +134,97 @@ fn driver_tx_path_reaches_nic() {
     assert_eq!(nic_log.borrow().as_slice(), ["HostTx(100)"]);
 }
 
+/// Sends the driver `n` frames from one handler for each `(at_ns, n)`
+/// round, so a round of several frames reaches it as one coalesced run.
+struct Feeder {
+    drv: ProcId,
+    tx: bool,
+    rounds: Vec<(u64, usize)>,
+}
+
+impl Process<Msg> for Feeder {
+    fn name(&self) -> String {
+        "feeder".into()
+    }
+    fn on_event(&mut self, ctx: &mut Ctx<'_, Msg>, ev: Event<Msg>) {
+        match ev {
+            Event::Start => {
+                for &(at, n) in &self.rounds {
+                    ctx.set_timer(Time(at), n as u64);
+                }
+            }
+            Event::Timer { token } => {
+                for _ in 0..token {
+                    let frame = neat_net::PktBuf::from(vec![0u8; 60]);
+                    let msg = if self.tx {
+                        Msg::NetTx(frame)
+                    } else {
+                        Msg::RxFrame { queue: 0, frame }
+                    };
+                    ctx.send(self.drv, msg);
+                }
+            }
+            Event::Message { .. } => {}
+        }
+    }
+}
+
+/// The driver's busy time over `[0, 60 µs)` and `[60 µs, 200 µs)` on a
+/// batched sim: a run of three frames at 10 µs, a lone frame 2 µs later,
+/// and a lone frame at 100 µs.
+fn driver_busy_ns(tx: bool) -> [u64; 2] {
+    let mut sim: Sim<Msg> = Sim::new(SimConfig {
+        batch_ns: 1_000,
+        ..SimConfig::default()
+    });
+    let m = sim.add_machine(MachineSpec::amd_opteron_6168());
+    // The feeder and the receivers sit on a device thread, which never
+    // sleeps: the rounds leave on time, and the driver's sends pay no
+    // wake store, only the channel enqueue.
+    let dev = sim.add_device_thread(m);
+    let (nic, _) = probe(&mut sim, dev);
+    let (head, head_log) = probe(&mut sim, dev);
+    let th = sim.hw_thread(m, 2, 0);
+    let drv = sim.spawn(th, Box::new(DriverProc::new("drv", nic, 1)));
+    sim.send_external(drv, Msg::Announce { queue: 0, head });
+    let rounds = vec![(10_000, 3), (12_000, 1), (100_000, 1)];
+    let feeder = Feeder { drv, tx, rounds };
+    sim.spawn(dev, Box::new(feeder));
+    sim.run_until(Time::from_micros(5));
+    let setup = sim.thread_stats(th).busy_ns;
+    sim.run_until(Time::from_micros(60));
+    let first = sim.thread_stats(th).busy_ns;
+    sim.run_until(Time::from_micros(200));
+    let st = sim.thread_stats(th);
+    assert_eq!(st.events, 5, "Start, Announce and three wakeups");
+    assert_eq!(head_log.borrow().len(), if tx { 0 } else { 5 });
+    [first - setup, st.busy_ns - first]
+}
+
+#[test]
+fn driver_prices_a_run_vectored_and_a_lone_frame_by_its_window() {
+    use neat_sim::calibration::*;
+    let freq = MachineSpec::amd_opteron_6168().freq;
+    let ns = |cycles: u64| freq.cycles_to_time(cycles).as_nanos();
+    // Each wakeup: dispatch, descriptors, one send to the next hop and
+    // the cheaper appends behind it.
+    let wakeup =
+        |desc: u64, sends: u64| ns(MSG_RECV + desc + MSG_SEND + (sends - 1) * MSG_SEND_APPEND);
+    for (tx, cold, batched, vectored) in [
+        (false, DRV_RX_PKT, DRV_RX_PKT_BATCHED, DRV_RX_PKT_VECTORED),
+        (true, DRV_TX_PKT, DRV_TX_PKT_BATCHED, DRV_TX_PKT_VECTORED),
+    ] {
+        let run = wakeup(cold + 2 * vectored, 3);
+        let lone_in_window = wakeup(batched, 1);
+        let lone_cold = wakeup(cold, 1);
+        assert_eq!(
+            driver_busy_ns(tx),
+            [run + lone_in_window, lone_cold],
+            "tx={tx}: cold then vectored in a run, batched inside the window, cold after it"
+        );
+    }
+}
+
 #[test]
 fn driver_forwards_control_plane_to_nic() {
     let (mut sim, th) = mini_sim();
