@@ -184,6 +184,8 @@ pub struct HttperfProc {
     /// What the last `Readable` read: one buffer for every connection.
     rx: Vec<u8>,
     armed: Option<u64>,
+    /// A frame arrived this wakeup, so `settle` drains the stack.
+    drain_owed: bool,
     pub metrics: Rc<RefCell<ClientMetrics>>,
     obs: ClientObs,
 }
@@ -241,6 +243,7 @@ impl HttperfProc {
             io,
             conns: FxHashMap::default(),
             armed: None,
+            drain_owed: false,
             metrics,
             obs: ClientObs::new(),
         }
@@ -385,7 +388,7 @@ impl HttperfProc {
     }
 
     /// Classify one inbound frame and feed any TCP segment to the stack
-    /// (no flush — callers decide when to drain).
+    /// (no drain: `settle` runs it once per wakeup).
     fn absorb_frame(&mut self, ctx: &mut Ctx<'_, Msg>, frame: &neat_net::PktBuf) {
         let now = ctx.now().as_nanos();
         if let RxClass::Tcp { src, seg } = self.io.classify_rx(frame, now) {
@@ -424,24 +427,6 @@ impl HttperfProc {
 impl Process<Msg> for HttperfProc {
     fn name(&self) -> String {
         self.name.clone()
-    }
-
-    fn on_batch(&mut self, ctx: &mut Ctx<'_, Msg>, from: ProcId, msgs: &mut Vec<Msg>) {
-        // Amortized delivery: absorb every frame in the batch, then run
-        // the event/TX drain once for the whole run of responses.
-        let mut deferred_drain = false;
-        for msg in msgs.drain(..) {
-            match msg {
-                Msg::NetRx(frame) => {
-                    self.absorb_frame(ctx, &frame);
-                    deferred_drain = true;
-                }
-                other => self.on_event(ctx, Event::Message { from, msg: other }),
-            }
-        }
-        if deferred_drain {
-            self.drain(ctx);
-        }
     }
 
     fn on_event(&mut self, ctx: &mut Ctx<'_, Msg>, ev: Event<Msg>) {
@@ -490,9 +475,15 @@ impl Process<Msg> for HttperfProc {
             Event::Message { msg, .. } => {
                 if let Msg::NetRx(frame) = msg {
                     self.absorb_frame(ctx, &frame);
-                    self.drain(ctx);
+                    self.drain_owed = true;
                 }
             }
+        }
+    }
+
+    fn settle(&mut self, ctx: &mut Ctx<'_, Msg>) {
+        if std::mem::take(&mut self.drain_owed) {
+            self.drain(ctx);
         }
     }
 }

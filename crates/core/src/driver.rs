@@ -20,6 +20,8 @@ pub struct DriverProc {
     heads: Vec<Option<ProcId>>,
     /// End of the last descriptor operation (batch amortization).
     last_op_ns: u64,
+    /// A frame of this wakeup's run already paid the ring pass.
+    in_run: bool,
     obs: DriverObs,
 }
 
@@ -48,19 +50,25 @@ impl DriverProc {
             nic,
             heads: vec![None; queues],
             last_op_ns: 0,
+            in_run: false,
             obs: DriverObs::new(),
         }
     }
 
     /// NAPI-style batching: descriptor work within a batch window is much
-    /// cheaper than the first (cold) packet of a batch.
-    fn desc_cost(&mut self, now: u64, cold: u64, batched: u64) -> u64 {
-        let cost = if now.saturating_sub(self.last_op_ns) <= calibration::DRV_BATCH_WINDOW_NS {
+    /// cheaper than the first (cold) packet of a batch. A coalesced run of
+    /// frames is one vectored ring pass (§3.4): its first frame pays the
+    /// usual (possibly cold) cost, the rest the bulk `vectored` rate.
+    fn desc_cost(&mut self, now: u64, cold: u64, batched: u64, vectored: u64) -> u64 {
+        let cost = if self.in_run {
+            vectored
+        } else if now.saturating_sub(self.last_op_ns) <= calibration::DRV_BATCH_WINDOW_NS {
             batched
         } else {
             cold
         };
         self.last_op_ns = now;
+        self.in_run = true;
         cost
     }
 
@@ -99,56 +107,13 @@ impl DriverProc {
         if !neat_net::pktbuf::pooling() {
             ctx.charge(calibration::copy_cost(frame.len()));
         }
-        ctx.send(self.nic, Msg::HostTx(frame));
+        ctx.send(self.nic, Msg::NetTx(frame));
     }
 }
 
 impl Process<Msg> for DriverProc {
     fn name(&self) -> String {
         self.name.clone()
-    }
-
-    fn on_batch(&mut self, ctx: &mut Ctx<'_, Msg>, from: ProcId, msgs: &mut Vec<Msg>) {
-        // A coalesced run of frames is one vectored ring pass: the first
-        // frame pays the usual (possibly cold) descriptor cost, the rest
-        // pay the bulk vectored rate (§3.4; rx_pop_batch on the device
-        // side is the matching NIC-facing drain).
-        let mut in_run = false;
-        for msg in msgs.drain(..) {
-            match msg {
-                Msg::RxFrame { queue, frame } => {
-                    let now = ctx.now().as_nanos();
-                    let cost = if in_run {
-                        self.last_op_ns = now;
-                        calibration::DRV_RX_PKT_VECTORED
-                    } else {
-                        self.desc_cost(
-                            now,
-                            calibration::DRV_RX_PKT,
-                            calibration::DRV_RX_PKT_BATCHED,
-                        )
-                    };
-                    self.rx_frame(ctx, queue, frame, cost);
-                    in_run = true;
-                }
-                Msg::NetTx(frame) => {
-                    let now = ctx.now().as_nanos();
-                    let cost = if in_run {
-                        self.last_op_ns = now;
-                        calibration::DRV_TX_PKT_VECTORED
-                    } else {
-                        self.desc_cost(
-                            now,
-                            calibration::DRV_TX_PKT,
-                            calibration::DRV_TX_PKT_BATCHED,
-                        )
-                    };
-                    self.tx_frame(ctx, frame, cost);
-                    in_run = true;
-                }
-                other => self.on_event(ctx, Event::Message { from, msg: other }),
-            }
-        }
     }
 
     fn on_event(&mut self, ctx: &mut Ctx<'_, Msg>, ev: Event<Msg>) {
@@ -163,6 +128,7 @@ impl Process<Msg> for DriverProc {
                     now,
                     calibration::DRV_RX_PKT,
                     calibration::DRV_RX_PKT_BATCHED,
+                    calibration::DRV_RX_PKT_VECTORED,
                 );
                 self.rx_frame(ctx, queue, frame, cost);
             }
@@ -173,6 +139,7 @@ impl Process<Msg> for DriverProc {
                     now,
                     calibration::DRV_TX_PKT,
                     calibration::DRV_TX_PKT_BATCHED,
+                    calibration::DRV_TX_PKT_VECTORED,
                 );
                 self.tx_frame(ctx, frame, cost);
             }
@@ -206,6 +173,10 @@ impl Process<Msg> for DriverProc {
             Msg::Poison => ctx.crash_self(),
             _ => {}
         }
+    }
+
+    fn settle(&mut self, _ctx: &mut Ctx<'_, Msg>) {
+        self.in_run = false;
     }
 }
 

@@ -63,7 +63,7 @@ impl Process<Msg> for IpProc {
         match ev {
             Event::Start | Event::Timer { .. } => {}
             Event::Message { msg, .. } => match msg {
-                Msg::PfPass(frame) | Msg::NetRx(frame) => {
+                Msg::NetRx(frame) => {
                     ctx.charge(calibration::IP_RX_PKT);
                     if !neat_net::pktbuf::pooling() {
                         // Copy-charge ablation: without views the header

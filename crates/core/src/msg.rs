@@ -34,8 +34,6 @@ pub enum Msg {
     WireFrame(PktBuf),
     /// NIC → driver: a received frame, already steered to a queue.
     RxFrame { queue: usize, frame: PktBuf },
-    /// Driver → NIC: transmit this frame (NIC applies TSO).
-    HostTx(PktBuf),
     /// Driver → NIC control plane: add an exact-match steering filter.
     NicAddFilter {
         flow: neat_net::FlowKey,
@@ -52,12 +50,15 @@ pub enum Msg {
     // ------------------------------------------------------------------
     // Driver ↔ stack components
     // ------------------------------------------------------------------
-    /// Driver → first stack component of a replica: an inbound frame.
-    /// Carries a refcounted [`PktBuf`] handle, not a copy (§3.2: packets
-    /// traverse the pipeline by reference through shared pools).
+    /// An inbound frame, on every hop after the driver's queue: driver →
+    /// first stack component (or a monolith context), packet filter → IP,
+    /// client NIC → load-generator stack. Carries a refcounted [`PktBuf`]
+    /// handle, not a copy (§3.2: packets traverse the pipeline by
+    /// reference through shared pools).
     NetRx(PktBuf),
-    /// Stack component → driver: an outbound frame (same zero-copy handle
-    /// discipline).
+    /// An outbound frame, on every hop to the wire: stack component →
+    /// driver → NIC (which applies TSO), or a monolith context or load
+    /// generator → its NIC (same zero-copy handle discipline).
     NetTx(PktBuf),
     /// A (re)started replica announces itself to the driver: frames for
     /// `queue` may flow again (§3.6: the driver withholds packets until the
@@ -67,8 +68,6 @@ pub enum Msg {
     // ------------------------------------------------------------------
     // Multi-component pipeline (PF → IP → TCP/UDP)
     // ------------------------------------------------------------------
-    /// Packet filter → IP: an accepted inbound frame.
-    PfPass(PktBuf),
     /// IP → TCP: a validated TCP segment with the source address. The
     /// segment is a zero-copy window into the original frame buffer (the
     /// IP header is stripped by narrowing the handle, not by copying).

@@ -94,48 +94,12 @@ impl Process<Msg> for NicProc {
         self.name.clone()
     }
 
-    fn dispatch_cost(&self) -> u64 {
-        0 // device pipeline costs are charged explicitly in ns
-    }
-
-    fn on_batch(&mut self, ctx: &mut Ctx<'_, Msg>, from: ProcId, msgs: &mut Vec<Msg>) {
-        // A coalesced run of wire frames: push them all into the RX rings,
-        // then drain each touched queue once — one descriptor-ring pass
-        // per batch instead of one per frame.
-        if let NicMode::Server { driver } = &self.mode {
-            let driver = *driver;
-            if msgs.iter().all(|m| matches!(m, Msg::WireFrame(_))) {
-                let now = ctx.now().as_nanos();
-                let mut touched: Vec<usize> = Vec::new();
-                for msg in msgs.drain(..) {
-                    let Msg::WireFrame(frame) = msg else { continue };
-                    ctx.charge_ns(calibration::NIC_DESC_NS);
-                    if let Some(q) = self.nic.wire_rx(frame, now) {
-                        if !touched.contains(&q) {
-                            touched.push(q);
-                        }
-                    }
-                }
-                for q in touched {
-                    for f in self.nic.rx_pop_batch(q, usize::MAX) {
-                        ctx.send(driver, Msg::RxFrame { queue: q, frame: f });
-                    }
-                }
-                return;
-            }
-        }
-        for msg in msgs.drain(..) {
-            self.on_event(ctx, Event::Message { from, msg });
-        }
-    }
-
     fn on_event(&mut self, ctx: &mut Ctx<'_, Msg>, ev: Event<Msg>) {
         match ev {
             Event::Start => {}
             Event::Timer { .. } => {}
             Event::Message { from, msg } => match msg {
                 Msg::WireFrame(frame) => self.receive(ctx, frame),
-                Msg::HostTx(frame) => self.transmit(ctx, frame),
                 Msg::NetTx(frame) => {
                     // Client-hub: learn the sender's ports from its flows.
                     if matches!(self.mode, NicMode::ClientHub) {

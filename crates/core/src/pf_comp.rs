@@ -54,7 +54,7 @@ impl Process<Msg> for PfProc {
                 Msg::NetRx(frame) => {
                     ctx.charge(calibration::PF_PKT);
                     if let Some(ip) = self.ip {
-                        ctx.send(ip, Msg::PfPass(frame));
+                        ctx.send(ip, Msg::NetRx(frame));
                     }
                 }
                 Msg::SetNeighbor { role, pid } => match role {

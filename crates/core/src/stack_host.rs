@@ -43,6 +43,8 @@ pub struct StackHost {
     /// Termination state (§3.4): no new work; report when drained.
     terminating: bool,
     drained_reported: bool,
+    /// A frame arrived this wakeup, so [`StackHost::settle`] flushes.
+    flush_owed: bool,
     /// Earliest armed timer deadline (avoid timer storms).
     armed: Option<u64>,
     /// The segment a flush is handing to the wire: one buffer for all.
@@ -65,6 +67,7 @@ impl StackHost {
             repl: FlowRepl::new(cfg),
             terminating: false,
             drained_reported: false,
+            flush_owed: false,
             armed: None,
             seg: Vec::new(),
             layout_token: 0,
@@ -76,11 +79,24 @@ impl StackHost {
         self.layout_token = ctx.rng().gen();
     }
 
-    /// One inbound TCP segment from `src`. The caller owes a
-    /// [`StackHost::flush`] afterwards — once per batch, not per segment.
+    /// One inbound TCP segment from `src`. The caller's frame arm calls
+    /// [`StackHost::owe_flush`]: the flush runs once per wakeup, not per
+    /// segment.
     pub fn rx_segment(&mut self, ctx: &mut Ctx<'_, Msg>, src: Ipv4Addr, seg: &[u8]) {
         ctx.charge(calibration::TCP_RX_SEG);
         self.sock.rx_segment(src, seg, ctx.now().as_nanos());
+    }
+
+    /// An inbound frame was handled: flush at the end of this wakeup.
+    pub fn owe_flush(&mut self) {
+        self.flush_owed = true;
+    }
+
+    /// `Process::settle`: the one flush a wakeup's frames owe.
+    pub fn settle<W: WireSink>(&mut self, ctx: &mut Ctx<'_, Msg>, wire: &mut W) {
+        if std::mem::take(&mut self.flush_owed) {
+            self.flush(ctx, wire);
+        }
     }
 
     /// `Event::Timer`.

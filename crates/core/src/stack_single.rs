@@ -111,24 +111,6 @@ impl Process<Msg> for SingleStackProc {
         self.name.clone()
     }
 
-    fn on_batch(&mut self, ctx: &mut Ctx<'_, Msg>, from: ProcId, msgs: &mut Vec<Msg>) {
-        // Amortized delivery: classify every frame in the batch, then run
-        // the TX/event flush once for the whole run of packets.
-        let mut deferred_flush = false;
-        for msg in msgs.drain(..) {
-            match msg {
-                Msg::NetRx(frame) => {
-                    self.handle_frame(ctx, frame);
-                    deferred_flush = true;
-                }
-                other => self.on_event(ctx, Event::Message { from, msg: other }),
-            }
-        }
-        if deferred_flush {
-            self.host.flush(ctx, &mut self.wire);
-        }
-    }
-
     fn on_event(&mut self, ctx: &mut Ctx<'_, Msg>, ev: Event<Msg>) {
         match ev {
             Event::Start => {
@@ -146,7 +128,7 @@ impl Process<Msg> for SingleStackProc {
             Event::Message { from, msg } => match msg {
                 Msg::NetRx(frame) => {
                     self.handle_frame(ctx, frame);
-                    self.host.flush(ctx, &mut self.wire);
+                    self.host.owe_flush();
                 }
                 Msg::UdpBind { port, app } => {
                     ctx.charge(calibration::SOCK_OP);
@@ -172,5 +154,9 @@ impl Process<Msg> for SingleStackProc {
                 other => self.host.on_msg(ctx, from, other, &mut self.wire),
             },
         }
+    }
+
+    fn settle(&mut self, ctx: &mut Ctx<'_, Msg>) {
+        self.host.settle(ctx, &mut self.wire);
     }
 }

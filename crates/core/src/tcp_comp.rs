@@ -64,24 +64,6 @@ impl Process<Msg> for TcpProc {
         self.name.clone()
     }
 
-    fn on_batch(&mut self, ctx: &mut Ctx<'_, Msg>, from: ProcId, msgs: &mut Vec<Msg>) {
-        // Amortized delivery: absorb every segment in the batch, then run
-        // the TX/event flush once for the whole run.
-        let mut deferred_flush = false;
-        for msg in msgs.drain(..) {
-            match msg {
-                Msg::IpRxTcp { src, seg } => {
-                    self.host.rx_segment(ctx, src, &seg);
-                    deferred_flush = true;
-                }
-                other => self.on_event(ctx, Event::Message { from, msg: other }),
-            }
-        }
-        if deferred_flush {
-            self.host.flush(ctx, &mut self.wire);
-        }
-    }
-
     fn on_event(&mut self, ctx: &mut Ctx<'_, Msg>, ev: Event<Msg>) {
         match ev {
             Event::Start => self.host.on_start(ctx),
@@ -89,7 +71,7 @@ impl Process<Msg> for TcpProc {
             Event::Message { from, msg } => match msg {
                 Msg::IpRxTcp { src, seg } => {
                     self.host.rx_segment(ctx, src, &seg);
-                    self.host.flush(ctx, &mut self.wire);
+                    self.host.owe_flush();
                 }
                 Msg::SetNeighbor {
                     role: Role::Ip,
@@ -100,5 +82,9 @@ impl Process<Msg> for TcpProc {
                 other => self.host.on_msg(ctx, from, other, &mut self.wire),
             },
         }
+    }
+
+    fn settle(&mut self, ctx: &mut Ctx<'_, Msg>) {
+        self.host.settle(ctx, &mut self.wire);
     }
 }

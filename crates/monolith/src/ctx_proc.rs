@@ -213,10 +213,6 @@ impl Process<Msg> for MonoIrqProc {
         self.name.clone()
     }
 
-    fn dispatch_cost(&self) -> u64 {
-        0 // routing fabric; CPU costs are charged at the contexts
-    }
-
     fn on_event(&mut self, ctx: &mut Ctx<'_, Msg>, ev: Event<Msg>) {
         if let Event::Message {
             msg: Msg::RxFrame { queue, frame },

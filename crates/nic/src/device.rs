@@ -139,10 +139,6 @@ impl Nic {
             .unwrap_or_default()
     }
 
-    pub fn rx_pending(&self, queue: usize) -> usize {
-        self.rx_rings.get(queue).map(|r| r.len()).unwrap_or(0)
-    }
-
     /// The host hands the NIC a frame for transmission: `each` gets the
     /// wire frames (after TSO) in order, each with its serialization time.
     pub fn host_tx_each(&mut self, frame: PktBuf, mut each: impl FnMut(PktBuf, Time)) {
@@ -231,7 +227,6 @@ mod tests {
         let q1 = nic.wire_rx(frame(1000, b"a").into(), 0).unwrap();
         let q2 = nic.wire_rx(frame(1000, b"b").into(), 0).unwrap();
         assert_eq!(q1, q2);
-        assert_eq!(nic.rx_pending(q1), 2);
         assert!(nic.rx_pop(q1).is_some());
         assert!(nic.rx_pop(q1).is_some());
         assert!(nic.rx_pop(q1).is_none());

@@ -40,11 +40,6 @@ impl LinkModel {
         let wire_bytes = (len as u64).max(MIN_FRAME) + WIRE_OVERHEAD_BYTES;
         Time::from_nanos(wire_bytes * 8 * 1_000_000_000 / self.bps)
     }
-
-    /// Theoretical frames/second at a given frame size.
-    pub fn max_fps(&self, len: usize) -> f64 {
-        1e9 / self.tx_time(len).as_nanos() as f64
-    }
 }
 
 #[cfg(test)]
@@ -64,13 +59,5 @@ mod tests {
         let l = LinkModel::ten_gbe();
         assert_eq!(l.tx_time(1), l.tx_time(60));
         assert!(l.tx_time(61) > l.tx_time(60));
-    }
-
-    #[test]
-    fn line_rate_packet_rate() {
-        let l = LinkModel::ten_gbe();
-        // 10GbE minimum-size frame rate ≈ 14.88 Mpps.
-        let fps = l.max_fps(60);
-        assert!((14.0e6..15.5e6).contains(&fps), "{fps}");
     }
 }

@@ -187,10 +187,6 @@ impl Steering {
         self.filters.remove(key);
     }
 
-    pub fn filter_count(&self) -> usize {
-        self.filters.len()
-    }
-
     /// Mark a queue as (not) accepting new flows — the lazy-termination
     /// control of §3.4: "instruct the NIC to distribute new connections
     /// only to replicas in nontermination state but continue to serve
@@ -316,7 +312,7 @@ mod tests {
             assert!(s.add_filter(key, 0));
         }
         assert!(!s.add_filter(FlowKey::tcp(SRC, 2000, DST, 80), 0));
-        assert_eq!(s.filter_count(), 4);
+        assert_eq!(s.filters.len(), 4);
     }
 
     #[test]

@@ -6,9 +6,9 @@
 use super::*;
 use std::mem::take;
 
-/// What the engine queues for a process: an [`Event`] for `on_event`, or a
-/// coalesced per-link run for `on_batch`. Private to the engine, so no
-/// `on_event` can be handed a batch.
+/// What the engine queues for a process: one [`Event`], or a coalesced
+/// per-link run that `execute` hands to `on_event` message by message in
+/// one wakeup.
 pub(super) enum Delivery<M> {
     Event(Event<M>),
     Batch { from: ProcId, msgs: Vec<M> },
@@ -292,7 +292,10 @@ impl<M: 'static> Sim<M> {
             sender_kind: kind,
             self_id: dst,
             start,
-            charged: proc.dispatch_cost(),
+            charged: match kind {
+                ThreadKind::Cpu => calibration::MSG_RECV,
+                ThreadKind::Device => 0,
+            },
             charged_ns: 0,
             outputs,
             die: None,
@@ -301,7 +304,9 @@ impl<M: 'static> Sim<M> {
         };
         let spent = match ev {
             Delivery::Batch { from, mut msgs } => {
-                proc.on_batch(&mut ctx, from, &mut msgs);
+                for msg in msgs.drain(..) {
+                    proc.on_event(&mut ctx, Event::Message { from, msg });
+                }
                 Some(msgs)
             }
             Delivery::Event(ev) => {
@@ -309,6 +314,7 @@ impl<M: 'static> Sim<M> {
                 None
             }
         };
+        proc.settle(&mut ctx);
         let Ctx {
             charged,
             charged_ns,

@@ -183,18 +183,11 @@ fn batching_coalesces_per_link_and_preserves_order() {
                 msg: TMsg::Ping(n), ..
             } = ev
             {
-                *self.wakeups.borrow_mut() += 1;
                 self.got.borrow_mut().push(n);
             }
         }
-        fn on_batch(&mut self, ctx: &mut Ctx<'_, TMsg>, from: ProcId, msgs: &mut Vec<TMsg>) {
+        fn settle(&mut self, _ctx: &mut Ctx<'_, TMsg>) {
             *self.wakeups.borrow_mut() += 1;
-            for msg in msgs.drain(..) {
-                if let TMsg::Ping(n) = msg {
-                    self.got.borrow_mut().push(n);
-                }
-                let _ = (from, &ctx);
-            }
         }
     }
     let mut sim: Sim<TMsg> = Sim::new(SimConfig {
@@ -224,7 +217,11 @@ fn batching_coalesces_per_link_and_preserves_order() {
     );
     sim.run_until(Time::from_millis(10));
     assert_eq!(*got.borrow(), (0..8).collect::<Vec<u32>>(), "FIFO order");
-    assert_eq!(*wakeups.borrow(), 1, "one wakeup for the whole burst");
+    assert_eq!(
+        *wakeups.borrow(),
+        2,
+        "Start, then one wakeup for the whole burst"
+    );
     let bs = sim.batch_stats();
     assert_eq!(bs.batch_deliveries, 1);
     assert_eq!(bs.batched_msgs, 8);
@@ -274,6 +271,81 @@ fn batch_max_flushes_early() {
     assert_eq!(bs.flush_depth, 2, "9 msgs at depth 4: two early flushes");
     assert_eq!(bs.flush_timer, 1, "the trailing message rides the horizon");
     assert_eq!(*got.borrow(), (0..9).collect::<Vec<u32>>());
+}
+
+#[test]
+fn settle_closes_every_wakeup_once() {
+    // Logs each `on_event` kind and each `settle`; dies on `Die`.
+    struct Logger(std::rc::Rc<std::cell::RefCell<Vec<String>>>);
+    impl Process<TMsg> for Logger {
+        fn name(&self) -> String {
+            "logger".into()
+        }
+        fn on_event(&mut self, ctx: &mut Ctx<'_, TMsg>, ev: Event<TMsg>) {
+            let entry = match ev {
+                Event::Start => {
+                    ctx.set_timer(Time::from_micros(20), 0);
+                    "start".to_string()
+                }
+                Event::Timer { .. } => "timer".to_string(),
+                Event::Message { msg: TMsg::Die, .. } => {
+                    ctx.crash_self();
+                    "die".to_string()
+                }
+                Event::Message { msg, .. } => format!("{msg:?}"),
+            };
+            self.0.borrow_mut().push(entry);
+        }
+        fn settle(&mut self, _ctx: &mut Ctx<'_, TMsg>) {
+            self.0.borrow_mut().push("settle".into());
+        }
+    }
+    // Sends each round from one handler: a run of three at Start, a lone
+    // message at 50 µs, and at 100 µs a run that kills the logger midway.
+    struct Rounds(ProcId);
+    impl Process<TMsg> for Rounds {
+        fn name(&self) -> String {
+            "rounds".into()
+        }
+        fn on_event(&mut self, ctx: &mut Ctx<'_, TMsg>, ev: Event<TMsg>) {
+            let round = match ev {
+                Event::Start => {
+                    ctx.set_timer(Time::from_micros(50), 1);
+                    ctx.set_timer(Time::from_micros(100), 2);
+                    vec![TMsg::Ping(0), TMsg::Ping(1), TMsg::Ping(2)]
+                }
+                Event::Timer { token: 1 } => vec![TMsg::Ping(3)],
+                Event::Timer { .. } => vec![TMsg::Ping(4), TMsg::Die, TMsg::Ping(5)],
+                Event::Message { .. } => vec![],
+            };
+            for msg in round {
+                ctx.send(self.0, msg);
+            }
+        }
+    }
+    let mut sim: Sim<TMsg> = Sim::new(SimConfig {
+        batch_ns: 2_000,
+        ..SimConfig::default()
+    });
+    let m = sim.add_machine(MachineSpec::amd_opteron_6168());
+    let log = std::rc::Rc::new(std::cell::RefCell::new(vec![]));
+    let logger = sim.spawn(sim.hw_thread(m, 0, 0), Box::new(Logger(log.clone())));
+    sim.spawn(sim.hw_thread(m, 1, 0), Box::new(Rounds(logger)));
+    sim.run_until(Time::from_micros(30));
+    sim.send_external(logger, TMsg::Pong(9));
+    sim.run_until(Time::from_millis(1));
+    let expect = [
+        "start", "settle", // Start
+        "Ping(0)", "Ping(1)", "Ping(2)", "settle", // a coalesced run
+        "timer", "settle", // a timer
+        "Pong(9)", "settle", // a lone external message
+        "Ping(3)", "settle", // a lone message from a process
+        "Ping(4)", "die", "Ping(5)", "settle", // the run finishes its loop
+    ];
+    assert_eq!(*log.borrow(), expect);
+    assert!(!sim.is_alive(logger));
+    let bs = sim.batch_stats();
+    assert_eq!((bs.batch_deliveries, bs.batched_msgs), (2, 6));
 }
 
 #[test]
@@ -791,14 +863,6 @@ fn every_body_slot_is_keyed_queued_or_free() {
                 Event::Message { msg: TMsg::Die, .. } => ctx.crash_self(),
                 Event::Message { .. } => ctx.charge(self.0),
                 _ => {}
-            }
-        }
-        fn on_batch(&mut self, ctx: &mut Ctx<'_, TMsg>, _from: ProcId, msgs: &mut Vec<TMsg>) {
-            for msg in msgs.drain(..) {
-                match msg {
-                    TMsg::Die => ctx.crash_self(),
-                    _ => ctx.charge(self.0),
-                }
             }
         }
     }

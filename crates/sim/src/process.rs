@@ -1,14 +1,13 @@
 //! The process abstraction: single-threaded, event-driven, isolated.
 //!
 //! A [`Process`] owns all of its state. The simulation gives it control only
-//! through [`Process::on_event`], and the only way it can affect the rest of
+//! through [`Process::on_event`], closing each wakeup with
+//! [`Process::settle`], and the only way it can affect the rest of
 //! the world is through the [`crate::Ctx`] passed to it — which offers
 //! message sends, timers, and process management, but **no shared memory**.
 //! This is the paper's isolation principle enforced by construction: "each
 //! process always modifies only its own data structures — except the
 //! messaging queues" (§3).
-
-use crate::time::Cycles;
 
 /// Identifies a process within a [`crate::Sim`].
 ///
@@ -48,28 +47,16 @@ pub trait Process<M>: 'static {
     fn name(&self) -> String;
 
     /// Handle one event, run-to-completion. All CPU work must be charged
-    /// via [`crate::Ctx::charge`] (or the event's base cost helpers).
+    /// via [`crate::Ctx::charge`]; the engine has already charged the
+    /// dispatch (`MSG_RECV` on a CPU thread, nothing on a device engine).
+    /// A coalesced run of messages from one sender (§3.4) arrives as one
+    /// `Event::Message` call per message, in send order, in one wakeup.
     fn on_event(&mut self, ctx: &mut crate::Ctx<'_, M>, ev: Event<M>);
 
-    /// Base CPU cost charged for every event dispatch before `on_event`
-    /// runs (queue dequeue etc.). Override to zero for device engines.
-    fn dispatch_cost(&self) -> Cycles {
-        crate::calibration::MSG_RECV
-    }
-
-    /// Handle a coalesced run of messages from one sender in a single
-    /// wakeup (§3.4: amortize dispatch and wake costs over the batch) — the
-    /// only way a batch reaches a process; `on_event` never sees one. The
-    /// default unrolls into per-message [`Process::on_event`] calls —
-    /// behaviour-identical to unbatched delivery, while the batch still
-    /// pays [`Process::dispatch_cost`] only once. Batch-aware processes
-    /// override this to amortize per-wakeup work (drain rings once, flush
-    /// once) across all `msgs`. The vector is lent so the engine can reuse
-    /// it for a later batch: take the messages out (`drain(..)`); whatever
-    /// is left in it is dropped.
-    fn on_batch(&mut self, ctx: &mut crate::Ctx<'_, M>, from: ProcId, msgs: &mut Vec<M>) {
-        for msg in msgs.drain(..) {
-            self.on_event(ctx, Event::Message { from, msg });
-        }
-    }
+    /// End of a wakeup: the engine calls this once after every dispatch —
+    /// after a lone event, or after the last message of a coalesced run —
+    /// even if the process crashed itself during it. Work owed once per
+    /// wakeup (drain a ring, flush a stack) goes here, so a run pays it
+    /// once across all its messages.
+    fn settle(&mut self, _ctx: &mut crate::Ctx<'_, M>) {}
 }

@@ -179,10 +179,6 @@ impl TcpSocket {
         self.fc.recv_buf.len()
     }
 
-    pub fn send_room(&self) -> usize {
-        self.rel.send_buf.room()
-    }
-
     /// Peer closed and all data has been drained — EOF for the app.
     pub fn at_eof(&self) -> bool {
         self.cm.peer_fin_rcvd && self.fc.recv_buf.is_empty()

@@ -36,11 +36,6 @@ impl TcpState {
             TcpState::Established | TcpState::FinWait1 | TcpState::FinWait2
         )
     }
-
-    /// Is the connection fully torn down (resources reclaimable)?
-    pub fn is_closed(self) -> bool {
-        matches!(self, TcpState::Closed)
-    }
 }
 
 impl fmt::Display for TcpState {
@@ -247,8 +242,6 @@ mod tests {
         assert!(!TcpState::FinWait1.can_send(), "we closed, no more sending");
         assert!(TcpState::FinWait1.can_recv());
         assert!(!TcpState::CloseWait.can_recv(), "peer already sent FIN");
-        assert!(TcpState::Closed.is_closed());
-        assert!(!TcpState::TimeWait.is_closed());
     }
 
     #[test]

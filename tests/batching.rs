@@ -1,7 +1,7 @@
 //! Full-stack batching equivalence (ISSUE: batched zero-copy message path).
 //!
-//! The per-link message coalescing in `neat-sim` and the batch-aware
-//! process overrides (`on_batch`) promise to be *behaviour-transparent*:
+//! The per-link message coalescing in `neat-sim` and the per-wakeup work
+//! processes defer to `settle` promise to be *behaviour-transparent*:
 //! they amortize wakeups and dispatch, but every application-visible byte
 //! stream must be identical with batching on and off. These tests assert
 //! that promise over a real two-machine deployment — client TCP stack,
@@ -89,6 +89,8 @@ struct FetchClient {
     issued: Vec<usize>,
     /// Response bytes consumed so far, per connection index.
     streams: Rc<RefCell<BTreeMap<usize, Vec<u8>>>>,
+    /// A frame arrived this wakeup, so `settle` drains the stack.
+    drain_owed: bool,
 }
 
 impl FetchClient {
@@ -104,6 +106,7 @@ impl FetchClient {
             idx: BTreeMap::new(),
             issued: vec![0; CONNS],
             streams,
+            drain_owed: false,
         }
     }
 
@@ -170,22 +173,6 @@ impl Process<Msg> for FetchClient {
         "fetch-client".into()
     }
 
-    fn on_batch(&mut self, ctx: &mut Ctx<'_, Msg>, from: ProcId, msgs: &mut Vec<Msg>) {
-        let mut any = false;
-        for msg in msgs.drain(..) {
-            match msg {
-                Msg::NetRx(frame) => {
-                    self.absorb(ctx, &frame);
-                    any = true;
-                }
-                other => self.on_event(ctx, Event::Message { from, msg: other }),
-            }
-        }
-        if any {
-            self.drain(ctx);
-        }
-    }
-
     fn on_event(&mut self, ctx: &mut Ctx<'_, Msg>, ev: Event<Msg>) {
         match ev {
             Event::Start => {
@@ -208,9 +195,15 @@ impl Process<Msg> for FetchClient {
             Event::Message { msg, .. } => {
                 if let Msg::NetRx(frame) = msg {
                     self.absorb(ctx, &frame);
-                    self.drain(ctx);
+                    self.drain_owed = true;
                 }
             }
+        }
+    }
+
+    fn settle(&mut self, ctx: &mut Ctx<'_, Msg>) {
+        if std::mem::take(&mut self.drain_owed) {
+            self.drain(ctx);
         }
     }
 }

@@ -66,8 +66,9 @@ impl Process<Tok> for Node {
 /// Allocations per 50 000 dispatched events after warm-up, parent (PR 22)
 /// → this tree: 53 756 (6 851 152 B) → 0. (At the parent: an `outputs` and a
 /// `woken_threads` vector per handler that sends, a `vec![msg]` per link
-/// batch and its regrowth. With `on_batch` still taking its vector by value
-/// the count would be 9 269, one per multi-message batch delivery.)
+/// batch and its regrowth. Were a batch's vector handed on by value instead
+/// of drained and recycled, the count would be 9 269, one per
+/// multi-message batch delivery.)
 #[test]
 fn a_warm_engine_dispatches_without_allocating() {
     const EVENTS: u64 = 50_000;
