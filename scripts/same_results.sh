@@ -9,7 +9,9 @@
 # bench_pairs.sh. It holds the exported parent tree, each side's cargo target
 # dir (<side>-target) and each side's run directory (<side>-run: a copy of
 # that side's baselines/, the results/ its suite writes, run_all.log).
-# Nothing is written under the repository.
+# Nothing is written under the repository. Give each checkout its own work
+# directory: cargo judges change-target fresh by the mtimes of the sources
+# it was built from, so a second checkout's edits there go unseen.
 #
 # The parent tree comes from `git archive` (no network, no worktree); both
 # sides build offline and --locked. Every file either side wrote under
