@@ -271,9 +271,9 @@ impl TcpSocket {
     pub fn on_timer(&mut self, now: u64) {
         if let Some(d) = self.cm.time_wait_deadline {
             if now >= d {
+                // `Closed` went out on entering TIME-WAIT; expiry is silent.
                 self.cm.time_wait_deadline = None;
                 self.cm.state = TcpState::Closed;
-                self.events.push(SockEvent::Closed(self.id));
                 return;
             }
         }

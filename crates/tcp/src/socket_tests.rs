@@ -167,6 +167,28 @@ fn graceful_close_four_way() {
 }
 
 #[test]
+fn active_close_reports_closed_once_through_time_wait_expiry() {
+    let (mut c, mut s) = established();
+    let now = 5_000_000;
+    c.close(now);
+    pump(&mut c, &mut s, now);
+    s.close(now);
+    pump(&mut c, &mut s, now);
+    assert_eq!(c.state(), TcpState::TimeWait);
+    let expiry = c.next_timeout().expect("TIME-WAIT armed");
+    c.on_timer(expiry);
+    assert_eq!(c.state(), TcpState::Closed);
+    let closed = |s: &TcpSocket| {
+        s.events
+            .iter()
+            .filter(|e| matches!(e, SockEvent::Closed(_)))
+            .count()
+    };
+    assert_eq!(closed(&c), 1, "active closer: {:?}", c.events);
+    assert_eq!(closed(&s), 1, "passive closer: {:?}", s.events);
+}
+
+#[test]
 fn simultaneous_close() {
     let (mut c, mut s) = established();
     let now = 5_000_000;

@@ -178,7 +178,7 @@ pub enum SockEvent {
     Writable(SocketId),
     /// Peer closed its direction (FIN received, EOF after drained data).
     PeerClosed(SocketId),
-    /// Connection fully closed / reached TIME_WAIT.
+    /// Connection closed: reported once, on reaching TIME-WAIT or CLOSED.
     Closed(SocketId),
     /// Connection aborted: RST, retransmission limit, or listener overflow.
     Aborted(SocketId),
