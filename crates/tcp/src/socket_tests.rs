@@ -519,3 +519,272 @@ fn checkpoint_preserves_selected_algorithm() {
     assert_eq!(r.cc.algo(), CongestionAlgo::Dctcp);
     assert_eq!(r.checkpoint(), img, "checkpoint → restore is identity");
 }
+
+/// One-way latency of the digest's scripted channel.
+const LAT: u64 = 100_000;
+
+/// Two sockets over a scripted channel, folding everything either side
+/// shows the outside world into one FNV-1a digest: every emitted header,
+/// both sockets' `next_timeout()` after each stimulus, and every
+/// `SockEvent`. Segments are numbered in send order across both sides;
+/// those named in `lose` vanish, those in `late` take three latencies, so
+/// the segments sent after them overtake them.
+struct Net {
+    socks: [Option<TcpSocket>; 2],
+    /// While side 1 has no socket, the first SYN to reach it is accepted
+    /// with this config.
+    listen: TcpConfig,
+    /// In flight: (arrival, receiving side, header, payload).
+    flight: Vec<(u64, usize, TcpHeader, Vec<u8>)>,
+    sent: u32,
+    lose: &'static [u32],
+    late: &'static [u32],
+    now: u64,
+    h: u64,
+}
+
+impl Net {
+    /// `a` on side 0; side 1 listens with `listen` when `b` is `None`.
+    fn new(h: u64, a: TcpSocket, b: Option<TcpSocket>, listen: TcpConfig) -> Net {
+        let mut net = Net {
+            socks: [Some(a), b],
+            listen,
+            flight: Vec::new(),
+            sent: 0,
+            lose: &[],
+            late: &[],
+            now: 0,
+            h,
+        };
+        net.settle();
+        net
+    }
+
+    fn sock(&mut self, side: usize) -> &mut TcpSocket {
+        self.socks[side].as_mut().expect("side has a socket")
+    }
+
+    fn fold(&mut self, words: &[u64]) {
+        for b in words.iter().flat_map(|w| w.to_le_bytes()) {
+            self.h = (self.h ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    /// Drain both sides' segments onto the channel, then fold both
+    /// deadlines and every queued event.
+    fn settle(&mut self) {
+        for side in 0..2 {
+            while let Some((h, p)) = self.socks[side]
+                .as_mut()
+                .and_then(|s| s.poll_transmit(self.now))
+            {
+                let f = h.flags;
+                let flags = [f.fin, f.syn, f.rst, f.psh, f.ack, f.urg]
+                    .iter()
+                    .enumerate()
+                    .fold(0u64, |bits, (i, &on)| bits | (on as u64) << i);
+                self.fold(&[
+                    side as u64,
+                    h.seq.0 as u64,
+                    h.ack.0 as u64,
+                    flags,
+                    h.window as u64,
+                    p.len() as u64,
+                    h.mss.map_or(0, |m| m as u64 + 1),
+                    h.window_scale.map_or(0, |w| w as u64 + 1),
+                ]);
+                let n = self.sent;
+                self.sent += 1;
+                if !self.lose.contains(&n) {
+                    let lat = if self.late.contains(&n) { 3 * LAT } else { LAT };
+                    self.flight.push((self.now + lat, 1 - side, h, p));
+                }
+            }
+        }
+        for side in 0..2 {
+            let d = self.socks[side].as_ref().and_then(|s| s.next_timeout());
+            self.fold(&[d.unwrap_or(u64::MAX)]);
+            let events = self.socks[side]
+                .as_mut()
+                .map(|s| std::mem::take(&mut s.events))
+                .unwrap_or_default();
+            for e in events {
+                let kind = match e {
+                    SockEvent::Connected(_) => 1,
+                    SockEvent::Acceptable(_) => 2,
+                    SockEvent::Readable(_) => 3,
+                    SockEvent::Writable(_) => 4,
+                    SockEvent::PeerClosed(_) => 5,
+                    SockEvent::Closed(_) => 6,
+                    SockEvent::Aborted(_) => 7,
+                };
+                self.fold(&[side as u64, kind, e.socket().0]);
+            }
+        }
+    }
+
+    /// Deliver every arrival and fire every deadline up to `t`, in time
+    /// order, settling after each stimulus.
+    fn advance_to(&mut self, t: u64) {
+        for _ in 0..100_000 {
+            let arrival = self.flight.iter().map(|f| f.0).min();
+            let timers = self.socks.iter().flatten().filter_map(|s| s.next_timeout());
+            let Some(next) = arrival.into_iter().chain(timers).min().filter(|&n| n <= t) else {
+                self.now = t;
+                return;
+            };
+            self.now = next;
+            if let Some(i) = self.flight.iter().position(|f| f.0 == next) {
+                let (_, to, h, p) = self.flight.remove(i);
+                match self.socks[to].as_mut() {
+                    Some(s) => s.on_segment(&h, &p, next),
+                    None if h.flags.syn && !h.flags.ack => {
+                        self.socks[1] = Some(TcpSocket::accept_from_syn(
+                            SocketId(2),
+                            &self.listen,
+                            (SERVER_IP, 80),
+                            (CLIENT_IP, 40000),
+                            &h,
+                            SeqNum(5_000),
+                            next,
+                        ));
+                    }
+                    None => {}
+                }
+            } else {
+                for s in self.socks.iter_mut().flatten() {
+                    if s.next_timeout().is_some_and(|d| d <= next) {
+                        s.on_timer(next);
+                    }
+                }
+            }
+            self.settle();
+        }
+        panic!("no quiescence by {t}: a deadline that never moves");
+    }
+
+    /// A user call on one side at the current instant.
+    fn user(&mut self, side: usize, op: impl FnOnce(&mut TcpSocket)) {
+        op(self.sock(side));
+        self.settle();
+    }
+
+    fn read_all(&mut self, side: usize) {
+        let mut buf = [0u8; 4096];
+        self.user(side, |s| while matches!(s.recv(&mut buf), Ok(1..)) {});
+    }
+}
+
+#[test]
+fn tcp_history_digest_is_pinned() {
+    // TCP's code may be rearranged; what the sockets show may not. Five
+    // scripted connections fold into one digest (see `Net`).
+    const MS: u64 = 1_000_000;
+    let h = 0xcbf2_9ce4_8422_2325;
+
+    // Active and passive open; delayed ACK and Nagle on small writes; a
+    // lost data segment recovered by fast retransmit; one segment late;
+    // the active side closes first, the passive side answers with data
+    // and its FIN, so the TIME-WAIT ACK goes out with a delayed ACK owed;
+    // TIME-WAIT expires.
+    let mut n = Net::new(h, client(0), None, cfg());
+    n.lose = &[6, 9];
+    n.late = &[12];
+    n.advance_to(MS);
+    for _ in 0..3 {
+        n.user(0, |c| assert_eq!(c.send(b"0123456789"), Ok(10)));
+    }
+    n.advance_to(3 * MS);
+    n.read_all(1);
+    n.user(1, |s| s.set_opt(SockOpt::InitialCwnd(10)));
+    n.user(1, |s| assert_eq!(s.send(&[7u8; 8 * 1460]), Ok(8 * 1460)));
+    n.advance_to(20 * MS);
+    n.read_all(0);
+    n.user(0, |c| c.close(20 * MS));
+    n.advance_to(22 * MS);
+    n.user(1, |s| assert_eq!(s.send(b"bye"), Ok(3)));
+    n.user(1, |s| s.close(22 * MS));
+    n.advance_to(12_000 * MS);
+    assert_eq!(n.sock(0).state(), TcpState::Closed);
+    assert_eq!(n.sock(1).state(), TcpState::Closed);
+
+    // Zero-window probing: the receiver's 4 KB buffer fills while its
+    // application does not read; each read reopens the window.
+    let small = TcpConfig {
+        recv_buf: 4096,
+        ..cfg()
+    };
+    let mut n = Net::new(n.h, client(0), None, small);
+    n.advance_to(MS);
+    n.user(0, |c| assert_eq!(c.send(&[3u8; 16_384]), Ok(16_384)));
+    n.advance_to(30 * MS);
+    for t in 1..=40 {
+        n.read_all(1);
+        n.advance_to((30 + 5 * t) * MS);
+    }
+    assert_eq!(n.sock(0).bytes_in_flight(), 0);
+    assert!(n.sock(0).rel.send_buf.is_empty());
+
+    // The passive side closes first and its FIN is lost; data reaches it
+    // just before the RTO, so the FIN is resent with a delayed ACK owed.
+    let mut n = Net::new(n.h, client(0), None, cfg());
+    n.lose = &[3];
+    n.advance_to(MS);
+    n.user(1, |s| s.close(MS));
+    let rto = n.sock(1).next_timeout().expect("FIN retransmit armed");
+    n.advance_to(rto - LAT - 200_000);
+    n.user(0, |c| assert_eq!(c.send(b"late"), Ok(4)));
+    n.advance_to(rto + 5 * MS);
+    n.read_all(1);
+    n.user(0, |c| c.close(rto + 5 * MS));
+    n.advance_to(12_000 * MS);
+    assert_eq!(n.sock(0).state(), TcpState::Closed);
+    assert_eq!(n.sock(1).state(), TcpState::Closed);
+
+    // Simultaneous open: both SYNs cross. Neither side completes (each
+    // SYN-ACK fails the SYN-RECEIVED acceptability test), so this is also
+    // RTO backoff up to the abort.
+    let few = TcpConfig {
+        max_retries: 4,
+        ..cfg()
+    };
+    let b = TcpSocket::connect(
+        SocketId(2),
+        &few,
+        (SERVER_IP, 80),
+        (CLIENT_IP, 40000),
+        SeqNum(5_000),
+        0,
+    );
+    let a = TcpSocket::connect(
+        SocketId(1),
+        &few,
+        (CLIENT_IP, 40000),
+        (SERVER_IP, 80),
+        SeqNum(1_000),
+        0,
+    );
+    let mut n = Net::new(n.h, a, Some(b), few);
+    n.advance_to(60_000 * MS);
+
+    // Keepalive probes on an idle connection, then an abort: RST.
+    let ka = TcpConfig {
+        keepalive_ns: 2 * MS,
+        ..cfg()
+    };
+    let a = TcpSocket::connect(
+        SocketId(1),
+        &ka,
+        (CLIENT_IP, 40000),
+        (SERVER_IP, 80),
+        SeqNum(1_000),
+        0,
+    );
+    let mut n = Net::new(n.h, a, None, ka);
+    n.advance_to(7 * MS);
+    n.user(0, |c| c.abort());
+    n.advance_to(10 * MS);
+    assert_eq!(n.sock(1).state(), TcpState::Closed);
+
+    assert_eq!(n.h, 0x9f76_cd2f_12a9_aa04, "TCP history changed");
+}
