@@ -8,7 +8,7 @@
 //! announces itself again" (§3.6).
 
 use crate::msg::Msg;
-use neat_sim::{calibration, Ctx, Event, ProcId, Process, Time};
+use neat_sim::{calibration, Ctx, Event, ProcId, Process};
 
 /// The NIC driver.
 pub struct DriverProc {
@@ -179,7 +179,3 @@ impl Process<Msg> for DriverProc {
         self.in_run = false;
     }
 }
-
-/// How long the driver waits before polling an empty queue again when
-/// sharing a core (unused on dedicated cores — the MWAIT model covers it).
-pub const DRIVER_IDLE_REPOLL: Time = Time(20_000);

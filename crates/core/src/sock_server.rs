@@ -133,15 +133,13 @@ impl SockServer {
     }
 
     /// Translate queued stack events into application messages. `me` is
-    /// the pid handles should reference. Returns (events handled,
-    /// connections opened, connections closed) for cost charging.
-    pub fn process_events(&mut self, me: ProcId) -> (u32, u32, u32) {
-        let mut handled = 0;
+    /// the pid handles should reference. Returns (connections opened,
+    /// connections closed) for cost charging.
+    pub fn process_events(&mut self, me: ProcId) -> (u32, u32) {
         let mut opened = 0;
         let mut closed = 0;
         let handle = |sock| ConnHandle { stack: me, sock };
         while let Some(ev) = self.stack.poll_event() {
-            handled += 1;
             match ev {
                 SockEvent::Acceptable(lid) => {
                     let Some((port, app)) = self.listeners.get(&lid).copied() else {
@@ -199,7 +197,7 @@ impl SockServer {
                 }
             }
         }
-        (handled, opened, closed)
+        (opened, closed)
     }
 
     fn pump_readable(&mut self, me: ProcId, sock: SocketId) {

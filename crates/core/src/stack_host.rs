@@ -190,7 +190,7 @@ impl StackHost {
         let now = ctx.now().as_nanos();
         for _ in 0..32 {
             // Stack events → app messages; charge per open/close.
-            let (_, opened, closed) = self.sock.process_events(ctx.self_id);
+            let (opened, closed) = self.sock.process_events(ctx.self_id);
             ctx.charge(
                 opened as u64 * calibration::TCP_OPEN + closed as u64 * calibration::TCP_CLOSE,
             );

@@ -12,7 +12,6 @@ use neat::msg::Msg;
 use neat::netcode::RxClass;
 use neat_sim::{calibration, Ctx, Event, ProcId, Process, Time};
 use std::cell::RefCell;
-use std::net::Ipv4Addr;
 use std::rc::Rc;
 
 /// One per-core kernel context.
@@ -67,7 +66,7 @@ impl KernelCtxProc {
         let now = ctx.now().as_nanos();
         let mut sh = self.shared.borrow_mut();
         let canonical = sh.canonical;
-        let (_, opened, closed) = sh.sock.process_events(canonical);
+        let (opened, closed) = sh.sock.process_events(canonical);
         ctx.charge(opened as u64 * calibration::TCP_OPEN + closed as u64 * calibration::TCP_CLOSE);
         let per_seg = calibration::TCP_TX_SEG
             + calibration::IP_TX_PKT
@@ -224,6 +223,3 @@ impl Process<Msg> for MonoIrqProc {
         }
     }
 }
-
-/// The server IP the monolith binds (mirrors the NEaT testbed).
-pub const MONO_IP: Ipv4Addr = Ipv4Addr::new(192, 168, 69, 1);

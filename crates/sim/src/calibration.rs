@@ -147,11 +147,6 @@ pub const DRV_RX_PKT_VECTORED: Cycles = 220;
 /// TX descriptor cost within an explicit frame batch (bulk doorbell).
 pub const DRV_TX_PKT_VECTORED: Cycles = 180;
 
-/// NIC driver: one polling round over the NIC queues and the per-replica
-/// channels (charged when the driver wakes and finds work, and during idle
-/// spinning it is what the "Polling" column of Table 2 accounts).
-pub const DRV_POLL_ROUND: Cycles = 380;
-
 /// Packet-filter component: one filter pass over a frame.
 pub const PF_PKT: Cycles = 300;
 
@@ -236,10 +231,6 @@ pub const MONO_LINE_BOUNCE: Cycles = 260;
 
 /// Average shared dirty lines touched per packet in the monolithic stack.
 pub const MONO_SHARED_LINES_PER_PKT: u32 = 7;
-
-/// Softirq/IRQ dispatch overhead per packet when IRQ affinity is wrong
-/// (packet processed on a different core than the socket's).
-pub const MONO_IRQ_MISS: Cycles = 2_800;
 
 /// Scheduler migration / wrong-core wakeup penalty per data delivery when
 /// the softirq core differs from the server's core: IPI, remote runqueue

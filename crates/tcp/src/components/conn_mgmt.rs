@@ -3,7 +3,7 @@
 //! (FIN exchange, TIME_WAIT), and the lifecycle timers.
 
 use crate::socket::{TcpSocket, OUR_WSCALE};
-use crate::types::{SockEvent, TcpError, TcpState};
+use crate::types::{SockEvent, SocketId, TcpError, TcpState};
 use neat_net::{SeqNum, TcpFlags, TcpHeader};
 
 /// State owned by connection management: where the connection is in its
@@ -43,8 +43,43 @@ impl ConnMgmt {
     }
 }
 
-/// Connection-management logic: everything that advances `cm.state`.
+/// Connection-management logic: everything that advances `cm.state`, and
+/// every write to `cm`.
 impl TcpSocket {
+    /// Start an open in SYN-SENT or SYN-RECEIVED, the SYN's retransmit
+    /// timer running.
+    pub(crate) fn open(&mut self, state: TcpState, now: u64) {
+        self.cm.state = state;
+        self.arm_rtx(now);
+    }
+
+    /// The peer's SYN, on either open: its ISN and MSS here, its window
+    /// scale and window in flow control. `wl2` is the ACK the window came
+    /// with: none on a passive open (0), the SYN-ACK's on an active one.
+    pub(crate) fn take_peer_syn(&mut self, syn: &TcpHeader, wl2: SeqNum) {
+        self.cm.irs = syn.seq;
+        if let Some(m) = syn.mss {
+            self.mss = self.mss.min(m);
+        }
+        self.take_syn_window(syn, wl2);
+    }
+
+    /// Send the SYN (or SYN-ACK) again on the next transmit.
+    pub(crate) fn resend_syn(&mut self) {
+        self.cm.syn_sent = false;
+    }
+
+    /// Either open completes: ESTABLISHED, the SYN acknowledged in
+    /// reliability, keepalive armed, `Connected` reported.
+    fn establish(&mut self, ack: SeqNum, now: u64) {
+        self.cm.state = TcpState::Established;
+        self.syn_acked(ack, now);
+        if self.cfg.keepalive_ns > 0 {
+            self.cm.keepalive_deadline = Some(now + self.cfg.keepalive_ns);
+        }
+        self.events.push(SockEvent::Connected(self.id));
+    }
+
     /// Graceful close: FIN after pending data drains.
     pub fn close(&mut self, _now: u64) {
         match self.cm.state {
@@ -57,6 +92,7 @@ impl TcpSocket {
                 self.cm.state = TcpState::LastAck;
             }
             TcpState::SynSent | TcpState::Listen => {
+                // Leaves the SYN's retransmit timer to run out (kept as found).
                 self.cm.state = TcpState::Closed;
                 self.events.push(SockEvent::Closed(self.id));
             }
@@ -67,88 +103,85 @@ impl TcpSocket {
     /// Abort: RST to the peer, everything dropped.
     pub fn abort(&mut self) {
         if !matches!(self.cm.state, TcpState::Closed | TcpState::TimeWait) {
-            self.fc.ack_now = true; // force poll_transmit to run once for RST
+            self.owe_ack(); // the RST rides on the owed ACK
         }
-        self.enter_closed(TcpError::Reset, true);
+        self.enter_closed(TcpError::Reset, SockEvent::Aborted);
     }
 
-    pub(crate) fn enter_closed(&mut self, err: TcpError, rst: bool) {
+    /// Into TIME-WAIT or CLOSED: the retransmit timer stops and the
+    /// application hears `event`, its connection's one `Closed` or
+    /// `Aborted` (a close in SYN-SENT is the one other place).
+    fn finish(&mut self, state: TcpState, event: fn(SocketId) -> SockEvent) {
+        self.cm.state = state;
+        self.stop_rtx();
+        self.events.push(event(self.id));
+    }
+
+    /// Into CLOSED on an error, reported as `event`; every timer stops.
+    pub(crate) fn enter_closed(&mut self, err: TcpError, event: fn(SocketId) -> SockEvent) {
         if self.cm.state == TcpState::Closed {
             return;
         }
-        self.cm.state = TcpState::Closed;
         self.error = Some(err);
-        self.rel.rtx_deadline = None;
-        self.fc.ack_deadline = None;
-        self.fc.probe_deadline = None;
+        self.stop_receive_timers();
         self.cm.keepalive_deadline = None;
-        self.events.push(if rst {
-            SockEvent::Aborted(self.id)
-        } else {
-            SockEvent::Closed(self.id)
-        });
+        self.finish(TcpState::Closed, event);
     }
 
-    pub(crate) fn enter_time_wait(&mut self, now: u64) {
-        self.cm.state = TcpState::TimeWait;
-        self.rel.rtx_deadline = None;
+    fn enter_time_wait(&mut self, now: u64) {
         self.cm.time_wait_deadline = Some(now + self.cfg.time_wait_ns);
-        self.events.push(SockEvent::Closed(self.id));
+        self.finish(TcpState::TimeWait, SockEvent::Closed);
     }
 
-    pub(crate) fn enter_closed_graceful(&mut self) {
-        self.cm.state = TcpState::Closed;
-        self.rel.rtx_deadline = None;
-        self.events.push(SockEvent::Closed(self.id));
+    /// The TIME-WAIT deadline: CLOSED, silently (`Closed` went out on
+    /// entering TIME-WAIT) and leaving any other timer as it is. True when
+    /// it fired; nothing else runs then.
+    pub(crate) fn on_time_wait_timer(&mut self, now: u64) -> bool {
+        let fired = self.cm.time_wait_deadline.take_if(|d| now >= *d).is_some();
+        if fired {
+            self.cm.state = TcpState::Closed;
+        }
+        fired
+    }
+
+    /// The keepalive deadline: in ESTABLISHED, probe with a duplicate ACK
+    /// and re-arm.
+    pub(crate) fn on_keepalive_timer(&mut self, now: u64) {
+        if self.cm.keepalive_deadline.is_some_and(|d| now >= d)
+            && self.cm.state == TcpState::Established
+        {
+            self.cm.keepalive_deadline = Some(now + self.cfg.keepalive_ns);
+            self.owe_ack();
+        }
     }
 
     pub(crate) fn on_segment_syn_sent(&mut self, h: &TcpHeader, now: u64) {
         if h.flags.ack && h.ack != self.cm.iss + 1 {
             // Unacceptable ACK; the stack sends the RST for us if needed.
             if !h.flags.rst {
-                self.fc.ack_now = true;
+                self.owe_ack();
             }
             return;
         }
         if h.flags.rst {
             if h.flags.ack {
-                self.enter_closed(TcpError::Reset, false);
+                self.enter_closed(TcpError::Reset, SockEvent::Closed);
             }
             return;
         }
         if !h.flags.syn {
             return;
         }
-        self.cm.irs = h.seq;
-        self.fc.rcv_nxt = h.seq + 1;
-        if let Some(m) = h.mss {
-            self.mss = self.mss.min(m);
-        }
-        if let Some(ws) = h.window_scale {
-            self.fc.snd_wscale = ws;
-            self.fc.rcv_wscale = OUR_WSCALE;
-        }
-        self.fc.snd_wnd = (h.window as usize) << self.fc.snd_wscale;
-        self.fc.snd_wl1 = h.seq;
-        self.fc.snd_wl2 = h.ack;
+        self.take_peer_syn(h, h.ack);
         if h.flags.ack {
-            // SYN-ACK: connection established.
-            self.rel.send_buf.ack_to(h.ack);
-            self.rel.snd_nxt = h.ack;
-            let _ = self.sample_rtt(h.ack, now);
-            self.cm.state = TcpState::Established;
-            self.rel.retries = 0;
-            self.rel.rtx_deadline = None;
-            self.fc.ack_now = true;
-            if self.cfg.keepalive_ns > 0 {
-                self.cm.keepalive_deadline = Some(now + self.cfg.keepalive_ns);
-            }
-            self.events.push(SockEvent::Connected(self.id));
+            // SYN-ACK: established; only this open forces an ACK out.
+            self.syn_ack_received(h.ack);
+            self.establish(h.ack, now);
+            self.owe_ack();
         } else {
-            // Simultaneous open.
-            self.cm.state = TcpState::SynReceived;
-            self.cm.syn_sent = false; // re-emit as SYN-ACK
-            self.arm_rtx(now);
+            // Simultaneous open: re-emit our SYN as a SYN-ACK.
+            self.resend_syn();
+            self.open(TcpState::SynReceived, now);
         }
     }
 
@@ -160,17 +193,8 @@ impl TcpSocket {
             // Unacceptable ACK in SYN-RECEIVED: ignore (stack RSTs).
             return false;
         }
-        self.cm.state = TcpState::Established;
-        self.rel.retries = 0;
-        self.rel.rtx_deadline = None;
-        self.fc.snd_wnd = (h.window as usize) << self.fc.snd_wscale;
-        self.fc.snd_wl1 = h.seq;
-        self.fc.snd_wl2 = h.ack;
-        if self.cfg.keepalive_ns > 0 {
-            self.cm.keepalive_deadline = Some(now + self.cfg.keepalive_ns);
-        }
-        let _ = self.sample_rtt(h.ack, now);
-        self.events.push(SockEvent::Connected(self.id));
+        self.take_window(h, h.ack);
+        self.establish(h.ack, now);
         true
     }
 
@@ -183,8 +207,7 @@ impl TcpSocket {
         let fin_seq = h.seq + payload.len() as u32;
         if fin_seq == self.fc.rcv_nxt && !self.cm.peer_fin_rcvd && self.fc.asm.is_empty() {
             self.cm.peer_fin_rcvd = true;
-            self.fc.rcv_nxt += 1;
-            self.fc.ack_now = true;
+            self.consume_peer_fin();
             self.events.push(SockEvent::PeerClosed(self.id));
             match self.cm.state {
                 TcpState::Established => self.cm.state = TcpState::CloseWait,
@@ -200,15 +223,28 @@ impl TcpSocket {
             }
         } else if fin_seq - self.fc.rcv_nxt > 0 {
             // FIN beyond a gap: ACK what we have, peer will retransmit.
-            self.fc.ack_now = true;
+            self.owe_ack();
         }
     }
 
-    pub(crate) fn fin_acked(&self) -> bool {
-        match self.cm.fin_seq {
-            Some(f) => self.snd_una() > f,
-            None => false,
+    /// Our FIN was acknowledged: the close handshake moves on. False once
+    /// the connection has closed (LAST-ACK), ending the segment's
+    /// processing.
+    pub(crate) fn our_fin_acked(&mut self, now: u64) -> bool {
+        match self.cm.state {
+            TcpState::FinWait1 => self.cm.state = TcpState::FinWait2,
+            TcpState::Closing => self.enter_time_wait(now),
+            TcpState::LastAck => {
+                self.finish(TcpState::Closed, SockEvent::Closed);
+                return false;
+            }
+            _ => {}
         }
+        true
+    }
+
+    pub(crate) fn fin_acked(&self) -> bool {
+        self.fin_acked_at(self.snd_una())
     }
 
     pub(crate) fn fin_acked_at(&self, ack: SeqNum) -> bool {
@@ -218,81 +254,41 @@ impl TcpSocket {
         }
     }
 
-    /// Emit the RST a local abort owes (Closed state only).
+    /// Emit the RST a local abort owes (Closed state only). It carries no
+    /// window.
     pub(crate) fn transmit_rst(&mut self) -> Option<(TcpHeader, usize)> {
-        if self.fc.ack_now && self.error == Some(TcpError::Reset) {
-            self.fc.ack_now = false;
-            let h = TcpHeader::new(
-                self.local_port,
-                self.remote_port,
-                self.rel.snd_nxt,
-                self.fc.rcv_nxt,
-                TcpFlags {
-                    rst: true,
-                    ack: true,
-                    ..Default::default()
-                },
-            );
-            self.tx_segments += 1;
-            return Some((h, 0));
-        }
-        None
-    }
-
-    /// Emit our SYN (active open), once per `syn_sent` arming.
-    pub(crate) fn transmit_syn(&mut self, now: u64) -> Option<(TcpHeader, usize)> {
-        if self.cm.syn_sent {
+        if self.error != Some(TcpError::Reset) || !self.take_owed_ack() {
             return None;
         }
-        self.cm.syn_sent = true;
-        let mut h = TcpHeader::new(
-            self.local_port,
-            self.remote_port,
-            self.cm.iss,
-            SeqNum(0),
-            TcpFlags::SYN,
-        );
-        h.mss = Some(self.cfg.mss);
-        h.window_scale = Some(OUR_WSCALE);
-        h.window = self.recv_window_bytes().min(u16::MAX as usize) as u16;
-        self.rel.snd_nxt = self.cm.iss + 1;
-        if self.rel.rtt_sample.is_none() {
-            self.rel.rtt_sample = Some((self.cm.iss + 1, now));
-        }
-        self.tx_segments += 1;
+        let mut flags = TcpFlags::rst();
+        flags.ack = true;
+        let (seq, ack) = (self.rel.snd_nxt, self.fc.rcv_nxt);
+        let h = TcpHeader::new(self.local_port, self.remote_port, seq, ack, flags);
         Some((h, 0))
     }
 
-    /// Emit our SYN-ACK (passive open), once per `syn_sent` arming; an
-    /// RTO re-arms it via `rtx_now`.
-    pub(crate) fn transmit_syn_ack(&mut self, now: u64) -> Option<(TcpHeader, usize)> {
-        if !self.cm.syn_sent {
-            self.cm.syn_sent = true;
-            let mut h = TcpHeader::new(
-                self.local_port,
-                self.remote_port,
-                self.cm.iss,
-                self.fc.rcv_nxt,
-                TcpFlags::syn_ack(),
-            );
-            h.mss = Some(self.cfg.mss);
-            if self.fc.rcv_wscale > 0 {
-                h.window_scale = Some(OUR_WSCALE);
-            }
-            h.window = self.recv_window_bytes().min(u16::MAX as usize) as u16;
-            self.rel.snd_nxt = self.cm.iss + 1;
-            if self.rel.rtt_sample.is_none() {
-                self.rel.rtt_sample = Some((self.cm.iss + 1, now));
-            }
-            self.tx_segments += 1;
-            return Some((h, 0));
+    /// Emit our SYN (SYN-SENT) or SYN-ACK (SYN-RECEIVED), once per
+    /// `syn_sent` arming; in SYN-RECEIVED an RTO re-arms it through
+    /// `rtx_now` too. Both advertise the unscaled window.
+    pub(crate) fn transmit_syn(&mut self, now: u64) -> Option<(TcpHeader, usize)> {
+        let passive = self.cm.state == TcpState::SynReceived;
+        if self.cm.syn_sent && !(passive && self.take_retransmit_now()) {
+            return None;
         }
-        if self.rel.rtx_now {
-            self.rel.rtx_now = false;
-            self.cm.syn_sent = false;
-            return self.transmit_syn_ack(now);
+        self.cm.syn_sent = true;
+        let (ack, flags) = match passive {
+            true => (self.fc.rcv_nxt, TcpFlags::syn_ack()),
+            false => (SeqNum(0), TcpFlags::SYN),
+        };
+        let mut h = TcpHeader::new(self.local_port, self.remote_port, self.cm.iss, ack, flags);
+        h.mss = Some(self.cfg.mss);
+        // A SYN-ACK offers window scaling only if the peer's SYN did.
+        if !passive || self.fc.rcv_wscale > 0 {
+            h.window_scale = Some(OUR_WSCALE);
         }
-        None
+        h.window = self.recv_window_bytes().min(u16::MAX as usize) as u16;
+        self.syn_transmitted(now);
+        Some((h, 0))
     }
 
     /// FIN emission once the stream is fully sent (transmit step 3).
@@ -302,26 +298,13 @@ impl TcpSocket {
             self.cm.state,
             TcpState::FinWait1 | TcpState::LastAck | TcpState::Closing
         );
-        if want_fin && all_sent && self.cm.fin_seq.is_none() {
-            self.cm.fin_seq = Some(self.rel.snd_nxt);
-            let mut h = TcpHeader::new(
-                self.local_port,
-                self.remote_port,
-                self.rel.snd_nxt,
-                self.fc.rcv_nxt,
-                TcpFlags::fin_ack(),
-            );
-            h.window = self.window_field();
-            self.rel.snd_nxt += 1;
-            if self.rel.rtx_deadline.is_none() {
-                self.arm_rtx(now);
-            }
-            self.fc.ack_pending = 0;
-            self.fc.ack_deadline = None;
-            self.fc.ack_now = false;
-            self.tx_segments += 1;
-            return Some((h, 0));
+        if !want_fin || !all_sent || self.cm.fin_seq.is_some() {
+            return None;
         }
-        None
+        self.cm.fin_seq = Some(self.rel.snd_nxt);
+        let h = self.ack_header(self.rel.snd_nxt, TcpFlags::fin_ack());
+        self.fin_transmitted(now);
+        self.ack_sent();
+        Some((h, 0))
     }
 }

@@ -4,8 +4,8 @@
 
 use crate::assembler::Assembler;
 use crate::buffer::RecvBuffer;
-use crate::socket::TcpSocket;
-use crate::types::{SockEvent, TcpConfig};
+use crate::socket::{TcpSocket, OUR_WSCALE};
+use crate::types::{SockEvent, TcpConfig, TcpError};
 use neat_net::{SeqNum, TcpFlags, TcpHeader};
 
 /// State owned by flow control: both window directions — what we can
@@ -51,8 +51,30 @@ impl FlowControl {
 }
 
 /// Flow-control logic: acceptability, window tracking, payload delivery,
-/// ACK emission.
+/// ACK emission, and every write to `fc`.
 impl TcpSocket {
+    /// Read received data; 0 bytes at EOF (peer closed and drained).
+    pub fn recv(&mut self, buf: &mut [u8]) -> Result<usize, TcpError> {
+        if let Some(e) = self.error {
+            return Err(e);
+        }
+        let n = self.fc.recv_buf.read(buf);
+        if n == 0 && !self.at_eof() {
+            return Err(TcpError::WouldBlock);
+        }
+        // Window may have reopened substantially: let the peer know soon.
+        if n > 0 && self.fc.recv_buf.window() >= self.mss as usize * 2 {
+            self.fc.ack_pending = self.fc.ack_pending.max(1);
+        }
+        Ok(n)
+    }
+
+    /// `SockOpt::RecvBuf`: the receive buffer and the assembler share a cap.
+    pub(crate) fn set_recv_cap(&mut self, cap: usize) {
+        self.fc.recv_buf.set_cap(cap);
+        self.fc.asm.set_cap(cap);
+    }
+
     /// RFC 793 step 1: is this segment within the receive window?
     pub(crate) fn seq_acceptable(&self, h: &TcpHeader, seg_len: u32) -> bool {
         let wnd = self.recv_window_bytes() as u32;
@@ -81,17 +103,61 @@ impl TcpSocket {
         w.min(u16::MAX as usize) as u16
     }
 
-    pub(crate) fn bare_ack(&mut self) -> TcpHeader {
+    /// The header of every segment that carries our ACK — data, FIN, their
+    /// retransmissions, a pure ACK: `ack = rcv_nxt`, the scaled window.
+    /// SYN and SYN-ACK advertise the unscaled window; the RST carries none.
+    pub(crate) fn ack_header(&self, seq: SeqNum, flags: TcpFlags) -> TcpHeader {
         let mut h = TcpHeader::new(
             self.local_port,
             self.remote_port,
-            self.rel.snd_nxt,
+            seq,
             self.fc.rcv_nxt,
-            TcpFlags::ack(),
+            flags,
         );
         h.window = self.window_field();
-        self.tx_segments += 1;
         h
+    }
+
+    /// A pure ACK's header, at `snd_nxt`.
+    pub(crate) fn bare_ack(&self) -> TcpHeader {
+        self.ack_header(self.rel.snd_nxt, TcpFlags::ack())
+    }
+
+    /// Owe the peer an ACK on the next transmit.
+    pub(crate) fn owe_ack(&mut self) {
+        self.fc.ack_now = true;
+    }
+
+    /// Take the ACK owed now, if there is one (an abort's RST rides on it).
+    pub(crate) fn take_owed_ack(&mut self) -> bool {
+        std::mem::take(&mut self.fc.ack_now)
+    }
+
+    /// A segment carrying our ACK went out: no ACK is owed any more.
+    pub(crate) fn ack_sent(&mut self) {
+        self.fc.ack_pending = 0;
+        self.fc.ack_deadline = None;
+        self.fc.ack_now = false;
+    }
+
+    /// The peer's SYN, on either open: the receive sequence starts after
+    /// it, it switches window scaling on by asking for it, and its window
+    /// is the first one taken; `wl2` is the ACK that window came with.
+    pub(crate) fn take_syn_window(&mut self, syn: &TcpHeader, wl2: SeqNum) {
+        self.fc.rcv_nxt = syn.seq + 1;
+        if let Some(ws) = syn.window_scale {
+            self.fc.snd_wscale = ws;
+            self.fc.rcv_wscale = OUR_WSCALE;
+        }
+        self.take_window(syn, wl2);
+    }
+
+    /// Take the peer's (scaled) window from `h`, and `h` as the segment
+    /// that last set it (RFC 793 wl1/wl2).
+    pub(crate) fn take_window(&mut self, h: &TcpHeader, wl2: SeqNum) {
+        self.fc.snd_wnd = (h.window as usize) << self.fc.snd_wscale;
+        self.fc.snd_wl1 = h.seq;
+        self.fc.snd_wl2 = wl2;
     }
 
     /// Window update (RFC 793: wl1/wl2 guard against stale segments),
@@ -99,11 +165,9 @@ impl TcpSocket {
     pub(crate) fn process_window_update(&mut self, h: &TcpHeader, now: u64) {
         if h.seq - self.fc.snd_wl1 > 0 || (h.seq == self.fc.snd_wl1 && h.ack - self.fc.snd_wl2 >= 0)
         {
-            let new_wnd = (h.window as usize) << self.fc.snd_wscale;
             let was_zero = self.fc.snd_wnd == 0;
-            self.fc.snd_wnd = new_wnd;
-            self.fc.snd_wl1 = h.seq;
-            self.fc.snd_wl2 = h.ack;
+            self.take_window(h, h.ack);
+            let new_wnd = self.fc.snd_wnd;
             if was_zero && new_wnd > 0 {
                 self.fc.probe_deadline = None;
             } else if new_wnd == 0 && self.rel.send_buf.len_from(self.rel.snd_nxt) > 0 {
@@ -142,24 +206,61 @@ impl TcpSocket {
         self.fc.ack_pending += 1;
         if h.seq != self.fc.rcv_nxt && !self.fc.asm.is_empty() {
             // Out-of-order: ACK immediately (fast-retransmit support).
-            self.fc.ack_now = true;
+            self.owe_ack();
         } else if self.fc.ack_pending >= 2 || self.cfg.delayed_ack_ns == 0 {
-            self.fc.ack_now = true;
+            self.owe_ack();
         } else if self.fc.ack_deadline.is_none() {
             self.fc.ack_deadline = Some(now + self.cfg.delayed_ack_ns);
         }
+    }
+
+    /// The peer's FIN, in order: it takes one sequence number and is
+    /// ACKed at once.
+    pub(crate) fn consume_peer_fin(&mut self) {
+        self.fc.rcv_nxt += 1;
+        self.owe_ack();
+    }
+
+    /// Flow control's deadlines: a delayed ACK is owed now if segments
+    /// wait for it; a zero-window probe resends from `snd_una` and probes
+    /// again an RTO (at least 1 ms) later.
+    pub(crate) fn on_flow_timers(&mut self, now: u64) {
+        if self.fc.ack_deadline.take_if(|d| now >= *d).is_some() && self.fc.ack_pending > 0 {
+            self.owe_ack();
+        }
+        if self.fc.probe_deadline.is_some_and(|d| now >= d) {
+            self.fc.probe_deadline = Some(now + self.rel.rtt.rto().max(1_000_000));
+            self.retransmit_now();
+        }
+    }
+
+    /// An abort stops the receive side's timers.
+    pub(crate) fn stop_receive_timers(&mut self) {
+        self.fc.ack_deadline = None;
+        self.fc.probe_deadline = None;
     }
 
     /// Transmit step 4: a pure ACK if one is owed (forced or delayed-ACK
     /// quota reached).
     pub(crate) fn transmit_pure_ack(&mut self) -> Option<(TcpHeader, usize)> {
         if self.fc.ack_now || (self.fc.ack_pending > 0 && self.fc.ack_deadline.is_none()) {
-            self.fc.ack_now = false;
-            self.fc.ack_pending = 0;
-            self.fc.ack_deadline = None;
+            self.ack_sent();
             return Some((self.bare_ack(), 0));
         }
         None
+    }
+
+    /// TIME-WAIT's one segment: the ACK a retransmitted FIN is owed. Unlike
+    /// every other ACK it leaves a delayed-ACK deadline armed, which then
+    /// wakes the socket once for nothing (kept as found).
+    pub(crate) fn transmit_time_wait_ack(&mut self) -> Option<(TcpHeader, usize)> {
+        if !self.fc.ack_now {
+            return None;
+        }
+        let deadline = self.fc.ack_deadline;
+        self.ack_sent();
+        self.fc.ack_deadline = deadline;
+        Some((self.bare_ack(), 0))
     }
 }
 

@@ -11,11 +11,16 @@
 //!   Reno/CUBIC/BBR-style/DCTCP-style implementations.
 //!
 //! Each component owns its state struct exclusively (see DESIGN.md's
-//! "TCP component map" for the field-by-field ownership table); the
-//! socket is a thin coordinator that routes `on_segment` / `on_timer` /
-//! `poll_transmit` stimuli between them. The cross-component logic lives
-//! in `impl TcpSocket` blocks inside each component's file, so every
-//! rule reads next to the state it owns.
+//! "TCP component map" for the field-by-field ownership table): every
+//! assignment to a `cm`, `rel` or `fc` field is in that component's file
+//! (`tcb.rs`'s checkpoint decoder is the one exemption), and CI's
+//! `tcp_owner_guard` fails on any other. The logic lives in `impl
+//! TcpSocket` blocks inside each component's file, so every rule is
+//! written once, next to the state it changes; a component that must
+//! change another's state calls one of its steps (`owe_ack`, `ack_sent`,
+//! `stop_rtx`, `resend_syn`, …). The socket is a thin coordinator that
+//! routes `on_segment` / `on_timer` / `poll_transmit` stimuli between
+//! them.
 
 pub mod congestion_control;
 pub mod conn_mgmt;

@@ -41,24 +41,92 @@ impl Reliability {
     }
 }
 
-/// Reliability logic: ACK clocking, RTO handling, (re)transmission.
+/// Reliability logic: ACK clocking, RTO handling, (re)transmission, and
+/// every write to `rel`.
 impl TcpSocket {
+    /// Enqueue user data; returns bytes accepted.
+    pub fn send(&mut self, data: &[u8]) -> Result<usize, TcpError> {
+        if !self.cm.state.can_send() || self.cm.close_requested {
+            return Err(TcpError::BadState);
+        }
+        let n = self.rel.send_buf.push(data);
+        if n == 0 {
+            return Err(TcpError::WouldBlock);
+        }
+        Ok(n)
+    }
+
     pub(crate) fn arm_rtx(&mut self, now: u64) {
         self.rel.rtx_deadline = Some(now + self.rel.rtt.rto());
     }
 
-    pub(crate) fn handle_rto(&mut self, now: u64) {
+    /// Arm the retransmit timer unless it already runs.
+    fn keep_rtx_running(&mut self, now: u64) {
+        if self.rel.rtx_deadline.is_none() {
+            self.arm_rtx(now);
+        }
+    }
+
+    pub(crate) fn stop_rtx(&mut self) {
+        self.rel.rtx_deadline = None;
+    }
+
+    /// Resend one segment from `snd_una` (or the FIN, or the SYN-ACK) on
+    /// the next transmit.
+    pub(crate) fn retransmit_now(&mut self) {
+        self.rel.rtx_now = true;
+    }
+
+    pub(crate) fn take_retransmit_now(&mut self) -> bool {
+        std::mem::take(&mut self.rel.rtx_now)
+    }
+
+    /// Our SYN or SYN-ACK went out: it takes the one sequence number at
+    /// `iss` and times the RTT unless a sample already runs.
+    pub(crate) fn syn_transmitted(&mut self, now: u64) {
+        self.rel.snd_nxt = self.cm.iss + 1;
+        self.rel.rtt_sample.get_or_insert((self.rel.snd_nxt, now));
+    }
+
+    /// A SYN-ACK acknowledged our SYN (active open only): the send queue
+    /// and `snd_nxt` move to its ACK.
+    pub(crate) fn syn_ack_received(&mut self, ack: SeqNum) {
+        self.rel.send_buf.ack_to(ack);
+        self.rel.snd_nxt = ack;
+    }
+
+    /// Either open completes: the retries reset, the RTO stops, and the
+    /// SYN's RTT sample is taken.
+    pub(crate) fn syn_acked(&mut self, ack: SeqNum, now: u64) {
+        self.rel.retries = 0;
+        self.stop_rtx();
+        let _ = self.sample_rtt(ack, now);
+    }
+
+    /// Our FIN went out: it takes one sequence number, untimed, and the
+    /// retransmit timer runs.
+    pub(crate) fn fin_transmitted(&mut self, now: u64) {
+        self.rel.snd_nxt += 1;
+        self.keep_rtx_running(now);
+    }
+
+    /// The retransmit deadline: resend what is outstanding with the RTO
+    /// backed off, or abort past `max_retries`.
+    pub(crate) fn on_rtx_timer(&mut self, now: u64) {
+        if self.rel.rtx_deadline.is_none_or(|d| now < d) {
+            return;
+        }
         // Anything outstanding? (data, SYN, or FIN)
         let outstanding = self.bytes_in_flight() > 0
             || matches!(self.cm.state, TcpState::SynSent | TcpState::SynReceived)
             || (self.cm.fin_seq.is_some() && !self.fin_acked());
         if !outstanding {
-            self.rel.rtx_deadline = None;
+            self.stop_rtx();
             return;
         }
         self.rel.retries += 1;
         if self.rel.retries > self.cfg.max_retries {
-            self.enter_closed(TcpError::TimedOut, true);
+            self.enter_closed(TcpError::TimedOut, SockEvent::Aborted);
             return;
         }
         self.retransmits += 1;
@@ -66,9 +134,9 @@ impl TcpSocket {
         self.rel.rtt.backoff();
         self.rel.rtt_sample = None; // Karn: no sampling across retransmits
         self.cc.on_rto(now);
-        self.rel.rtx_now = true;
+        self.retransmit_now();
         if self.cm.state == TcpState::SynSent {
-            self.cm.syn_sent = false; // resend SYN
+            self.resend_syn();
         }
         self.arm_rtx(now);
     }
@@ -125,19 +193,10 @@ impl TcpSocket {
             if outstanding {
                 self.arm_rtx(now);
             } else {
-                self.rel.rtx_deadline = None;
+                self.stop_rtx();
             }
-            // Close-handshake progress.
-            if self.fin_acked_at(h.ack) {
-                match self.cm.state {
-                    TcpState::FinWait1 => self.cm.state = TcpState::FinWait2,
-                    TcpState::Closing => self.enter_time_wait(now),
-                    TcpState::LastAck => {
-                        self.enter_closed_graceful();
-                        return false;
-                    }
-                    _ => {}
-                }
+            if self.fin_acked_at(h.ack) && !self.our_fin_acked(now) {
+                return false;
             }
         } else if h.ack == una_before {
             // Potential duplicate ACK (RFC 5681: no data, no window change,
@@ -147,7 +206,7 @@ impl TcpSocket {
                 self.rel.dup_acks += 1;
                 if self.rel.dup_acks == 3 {
                     self.cc.on_loss(now);
-                    self.rel.rtx_now = true;
+                    self.retransmit_now();
                     self.retransmits += 1;
                     neat_obs::counter_add("tcp.fast_retransmits", 1);
                     self.rel.rtt_sample = None;
@@ -160,44 +219,24 @@ impl TcpSocket {
     /// Transmit step 1: retransmission (RTO, fast retransmit, or
     /// zero-window probe) — one segment from `snd_una`, or the FIN.
     pub(crate) fn rtx_transmit(&mut self) -> Option<(TcpHeader, usize)> {
-        if !self.rel.rtx_now {
+        if !self.take_retransmit_now() {
             return None;
         }
-        self.rel.rtx_now = false;
         let una = self.snd_una();
         let avail = self.rel.send_buf.len_from(una);
         if avail > 0 {
             let len = avail.min(self.mss as usize).max(1);
-            let mut h = TcpHeader::new(
-                self.local_port,
-                self.remote_port,
-                una,
-                self.fc.rcv_nxt,
-                TcpFlags::psh_ack(),
-            );
-            h.window = self.window_field();
-            self.fc.ack_pending = 0;
-            self.fc.ack_deadline = None;
-            self.fc.ack_now = false;
-            self.tx_segments += 1;
+            let h = self.ack_header(una, TcpFlags::psh_ack());
+            self.ack_sent();
             return Some((h, len));
         }
-        if let Some(fin_seq) = self.cm.fin_seq {
-            if !self.fin_acked() {
-                // Retransmit the FIN.
-                let mut h = TcpHeader::new(
-                    self.local_port,
-                    self.remote_port,
-                    fin_seq,
-                    self.fc.rcv_nxt,
-                    TcpFlags::fin_ack(),
-                );
-                h.window = self.window_field();
-                self.tx_segments += 1;
-                return Some((h, 0));
+        match self.cm.fin_seq {
+            // A retransmitted FIN clears no ACK state (kept as found).
+            Some(fin_seq) if !self.fin_acked() => {
+                Some((self.ack_header(fin_seq, TcpFlags::fin_ack()), 0))
             }
+            _ => None,
         }
-        None
     }
 
     /// Transmit step 2: new data within the usable window, sized by the
@@ -214,40 +253,27 @@ impl TcpSocket {
             // round under-estimate the path (BBR's app-limited marker).
             self.cc.on_app_limited(now);
         }
-        if pending > 0 && usable > 0 && self.cm.fin_seq.is_none() {
-            // GSO: hand the NIC a super-segment; it splits to MSS frames.
-            // A pacing-gated controller gets plain per-MSS segments.
-            let burst = if decision.pacing_gate {
-                self.mss as usize
-            } else {
-                self.cfg.gso_burst.max(self.mss as usize).min(61_440)
-            };
-            let len = pending.min(usable).min(burst);
-            // Nagle: hold sub-MSS segments while data is in flight.
-            let nagle_blocks = self.cfg.nagle && in_flight > 0 && len < self.mss as usize;
-            if !nagle_blocks && len > 0 {
-                let mut h = TcpHeader::new(
-                    self.local_port,
-                    self.remote_port,
-                    self.rel.snd_nxt,
-                    self.fc.rcv_nxt,
-                    TcpFlags::psh_ack(),
-                );
-                h.window = self.window_field();
-                if self.rel.rtt_sample.is_none() {
-                    self.rel.rtt_sample = Some((self.rel.snd_nxt + len as u32, now));
-                }
-                self.rel.snd_nxt += len as u32;
-                if self.rel.rtx_deadline.is_none() {
-                    self.arm_rtx(now);
-                }
-                self.fc.ack_pending = 0;
-                self.fc.ack_deadline = None;
-                self.fc.ack_now = false;
-                self.tx_segments += 1;
-                return Some((h, len));
-            }
+        if pending == 0 || usable == 0 || self.cm.fin_seq.is_some() {
+            return None;
         }
-        None
+        // GSO: hand the NIC a super-segment; it splits to MSS frames.
+        // A pacing-gated controller gets plain per-MSS segments.
+        let burst = if decision.pacing_gate {
+            self.mss as usize
+        } else {
+            self.cfg.gso_burst.max(self.mss as usize).min(61_440)
+        };
+        let len = pending.min(usable).min(burst);
+        // Nagle: hold sub-MSS segments while data is in flight.
+        if len == 0 || (self.cfg.nagle && in_flight > 0 && len < self.mss as usize) {
+            return None;
+        }
+        let h = self.ack_header(self.rel.snd_nxt, TcpFlags::psh_ack());
+        let end = self.rel.snd_nxt + len as u32;
+        self.rel.rtt_sample.get_or_insert((end, now));
+        self.rel.snd_nxt = end;
+        self.keep_rtx_running(now);
+        self.ack_sent();
+        Some((h, len))
     }
 }

@@ -9,9 +9,10 @@
 //! The protocol logic itself lives in four owned-state components under
 //! [`crate::components`] — connection management, reliability, flow
 //! control, and congestion control. This file holds only the coordinator:
-//! the struct, its constructors, user-facing operations, and the routing
-//! that sequences component steps for each stimulus (see DESIGN.md's
-//! "TCP component map" for the ownership table).
+//! the struct, its constructors, accessors, socket options, and the
+//! routing that sequences component steps for each stimulus. It writes no
+//! component's fields (CI's `tcp_owner_guard`; DESIGN.md's "TCP component
+//! map" has the ownership table and the rule).
 
 use crate::components::{self, CongestionControl, ConnMgmt, FlowControl, Reliability};
 use crate::types::{SockEvent, SockOpt, SockOptKind, SocketId, TcpConfig, TcpError, TcpState};
@@ -66,14 +67,22 @@ pub struct TcpSocket {
 }
 
 impl TcpSocket {
-    pub(crate) fn new(id: SocketId, cfg: &TcpConfig, iss: SeqNum) -> TcpSocket {
+    /// A socket at `local`/`remote` in CLOSED: the opens and the
+    /// checkpoint decoder start here.
+    pub(crate) fn new(
+        id: SocketId,
+        cfg: &TcpConfig,
+        iss: SeqNum,
+        local: (Ipv4Addr, u16),
+        remote: (Ipv4Addr, u16),
+    ) -> TcpSocket {
         TcpSocket {
             id,
             cfg: cfg.clone(),
-            local_ip: Ipv4Addr::UNSPECIFIED,
-            local_port: 0,
-            remote_ip: Ipv4Addr::UNSPECIFIED,
-            remote_port: 0,
+            local_ip: local.0,
+            local_port: local.1,
+            remote_ip: remote.0,
+            remote_port: remote.1,
             mss: cfg.mss,
             cm: ConnMgmt::new(iss),
             rel: Reliability::new(iss, cfg),
@@ -116,13 +125,8 @@ impl TcpSocket {
         iss: SeqNum,
         now: u64,
     ) -> TcpSocket {
-        let mut s = TcpSocket::new(id, cfg, iss);
-        s.local_ip = local.0;
-        s.local_port = local.1;
-        s.remote_ip = remote.0;
-        s.remote_port = remote.1;
-        s.cm.state = TcpState::SynSent;
-        s.arm_rtx(now);
+        let mut s = TcpSocket::new(id, cfg, iss, local, remote);
+        s.open(TcpState::SynSent, now);
         s
     }
 
@@ -137,25 +141,10 @@ impl TcpSocket {
         iss: SeqNum,
         now: u64,
     ) -> TcpSocket {
-        let mut s = TcpSocket::new(id, cfg, iss);
-        s.local_ip = local.0;
-        s.local_port = local.1;
-        s.remote_ip = remote.0;
-        s.remote_port = remote.1;
-        s.cm.state = TcpState::SynReceived;
-        s.cm.irs = syn.seq;
-        s.fc.rcv_nxt = syn.seq + 1;
-        if let Some(peer_mss) = syn.mss {
-            s.mss = s.mss.min(peer_mss);
-        }
-        if let Some(ws) = syn.window_scale {
-            s.fc.snd_wscale = ws;
-            s.fc.rcv_wscale = OUR_WSCALE;
-        }
-        s.fc.snd_wnd = (syn.window as usize) << s.fc.snd_wscale;
-        s.fc.snd_wl1 = syn.seq;
-        s.fc.snd_wl2 = SeqNum(0);
-        s.arm_rtx(now);
+        let mut s = TcpSocket::new(id, cfg, iss, local, remote);
+        // A passive open has no ACK to take `snd_wl2` from.
+        s.take_peer_syn(syn, SeqNum(0));
+        s.open(TcpState::SynReceived, now);
         s
     }
 
@@ -188,34 +177,6 @@ impl TcpSocket {
     // User operations
     // ------------------------------------------------------------------
 
-    /// Enqueue user data; returns bytes accepted.
-    pub fn send(&mut self, data: &[u8]) -> Result<usize, TcpError> {
-        if !self.cm.state.can_send() || self.cm.close_requested {
-            return Err(TcpError::BadState);
-        }
-        let n = self.rel.send_buf.push(data);
-        if n == 0 {
-            return Err(TcpError::WouldBlock);
-        }
-        Ok(n)
-    }
-
-    /// Read received data; 0 bytes at EOF (peer closed and drained).
-    pub fn recv(&mut self, buf: &mut [u8]) -> Result<usize, TcpError> {
-        if let Some(e) = self.error {
-            return Err(e);
-        }
-        let n = self.fc.recv_buf.read(buf);
-        if n == 0 && !self.at_eof() {
-            return Err(TcpError::WouldBlock);
-        }
-        // Window may have reopened substantially: let the peer know soon.
-        if n > 0 && self.fc.recv_buf.window() >= self.mss as usize * 2 {
-            self.fc.ack_pending = self.fc.ack_pending.max(1);
-        }
-        Ok(n)
-    }
-
     /// Apply a per-socket option (the stack's `set_opt` routes here).
     pub fn set_opt(&mut self, opt: SockOpt) {
         match opt {
@@ -230,10 +191,7 @@ impl TcpSocket {
             SockOpt::InitialCwnd(segs) => {
                 self.cc.set_cwnd(segs as usize * self.mss as usize);
             }
-            SockOpt::RecvBuf(cap) => {
-                self.fc.recv_buf.set_cap(cap);
-                self.fc.asm.set_cap(cap);
-            }
+            SockOpt::RecvBuf(cap) => self.set_recv_cap(cap),
         }
     }
 
@@ -266,43 +224,15 @@ impl TcpSocket {
         .min()
     }
 
-    /// Process timer expirations at `now`, routing each deadline to the
+    /// Process timer expirations at `now`, handing each deadline to the
     /// component that owns it.
     pub fn on_timer(&mut self, now: u64) {
-        if let Some(d) = self.cm.time_wait_deadline {
-            if now >= d {
-                // `Closed` went out on entering TIME-WAIT; expiry is silent.
-                self.cm.time_wait_deadline = None;
-                self.cm.state = TcpState::Closed;
-                return;
-            }
+        if self.on_time_wait_timer(now) {
+            return;
         }
-        if let Some(d) = self.rel.rtx_deadline {
-            if now >= d {
-                self.handle_rto(now);
-            }
-        }
-        if let Some(d) = self.fc.ack_deadline {
-            if now >= d {
-                self.fc.ack_deadline = None;
-                if self.fc.ack_pending > 0 {
-                    self.fc.ack_now = true;
-                }
-            }
-        }
-        if let Some(d) = self.fc.probe_deadline {
-            if now >= d {
-                // Zero-window probe: retransmit one byte at snd_una.
-                self.fc.probe_deadline = Some(now + self.rel.rtt.rto().max(1_000_000));
-                self.rel.rtx_now = true;
-            }
-        }
-        if let Some(d) = self.cm.keepalive_deadline {
-            if now >= d && self.cm.state == TcpState::Established {
-                self.cm.keepalive_deadline = Some(now + self.cfg.keepalive_ns);
-                self.fc.ack_now = true; // keepalive = duplicate ACK probe
-            }
-        }
+        self.on_rtx_timer(now);
+        self.on_flow_timers(now);
+        self.on_keepalive_timer(now);
     }
 
     // ------------------------------------------------------------------
@@ -329,26 +259,25 @@ impl TcpSocket {
         // Step 1: sequence acceptability (flow control).
         if !self.seq_acceptable(h, seg_len) {
             if !h.flags.rst {
-                self.fc.ack_now = true; // re-ACK to resync the peer
+                self.owe_ack(); // re-ACK to resync the peer
             }
             return;
         }
 
-        // Step 2: RST (connection management).
+        // Step 2: RST (connection management): an abort, unless we were
+        // closing anyway.
         if h.flags.rst {
-            match self.cm.state {
-                TcpState::SynReceived => self.enter_closed(TcpError::Reset, true),
-                TcpState::TimeWait | TcpState::LastAck | TcpState::Closing => {
-                    self.enter_closed(TcpError::Reset, false)
-                }
-                _ => self.enter_closed(TcpError::Reset, true),
-            }
+            let event = match self.cm.state {
+                TcpState::TimeWait | TcpState::LastAck | TcpState::Closing => SockEvent::Closed,
+                _ => SockEvent::Aborted,
+            };
+            self.enter_closed(TcpError::Reset, event);
             return;
         }
 
         // Step 4: SYN in window is an error.
         if h.flags.syn && h.seq != self.cm.irs {
-            self.enter_closed(TcpError::Reset, true);
+            self.enter_closed(TcpError::Reset, SockEvent::Aborted);
             return;
         }
 
@@ -388,38 +317,22 @@ impl TcpSocket {
     /// The next segment's header and payload length; the payload itself
     /// stays in the send buffer, at `h.seq`, for the caller to copy once
     /// to where it is going. Each state routes to the component that owns
-    /// the segment type.
+    /// the segment type; every segment is counted here.
     pub(crate) fn poll_segment(&mut self, now: u64) -> Option<(TcpHeader, usize)> {
-        match self.cm.state {
+        let seg = match self.cm.state {
             TcpState::Closed => self.transmit_rst(),
-            TcpState::SynSent => self.transmit_syn(now),
-            TcpState::SynReceived => self.transmit_syn_ack(now),
-            TcpState::TimeWait => {
-                if self.fc.ack_now {
-                    self.fc.ack_now = false;
-                    self.fc.ack_pending = 0;
-                    return Some((self.bare_ack(), 0));
-                }
-                None
-            }
-            _ => self.poll_transmit_data(now),
-        }
-    }
-
-    /// Synchronized-state transmit priority: retransmission, then new
-    /// data (reliability), then FIN (connection management), then a pure
-    /// ACK (flow control).
-    fn poll_transmit_data(&mut self, now: u64) -> Option<(TcpHeader, usize)> {
-        if let Some(seg) = self.rtx_transmit() {
-            return Some(seg);
-        }
-        if let Some(seg) = self.transmit_new_data(now) {
-            return Some(seg);
-        }
-        if let Some(seg) = self.transmit_fin(now) {
-            return Some(seg);
-        }
-        self.transmit_pure_ack()
+            TcpState::SynSent | TcpState::SynReceived => self.transmit_syn(now),
+            TcpState::TimeWait => self.transmit_time_wait_ack(),
+            // Retransmission, then new data (reliability), then FIN
+            // (connection management), then a pure ACK (flow control).
+            _ => self
+                .rtx_transmit()
+                .or_else(|| self.transmit_new_data(now))
+                .or_else(|| self.transmit_fin(now))
+                .or_else(|| self.transmit_pure_ack()),
+        }?;
+        self.tx_segments += 1;
+        Some(seg)
     }
 }
 

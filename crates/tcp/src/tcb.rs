@@ -122,10 +122,8 @@ impl TcpSocket {
         let state = state_from_code(r.u8()?)?;
         let local = (Ipv4Addr::from(r.arr()?), r.u16()?);
         let remote = (Ipv4Addr::from(r.arr()?), r.u16()?);
-        let mut s = TcpSocket::new(id, cfg, r.seq()?);
+        let mut s = TcpSocket::new(id, cfg, r.seq()?, local, remote);
         s.cm.state = state;
-        (s.local_ip, s.local_port) = local;
-        (s.remote_ip, s.remote_port) = remote;
         s.cm.irs = r.seq()?;
         s.rel.snd_nxt = r.seq()?;
         s.fc.snd_wl1 = r.seq()?;

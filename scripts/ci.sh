@@ -8,7 +8,7 @@
 #
 # Usage:
 #   scripts/ci.sh                 # every tier (the full gate)
-#   scripts/ci.sh --tier1         # size + panic-site + one-builder +
+#   scripts/ci.sh --tier1         # size + panic-site + tcp-owner + one-builder +
 #                                 # no-source-text + no-default-hasher
 #                                 # guards, build, test,
 #                                 # pinned-shapes guard, fmt, clippy
@@ -107,6 +107,43 @@ panic_site_guard() {
     fi
 }
 
+# TCP owner guard (ROADMAP item 5(a)): each TCB field group has one
+# writer. A deployed line of crates/tcp/src (deployed_awk's file set and
+# cut) that assigns — `=`, `+=`, `-=`, `|=`, … — to a `.cm.`, `.rel.` or
+# `.fc.` field must sit in that group's own file: components/conn_mgmt.rs,
+# components/reliability.rs or components/flow_control.rs. The one
+# exemption is tcb.rs, the checkpoint decoder, which rebuilds a socket
+# field by field. What the guard cannot see is mutation through a `&mut`
+# method (`send_buf.ack_to`, `recv_buf.read`, `mem::take`) or a
+# destructuring assignment; review covers those.
+tcp_owner_guard() {
+    writes=$(deployed_awk '
+        BEGIN {
+            owner["cm"] = "conn_mgmt"; owner["rel"] = "reliability"; owner["fc"] = "flow_control"
+            re = "\\.(cm|rel|fc)\\.[A-Za-z_][A-Za-z_0-9.]*[ \t]*([-+*/%&|^]|<<|>>)?=([^=]|$)"
+        }
+        FILENAME !~ /^crates\/tcp\/src\// || FILENAME ~ /\/tcb\.rs$/ { next }
+        /^[ \t]*\/\// { next }
+        {
+            rest = $0
+            while (match(rest, re)) {
+                split(substr(rest, RSTART + 1), path, ".")
+                if (FILENAME != "crates/tcp/src/components/" owner[path[1]] ".rs") {
+                    print FILENAME ":" FNR ":" $0
+                    break
+                }
+                rest = substr(rest, RSTART + RLENGTH)
+            }
+        }')
+    if [ -n "$writes" ]; then
+        echo "TCP-OWNER FAILURE: a TCB field is assigned outside its component's file" >&2
+        echo "(cm: conn_mgmt.rs, rel: reliability.rs, fc: flow_control.rs). Call a step" >&2
+        echo "of the owning component instead:" >&2
+        echo "$writes" >&2
+        exit 1
+    fi
+}
+
 # One-builder guard: stack components are constructed in replica.rs only
 # (tests_components.rs builds them bare to test them, and is exempt).
 one_builder_guard() {
@@ -184,6 +221,8 @@ if [ "$TIER1" = 1 ]; then
     echo "==> [tier1] deployed non-test lines under crates/*/src: $(deployed_line_count)"
     echo "==> [tier1] panic-site guard (deployed unwrap/expect/panic/unreachable sites = $PANIC_SITES)"
     panic_site_guard
+    echo "==> [tier1] tcp owner guard (a TCB field is assigned only in its component's file)"
+    tcp_owner_guard
     echo "==> [tier1] one-builder guard (components constructed in replica.rs only)"
     one_builder_guard
     echo "==> [tier1] no-source-text guard (deployed code embeds no .rs file)"
