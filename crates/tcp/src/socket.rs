@@ -174,7 +174,7 @@ impl TcpSocket {
     }
 
     // ------------------------------------------------------------------
-    // User operations
+    // Socket options
     // ------------------------------------------------------------------
 
     /// Apply a per-socket option (the stack's `set_opt` routes here).
