@@ -3,7 +3,12 @@
 # trees' `run_all --quick` suites must write byte-identical results files,
 # and the working tree's `check_bench` must pass.
 #
-#   scripts/same_results.sh <parent-rev>
+#   scripts/same_results.sh <parent-rev> [--keys]
+#
+# --keys: for every results/BENCH_*.json that differs, also print each JSON
+# path whose value differs, one line each as `BENCH_x.json: path: old -> new`
+# (a path on one side only shows `(absent)` on the other): the old -> new
+# list a change that moves the model on purpose quotes.
 #
 # BENCH_WORK names the work directory (default: a fresh `mktemp -d`), as for
 # bench_pairs.sh. It holds the exported parent tree, each side's cargo target
@@ -19,8 +24,11 @@
 # only, are named and the script exits 1.
 set -eu
 
-if [ $# -ne 1 ]; then
-    echo "usage: $0 <parent-rev>" >&2
+keys=0
+if [ $# -eq 2 ] && [ "$2" = --keys ]; then
+    keys=1
+elif [ $# -ne 1 ]; then
+    echo "usage: $0 <parent-rev> [--keys]" >&2
     exit 2
 fi
 rev=$1
@@ -49,6 +57,35 @@ for side in parent change; do
     fi
 done
 
+# Print every leaf path of results/$1 whose value differs between the sides.
+json_keys() {
+    python3 - "$1" "$work/parent-run/results/$1" "$work/change-run/results/$1" <<'PY'
+import json, os, sys
+name, old_path, new_path = sys.argv[1:]
+
+def leaves(path):
+    out = {}
+    def walk(v, at):
+        if isinstance(v, dict) and v:
+            for k, x in v.items():
+                walk(x, f"{at}.{k}" if at else k)
+        elif isinstance(v, list) and v:
+            for i, x in enumerate(v):
+                walk(x, f"{at}[{i}]")
+        else:
+            out[at] = json.dumps(v)
+    if os.path.exists(path):
+        walk(json.load(open(path)), "")
+    return out
+
+old, new = leaves(old_path), leaves(new_path)
+for k in sorted(old.keys() | new.keys()):
+    a, b = old.get(k, "(absent)"), new.get(k, "(absent)")
+    if a != b:
+        print(f"{name}: {k}: {a} -> {b}")
+PY
+}
+
 differ=0
 total=0
 for f in $( (ls "$work/parent-run/results"; ls "$work/change-run/results") | sort -u); do
@@ -56,6 +93,9 @@ for f in $( (ls "$work/parent-run/results"; ls "$work/change-run/results") | sor
     if ! cmp -s "$work/parent-run/results/$f" "$work/change-run/results/$f"; then
         echo "DIFFERS: results/$f" >&2
         differ=1
+        case "$keys:$f" in
+        1:BENCH_*.json) json_keys "$f" ;;
+        esac
     fi
 done
 
