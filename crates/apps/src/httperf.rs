@@ -12,6 +12,7 @@
 use crate::http;
 use neat::msg::Msg;
 use neat::netcode::{FrameIo, RxClass};
+use neat::stack_host::TimerFires;
 use neat_net::ethernet::MacAddr;
 use neat_sim::{calibration, Ctx, Event, ProcId, Process, Time};
 use neat_tcp::{SockEvent, SockOpt, SocketId, TcpConfig, TcpStack};
@@ -184,6 +185,7 @@ pub struct HttperfProc {
     /// What the last `Readable` read: one buffer for every connection.
     rx: Vec<u8>,
     armed: Option<u64>,
+    timer_fires: TimerFires,
     /// A frame arrived this wakeup, so `settle` drains the stack.
     drain_owed: bool,
     pub metrics: Rc<RefCell<ClientMetrics>>,
@@ -243,6 +245,7 @@ impl HttperfProc {
             io,
             conns: FxHashMap::default(),
             armed: None,
+            timer_fires: TimerFires::new("httperf"),
             drain_owed: false,
             metrics,
             obs: ClientObs::new(),
@@ -468,6 +471,7 @@ impl Process<Msg> for HttperfProc {
                 _ => {
                     self.armed = None;
                     let now = ctx.now().as_nanos();
+                    self.timer_fires.record(self.stack.next_timeout(), now);
                     self.stack.on_timer(now);
                     self.drain(ctx);
                 }

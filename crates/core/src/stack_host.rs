@@ -33,6 +33,38 @@ pub trait WireSink {
     fn tx_done(&mut self, _ctx: &mut Ctx<'_, Msg>) {}
 }
 
+/// `timer.fires.<kind>` and `timer.stale.<kind>`: how often a host's stack
+/// timer fires, and how often its stack then has nothing due (its
+/// `next_timeout()` is `None` or later than now) — a wake-up for nothing.
+/// Registered at the first fire, so a run without the host keeps its
+/// snapshot as it was.
+pub struct TimerFires {
+    kind: &'static str,
+    handles: Option<[neat_obs::Counter; 2]>,
+}
+
+impl TimerFires {
+    pub fn new(kind: &'static str) -> TimerFires {
+        TimerFires {
+            kind,
+            handles: None,
+        }
+    }
+
+    /// One fire at `now`, whose stack's next deadline is `due`.
+    pub fn record(&mut self, due: Option<u64>, now: u64) {
+        let kind = self.kind;
+        let [fires, stale] = *self.handles.get_or_insert_with(|| {
+            let count = |what| neat_obs::counter(&format!("timer.{what}.{kind}"));
+            [count("fires"), count("stale")]
+        });
+        fires.inc();
+        if due.is_none_or(|d| d > now) {
+            stale.inc();
+        }
+    }
+}
+
 /// Socket server + replication engine + lifecycle state of one replica.
 pub struct StackHost {
     /// NIC queue this replica is fed from.
@@ -47,6 +79,7 @@ pub struct StackHost {
     flush_owed: bool,
     /// Earliest armed timer deadline (avoid timer storms).
     armed: Option<u64>,
+    timer_fires: TimerFires,
     /// The segment a flush is handing to the wire: one buffer for all.
     seg: Vec<u8>,
     /// ASLR layout token — randomized at every (re)start (§3.8).
@@ -69,6 +102,7 @@ impl StackHost {
             drained_reported: false,
             flush_owed: false,
             armed: None,
+            timer_fires: TimerFires::new("neat"),
             seg: Vec::new(),
             layout_token: 0,
         }
@@ -102,7 +136,9 @@ impl StackHost {
     /// `Event::Timer`.
     pub fn on_timer<W: WireSink>(&mut self, ctx: &mut Ctx<'_, Msg>, wire: &mut W) {
         self.armed = None;
-        self.sock.on_timer(ctx.now().as_nanos());
+        let now = ctx.now().as_nanos();
+        self.timer_fires.record(self.sock.next_timeout(), now);
+        self.sock.on_timer(now);
         self.flush(ctx, wire);
     }
 

@@ -10,6 +10,7 @@
 use crate::shared::{MonoShared, MONO_VFS_PER_OP};
 use neat::msg::Msg;
 use neat::netcode::RxClass;
+use neat::stack_host::TimerFires;
 use neat_sim::{calibration, Ctx, Event, ProcId, Process, Time};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -23,6 +24,7 @@ pub struct KernelCtxProc {
     io: Rc<RefCell<neat::netcode::FrameIo>>,
     nic: ProcId,
     armed: Option<u64>,
+    timer_fires: TimerFires,
     obs: MonoObs,
 }
 
@@ -58,6 +60,7 @@ impl KernelCtxProc {
             io,
             nic,
             armed: None,
+            timer_fires: TimerFires::new("mono"),
             obs: MonoObs::new(),
         }
     }
@@ -109,7 +112,10 @@ impl Process<Msg> for KernelCtxProc {
             Event::Timer { .. } => {
                 self.armed = None;
                 let now = ctx.now().as_nanos();
-                self.shared.borrow_mut().sock.on_timer(now);
+                let mut sh = self.shared.borrow_mut();
+                self.timer_fires.record(sh.sock.next_timeout(), now);
+                sh.sock.on_timer(now);
+                drop(sh);
                 self.flush(ctx);
             }
             Event::Message { from, msg } => match msg {
