@@ -12,7 +12,7 @@
 use crate::http;
 use neat::msg::Msg;
 use neat::netcode::{FrameIo, RxClass};
-use neat::stack_host::TimerFires;
+use neat::stack_host::{follow_deadline, TimerFires};
 use neat_net::ethernet::MacAddr;
 use neat_sim::{calibration, Ctx, Event, ProcId, Process, Time};
 use neat_tcp::{SockEvent, SockOpt, SocketId, TcpConfig, TcpStack};
@@ -166,10 +166,12 @@ struct ConnRun {
 
 const TOK_STACK: u64 = 0;
 const TOK_SCAN: u64 = 1;
-const TOK_OPEN: u64 = 2;
 /// Tokens >= TOK_THINK encode a think-time wakeup for socket id
 /// `token - TOK_THINK`.
 const TOK_THINK: u64 = 1_000;
+/// Tokens >= TOK_OPEN are the staggered initial opens, one token each (a
+/// token has one pending timer).
+const TOK_OPEN: u64 = 1 << 63;
 
 /// The load-generator process.
 pub struct HttperfProc {
@@ -184,7 +186,8 @@ pub struct HttperfProc {
     request: Vec<u8>,
     /// What the last `Readable` read: one buffer for every connection.
     rx: Vec<u8>,
-    armed: Option<u64>,
+    /// The deadline the one pending `TOK_STACK` timer stands for.
+    timer: Option<u64>,
     timer_fires: TimerFires,
     /// A frame arrived this wakeup, so `settle` drains the stack.
     drain_owed: bool,
@@ -244,7 +247,7 @@ impl HttperfProc {
             stack,
             io,
             conns: FxHashMap::default(),
-            armed: None,
+            timer: None,
             timer_fires: TimerFires::new("httperf"),
             drain_owed: false,
             metrics,
@@ -382,12 +385,7 @@ impl HttperfProc {
             ctx.send(self.nic, Msg::NetTx(frame));
         }
         // --- timers ---
-        if let Some(d) = self.stack.next_timeout() {
-            if self.armed.map(|a| d < a).unwrap_or(true) {
-                self.armed = Some(d);
-                ctx.set_timer(Time::from_nanos(d.saturating_sub(now)), TOK_STACK);
-            }
-        }
+        follow_deadline(ctx, &mut self.timer, self.stack.next_timeout(), TOK_STACK);
     }
 
     /// Classify one inbound frame and feed any TCP segment to the stack
@@ -444,16 +442,14 @@ impl Process<Msg> for HttperfProc {
                     },
                 );
                 // Stagger the initial opens.
-                for i in 0..self.cfg.num_conns {
-                    ctx.set_timer(
-                        Time::from_nanos(1 + i as u64 * self.cfg.open_spacing_ns),
-                        TOK_OPEN,
-                    );
+                for i in 0..self.cfg.num_conns as u64 {
+                    let at = Time::from_nanos(1 + i * self.cfg.open_spacing_ns);
+                    ctx.set_timer(at, TOK_OPEN + i);
                 }
                 ctx.set_timer(Time::from_millis(50), TOK_SCAN);
             }
             Event::Timer { token } => match token {
-                TOK_OPEN => {
+                t if t >= TOK_OPEN => {
                     self.open_conn(ctx);
                     self.drain(ctx);
                 }
@@ -469,7 +465,7 @@ impl Process<Msg> for HttperfProc {
                     }
                 }
                 _ => {
-                    self.armed = None;
+                    self.timer = None;
                     let now = ctx.now().as_nanos();
                     self.timer_fires.record(self.stack.next_timeout(), now);
                     self.stack.on_timer(now);

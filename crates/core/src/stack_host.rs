@@ -2,7 +2,7 @@
 //! replicas are the same stack cut at different process boundaries, and
 //! [`StackHost`] is the part above the cut — the only place that knows the
 //! socket-op message set, the replication/migration protocol, the flush
-//! order with its timer re-arm rule, and lazy termination. What sits
+//! order with its one stack timer, and lazy termination. What sits
 //! *below* TCP — frame I/O and the driver in `SingleStackProc`, a message
 //! to the IP process in `TcpProc` — is its [`WireSink`] parameter,
 //! statically dispatched.
@@ -65,6 +65,29 @@ impl TimerFires {
     }
 }
 
+/// Keep a host's one stack timer (`token`) on its stack's next deadline
+/// `due`: `timer` is the deadline the pending timer stands for. A deadline
+/// that moves replaces the timer, one that is gone withdraws it, so the
+/// timer never fires for nothing.
+pub fn follow_deadline<M: 'static>(
+    ctx: &mut Ctx<'_, M>,
+    timer: &mut Option<u64>,
+    due: Option<u64>,
+    token: u64,
+) {
+    if *timer == due {
+        return;
+    }
+    *timer = due;
+    match due {
+        Some(d) => ctx.set_timer(
+            Time::from_nanos(d.saturating_sub(ctx.now().as_nanos())),
+            token,
+        ),
+        None => ctx.cancel_timer(token),
+    }
+}
+
 /// Socket server + replication engine + lifecycle state of one replica.
 pub struct StackHost {
     /// NIC queue this replica is fed from.
@@ -77,8 +100,8 @@ pub struct StackHost {
     drained_reported: bool,
     /// A frame arrived this wakeup, so [`StackHost::settle`] flushes.
     flush_owed: bool,
-    /// Earliest armed timer deadline (avoid timer storms).
-    armed: Option<u64>,
+    /// The deadline the one pending stack timer stands for.
+    timer: Option<u64>,
     timer_fires: TimerFires,
     /// The segment a flush is handing to the wire: one buffer for all.
     seg: Vec<u8>,
@@ -101,7 +124,7 @@ impl StackHost {
             terminating: false,
             drained_reported: false,
             flush_owed: false,
-            armed: None,
+            timer: None,
             timer_fires: TimerFires::new("neat"),
             seg: Vec::new(),
             layout_token: 0,
@@ -135,7 +158,7 @@ impl StackHost {
 
     /// `Event::Timer`.
     pub fn on_timer<W: WireSink>(&mut self, ctx: &mut Ctx<'_, Msg>, wire: &mut W) {
-        self.armed = None;
+        self.timer = None;
         let now = ctx.now().as_nanos();
         self.timer_fires.record(self.sock.next_timeout(), now);
         self.sock.on_timer(now);
@@ -218,8 +241,8 @@ impl StackHost {
     }
 
     /// Push everything the stack owes out, in the one order every host
-    /// uses: events → wire → app messages → replication delta → timer
-    /// re-arm → drained report. Loopback traffic can generate new events
+    /// uses: events → wire → app messages → replication delta → stack
+    /// timer → drained report. Loopback traffic can generate new events
     /// and segments in the same handler, so rounds repeat to quiescence
     /// (bounded: each round consumes queued stack output).
     pub fn flush<W: WireSink>(&mut self, ctx: &mut Ctx<'_, Msg>, wire: &mut W) {
@@ -257,14 +280,8 @@ impl StackHost {
                 ctx.charge(calibration::SOCK_OP);
                 ctx.send(buddy, delta);
             }
-            // Timer re-arm: only when the next deadline is earlier than
-            // the one already armed.
-            if let Some(d) = self.sock.next_timeout() {
-                if self.armed.map(|a| d < a).unwrap_or(true) {
-                    self.armed = Some(d);
-                    ctx.set_timer(Time::from_nanos(d.saturating_sub(now)), 0);
-                }
-            }
+            // The stack timer follows the next deadline wherever it moves.
+            follow_deadline(ctx, &mut self.timer, self.sock.next_timeout(), 0);
             // Lazy-termination GC (§3.4).
             if self.terminating && !self.drained_reported && self.sock.conn_count() == 0 {
                 self.drained_reported = true;

@@ -95,12 +95,13 @@ pub struct Supervisor {
     apps: Vec<ProcId>,
     /// Spare hardware threads for scale-up.
     spare: Vec<HwThreadId>,
-    // The four maps below are only probed (get/insert/remove by key).
+    // The maps below are only probed (get/insert/remove by key), but for
+    // the one search of `pending_failover` by its unique token.
     /// Scheduled respawns: timer token → job.
     jobs: FxHashMap<u64, RespawnJob>,
-    /// Fallback timers for in-flight handoffs: token → queue.
-    fallback: FxHashMap<u64, usize>,
-    /// Handoffs awaiting [`Msg::ReplRestored`], keyed by queue.
+    /// Handoffs awaiting [`Msg::ReplRestored`], keyed by queue. Each has a
+    /// fallback timer pending under its token; the timer is withdrawn when
+    /// the entry goes, so one that fires is always current.
     pending_failover: FxHashMap<usize, PendingFailover>,
     /// Last `(head, buddy)` told to each queue, to skip no-op
     /// [`Msg::SetBuddy`] sends (each one forces a full re-checkpoint).
@@ -134,7 +135,6 @@ impl Supervisor {
             apps: Vec::new(),
             spare,
             jobs: FxHashMap::default(),
-            fallback: FxHashMap::default(),
             pending_failover: FxHashMap::default(),
             assigned: FxHashMap::default(),
             next_token: 1,
@@ -239,6 +239,13 @@ impl Supervisor {
             },
         );
         ctx.set_timer(RECOVERY_DELAY, token);
+    }
+
+    /// The queue whose pending handoff's fallback timer is `token`. Tokens
+    /// are unique, so the map's order decides nothing.
+    fn failover_of(&self, token: u64) -> Option<usize> {
+        let mut pending = self.pending_failover.iter();
+        pending.find(|(_, p)| p.token == token).map(|(q, _)| *q)
     }
 
     fn notify_apps(&self, ctx: &mut Ctx<'_, Msg>, make: impl Fn() -> Msg) {
@@ -365,15 +372,14 @@ impl Supervisor {
             );
             let token = self.next_token;
             self.next_token += 1;
-            self.fallback.insert(token, q);
-            self.pending_failover.insert(
-                q,
-                PendingFailover {
-                    old: old_pid,
-                    new,
-                    token,
-                },
-            );
+            let pending = PendingFailover {
+                old: old_pid,
+                new,
+                token,
+            };
+            if let Some(p) = self.pending_failover.insert(q, pending) {
+                ctx.cancel_timer(p.token);
+            }
             // Fallback: if the restore never confirms (e.g. the buddy dies
             // too), report the restart anyway so apps reap dead handles.
             ctx.set_timer(SPAWN_DELAY + RECOVERY_DELAY, token);
@@ -466,7 +472,9 @@ impl Supervisor {
         }
         ctx.send(self.driver, Msg::ReplicaDown { queue });
         self.assigned.remove(&queue);
-        self.pending_failover.remove(&queue);
+        if let Some(p) = self.pending_failover.remove(&queue) {
+            ctx.cancel_timer(p.token);
+        }
         if let Some(h) = head {
             if self.cfg.replication.enabled {
                 // Drop any replication state still held for the dead head.
@@ -508,23 +516,17 @@ impl Process<Msg> for Supervisor {
             Event::Timer { token } => {
                 if let Some(job) = self.jobs.remove(&token) {
                     self.respawn(ctx, job);
-                } else if let Some(q) = self.fallback.remove(&token) {
-                    let current = self
-                        .pending_failover
-                        .get(&q)
-                        .is_some_and(|p| p.token == token);
-                    if current {
-                        if let Some(p) = self.pending_failover.remove(&q) {
-                            // The handoff never confirmed (e.g. the buddy
-                            // died too): fall back to the stateless-recovery
-                            // report so apps reap the dead handles.
-                            self.stats.borrow_mut().stateful_losses += 1;
-                            neat_obs::counter_add("sup.stateful_losses", 1);
-                            self.notify_apps(ctx, || Msg::ReplicaRestarted {
-                                old: p.old,
-                                new: p.new,
-                            });
-                        }
+                } else if let Some(q) = self.failover_of(token) {
+                    if let Some(p) = self.pending_failover.remove(&q) {
+                        // The handoff never confirmed (e.g. the buddy died
+                        // too): fall back to the stateless-recovery report
+                        // so apps reap the dead handles.
+                        self.stats.borrow_mut().stateful_losses += 1;
+                        neat_obs::counter_add("sup.stateful_losses", 1);
+                        self.notify_apps(ctx, || Msg::ReplicaRestarted {
+                            old: p.old,
+                            new: p.new,
+                        });
                     }
                 }
             }
@@ -572,7 +574,7 @@ impl Process<Msg> for Supervisor {
                         ctx.send(self.driver, Msg::NicAddFilter { flow: *flow, queue });
                     }
                     if let Some(p) = self.pending_failover.remove(&queue) {
-                        self.fallback.remove(&p.token);
+                        ctx.cancel_timer(p.token);
                         self.stats.borrow_mut().handoffs_completed += 1;
                         neat_obs::counter_add("sup.handoffs_completed", 1);
                         // Deferred restart report: each app's ConnMigrated

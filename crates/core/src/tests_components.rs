@@ -138,6 +138,10 @@ fn driver_tx_path_reaches_nic() {
 /// 12 µs and one at 100 µs, each round from one handler.
 struct Feeder(ProcId, bool);
 
+/// The feeder's rounds: `(at µs, frames)`, each under its own timer token
+/// (its index), since a token has one pending timer.
+const FEEDER_ROUNDS: [(u64, usize); 3] = [(10, 3), (12, 1), (100, 1)];
+
 impl Process<Msg> for Feeder {
     fn name(&self) -> String {
         "feeder".into()
@@ -145,12 +149,12 @@ impl Process<Msg> for Feeder {
     fn on_event(&mut self, ctx: &mut Ctx<'_, Msg>, ev: Event<Msg>) {
         match ev {
             Event::Start => {
-                for (at, frames) in [(10, 3), (12, 1), (100, 1)] {
-                    ctx.set_timer(Time::from_micros(at), frames);
+                for (token, (at, _)) in FEEDER_ROUNDS.into_iter().enumerate() {
+                    ctx.set_timer(Time::from_micros(at), token as u64);
                 }
             }
             Event::Timer { token } => {
-                for _ in 0..token {
+                for _ in 0..FEEDER_ROUNDS[token as usize].1 {
                     let frame = vec![0u8; 60].into();
                     let msg = match self.1 {
                         true => Msg::NetTx(frame),

@@ -10,8 +10,8 @@
 use crate::shared::{MonoShared, MONO_VFS_PER_OP};
 use neat::msg::Msg;
 use neat::netcode::RxClass;
-use neat::stack_host::TimerFires;
-use neat_sim::{calibration, Ctx, Event, ProcId, Process, Time};
+use neat::stack_host::{follow_deadline, TimerFires};
+use neat_sim::{calibration, Ctx, Event, ProcId, Process};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -23,7 +23,8 @@ pub struct KernelCtxProc {
     /// Shared link/ARP state (also kernel-owned).
     io: Rc<RefCell<neat::netcode::FrameIo>>,
     nic: ProcId,
-    armed: Option<u64>,
+    /// The deadline the one pending stack timer stands for (context 0).
+    timer: Option<u64>,
     timer_fires: TimerFires,
     obs: MonoObs,
 }
@@ -59,7 +60,7 @@ impl KernelCtxProc {
             shared,
             io,
             nic,
-            armed: None,
+            timer: None,
             timer_fires: TimerFires::new("mono"),
             obs: MonoObs::new(),
         }
@@ -91,12 +92,7 @@ impl KernelCtxProc {
         }
         // One context owns the kernel's timer wheel.
         if self.idx == 0 {
-            if let Some(d) = sh.sock.next_timeout() {
-                if self.armed.map(|a| d < a).unwrap_or(true) {
-                    self.armed = Some(d);
-                    ctx.set_timer(Time::from_nanos(d.saturating_sub(now)), 0);
-                }
-            }
+            follow_deadline(ctx, &mut self.timer, sh.sock.next_timeout(), 0);
         }
     }
 }
@@ -110,7 +106,7 @@ impl Process<Msg> for KernelCtxProc {
         match ev {
             Event::Start => {}
             Event::Timer { .. } => {
-                self.armed = None;
+                self.timer = None;
                 let now = ctx.now().as_nanos();
                 let mut sh = self.shared.borrow_mut();
                 self.timer_fires.record(sh.sock.next_timeout(), now);

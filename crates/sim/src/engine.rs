@@ -158,6 +158,10 @@ struct ProcSlot<M> {
     /// Its open link batches by destination (a handful of peers: scanned,
     /// not hashed). What a process sent before dying still arrives.
     batches: Vec<(ProcId, LinkBatch<M>)>,
+    /// Its pending timers, one per token: `(token, body slot)`. Scanned,
+    /// like `batches`; an executed timer leaves, a replaced or withdrawn
+    /// one leaves with its body emptied in place (see `Sim::bodies`).
+    timers: Vec<(u64, u32)>,
 }
 
 impl<M: 'static> ProcSlot<M> {
@@ -168,6 +172,7 @@ impl<M: 'static> ProcSlot<M> {
             thread,
             alive: true,
             batches: Vec::new(),
+            timers: Vec::new(),
         }
     }
 }
@@ -222,8 +227,13 @@ enum Output<M> {
         msg: M,
         extra_delay: Time,
     },
+    /// Arm timer `token` after `delay`, replacing a pending one.
     Timer {
         delay: Time,
+        token: u64,
+    },
+    /// Withdraw the pending timer `token`, if there is one.
+    CancelTimer {
         token: u64,
     },
     Spawn {
@@ -312,7 +322,10 @@ pub struct Sim<M> {
     heap: BinaryHeap<Reverse<Key>>,
     /// Event bodies by [`Key::body`]. A slot is under a heap key, or holds a
     /// delivery that found its thread busy and whose index waits in that
-    /// thread's `pending` queue, or is `None` and listed in `free`.
+    /// thread's `pending` queue, or is `None` and listed in `free`. A timer
+    /// replaced or withdrawn before it ran is emptied in place: its slot
+    /// stays `None` under its key or queue entry, which is skipped when it
+    /// comes up, and only then is the slot freed.
     bodies: Vec<Option<HeapKind<M>>>,
     free: Vec<u32>,
     /// Every hardware thread, indexed by `HwThreadId`; beside it the
@@ -593,8 +606,10 @@ impl<M: 'static> Sim<M> {
             }
             let Reverse(key) = PeekMut::pop(top);
             self.now = key.time;
-            self.dispatch(key);
-            self.events_dispatched += 1;
+            // A withdrawn timer's key is skipped, not dispatched.
+            if self.dispatch(key) {
+                self.events_dispatched += 1;
+            }
         }
         if self.now < until {
             self.now = until;
@@ -697,9 +712,17 @@ impl<'a, M: 'static> Ctx<'a, M> {
         });
     }
 
-    /// Arrange for [`Event::Timer`] with `token` after `delay`.
+    /// Arrange for [`Event::Timer`] with `token` after `delay`. A process
+    /// has at most one pending timer per token: this one replaces the
+    /// pending timer of `token`, which then never fires.
     pub fn set_timer(&mut self, delay: Time, token: u64) {
-        self.outputs.push(Output::Timer { delay, token });
+        self.timer_output(Output::Timer { delay, token }, token);
+    }
+
+    /// Withdraw the pending timer of `token`; it never fires. A no-op if
+    /// there is none (it fired, or was never set).
+    pub fn cancel_timer(&mut self, token: u64) {
+        self.timer_output(Output::CancelTimer { token }, token);
     }
 
     /// Spawn a new process (returns its pid immediately; it starts after

@@ -20,6 +20,21 @@ impl<M> From<Event<M>> for Delivery<M> {
     }
 }
 
+impl<M> Ctx<'_, M> {
+    /// Of a handler's timer requests for one token only the last takes
+    /// effect, so it overwrites an earlier one in place.
+    pub(super) fn timer_output(&mut self, out: Output<M>, token: u64) {
+        let earlier = self.outputs.iter_mut().find(|o| match o {
+            Output::Timer { token: t, .. } | Output::CancelTimer { token: t } => *t == token,
+            _ => false,
+        });
+        match earlier {
+            Some(o) => *o = out,
+            None => self.outputs.push(out),
+        }
+    }
+}
+
 impl<M> ProcSlot<M> {
     /// Index of this sender's open batch toward `dst` (their order is never observed).
     fn batch_to(&self, dst: ProcId) -> Option<usize> {
@@ -28,10 +43,10 @@ impl<M> ProcSlot<M> {
 }
 
 impl<M: 'static> Sim<M> {
-    /// Schedule `kind` at `time`, stamped with machine `by`'s next origin.
-    /// The body takes a free slot, or a new one (the slab never shrinks, so
-    /// a warm run allocates nothing here).
-    fn schedule(&mut self, by: usize, time: Time, kind: HeapKind<M>) {
+    /// Schedule `kind` at `time`, stamped with machine `by`'s next origin;
+    /// returns its body slot. The body takes a free slot, or a new one (the
+    /// slab never shrinks, so a warm run allocates nothing here).
+    fn schedule(&mut self, by: usize, time: Time, kind: HeapKind<M>) -> u32 {
         let origin = self.states[by].next_origin();
         let body = match self.free.pop() {
             Some(i) => {
@@ -45,6 +60,7 @@ impl<M: 'static> Sim<M> {
             }
         };
         self.heap.push(Reverse(Key { time, origin, body }));
+        body
     }
 
     /// Take an event's body out of its slot and free the slot.
@@ -88,6 +104,34 @@ impl<M: 'static> Sim<M> {
         }
     }
 
+    /// Arm `pid`'s timer `token` at `at`, or with `at == None` withdraw it.
+    /// A pending timer of the token is emptied in place: its key or queue
+    /// entry frees the slot when it comes up. `pid` is the running process
+    /// (a handler's outputs), so it has a slot.
+    fn set_timer(&mut self, pid: ProcId, token: u64, at: Option<Time>) {
+        let m = machine_of_pid(pid);
+        let body = at.map(|at| {
+            let ev = Event::Timer { token }.into();
+            self.schedule(m, at, HeapKind::Deliver { dst: pid, ev })
+        });
+        let Some(slot) = self.states[m].procs.get_mut(pid) else {
+            return;
+        };
+        let pending = slot.timers.iter().position(|&(t, _)| t == token);
+        let old = match (pending, body) {
+            (Some(i), Some(b)) => Some(std::mem::replace(&mut slot.timers[i].1, b)),
+            (Some(i), None) => Some(slot.timers.swap_remove(i).1),
+            (None, Some(b)) => {
+                slot.timers.push((token, b));
+                None
+            }
+            (None, None) => None,
+        };
+        if let Some(old) = old {
+            self.bodies[old as usize] = None;
+        }
+    }
+
     /// Keep a delivered batch's vector for the next batch opened. A few
     /// per machine are enough (last in, first out; DESIGN.md has the
     /// numbers for four and for unbounded).
@@ -98,12 +142,13 @@ impl<M: 'static> Sim<M> {
         }
     }
 
-    /// Dispatch the event under a key popped from the heap.
-    pub(super) fn dispatch(&mut self, Key { time, body, .. }: Key) {
+    /// Dispatch the event under a key popped from the heap. Returns false
+    /// for the key of a withdrawn timer, which only frees its slot.
+    pub(super) fn dispatch(&mut self, Key { time, body, .. }: Key) -> bool {
         if let Some(dst) = self.delivery_dst(body) {
             let Some(slot) = self.slot(dst).filter(|s| s.alive) else {
                 self.release(body);
-                return;
+                return true;
             };
             let t = slot.thread.0;
             // FIFO server: if the thread is (or will be) busy, or has queued
@@ -121,13 +166,13 @@ impl<M: 'static> Sim<M> {
             } else {
                 self.execute(t, body, time);
             }
-            return;
+            return true;
         }
         match self.release(body) {
             Some(HeapKind::FlushBatch { src, dst, epoch }) => {
                 // Stale unless the batch is still open under this epoch.
                 let Some(sender) = self.slot_mut(src) else {
-                    return;
+                    return true;
                 };
                 let open = sender.batch_to(dst);
                 if let Some(i) = open.filter(|&i| sender.batches[i].1.epoch == epoch) {
@@ -141,7 +186,7 @@ impl<M: 'static> Sim<M> {
             Some(HeapKind::ThreadResume(HwThreadId(t))) => {
                 self.resume_scheduled[t] = false;
                 // Pop queued work until we find a live destination; messages
-                // to dead processes vanish.
+                // to dead processes and withdrawn timers vanish.
                 while let Some(body) = self.pending[t].pop_front() {
                     if self
                         .delivery_dst(body)
@@ -157,9 +202,12 @@ impl<M: 'static> Sim<M> {
                     self.schedule_resume(t, self.threads[t].busy_until.max(time));
                 }
             }
-            // Deliveries went above; a key's slot is never free.
-            Some(HeapKind::Deliver { .. }) | None => {}
+            // Deliveries went above; an empty slot under a key is a
+            // withdrawn timer's.
+            Some(HeapKind::Deliver { .. }) => {}
+            None => return false,
         }
+        true
     }
 
     /// Deliver a closed batch at `at` (>= the current dispatch instant).
@@ -256,10 +304,18 @@ impl<M: 'static> Sim<M> {
             None
         };
         let mut proc = match self.slot_mut(dst) {
-            Some(slot) if slot.alive => match slot.proc.take() {
-                Some(p) => p,
-                None => return,
-            },
+            Some(slot) if slot.alive => {
+                // A timer that runs is no longer pending.
+                if let Delivery::Event(Event::Timer { token }) = ev {
+                    if let Some(i) = slot.timers.iter().position(|&(t, _)| t == token) {
+                        slot.timers.swap_remove(i);
+                    }
+                }
+                match slot.proc.take() {
+                    Some(p) => p,
+                    None => return,
+                }
+            }
             _ => return,
         };
 
@@ -366,9 +422,8 @@ impl<M: 'static> Sim<M> {
                         self.deliver(m, at, to, Event::Message { from: dst, msg });
                     }
                 }
-                Output::Timer { delay, token } => {
-                    self.deliver(m, end + delay, dst, Event::Timer { token });
-                }
+                Output::Timer { delay, token } => self.set_timer(dst, token, Some(end + delay)),
+                Output::CancelTimer { token } => self.set_timer(dst, token, None),
                 Output::Spawn {
                     pid,
                     thread,
@@ -405,6 +460,8 @@ impl<M: 'static> Sim<M> {
             Some(slot) if slot.alive => {
                 slot.alive = false;
                 slot.proc = None; // all state dropped — stateless recovery
+                                  // Its pending timers find it dead when they come up.
+                slot.timers = Vec::new();
                 (slot.name.clone(), slot.thread)
             }
             _ => return,

@@ -622,19 +622,24 @@ fn dispatch_history_digest_is_pinned() {
             sim.now(),
         )
     };
+    // Re-pinned on purpose when a token came to hold one pending timer:
+    // the nodes re-use tokens `n + 1`, so a timer set again replaces the
+    // pending one. Before, unbatched: (0xabe5_78c2_3321_0dfb, 4143,
+    // 928_977); batched: (0x3cb6_457b_075a_709b, 3542, 407_211) and the
+    // batch stats 409/300/48/1122/411.
     let end = Time::from_millis(5);
     let none = BatchStats::default();
-    assert_eq!(run(0), (0xabe5_78c2_3321_0dfb, 4143, 928_977, none, end));
+    assert_eq!(run(0), (0x2813_8b73_acdd_de14, 3720, 857_916, none, end));
     let coalesced = BatchStats {
-        flush_timer: 409,
-        flush_depth: 300,
-        flush_close: 48,
-        batched_msgs: 1122,
-        batch_deliveries: 411,
+        flush_timer: 323,
+        flush_depth: 277,
+        flush_close: 49,
+        batched_msgs: 1029,
+        batch_deliveries: 376,
     };
     assert_eq!(
         run(2_000),
-        (0x3cb6_457b_075a_709b, 3542, 407_211, coalesced, end)
+        (0xbd11_b83c_2c0f_54fa, 3034, 373_410, coalesced, end)
     );
 }
 
@@ -789,25 +794,48 @@ fn heap_key_is_24_bytes() {
     assert_eq!(std::mem::size_of::<Reverse<Key>>(), 24);
 }
 
+/// What [`assert_every_body_slot_accounted`] saw besides live work.
+#[derive(Debug, Default, Clone, Copy)]
+struct SlotCensus {
+    /// Queued deliveries to a dead process.
+    dead_queued: usize,
+    /// Withdrawn timers whose emptied slot is still under a heap key.
+    withdrawn_keyed: usize,
+    /// Withdrawn timers whose emptied slot still waits in a thread queue.
+    withdrawn_queued: usize,
+}
+
 /// Every body slot is accounted for exactly once: under a heap key, queued
-/// in a thread's `pending`, or free and `None`. Returns how many queued
-/// bodies wait for a dead process.
-fn assert_every_body_slot_accounted<M: 'static>(sim: &Sim<M>) -> usize {
+/// in a thread's `pending`, or free and `None`. A keyed or queued slot that
+/// is `None` is a withdrawn timer's, never listed free. Each live process's
+/// pending-timer table names exactly the timers keyed or queued for it: the
+/// slot holds that process's timer of that token.
+fn assert_every_body_slot_accounted<M: 'static>(sim: &Sim<M>) -> SlotCensus {
+    let mut census = SlotCensus::default();
     let mut owners = vec![0u32; sim.bodies.len()];
+    let mut live_timers = Vec::new();
+    let mut note = |b: u32, census: &mut usize| match &sim.bodies[b as usize] {
+        None => *census += 1,
+        Some(HeapKind::Deliver {
+            dst,
+            ev: Delivery::Event(Event::Timer { token }),
+        }) if sim.is_alive(*dst) => live_timers.push((*dst, *token, b)),
+        Some(_) => {}
+    };
     for Reverse(k) in sim.heap.iter() {
         owners[k.body as usize] += 1;
-        assert!(
-            sim.bodies[k.body as usize].is_some(),
-            "key over a free slot"
-        );
+        note(k.body, &mut census.withdrawn_keyed);
     }
-    let mut dead_queued = 0;
     for &b in sim.pending.iter().flatten() {
         owners[b as usize] += 1;
-        let Some(HeapKind::Deliver { dst, .. }) = sim.bodies[b as usize] else {
-            panic!("a queued slot holds no delivery");
-        };
-        dead_queued += usize::from(!sim.is_alive(dst));
+        note(b, &mut census.withdrawn_queued);
+        match &sim.bodies[b as usize] {
+            Some(HeapKind::Deliver { dst, .. }) => {
+                census.dead_queued += usize::from(!sim.is_alive(*dst));
+            }
+            Some(_) => panic!("a queued slot holds no delivery"),
+            None => {}
+        }
     }
     for &b in &sim.free {
         owners[b as usize] += 1;
@@ -818,7 +846,18 @@ fn assert_every_body_slot_accounted<M: 'static>(sim: &Sim<M>) -> usize {
     }
     let lost: Vec<usize> = (0..owners.len()).filter(|&i| owners[i] != 1).collect();
     assert!(lost.is_empty(), "slots not owned exactly once: {lost:?}");
-    dead_queued
+    let procs = sim.states.iter().flat_map(|m| m.procs.iter());
+    let mut tables: Vec<(ProcId, u64, u32)> = procs
+        .filter(|(_, s)| s.alive)
+        .flat_map(|(pid, s)| s.timers.iter().map(move |&(t, b)| (pid, t, b)))
+        .collect();
+    tables.sort_unstable();
+    live_timers.sort_unstable();
+    assert_eq!(
+        tables, live_timers,
+        "pending-timer tables vs pending timers"
+    );
+    census
 }
 
 #[test]
@@ -826,9 +865,13 @@ fn every_body_slot_is_keyed_queued_or_free() {
     // A pump sends bursts (depth flushes leave their `FlushBatch` stale) to
     // a slow sink that queues them and to a victim that is crashed while
     // work waits for it and is sent to afterwards; every step of the run
-    // must leave each body slot with exactly one owner.
+    // must leave each body slot with exactly one owner. A fickle process
+    // on the sink's thread re-arms and withdraws its timers each round, so
+    // some are replaced under their heap key and some while they wait in
+    // the busy thread's queue.
     struct Pump {
         slow: ProcId,
+        fickle: ProcId,
         victim: ProcId,
         round: u32,
     }
@@ -842,6 +885,7 @@ fn every_body_slot_is_keyed_queued_or_free() {
                 for i in 0..4 {
                     ctx.send(self.slow, TMsg::Ping(i));
                 }
+                ctx.send(self.fickle, TMsg::Ping(self.round));
                 ctx.send(self.victim, TMsg::Ping(self.round));
                 ctx.send(self.victim, TMsg::Ping(self.round));
                 if self.round == 40 {
@@ -866,6 +910,31 @@ fn every_body_slot_is_keyed_queued_or_free() {
             }
         }
     }
+    struct Fickle;
+    impl Process<TMsg> for Fickle {
+        fn name(&self) -> String {
+            "fickle".into()
+        }
+        fn on_event(&mut self, ctx: &mut Ctx<'_, TMsg>, ev: Event<TMsg>) {
+            match ev {
+                Event::Message {
+                    msg: TMsg::Ping(r), ..
+                } => {
+                    // Timer 0 is replaced every round, timer 1 re-armed
+                    // and withdrawn in turn; the work keeps a timer this
+                    // wakeup withdrew queued behind it for a while.
+                    ctx.charge(2_000);
+                    ctx.set_timer(Time(5_000 + 1_000 * (r as u64 % 3)), 0);
+                    match r % 2 {
+                        0 => ctx.cancel_timer(1),
+                        _ => ctx.set_timer(Time(9_000), 1),
+                    }
+                }
+                Event::Timer { .. } => ctx.charge(1_500),
+                _ => {}
+            }
+        }
+    }
     let mut sim: Sim<TMsg> = Sim::new(SimConfig {
         batch_ns: 2_000,
         batch_max: 3,
@@ -877,16 +946,22 @@ fn every_body_slot_is_keyed_queued_or_free() {
     // the victim, whose backlog grows until it dies.
     let slow = sim.spawn(sim.hw_thread(m, 1, 0), Box::new(Slow(2_000)));
     let victim = sim.spawn(sim.hw_thread(m, 2, 0), Box::new(Slow(9_000)));
+    let fickle = sim.spawn(sim.hw_thread(m, 1, 0), Box::new(Fickle));
     let pump = Pump {
         slow,
+        fickle,
         victim,
         round: 0,
     };
     sim.spawn(sim.hw_thread(m, 0, 0), Box::new(pump));
     let (mut queued_steps, mut dead_queued) = (0, 0);
+    let (mut withdrawn_keyed, mut withdrawn_queued) = (0, 0);
     while !sim.heap.is_empty() {
         sim.run_until(sim.now() + Time(700));
-        dead_queued += assert_every_body_slot_accounted(&sim);
+        let census = assert_every_body_slot_accounted(&sim);
+        dead_queued += census.dead_queued;
+        withdrawn_keyed += census.withdrawn_keyed;
+        withdrawn_queued += census.withdrawn_queued;
         queued_steps += usize::from(sim.pending.iter().any(|q| !q.is_empty()));
     }
     assert!(!sim.is_alive(victim));
@@ -907,4 +982,126 @@ fn every_body_slot_is_keyed_queued_or_free() {
         queued_steps > 10 && dead_queued > 0,
         "{queued_steps} {dead_queued}"
     );
+    assert!(
+        withdrawn_keyed > 0 && withdrawn_queued > 0,
+        "{withdrawn_keyed} {withdrawn_queued}"
+    );
+}
+
+/// Arms timer 1 at 50 µs and timer 2 at 20 µs when it starts. `Ping(0)`
+/// keeps its thread busy for 50 µs; `Ping(n)` re-arms timer `n` 100 µs out
+/// and `Pong(n)` withdraws it, each after 10 µs of work. Logs each timer
+/// that fires as (µs, token).
+struct Timed(std::rc::Rc<std::cell::RefCell<Vec<(u64, u64)>>>);
+
+impl Process<TMsg> for Timed {
+    fn name(&self) -> String {
+        "timed".into()
+    }
+    fn on_event(&mut self, ctx: &mut Ctx<'_, TMsg>, ev: Event<TMsg>) {
+        match ev {
+            Event::Start => {
+                ctx.set_timer(Time::from_micros(50), 1);
+                ctx.set_timer(Time::from_micros(20), 2);
+            }
+            Event::Message {
+                msg: TMsg::Ping(0), ..
+            } => ctx.charge(95_000),
+            Event::Message {
+                msg: TMsg::Ping(n), ..
+            } => {
+                ctx.charge(19_000);
+                ctx.set_timer(Time::from_micros(100), n as u64);
+            }
+            Event::Message {
+                msg: TMsg::Pong(n), ..
+            } => {
+                ctx.charge(19_000);
+                ctx.cancel_timer(n as u64);
+            }
+            Event::Timer { token } => {
+                let at = ctx.now().as_nanos() / 1_000;
+                self.0.borrow_mut().push((at, token));
+            }
+            Event::Message { .. } => {}
+        }
+    }
+}
+
+/// Drive a [`Timed`] so that its timer 1 is replaced (`Ping`) or withdrawn
+/// (`Pong`) while its key is still in the heap, and timer 2 while its body
+/// waits in the busy thread's queue. Returns the fire log and the
+/// dispatched event count.
+fn timed_run(op: fn(u32) -> TMsg) -> (Vec<(u64, u64)>, u64) {
+    let mut sim: Sim<TMsg> = Sim::new(SimConfig::default());
+    let m = sim.add_machine(MachineSpec::amd_opteron_6168());
+    let t = sim.hw_thread(m, 0, 0);
+    let log = std::rc::Rc::new(std::cell::RefCell::new(vec![]));
+    let p = sim.spawn(t, Box::new(Timed(log.clone())));
+    sim.run_until(Time::from_micros(1));
+    // Timer 1 (due at 50 µs) still has its key in the heap.
+    sim.send_external(p, op(1));
+    sim.run_until(Time::from_micros(2));
+    let census = assert_every_body_slot_accounted(&sim);
+    assert_eq!(
+        census.withdrawn_keyed, 1,
+        "timer 1's key over an empty slot"
+    );
+    // Busy until about 61 µs; op(2) queues behind that work, and timer 2's
+    // key, due at 20 µs, pops behind op(2).
+    sim.send_external(p, TMsg::Ping(0));
+    sim.send_external(p, op(2));
+    sim.run_until(Time::from_micros(30));
+    let queued: Vec<_> = sim.pending[t.0]
+        .iter()
+        .map(|&b| match &sim.bodies[b as usize] {
+            Some(HeapKind::Deliver { ev, .. }) => {
+                matches!(ev, Delivery::Event(Event::Timer { .. }))
+            }
+            _ => panic!("a queued slot holds no delivery"),
+        })
+        .collect();
+    assert_eq!(queued, [false, true], "op(2), then timer 2");
+    assert_every_body_slot_accounted(&sim);
+    // op(2) runs and empties timer 2's body where it waits in the queue.
+    sim.run_until(Time::from_micros(65));
+    let census = assert_every_body_slot_accounted(&sim);
+    assert_eq!(census.withdrawn_queued, 1, "timer 2's queued body emptied");
+    sim.run_until(Time::from_millis(1));
+    assert_every_body_slot_accounted(&sim);
+    assert_eq!(sim.free.len(), sim.bodies.len(), "every slot freed once");
+    let log = log.borrow().clone();
+    (log, sim.events_dispatched())
+}
+
+#[test]
+fn set_timer_replaces_the_pending_timer_of_its_token() {
+    let (log, events) = timed_run(TMsg::Ping);
+    // Each token fires once, after its replacement's deadline (op(1) ends
+    // at 11 µs, op(2) at 71 µs; the thread wakes from sleep for each); the
+    // replaced 50 µs and 20 µs timers never run.
+    assert_eq!(log.len(), 2, "{log:?}");
+    assert!(log[0].1 == 1 && (111..140).contains(&log[0].0), "{log:?}");
+    assert!(log[1].1 == 2 && (171..200).contains(&log[1].0), "{log:?}");
+    // Start, three messages, timer 2's key (its body was whole when it
+    // popped), three resumes, two timers; timer 1's withdrawn key is
+    // skipped, not counted.
+    assert_eq!(events, 10);
+}
+
+#[test]
+fn cancel_timer_withdraws_it() {
+    let (log, events) = timed_run(TMsg::Pong);
+    assert_eq!(log, [], "a withdrawn timer never fires");
+    // As above, less the two timers.
+    assert_eq!(events, 8);
+    // Withdrawing a token with no pending timer changes nothing.
+    let mut sim: Sim<TMsg> = Sim::new(SimConfig::default());
+    let m = sim.add_machine(MachineSpec::amd_opteron_6168());
+    let log = std::rc::Rc::new(std::cell::RefCell::new(vec![]));
+    let p = sim.spawn(sim.hw_thread(m, 0, 0), Box::new(Timed(log.clone())));
+    sim.send_external(p, TMsg::Pong(7));
+    sim.run_until(Time::from_millis(1));
+    assert_eq!(log.borrow().iter().map(|e| e.1).collect::<Vec<_>>(), [2, 1]);
+    assert_eq!(sim.free.len(), sim.bodies.len());
 }
