@@ -460,8 +460,7 @@ impl<M: 'static> Sim<M> {
             Some(slot) if slot.alive => {
                 slot.alive = false;
                 slot.proc = None; // all state dropped — stateless recovery
-                                  // Its pending timers find it dead when they come up.
-                slot.timers = Vec::new();
+                slot.timers = Vec::new(); // its keyed timers find it dead
                 (slot.name.clone(), slot.thread)
             }
             _ => return,

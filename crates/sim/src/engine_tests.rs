@@ -988,7 +988,8 @@ fn every_body_slot_is_keyed_queued_or_free() {
     );
 }
 
-/// Arms timer 1 at 50 µs and timer 2 at 20 µs when it starts. `Ping(0)`
+/// Arms timer 1 at 50 µs and timer 2 at 20 µs when it starts, and timer 3,
+/// which the same handler withdraws again. `Ping(0)`
 /// keeps its thread busy for 50 µs; `Ping(n)` re-arms timer `n` 100 µs out
 /// and `Pong(n)` withdraws it, each after 10 µs of work. Logs each timer
 /// that fires as (µs, token).
@@ -1003,6 +1004,8 @@ impl Process<TMsg> for Timed {
             Event::Start => {
                 ctx.set_timer(Time::from_micros(50), 1);
                 ctx.set_timer(Time::from_micros(20), 2);
+                ctx.set_timer(Time::from_micros(10), 3);
+                ctx.cancel_timer(3);
             }
             Event::Message {
                 msg: TMsg::Ping(0), ..
@@ -1043,6 +1046,7 @@ fn timed_run(op: fn(u32) -> TMsg) -> (Vec<(u64, u64)>, u64) {
     sim.send_external(p, op(1));
     sim.run_until(Time::from_micros(2));
     let census = assert_every_body_slot_accounted(&sim);
+    // Timer 3 never reached the heap: the handler's cancel overwrote it.
     assert_eq!(
         census.withdrawn_keyed, 1,
         "timer 1's key over an empty slot"
