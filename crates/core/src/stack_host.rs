@@ -68,22 +68,23 @@ impl TimerFires {
 /// Keep a host's one stack timer (`token`) on its stack's next deadline
 /// `due`: `timer` is the deadline the pending timer stands for. A deadline
 /// that moves replaces the timer, one that is gone withdraws it, so the
-/// timer never fires for nothing.
+/// timer never fires for nothing. A timer already due stays where it
+/// waits while the deadline stays due: replaced, it would go to the back
+/// of a busy thread's queue and wait out the backlog again.
 pub fn follow_deadline<M: 'static>(
     ctx: &mut Ctx<'_, M>,
     timer: &mut Option<u64>,
     due: Option<u64>,
     token: u64,
 ) {
-    if *timer == due {
+    let now = ctx.now().as_nanos();
+    let overdue = |d: Option<u64>| d.is_some_and(|d| d <= now);
+    if *timer == due || (overdue(*timer) && overdue(due)) {
         return;
     }
     *timer = due;
     match due {
-        Some(d) => ctx.set_timer(
-            Time::from_nanos(d.saturating_sub(ctx.now().as_nanos())),
-            token,
-        ),
+        Some(d) => ctx.set_timer(Time::from_nanos(d.saturating_sub(now)), token),
         None => ctx.cancel_timer(token),
     }
 }
@@ -291,5 +292,77 @@ impl StackHost {
                 break;
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::follow_deadline;
+    use neat_sim::{Ctx, Event, MachineSpec, Process, Sim, SimConfig, Time};
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    /// Works 20 µs on each message, so its backlog grows. The first message
+    /// makes a deadline due 1 µs later; every later one moves it, still
+    /// overdue, as a stack's minimum moves when other work is added. Logs
+    /// when each message ends and when the timer fires (µs).
+    struct Host {
+        due: Option<u64>,
+        timer: Option<u64>,
+        log: Rc<RefCell<(Vec<u64>, Vec<u64>)>>,
+    }
+
+    impl Process<u32> for Host {
+        fn name(&self) -> String {
+            "host".into()
+        }
+        fn on_event(&mut self, ctx: &mut Ctx<'_, u32>, ev: Event<u32>) {
+            let now = ctx.now().as_nanos();
+            match ev {
+                Event::Message { .. } => {
+                    ctx.charge(38_000); // 20 µs at 1.9 GHz
+                    self.due = match (self.due, self.log.borrow().0.is_empty()) {
+                        (None, true) => Some(now + 1_000),
+                        (due, _) => due.map(|d| d - 1),
+                    };
+                    let end = now + 20_000;
+                    self.log.borrow_mut().0.push(end / 1_000);
+                }
+                Event::Timer { .. } => {
+                    self.timer = None;
+                    self.due = None;
+                    self.log.borrow_mut().1.push(now / 1_000);
+                }
+                Event::Start => {}
+            }
+            follow_deadline(ctx, &mut self.timer, self.due, 7);
+        }
+    }
+
+    #[test]
+    fn an_overdue_timer_keeps_its_place_in_a_busy_threads_queue() {
+        let mut sim: Sim<u32> = Sim::new(SimConfig::default());
+        let m = sim.add_machine(MachineSpec::amd_opteron_6168());
+        let log = Rc::new(RefCell::new((vec![], vec![])));
+        let host = Host {
+            due: None,
+            timer: None,
+            log: log.clone(),
+        };
+        let host = sim.spawn(sim.hw_thread(m, 0, 0), Box::new(host));
+        for i in 0..20 {
+            sim.run_until(Time::from_micros(10 * i));
+            sim.send_external(host, i as u32);
+        }
+        sim.run_until(Time::from_millis(1));
+        let (ends, fires) = log.borrow().clone();
+        // The backlog: a message every 10 µs, each worked on for 20 µs.
+        assert_eq!(ends.len(), 20);
+        assert!(*ends.last().unwrap() > 350, "{ends:?}");
+        // The timer fell due during the first message and queued behind the
+        // work already waiting then; moving the overdue deadline did not
+        // send it to the back of the queue again and again.
+        assert_eq!(fires.len(), 1, "{fires:?}");
+        assert!(fires[0] < ends[3], "fired at {} µs; {ends:?}", fires[0]);
     }
 }
