@@ -716,13 +716,13 @@ impl<'a, M: 'static> Ctx<'a, M> {
     /// has at most one pending timer per token: this one replaces the
     /// pending timer of `token`, which then never fires.
     pub fn set_timer(&mut self, delay: Time, token: u64) {
-        self.timer_output(Output::Timer { delay, token }, token);
+        self.outputs.push(Output::Timer { delay, token });
     }
 
     /// Withdraw the pending timer of `token`; it never fires. A no-op if
     /// there is none (it fired, or was never set).
     pub fn cancel_timer(&mut self, token: u64) {
-        self.timer_output(Output::CancelTimer { token }, token);
+        self.outputs.push(Output::CancelTimer { token });
     }
 
     /// Spawn a new process (returns its pid immediately; it starts after

@@ -20,21 +20,6 @@ impl<M> From<Event<M>> for Delivery<M> {
     }
 }
 
-impl<M> Ctx<'_, M> {
-    /// Of a handler's timer requests for one token only the last takes
-    /// effect, so it overwrites an earlier one in place.
-    pub(super) fn timer_output(&mut self, out: Output<M>, token: u64) {
-        let earlier = self.outputs.iter_mut().find(|o| match o {
-            Output::Timer { token: t, .. } | Output::CancelTimer { token: t } => *t == token,
-            _ => false,
-        });
-        match earlier {
-            Some(o) => *o = out,
-            None => self.outputs.push(out),
-        }
-    }
-}
-
 impl<M> ProcSlot<M> {
     /// Index of this sender's open batch toward `dst` (their order is never observed).
     fn batch_to(&self, dst: ProcId) -> Option<usize> {
