@@ -204,7 +204,9 @@ fn rto_bounds() {
 /// schedule / reschedule / cancel / advance fires exactly the same keys
 /// in exactly the same order (deadline, then arm sequence) as the model.
 /// This covers the cascade machinery: advances jump across level
-/// boundaries, so entries migrate through coarse slots before firing.
+/// boundaries, so entries migrate through coarse slots before firing. A
+/// catch-up moves the clock past due slots without firing them; they fire
+/// at the next advance, and schedules in between hash against that clock.
 #[test]
 fn wheel_matches_sorted_list_model() {
     #[derive(Debug, Clone)]
@@ -218,6 +220,9 @@ fn wheel_matches_sorted_list_model() {
             key: u64,
         },
         Advance {
+            delta: u64,
+        },
+        CatchUp {
             delta: u64,
         },
     }
@@ -249,6 +254,11 @@ fn wheel_matches_sorted_list_model() {
                     .filter(|d| *d > 0)
                     .map(|d| Op::Advance { delta: d })
                     .collect(),
+                Op::CatchUp { delta } => delta
+                    .shrink()
+                    .into_iter()
+                    .map(|d| Op::CatchUp { delta: d })
+                    .collect(),
             }
         }
     }
@@ -257,9 +267,16 @@ fn wheel_matches_sorted_list_model() {
         "wheel_matches_sorted_list_model",
         Config::default().cases(256),
         |rng| {
-            vec_of(rng, 1..60, |r| match r.gen_range(0u8..5) {
+            vec_of(rng, 1..60, |r| match r.gen_range(0u8..6) {
                 0 => Op::Cancel {
                     key: r.gen_range(0u64..16),
+                },
+                5 => Op::CatchUp {
+                    delta: match r.gen_range(0u8..3) {
+                        0 => r.gen_range(0u64..128),
+                        1 => r.gen_range(128u64..1_000_000),
+                        _ => r.gen_range(1_000_000u64..40_000_000_000),
+                    },
                 },
                 1 | 2 => Op::Schedule {
                     key: r.gen_range(0u64..16),
@@ -299,6 +316,10 @@ fn wheel_matches_sorted_list_model() {
                         let got = wheel.cancel(key);
                         let want = model.remove(&key).map(|(d, _)| d);
                         prop_assert_eq!(got, want);
+                    }
+                    Op::CatchUp { delta } => {
+                        now += delta;
+                        wheel.catch_up(now);
                     }
                     Op::Advance { delta } => {
                         now += delta;

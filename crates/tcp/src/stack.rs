@@ -287,6 +287,7 @@ impl TcpStack {
         if !self.budget.admit(base_conn_cost()) {
             return Err(TcpError::NoMemory);
         }
+        self.timers.catch_up(now);
         let port = self.alloc_ephemeral(remote_ip, remote_port)?;
         let id = self.alloc_id();
         let iss = self.next_iss();
@@ -377,6 +378,7 @@ impl TcpStack {
     }
 
     pub fn close(&mut self, id: SocketId, now: u64) -> Result<(), TcpError> {
+        self.timers.catch_up(now);
         let slot = self.sockets.get_mut(&id).ok_or(TcpError::NoSocket)?;
         slot.sock.close(now);
         slot.mark_dirty(&mut self.dirty, &mut self.repl_dirty);
@@ -433,6 +435,9 @@ impl TcpStack {
     /// from the IP header; the caller has already validated those.
     pub fn handle_segment(&mut self, src: Ipv4Addr, h: &TcpHeader, payload: &[u8], now: u64) {
         self.obs.rx_segments.inc();
+        // Every entry point that re-arms a deadline first tells the wheel
+        // the time: it hashes the deadline against its own clock.
+        self.timers.catch_up(now);
         let flow = FlowKey::tcp(src, h.src_port, self.local_ip, h.dst_port);
         if let Some(&id) = self.conns.get(&flow) {
             self.deliver(id, h, payload, now);
@@ -550,6 +555,7 @@ impl TcpStack {
         now: u64,
         f: impl FnOnce(Ipv4Addr, &TcpHeader, (&[u8], &[u8])) -> R,
     ) -> Option<R> {
+        self.timers.catch_up(now);
         if let Some((dst, h)) = self.raw_out.pop_front() {
             self.obs.tx_segments.inc();
             return Some(f(dst, &h, (&[], &[])));

@@ -104,14 +104,7 @@ pub struct TimerWheel {
     /// `advance`'s due entries, `(deadline, arm sequence, key)`, while it
     /// sorts them; empty between calls.
     due: Vec<(u64, u64, u64)>,
-    /// Vectors of slots `advance` emptied, for the next slot `place` fills.
-    spare: Vec<Vec<u64>>,
 }
-
-/// Emptied slot vectors a wheel keeps: enough that a slot refilled after a
-/// cascade (an RTO re-armed into the coarse slot it just left) allocates
-/// nothing, few enough that the 704 slots do not each hold their storage.
-const SPARE_SLOTS: usize = 4;
 
 impl TimerWheel {
     /// A wheel whose time starts at `start` (timers may still be armed in
@@ -126,7 +119,6 @@ impl TimerWheel {
             meta: FxHashMap::default(),
             seq: 0,
             due: Vec::new(),
-            spare: Vec::with_capacity(SPARE_SLOTS),
         }
     }
 
@@ -164,9 +156,6 @@ impl TimerWheel {
         let win = m.deadline >> shift;
         let slot = (win & (SLOTS as u64 - 1)) as usize;
         let s = &mut self.levels[level][slot];
-        if s.keys.capacity() == 0 {
-            s.keys = self.spare.pop().unwrap_or_default();
-        }
         if s.keys.is_empty() || win < s.min_win {
             s.min_win = win;
         }
@@ -271,6 +260,18 @@ impl TimerWheel {
         self.earliest_slot().map(|(t, _, _)| t)
     }
 
+    /// Move the wheel's clock to the caller's `now` (never back) without
+    /// firing anything. `advance` moves it only as far as a due slot, so a
+    /// caller woken only at `next_event` would hash each later `schedule`
+    /// against a stale clock, a level too coarse: an RTO re-armed just
+    /// under 64⁴ ns (16.8 ms) out lands at level 4, and each level-4 slot
+    /// boundary it reaches wakes its host for a cascade. A slot that came
+    /// due meanwhile waits for the next `advance`, which finds it by its
+    /// window, not by the clock.
+    pub fn catch_up(&mut self, now: u64) {
+        self.now = self.now.max(now);
+    }
+
     /// Advance wheel time to `now`, cascading coarse slots and appending
     /// to `fired` every key whose deadline is `<= now`, ordered by
     /// `(deadline, arm sequence)`. Fired keys are disarmed.
@@ -283,9 +284,8 @@ impl TimerWheel {
             let shift = SLOT_BITS * level as u32;
             let win = start >> shift;
             // The slot's vector is thinned in place and goes back if anything
-            // stays parked. An emptied slot gives it up, to the few spares or
-            // to the allocator: 704 slots a wheel, each holding on to its
-            // storage, read +3.6 % `peak_live_mb` @ `http_rr`.
+            // stays parked. An emptied slot frees it: 704 slots a wheel, each
+            // holding on to its storage, read +3.6 % `peak_live_mb` @ `http_rr`.
             let mut keys = std::mem::take(&mut self.levels[level][slot].keys);
             self.occupied[level] &= !(1 << slot);
             self.mark_stale(level);
@@ -323,8 +323,6 @@ impl TimerWheel {
                 s.keys = keys;
                 s.min_win = kept_min;
                 self.occupied[level] |= 1 << slot;
-            } else if self.spare.len() < SPARE_SLOTS {
-                self.spare.push(keys);
             }
         }
         self.now = self.now.max(now);
@@ -438,6 +436,27 @@ mod tests {
             }
         }
         assert_eq!(fired_at, Some(deadline), "fires at the exact ns");
+    }
+
+    #[test]
+    fn catch_up_hashes_later_schedules_against_the_callers_clock() {
+        // An RTO 16.7 ms out, re-armed 1 ms after the wheel last advanced:
+        // against the stale clock it is 17.7 ms out, past 64^4 ns, and
+        // parks at level 4, whose slot boundary comes due before it does.
+        let rto = 16_700_000u64;
+        let level4 = |t: u64| t >> 24 << 24;
+        let (mut stale, mut caught) = (TimerWheel::new(0), TimerWheel::new(0));
+        let now = 1_000_000;
+        let deadline = now + rto;
+        stale.schedule(1, deadline);
+        caught.catch_up(now);
+        caught.schedule(1, deadline);
+        assert_eq!(stale.next_event(), Some(level4(deadline)));
+        assert_eq!(caught.next_event(), Some(deadline >> 18 << 18));
+        assert!(level4(deadline) < deadline >> 18 << 18);
+        // Either way it fires once, at its deadline.
+        assert_eq!(caught.fire(deadline - 1), Vec::<u64>::new());
+        assert_eq!(caught.fire(deadline), vec![1]);
     }
 
     #[test]
