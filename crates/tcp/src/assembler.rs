@@ -1,113 +1,103 @@
 //! Out-of-order segment reassembly for the receive path.
 //!
-//! Holds data that arrived beyond `rcv.nxt` until the gap is filled, then
-//! releases a contiguous run. Overlapping and duplicate segments are
-//! tolerated (the network — and our NIC fault injector — produce both).
+//! The bytes themselves land in the receive ring at their stream offset
+//! ([`RecvBuffer::write_at`]); the assembler only remembers which ranges
+//! past `rcv.nxt` are held there. When a segment reaches `rcv.nxt`, the
+//! held range it joins becomes in-order with it and the ring's mark moves
+//! over both: no byte is copied twice, and once the range list has grown
+//! to the connection's worst gap count nothing is allocated per segment.
+//! Overlapping and duplicate segments are tolerated (the network — and our
+//! NIC fault injector — produce both); the ring's rules decide their bytes:
+//! a later copy overwrites an earlier one, and what overruns the ring's
+//! room is trimmed at its right edge.
 
+use crate::buffer::RecvBuffer;
 use neat_net::SeqNum;
 
-/// Buffered out-of-order data, kept sorted and non-overlapping.
+/// The held ranges `[start, end)` past the ACK point: sorted, disjoint and
+/// never adjacent (touching ranges merge).
 #[derive(Debug, Default)]
 pub struct Assembler {
-    /// Sorted, disjoint (start, data) runs strictly above the ack point.
-    runs: Vec<(SeqNum, Vec<u8>)>,
-    /// Bytes currently buffered (capacity accounting).
+    ranges: Vec<(SeqNum, SeqNum)>,
+    /// Bytes the ranges cover.
     buffered: usize,
-    /// Maximum bytes this assembler may hold.
-    cap: usize,
 }
 
 impl Assembler {
-    pub fn new(cap: usize) -> Assembler {
-        Assembler {
-            runs: Vec::new(),
-            buffered: 0,
-            cap,
-        }
-    }
-
+    /// Bytes held out of order.
     pub fn buffered(&self) -> usize {
         self.buffered
     }
 
-    /// Resize the capacity (`SockOpt::RecvBuf` tracks the receive buffer).
-    /// Clamped to what is already buffered; held runs are never dropped.
-    pub fn set_cap(&mut self, cap: usize) {
-        self.cap = cap.max(self.buffered);
-    }
-
     pub fn is_empty(&self) -> bool {
-        self.runs.is_empty()
+        self.ranges.is_empty()
     }
 
-    /// Allocated heap bytes across all out-of-order runs (capacity
-    /// accounting for the `ConnBudget`).
+    /// Allocated heap bytes of the range list (capacity accounting for the
+    /// `ConnBudget`; the held bytes are the ring's).
     pub fn heap_bytes(&self) -> usize {
-        self.runs.capacity() * std::mem::size_of::<(SeqNum, Vec<u8>)>()
-            + self.runs.iter().map(|(_, d)| d.capacity()).sum::<usize>()
+        self.ranges.capacity() * std::mem::size_of::<(SeqNum, SeqNum)>()
     }
 
-    /// What of a segment `[seq, seq+data.len())` is new above `ack`: the
-    /// bytes from `max(seq, ack)` on (none if all of it was delivered
-    /// before), or `None` if holding them would exceed the capacity and
-    /// the segment is to be dropped.
-    pub fn admit<'a>(&self, seq: SeqNum, data: &'a [u8], ack: SeqNum) -> Option<&'a [u8]> {
+    /// Take a segment `[seq, seq+data.len())` with the ACK point at `ack`:
+    /// what was delivered before is trimmed off, the rest goes into `ring`
+    /// at its offset past `ack` (trimmed at the ring's right edge) and is
+    /// recorded as held. Returns how many bytes became in-order: the ring's
+    /// mark has moved over them, and the caller's `ack` moves by as many.
+    pub fn receive(
+        &mut self,
+        ring: &mut RecvBuffer,
+        seq: SeqNum,
+        data: &[u8],
+        ack: SeqNum,
+    ) -> usize {
         let below = ((ack - seq).max(0) as usize).min(data.len());
-        let fresh = &data[below..];
-        (self.buffered + fresh.len() <= self.cap).then_some(fresh)
+        let off = (seq - ack).max(0) as usize;
+        let kept = ring.write_at(off, &data[below..]);
+        if kept == 0 {
+            return 0;
+        }
+        let start = ack + off as u32;
+        let ready = self.hold(start, start + kept as u32, ack);
+        ring.advance(ready);
+        ready
     }
 
-    /// Insert a segment `[seq, seq+data.len())`, less what [`Self::admit`]
-    /// trims. Returns false if it was dropped.
-    pub fn insert(&mut self, seq: SeqNum, data: &[u8], ack: SeqNum) -> bool {
-        let Some(data) = self.admit(seq, data, ack) else {
-            return false;
-        };
-        if data.is_empty() {
-            return true; // entirely old — nothing to keep
+    /// Record `[start, end)` as held, merging every range it overlaps or
+    /// touches. If the merged range begins at `ack` it is no longer held:
+    /// it is dropped from the list and its length returned.
+    fn hold(&mut self, start: SeqNum, end: SeqNum, ack: SeqNum) -> usize {
+        // `ranges[lo..hi]` overlap or touch `[start, end)`.
+        let lo = self.ranges.partition_point(|&(_, e)| e - start < 0);
+        let hi = self.ranges.partition_point(|&(s, _)| s - end <= 0);
+        let (mut s, mut e) = (start, end);
+        if lo < hi {
+            s = s.min(self.ranges[lo].0);
+            e = e.max(self.ranges[hi - 1].1);
         }
-        let seq = seq.max(ack);
-        // Sort all runs (old + new) by start, then coalesce overlapping or
-        // adjacent neighbours. On overlap the first-arrived bytes win —
-        // honest TCP sends identical bytes, so the choice only matters for
-        // corrupted duplicates.
-        self.runs.push((seq, data.to_vec()));
-        self.runs.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
-        let mut merged: Vec<(SeqNum, Vec<u8>)> = Vec::with_capacity(self.runs.len());
-        for (s, d) in self.runs.drain(..) {
-            if let Some((ls, ld)) = merged.last_mut() {
-                let le = *ls + ld.len() as u32;
-                if s <= le {
-                    let se = s + d.len() as u32;
-                    if se > le {
-                        let skip = (le - s) as usize;
-                        ld.extend_from_slice(&d[skip..]);
-                    }
-                    continue;
-                }
-            }
-            merged.push((s, d));
+        let covered: usize = self.ranges[lo..hi]
+            .iter()
+            .map(|&(s, e)| (e - s) as usize)
+            .sum();
+        if s == ack {
+            // Only the first range can reach back to `ack`: `lo` is 0.
+            self.ranges.drain(..hi);
+            self.buffered -= covered;
+            return (e - ack) as usize;
         }
-        self.runs = merged;
-        self.buffered = self.runs.iter().map(|(_, d)| d.len()).sum();
-        true
-    }
-
-    /// If a run begins exactly at `ack`, remove and return it (the data
-    /// that just became in-order).
-    pub fn take_contiguous(&mut self, ack: SeqNum) -> Option<Vec<u8>> {
-        if let Some(pos) = self.runs.iter().position(|(s, _)| *s == ack) {
-            let (_, data) = self.runs.remove(pos);
-            self.buffered -= data.len();
-            Some(data)
+        self.buffered += (e - s) as usize - covered;
+        if lo == hi {
+            self.ranges.insert(lo, (s, e));
         } else {
-            None
+            self.ranges[lo] = (s, e);
+            self.ranges.drain(lo + 1..hi);
         }
+        0
     }
 
-    /// Number of disjoint runs held (diagnostics; smoltcp caps this).
+    /// Number of disjoint ranges held (diagnostics; smoltcp caps this).
     pub fn gaps(&self) -> usize {
-        self.runs.len()
+        self.ranges.len()
     }
 }
 
@@ -119,88 +109,151 @@ mod tests {
         SeqNum(n)
     }
 
+    /// An assembler, its ring of `cap` bytes, and the ACK point.
+    struct Rx {
+        asm: Assembler,
+        ring: RecvBuffer,
+        ack: SeqNum,
+    }
+
+    impl Rx {
+        fn new(cap: usize, ack: u32) -> Rx {
+            Rx {
+                asm: Assembler::default(),
+                ring: RecvBuffer::new(cap),
+                ack: seq(ack),
+            }
+        }
+
+        /// Receive a segment; returns the bytes that became in-order.
+        fn insert(&mut self, at: SeqNum, data: &[u8]) -> usize {
+            let n = self.asm.receive(&mut self.ring, at, data, self.ack);
+            self.ack += n as u32;
+            n
+        }
+
+        /// Every in-order byte, read out.
+        fn take(&mut self) -> Vec<u8> {
+            let mut out = vec![0u8; self.ring.len()];
+            self.ring.read(&mut out);
+            out
+        }
+    }
+
     #[test]
     fn in_order_take() {
-        let mut a = Assembler::new(1024);
-        assert!(a.insert(seq(100), b"hello", seq(100)));
-        assert_eq!(a.take_contiguous(seq(100)).unwrap(), b"hello");
-        assert!(a.is_empty());
+        let mut a = Rx::new(1024, 100);
+        assert_eq!(a.insert(seq(100), b"hello"), 5);
+        assert_eq!(a.take(), b"hello");
+        assert!(a.asm.is_empty());
     }
 
     #[test]
     fn gap_then_fill() {
-        let mut a = Assembler::new(1024);
-        assert!(a.insert(seq(105), b"world", seq(100)));
-        assert!(a.take_contiguous(seq(100)).is_none());
-        assert_eq!(a.gaps(), 1);
-        assert!(a.insert(seq(100), b"hello", seq(100)));
-        assert_eq!(a.take_contiguous(seq(100)).unwrap(), b"helloworld");
+        let mut a = Rx::new(1024, 100);
+        assert_eq!(a.insert(seq(105), b"world"), 0);
+        assert!(a.take().is_empty());
+        assert_eq!(a.asm.gaps(), 1);
+        assert_eq!(a.insert(seq(100), b"hello"), 10);
+        assert_eq!(a.take(), b"helloworld");
     }
 
     #[test]
     fn old_data_trimmed() {
-        let mut a = Assembler::new(1024);
+        let mut a = Rx::new(1024, 100);
         // Bytes 90..110, but 90..100 already delivered.
         let data: Vec<u8> = (0..20).collect();
-        assert!(a.insert(seq(90), &data, seq(100)));
-        let got = a.take_contiguous(seq(100)).unwrap();
-        assert_eq!(got, (10..20).collect::<Vec<u8>>());
+        assert_eq!(a.insert(seq(90), &data), 10);
+        assert_eq!(a.take(), (10..20).collect::<Vec<u8>>());
     }
 
     #[test]
     fn entirely_old_is_noop() {
-        let mut a = Assembler::new(16);
-        assert!(a.insert(seq(0), b"abcdef", seq(100)));
-        assert!(a.is_empty());
-        assert_eq!(a.buffered(), 0);
+        let mut a = Rx::new(16, 100);
+        assert_eq!(a.insert(seq(0), b"abcdef"), 0);
+        assert!(a.asm.is_empty());
+        assert_eq!(a.asm.buffered(), 0);
     }
 
     #[test]
     fn duplicates_dont_grow() {
-        let mut a = Assembler::new(1024);
+        let mut a = Rx::new(1024, 100);
         for _ in 0..5 {
-            assert!(a.insert(seq(200), b"dup!", seq(100)));
+            assert_eq!(a.insert(seq(200), b"dup!"), 0);
         }
-        assert_eq!(a.buffered(), 4);
-        assert_eq!(a.gaps(), 1);
+        assert_eq!(a.asm.buffered(), 4);
+        assert_eq!(a.asm.gaps(), 1);
     }
 
     #[test]
     fn overlapping_merge() {
-        let mut a = Assembler::new(1024);
-        assert!(a.insert(seq(100), b"abcd", seq(100)));
-        assert!(a.insert(seq(102), b"cdef", seq(100)));
-        let got = a.take_contiguous(seq(100)).unwrap();
-        assert_eq!(got, b"abcdef");
+        let mut a = Rx::new(1024, 100);
+        assert_eq!(a.insert(seq(100), b"abcd"), 4);
+        assert_eq!(a.insert(seq(102), b"cdef"), 2);
+        assert_eq!(a.take(), b"abcdef");
     }
 
+    /// Overlapping held copies: the later one's bytes win, wherever the
+    /// runs start.
     #[test]
-    fn capacity_limit_drops() {
-        let mut a = Assembler::new(8);
-        assert!(a.insert(seq(200), b"12345678", seq(100)));
-        assert!(!a.insert(seq(300), b"x", seq(100)), "over capacity");
-        assert_eq!(a.buffered(), 8);
+    fn overlap_keeps_the_later_copy() {
+        let mut a = Rx::new(1024, 100);
+        assert_eq!(a.insert(seq(104), b"WXYZ"), 0);
+        assert_eq!(a.insert(seq(102), b"cdef"), 0);
+        assert_eq!(a.insert(seq(106), b"gh"), 0);
+        assert_eq!((a.asm.gaps(), a.asm.buffered()), (1, 6));
+        assert_eq!(a.insert(seq(100), b"ab"), 8);
+        assert_eq!(a.take(), b"abcdefgh");
+    }
+
+    /// The ring's room bounds what is held: a segment past it is trimmed
+    /// at the right edge, and one wholly beyond keeps nothing.
+    #[test]
+    fn capacity_limit_trims() {
+        let mut a = Rx::new(8, 100);
+        assert_eq!(a.insert(seq(104), b"12345678"), 0);
+        assert_eq!(a.asm.buffered(), 4, "trimmed at the right edge");
+        assert_eq!(a.insert(seq(300), b"x"), 0, "over capacity");
+        assert_eq!(a.asm.buffered(), 4);
+        assert_eq!(a.insert(seq(100), b"abcdefgh"), 8);
+        assert_eq!(a.take(), b"abcdefgh", "the later copy overwrote");
     }
 
     #[test]
     fn multiple_gaps_fill_in_any_order() {
-        let mut a = Assembler::new(1024);
-        assert!(a.insert(seq(110), b"cc", seq(100)));
-        assert!(a.insert(seq(104), b"bb", seq(100)));
-        assert_eq!(a.gaps(), 2);
-        assert!(a.insert(seq(100), b"aaaa", seq(100)));
-        assert_eq!(a.take_contiguous(seq(100)).unwrap(), b"aaaabb");
-        assert!(a.take_contiguous(seq(106)).is_none());
-        assert!(a.insert(seq(106), b"xxxx", seq(106)));
-        assert_eq!(a.take_contiguous(seq(106)).unwrap(), b"xxxxcc");
-        assert!(a.is_empty());
+        let mut a = Rx::new(1024, 100);
+        assert_eq!(a.insert(seq(110), b"cc"), 0);
+        assert_eq!(a.insert(seq(104), b"bb"), 0);
+        assert_eq!(a.asm.gaps(), 2);
+        assert_eq!(a.insert(seq(100), b"aaaa"), 6);
+        assert_eq!(a.take(), b"aaaabb");
+        assert_eq!(a.ack, seq(106));
+        assert_eq!(a.insert(seq(106), b"xxxx"), 6);
+        assert_eq!(a.take(), b"xxxxcc");
+        assert!(a.asm.is_empty());
+    }
+
+    /// A range that touches a held one merges with it: ranges are never
+    /// adjacent.
+    #[test]
+    fn touching_ranges_merge() {
+        let mut a = Rx::new(1024, 100);
+        assert_eq!(a.insert(seq(110), b"ef"), 0);
+        assert_eq!(a.insert(seq(106), b"ab"), 0);
+        assert_eq!(a.insert(seq(108), b"cd"), 0);
+        assert_eq!(a.asm.gaps(), 1);
+        assert_eq!(a.asm.ranges, vec![(seq(106), seq(112))]);
     }
 
     #[test]
     fn wrapping_sequence_space() {
-        let near = SeqNum(u32::MAX - 2);
-        let mut a = Assembler::new(64);
-        assert!(a.insert(near, b"abcdef", near)); // crosses the wrap
-        assert_eq!(a.take_contiguous(near).unwrap(), b"abcdef");
+        let near = u32::MAX - 2;
+        let mut a = Rx::new(64, near);
+        assert_eq!(a.insert(seq(near), b"abcdef"), 6, "crosses the wrap");
+        assert_eq!(a.take(), b"abcdef");
+        let mut a = Rx::new(64, near);
+        assert_eq!(a.insert(seq(near) + 3, b"def"), 0, "held past the wrap");
+        assert_eq!(a.insert(seq(near), b"abc"), 6);
+        assert_eq!(a.take(), b"abcdef");
     }
 }

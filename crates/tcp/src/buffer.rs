@@ -2,8 +2,9 @@
 //!
 //! The send buffer keeps every byte from the ACK point (`snd.una`) forward —
 //! the retransmittable part of the stream — addressed by sequence number.
-//! The receive buffer holds in-order bytes awaiting the application; its
-//! free space is the window we advertise.
+//! The receive buffer holds in-order bytes awaiting the application and,
+//! past them, out-of-order bytes at their stream offset; the room past the
+//! in-order bytes is the window we advertise.
 
 use neat_net::SeqNum;
 use std::collections::VecDeque;
@@ -114,10 +115,29 @@ impl SendBuffer {
     }
 }
 
-/// In-order received bytes awaiting the application.
+/// Received bytes: the in-order ones awaiting the application, then the
+/// out-of-order ones held at their stream offset.
+///
+/// The ring's front is `rcv.nxt − len()`. Bytes before the in-order mark
+/// (`ready`) are readable, and `len`, `window`, `read` and `as_slices` stop
+/// there. A segment beyond `rcv.nxt` is written at `mark + (seq − rcv.nxt)`
+/// ([`Self::write_at`]); the [`crate::assembler::Assembler`] remembers which
+/// ranges are held, and moves the mark over a range once the gap before it
+/// fills ([`Self::advance`]). Nothing is copied twice, and nothing is
+/// allocated per segment once the ring has grown.
+///
+/// Two edge rules. A byte written twice keeps the later copy: checksummed
+/// segments of one stream carry identical bytes, so the choice only shows
+/// for a corrupted duplicate. A segment that overruns the room (`window`)
+/// is trimmed at the right edge (RFC 9293 §3.10.7.4), so held bytes never
+/// reach past the capacity.
 #[derive(Debug)]
 pub struct RecvBuffer {
+    /// Readable bytes, then held bytes and the zeroed gaps between them;
+    /// `data.len()` is the end of the last held range.
     data: VecDeque<u8>,
+    /// The in-order mark: `data[..ready]` is readable.
+    ready: usize,
     cap: usize,
 }
 
@@ -125,40 +145,68 @@ impl RecvBuffer {
     pub fn new(cap: usize) -> RecvBuffer {
         RecvBuffer {
             data: VecDeque::new(),
+            ready: 0,
             cap,
         }
     }
 
-    /// Append in-order stream bytes (flow control guarantees room; any
-    /// excess is truncated defensively).
-    pub fn write(&mut self, buf: &[u8]) -> usize {
-        let n = buf.len().min(self.cap - self.data.len());
-        self.data.extend(&buf[..n]);
+    /// Place segment bytes `off` bytes past the in-order mark, trimmed at
+    /// the right edge of the room; returns how many were kept. Bytes
+    /// already there (an earlier copy) are overwritten; bytes past the
+    /// end of the ring extend it, zero-filling any gap before them.
+    pub(crate) fn write_at(&mut self, off: usize, buf: &[u8]) -> usize {
+        let n = buf.len().min(self.window().saturating_sub(off));
+        if n == 0 {
+            return 0;
+        }
+        let at = self.ready + off;
+        if at > self.data.len() {
+            self.data.resize(at, 0);
+        }
+        let over = (self.data.len() - at).min(n);
+        // The overwritten stretch `[at, at + over)`, cut where the ring wraps.
+        let (a, b) = self.data.as_mut_slices();
+        let split = a.len();
+        let in_a = split.saturating_sub(at).min(over);
+        let a_at = at.min(split);
+        a[a_at..a_at + in_a].copy_from_slice(&buf[..in_a]);
+        let b_at = (at + in_a).saturating_sub(split);
+        b[b_at..b_at + over - in_a].copy_from_slice(&buf[in_a..over]);
+        self.data.extend(&buf[over..n]);
         n
     }
 
-    /// Move up to `buf.len()` bytes out to the application.
+    /// Move the in-order mark `n` bytes forward, over bytes already
+    /// placed: they become readable. Clamped to the bytes placed.
+    pub(crate) fn advance(&mut self, n: usize) {
+        self.ready = (self.ready + n).min(self.data.len());
+    }
+
+    /// Move up to `buf.len()` in-order bytes out to the application.
     pub fn read(&mut self, buf: &mut [u8]) -> usize {
-        let n = buf.len().min(self.data.len());
+        let n = buf.len().min(self.ready);
         let (a, b) = self.data.as_slices();
         let cut = n.min(a.len());
         buf[..cut].copy_from_slice(&a[..cut]);
         buf[cut..n].copy_from_slice(&b[..n - cut]);
         self.data.drain(..n);
+        self.ready -= n;
         n
     }
 
+    /// In-order bytes awaiting the application.
     pub fn len(&self) -> usize {
-        self.data.len()
+        self.ready
     }
 
     pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
+        self.ready == 0
     }
 
-    /// The receive window we can advertise.
+    /// The receive window we can advertise: the room past the in-order
+    /// mark (held bytes sit inside it).
     pub fn window(&self) -> usize {
-        self.cap - self.data.len()
+        self.cap - self.ready
     }
 
     /// Configured capacity (advertised-window ceiling).
@@ -167,8 +215,8 @@ impl RecvBuffer {
     }
 
     /// Resize the capacity (`SockOpt::RecvBuf`). Clamped to the bytes
-    /// already buffered so the window can shrink to zero but never
-    /// underflow; buffered data is never dropped.
+    /// already placed, held ones included, so the window can shrink to
+    /// zero but never underflow; no placed byte is ever dropped.
     pub fn set_cap(&mut self, cap: usize) {
         self.cap = cap.max(self.data.len());
     }
@@ -178,9 +226,11 @@ impl RecvBuffer {
         self.data.capacity()
     }
 
-    /// Every buffered byte, as the ring's two halves in stream order.
+    /// The in-order bytes, as the ring's two halves in stream order.
     pub(crate) fn as_slices(&self) -> (&[u8], &[u8]) {
-        self.data.as_slices()
+        let (a, b) = self.data.as_slices();
+        let cut = self.ready.min(a.len());
+        (&a[..cut], &b[..self.ready - cut])
     }
 
     /// Rebuild a buffer from a checkpoint; `None` if `data` does not fit
@@ -188,6 +238,7 @@ impl RecvBuffer {
     pub fn from_parts(data: &[u8], cap: usize) -> Option<RecvBuffer> {
         (data.len() <= cap).then(|| RecvBuffer {
             data: data.to_vec().into(),
+            ready: data.len(),
             cap,
         })
     }
@@ -255,11 +306,18 @@ mod tests {
         assert_eq!(s.peek(SeqNum(2), 2), b"ef");
     }
 
+    /// An in-order append: place at the mark, then move the mark over it.
+    fn push(r: &mut RecvBuffer, buf: &[u8]) -> usize {
+        let n = r.write_at(0, buf);
+        r.advance(n);
+        n
+    }
+
     #[test]
     fn recv_buffer_write_read_window() {
         let mut r = RecvBuffer::new(8);
         assert_eq!(r.window(), 8);
-        assert_eq!(r.write(b"abcdefghij"), 8);
+        assert_eq!(push(&mut r, b"abcdefghij"), 8);
         assert_eq!(r.window(), 0);
         let mut out = [0u8; 5];
         assert_eq!(r.read(&mut out), 5);
@@ -302,11 +360,11 @@ mod tests {
         let stream: Vec<u8> = (0..=255).collect();
         for first in [1, 13, 40, 63, 64] {
             let mut r = RecvBuffer::new(64);
-            assert_eq!(r.write(&stream[..64]), 64);
+            assert_eq!(push(&mut r, &stream[..64]), 64);
             let mut out = vec![0u8; first];
             assert_eq!(r.read(&mut out), first);
             assert_eq!(out, &stream[..first]);
-            assert_eq!(r.write(&stream[64..128]), first, "refill to the brim");
+            assert_eq!(push(&mut r, &stream[64..128]), first, "refill to the brim");
             let (a, b) = r.as_slices();
             assert_eq!([a, b].concat(), &stream[first..64 + first]);
             assert!(
@@ -323,6 +381,97 @@ mod tests {
             }
             assert_eq!(got, &stream[first..64 + first]);
             assert!(r.is_empty());
+        }
+    }
+
+    /// Held bytes sit past the mark: not readable, not in the window's
+    /// count, not in `as_slices`; the gap before them reads as nothing
+    /// until it fills and the mark moves over both.
+    #[test]
+    fn held_bytes_wait_past_the_mark() {
+        let mut r = RecvBuffer::new(16);
+        assert_eq!(push(&mut r, b"ab"), 2);
+        assert_eq!(r.write_at(3, b"fgh"), 3, "a gap of three");
+        assert_eq!((r.len(), r.window()), (2, 14));
+        let (a, b) = r.as_slices();
+        assert_eq!([a, b].concat(), b"ab");
+        let mut out = [0u8; 8];
+        assert_eq!(r.read(&mut out), 2, "reads stop at the mark");
+        assert_eq!(r.write_at(0, b"cde"), 3, "the gap fills in place");
+        r.advance(6);
+        assert_eq!(r.read(&mut out), 6);
+        assert_eq!(&out[..6], b"cdefgh");
+        assert!(r.is_empty());
+    }
+
+    /// The overlap rule: a byte placed twice keeps the later copy.
+    #[test]
+    fn a_later_copy_overwrites() {
+        let mut r = RecvBuffer::new(16);
+        assert_eq!(r.write_at(2, b"xxxx"), 4);
+        assert_eq!(r.write_at(0, b"abcd"), 4, "overlaps the held run's head");
+        r.advance(6);
+        let mut out = [0u8; 6];
+        assert_eq!(r.read(&mut out), 6);
+        assert_eq!(&out, b"abcdxx");
+    }
+
+    /// The right-edge rule: what overruns the room is trimmed, and a
+    /// segment wholly past it keeps nothing.
+    #[test]
+    fn an_overrun_is_trimmed_at_the_right_edge() {
+        let mut r = RecvBuffer::new(8);
+        assert_eq!(push(&mut r, b"ab"), 2);
+        assert_eq!(r.write_at(4, b"1234"), 2, "room is 6 past the mark");
+        assert_eq!(r.write_at(6, b"z"), 0);
+        assert_eq!(r.write_at(0, b"cdef"), 4);
+        r.advance(6);
+        assert_eq!((r.len(), r.window()), (8, 0));
+        let (a, b) = r.as_slices();
+        assert_eq!([a, b].concat(), b"abcdef12");
+    }
+
+    /// A capacity shrink never drops a held byte: the cap stops at the
+    /// end of the last one.
+    #[test]
+    fn a_shrink_keeps_held_bytes() {
+        let mut r = RecvBuffer::new(64);
+        assert_eq!(push(&mut r, b"ab"), 2);
+        assert_eq!(r.write_at(10, b"held"), 4);
+        r.set_cap(4);
+        assert_eq!((r.cap(), r.window()), (16, 14));
+        assert_eq!(r.write_at(0, b"0123456789"), 10);
+        r.advance(14);
+        let mut out = [0u8; 16];
+        assert_eq!(r.read(&mut out), 16);
+        assert_eq!(&out, b"ab0123456789held");
+        r.set_cap(4);
+        assert_eq!((r.cap(), r.window()), (4, 4));
+    }
+
+    /// Placing across the ring's wrap point, over held and fresh bytes
+    /// alike, reads back what a flat model holds.
+    #[test]
+    fn write_at_across_the_wrap_point() {
+        let stream: Vec<u8> = (0..=255).collect();
+        for first in [5, 31, 60] {
+            let mut r = RecvBuffer::new(64);
+            assert_eq!(push(&mut r, &stream[..64]), 64);
+            let mut sink = vec![0u8; first];
+            assert_eq!(r.read(&mut sink), first);
+            // Hold every other 3-byte run of the next `first` bytes, then
+            // fill the whole stretch in one overlapping write.
+            for off in (0..first).step_by(6) {
+                let end = (off + 3).min(first);
+                assert_eq!(r.write_at(off, &stream[64 + off..64 + end]), end - off);
+            }
+            assert_eq!(r.len(), 64 - first, "held bytes stay past the mark");
+            assert_eq!(r.write_at(0, &stream[64..64 + first]), first);
+            r.advance(first);
+            assert!(!r.data.as_slices().1.is_empty(), "storage wraps");
+            let mut got = vec![0u8; 64];
+            assert_eq!(r.read(&mut got), 64);
+            assert_eq!(got, &stream[first..64 + first]);
         }
     }
 }

@@ -9,7 +9,8 @@ use crate::types::{SockEvent, TcpConfig, TcpError};
 use neat_net::{SeqNum, TcpFlags, TcpHeader};
 
 /// State owned by flow control: both window directions — what we can
-/// accept (receive buffer + assembler) and what the peer will (snd_wnd).
+/// accept (the receive ring, whose held ranges the assembler tracks) and
+/// what the peer will (snd_wnd).
 #[derive(Debug)]
 pub struct FlowControl {
     pub(crate) rcv_nxt: SeqNum,
@@ -36,7 +37,7 @@ impl FlowControl {
         FlowControl {
             rcv_nxt: SeqNum(0),
             recv_buf: RecvBuffer::new(cfg.recv_buf),
-            asm: Assembler::new(cfg.recv_buf),
+            asm: Assembler::default(),
             snd_wnd: 0,
             snd_wl1: SeqNum(0),
             snd_wl2: SeqNum(0),
@@ -69,10 +70,10 @@ impl TcpSocket {
         Ok(n)
     }
 
-    /// `SockOpt::RecvBuf`: the receive buffer and the assembler share a cap.
+    /// `SockOpt::RecvBuf`: the receive ring's capacity bounds in-order and
+    /// held bytes alike.
     pub(crate) fn set_recv_cap(&mut self, cap: usize) {
         self.fc.recv_buf.set_cap(cap);
-        self.fc.asm.set_cap(cap);
     }
 
     /// RFC 793 step 1: is this segment within the receive window?
@@ -176,28 +177,18 @@ impl TcpSocket {
         }
     }
 
-    /// RFC 793 step 7: payload delivery into the receive buffer — straight
-    /// in when nothing is held back and the segment leaves no gap, else
-    /// through the assembler — plus the ACK policy (every second segment,
-    /// else delayed; immediate on out-of-order).
+    /// RFC 793 step 7: payload delivery into the receive ring at its
+    /// stream offset, in order or held by the assembler — plus the ACK
+    /// policy (every second segment, else delayed; immediate on
+    /// out-of-order).
     pub(crate) fn process_payload(&mut self, h: &TcpHeader, payload: &[u8], now: u64) {
         if payload.is_empty() || !self.cm.state.can_recv() {
             return;
         }
-        let rcv_nxt = self.fc.rcv_nxt;
-        let mut delivered = 0;
-        if self.fc.asm.is_empty() && h.seq - rcv_nxt <= 0 && !always_assemble() {
-            if let Some(fresh) = self.fc.asm.admit(h.seq, payload, rcv_nxt) {
-                delivered = self.fc.recv_buf.write(fresh);
-            }
-        } else if self.fc.asm.insert(h.seq, payload, rcv_nxt) {
-            // Runs are disjoint and never adjacent: at most one begins here.
-            if let Some(run) = self.fc.asm.take_contiguous(rcv_nxt) {
-                delivered = self.fc.recv_buf.write(&run);
-            }
-        }
-        // A receive buffer that filled up drops the tail; the shrunken
-        // advertised window makes the peer resend it later.
+        // What overruns the ring's room is trimmed; the advertised window
+        // makes the peer resend it later.
+        let fc = &mut self.fc;
+        let delivered = fc.asm.receive(&mut fc.recv_buf, h.seq, payload, fc.rcv_nxt);
         self.fc.rcv_nxt += delivered as u32;
         if delivered > 0 {
             self.events.push(SockEvent::Readable(self.id));
@@ -262,21 +253,4 @@ impl TcpSocket {
         self.fc.ack_deadline = deadline;
         Some((self.bare_ack(), 0))
     }
-}
-
-/// Whether every payload goes through the assembler: only in the property
-/// test that compares `process_payload`'s fast path with its general one.
-#[cfg(not(test))]
-fn always_assemble() -> bool {
-    false
-}
-
-#[cfg(test)]
-thread_local! {
-    pub(crate) static ALWAYS_ASSEMBLE: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-}
-
-#[cfg(test)]
-fn always_assemble() -> bool {
-    ALWAYS_ASSEMBLE.with(|on| on.get())
 }

@@ -72,6 +72,14 @@ fn send_buffer_conserves_bytes() {
     );
 }
 
+/// An in-order append to a receive ring: place at the mark, move the mark
+/// over what was kept.
+fn append(rb: &mut RecvBuffer, data: &[u8]) -> usize {
+    let n = rb.write_at(0, data);
+    rb.advance(n);
+    n
+}
+
 /// RecvBuffer: FIFO with capacity; what goes in comes out in order.
 #[test]
 fn recv_buffer_fifo() {
@@ -83,7 +91,7 @@ fn recv_buffer_fifo() {
             let mut rb = RecvBuffer::new(512);
             let mut model: Vec<u8> = Vec::new();
             for c in &chunks {
-                let n = rb.write(c);
+                let n = append(&mut rb, c);
                 model.extend_from_slice(&c[..n]);
                 prop_assert!(rb.len() <= 512);
                 // Read a random-ish prefix back.
@@ -338,6 +346,7 @@ fn wheel_matches_sorted_list_model() {
                     }
                 }
                 prop_assert_eq!(wheel.len(), model.len());
+                prop_assert_eq!(wheel.check_links(), Ok(()), "after {:?}", op);
             }
             // Drain everything left: all remaining keys must eventually
             // fire, in model order.
@@ -561,6 +570,7 @@ fn wheel_earliest_slot_matches_full_scan() {
                         }
                     }
                 }
+                prop_assert_eq!(wheel.check_links(), Ok(()), "after {:?}", op);
                 let (low, rot) = wheel.slot_census();
                 stale_low |= low > 0;
                 rotations |= rot > 0;
@@ -673,7 +683,7 @@ fn flow_window_never_exceeds_buffer() {
                 match op {
                     0 | 1 => {
                         let data = vec![0xAB; n];
-                        rb.write(&data);
+                        append(&mut rb, &data);
                     }
                     2 => {
                         let mut out = vec![0u8; n];
@@ -755,23 +765,33 @@ fn all_controllers_keep_loss_floor_and_monotone_ssthresh() {
     );
 }
 
-/// The in-order fast path of `process_payload` (straight into the receive
-/// buffer when the assembler is empty and the segment leaves no gap) is
-/// the general path, faster: a socket taking it and a socket whose every
-/// payload goes through the assembler (`ALWAYS_ASSEMBLE`, test-only) see
-/// the same random mix of in-order, overlapping, duplicate, old,
-/// beyond-window, over-capacity and buffer-filling segments, reads,
-/// `RecvBuf` resizes and timers — and agree after every step on the
-/// stream, `rcv_nxt`, the events raised and every ACK sent.
+/// The receive path against a flat byte-set model: an established socket
+/// takes a peer stream (crossing the sequence wrap) cut two ways — in-order
+/// segments of arbitrary length and a fixed grid of arbitrary cuts sent in
+/// any order, with duplicates, overlaps, drops (grid cells never sent),
+/// old bytes and bytes past the window — interleaved with `recv` sips,
+/// `SockOpt::RecvBuf` changes and timers. The model holds a set of stream
+/// positions: a segment the window accepts adds the positions inside the
+/// ring's room, and the in-order edge eats every position it reaches.
+/// After every step `rcv_nxt`, the bytes read, `buffered()` and `gaps()`
+/// match the model, every segment sent ACKs `rcv_nxt` with the model's
+/// window, an out-of-order or unacceptable segment is ACKed at once, and
+/// `Readable` is raised exactly when bytes became in-order.
 #[test]
-fn in_order_bypass_matches_always_assembling() {
-    use crate::components::flow_control::ALWAYS_ASSEMBLE;
+fn receive_path_matches_stream_model() {
     use crate::socket::TcpSocket;
-    use crate::types::{SockOpt, TcpConfig, TcpState};
+    use crate::types::{SockEvent, SockOpt, TcpConfig, TcpState};
     use neat_net::{TcpFlags, TcpHeader};
+    use std::collections::BTreeSet;
 
     const LOCAL: (Ipv4Addr, u16) = (Ipv4Addr::new(10, 0, 0, 1), 80);
     const PEER: (Ipv4Addr, u16) = (Ipv4Addr::new(10, 0, 0, 2), 5555);
+    const ID: SocketId = SocketId(1);
+
+    /// The peer's byte at stream position `p`.
+    fn byte(p: u32) -> u8 {
+        (p.wrapping_mul(31) + 7) as u8
+    }
 
     /// An established passive-open socket whose peer's stream starts at
     /// `irs + 1`, plus the ACK number the peer uses.
@@ -782,7 +802,7 @@ fn in_order_bypass_matches_always_assembling() {
         };
         let mut syn = TcpHeader::new(PEER.1, LOCAL.1, SeqNum(irs), SeqNum(0), TcpFlags::SYN);
         syn.mss = Some(1460);
-        let mut s = TcpSocket::accept_from_syn(SocketId(1), &cfg, LOCAL, PEER, &syn, SeqNum(77), 0);
+        let mut s = TcpSocket::accept_from_syn(ID, &cfg, LOCAL, PEER, &syn, SeqNum(77), 0);
         let (syn_ack, _) = s.poll_transmit(0).expect("SYN-ACK");
         let ack = syn_ack.seq + 1;
         s.on_segment(
@@ -795,87 +815,176 @@ fn in_order_bypass_matches_always_assembling() {
         (s, ack)
     }
 
-    /// One step of the script, applied to one socket; returns what the
-    /// socket put on the wire or handed the application.
-    fn step(
-        s: &mut TcpSocket,
-        (irs, ack): (u32, SeqNum),
-        (op, a, b): (u8, u16, u16),
-        now: &mut u64,
-    ) -> Vec<(TcpHeader, Vec<u8>)> {
-        let mut out = Vec::new();
-        match op % 8 {
-            // A data segment somewhere around rcv_nxt: from 600 B behind
-            // it (old, overlapping) to beyond the 4 KiB window.
-            0..=3 => {
-                let nxt = s.fc.rcv_nxt.0.wrapping_sub(irs.wrapping_add(1));
-                let from = (nxt + u32::from(a % 6000)).saturating_sub(600);
-                let from = if op % 4 == 0 { nxt } else { from }; // in order
-                let len = u32::from(b % 1500) + 1;
-                let payload: Vec<u8> = (from..from + len).map(|p| (p * 31 + 7) as u8).collect();
-                let seq = SeqNum(irs) + 1 + from;
-                let h = TcpHeader::new(PEER.1, LOCAL.1, seq, ack, TcpFlags::psh_ack());
-                s.on_segment(&h, &payload, *now);
-            }
-            4 => {
-                let mut buf = vec![0u8; usize::from(a % 5000)];
-                let n = s.recv(&mut buf).unwrap_or(0);
-                buf.truncate(n);
-                out.push((s.bare_ack(), buf));
-            }
-            5 => s.set_opt(SockOpt::RecvBuf(usize::from(a % 8192))),
-            6 => {
-                *now += u64::from(a) * 10_000;
-                s.on_timer(*now);
-            }
-            _ => {}
-        }
-        out.extend(std::iter::from_fn(|| s.poll_transmit(*now)));
-        out
+    /// The model: stream positions `< nxt` are in order, `unread` of them
+    /// not yet read; `held` are positions past `nxt`; `cap` is the ring's.
+    struct Model {
+        nxt: u32,
+        unread: usize,
+        held: BTreeSet<u32>,
+        cap: usize,
     }
 
+    impl Model {
+        fn window(&self) -> usize {
+            self.cap - self.unread
+        }
+
+        /// RFC 793's acceptability test for a segment with payload.
+        fn acceptable(&self, from: u32, len: u32) -> bool {
+            let wnd = self.window() as i64;
+            let (lo, hi) = (i64::from(from) - i64::from(self.nxt), i64::from(len));
+            wnd > 0 && lo < wnd && lo + hi > 0
+        }
+
+        /// Take `[from, from+len)`; returns the positions that became in
+        /// order.
+        fn receive(&mut self, from: u32, len: u32) -> usize {
+            let room = self.nxt + self.window() as u32;
+            self.held
+                .extend((from..from + len).filter(|&p| p >= self.nxt && p < room));
+            let before = self.nxt;
+            while self.held.remove(&self.nxt) {
+                self.nxt += 1;
+            }
+            self.unread += (self.nxt - before) as usize;
+            (self.nxt - before) as usize
+        }
+
+        /// Maximal runs of held positions.
+        fn gaps(&self) -> usize {
+            let starts = self.held.iter().filter(|&&p| !self.held.contains(&(p - 1)));
+            starts.count()
+        }
+
+        /// Ring bytes placed: the unread ones, then up to the last held.
+        fn placed(&self) -> usize {
+            self.unread + self.held.last().map_or(0, |&p| (p + 1 - self.nxt) as usize)
+        }
+    }
+
+    // Steps that left two or more gaps, shrinks held bytes clamped, and
+    // cases whose in-order edge crossed the sequence wrap.
+    let seen = std::cell::Cell::new([0u32; 3]);
+    let count = |i: usize| {
+        let mut s = seen.get();
+        s[i] += 1;
+        seen.set(s);
+    };
     check(
-        "in_order_bypass_matches_always_assembling",
+        "receive_path_matches_stream_model",
         Config::default().cases(256),
         |rng| {
             (
                 rng.gen::<u32>(),
-                vec_of(rng, 1..120, |r| {
+                vec_of(rng, 1..40, |r| r.gen_range(1u16..1500)),
+                vec_of(rng, 1..160, |r| {
                     (r.gen::<u8>(), r.gen::<u16>(), r.gen::<u16>())
                 }),
             )
         },
-        |(irs, ops)| {
-            let irs = irs | 0xFFFF_0000; // the stream crosses the sequence wrap
-            let (mut fast, ack) = established(irs);
-            let (mut slow, _) = established(irs);
-            let (mut now_fast, mut now_slow) = (0u64, 0u64);
-            let mut bypassed = 0;
-            for op in ops {
-                let before = (fast.fc.asm.is_empty(), fast.fc.rcv_nxt);
-                let sent_fast = step(&mut fast, (irs, ack), op, &mut now_fast);
-                ALWAYS_ASSEMBLE.with(|on| on.set(true));
-                let sent_slow = step(&mut slow, (irs, ack), op, &mut now_slow);
-                ALWAYS_ASSEMBLE.with(|on| on.set(false));
-                bypassed += usize::from(before.0 && before.1 != fast.fc.rcv_nxt);
-                prop_assert_eq!(&sent_fast, &sent_slow, "segments sent and bytes read");
-                prop_assert_eq!(fast.fc.rcv_nxt, slow.fc.rcv_nxt);
-                let ((a, b), (c, d)) = (fast.fc.recv_buf.as_slices(), slow.fc.recv_buf.as_slices());
-                prop_assert_eq!([a, b].concat(), [c, d].concat());
-                prop_assert_eq!(&fast.events, &slow.events);
-                prop_assert_eq!(fast.fc.asm.buffered(), slow.fc.asm.buffered());
-                prop_assert_eq!(fast.fc.asm.gaps(), slow.fc.asm.gaps());
-                prop_assert_eq!(
-                    (fast.fc.ack_now, fast.fc.ack_pending, fast.fc.ack_deadline),
-                    (slow.fc.ack_now, slow.fc.ack_pending, slow.fc.ack_deadline)
-                );
-                prop_assert_eq!(fast.next_timeout(), slow.next_timeout());
+        |(irs, cuts, ops)| {
+            if cuts.is_empty() || cuts.contains(&0) {
+                return Ok(());
             }
-            // The slow socket's assembler was used (its one-slot `runs`
-            // allocation is the 32 B the fast path no longer makes).
-            prop_assert!(bypassed == 0 || slow.fc.asm.heap_bytes() > 0);
+            let irs = irs | 0xFFFF_0000; // the stream crosses the sequence wrap
+            let (mut s, ack) = established(irs);
+            // The grid: cell `i` is `[grid[i], grid[i + 1])`.
+            let mut grid = vec![0u32];
+            for c in cuts.iter().cycle() {
+                let end = grid[grid.len() - 1] + u32::from(*c);
+                grid.push(end);
+                if end > 40_000 {
+                    break;
+                }
+            }
+            let mut m = Model {
+                nxt: 0,
+                unread: 0,
+                held: BTreeSet::new(),
+                cap: 4096,
+            };
+            let mut now = 0u64;
+            for (op, a, b) in ops {
+                let mut ack_owed = false;
+                let mut delivered = 0;
+                match op % 8 {
+                    // A segment: in order, a grid cell near the edge, or
+                    // anywhere from 600 B behind it to past the window.
+                    0..=4 => {
+                        let (from, len) = match op % 8 {
+                            0 | 1 => (m.nxt, u32::from(b % 1500) + 1),
+                            2 | 3 => {
+                                let here = grid.partition_point(|&g| g <= m.nxt).max(1) - 1;
+                                let i = (here + usize::from(a % 6)).min(grid.len() - 2);
+                                (grid[i], grid[i + 1] - grid[i])
+                            }
+                            _ => (
+                                (m.nxt + u32::from(a % 6000)).saturating_sub(600),
+                                u32::from(b % 1500) + 1,
+                            ),
+                        };
+                        let payload: Vec<u8> = (from..from + len).map(byte).collect();
+                        let seq = SeqNum(irs) + 1 + from;
+                        let h = TcpHeader::new(PEER.1, LOCAL.1, seq, ack, TcpFlags::psh_ack());
+                        if m.acceptable(from, len) {
+                            delivered = m.receive(from, len);
+                            ack_owed = !m.held.is_empty() && from != m.nxt;
+                        } else {
+                            ack_owed = true;
+                        }
+                        s.on_segment(&h, &payload, now);
+                    }
+                    5 => {
+                        let mut buf = vec![0u8; usize::from(a % 5000)];
+                        let n = s.recv(&mut buf).unwrap_or(0);
+                        prop_assert_eq!(n, buf.len().min(m.unread));
+                        let first = m.nxt - m.unread as u32;
+                        let want: Vec<u8> = (first..first + n as u32).map(byte).collect();
+                        prop_assert_eq!(&buf[..n], &want[..], "bytes read");
+                        m.unread -= n;
+                    }
+                    6 => {
+                        let cap = usize::from(a % 8192);
+                        s.set_opt(SockOpt::RecvBuf(cap));
+                        m.cap = cap.max(m.placed());
+                        if m.cap > cap.max(m.unread) {
+                            count(1);
+                        }
+                    }
+                    _ => {
+                        now += u64::from(a) * 10_000;
+                        s.on_timer(now);
+                    }
+                }
+                let sent: Vec<TcpHeader> =
+                    std::iter::from_fn(|| s.poll_transmit(now).map(|(h, _)| h)).collect();
+                prop_assert_eq!(s.fc.rcv_nxt, SeqNum(irs) + 1 + m.nxt);
+                prop_assert_eq!(s.recv_available(), m.unread);
+                prop_assert_eq!(s.recv_window_bytes(), m.window());
+                prop_assert_eq!(s.fc.asm.buffered(), m.held.len());
+                prop_assert_eq!(s.fc.asm.gaps(), m.gaps());
+                prop_assert!(!ack_owed || !sent.is_empty(), "an ACK at once");
+                for h in &sent {
+                    prop_assert_eq!((h.ack, usize::from(h.window)), (s.fc.rcv_nxt, m.window()));
+                }
+                let readable = (delivered > 0).then_some(SockEvent::Readable(ID));
+                prop_assert_eq!(&s.events, &Vec::from_iter(readable));
+                s.events.clear();
+                if m.gaps() >= 2 {
+                    count(0);
+                }
+            }
+            if s.fc.rcv_nxt.0 < irs {
+                count(2);
+            }
             Ok(())
         },
+    );
+    let [gaps, clamped, wrapped] = seen.get();
+    println!("steps with ≥ 2 gaps {gaps}, held-clamped shrinks {clamped}, wrapped cases {wrapped}");
+    assert!(
+        gaps.min(clamped).min(wrapped) > 0,
+        "a situation the property must cover never arose"
     );
 }
 

@@ -44,12 +44,13 @@ pub(crate) fn replicable(state: TcpState) -> bool {
 impl TcpSocket {
     /// The transferable TCB as little-endian V2 bytes: everything a peer
     /// replica needs to resume this connection. The congestion
-    /// controller's *dynamic* state, the out-of-order assembler, and the
-    /// outstanding RTT sample are deliberately not part of the image — cc
-    /// restarts from slow-start parameters (but keeps its selected
-    /// algorithm), ooo segments are refilled by peer retransmission, and
-    /// Karn's rule says a sample that spans a migration must be discarded
-    /// anyway. The f64s of the RTT estimator travel as raw bits.
+    /// controller's *dynamic* state, the out-of-order bytes held past the
+    /// receive ring's in-order mark, and the outstanding RTT sample are
+    /// deliberately not part of the image — cc restarts from slow-start
+    /// parameters (but keeps its selected algorithm), held bytes are
+    /// refilled by peer retransmission, and Karn's rule says a sample that
+    /// spans a migration must be discarded anyway. The f64s of the RTT
+    /// estimator travel as raw bits.
     pub fn checkpoint(&self) -> Vec<u8> {
         let (cm, rel, fc) = (&self.cm, &self.rel, &self.fc);
         let send = &rel.send_buf;

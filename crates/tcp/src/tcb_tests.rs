@@ -173,3 +173,30 @@ fn mutated_images_decode_to_themselves_or_not_at_all() {
         },
     );
 }
+
+/// Bytes held past the receive ring's in-order mark stay out of the image:
+/// it carries the in-order bytes only, decodes canonically, and the
+/// restored socket holds no gap — the peer's retransmission refills it.
+#[test]
+fn held_bytes_stay_out_of_the_image() {
+    let (mut c, mut s) = established();
+    let data: Vec<u8> = (0..4380u32).map(|i| (i * 7) as u8).collect();
+    assert_eq!(c.send(&data), Ok(4380));
+    let segs: Vec<_> = std::iter::from_fn(|| c.poll_transmit(1_000_000)).collect();
+    assert_eq!(segs.len(), 3, "three full segments");
+    for (h, p) in [&segs[0], &segs[2]] {
+        s.on_segment(h, p, 1_000_000);
+    }
+    assert_eq!(s.fc.asm.gaps(), 1, "the third segment is held");
+    let in_order = segs[0].1.len();
+    assert_eq!(s.recv_available(), in_order);
+
+    let img = s.checkpoint();
+    let restored = TcpSocket::from_checkpoint(SocketId(9), &cfg(), &img).unwrap();
+    assert_eq!(restored.checkpoint(), img, "canonical");
+    assert_eq!((restored.fc.asm.gaps(), restored.fc.asm.buffered()), (0, 0));
+    assert_eq!(restored.recv_available(), in_order);
+    assert_eq!(restored.fc.rcv_nxt, s.fc.rcv_nxt);
+    let (a, b) = restored.fc.recv_buf.as_slices();
+    assert_eq!([a, b].concat(), &data[..in_order]);
+}

@@ -16,13 +16,18 @@
 //!   is exactly nanosecond-resolution and 11 levels (66 bits) cover the
 //!   entire `u64` simulated-time range — no overflow list.
 //! * **O(1) schedule and cancel.** Each key holds at most one timer; a
-//!   slot is a `Vec` of keys with back-pointer fixup on `swap_remove`, so
-//!   cancellation (the *common* case: an RTO that is re-armed on every
-//!   ACK) never leaves stale entries behind.
+//!   slot is an intrusive doubly-linked list threaded through the keys'
+//!   entries (Varghese & Lauck's, and Linux's, shape): a slot holds only
+//!   its head key, and an entry its `prev`/`next` keys, so cancellation
+//!   (the *common* case: an RTO that is re-armed on every ACK) unlinks in
+//!   O(1) and never leaves stale entries behind. No slot owns storage:
+//!   emptying and refilling slots allocates nothing once the key map has
+//!   grown to the armed count.
 //! * **Cascade on demand.** [`TimerWheel::advance`] jumps straight to the
-//!   next occupied slot (no per-tick iteration), firing entries that are
-//!   due and re-hashing the rest one level down. A timer parked at level
-//!   `L` costs at most `L` re-hashes over its whole life.
+//!   next occupied slot (no per-tick iteration), detaches its list and
+//!   walks it, firing entries that are due and re-hashing the rest one
+//!   level down. A timer parked at level `L` costs at most `L` re-hashes
+//!   over its whole life.
 //! * **Deterministic firing order.** Expired entries are released sorted
 //!   by `(deadline, arm sequence)` — exactly the order a naive sorted
 //!   list would produce — so fixed-seed runs are bit-identical (the
@@ -63,34 +68,63 @@ const LEVELS: usize = 11; // 11 * 6 = 66 bits >= u64
 /// above every real one, `min_win == u64::MAX` included.
 const NO_SLOT: (u64, u8) = (u64::MAX, SLOTS as u8);
 
-/// One wheel slot: the keys parked in it plus the smallest slot-window id
-/// (`deadline >> shift`) seen among them. The minimum may go stale-low
-/// after a cancel; `advance` recomputes it when the window turns out to
-/// be empty, so it is always a valid *lower bound*.
-#[derive(Debug, Default, Clone)]
+/// The end of a slot's list. Keys are socket ids, which never reach it.
+const NIL: u64 = u64::MAX;
+
+/// An entry's arm sequence sits in the low 54 bits of its tag; its slot
+/// (6 bits) and level (4 bits) sit above it.
+const SEQ_BITS: u32 = 64 - SLOT_BITS - 4;
+const SEQ_MASK: u64 = (1 << SEQ_BITS) - 1;
+
+/// One wheel slot: the head of the list of keys parked in it ([`NIL`] when
+/// empty) plus the smallest slot-window id (`deadline >> shift`) seen among
+/// them. The minimum may go stale-low after a cancel; `advance` recomputes
+/// it when the window turns out to be empty, so it is always a valid
+/// *lower bound*.
+#[derive(Debug, Clone, Copy)]
 struct Slot {
-    keys: Vec<u64>,
+    head: u64,
     min_win: u64,
 }
 
+const EMPTY: Slot = Slot {
+    head: NIL,
+    min_win: 0,
+};
+
+/// One armed timer: its deadline, where it is parked, and its links in
+/// that slot's list (32 B; the wheel's only per-timer storage).
 #[derive(Debug, Clone, Copy)]
 struct Meta {
     deadline: u64,
-    /// Monotonic arm sequence — tiebreak for deterministic firing order.
-    seq: u64,
-    level: u8,
-    slot: u8,
-    /// Index into the slot's key vec.
-    pos: u32,
+    /// Monotonic arm sequence (tiebreak for deterministic firing order),
+    /// level and slot: see [`SEQ_BITS`].
+    tag: u64,
+    prev: u64,
+    next: u64,
 }
 
-/// The wheel. Keys are caller-chosen `u64`s (socket ids); each key holds
-/// at most one armed deadline.
+impl Meta {
+    fn seq(&self) -> u64 {
+        self.tag & SEQ_MASK
+    }
+
+    fn level(&self) -> usize {
+        (self.tag >> (SEQ_BITS + SLOT_BITS)) as usize
+    }
+
+    fn slot(&self) -> usize {
+        (self.tag >> SEQ_BITS) as usize & (SLOTS - 1)
+    }
+}
+
+/// The wheel. Keys are caller-chosen `u64`s (socket ids) below `u64::MAX`;
+/// each key holds at most one armed deadline.
 #[derive(Debug)]
 pub struct TimerWheel {
     /// The wheel's notion of "now": advanced monotonically by `advance`.
     now: u64,
-    levels: Vec<Vec<Slot>>,
+    levels: Box<[[Slot; SLOTS]; LEVELS]>,
     /// Per-level bitmap of non-empty slots.
     occupied: [u64; LEVELS],
     /// Per level, `(min_win, slot)` of the occupied slot with the smallest
@@ -112,7 +146,7 @@ impl TimerWheel {
     pub fn new(start: u64) -> TimerWheel {
         TimerWheel {
             now: start,
-            levels: vec![vec![Slot::default(); SLOTS]; LEVELS],
+            levels: Box::new([[EMPTY; SLOTS]; LEVELS]),
             occupied: [0; LEVELS],
             level_min: std::array::from_fn(|_| Cell::new(NO_SLOT)),
             stale: Cell::new(0),
@@ -147,8 +181,18 @@ impl TimerWheel {
         }
     }
 
-    /// Place `key` with its `deadline` and `seq` in `m` into the wheel
-    /// relative to `self.now`, and record it (level, slot, pos filled in).
+    /// Push `key`, whose record `m` names its level and slot, onto the
+    /// front of that slot's list. The caller stores `m` afterwards.
+    fn link(&mut self, key: u64, m: &mut Meta) {
+        let s = &mut self.levels[m.level()][m.slot()];
+        (m.prev, m.next) = (NIL, std::mem::replace(&mut s.head, key));
+        if let Some(n) = self.meta.get_mut(&m.next) {
+            n.prev = key;
+        }
+    }
+
+    /// Place `key` with its `deadline` and arm sequence in `m` into the
+    /// wheel relative to `self.now`, and record it.
     fn place(&mut self, key: u64, mut m: Meta) {
         let delta = m.deadline.saturating_sub(self.now);
         let level = Self::level_for(delta);
@@ -156,7 +200,7 @@ impl TimerWheel {
         let win = m.deadline >> shift;
         let slot = (win & (SLOTS as u64 - 1)) as usize;
         let s = &mut self.levels[level][slot];
-        if s.keys.is_empty() || win < s.min_win {
+        if s.head == NIL || win < s.min_win {
             s.min_win = win;
         }
         // The slot's minimum only fell, or the slot just filled: the level's
@@ -165,8 +209,8 @@ impl TimerWheel {
         if here < self.level_min[level].get() {
             self.level_min[level].set(here);
         }
-        (m.level, m.slot, m.pos) = (level as u8, slot as u8, s.keys.len() as u32);
-        s.keys.push(key);
+        m.tag = m.seq() | (level as u64) << (SEQ_BITS + SLOT_BITS) | (slot as u64) << SEQ_BITS;
+        self.link(key, &mut m);
         self.occupied[level] |= 1 << slot;
         self.meta.insert(key, m);
     }
@@ -174,36 +218,34 @@ impl TimerWheel {
     /// Arm (or re-arm, replacing any previous deadline) a timer for
     /// `key` at absolute time `deadline`.
     pub fn schedule(&mut self, key: u64, deadline: u64) {
+        debug_assert!(key != NIL, "u64::MAX ends a slot's list");
         self.cancel(key);
-        let seq = self.seq;
-        self.seq += 1;
         let m = Meta {
             deadline,
-            seq,
-            level: 0,
-            slot: 0,
-            pos: 0,
+            tag: self.seq & SEQ_MASK,
+            prev: NIL,
+            next: NIL,
         };
+        self.seq += 1;
         self.place(key, m);
     }
 
-    /// Disarm `key`'s timer. Returns the deadline it held, if any. O(1).
+    /// Disarm `key`'s timer. Returns the deadline it held, if any. O(1):
+    /// the entry unlinks itself from its slot's list.
     pub fn cancel(&mut self, key: u64) -> Option<u64> {
         let m = self.meta.remove(&key)?;
-        let level = m.level as usize;
-        let s = &mut self.levels[level][m.slot as usize];
-        s.keys.swap_remove(m.pos as usize);
-        if let Some(moved) = s
-            .keys
-            .get(m.pos as usize)
-            .and_then(|k| self.meta.get_mut(k))
-        {
-            moved.pos = m.pos;
+        let (level, slot) = (m.level(), m.slot());
+        if let Some(n) = self.meta.get_mut(&m.next) {
+            n.prev = m.prev;
         }
-        if s.keys.is_empty() {
-            self.occupied[level] &= !(1 << m.slot);
+        match self.meta.get_mut(&m.prev) {
+            Some(p) => p.next = m.next,
+            None => self.levels[level][slot].head = m.next,
+        }
+        if self.levels[level][slot].head == NIL {
+            self.occupied[level] &= !(1 << slot);
             // Another slot emptying leaves the level's minimum where it is.
-            if self.level_min[level].get().1 == m.slot {
+            if usize::from(self.level_min[level].get().1) == slot {
                 self.mark_stale(level);
             }
         }
@@ -283,31 +325,25 @@ impl TimerWheel {
             self.now = self.now.max(start);
             let shift = SLOT_BITS * level as u32;
             let win = start >> shift;
-            // The slot's vector is thinned in place and goes back if anything
-            // stays parked. An emptied slot frees it: 704 slots a wheel, each
-            // holding on to its storage, read +3.6 % `peak_live_mb` @ `http_rr`.
-            let mut keys = std::mem::take(&mut self.levels[level][slot].keys);
+            // Detach the slot's list and walk it: each entry fires, drops a
+            // level or more, or goes back on the (now empty) list.
+            let mut next = std::mem::replace(&mut self.levels[level][slot].head, NIL);
             self.occupied[level] &= !(1 << slot);
             self.mark_stale(level);
-            let mut kept = 0u32;
-            let mut kept_min = u64::MAX;
-            keys.retain(|&key| {
-                let Some(m) = self.meta.get_mut(&key) else {
-                    return false; // not armed: nothing to keep
-                };
+            let (mut kept, mut kept_min) = (false, u64::MAX);
+            while let Some(&entry) = self.meta.get(&next) {
+                let (key, mut m) = (next, entry);
+                next = m.next;
                 if m.deadline >> shift != win {
                     // A later rotation of this slot (or a stale min after
                     // cancels): keep it parked and recompute the minimum.
-                    kept_min = kept_min.min(m.deadline >> shift);
-                    m.pos = kept;
-                    kept += 1;
-                    return true;
-                }
-                let m = *m;
-                if m.deadline <= now {
+                    (kept, kept_min) = (true, kept_min.min(m.deadline >> shift));
+                    self.link(key, &mut m);
+                    self.meta.insert(key, m);
+                } else if m.deadline <= now {
                     // Due: release it (cascading through intermediate
                     // levels would be wasted work).
-                    self.due.push((m.deadline, m.seq, key));
+                    self.due.push((m.deadline, m.seq(), key));
                     self.meta.remove(&key);
                 } else {
                     // In this window but later than `now` — re-hash one or
@@ -315,13 +351,9 @@ impl TimerWheel {
                     // just reached: never back into this slot.
                     self.place(key, m);
                 }
-                false
-            });
-            if kept > 0 {
-                let s = &mut self.levels[level][slot];
-                debug_assert!(s.keys.is_empty(), "a cascade lands below its level");
-                s.keys = keys;
-                s.min_win = kept_min;
+            }
+            if kept {
+                self.levels[level][slot].min_win = kept_min;
                 self.occupied[level] |= 1 << slot;
             }
         }
@@ -361,6 +393,14 @@ impl TimerWheel {
         best
     }
 
+    /// The keys on `level`'s `slot` list, head first.
+    fn slot_keys(&self, level: usize, slot: usize) -> Vec<u64> {
+        let head = self.levels[level][slot].head;
+        let first = self.meta.contains_key(&head).then_some(head);
+        let walk = std::iter::successors(first, |k| Some(self.meta[k].next).filter(|&n| n != NIL));
+        walk.take(self.meta.len() + 1).collect()
+    }
+
     /// Occupied slots whose `min_win` is below every key they hold (a cancel
     /// took the minimum), and occupied slots holding keys of more than one
     /// window (later rotations parked beside an earlier one).
@@ -368,14 +408,46 @@ impl TimerWheel {
         let (mut stale_low, mut rotations) = (0, 0);
         for (level, slots) in self.levels.iter().enumerate() {
             let shift = SLOT_BITS * level as u32;
-            for s in slots.iter().filter(|s| !s.keys.is_empty()) {
-                let wins = s.keys.iter().map(|k| self.meta[k].deadline >> shift);
+            for (slot, s) in slots.iter().enumerate().filter(|(_, s)| s.head != NIL) {
+                let keys = self.slot_keys(level, slot);
+                let wins = keys.iter().map(|k| self.meta[k].deadline >> shift);
                 let (lo, hi) = wins.fold((u64::MAX, 0), |(lo, hi), w| (lo.min(w), hi.max(w)));
                 stale_low += usize::from(s.min_win < lo);
                 rotations += usize::from(lo != hi);
             }
         }
         (stale_low, rotations)
+    }
+
+    /// Every armed key sits on exactly the list its tag names, each link's
+    /// `prev` mirrors the `next` before it, and a slot is marked occupied
+    /// exactly when its list is non-empty.
+    pub(crate) fn check_links(&self) -> Result<(), String> {
+        let mut listed = 0;
+        for (level, slots) in self.levels.iter().enumerate() {
+            for (slot, s) in slots.iter().enumerate() {
+                let keys = self.slot_keys(level, slot);
+                if (s.head == NIL) != keys.is_empty() {
+                    return Err(format!("slot {level}/{slot}: head {} not armed", s.head));
+                }
+                if (self.occupied[level] >> slot & 1 == 0) != keys.is_empty() {
+                    return Err(format!("slot {level}/{slot}: occupied bit wrong"));
+                }
+                let mut prev = NIL;
+                for &k in &keys {
+                    let m = self.meta[&k];
+                    if (m.level(), m.slot(), m.prev) != (level, slot, prev) {
+                        return Err(format!("key {k} on {level}/{slot} after {prev}: {m:?}"));
+                    }
+                    prev = k;
+                }
+                listed += keys.len();
+            }
+        }
+        match listed == self.meta.len() {
+            true => Ok(()),
+            false => Err(format!("{listed} listed, {} armed", self.meta.len())),
+        }
     }
 }
 

@@ -87,7 +87,7 @@ deployed_line_count() {
 # is one site, and the count is pinned. A data-path site becomes an error
 # or a counted drop; a survivor says in a comment why it cannot fire. The
 # pin moves down only, in the change that removes a site.
-PANIC_SITES=23
+PANIC_SITES=22
 panic_site_guard() {
     sites=$(deployed_awk '
         /^[ \t]*\/\// { next }

@@ -6,6 +6,7 @@
 use neat_net::tcp::{TcpFlags, TcpHeader};
 use neat_net::{EtherType, EthernetFrame, Ipv4Header, MacAddr, SeqNum};
 use neat_tcp::assembler::Assembler;
+use neat_tcp::buffer::RecvBuffer;
 use neat_tcp::{SocketId, TcpConfig};
 use neat_util::check::{bytes, check, vec_of, Config};
 use neat_util::{prop_assert, prop_assert_eq};
@@ -186,6 +187,13 @@ fn seqnum_arithmetic_wraps_consistently() {
     );
 }
 
+/// Read every in-order byte out of `ring` onto `out`.
+fn drain(ring: &mut RecvBuffer, out: &mut Vec<u8>) {
+    let at = out.len();
+    out.resize(at + ring.len(), 0);
+    ring.read(&mut out[at..]);
+}
+
 /// The assembler reconstructs the exact byte stream no matter how the
 /// stream is chopped, reordered, or duplicated.
 #[test]
@@ -224,16 +232,13 @@ fn assembler_reconstructs_stream() {
             }
             // Feed through the assembler, draining in-order data as it forms.
             let base = SeqNum(7_000_000);
-            let mut asm = Assembler::new(64 * 1024);
+            let (mut asm, mut ring) = (Assembler::default(), RecvBuffer::new(64 * 1024));
             let mut rcv = base;
             let mut out = Vec::new();
             for idx in order {
                 let (o, seg) = &segs[idx];
-                prop_assert!(asm.insert(base + *o, seg, rcv));
-                while let Some(run) = asm.take_contiguous(rcv) {
-                    rcv += run.len() as u32;
-                    out.extend_from_slice(&run);
-                }
+                rcv += asm.receive(&mut ring, base + *o, seg, rcv) as u32;
+                drain(&mut ring, &mut out);
             }
             prop_assert_eq!(out, data);
             prop_assert!(asm.is_empty());
@@ -353,7 +358,7 @@ fn tso_split_preserves_stream() {
             }
             .emit(&ip);
             let frames = neat_nic::tso::tso_split(frame.into(), mss);
-            let mut asm = Assembler::new(64 * 1024);
+            let (mut asm, mut ring) = (Assembler::default(), RecvBuffer::new(64 * 1024));
             let mut rcv = SeqNum(5_000);
             let mut out = Vec::new();
             for f in frames {
@@ -361,12 +366,10 @@ fn tso_split_preserves_stream() {
                 let (iph, range) = Ipv4Header::parse(&f[off..]).unwrap();
                 let l4 = &f[off..][range];
                 let (th, pr) = TcpHeader::parse(l4, iph.src, iph.dst).unwrap();
-                prop_assert!(asm.insert(th.seq, &l4[pr], rcv));
-                while let Some(run) = asm.take_contiguous(rcv) {
-                    rcv += run.len() as u32;
-                    out.extend_from_slice(&run);
-                }
+                rcv += asm.receive(&mut ring, th.seq, &l4[pr], rcv) as u32;
+                drain(&mut ring, &mut out);
             }
+            prop_assert!(asm.is_empty());
             prop_assert_eq!(out, payload);
             Ok(())
         },
