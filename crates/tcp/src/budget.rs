@@ -15,23 +15,28 @@
 //!   stack-wide limit (`TcpConfig::conn_memory_limit`) would be
 //!   exceeded: SYNs are dropped exactly like a backlog overflow (the
 //!   peer retries; heap exhaustion becomes load shedding);
+//! * a ring that holds no byte owns no storage: the stack parks it on a
+//!   spare list and lends it to the next ring that needs one, and the
+//!   budget counts what is parked apart ([`ConnBudget::spare_bytes`]);
 //! * [`ConnBudget::publish`] exports the numbers through `neat-obs` as
-//!   `tcp.conn.count`, `tcp.conn.bytes_total` and
-//!   `tcp.conn.bytes_per_conn` — publication is explicit (not
-//!   per-segment) because gauges are process-global and several stack
-//!   instances coexist in one simulation.
+//!   `tcp.conn.count`, `tcp.conn.bytes_total`,
+//!   `tcp.conn.bytes_per_conn` and `tcp.conn.spare_bytes` — publication
+//!   is explicit (not per-segment) because gauges are process-global and
+//!   several stack instances coexist in one simulation.
 
 /// Running memory account for one stack's connections.
 #[derive(Debug)]
 pub struct ConnBudget {
     conns: usize,
     bytes: u64,
+    /// Capacity of the ring storages parked on the stack's spare lists.
+    spare: u64,
     /// 0 = unlimited.
     limit: u64,
     refused: u64,
     /// The `tcp.conn.*` gauges, registered by the first `publish` and
     /// cached: the socket server publishes on every timer tick.
-    gauges: Option<[neat_obs::Gauge; 3]>,
+    gauges: Option<[neat_obs::Gauge; 4]>,
 }
 
 impl ConnBudget {
@@ -39,6 +44,7 @@ impl ConnBudget {
         ConnBudget {
             conns: 0,
             bytes: 0,
+            spare: 0,
             limit,
             refused: 0,
             gauges: None,
@@ -53,6 +59,12 @@ impl ConnBudget {
     /// Total accounted bytes across all live connections.
     pub fn bytes_total(&self) -> u64 {
         self.bytes
+    }
+
+    /// Bytes of ring storage parked on the stack's spare lists, owned by
+    /// no connection.
+    pub fn spare_bytes(&self) -> u64 {
+        self.spare
     }
 
     /// Average bytes per live connection (0 when none).
@@ -71,6 +83,10 @@ impl ConnBudget {
 
     /// Would admitting a connection of `estimate` more bytes stay within
     /// the limit? Records a refusal when not.
+    ///
+    /// Parked storage is not weighed: it is bounded by what the live
+    /// connections once held at the same time, which this check admitted
+    /// then, and a new ring takes a parked storage before allocating one.
     pub fn admit(&mut self, estimate: u64) -> bool {
         if self.limit != 0 && self.bytes + estimate > self.limit {
             self.refused += 1;
@@ -102,18 +118,30 @@ impl ConnBudget {
         };
     }
 
+    /// A drained ring's storage of `bytes` was parked.
+    pub fn on_park(&mut self, bytes: usize) {
+        self.spare += bytes as u64;
+    }
+
+    /// A parked storage of `bytes` was lent to a ring.
+    pub fn on_lend(&mut self, bytes: usize) {
+        self.spare -= bytes as u64;
+    }
+
     /// Export the account through the global `neat-obs` registry.
     pub fn publish(&mut self) {
-        const NAMES: [&str; 3] = [
+        const NAMES: [&str; 4] = [
             "tcp.conn.count",
             "tcp.conn.bytes_total",
             "tcp.conn.bytes_per_conn",
+            "tcp.conn.spare_bytes",
         ];
         let register = || NAMES.map(neat_obs::gauge);
-        let [count, total, per_conn] = *self.gauges.get_or_insert_with(register);
+        let [count, total, per_conn, spare] = *self.gauges.get_or_insert_with(register);
         count.set(self.conns as f64);
         total.set(self.bytes as f64);
         per_conn.set(self.bytes_per_conn());
+        spare.set(self.spare as f64);
     }
 }
 
@@ -148,6 +176,16 @@ mod tests {
         assert_eq!(b.refused(), 1);
         b.on_close(100);
         assert!(b.admit(100), "freed budget re-admits");
+    }
+
+    #[test]
+    fn spare_bytes_stay_apart_from_live_bytes() {
+        let mut b = ConnBudget::new(0);
+        b.on_open(100);
+        b.on_park(64);
+        b.on_park(32);
+        b.on_lend(64);
+        assert_eq!((b.spare_bytes(), b.bytes_total()), (32, 100));
     }
 
     #[test]

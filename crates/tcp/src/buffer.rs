@@ -5,9 +5,42 @@
 //! The receive buffer holds in-order bytes awaiting the application and,
 //! past them, out-of-order bytes at their stream offset; the room past the
 //! in-order bytes is the window we advertise.
+//!
+//! A ring that holds no byte owns no storage either: the stack parks a
+//! drained ring's storage on its spare list for that direction and lends
+//! it to the next ring that needs one ([`SendBuffer::park`],
+//! [`SendBuffer::lend`] and their receive twins).
 
 use neat_net::SeqNum;
 use std::collections::VecDeque;
+
+/// Give `ring` the storage parked last on `spares` if it has none;
+/// returns the bytes lent.
+fn lend(ring: &mut VecDeque<u8>, spares: &mut Vec<VecDeque<u8>>) -> usize {
+    if ring.capacity() != 0 {
+        return 0;
+    }
+    match spares.pop() {
+        Some(storage) => {
+            *ring = storage;
+            ring.capacity()
+        }
+        None => 0,
+    }
+}
+
+/// Move `ring`'s storage, cleared, onto `spares` if it holds no byte and
+/// has any; returns the bytes parked.
+fn park(ring: &mut VecDeque<u8>, spares: &mut Vec<VecDeque<u8>>) -> usize {
+    if !ring.is_empty() || ring.capacity() == 0 {
+        return 0;
+    }
+    let mut storage = std::mem::take(ring);
+    storage.clear();
+    let bytes = storage.capacity();
+    spares.push(storage);
+    bytes
+}
 
 /// Bytes between `snd.una` and the end of the user-enqueued stream.
 #[derive(Debug)]
@@ -89,10 +122,28 @@ impl SendBuffer {
     }
 
     /// Allocated heap bytes (capacity, not configured cap) — the number
-    /// the `ConnBudget` accounts. Lazily-allocated buffers keep idle
-    /// connections near zero here.
+    /// the `ConnBudget` accounts. Zero while the ring holds no byte: the
+    /// stack parks a drained ring's storage ([`Self::park`]).
     pub fn heap_bytes(&self) -> usize {
         self.data.capacity()
+    }
+
+    /// Take the storage parked last on `spares` if the ring has none;
+    /// returns the bytes lent.
+    pub(crate) fn lend(&mut self, spares: &mut Vec<VecDeque<u8>>) -> usize {
+        lend(&mut self.data, spares)
+    }
+
+    /// Park the ring's storage on `spares` if it holds no byte; returns
+    /// the bytes parked.
+    pub(crate) fn park(&mut self, spares: &mut Vec<VecDeque<u8>>) -> usize {
+        park(&mut self.data, spares)
+    }
+
+    /// Discard every byte and park the storage: the connection is leaving.
+    pub(crate) fn release(&mut self, spares: &mut Vec<VecDeque<u8>>) -> usize {
+        self.data.clear();
+        park(&mut self.data, spares)
     }
 
     /// Bytes available at or beyond `seq`.
@@ -221,9 +272,29 @@ impl RecvBuffer {
         self.cap = cap.max(self.data.len());
     }
 
-    /// Allocated heap bytes (capacity, not configured cap).
+    /// Allocated heap bytes (capacity, not configured cap); zero while
+    /// the ring holds no byte, in order or held.
     pub fn heap_bytes(&self) -> usize {
         self.data.capacity()
+    }
+
+    /// Take the storage parked last on `spares` if the ring has none;
+    /// returns the bytes lent.
+    pub(crate) fn lend(&mut self, spares: &mut Vec<VecDeque<u8>>) -> usize {
+        lend(&mut self.data, spares)
+    }
+
+    /// Park the ring's storage on `spares` if it holds no byte, ready or
+    /// held; returns the bytes parked.
+    pub(crate) fn park(&mut self, spares: &mut Vec<VecDeque<u8>>) -> usize {
+        park(&mut self.data, spares)
+    }
+
+    /// Discard every byte and park the storage: the connection is leaving.
+    pub(crate) fn release(&mut self, spares: &mut Vec<VecDeque<u8>>) -> usize {
+        self.data.clear();
+        self.ready = 0;
+        park(&mut self.data, spares)
     }
 
     /// The in-order bytes, as the ring's two halves in stream order.

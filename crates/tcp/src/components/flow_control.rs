@@ -7,6 +7,7 @@ use crate::buffer::RecvBuffer;
 use crate::socket::{TcpSocket, OUR_WSCALE};
 use crate::types::{SockEvent, TcpConfig, TcpError};
 use neat_net::{SeqNum, TcpFlags, TcpHeader};
+use std::collections::VecDeque;
 
 /// State owned by flow control: both window directions — what we can
 /// accept (the receive ring, whose held ranges the assembler tracks) and
@@ -68,6 +69,25 @@ impl TcpSocket {
             self.fc.ack_pending = self.fc.ack_pending.max(1);
         }
         Ok(n)
+    }
+
+    /// Lend the receive ring a storage parked on `spares` if it has none;
+    /// returns the bytes lent.
+    pub(crate) fn lend_recv_ring(&mut self, spares: &mut Vec<VecDeque<u8>>) -> usize {
+        self.fc.recv_buf.lend(spares)
+    }
+
+    /// Park the receive ring's storage on `spares` if the application has
+    /// read every byte and none is held past a gap; returns the bytes
+    /// parked.
+    pub(crate) fn park_recv_ring(&mut self, spares: &mut Vec<VecDeque<u8>>) -> usize {
+        self.fc.recv_buf.park(spares)
+    }
+
+    /// The connection is leaving the stack: park the receive ring's
+    /// storage, whatever it holds; returns the bytes parked.
+    pub(crate) fn release_recv_ring(&mut self, spares: &mut Vec<VecDeque<u8>>) -> usize {
+        self.fc.recv_buf.release(spares)
     }
 
     /// `SockOpt::RecvBuf`: the receive ring's capacity bounds in-order and

@@ -8,6 +8,7 @@ use crate::rto::RttEstimator;
 use crate::socket::TcpSocket;
 use crate::types::{SockEvent, TcpConfig, TcpError, TcpState};
 use neat_net::{SeqNum, TcpFlags, TcpHeader};
+use std::collections::VecDeque;
 
 /// State owned by reliability: every byte that may need to be sent again
 /// and the timers/estimators that decide when.
@@ -54,6 +55,24 @@ impl TcpSocket {
             return Err(TcpError::WouldBlock);
         }
         Ok(n)
+    }
+
+    /// Lend the send ring a storage parked on `spares` if it has none;
+    /// returns the bytes lent.
+    pub(crate) fn lend_send_ring(&mut self, spares: &mut Vec<VecDeque<u8>>) -> usize {
+        self.rel.send_buf.lend(spares)
+    }
+
+    /// Park the send ring's storage on `spares` if every byte in it has
+    /// been acknowledged; returns the bytes parked.
+    pub(crate) fn park_send_ring(&mut self, spares: &mut Vec<VecDeque<u8>>) -> usize {
+        self.rel.send_buf.park(spares)
+    }
+
+    /// The connection is leaving the stack: park the send ring's storage,
+    /// whatever it holds; returns the bytes parked.
+    pub(crate) fn release_send_ring(&mut self, spares: &mut Vec<VecDeque<u8>>) -> usize {
+        self.rel.send_buf.release(spares)
     }
 
     pub(crate) fn arm_rtx(&mut self, now: u64) {

@@ -1157,3 +1157,224 @@ fn stack_tables_agree_and_drain_to_zero() {
         },
     );
 }
+
+/// `TcpStack`: a socket at rest owns no ring. Over two stacks joined by a
+/// wire that drops and reorders, whatever the interleaving of opens,
+/// sends, partial reads, closes, aborts and timers, after every step: no
+/// live socket holds a ring with storage but no byte; the budget's spare
+/// bytes are the parked storages' capacity, and its live bytes the
+/// sockets' footprints; and every byte a socket reads is the next byte of
+/// what its peer sent — all of it, once the read says EOF.
+#[test]
+fn drained_rings_park_and_streams_match_a_flat_model() {
+    use crate::stack::TcpStack;
+    use crate::types::TcpConfig;
+    use neat_net::TcpHeader;
+    use std::collections::VecDeque;
+
+    const IPS: [Ipv4Addr; 2] = [Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 0, 0, 2)];
+
+    /// One direction of one connection: the side that opened it, its
+    /// ephemeral port, and whether the bytes flow from the opener.
+    type Stream = (usize, u16, bool);
+
+    struct Net {
+        stacks: [TcpStack; 2],
+        listeners: [SocketId; 2],
+        /// `wire[i]`: segments stack `i` sent that `1 - i` has not seen.
+        wire: [VecDeque<(TcpHeader, Vec<u8>)>; 2],
+        /// Ids each side's user holds, with the streams each sends on.
+        known: [Vec<(SocketId, Stream)>; 2],
+        /// What each stream's sender had accepted, and what its reader read.
+        sent: HashMap<Stream, Vec<u8>>,
+        read: HashMap<Stream, Vec<u8>>,
+        now: u64,
+    }
+
+    fn reverse((opener, port, out): Stream) -> Stream {
+        (opener, port, !out)
+    }
+
+    impl Net {
+        fn new() -> Net {
+            let cfg = TcpConfig {
+                initial_rto_ns: 50_000_000,
+                ..TcpConfig::default()
+            };
+            let mut stacks = IPS.map(|ip| TcpStack::new(ip, cfg.clone()));
+            let listeners = [stacks[0].listen(80).unwrap(), stacks[1].listen(80).unwrap()];
+            Net {
+                stacks,
+                listeners,
+                wire: Default::default(),
+                known: Default::default(),
+                sent: HashMap::new(),
+                read: HashMap::new(),
+                now: 0,
+            }
+        }
+
+        /// Put what each stack has to say on its wire, drop the events,
+        /// and check the rings and the budget.
+        fn settle(&mut self) -> Result<(), String> {
+            for (s, wire) in self.stacks.iter_mut().zip(&mut self.wire) {
+                while let Some((_, h, p)) = s.poll_transmit(self.now) {
+                    wire.push_back((h, p));
+                }
+                while s.poll_event().is_some() {}
+                let f = s.footprint();
+                prop_assert_eq!(f.idle_rings, 0, "an empty ring keeps storage");
+                let parked = (f.spare_send + f.spare_recv) as u64;
+                prop_assert_eq!(s.budget().spare_bytes(), parked, "spare bytes");
+                prop_assert_eq!(s.budget().bytes_total(), f.mem_bytes as u64, "live bytes");
+            }
+            Ok(())
+        }
+
+        fn accept(&mut self, side: usize) {
+            while let Ok(id) = self.stacks[side].accept(self.listeners[side]) {
+                let (_, port) = self.stacks[side].ports(id).unwrap();
+                self.known[side].push((id, (1 - side, port, false)));
+            }
+        }
+
+        /// Read up to `len` bytes from `id`: each is the next of its
+        /// stream, and at EOF the stream is whole.
+        fn recv(
+            &mut self,
+            side: usize,
+            (id, out): (SocketId, Stream),
+            len: usize,
+        ) -> Result<usize, String> {
+            let mut buf = vec![0u8; len];
+            let stream = reverse(out);
+            let got = self.read.entry(stream).or_default();
+            let sent = self.sent.get(&stream).map_or(&[][..], |s| &s[..]);
+            match self.stacks[side].recv(id, &mut buf) {
+                Ok(0) => {
+                    prop_assert!(
+                        got[..] == sent[..],
+                        "EOF before the whole stream: {stream:?}"
+                    );
+                    Ok(0)
+                }
+                Ok(n) => {
+                    got.extend_from_slice(&buf[..n]);
+                    prop_assert!(sent.starts_with(got), "a byte out of order: {stream:?}");
+                    Ok(n)
+                }
+                Err(_) => Ok(0),
+            }
+        }
+
+        fn step(&mut self, (op, pick, arg): (u8, u8, u16)) -> Result<(), String> {
+            let side = (pick & 1) as usize;
+            let s = &mut self.stacks[side];
+            self.known[side].retain(|(id, _)| s.state(*id).is_some());
+            let ids = &self.known[side];
+            let sock = ids.get((pick >> 1) as usize % ids.len().max(1)).copied();
+            match (op % 16, sock) {
+                (0, _) if ids.len() < 6 => {
+                    if let Ok(id) = s.connect(IPS[1 - side], 80, self.now) {
+                        let (port, _) = s.ports(id).unwrap();
+                        self.known[side].push((id, (side, port, true)));
+                    }
+                }
+                (1, _) => self.accept(side),
+                (2 | 3, Some((id, out))) => {
+                    let sent = self.sent.entry(out).or_default();
+                    let len = arg as usize % 4000 + 1;
+                    let data: Vec<u8> = (sent.len()..sent.len() + len)
+                        .map(|i| (i * 31 + out.1 as usize) as u8)
+                        .collect();
+                    if let Ok(n) = s.send(id, &data) {
+                        sent.extend_from_slice(&data[..n]);
+                    }
+                }
+                (4 | 5, Some(sock)) => drop(self.recv(side, sock, arg as usize % 3000 + 1)?),
+                (6, Some((id, _))) => drop(s.close(id, self.now)),
+                (7, Some((id, _))) if arg % 4 == 0 => drop(s.abort(id)),
+                (8..=11, _) => {
+                    if let Some((h, p)) = self.wire[side].pop_front() {
+                        self.stacks[1 - side].handle_segment(IPS[side], &h, &p, self.now);
+                    }
+                }
+                (12, _) => drop(self.wire[side].pop_front()),
+                (13, _) if self.wire[side].len() > 1 => self.wire[side].swap(0, 1),
+                (14, _) => self.run_timers(self.now + arg as u64 * 100_000),
+                (15, _) => self.pump()?,
+                _ => {}
+            }
+            self.settle()
+        }
+
+        fn run_timers(&mut self, until: u64) {
+            self.now = self.now.max(until);
+            for s in &mut self.stacks {
+                while let Some(t) = s.next_timeout().filter(|t| *t <= until) {
+                    s.on_timer(t);
+                }
+            }
+        }
+
+        /// Deliver everything, losslessly, until both stacks fall silent.
+        fn pump(&mut self) -> Result<(), String> {
+            self.settle()?;
+            while self.wire.iter().any(|w| !w.is_empty()) {
+                for (from, ip) in IPS.into_iter().enumerate() {
+                    if let Some((h, p)) = self.wire[from].pop_front() {
+                        self.stacks[1 - from].handle_segment(ip, &h, &p, self.now);
+                    }
+                }
+                self.settle()?;
+            }
+            Ok(())
+        }
+
+        /// Read all each side's user can reach.
+        fn drain(&mut self) -> Result<(), String> {
+            for side in 0..2 {
+                for sock in self.known[side].clone() {
+                    while self.recv(side, sock, 4096)? > 0 {}
+                }
+            }
+            self.settle()
+        }
+    }
+
+    check(
+        "drained_rings_park_and_streams_match_a_flat_model",
+        Config::default().cases(256),
+        |rng| {
+            vec_of(rng, 1..200, |r| {
+                (r.gen::<u8>(), r.gen::<u8>(), r.gen::<u16>())
+            })
+        },
+        |ops| {
+            let mut net = Net::new();
+            for op in ops {
+                net.step(op)?;
+            }
+            // Wind down over a lossless wire: read and close whatever the
+            // users can reach, and let every deadline run out.
+            for _ in 0..400 {
+                for side in 0..2 {
+                    net.accept(side);
+                }
+                net.drain()?;
+                for side in 0..2 {
+                    for (id, _) in net.known[side].clone() {
+                        let _ = net.stacks[side].close(id, net.now);
+                    }
+                }
+                net.pump()?;
+                net.drain()?;
+                match net.stacks.iter().filter_map(|s| s.next_timeout()).min() {
+                    Some(t) => net.run_timers(t),
+                    None => break,
+                }
+            }
+            Ok(())
+        },
+    );
+}

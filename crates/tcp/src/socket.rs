@@ -99,8 +99,10 @@ impl TcpSocket {
 
     /// Approximate resident footprint of this connection: the socket
     /// struct plus every heap allocation it owns (buffer *capacities*,
-    /// not configured limits — idle connections stay near
-    /// `size_of::<TcpSocket>()`).
+    /// not configured limits). A ring keeps its storage only while it
+    /// holds a byte — the stack parks a drained one's — so a connection
+    /// at rest is the struct, the controller box and its assembler's and
+    /// event list's capacities.
     pub fn mem_bytes(&self) -> usize {
         std::mem::size_of::<TcpSocket>()
             + self.rel.send_buf.heap_bytes()

@@ -16,7 +16,10 @@
 //! * closed sockets are reaped inline at their quiescence point instead
 //!   of by an O(all sockets) sweep on every timer tick;
 //! * per-connection memory is delta-accounted into a [`ConnBudget`] and
-//!   optionally bounded (`TcpConfig::conn_memory_limit`).
+//!   optionally bounded (`TcpConfig::conn_memory_limit`);
+//! * a socket at rest owns no ring: a drained ring's storage waits on the
+//!   stack's spare list for its direction until a ring needs one
+//!   ([`Spares`]).
 
 use crate::budget::ConnBudget;
 use crate::socket::TcpSocket;
@@ -83,6 +86,28 @@ struct Slot {
     pending: Option<u16>,
 }
 
+/// Ring storages that drained rings parked, one LIFO list per direction,
+/// lent to the next ring of that direction that needs one. A storage is
+/// allocated only while its list is empty, so each list holds no more
+/// storages than rings of its direction were ever busy at once. Two lists,
+/// not one, so a small request's ring never takes a bulk reply's storage.
+#[derive(Debug)]
+struct Spares {
+    send: Vec<VecDeque<u8>>,
+    recv: Vec<VecDeque<u8>>,
+}
+
+impl Spares {
+    /// Both lists, allocated up front with room for a few storages: the
+    /// first parks of a stack's life allocate nothing on the data path.
+    fn new() -> Spares {
+        Spares {
+            send: Vec::with_capacity(4),
+            recv: Vec::with_capacity(4),
+        }
+    }
+}
+
 /// The follow-ups a stimulus owes its slot. Each caller runs the subset it
 /// needs, in this order, against the stack's (disjoint) sink fields.
 impl Slot {
@@ -131,8 +156,22 @@ impl Slot {
         }
     }
 
-    /// Bring the budget in sync with the socket's current footprint.
-    fn account(&mut self, budget: &mut ConnBudget) {
+    /// Lend the send ring a parked storage if it has none.
+    fn lend_send(&mut self, spares: &mut Spares, budget: &mut ConnBudget) {
+        budget.on_lend(self.sock.lend_send_ring(&mut spares.send));
+    }
+
+    /// Lend the receive ring a parked storage if it has none.
+    fn lend_recv(&mut self, spares: &mut Spares, budget: &mut ConnBudget) {
+        budget.on_lend(self.sock.lend_recv_ring(&mut spares.recv));
+    }
+
+    /// Park the storage of each ring that holds no byte, then bring the
+    /// budget in sync with the socket's current footprint: the end of
+    /// every stimulus.
+    fn account(&mut self, budget: &mut ConnBudget, spares: &mut Spares) {
+        budget.on_park(self.sock.park_send_ring(&mut spares.send));
+        budget.on_park(self.sock.park_recv_ring(&mut spares.recv));
         let new = self.sock.mem_bytes();
         let old = self.sock.swap_accounted(new);
         budget.adjust(new as i64 - old as i64);
@@ -170,6 +209,8 @@ pub struct TcpStack {
     fired: Vec<u64>,
     /// Accounted connection memory (and the optional bound on it).
     budget: ConnBudget,
+    /// Parked ring storages, per direction.
+    spares: Spares,
     /// Checkpoint-delta tracking for buddy replication, `Some` while on:
     /// every socket touched since the last [`TcpStack::take_repl_dirty`]
     /// drain (`Slot::repl_dirty`).
@@ -205,6 +246,7 @@ impl TcpStack {
             timers: TimerWheel::new(0),
             fired: Vec::new(),
             budget,
+            spares: Spares::new(),
             repl_dirty: None,
             repl_closed: Vec::new(),
             migrated_out: FxHashSet::default(),
@@ -340,11 +382,13 @@ impl TcpStack {
 
     pub fn send(&mut self, id: SocketId, data: &[u8]) -> Result<usize, TcpError> {
         let slot = self.sockets.get_mut(&id).ok_or(TcpError::NoSocket)?;
+        slot.lend_send(&mut self.spares, &mut self.budget);
         let r = slot.sock.send(data);
         if r.is_ok() {
             slot.mark_dirty(&mut self.dirty, &mut self.repl_dirty);
-            slot.account(&mut self.budget);
         }
+        // A refused send parks the storage it was lent.
+        slot.account(&mut self.budget, &mut self.spares);
         r
     }
 
@@ -354,7 +398,7 @@ impl TcpStack {
         if r.is_ok() {
             // A window update may be owed.
             slot.mark_dirty(&mut self.dirty, &mut self.repl_dirty);
-            slot.account(&mut self.budget);
+            slot.account(&mut self.budget, &mut self.spares);
         }
         r
     }
@@ -367,7 +411,7 @@ impl TcpStack {
         slot.sock.set_opt(opt);
         // The cc algo and buffer sizes are replicated state.
         slot.mark_dirty(&mut self.dirty, &mut self.repl_dirty);
-        slot.account(&mut self.budget);
+        slot.account(&mut self.budget, &mut self.spares);
         Ok(())
     }
 
@@ -508,6 +552,9 @@ impl TcpStack {
         };
         let before = slot.sock.state();
         slot.lend_events(&mut self.sock_events);
+        if !payload.is_empty() {
+            slot.lend_recv(&mut self.spares, &mut self.budget);
+        }
         slot.sock.on_segment(h, payload, now);
         // Handshake completed on a backlog socket → accept queue
         // (CLOSE-WAIT: the completing ACK came with the peer's FIN).
@@ -525,7 +572,7 @@ impl TcpStack {
         slot.drain_events(&mut self.events, &mut self.sock_events);
         slot.mark_dirty(&mut self.dirty, &mut self.repl_dirty);
         slot.arm_timer(&mut self.timers);
-        slot.account(&mut self.budget);
+        slot.account(&mut self.budget, &mut self.spares);
     }
 
     // ------------------------------------------------------------------
@@ -571,7 +618,7 @@ impl TcpStack {
                 }
                 slot.queued = false;
                 slot.drain_events(&mut self.events, &mut self.sock_events);
-                slot.account(&mut self.budget);
+                slot.account(&mut self.budget, &mut self.spares);
             }
             self.dirty.pop_front();
             // A socket that drained its last segment and reached Closed
@@ -606,7 +653,7 @@ impl TcpStack {
                 slot.drain_events(&mut self.events, &mut self.sock_events);
                 slot.mark_dirty(&mut self.dirty, &mut self.repl_dirty);
                 slot.arm_timer(&mut self.timers);
-                slot.account(&mut self.budget);
+                slot.account(&mut self.budget, &mut self.spares);
             }
         }
         self.fired = fired;
@@ -630,14 +677,20 @@ impl TcpStack {
 
     /// The one way a connection leaves the stack: its slot, demux entry,
     /// deadline, budget share and seat in its listener's SYN backlog or
-    /// accept queue go together. Ids are never reused, so one still
-    /// sitting in `dirty` or `repl_dirty` is skipped when it comes up.
+    /// accept queue go together, and its rings' storages are parked for
+    /// the next connection. Ids are never reused, so one still sitting in
+    /// `dirty` or `repl_dirty` is skipped when it comes up.
     fn detach(&mut self, id: SocketId) -> Option<FlowKey> {
         let mut slot = self.sockets.remove(&id)?;
         let flow = flow_of(&slot.sock);
         self.conns.remove(&flow);
         self.timers.cancel(id.0);
         self.budget.on_close(slot.sock.swap_accounted(0) as u64);
+        let spares = &mut self.spares;
+        self.budget
+            .on_park(slot.sock.release_send_ring(&mut spares.send));
+        self.budget
+            .on_park(slot.sock.release_recv_ring(&mut spares.recv));
         if let Some(l) = slot.pending.and_then(|port| self.listeners.get_mut(&port)) {
             let ready = l.accept_q.len();
             l.accept_q.retain(|x| *x != id);

@@ -7,10 +7,99 @@ use super::*;
 const CLIENT_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
 const SERVER_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
 
+/// A stack's bytes by part (ROADMAP item D(a)): what its connections
+/// hold, and what it keeps beside them.
+#[derive(Debug, Default)]
+pub(crate) struct Footprint {
+    /// Socket structs, each with the stack's flags beside it.
+    pub slots: usize,
+    /// What each socket owns on the heap besides its rings and assembler:
+    /// the controller box and the event list.
+    pub socket_heap: usize,
+    /// Demux entries.
+    pub demux: usize,
+    /// Room the slot and demux tables hold beyond their entries.
+    pub table_slack: usize,
+    /// Live rings' storage, per direction.
+    pub send_rings: usize,
+    pub recv_rings: usize,
+    /// The part of `send_rings + recv_rings` in rings that hold no byte:
+    /// 0 while drained rings park their storage.
+    pub idle_rings: usize,
+    /// Parked storages, per direction, and how many there are.
+    pub spare_send: usize,
+    pub spare_recv: usize,
+    pub spare_count: usize,
+    /// Assemblers' range lists.
+    pub assembler: usize,
+    /// `TcpSocket::mem_bytes`, summed: what the budget should hold.
+    pub mem_bytes: usize,
+    /// The timer wheel's per-key entries.
+    pub wheel: usize,
+}
+
+impl Footprint {
+    /// The parts, named, in the order EXPERIMENTS.md's table lists them.
+    pub(crate) fn parts(&self) -> [(&'static str, usize); 11] {
+        [
+            ("socket structs", self.slots),
+            ("controller boxes, event lists", self.socket_heap),
+            ("demux entries", self.demux),
+            ("table slack", self.table_slack),
+            ("send rings (live)", self.send_rings),
+            ("receive rings (live)", self.recv_rings),
+            ("  of which empty", self.idle_rings),
+            ("spare send storages", self.spare_send),
+            ("spare receive storages", self.spare_recv),
+            ("assemblers", self.assembler),
+            ("wheel entries", self.wheel),
+        ]
+    }
+}
+
 impl TcpStack {
     /// All live socket ids.
     pub(crate) fn socket_ids(&self) -> Vec<SocketId> {
         self.sockets.keys().copied().collect()
+    }
+
+    /// A socket's (local, remote) ports.
+    pub(crate) fn ports(&self, id: SocketId) -> Option<(u16, u16)> {
+        self.sock(id).map(|s| (s.local_port, s.remote_port))
+    }
+
+    /// The stack's bytes, itemised.
+    pub(crate) fn footprint(&self) -> Footprint {
+        let slot = std::mem::size_of::<(SocketId, Slot)>();
+        let entry = std::mem::size_of::<(FlowKey, SocketId)>();
+        let parked = |list: &Vec<VecDeque<u8>>| list.iter().map(|r| r.capacity()).sum::<usize>();
+        let mut f = Footprint {
+            slots: self.sockets.len() * slot,
+            demux: self.conns.len() * entry,
+            table_slack: (self.sockets.capacity() - self.sockets.len()) * slot
+                + (self.conns.capacity() - self.conns.len()) * entry,
+            spare_send: parked(&self.spares.send),
+            spare_recv: parked(&self.spares.recv),
+            spare_count: self.spares.send.len() + self.spares.recv.len(),
+            wheel: self.timers.entry_bytes(),
+            ..Footprint::default()
+        };
+        for s in self.sockets.values().map(|slot| &slot.sock) {
+            let (send, recv) = (s.rel.send_buf.heap_bytes(), s.fc.recv_buf.heap_bytes());
+            f.send_rings += send;
+            f.recv_rings += recv;
+            f.idle_rings += if s.rel.send_buf.is_empty() { send } else { 0 };
+            let held = !s.fc.recv_buf.is_empty() || !s.fc.asm.is_empty();
+            f.idle_rings += if held { 0 } else { recv };
+            f.assembler += s.fc.asm.heap_bytes();
+            f.mem_bytes += s.mem_bytes();
+            f.socket_heap += s.mem_bytes()
+                - std::mem::size_of::<TcpSocket>()
+                - send
+                - recv
+                - s.fc.asm.heap_bytes();
+        }
+        f
     }
 
     /// Every structure that names a connection agrees with the slot table
@@ -40,10 +129,14 @@ impl TcpStack {
                 *pending.entry(port).or_default() += 1;
             }
         }
-        // The budget holds exactly the slots' accounted bytes.
+        // The budget holds exactly the slots' accounted bytes, and the
+        // parked storages apart.
         assert_eq!(self.budget.conns(), self.sockets.len(), "budget conns");
         let accounted: usize = self.sockets.values().map(|s| s.sock.accounted()).sum();
         assert_eq!(self.budget.bytes_total(), accounted as u64, "budget bytes");
+        let f = self.footprint();
+        let parked = (f.spare_send + f.spare_recv) as u64;
+        assert_eq!(self.budget.spare_bytes(), parked, "budget spare bytes");
         // A listener's backlog + accept queue are its pending slots.
         for (port, l) in &self.listeners {
             assert_eq!(self.listener_of.get(&l.id), Some(port));
@@ -358,6 +451,65 @@ fn budget_accounts_lifecycle() {
     assert_eq!(s.budget().conns(), 0, "server account drained");
     assert_eq!(s.budget().bytes_total(), 0);
     assert_eq!(c.budget().conns(), 0, "client account drained");
+}
+
+/// ROADMAP item D(a)'s footprint: 1 000 established connections, each
+/// past a 20 B request and a 20 B reply and now at rest, own no ring
+/// byte; the rings' storage waits on each stack's spare lists.
+/// `--nocapture` prints both stacks' bytes by part.
+#[test]
+fn idle_connections_own_no_ring() {
+    const CONNS: usize = 1_000;
+    let cfg = TcpConfig {
+        backlog: CONNS,
+        ..TcpConfig::default()
+    };
+    let mut c = TcpStack::new(CLIENT_IP, cfg.clone());
+    let mut s = TcpStack::new(SERVER_IP, cfg);
+    let l = s.listen(80).unwrap();
+    let conns: Vec<SocketId> = (0..CONNS)
+        .map(|_| c.connect(SERVER_IP, 80, 0).unwrap())
+        .collect();
+    pump(&mut c, &mut s, 0);
+    let srvs: Vec<SocketId> = (0..CONNS).map(|_| s.accept(l).unwrap()).collect();
+    let mut buf = [0u8; 64];
+    for &id in &conns {
+        assert_eq!(c.send(id, &[b'q'; 20]), Ok(20));
+    }
+    pump(&mut c, &mut s, 1_000);
+    for &id in &srvs {
+        assert_eq!(s.recv(id, &mut buf), Ok(20));
+        assert_eq!(s.send(id, &[b'r'; 20]), Ok(20));
+    }
+    pump(&mut c, &mut s, 2_000);
+    for &id in &conns {
+        assert_eq!(c.recv(id, &mut buf), Ok(20));
+    }
+    // The delayed ACKs go out; nothing is left to send or read.
+    run_timers(&mut c, 1_000_000_000);
+    run_timers(&mut s, 1_000_000_000);
+    pump(&mut c, &mut s, 1_000_000_000);
+    for (name, st) in [("client", &c), ("server", &s)] {
+        st.check_consistent();
+        let f = st.footprint();
+        println!(
+            "{name}, {CONNS} idle connections ({} spare storages):",
+            f.spare_count
+        );
+        for (part, bytes) in f.parts() {
+            println!(
+                "  {part:32} {bytes:9} B  {:7.1} B/conn",
+                bytes as f64 / CONNS as f64
+            );
+        }
+        assert_eq!(st.conn_count(), CONNS);
+        assert_eq!((f.send_rings, f.recv_rings, f.idle_rings), (0, 0, 0));
+        assert_eq!(
+            st.budget().spare_bytes(),
+            (f.spare_send + f.spare_recv) as u64
+        );
+        assert!(f.spare_send > 0 && f.spare_recv > 0, "storages parked");
+    }
 }
 
 #[test]

@@ -366,6 +366,11 @@ impl TimerWheel {
 
 #[cfg(test)]
 impl TimerWheel {
+    /// Heap bytes of the per-key entries, slack included.
+    pub(crate) fn entry_bytes(&self) -> usize {
+        self.meta.capacity() * std::mem::size_of::<(u64, Meta)>()
+    }
+
     /// [`TimerWheel::advance`] into a list of its own.
     pub(crate) fn fire(&mut self, now: u64) -> Vec<u64> {
         let mut fired = Vec::new();
