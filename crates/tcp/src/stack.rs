@@ -156,16 +156,6 @@ impl Slot {
         }
     }
 
-    /// Lend the send ring a parked storage if it has none.
-    fn lend_send(&mut self, spares: &mut Spares, budget: &mut ConnBudget) {
-        budget.on_lend(self.sock.lend_send_ring(&mut spares.send));
-    }
-
-    /// Lend the receive ring a parked storage if it has none.
-    fn lend_recv(&mut self, spares: &mut Spares, budget: &mut ConnBudget) {
-        budget.on_lend(self.sock.lend_recv_ring(&mut spares.recv));
-    }
-
     /// Park the storage of each ring that holds no byte, then bring the
     /// budget in sync with the socket's current footprint: the end of
     /// every stimulus.
@@ -382,7 +372,8 @@ impl TcpStack {
 
     pub fn send(&mut self, id: SocketId, data: &[u8]) -> Result<usize, TcpError> {
         let slot = self.sockets.get_mut(&id).ok_or(TcpError::NoSocket)?;
-        slot.lend_send(&mut self.spares, &mut self.budget);
+        let lent = slot.sock.lend_send_ring(&mut self.spares.send);
+        self.budget.on_lend(lent);
         let r = slot.sock.send(data);
         if r.is_ok() {
             slot.mark_dirty(&mut self.dirty, &mut self.repl_dirty);
@@ -553,7 +544,8 @@ impl TcpStack {
         let before = slot.sock.state();
         slot.lend_events(&mut self.sock_events);
         if !payload.is_empty() {
-            slot.lend_recv(&mut self.spares, &mut self.budget);
+            let lent = slot.sock.lend_recv_ring(&mut self.spares.recv);
+            self.budget.on_lend(lent);
         }
         slot.sock.on_segment(h, payload, now);
         // Handshake completed on a backlog socket → accept queue
