@@ -90,7 +90,8 @@ struct Slot {
 /// lent to the next ring of that direction that needs one. A storage is
 /// allocated only while its list is empty, so each list holds no more
 /// storages than rings of its direction were ever busy at once. Two lists,
-/// not one, so a small request's ring never takes a bulk reply's storage.
+/// not one: requests and replies cross a stack in opposite directions, so
+/// a small request's ring does not take a bulk reply's storage.
 #[derive(Debug)]
 struct Spares {
     send: Vec<VecDeque<u8>>,
