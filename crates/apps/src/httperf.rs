@@ -167,7 +167,9 @@ struct ConnRun {
 const TOK_STACK: u64 = 0;
 const TOK_SCAN: u64 = 1;
 /// Tokens >= TOK_THINK encode a think-time wakeup for socket id
-/// `token - TOK_THINK`.
+/// `token - TOK_THINK`. An id carries its serial above bit 32, so most are
+/// well past 2^32; every id is below 2^62 (see `SocketId`), so the sum
+/// neither wraps nor reaches TOK_OPEN and decodes to the same id.
 const TOK_THINK: u64 = 1_000;
 /// Tokens >= TOK_OPEN are the staggered initial opens, one token each (a
 /// token has one pending timer).
@@ -496,6 +498,16 @@ mod tests {
 
     const SERVER_IP: Ipv4Addr = Ipv4Addr::new(192, 168, 69, 1);
     const CLIENT_IP: Ipv4Addr = Ipv4Addr::new(192, 168, 69, 100);
+
+    /// A think token carries the whole socket id — past 2^32 as most ids
+    /// are, up to the 2^62 bound — and stays below the open tokens.
+    #[test]
+    fn think_tokens_carry_whole_ids() {
+        for id in [1, 1 << 32, (1 << 62) - 1] {
+            let token = TOK_THINK + id;
+            assert!(token < TOK_OPEN && token - TOK_THINK == id, "{id:#x}");
+        }
+    }
 
     /// The digest is a function of the byte sequence alone: any way of
     /// cutting a stream into `digest_bytes` calls gives one value, and a

@@ -1378,3 +1378,239 @@ fn drained_rings_park_and_streams_match_a_flat_model() {
         },
     );
 }
+
+/// `TcpStack`: an id outlives its connection but not its meaning. Over a
+/// client and a server stack joined by a lossless wire, a schedule opens,
+/// sends, reads, closes and aborts connections and lets TIME_WAIT run
+/// out, over and over, so seats are reused. After every step every id
+/// either stack ever issued goes to every id-taking call: a dead id — and
+/// the listener's, to the socket calls — gets `NoSocket`, `None`, `false`
+/// or 0 and changes nothing; every byte a live socket reads is the next
+/// of what its peer sent, all of it at EOF; and `check_consistent` holds.
+#[test]
+fn stale_ids_stay_inert_and_streams_match_a_flat_model() {
+    use crate::stack::TcpStack;
+    use crate::types::{SockOpt, SockOptKind, TcpConfig, TcpError};
+    use neat_util::check::TestResult;
+    use std::cell::Cell;
+
+    const IPS: [Ipv4Addr; 2] = [Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 0, 0, 2)];
+
+    /// One direction of one connection: its number in the schedule, and
+    /// whether the bytes flow from the client.
+    type Stream = (usize, bool);
+
+    /// What a stack shows without being stimulated: a stale id's calls
+    /// must leave all of it as it was.
+    fn snapshot(s: &TcpStack, ids: &[(SocketId, Stream)]) -> String {
+        let live: Vec<_> = (ids.iter())
+            .map(|&(id, _)| (s.state(id), s.recv_available(id)))
+            .collect();
+        let b = s.budget();
+        format!(
+            "{live:?} {} {} {} {:?}",
+            s.conn_count(),
+            b.bytes_total(),
+            b.spare_bytes(),
+            s.next_timeout()
+        )
+    }
+
+    struct Net {
+        /// `stacks[0]` connects; `stacks[1]` listens on port 80.
+        stacks: [TcpStack; 2],
+        listener: SocketId,
+        /// Every connection id each side was handed, with the stream it
+        /// sends on.
+        issued: [Vec<(SocketId, Stream)>; 2],
+        /// The client's port of each connection, by its number.
+        ports: Vec<u16>,
+        sent: HashMap<Stream, Vec<u8>>,
+        read: HashMap<Stream, Vec<u8>>,
+        now: u64,
+        /// New ids that took a seat a dead id names.
+        reused: usize,
+    }
+
+    impl Net {
+        fn new() -> Net {
+            let cfg = TcpConfig {
+                initial_rto_ns: 50_000_000,
+                time_wait_ns: 2_000_000,
+                ..TcpConfig::default()
+            };
+            let mut stacks = IPS.map(|ip| TcpStack::new(ip, cfg.clone()));
+            let listener = stacks[1].listen(80).unwrap();
+            Net {
+                stacks,
+                listener,
+                issued: Default::default(),
+                ports: Vec::new(),
+                sent: HashMap::new(),
+                read: HashMap::new(),
+                now: 0,
+                reused: 0,
+            }
+        }
+
+        fn issue(&mut self, side: usize, id: SocketId, stream: Stream) {
+            let stack = &self.stacks[side];
+            let dead_here =
+                |&(x, _): &(SocketId, Stream)| x.seat() == id.seat() && stack.state(x).is_none();
+            if self.issued[side].iter().any(dead_here) {
+                self.reused += 1;
+            }
+            self.issued[side].push((id, stream));
+        }
+
+        /// Deliver everything until both stacks fall silent, accepting
+        /// what the listener holds and dropping the events.
+        fn pump(&mut self) {
+            loop {
+                let mut moved = false;
+                for (from, ip) in IPS.into_iter().enumerate() {
+                    while let Some((_, h, p)) = self.stacks[from].poll_transmit(self.now) {
+                        self.stacks[1 - from].handle_segment(ip, &h, &p, self.now);
+                        moved = true;
+                    }
+                }
+                while let Ok(id) = self.stacks[1].accept(self.listener) {
+                    let (_, port) = self.stacks[1].ports(id).unwrap();
+                    let conn = self.ports.iter().position(|p| *p == port).unwrap();
+                    self.issue(1, id, (conn, false));
+                }
+                for s in &mut self.stacks {
+                    while s.poll_event().is_some() {}
+                }
+                if !moved {
+                    return;
+                }
+            }
+        }
+
+        fn run_timers(&mut self, until: u64) {
+            self.now = self.now.max(until);
+            for s in &mut self.stacks {
+                while let Some(t) = s.next_timeout().filter(|t| *t <= until) {
+                    s.on_timer(t);
+                }
+            }
+        }
+
+        /// Read up to `len` bytes: each the next of its stream, and at
+        /// EOF the stream is whole.
+        fn recv(&mut self, side: usize, (id, out): (SocketId, Stream), len: usize) -> TestResult {
+            let stream = (out.0, !out.1);
+            let mut buf = vec![0u8; len];
+            let got = self.read.entry(stream).or_default();
+            let sent = self.sent.get(&stream).map_or(&[][..], |s| &s[..]);
+            match self.stacks[side].recv(id, &mut buf) {
+                Ok(0) => prop_assert!(got[..] == sent[..], "EOF before the whole {stream:?}"),
+                Ok(n) => {
+                    got.extend_from_slice(&buf[..n]);
+                    prop_assert!(sent.starts_with(got), "a byte out of order: {stream:?}");
+                }
+                Err(_) => {}
+            }
+            Ok(())
+        }
+
+        fn step(&mut self, (op, pick, arg): (u8, u8, u16)) -> TestResult {
+            let side = (pick & 1) as usize;
+            let live: Vec<(SocketId, Stream)> = (self.issued[side].iter())
+                .filter(|(id, _)| self.stacks[side].state(*id).is_some())
+                .copied()
+                .collect();
+            let sock = live.get((pick >> 1) as usize % live.len().max(1)).copied();
+            match (op % 10, sock) {
+                (0 | 1, _) if self.issued[0].len() - self.reaped(0) < 8 => {
+                    if let Ok(id) = self.stacks[0].connect(IPS[1], 80, self.now) {
+                        let (port, _) = self.stacks[0].ports(id).unwrap();
+                        self.ports.push(port);
+                        self.issue(0, id, (self.ports.len() - 1, true));
+                    }
+                }
+                (2 | 3, Some((id, out))) => {
+                    let sent = self.sent.entry(out).or_default();
+                    let data: Vec<u8> = (sent.len()..sent.len() + arg as usize % 3000 + 1)
+                        .map(|i| (i * 31 + out.0 * 7 + out.1 as usize) as u8)
+                        .collect();
+                    if let Ok(n) = self.stacks[side].send(id, &data) {
+                        sent.extend_from_slice(&data[..n]);
+                    }
+                }
+                (4 | 5, Some(sock)) => self.recv(side, sock, arg as usize % 4000 + 1)?,
+                (6, Some((id, _))) => drop(self.stacks[side].close(id, self.now)),
+                (7, Some((id, _))) if arg % 3 == 0 => drop(self.stacks[side].abort(id)),
+                (8 | 9, _) => self.run_timers(self.now + arg as u64 % 4_000 * 1_000),
+                _ => {}
+            }
+            self.pump();
+            self.check_stale()
+        }
+
+        /// How many of `side`'s issued ids are dead.
+        fn reaped(&self, side: usize) -> usize {
+            let dead = |(id, _): &&(SocketId, Stream)| self.stacks[side].state(*id).is_none();
+            self.issued[side].iter().filter(dead).count()
+        }
+
+        /// Every dead id, and the listener's, through every call that
+        /// takes one.
+        fn check_stale(&mut self) -> TestResult {
+            for side in 0..2 {
+                let s = &mut self.stacks[side];
+                s.check_consistent();
+                let (dead, live): (Vec<_>, Vec<_>) =
+                    (self.issued[side].iter()).partition(|(id, _)| s.state(*id).is_none());
+                let live: Vec<(SocketId, Stream)> = live.into_iter().copied().collect();
+                let before = snapshot(s, &live);
+                let mut stale: Vec<SocketId> = dead.iter().map(|(id, _)| *id).collect();
+                stale.push(self.listener);
+                for id in stale {
+                    let no = Err(TcpError::NoSocket);
+                    prop_assert_eq!(s.send(id, b"stale"), no.clone(), "send {id:?}");
+                    prop_assert_eq!(s.recv(id, &mut [0u8; 8]), no.clone(), "recv {id:?}");
+                    let opt = SockOpt::RecvBuf(4096);
+                    prop_assert_eq!(s.set_opt(id, opt), Err(TcpError::NoSocket));
+                    let kind = SockOptKind::RecvBuf;
+                    prop_assert_eq!(s.get_opt(id, kind), Err(TcpError::NoSocket));
+                    prop_assert_eq!(s.close(id, self.now), Err(TcpError::NoSocket));
+                    prop_assert_eq!(s.abort(id), Err(TcpError::NoSocket));
+                    prop_assert_eq!((s.state(id), s.recv_available(id)), (None, 0));
+                    if id != self.listener {
+                        prop_assert_eq!(s.accept(id), Err(TcpError::NoSocket));
+                        prop_assert_eq!(s.acceptable(id), 0);
+                        prop_assert!(!s.remove_conn(id), "remove_conn {id:?}");
+                    }
+                }
+                prop_assert_eq!(snapshot(s, &live), before, "a stale id changed something");
+                prop_assert!(s.poll_transmit(self.now).is_none(), "a stale id sent");
+                prop_assert!(s.poll_event().is_none(), "a stale id raised an event");
+                s.check_consistent();
+            }
+            Ok(())
+        }
+    }
+
+    let reused = Cell::new(0);
+    check(
+        "stale_ids_stay_inert_and_streams_match_a_flat_model",
+        Config::default().cases(128),
+        |rng| {
+            vec_of(rng, 1..200, |r| {
+                (r.gen::<u8>(), r.gen::<u8>(), r.gen::<u16>())
+            })
+        },
+        |ops| {
+            let mut net = Net::new();
+            for op in ops {
+                net.step(op)?;
+            }
+            reused.set(reused.get() + net.reused);
+            Ok(())
+        },
+    );
+    println!("new ids in a seat a dead id names: {}", reused.get());
+    assert!(reused.get() > 0, "no seat was ever reused");
+}

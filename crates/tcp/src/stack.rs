@@ -10,6 +10,10 @@
 //!
 //! * flow demux is one `FxHashMap` probe per segment, keyed by the flow
 //!   (the NIC's flow-director table uses the same map and key);
+//! * a connection's id names its seat in a paged slab of slots
+//!   ([`Slots`]): a timer, a dirty-queue entry or a socket call finds its
+//!   slot with an index and an id compare, no hash probe, and the slab
+//!   grows a page at a time and never shrinks or moves;
 //! * all per-socket deadlines live in one hierarchical [`TimerWheel`] —
 //!   O(1) arm/cancel, cascade on demand (see `wheel.rs`);
 //! * listener lookup by id is a hash probe, not a scan;
@@ -28,8 +32,12 @@ use crate::types::{SockEvent, SockOpt, SockOptKind, SocketId, TcpConfig, TcpErro
 use crate::wheel::TimerWheel;
 use neat_net::{FlowKey, SeqNum, TcpFlags, TcpHeader};
 use neat_util::{FxHashMap, FxHashSet};
+use slots::{Slot, Slots};
 use std::collections::VecDeque;
 use std::net::Ipv4Addr;
+
+#[path = "slots.rs"]
+mod slots;
 
 /// A listening socket: subsockets of the paper's replicated listeners map
 /// to one `Listener` in each replica's stack.
@@ -71,21 +79,6 @@ fn flow_of(s: &TcpSocket) -> FlowKey {
     FlowKey::tcp(s.remote_ip, s.remote_port, s.local_ip, s.local_port)
 }
 
-/// Everything the stack keeps for one connection, found with one probe
-/// per stimulus. The flags sit *beside* the socket, not in it, so
-/// `size_of::<TcpSocket>()` and the budget accounting built on it do not
-/// move when the stack's bookkeeping does.
-#[derive(Debug)]
-struct Slot {
-    sock: TcpSocket,
-    /// Its id is in `dirty`.
-    queued: bool,
-    /// Its id is in `repl_dirty`.
-    repl_dirty: bool,
-    /// Port of the listener whose SYN backlog or accept queue holds it.
-    pending: Option<u16>,
-}
-
 /// Ring storages that drained rings parked, one LIFO list per direction,
 /// lent to the next ring of that direction that needs one. A storage is
 /// allocated only while its list is empty, so each list holds no more
@@ -109,79 +102,19 @@ impl Spares {
     }
 }
 
-/// The follow-ups a stimulus owes its slot. Each caller runs the subset it
-/// needs, in this order, against the stack's (disjoint) sink fields.
-impl Slot {
-    /// Lend the socket the stack's one event list for a stimulus, so a
-    /// socket at rest owns none. [`Slot::drain_events`] takes it back.
-    fn lend_events(&mut self, list: &mut Vec<SockEvent>) {
-        if self.sock.events.is_empty() {
-            self.sock.events = std::mem::take(list);
-        }
-    }
-
-    fn drain_events(&mut self, out: &mut VecDeque<SockEvent>, list: &mut Vec<SockEvent>) {
-        let mut events = std::mem::take(&mut self.sock.events);
-        for e in events.drain(..) {
-            // A backlog socket's Connected already surfaced as the
-            // listener's Acceptable; all others pass through.
-            if !(matches!(e, SockEvent::Connected(_)) && self.pending.is_some()) {
-                out.push_back(e);
-            }
-        }
-        // A list the socket grew itself (`close`/`abort`) is not kept.
-        if list.capacity() == 0 {
-            *list = events;
-        }
-    }
-
-    fn mark_dirty(&mut self, dirty: &mut VecDeque<SocketId>, repl: &mut Option<Vec<SocketId>>) {
-        if !std::mem::replace(&mut self.queued, true) {
-            dirty.push_back(self.sock.id);
-        }
-        if let Some(ids) = repl {
-            if !std::mem::replace(&mut self.repl_dirty, true) {
-                ids.push(self.sock.id);
-            }
-        }
-    }
-
-    /// (Re-)arm the wheel with the socket's earliest deadline, or disarm
-    /// when it no longer needs one. O(1) either way.
-    fn arm_timer(&self, timers: &mut TimerWheel) {
-        match self.sock.next_timeout() {
-            Some(d) => timers.schedule(self.sock.id.0, d),
-            None => {
-                timers.cancel(self.sock.id.0);
-            }
-        }
-    }
-
-    /// Park the storage of each ring that holds no byte, then bring the
-    /// budget in sync with the socket's current footprint: the end of
-    /// every stimulus.
-    fn account(&mut self, budget: &mut ConnBudget, spares: &mut Spares) {
-        budget.on_park(self.sock.park_send_ring(&mut spares.send));
-        budget.on_park(self.sock.park_recv_ring(&mut spares.recv));
-        let new = self.sock.mem_bytes();
-        let old = self.sock.swap_accounted(new);
-        budget.adjust(new as i64 - old as i64);
-    }
-}
-
 /// One isolated TCP stack instance.
 #[derive(Debug)]
 pub struct TcpStack {
     pub local_ip: Ipv4Addr,
     cfg: TcpConfig,
-    sockets: FxHashMap<SocketId, Slot>,
+    /// Every connection's slot, and the serials of the ids that name them.
+    slots: Slots,
     /// Established/opening connections by flow (remote side as src): the
     /// table every inbound segment resolves through. Only probed.
     conns: FxHashMap<FlowKey, SocketId>,
     listeners: FxHashMap<u16, Listener>,
     /// Listener id -> port (O(1) accept/acceptable/poll by id).
     listener_of: FxHashMap<SocketId, u16>,
-    next_id: u64,
     next_port: u16,
     port_lo: u16,
     port_hi: u16,
@@ -221,11 +154,10 @@ impl TcpStack {
         TcpStack {
             local_ip,
             cfg,
-            sockets: FxHashMap::default(),
+            slots: Slots::new(),
             conns: FxHashMap::default(),
             listeners: FxHashMap::default(),
             listener_of: FxHashMap::default(),
-            next_id: 1,
             next_port: 49_152,
             port_lo: 49_152,
             port_hi: 65_535,
@@ -255,12 +187,6 @@ impl TcpStack {
         self.next_port = lo;
     }
 
-    fn alloc_id(&mut self) -> SocketId {
-        let id = SocketId(self.next_id);
-        self.next_id += 1;
-        id
-    }
-
     fn next_iss(&mut self) -> SeqNum {
         // Deterministic ISS spacing (RFC 793's clock-driven ISS is
         // irrelevant inside the simulation).
@@ -268,9 +194,9 @@ impl TcpStack {
         SeqNum(self.iss_counter)
     }
 
-    /// Register a freshly created connection socket: the one insert of a
-    /// connection's life in this stack ([`TcpStack::detach`] is the one
-    /// remove).
+    /// Register a freshly created connection socket, in the seat its id
+    /// took: the one insert of a connection's life in this stack
+    /// ([`TcpStack::detach`] is the one remove).
     fn install_socket(&mut self, flow: FlowKey, mut sock: TcpSocket, pending: Option<u16>) {
         let bytes = sock.mem_bytes();
         sock.swap_accounted(bytes);
@@ -284,7 +210,7 @@ impl TcpStack {
         };
         slot.mark_dirty(&mut self.dirty, &mut self.repl_dirty);
         slot.arm_timer(&mut self.timers);
-        self.sockets.insert(slot.sock.id, slot);
+        self.slots.insert(slot);
     }
 
     // ------------------------------------------------------------------
@@ -296,7 +222,7 @@ impl TcpStack {
         if self.listeners.contains_key(&port) {
             return Err(TcpError::AddrInUse);
         }
-        let id = self.alloc_id();
+        let id = self.slots.alloc_listener_id().ok_or(TcpError::NoMemory)?;
         self.listeners.insert(
             port,
             Listener {
@@ -322,7 +248,7 @@ impl TcpStack {
         }
         self.timers.catch_up(now);
         let port = self.alloc_ephemeral(remote_ip, remote_port)?;
-        let id = self.alloc_id();
+        let id = self.slots.alloc_conn_id().ok_or(TcpError::NoMemory)?;
         let iss = self.next_iss();
         let sock = TcpSocket::connect(
             id,
@@ -359,7 +285,7 @@ impl TcpStack {
         let port = *self.listener_of.get(&listener).ok_or(TcpError::NoSocket)?;
         let l = self.listeners.get_mut(&port).ok_or(TcpError::NoSocket)?;
         let id = l.accept_q.pop_front().ok_or(TcpError::WouldBlock)?;
-        if let Some(slot) = self.sockets.get_mut(&id) {
+        if let Some(slot) = self.slots.get_mut(id) {
             slot.pending = None;
         }
         self.obs.conns_accepted.inc();
@@ -372,7 +298,7 @@ impl TcpStack {
     }
 
     pub fn send(&mut self, id: SocketId, data: &[u8]) -> Result<usize, TcpError> {
-        let slot = self.sockets.get_mut(&id).ok_or(TcpError::NoSocket)?;
+        let slot = self.slots.get_mut(id).ok_or(TcpError::NoSocket)?;
         let lent = slot.sock.lend_send_ring(&mut self.spares.send);
         self.budget.on_lend(lent);
         let r = slot.sock.send(data);
@@ -385,7 +311,7 @@ impl TcpStack {
     }
 
     pub fn recv(&mut self, id: SocketId, buf: &mut [u8]) -> Result<usize, TcpError> {
-        let slot = self.sockets.get_mut(&id).ok_or(TcpError::NoSocket)?;
+        let slot = self.slots.get_mut(id).ok_or(TcpError::NoSocket)?;
         let r = slot.sock.recv(buf);
         if r.is_ok() {
             // A window update may be owed.
@@ -399,7 +325,7 @@ impl TcpStack {
     /// controller, override the initial cwnd, or resize the receive
     /// buffer. Takes effect immediately on the live connection.
     pub fn set_opt(&mut self, id: SocketId, opt: SockOpt) -> Result<(), TcpError> {
-        let slot = self.sockets.get_mut(&id).ok_or(TcpError::NoSocket)?;
+        let slot = self.slots.get_mut(id).ok_or(TcpError::NoSocket)?;
         slot.sock.set_opt(opt);
         // The cc algo and buffer sizes are replicated state.
         slot.mark_dirty(&mut self.dirty, &mut self.repl_dirty);
@@ -415,7 +341,7 @@ impl TcpStack {
 
     pub fn close(&mut self, id: SocketId, now: u64) -> Result<(), TcpError> {
         self.timers.catch_up(now);
-        let slot = self.sockets.get_mut(&id).ok_or(TcpError::NoSocket)?;
+        let slot = self.slots.get_mut(id).ok_or(TcpError::NoSocket)?;
         slot.sock.close(now);
         slot.mark_dirty(&mut self.dirty, &mut self.repl_dirty);
         slot.arm_timer(&mut self.timers);
@@ -423,14 +349,14 @@ impl TcpStack {
     }
 
     pub fn abort(&mut self, id: SocketId) -> Result<(), TcpError> {
-        let slot = self.sockets.get_mut(&id).ok_or(TcpError::NoSocket)?;
+        let slot = self.slots.get_mut(id).ok_or(TcpError::NoSocket)?;
         slot.sock.abort();
         slot.mark_dirty(&mut self.dirty, &mut self.repl_dirty);
         Ok(())
     }
 
     fn sock(&self, id: SocketId) -> Option<&TcpSocket> {
-        self.sockets.get(&id).map(|slot| &slot.sock)
+        self.slots.get(id).map(|slot| &slot.sock)
     }
 
     fn listener(&self, id: SocketId) -> Option<&Listener> {
@@ -494,16 +420,20 @@ impl TcpStack {
         // No connection: maybe a listener (SYN only).
         if h.flags.syn && !h.flags.ack {
             if let Some(l) = self.listeners.get_mut(&h.dst_port) {
-                // Backlog overflow, or out of connection memory: shed the
-                // SYN (a retry will come).
-                if l.syn_backlog + l.accept_q.len() >= self.cfg.backlog
+                // Backlog overflow, or out of connection memory or ids:
+                // shed the SYN (a retry will come).
+                let id = if l.syn_backlog + l.accept_q.len() >= self.cfg.backlog
                     || !self.budget.admit(base_conn_cost())
                 {
+                    None
+                } else {
+                    self.slots.alloc_conn_id()
+                };
+                let Some(id) = id else {
                     neat_obs::counter_add("tcp.syn_dropped", 1);
                     return;
-                }
+                };
                 l.syn_backlog += 1;
-                let id = self.alloc_id();
                 let iss = self.next_iss();
                 let sock = TcpSocket::accept_from_syn(
                     id,
@@ -539,7 +469,7 @@ impl TcpStack {
     }
 
     fn deliver(&mut self, id: SocketId, h: &TcpHeader, payload: &[u8], now: u64) {
-        let Some(slot) = self.sockets.get_mut(&id) else {
+        let Some(slot) = self.slots.get_mut(id) else {
             return;
         };
         let before = slot.sock.state();
@@ -602,7 +532,7 @@ impl TcpStack {
         }
         while let Some(id) = self.dirty.front().copied() {
             // A migrated-out connection may still be queued: skip it.
-            if let Some(slot) = self.sockets.get_mut(&id) {
+            if let Some(slot) = self.slots.get_mut(id) {
                 if let Some((h, len)) = slot.sock.poll_segment(now) {
                     self.obs.tx_segments.inc();
                     slot.arm_timer(&mut self.timers);
@@ -640,7 +570,7 @@ impl TcpStack {
         let mut fired = std::mem::take(&mut self.fired);
         self.timers.advance(now, &mut fired);
         for key in fired.drain(..) {
-            if let Some(slot) = self.sockets.get_mut(&SocketId(key)) {
+            if let Some(slot) = self.slots.get_mut(SocketId(key)) {
                 slot.lend_events(&mut self.sock_events);
                 slot.sock.on_timer(now);
                 slot.drain_events(&mut self.events, &mut self.sock_events);
@@ -657,7 +587,7 @@ impl TcpStack {
     /// old every-tick scan over all sockets, which was O(n) per timer at
     /// 100k+ connections.
     fn maybe_reap(&mut self, id: SocketId) {
-        let dead = self.sockets.get(&id).is_some_and(|s| {
+        let dead = self.slots.get(id).is_some_and(|s| {
             s.sock.state() == TcpState::Closed && !s.queued && s.sock.events.is_empty()
         });
         if dead {
@@ -671,10 +601,11 @@ impl TcpStack {
     /// The one way a connection leaves the stack: its slot, demux entry,
     /// deadline, budget share and seat in its listener's SYN backlog or
     /// accept queue go together, and its rings' storages are parked for
-    /// the next connection. Ids are never reused, so one still sitting in
-    /// `dirty` or `repl_dirty` is skipped when it comes up.
+    /// the next connection, as does its seat. Ids are never reused, so one
+    /// still sitting in `dirty` or `repl_dirty` misses its seat and is
+    /// skipped when it comes up.
     fn detach(&mut self, id: SocketId) -> Option<FlowKey> {
-        let mut slot = self.sockets.remove(&id)?;
+        let mut slot = self.slots.remove(id)?;
         let flow = flow_of(&slot.sock);
         self.conns.remove(&flow);
         self.timers.cancel(id.0);
@@ -708,7 +639,7 @@ impl TcpStack {
             return;
         }
         for id in self.repl_dirty.take().into_iter().flatten() {
-            if let Some(slot) = self.sockets.get_mut(&id) {
+            if let Some(slot) = self.slots.get_mut(id) {
                 slot.repl_dirty = false;
             }
         }
@@ -725,7 +656,7 @@ impl TcpStack {
         };
         ids.sort_unstable();
         for id in ids.drain(..) {
-            if let Some(slot) = self.sockets.get_mut(&id) {
+            if let Some(slot) = self.slots.get_mut(id) {
                 slot.repl_dirty = false;
                 if replicable(slot.sock.state()) {
                     visit(flow_of(&slot.sock), &slot.sock);
@@ -744,7 +675,7 @@ impl TcpStack {
     /// order (full checkpoint on buddy assignment, and the export half of
     /// live migration).
     pub fn export_all_conns(&self, mut visit: impl FnMut(FlowKey, &TcpSocket)) {
-        let mut socks: Vec<&TcpSocket> = (self.sockets.values().map(|slot| &slot.sock))
+        let mut socks: Vec<&TcpSocket> = (self.slots.iter().map(|slot| &slot.sock))
             .filter(|s| replicable(s.state()))
             .collect();
         socks.sort_unstable_by_key(|s| s.id);
@@ -757,7 +688,7 @@ impl TcpStack {
     /// live migration import); `None` if the bytes are not an image
     /// [`TcpSocket::checkpoint`] could have written. The socket gets a
     /// fresh local id — only once it is admitted, so a refused image
-    /// consumes none. Deadlines in the image are absolute sim times, so an
+    /// takes no serial. Deadlines in the image are absolute sim times, so an
     /// expired deadline simply fires on the next timer tick — the
     /// retransmission that resyncs the peer.
     pub fn restore_conn(&mut self, img: &[u8]) -> Option<Result<SocketId, TcpError>> {
@@ -769,8 +700,10 @@ impl TcpStack {
         if !self.budget.admit(base_conn_cost()) {
             return Some(Err(TcpError::NoMemory));
         }
+        let Some(id) = self.slots.alloc_conn_id() else {
+            return Some(Err(TcpError::NoMemory));
+        };
         self.migrated_out.remove(&flow);
-        let id = self.alloc_id();
         sock.id = id;
         self.install_socket(flow, sock, None);
         Some(Ok(id))

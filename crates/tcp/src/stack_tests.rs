@@ -11,14 +11,15 @@ const SERVER_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
 /// hold, and what it keeps beside them.
 #[derive(Debug, Default)]
 pub(crate) struct Footprint {
-    /// Socket structs, each with the stack's flags beside it.
+    /// Socket structs, each with the stack's flags beside it, in its seat.
     pub slots: usize,
     /// What each socket owns on the heap besides its rings and assembler:
     /// the controller box and the event list.
     pub socket_heap: usize,
     /// Demux entries.
     pub demux: usize,
-    /// Room the slot and demux tables hold beyond their entries.
+    /// Room the slot and demux tables hold beyond their entries: empty
+    /// seats, the free-seat list and page index, and the demux map's room.
     pub table_slack: usize,
     /// Live rings' storage, per direction.
     pub send_rings: usize,
@@ -60,7 +61,7 @@ impl Footprint {
 impl TcpStack {
     /// All live socket ids.
     pub(crate) fn socket_ids(&self) -> Vec<SocketId> {
-        self.sockets.keys().copied().collect()
+        self.slots.iter().map(|slot| slot.sock.id).collect()
     }
 
     /// A socket's (local, remote) ports.
@@ -70,13 +71,13 @@ impl TcpStack {
 
     /// The stack's bytes, itemised.
     pub(crate) fn footprint(&self) -> Footprint {
-        let slot = std::mem::size_of::<(SocketId, Slot)>();
+        let slot = std::mem::size_of::<Option<Slot>>();
         let entry = std::mem::size_of::<(FlowKey, SocketId)>();
         let parked = |list: &Vec<VecDeque<u8>>| list.iter().map(|r| r.capacity()).sum::<usize>();
         let mut f = Footprint {
-            slots: self.sockets.len() * slot,
+            slots: self.slots.len() * slot,
             demux: self.conns.len() * entry,
-            table_slack: (self.sockets.capacity() - self.sockets.len()) * slot
+            table_slack: self.slots.slack_bytes()
                 + (self.conns.capacity() - self.conns.len()) * entry,
             spare_send: parked(&self.spares.send),
             spare_recv: parked(&self.spares.recv),
@@ -84,7 +85,7 @@ impl TcpStack {
             wheel: self.timers.entry_bytes(),
             ..Footprint::default()
         };
-        for s in self.sockets.values().map(|slot| &slot.sock) {
+        for s in self.slots.iter().map(|slot| &slot.sock) {
             let (send, recv) = (s.rel.send_buf.heap_bytes(), s.fc.recv_buf.heap_bytes());
             f.send_rings += send;
             f.recv_rings += recv;
@@ -106,12 +107,14 @@ impl TcpStack {
     /// (ROADMAP item 4a: demux ↔ socket table ↔ timer wheel ↔ budget ↔
     /// listener queues). Panics on the first disagreement.
     pub(crate) fn check_consistent(&self) {
-        // Slots and demux entries pair off one to one (listeners have
-        // neither).
-        assert_eq!(self.conns.len(), self.sockets.len(), "demux vs slots");
+        // Every slot sits in the seat its id names, and slots and demux
+        // entries pair off one to one (listeners have neither).
+        self.slots.check();
+        assert_eq!(self.conns.len(), self.slots.len(), "demux vs slots");
         let mut pending: FxHashMap<u16, usize> = FxHashMap::default();
-        for (id, slot) in &self.sockets {
-            assert_eq!(slot.sock.id, *id);
+        for slot in self.slots.iter() {
+            let id = &slot.sock.id;
+            assert!(self.slots.get(*id).is_some(), "{id:?} misses its seat");
             assert_eq!(self.conns.get(&flow_of(&slot.sock)), Some(id), "{id:?}");
             let queued = self.dirty.iter().filter(|q| *q == id).count();
             assert_eq!(queued, slot.queued as usize, "{id:?} in dirty");
@@ -131,8 +134,8 @@ impl TcpStack {
         }
         // The budget holds exactly the slots' accounted bytes, and the
         // parked storages apart.
-        assert_eq!(self.budget.conns(), self.sockets.len(), "budget conns");
-        let accounted: usize = self.sockets.values().map(|s| s.sock.accounted()).sum();
+        assert_eq!(self.budget.conns(), self.slots.len(), "budget conns");
+        let accounted: usize = self.slots.iter().map(|s| s.sock.accounted()).sum();
         assert_eq!(self.budget.bytes_total(), accounted as u64, "budget bytes");
         let f = self.footprint();
         let parked = (f.spare_send + f.spare_recv) as u64;
@@ -143,12 +146,13 @@ impl TcpStack {
             let want = pending.get(port).copied().unwrap_or(0);
             assert_eq!(l.syn_backlog + l.accept_q.len(), want, "port {port}");
             for id in &l.accept_q {
-                assert_eq!(self.sockets[id].pending, Some(*port), "{id:?} queued");
+                let slot = self.slots.get(*id).map(|s| s.pending);
+                assert_eq!(slot, Some(Some(*port)), "{id:?} queued");
             }
         }
         // The wheel holds no deadline for an id without a slot.
-        let armed = |id: &&SocketId| self.timers.deadline_of(id.0).is_some();
-        assert_eq!(self.sockets.keys().filter(armed).count(), self.timers.len());
+        let armed = |slot: &&Slot| self.timers.deadline_of(slot.sock.id.0).is_some();
+        assert_eq!(self.slots.iter().filter(armed).count(), self.timers.len());
     }
 }
 
@@ -401,7 +405,7 @@ fn socket_size_is_pinned() {
 }
 
 /// A checkpoint moves a flow into another stack; an image the stack
-/// refuses — undecodable, or a flow it already holds — takes no socket id.
+/// refuses — undecodable, or a flow it already holds — takes no serial.
 #[test]
 fn restore_conn_adopts_a_flow_and_refusals_take_no_id() {
     let (mut c, mut s) = pair();
@@ -416,7 +420,8 @@ fn restore_conn_adopts_a_flow_and_refusals_take_no_id() {
     assert_eq!(adopter.state(id), Some(TcpState::Established));
     assert_eq!(adopter.restore_conn(&img), Some(Err(TcpError::AddrInUse)));
     assert_eq!(adopter.restore_conn(&img[1..]), None);
-    assert_eq!(adopter.listen(80), Ok(SocketId(id.0 + 1)));
+    let next = adopter.listen(80).map(SocketId::serial);
+    assert_eq!(next, Ok(id.serial() + 1), "the refusals took no serial");
     adopter.check_consistent();
 }
 
@@ -455,7 +460,8 @@ fn budget_accounts_lifecycle() {
 
 /// ROADMAP item D(a)'s footprint: 1 000 established connections, each
 /// past a 20 B request and a 20 B reply and now at rest, own no ring
-/// byte; the rings' storage waits on each stack's spare lists.
+/// byte; the rings' storage waits on each stack's spare lists; and the
+/// slot table holds less than one page beyond its slots (item D(b)).
 /// `--nocapture` prints both stacks' bytes by part.
 #[test]
 fn idle_connections_own_no_ring() {
@@ -509,6 +515,48 @@ fn idle_connections_own_no_ring() {
             (f.spare_send + f.spare_recv) as u64
         );
         assert!(f.spare_send > 0 && f.spare_recv > 0, "storages parked");
+        let slack = st.slots.slack_bytes();
+        assert!(slack < Slots::PAGE_BYTES, "slot-table slack {slack} B");
+    }
+}
+
+/// Serials and seats run out into the `NoMemory` refusal, not a panic or
+/// a wrapped id: `connect` and `listen` fail, a SYN is shed, a checkpoint
+/// is refused, and what is open carries on.
+#[test]
+fn ids_run_out_into_no_memory() {
+    let (mut c, mut s) = pair();
+    let l = s.listen(80).unwrap();
+    c.slots.set_next_serial(SocketId::SERIAL_END - 1);
+    let last = c.connect(SERVER_IP, 80, 0).unwrap();
+    assert_eq!(last.serial(), SocketId::SERIAL_END - 1);
+    assert_eq!(c.connect(SERVER_IP, 80, 0), Err(TcpError::NoMemory));
+    assert_eq!(c.listen(81), Err(TcpError::NoMemory));
+    pump(&mut c, &mut s, 0);
+    assert_eq!(c.state(last), Some(TcpState::Established));
+    let srv = s.accept(l).unwrap();
+    let mut img = Vec::new();
+    s.export_all_conns(|_, sock| img = sock.checkpoint());
+    // The server's serials run out: a new SYN is shed, unanswered, and
+    // an image is refused.
+    s.slots.set_next_serial(SocketId::SERIAL_END);
+    let (mut c2, _) = pair();
+    c2.set_port_range(50_000, 50_010);
+    c2.connect(SERVER_IP, 80, 0).unwrap();
+    let (_, syn, _) = c2.poll_transmit(0).unwrap();
+    s.handle_segment(CLIENT_IP, &syn, &[], 0);
+    assert_eq!(s.poll_transmit(0), None, "the SYN is shed");
+    assert_eq!((s.acceptable(l), s.conn_count()), (0, 1));
+    let (_, mut adopter) = pair();
+    adopter.slots.set_next_serial(SocketId::SERIAL_END);
+    assert_eq!(adopter.restore_conn(&img), Some(Err(TcpError::NoMemory)));
+    assert_eq!(adopter.conn_count(), 0);
+    // The open connection still carries data.
+    c.send(last, b"still here").unwrap();
+    pump(&mut c, &mut s, 1_000);
+    assert_eq!(s.recv(srv, &mut [0u8; 16]), Ok(10));
+    for st in [&c, &s, &adopter] {
+        st.check_consistent();
     }
 }
 

@@ -4,8 +4,37 @@ use std::fmt;
 
 /// Identifies a socket within one [`crate::TcpStack`] instance. Ids are
 /// never reused within a stack's lifetime.
+///
+/// An id is `serial << 32 | seat`. The serial counts up from 1 in each
+/// stack and is never reused, so ordering ids orders them by when the
+/// stack issued them. A connection's seat is its place in the stack's slot
+/// table, reused once the connection is gone; a listener's seat is
+/// `u32::MAX`, which no connection takes. Serials stop below 2^30, so
+/// every id is below 2^62 and a caller may tag one with a small offset in
+/// a `u64`. A stack whose serials (about a billion over its life) or seats
+/// run out refuses new sockets with [`TcpError::NoMemory`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SocketId(pub u64);
+
+impl SocketId {
+    /// A listener's seat.
+    pub(crate) const LISTENER_SEAT: u32 = u32::MAX;
+    /// One past the last serial a stack issues.
+    pub(crate) const SERIAL_END: u32 = 1 << 30;
+
+    pub(crate) fn new(serial: u32, seat: u32) -> SocketId {
+        SocketId((serial as u64) << 32 | seat as u64)
+    }
+
+    pub(crate) fn seat(self) -> u32 {
+        self.0 as u32
+    }
+
+    #[cfg(test)]
+    pub(crate) fn serial(self) -> u32 {
+        (self.0 >> 32) as u32
+    }
+}
 
 /// The RFC 793 connection states.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -216,7 +245,7 @@ pub enum TcpError {
     /// The connection timed out (retransmission limit).
     TimedOut,
     /// The stack's connection-memory budget is exhausted
-    /// (`TcpConfig::conn_memory_limit`).
+    /// (`TcpConfig::conn_memory_limit`), or its socket ids are.
     NoMemory,
 }
 
