@@ -114,7 +114,6 @@ impl TcpStack {
         let mut pending: FxHashMap<u16, usize> = FxHashMap::default();
         for slot in self.slots.iter() {
             let id = &slot.sock.id;
-            assert!(self.slots.get(*id).is_some(), "{id:?} misses its seat");
             assert_eq!(self.conns.get(&flow_of(&slot.sock)), Some(id), "{id:?}");
             let queued = self.dirty.iter().filter(|q| *q == id).count();
             assert_eq!(queued, slot.queued as usize, "{id:?} in dirty");
