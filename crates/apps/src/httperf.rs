@@ -21,6 +21,9 @@ use std::cell::RefCell;
 use std::net::Ipv4Addr;
 use std::rc::Rc;
 
+/// Stagger between a client's initial connection opens.
+const OPEN_SPACING_NS: u64 = 50_000;
+
 /// Load-generator configuration.
 #[derive(Debug, Clone)]
 pub struct HttperfConfig {
@@ -35,8 +38,6 @@ pub struct HttperfConfig {
     pub timeout_ns: u64,
     /// Ephemeral port partition for this instance.
     pub port_range: (u16, u16),
-    /// Stagger between the initial connection opens.
-    pub open_spacing_ns: u64,
     /// Think time between receiving a response and issuing the next
     /// request (0 = closed loop at full speed).
     pub think_ns: u64,
@@ -44,22 +45,6 @@ pub struct HttperfConfig {
     /// (httperf's `--sock-opt` style flags: congestion algorithm, initial
     /// cwnd, receive-buffer size).
     pub sock_opts: Vec<SockOpt>,
-}
-
-impl Default for HttperfConfig {
-    fn default() -> Self {
-        HttperfConfig {
-            target: (Ipv4Addr::new(192, 168, 69, 1), 8000),
-            num_conns: 16,
-            requests_per_conn: 100,
-            path: "/file".into(),
-            timeout_ns: 5_000_000_000,
-            port_range: (49_152, 50_151),
-            open_spacing_ns: 20_000,
-            think_ns: 0,
-            sock_opts: Vec::new(),
-        }
-    }
 }
 
 /// Cumulative measurements, shared with the harness. Snapshot/subtract
@@ -76,8 +61,6 @@ pub struct ClientMetrics {
     /// Requests completed on connections that later errored — httperf
     /// subtracts these from its report.
     pub requests_on_error_conns: u64,
-    pub conns_finished: u64,
-    pub conns_opened: u64,
     /// Order-sensitive digest ([`StreamDigest`]) of every byte the client
     /// application read, in delivery order across all its connections;
     /// zero until the first byte. Two fixed-seed runs that delivered
@@ -161,7 +144,6 @@ struct ConnRun {
     /// Completed requests counted into `completed` for this connection.
     counted: u64,
     sent_at: Option<u64>,
-    connected: bool,
 }
 
 const TOK_STACK: u64 = 0;
@@ -267,7 +249,6 @@ impl HttperfProc {
             for &opt in &self.cfg.sock_opts {
                 let _ = self.stack.set_opt(sock, opt);
             }
-            self.metrics.borrow_mut().conns_opened += 1;
             self.conns.insert(
                 sock,
                 ConnRun {
@@ -275,7 +256,6 @@ impl HttperfProc {
                     requests_done: 0,
                     counted: 0,
                     sent_at: None,
-                    connected: false,
                 },
             );
         }
@@ -320,8 +300,7 @@ impl HttperfProc {
         while let Some(ev) = self.stack.poll_event() {
             match ev {
                 SockEvent::Connected(sock) => {
-                    if let Some(run) = self.conns.get_mut(&sock) {
-                        run.connected = true;
+                    if self.conns.contains_key(&sock) {
                         self.issue_request(ctx, sock);
                     }
                 }
@@ -364,7 +343,6 @@ impl HttperfProc {
                         }
                     }
                     if finished {
-                        self.metrics.borrow_mut().conns_finished += 1;
                         self.conns.remove(&sock);
                         let _ = self.stack.close(sock, now);
                         self.open_conn(ctx);
@@ -445,7 +423,7 @@ impl Process<Msg> for HttperfProc {
                 );
                 // Stagger the initial opens.
                 for i in 0..self.cfg.num_conns as u64 {
-                    let at = Time::from_nanos(1 + i * self.cfg.open_spacing_ns);
+                    let at = Time::from_nanos(1 + i * OPEN_SPACING_NS);
                     ctx.set_timer(at, TOK_OPEN + i);
                 }
                 ctx.set_timer(Time::from_millis(50), TOK_SCAN);
@@ -616,8 +594,12 @@ mod tests {
         let cfg = HttperfConfig {
             target: (SERVER_IP, 8000),
             num_conns: 6,
+            requests_per_conn: 100,
+            path: "/file".into(),
             timeout_ns: 10_000_000,
-            ..HttperfConfig::default()
+            port_range: (49_152, 50_151),
+            think_ns: 0,
+            sock_opts: Vec::new(),
         };
         let client = HttperfProc::new(
             "httperf",

@@ -125,8 +125,6 @@ impl TestbedSpec {
 /// A built, running testbed.
 pub struct Testbed {
     pub sim: Sim<Msg>,
-    pub server_machine: MachineId,
-    pub client_machine: MachineId,
     pub deployment: NeatDeployment,
     pub webs: Vec<ProcId>,
     pub web_metrics: Vec<Rc<RefCell<WebMetrics>>>,
@@ -205,7 +203,7 @@ impl Testbed {
         cfg.ip = SERVER_IP;
         cfg.mac = SERVER_MAC;
         let arp_seed = vec![(CLIENT_IP, CLIENT_MAC)];
-        let deployment = boot_neat(&mut sim, server_machine, cfg, slots, server_nic, arp_seed);
+        let deployment = boot_neat(&mut sim, cfg, slots, server_nic, arp_seed);
 
         // --- web servers ---
         let mut webs = Vec::new();
@@ -254,8 +252,6 @@ impl Testbed {
 
         Testbed {
             sim,
-            server_machine,
-            client_machine,
             deployment,
             webs,
             web_metrics,
@@ -339,7 +335,6 @@ fn spawn_clients(
             path: workload.path.clone(),
             timeout_ns: workload.timeout_ns,
             port_range: (range_lo, range_lo + 2_999),
-            open_spacing_ns: 50_000,
             think_ns: workload.think_ns,
             sock_opts: sock_opts.to_vec(),
         };
@@ -568,8 +563,6 @@ impl MonoTestbed {
         let nic_cfg = neat_nic::NicConfig {
             queue_pairs: used,
             tso: spec.tuning.tso,
-            tso_mss: 1460,
-            ..Default::default()
         };
         let nic = neat_nic::Nic::new(nic_cfg, neat_nic::FaultInjector::disabled(7));
         let (mut sim, [server_machine, client_machine], [server_nic, client_nic]) =

@@ -58,7 +58,6 @@ pub struct WebMetrics {
     pub bytes_sent: u64,
     pub conns_accepted: u64,
     pub conns_lost_to_crash: u64,
-    pub not_found: u64,
     /// Raw pid of the stack replica that owned each accepted connection,
     /// in accept order — the §3.8 layout-unpredictability measurement
     /// stream (each replica (re)start has a fresh ASLR layout).
@@ -168,10 +167,7 @@ impl WebServerProc {
         let mut m = self.metrics.borrow_mut();
         let (status, body) = match self.files.get(req.path) {
             Some(b) => (200, b.as_slice()),
-            None => {
-                m.not_found += 1;
-                (404, b"not found".as_slice())
-            }
+            None => (404, b"not found".as_slice()),
         };
         m.requests_served += 1;
         m.bytes_sent += body.len() as u64;

@@ -34,7 +34,6 @@ pub struct NeatSlots {
 
 /// Everything the harness needs to talk to a booted deployment.
 pub struct NeatDeployment {
-    pub machine: MachineId,
     pub nic: ProcId,
     pub driver: ProcId,
     pub syscall: ProcId,
@@ -45,7 +44,6 @@ pub struct NeatDeployment {
     /// (fault-injection targets).
     pub comp_pids: Vec<Vec<(Role, ProcId)>>,
     pub sup_stats: Rc<RefCell<SupStats>>,
-    pub config: NeatConfig,
 }
 
 /// Spawn a NIC device engine on `machine`. Returns its pid; wire the peer
@@ -100,7 +98,6 @@ pub fn wire_link(sim: &mut Sim<Msg>, a: ProcId, b: ProcId) {
 /// Boot a full NEaT deployment. The server NIC must already exist.
 pub fn boot_neat(
     sim: &mut Sim<Msg>,
-    machine: MachineId,
     cfg: NeatConfig,
     slots: NeatSlots,
     nic: ProcId,
@@ -162,7 +159,7 @@ pub fn boot_neat(
     let sup_stats = Rc::new(RefCell::new(SupStats::default()));
     let mut sup = Supervisor::new(
         "os.supervisor",
-        cfg.clone(),
+        cfg,
         arp_seed,
         nic,
         driver,
@@ -190,7 +187,6 @@ pub fn boot_neat(
     }
 
     NeatDeployment {
-        machine,
         nic,
         driver,
         syscall,
@@ -198,6 +194,5 @@ pub fn boot_neat(
         sockets_heads,
         comp_pids,
         sup_stats,
-        config: cfg,
     }
 }

@@ -14,16 +14,6 @@ pub enum StackMode {
     Multi,
 }
 
-/// Buddy-replica flow replication (the transparent-recovery extension to
-/// §3.6, plus live flow migration for `scale_down`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ReplicationConfig {
-    /// Master switch. Off by default: replication costs one checkpoint
-    /// message per flush per replica, and the reliability benches measure
-    /// both modes.
-    pub enabled: bool,
-}
-
 /// Configuration of one NEaT deployment on a server machine.
 #[derive(Debug, Clone)]
 pub struct NeatConfig {
@@ -37,8 +27,11 @@ pub struct NeatConfig {
     pub mac: neat_net::MacAddr,
     /// TCP engine tunables (control-plane settings, §4).
     pub tcp: TcpConfig,
-    /// Buddy-replica flow replication (transparent recovery + migration).
-    pub replication: ReplicationConfig,
+    /// Buddy-replica flow replication (the transparent-recovery extension
+    /// to §3.6, plus live flow migration for `scale_down`). Off by default:
+    /// replication costs one checkpoint message per flush per replica, and
+    /// the reliability benches measure both modes.
+    pub replication: bool,
 }
 
 impl Default for NeatConfig {
@@ -55,7 +48,7 @@ impl Default for NeatConfig {
                 gso_burst: 61_440,
                 ..TcpConfig::default()
             },
-            replication: ReplicationConfig::default(),
+            replication: false,
         }
     }
 }
@@ -79,7 +72,7 @@ impl NeatConfig {
 
     /// Builder-style switch: same deployment, buddy replication on.
     pub fn replicated(mut self) -> NeatConfig {
-        self.replication.enabled = true;
+        self.replication = true;
         self
     }
 }

@@ -49,7 +49,7 @@ pub struct FlowRepl {
 impl FlowRepl {
     pub fn new(cfg: &NeatConfig) -> FlowRepl {
         FlowRepl {
-            enabled: cfg.replication.enabled,
+            enabled: cfg.replication,
             buddy: None,
             need_full: false,
             store: FxHashMap::default(),

@@ -61,6 +61,6 @@ pub mod udp_comp;
 #[cfg(test)]
 mod tests_components;
 
-pub use config::{NeatConfig, ReplicationConfig, StackMode};
+pub use config::{NeatConfig, StackMode};
 pub use msg::{ConnHandle, Msg, ReplFlow, ReplPayload};
 pub use placement::{Placement, Slot};

@@ -83,7 +83,6 @@ impl FrameIo {
     /// Pre-seed the neighbour cache (static ARP, as on the paper's
     /// two-machine DAC testbed).
     pub fn seed_arp(&mut self, ip: Ipv4Addr, mac: MacAddr) {
-        self.arp.insert(ip, mac, 0);
         // Keep the entry permanently fresh for static seeding.
         self.arp.insert(ip, mac, u64::MAX / 2);
     }

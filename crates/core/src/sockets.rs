@@ -315,7 +315,6 @@ impl SocketLib {
         let eof = st.is_some_and(|st| st.eof);
         Readiness {
             readable: eof || st.is_some_and(|st| !st.rx.is_empty()),
-            writable: bound,
             hup: eof || !bound,
         }
     }

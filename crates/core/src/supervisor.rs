@@ -61,6 +61,13 @@ struct ReplicaRec {
     comps: Comps,
     terminating: bool,
     alive: bool,
+    /// A handoff awaiting [`Msg::ReplRestored`]. It has a fallback timer
+    /// pending under its token; the timer is withdrawn when the handoff
+    /// goes, so one that fires is always current.
+    pending_failover: Option<PendingFailover>,
+    /// Last `(head, buddy)` told to this replica, to skip no-op
+    /// [`Msg::SetBuddy`] sends (each one forces a full re-checkpoint).
+    assigned: Option<(ProcId, Option<ProcId>)>,
 }
 
 /// A scheduled respawn.
@@ -95,17 +102,8 @@ pub struct Supervisor {
     apps: Vec<ProcId>,
     /// Spare hardware threads for scale-up.
     spare: Vec<HwThreadId>,
-    // The maps below are only probed (get/insert/remove by key), but for
-    // the one search of `pending_failover` by its unique token.
-    /// Scheduled respawns: timer token → job.
+    /// Scheduled respawns: timer token → job. Only probed.
     jobs: FxHashMap<u64, RespawnJob>,
-    /// Handoffs awaiting [`Msg::ReplRestored`], keyed by queue. Each has a
-    /// fallback timer pending under its token; the timer is withdrawn when
-    /// the entry goes, so one that fires is always current.
-    pending_failover: FxHashMap<usize, PendingFailover>,
-    /// Last `(head, buddy)` told to each queue, to skip no-op
-    /// [`Msg::SetBuddy`] sends (each one forces a full re-checkpoint).
-    assigned: FxHashMap<usize, (ProcId, Option<ProcId>)>,
     next_token: u64,
     pub stats: Rc<RefCell<SupStats>>,
 }
@@ -135,8 +133,6 @@ impl Supervisor {
             apps: Vec::new(),
             spare,
             jobs: FxHashMap::default(),
-            pending_failover: FxHashMap::default(),
-            assigned: FxHashMap::default(),
             next_token: 1,
             stats,
         }
@@ -150,6 +146,8 @@ impl Supervisor {
             comps,
             terminating: false,
             alive: true,
+            pending_failover: None,
+            assigned: None,
         });
     }
 
@@ -187,7 +185,7 @@ impl Supervisor {
     /// The head currently holding queue `q`'s replicated flows (its ring
     /// successor), if replication is on and the ring has a successor.
     fn buddy_head_of(&self, q: usize) -> Option<ProcId> {
-        if !self.cfg.replication.enabled {
+        if !self.cfg.replication {
             return None;
         }
         let ring = self.ring();
@@ -202,7 +200,7 @@ impl Supervisor {
     /// change. Only heads whose `(self, buddy)` pair actually changed are
     /// told — a `SetBuddy` forces a full re-checkpoint, which is not free.
     fn reassign_buddies(&mut self, ctx: &mut Ctx<'_, Msg>) {
-        if !self.cfg.replication.enabled {
+        if !self.cfg.replication {
             return;
         }
         let ring = self.ring();
@@ -212,8 +210,9 @@ impl Supervisor {
             } else {
                 Some(ring[(i + 1) % ring.len()].1)
             };
-            if self.assigned.get(&q) != Some(&(head, buddy)) {
-                self.assigned.insert(q, (head, buddy));
+            let assigned = &mut self.replicas[q].assigned;
+            if *assigned != Some((head, buddy)) {
+                *assigned = Some((head, buddy));
                 ctx.send(head, Msg::SetBuddy { buddy });
             }
         }
@@ -242,10 +241,14 @@ impl Supervisor {
     }
 
     /// The queue whose pending handoff's fallback timer is `token`. Tokens
-    /// are unique, so the map's order decides nothing.
+    /// are unique, so the search order decides nothing.
     fn failover_of(&self, token: u64) -> Option<usize> {
-        let mut pending = self.pending_failover.iter();
-        pending.find(|(_, p)| p.token == token).map(|(q, _)| *q)
+        let is_it = |r: &ReplicaRec| {
+            r.pending_failover
+                .as_ref()
+                .is_some_and(|p| p.token == token)
+        };
+        self.replicas.iter().position(is_it)
     }
 
     fn notify_apps(&self, ctx: &mut Ctx<'_, Msg>, make: impl Fn() -> Msg) {
@@ -377,7 +380,7 @@ impl Supervisor {
                 new,
                 token,
             };
-            if let Some(p) = self.pending_failover.insert(q, pending) {
+            if let Some(p) = self.replicas[q].pending_failover.replace(pending) {
                 ctx.cancel_timer(p.token);
             }
             // Fallback: if the restore never confirms (e.g. the buddy dies
@@ -471,12 +474,12 @@ impl Supervisor {
             }
         }
         ctx.send(self.driver, Msg::ReplicaDown { queue });
-        self.assigned.remove(&queue);
-        if let Some(p) = self.pending_failover.remove(&queue) {
+        rec.assigned = None;
+        if let Some(p) = rec.pending_failover.take() {
             ctx.cancel_timer(p.token);
         }
         if let Some(h) = head {
-            if self.cfg.replication.enabled {
+            if self.cfg.replication {
                 // Drop any replication state still held for the dead head.
                 for (_, other) in self.ring() {
                     ctx.send(other, Msg::ReplForget { owner: h });
@@ -517,7 +520,7 @@ impl Process<Msg> for Supervisor {
                 if let Some(job) = self.jobs.remove(&token) {
                     self.respawn(ctx, job);
                 } else if let Some(q) = self.failover_of(token) {
-                    if let Some(p) = self.pending_failover.remove(&q) {
+                    if let Some(p) = self.replicas[q].pending_failover.take() {
                         // The handoff never confirmed (e.g. the buddy died
                         // too): fall back to the stateless-recovery report
                         // so apps reap the dead handles.
@@ -573,7 +576,8 @@ impl Process<Msg> for Supervisor {
                     for flow in &flows {
                         ctx.send(self.driver, Msg::NicAddFilter { flow: *flow, queue });
                     }
-                    if let Some(p) = self.pending_failover.remove(&queue) {
+                    let rec = self.replicas.get_mut(queue);
+                    if let Some(p) = rec.and_then(|r| r.pending_failover.take()) {
                         ctx.cancel_timer(p.token);
                         self.stats.borrow_mut().handoffs_completed += 1;
                         neat_obs::counter_add("sup.handoffs_completed", 1);

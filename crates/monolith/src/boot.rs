@@ -16,7 +16,6 @@ use std::rc::Rc;
 pub struct MonoDeployment {
     /// Kernel context per hardware thread used.
     pub ctxs: Vec<ProcId>,
-    pub irq: ProcId,
     /// The canonical "kernel" pid used in connection handles.
     pub canonical: ProcId,
     pub shared: Rc<RefCell<MonoShared>>,
@@ -87,7 +86,6 @@ pub fn boot_monolith(
     let canonical = shared.borrow().canonical;
     MonoDeployment {
         ctxs,
-        irq,
         canonical,
         shared,
         tuning,

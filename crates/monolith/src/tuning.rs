@@ -4,7 +4,8 @@
 //! improve as much as possible the performance of our Linux baseline to
 //! ensure a fair comparison": scheduler policy, ethtool settings (TSO,
 //! auto-negotiation), IRQ affinities, receive-queue affinities, and server
-//! pinning. RFS "did not result in observable benefits".
+//! pinning. RFS "did not result in observable benefits", so it is not
+//! modelled.
 
 /// One tuning configuration of the monolithic baseline.
 #[derive(Debug, Clone)]
@@ -22,8 +23,6 @@ pub struct MonoTuning {
     /// `serv`: lighttpd processes pinned to specific cores, aligning the
     /// softirq core with the server core (ATR-style flow steering works).
     pub pin_servers: bool,
-    /// `RFS` — modelled as a no-op, as measured by the paper.
-    pub rfs: bool,
 }
 
 impl MonoTuning {
@@ -36,7 +35,6 @@ impl MonoTuning {
             irq_affinity: false,
             rx_affinity: false,
             pin_servers: false,
-            rfs: false,
         }
     }
 
@@ -49,7 +47,6 @@ impl MonoTuning {
             irq_affinity: true,
             rx_affinity: true,
             pin_servers: false,
-            rfs: false,
         }
     }
 

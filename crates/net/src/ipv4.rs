@@ -54,8 +54,6 @@ pub struct Ipv4Header {
     pub frag_offset: u16,
     /// Total length (header + payload).
     pub total_len: u16,
-    /// Header length in bytes (>= 20 when options present).
-    pub header_len: u8,
 }
 
 impl Ipv4Header {
@@ -71,7 +69,6 @@ impl Ipv4Header {
             more_frags: false,
             frag_offset: 0,
             total_len: (IPV4_HEADER_LEN + payload_len) as u16,
-            header_len: IPV4_HEADER_LEN as u8,
         }
     }
 
@@ -106,7 +103,6 @@ impl Ipv4Header {
                 more_frags: flags_frag & 0x2000 != 0,
                 frag_offset: (flags_frag & 0x1FFF) * 8,
                 total_len,
-                header_len: ihl as u8,
             },
             ihl..total_len as usize,
         ))

@@ -167,6 +167,11 @@ impl fmt::Display for TcpFlags {
 
 pub const TCP_HEADER_LEN: usize = 20;
 
+/// The maximum segment size on the simulated Ethernet link (1500 B MTU
+/// less the IPv4 and TCP headers): what the stack advertises and sends at,
+/// and what the NIC's TSO cuts a super-segment to.
+pub const MSS: u16 = 1460;
+
 /// A parsed TCP header (with recognized options extracted).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TcpHeader {

@@ -6,18 +6,21 @@ use crate::link::LinkModel;
 use crate::queue::DescRing;
 use crate::steer::Steering;
 use crate::tso;
+use neat_net::tcp::MSS;
 use neat_net::{FlowKey, PktBuf};
 use neat_sim::Time;
+
+/// Descriptors per RX ring.
+const RING_SIZE: usize = 512;
+
+/// TSO segment size used when splitting oversized TX frames.
+const TSO_MSS: usize = MSS as usize;
 
 /// Static NIC configuration.
 #[derive(Debug, Clone)]
 pub struct NicConfig {
     /// Number of RX/TX queue pairs (== max stack replicas served).
     pub queue_pairs: usize,
-    /// Descriptors per RX ring.
-    pub ring_size: usize,
-    /// TSO segment size used when splitting oversized TX frames.
-    pub tso_mss: usize,
     /// Enable TSO.
     pub tso: bool,
 }
@@ -26,8 +29,6 @@ impl Default for NicConfig {
     fn default() -> Self {
         NicConfig {
             queue_pairs: 4,
-            ring_size: 512,
-            tso_mss: 1460,
             tso: true,
         }
     }
@@ -38,7 +39,6 @@ impl Default for NicConfig {
 pub struct NicStats {
     pub rx_frames: u64,
     pub tx_frames: u64,
-    pub rx_bytes: u64,
     pub tx_bytes: u64,
     pub rx_dropped_ring: u64,
     pub tso_splits: u64,
@@ -81,7 +81,7 @@ impl Nic {
     pub fn new(cfg: NicConfig, rx_faults: FaultInjector) -> Nic {
         let steering = Steering::new(cfg.queue_pairs);
         let rx_rings = (0..cfg.queue_pairs)
-            .map(|_| DescRing::new(cfg.ring_size))
+            .map(|_| DescRing::new(RING_SIZE))
             .collect();
         Nic {
             cfg,
@@ -110,7 +110,6 @@ impl Nic {
         };
         self.stats.rx_frames += 1;
         self.obs.rx_frames.inc();
-        self.stats.rx_bytes += frame.len() as u64;
         let q = self.steering.classify_track(&frame, now_ns);
         if self.rx_rings[q].push(frame) {
             let depth = self.rx_rings[q].len() as f64;
@@ -149,7 +148,7 @@ impl Nic {
             let t = LinkModel::ten_gbe().tx_time(f.len());
             each(f, t);
         };
-        if self.cfg.tso && tso::cut(&frame, self.cfg.tso_mss, &mut wire).is_some() {
+        if self.cfg.tso && tso::cut(&frame, TSO_MSS, &mut wire).is_some() {
             self.stats.tso_splits += 1;
         } else {
             wire(frame);
@@ -158,7 +157,7 @@ impl Nic {
 
     /// [`Self::host_tx_each`] as a list, sized for the most it can be cut into.
     pub fn host_tx(&mut self, frame: PktBuf) -> Vec<(PktBuf, Time)> {
-        let mut out = Vec::with_capacity(1 + frame.len() / self.cfg.tso_mss.max(1));
+        let mut out = Vec::with_capacity(1 + frame.len() / TSO_MSS);
         self.host_tx_each(frame, |f, t| out.push((f, t)));
         out
     }
@@ -190,7 +189,7 @@ impl Nic {
     /// Grow the queue set for scale-up (§3.4).
     pub fn grow_queues(&mut self, n: usize) {
         while self.rx_rings.len() < n {
-            self.rx_rings.push(DescRing::new(self.cfg.ring_size));
+            self.rx_rings.push(DescRing::new(RING_SIZE));
         }
         self.steering.grow(n);
     }
@@ -235,14 +234,14 @@ mod tests {
     #[test]
     fn ring_overflow_drops() {
         let cfg = NicConfig {
-            ring_size: 2,
             queue_pairs: 1,
             ..Default::default()
         };
         let mut nic = Nic::new(cfg, FaultInjector::disabled(1));
-        assert!(nic.wire_rx(frame(1, b"x").into(), 0).is_some());
-        assert!(nic.wire_rx(frame(2, b"x").into(), 0).is_some());
-        assert!(nic.wire_rx(frame(3, b"x").into(), 0).is_none());
+        for p in 0..RING_SIZE as u16 {
+            assert!(nic.wire_rx(frame(p, b"x").into(), 0).is_some());
+        }
+        assert!(nic.wire_rx(frame(u16::MAX, b"x").into(), 0).is_none());
         assert_eq!(nic.stats.rx_dropped_ring, 1);
     }
 

@@ -80,15 +80,16 @@ impl Steering {
         let l4 = &frame[off..][payload];
         match ip.protocol {
             IpProtocol::Tcp | IpProtocol::Udp => {
-                if l4.len() < 14 {
+                if l4.len() < 4 {
                     return None;
                 }
                 let src_port = get_u16(l4, 0);
                 let dst_port = get_u16(l4, 2);
-                let flags = if ip.protocol == IpProtocol::Tcp {
-                    l4[13]
-                } else {
-                    0
+                // Only TCP has a flags byte (offset 13); a datagram with
+                // fewer than 6 payload bytes ends before it.
+                let flags = match (ip.protocol, l4.get(13)) {
+                    (IpProtocol::Tcp, Some(&f)) => f,
+                    _ => 0,
                 };
                 let is_syn = flags & 0x02 != 0 && flags & 0x10 == 0;
                 let is_rst = flags & 0x04 != 0;
@@ -207,6 +208,7 @@ impl Steering {
 mod tests {
     use super::*;
     use neat_net::tcp::{TcpFlags, TcpHeader};
+    use neat_net::udp::UdpHeader;
     use neat_net::{MacAddr, SeqNum};
     use std::net::Ipv4Addr;
 
@@ -222,6 +224,36 @@ mod tests {
             ethertype: EtherType::Ipv4,
         }
         .emit(&ip)
+    }
+
+    fn udp_frame(src_port: u16, payload: &[u8]) -> Vec<u8> {
+        let udp = UdpHeader::emit(src_port, 53, payload, SRC, DST);
+        let ip = Ipv4Header::new(SRC, DST, IpProtocol::Udp, udp.len()).emit(&udp);
+        EthernetFrame {
+            dst: MacAddr::local(1),
+            src: MacAddr::local(2),
+            ethertype: EtherType::Ipv4,
+        }
+        .emit(&ip)
+    }
+
+    /// A datagram's queue is its flow's whatever its size: one too short to
+    /// reach TCP's flags byte is steered like a long one, not to queue 0.
+    #[test]
+    fn short_datagrams_steer_with_their_flow() {
+        for queues in 2..=8 {
+            let mut s = Steering::new(queues);
+            let mut off_zero = 0;
+            for port in 1024..1088 {
+                let (short, long) = (udp_frame(port, b"x"), udp_frame(port, &[7; 100]));
+                let q = s.classify(&long);
+                off_zero += usize::from(q != 0);
+                let tracked = [s.classify_track(&short, 0), s.classify_track(&long, 0)];
+                assert_eq!(s.classify(&short), q, "{queues} queues, port {port}");
+                assert_eq!(tracked, [q, q], "{queues} queues, port {port}");
+            }
+            assert!(off_zero > 0, "{queues} queues: all on queue 0");
+        }
     }
 
     #[test]

@@ -22,8 +22,6 @@ pub struct AckEvent {
     pub rtt_sample: Option<u64>,
     /// Simulation time of the ACK (ns).
     pub now_ns: u64,
-    /// Bytes still outstanding *after* this ACK was applied.
-    pub in_flight: usize,
 }
 
 /// The controller's verdict, consumed by the socket's transmit path.

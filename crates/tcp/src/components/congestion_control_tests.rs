@@ -12,7 +12,6 @@ fn ack(bytes: usize, now_ns: u64) -> AckEvent {
         newly_acked: bytes,
         rtt_sample: None,
         now_ns,
-        in_flight: 0,
     }
 }
 
@@ -21,7 +20,6 @@ fn ack_rtt(bytes: usize, now_ns: u64, rtt: u64) -> AckEvent {
         newly_acked: bytes,
         rtt_sample: Some(rtt),
         now_ns,
-        in_flight: 0,
     }
 }
 

@@ -4,6 +4,7 @@
 
 use crate::socket::{TcpSocket, OUR_WSCALE};
 use crate::types::{SockEvent, SocketId, TcpError, TcpState};
+use neat_net::tcp::MSS;
 use neat_net::{SeqNum, TcpFlags, TcpHeader};
 
 /// State owned by connection management: where the connection is in its
@@ -281,7 +282,7 @@ impl TcpSocket {
             false => (SeqNum(0), TcpFlags::SYN),
         };
         let mut h = TcpHeader::new(self.local_port, self.remote_port, self.cm.iss, ack, flags);
-        h.mss = Some(self.cfg.mss);
+        h.mss = Some(MSS);
         // A SYN-ACK offers window scaling only if the peer's SYN did.
         if !passive || self.fc.rcv_wscale > 0 {
             h.window_scale = Some(OUR_WSCALE);

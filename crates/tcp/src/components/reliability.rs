@@ -6,7 +6,7 @@ use crate::buffer::SendBuffer;
 use crate::components::congestion_control::AckEvent;
 use crate::rto::RttEstimator;
 use crate::socket::TcpSocket;
-use crate::types::{SockEvent, TcpConfig, TcpError, TcpState};
+use crate::types::{SockEvent, TcpConfig, TcpError, TcpState, SEND_BUF};
 use neat_net::{SeqNum, TcpFlags, TcpHeader};
 use std::collections::VecDeque;
 
@@ -30,7 +30,7 @@ pub struct Reliability {
 impl Reliability {
     pub(crate) fn new(iss: SeqNum, cfg: &TcpConfig) -> Reliability {
         Reliability {
-            send_buf: SendBuffer::new(iss + 1, cfg.send_buf),
+            send_buf: SendBuffer::new(iss + 1, SEND_BUF),
             snd_nxt: iss,
             rtx_deadline: None,
             rtx_now: false,
@@ -148,7 +148,6 @@ impl TcpSocket {
             self.enter_closed(TcpError::TimedOut, SockEvent::Aborted);
             return;
         }
-        self.retransmits += 1;
         neat_obs::counter_add("tcp.rto_retransmits", 1);
         self.rel.rtt.backoff();
         self.rel.rtt_sample = None; // Karn: no sampling across retransmits
@@ -200,7 +199,6 @@ impl TcpSocket {
                 newly_acked: acked.max(1),
                 rtt_sample,
                 now_ns: now,
-                in_flight: self.bytes_in_flight(),
             };
             self.cc.on_ack(&ev);
             if acked > 0 && self.rel.send_buf.room() > 0 {
@@ -226,7 +224,6 @@ impl TcpSocket {
                 if self.rel.dup_acks == 3 {
                     self.cc.on_loss(now);
                     self.retransmit_now();
-                    self.retransmits += 1;
                     neat_obs::counter_add("tcp.fast_retransmits", 1);
                     self.rel.rtt_sample = None;
                 }

@@ -22,7 +22,6 @@ fn cc_ack(bytes: usize, now_ns: u64) -> AckEvent {
         newly_acked: bytes,
         rtt_sample: None,
         now_ns,
-        in_flight: 0,
     }
 }
 

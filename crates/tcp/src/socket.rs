@@ -16,6 +16,7 @@
 
 use crate::components::{self, CongestionControl, ConnMgmt, FlowControl, Reliability};
 use crate::types::{SockEvent, SockOpt, SockOptKind, SocketId, TcpConfig, TcpError, TcpState};
+use neat_net::tcp::MSS;
 use neat_net::{SeqNum, TcpHeader};
 use std::net::Ipv4Addr;
 
@@ -27,7 +28,7 @@ pub(crate) const OUR_WSCALE: u8 = 7;
 const CC_BOX_BYTES: usize = 64;
 
 /// One end of a TCP connection: a thin coordinator over the four
-/// components, owning only identity, configuration, and statistics.
+/// components, owning only identity and configuration.
 #[derive(Debug)]
 pub struct TcpSocket {
     pub id: SocketId,
@@ -56,11 +57,6 @@ pub struct TcpSocket {
     /// Error recorded at abort time.
     pub error: Option<TcpError>,
 
-    // --- statistics (exposed for experiments) ---
-    pub tx_segments: u64,
-    pub rx_segments: u64,
-    pub retransmits: u64,
-
     /// Footprint last reported to the stack's `ConnBudget`; the stack
     /// keeps the budget in sync by delta against this.
     accounted: usize,
@@ -83,16 +79,13 @@ impl TcpSocket {
             local_port: local.1,
             remote_ip: remote.0,
             remote_port: remote.1,
-            mss: cfg.mss,
+            mss: MSS,
             cm: ConnMgmt::new(iss),
             rel: Reliability::new(iss, cfg),
             fc: FlowControl::new(cfg),
-            cc: components::make(cfg.congestion, cfg.mss),
+            cc: components::make(cfg.congestion, MSS),
             events: Vec::new(),
             error: None,
-            tx_segments: 0,
-            rx_segments: 0,
-            retransmits: 0,
             accounted: 0,
         }
     }
@@ -243,7 +236,6 @@ impl TcpSocket {
 
     /// Handle one inbound segment addressed to this connection.
     pub fn on_segment(&mut self, h: &TcpHeader, payload: &[u8], now: u64) {
-        self.rx_segments += 1;
         match self.cm.state {
             TcpState::Closed => {}
             TcpState::SynSent => self.on_segment_syn_sent(h, now),
@@ -319,9 +311,9 @@ impl TcpSocket {
     /// The next segment's header and payload length; the payload itself
     /// stays in the send buffer, at `h.seq`, for the caller to copy once
     /// to where it is going. Each state routes to the component that owns
-    /// the segment type; every segment is counted here.
+    /// the segment type.
     pub(crate) fn poll_segment(&mut self, now: u64) -> Option<(TcpHeader, usize)> {
-        let seg = match self.cm.state {
+        match self.cm.state {
             TcpState::Closed => self.transmit_rst(),
             TcpState::SynSent | TcpState::SynReceived => self.transmit_syn(now),
             TcpState::TimeWait => self.transmit_time_wait_ack(),
@@ -332,9 +324,7 @@ impl TcpSocket {
                 .or_else(|| self.transmit_new_data(now))
                 .or_else(|| self.transmit_fin(now))
                 .or_else(|| self.transmit_pure_ack()),
-        }?;
-        self.tx_segments += 1;
-        Some(seg)
+        }
     }
 }
 

@@ -218,7 +218,6 @@ fn retransmission_on_loss() {
     let mut buf = [0u8; 64];
     let n = s.recv(&mut buf).unwrap();
     assert_eq!(&buf[..n], b"important data");
-    assert!(c.retransmits >= 1);
 }
 
 #[test]

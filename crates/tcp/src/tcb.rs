@@ -1,7 +1,7 @@
 //! TCB checkpoints for flow replication (§3.6 extension).
 //!
 //! A checkpoint is the per-connection state one replica ships to its buddy
-//! so a restarted (or rebalanced) replica can resume the flow: the V2 wire
+//! so a restarted (or rebalanced) replica can resume the flow: the V3 wire
 //! format, written straight from the socket's components by
 //! [`TcpSocket::checkpoint`] and read straight into a fresh socket by
 //! [`TcpSocket::from_checkpoint`]. Each field is named once per direction.
@@ -17,13 +17,14 @@ use crate::types::{CongestionAlgo, SocketId, TcpConfig, TcpState};
 use neat_net::SeqNum;
 use std::net::Ipv4Addr;
 
-/// Wire format version tag — the first byte of every image. V2 appends the
-/// selected congestion algorithm; V1 images (no trailing algorithm byte)
-/// no longer decode — replicas upgrade in lockstep.
-const TCB_IMAGE_V2: u8 = 2;
+/// Wire format version tag — the first byte of every image. V2 appended
+/// the selected congestion algorithm; V3 drops the three per-socket
+/// segment and retransmit counters V2 carried before it, which nothing
+/// read. V1 and V2 images no longer decode — replicas upgrade in lockstep.
+const TCB_IMAGE_V3: u8 = 3;
 
 /// An image's length without its two stream rings, every option present.
-const IMAGE_FIXED_MAX: usize = 211;
+const IMAGE_FIXED_MAX: usize = 187;
 
 /// Does this state carry resumable stream state worth replicating?
 /// Handshake-in-progress and torn-down flows are recreated (or forgotten)
@@ -42,7 +43,7 @@ pub(crate) fn replicable(state: TcpState) -> bool {
 
 /// Checkpoint / restore for flow replication.
 impl TcpSocket {
-    /// The transferable TCB as little-endian V2 bytes: everything a peer
+    /// The transferable TCB as little-endian V3 bytes: everything a peer
     /// replica needs to resume this connection. The congestion
     /// controller's *dynamic* state, the out-of-order bytes held past the
     /// receive ring's in-order mark, and the outstanding RTT sample are
@@ -56,7 +57,7 @@ impl TcpSocket {
         let send = &rel.send_buf;
         let recv = &fc.recv_buf;
         let mut w = Vec::with_capacity(IMAGE_FIXED_MAX + send.len() + recv.len());
-        w.push(TCB_IMAGE_V2);
+        w.push(TCB_IMAGE_V3);
         w.push(state_code(cm.state));
         w.extend(self.local_ip.octets());
         w.extend(self.local_port.to_le_bytes());
@@ -100,9 +101,6 @@ impl TcpSocket {
         put_opt(&mut w, cm.time_wait_deadline);
         put_opt(&mut w, fc.probe_deadline);
         put_opt(&mut w, cm.keepalive_deadline);
-        w.extend(self.tx_segments.to_le_bytes());
-        w.extend(self.rx_segments.to_le_bytes());
-        w.extend(self.retransmits.to_le_bytes());
         w.push(algo_code(self.cc.algo()));
         w
     }
@@ -117,7 +115,7 @@ impl TcpSocket {
     /// re-synchronizes the peer after the migration gap.
     pub fn from_checkpoint(id: SocketId, cfg: &TcpConfig, bytes: &[u8]) -> Option<TcpSocket> {
         let mut r = Reader(bytes);
-        if r.u8()? != TCB_IMAGE_V2 {
+        if r.u8()? != TCB_IMAGE_V3 {
             return None;
         }
         let state = state_from_code(r.u8()?)?;
@@ -156,9 +154,6 @@ impl TcpSocket {
         s.cm.time_wait_deadline = r.opt()?;
         s.fc.probe_deadline = r.opt()?;
         s.cm.keepalive_deadline = r.opt()?;
-        s.tx_segments = r.u64()?;
-        s.rx_segments = r.u64()?;
-        s.retransmits = r.u64()?;
         s.cc = components::make(algo_from_code(r.u8()?)?, s.mss);
         r.0.is_empty().then_some(s)
     }

@@ -1,5 +1,5 @@
-//! The checkpoint codec's pins: golden V2 bytes captured before the
-//! `TcbImage` struct was deleted, and the canonical-decoder rule on
+//! The checkpoint codec's pins: golden V3 bytes (the V2 bytes captured
+//! before the `TcbImage` struct was deleted, less the per-socket counters), and the canonical-decoder rule on
 //! crafted and mutated real images.
 
 use super::*;
@@ -24,7 +24,6 @@ fn scripted() -> [TcpSocket; 3] {
     s.rel.retries = 1;
     s.rel.dup_acks = 2;
     s.fc.ack_pending = 3;
-    s.retransmits = 4;
     s.cm.fin_seq = Some(s.rel.send_buf.end());
     s.fc.ack_deadline = Some(7_000_001);
     s.cm.time_wait_deadline = Some(7_000_002);
@@ -37,34 +36,32 @@ fn scripted() -> [TcpSocket; 3] {
     [busy, c, s]
 }
 
-/// [`scripted`]'s images as the parent tree's `snapshot().encode()`
-/// wrote them.
+/// [`scripted`]'s images as `snapshot().encode()` wrote them in V2, with
+/// the version byte 3 and the 24 B of per-socket counters before the
+/// algorithm byte removed.
 const BUSY: &str = concat!(
-    "02040a00000250000a000001409c88130000e8030000a1130000e90300008913",
+    "03040a00000250000a000001409c88130000e8030000a1130000e90300008913",
     "000089130000050400000000010000000000b40507070118000000485454502f",
     "312e3120323030204f4b0d0a0d0a68656c6c6f00000100000000001c00000047",
     "4554202f696e6465782e68746d6c20485454502f312e310d0a0d0a0000010000",
     "000000000001a11300000000000001404b4c0000000000000100000002000000",
     "010000000087d602410000000087d61241ae622a000000000057311500000000",
     "00010000000300000001c1cf6a00000000000001c2cf6a000000000001c3cf6a",
-    "000000000001c4cf6a0000000000020000000000000002000000000000000400",
-    "00000000000000",
+    "000000000001c4cf6a000000000000",
 );
 const FIN_WAIT: &str = concat!(
-    "02060a000001409c0a0000025000e803000088130000ea03000089130000ea03",
+    "03060a000001409c0a0000025000e803000088130000ea03000089130000ea03",
     "0000e9030000891300000000010000000000b405070701000000000000010000",
     "000000000000000000010000000000000101e90300000000000001808d5b0000",
     "000000000000000000000000010000000000000000000000000000000040420f",
-    "000000000040420f000000000000000000000000000000000000030000000000",
-    "00000200000000000000000000000000000000",
+    "000000000040420f00000000000000000000000000000000000000",
 );
 const CLOSE_WAIT: &str = concat!(
-    "02090a00000250000a000001409c88130000e803000089130000e90300008913",
+    "03090a00000250000a000001409c88130000e803000089130000e90300008913",
     "000089130000ea0300000000010000000000b405070701000000000000010000",
     "0000000000000000000100000000000100000000000000000000000001000000",
     "0000000000000000000000000040420f000000000040420f0000000000000000",
-    "0000000000000000000002000000000000000200000000000000000000000000",
-    "000000",
+    "0000000000000000000000",
 );
 
 fn unhex(s: &str) -> Vec<u8> {

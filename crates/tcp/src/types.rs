@@ -1,5 +1,6 @@
 //! Shared types: socket ids, configuration, states, events, errors.
 
+use neat_net::tcp::MSS;
 use std::fmt;
 
 /// Identifies a socket within one [`crate::TcpStack`] instance. Ids are
@@ -123,14 +124,14 @@ impl SockOpt {
     }
 }
 
+/// Send buffer capacity per socket (bytes).
+pub(crate) const SEND_BUF: usize = 64 * 1024;
+const _: () = assert!(SEND_BUF >= MSS as usize);
+
 /// Per-stack tunables (the control-plane settings of §4: e.g. the
 /// TIME_WAIT timeout the OS manages while the NIC runs the data plane).
 #[derive(Debug, Clone)]
 pub struct TcpConfig {
-    /// Maximum segment size we advertise and default to.
-    pub mss: u16,
-    /// Send buffer capacity per socket (bytes).
-    pub send_buf: usize,
     /// Receive buffer capacity per socket (bytes) — advertised window base.
     pub recv_buf: usize,
     /// TIME_WAIT duration in nanoseconds (smoltcp uses a fixed 10 s).
@@ -164,8 +165,6 @@ pub struct TcpConfig {
 impl Default for TcpConfig {
     fn default() -> TcpConfig {
         TcpConfig {
-            mss: 1460,
-            send_buf: 64 * 1024,
             recv_buf: 64 * 1024,
             time_wait_ns: 10_000_000_000,
             delayed_ack_ns: 500_000, // 0.5 ms — LAN-scale
@@ -182,14 +181,12 @@ impl Default for TcpConfig {
 }
 
 /// Non-blocking readiness snapshot for one socket, as the socket library's
-/// `poll(fd)` reports it. Mirrors `poll(2)`'s POLLIN/POLLOUT/POLLHUP bits.
+/// `poll(fd)` reports it. Mirrors `poll(2)`'s POLLIN/POLLHUP bits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Readiness {
     /// Data (or, for listeners, a pending accept) can be consumed now.
     /// Like POLLIN, this is also set at EOF so the reader observes it.
     pub readable: bool,
-    /// Send-buffer room is available and the state still admits sending.
-    pub writable: bool,
     /// The peer hung up: EOF received, connection closed or aborted.
     pub hup: bool,
 }
@@ -288,8 +285,6 @@ mod tests {
     #[test]
     fn default_config_sane() {
         let c = TcpConfig::default();
-        assert!(c.mss >= 536);
-        assert!(c.send_buf >= c.mss as usize);
         assert_eq!(c.time_wait_ns, 10_000_000_000);
     }
 }

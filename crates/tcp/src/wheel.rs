@@ -46,19 +46,16 @@
 //! ties). Rather than walk every occupied slot of every level on each call
 //! (and on each hop of `advance`), each level keeps its own minimum — the
 //! occupied slot with the smallest `min_win`, lowest slot on ties — and the
-//! answer is the smallest of those 11 values. The minimum is kept lazily:
-//! `place` lowers it in O(1); a `cancel` that empties the minimum's slot,
-//! and each slot `advance` consumes, only mark the level stale;
-//! `earliest_slot` rescans the stale levels before it compares, so a level
-//! is rescanned at most once per query however many cancels (one per ACK
-//! that re-arms an RTO) emptied its minimum meanwhile. The answer is
-//! exactly the full scan's, stale-low slot minima included, because it
+//! answer is the smallest of those 11 values. The minimum is kept eagerly:
+//! `place` lowers it in O(1); a `cancel` that empties the minimum's slot
+//! rescans that level's occupied slots, and so does `advance` for the level
+//! whose slot it consumed. `earliest_slot` is then a pure read. The answer
+//! is exactly the full scan's, stale-low slot minima included, because it
 //! sets when the engine's timer events fire:
 //! `proptests::wheel_earliest_slot_matches_full_scan` holds the two equal
 //! after every operation.
 
 use neat_util::FxHashMap;
-use std::cell::Cell;
 
 const SLOT_BITS: u32 = 6;
 const SLOTS: usize = 1 << SLOT_BITS; // 64
@@ -128,11 +125,8 @@ pub struct TimerWheel {
     /// Per-level bitmap of non-empty slots.
     occupied: [u64; LEVELS],
     /// Per level, `(min_win, slot)` of the occupied slot with the smallest
-    /// `min_win`, lowest slot on ties ([`NO_SLOT`] if none) — valid unless
-    /// the level's bit in `stale` is set. Cells, because `next_event` takes
-    /// `&self` and brings stale levels up to date.
-    level_min: [Cell<(u64, u8)>; LEVELS],
-    stale: Cell<u16>,
+    /// `min_win`, lowest slot on ties ([`NO_SLOT`] if none).
+    level_min: [(u64, u8); LEVELS],
     meta: FxHashMap<u64, Meta>,
     seq: u64,
     /// `advance`'s due entries, `(deadline, arm sequence, key)`, while it
@@ -148,8 +142,7 @@ impl TimerWheel {
             now: start,
             levels: Box::new([[EMPTY; SLOTS]; LEVELS]),
             occupied: [0; LEVELS],
-            level_min: std::array::from_fn(|_| Cell::new(NO_SLOT)),
-            stale: Cell::new(0),
+            level_min: [NO_SLOT; LEVELS],
             meta: FxHashMap::default(),
             seq: 0,
             due: Vec::new(),
@@ -206,8 +199,8 @@ impl TimerWheel {
         // The slot's minimum only fell, or the slot just filled: the level's
         // minimum can only fall to it.
         let here = (s.min_win, slot as u8);
-        if here < self.level_min[level].get() {
-            self.level_min[level].set(here);
+        if here < self.level_min[level] {
+            self.level_min[level] = here;
         }
         m.tag = m.seq() | (level as u64) << (SEQ_BITS + SLOT_BITS) | (slot as u64) << SEQ_BITS;
         self.link(key, &mut m);
@@ -245,15 +238,11 @@ impl TimerWheel {
         if self.levels[level][slot].head == NIL {
             self.occupied[level] &= !(1 << slot);
             // Another slot emptying leaves the level's minimum where it is.
-            if usize::from(self.level_min[level].get().1) == slot {
-                self.mark_stale(level);
+            if usize::from(self.level_min[level].1) == slot {
+                self.level_min[level] = self.scan_level(level);
             }
         }
         Some(m.deadline)
-    }
-
-    fn mark_stale(&self, level: usize) {
-        self.stale.set(self.stale.get() | 1 << level);
     }
 
     /// `(min_win, slot)` of `level`'s occupied slot with the smallest
@@ -275,15 +264,8 @@ impl TimerWheel {
     /// The earliest occupied slot boundary: `(window_start, level, slot)`,
     /// the lowest level and then the lowest slot on ties.
     pub(crate) fn earliest_slot(&self) -> Option<(u64, usize, usize)> {
-        let mut stale = self.stale.replace(0);
-        while stale != 0 {
-            let level = stale.trailing_zeros() as usize;
-            stale &= stale - 1;
-            self.level_min[level].set(self.scan_level(level));
-        }
         let mut best: Option<(u64, usize, usize)> = None;
-        for (level, min) in self.level_min.iter().enumerate() {
-            let (win, slot) = min.get();
+        for (level, &(win, slot)) in self.level_min.iter().enumerate() {
             if usize::from(slot) == SLOTS {
                 continue;
             }
@@ -329,7 +311,6 @@ impl TimerWheel {
             // level or more, or goes back on the (now empty) list.
             let mut next = std::mem::replace(&mut self.levels[level][slot].head, NIL);
             self.occupied[level] &= !(1 << slot);
-            self.mark_stale(level);
             let (mut kept, mut kept_min) = (false, u64::MAX);
             while let Some(&entry) = self.meta.get(&next) {
                 let (key, mut m) = (next, entry);
@@ -356,6 +337,7 @@ impl TimerWheel {
                 self.levels[level][slot].min_win = kept_min;
                 self.occupied[level] |= 1 << slot;
             }
+            self.level_min[level] = self.scan_level(level);
         }
         self.now = self.now.max(now);
         self.due

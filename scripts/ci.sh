@@ -12,7 +12,8 @@
 #                                 # no-source-text + no-default-hasher
 #                                 # guards, build, test,
 #                                 # pinned-shapes guard, fmt, clippy
-#   scripts/ci.sh --tier2         # quick benches + regression gates
+#   scripts/ci.sh --tier2         # quick benches + regression gates +
+#                                 # the frozen benchmark's own tests
 #                                 # (expects a tier-1 build already present)
 #
 # Every gate step runs through `run`, which checks the exit status
@@ -285,6 +286,13 @@ if [ "$TIER2" = 1 ]; then
         rm -f "results/.${b}_run1.json"
     done
     echo "==> determinism gate passed"
+
+    # The frozen benchmark's own tests (ROADMAP rule i): every workload
+    # still completes and verifies against this tree, and the lane's
+    # traced time still adds up. Debug profile, one test at a time (the
+    # tests time host work); builds into benchmark/target (git-ignored)
+    # and writes nothing tracked.
+    run cargo test --manifest-path benchmark/Cargo.toml --offline -- --test-threads=1
 
     echo "==> tier2 passed"
 fi
