@@ -106,8 +106,6 @@ pub struct StackHost {
     timer_fires: TimerFires,
     /// The segment a flush is handing to the wire: one buffer for all.
     seg: Vec<u8>,
-    /// ASLR layout token — randomized at every (re)start (§3.8).
-    pub layout_token: u64,
 }
 
 impl StackHost {
@@ -128,13 +126,14 @@ impl StackHost {
             timer: None,
             timer_fires: TimerFires::new("neat"),
             seg: Vec::new(),
-            layout_token: 0,
         }
     }
 
-    /// `Event::Start`: fresh ASLR layout on every (re)start (§3.8).
+    /// `Event::Start`: a fresh ASLR layout on every (re)start (§3.8). The
+    /// layout is the process's own and nothing reads it, but its draw stays:
+    /// it keeps the seeded random stream, and every result, where it was.
     pub fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
-        self.layout_token = ctx.rng().gen();
+        let _layout: u64 = ctx.rng().gen();
     }
 
     /// One inbound TCP segment from `src`. The caller's frame arm calls

@@ -52,6 +52,24 @@ impl FlowControl {
     }
 }
 
+/// RFC 793 step 1 for a segment of `seg_len` sequence numbers at `seq`,
+/// against a receive window of `wnd` bytes from `rcv_nxt`. A TIME-WAIT
+/// record (`stack/time_wait.rs`) asks the same question without a socket.
+pub(crate) fn in_window(seq: SeqNum, seg_len: u32, rcv_nxt: SeqNum, wnd: u32) -> bool {
+    if seg_len == 0 {
+        if wnd == 0 {
+            seq == rcv_nxt
+        } else {
+            seq - rcv_nxt >= -(wnd as i32) && (seq - rcv_nxt) < wnd as i32
+        }
+    } else {
+        if wnd == 0 {
+            return false;
+        }
+        (seq - rcv_nxt) < wnd as i32 && (seq + seg_len - rcv_nxt) > 0
+    }
+}
+
 /// Flow-control logic: acceptability, window tracking, payload delivery,
 /// ACK emission, and every write to `fc`.
 impl TcpSocket {
@@ -98,20 +116,12 @@ impl TcpSocket {
 
     /// RFC 793 step 1: is this segment within the receive window?
     pub(crate) fn seq_acceptable(&self, h: &TcpHeader, seg_len: u32) -> bool {
-        let wnd = self.recv_window_bytes() as u32;
-        let seq = h.seq;
-        if seg_len == 0 {
-            if wnd == 0 {
-                seq == self.fc.rcv_nxt
-            } else {
-                seq - self.fc.rcv_nxt >= -(wnd as i32) && (seq - self.fc.rcv_nxt) < wnd as i32
-            }
-        } else {
-            if wnd == 0 {
-                return false;
-            }
-            (seq - self.fc.rcv_nxt) < wnd as i32 && (seq + seg_len - self.fc.rcv_nxt) > 0
-        }
+        in_window(
+            h.seq,
+            seg_len,
+            self.fc.rcv_nxt,
+            self.recv_window_bytes() as u32,
+        )
     }
 
     pub(crate) fn recv_window_bytes(&self) -> usize {

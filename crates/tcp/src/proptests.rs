@@ -1384,12 +1384,15 @@ fn drained_rings_park_and_streams_match_a_flat_model() {
 /// out, over and over, so seats are reused. After every step every id
 /// either stack ever issued goes to every id-taking call: a dead id — and
 /// the listener's, to the socket calls — gets `NoSocket`, `None`, `false`
-/// or 0 and changes nothing; every byte a live socket reads is the next
+/// or 0 and changes nothing; so does a retired TIME-WAIT connection's,
+/// whose `state` alone still answers, and its peer's FIN sent again gets
+/// TIME-WAIT's ACK, not a RST; every byte a live socket reads is the next
 /// of what its peer sent, all of it at EOF; and `check_consistent` holds.
 #[test]
 fn stale_ids_stay_inert_and_streams_match_a_flat_model() {
     use crate::stack::TcpStack;
-    use crate::types::{SockOpt, SockOptKind, TcpConfig, TcpError};
+    use crate::types::{SockOpt, SockOptKind, TcpConfig, TcpError, TcpState};
+    use neat_net::TcpFlags;
     use neat_util::check::TestResult;
     use std::cell::Cell;
 
@@ -1429,6 +1432,8 @@ fn stale_ids_stay_inert_and_streams_match_a_flat_model() {
         now: u64,
         /// New ids that took a seat a dead id names.
         reused: usize,
+        /// Retired TIME-WAIT connections probed.
+        retired: usize,
     }
 
     impl Net {
@@ -1449,6 +1454,7 @@ fn stale_ids_stay_inert_and_streams_match_a_flat_model() {
                 read: HashMap::new(),
                 now: 0,
                 reused: 0,
+                retired: 0,
             }
         }
 
@@ -1587,12 +1593,68 @@ fn stale_ids_stay_inert_and_streams_match_a_flat_model() {
                 prop_assert!(s.poll_transmit(self.now).is_none(), "a stale id sent");
                 prop_assert!(s.poll_event().is_none(), "a stale id raised an event");
                 s.check_consistent();
+                self.check_retired(side)?;
             }
+            Ok(())
+        }
+
+        /// Every retired TIME-WAIT connection's id through every call that
+        /// takes one, then its peer's FIN, sent again, to its flow.
+        fn check_retired(&mut self, side: usize) -> TestResult {
+            let s = &mut self.stacks[side];
+            let live: Vec<(SocketId, Stream)> = (self.issued[side].iter())
+                .filter(|(id, _)| s.state(*id).is_some())
+                .copied()
+                .collect();
+            let before = snapshot(s, &live);
+            let retired = s.time_wait_ids();
+            for &id in &retired {
+                let state = s.state(id);
+                prop_assert!(
+                    matches!(state, Some(TcpState::TimeWait | TcpState::Closed)),
+                    "{id:?} is {state:?}"
+                );
+                let no = TcpError::NoSocket;
+                prop_assert_eq!(s.send(id, b"late"), Err(no), "send {id:?}");
+                prop_assert_eq!(s.recv(id, &mut [0u8; 8]), Err(no), "recv {id:?}");
+                prop_assert_eq!(s.set_opt(id, SockOpt::RecvBuf(4096)), Err(no));
+                prop_assert_eq!(s.get_opt(id, SockOptKind::RecvBuf), Err(no));
+                prop_assert_eq!(s.close(id, self.now), Err(no), "close {id:?}");
+                prop_assert_eq!(s.abort(id), Err(no), "abort {id:?}");
+                prop_assert_eq!(s.accept(id), Err(no));
+                prop_assert_eq!((s.recv_available(id), s.acceptable(id)), (0, 0));
+                prop_assert!(!s.remove_conn(id), "remove_conn {id:?}");
+                prop_assert_eq!(s.state(id), state, "{id:?}'s state moved");
+            }
+            prop_assert_eq!(snapshot(s, &live), before, "a retired id changed something");
+            prop_assert!(s.poll_transmit(self.now).is_none(), "a retired id sent");
+            prop_assert!(s.poll_event().is_none(), "a retired id raised an event");
+            let peer = IPS[1 - side];
+            for id in retired {
+                let Some(fin) = s.time_wait_probe(id) else {
+                    continue;
+                };
+                self.retired += 1;
+                s.handle_segment(peer, &fin, &[], self.now);
+                let answer = s.poll_transmit(self.now);
+                let (dst, h, p) = answer.ok_or(format!("{id:?}: no answer"))?;
+                prop_assert_eq!(h.flags, TcpFlags::ack(), "{id:?}: {h:?}");
+                prop_assert_eq!(
+                    (dst, h.src_port, h.dst_port),
+                    (peer, fin.dst_port, fin.src_port)
+                );
+                prop_assert_eq!((h.seq, h.ack, p.len()), (fin.ack, fin.seq + 1, 0));
+                prop_assert!(s.poll_transmit(self.now).is_none(), "{id:?}: more");
+                prop_assert!(s.poll_event().is_none(), "{id:?}: an event");
+                prop_assert_eq!(s.state(id), Some(TcpState::TimeWait));
+            }
+            s.check_consistent();
             Ok(())
         }
     }
 
     let reused = Cell::new(0);
+    let retired = Cell::new(0);
     check(
         "stale_ids_stay_inert_and_streams_match_a_flat_model",
         Config::default().cases(128),
@@ -1607,9 +1669,15 @@ fn stale_ids_stay_inert_and_streams_match_a_flat_model() {
                 net.step(op)?;
             }
             reused.set(reused.get() + net.reused);
+            retired.set(retired.get() + net.retired);
             Ok(())
         },
     );
-    println!("new ids in a seat a dead id names: {}", reused.get());
+    println!(
+        "new ids in a seat a dead id names: {}, retired connections probed: {}",
+        reused.get(),
+        retired.get()
+    );
     assert!(reused.get() > 0, "no seat was ever reused");
+    assert!(retired.get() > 0, "no connection ever retired");
 }

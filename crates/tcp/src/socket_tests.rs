@@ -528,8 +528,8 @@ const LAT: u64 = 100_000;
 /// `SockEvent`. Segments are numbered in send order across both sides;
 /// those named in `lose` vanish, those in `late` take three latencies, so
 /// the segments sent after them overtake them.
-struct Net {
-    socks: [Option<TcpSocket>; 2],
+pub(crate) struct Net {
+    pub(crate) socks: [Option<TcpSocket>; 2],
     /// While side 1 has no socket, the first SYN to reach it is accepted
     /// with this config.
     listen: TcpConfig,
@@ -538,13 +538,13 @@ struct Net {
     sent: u32,
     lose: &'static [u32],
     late: &'static [u32],
-    now: u64,
+    pub(crate) now: u64,
     h: u64,
 }
 
 impl Net {
     /// `a` on side 0; side 1 listens with `listen` when `b` is `None`.
-    fn new(h: u64, a: TcpSocket, b: Option<TcpSocket>, listen: TcpConfig) -> Net {
+    pub(crate) fn new(h: u64, a: TcpSocket, b: Option<TcpSocket>, listen: TcpConfig) -> Net {
         let mut net = Net {
             socks: [Some(a), b],
             listen,
@@ -624,7 +624,7 @@ impl Net {
 
     /// Deliver every arrival and fire every deadline up to `t`, in time
     /// order, settling after each stimulus.
-    fn advance_to(&mut self, t: u64) {
+    pub(crate) fn advance_to(&mut self, t: u64) {
         for _ in 0..100_000 {
             let arrival = self.flight.iter().map(|f| f.0).min();
             let timers = self.socks.iter().flatten().filter_map(|s| s.next_timeout());
@@ -663,12 +663,12 @@ impl Net {
     }
 
     /// A user call on one side at the current instant.
-    fn user(&mut self, side: usize, op: impl FnOnce(&mut TcpSocket)) {
+    pub(crate) fn user(&mut self, side: usize, op: impl FnOnce(&mut TcpSocket)) {
         op(self.sock(side));
         self.settle();
     }
 
-    fn read_all(&mut self, side: usize) {
+    pub(crate) fn read_all(&mut self, side: usize) {
         let mut buf = [0u8; 4096];
         self.user(side, |s| while matches!(s.recv(&mut buf), Ok(1..)) {});
     }

@@ -19,6 +19,10 @@
 //! * listener lookup by id is a hash probe, not a scan;
 //! * closed sockets are reaped inline at their quiescence point instead
 //!   of by an O(all sockets) sweep on every timer tick;
+//! * a socket at rest in TIME-WAIT retires at that same point into a 56 B
+//!   record ([`TimeWait`], `time_wait.rs`): its slot and controller box go
+//!   at once, its demux entry stays, and its wheel entry moves to the
+//!   record's key as armed, until the deadline reaps the record;
 //! * per-connection memory is delta-accounted into a [`ConnBudget`] and
 //!   optionally bounded (`TcpConfig::conn_memory_limit`);
 //! * a socket at rest owns no ring: a drained ring's storage waits on the
@@ -35,9 +39,12 @@ use neat_util::{FxHashMap, FxHashSet};
 use slots::{Slot, Slots};
 use std::collections::VecDeque;
 use std::net::Ipv4Addr;
+use time_wait::{TimeWait, TimeWaits};
 
 #[path = "slots.rs"]
 mod slots;
+#[path = "time_wait.rs"]
+mod time_wait;
 
 /// A listening socket: subsockets of the paper's replicated listeners map
 /// to one `Listener` in each replica's stack.
@@ -109,8 +116,12 @@ pub struct TcpStack {
     cfg: TcpConfig,
     /// Every connection's slot, and the serials of the ids that name them.
     slots: Slots,
-    /// Established/opening connections by flow (remote side as src): the
-    /// table every inbound segment resolves through. Only probed.
+    /// Retired TIME-WAIT connections, by the id their socket had
+    /// (`time_wait::key`).
+    time_waits: TimeWaits,
+    /// Every connection by flow (remote side as src), in a slot or
+    /// retired: the table every inbound segment resolves through. Only
+    /// probed.
     conns: FxHashMap<FlowKey, SocketId>,
     listeners: FxHashMap<u16, Listener>,
     /// Listener id -> port (O(1) accept/acceptable/poll by id).
@@ -155,6 +166,7 @@ impl TcpStack {
             local_ip,
             cfg,
             slots: Slots::new(),
+            time_waits: TimeWaits::default(),
             conns: FxHashMap::default(),
             listeners: FxHashMap::default(),
             listener_of: FxHashMap::default(),
@@ -196,7 +208,8 @@ impl TcpStack {
 
     /// Register a freshly created connection socket, in the seat its id
     /// took: the one insert of a connection's life in this stack
-    /// ([`TcpStack::detach`] is the one remove).
+    /// ([`TcpStack::detach`] removes a socket, `reap_time_wait` a retired
+    /// TIME-WAIT record).
     fn install_socket(&mut self, flow: FlowKey, mut sock: TcpSocket, pending: Option<u16>) {
         let bytes = sock.mem_bytes();
         sock.swap_accounted(bytes);
@@ -363,16 +376,18 @@ impl TcpStack {
         self.listeners.get(self.listener_of.get(&id)?)
     }
 
+    /// A connection's state; a retired TIME-WAIT connection's too.
     pub fn state(&self, id: SocketId) -> Option<TcpState> {
-        self.sock(id).map(|s| s.state())
+        (self.sock(id).map(|s| s.state())).or_else(|| self.time_waits.get(id).map(TimeWait::state))
     }
 
     pub fn recv_available(&self, id: SocketId) -> usize {
         self.sock(id).map_or(0, |s| s.recv_available())
     }
 
-    /// Live (non-listener) connection count — drives the lazy-termination
-    /// GC of §3.4.
+    /// Live (non-listener) connection count, retired TIME-WAIT connections
+    /// included: a replica is drained only once its last TIME-WAIT has run
+    /// out. Drives the lazy-termination GC of §3.4.
     pub fn conn_count(&self) -> usize {
         self.conns.len()
     }
@@ -470,7 +485,7 @@ impl TcpStack {
 
     fn deliver(&mut self, id: SocketId, h: &TcpHeader, payload: &[u8], now: u64) {
         let Some(slot) = self.slots.get_mut(id) else {
-            return;
+            return self.deliver_time_wait(id, h, payload, now);
         };
         let before = slot.sock.state();
         slot.lend_events(&mut self.sock_events);
@@ -542,10 +557,18 @@ impl TcpStack {
                 slot.queued = false;
                 slot.drain_events(&mut self.events, &mut self.sock_events);
                 slot.account(&mut self.budget, &mut self.spares);
+            } else if let Some(tw) = self.time_waits.get_mut(id) {
+                if let Some(h) = tw.poll_segment() {
+                    self.obs.tx_segments.inc();
+                    tw.arm(id, &mut self.timers);
+                    return Some(f(tw.remote_ip, &h, (&[], &[])));
+                }
+                tw.dequeue();
             }
             self.dirty.pop_front();
             // A socket that drained its last segment and reached Closed
-            // is quiescent here — reap it now (no global GC sweeps).
+            // is quiescent here — reap it now (no global GC sweeps) — and
+            // one at rest in TIME-WAIT retires.
             self.maybe_reap(id);
         }
         None
@@ -570,35 +593,42 @@ impl TcpStack {
         let mut fired = std::mem::take(&mut self.fired);
         self.timers.advance(now, &mut fired);
         for key in fired.drain(..) {
-            if let Some(slot) = self.slots.get_mut(SocketId(key)) {
-                slot.lend_events(&mut self.sock_events);
-                slot.sock.on_timer(now);
-                slot.drain_events(&mut self.events, &mut self.sock_events);
-                slot.mark_dirty(&mut self.dirty, &mut self.repl_dirty);
-                slot.arm_timer(&mut self.timers);
-                slot.account(&mut self.budget, &mut self.spares);
+            if let Some(id) = time_wait::id_of(key) {
+                self.time_wait_timer(id, now);
+                continue;
             }
+            let Some(slot) = self.slots.get_mut(SocketId(key)) else {
+                continue;
+            };
+            slot.lend_events(&mut self.sock_events);
+            slot.sock.on_timer(now);
+            slot.drain_events(&mut self.events, &mut self.sock_events);
+            slot.mark_dirty(&mut self.dirty, &mut self.repl_dirty);
+            slot.arm_timer(&mut self.timers);
+            slot.account(&mut self.budget, &mut self.spares);
         }
         self.fired = fired;
     }
 
-    /// Remove a socket if it is fully closed and quiescent: its final
-    /// segments drained (not dirty) and its events surfaced. Replaces the
+    /// Remove a socket or TIME-WAIT record if it is fully closed and
+    /// quiescent: its final segments drained (not dirty) and its events
+    /// surfaced; else retire a socket at rest in TIME-WAIT. Replaces the
     /// old every-tick scan over all sockets, which was O(n) per timer at
     /// 100k+ connections.
     fn maybe_reap(&mut self, id: SocketId) {
-        let dead = self.slots.get(id).is_some_and(|s| {
-            s.sock.state() == TcpState::Closed && !s.queued && s.sock.events.is_empty()
-        });
-        if dead {
-            let flow = self.detach(id);
-            if self.repl_dirty.is_some() {
-                self.repl_closed.extend(flow);
-            }
+        let dead =
+            |s: &Slot| s.sock.state() == TcpState::Closed && !s.queued && s.sock.events.is_empty();
+        let flow = match self.slots.get(id).map(dead) {
+            Some(true) => self.detach(id),
+            Some(false) => return self.maybe_retire(id),
+            None => self.reap_time_wait(id),
+        };
+        if self.repl_dirty.is_some() {
+            self.repl_closed.extend(flow);
         }
     }
 
-    /// The one way a connection leaves the stack: its slot, demux entry,
+    /// The one way a socket leaves the stack: its slot, demux entry,
     /// deadline, budget share and seat in its listener's SYN backlog or
     /// accept queue go together, and its rings' storages are parked for
     /// the next connection, as does its seat. Ids are never reused, so one

@@ -18,8 +18,10 @@ pub(crate) struct Footprint {
     pub socket_heap: usize,
     /// Demux entries.
     pub demux: usize,
-    /// Room the slot and demux tables hold beyond their entries: empty
-    /// seats, the free-seat list and page index, and the demux map's room.
+    /// Retired TIME-WAIT connections' records.
+    pub time_waits: usize,
+    /// Room the slot, record and demux tables hold beyond their entries:
+    /// empty seats, the free-seat list and page index, and the maps' room.
     pub table_slack: usize,
     /// Live rings' storage, per direction.
     pub send_rings: usize,
@@ -33,7 +35,8 @@ pub(crate) struct Footprint {
     pub spare_count: usize,
     /// Assemblers' range lists.
     pub assembler: usize,
-    /// `TcpSocket::mem_bytes`, summed: what the budget should hold.
+    /// `TcpSocket::mem_bytes`, summed, and the records' bytes: what the
+    /// budget should hold.
     pub mem_bytes: usize,
     /// The timer wheel's per-key entries.
     pub wheel: usize,
@@ -41,10 +44,11 @@ pub(crate) struct Footprint {
 
 impl Footprint {
     /// The parts, named, in the order EXPERIMENTS.md's table lists them.
-    pub(crate) fn parts(&self) -> [(&'static str, usize); 11] {
+    pub(crate) fn parts(&self) -> [(&'static str, usize); 12] {
         [
             ("socket structs", self.slots),
             ("controller boxes, event lists", self.socket_heap),
+            ("TIME-WAIT records", self.time_waits),
             ("demux entries", self.demux),
             ("table slack", self.table_slack),
             ("send rings (live)", self.send_rings),
@@ -64,6 +68,19 @@ impl TcpStack {
         self.slots.iter().map(|slot| slot.sock.id).collect()
     }
 
+    /// Ids of retired TIME-WAIT connections.
+    pub(crate) fn time_wait_ids(&self) -> Vec<SocketId> {
+        self.time_waits.iter().map(|(id, _)| id).collect()
+    }
+
+    /// The segment a retired connection's peer sends when our final ACK
+    /// is lost: its FIN again. `None` unless `id` names a record still in
+    /// TIME-WAIT.
+    pub(crate) fn time_wait_probe(&self, id: SocketId) -> Option<TcpHeader> {
+        let tw = self.time_waits.get(id)?;
+        (tw.state() == TcpState::TimeWait).then(|| tw.peer_fin())
+    }
+
     /// A socket's (local, remote) ports.
     pub(crate) fn ports(&self, id: SocketId) -> Option<(u16, u16)> {
         self.sock(id).map(|s| (s.local_port, s.remote_port))
@@ -74,15 +91,19 @@ impl TcpStack {
         let slot = std::mem::size_of::<Option<Slot>>();
         let entry = std::mem::size_of::<(FlowKey, SocketId)>();
         let parked = |list: &Vec<VecDeque<u8>>| list.iter().map(|r| r.capacity()).sum::<usize>();
+        let records = self.time_waits.len() * time_wait::RECORD_BYTES;
         let mut f = Footprint {
             slots: self.slots.len() * slot,
+            time_waits: records,
             demux: self.conns.len() * entry,
             table_slack: self.slots.slack_bytes()
+                + (self.time_waits.capacity() - self.time_waits.len()) * time_wait::RECORD_BYTES
                 + (self.conns.capacity() - self.conns.len()) * entry,
             spare_send: parked(&self.spares.send),
             spare_recv: parked(&self.spares.recv),
             spare_count: self.spares.send.len() + self.spares.recv.len(),
             wheel: self.timers.entry_bytes(),
+            mem_bytes: records,
             ..Footprint::default()
         };
         for s in self.slots.iter().map(|slot| &slot.sock) {
@@ -103,14 +124,27 @@ impl TcpStack {
         f
     }
 
-    /// Every structure that names a connection agrees with the slot table
-    /// (ROADMAP item 4a: demux ↔ socket table ↔ timer wheel ↔ budget ↔
-    /// listener queues). Panics on the first disagreement.
+    /// Every structure that names a connection agrees with the slot and
+    /// record tables (ROADMAP item 4a: demux ↔ socket table ↔ TIME-WAIT
+    /// records ↔ timer wheel ↔ budget ↔ listener queues). Panics on the
+    /// first disagreement.
     pub(crate) fn check_consistent(&self) {
-        // Every slot sits in the seat its id names, and slots and demux
-        // entries pair off one to one (listeners have neither).
+        // Every slot sits in the seat its id names, and slots and records
+        // pair off one to one with demux entries (listeners have none).
         self.slots.check();
-        assert_eq!(self.conns.len(), self.slots.len(), "demux vs slots");
+        let conns = self.slots.len() + self.time_waits.len();
+        assert_eq!(self.conns.len(), conns, "demux vs slots and records");
+        // A record holds its flow's demux entry, its dirty-queue entry as
+        // flagged and the wheel entry for its deadline, and no slot.
+        for (id, tw) in self.time_waits.iter() {
+            assert!(self.slots.get(id).is_none(), "{id:?} in both tables");
+            assert_eq!(self.conns.get(&tw.flow(self.local_ip)), Some(&id), "{id:?}");
+            let queued = self.dirty.iter().filter(|q| **q == id).count();
+            assert_eq!(queued, tw.queued() as usize, "{id:?} in dirty");
+            let key = time_wait::key(id);
+            assert_eq!(self.timers.deadline_of(key), tw.next_timeout(), "{id:?}");
+            assert_eq!(time_wait::id_of(key), Some(id));
+        }
         let mut pending: FxHashMap<u16, usize> = FxHashMap::default();
         for slot in self.slots.iter() {
             let id = &slot.sock.id;
@@ -131,11 +165,16 @@ impl TcpStack {
                 *pending.entry(port).or_default() += 1;
             }
         }
-        // The budget holds exactly the slots' accounted bytes, and the
-        // parked storages apart.
-        assert_eq!(self.budget.conns(), self.slots.len(), "budget conns");
+        // The budget holds exactly the slots' accounted bytes and the
+        // records', and the parked storages apart.
+        assert_eq!(self.budget.conns(), conns, "budget conns");
         let accounted: usize = self.slots.iter().map(|s| s.sock.accounted()).sum();
-        assert_eq!(self.budget.bytes_total(), accounted as u64, "budget bytes");
+        let records = self.time_waits.len() * time_wait::RECORD_BYTES;
+        assert_eq!(
+            self.budget.bytes_total(),
+            (accounted + records) as u64,
+            "budget bytes"
+        );
         let f = self.footprint();
         let parked = (f.spare_send + f.spare_recv) as u64;
         assert_eq!(self.budget.spare_bytes(), parked, "budget spare bytes");
@@ -149,9 +188,11 @@ impl TcpStack {
                 assert_eq!(slot, Some(Some(*port)), "{id:?} queued");
             }
         }
-        // The wheel holds no deadline for an id without a slot.
+        // The wheel holds no deadline for an id without a slot or record.
         let armed = |slot: &&Slot| self.timers.deadline_of(slot.sock.id.0).is_some();
-        assert_eq!(self.slots.iter().filter(armed).count(), self.timers.len());
+        let records = (self.time_waits.iter()).filter(|(_, tw)| tw.next_timeout().is_some());
+        let armed = self.slots.iter().filter(armed).count() + records.count();
+        assert_eq!(armed, self.timers.len(), "wheel entries");
     }
 }
 
@@ -461,7 +502,12 @@ fn budget_accounts_lifecycle() {
 /// past a 20 B request and a 20 B reply and now at rest, own no ring
 /// byte; the rings' storage waits on each stack's spare lists; and the
 /// slot table holds less than one page beyond its slots (item D(b)).
-/// `--nocapture` prints both stacks' bytes by part.
+/// Then the clients close first, and all 1 000 of their connections
+/// retire into TIME-WAIT records (item D(f)): each costs at most 128 B —
+/// its record, its demux entry and its wheel entry — against the full
+/// socket's slot and controller box beside the same two entries.
+/// `--nocapture` prints the stacks' bytes by part, and the client's again
+/// in TIME-WAIT.
 #[test]
 fn idle_connections_own_no_ring() {
     const CONNS: usize = 1_000;
@@ -494,19 +540,19 @@ fn idle_connections_own_no_ring() {
     run_timers(&mut c, 1_000_000_000);
     run_timers(&mut s, 1_000_000_000);
     pump(&mut c, &mut s, 1_000_000_000);
-    for (name, st) in [("client", &c), ("server", &s)] {
-        st.check_consistent();
-        let f = st.footprint();
-        println!(
-            "{name}, {CONNS} idle connections ({} spare storages):",
-            f.spare_count
-        );
+    let print = |title: &str, f: &Footprint| {
+        println!("{title} ({} spare storages):", f.spare_count);
         for (part, bytes) in f.parts() {
             println!(
                 "  {part:32} {bytes:9} B  {:7.1} B/conn",
                 bytes as f64 / CONNS as f64
             );
         }
+    };
+    for (name, st) in [("client", &c), ("server", &s)] {
+        st.check_consistent();
+        let f = st.footprint();
+        print(&format!("{name}, {CONNS} idle connections"), &f);
         assert_eq!(st.conn_count(), CONNS);
         assert_eq!((f.send_rings, f.recv_rings, f.idle_rings), (0, 0, 0));
         assert_eq!(
@@ -517,6 +563,35 @@ fn idle_connections_own_no_ring() {
         let slack = st.slots.slack_bytes();
         assert!(slack < Slots::PAGE_BYTES, "slot-table slack {slack} B");
     }
+
+    // Into TIME-WAIT: the clients close first; the delayed ACKs go out.
+    let idle = c.footprint();
+    for &id in &conns {
+        c.close(id, 2_000_000_000).unwrap();
+    }
+    pump(&mut c, &mut s, 2_000_000_000);
+    for &id in &srvs {
+        assert_eq!(s.recv(id, &mut buf), Ok(0), "EOF");
+        s.close(id, 2_000_000_000).unwrap();
+    }
+    pump(&mut c, &mut s, 2_000_000_000);
+    run_timers(&mut c, 3_000_000_000);
+    pump(&mut c, &mut s, 3_000_000_000);
+    c.check_consistent();
+    let f = c.footprint();
+    print(&format!("client, {CONNS} connections in TIME-WAIT"), &f);
+    assert_eq!(
+        (c.conn_count(), c.time_waits.len()),
+        (CONNS, CONNS),
+        "all retired"
+    );
+    assert_eq!(c.budget().bytes_total(), f.time_waits as u64);
+    let entries = f.demux + c.timers.len() * TimerWheel::ENTRY_BYTES;
+    let per_conn = |bytes: usize| bytes as f64 / CONNS as f64;
+    let socket = per_conn(idle.slots + idle.socket_heap + entries);
+    let record = per_conn(f.time_waits + entries);
+    println!("a TIME-WAIT connection: {socket:.1} B as a socket, {record:.1} B retired");
+    assert!(record <= 128.0, "a retired connection costs {record:.1} B");
 }
 
 /// Serials and seats run out into the `NoMemory` refusal, not a panic or

@@ -31,7 +31,6 @@ impl SocketId {
         self.0 as u32
     }
 
-    #[cfg(test)]
     pub(crate) fn serial(self) -> u32 {
         (self.0 >> 32) as u32
     }

@@ -223,6 +223,25 @@ impl TimerWheel {
         self.place(key, m);
     }
 
+    /// Move `old`'s armed timer to `new`, as armed: its deadline, arm
+    /// sequence, level, slot and place in the slot's list are kept, so what
+    /// the wheel fires, in what order, and `next_event` are as they were.
+    /// O(1). Nothing happens if `old` holds no timer.
+    pub(crate) fn rekey(&mut self, old: u64, new: u64) {
+        debug_assert!(new != NIL && !self.meta.contains_key(&new));
+        let Some(m) = self.meta.remove(&old) else {
+            return;
+        };
+        if let Some(n) = self.meta.get_mut(&m.next) {
+            n.prev = new;
+        }
+        match self.meta.get_mut(&m.prev) {
+            Some(p) => p.next = new,
+            None => self.levels[m.level()][m.slot()].head = new,
+        }
+        self.meta.insert(new, m);
+    }
+
     /// Disarm `key`'s timer. Returns the deadline it held, if any. O(1):
     /// the entry unlinks itself from its slot's list.
     pub fn cancel(&mut self, key: u64) -> Option<u64> {
@@ -348,6 +367,9 @@ impl TimerWheel {
 
 #[cfg(test)]
 impl TimerWheel {
+    /// One armed key's entry, key included.
+    pub(crate) const ENTRY_BYTES: usize = std::mem::size_of::<(u64, Meta)>();
+
     /// Heap bytes of the per-key entries, slack included.
     pub(crate) fn entry_bytes(&self) -> usize {
         self.meta.capacity() * std::mem::size_of::<(u64, Meta)>()
@@ -462,6 +484,34 @@ mod tests {
         assert_eq!(w.deadline_of(7), Some(50));
         assert_eq!(w.fire(100), vec![7]);
         assert_eq!(w.fire(2_000_000), Vec::<u64>::new());
+    }
+
+    /// A rekeyed timer stays as armed: beside a twin that keeps the old
+    /// keys, every `next_event` and every firing, in order, match under
+    /// the renaming, cascades and equal deadlines included.
+    #[test]
+    fn rekey_keeps_the_timer_as_armed() {
+        let (mut a, mut b) = (TimerWheel::new(0), TimerWheel::new(0));
+        let deadlines = [7, 7, 300, 5_000, 5_000, 70_000, 4_000_000, 9_000_000_000];
+        for (key, &d) in (1..).zip(&deadlines) {
+            a.schedule(key, d);
+            b.schedule(key, d);
+        }
+        a.catch_up(3);
+        b.catch_up(3);
+        let renamed = |k: u64| if k.is_multiple_of(2) { k + 100 } else { k };
+        for key in (2..=8).step_by(2) {
+            b.rekey(key, renamed(key));
+        }
+        b.rekey(99, 199); // holds no timer: nothing happens
+        b.check_links().unwrap();
+        assert_eq!((b.len(), b.deadline_of(102)), (a.len(), a.deadline_of(2)));
+        while let Some(t) = a.next_event() {
+            assert_eq!(b.next_event(), Some(t));
+            let fired: Vec<u64> = a.fire(t).into_iter().map(renamed).collect();
+            assert_eq!(b.fire(t), fired);
+        }
+        assert!(b.is_empty());
     }
 
     #[test]

@@ -3,13 +3,15 @@
 # house method (ROADMAP rule iii): alternating parent/change pairs of the
 # frozen benchmark, medians, and how many pairs the change won.
 #
-#   scripts/bench_pairs.sh <parent-rev> <workload> [seed...]
+#   scripts/bench_pairs.sh <parent-rev> <workload>[,<workload>...]|all [seed...]
 #
-# Seeds default to 1 2 3 4 5. Every run is `--seconds 14 --trace 0`. Odd
-# seeds run the parent first, even seeds the change first. BENCH_WORK names
-# the work directory (default: a fresh `mktemp -d`); it holds the exported
-# parent tree, both cargo target dirs and every run's result line as
-# <side>-<seed>.json.
+# `all` is every workload BENCHMARK.json declares. Both sides are built
+# once; the workloads then run one after another, each with its own pairs
+# and its own summary. Seeds default to 1 2 3 4 5. Every run is
+# `--seconds 14 --trace 0`. Odd seeds run the parent first, even seeds the
+# change first. BENCH_WORK names the work directory (default: a fresh
+# `mktemp -d`); it holds the exported parent tree, both cargo target dirs
+# and every run's result line as <side>-<workload>-<seed>.json.
 #
 # The parent tree comes from `git archive` (no network, no worktree); both
 # `neat-benchmark` binaries are built once, offline, each into its own
@@ -18,20 +20,26 @@
 #
 # Virtual time must not move in a host-time A/B (ROADMAP rule i): the
 # `model.*` values each run prints on its `detail` line are compared pair
-# by pair, and the script exits 1 naming the first key and seed that
-# differ. The lane workloads (`stack_*`) have no engine and report none.
+# by pair; a workload whose values differ names the first key and seed
+# that differ, the other workloads still run, and the script exits 1. The
+# lane workloads (`stack_*`) have no engine and report none.
 set -eu
 
 if [ $# -lt 2 ]; then
-    echo "usage: $0 <parent-rev> <workload> [seed...]" >&2
+    echo "usage: $0 <parent-rev> <workload>[,<workload>...]|all [seed...]" >&2
     exit 2
 fi
 rev=$1
-workload=$2
+workloads=$2
 shift 2
 seeds=${*:-1 2 3 4 5}
 
 repo=$(cd "$(dirname "$0")/.." && pwd)
+if [ "$workloads" = all ]; then
+    workloads=$(python3 -c 'import json, sys
+print(",".join(w["name"] for w in json.load(open(sys.argv[1]))["workloads"]))' \
+        "$repo/BENCHMARK.json")
+fi
 work=${BENCH_WORK:-$(mktemp -d)}
 rm -rf "$work/parent"
 mkdir -p "$work/parent" "$work/out"
@@ -47,11 +55,11 @@ for side in parent change; do
         --manifest-path "$src/benchmark/Cargo.toml" >&2
 done
 
-run() { # side seed
-    "$work/$1-target/release/neat-benchmark" --workload "$workload" --seed "$2" \
-        --seconds 14 --trace 0 --out "$work/out" >"$work/$1-$2.log"
-    tail -n 1 "$work/$1-$2.log" >"$work/$1-$2.json"
-    python3 - "$1" "$2" "$work/$1-$2.json" <<'EOF'
+run() { # side workload seed
+    "$work/$1-target/release/neat-benchmark" --workload "$2" --seed "$3" \
+        --seconds 14 --trace 0 --out "$work/out" >"$work/$1-$2-$3.log"
+    tail -n 1 "$work/$1-$2-$3.log" >"$work/$1-$2-$3.json"
+    python3 - "$1" "$3" "$work/$1-$2-$3.json" <<'EOF'
 import json, sys
 side, seed, path = sys.argv[1:]
 r = json.load(open(path))
@@ -61,20 +69,11 @@ print(f"seed {seed:>3} {side:<6} correct={r['correct']} attempted={r['attempted'
 EOF
 }
 
-for s in $seeds; do
-    if [ $((s % 2)) -eq 1 ]; then
-        run parent "$s"
-        run change "$s"
-    else
-        run change "$s"
-        run parent "$s"
-    fi
-done
-
-python3 - "$work" "$seeds" <<'EOF'
+summary() { # workload
+    python3 - "$work" "$1" "$seeds" <<'EOF'
 import json, statistics, sys
-work, seeds = sys.argv[1], sys.argv[2].split()
-load = lambda side, s: json.load(open(f"{work}/{side}-{s}.json"))
+work, workload, seeds = sys.argv[1], sys.argv[2], sys.argv[3].split()
+load = lambda side, s: json.load(open(f"{work}/{side}-{workload}-{s}.json"))
 runs = {side: [load(side, s) for s in seeds] for side in ("parent", "change")}
 
 def quartiles(xs):
@@ -83,7 +82,8 @@ def quartiles(xs):
     q = statistics.quantiles(xs, n=4, method="inclusive")
     return q[0], q[2]
 
-print(f"\n{len(seeds)} pairs; parent -> change medians, parent IQR, pairs where the change is lower")
+print(f"\n{workload}: {len(seeds)} pairs; parent -> change medians, parent IQR, "
+      "pairs where the change is lower")
 print(f"{'metric':<40} {'parent':>12} {'change':>12} {'delta':>8} {'IQR':>10}  lower")
 for name in runs["parent"][0]["metrics"]:
     p = [r["metrics"][name]["value"] for r in runs["parent"]]
@@ -97,7 +97,7 @@ bad = [(side, r) for side in runs for r in runs[side] if not r["correct"] or r["
 print("every run correct, 0 failed" if not bad else f"{len(bad)} runs incorrect or failing")
 
 def model(side, s):
-    for line in open(f"{work}/{side}-{s}.log"):
+    for line in open(f"{work}/{side}-{workload}-{s}.log"):
         if line.startswith("detail "):
             extra = json.loads(line[len("detail "):])["extra"]
             return {k: v["value"] for k, v in extra.items() if k.startswith("model.")}
@@ -112,3 +112,20 @@ for s in seeds:
             sys.exit(f"model.* differ: {k} at seed {s}: parent {p.get(k)} change {c.get(k)}")
 print("model.* equal in every pair" if keys else "no model.* values (a lane workload)")
 EOF
+}
+
+status=0
+for w in $(echo "$workloads" | tr , ' '); do
+    echo "== $w" >&2
+    for s in $seeds; do
+        if [ $((s % 2)) -eq 1 ]; then
+            run parent "$w" "$s"
+            run change "$w" "$s"
+        else
+            run change "$w" "$s"
+            run parent "$w" "$s"
+        fi
+    done
+    summary "$w" || status=1
+done
+exit $status
