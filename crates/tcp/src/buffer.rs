@@ -100,6 +100,13 @@ impl SendBuffer {
         n
     }
 
+    /// Our FIN, one past the last byte, was acknowledged: `snd.una` moves
+    /// past its sequence number. Every byte was acknowledged before it.
+    pub fn ack_fin(&mut self) {
+        debug_assert!(self.data.is_empty(), "a FIN acknowledged before its bytes");
+        self.base += 1;
+    }
+
     /// Up to `len` bytes starting at sequence `seq` (for transmit or
     /// retransmit), as the ring's two halves in stream order. Both are
     /// empty if `seq` is outside the buffer.

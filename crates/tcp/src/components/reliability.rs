@@ -135,10 +135,10 @@ impl TcpSocket {
         if self.rel.rtx_deadline.is_none_or(|d| now < d) {
             return;
         }
-        // Anything outstanding? (data, SYN, or FIN)
+        // Anything outstanding? (data or FIN, or the SYN, which `snd_una`
+        // starts past)
         let outstanding = self.bytes_in_flight() > 0
-            || matches!(self.cm.state, TcpState::SynSent | TcpState::SynReceived)
-            || (self.cm.fin_seq.is_some() && !self.fin_acked());
+            || matches!(self.cm.state, TcpState::SynSent | TcpState::SynReceived);
         if !outstanding {
             self.stop_rtx();
             return;
@@ -186,9 +186,13 @@ impl TcpSocket {
             .map(|f| f + 1)
             .unwrap_or(self.rel.send_buf.end());
         if h.ack - una_before > 0 && h.ack - snd_end <= 0 {
-            // New data acknowledged (the FIN's sequence slot is covered by
-            // `snd_end`; `ack_to` clamps to buffered bytes).
+            // New data acknowledged (`ack_to` clamps to buffered bytes), and
+            // perhaps our FIN, whose sequence number `snd_una` then passes.
             let acked = self.rel.send_buf.ack_to(h.ack);
+            let fin_acked = self.fin_acked_at(h.ack);
+            if fin_acked {
+                self.rel.send_buf.ack_fin();
+            }
             if self.rel.snd_nxt - h.ack < 0 {
                 self.rel.snd_nxt = h.ack;
             }
@@ -205,14 +209,12 @@ impl TcpSocket {
                 self.events.push(SockEvent::Writable(self.id));
             }
             // Restart or stop the retransmission timer.
-            let outstanding = self.bytes_in_flight() > 0
-                || (self.cm.fin_seq.is_some() && !self.fin_acked_at(h.ack));
-            if outstanding {
+            if self.bytes_in_flight() > 0 {
                 self.arm_rtx(now);
             } else {
                 self.stop_rtx();
             }
-            if self.fin_acked_at(h.ack) && !self.our_fin_acked(now) {
+            if fin_acked && !self.our_fin_acked(now) {
                 return false;
             }
         } else if h.ack == una_before {

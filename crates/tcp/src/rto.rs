@@ -20,15 +20,6 @@ pub struct RttEstimator {
     max_rto_ns: u64,
 }
 
-/// The RTO's ceiling, backoff included.
-const MAX_RTO_NS: u64 = 60_000_000_000;
-
-/// `rto_ns` after one more backoff: doubled, up to the ceiling. A retired
-/// TIME-WAIT connection backs off its kept RTO with it (`time_wait.rs`).
-pub(crate) fn backed_off(rto_ns: u64) -> u64 {
-    rto_ns.saturating_mul(2).min(MAX_RTO_NS)
-}
-
 const ALPHA: f64 = 1.0 / 8.0;
 const BETA: f64 = 1.0 / 4.0;
 /// Clock granularity G of RFC 6298 (we use 1 ms).
@@ -42,8 +33,8 @@ impl RttEstimator {
             rto_ns: initial_rto_ns,
             base_rto_ns: initial_rto_ns,
             backoffs: 0,
-            min_rto_ns: 1_000_000, // 1 ms floor (LAN-scale; RFC says 1 s)
-            max_rto_ns: MAX_RTO_NS,
+            min_rto_ns: 1_000_000,      // 1 ms floor (LAN-scale; RFC says 1 s)
+            max_rto_ns: 60_000_000_000, // 60 s ceiling
         }
     }
 
@@ -76,7 +67,7 @@ impl RttEstimator {
     /// Exponential backoff after a retransmission timeout fires.
     pub fn backoff(&mut self) {
         self.backoffs += 1;
-        self.rto_ns = backed_off(self.rto_ns);
+        self.rto_ns = (self.rto_ns.saturating_mul(2)).min(self.max_rto_ns);
     }
 
     pub fn srtt(&self) -> Option<u64> {

@@ -528,6 +528,12 @@ const LAT: u64 = 100_000;
 /// `SockEvent`. Segments are numbered in send order across both sides;
 /// those named in `lose` vanish, those in `late` take three latencies, so
 /// the segments sent after them overtake them.
+///
+/// It checks ROADMAP E(a)'s invariant I2 on every segment it carries: no
+/// data or FIN segment lies wholly at or below the highest ACK its sender
+/// has accepted, that is, nothing acknowledged is sent again. A keepalive
+/// probe, the one segment allowed below that ACK, is a bare ACK here and
+/// so outside the check.
 pub(crate) struct Net {
     pub(crate) socks: [Option<TcpSocket>; 2],
     /// While side 1 has no socket, the first SYN to reach it is accepted
@@ -538,8 +544,27 @@ pub(crate) struct Net {
     sent: u32,
     lose: &'static [u32],
     late: &'static [u32],
+    /// The highest ACK each side has accepted: I2's bound, kept apart
+    /// from `snd_una`, which could lag it.
+    acked: [Option<SeqNum>; 2],
     pub(crate) now: u64,
     h: u64,
+}
+
+/// Whether `s` accepts the ACK field of `h` (with `len` payload bytes) as
+/// acknowledging something new past `acked`: on a segment it finds
+/// acceptable, `acked < SEG.ACK ≤ SND.NXT` (RFC 9293 §3.10.7.4).
+fn accepts_ack(s: &TcpSocket, h: &TcpHeader, len: usize, acked: Option<SeqNum>) -> bool {
+    let acceptable = match s.state() {
+        TcpState::Closed => false,
+        TcpState::SynSent => h.flags.syn && h.ack == s.cm.iss + 1,
+        _ => s.seq_acceptable(h, h.seq_len(len)),
+    };
+    acceptable
+        && h.flags.ack
+        && !h.flags.rst
+        && h.ack - s.rel.snd_nxt <= 0
+        && acked.is_none_or(|a| h.ack - a > 0)
 }
 
 impl Net {
@@ -552,6 +577,7 @@ impl Net {
             sent: 0,
             lose: &[],
             late: &[],
+            acked: [None; 2],
             now: 0,
             h,
         };
@@ -592,6 +618,13 @@ impl Net {
                     h.mss.map_or(0, |m| m as u64 + 1),
                     h.window_scale.map_or(0, |w| w as u64 + 1),
                 ]);
+                let end = h.seq + (p.len() + usize::from(f.fin)) as u32;
+                if let Some(acked) = self.acked[side].filter(|_| end != h.seq) {
+                    assert!(
+                        end - acked > 0,
+                        "I2: side {side} resent {h:?} below {acked:?}"
+                    );
+                }
                 let n = self.sent;
                 self.sent += 1;
                 if !self.lose.contains(&n) {
@@ -636,7 +669,12 @@ impl Net {
             if let Some(i) = self.flight.iter().position(|f| f.0 == next) {
                 let (_, to, h, p) = self.flight.remove(i);
                 match self.socks[to].as_mut() {
-                    Some(s) => s.on_segment(&h, &p, next),
+                    Some(s) => {
+                        if accepts_ack(s, &h, p.len(), self.acked[to]) {
+                            self.acked[to] = Some(h.ack);
+                        }
+                        s.on_segment(&h, &p, next);
+                    }
                     None if h.flags.syn && !h.flags.ack => {
                         self.socks[1] = Some(TcpSocket::accept_from_syn(
                             SocketId(2),
@@ -785,5 +823,5 @@ fn tcp_history_digest_is_pinned() {
     n.advance_to(10 * MS);
     assert_eq!(n.sock(1).state(), TcpState::Closed);
 
-    assert_eq!(n.h, 0x9f76_cd2f_12a9_aa04, "TCP history changed");
+    assert_eq!(n.h, 0xf2f7_6b0a_4426_b78f, "TCP history changed");
 }

@@ -19,7 +19,7 @@
 //! * listener lookup by id is a hash probe, not a scan;
 //! * closed sockets are reaped inline at their quiescence point instead
 //!   of by an O(all sockets) sweep on every timer tick;
-//! * a socket at rest in TIME-WAIT retires at that same point into a 56 B
+//! * a socket at rest in TIME-WAIT retires at that same point into a 40 B
 //!   record ([`TimeWait`], `time_wait.rs`): its slot and controller box go
 //!   at once, its demux entry stays, and its wheel entry moves to the
 //!   record's key as armed, until the deadline reaps the record;
@@ -485,7 +485,7 @@ impl TcpStack {
 
     fn deliver(&mut self, id: SocketId, h: &TcpHeader, payload: &[u8], now: u64) {
         let Some(slot) = self.slots.get_mut(id) else {
-            return self.deliver_time_wait(id, h, payload, now);
+            return self.deliver_time_wait(id, h, payload);
         };
         let before = slot.sock.state();
         slot.lend_events(&mut self.sock_events);

@@ -6,6 +6,7 @@ use super::*;
 
 const CLIENT_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
 const SERVER_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
+const MS: u64 = 1_000_000;
 
 /// A stack's bytes by part (ROADMAP item D(a)): what its connections
 /// hold, and what it keeps beside them.
@@ -503,7 +504,7 @@ fn budget_accounts_lifecycle() {
 /// byte; the rings' storage waits on each stack's spare lists; and the
 /// slot table holds less than one page beyond its slots (item D(b)).
 /// Then the clients close first, and all 1 000 of their connections
-/// retire into TIME-WAIT records (item D(f)): each costs at most 128 B —
+/// retire into TIME-WAIT records (item D(f)): each costs at most 112 B —
 /// its record, its demux entry and its wheel entry — against the full
 /// socket's slot and controller box beside the same two entries.
 /// `--nocapture` prints the stacks' bytes by part, and the client's again
@@ -591,7 +592,7 @@ fn idle_connections_own_no_ring() {
     let socket = per_conn(idle.slots + idle.socket_heap + entries);
     let record = per_conn(f.time_waits + entries);
     println!("a TIME-WAIT connection: {socket:.1} B as a socket, {record:.1} B retired");
-    assert!(record <= 128.0, "a retired connection costs {record:.1} B");
+    assert!(record <= 112.0, "a retired connection costs {record:.1} B");
 }
 
 /// Serials and seats run out into the `NoMemory` refusal, not a panic or
@@ -691,4 +692,45 @@ fn fin_after_lost_handshake_ack_is_still_accepted() {
         "the app reads EOF straight away"
     );
     s.check_consistent();
+}
+
+/// ROADMAP E(2): once our FIN is acknowledged nothing is outstanding, so
+/// FIN-WAIT-2 waits for the peer's FIN in silence, however late it comes:
+/// it sends nothing, arms no deadline and counts no RTO. The FIN comes
+/// ten initial RTOs later; the connection retires into a TIME-WAIT record
+/// at the first drain and reports one `Closed`, never `Aborted`.
+#[test]
+fn fin_wait_2_waits_in_silence() {
+    let (mut c, mut s) = pair();
+    let l = s.listen(80).unwrap();
+    let conn = c.connect(SERVER_IP, 80, 0).unwrap();
+    pump(&mut c, &mut s, 0);
+    let srv = s.accept(l).unwrap();
+    let rtos = neat_obs::counter("tcp.rto_retransmits");
+    let before = rtos.get();
+    c.close(conn, MS).unwrap();
+    pump(&mut c, &mut s, MS);
+    assert_eq!(c.state(conn), Some(TcpState::FinWait2));
+    let late = MS + 10 * c.cfg.initial_rto_ns;
+    let mut moved = 0;
+    while let Some(t) = c.next_timeout().filter(|&t| t <= late) {
+        c.on_timer(t);
+        moved += pump(&mut c, &mut s, t);
+    }
+    assert_eq!(moved, 0, "FIN-WAIT-2 sent a segment");
+    assert_eq!(c.next_timeout(), None, "FIN-WAIT-2 armed a deadline");
+    assert_eq!(rtos.get(), before, "tcp.rto_retransmits");
+    s.close(srv, late).unwrap();
+    pump(&mut c, &mut s, late);
+    assert_eq!(c.state(conn), Some(TcpState::TimeWait));
+    assert_eq!(c.time_wait_ids(), [conn], "retired at the first drain");
+    c.check_consistent();
+    run_timers(&mut c, late + 60_000 * MS);
+    pump(&mut c, &mut s, late + 60_000 * MS);
+    assert_eq!((c.state(conn), c.conn_count()), (None, 0), "reaped");
+    let events: Vec<_> = std::iter::from_fn(|| c.poll_event()).collect();
+    let closed = |e: &&SockEvent| matches!(e, SockEvent::Closed(id) if *id == conn);
+    assert_eq!(events.iter().filter(closed).count(), 1, "{events:?}");
+    assert!(!events.iter().any(|e| matches!(e, SockEvent::Aborted(_))));
+    assert_eq!(rtos.get(), before, "tcp.rto_retransmits");
 }

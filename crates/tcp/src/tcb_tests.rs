@@ -38,7 +38,9 @@ fn scripted() -> [TcpSocket; 3] {
 
 /// [`scripted`]'s images as `snapshot().encode()` wrote them in V2, with
 /// the version byte 3 and the 24 B of per-socket counters before the
-/// algorithm byte removed.
+/// algorithm byte removed. `FIN_WAIT` was captured again once an ACK of
+/// the FIN came to move `snd_una` past it: its send base is one later and
+/// it holds no RTO deadline.
 const BUSY: &str = concat!(
     "03040a00000250000a000001409c88130000e8030000a1130000e90300008913",
     "000089130000050400000000010000000000b40507070118000000485454502f",
@@ -51,10 +53,10 @@ const BUSY: &str = concat!(
 );
 const FIN_WAIT: &str = concat!(
     "03060a000001409c0a0000025000e803000088130000ea03000089130000ea03",
-    "0000e9030000891300000000010000000000b405070701000000000000010000",
-    "000000000000000000010000000000000101e90300000000000001808d5b0000",
-    "000000000000000000000000010000000000000000000000000000000040420f",
-    "000000000040420f00000000000000000000000000000000000000",
+    "0000ea030000891300000000010000000000b405070701000000000000010000",
+    "000000000000000000010000000000000101e903000000000000000000000000",
+    "00000000010000000000000000000000000000000040420f000000000040420f",
+    "00000000000000000000000000000000000000",
 );
 const CLOSE_WAIT: &str = concat!(
     "03090a00000250000a000001409c88130000e803000089130000e90300008913",

@@ -1,6 +1,6 @@
 //! TIME-WAIT without a socket. Once a connection in TIME-WAIT is at rest,
 //! the stack drops its socket — the slot and the controller box, 584 B —
-//! and keeps a 56 B [`TimeWait`] record in the record table, under a
+//! and keeps a 40 B [`TimeWait`] record in the record table, under a
 //! [`key`] made from the connection's id. Linux has done the same with `tcp_timewait_sock` since
 //! 2.6, for the same reason: on a one-request-per-connection load almost
 //! every connection a stack holds has already closed (PAPER.md Fig. 12,
@@ -11,32 +11,23 @@
 //! in TIME-WAIT with its final ACK sent, its events surfaced, both rings
 //! parked, in no listener's queue, and the TIME-WAIT deadline its only
 //! armed deadline. A socket that keeps another deadline — keepalive's
-//! (ROADMAP E(3)), the delayed-ACK deadline the TIME-WAIT ACK leaves
-//! armed (E(4)), or E(2)'s RTO below — stays a full socket until that
-//! deadline clears.
+//! (ROADMAP E(3)), or the delayed-ACK deadline the TIME-WAIT ACK leaves
+//! armed (E(4)) — stays a full socket until that deadline clears.
 //!
 //! **What it keeps.** What TIME-WAIT still reads: the flow, `snd_nxt`,
 //! `rcv_nxt`, `irs`, the receive window as acceptability reads it and as
-//! the ACK's window field carries it, the deadline, the RTO and retry
-//! count E(2) reads, and six flags.
+//! the ACK's window field carries it, the deadline, and four flags.
 //!
 //! **How it answers.** As the socket it replaces: `on_segment` through
 //! the synchronized steps, `poll_segment` as TIME-WAIT's ACK or a closed
-//! socket's RST, `on_timer` as its deadlines. An unacceptable segment or a
+//! socket's RST, `on_timer` as its deadline. An unacceptable segment or a
 //! retransmitted FIN gets the same ACK; a RST closes it with `Closed`; a
 //! SYN in window at any sequence number but `irs` closes it with `Aborted`
 //! and never reaches the listener; data is ignored; nothing gets a RST,
 //! except the one an owed ACK turns into when a RST or SYN closes the
-//! connection before the ACK went out (`transmit_rst`). E(2) is kept:
-//! `snd_una` never covers the FIN, so an in-window ACK of one past the FIN
-//! finds one byte outstanding and arms the RTO, which then backs off and
-//! counts `tcp.rto_retransmits` until the TIME-WAIT deadline, or aborts the
-//! connection (`Aborted`) past `max_retries`. The workloads do this: a
-//! FIN that FIN-WAIT-2's RTO resent draws the peer's ACK, which lands here.
-//! Only E(2)'s duplicate-ACK count is not kept — an in-window ACK of the
-//! FIN's own sequence number, with the window unchanged, counts one, and
-//! the third counts a `tcp.fast_retransmits` that resends nothing — which
-//! needs the peer's window history, 13 B more.
+//! connection before the ACK went out (`transmit_rst`). An ACK moves
+//! nothing: our FIN is acknowledged, so `snd_una` is `snd_nxt`, and no
+//! ACK is new or a duplicate. The TIME-WAIT deadline is its only deadline.
 //!
 //! **The wheel entry stays as armed.** Retiring moves the socket's wheel
 //! entry to the record's [`key`] with `TimerWheel::rekey`, which keeps its
@@ -58,7 +49,6 @@
 
 use super::TcpStack;
 use crate::components::flow_control::in_window;
-use crate::rto::backed_off;
 use crate::socket::TcpSocket;
 use crate::types::{SockEvent, SocketId, TcpState};
 use crate::wheel::TimerWheel;
@@ -73,12 +63,8 @@ const QUEUED: u8 = 1;
 const OWED: u8 = 2;
 /// A RST or a SYN in window closed it (the socket's `Reset` error).
 const RESET: u8 = 4;
-/// E(2)'s RTO ran out of retries (the socket's `TimedOut` error).
-const TIMED_OUT: u8 = 8;
 /// The TIME-WAIT deadline fired.
-const EXPIRED: u8 = 16;
-/// E(2)'s RTO is armed, at `rtx`.
-const RTX: u8 = 32;
+const EXPIRED: u8 = 8;
 
 /// A retired TIME-WAIT connection: everything the socket it replaces would
 /// still read.
@@ -86,10 +72,6 @@ const RTX: u8 = 32;
 pub(super) struct TimeWait {
     /// The TIME-WAIT deadline.
     deadline: u64,
-    /// The RTO deadline, while [`RTX`] is set.
-    rtx: u64,
-    /// The RTO, backed off as the socket's would be.
-    rto: u64,
     pub(super) remote_ip: Ipv4Addr,
     local_port: u16,
     remote_port: u16,
@@ -98,8 +80,6 @@ pub(super) struct TimeWait {
     irs: SeqNum,
     /// The receive window in bytes, as acceptability reads it.
     wnd: u32,
-    /// RTOs since the RTO was last armed by an ACK.
-    retries: u32,
     /// The window field its ACK carries.
     window: u16,
     flags: u8,
@@ -190,8 +170,6 @@ impl TimeWait {
         }
         Some(TimeWait {
             deadline: s.cm.time_wait_deadline?,
-            rtx: 0,
-            rto: s.rel.rtt.rto(),
             remote_ip: s.remote_ip,
             local_port: s.local_port,
             remote_port: s.remote_port,
@@ -199,7 +177,6 @@ impl TimeWait {
             rcv_nxt: s.fc.rcv_nxt,
             irs: s.cm.irs,
             wnd: s.recv_window_bytes() as u32,
-            retries: s.rel.retries,
             window: s.window_field(),
             flags: if s.fc.ack_now { OWED } else { 0 },
         })
@@ -233,16 +210,14 @@ impl TimeWait {
     }
 
     pub(super) fn state(&self) -> TcpState {
-        match self.has(RESET | TIMED_OUT | EXPIRED) {
+        match self.has(RESET | EXPIRED) {
             true => TcpState::Closed,
             false => TcpState::TimeWait,
         }
     }
 
     pub(super) fn next_timeout(&self) -> Option<u64> {
-        let time_wait = (!self.has(EXPIRED)).then_some(self.deadline);
-        let rtx = self.has(RTX).then_some(self.rtx);
-        time_wait.into_iter().chain(rtx).min()
+        (!self.has(EXPIRED)).then_some(self.deadline)
     }
 
     /// The flow's demux key, given the stack's address.
@@ -250,20 +225,12 @@ impl TimeWait {
         FlowKey::tcp(self.remote_ip, self.remote_port, local_ip, self.local_port)
     }
 
-    /// Into CLOSED on an error (`flag`): the RTO stops.
-    fn close(&mut self, flag: u8) {
-        self.set(flag, true);
-        self.set(RTX, false);
-    }
-
-    /// One segment for the flow, with `payload_len` bytes, at `now`: RFC
-    /// 793's segment-arrival steps in TIME-WAIT. Returns the event it
-    /// raises.
+    /// One segment for the flow, with `payload_len` bytes: RFC 793's
+    /// segment-arrival steps in TIME-WAIT. Returns the event it raises.
     pub(super) fn on_segment(
         &mut self,
         h: &TcpHeader,
         payload_len: usize,
-        now: u64,
     ) -> Option<fn(SocketId) -> SockEvent> {
         if self.state() == TcpState::Closed {
             return None;
@@ -275,7 +242,7 @@ impl TimeWait {
         }
         // Step 2: a RST closes it; step 4: so does a SYN in window.
         if h.flags.rst || (h.flags.syn && h.seq != self.irs) {
-            self.close(RESET);
+            self.set(RESET, true);
             return Some(match h.flags.rst {
                 true => SockEvent::Closed,
                 false => SockEvent::Aborted,
@@ -284,14 +251,8 @@ impl TimeWait {
         if !h.flags.ack {
             return None;
         }
-        // Step 5: the FIN is never acknowledged in `snd_una` (E(2)), so an
-        // ACK of one past it is new and arms the RTO for it.
-        if h.ack == self.snd_nxt {
-            self.retries = 0;
-            self.rtx = now + self.rto;
-            self.set(RTX, true);
-        }
-        // Steps 6–7 move nothing it reads, and TIME-WAIT takes no data.
+        // Steps 5–7 move nothing it reads: every byte and our FIN are
+        // acknowledged, and TIME-WAIT takes no data.
         // Step 8: the peer's FIN is in, so a FIN past `rcv_nxt` is re-ACKed.
         let fin_seq = h.seq + payload_len as u32;
         if h.flags.fin && fin_seq - self.rcv_nxt > 0 {
@@ -300,34 +261,11 @@ impl TimeWait {
         None
     }
 
-    /// Its deadlines at `now`: the TIME-WAIT deadline closes it silently,
-    /// else a due RTO backs off and re-arms, or past `max_retries` aborts
-    /// it. Returns the event it raises.
-    pub(super) fn on_timer(
-        &mut self,
-        now: u64,
-        max_retries: u32,
-    ) -> Option<fn(SocketId) -> SockEvent> {
-        if !self.has(EXPIRED) && now >= self.deadline {
+    /// Its deadline at `now`: the TIME-WAIT deadline closes it silently.
+    pub(super) fn on_timer(&mut self, now: u64) {
+        if now >= self.deadline {
             self.set(EXPIRED, true);
-            return None;
         }
-        if !self.has(RTX) || now < self.rtx {
-            return None;
-        }
-        self.retries += 1;
-        if self.retries > max_retries {
-            // A closed connection is past aborting; its RTO stays armed.
-            if self.state() == TcpState::Closed {
-                return None;
-            }
-            self.close(TIMED_OUT);
-            return Some(SockEvent::Aborted);
-        }
-        neat_obs::counter_add("tcp.rto_retransmits", 1);
-        self.rto = backed_off(self.rto);
-        self.rtx = now + self.rto;
-        None
     }
 
     /// The one segment it may owe: TIME-WAIT's ACK, or, once a RST or SYN
@@ -413,17 +351,11 @@ impl TcpStack {
     }
 
     /// A segment for a retired connection's flow: `deliver` for a record.
-    pub(super) fn deliver_time_wait(
-        &mut self,
-        id: SocketId,
-        h: &TcpHeader,
-        payload: &[u8],
-        now: u64,
-    ) {
+    pub(super) fn deliver_time_wait(&mut self, id: SocketId, h: &TcpHeader, payload: &[u8]) {
         let Some(tw) = self.time_waits.get_mut(id) else {
             return;
         };
-        if let Some(event) = tw.on_segment(h, payload.len(), now) {
+        if let Some(event) = tw.on_segment(h, payload.len()) {
             self.events.push_back(event(id));
         }
         tw.touched(id, &mut self.dirty, &mut self.timers);
@@ -432,9 +364,7 @@ impl TcpStack {
     /// A fired wheel key that names a record.
     pub(super) fn time_wait_timer(&mut self, id: SocketId, now: u64) {
         if let Some(tw) = self.time_waits.get_mut(id) {
-            if let Some(event) = tw.on_timer(now, self.cfg.max_retries) {
-                self.events.push_back(event(id));
-            }
+            tw.on_timer(now);
             tw.touched(id, &mut self.dirty, &mut self.timers);
         }
     }

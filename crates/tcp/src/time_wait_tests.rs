@@ -13,8 +13,6 @@ use std::cell::Cell;
 const MS: u64 = 1_000_000;
 const CLIENT: (Ipv4Addr, u16) = (Ipv4Addr::new(10, 0, 0, 1), 40_000);
 const SERVER: (Ipv4Addr, u16) = (Ipv4Addr::new(10, 0, 0, 2), 80);
-/// Few enough that E(2)'s RTO runs out of retries inside a case.
-const MAX_RETRIES: u32 = 3;
 
 /// How the twins' connection reached TIME-WAIT: the client's ISS, the
 /// request and reply sizes, the receive-buffer size the client sets once
@@ -31,11 +29,7 @@ type Op = (u8, u16, u16);
 /// channel) has taken through its close handshake into TIME-WAIT and then
 /// left at rest, and the time.
 fn time_wait_socket((iss, req, reply, buf, both): Setup) -> (TcpSocket, u64) {
-    let few = TcpConfig {
-        max_retries: MAX_RETRIES,
-        ..cfg()
-    };
-    let client = TcpSocket::connect(SocketId(1), &few, CLIENT, SERVER, SeqNum(iss), 0);
+    let client = TcpSocket::connect(SocketId(1), &cfg(), CLIENT, SERVER, SeqNum(iss), 0);
     let mut n = Net::new(0, client, None, cfg());
     n.advance_to(MS);
     if req > 0 {
@@ -110,8 +104,8 @@ fn segment(sock: &TcpSocket, (kind, a, b): Op) -> (TcpHeader, Vec<u8>) {
         _ => Vec::new(),
     };
     let mut h = TcpHeader::new(SERVER.1, CLIENT.1, seq, ack, flags);
-    // The window field steers the socket's duplicate-ACK test: mostly the
-    // one it already has.
+    // The window field: mostly the one the socket already has, as a
+    // duplicate ACK must carry.
     if a % 3 != 0 {
         h.window = (sock.fc.snd_wnd >> sock.fc.snd_wscale) as u16;
     }
@@ -158,14 +152,11 @@ fn agree(
 /// go through the same random segments — ACK, FIN, RST, SYN and data, in
 /// and out of the window — and timer ticks, and after each they emit the
 /// same headers, raise the same events, keep the same next deadline and
-/// count the same RTOs. A case ends where they part by design: the third
-/// duplicate ACK of the FIN, on which only the socket counts a fast
-/// retransmit (E(2); see `time_wait.rs`).
+/// count the same RTOs and fast retransmits.
 #[test]
 fn a_record_answers_as_its_socket_would() {
-    // Cases that ended closed, parted at a fast retransmit, and saw E(2)'s
-    // RTO fire; ACKs compared, and RSTs an owed ACK became.
-    let seen = Cell::new([0; 5]);
+    // Cases that ended closed; ACKs compared, and RSTs an owed ACK became.
+    let seen = Cell::new([0; 3]);
     let count = |i: usize, n: usize| {
         let mut s = seen.get();
         s[i] += n;
@@ -185,7 +176,6 @@ fn a_record_answers_as_its_socket_would() {
         |(setup, ops): (Setup, Vec<Op>)| {
             let (mut sock, mut now) = time_wait_socket(setup);
             let mut tw = TimeWait::of(&sock).ok_or("the socket is not at rest")?;
-            let mut rtos = 0;
             for op in ops {
                 if op.0 % 32 >= 20 {
                     let next = sock.next_timeout().unwrap_or(now);
@@ -198,104 +188,42 @@ fn a_record_answers_as_its_socket_would() {
                         continue;
                     }
                     let ((), sock_counts) = counting(|| sock.on_timer(now));
-                    let (event, tw_counts) = counting(|| tw.on_timer(now, MAX_RETRIES));
+                    let ((), tw_counts) = counting(|| tw.on_timer(now));
                     prop_assert_eq!(sock_counts, tw_counts, "counters on a tick");
-                    agree(&mut sock, &tw, event)?;
-                    rtos += sock_counts[0];
+                    agree(&mut sock, &tw, None)?;
                 } else {
                     let (h, payload) = segment(&sock, op);
                     let ((), sock_counts) = counting(|| sock.on_segment(&h, &payload, now));
-                    let (event, tw_counts) = counting(|| tw.on_segment(&h, payload.len(), now));
-                    if sock_counts[1] > 0 {
-                        count(1, 1);
-                        return Ok(());
-                    }
+                    let (event, tw_counts) = counting(|| tw.on_segment(&h, payload.len()));
                     prop_assert_eq!(sock_counts, tw_counts, "counters on {h:?}");
                     agree(&mut sock, &tw, event)?;
                 }
                 if op.0 & 0x80 == 0 {
                     let (a, b) = drain(&mut sock, &mut tw, now);
                     prop_assert_eq!(&a, &b, "headers");
-                    count(3, a.iter().filter(|h| !h.flags.rst).count());
-                    count(4, a.iter().filter(|h| h.flags.rst).count());
+                    count(1, a.iter().filter(|h| !h.flags.rst).count());
+                    count(2, a.iter().filter(|h| h.flags.rst).count());
                 }
             }
             let (a, b) = drain(&mut sock, &mut tw, now);
             prop_assert_eq!(&a, &b, "headers at the end");
             count(0, (tw.state() == TcpState::Closed) as usize);
-            count(2, (rtos > 0) as usize);
             Ok(())
         },
     );
-    let [closed, parted, rtos, acks, rsts] = seen.get();
-    println!(
-        "cases ended closed {closed}, parted at a fast retransmit {parted}, \
-         with E(2)'s RTO {rtos}; ACKs sent {acks}, RSTs {rsts}"
-    );
+    let [closed, acks, rsts] = seen.get();
+    println!("cases ended closed {closed}; ACKs sent {acks}, RSTs {rsts}");
     assert!(
-        [closed, rtos, acks, rsts].iter().all(|&n| n > 0),
+        [closed, acks, rsts].iter().all(|&n| n > 0),
         "an answer the property must see never came"
     );
 }
 
-/// The E(2) path the workloads take: FIN-WAIT-2's RTO resent the FIN, the
-/// peer's ACK of it lands in TIME-WAIT and re-arms the RTO, which backs
-/// off, then aborts the connection past `max_retries`; the socket and its
-/// record alike.
-#[test]
-fn an_ack_past_the_fin_arms_e2s_rto_in_both() {
-    let (mut sock, mut now) = time_wait_socket((7, 20, 20, 0, false));
-    let mut tw = TimeWait::of(&sock).unwrap();
-    let ack = TcpHeader::new(
-        SERVER.1,
-        CLIENT.1,
-        sock.fc.rcv_nxt,
-        sock.rel.snd_nxt,
-        TcpFlags::ack(),
-    );
-    sock.on_segment(&ack, &[], now);
-    assert!(tw.on_segment(&ack, 0, now).is_none());
-    assert!(sock.rel.rtx_deadline.is_some_and(|d| d < tw.deadline));
-    assert_eq!(tw.next_timeout(), sock.next_timeout());
-    let mut events = Vec::new();
-    while let Some(t) = sock.next_timeout().filter(|t| *t < tw.deadline) {
-        now = t;
-        sock.on_timer(now);
-        events.extend(tw.on_timer(now, MAX_RETRIES).map(|e| e(sock.id)));
-        assert_eq!(tw.next_timeout(), sock.next_timeout());
-    }
-    assert_eq!(events, [SockEvent::Aborted(sock.id)]);
-    assert_eq!(std::mem::take(&mut sock.events), events);
-    assert_eq!(
-        (sock.state(), tw.state()),
-        (TcpState::Closed, TcpState::Closed)
-    );
-}
-
-/// Where the twins part: three in-window ACKs of the FIN's own sequence
-/// number with the window unchanged are duplicates to the socket, whose
-/// third counts a fast retransmit that resends nothing (E(2)); the record
-/// keeps no count.
-#[test]
-fn only_the_socket_counts_duplicate_acks_of_its_fin() {
-    let (mut sock, now) = time_wait_socket((7, 20, 20, 0, false));
-    let mut tw = TimeWait::of(&sock).unwrap();
-    let fin = SeqNum(sock.rel.snd_nxt.0 - 1);
-    let mut dup = TcpHeader::new(SERVER.1, CLIENT.1, sock.fc.rcv_nxt, fin, TcpFlags::ack());
-    dup.window = (sock.fc.snd_wnd >> sock.fc.snd_wscale) as u16;
-    let ((), [_, fast]) = counting(|| (0..3).for_each(|_| sock.on_segment(&dup, &[], now)));
-    let ((), [_, none]) =
-        counting(|| (0..3).for_each(|_| assert!(tw.on_segment(&dup, 0, now).is_none())));
-    assert_eq!((fast, none), (1, 0));
-    assert_eq!(sock.next_timeout(), tw.next_timeout());
-    assert_eq!(drain(&mut sock, &mut tw, now), (vec![], vec![]));
-}
-
 /// The record's size is what retiring saves; it moves down only.
 #[test]
-fn a_record_is_56_bytes() {
-    assert_eq!(std::mem::size_of::<TimeWait>(), 56);
-    assert_eq!(RECORD_BYTES, 64);
+fn a_record_is_40_bytes() {
+    assert_eq!(std::mem::size_of::<TimeWait>(), 40);
+    assert_eq!(RECORD_BYTES, 48);
 }
 
 /// A socket with a deadline besides TIME-WAIT's stays a full socket: here

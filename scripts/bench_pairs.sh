@@ -20,9 +20,10 @@
 #
 # Virtual time must not move in a host-time A/B (ROADMAP rule i): the
 # `model.*` values each run prints on its `detail` line are compared pair
-# by pair; a workload whose values differ names the first key and seed
-# that differ, the other workloads still run, and the script exits 1. The
-# lane workloads (`stack_*`) have no engine and report none.
+# by pair; a workload whose values differ prints, for the first seed where
+# they differ, every differing key as `old -> new` (a key on one side only
+# as `(absent)`), the other workloads still run, and the script exits 1.
+# The lane workloads (`stack_*`) have no engine and report none.
 set -eu
 
 if [ $# -lt 2 ]; then
@@ -107,9 +108,12 @@ keys = 0
 for s in seeds:
     p, c = model("parent", s), model("change", s)
     keys += len(p)
-    for k in sorted(p.keys() | c.keys()):
-        if p.get(k) != c.get(k):
-            sys.exit(f"model.* differ: {k} at seed {s}: parent {p.get(k)} change {c.get(k)}")
+    moved = [k for k in sorted(p.keys() | c.keys()) if p.get(k) != c.get(k)]
+    if moved:
+        print(f"model.* differ at seed {s}, parent -> change:")
+        for k in moved:
+            print(f"  {k}: {p.get(k, '(absent)')} -> {c.get(k, '(absent)')}")
+        sys.exit(f"model.* differ: {len(moved)} keys at seed {s}")
 print("model.* equal in every pair" if keys else "no model.* values (a lane workload)")
 EOF
 }
