@@ -15,7 +15,7 @@ use neat::netcode::{FrameIo, RxClass};
 use neat::stack_host::{follow_deadline, TimerFires};
 use neat_net::ethernet::MacAddr;
 use neat_sim::{calibration, Ctx, Event, ProcId, Process, Time};
-use neat_tcp::{SockEvent, SockOpt, SocketId, TcpConfig, TcpStack};
+use neat_tcp::{CongestionAlgo, SockEvent, SocketId, TcpConfig, TcpStack};
 use neat_util::FxHashMap;
 use std::cell::RefCell;
 use std::net::Ipv4Addr;
@@ -41,10 +41,9 @@ pub struct HttperfConfig {
     /// Think time between receiving a response and issuing the next
     /// request (0 = closed loop at full speed).
     pub think_ns: u64,
-    /// Socket options applied to every connection right after `connect`
-    /// (httperf's `--sock-opt` style flags: congestion algorithm, initial
-    /// cwnd, receive-buffer size).
-    pub sock_opts: Vec<SockOpt>,
+    /// Congestion controller selected on every connection right after
+    /// `connect`; `None` keeps the stack's default.
+    pub congestion: Option<CongestionAlgo>,
 }
 
 /// Cumulative measurements, shared with the harness. Snapshot/subtract
@@ -246,8 +245,8 @@ impl HttperfProc {
             .stack
             .connect(self.cfg.target.0, self.cfg.target.1, now)
         {
-            for &opt in &self.cfg.sock_opts {
-                let _ = self.stack.set_opt(sock, opt);
+            if let Some(algo) = self.cfg.congestion {
+                let _ = self.stack.set_congestion(sock, algo);
             }
             self.conns.insert(
                 sock,
@@ -599,7 +598,7 @@ mod tests {
             timeout_ns: 10_000_000,
             port_range: (49_152, 50_151),
             think_ns: 0,
-            sock_opts: Vec::new(),
+            congestion: None,
         };
         let client = HttperfProc::new(
             "httperf",

@@ -86,10 +86,11 @@ pub struct TestbedSpec {
     /// (`None` = calibrated lighttpd). Benches set a small value to model
     /// a lightweight app and expose the stack's own throughput ceiling.
     pub web_request_cycles: Option<u64>,
-    /// Socket options applied on both sides of every connection: the web
-    /// servers set them on each accept, the httperf clients on each
-    /// connect (the `cc_compare` bench selects controllers this way).
-    pub sock_opts: Vec<neat_tcp::SockOpt>,
+    /// Congestion controller selected on both sides of every connection:
+    /// the web servers set it on each accept, the httperf clients on each
+    /// connect (the `cc_compare` bench compares controllers this way).
+    /// `None` keeps the stacks' default.
+    pub congestion: Option<neat_tcp::CongestionAlgo>,
 }
 
 impl TestbedSpec {
@@ -108,7 +109,7 @@ impl TestbedSpec {
             wire_faults: neat_nic::FaultConfig::default(),
             batch_ns: 2_000,
             web_request_cycles: None,
-            sock_opts: Vec::new(),
+            congestion: None,
         }
     }
 
@@ -228,8 +229,8 @@ impl Testbed {
             if let Some(c) = spec.web_request_cycles {
                 proc = proc.with_request_cycles(c);
             }
-            if !spec.sock_opts.is_empty() {
-                proc = proc.with_sock_opts(spec.sock_opts.clone());
+            if let Some(algo) = spec.congestion {
+                proc = proc.with_congestion(algo);
             }
             let t = resolve(&sim, server_machine, *slot);
             web_threads.push(t);
@@ -247,7 +248,7 @@ impl Testbed {
             spec.clients,
             spec.web_instances,
             &spec.workload,
-            &spec.sock_opts,
+            spec.congestion,
         );
 
         Testbed {
@@ -321,7 +322,7 @@ fn spawn_clients(
     clients: usize,
     webs: usize,
     workload: &Workload,
-    sock_opts: &[neat_tcp::SockOpt],
+    congestion: Option<neat_tcp::CongestionAlgo>,
 ) -> (Vec<ProcId>, Vec<Rc<RefCell<ClientMetrics>>>) {
     let mut pids = Vec::new();
     let mut all_metrics = Vec::new();
@@ -336,7 +337,7 @@ fn spawn_clients(
             timeout_ns: workload.timeout_ns,
             port_range: (range_lo, range_lo + 2_999),
             think_ns: workload.think_ns,
-            sock_opts: sock_opts.to_vec(),
+            congestion,
         };
         let metrics = Rc::new(RefCell::new(ClientMetrics::default()));
         let proc = HttperfProc::new(
@@ -621,7 +622,7 @@ impl MonoTestbed {
             spec.clients,
             spec.web_instances,
             &spec.workload,
-            &[],
+            None,
         );
 
         MonoTestbed {

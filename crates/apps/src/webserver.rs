@@ -7,7 +7,7 @@
 
 use crate::http;
 use neat::msg::Msg;
-use neat::sockets::{Fd, LibEvent, SockErr, SockOpt, SocketLib};
+use neat::sockets::{CongestionAlgo, Fd, LibEvent, SockErr, SocketLib};
 use neat_sim::{calibration, Ctx, Event, ProcId, Process};
 use neat_util::FxHashMap;
 use std::cell::RefCell;
@@ -87,9 +87,9 @@ pub struct WebServerProc {
     /// calibrated lighttpd cost; benches lower it to model a lightweight
     /// app (null-RPC style) when measuring the stack's own ceiling.
     pub request_cycles: u64,
-    /// Socket options applied to every accepted connection (lighttpd's
-    /// per-vhost socket tuning: congestion algorithm, buffers).
-    sock_opts: Vec<SockOpt>,
+    /// Congestion controller selected on every accepted connection;
+    /// `None` keeps the stack's default.
+    congestion: Option<CongestionAlgo>,
     pub metrics: Rc<RefCell<WebMetrics>>,
     obs: WebObs,
     /// `web.accepted.r<pid>` per replica, bumped on every accept: cached,
@@ -132,7 +132,7 @@ impl WebServerProc {
             max_requests_per_conn,
             conns: FxHashMap::default(),
             request_cycles: calibration::WEB_REQUEST,
-            sock_opts: Vec::new(),
+            congestion: None,
             metrics,
             obs: WebObs::new(),
             accepted_by: Vec::new(),
@@ -145,9 +145,9 @@ impl WebServerProc {
         self
     }
 
-    /// Apply these socket options to every accepted connection.
-    pub fn with_sock_opts(mut self, opts: Vec<SockOpt>) -> WebServerProc {
-        self.sock_opts = opts;
+    /// Select this congestion controller on every accepted connection.
+    pub fn with_congestion(mut self, algo: CongestionAlgo) -> WebServerProc {
+        self.congestion = Some(algo);
         self
     }
 
@@ -241,8 +241,8 @@ impl Process<Msg> for WebServerProc {
                         LibEvent::ListenReady { .. } => {}
                         LibEvent::Accepted { fd, .. } => {
                             ctx.charge(calibration::WEB_ACCEPT);
-                            for &opt in &self.sock_opts {
-                                let _ = self.lib.set_opt(ctx, fd, opt);
+                            if let Some(algo) = self.congestion {
+                                let _ = self.lib.set_congestion(ctx, fd, algo);
                             }
                             let mut m = self.metrics.borrow_mut();
                             m.conns_accepted += 1;

@@ -4,7 +4,7 @@
 //! instances).
 //!
 //! The controllers are selected **per socket** via
-//! `SockOpt::CongestionAlgo`, exercising the whole option plumbing
+//! `TestbedSpec::congestion`, exercising the whole option plumbing
 //! (client library → replica → stack → socket) rather than the stack-wide
 //! `TcpConfig::congestion` default the congestion ablation uses. The
 //! headline `bbr_krps` / `dctcp_krps` metrics gate the new controllers in
@@ -14,7 +14,7 @@ use neat::config::NeatConfig;
 use neat_apps::scenario::{Testbed, TestbedSpec, Workload};
 use neat_apps::FileStore;
 use neat_bench::{windows, BenchReport, Table};
-use neat_tcp::{CongestionAlgo, SockOpt};
+use neat_tcp::CongestionAlgo;
 
 fn main() {
     let mut report = BenchReport::new("cc_compare");
@@ -39,7 +39,7 @@ fn main() {
             path: "/file100000".into(),
             ..Workload::default()
         };
-        spec.sock_opts = vec![SockOpt::CongestionAlgo(algo)];
+        spec.congestion = Some(algo);
         let (warm, win) = windows();
         let mut tb = Testbed::build(spec);
         let r = tb.measure(warm, win);

@@ -114,11 +114,11 @@ pub enum Msg {
     ConnData { conn: ConnHandle, data: Vec<u8> },
     /// App → replica: close (graceful).
     ConnClose { sock: neat_tcp::SocketId },
-    /// App → replica: apply a per-socket option (congestion algorithm,
-    /// initial cwnd, receive-buffer size) to an open connection.
-    SetSockOpt {
+    /// App → replica: switch an open connection's congestion controller,
+    /// the one per-socket option.
+    SetCongestion {
         sock: neat_tcp::SocketId,
-        opt: neat_tcp::SockOpt,
+        algo: neat_tcp::CongestionAlgo,
     },
     /// Replica → app: the peer closed its direction (EOF after data).
     ConnEof { conn: ConnHandle },
@@ -239,7 +239,7 @@ impl Msg {
                 | Msg::Connect { .. }
                 | Msg::ConnSend { .. }
                 | Msg::ConnClose { .. }
-                | Msg::SetSockOpt { .. }
+                | Msg::SetCongestion { .. }
         )
     }
 }

@@ -124,8 +124,8 @@ impl SockServer {
                 let _ = self.stack.close(sock, now);
                 1
             }
-            Msg::SetSockOpt { sock, opt } => {
-                let _ = self.stack.set_opt(sock, opt);
+            Msg::SetCongestion { sock, algo } => {
+                let _ = self.stack.set_congestion(sock, algo);
                 1
             }
             _ => 0,

@@ -18,8 +18,7 @@ use neat_sim::{Ctx, ProcId};
 use neat_util::{FxHashMap, FxHashSet};
 use std::collections::VecDeque;
 
-pub use neat_tcp::Readiness;
-pub use neat_tcp::{SockOpt, SockOptKind};
+pub use neat_tcp::{CongestionAlgo, Readiness};
 
 /// An application-level file descriptor.
 pub type Fd = u32;
@@ -115,10 +114,6 @@ struct FdState {
     sent_total: u64,
     /// The last up-to-[`TX_TAIL_CAP`] of those bytes.
     tail: VecDeque<u8>,
-    /// Last-set socket options: the library-side shadow `get_opt` answers
-    /// from, and the flush source when an option is set while the
-    /// `connect()` is still in flight (applied as soon as the fd binds).
-    opts: Vec<SockOpt>,
 }
 
 /// Per-process socket library state.
@@ -269,42 +264,19 @@ impl SocketLib {
         Ok(())
     }
 
-    /// POSIX `setsockopt()` on a connection fd: select the congestion
-    /// algorithm, override the initial cwnd, or resize the receive
-    /// buffer. Options set while the `connect()` is still in flight are
-    /// buffered and applied the moment the fd binds; on a bound fd the
-    /// option reaches the owning replica immediately.
-    pub fn set_opt(&mut self, ctx: &mut Ctx<'_, Msg>, fd: Fd, opt: SockOpt) -> Result<(), SockErr> {
-        let st = self.fds.get_mut(&fd).ok_or(SockErr::NotConnected)?;
-        match st.opts.iter_mut().find(|o| o.kind() == opt.kind()) {
-            Some(slot) => *slot = opt,
-            None => st.opts.push(opt),
-        }
-        if let Some(ConnHandle { stack, sock }) = st.conn {
-            let to = self.route_override.unwrap_or(stack);
-            ctx.send(to, Msg::SetSockOpt { sock, opt });
-        }
+    /// `setsockopt()` for the one per-socket option: switch a connection
+    /// fd's congestion controller on the owning replica. `NotConnected`
+    /// while its `connect()` is in flight, and nothing is sent.
+    pub fn set_congestion(
+        &mut self,
+        ctx: &mut Ctx<'_, Msg>,
+        fd: Fd,
+        algo: CongestionAlgo,
+    ) -> Result<(), SockErr> {
+        let (_, ConnHandle { stack, sock }) = self.bound_mut(fd)?;
+        let to = self.route_override.unwrap_or(stack);
+        ctx.send(to, Msg::SetCongestion { sock, algo });
         Ok(())
-    }
-
-    /// POSIX `getsockopt()`: read back the last value set on this fd.
-    /// Answers from the library-side shadow (no slow-path round trip);
-    /// `None` means the option was never set here, i.e. the stack default
-    /// applies.
-    pub fn get_opt(&self, fd: Fd, kind: SockOptKind) -> Option<SockOpt> {
-        let opts = &self.fds.get(&fd)?.opts;
-        opts.iter().copied().find(|o| o.kind() == kind)
-    }
-
-    /// Flush options set before the fd was bound to its connection.
-    fn flush_opts(&mut self, ctx: &mut Ctx<'_, Msg>, fd: Fd) {
-        let route = self.route_override;
-        let Ok((st, ConnHandle { stack, sock })) = self.bound_mut(fd) else {
-            return;
-        };
-        for &opt in &st.opts {
-            ctx.send(route.unwrap_or(stack), Msg::SetSockOpt { sock, opt });
-        }
     }
 
     /// Unified non-blocking readiness query. Mirrors `poll(2)` semantics:
@@ -486,7 +458,6 @@ impl SocketLib {
             Msg::ConnOpen { conn, token } => {
                 let (fd, _) = self.pending_connect.remove(&token)?;
                 self.bind(conn, fd);
-                self.flush_opts(ctx, fd);
                 LibEvent::Connected { fd }
             }
             Msg::ConnFailed { token } => {
@@ -555,3 +526,7 @@ impl SocketLib {
         })
     }
 }
+
+#[cfg(test)]
+#[path = "sockets_tests.rs"]
+mod tests;

@@ -704,11 +704,11 @@ fn next_sample(m: &Msg) -> Option<Msg> {
             data: vec![1],
         },
         Msg::ConnData { .. } => Msg::ConnClose { sock },
-        Msg::ConnClose { .. } => Msg::SetSockOpt {
+        Msg::ConnClose { .. } => Msg::SetCongestion {
             sock,
-            opt: neat_tcp::SockOpt::InitialCwnd(10),
+            algo: neat_tcp::CongestionAlgo::Bbr,
         },
-        Msg::SetSockOpt { .. } => Msg::ConnEof { conn },
+        Msg::SetCongestion { .. } => Msg::ConnEof { conn },
         Msg::ConnEof { .. } => Msg::ConnClosed {
             conn,
             aborted: false,
@@ -793,6 +793,6 @@ fn is_sock_op_is_exactly_what_sock_server_handles() {
         variants += 1;
         ops += claimed as usize;
     }
-    assert_eq!(ops, 5, "Listen, Connect, ConnSend, ConnClose, SetSockOpt");
+    assert_eq!(ops, 5, "Listen Connect ConnSend ConnClose SetCongestion");
     assert_eq!(variants, 49, "the chain walked the whole enum");
 }

@@ -267,18 +267,6 @@ impl RecvBuffer {
         self.cap - self.ready
     }
 
-    /// Configured capacity (advertised-window ceiling).
-    pub fn cap(&self) -> usize {
-        self.cap
-    }
-
-    /// Resize the capacity (`SockOpt::RecvBuf`). Clamped to the bytes
-    /// already placed, held ones included, so the window can shrink to
-    /// zero but never underflow; no placed byte is ever dropped.
-    pub fn set_cap(&mut self, cap: usize) {
-        self.cap = cap.max(self.data.len());
-    }
-
     /// Allocated heap bytes (capacity, not configured cap); zero while
     /// the ring holds no byte, in order or held.
     pub fn heap_bytes(&self) -> usize {
@@ -507,24 +495,6 @@ mod tests {
         assert_eq!((r.len(), r.window()), (8, 0));
         let (a, b) = r.as_slices();
         assert_eq!([a, b].concat(), b"abcdef12");
-    }
-
-    /// A capacity shrink never drops a held byte: the cap stops at the
-    /// end of the last one.
-    #[test]
-    fn a_shrink_keeps_held_bytes() {
-        let mut r = RecvBuffer::new(64);
-        assert_eq!(push(&mut r, b"ab"), 2);
-        assert_eq!(r.write_at(10, b"held"), 4);
-        r.set_cap(4);
-        assert_eq!((r.cap(), r.window()), (16, 14));
-        assert_eq!(r.write_at(0, b"0123456789"), 10);
-        r.advance(14);
-        let mut out = [0u8; 16];
-        assert_eq!(r.read(&mut out), 16);
-        assert_eq!(&out, b"ab0123456789held");
-        r.set_cap(4);
-        assert_eq!((r.cap(), r.window()), (4, 4));
     }
 
     /// Placing across the ring's wrap point, over held and fresh bytes

@@ -1,6 +1,6 @@
 //! Congestion-control component: the event-driven API every controller
-//! implements, plus the in-tree algorithms (Reno, CUBIC, BBR-style,
-//! DCTCP-style, and the wide-open `NoCc`).
+//! implements, plus the four in-tree algorithms (Reno, CUBIC, BBR-style
+//! and DCTCP-style).
 //!
 //! The old trait was poll-shaped (`cwnd()` + three ad-hoc callbacks) and
 //! starved model-based controllers of their inputs: BBR needs RTT samples
@@ -41,7 +41,7 @@ pub struct CcDecision {
 ///
 /// Every controller is plain data — events in, a [`CcDecision`] out, no
 /// reference to the socket that owns it — which is what lets one be
-/// swapped per flow ([`SockOpt::CongestionAlgo`](crate::SockOpt)).
+/// swapped per flow ([`TcpStack::set_congestion`](crate::TcpStack::set_congestion)).
 pub trait CongestionControl: std::fmt::Debug {
     /// Which algorithm this controller implements.
     fn algo(&self) -> CongestionAlgo;
@@ -64,10 +64,6 @@ pub trait CongestionControl: std::fmt::Debug {
     /// The current verdict without feeding any event.
     fn decision(&self) -> CcDecision;
 
-    /// Force the congestion window (SockOpt::InitialCwnd); implementations
-    /// clamp to at least one MSS. `NoCc` ignores it.
-    fn set_cwnd(&mut self, bytes: usize);
-
     /// Convenience: current congestion window in bytes.
     fn cwnd(&self) -> usize {
         self.decision().cwnd
@@ -79,7 +75,6 @@ pub fn make(algo: CongestionAlgo, mss: u16) -> Box<dyn CongestionControl> {
     match algo {
         CongestionAlgo::Reno => Box::new(Reno::new(mss)),
         CongestionAlgo::Cubic => Box::new(Cubic::new(mss)),
-        CongestionAlgo::None => Box::new(NoCc),
         CongestionAlgo::Bbr => Box::new(Bbr::new(mss)),
         CongestionAlgo::Dctcp => Box::new(Dctcp::new(mss)),
     }
@@ -156,10 +151,6 @@ impl CongestionControl for Reno {
             ssthresh: self.ssthresh,
             pacing_gate: false,
         }
-    }
-
-    fn set_cwnd(&mut self, bytes: usize) {
-        self.cwnd = bytes.max(self.mss);
     }
 }
 
@@ -265,10 +256,6 @@ impl CongestionControl for Cubic {
             ssthresh: self.ssthresh,
             pacing_gate: false,
         }
-    }
-
-    fn set_cwnd(&mut self, bytes: usize) {
-        self.cwnd = bytes.max(self.mss);
     }
 }
 
@@ -430,10 +417,6 @@ impl CongestionControl for Bbr {
             pacing_gate: !self.startup,
         }
     }
-
-    fn set_cwnd(&mut self, bytes: usize) {
-        self.cwnd = bytes.max(self.mss);
-    }
 }
 
 /// DCTCP-style controller (RFC 8257 shape): the window cut is scaled by
@@ -544,37 +527,6 @@ impl CongestionControl for Dctcp {
             pacing_gate: false,
         }
     }
-
-    fn set_cwnd(&mut self, bytes: usize) {
-        self.cwnd = bytes.max(self.mss);
-    }
-}
-
-/// No congestion control: the window is effectively unbounded.
-#[derive(Debug)]
-pub struct NoCc;
-
-impl CongestionControl for NoCc {
-    fn algo(&self) -> CongestionAlgo {
-        CongestionAlgo::None
-    }
-    fn on_ack(&mut self, _: &AckEvent) -> CcDecision {
-        self.decision()
-    }
-    fn on_loss(&mut self, _: u64) -> CcDecision {
-        self.decision()
-    }
-    fn on_rto(&mut self, _: u64) -> CcDecision {
-        self.decision()
-    }
-    fn decision(&self) -> CcDecision {
-        CcDecision {
-            cwnd: usize::MAX / 2,
-            ssthresh: usize::MAX / 2,
-            pacing_gate: false,
-        }
-    }
-    fn set_cwnd(&mut self, _: usize) {}
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@
 use crate::assembler::Assembler;
 use crate::buffer::RecvBuffer;
 use crate::socket::{TcpSocket, OUR_WSCALE};
-use crate::types::{SockEvent, TcpConfig, TcpError};
+use crate::types::{SockEvent, TcpError, RECV_BUF};
 use neat_net::{SeqNum, TcpFlags, TcpHeader};
 use std::collections::VecDeque;
 
@@ -34,10 +34,10 @@ pub struct FlowControl {
 }
 
 impl FlowControl {
-    pub(crate) fn new(cfg: &TcpConfig) -> FlowControl {
+    pub(crate) fn new() -> FlowControl {
         FlowControl {
             rcv_nxt: SeqNum(0),
-            recv_buf: RecvBuffer::new(cfg.recv_buf),
+            recv_buf: RecvBuffer::new(RECV_BUF),
             asm: Assembler::default(),
             snd_wnd: 0,
             snd_wl1: SeqNum(0),
@@ -106,12 +106,6 @@ impl TcpSocket {
     /// storage, whatever it holds; returns the bytes parked.
     pub(crate) fn release_recv_ring(&mut self, spares: &mut Vec<VecDeque<u8>>) -> usize {
         self.fc.recv_buf.release(spares)
-    }
-
-    /// `SockOpt::RecvBuf`: the receive ring's capacity bounds in-order and
-    /// held bytes alike.
-    pub(crate) fn set_recv_cap(&mut self, cap: usize) {
-        self.fc.recv_buf.set_cap(cap);
     }
 
     /// RFC 793 step 1: is this segment within the receive window?

@@ -6,7 +6,7 @@ use crate::buffer::SendBuffer;
 use crate::components::congestion_control::AckEvent;
 use crate::rto::RttEstimator;
 use crate::socket::TcpSocket;
-use crate::types::{SockEvent, TcpConfig, TcpError, TcpState, SEND_BUF};
+use crate::types::{SockEvent, TcpConfig, TcpError, TcpState, MAX_RETRIES, SEND_BUF};
 use neat_net::{SeqNum, TcpFlags, TcpHeader};
 use std::collections::VecDeque;
 
@@ -130,7 +130,7 @@ impl TcpSocket {
     }
 
     /// The retransmit deadline: resend what is outstanding with the RTO
-    /// backed off, or abort past `max_retries`.
+    /// backed off, or abort past [`MAX_RETRIES`].
     pub(crate) fn on_rtx_timer(&mut self, now: u64) {
         if self.rel.rtx_deadline.is_none_or(|d| now < d) {
             return;
@@ -144,7 +144,7 @@ impl TcpSocket {
             return;
         }
         self.rel.retries += 1;
-        if self.rel.retries > self.cfg.max_retries {
+        if self.rel.retries > MAX_RETRIES {
             self.enter_closed(TcpError::TimedOut, SockEvent::Aborted);
             return;
         }

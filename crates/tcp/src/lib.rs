@@ -18,10 +18,9 @@
 //! * out-of-order reassembly; delayed ACKs; Nagle's algorithm;
 //! * congestion control behind an event-driven API: Reno, CUBIC (with
 //!   RFC 8312 fast convergence), a BBR-style model-based controller, and
-//!   a DCTCP-style proportional controller — selectable per stack or per
-//!   socket via [`SockOpt::CongestionAlgo`];
-//! * per-socket options ([`SockOpt`]): congestion algorithm, initial
-//!   cwnd, receive-buffer size;
+//!   a DCTCP-style proportional controller — selectable per stack
+//!   ([`TcpConfig::congestion`]) or per socket
+//!   ([`TcpStack::set_congestion`], the one per-socket option);
 //! * zero-window probing; SYN backlog + accept queues on listeners;
 //! * ephemeral port allocation, RST generation and handling.
 //!
@@ -49,8 +48,5 @@ pub use budget::ConnBudget;
 pub use components::{AckEvent, CcDecision, CongestionControl};
 pub use socket::TcpSocket;
 pub use stack::TcpStack;
-pub use types::{
-    CongestionAlgo, Readiness, SockEvent, SockOpt, SockOptKind, SocketId, TcpConfig, TcpError,
-    TcpState,
-};
+pub use types::{CongestionAlgo, Readiness, SockEvent, SocketId, TcpConfig, TcpError, TcpState};
 pub use wheel::TimerWheel;

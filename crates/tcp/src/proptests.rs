@@ -665,7 +665,7 @@ fn retransmit_queue_matches_naive_model() {
 
 /// Flow control: the advertised window never exceeds the configured
 /// buffer capacity, never underflows, and always equals cap - buffered —
-/// across random writes, reads, and `SockOpt::RecvBuf` resizes.
+/// across random writes and reads.
 #[test]
 fn flow_window_never_exceeds_buffer() {
     check(
@@ -673,7 +673,7 @@ fn flow_window_never_exceeds_buffer() {
         Config::default().cases(256),
         |rng| {
             vec_of(rng, 1..60, |r| {
-                (r.gen_range(0u8..4), r.gen_range(1usize..600))
+                (r.gen_range(0u8..3), r.gen_range(1usize..600))
             })
         },
         |ops| {
@@ -684,15 +684,13 @@ fn flow_window_never_exceeds_buffer() {
                         let data = vec![0xAB; n];
                         append(&mut rb, &data);
                     }
-                    2 => {
+                    _ => {
                         let mut out = vec![0u8; n];
                         rb.read(&mut out);
                     }
-                    _ => rb.set_cap(n), // resize, clamped to buffered bytes
                 }
-                prop_assert!(rb.window() <= rb.cap(), "window within cap");
-                prop_assert!(rb.len() <= rb.cap(), "buffered within cap");
-                prop_assert_eq!(rb.window(), rb.cap() - rb.len());
+                prop_assert!(rb.len() <= 1024, "buffered within cap");
+                prop_assert_eq!(rb.window(), 1024 - rb.len());
             }
             Ok(())
         },
@@ -768,10 +766,12 @@ fn all_controllers_keep_loss_floor_and_monotone_ssthresh() {
 /// takes a peer stream (crossing the sequence wrap) cut two ways — in-order
 /// segments of arbitrary length and a fixed grid of arbitrary cuts sent in
 /// any order, with duplicates, overlaps, drops (grid cells never sent),
-/// old bytes and bytes past the window — interleaved with `recv` sips,
-/// `SockOpt::RecvBuf` changes and timers. The model holds a set of stream
-/// positions: a segment the window accepts adds the positions inside the
-/// ring's room, and the in-order edge eats every position it reaches.
+/// old bytes and bytes past the window — interleaved with `recv` sips and
+/// timers. The socket's receive ring holds 4 KB, so a few segments fill
+/// it and the window shuts and reopens as the sips come. The model holds a
+/// set of stream positions: a segment the window accepts adds the
+/// positions inside the ring's room, and the in-order edge eats every
+/// position it reaches.
 /// After every step `rcv_nxt`, the bytes read, `buffered()` and `gaps()`
 /// match the model, every segment sent ACKs `rcv_nxt` with the model's
 /// window, an out-of-order or unacceptable segment is ACKed at once, and
@@ -779,13 +779,15 @@ fn all_controllers_keep_loss_floor_and_monotone_ssthresh() {
 #[test]
 fn receive_path_matches_stream_model() {
     use crate::socket::TcpSocket;
-    use crate::types::{SockEvent, SockOpt, TcpConfig, TcpState};
+    use crate::types::{SockEvent, TcpConfig, TcpState};
     use neat_net::{TcpFlags, TcpHeader};
     use std::collections::BTreeSet;
 
     const LOCAL: (Ipv4Addr, u16) = (Ipv4Addr::new(10, 0, 0, 1), 80);
     const PEER: (Ipv4Addr, u16) = (Ipv4Addr::new(10, 0, 0, 2), 5555);
     const ID: SocketId = SocketId(1);
+    /// The receive ring's capacity.
+    const CAP: usize = 4096;
 
     /// The peer's byte at stream position `p`.
     fn byte(p: u32) -> u8 {
@@ -795,13 +797,11 @@ fn receive_path_matches_stream_model() {
     /// An established passive-open socket whose peer's stream starts at
     /// `irs + 1`, plus the ACK number the peer uses.
     fn established(irs: u32) -> (TcpSocket, SeqNum) {
-        let cfg = TcpConfig {
-            recv_buf: 4096,
-            ..TcpConfig::default()
-        };
         let mut syn = TcpHeader::new(PEER.1, LOCAL.1, SeqNum(irs), SeqNum(0), TcpFlags::SYN);
         syn.mss = Some(1460);
+        let cfg = TcpConfig::default();
         let mut s = TcpSocket::accept_from_syn(ID, &cfg, LOCAL, PEER, &syn, SeqNum(77), 0);
+        s.fc.recv_buf = RecvBuffer::new(CAP);
         let (syn_ack, _) = s.poll_transmit(0).expect("SYN-ACK");
         let ack = syn_ack.seq + 1;
         s.on_segment(
@@ -815,17 +815,16 @@ fn receive_path_matches_stream_model() {
     }
 
     /// The model: stream positions `< nxt` are in order, `unread` of them
-    /// not yet read; `held` are positions past `nxt`; `cap` is the ring's.
+    /// not yet read; `held` are positions past `nxt`.
     struct Model {
         nxt: u32,
         unread: usize,
         held: BTreeSet<u32>,
-        cap: usize,
     }
 
     impl Model {
         fn window(&self) -> usize {
-            self.cap - self.unread
+            CAP - self.unread
         }
 
         /// RFC 793's acceptability test for a segment with payload.
@@ -854,15 +853,10 @@ fn receive_path_matches_stream_model() {
             let starts = self.held.iter().filter(|&&p| !self.held.contains(&(p - 1)));
             starts.count()
         }
-
-        /// Ring bytes placed: the unread ones, then up to the last held.
-        fn placed(&self) -> usize {
-            self.unread + self.held.last().map_or(0, |&p| (p + 1 - self.nxt) as usize)
-        }
     }
 
-    // Steps that left two or more gaps, shrinks held bytes clamped, and
-    // cases whose in-order edge crossed the sequence wrap.
+    // Steps that left two or more gaps, steps that left the window shut,
+    // and cases whose in-order edge crossed the sequence wrap.
     let seen = std::cell::Cell::new([0u32; 3]);
     let count = |i: usize| {
         let mut s = seen.get();
@@ -900,17 +894,16 @@ fn receive_path_matches_stream_model() {
                 nxt: 0,
                 unread: 0,
                 held: BTreeSet::new(),
-                cap: 4096,
             };
             let mut now = 0u64;
             for (op, a, b) in ops {
                 let mut ack_owed = false;
                 let mut delivered = 0;
-                match op % 8 {
+                match op % 7 {
                     // A segment: in order, a grid cell near the edge, or
                     // anywhere from 600 B behind it to past the window.
                     0..=4 => {
-                        let (from, len) = match op % 8 {
+                        let (from, len) = match op % 7 {
                             0 | 1 => (m.nxt, u32::from(b % 1500) + 1),
                             2 | 3 => {
                                 let here = grid.partition_point(|&g| g <= m.nxt).max(1) - 1;
@@ -942,14 +935,6 @@ fn receive_path_matches_stream_model() {
                         prop_assert_eq!(&buf[..n], &want[..], "bytes read");
                         m.unread -= n;
                     }
-                    6 => {
-                        let cap = usize::from(a % 8192);
-                        s.set_opt(SockOpt::RecvBuf(cap));
-                        m.cap = cap.max(m.placed());
-                        if m.cap > cap.max(m.unread) {
-                            count(1);
-                        }
-                    }
                     _ => {
                         now += u64::from(a) * 10_000;
                         s.on_timer(now);
@@ -972,6 +957,9 @@ fn receive_path_matches_stream_model() {
                 if m.gaps() >= 2 {
                     count(0);
                 }
+                if m.window() == 0 {
+                    count(1);
+                }
             }
             if s.fc.rcv_nxt.0 < irs {
                 count(2);
@@ -979,10 +967,10 @@ fn receive_path_matches_stream_model() {
             Ok(())
         },
     );
-    let [gaps, clamped, wrapped] = seen.get();
-    println!("steps with ≥ 2 gaps {gaps}, held-clamped shrinks {clamped}, wrapped cases {wrapped}");
+    let [gaps, shut, wrapped] = seen.get();
+    println!("steps with ≥ 2 gaps {gaps}, with the window shut {shut}, wrapped cases {wrapped}");
     assert!(
-        gaps.min(clamped).min(wrapped) > 0,
+        gaps.min(shut).min(wrapped) > 0,
         "a situation the property must cover never arose"
     );
 }
@@ -1391,7 +1379,7 @@ fn drained_rings_park_and_streams_match_a_flat_model() {
 #[test]
 fn stale_ids_stay_inert_and_streams_match_a_flat_model() {
     use crate::stack::TcpStack;
-    use crate::types::{SockOpt, SockOptKind, TcpConfig, TcpError, TcpState};
+    use crate::types::{TcpConfig, TcpError, TcpState};
     use neat_net::TcpFlags;
     use neat_util::check::TestResult;
     use std::cell::Cell;
@@ -1576,10 +1564,8 @@ fn stale_ids_stay_inert_and_streams_match_a_flat_model() {
                     let no = Err(TcpError::NoSocket);
                     prop_assert_eq!(s.send(id, b"stale"), no.clone(), "send {id:?}");
                     prop_assert_eq!(s.recv(id, &mut [0u8; 8]), no.clone(), "recv {id:?}");
-                    let opt = SockOpt::RecvBuf(4096);
-                    prop_assert_eq!(s.set_opt(id, opt), Err(TcpError::NoSocket));
-                    let kind = SockOptKind::RecvBuf;
-                    prop_assert_eq!(s.get_opt(id, kind), Err(TcpError::NoSocket));
+                    let algo = CongestionAlgo::Bbr;
+                    prop_assert_eq!(s.set_congestion(id, algo), Err(TcpError::NoSocket));
                     prop_assert_eq!(s.close(id, self.now), Err(TcpError::NoSocket));
                     prop_assert_eq!(s.abort(id), Err(TcpError::NoSocket));
                     prop_assert_eq!((s.state(id), s.recv_available(id)), (None, 0));
@@ -1617,8 +1603,7 @@ fn stale_ids_stay_inert_and_streams_match_a_flat_model() {
                 let no = TcpError::NoSocket;
                 prop_assert_eq!(s.send(id, b"late"), Err(no), "send {id:?}");
                 prop_assert_eq!(s.recv(id, &mut [0u8; 8]), Err(no), "recv {id:?}");
-                prop_assert_eq!(s.set_opt(id, SockOpt::RecvBuf(4096)), Err(no));
-                prop_assert_eq!(s.get_opt(id, SockOptKind::RecvBuf), Err(no));
+                prop_assert_eq!(s.set_congestion(id, CongestionAlgo::Bbr), Err(no));
                 prop_assert_eq!(s.close(id, self.now), Err(no), "close {id:?}");
                 prop_assert_eq!(s.abort(id), Err(no), "abort {id:?}");
                 prop_assert_eq!(s.accept(id), Err(no));

@@ -9,13 +9,13 @@
 //! The protocol logic itself lives in four owned-state components under
 //! [`crate::components`] — connection management, reliability, flow
 //! control, and congestion control. This file holds only the coordinator:
-//! the struct, its constructors, accessors, socket options, and the
+//! the struct, its constructors, accessors, the controller switch, and the
 //! routing that sequences component steps for each stimulus. It writes no
 //! component's fields (CI's `tcp_owner_guard`; DESIGN.md's "TCP component
 //! map" has the ownership table and the rule).
 
 use crate::components::{self, CongestionControl, ConnMgmt, FlowControl, Reliability};
-use crate::types::{SockEvent, SockOpt, SockOptKind, SocketId, TcpConfig, TcpError, TcpState};
+use crate::types::{CongestionAlgo, SockEvent, SocketId, TcpConfig, TcpError, TcpState};
 use neat_net::tcp::MSS;
 use neat_net::{SeqNum, TcpHeader};
 use std::net::Ipv4Addr;
@@ -82,7 +82,7 @@ impl TcpSocket {
             mss: MSS,
             cm: ConnMgmt::new(iss),
             rel: Reliability::new(iss, cfg),
-            fc: FlowControl::new(cfg),
+            fc: FlowControl::new(),
             cc: components::make(cfg.congestion, MSS),
             events: Vec::new(),
             error: None,
@@ -169,36 +169,16 @@ impl TcpSocket {
     }
 
     // ------------------------------------------------------------------
-    // Socket options
+    // Congestion controller
     // ------------------------------------------------------------------
 
-    /// Apply a per-socket option (the stack's `set_opt` routes here).
-    pub fn set_opt(&mut self, opt: SockOpt) {
-        match opt {
-            SockOpt::CongestionAlgo(algo) => {
-                // Switching algorithms restarts from slow-start parameters;
-                // re-selecting the current one is a no-op so tuning via
-                // `InitialCwnd` survives redundant sets.
-                if self.cc.algo() != algo {
-                    self.cc = components::make(algo, self.mss);
-                }
-            }
-            SockOpt::InitialCwnd(segs) => {
-                self.cc.set_cwnd(segs as usize * self.mss as usize);
-            }
-            SockOpt::RecvBuf(cap) => self.set_recv_cap(cap),
+    /// Switch this connection's congestion controller (the stack's
+    /// `set_congestion` routes here). A switch restarts from slow-start
+    /// parameters; re-selecting the current algorithm keeps its state.
+    pub fn set_congestion(&mut self, algo: CongestionAlgo) {
+        if self.cc.algo() != algo {
+            self.cc = components::make(algo, self.mss);
         }
-    }
-
-    /// Read back the current value of an option kind.
-    pub fn get_opt(&self, kind: SockOptKind) -> Option<SockOpt> {
-        Some(match kind {
-            SockOptKind::CongestionAlgo => SockOpt::CongestionAlgo(self.cc.algo()),
-            SockOptKind::InitialCwnd => {
-                SockOpt::InitialCwnd((self.cc.cwnd() / self.mss.max(1) as usize) as u32)
-            }
-            SockOptKind::RecvBuf => SockOpt::RecvBuf(self.fc.recv_buf.cap()),
-        })
     }
 
     // ------------------------------------------------------------------

@@ -3,7 +3,7 @@
 //! coordination (handshake, transfer, teardown, loss recovery).
 
 use super::*;
-use crate::types::CongestionAlgo;
+use crate::types::{MAX_RETRIES, RECV_BUF};
 
 const CLIENT_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
 const SERVER_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
@@ -267,14 +267,12 @@ fn fast_retransmit_on_dup_acks() {
 
 #[test]
 fn zero_window_blocks_sender() {
-    let mut config = cfg();
-    config.recv_buf = 2048; // tiny receive buffer
     let now = 0;
     let mut c = client(now);
     let (syn, _) = c.poll_transmit(now).unwrap();
     let mut s = TcpSocket::accept_from_syn(
         SocketId(2),
-        &config,
+        &cfg(),
         (SERVER_IP, 80),
         (CLIENT_IP, 40000),
         &syn,
@@ -283,7 +281,7 @@ fn zero_window_blocks_sender() {
     );
     pump(&mut c, &mut s, now);
     // Fill the server's receive buffer without the app reading.
-    let data = vec![3u8; 8192];
+    let data = vec![3u8; 2 * RECV_BUF];
     let mut pushed = 0;
     while pushed < data.len() {
         match c.send(&data[pushed..]) {
@@ -292,7 +290,9 @@ fn zero_window_blocks_sender() {
         }
         pump(&mut c, &mut s, now);
     }
-    assert!(s.recv_available() <= 2048);
+    // Less room than one unit of our window scale: it advertises zero.
+    let room = RECV_BUF - s.recv_available();
+    assert!(room < 1 << OUR_WSCALE, "{room} B of window left");
     assert!(
         c.bytes_in_flight() == 0 || !c.rel.send_buf.is_empty(),
         "sender must hold back data beyond the advertised window"
@@ -336,31 +336,15 @@ fn rst_aborts_connection() {
 
 #[test]
 fn retry_limit_times_out() {
-    let mut config = cfg();
-    config.max_retries = 3;
     let now = 0;
-    let mut c = TcpSocket::connect(
-        SocketId(1),
-        &config,
-        (CLIENT_IP, 40000),
-        (SERVER_IP, 80),
-        SeqNum(100),
-        now,
-    );
+    let mut c = client(now);
     let _ = c.poll_transmit(now); // SYN into the void
-    for _ in 0..10 {
-        match c.next_timeout() {
-            Some(d) => {
-                let t = d;
-                c.on_timer(t);
-                let _ = c.poll_transmit(t);
-            }
-            None => break,
-        }
-        if c.state() == TcpState::Closed {
-            break;
-        }
+    let mut resent = 0;
+    while let Some(t) = c.next_timeout() {
+        c.on_timer(t);
+        resent += std::iter::from_fn(|| c.poll_transmit(t)).count();
     }
+    assert_eq!(resent, MAX_RETRIES as usize, "the SYN, sent again");
     assert_eq!(c.state(), TcpState::Closed);
     assert_eq!(c.error, Some(TcpError::TimedOut));
 }
@@ -480,40 +464,29 @@ fn duplicate_segments_ignored() {
 }
 
 #[test]
-fn sock_opt_selects_controller_and_resizes_buffers() {
+fn set_congestion_selects_controller() {
     let (mut c, _s) = established();
     assert_eq!(c.cc.algo(), CongestionAlgo::Reno, "stack default");
-    c.set_opt(SockOpt::CongestionAlgo(CongestionAlgo::Bbr));
+    c.set_congestion(CongestionAlgo::Bbr);
     assert_eq!(c.cc.algo(), CongestionAlgo::Bbr);
-    assert_eq!(
-        c.get_opt(SockOptKind::CongestionAlgo),
-        Some(SockOpt::CongestionAlgo(CongestionAlgo::Bbr))
-    );
-    c.set_opt(SockOpt::InitialCwnd(20));
-    let mss = c.mss as usize;
-    assert_eq!(
-        c.get_opt(SockOptKind::InitialCwnd),
-        Some(SockOpt::InitialCwnd(20))
-    );
-    assert_eq!(c.cc.cwnd(), 20 * mss);
-    c.set_opt(SockOpt::RecvBuf(4096));
-    assert_eq!(
-        c.get_opt(SockOptKind::RecvBuf),
-        Some(SockOpt::RecvBuf(4096))
-    );
-    assert_eq!(c.fc.recv_buf.window(), 4096);
     // Re-selecting the same algorithm must not reset controller state.
-    c.set_opt(SockOpt::InitialCwnd(33));
-    c.set_opt(SockOpt::CongestionAlgo(CongestionAlgo::Bbr));
-    assert_eq!(c.cc.cwnd(), 33 * mss);
+    let mss = c.mss as usize;
+    c.cc.on_rto(0);
+    assert_eq!(c.cc.cwnd(), mss, "collapsed");
+    c.set_congestion(CongestionAlgo::Bbr);
+    assert_eq!(c.cc.cwnd(), mss);
+    // A switch starts the new controller afresh.
+    c.set_congestion(CongestionAlgo::Dctcp);
+    assert_eq!(c.cc.algo(), CongestionAlgo::Dctcp);
+    assert!(c.cc.cwnd() > mss);
 }
 
 #[test]
 fn checkpoint_preserves_selected_algorithm() {
     let (mut c, _s) = established();
-    c.set_opt(SockOpt::CongestionAlgo(CongestionAlgo::Dctcp));
+    c.set_congestion(CongestionAlgo::Dctcp);
     let img = c.checkpoint();
-    assert_eq!(img.last(), Some(&4), "the algorithm is the last byte");
+    assert_eq!(img.last(), Some(&3), "the algorithm is the last byte");
     let r = TcpSocket::from_checkpoint(SocketId(99), &cfg(), &img).unwrap();
     assert_eq!(r.cc.algo(), CongestionAlgo::Dctcp);
     assert_eq!(r.checkpoint(), img, "checkpoint → restore is identity");
@@ -720,20 +693,20 @@ fn tcp_history_digest_is_pinned() {
     let h = 0xcbf2_9ce4_8422_2325;
 
     // Active and passive open; delayed ACK and Nagle on small writes; a
-    // lost data segment recovered by fast retransmit; one segment late;
+    // lost data segment, the first of the reply's second flight, recovered
+    // by fast retransmit; one segment late;
     // the active side closes first, the passive side answers with data
     // and its FIN, so the TIME-WAIT ACK goes out with a delayed ACK owed;
     // TIME-WAIT expires.
     let mut n = Net::new(h, client(0), None, cfg());
-    n.lose = &[6, 9];
-    n.late = &[12];
+    n.lose = &[6, 14];
+    n.late = &[19];
     n.advance_to(MS);
     for _ in 0..3 {
         n.user(0, |c| assert_eq!(c.send(b"0123456789"), Ok(10)));
     }
     n.advance_to(3 * MS);
     n.read_all(1);
-    n.user(1, |s| s.set_opt(SockOpt::InitialCwnd(10)));
     n.user(1, |s| assert_eq!(s.send(&[7u8; 8 * 1460]), Ok(8 * 1460)));
     n.advance_to(20 * MS);
     n.read_all(0);
@@ -745,16 +718,17 @@ fn tcp_history_digest_is_pinned() {
     assert_eq!(n.sock(0).state(), TcpState::Closed);
     assert_eq!(n.sock(1).state(), TcpState::Closed);
 
-    // Zero-window probing: the receiver's 4 KB buffer fills while its
-    // application does not read; each read reopens the window.
-    let small = TcpConfig {
-        recv_buf: 4096,
-        ..cfg()
-    };
-    let mut n = Net::new(n.h, client(0), None, small);
+    // Zero-window probing: the receiver's 64 KB buffer fills while its
+    // application does not read and 16 KB more wait at the sender; each
+    // read reopens the window.
+    let mut n = Net::new(n.h, client(0), None, cfg());
     n.advance_to(MS);
-    n.user(0, |c| assert_eq!(c.send(&[3u8; 16_384]), Ok(16_384)));
+    n.user(0, |c| assert_eq!(c.send(&[3u8; RECV_BUF]), Ok(RECV_BUF)));
+    n.advance_to(10 * MS);
+    n.user(0, |c| assert_eq!(c.send(&[4u8; 16_384]), Ok(16_384)));
     n.advance_to(30 * MS);
+    assert_eq!(n.sock(1).recv_window_bytes(), 0, "the window is shut");
+    assert!(n.sock(0).fc.probe_deadline.is_some(), "the sender probes");
     for t in 1..=40 {
         n.read_all(1);
         n.advance_to((30 + 5 * t) * MS);
@@ -780,14 +754,10 @@ fn tcp_history_digest_is_pinned() {
 
     // Simultaneous open: both SYNs cross. Neither side completes (each
     // SYN-ACK fails the SYN-RECEIVED acceptability test), so this is also
-    // RTO backoff up to the abort.
-    let few = TcpConfig {
-        max_retries: 4,
-        ..cfg()
-    };
+    // RTO backoff, past the 60 s ceiling, up to the abort.
     let b = TcpSocket::connect(
         SocketId(2),
-        &few,
+        &cfg(),
         (SERVER_IP, 80),
         (CLIENT_IP, 40000),
         SeqNum(5_000),
@@ -795,14 +765,16 @@ fn tcp_history_digest_is_pinned() {
     );
     let a = TcpSocket::connect(
         SocketId(1),
-        &few,
+        &cfg(),
         (CLIENT_IP, 40000),
         (SERVER_IP, 80),
         SeqNum(1_000),
         0,
     );
-    let mut n = Net::new(n.h, a, Some(b), few);
-    n.advance_to(60_000 * MS);
+    let mut n = Net::new(n.h, a, Some(b), cfg());
+    n.advance_to(300_000 * MS);
+    assert_eq!(n.sock(0).error, Some(TcpError::TimedOut));
+    assert_eq!(n.sock(1).error, Some(TcpError::TimedOut));
 
     // Keepalive probes on an idle connection, then an abort: RST.
     let ka = TcpConfig {
@@ -823,5 +795,5 @@ fn tcp_history_digest_is_pinned() {
     n.advance_to(10 * MS);
     assert_eq!(n.sock(1).state(), TcpState::Closed);
 
-    assert_eq!(n.h, 0xf2f7_6b0a_4426_b78f, "TCP history changed");
+    assert_eq!(n.h, 0x2218_cda6_90ce_8aa0, "TCP history changed");
 }

@@ -32,7 +32,7 @@
 use crate::budget::ConnBudget;
 use crate::socket::TcpSocket;
 use crate::tcb::replicable;
-use crate::types::{SockEvent, SockOpt, SockOptKind, SocketId, TcpConfig, TcpError, TcpState};
+use crate::types::{CongestionAlgo, SockEvent, SocketId, TcpConfig, TcpError, TcpState};
 use crate::wheel::TimerWheel;
 use neat_net::{FlowKey, SeqNum, TcpFlags, TcpHeader};
 use neat_util::{FxHashMap, FxHashSet};
@@ -334,22 +334,15 @@ impl TcpStack {
         r
     }
 
-    /// Apply a per-socket option ([`SockOpt`]): switch the congestion
-    /// controller, override the initial cwnd, or resize the receive
-    /// buffer. Takes effect immediately on the live connection.
-    pub fn set_opt(&mut self, id: SocketId, opt: SockOpt) -> Result<(), TcpError> {
+    /// Switch one connection's congestion controller, the one per-socket
+    /// option. Takes effect immediately on the live connection.
+    pub fn set_congestion(&mut self, id: SocketId, algo: CongestionAlgo) -> Result<(), TcpError> {
         let slot = self.slots.get_mut(id).ok_or(TcpError::NoSocket)?;
-        slot.sock.set_opt(opt);
-        // The cc algo and buffer sizes are replicated state.
+        slot.sock.set_congestion(algo);
+        // The selected algorithm is replicated state.
         slot.mark_dirty(&mut self.dirty, &mut self.repl_dirty);
         slot.account(&mut self.budget, &mut self.spares);
         Ok(())
-    }
-
-    /// Read back the current value of a per-socket option.
-    pub fn get_opt(&self, id: SocketId, kind: SockOptKind) -> Result<SockOpt, TcpError> {
-        let s = self.sock(id).ok_or(TcpError::NoSocket)?;
-        s.get_opt(kind).ok_or(TcpError::NoSocket)
     }
 
     pub fn close(&mut self, id: SocketId, now: u64) -> Result<(), TcpError> {

@@ -1,7 +1,7 @@
 //! TCB checkpoints for flow replication (§3.6 extension).
 //!
 //! A checkpoint is the per-connection state one replica ships to its buddy
-//! so a restarted (or rebalanced) replica can resume the flow: the V3 wire
+//! so a restarted (or rebalanced) replica can resume the flow: the V4 wire
 //! format, written straight from the socket's components by
 //! [`TcpSocket::checkpoint`] and read straight into a fresh socket by
 //! [`TcpSocket::from_checkpoint`]. Each field is named once per direction.
@@ -13,18 +13,20 @@
 use crate::buffer::{RecvBuffer, SendBuffer};
 use crate::components;
 use crate::socket::TcpSocket;
-use crate::types::{CongestionAlgo, SocketId, TcpConfig, TcpState};
+use crate::types::{CongestionAlgo, SocketId, TcpConfig, TcpState, RECV_BUF, SEND_BUF};
 use neat_net::SeqNum;
 use std::net::Ipv4Addr;
 
 /// Wire format version tag — the first byte of every image. V2 appended
 /// the selected congestion algorithm; V3 drops the three per-socket
 /// segment and retransmit counters V2 carried before it, which nothing
-/// read. V1 and V2 images no longer decode — replicas upgrade in lockstep.
-const TCB_IMAGE_V3: u8 = 3;
+/// read; V4 drops the two ring capacities, which are always [`SEND_BUF`]
+/// and [`RECV_BUF`]. Older images no longer decode — replicas upgrade in
+/// lockstep.
+const TCB_IMAGE_V4: u8 = 4;
 
 /// An image's length without its two stream rings, every option present.
-const IMAGE_FIXED_MAX: usize = 187;
+const IMAGE_FIXED_MAX: usize = 171;
 
 /// Does this state carry resumable stream state worth replicating?
 /// Handshake-in-progress and torn-down flows are recreated (or forgotten)
@@ -43,7 +45,7 @@ pub(crate) fn replicable(state: TcpState) -> bool {
 
 /// Checkpoint / restore for flow replication.
 impl TcpSocket {
-    /// The transferable TCB as little-endian V3 bytes: everything a peer
+    /// The transferable TCB as little-endian V4 bytes: everything a peer
     /// replica needs to resume this connection. The congestion
     /// controller's *dynamic* state, the out-of-order bytes held past the
     /// receive ring's in-order mark, and the outstanding RTT sample are
@@ -57,7 +59,7 @@ impl TcpSocket {
         let send = &rel.send_buf;
         let recv = &fc.recv_buf;
         let mut w = Vec::with_capacity(IMAGE_FIXED_MAX + send.len() + recv.len());
-        w.push(TCB_IMAGE_V3);
+        w.push(TCB_IMAGE_V4);
         w.push(state_code(cm.state));
         w.extend(self.local_ip.octets());
         w.extend(self.local_port.to_le_bytes());
@@ -80,9 +82,7 @@ impl TcpSocket {
         w.push(fc.rcv_wscale);
         w.push(cm.syn_sent as u8);
         put_ring(&mut w, send.slices(send.base(), send.len()));
-        w.extend(((send.room() + send.len()) as u64).to_le_bytes());
         put_ring(&mut w, recv.as_slices());
-        w.extend(((recv.window() + recv.len()) as u64).to_le_bytes());
         w.push(cm.peer_fin_rcvd as u8);
         w.push(cm.close_requested as u8);
         put_opt(&mut w, cm.fin_seq.map(|s| s.0 as u64));
@@ -115,7 +115,7 @@ impl TcpSocket {
     /// re-synchronizes the peer after the migration gap.
     pub fn from_checkpoint(id: SocketId, cfg: &TcpConfig, bytes: &[u8]) -> Option<TcpSocket> {
         let mut r = Reader(bytes);
-        if r.u8()? != TCB_IMAGE_V3 {
+        if r.u8()? != TCB_IMAGE_V4 {
             return None;
         }
         let state = state_from_code(r.u8()?)?;
@@ -134,8 +134,8 @@ impl TcpSocket {
         s.fc.snd_wscale = r.u8()?;
         s.fc.rcv_wscale = r.u8()?;
         s.cm.syn_sent = r.flag()?;
-        s.rel.send_buf = SendBuffer::from_parts(send_base, r.ring()?, r.usize()?)?;
-        s.fc.recv_buf = RecvBuffer::from_parts(r.ring()?, r.usize()?)?;
+        s.rel.send_buf = SendBuffer::from_parts(send_base, r.ring()?, SEND_BUF)?;
+        s.fc.recv_buf = RecvBuffer::from_parts(r.ring()?, RECV_BUF)?;
         s.cm.peer_fin_rcvd = r.flag()?;
         s.cm.close_requested = r.flag()?;
         s.cm.fin_seq = r.opt()?.map(u32::try_from).transpose().ok()?.map(SeqNum);
@@ -196,9 +196,8 @@ fn algo_code(a: CongestionAlgo) -> u8 {
     match a {
         CongestionAlgo::Reno => 0,
         CongestionAlgo::Cubic => 1,
-        CongestionAlgo::None => 2,
-        CongestionAlgo::Bbr => 3,
-        CongestionAlgo::Dctcp => 4,
+        CongestionAlgo::Bbr => 2,
+        CongestionAlgo::Dctcp => 3,
     }
 }
 
@@ -206,9 +205,8 @@ fn algo_from_code(c: u8) -> Option<CongestionAlgo> {
     Some(match c {
         0 => CongestionAlgo::Reno,
         1 => CongestionAlgo::Cubic,
-        2 => CongestionAlgo::None,
-        3 => CongestionAlgo::Bbr,
-        4 => CongestionAlgo::Dctcp,
+        2 => CongestionAlgo::Bbr,
+        3 => CongestionAlgo::Dctcp,
         _ => return None,
     })
 }

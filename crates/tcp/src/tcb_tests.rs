@@ -1,10 +1,10 @@
-//! The checkpoint codec's pins: golden V3 bytes (the V2 bytes captured
-//! before the `TcbImage` struct was deleted, less the per-socket counters), and the canonical-decoder rule on
-//! crafted and mutated real images.
+//! The checkpoint codec's pins: golden V4 bytes (the V2 bytes captured
+//! before the `TcbImage` struct was deleted, less the per-socket counters
+//! and the ring capacities), and the canonical-decoder rule on crafted and
+//! mutated real images.
 
 use super::*;
 use crate::socket::tests::{cfg, established, pump};
-use crate::types::SockOpt;
 use neat_util::check::{check, vec_of, Config};
 use neat_util::prop_assert_eq;
 
@@ -37,33 +37,32 @@ fn scripted() -> [TcpSocket; 3] {
 }
 
 /// [`scripted`]'s images as `snapshot().encode()` wrote them in V2, with
-/// the version byte 3 and the 24 B of per-socket counters before the
-/// algorithm byte removed. `FIN_WAIT` was captured again once an ACK of
+/// the version byte 4, and with the 24 B of per-socket counters before the
+/// algorithm byte and the 8 B capacity after each ring removed. `FIN_WAIT`
+/// was captured again once an ACK of
 /// the FIN came to move `snd_una` past it: its send base is one later and
 /// it holds no RTO deadline.
 const BUSY: &str = concat!(
-    "03040a00000250000a000001409c88130000e8030000a1130000e90300008913",
+    "04040a00000250000a000001409c88130000e8030000a1130000e90300008913",
     "000089130000050400000000010000000000b40507070118000000485454502f",
-    "312e3120323030204f4b0d0a0d0a68656c6c6f00000100000000001c00000047",
-    "4554202f696e6465782e68746d6c20485454502f312e310d0a0d0a0000010000",
-    "000000000001a11300000000000001404b4c0000000000000100000002000000",
-    "010000000087d602410000000087d61241ae622a000000000057311500000000",
-    "00010000000300000001c1cf6a00000000000001c2cf6a000000000001c3cf6a",
-    "000000000001c4cf6a000000000000",
+    "312e3120323030204f4b0d0a0d0a68656c6c6f1c000000474554202f696e6465",
+    "782e68746d6c20485454502f312e310d0a0d0a000001a1130000000000000140",
+    "4b4c0000000000000100000002000000010000000087d602410000000087d612",
+    "41ae622a00000000005731150000000000010000000300000001c1cf6a000000",
+    "00000001c2cf6a000000000001c3cf6a000000000001c4cf6a000000000000",
 );
 const FIN_WAIT: &str = concat!(
-    "03060a000001409c0a0000025000e803000088130000ea03000089130000ea03",
-    "0000ea030000891300000000010000000000b405070701000000000000010000",
-    "000000000000000000010000000000000101e903000000000000000000000000",
-    "00000000010000000000000000000000000000000040420f000000000040420f",
-    "00000000000000000000000000000000000000",
+    "04060a000001409c0a0000025000e803000088130000ea03000089130000ea03",
+    "0000ea030000891300000000010000000000b405070701000000000000000000",
+    "0101e90300000000000000000000000000000000010000000000000000000000",
+    "000000000040420f000000000040420f00000000000000000000000000000000",
+    "000000",
 );
 const CLOSE_WAIT: &str = concat!(
-    "03090a00000250000a000001409c88130000e803000089130000e90300008913",
-    "000089130000ea0300000000010000000000b405070701000000000000010000",
-    "0000000000000000000100000000000100000000000000000000000001000000",
-    "0000000000000000000000000040420f000000000040420f0000000000000000",
-    "0000000000000000000000",
+    "04090a00000250000a000001409c88130000e803000089130000e90300008913",
+    "000089130000ea0300000000010000000000b405070701000000000000000001",
+    "000000000000000000000000010000000000000000000000000000000040420f",
+    "000000000040420f00000000000000000000000000000000000000",
 );
 
 fn unhex(s: &str) -> Vec<u8> {
@@ -93,12 +92,11 @@ fn images_match_the_golden_bytes() {
     let algos = [
         CongestionAlgo::Reno,
         CongestionAlgo::Cubic,
-        CongestionAlgo::None,
         CongestionAlgo::Bbr,
         CongestionAlgo::Dctcp,
     ];
     for (code, algo) in (0..).zip(algos) {
-        s.set_opt(SockOpt::CongestionAlgo(algo));
+        s.set_congestion(algo);
         *want.last_mut().unwrap() = code;
         assert_eq!(s.checkpoint(), want, "{algo:?}");
     }
@@ -108,7 +106,7 @@ fn images_match_the_golden_bytes() {
 /// decoder accepted and re-encoded differently.
 #[test]
 fn corrupt_images_are_refused() {
-    let [busy, fin_wait, _] = scripted();
+    let [_, fin_wait, _] = scripted();
     let good = fin_wait.checkpoint();
     assert!(decodes(&good));
     // Trailing bytes after the algorithm byte.
@@ -116,24 +114,23 @@ fn corrupt_images_are_refused() {
     trailing.push(0);
     assert!(!decodes(&trailing));
     // A `fin_seq` of 2^32 or more: with both rings empty its option tag
-    // sits at byte 81, its value at 82..90.
-    let mut wide_fin = good;
-    assert_eq!(wide_fin[81..86], [1, 0xe9, 0x03, 0, 0], "fin_seq 1001");
-    wide_fin[86] = 1;
+    // sits at byte 65, its value at 66..74.
+    let mut wide_fin = good.clone();
+    assert_eq!(wide_fin[65..70], [1, 0xe9, 0x03, 0, 0], "fin_seq 1001");
+    wide_fin[70] = 1;
     assert!(!decodes(&wide_fin));
-    // A ring longer than its capacity: each `u64` cap follows its ring.
-    let img = busy.checkpoint();
-    let (send, recv) = (&busy.rel.send_buf, &busy.fc.recv_buf);
-    let send_cap = 59 + send.len();
-    let recv_cap = send_cap + 8 + 4 + recv.len();
-    for (at, len, cap) in [
-        (send_cap, send.len(), send.room() + send.len()),
-        (recv_cap, recv.len(), recv.window() + recv.len()),
-    ] {
-        assert_eq!(img[at..at + 8], (cap as u64).to_le_bytes());
-        let mut small = img.clone();
-        small[at..at + 8].copy_from_slice(&(len as u64 - 1).to_le_bytes());
-        assert!(!decodes(&small));
+    // A ring longer than its capacity: the send ring's `u32` length sits at
+    // 55..59, the receive ring's, with the send ring empty, at 59..63. A
+    // full ring decodes; one byte more is refused.
+    for (at, cap) in [(55, SEND_BUF), (59, RECV_BUF)] {
+        assert_eq!(good[at..at + 4], [0; 4]);
+        for (len, fits) in [(cap, true), (cap + 1, false)] {
+            let mut img = good[..at].to_vec();
+            img.extend((len as u32).to_le_bytes());
+            img.extend(std::iter::repeat_n(7, len));
+            img.extend(&good[at + 4..]);
+            assert_eq!(decodes(&img), fits, "a {len} B ring at {at}");
+        }
     }
 }
 

@@ -4,8 +4,9 @@
 //! the same thing.
 
 use super::*;
+use crate::buffer::RecvBuffer;
 use crate::socket::tests::{cfg, Net};
-use crate::types::{SockOpt, TcpConfig};
+use crate::types::TcpConfig;
 use neat_util::check::{check, vec_of, Config, TestResult};
 use neat_util::prop_assert_eq;
 use std::cell::Cell;
@@ -15,8 +16,8 @@ const CLIENT: (Ipv4Addr, u16) = (Ipv4Addr::new(10, 0, 0, 1), 40_000);
 const SERVER: (Ipv4Addr, u16) = (Ipv4Addr::new(10, 0, 0, 2), 80);
 
 /// How the twins' connection reached TIME-WAIT: the client's ISS, the
-/// request and reply sizes, the receive-buffer size the client sets once
-/// there, and whether both ends close at once (through CLOSING).
+/// request and reply sizes, the receive-ring capacity the client is given
+/// once there, and whether both ends close at once (through CLOSING).
 type Setup = (u32, u16, u16, u8, bool);
 
 /// One stimulus: `(kind, a, b)`. `kind % 32` below 20 is a segment from
@@ -51,8 +52,11 @@ fn time_wait_socket((iss, req, reply, buf, both): Setup) -> (TcpSocket, u64) {
     n.advance_to(6 * MS);
     let mut sock = n.socks[0].take().expect("the client");
     assert_eq!(sock.state(), TcpState::TimeWait);
+    // The window the record keeps: a fresh ring of this capacity stands
+    // in for the drained one.
+    assert!(sock.fc.recv_buf.is_empty() && sock.fc.asm.is_empty());
     let cap = [65_536, 4_096, 1_000, 0][usize::from(buf % 4)];
-    sock.set_opt(SockOpt::RecvBuf(cap));
+    sock.fc.recv_buf = RecvBuffer::new(cap);
     // What a stack does at the end of every stimulus: drained rings park.
     sock.park_send_ring(&mut Vec::new());
     sock.park_recv_ring(&mut Vec::new());

@@ -79,9 +79,6 @@ pub enum CongestionAlgo {
     #[default]
     Reno,
     Cubic,
-    /// No congestion control (cwnd pinned wide open) — useful to isolate
-    /// flow-control behaviour in tests.
-    None,
     /// BBR-style model-based controller: paces to a bandwidth-delay
     /// product estimated from delivery-rate and min-RTT filters.
     Bbr,
@@ -91,48 +88,21 @@ pub enum CongestionAlgo {
     Dctcp,
 }
 
-/// A per-socket transport tuning knob, settable after `connect`/`accept`
-/// instead of baking one global [`TcpConfig`] into the whole stack.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum SockOpt {
-    /// Switch the congestion controller for this connection.
-    CongestionAlgo(CongestionAlgo),
-    /// Override the initial congestion window, in segments (RFC 6928
-    /// style: e.g. 10 for IW10).
-    InitialCwnd(u32),
-    /// Resize the receive buffer (and with it the advertised window
-    /// ceiling), in bytes.
-    RecvBuf(usize),
-}
-
-/// The discriminant of a [`SockOpt`], for `get_opt` queries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SockOptKind {
-    CongestionAlgo,
-    InitialCwnd,
-    RecvBuf,
-}
-
-impl SockOpt {
-    pub fn kind(&self) -> SockOptKind {
-        match self {
-            SockOpt::CongestionAlgo(_) => SockOptKind::CongestionAlgo,
-            SockOpt::InitialCwnd(_) => SockOptKind::InitialCwnd,
-            SockOpt::RecvBuf(_) => SockOptKind::RecvBuf,
-        }
-    }
-}
-
 /// Send buffer capacity per socket (bytes).
 pub(crate) const SEND_BUF: usize = 64 * 1024;
 const _: () = assert!(SEND_BUF >= MSS as usize);
+
+/// Receive buffer capacity per socket (bytes): the advertised window's
+/// ceiling.
+pub(crate) const RECV_BUF: usize = 64 * 1024;
+
+/// Retransmissions of one segment before the connection is aborted.
+pub(crate) const MAX_RETRIES: u32 = 12;
 
 /// Per-stack tunables (the control-plane settings of §4: e.g. the
 /// TIME_WAIT timeout the OS manages while the NIC runs the data plane).
 #[derive(Debug, Clone)]
 pub struct TcpConfig {
-    /// Receive buffer capacity per socket (bytes) — advertised window base.
-    pub recv_buf: usize,
     /// TIME_WAIT duration in nanoseconds (smoltcp uses a fixed 10 s).
     pub time_wait_ns: u64,
     /// Delayed-ACK timeout in nanoseconds (0 disables delayed ACKs).
@@ -141,8 +111,6 @@ pub struct TcpConfig {
     pub nagle: bool,
     /// Congestion control algorithm.
     pub congestion: CongestionAlgo,
-    /// Maximum retransmissions before the connection is aborted.
-    pub max_retries: u32,
     /// Initial RTO in nanoseconds (RFC 6298 says 1 s; datacenter-scale
     /// simulations shrink it).
     pub initial_rto_ns: u64,
@@ -164,12 +132,10 @@ pub struct TcpConfig {
 impl Default for TcpConfig {
     fn default() -> TcpConfig {
         TcpConfig {
-            recv_buf: 64 * 1024,
             time_wait_ns: 10_000_000_000,
             delayed_ack_ns: 500_000, // 0.5 ms — LAN-scale
             nagle: true,
             congestion: CongestionAlgo::Reno,
-            max_retries: 12,
             initial_rto_ns: 200_000_000, // 200 ms before first RTT sample
             backlog: 128,
             keepalive_ns: 0,

@@ -8,7 +8,8 @@
 #
 # Usage:
 #   scripts/ci.sh                 # every tier (the full gate)
-#   scripts/ci.sh --tier1         # size + panic-site + tcp-owner + one-builder +
+#   scripts/ci.sh --tier1         # size + panic-site + settings + tcp-owner +
+#                                 # one-builder +
 #                                 # no-source-text + no-default-hasher
 #                                 # guards, build, test,
 #                                 # pinned-shapes guard, fmt, clippy
@@ -104,6 +105,31 @@ panic_site_guard() {
     elif [ "$count" -lt "$PANIC_SITES" ]; then
         echo "PANIC-SITE FAILURE: deployed code has $count sites, fewer than the pin:" >&2
         echo "lower PANIC_SITES in scripts/ci.sh to $count." >&2
+        exit 1
+    fi
+}
+
+# Settings guard (ROADMAP aim 2 and 4(c)): every `pub` field of a deployed
+# config struct is a knob a caller may set, and the total is pinned. A
+# change that adds a knob moves the pin up and says in CHANGES.md which
+# scenario sets it to a second value; one that deletes a knob moves it
+# down. The struct set is `SETTINGS_STRUCTS`; the file set and the
+# `#[cfg(test)]` cut are `deployed_awk`'s.
+SETTINGS=55
+SETTINGS_STRUCTS="TcpConfig NicConfig HttperfConfig MonoTuning NeatConfig TestbedSpec MonoTestbedSpec FaultConfig"
+settings_guard() {
+    knobs=$(deployed_awk '
+        BEGIN { n = split("'"$SETTINGS_STRUCTS"'", s, " "); for (i = 1; i <= n; i++) want[s[i]] = 1 }
+        FNR == 1 { name = "" }
+        /^pub struct [A-Za-z0-9_]+ \{/ { split($0, w, /[ \t{]+/); name = (w[3] in want) ? w[3] : ""; next }
+        name != "" && /^}/ { name = ""; next }
+        name != "" && /^[ \t]+pub [a-z_0-9]+:/ { sub(/^[ \t]+pub /, ""); sub(/:.*/, ""); print name "::" $0 }')
+    count=$(printf '%s' "$knobs" | grep -c . || true)
+    if [ "$count" -ne "$SETTINGS" ]; then
+        echo "SETTINGS FAILURE: the deployed config structs have $count pub fields, the" >&2
+        echo "pin is $SETTINGS. A new knob needs a scenario that sets it to a second value;" >&2
+        echo "move SETTINGS in scripts/ci.sh and say why in CHANGES.md. The fields:" >&2
+        echo "$knobs" >&2
         exit 1
     fi
 }
@@ -222,6 +248,8 @@ if [ "$TIER1" = 1 ]; then
     echo "==> [tier1] deployed non-test lines under crates/*/src: $(deployed_line_count)"
     echo "==> [tier1] panic-site guard (deployed unwrap/expect/panic/unreachable sites = $PANIC_SITES)"
     panic_site_guard
+    echo "==> [tier1] settings guard (pub fields of the deployed config structs = $SETTINGS)"
+    settings_guard
     echo "==> [tier1] tcp owner guard (a TCB field is assigned only in its component's file)"
     tcp_owner_guard
     echo "==> [tier1] one-builder guard (components constructed in replica.rs only)"

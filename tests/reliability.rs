@@ -269,7 +269,7 @@ fn replicated_tcp_crash_is_transparent() {
 fn replicated_crash_is_transparent_under_every_congestion_controller() {
     // The checkpoint carries the per-socket controller selection, so buddy
     // failover must stay transparent whichever algorithm the sockets
-    // picked via `SockOpt::CongestionAlgo` — including the controllers
+    // picked via `TestbedSpec::congestion` — including the controllers
     // that keep internal model state (BBR's bw filter, DCTCP's alpha),
     // which is rebuilt fresh on the restored socket.
     for algo in [
@@ -284,7 +284,7 @@ fn replicated_crash_is_transparent_under_every_congestion_controller() {
             requests_per_conn: 1_000,
             ..Workload::default()
         };
-        spec.sock_opts = vec![neat_tcp::SockOpt::CongestionAlgo(algo)];
+        spec.congestion = Some(algo);
         let mut tb = Testbed::build(spec);
         tb.sim.run_until(Time::from_millis(150));
         let errs_before = tb.total_errors();
