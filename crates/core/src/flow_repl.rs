@@ -9,9 +9,30 @@
 //!   supervisor handoff ([`Msg::ReplHandoff`]) surrenders its copy of the
 //!   dead replica's flows so the respawned replica can adopt them.
 //!
-//! The mechanism is checkpoint streaming: the checkpoint bytes
-//! ([`neat_tcp::TcpSocket::checkpoint`]) of every flow touched since the
-//! last flush. The buddy's store is a plain map; handoff is a drain.
+//! The mechanism is checkpoint streaming: the checkpoint bytes of every
+//! flow touched since the last flush. A delta is one byte buffer, a
+//! [`ReplPayload`], little-endian throughout:
+//!
+//! ```text
+//! delta  = full: u8 (0 or 1) · record count: u32 · records · closed keys
+//! record = key · old_sock: u64 · owner: u64 · app_bytes: u64
+//!          · image length: u32 · image
+//! key    = src ip · dst ip · src port: u16 · dst port: u16 · protocol: u8
+//! ```
+//!
+//! The closed flows' keys run to the end of the buffer. The primary builds
+//! each delta in one [`DeltaWriter`] it keeps across flushes: the stack
+//! visits the touched flows and [`neat_tcp::TcpSocket::checkpoint_into`]
+//! writes each image in place behind its record's header. What ships is an
+//! exact-size copy, so a delta costs one allocation however many flows it
+//! carries. The buddy keeps the latest record per flow and overwrites a
+//! stored image in place, so only a flow it has not held yet allocates. A
+//! handoff or a migration is the same format — a full delta with no closed
+//! keys, its records in ascending `old_sock` — so [`DeltaWriter::put_flow`]
+//! and [`ReplPayload::decode`] are a record's one encoder and one decoder.
+//! A payload whose framing does not decode is dropped whole and counted in
+//! `repl.decode_errors`; an image that does not decode is refused when it
+//! is restored.
 //!
 //! The output-commit argument for why a delta-per-flush is enough: crashes
 //! are delivered as messages ([`Msg::Poison`]), so a flush — input
@@ -22,11 +43,234 @@
 //! application has observed.
 
 use crate::config::NeatConfig;
-use crate::msg::{Msg, ReplFlow, ReplPayload};
+use crate::msg::Msg;
 use crate::sock_server::SockServer;
 use neat_net::FlowKey;
 use neat_sim::ProcId;
+use neat_tcp::SocketId;
 use neat_util::FxHashMap;
+use std::net::Ipv4Addr;
+
+/// A payload's header: the `full` flag and the record count.
+const HEAD: usize = 5;
+/// A flow key's bytes.
+const KEY: usize = 13;
+
+/// One replication delta, or the flows of one handoff or migration, in the
+/// layout of the module doc. A delta's records supersede the buddy's
+/// copies and its closed flows are forgotten; `full` marks a from-scratch
+/// snapshot (the buddy drops everything it held for this primary first).
+#[derive(Debug, Clone)]
+pub struct ReplPayload(Box<[u8]>);
+
+/// One flow record, borrowed from the payload it was decoded from:
+/// everything the adopting stack needs to resume the connection and
+/// re-wire its app binding.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ReplFlow<'a> {
+    /// The 4-tuple (remote side as src — the demux/steering orientation).
+    pub flow: FlowKey,
+    /// Socket id the flow had in its previous owner (the app's dead
+    /// handle is `ConnHandle { stack: old, sock: old_sock }`).
+    pub old_sock: SocketId,
+    /// The application process bound to the connection.
+    pub owner: ProcId,
+    /// Application stream bytes the checkpointed state had accepted from
+    /// the app (drives the library's resend-tail on migration).
+    pub app_bytes: u64,
+    /// The flow's checkpoint ([`neat_tcp::TcpSocket::checkpoint_into`]).
+    pub img: &'a [u8],
+}
+
+/// A payload whose framing decoded end to end.
+#[derive(Debug, Clone, Copy)]
+pub struct Delta<'a> {
+    pub full: bool,
+    flows: &'a [u8],
+    closed: &'a [u8],
+}
+
+impl ReplPayload {
+    /// The record count its header states (what adopting the flows is
+    /// charged for); 0 without a header.
+    pub fn len(&self) -> usize {
+        let count = self.0.get(1..HEAD).and_then(|b| b.try_into().ok());
+        count.map_or(0, u32::from_le_bytes) as usize
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The payload's bytes as they travel.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.0
+    }
+
+    /// Check the framing — the flag, every record's fields and image
+    /// length, whole closed keys to the end — and return the parts; `None`
+    /// for bytes a [`DeltaWriter`] cannot have written.
+    pub fn decode(&self) -> Option<Delta<'_>> {
+        let mut r = Reader(&self.0);
+        let full = match r.u8()? {
+            0 => false,
+            1 => true,
+            _ => return None,
+        };
+        let records = r.u32()?;
+        let start = r.0;
+        for _ in 0..records {
+            read_flow(&mut r)?;
+        }
+        let (flows, closed) = start.split_at(start.len() - r.0.len());
+        closed.len().is_multiple_of(KEY).then_some(Delta {
+            full,
+            flows,
+            closed,
+        })
+    }
+}
+
+impl<'a> Delta<'a> {
+    /// The flow records, in the order they were written.
+    pub fn flows(&self) -> impl Iterator<Item = ReplFlow<'a>> + 'a {
+        let mut r = Reader(self.flows);
+        std::iter::from_fn(move || read_flow(&mut r))
+    }
+
+    /// The flows that closed, after every record.
+    pub fn closed(&self) -> impl Iterator<Item = FlowKey> + 'a {
+        let mut r = Reader(self.closed);
+        std::iter::from_fn(move || read_key(&mut r))
+    }
+}
+
+/// Builds payloads in one buffer that keeps its storage from one payload
+/// to the next: [`DeltaWriter::start`], the flow records, then the closed
+/// keys, then [`DeltaWriter::payload`].
+#[derive(Debug, Default)]
+pub struct DeltaWriter {
+    buf: Vec<u8>,
+    records: u32,
+}
+
+impl DeltaWriter {
+    /// Begin a payload (a full one re-baselines the buddy).
+    pub fn start(&mut self, full: bool) {
+        self.buf.clear();
+        self.buf.push(full as u8);
+        self.buf.extend([0; 4]);
+        self.records = 0;
+    }
+
+    /// Append one flow record; `img` appends the flow's image to the
+    /// buffer it is given, and its length is filled in behind it.
+    pub fn put_flow(
+        &mut self,
+        flow: FlowKey,
+        old_sock: SocketId,
+        owner: ProcId,
+        app_bytes: u64,
+        img: impl FnOnce(&mut Vec<u8>),
+    ) {
+        let w = &mut self.buf;
+        put_key(w, flow);
+        w.extend(old_sock.0.to_le_bytes());
+        w.extend(owner.0.to_le_bytes());
+        w.extend(app_bytes.to_le_bytes());
+        let at = w.len();
+        w.extend([0; 4]);
+        img(w);
+        let len = (w.len() - at - 4) as u32;
+        w[at..at + 4].copy_from_slice(&len.to_le_bytes());
+        self.records += 1;
+    }
+
+    /// Append a closed flow's key (after every record).
+    pub fn put_closed(&mut self, key: FlowKey) {
+        put_key(&mut self.buf, key);
+    }
+
+    /// Nothing was put since [`DeltaWriter::start`].
+    pub fn is_empty(&self) -> bool {
+        self.buf.len() == HEAD
+    }
+
+    /// The payload written since [`DeltaWriter::start`], copied out at its
+    /// exact size.
+    pub fn payload(&mut self) -> ReplPayload {
+        self.buf[1..HEAD].copy_from_slice(&self.records.to_le_bytes());
+        ReplPayload(self.buf.as_slice().into())
+    }
+}
+
+fn put_key(w: &mut Vec<u8>, k: FlowKey) {
+    w.extend(k.src.octets());
+    w.extend(k.dst.octets());
+    w.extend(k.src_port.to_le_bytes());
+    w.extend(k.dst_port.to_le_bytes());
+    w.push(k.protocol);
+}
+
+fn read_key(r: &mut Reader<'_>) -> Option<FlowKey> {
+    Some(FlowKey {
+        src: Ipv4Addr::from(r.arr()?),
+        dst: Ipv4Addr::from(r.arr()?),
+        src_port: u16::from_le_bytes(r.arr()?),
+        dst_port: u16::from_le_bytes(r.arr()?),
+        protocol: r.u8()?,
+    })
+}
+
+fn read_flow<'a>(r: &mut Reader<'a>) -> Option<ReplFlow<'a>> {
+    Some(ReplFlow {
+        flow: read_key(r)?,
+        old_sock: SocketId(r.u64()?),
+        owner: ProcId(r.u64()?),
+        app_bytes: r.u64()?,
+        img: {
+            let len = r.u32()? as usize;
+            r.take(len)?
+        },
+    })
+}
+
+/// Bounds-checked little-endian reader over the unread rest of a payload.
+struct Reader<'a>(&'a [u8]);
+
+impl<'a> Reader<'a> {
+    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
+        let (head, rest) = self.0.split_at_checked(n)?;
+        self.0 = rest;
+        Some(head)
+    }
+
+    fn arr<const N: usize>(&mut self) -> Option<[u8; N]> {
+        self.take(N)?.try_into().ok()
+    }
+
+    fn u8(&mut self) -> Option<u8> {
+        Some(self.take(1)?[0])
+    }
+
+    fn u32(&mut self) -> Option<u32> {
+        Some(u32::from_le_bytes(self.arr()?))
+    }
+
+    fn u64(&mut self) -> Option<u64> {
+        Some(u64::from_le_bytes(self.arr()?))
+    }
+}
+
+/// The buddy's copy of one flow: the latest record's fields, its image in
+/// a buffer each later record overwrites in place.
+#[derive(Debug)]
+struct Held {
+    old_sock: SocketId,
+    owner: ProcId,
+    app_bytes: u64,
+    img: Vec<u8>,
+}
 
 /// Per-replica replication engine (both the primary and the buddy half).
 #[derive(Debug)]
@@ -36,13 +280,17 @@ pub struct FlowRepl {
     buddy: Option<ProcId>,
     /// Next delta must re-baseline the buddy (fresh assignment).
     need_full: bool,
-    /// Latest checkpoint per flow, held on behalf of other replicas and
-    /// keyed by their pid. Only probed; its one iteration,
+    /// Where every delta and handoff is built.
+    out: DeltaWriter,
+    /// Latest record per flow, held on behalf of other replicas and keyed
+    /// by their pid. Only probed; its one iteration,
     /// [`FlowRepl::take_flows_for`], sorts by `old_sock`.
-    store: FxHashMap<ProcId, FxHashMap<FlowKey, ReplFlow>>,
-    /// `repl.deltas_sent`/`_applied`, bumped per delta: cached, but at first
+    store: FxHashMap<ProcId, FxHashMap<FlowKey, Held>>,
+    /// `repl.deltas_sent`/`_applied`, bumped per delta, and
+    /// `repl.delta_bytes`, by each delta's length: cached, but at first
     /// use — the snapshot lists only registered metrics, in that order.
     sent: Option<neat_obs::Counter>,
+    sent_bytes: Option<neat_obs::Counter>,
     applied: Option<neat_obs::Counter>,
 }
 
@@ -52,8 +300,10 @@ impl FlowRepl {
             enabled: cfg.replication,
             buddy: None,
             need_full: false,
+            out: DeltaWriter::default(),
             store: FxHashMap::default(),
             sent: None,
+            sent_bytes: None,
             applied: None,
         }
     }
@@ -83,42 +333,66 @@ impl FlowRepl {
             return None;
         }
         let full = std::mem::take(&mut self.need_full);
-        let payload = srv.checkpoint(full);
-        if !full && payload.flows.is_empty() && payload.closed.is_empty() {
+        self.out.start(full);
+        srv.checkpoint(full, &mut self.out);
+        if !full && self.out.is_empty() {
             return None;
         }
+        let payload = self.out.payload();
         let register = || neat_obs::counter("repl.deltas_sent");
         self.sent.get_or_insert_with(register).inc();
+        let register = || neat_obs::counter("repl.delta_bytes");
+        let bytes = payload.as_bytes().len() as u64;
+        self.sent_bytes.get_or_insert_with(register).add(bytes);
         Some((buddy, Msg::ReplDelta { queue, payload }))
     }
 
     /// Buddy half: fold one incoming delta from `from` into its store.
     pub fn apply_delta(&mut self, from: ProcId, payload: ReplPayload) {
+        let Some(delta) = payload.decode() else {
+            return neat_obs::counter_add("repl.decode_errors", 1);
+        };
         let register = || neat_obs::counter("repl.deltas_applied");
         self.applied.get_or_insert_with(register).inc();
         let map = self.store.entry(from).or_default();
-        if payload.full {
+        if delta.full {
             map.clear();
         }
-        for f in payload.flows {
-            map.insert(f.flow, f);
+        for f in delta.flows() {
+            let held = map.entry(f.flow).or_insert_with(|| Held {
+                old_sock: f.old_sock,
+                owner: f.owner,
+                app_bytes: f.app_bytes,
+                img: Vec::new(),
+            });
+            held.old_sock = f.old_sock;
+            held.owner = f.owner;
+            held.app_bytes = f.app_bytes;
+            held.img.clear();
+            held.img.extend_from_slice(f.img);
         }
-        for k in payload.closed {
+        for k in delta.closed() {
             map.remove(&k);
         }
     }
 
     /// Buddy half: surrender the flows held for `owner` (supervisor
-    /// handoff, or cleanup). Deterministically ordered by the flow's
-    /// socket id in its previous owner.
-    pub fn take_flows_for(&mut self, owner: ProcId) -> Vec<ReplFlow> {
-        let mut flows: Vec<ReplFlow> = self
+    /// handoff, or cleanup) as a full payload. Deterministically ordered
+    /// by the flow's socket id in its previous owner.
+    pub fn take_flows_for(&mut self, owner: ProcId) -> ReplPayload {
+        let mut flows: Vec<(FlowKey, Held)> = self
             .store
             .remove(&owner)
-            .map(|map| map.into_values().collect())
+            .map(|map| map.into_iter().collect())
             .unwrap_or_default();
-        flows.sort_unstable_by_key(|f| f.old_sock);
-        flows
+        flows.sort_unstable_by_key(|(_, h)| h.old_sock);
+        self.out.start(true);
+        for (flow, h) in &flows {
+            let img = |w: &mut Vec<u8>| w.extend_from_slice(&h.img);
+            self.out
+                .put_flow(*flow, h.old_sock, h.owner, h.app_bytes, img);
+        }
+        self.out.payload()
     }
 
     /// Drop the store held for `owner` (it was removed, not crashed).
@@ -128,20 +402,40 @@ impl FlowRepl {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use neat_tcp::SocketId;
-    use std::net::Ipv4Addr;
+    use neat_util::check::{bytes, check, vec_of, Config};
+    use neat_util::{prop_assert, prop_assert_eq};
 
-    fn flow(sock: u64) -> ReplFlow {
+    /// A full payload that carries no flow.
+    pub(crate) fn empty_payload() -> ReplPayload {
+        let mut w = DeltaWriter::default();
+        w.start(true);
+        w.payload()
+    }
+
+    fn key(sock: u64) -> FlowKey {
         let client = Ipv4Addr::new(10, 0, (sock >> 8) as u8, sock as u8);
-        ReplFlow {
-            flow: FlowKey::tcp(client, 40_000, Ipv4Addr::new(10, 0, 0, 1), 80),
-            old_sock: SocketId(sock),
-            owner: ProcId(7),
-            app_bytes: sock,
-            img: vec![sock as u8],
+        FlowKey::tcp(client, 40_000, Ipv4Addr::new(10, 0, 0, 1), 80)
+    }
+
+    /// A delta of records `(old_sock, owner, app_bytes, image)`, each flow
+    /// keyed by its socket, then `closed`.
+    fn delta(flows: &[(u64, u64, u64, Vec<u8>)], closed: &[u64]) -> ReplPayload {
+        let mut w = DeltaWriter::default();
+        w.start(false);
+        for (sock, owner, app_bytes, img) in flows {
+            let put = |out: &mut Vec<u8>| out.extend_from_slice(img);
+            w.put_flow(key(*sock), SocketId(*sock), ProcId(*owner), *app_bytes, put);
         }
+        for &sock in closed {
+            w.put_closed(key(sock));
+        }
+        w.payload()
+    }
+
+    fn decode_errors() -> u64 {
+        neat_obs::counter("repl.decode_errors").get()
     }
 
     /// The buddy's store is a hash map, but what it hands off (and so the
@@ -154,22 +448,118 @@ mod tests {
         // 1..=96 in a scrambled order (97 is prime), eight flows per delta;
         // a last delta closes every fifth.
         let socks: Vec<u64> = (1..=96).map(|i| i * 37 % 97).collect();
-        let delta = |flows, closed| ReplPayload {
-            full: false,
-            flows,
-            closed,
-        };
         for chunk in socks.chunks(8) {
-            let flows = chunk.iter().map(|&s| flow(s)).collect();
-            repl.apply_delta(primary, delta(flows, Vec::new()));
+            let flows: Vec<_> = chunk.iter().map(|&s| (s, 7, s, vec![s as u8])).collect();
+            repl.apply_delta(primary, delta(&flows, &[]));
         }
-        let closed = (5..=96).step_by(5).map(|s| flow(s).flow).collect();
-        repl.apply_delta(primary, delta(Vec::new(), closed));
-        let got: Vec<u64> = (repl.take_flows_for(primary).iter())
+        let closed: Vec<u64> = (5..=96).step_by(5).collect();
+        repl.apply_delta(primary, delta(&[], &closed));
+        let handoff = repl.take_flows_for(primary);
+        let got: Vec<u64> = (handoff.decode().unwrap().flows())
             .map(|f| f.old_sock.0)
             .collect();
         let want: Vec<u64> = (1..=96).filter(|s| s % 5 != 0).collect();
         assert_eq!(got, want);
+        assert_eq!(handoff.len(), want.len());
         assert!(repl.take_flows_for(primary).is_empty(), "a handoff drains");
+    }
+
+    /// What the deltas carried comes back from the handoff: for each flow
+    /// its last record's socket, owner, app bytes and image, whether that
+    /// record overwrote a longer or a shorter image in place, less the
+    /// flows a later delta closed.
+    #[test]
+    fn handoff_returns_the_last_record_of_each_flow() {
+        check(
+            "handoff_returns_the_last_record_of_each_flow",
+            Config::default().cases(128),
+            |rng| {
+                vec_of(rng, 1..40, |r| {
+                    let img = bytes(r, 0..300);
+                    (r.gen::<u8>() % 24, r.gen::<u16>(), r.gen::<u64>(), img)
+                })
+            },
+            |records| {
+                let mut repl = FlowRepl::new(&NeatConfig::single(2).replicated());
+                let primary = ProcId(3);
+                let mut want = std::collections::BTreeMap::new();
+                // Three records a delta; a flow whose index is a multiple
+                // of 5 is closed by the delta that carries it, after it.
+                for chunk in records.chunks(3) {
+                    let mut flows = Vec::new();
+                    let mut closed = Vec::new();
+                    for (idx, owner, app_bytes, img) in chunk {
+                        let sock = 1 + *idx as u64;
+                        flows.push((sock, *owner as u64, *app_bytes, img.clone()));
+                        want.insert(sock, (*owner as u64, *app_bytes, img.clone()));
+                        if idx % 5 == 0 {
+                            closed.push(sock);
+                            want.remove(&sock);
+                        }
+                    }
+                    repl.apply_delta(primary, delta(&flows, &closed));
+                }
+                let handoff = repl.take_flows_for(primary);
+                let Some(d) = handoff.decode() else {
+                    return Err("the handoff does not decode".into());
+                };
+                prop_assert!(d.full);
+                prop_assert_eq!(d.closed().count(), 0);
+                let got: Vec<_> = (d.flows())
+                    .map(|f| {
+                        assert_eq!(f.flow, key(f.old_sock.0));
+                        let rec = (f.owner.0, f.app_bytes, f.img.to_vec());
+                        (f.old_sock.0, rec)
+                    })
+                    .collect();
+                let want: Vec<_> = want.into_iter().collect();
+                prop_assert_eq!(got, want);
+                Ok(())
+            },
+        );
+    }
+
+    /// A delta the writer wrote decodes whole; cut anywhere short of its
+    /// last record, or inside a closed key, it does not. Neither a cut
+    /// delta nor any byte string panics the buddy or a restore: each is
+    /// dropped whole and counted in `repl.decode_errors`.
+    #[test]
+    fn malformed_payloads_are_counted_not_applied() {
+        let flows = [(1, 7, 10, vec![1; 40]), (2, 7, 20, vec![2; 9])];
+        let good = delta(&flows, &[3, 4]).as_bytes().to_vec();
+        let closed_at = good.len() - 2 * KEY;
+        let mut repl = FlowRepl::new(&NeatConfig::single(2).replicated());
+        let mut srv = SockServer::new(Ipv4Addr::new(10, 0, 0, 1), Default::default());
+        let payload = |b: &[u8]| ReplPayload(b.into());
+        for cut in 0..=good.len() {
+            let whole = cut >= closed_at && (cut - closed_at).is_multiple_of(KEY);
+            let p = payload(&good[..cut]);
+            assert_eq!(p.decode().is_some(), whole, "cut at {cut}");
+            let before = decode_errors();
+            repl.apply_delta(ProcId(3), p.clone());
+            assert_eq!(decode_errors() - before, u64::from(!whole), "cut at {cut}");
+            let before = decode_errors();
+            let restored = srv.restore_flows(ProcId(50), ProcId(3), p);
+            assert!(restored.is_empty(), "no record holds an image");
+            // A whole delta's two images are not images either.
+            let errors = if whole { 2 } else { 1 };
+            assert_eq!(decode_errors() - before, errors, "cut at {cut}");
+        }
+        check(
+            "malformed_payloads_are_counted_not_applied",
+            Config::default(),
+            |rng| bytes(rng, 0..200),
+            |b| {
+                let mut repl = FlowRepl::new(&NeatConfig::single(2).replicated());
+                let mut srv = SockServer::new(Ipv4Addr::new(10, 0, 0, 1), Default::default());
+                let p = payload(&b);
+                let ok = p.decode().is_some();
+                let before = decode_errors();
+                repl.apply_delta(ProcId(3), p.clone());
+                let _ = srv.restore_flows(ProcId(50), ProcId(3), p);
+                prop_assert!(ok || decode_errors() - before == 2);
+                Ok(())
+            },
+        );
     }
 }

@@ -62,5 +62,6 @@ pub mod udp_comp;
 mod tests_components;
 
 pub use config::{NeatConfig, StackMode};
-pub use msg::{ConnHandle, Msg, ReplFlow, ReplPayload};
+pub use flow_repl::{ReplFlow, ReplPayload};
+pub use msg::{ConnHandle, Msg};
 pub use placement::{Placement, Slot};

@@ -6,6 +6,7 @@
 //! There is deliberately no other channel: this enum *is* the attack
 //! surface, the failure surface, and the performance surface of the system.
 
+use crate::flow_repl::ReplPayload;
 use crate::replica::Role;
 use neat_net::PktBuf;
 use neat_sim::ProcId;
@@ -185,8 +186,8 @@ pub enum Msg {
     /// Supervisor → stack replica: your checkpoint buddy is `buddy`
     /// (`None` disables streaming, e.g. when the ring shrinks to one).
     SetBuddy { buddy: Option<ProcId> },
-    /// Stack replica → its buddy: one replication delta (TCB checkpoints)
-    /// for `queue`.
+    /// Stack replica → its buddy: one replication delta (flow records with
+    /// their TCB checkpoints, then the closed flows) for `queue`.
     ReplDelta { queue: usize, payload: ReplPayload },
     /// Supervisor → buddy of a crashed replica: replica `old` serving
     /// `queue` died; send your latest copy of its flows to `to` (the
@@ -197,8 +198,9 @@ pub enum Msg {
         to: ProcId,
     },
     /// Buddy (failover) or victim (migration) → new owner: adopt these
-    /// flows. `old` is the replica they lived in before.
-    ReplRestore { old: ProcId, flows: Vec<ReplFlow> },
+    /// flows, a full payload in ascending `old_sock`. `old` is the replica
+    /// they lived in before.
+    ReplRestore { old: ProcId, flows: ReplPayload },
     /// New owner → supervisor: flows adopted; re-steer them to `queue`
     /// via exact-match NIC filters.
     ReplRestored {
@@ -242,35 +244,6 @@ impl Msg {
                 | Msg::SetCongestion { .. }
         )
     }
-}
-
-/// One replicated flow: everything the adopting stack needs to resume the
-/// connection and re-wire its app binding.
-#[derive(Debug, Clone)]
-pub struct ReplFlow {
-    /// The 4-tuple (remote side as src — the demux/steering orientation).
-    pub flow: neat_net::FlowKey,
-    /// Socket id the flow had in its previous owner (the app's dead
-    /// handle is `ConnHandle { stack: old, sock: old_sock }`).
-    pub old_sock: neat_tcp::SocketId,
-    /// The application process bound to the connection.
-    pub owner: ProcId,
-    /// Application stream bytes the checkpointed state had accepted from
-    /// the app (drives the library's resend-tail on migration).
-    pub app_bytes: u64,
-    /// The flow's checkpoint bytes ([`neat_tcp::TcpSocket::checkpoint`]).
-    pub img: Vec<u8>,
-}
-
-/// The body of one replication delta: TCB checkpoints. `flows` supersede
-/// the buddy's copies; `closed` flows are forgotten. `full` marks a
-/// from-scratch snapshot (the buddy drops everything it held for this
-/// primary first).
-#[derive(Debug, Clone)]
-pub struct ReplPayload {
-    pub full: bool,
-    pub flows: Vec<ReplFlow>,
-    pub closed: Vec<neat_net::FlowKey>,
 }
 
 #[cfg(test)]

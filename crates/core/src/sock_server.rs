@@ -7,7 +7,8 @@
 //! fast-path messages. The paper's "mostly system-call-less" design means
 //! these messages model shared-memory queue operations, not kernel calls.
 
-use crate::msg::{ConnHandle, Msg, ReplFlow, ReplPayload};
+use crate::flow_repl::{Delta, DeltaWriter, ReplPayload};
+use crate::msg::{ConnHandle, Msg};
 use neat_net::{FlowKey, TcpHeader};
 use neat_sim::ProcId;
 use neat_tcp::{SockEvent, SocketId, TcpConfig, TcpSocket, TcpStack};
@@ -277,25 +278,22 @@ impl SockServer {
         self.stack.set_repl_tracking(on);
     }
 
-    /// This flush's checkpoint for the buddy: every app-bound replicable
-    /// flow touched since the last call and the flows that closed, or with
-    /// `full` every app-bound replicable flow.
-    pub fn checkpoint(&mut self, full: bool) -> ReplPayload {
-        let mut flows = Vec::new();
-        let mut closed = self.stack.take_repl_closed();
+    /// This flush's checkpoint for the buddy, written into `out`: a record
+    /// for every app-bound replicable flow touched since the last call,
+    /// then the flows that closed; or with `full` a record for every
+    /// app-bound replicable flow.
+    pub fn checkpoint(&mut self, full: bool, out: &mut DeltaWriter) {
         if full {
             // The full image supersedes the dirty and closed sets: drop
             // them unencoded.
             self.stack.take_repl_dirty(|_, _| {});
-            closed = Vec::new();
-            self.stack.export_all_conns(bind(&self.conns, &mut flows));
+            self.stack.take_repl_closed();
+            self.stack.export_all_conns(bind(&self.conns, out));
         } else {
-            self.stack.take_repl_dirty(bind(&self.conns, &mut flows));
-        }
-        ReplPayload {
-            full,
-            flows,
-            closed,
+            self.stack.take_repl_dirty(bind(&self.conns, out));
+            for key in self.stack.take_repl_closed() {
+                out.put_closed(key);
+            }
         }
     }
 
@@ -303,10 +301,14 @@ impl SockServer {
     /// `old` is the replica the flows lived in. Each successful restore
     /// rebinds the owning app via [`Msg::ConnMigrated`] and is returned so
     /// the supervisor can re-steer the flow to this replica's queue.
-    pub fn restore_flows(&mut self, me: ProcId, old: ProcId, flows: Vec<ReplFlow>) -> Vec<FlowKey> {
+    pub fn restore_flows(&mut self, me: ProcId, old: ProcId, flows: ReplPayload) -> Vec<FlowKey> {
         let mut restored = Vec::new();
-        for f in flows {
-            match self.stack.restore_conn(&f.img) {
+        let Some(delta) = flows.decode() else {
+            neat_obs::counter_add("repl.decode_errors", 1);
+            return restored;
+        };
+        for f in delta.flows() {
+            match self.stack.restore_conn(f.img) {
                 None => neat_obs::counter_add("repl.decode_errors", 1),
                 Some(Err(_)) => neat_obs::counter_add("repl.restore_refused", 1),
                 Some(Ok(new_id)) => {
@@ -337,11 +339,12 @@ impl SockServer {
     /// remove them locally — silently (no FIN/RST/user event): the flows
     /// keep living in the target replica. Unbound accept-queue residents
     /// stay behind and drain normally.
-    pub fn export_for_migration(&mut self) -> Vec<ReplFlow> {
-        let mut exported = Vec::new();
-        self.stack
-            .export_all_conns(bind(&self.conns, &mut exported));
-        for f in &exported {
+    pub fn export_for_migration(&mut self) -> ReplPayload {
+        let mut out = DeltaWriter::default();
+        out.start(true);
+        self.stack.export_all_conns(bind(&self.conns, &mut out));
+        let exported = out.payload();
+        for f in exported.decode().iter().flat_map(Delta::flows) {
             self.stack.remove_conn(f.old_sock);
             self.conns.remove(&f.old_sock);
         }
@@ -349,23 +352,19 @@ impl SockServer {
     }
 }
 
-/// The one place a [`ReplFlow`] is built: the visitor the stack calls
-/// with each socket it checkpoints. Flows not yet bound to an app
+/// The one place a flow record is written: the visitor the stack calls
+/// with each socket it checkpoints, which appends the record's header and
+/// has the socket write its image behind it. Flows not yet bound to an app
 /// (accept-queue residents) are skipped — there is no application handle
 /// to rebind on the far side.
 fn bind<'a>(
     conns: &'a FxHashMap<SocketId, Conn>,
-    out: &'a mut Vec<ReplFlow>,
+    out: &'a mut DeltaWriter,
 ) -> impl FnMut(FlowKey, &TcpSocket) + 'a {
     move |flow, sock| {
         if let Some(c) = conns.get(&sock.id) {
-            out.push(ReplFlow {
-                flow,
-                old_sock: sock.id,
-                owner: c.owner,
-                app_bytes: c.app_bytes,
-                img: sock.checkpoint(),
-            });
+            let img = |w: &mut Vec<u8>| sock.checkpoint_into(w);
+            out.put_flow(flow, sock.id, c.owner, c.app_bytes, img);
         }
     }
 }

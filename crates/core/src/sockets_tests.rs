@@ -118,16 +118,18 @@ fn set_congestion_needs_a_bound_fd_and_reaches_the_owning_socket() {
     assert_eq!(algo, CongestionAlgo::Bbr);
     // Both ends of the loopback connection; the controller is the
     // checkpoint's last byte (Reno 0, BBR 2).
-    let flows = srv.borrow_mut().checkpoint(true).flows;
-    let algos: Vec<_> = flows
-        .iter()
-        .map(|f| (f.old_sock == sock, f.img.last()))
+    let mut out = crate::flow_repl::DeltaWriter::default();
+    out.start(true);
+    srv.borrow_mut().checkpoint(true, &mut out);
+    let payload = out.payload();
+    let algos: Vec<_> = (payload.decode().unwrap().flows())
+        .map(|f| (f.old_sock == sock, f.img.last().copied()))
         .collect();
     assert_eq!(algos.len(), 2);
     for (switched, code) in algos {
         assert_eq!(
             code,
-            Some(&if switched { 2 } else { 0 }),
+            Some(if switched { 2 } else { 0 }),
             "switched={switched}"
         );
     }

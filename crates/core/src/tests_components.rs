@@ -742,11 +742,7 @@ fn next_sample(m: &Msg) -> Option<Msg> {
         Msg::Terminate => Msg::SetBuddy { buddy: None },
         Msg::SetBuddy { .. } => Msg::ReplDelta {
             queue: 0,
-            payload: crate::msg::ReplPayload {
-                full: true,
-                flows: vec![],
-                closed: vec![],
-            },
+            payload: crate::flow_repl::tests::empty_payload(),
         },
         Msg::ReplDelta { .. } => Msg::ReplHandoff {
             queue: 0,
@@ -755,7 +751,7 @@ fn next_sample(m: &Msg) -> Option<Msg> {
         },
         Msg::ReplHandoff { .. } => Msg::ReplRestore {
             old: app,
-            flows: vec![],
+            flows: crate::flow_repl::tests::empty_payload(),
         },
         Msg::ReplRestore { .. } => Msg::ReplRestored {
             queue: 0,

@@ -689,9 +689,10 @@ impl TcpStack {
     }
 
     /// Drain the flows that fully closed since the last call (the buddy
-    /// drops its copy so the replica store stays bounded).
-    pub fn take_repl_closed(&mut self) -> Vec<FlowKey> {
-        std::mem::take(&mut self.repl_closed)
+    /// drops its copy so the replica store stays bounded). The list keeps
+    /// its storage for the next flush.
+    pub fn take_repl_closed(&mut self) -> std::vec::Drain<'_, FlowKey> {
+        self.repl_closed.drain(..)
     }
 
     /// Visit every replicable connection with its flow, in socket-id
@@ -709,7 +710,7 @@ impl TcpStack {
 
     /// Install a connection from a checkpoint image (failover restore or
     /// live migration import); `None` if the bytes are not an image
-    /// [`TcpSocket::checkpoint`] could have written. The socket gets a
+    /// [`TcpSocket::checkpoint_into`] could have written. The socket gets a
     /// fresh local id — only once it is admitted, so a refused image
     /// takes no serial. Deadlines in the image are absolute sim times, so an
     /// expired deadline simply fires on the next timer tick — the

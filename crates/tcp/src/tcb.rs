@@ -2,13 +2,13 @@
 //!
 //! A checkpoint is the per-connection state one replica ships to its buddy
 //! so a restarted (or rebalanced) replica can resume the flow: the V4 wire
-//! format, written straight from the socket's components by
-//! [`TcpSocket::checkpoint`] and read straight into a fresh socket by
-//! [`TcpSocket::from_checkpoint`]. Each field is named once per direction.
-//! The reader is canonical — it accepts exactly the images the writer can
-//! produce, so `from_checkpoint(b)?.checkpoint() == b` for every `b` it
-//! accepts (property-tested) and a flow survives any number of hops
-//! unchanged.
+//! format, appended straight from the socket's components to a caller's
+//! buffer by [`TcpSocket::checkpoint_into`] and read straight into a fresh
+//! socket by [`TcpSocket::from_checkpoint`]. Each field is named once per
+//! direction. The reader is canonical — it accepts exactly the images the
+//! writer can produce, so re-encoding what `from_checkpoint(b)` returns
+//! gives `b` again for every `b` it accepts (property-tested) and a flow
+//! survives any number of hops unchanged.
 
 use crate::buffer::{RecvBuffer, SendBuffer};
 use crate::components;
@@ -45,8 +45,11 @@ pub(crate) fn replicable(state: TcpState) -> bool {
 
 /// Checkpoint / restore for flow replication.
 impl TcpSocket {
-    /// The transferable TCB as little-endian V4 bytes: everything a peer
-    /// replica needs to resume this connection. The congestion
+    /// Append the transferable TCB to `w` as little-endian V4 bytes:
+    /// everything a peer replica needs to resume this connection. The
+    /// image goes wherever the caller wants it (a replication delta writes
+    /// it in place after its record header), so checkpointing allocates
+    /// only if `w` must grow. The congestion
     /// controller's *dynamic* state, the out-of-order bytes held past the
     /// receive ring's in-order mark, and the outstanding RTT sample are
     /// deliberately not part of the image — cc restarts from slow-start
@@ -54,11 +57,11 @@ impl TcpSocket {
     /// refilled by peer retransmission, and Karn's rule says a sample that
     /// spans a migration must be discarded anyway. The f64s of the RTT
     /// estimator travel as raw bits.
-    pub fn checkpoint(&self) -> Vec<u8> {
+    pub fn checkpoint_into(&self, w: &mut Vec<u8>) {
         let (cm, rel, fc) = (&self.cm, &self.rel, &self.fc);
         let send = &rel.send_buf;
         let recv = &fc.recv_buf;
-        let mut w = Vec::with_capacity(IMAGE_FIXED_MAX + send.len() + recv.len());
+        w.reserve(IMAGE_FIXED_MAX + send.len() + recv.len());
         w.push(TCB_IMAGE_V4);
         w.push(state_code(cm.state));
         w.extend(self.local_ip.octets());
@@ -81,32 +84,31 @@ impl TcpSocket {
         w.push(fc.snd_wscale);
         w.push(fc.rcv_wscale);
         w.push(cm.syn_sent as u8);
-        put_ring(&mut w, send.slices(send.base(), send.len()));
-        put_ring(&mut w, recv.as_slices());
+        put_ring(w, send.slices(send.base(), send.len()));
+        put_ring(w, recv.as_slices());
         w.push(cm.peer_fin_rcvd as u8);
         w.push(cm.close_requested as u8);
-        put_opt(&mut w, cm.fin_seq.map(|s| s.0 as u64));
-        put_opt(&mut w, rel.rtx_deadline);
+        put_opt(w, cm.fin_seq.map(|s| s.0 as u64));
+        put_opt(w, rel.rtx_deadline);
         w.push(rel.rtx_now as u8);
         w.extend(rel.retries.to_le_bytes());
         w.extend(rel.dup_acks.to_le_bytes());
-        put_opt(&mut w, rel.rtt.srtt.map(f64::to_bits));
+        put_opt(w, rel.rtt.srtt.map(f64::to_bits));
         w.extend(rel.rtt.rttvar.to_bits().to_le_bytes());
         w.extend(rel.rtt.rto_ns.to_le_bytes());
         w.extend(rel.rtt.base_rto_ns.to_le_bytes());
         w.extend(rel.rtt.backoffs.to_le_bytes());
         w.extend(fc.ack_pending.to_le_bytes());
-        put_opt(&mut w, fc.ack_deadline);
+        put_opt(w, fc.ack_deadline);
         w.push(fc.ack_now as u8);
-        put_opt(&mut w, cm.time_wait_deadline);
-        put_opt(&mut w, fc.probe_deadline);
-        put_opt(&mut w, cm.keepalive_deadline);
+        put_opt(w, cm.time_wait_deadline);
+        put_opt(w, fc.probe_deadline);
+        put_opt(w, cm.keepalive_deadline);
         w.push(algo_code(self.cc.algo()));
-        w
     }
 
     /// Rebuild a socket from a checkpoint under a (possibly new) id; `None`
-    /// for any input [`TcpSocket::checkpoint`] cannot have written —
+    /// for any input [`TcpSocket::checkpoint_into`] cannot have written —
     /// truncated, trailing bytes, bad version, state, algorithm, flag or
     /// option tag, a `fin_seq` past 32 bits, a ring longer than its
     /// capacity. The deadlines in the image are absolute simulation times,

@@ -8,6 +8,16 @@ use crate::socket::tests::{cfg, established, pump};
 use neat_util::check::{check, vec_of, Config};
 use neat_util::prop_assert_eq;
 
+impl TcpSocket {
+    /// One image on its own: [`TcpSocket::checkpoint_into`] an empty
+    /// buffer.
+    pub(crate) fn checkpoint(&self) -> Vec<u8> {
+        let mut w = Vec::new();
+        self.checkpoint_into(&mut w);
+        w
+    }
+}
+
 /// Sockets scripted through real handshakes: an established server with
 /// bytes in both rings, its reply in flight and every option present
 /// (poked where the script leaves one absent), and both ends of a
@@ -82,6 +92,11 @@ fn images_match_the_golden_bytes() {
     let img = busy.checkpoint();
     assert_eq!(img, unhex(BUSY));
     assert_eq!(img.len(), IMAGE_FIXED_MAX + 24 + 28, "every option present");
+    // The image is appended: what the buffer held stays in front of it.
+    let mut w = b"head".to_vec();
+    busy.checkpoint_into(&mut w);
+    assert_eq!(w[..4], *b"head");
+    assert_eq!(w[4..], img);
     assert_eq!(fin_wait.state(), TcpState::FinWait2);
     assert_eq!(fin_wait.checkpoint(), unhex(FIN_WAIT));
     assert_eq!(close_wait.state(), TcpState::CloseWait);
