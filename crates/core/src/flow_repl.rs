@@ -48,6 +48,7 @@ use crate::sock_server::SockServer;
 use neat_net::FlowKey;
 use neat_sim::ProcId;
 use neat_tcp::SocketId;
+use neat_util::bytes::Reader;
 use neat_util::FxHashMap;
 use std::net::Ipv4Addr;
 
@@ -216,8 +217,8 @@ fn read_key(r: &mut Reader<'_>) -> Option<FlowKey> {
     Some(FlowKey {
         src: Ipv4Addr::from(r.arr()?),
         dst: Ipv4Addr::from(r.arr()?),
-        src_port: u16::from_le_bytes(r.arr()?),
-        dst_port: u16::from_le_bytes(r.arr()?),
+        src_port: r.u16()?,
+        dst_port: r.u16()?,
         protocol: r.u8()?,
     })
 }
@@ -233,33 +234,6 @@ fn read_flow<'a>(r: &mut Reader<'a>) -> Option<ReplFlow<'a>> {
             r.take(len)?
         },
     })
-}
-
-/// Bounds-checked little-endian reader over the unread rest of a payload.
-struct Reader<'a>(&'a [u8]);
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let (head, rest) = self.0.split_at_checked(n)?;
-        self.0 = rest;
-        Some(head)
-    }
-
-    fn arr<const N: usize>(&mut self) -> Option<[u8; N]> {
-        self.take(N)?.try_into().ok()
-    }
-
-    fn u8(&mut self) -> Option<u8> {
-        Some(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        Some(u32::from_le_bytes(self.arr()?))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        Some(u64::from_le_bytes(self.arr()?))
-    }
 }
 
 /// The buddy's copy of one flow: the latest record's fields, its image in

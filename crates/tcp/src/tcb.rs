@@ -15,6 +15,7 @@ use crate::components;
 use crate::socket::TcpSocket;
 use crate::types::{CongestionAlgo, SocketId, TcpConfig, TcpState, RECV_BUF, SEND_BUF};
 use neat_net::SeqNum;
+use neat_util::bytes::Reader;
 use std::net::Ipv4Addr;
 
 /// Wire format version tag — the first byte of every image. V2 appended
@@ -232,36 +233,16 @@ fn put_opt(w: &mut Vec<u8>, v: Option<u64>) {
     }
 }
 
-/// Bounds-checked little-endian reader over the unread rest of an image.
-struct Reader<'a>(&'a [u8]);
+/// The image's own field kinds, over the shared byte reader.
+trait ImageRead<'a> {
+    fn usize(&mut self) -> Option<usize>;
+    fn seq(&mut self) -> Option<SeqNum>;
+    fn flag(&mut self) -> Option<bool>;
+    fn opt(&mut self) -> Option<Option<u64>>;
+    fn ring(&mut self) -> Option<&'a [u8]>;
+}
 
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let (head, rest) = self.0.split_at_checked(n)?;
-        self.0 = rest;
-        Some(head)
-    }
-
-    fn arr<const N: usize>(&mut self) -> Option<[u8; N]> {
-        self.take(N)?.try_into().ok()
-    }
-
-    fn u8(&mut self) -> Option<u8> {
-        Some(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Option<u16> {
-        Some(u16::from_le_bytes(self.arr()?))
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        Some(u32::from_le_bytes(self.arr()?))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        Some(u64::from_le_bytes(self.arr()?))
-    }
-
+impl<'a> ImageRead<'a> for Reader<'a> {
     fn usize(&mut self) -> Option<usize> {
         self.u64()?.try_into().ok()
     }

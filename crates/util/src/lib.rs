@@ -14,6 +14,8 @@
 //!   `proptest`.
 //! * [`hash`] — rustc-style FxHash plus deterministic `HashMap`/`HashSet`
 //!   aliases for hot-path id-keyed maps. Replaces `rustc-hash`/`fxhash`.
+//! * [`bytes`] — the bounds-checked little-endian reader the wire formats
+//!   decode with.
 //!
 //! Determinism is a correctness feature here, not a convenience: the DES
 //! reproduction of NEaT depends on bit-reproducible RNG streams for fault
@@ -23,6 +25,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod bytes;
 pub mod check;
 pub mod hash;
 pub mod json;
