@@ -86,6 +86,7 @@ pub struct ReplFlow<'a> {
 /// A payload whose framing decoded end to end.
 #[derive(Debug, Clone, Copy)]
 pub struct Delta<'a> {
+    /// A from-scratch snapshot: the buddy drops what it held first.
     pub full: bool,
     flows: &'a [u8],
     closed: &'a [u8],
