@@ -4,7 +4,6 @@
 
 use crate::assembler::Assembler;
 use crate::buffer::RecvBuffer;
-use crate::rto::MAX_RTO_NS;
 use crate::socket::{TcpSocket, OUR_WSCALE};
 use crate::types::{SockEvent, TcpError, RECV_BUF};
 use neat_net::{SeqNum, TcpFlags, TcpHeader};
@@ -32,10 +31,6 @@ pub struct FlowControl {
     pub(crate) ack_deadline: Option<u64>,
     pub(crate) ack_now: bool,
     pub(crate) probe_deadline: Option<u64>,
-    /// Zero-window probes sent since the window last opened: each doubles
-    /// the next probe's wait. Not in the checkpoint image, so a restored
-    /// socket backs off from the first interval again.
-    pub(crate) probes: u8,
 }
 
 impl FlowControl {
@@ -53,7 +48,6 @@ impl FlowControl {
             ack_deadline: None,
             ack_now: false,
             probe_deadline: None,
-            probes: 0,
         }
     }
 }
@@ -192,9 +186,7 @@ impl TcpSocket {
     }
 
     /// Window update (RFC 793: wl1/wl2 guard against stale segments),
-    /// plus zero-window probe arming when the peer closes its window. An
-    /// answer that keeps the window shut leaves the probe's backed-off
-    /// deadline alone.
+    /// plus zero-window probe arming when the peer closes its window.
     pub(crate) fn process_window_update(&mut self, h: &TcpHeader, now: u64) {
         if h.seq - self.fc.snd_wl1 > 0 || (h.seq == self.fc.snd_wl1 && h.ack - self.fc.snd_wl2 >= 0)
         {
@@ -203,11 +195,7 @@ impl TcpSocket {
             let new_wnd = self.fc.snd_wnd;
             if was_zero && new_wnd > 0 {
                 self.fc.probe_deadline = None;
-                self.fc.probes = 0;
-            } else if new_wnd == 0
-                && self.fc.probe_deadline.is_none()
-                && self.rel.send_buf.len_from(self.rel.snd_nxt) > 0
-            {
+            } else if new_wnd == 0 && self.rel.send_buf.len_from(self.rel.snd_nxt) > 0 {
                 self.fc.probe_deadline = Some(now + self.rel.rtt.rto());
             }
         }
@@ -250,19 +238,13 @@ impl TcpSocket {
 
     /// Flow control's deadlines: a delayed ACK is owed now if segments
     /// wait for it; a zero-window probe resends from `snd_una` and probes
-    /// again after an RTO (at least 1 ms) doubled per probe sent since the
-    /// window last opened, up to the RTO ceiling (RFC 1122 §4.2.2.17).
+    /// again an RTO (at least 1 ms) later.
     pub(crate) fn on_flow_timers(&mut self, now: u64) {
         if self.fc.ack_deadline.take_if(|d| now >= *d).is_some() && self.fc.ack_pending > 0 {
             self.owe_ack();
         }
         if self.fc.probe_deadline.is_some_and(|d| now >= d) {
-            self.fc.probes = self.fc.probes.saturating_add(1);
-            let base = self.rel.rtt.rto().max(1_000_000);
-            let wait = base
-                .saturating_mul(1 << self.fc.probes.min(63))
-                .min(MAX_RTO_NS);
-            self.fc.probe_deadline = Some(now + wait);
+            self.fc.probe_deadline = Some(now + self.rel.rtt.rto().max(1_000_000));
             self.retransmit_now();
         }
     }
@@ -271,7 +253,6 @@ impl TcpSocket {
     pub(crate) fn stop_receive_timers(&mut self) {
         self.fc.ack_deadline = None;
         self.fc.probe_deadline = None;
-        self.fc.probes = 0;
     }
 
     /// Transmit step 4: a pure ACK if one is owed (forced or delayed-ACK

@@ -20,9 +20,6 @@ pub struct RttEstimator {
     max_rto_ns: u64,
 }
 
-/// The RTO ceiling, which also caps the zero-window probe interval.
-pub(crate) const MAX_RTO_NS: u64 = 60_000_000_000;
-
 const ALPHA: f64 = 1.0 / 8.0;
 const BETA: f64 = 1.0 / 4.0;
 /// Clock granularity G of RFC 6298 (we use 1 ms).
@@ -36,8 +33,8 @@ impl RttEstimator {
             rto_ns: initial_rto_ns,
             base_rto_ns: initial_rto_ns,
             backoffs: 0,
-            min_rto_ns: 1_000_000, // 1 ms floor (LAN-scale; RFC says 1 s)
-            max_rto_ns: MAX_RTO_NS,
+            min_rto_ns: 1_000_000,      // 1 ms floor (LAN-scale; RFC says 1 s)
+            max_rto_ns: 60_000_000_000, // 60 s ceiling
         }
     }
 

@@ -52,13 +52,11 @@ impl TcpSocket {
     /// it in place after its record header), so checkpointing allocates
     /// only if `w` must grow. The congestion controller's *dynamic* state,
     /// the out-of-order bytes held past the receive ring's in-order mark,
-    /// the outstanding RTT sample and the count of zero-window probes are
-    /// deliberately not part of the image — cc restarts from slow-start
-    /// parameters (but keeps its selected algorithm), held bytes are
-    /// refilled by peer retransmission, Karn's rule says a sample that
-    /// spans a migration must be discarded anyway, and a probe backs off
-    /// from its first interval again. The f64s of the RTT estimator travel
-    /// as raw bits.
+    /// and the outstanding RTT sample are deliberately not part of the
+    /// image — cc restarts from slow-start parameters (but keeps its
+    /// selected algorithm), held bytes are refilled by peer retransmission,
+    /// and Karn's rule says a sample that spans a migration must be
+    /// discarded anyway. The f64s of the RTT estimator travel as raw bits.
     pub fn checkpoint_into(&self, w: &mut Vec<u8>) {
         let (cm, rel, fc) = (&self.cm, &self.rel, &self.fc);
         let send = &rel.send_buf;

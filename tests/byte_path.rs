@@ -19,13 +19,7 @@ use reply_path::{count_reply, REPLY};
 /// buffer; the fourth is one block per frame, built in place, where a
 /// frame was a `Vec` and an `Rc`; the last is the timer wheel's slot
 /// vectors, which an emptied slot freed and the next timer there
-/// allocated again. Then 171 / 618 128 B, two frames more: the reply
-/// stalls once on the client's full 64 KiB window, and since zero-window
-/// probes back off, no second probe goes out 1 ms into the stall to carry
-/// a segment through the reopened window; the rest leaves on the client's
-/// window update in super-segments whose sub-MSS tails (120, 120 and
-/// 644 B where one 1 004 B frame was) the TSO cut sends as frames of
-/// their own.
+/// allocated again.
 ///
 /// Where the rest goes: the send and receive rings each double their way
 /// to 64 KiB (2 × 112 KiB), `poll_wire`, `send_ip` and the TSO cut each
@@ -34,8 +28,8 @@ use reply_path::{count_reply, REPLY};
 /// buffer (ROADMAP item C).
 #[test]
 fn allocations_per_reply_are_pinned() {
-    const MAX_ALLOCS: u64 = 171;
-    const MAX_BYTES: u64 = 618_128;
+    const MAX_ALLOCS: u64 = 169;
+    const MAX_BYTES: u64 = 617_528;
 
     let (allocs, bytes, p) = count_reply(false);
     println!("byte path: {allocs} allocations, {bytes} B per {REPLY} B reply");

@@ -20,13 +20,11 @@ use std::cell::Cell;
 /// then sorted and rebuilt the run list per segment, counted 351
 /// allocations / 981 572 B; with held bytes written into the receive ring
 /// at their offset and only their ranges listed it is 167 / 613 976 B,
-/// the byte path's figure less two (the counts repeat to the byte); 169 /
-/// 614 576 B since zero-window probes back off, for the byte path's
-/// reason: the same two frames more.
+/// the byte path's figure less two (the counts repeat to the byte).
 #[test]
 fn allocations_per_reordered_reply_are_pinned() {
-    const MAX_ALLOCS: u64 = 169;
-    const MAX_BYTES: u64 = 614_576;
+    const MAX_ALLOCS: u64 = 167;
+    const MAX_BYTES: u64 = 613_976;
 
     let (allocs, bytes, p) = count_reply(true);
     println!(
