@@ -25,9 +25,12 @@
 //! visits the touched flows and [`neat_tcp::TcpSocket::checkpoint_into`]
 //! writes each image in place behind its record's header. What ships is an
 //! exact-size copy, so a delta costs one allocation however many flows it
-//! carries. The buddy keeps the latest record per flow and overwrites a
-//! stored image in place, so only a flow it has not held yet allocates. A
-//! handoff or a migration is the same format — a full delta with no closed
+//! carries; after a full delta or a handoff, which carry every flow, the
+//! writer frees its storage. The buddy keeps the latest record per flow and
+//! overwrites a stored image in place, so only a flow it has not held yet
+//! allocates, or one whose image needs less than half its buffer: that
+//! buffer shrinks to the image, so an idle flow does not keep the room its
+//! largest image took. A handoff or a migration is the same format — a full delta with no closed
 //! keys, its records in ascending `old_sock` — so [`DeltaWriter::put_flow`]
 //! and [`ReplPayload::decode`] are a record's one encoder and one decoder.
 //! A payload whose framing does not decode is dropped whole and counted in
@@ -88,16 +91,16 @@ pub struct ReplFlow<'a> {
 pub struct Delta<'a> {
     /// A from-scratch snapshot: the buddy drops what it held first.
     pub full: bool,
+    records: usize,
     flows: &'a [u8],
     closed: &'a [u8],
 }
 
 impl ReplPayload {
-    /// The record count its header states (what adopting the flows is
-    /// charged for); 0 without a header.
+    /// The flow records it carries (what adopting the flows is charged
+    /// for); 0 if it does not decode.
     pub fn len(&self) -> usize {
-        let count = self.0.get(1..HEAD).and_then(|b| b.try_into().ok());
-        count.map_or(0, u32::from_le_bytes) as usize
+        self.decode().map_or(0, |d| d.records)
     }
 
     pub fn is_empty(&self) -> bool {
@@ -127,6 +130,7 @@ impl ReplPayload {
         let (flows, closed) = start.split_at(start.len() - r.0.len());
         closed.len().is_multiple_of(KEY).then_some(Delta {
             full,
+            records: records as usize,
             flows,
             closed,
         })
@@ -204,6 +208,12 @@ impl DeltaWriter {
         self.buf[1..HEAD].copy_from_slice(&self.records.to_le_bytes());
         ReplPayload(self.buf.as_slice().into())
     }
+
+    /// Free the buffer's storage: after a full payload, which carries
+    /// every flow, so the next delta does not keep its size.
+    pub fn release(&mut self) {
+        self.buf = Vec::new();
+    }
 }
 
 fn put_key(w: &mut Vec<u8>, k: FlowKey) {
@@ -238,7 +248,8 @@ fn read_flow<'a>(r: &mut Reader<'a>) -> Option<ReplFlow<'a>> {
 }
 
 /// The buddy's copy of one flow: the latest record's fields, its image in
-/// a buffer each later record overwrites in place.
+/// a buffer each later record overwrites in place (shrunk first if the new
+/// image needs less than half of it).
 #[derive(Debug)]
 struct Held {
     old_sock: SocketId,
@@ -255,7 +266,7 @@ pub struct FlowRepl {
     buddy: Option<ProcId>,
     /// Next delta must re-baseline the buddy (fresh assignment).
     need_full: bool,
-    /// Where every delta and handoff is built.
+    /// Where every delta and handoff is built; freed after a full one.
     out: DeltaWriter,
     /// Latest record per flow, held on behalf of other replicas and keyed
     /// by their pid. Only probed; its one iteration,
@@ -314,6 +325,9 @@ impl FlowRepl {
             return None;
         }
         let payload = self.out.payload();
+        if full {
+            self.out.release();
+        }
         let register = || neat_obs::counter("repl.deltas_sent");
         self.sent.get_or_insert_with(register).inc();
         let register = || neat_obs::counter("repl.delta_bytes");
@@ -344,6 +358,9 @@ impl FlowRepl {
             held.owner = f.owner;
             held.app_bytes = f.app_bytes;
             held.img.clear();
+            if held.img.capacity() > 2 * f.img.len() {
+                held.img.shrink_to(f.img.len());
+            }
             held.img.extend_from_slice(f.img);
         }
         for k in delta.closed() {
@@ -367,7 +384,9 @@ impl FlowRepl {
             self.out
                 .put_flow(*flow, h.old_sock, h.owner, h.app_bytes, img);
         }
-        self.out.payload()
+        let payload = self.out.payload();
+        self.out.release();
+        payload
     }
 
     /// Drop the store held for `owner` (it was removed, not crashed).
@@ -510,6 +529,7 @@ pub(crate) mod tests {
             let whole = cut >= closed_at && (cut - closed_at).is_multiple_of(KEY);
             let p = payload(&good[..cut]);
             assert_eq!(p.decode().is_some(), whole, "cut at {cut}");
+            assert_eq!(p.len(), if whole { 2 } else { 0 }, "cut at {cut}");
             let before = decode_errors();
             repl.apply_delta(ProcId(3), p.clone());
             assert_eq!(decode_errors() - before, u64::from(!whole), "cut at {cut}");
@@ -520,6 +540,11 @@ pub(crate) mod tests {
             let errors = if whole { 2 } else { 1 };
             assert_eq!(decode_errors() - before, errors, "cut at {cut}");
         }
+        // A header that claims records it does not carry counts none, so
+        // adopting them is charged nothing.
+        let mut claims = vec![1];
+        claims.extend(u32::MAX.to_le_bytes());
+        assert_eq!(payload(&claims).len(), 0);
         check(
             "malformed_payloads_are_counted_not_applied",
             Config::default(),
@@ -529,6 +554,7 @@ pub(crate) mod tests {
                 let mut srv = SockServer::new(Ipv4Addr::new(10, 0, 0, 1), Default::default());
                 let p = payload(&b);
                 let ok = p.decode().is_some();
+                prop_assert!(ok || p.is_empty());
                 let before = decode_errors();
                 repl.apply_delta(ProcId(3), p.clone());
                 let _ = srv.restore_flows(ProcId(50), ProcId(3), p);
@@ -536,5 +562,23 @@ pub(crate) mod tests {
                 Ok(())
             },
         );
+    }
+
+    /// Storage does not stay at its largest: a held image that shrinks
+    /// below half its buffer gets a buffer its size, and the writer frees
+    /// what a full delta or a handoff grew it to.
+    #[test]
+    fn retained_storage_follows_the_latest_size() {
+        let mut repl = FlowRepl::new(&NeatConfig::single(2).replicated());
+        let primary = ProcId(3);
+        let held = |repl: &FlowRepl| repl.store[&primary][&key(1)].img.capacity();
+        repl.apply_delta(primary, delta(&[(1, 7, 0, vec![1; 4096])], &[]));
+        repl.apply_delta(primary, delta(&[(1, 7, 0, vec![2; 3000])], &[]));
+        assert_eq!(held(&repl), 4096, "more than half: overwritten in place");
+        repl.apply_delta(primary, delta(&[(1, 7, 0, vec![3; 200])], &[]));
+        assert_eq!(held(&repl), 200);
+        let handoff = repl.take_flows_for(primary);
+        assert_eq!(handoff.len(), 1);
+        assert_eq!(repl.out.buf.capacity(), 0, "the handoff's storage is freed");
     }
 }
