@@ -14,6 +14,10 @@
 //! `Rc::get_mut` — the only handle exists, so the write needs no `unsafe`
 //! and the bytes are never copied. [`PktBuf::from_vec`] is the adaptor for
 //! bytes that already exist elsewhere: it copies them into a fresh block.
+//! A producer that writes several frames at once builds them back to back
+//! into one grant and hands each out as a [`PktBuf::window`]: the TSO cut
+//! does, so a super-segment's wire frames share one block, which returns
+//! when the last of them drops.
 //!
 //! Per-thread counters keep grant/return accounting so teardown can assert
 //! that no buffer leaked ([`assert_quiescent`]), and count every view that
@@ -105,8 +109,15 @@ impl PktBuf {
     /// the header-strip operation: IP hands TCP the L4 bytes without
     /// touching the frame.
     pub fn slice(&self, off: usize, len: usize) -> PktBuf {
-        assert!(off + len <= self.len(), "slice out of bounds");
         with_state(|p| p.stats.copies_avoided += 1);
+        self.window(off, len)
+    }
+
+    /// A sub-view that avoids no copy: one of the frames a producer wrote
+    /// back to back into one grant (a TSO cut's wire segments), handed out
+    /// as they were built. [`slice`](Self::slice) without the count.
+    pub fn window(&self, off: usize, len: usize) -> PktBuf {
+        assert!(off + len <= self.len(), "slice out of bounds");
         PktBuf {
             storage: Rc::clone(&self.storage),
             off: self.off + off as u32,
@@ -247,9 +258,13 @@ mod tests {
         assert_eq!(&l4[..4], &[34, 35, 36, 37]);
         assert_eq!(frame.refcount(), 2);
         assert_eq!(stats().copies_avoided, 1);
+        let tail = l4.window(60, 6);
+        assert_eq!(&tail[..], &[94, 95, 96, 97, 98, 99]);
+        assert_eq!(stats().copies_avoided, 1, "a window avoids no copy");
         drop(frame);
-        assert_eq!(stats().outstanding, 1, "view keeps storage alive");
         drop(l4);
+        assert_eq!(stats().outstanding, 1, "a view keeps its storage alive");
+        drop(tail);
         assert_quiescent();
     }
 

@@ -2,6 +2,9 @@
 //! frame; the hardware cuts it into MSS-sized wire segments, fixing up
 //! sequence numbers, lengths, flags, and checksums.
 //!
+//! A cut grants one buffer, not one per segment: every wire segment is a
+//! window of it (see [`cut`]).
+//!
 //! The paper's testbed relies on this ("TSO … greatly improves performance
 //! and allows smaller configurations to reach a full 10Gb/s", §6).
 
@@ -12,9 +15,11 @@ use neat_net::PktBuf;
 
 /// Where a cut segment's TCP header starts.
 const L4_OFF: usize = ETHERNET_HEADER_LEN + IPV4_HEADER_LEN;
+/// A cut segment's bytes before its chunk.
+const SEG_HEADERS: usize = L4_OFF + TCP_HEADER_LEN;
 
 /// Split an Ethernet frame carrying an oversized IPv4/TCP payload into
-/// MSS-sized frames, one fresh buffer per segment. Everything else — not
+/// MSS-sized frames, all windows of one fresh buffer. Everything else — not
 /// IPv4, not TCP, a header that does not parse or verify, a payload already
 /// within `mss`, an `mss` of zero — passes the original handle through
 /// untouched.
@@ -29,7 +34,12 @@ pub fn tso_split(frame: PktBuf, mss: usize) -> Vec<PktBuf> {
 /// Hand `each` the segments of `frame` in order, or return `None` without
 /// calling it when the frame is not to be split. The one parse of the
 /// three headers (both checksums verified) happens here.
-pub fn cut(frame: &[u8], mss: usize, each: impl FnMut(PktBuf)) -> Option<()> {
+///
+/// A cut is one grant: the segments, headers included, are written back
+/// to back into one buffer, and each wire frame `each` gets is a
+/// [`PktBuf::window`] of it. The windows count no avoided copy (the
+/// payload was copied), and the grant returns when the last one drops.
+pub fn cut(frame: &[u8], mss: usize, mut each: impl FnMut(PktBuf)) -> Option<()> {
     let (eth, ip_off) = EthernetFrame::parse(frame).ok()?;
     if eth.ethertype != EtherType::Ipv4 {
         return None;
@@ -44,7 +54,8 @@ pub fn cut(frame: &[u8], mss: usize, each: impl FnMut(PktBuf)) -> Option<()> {
     if mss == 0 || payload.len() <= mss {
         return None;
     }
-    let segment = |(i, chunk): (usize, &[u8])| {
+    // One segment's three headers and its chunk, written into `f` in place.
+    let segment = |i: usize, chunk: &[u8], f: &mut [u8]| {
         let off = i * mss;
         let last = off + chunk.len() == payload.len();
         let mut h = tcp;
@@ -56,17 +67,28 @@ pub fn cut(frame: &[u8], mss: usize, each: impl FnMut(PktBuf)) -> Option<()> {
         // here never carry them, but clear defensively.
         h.mss = None;
         h.window_scale = None;
-        // All three headers and the chunk are written into the one buffer
-        // granted, in place.
         let l4_len = TCP_HEADER_LEN + chunk.len();
-        PktBuf::build(L4_OFF + l4_len, |f| {
-            eth.emit_header_to(f);
-            Ipv4Header::new(ip.src, ip.dst, IpProtocol::Tcp, l4_len)
-                .emit_header_to(&mut f[ETHERNET_HEADER_LEN..]);
-            h.emit_to(&mut f[L4_OFF..], &[chunk], ip.src, ip.dst);
-        })
+        eth.emit_header_to(f);
+        Ipv4Header::new(ip.src, ip.dst, IpProtocol::Tcp, l4_len)
+            .emit_header_to(&mut f[ETHERNET_HEADER_LEN..]);
+        h.emit_to(&mut f[L4_OFF..], &[chunk], ip.src, ip.dst);
     };
-    payload.chunks(mss).enumerate().map(segment).for_each(each);
+    // Every segment goes into the one grant, back to back; each wire frame
+    // is a window of it.
+    let len = payload.len().div_ceil(mss) * SEG_HEADERS + payload.len();
+    let whole = PktBuf::build(len, |mut rest| {
+        for (i, chunk) in payload.chunks(mss).enumerate() {
+            let (f, tail) = std::mem::take(&mut rest).split_at_mut(SEG_HEADERS + chunk.len());
+            segment(i, chunk, f);
+            rest = tail;
+        }
+    });
+    let mut off = 0;
+    for chunk in payload.chunks(mss) {
+        let len = SEG_HEADERS + chunk.len();
+        each(whole.window(off, len));
+        off += len;
+    }
     Some(())
 }
 
@@ -120,19 +142,61 @@ mod tests {
         assert_eq!(neat_net::pktbuf::stats().grants, before.grants, "no grant");
     }
 
+    /// A 4 000 B cut is one grant; its three segments are windows of it,
+    /// back to back in the order they go out; they count no avoided copy;
+    /// and the grant is outstanding until the last of them drops.
     #[test]
-    fn split_grants_one_buffer_per_segment() {
+    fn a_cut_is_one_grant_and_its_segments_are_windows() {
+        let start = neat_net::pktbuf::stats();
         let f = PktBuf::from(build(&[9u8; 4000], TcpFlags::psh_ack()));
         let before = neat_net::pktbuf::stats();
-        let out = tso_split(f, 1460);
+        let mut out = tso_split(f, 1460);
         assert_eq!(out.len(), 3);
         let after = neat_net::pktbuf::stats();
-        assert_eq!(after.grants - before.grants, 3, "no whole-frame grant");
-        assert_eq!(
-            after.outstanding,
-            before.outstanding + 3 - 1,
-            "input released"
-        );
+        assert_eq!(after.grants - before.grants, 1, "one grant per cut");
+        assert_eq!(after.copies_avoided, before.copies_avoided);
+        let mut next = out[0].as_ptr();
+        for seg in &out {
+            assert_eq!(seg.refcount(), 3, "every segment holds the one grant");
+            assert_eq!(seg.as_ptr(), next, "segments sit back to back");
+            next = next.wrapping_add(seg.len());
+        }
+        while out.len() > 1 {
+            drop(out.remove(0));
+            assert_eq!(
+                neat_net::pktbuf::stats().outstanding,
+                start.outstanding + 1,
+                "the input released, the cut's grant held"
+            );
+        }
+        drop(out);
+        assert_eq!(neat_net::pktbuf::stats().outstanding, start.outstanding);
+    }
+
+    /// Corrupting one segment of a cut re-grants it: the shared grant is
+    /// never written through, so every sibling keeps its bytes.
+    #[test]
+    fn corrupting_a_segment_leaves_its_siblings() {
+        use crate::faults::{FaultConfig, FaultInjector, FaultOutcome};
+        let f = PktBuf::from(build(&[5u8; 5000], TcpFlags::psh_ack()));
+        let out = tso_split(f, 1460);
+        let copies: Vec<Vec<u8>> = out.iter().map(|seg| seg.to_vec()).collect();
+        let cfg = FaultConfig {
+            corrupt_pct: 100,
+            ..Default::default()
+        };
+        let mut faults = FaultInjector::new(cfg, 7);
+        for i in 0..out.len() {
+            let grants = neat_net::pktbuf::stats().grants;
+            let FaultOutcome::Corrupted(bad) = faults.apply(out[i].clone()) else {
+                panic!("corrupt_pct 100 corrupts");
+            };
+            assert_eq!(neat_net::pktbuf::stats().grants, grants + 1, "re-granted");
+            assert_ne!(bad.to_vec(), copies[i]);
+            for (seg, copy) in out.iter().zip(&copies) {
+                assert_eq!(&seg[..], &copy[..], "a sibling's bytes moved");
+            }
+        }
     }
 
     #[test]

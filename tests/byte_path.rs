@@ -13,23 +13,25 @@ use reply_path::{count_reply, REPLY};
 
 /// Allocations and bytes per 100 000 B reply, step by step as the path
 /// got leaner: 853 allocations / 1 240 006 B → 369 / 627 878 B → 266 /
-/// 619 426 B → 175 / 617 720 B → 169 / 617 528 B (the counts repeat to the
-/// byte, debug and release). The third step is the per-segment event
-/// lists, the TSO cut's and `host_tx`'s lists and the client's segment
-/// buffer; the fourth is one block per frame, built in place, where a
-/// frame was a `Vec` and an `Rc`; the last is the timer wheel's slot
-/// vectors, which an emptied slot freed and the next timer there
-/// allocated again.
+/// 619 426 B → 175 / 617 720 B → 169 / 617 528 B → 111 / 616 224 B (the
+/// counts repeat to the byte, debug and release). The third step is the
+/// per-segment event lists, the TSO cut's and `host_tx`'s lists and the
+/// client's segment buffer; the fourth is one block per frame, built in
+/// place, where a frame was a `Vec` and an `Rc`; the fifth is the timer
+/// wheel's slot vectors, which an emptied slot freed and the next timer
+/// there allocated again; the last is one block per TSO cut, every wire
+/// segment a window of it, where each segment was a block of its own.
 ///
 /// Where the rest goes: the send and receive rings each double their way
-/// to 64 KiB (2 × 112 KiB), `poll_wire`, `send_ip` and the TSO cut each
-/// build a segment in one exact-size buffer (3 × the reply). Going lower
-/// needs the pinned `poll_wire` / `send_ip` shapes re-pinned to a headroom
-/// buffer (ROADMAP item C).
+/// to 64 KiB (2 × 112 KiB); `poll_wire` and `send_ip` each build a segment
+/// in one exact-size buffer, and the TSO cut writes a super-segment's wire
+/// segments into one (3 × the reply, in one block per super-segment at each
+/// step). Going lower needs the pinned `poll_wire` / `send_ip` shapes
+/// re-pinned to a headroom buffer (ROADMAP item C).
 #[test]
 fn allocations_per_reply_are_pinned() {
-    const MAX_ALLOCS: u64 = 169;
-    const MAX_BYTES: u64 = 617_528;
+    const MAX_ALLOCS: u64 = 111;
+    const MAX_BYTES: u64 = 616_224;
 
     let (allocs, bytes, p) = count_reply(false);
     println!("byte path: {allocs} allocations, {bytes} B per {REPLY} B reply");

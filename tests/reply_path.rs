@@ -4,7 +4,8 @@
 //! `SockServer::handle_app(ConnSend)` through `poll_wire` →
 //! `FrameIo::send_ip` → `Nic::host_tx` (TSO) → the client's `FrameIo` and
 //! `TcpStack` → `recv`, with the client's ACKs going back the same way,
-//! counted by an allocator that sees this thread only.
+//! counted by an allocator that sees this thread only. Every frame buffer
+//! granted on the way is returned by the time the client has read it all.
 
 use crate::counting_alloc::COUNTS;
 use neat::config::NeatConfig;
@@ -12,7 +13,7 @@ use neat::msg::Msg;
 use neat::netcode::{FrameIo, RxClass};
 use neat::sock_server::SockServer;
 use neat_net::ipv4::IpProtocol;
-use neat_net::pktbuf::PktBuf;
+use neat_net::pktbuf::{self, PktBuf};
 use neat_net::{MacAddr, TcpHeader};
 use neat_nic::{FaultInjector, Nic, NicConfig};
 use neat_sim::ProcId;
@@ -135,6 +136,7 @@ pub fn count_reply(reorder: bool) -> (u64, u64, Path) {
     let mut got = Vec::with_capacity(REPLY);
     let mut sip = [0u8; 16384];
 
+    let held = pktbuf::stats().outstanding;
     let before = COUNTS.with(Cell::get);
     p.srv.handle_app(APP, Msg::ConnSend { sock, data }, p.now);
     for _ in 0..64 {
@@ -149,5 +151,10 @@ pub fn count_reply(reorder: bool) -> (u64, u64, Path) {
     let after = COUNTS.with(Cell::get);
 
     assert!(got == reply, "the client read the reply, byte for byte");
+    assert_eq!(
+        pktbuf::stats().outstanding,
+        held,
+        "a frame buffer outlived the reply (a TSO cut's grant lives until its last segment drops)"
+    );
     (after.0 - before.0, after.1 - before.1, p)
 }
