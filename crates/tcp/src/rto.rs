@@ -2,8 +2,8 @@
 //! exponential backoff.
 
 /// Smoothed RTT estimator producing the retransmission timeout. The
-/// learned fields travel in a TCB checkpoint (`tcb.rs`); the min/max
-/// clamps are constants of `new`, so they need not.
+/// learned fields travel in a TCB checkpoint (`tcb.rs`); the clamps are
+/// the constants `MIN_RTO_NS` and `MAX_RTO_NS`, so they need not.
 #[derive(Debug, Clone)]
 pub struct RttEstimator {
     /// Smoothed RTT (ns); `None` until the first sample.
@@ -16,14 +16,16 @@ pub struct RttEstimator {
     pub(crate) base_rto_ns: u64,
     /// Consecutive backoffs applied since the last valid sample.
     pub(crate) backoffs: u32,
-    min_rto_ns: u64,
-    max_rto_ns: u64,
 }
 
 const ALPHA: f64 = 1.0 / 8.0;
 const BETA: f64 = 1.0 / 4.0;
 /// Clock granularity G of RFC 6298 (we use 1 ms).
 const GRANULARITY_NS: f64 = 1_000_000.0;
+/// The RTO's floor: 1 ms, LAN-scale (RFC 6298 says 1 s).
+const MIN_RTO_NS: u64 = 1_000_000;
+/// The RTO's ceiling, backoff included: 60 s.
+const MAX_RTO_NS: u64 = 60_000_000_000;
 
 impl RttEstimator {
     pub fn new(initial_rto_ns: u64) -> RttEstimator {
@@ -33,8 +35,6 @@ impl RttEstimator {
             rto_ns: initial_rto_ns,
             base_rto_ns: initial_rto_ns,
             backoffs: 0,
-            min_rto_ns: 1_000_000,      // 1 ms floor (LAN-scale; RFC says 1 s)
-            max_rto_ns: 60_000_000_000, // 60 s ceiling
         }
     }
 
@@ -54,7 +54,7 @@ impl RttEstimator {
         }
         let srtt = self.srtt.unwrap();
         let rto = srtt + (4.0 * self.rttvar).max(GRANULARITY_NS);
-        self.base_rto_ns = (rto as u64).clamp(self.min_rto_ns, self.max_rto_ns);
+        self.base_rto_ns = (rto as u64).clamp(MIN_RTO_NS, MAX_RTO_NS);
         self.rto_ns = self.base_rto_ns;
         self.backoffs = 0;
     }
@@ -67,7 +67,7 @@ impl RttEstimator {
     /// Exponential backoff after a retransmission timeout fires.
     pub fn backoff(&mut self) {
         self.backoffs += 1;
-        self.rto_ns = (self.rto_ns.saturating_mul(2)).min(self.max_rto_ns);
+        self.rto_ns = (self.rto_ns.saturating_mul(2)).min(MAX_RTO_NS);
     }
 
     pub fn srtt(&self) -> Option<u64> {

@@ -442,7 +442,7 @@ fn ephemeral_ports_unique() {
 /// `conn_scale_mem_per_conn_bytes` are built on. The pin moves down only.
 #[test]
 fn socket_size_is_pinned() {
-    assert_eq!(std::mem::size_of::<TcpSocket>(), 504);
+    assert_eq!(std::mem::size_of::<TcpSocket>(), 488);
 }
 
 /// A checkpoint moves a flow into another stack; an image the stack
