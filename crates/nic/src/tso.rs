@@ -2,8 +2,8 @@
 //! frame; the hardware cuts it into MSS-sized wire segments, fixing up
 //! sequence numbers, lengths, flags, and checksums.
 //!
-//! A cut grants one buffer, not one per segment: every wire segment is a
-//! window of it (see [`cut`]).
+//! A cut grants one buffer, and every wire segment is a window of it (see
+//! [`cut`]).
 //!
 //! The paper's testbed relies on this ("TSO … greatly improves performance
 //! and allows smaller configurations to reach a full 10Gb/s", §6).
@@ -73,8 +73,6 @@ pub fn cut(frame: &[u8], mss: usize, mut each: impl FnMut(PktBuf)) -> Option<()>
             .emit_header_to(&mut f[ETHERNET_HEADER_LEN..]);
         h.emit_to(&mut f[L4_OFF..], &[chunk], ip.src, ip.dst);
     };
-    // Every segment goes into the one grant, back to back; each wire frame
-    // is a window of it.
     let len = payload.len().div_ceil(mss) * SEG_HEADERS + payload.len();
     let whole = PktBuf::build(len, |mut rest| {
         for (i, chunk) in payload.chunks(mss).enumerate() {

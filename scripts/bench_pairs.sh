@@ -13,6 +13,11 @@
 # `mktemp -d`); it holds the exported parent tree, both cargo target dirs
 # and every run's result line as <side>-<workload>-<seed>.json.
 #
+# Each metric's summary row ends with a verdict by the house rule:
+# `lower` or `higher` when the change moves that way in at least 9 pairs in
+# 10 and its median moves by more than the parent's IQR, `exact` when each
+# side repeats one value in every run (a count), `unresolved` otherwise.
+#
 # The parent tree comes from `git archive` (no network, no worktree); both
 # `neat-benchmark` binaries are built once, offline, each into its own
 # target dir. Nothing under benchmark/ is written: the builds are --locked
@@ -83,9 +88,19 @@ def quartiles(xs):
     q = statistics.quantiles(xs, n=4, method="inclusive")
     return q[0], q[2]
 
+def verdict(p, c, mp, mc, iqr):
+    # The house rule: a direction wins at least 9 pairs in 10 and moves the
+    # median by more than the parent's IQR; a count that repeats one value
+    # on each side is exact; anything else is unresolved.
+    for word, won in (("lower", sum(b < a for a, b in zip(p, c))),
+                      ("higher", sum(b > a for a, b in zip(p, c)))):
+        if won * 10 >= 9 * len(p) and abs(mc - mp) > iqr:
+            return word
+    return "exact" if len(set(p)) == 1 and len(set(c)) == 1 else "unresolved"
+
 print(f"\n{workload}: {len(seeds)} pairs; parent -> change medians, parent IQR, "
-      "pairs where the change is lower")
-print(f"{'metric':<40} {'parent':>12} {'change':>12} {'delta':>8} {'IQR':>10}  lower")
+      "pairs where the change is lower, verdict")
+print(f"{'metric':<40} {'parent':>12} {'change':>12} {'delta':>8} {'IQR':>10}  lower    verdict")
 for name in runs["parent"][0]["metrics"]:
     p = [r["metrics"][name]["value"] for r in runs["parent"]]
     c = [r["metrics"][name]["value"] for r in runs["change"]]
@@ -93,7 +108,9 @@ for name in runs["parent"][0]["metrics"]:
     lo, hi = quartiles(p)
     delta = f"{(mc - mp) / mp * 100:+.1f}%" if mp else "-"
     lower = sum(b < a for a, b in zip(p, c))
-    print(f"{name:<40} {mp:>12.6g} {mc:>12.6g} {delta:>8} {hi - lo:>10.4g}  {lower} of {len(p)}")
+    won = f"{lower} of {len(p)}"
+    print(f"{name:<40} {mp:>12.6g} {mc:>12.6g} {delta:>8} {hi - lo:>10.4g}  {won:<8} "
+          f"{verdict(p, c, mp, mc, hi - lo)}")
 bad = [(side, r) for side in runs for r in runs[side] if not r["correct"] or r["failed"]]
 print("every run correct, 0 failed" if not bad else f"{len(bad)} runs incorrect or failing")
 

@@ -22,8 +22,7 @@ use std::cell::Cell;
 /// at their offset and only their ranges listed it is 167 / 613 976 B; with
 /// one block per TSO cut, every wire segment a window of it, 109 /
 /// 612 672 B, the byte path's figure less two (the counts repeat to the
-/// byte). A held segment keeps its cut's block alive until it is
-/// delivered, which moves no count here.
+/// byte).
 #[test]
 fn allocations_per_reordered_reply_are_pinned() {
     const MAX_ALLOCS: u64 = 109;
