@@ -167,8 +167,6 @@ pub struct HttperfProc {
     conns: FxHashMap<SocketId, ConnRun>,
     /// The one request every connection sends, formatted once.
     request: Vec<u8>,
-    /// What the last `Readable` read: one buffer for every connection.
-    rx: Vec<u8>,
     /// The deadline the one pending `TOK_STACK` timer stands for.
     timer: Option<u64>,
     timer_fires: TimerFires,
@@ -224,7 +222,6 @@ impl HttperfProc {
         HttperfProc {
             name: name.into(),
             request: http::format_request(&cfg.path, true),
-            rx: Vec::new(),
             cfg,
             nic,
             stack,
@@ -260,15 +257,36 @@ impl HttperfProc {
         }
     }
 
-    /// Drain a connection's receive buffer into `rx`: one read, sized to
-    /// what waits.
-    fn read_all(&mut self, sock: SocketId) {
-        self.rx.clear();
-        self.rx.resize(self.stack.recv_available(sock), 0);
-        if !self.rx.is_empty() {
-            let n = self.stack.recv(sock, &mut self.rx).unwrap_or(0);
-            self.rx.truncate(n);
+    /// Read all that waits on `sock` where it lies in the receive ring:
+    /// every byte goes to the stream digest, then to the connection's
+    /// parser, which keeps heads only. Returns the bytes read, the
+    /// responses completed (none past the connection's last request) and
+    /// their body bytes.
+    fn read_responses(&mut self, sock: SocketId) -> (usize, u32, u64) {
+        let waiting = self.stack.recv_available(sock);
+        if waiting == 0 {
+            return (0, 0, 0);
         }
+        let mut run = self.conns.get_mut(&sock);
+        // The response that ends the connection is the last that counts;
+        // the first always does.
+        let per_conn = self.cfg.requests_per_conn;
+        let last = run
+            .as_deref()
+            .map_or(0, |r| per_conn.saturating_sub(r.requests_done).max(1));
+        let (mut responses, mut body_bytes) = (0, 0);
+        let n = self.stack.recv_with(sock, waiting, |half| {
+            self.metrics.borrow_mut().digest_bytes(half);
+            if let Some(run) = run.as_deref_mut() {
+                run.parser.push_counting(half, |resp| {
+                    if responses < last {
+                        responses += 1;
+                        body_bytes += resp.body_len as u64;
+                    }
+                });
+            }
+        });
+        (n.unwrap_or(0), responses, body_bytes)
     }
 
     fn issue_request(&mut self, ctx: &mut Ctx<'_, Msg>, sock: SocketId) {
@@ -304,17 +322,14 @@ impl HttperfProc {
                     }
                 }
                 SockEvent::Readable(sock) => {
-                    self.read_all(sock);
-                    ctx.charge(calibration::copy_cost(self.rx.len()));
-                    if !self.rx.is_empty() {
-                        self.metrics.borrow_mut().digest_bytes(&self.rx);
-                    }
+                    let (n, responses, body_bytes) = self.read_responses(sock);
+                    ctx.charge(calibration::copy_cost(n));
                     let Some(run) = self.conns.get_mut(&sock) else {
                         continue;
                     };
-                    run.parser.push(&self.rx);
+                    self.metrics.borrow_mut().response_bytes += body_bytes;
                     let mut finished = false;
-                    while let Some(resp) = run.parser.next_response() {
+                    for _ in 0..responses {
                         let mut m = self.metrics.borrow_mut();
                         if let Some(t0) = run.sent_at.take() {
                             let d = now.saturating_sub(t0);
@@ -322,7 +337,6 @@ impl HttperfProc {
                             self.obs.latency.observe(d);
                         }
                         m.completed += 1;
-                        m.response_bytes += resp.body.len() as u64;
                         drop(m);
                         self.obs.completed.inc();
                         run.counted += 1;

@@ -207,12 +207,13 @@ impl SockServer {
         };
         // One read into the buffer the payload leaves in, sized to what
         // waits.
-        let mut data = vec![0u8; self.stack.recv_available(sock)];
-        if data.is_empty() {
+        let waiting = self.stack.recv_available(sock);
+        if waiting == 0 {
             return; // and an empty read would still mark the socket dirty
         }
-        if let Ok(n @ 1..) = self.stack.recv(sock, &mut data) {
-            data.truncate(n);
+        let mut data = Vec::with_capacity(waiting);
+        let fill = |half: &[u8]| data.extend_from_slice(half);
+        if let Ok(1..) = self.stack.recv_with(sock, waiting, fill) {
             let conn = ConnHandle { stack: me, sock };
             self.to_app.push((app, Msg::ConnData { conn, data }));
         }

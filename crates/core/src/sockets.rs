@@ -99,6 +99,23 @@ pub enum LibEvent {
 /// replication checkpoint (the `app_bytes` gap in [`Msg::ConnMigrated`]).
 const TX_TAIL_CAP: usize = 64 * 1024;
 
+/// Append `data` to `tail`, which keeps only the stream's last
+/// [`TX_TAIL_CAP`] bytes: the front is trimmed first and only the last
+/// `TX_TAIL_CAP` bytes of `data` go in, so the storage grows as
+/// `VecDeque`'s own does (doubling, nothing reserved ahead) but never past
+/// the cap.
+fn keep_tail(tail: &mut VecDeque<u8>, data: &[u8]) {
+    let data = &data[data.len().saturating_sub(TX_TAIL_CAP)..];
+    let excess = (tail.len() + data.len()).saturating_sub(TX_TAIL_CAP);
+    tail.drain(..excess);
+    let need = tail.len() + data.len();
+    if need > tail.capacity() {
+        let grown = (2 * tail.capacity()).max(need).clamp(8, TX_TAIL_CAP);
+        tail.reserve_exact(grown - tail.len());
+    }
+    tail.extend(data);
+}
+
 /// Everything the library keeps for one fd, from `connect()` or an
 /// `Incoming` until [`SocketLib::release`].
 #[derive(Debug, Default)]
@@ -248,9 +265,7 @@ impl SocketLib {
         let len = data.len();
         ctx.charge(neat_sim::calibration::copy_cost(len));
         st.sent_total += len as u64;
-        st.tail.extend(&data);
-        let excess = st.tail.len().saturating_sub(TX_TAIL_CAP);
-        st.tail.drain(..excess);
+        keep_tail(&mut st.tail, &data);
         let to = self.route_override.unwrap_or(stack);
         ctx.send(to, Msg::ConnSend { sock, data });
         Ok(len)

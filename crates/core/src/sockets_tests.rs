@@ -134,3 +134,135 @@ fn set_congestion_needs_a_bound_fd_and_reaches_the_owning_socket() {
         );
     }
 }
+
+/// Each `ConnSend`'s socket and bytes, in arrival order.
+type Sends = Vec<(neat_tcp::SocketId, Vec<u8>)>;
+
+/// A stand-in replica that only records what each `ConnSend` carries.
+struct SendLog(Rc<RefCell<Sends>>);
+
+impl Process<Msg> for SendLog {
+    fn name(&self) -> String {
+        "send-log".into()
+    }
+    fn on_event(&mut self, _: &mut Ctx<'_, Msg>, ev: Event<Msg>) {
+        if let Event::Message {
+            msg: Msg::ConnSend { sock, data },
+            ..
+        } = ev
+        {
+            self.0.borrow_mut().push((sock, data));
+        }
+    }
+}
+
+/// Runs `script` once, at start, on a library whose replica is a
+/// [`SendLog`]; returns what the log recorded.
+fn with_lib(script: impl FnOnce(&mut SocketLib, &mut Ctx<'_, Msg>, ProcId) + 'static) -> Sends {
+    struct Script<F>(Option<F>, ProcId);
+    impl<F: FnOnce(&mut SocketLib, &mut Ctx<'_, Msg>, ProcId) + 'static> Process<Msg> for Script<F> {
+        fn name(&self) -> String {
+            "app".into()
+        }
+        fn on_event(&mut self, ctx: &mut Ctx<'_, Msg>, ev: Event<Msg>) {
+            if let (Event::Start, Some(script)) = (ev, self.0.take()) {
+                let mut lib = SocketLib::new(ProcId(0), vec![self.1], None);
+                script(&mut lib, ctx, self.1);
+            }
+        }
+    }
+    let mut sim: Sim<Msg> = Sim::new(SimConfig::default());
+    let m = sim.add_machine(MachineSpec::amd_opteron_6168());
+    let log = Rc::new(RefCell::new(Vec::new()));
+    let replica = sim.spawn(sim.hw_thread(m, 0, 0), Box::new(SendLog(Rc::clone(&log))));
+    sim.spawn(
+        sim.hw_thread(m, 1, 0),
+        Box::new(Script(Some(script), replica)),
+    );
+    sim.run_until(Time::from_millis(50));
+    log.take()
+}
+
+/// The failover tail (ROADMAP M): after every write it holds the stream's
+/// last `min(sent, TX_TAIL_CAP)` bytes in storage no larger than the cap,
+/// and a migration whose gap it covers resends exactly that gap, in
+/// order, as one `ConnSend` to the new handle. A gap past it resets the
+/// connection.
+#[test]
+fn the_tail_keeps_the_last_64_kib_and_resends_a_gap_it_covers() {
+    let writes: Vec<usize> = [vec![20; 1_000], vec![50_000, 100_000, 200_000]].concat();
+    let expected = Rc::new(RefCell::new(Vec::new()));
+    let want = Rc::clone(&expected);
+    let log = with_lib(move |lib, ctx, replica| {
+        let byte = |i: u64| (i.wrapping_mul(2_654_435_761) >> 13) as u8;
+        let handle = |n: u64| ConnHandle {
+            stack: replica,
+            sock: neat_tcp::SocketId(n),
+        };
+        let incoming = Msg::Incoming {
+            port: 80,
+            conn: handle(1),
+        };
+        let evs: Vec<_> = lib.handle(ctx, incoming).collect();
+        let [LibEvent::Accepted { fd, .. }] = evs[..] else {
+            panic!("an accept: {evs:?}");
+        };
+        let (mut sent, mut sock) = (0u64, 1u64);
+        for (k, &len) in writes.iter().enumerate() {
+            let data: Vec<u8> = (sent..sent + len as u64).map(byte).collect();
+            want.borrow_mut()
+                .push((neat_tcp::SocketId(sock), data.clone()));
+            assert_eq!(lib.send(ctx, fd, data), Ok(len));
+            sent += len as u64;
+            let kept = sent.min(TX_TAIL_CAP as u64);
+            let tail = &lib.fds[&fd].tail;
+            let stream_end: Vec<u8> = (sent - kept..sent).map(byte).collect();
+            assert!(
+                tail.iter().eq(&stream_end),
+                "write {k}: the stream's last {kept} B"
+            );
+            assert!(
+                tail.capacity() <= TX_TAIL_CAP,
+                "write {k}: {}",
+                tail.capacity()
+            );
+            // Gaps of none, one byte, one write and the whole tail.
+            let gap = [0, 1, len as u64, kept][k % 4].min(kept);
+            let app_bytes = sent - gap;
+            let (old, new) = (handle(sock), handle(sock + 1));
+            let migrated = Msg::ConnMigrated {
+                old,
+                new,
+                app_bytes,
+            };
+            assert_eq!(lib.handle(ctx, migrated).count(), 0, "no event");
+            sock += 1;
+            if gap > 0 {
+                let resent = (app_bytes..sent).map(byte).collect();
+                want.borrow_mut().push((new.sock, resent));
+            }
+        }
+        // One byte more than the tail holds cannot be made whole.
+        let migrated = Msg::ConnMigrated {
+            old: handle(sock),
+            new: handle(sock + 1),
+            app_bytes: sent - TX_TAIL_CAP as u64 - 1,
+        };
+        let evs: Vec<_> = lib.handle(ctx, migrated).collect();
+        let err = Some(SockErr::ConnReset);
+        assert_eq!(evs, [LibEvent::Closed { fd, err }]);
+        assert_eq!((lib.lost_to_crash, lib.open_conns()), (1, 0));
+    });
+    let expected = expected.take();
+    assert_eq!(log.len(), expected.len());
+    for (i, (got, want)) in log.iter().zip(&expected).enumerate() {
+        assert!(
+            got == want,
+            "ConnSend {i}: {} B to {:?}, want {} B to {:?}",
+            got.1.len(),
+            got.0,
+            want.1.len(),
+            want.0
+        );
+    }
+}

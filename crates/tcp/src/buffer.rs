@@ -42,6 +42,16 @@ fn park(ring: &mut VecDeque<u8>, spares: &mut Vec<VecDeque<u8>>) -> usize {
     bytes
 }
 
+/// A `read_with` visitor that copies the halves it is shown into `buf`,
+/// back to back from its start.
+pub(crate) fn fill(buf: &mut [u8]) -> impl FnMut(&[u8]) + '_ {
+    let mut at = 0;
+    move |half| {
+        buf[at..at + half.len()].copy_from_slice(half);
+        at += half.len();
+    }
+}
+
 /// Bytes between `snd.una` and the end of the user-enqueued stream.
 #[derive(Debug)]
 pub struct SendBuffer {
@@ -242,11 +252,21 @@ impl RecvBuffer {
 
     /// Move up to `buf.len()` in-order bytes out to the application.
     pub fn read(&mut self, buf: &mut [u8]) -> usize {
-        let n = buf.len().min(self.ready);
+        self.read_with(buf.len(), fill(buf))
+    }
+
+    /// Hand up to `max` in-order bytes to `visit` where they lie, as the
+    /// ring's (at most two, non-empty) halves in stream order, then drop
+    /// them; returns how many.
+    pub(crate) fn read_with(&mut self, max: usize, mut visit: impl FnMut(&[u8])) -> usize {
+        let n = max.min(self.ready);
         let (a, b) = self.data.as_slices();
         let cut = n.min(a.len());
-        buf[..cut].copy_from_slice(&a[..cut]);
-        buf[cut..n].copy_from_slice(&b[..n - cut]);
+        for half in [&a[..cut], &b[..n - cut]] {
+            if !half.is_empty() {
+                visit(half);
+            }
+        }
         self.data.drain(..n);
         self.ready -= n;
         n

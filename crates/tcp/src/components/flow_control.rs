@@ -3,7 +3,7 @@
 //! probing against the peer's window.
 
 use crate::assembler::Assembler;
-use crate::buffer::RecvBuffer;
+use crate::buffer::{fill, RecvBuffer};
 use crate::socket::{TcpSocket, OUR_WSCALE};
 use crate::types::{SockEvent, TcpError, RECV_BUF};
 use neat_net::{SeqNum, TcpFlags, TcpHeader};
@@ -75,10 +75,20 @@ pub(crate) fn in_window(seq: SeqNum, seg_len: u32, rcv_nxt: SeqNum, wnd: u32) ->
 impl TcpSocket {
     /// Read received data; 0 bytes at EOF (peer closed and drained).
     pub fn recv(&mut self, buf: &mut [u8]) -> Result<usize, TcpError> {
+        self.recv_with(buf.len(), fill(buf))
+    }
+
+    /// [`Self::recv`] without the copy: up to `max` received bytes go to
+    /// `visit` as the receive ring's non-empty halves, in stream order.
+    pub(crate) fn recv_with(
+        &mut self,
+        max: usize,
+        visit: impl FnMut(&[u8]),
+    ) -> Result<usize, TcpError> {
         if let Some(e) = self.error {
             return Err(e);
         }
-        let n = self.fc.recv_buf.read(buf);
+        let n = self.fc.recv_buf.read_with(max, visit);
         if n == 0 && !self.at_eof() {
             return Err(TcpError::WouldBlock);
         }

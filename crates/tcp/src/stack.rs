@@ -30,6 +30,7 @@
 //!   ([`Spares`]).
 
 use crate::budget::ConnBudget;
+use crate::buffer::fill;
 use crate::socket::TcpSocket;
 use crate::tcb::replicable;
 use crate::types::{CongestionAlgo, SockEvent, SocketId, TcpConfig, TcpError, TcpState};
@@ -324,8 +325,20 @@ impl TcpStack {
     }
 
     pub fn recv(&mut self, id: SocketId, buf: &mut [u8]) -> Result<usize, TcpError> {
+        self.recv_with(id, buf.len(), fill(buf))
+    }
+
+    /// [`Self::recv`] without the copy: up to `max` received bytes go to
+    /// `visit` where they lie in the receive ring, as its non-empty halves
+    /// in stream order; the effects on the connection are `recv`'s.
+    pub fn recv_with(
+        &mut self,
+        id: SocketId,
+        max: usize,
+        visit: impl FnMut(&[u8]),
+    ) -> Result<usize, TcpError> {
         let slot = self.slots.get_mut(id).ok_or(TcpError::NoSocket)?;
-        let r = slot.sock.recv(buf);
+        let r = slot.sock.recv_with(max, visit);
         if r.is_ok() {
             // A window update may be owed.
             slot.mark_dirty(&mut self.dirty, &mut self.repl_dirty);

@@ -734,3 +734,114 @@ fn fin_wait_2_waits_in_silence() {
     assert!(!events.iter().any(|e| matches!(e, SockEvent::Aborted(_))));
     assert_eq!(rtos.get(), before, "tcp.rto_retransmits");
 }
+
+/// Two identical connections, the client of each read in the same sips:
+/// the first with `recv` into a slice, the second with `recv_with`.
+struct Lockstep {
+    clients: [TcpStack; 2],
+    servers: [TcpStack; 2],
+    id: SocketId,
+    srv: SocketId,
+    /// The bytes read so far, and how many reads the visitor was shown
+    /// both halves of the ring in.
+    read: Vec<u8>,
+    wrapped: usize,
+}
+
+impl Lockstep {
+    fn new() -> Lockstep {
+        let mut sides = [pair(), pair()];
+        let ids = sides.each_mut().map(|(c, s)| {
+            let l = s.listen(80).unwrap();
+            let conn = c.connect(SERVER_IP, 80, 0).unwrap();
+            pump(c, s, 0);
+            (conn, s.accept(l).unwrap())
+        });
+        assert_eq!(ids[0], ids[1]);
+        let [(c1, s1), (c2, s2)] = sides;
+        let (id, srv) = ids[0];
+        Lockstep {
+            clients: [c1, c2],
+            servers: [s1, s2],
+            id,
+            srv,
+            read: Vec::new(),
+            wrapped: 0,
+        }
+    }
+
+    /// Run `f` on each side's (server, client), then its timers due by
+    /// `now`, and carry their segments.
+    fn both(&mut self, now: u64, mut f: impl FnMut(&mut TcpStack, &mut TcpStack)) {
+        for (s, c) in self.servers.iter_mut().zip(&mut self.clients) {
+            f(s, c);
+            run_timers(s, now);
+            run_timers(c, now);
+            pump(s, c, now);
+        }
+    }
+
+    /// Read up to `sip` bytes on both sides and check they agree.
+    fn read(&mut self, sip: usize) -> Result<usize, TcpError> {
+        let [c1, c2] = &mut self.clients;
+        let mut flat = vec![0u8; sip];
+        let got = c1.recv(self.id, &mut flat);
+        let (mut visited, mut halves) = (Vec::new(), 0);
+        let got_with = c2.recv_with(self.id, sip, |half| {
+            visited.extend_from_slice(half);
+            halves += 1;
+        });
+        self.wrapped += usize::from(halves == 2);
+        assert_eq!(got, got_with, "sip {sip}");
+        assert_eq!(&flat[..got.unwrap_or(0)], &visited[..], "sip {sip}");
+        self.read.extend_from_slice(&visited);
+        let images = [&*c1, &*c2].map(|c| c.sock(self.id).map(TcpSocket::checkpoint));
+        assert_eq!(images[0], images[1], "sip {sip}");
+        assert_eq!(format!("{:?}", c1.budget), format!("{:?}", c2.budget));
+        got
+    }
+}
+
+/// `recv_with` is `recv` without the copy: the same bytes and results, and
+/// equal TCB images and budgets after every read — across the receive
+/// ring's wrap point, on an empty ring, at EOF and after an abort.
+#[test]
+fn recv_with_matches_recv() {
+    let mut l = Lockstep::new();
+    let (id, srv) = (l.id, l.srv);
+    let stream: Vec<u8> = (0..400_000u32).map(|i| (i * 7 + i / 251) as u8).collect();
+    let mut sent = 0;
+    for round in 0..24 {
+        let now = round as u64 * 50 * MS;
+        let chunk = &stream[sent..(sent + 30_000).min(stream.len())];
+        let mut accepted = [0; 2];
+        let mut side = 0;
+        l.both(now, |s, _| {
+            accepted[side] = s.send(srv, chunk).unwrap_or(0);
+            side += 1;
+        });
+        assert_eq!(accepted[0], accepted[1]);
+        sent += accepted[0];
+        let _ = l.read([1, 4_000, 40_000, 0, 17, 20_000, 30_000][round % 7]);
+        l.both(now, |_, _| {});
+    }
+    assert!(l.wrapped > 2, "reads across the wrap point: {}", l.wrapped);
+    let mut now = 24 * 50 * MS;
+    while l.read.len() < sent {
+        let _ = l.read(9_000);
+        now += 50 * MS;
+        l.both(now, |_, _| {});
+    }
+    assert_eq!(l.read, &stream[..sent]);
+    assert_eq!(l.read(100), Err(TcpError::WouldBlock));
+    let end = now + 50 * MS;
+    l.both(end, |s, _| s.close(srv, end).unwrap());
+    assert_eq!(l.read(100), Ok(0), "EOF");
+    // An aborted socket reads its error until the stack reaps it.
+    for c in &mut l.clients {
+        c.abort(id).unwrap();
+    }
+    assert_eq!(l.read(100), Err(TcpError::Reset));
+    l.both(end, |_, _| {});
+    assert_eq!(l.read(100), Err(TcpError::NoSocket));
+}

@@ -1,5 +1,5 @@
-//! A global allocator that counts what the *calling thread* allocates, for
-//! the allocation ratchets (`byte_path.rs`, `dispatch_path.rs`,
+//! A global allocator that counts what the *calling thread* allocates and
+//! frees, for the allocation ratchets (`byte_path.rs`, `dispatch_path.rs`,
 //! `request_path.rs`): each includes this file with `#[path]`. It holds the
 //! test tree's one `unsafe impl`. A ratchet that fails can say where: the
 //! sampler ([`census`]) keeps the backtrace of every *k*-th allocation.
@@ -12,6 +12,10 @@ thread_local! {
     /// (allocations, bytes allocated) by this thread. `const`-initialised
     /// `Cell`s: reading or writing them never allocates.
     pub static COUNTS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+    /// (live bytes, peak live bytes) of this thread: what it allocated less
+    /// what it freed, and the most that ever was. Signed, because a thread
+    /// may free what another allocated.
+    pub static LIVE: Cell<(i64, i64)> = const { Cell::new((0, 0)) };
     /// The sampler's *k*: every `SAMPLE_EVERY`-th allocation of this thread
     /// leaves its backtrace in `SAMPLES`. Zero — the default, and while a
     /// capture is being taken (it allocates) — is off.
@@ -31,6 +35,14 @@ fn count(bytes: usize) {
             SAMPLES.with(|s| s.borrow_mut().push(Backtrace::force_capture()));
             SAMPLE_EVERY.set(every);
         }
+    });
+}
+
+/// Move this thread's live bytes by `delta`.
+fn live(delta: i64) {
+    let _ = LIVE.try_with(|c| {
+        let now = c.get().0 + delta;
+        c.set((now, c.get().1.max(now)));
     });
 }
 
@@ -83,17 +95,20 @@ pub fn census(every: u64, window: impl FnOnce()) -> Vec<(usize, String)> {
 unsafe impl GlobalAlloc for PerThread {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count(layout.size());
+        live(layout.size() as i64);
         // SAFETY: the caller guarantees a valid non-zero-size `layout`.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         count(layout.size());
+        live(layout.size() as i64);
         // SAFETY: as for `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        live(-(layout.size() as i64));
         // SAFETY: the caller guarantees `ptr` came from this allocator with
         // this `layout`, and this allocator only hands out `System` blocks.
         unsafe { System.dealloc(ptr, layout) }
@@ -102,6 +117,7 @@ unsafe impl GlobalAlloc for PerThread {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         // A grow may move and copy the block: one allocation of the new size.
         count(new_size);
+        live(new_size as i64 - layout.size() as i64);
         // SAFETY: the caller guarantees `ptr`/`layout` describe a live block
         // of this allocator and `new_size` is valid for its alignment.
         unsafe { System.realloc(ptr, layout, new_size) }

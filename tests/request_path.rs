@@ -9,12 +9,16 @@
 
 use neat::config::NeatConfig;
 use neat_apps::scenario::{Testbed, TestbedSpec, Workload};
+use neat_apps::webserver::FileStore;
 use neat_sim::Time;
 use std::cell::Cell;
 
 #[path = "counting_alloc.rs"]
 mod counting_alloc;
-use counting_alloc::{census, COUNTS};
+use counting_alloc::{census, COUNTS, LIVE};
+
+/// The keep-alive connections of the one client.
+const CONNS: usize = 4;
 
 /// Run `tb` until its client has completed `requests` more requests,
 /// stopping within 100 ns of the completion that makes the count; returns
@@ -38,9 +42,15 @@ fn serve(tb: &mut Testbed, requests: u64) -> u64 {
 /// a process: the request's and the reply's frames (one `PktBuf` block
 /// each, built in place), the `ConnData` payload and the reply — four,
 /// exactly, in every window once warm.
+///
+/// Each driver also pins the bytes a connection keeps: the thread's live
+/// bytes after the window less those of the booted testbed, per
+/// connection. Here 72 451 B, 65 536 of them the fd's failover tail (the
+/// last 64 KiB written); 113 457 B while that tail grew past its cap, to
+/// 104 KiB.
 #[test]
 fn allocations_per_request_are_pinned() {
-    assert_allocations(NeatConfig::single(1), 4.0);
+    assert_allocations(NeatConfig::single(1), None, 4.0, 72_451);
 }
 
 /// The same requests through two replicas that stream checkpoints to each
@@ -48,44 +58,76 @@ fn allocations_per_request_are_pinned() {
 /// touched a flow ships one delta, one buffer however many flows it
 /// carries, and the buddy overwrites its copy of a flow in place; 7.50
 /// (1 383 B) when each image was a buffer of its own and each delta a
-/// `Vec` of them.
+/// `Vec` of them. A connection keeps 75 889 B (116 895 B with the tail
+/// past its cap).
 #[test]
 fn allocations_per_replicated_request_are_pinned() {
-    assert_allocations(NeatConfig::single(2).replicated(), 5.5);
+    let cfg = NeatConfig::single(2).replicated();
+    assert_allocations(cfg, None, 5.5, 75_889);
 }
 
-/// Warm a one-client keep-alive `Testbed` on `cfg`, count what 2 000 more
-/// requests allocate, and fail above `max_per_req`, naming the ten busiest
-/// allocation sites.
-fn assert_allocations(cfg: NeatConfig, max_per_req: f64) {
-    const REQUESTS: u64 = 2_000;
+/// The same keep-alive requests for a 100 000 B file, `http_bulk`'s reply:
+/// 14.50 allocations (304 972 B) per request, one for each frame built —
+/// the client's ACKs and requests, the server's TSO cuts — the `ConnData`
+/// payload and the reply. A connection keeps 211 796 B: 518 610 B while
+/// the fd's tail grew to 195 KiB and the client's parser buffered every
+/// body it never reads (15.50 allocations then, the parser's cold state
+/// boxed once per reply).
+#[test]
+fn allocations_per_bulk_request_are_pinned() {
+    assert_allocations(NeatConfig::single(1), Some(100_000), 14.5, 211_796);
+}
 
+/// Warm a one-client keep-alive `Testbed` on `cfg` that serves a file of
+/// `reply` bytes (`None`: the paper's 20 B one), count what more requests
+/// allocate, and fail above `max_per_req`, naming the ten busiest
+/// allocation sites, or if a connection then keeps more than
+/// `max_live_per_conn` bytes.
+fn assert_allocations(
+    cfg: NeatConfig,
+    reply: Option<usize>,
+    max_per_req: f64,
+    max_live_per_conn: i64,
+) {
     let mut spec = TestbedSpec::amd(cfg, 1);
     spec.clients = 1;
     spec.workload = Workload {
-        conns_per_client: 4,
+        conns_per_client: CONNS,
         requests_per_conn: u32::MAX, // keep-alive for the whole run
         ..Workload::default()
     };
+    // Bulk requests are fewer: each moves 100 000 B through the stacks.
+    let requests = match reply {
+        None => 2_000,
+        Some(size) => {
+            spec.files = FileStore::size_sweep(&[size]);
+            spec.workload.path = format!("/file{size}");
+            200
+        }
+    };
     spec.server_max_reqs_per_conn = u32::MAX;
     let mut tb = Testbed::build(spec);
+    let booted = LIVE.with(Cell::get).0;
     // Warm means past the last one-off growth: each fd's retained tx tail
-    // (`SocketLib::send`, 104 B replies) doubles for the last time at
-    // 53 KiB, on request 513 of its connection.
-    serve(&mut tb, 2 * REQUESTS);
+    // (`SocketLib::send`) grows for the last time to its 64 KiB cap, on
+    // request 513 of its connection for 104 B replies, on the first for
+    // 100 000 B ones.
+    serve(&mut tb, 2 * requests);
 
     let before = COUNTS.with(Cell::get);
-    let done = serve(&mut tb, REQUESTS);
+    let done = serve(&mut tb, requests);
     let after = COUNTS.with(Cell::get);
+    let live_per_conn = (LIVE.with(Cell::get).0 - booted) / CONNS as i64;
     assert_eq!(tb.total_errors(), 0);
 
     let per_req = |n: u64| n as f64 / done as f64;
     let (allocs, bytes) = (per_req(after.0 - before.0), per_req(after.1 - before.1));
     println!("request path: {allocs:.2} allocations, {bytes:.0} B per request ({done} requests)");
+    println!("request path: {live_per_conn} B live per connection after them");
     if allocs > max_per_req {
         const EVERY: u64 = 97;
         let mut done = 0;
-        let sites = census(EVERY, || done = serve(&mut tb, REQUESTS));
+        let sites = census(EVERY, || done = serve(&mut tb, requests));
         println!("allocations per request by site (every {EVERY}th sampled):");
         for (samples, site) in sites {
             println!(
@@ -95,6 +137,10 @@ fn assert_allocations(cfg: NeatConfig, max_per_req: f64) {
         }
         panic!("a request allocates {allocs:.2} times (pin {max_per_req})");
     }
+    assert!(
+        live_per_conn <= max_live_per_conn,
+        "a connection keeps {live_per_conn} B (pin {max_live_per_conn})"
+    );
 }
 
 /// 50 000 of them are most of `peak_live_mb` @ `stack_conns`: the read
