@@ -1,5 +1,5 @@
-//! The HTTP codec's tests: the borrowing parser against the owning one it
-//! replaced, the head-only path against both, and hostile input.
+//! The HTTP codec's tests: the borrowing parser and the head-only path
+//! against the owning codec the former replaced, and hostile input.
 
 use super::*;
 
