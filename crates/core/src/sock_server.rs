@@ -9,6 +9,7 @@
 
 use crate::flow_repl::{Delta, DeltaWriter, ReplPayload};
 use crate::msg::{ConnHandle, Msg};
+use conn_table::ConnTable;
 use neat_net::{FlowKey, TcpHeader};
 use neat_sim::ProcId;
 use neat_tcp::{SockEvent, SocketId, TcpConfig, TcpSocket, TcpStack};
@@ -16,10 +17,15 @@ use neat_util::FxHashMap;
 use std::collections::VecDeque;
 use std::net::Ipv4Addr;
 
+#[path = "conn_table.rs"]
+mod conn_table;
+
 /// What the server keeps for one connection socket, from `Connect` /
 /// accept / restore until the stack's `Closed` or a migration export.
 #[derive(Debug)]
 struct Conn {
+    /// Its socket, whose seat it sits in.
+    id: SocketId,
     /// The owning application.
     owner: ProcId,
     /// The token of an active open that has not completed yet.
@@ -35,8 +41,9 @@ struct Conn {
 }
 
 impl Conn {
-    fn new(owner: ProcId, connecting: Option<u64>, app_bytes: u64) -> Conn {
+    fn new(id: SocketId, owner: ProcId, connecting: Option<u64>, app_bytes: u64) -> Conn {
         Conn {
+            id,
             owner,
             connecting,
             backlog: VecDeque::new(),
@@ -67,8 +74,8 @@ impl Conn {
 #[derive(Debug)]
 pub struct SockServer {
     pub stack: TcpStack,
-    /// Connection socket → its one record.
-    conns: FxHashMap<SocketId, Conn>,
+    /// Connection socket → its one record, in the socket's seat.
+    conns: ConnTable,
     /// Listener socket → (port, owning application).
     listeners: FxHashMap<SocketId, (u16, ProcId)>,
     /// Messages owed to applications.
@@ -79,7 +86,7 @@ impl SockServer {
     pub fn new(local_ip: Ipv4Addr, cfg: TcpConfig) -> SockServer {
         SockServer {
             stack: TcpStack::new(local_ip, cfg),
-            conns: FxHashMap::default(),
+            conns: ConnTable::default(),
             listeners: FxHashMap::default(),
             to_app: Vec::new(),
         }
@@ -99,7 +106,7 @@ impl SockServer {
             Msg::Connect { remote, app, token } => {
                 match self.stack.connect(remote.0, remote.1, now) {
                     Ok(sock) => {
-                        self.conns.insert(sock, Conn::new(app, Some(token), 0));
+                        self.conns.insert(Conn::new(sock, app, Some(token), 0));
                     }
                     Err(_) => self.to_app.push((app, Msg::ConnFailed { token })),
                 }
@@ -108,7 +115,7 @@ impl SockServer {
             Msg::ConnSend { sock, data } => {
                 // A send that raced the stack's `Closed` has no record
                 // left to queue on: dropped, like a write to a dead fd.
-                if let Some(c) = self.conns.get_mut(&sock) {
+                if let Some(c) = self.conns.get_mut(sock) {
                     // With nothing queued ahead the reply's own buffer is
                     // the queue: what the stack has no room for waits in
                     // place, and nothing is copied but into the stack.
@@ -147,7 +154,7 @@ impl SockServer {
                         continue;
                     };
                     while let Ok(sock) = self.stack.accept(lid) {
-                        self.conns.insert(sock, Conn::new(app, None, 0));
+                        self.conns.insert(Conn::new(sock, app, None, 0));
                         opened += 1;
                         let conn = handle(sock);
                         self.to_app.push((app, Msg::Incoming { port, conn }));
@@ -156,7 +163,7 @@ impl SockServer {
                     }
                 }
                 SockEvent::Connected(sock) => {
-                    let Some(c) = self.conns.get_mut(&sock) else {
+                    let Some(c) = self.conns.get_mut(sock) else {
                         continue;
                     };
                     if let Some(token) = c.connecting.take() {
@@ -169,21 +176,21 @@ impl SockServer {
                     self.pump_readable(me, sock);
                 }
                 SockEvent::Writable(sock) => {
-                    if let Some(c) = self.conns.get_mut(&sock) {
+                    if let Some(c) = self.conns.get_mut(sock) {
                         c.flush_backlog(&mut self.stack, sock);
                     }
                 }
                 SockEvent::PeerClosed(sock) => {
                     // Drain any remaining data first, then signal EOF.
                     self.pump_readable(me, sock);
-                    if let Some(c) = self.conns.get(&sock) {
+                    if let Some(c) = self.conns.get(sock) {
                         let conn = handle(sock);
                         self.to_app.push((c.owner, Msg::ConnEof { conn }));
                     }
                 }
                 SockEvent::Closed(sock) | SockEvent::Aborted(sock) => {
                     let aborted = matches!(ev, SockEvent::Aborted(_));
-                    let Some(c) = self.conns.remove(&sock) else {
+                    let Some(c) = self.conns.remove(sock) else {
                         continue;
                     };
                     if let Some(token) = c.connecting {
@@ -202,7 +209,7 @@ impl SockServer {
     }
 
     fn pump_readable(&mut self, me: ProcId, sock: SocketId) {
-        let Some(app) = self.conns.get(&sock).map(|c| c.owner) else {
+        let Some(app) = self.conns.get(sock).map(|c| c.owner) else {
             return;
         };
         // One read into the buffer the payload leaves in, sized to what
@@ -313,8 +320,8 @@ impl SockServer {
                 None => neat_obs::counter_add("repl.decode_errors", 1),
                 Some(Err(_)) => neat_obs::counter_add("repl.restore_refused", 1),
                 Some(Ok(new_id)) => {
-                    self.conns
-                        .insert(new_id, Conn::new(f.owner, None, f.app_bytes));
+                    let conn = Conn::new(new_id, f.owner, None, f.app_bytes);
+                    self.conns.insert(conn);
                     self.to_app.push((
                         f.owner,
                         Msg::ConnMigrated {
@@ -347,7 +354,7 @@ impl SockServer {
         let exported = out.payload();
         for f in exported.decode().iter().flat_map(Delta::flows) {
             self.stack.remove_conn(f.old_sock);
-            self.conns.remove(&f.old_sock);
+            self.conns.remove(f.old_sock);
         }
         exported
     }
@@ -359,11 +366,11 @@ impl SockServer {
 /// (accept-queue residents) are skipped — there is no application handle
 /// to rebind on the far side.
 fn bind<'a>(
-    conns: &'a FxHashMap<SocketId, Conn>,
+    conns: &'a ConnTable,
     out: &'a mut DeltaWriter,
 ) -> impl FnMut(FlowKey, &TcpSocket) + 'a {
     move |flow, sock| {
-        if let Some(c) = conns.get(&sock.id) {
+        if let Some(c) = conns.get(sock.id) {
             let img = |w: &mut Vec<u8>| sock.checkpoint_into(w);
             out.put_flow(flow, sock.id, c.owner, c.app_bytes, img);
         }
@@ -586,14 +593,17 @@ mod tests {
             100,
         );
         // Only what the 64 KiB send buffer had no room for is queued...
-        let c = &srv.conns[&conn.sock];
+        let c = &srv.conns.get(conn.sock).unwrap();
         assert_eq!((c.app_bytes, c.backlog.len()), (64 << 10, 192 << 10));
         // ...and a later send queues behind it, not ahead.
         let tail = vec![9u8; 1000];
         let data = tail.clone();
         let sock = conn.sock;
         srv.handle_app(APP, Msg::ConnSend { sock, data }, 100);
-        assert_eq!(srv.conns[&sock].backlog.len(), (192 << 10) + 1000);
+        assert_eq!(
+            srv.conns.get(sock).unwrap().backlog.len(),
+            (192 << 10) + 1000
+        );
         let big = [big, tail].concat();
         // Drain repeatedly with timers (ACK clock).
         let mut received = Vec::new();
@@ -615,7 +625,7 @@ mod tests {
             }
         }
         assert!(received == big, "entire backlog delivered, in order");
-        assert!(srv.conns[&conn.sock].backlog.is_empty());
+        assert!(srv.conns.get(conn.sock).unwrap().backlog.is_empty());
     }
 
     /// The `Vec`-returning shapes the frozen lane calls (`poll_wire`,

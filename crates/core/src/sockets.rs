@@ -524,7 +524,13 @@ impl SocketLib {
                     return Some(LibEvent::Closed { fd, err });
                 }
                 if gap > 0 {
-                    let data: Vec<u8> = st.tail.range(st.tail.len() - gap..).copied().collect();
+                    // The tail's last `gap` bytes, copied a half at a time.
+                    let (front, back) = st.tail.as_slices();
+                    let skip = st.tail.len() - gap;
+                    let data = match skip.checked_sub(front.len()) {
+                        Some(into_back) => back[into_back..].to_vec(),
+                        None => [&front[skip..], back].concat(),
+                    };
                     let to = self.route_override.unwrap_or(new.stack);
                     ctx.charge(neat_sim::calibration::copy_cost(gap));
                     ctx.send(

@@ -186,11 +186,13 @@ fn with_lib(script: impl FnOnce(&mut SocketLib, &mut Ctx<'_, Msg>, ProcId) + 'st
 /// The failover tail (ROADMAP M): after every write it holds the stream's
 /// last `min(sent, TX_TAIL_CAP)` bytes in storage no larger than the cap,
 /// and a migration whose gap it covers resends exactly that gap, in
-/// order, as one `ConnSend` to the new handle. A gap past it resets the
-/// connection.
+/// order, as one `ConnSend` to the new handle, a gap that straddles the
+/// ring's wrap point too. A gap past it resets the connection.
 #[test]
 fn the_tail_keeps_the_last_64_kib_and_resends_a_gap_it_covers() {
-    let writes: Vec<usize> = [vec![20; 1_000], vec![50_000, 100_000, 200_000]].concat();
+    // The last writes go to a full tail, whose storage then wraps.
+    let writes: Vec<usize> =
+        [vec![20; 1_000], vec![50_000, 100_000, 200_000], vec![20; 4]].concat();
     let expected = Rc::new(RefCell::new(Vec::new()));
     let want = Rc::clone(&expected);
     let log = with_lib(move |lib, ctx, replica| {
@@ -207,7 +209,7 @@ fn the_tail_keeps_the_last_64_kib_and_resends_a_gap_it_covers() {
         let [LibEvent::Accepted { fd, .. }] = evs[..] else {
             panic!("an accept: {evs:?}");
         };
-        let (mut sent, mut sock) = (0u64, 1u64);
+        let (mut sent, mut sock, mut straddled) = (0u64, 1u64, 0);
         for (k, &len) in writes.iter().enumerate() {
             let data: Vec<u8> = (sent..sent + len as u64).map(byte).collect();
             want.borrow_mut()
@@ -226,8 +228,18 @@ fn the_tail_keeps_the_last_64_kib_and_resends_a_gap_it_covers() {
                 "write {k}: {}",
                 tail.capacity()
             );
-            // Gaps of none, one byte, one write and the whole tail.
-            let gap = [0, 1, len as u64, kept][k % 4].min(kept);
+            // Gaps of none, one byte, one write and the whole tail; past
+            // the big writes, one that starts in the ring's front half and
+            // ends in its back half.
+            let (front, back) = tail.as_slices();
+            let gap = match back.len() as u64 + 100 {
+                g if k >= 1_003 && !back.is_empty() && g < kept => {
+                    assert!(front.len() > 100, "the gap starts in the front half");
+                    straddled += 1;
+                    g
+                }
+                _ => [0, 1, len as u64, kept][k % 4].min(kept),
+            };
             let app_bytes = sent - gap;
             let (old, new) = (handle(sock), handle(sock + 1));
             let migrated = Msg::ConnMigrated {
@@ -242,6 +254,7 @@ fn the_tail_keeps_the_last_64_kib_and_resends_a_gap_it_covers() {
                 want.borrow_mut().push((new.sock, resent));
             }
         }
+        assert_eq!(straddled, 4, "gaps across the wrap point");
         // One byte more than the tail holds cannot be made whole.
         let migrated = Msg::ConnMigrated {
             old: handle(sock),

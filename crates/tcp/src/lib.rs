@@ -49,4 +49,4 @@ pub use components::{AckEvent, CcDecision, CongestionControl};
 pub use socket::TcpSocket;
 pub use stack::TcpStack;
 pub use types::{CongestionAlgo, Readiness, SockEvent, SocketId, TcpConfig, TcpError, TcpState};
-pub use wheel::TimerWheel;
+pub use wheel::{TimerHandle, TimerWheel};

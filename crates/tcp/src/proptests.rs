@@ -9,7 +9,7 @@ use crate::components::CongestionControl;
 use crate::rto::RttEstimator;
 use crate::types::CongestionAlgo;
 use crate::types::SocketId;
-use crate::wheel::TimerWheel;
+use crate::wheel::{TimerHandle, TimerWheel};
 use neat_net::SeqNum;
 use neat_util::check::{check, vec_of, Config};
 use neat_util::{prop_assert, prop_assert_eq};
@@ -306,6 +306,9 @@ fn wheel_matches_sorted_list_model() {
         },
         |ops| {
             let mut wheel = TimerWheel::new(0);
+            // Each key's handle, as its owner keeps it: stale once its
+            // timer fired, until the key is armed again.
+            let mut at = [TimerHandle::NONE; 16];
             // Model: key -> (deadline, seq). Firing order: (deadline, seq).
             let mut model: HashMap<u64, (u64, u64)> = HashMap::new();
             let mut seq = 0u64;
@@ -314,13 +317,13 @@ fn wheel_matches_sorted_list_model() {
                 match op {
                     Op::Schedule { key, delta } => {
                         let deadline = now + delta;
-                        wheel.schedule(key, deadline);
+                        wheel.schedule(&mut at[key as usize], key, deadline);
                         seq += 1;
                         model.insert(key, (deadline, seq));
-                        prop_assert_eq!(wheel.deadline_of(key), Some(deadline));
+                        prop_assert_eq!(wheel.deadline_of(at[key as usize], key), Some(deadline));
                     }
                     Op::Cancel { key } => {
-                        let got = wheel.cancel(key);
+                        let got = wheel.cancel(&mut at[key as usize], key);
                         let want = model.remove(&key).map(|(d, _)| d);
                         prop_assert_eq!(got, want);
                     }
@@ -376,9 +379,10 @@ fn wheel_next_event_is_sound_lower_bound() {
         },
         |arms| {
             let mut wheel = TimerWheel::new(0);
+            let mut at = [TimerHandle::NONE; 32];
             let mut deadlines: HashMap<u64, u64> = HashMap::new();
             for (key, deadline) in arms {
-                wheel.schedule(key, deadline);
+                wheel.schedule(&mut at[key as usize], key, deadline);
                 deadlines.insert(key, deadline);
             }
             let mut hops = 0u32;
@@ -536,6 +540,7 @@ fn wheel_earliest_slot_matches_full_scan() {
         },
         |ops| {
             let mut wheel = TimerWheel::new(1 << 40);
+            let mut at = [TimerHandle::NONE; 6];
             let mut now = 1u64 << 40;
             let (mut past, mut far, mut stale_low, mut rotations) = (false, false, false, false);
             for op in &ops {
@@ -548,15 +553,15 @@ fn wheel_earliest_slot_matches_full_scan() {
                         past |= p;
                         far |= delta >= 1_000_000_000;
                         let deadline = if p { now - delta } else { now + delta };
-                        wheel.schedule(key, deadline);
+                        wheel.schedule(&mut at[key as usize], key, deadline);
                     }
                     Op::Beside { key, of, rot } => {
-                        if let Some(d) = wheel.deadline_of(of) {
-                            wheel.schedule(key, d + 64 * rot);
+                        if let Some(d) = wheel.deadline_of(at[of as usize], of) {
+                            wheel.schedule(&mut at[key as usize], key, d + 64 * rot);
                         }
                     }
                     Op::Cancel { key } => {
-                        wheel.cancel(key);
+                        wheel.cancel(&mut at[key as usize], key);
                     }
                     Op::Advance { delta } => {
                         now += delta;

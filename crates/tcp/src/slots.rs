@@ -15,8 +15,9 @@ use super::Spares;
 use crate::budget::ConnBudget;
 use crate::socket::TcpSocket;
 use crate::types::{SockEvent, SocketId};
-use crate::wheel::TimerWheel;
+use crate::wheel::{TimerHandle, TimerWheel};
 use std::collections::VecDeque;
+use std::num::NonZeroU16;
 
 /// Seats per page: a stack with a few connections pays for one page.
 const PAGE: usize = 16;
@@ -24,7 +25,8 @@ const PAGE: usize = 16;
 /// Everything the stack keeps for one connection, in the seat its id
 /// names. The flags sit *beside* the socket, not in it, so
 /// `size_of::<TcpSocket>()` and the budget accounting built on it do not
-/// move when the stack's bookkeeping does.
+/// move when the stack's bookkeeping does. They fit in the 8 B the
+/// socket's alignment pads a slot to (`stack_tests::slot_and_record_sizes_are_pinned`).
 #[derive(Debug)]
 pub(super) struct Slot {
     pub(super) sock: TcpSocket,
@@ -32,8 +34,11 @@ pub(super) struct Slot {
     pub(super) queued: bool,
     /// Its id is in `repl_dirty`.
     pub(super) repl_dirty: bool,
-    /// Port of the listener whose SYN backlog or accept queue holds it.
-    pub(super) pending: Option<u16>,
+    /// Port of the listener whose SYN backlog or accept queue holds it (a
+    /// listener's port is never 0).
+    pub(super) pending: Option<NonZeroU16>,
+    /// Its wheel entry, under its id.
+    pub(super) timer: TimerHandle,
 }
 
 /// The follow-ups a stimulus owes its slot. Each caller runs the subset it
@@ -83,11 +88,12 @@ impl Slot {
 
     /// (Re-)arm the wheel with the socket's earliest deadline, or disarm
     /// when it no longer needs one. O(1) either way.
-    pub(super) fn arm_timer(&self, timers: &mut TimerWheel) {
+    pub(super) fn arm_timer(&mut self, timers: &mut TimerWheel) {
+        let key = self.sock.id.0;
         match self.sock.next_timeout() {
-            Some(d) => timers.schedule(self.sock.id.0, d),
+            Some(d) => timers.schedule(&mut self.timer, key, d),
             None => {
-                timers.cancel(self.sock.id.0);
+                timers.cancel(&mut self.timer, key);
             }
         }
     }
@@ -273,6 +279,7 @@ mod tests {
             queued: false,
             repl_dirty: false,
             pending: None,
+            timer: TimerHandle::NONE,
         }
     }
 

@@ -15,7 +15,8 @@
 //!   slot with an index and an id compare, no hash probe, and the slab
 //!   grows a page at a time and never shrinks or moves;
 //! * all per-socket deadlines live in one hierarchical [`TimerWheel`] —
-//!   O(1) arm/cancel, cascade on demand (see `wheel.rs`);
+//!   O(1) arm/cancel, cascade on demand (see `wheel.rs`); a slot or
+//!   record keeps its entry's index, so no timer call probes a map;
 //! * listener lookup by id is a hash probe, not a scan;
 //! * closed sockets are reaped inline at their quiescence point instead
 //!   of by an O(all sockets) sweep on every timer tick;
@@ -34,12 +35,13 @@ use crate::buffer::fill;
 use crate::socket::TcpSocket;
 use crate::tcb::replicable;
 use crate::types::{CongestionAlgo, SockEvent, SocketId, TcpConfig, TcpError, TcpState};
-use crate::wheel::TimerWheel;
+use crate::wheel::{TimerHandle, TimerWheel};
 use neat_net::{FlowKey, SeqNum, TcpFlags, TcpHeader};
 use neat_util::{FxHashMap, FxHashSet};
 use slots::{Slot, Slots};
 use std::collections::VecDeque;
 use std::net::Ipv4Addr;
+use std::num::NonZeroU16;
 use time_wait::{TimeWait, TimeWaits};
 
 #[path = "slots.rs"]
@@ -211,7 +213,7 @@ impl TcpStack {
     /// took: the one insert of a connection's life in this stack
     /// ([`TcpStack::detach`] removes a socket, `reap_time_wait` a retired
     /// TIME-WAIT record).
-    fn install_socket(&mut self, flow: FlowKey, mut sock: TcpSocket, pending: Option<u16>) {
+    fn install_socket(&mut self, flow: FlowKey, mut sock: TcpSocket, pending: Option<NonZeroU16>) {
         let bytes = sock.mem_bytes();
         sock.swap_accounted(bytes);
         self.budget.on_open(bytes as u64);
@@ -221,6 +223,7 @@ impl TcpStack {
             queued: false,
             repl_dirty: false,
             pending,
+            timer: TimerHandle::NONE,
         };
         slot.mark_dirty(&mut self.dirty, &mut self.repl_dirty);
         slot.arm_timer(&mut self.timers);
@@ -231,8 +234,12 @@ impl TcpStack {
     // User API (BSD-socket shaped)
     // ------------------------------------------------------------------
 
-    /// Open a listening socket on `port`.
+    /// Open a listening socket on `port`; port 0 names no port and gets
+    /// `BadState`.
     pub fn listen(&mut self, port: u16) -> Result<SocketId, TcpError> {
+        if port == 0 {
+            return Err(TcpError::BadState);
+        }
         if self.listeners.contains_key(&port) {
             return Err(TcpError::AddrInUse);
         }
@@ -465,7 +472,7 @@ impl TcpStack {
                     iss,
                     now,
                 );
-                self.install_socket(flow, sock, Some(h.dst_port));
+                self.install_socket(flow, sock, NonZeroU16::new(h.dst_port));
                 return;
             }
         }
@@ -507,7 +514,10 @@ impl TcpStack {
             TcpState::Established | TcpState::CloseWait
         );
         if before == TcpState::SynReceived && open {
-            if let Some(l) = slot.pending.and_then(|port| self.listeners.get_mut(&port)) {
+            if let Some(l) = slot
+                .pending
+                .and_then(|port| self.listeners.get_mut(&port.get()))
+            {
                 l.syn_backlog = l.syn_backlog.saturating_sub(1);
                 l.accept_q.push_back(id);
                 self.events.push_back(SockEvent::Acceptable(l.id));
@@ -644,14 +654,17 @@ impl TcpStack {
         let mut slot = self.slots.remove(id)?;
         let flow = flow_of(&slot.sock);
         self.conns.remove(&flow);
-        self.timers.cancel(id.0);
+        self.timers.cancel(&mut slot.timer, id.0);
         self.budget.on_close(slot.sock.swap_accounted(0) as u64);
         let spares = &mut self.spares;
         self.budget
             .on_park(slot.sock.release_send_ring(&mut spares.send));
         self.budget
             .on_park(slot.sock.release_recv_ring(&mut spares.recv));
-        if let Some(l) = slot.pending.and_then(|port| self.listeners.get_mut(&port)) {
+        if let Some(l) = slot
+            .pending
+            .and_then(|port| self.listeners.get_mut(&port.get()))
+        {
             let ready = l.accept_q.len();
             l.accept_q.retain(|x| *x != id);
             if l.accept_q.len() == ready {

@@ -143,7 +143,8 @@ impl TcpStack {
             let queued = self.dirty.iter().filter(|q| **q == id).count();
             assert_eq!(queued, tw.queued() as usize, "{id:?} in dirty");
             let key = time_wait::key(id);
-            assert_eq!(self.timers.deadline_of(key), tw.next_timeout(), "{id:?}");
+            let deadline = self.timers.deadline_of(tw.timer(), key);
+            assert_eq!(deadline, tw.next_timeout(), "{id:?}");
             assert_eq!(time_wait::id_of(key), Some(id));
         }
         let mut pending: FxHashMap<u16, usize> = FxHashMap::default();
@@ -158,7 +159,7 @@ impl TcpStack {
                 slot.repl_dirty as usize,
                 "{id:?} in repl_dirty"
             );
-            if let Some(port) = slot.pending {
+            if let Some(port) = slot.pending.map(NonZeroU16::get) {
                 assert!(
                     self.listeners.contains_key(&port),
                     "{id:?} pending on {port}"
@@ -186,11 +187,23 @@ impl TcpStack {
             assert_eq!(l.syn_backlog + l.accept_q.len(), want, "port {port}");
             for id in &l.accept_q {
                 let slot = self.slots.get(*id).map(|s| s.pending);
-                assert_eq!(slot, Some(Some(*port)), "{id:?} queued");
+                assert_eq!(slot, Some(NonZeroU16::new(*port)), "{id:?} queued");
             }
         }
-        // The wheel holds no deadline for an id without a slot or record.
-        let armed = |slot: &&Slot| self.timers.deadline_of(slot.sock.id.0).is_some();
+        // Every armed wheel entry's key names a slot or record whose handle
+        // names that entry, and every deadline armed has its entry.
+        for (at, key) in self.timers.armed() {
+            let owner = match time_wait::id_of(key) {
+                Some(id) => self.time_waits.get(id).map(TimeWait::timer),
+                None => self.slots.get(SocketId(key)).map(|slot| slot.timer),
+            };
+            assert_eq!(owner, Some(at), "wheel key {key:#x}");
+        }
+        let armed = |slot: &&Slot| {
+            self.timers
+                .deadline_of(slot.timer, slot.sock.id.0)
+                .is_some()
+        };
         let records = (self.time_waits.iter()).filter(|(_, tw)| tw.next_timeout().is_some());
         let armed = self.slots.iter().filter(armed).count() + records.count();
         assert_eq!(armed, self.timers.len(), "wheel entries");
@@ -445,6 +458,26 @@ fn socket_size_is_pinned() {
     assert_eq!(std::mem::size_of::<TcpSocket>(), 488);
 }
 
+/// A slot keeps its flags and its wheel handle in the 8 B that pad the
+/// socket, and a record its wheel handle in its own padding: with the
+/// socket pinned, neither the slot table's pages nor the budget's share
+/// per record (`RECORD_BYTES`, in the `tcp.conn.*` gauges) can move.
+#[test]
+fn slot_and_record_sizes_are_pinned() {
+    assert_eq!(std::mem::size_of::<Slot>(), 496);
+    assert_eq!(std::mem::size_of::<Option<Slot>>(), 496);
+    assert_eq!(time_wait::RECORD_BYTES, 48);
+}
+
+/// A slot names its listener by a non-zero port, so no listener has
+/// port 0.
+#[test]
+fn port_zero_takes_no_listener() {
+    let (_, mut s) = pair();
+    assert_eq!(s.listen(0), Err(TcpError::BadState));
+    assert!(s.listen(80).is_ok());
+}
+
 /// A checkpoint moves a flow into another stack; an image the stack
 /// refuses — undecodable, or a flow it already holds — takes no serial.
 #[test]
@@ -592,7 +625,7 @@ fn idle_connections_own_no_ring() {
     let socket = per_conn(idle.slots + idle.socket_heap + entries);
     let record = per_conn(f.time_waits + entries);
     println!("a TIME-WAIT connection: {socket:.1} B as a socket, {record:.1} B retired");
-    assert!(record <= 112.0, "a retired connection costs {record:.1} B");
+    assert!(record <= 104.0, "a retired connection costs {record:.1} B");
 }
 
 /// Serials and seats run out into the `NoMemory` refusal, not a panic or

@@ -29,16 +29,15 @@
 //! nothing: our FIN is acknowledged, so `snd_una` is `snd_nxt`, and no
 //! ACK is new or a duplicate. The TIME-WAIT deadline is its only deadline.
 //!
-//! **The wheel entry stays as armed.** Retiring moves the socket's wheel
-//! entry to the record's [`key`] with `TimerWheel::rekey`, which keeps its
-//! deadline, arm sequence, level and slot, and the record re-arms it
-//! wherever the socket would have: after each segment, after each segment
-//! it sends, after a deadline fires. Re-scheduling at retirement would
-//! hash the deadline against a later clock, possibly at another level,
-//! and move `next_event` and with it the host's wake-ups. The new key keeps
-//! the record out of the bucket of the socket that takes its seat next
-//! (see [`key`]); under its id, a retired connection read +6 % host time per
-//! `http_churn` request (9 of 10 pairs slower).
+//! **The wheel entry stays as armed.** Retiring hands the socket's wheel
+//! entry to the record: the record keeps the slot's handle, and
+//! `TimerWheel::rekey` rewrites the key the entry reports to the record's
+//! [`key`], keeping its deadline, arm sequence, level and slot. The record
+//! re-arms it wherever the socket would have: after each segment, after
+//! each segment it sends, after a deadline fires. Re-scheduling at
+//! retirement would hash the deadline against a later clock, possibly at
+//! another level, and move `next_event` and with it the host's wake-ups.
+//! The key tells `TcpStack::on_timer` that a fired entry is a record's.
 //!
 //! **Its id.** TIME-WAIT follows the application's `close()`, so every
 //! call on the id but `state` gets `NoSocket`; `state` still reads
@@ -51,7 +50,7 @@ use super::TcpStack;
 use crate::components::flow_control::in_window;
 use crate::socket::TcpSocket;
 use crate::types::{SockEvent, SocketId, TcpState};
-use crate::wheel::TimerWheel;
+use crate::wheel::{TimerHandle, TimerWheel};
 use neat_net::{FlowKey, SeqNum, TcpFlags, TcpHeader};
 use neat_util::FxHashMap;
 use std::collections::VecDeque;
@@ -83,6 +82,9 @@ pub(super) struct TimeWait {
     /// The window field its ACK carries.
     window: u16,
     flags: u8,
+    /// Its wheel entry, under its [`key`]; in the padding, so the record
+    /// stays 40 B.
+    timer: TimerHandle,
 }
 
 /// The bytes the budget holds for a record: its entry in the record table.
@@ -94,13 +96,11 @@ const TAG: u64 = 1 << 62;
 const SERIAL_BITS: u32 = 30;
 
 /// A record's key, in the wheel and in the record table: the tag, its id's
-/// seat, and its serial in the low bits. FxHash's multiply lets a key's
-/// low bits alone pick its bucket. A socket's id spreads by its seat,
-/// which only it holds, and the slab hands out the most recently freed
-/// seat first, so the live sockets keep to a few hot buckets. A record's
-/// seat already belongs to the next connection: under its id it would
-/// crowd that socket's bucket. Under its serial, never reused, it takes a
-/// bucket of its own.
+/// seat, and its serial in the low bits. The wheel finds the entry by its
+/// handle and only reports the key, whose tag tells a record from a
+/// socket. The record table hashes it: FxHash's multiply lets a key's low
+/// bits alone pick its bucket, and a record's seat may already belong to
+/// the next connection, so its serial, never reused, goes low.
 pub(super) fn key(id: SocketId) -> u64 {
     TAG | u64::from(id.seat()) << SERIAL_BITS | u64::from(id.serial())
 }
@@ -179,6 +179,7 @@ impl TimeWait {
             wnd: s.recv_window_bytes() as u32,
             window: s.window_field(),
             flags: if s.fc.ack_now { OWED } else { 0 },
+            timer: TimerHandle::NONE,
         })
     }
 
@@ -306,11 +307,11 @@ impl TimeWait {
 
     /// (Re-)arm the wheel with the earliest deadline, as `Slot::arm_timer`
     /// does.
-    pub(super) fn arm(&self, id: SocketId, timers: &mut TimerWheel) {
+    pub(super) fn arm(&mut self, id: SocketId, timers: &mut TimerWheel) {
         match self.next_timeout() {
-            Some(d) => timers.schedule(key(id), d),
+            Some(d) => timers.schedule(&mut self.timer, key(id), d),
             None => {
-                timers.cancel(key(id));
+                timers.cancel(&mut self.timer, key(id));
             }
         }
     }
@@ -318,6 +319,11 @@ impl TimeWait {
 
 #[cfg(test)]
 impl TimeWait {
+    /// Its wheel entry.
+    pub(super) fn timer(&self) -> TimerHandle {
+        self.timer
+    }
+
     /// The peer's FIN, sent again: what it sends when our final ACK is
     /// lost.
     pub(super) fn peer_fin(&self) -> TcpHeader {
@@ -330,8 +336,8 @@ impl TimeWait {
 /// The record table's side of the stack: retiring, answering, reaping.
 impl TcpStack {
     /// Retire `id`'s socket into a record if it is at rest in TIME-WAIT.
-    /// Its slot and controller box go now; its demux and wheel entries
-    /// stay as they are.
+    /// Its slot and controller box go now; its demux entry stays, and so
+    /// does its wheel entry, which the record takes over.
     pub(super) fn maybe_retire(&mut self, id: SocketId) {
         let Some(slot) = self.slots.get(id) else {
             return;
@@ -339,14 +345,15 @@ impl TcpStack {
         if slot.queued || slot.pending.is_some() || slot.sock.local_ip != self.local_ip {
             return;
         }
-        let Some(tw) = TimeWait::of(&slot.sock) else {
+        let Some(mut tw) = TimeWait::of(&slot.sock) else {
             return;
         };
         if let Some(mut slot) = self.slots.remove(id) {
             let accounted = slot.sock.swap_accounted(0);
             self.budget.adjust(RECORD_BYTES as i64 - accounted as i64);
+            self.timers.rekey(slot.timer, id.0, key(id));
+            tw.timer = slot.timer;
         }
-        self.timers.rekey(id.0, key(id));
         self.time_waits.insert(id, tw);
     }
 
@@ -377,10 +384,10 @@ impl TcpStack {
         if tw.state() != TcpState::Closed || tw.queued() {
             return None;
         }
-        let flow = tw.flow(self.local_ip);
+        let (flow, mut timer) = (tw.flow(self.local_ip), tw.timer);
         self.time_waits.remove(id);
         self.conns.remove(&flow);
-        self.timers.cancel(key(id));
+        self.timers.cancel(&mut timer, key(id));
         self.budget.on_close(RECORD_BYTES as u64);
         Some(flow)
     }

@@ -27,7 +27,10 @@ impl SocketId {
         SocketId((serial as u64) << 32 | seat as u64)
     }
 
-    pub(crate) fn seat(self) -> u32 {
+    /// Its seat: a connection's place in the stack's slot table, which a
+    /// table kept beside the stack may index by too (comparing the whole
+    /// id, since seats are reused).
+    pub fn seat(self) -> u32 {
         self.0 as u32
     }
 

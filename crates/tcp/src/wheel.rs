@@ -15,14 +15,18 @@
 //! * **11 levels x 64 slots.** Level `L` slots span `64^L` ns, so level 0
 //!   is exactly nanosecond-resolution and 11 levels (66 bits) cover the
 //!   entire `u64` simulated-time range — no overflow list.
-//! * **O(1) schedule and cancel.** Each key holds at most one timer; a
-//!   slot is an intrusive doubly-linked list threaded through the keys'
-//!   entries (Varghese & Lauck's, and Linux's, shape): a slot holds only
-//!   its head key, and an entry its `prev`/`next` keys, so cancellation
+//! * **O(1) schedule and cancel, no hash probe.** Each key holds at most
+//!   one timer, a 32 B entry in one dense array with a free list. Its
+//!   owner keeps the entry's index, a [`TimerHandle`] (a slot keeps it in
+//!   its padding, and so does a TIME-WAIT record), so every call indexes
+//!   the entry directly; `advance` reports the key the entry holds. A slot
+//!   is an intrusive doubly-linked list threaded through the entries
+//!   (Varghese & Lauck's, and Linux's, shape): a slot holds only its first
+//!   entry's index, and an entry its `prev`/`next` indices, so cancellation
 //!   (the *common* case: an RTO that is re-armed on every ACK) unlinks in
 //!   O(1) and never leaves stale entries behind. No slot owns storage:
-//!   emptying and refilling slots allocates nothing once the key map has
-//!   grown to the armed count.
+//!   emptying and refilling slots allocates nothing once the entry array
+//!   has grown to the most timers ever armed at once.
 //! * **Cascade on demand.** [`TimerWheel::advance`] jumps straight to the
 //!   next occupied slot (no per-tick iteration), detaches its list and
 //!   walks it, firing entries that are due and re-hashing the rest one
@@ -55,8 +59,6 @@
 //! `proptests::wheel_earliest_slot_matches_full_scan` holds the two equal
 //! after every operation.
 
-use neat_util::FxHashMap;
-
 const SLOT_BITS: u32 = 6;
 const SLOTS: usize = 1 << SLOT_BITS; // 64
 const LEVELS: usize = 11; // 11 * 6 = 66 bits >= u64
@@ -65,22 +67,39 @@ const LEVELS: usize = 11; // 11 * 6 = 66 bits >= u64
 /// above every real one, `min_win == u64::MAX` included.
 const NO_SLOT: (u64, u8) = (u64::MAX, SLOTS as u8);
 
-/// The end of a slot's list. Keys are socket ids, which never reach it.
-const NIL: u64 = u64::MAX;
+/// The end of a list of entries: a slot's, or the free list.
+const NIL: u32 = u32::MAX;
+
+/// The key of a free entry. Keys are socket ids and record keys, which
+/// never reach it.
+const FREE: u64 = u64::MAX;
 
 /// An entry's arm sequence sits in the low 54 bits of its tag; its slot
 /// (6 bits) and level (4 bits) sit above it.
 const SEQ_BITS: u32 = 64 - SLOT_BITS - 4;
 const SEQ_MASK: u64 = (1 << SEQ_BITS) - 1;
 
-/// One wheel slot: the head of the list of keys parked in it ([`NIL`] when
+/// Where an owner's timer sits: the index of its entry, kept by the owner
+/// beside its key. A handle whose entry was cancelled, fired or handed to
+/// another owner since is stale; every call checks the entry's key against
+/// the caller's and treats a stale handle as [`TimerHandle::NONE`], so an
+/// old owner never moves the timer of the entry's new one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TimerHandle(u32);
+
+impl TimerHandle {
+    /// No timer armed.
+    pub const NONE: TimerHandle = TimerHandle(NIL);
+}
+
+/// One wheel slot: the first entry of the list parked in it ([`NIL`] when
 /// empty) plus the smallest slot-window id (`deadline >> shift`) seen among
 /// them. The minimum may go stale-low after a cancel; `advance` recomputes
 /// it when the window turns out to be empty, so it is always a valid
 /// *lower bound*.
 #[derive(Debug, Clone, Copy)]
 struct Slot {
-    head: u64,
+    head: u32,
     min_win: u64,
 }
 
@@ -89,19 +108,22 @@ const EMPTY: Slot = Slot {
     min_win: 0,
 };
 
-/// One armed timer: its deadline, where it is parked, and its links in
-/// that slot's list (32 B; the wheel's only per-timer storage).
+/// One timer: its deadline, where it is parked, its links in that slot's
+/// list and the key `advance` reports for it (32 B; the wheel's only
+/// per-timer storage). A free entry has key [`FREE`], and `next` links the
+/// free list.
 #[derive(Debug, Clone, Copy)]
-struct Meta {
+struct Entry {
     deadline: u64,
     /// Monotonic arm sequence (tiebreak for deterministic firing order),
     /// level and slot: see [`SEQ_BITS`].
     tag: u64,
-    prev: u64,
-    next: u64,
+    prev: u32,
+    next: u32,
+    key: u64,
 }
 
-impl Meta {
+impl Entry {
     fn seq(&self) -> u64 {
         self.tag & SEQ_MASK
     }
@@ -116,7 +138,8 @@ impl Meta {
 }
 
 /// The wheel. Keys are caller-chosen `u64`s (socket ids) below `u64::MAX`;
-/// each key holds at most one armed deadline.
+/// each key holds at most one armed deadline, whose [`TimerHandle`] its
+/// owner keeps.
 #[derive(Debug)]
 pub struct TimerWheel {
     /// The wheel's notion of "now": advanced monotonically by `advance`.
@@ -127,7 +150,12 @@ pub struct TimerWheel {
     /// Per level, `(min_win, slot)` of the occupied slot with the smallest
     /// `min_win`, lowest slot on ties ([`NO_SLOT`] if none).
     level_min: [(u64, u8); LEVELS],
-    meta: FxHashMap<u64, Meta>,
+    /// Every entry, armed or free, at the index its handle names.
+    entries: Vec<Entry>,
+    /// The first free entry ([`NIL`] if none).
+    free: u32,
+    /// Armed entries.
+    armed: usize,
     seq: u64,
     /// `advance`'s due entries, `(deadline, arm sequence, key)`, while it
     /// sorts them; empty between calls.
@@ -143,7 +171,9 @@ impl TimerWheel {
             levels: Box::new([[EMPTY; SLOTS]; LEVELS]),
             occupied: [0; LEVELS],
             level_min: [NO_SLOT; LEVELS],
-            meta: FxHashMap::default(),
+            entries: Vec::new(),
+            free: NIL,
+            armed: 0,
             seq: 0,
             due: Vec::new(),
         }
@@ -151,16 +181,22 @@ impl TimerWheel {
 
     /// Number of armed timers.
     pub fn len(&self) -> usize {
-        self.meta.len()
+        self.armed
     }
 
     pub fn is_empty(&self) -> bool {
-        self.meta.is_empty()
+        self.armed == 0
     }
 
-    /// The armed deadline for `key`, if any.
-    pub fn deadline_of(&self, key: u64) -> Option<u64> {
-        self.meta.get(&key).map(|m| m.deadline)
+    /// The index of the entry `at` names, if it is `key`'s armed timer.
+    fn find(&self, at: TimerHandle, key: u64) -> Option<usize> {
+        let i = at.0 as usize;
+        (self.entries.get(i)?.key == key).then_some(i)
+    }
+
+    /// The armed deadline for `key`, whose handle is `at`, if any.
+    pub fn deadline_of(&self, at: TimerHandle, key: u64) -> Option<u64> {
+        self.find(at, key).map(|i| self.entries[i].deadline)
     }
 
     /// The level a delta-to-deadline hashes to: the highest set 6-bit
@@ -174,24 +210,27 @@ impl TimerWheel {
         }
     }
 
-    /// Push `key`, whose record `m` names its level and slot, onto the
-    /// front of that slot's list. The caller stores `m` afterwards.
-    fn link(&mut self, key: u64, m: &mut Meta) {
-        let s = &mut self.levels[m.level()][m.slot()];
-        (m.prev, m.next) = (NIL, std::mem::replace(&mut s.head, key));
-        if let Some(n) = self.meta.get_mut(&m.next) {
-            n.prev = key;
+    /// Push entry `i` onto the front of the list of the slot its tag names.
+    fn link(&mut self, i: usize) {
+        let e = &self.entries[i];
+        let s = &mut self.levels[e.level()][e.slot()];
+        let next = std::mem::replace(&mut s.head, i as u32);
+        (self.entries[i].prev, self.entries[i].next) = (NIL, next);
+        if next != NIL {
+            self.entries[next as usize].prev = i as u32;
         }
     }
 
-    /// Place `key` with its `deadline` and arm sequence in `m` into the
-    /// wheel relative to `self.now`, and record it.
-    fn place(&mut self, key: u64, mut m: Meta) {
-        let delta = m.deadline.saturating_sub(self.now);
+    /// Place entry `i`, its deadline and arm sequence set, into the wheel
+    /// relative to `self.now`.
+    fn place(&mut self, i: usize) {
+        let e = &mut self.entries[i];
+        let delta = e.deadline.saturating_sub(self.now);
         let level = Self::level_for(delta);
         let shift = SLOT_BITS * level as u32;
-        let win = m.deadline >> shift;
+        let win = e.deadline >> shift;
         let slot = (win & (SLOTS as u64 - 1)) as usize;
+        e.tag = e.seq() | (level as u64) << (SEQ_BITS + SLOT_BITS) | (slot as u64) << SEQ_BITS;
         let s = &mut self.levels[level][slot];
         if s.head == NIL || win < s.min_win {
             s.min_win = win;
@@ -202,57 +241,21 @@ impl TimerWheel {
         if here < self.level_min[level] {
             self.level_min[level] = here;
         }
-        m.tag = m.seq() | (level as u64) << (SEQ_BITS + SLOT_BITS) | (slot as u64) << SEQ_BITS;
-        self.link(key, &mut m);
+        self.link(i);
         self.occupied[level] |= 1 << slot;
-        self.meta.insert(key, m);
     }
 
-    /// Arm (or re-arm, replacing any previous deadline) a timer for
-    /// `key` at absolute time `deadline`.
-    pub fn schedule(&mut self, key: u64, deadline: u64) {
-        debug_assert!(key != NIL, "u64::MAX ends a slot's list");
-        self.cancel(key);
-        let m = Meta {
-            deadline,
-            tag: self.seq & SEQ_MASK,
-            prev: NIL,
-            next: NIL,
-        };
-        self.seq += 1;
-        self.place(key, m);
-    }
-
-    /// Move `old`'s armed timer to `new`, as armed: its deadline, arm
-    /// sequence, level, slot and place in the slot's list are kept, so what
-    /// the wheel fires, in what order, and `next_event` are as they were.
-    /// O(1). Nothing happens if `old` holds no timer.
-    pub(crate) fn rekey(&mut self, old: u64, new: u64) {
-        debug_assert!(new != NIL && !self.meta.contains_key(&new));
-        let Some(m) = self.meta.remove(&old) else {
-            return;
-        };
-        if let Some(n) = self.meta.get_mut(&m.next) {
-            n.prev = new;
+    /// Take entry `i` off its slot's list, keeping the slot's occupied bit
+    /// and its level's minimum.
+    fn unlink(&mut self, i: usize) {
+        let e = self.entries[i];
+        let (level, slot) = (e.level(), e.slot());
+        if e.next != NIL {
+            self.entries[e.next as usize].prev = e.prev;
         }
-        match self.meta.get_mut(&m.prev) {
-            Some(p) => p.next = new,
-            None => self.levels[m.level()][m.slot()].head = new,
-        }
-        self.meta.insert(new, m);
-    }
-
-    /// Disarm `key`'s timer. Returns the deadline it held, if any. O(1):
-    /// the entry unlinks itself from its slot's list.
-    pub fn cancel(&mut self, key: u64) -> Option<u64> {
-        let m = self.meta.remove(&key)?;
-        let (level, slot) = (m.level(), m.slot());
-        if let Some(n) = self.meta.get_mut(&m.next) {
-            n.prev = m.prev;
-        }
-        match self.meta.get_mut(&m.prev) {
-            Some(p) => p.next = m.next,
-            None => self.levels[level][slot].head = m.next,
+        match e.prev {
+            NIL => self.levels[level][slot].head = e.next,
+            p => self.entries[p as usize].next = e.next,
         }
         if self.levels[level][slot].head == NIL {
             self.occupied[level] &= !(1 << slot);
@@ -261,7 +264,81 @@ impl TimerWheel {
                 self.level_min[level] = self.scan_level(level);
             }
         }
-        Some(m.deadline)
+    }
+
+    /// A free entry for `key`: the free list's first, or a new one. Its
+    /// index fits a `u32`: an owner holds one entry, and a stack's slots
+    /// and records number fewer than 2^32.
+    fn alloc(&mut self, key: u64) -> usize {
+        self.armed += 1;
+        let e = Entry {
+            deadline: 0,
+            tag: 0,
+            prev: NIL,
+            next: NIL,
+            key,
+        };
+        match self.free {
+            NIL => {
+                self.entries.push(e);
+                self.entries.len() - 1
+            }
+            f => {
+                let i = f as usize;
+                self.free = self.entries[i].next;
+                self.entries[i] = e;
+                i
+            }
+        }
+    }
+
+    /// Put entry `i`, off every slot list, on the free list.
+    fn release(&mut self, i: usize) {
+        self.armed -= 1;
+        self.entries[i].key = FREE;
+        self.entries[i].next = std::mem::replace(&mut self.free, i as u32);
+    }
+
+    /// Arm (or re-arm, replacing any previous deadline) a timer for `key`
+    /// at absolute time `deadline`. `at` is the key's handle: its entry is
+    /// re-armed where it is, and a key with none (or a stale one) gets an
+    /// entry, whose handle `at` then holds.
+    pub fn schedule(&mut self, at: &mut TimerHandle, key: u64, deadline: u64) {
+        debug_assert!(key != FREE, "u64::MAX marks a free entry");
+        let i = match self.find(*at, key) {
+            Some(i) => {
+                self.unlink(i);
+                i
+            }
+            None => self.alloc(key),
+        };
+        let e = &mut self.entries[i];
+        (e.deadline, e.tag) = (deadline, self.seq & SEQ_MASK);
+        self.seq += 1;
+        self.place(i);
+        *at = TimerHandle(i as u32);
+    }
+
+    /// Hand `old`'s armed timer, whose handle is `at`, to `new`, as armed:
+    /// its deadline, arm sequence, level, slot and place in the slot's list
+    /// are kept, so what the wheel fires, in what order, and `next_event`
+    /// are as they were. The handle stays the same; only the key `advance`
+    /// reports changes. Nothing happens if `old` holds no timer there.
+    pub(crate) fn rekey(&mut self, at: TimerHandle, old: u64, new: u64) {
+        debug_assert!(new != FREE);
+        if let Some(i) = self.find(at, old) {
+            self.entries[i].key = new;
+        }
+    }
+
+    /// Disarm `key`'s timer, whose handle is `at`, and clear the handle.
+    /// Returns the deadline it held, if any. O(1): the entry unlinks itself
+    /// from its slot's list.
+    pub fn cancel(&mut self, at: &mut TimerHandle, key: u64) -> Option<u64> {
+        let i = self.find(std::mem::replace(at, TimerHandle::NONE), key)?;
+        self.unlink(i);
+        self.release(i);
+        Some(self.entries[i].deadline)
     }
 
     /// `(min_win, slot)` of `level`'s occupied slot with the smallest
@@ -317,7 +394,8 @@ impl TimerWheel {
 
     /// Advance wheel time to `now`, cascading coarse slots and appending
     /// to `fired` every key whose deadline is `<= now`, ordered by
-    /// `(deadline, arm sequence)`. Fired keys are disarmed.
+    /// `(deadline, arm sequence)`. Fired keys are disarmed: their entries
+    /// go back to the free list and their owners' handles go stale.
     pub fn advance(&mut self, now: u64, fired: &mut Vec<u64>) {
         while let Some((start, level, slot)) = self.earliest_slot() {
             if start > now {
@@ -331,25 +409,25 @@ impl TimerWheel {
             let mut next = std::mem::replace(&mut self.levels[level][slot].head, NIL);
             self.occupied[level] &= !(1 << slot);
             let (mut kept, mut kept_min) = (false, u64::MAX);
-            while let Some(&entry) = self.meta.get(&next) {
-                let (key, mut m) = (next, entry);
-                next = m.next;
-                if m.deadline >> shift != win {
+            while next != NIL {
+                let i = next as usize;
+                let e = self.entries[i];
+                next = e.next;
+                if e.deadline >> shift != win {
                     // A later rotation of this slot (or a stale min after
                     // cancels): keep it parked and recompute the minimum.
-                    (kept, kept_min) = (true, kept_min.min(m.deadline >> shift));
-                    self.link(key, &mut m);
-                    self.meta.insert(key, m);
-                } else if m.deadline <= now {
+                    (kept, kept_min) = (true, kept_min.min(e.deadline >> shift));
+                    self.link(i);
+                } else if e.deadline <= now {
                     // Due: release it (cascading through intermediate
                     // levels would be wasted work).
-                    self.due.push((m.deadline, m.seq(), key));
-                    self.meta.remove(&key);
+                    self.due.push((e.deadline, e.seq(), e.key));
+                    self.release(i);
                 } else {
                     // In this window but later than `now` — re-hash one or
                     // more levels down relative to the window start we
                     // just reached: never back into this slot.
-                    self.place(key, m);
+                    self.place(i);
                 }
             }
             if kept {
@@ -367,12 +445,22 @@ impl TimerWheel {
 
 #[cfg(test)]
 impl TimerWheel {
-    /// One armed key's entry, key included.
-    pub(crate) const ENTRY_BYTES: usize = std::mem::size_of::<(u64, Meta)>();
+    /// One entry.
+    pub(crate) const ENTRY_BYTES: usize = std::mem::size_of::<Entry>();
 
-    /// Heap bytes of the per-key entries, slack included.
+    /// Heap bytes of the entries, slack included.
     pub(crate) fn entry_bytes(&self) -> usize {
-        self.meta.capacity() * std::mem::size_of::<(u64, Meta)>()
+        self.entries.capacity() * Self::ENTRY_BYTES
+    }
+
+    /// Every armed entry: its handle and key.
+    pub(crate) fn armed(&self) -> impl Iterator<Item = (TimerHandle, u64)> + '_ {
+        let armed = self
+            .entries
+            .iter()
+            .enumerate()
+            .filter(|(_, e)| e.key != FREE);
+        armed.map(|(i, e)| (TimerHandle(i as u32), e.key))
     }
 
     /// [`TimerWheel::advance`] into a list of its own.
@@ -402,24 +490,25 @@ impl TimerWheel {
         best
     }
 
-    /// The keys on `level`'s `slot` list, head first.
-    fn slot_keys(&self, level: usize, slot: usize) -> Vec<u64> {
-        let head = self.levels[level][slot].head;
-        let first = self.meta.contains_key(&head).then_some(head);
-        let walk = std::iter::successors(first, |k| Some(self.meta[k].next).filter(|&n| n != NIL));
-        walk.take(self.meta.len() + 1).collect()
+    /// The entries on the list from `head`, first to last, stopping after
+    /// more than there are (a cycle).
+    fn walk(&self, head: u32) -> Vec<usize> {
+        let first = (head != NIL).then_some(head as usize);
+        let next = |&i: &usize| Some(self.entries.get(i)?.next).filter(|&n| n != NIL);
+        let walk = std::iter::successors(first, |i| next(i).map(|n| n as usize));
+        walk.take(self.entries.len() + 1).collect()
     }
 
-    /// Occupied slots whose `min_win` is below every key they hold (a cancel
-    /// took the minimum), and occupied slots holding keys of more than one
-    /// window (later rotations parked beside an earlier one).
+    /// Occupied slots whose `min_win` is below every entry they hold (a
+    /// cancel took the minimum), and occupied slots holding entries of more
+    /// than one window (later rotations parked beside an earlier one).
     pub(crate) fn slot_census(&self) -> (usize, usize) {
         let (mut stale_low, mut rotations) = (0, 0);
         for (level, slots) in self.levels.iter().enumerate() {
             let shift = SLOT_BITS * level as u32;
-            for (slot, s) in slots.iter().enumerate().filter(|(_, s)| s.head != NIL) {
-                let keys = self.slot_keys(level, slot);
-                let wins = keys.iter().map(|k| self.meta[k].deadline >> shift);
+            for s in slots.iter().filter(|s| s.head != NIL) {
+                let wins = self.walk(s.head).into_iter();
+                let wins = wins.map(|i| self.entries[i].deadline >> shift);
                 let (lo, hi) = wins.fold((u64::MAX, 0), |(lo, hi), w| (lo.min(w), hi.max(w)));
                 stale_low += usize::from(s.min_win < lo);
                 rotations += usize::from(lo != hi);
@@ -428,34 +517,44 @@ impl TimerWheel {
         (stale_low, rotations)
     }
 
-    /// Every armed key sits on exactly the list its tag names, each link's
-    /// `prev` mirrors the `next` before it, and a slot is marked occupied
-    /// exactly when its list is non-empty.
+    /// Every armed entry sits on exactly the list its tag names, each
+    /// link's `prev` mirrors the `next` before it, a slot is marked occupied
+    /// exactly when its list is non-empty, and the free list holds exactly
+    /// the entries that are not armed.
     pub(crate) fn check_links(&self) -> Result<(), String> {
         let mut listed = 0;
         for (level, slots) in self.levels.iter().enumerate() {
             for (slot, s) in slots.iter().enumerate() {
-                let keys = self.slot_keys(level, slot);
-                if (s.head == NIL) != keys.is_empty() {
-                    return Err(format!("slot {level}/{slot}: head {} not armed", s.head));
-                }
-                if (self.occupied[level] >> slot & 1 == 0) != keys.is_empty() {
+                let list = self.walk(s.head);
+                if (self.occupied[level] >> slot & 1 == 0) != list.is_empty() {
                     return Err(format!("slot {level}/{slot}: occupied bit wrong"));
                 }
                 let mut prev = NIL;
-                for &k in &keys {
-                    let m = self.meta[&k];
-                    if (m.level(), m.slot(), m.prev) != (level, slot, prev) {
-                        return Err(format!("key {k} on {level}/{slot} after {prev}: {m:?}"));
+                for &i in &list {
+                    let e = self.entries[i];
+                    if e.key == FREE || (e.level(), e.slot(), e.prev) != (level, slot, prev) {
+                        return Err(format!("entry {i} on {level}/{slot} after {prev}: {e:?}"));
                     }
-                    prev = k;
+                    prev = i as u32;
                 }
-                listed += keys.len();
+                listed += list.len();
             }
         }
-        match listed == self.meta.len() {
-            true => Ok(()),
-            false => Err(format!("{listed} listed, {} armed", self.meta.len())),
+        let free = self.walk(self.free);
+        if free.iter().any(|&i| self.entries[i].key != FREE) {
+            return Err("an armed entry on the free list".into());
+        }
+        match (
+            listed == self.armed,
+            listed + free.len() == self.entries.len(),
+        ) {
+            (true, true) => Ok(()),
+            _ => Err(format!(
+                "{listed} listed, {} armed, {} free of {} entries",
+                self.armed,
+                free.len(),
+                self.entries.len()
+            )),
         }
     }
 }
@@ -464,12 +563,17 @@ impl TimerWheel {
 mod tests {
     use super::*;
 
+    /// Handles for keys `0..n`, as their owners keep them.
+    fn handles(n: usize) -> Vec<TimerHandle> {
+        vec![TimerHandle::NONE; n]
+    }
+
     #[test]
     fn fires_in_deadline_order() {
-        let mut w = TimerWheel::new(0);
-        w.schedule(1, 500);
-        w.schedule(2, 100);
-        w.schedule(3, 300);
+        let (mut w, mut at) = (TimerWheel::new(0), handles(4));
+        w.schedule(&mut at[1], 1, 500);
+        w.schedule(&mut at[2], 2, 100);
+        w.schedule(&mut at[3], 3, 300);
         assert_eq!(w.len(), 3);
         assert_eq!(w.fire(1000), vec![2, 3, 1]);
         assert!(w.is_empty());
@@ -477,11 +581,13 @@ mod tests {
 
     #[test]
     fn reschedule_replaces() {
-        let mut w = TimerWheel::new(0);
-        w.schedule(7, 1_000_000);
-        w.schedule(7, 50); // re-arm earlier
+        let (mut w, mut at) = (TimerWheel::new(0), handles(8));
+        w.schedule(&mut at[7], 7, 1_000_000);
+        let first = at[7];
+        w.schedule(&mut at[7], 7, 50); // re-arm earlier
+        assert_eq!(at[7], first, "re-armed in its entry");
         assert_eq!(w.len(), 1);
-        assert_eq!(w.deadline_of(7), Some(50));
+        assert_eq!(w.deadline_of(at[7], 7), Some(50));
         assert_eq!(w.fire(100), vec![7]);
         assert_eq!(w.fire(2_000_000), Vec::<u64>::new());
     }
@@ -492,20 +598,26 @@ mod tests {
     #[test]
     fn rekey_keeps_the_timer_as_armed() {
         let (mut a, mut b) = (TimerWheel::new(0), TimerWheel::new(0));
+        let (mut at_a, mut at_b) = (handles(9), handles(9));
         let deadlines = [7, 7, 300, 5_000, 5_000, 70_000, 4_000_000, 9_000_000_000];
         for (key, &d) in (1..).zip(&deadlines) {
-            a.schedule(key, d);
-            b.schedule(key, d);
+            a.schedule(&mut at_a[key as usize], key, d);
+            b.schedule(&mut at_b[key as usize], key, d);
         }
         a.catch_up(3);
         b.catch_up(3);
         let renamed = |k: u64| if k.is_multiple_of(2) { k + 100 } else { k };
         for key in (2..=8).step_by(2) {
-            b.rekey(key, renamed(key));
+            b.rekey(at_b[key as usize], key, renamed(key));
         }
-        b.rekey(99, 199); // holds no timer: nothing happens
+        b.rekey(at_b[1], 99, 199); // 99 holds no timer: nothing happens
+        b.rekey(TimerHandle::NONE, 1, 101);
         b.check_links().unwrap();
-        assert_eq!((b.len(), b.deadline_of(102)), (a.len(), a.deadline_of(2)));
+        assert_eq!(b.deadline_of(at_b[2], 2), None, "the old key holds none");
+        assert_eq!(
+            (b.len(), b.deadline_of(at_b[2], 102)),
+            (a.len(), a.deadline_of(at_a[2], 2))
+        );
         while let Some(t) = a.next_event() {
             assert_eq!(b.next_event(), Some(t));
             let fired: Vec<u64> = a.fire(t).into_iter().map(renamed).collect();
@@ -516,21 +628,53 @@ mod tests {
 
     #[test]
     fn cancel_disarms() {
-        let mut w = TimerWheel::new(0);
-        w.schedule(1, 10);
-        w.schedule(2, 20);
-        assert_eq!(w.cancel(1), Some(10));
-        assert_eq!(w.cancel(1), None);
+        let (mut w, mut at) = (TimerWheel::new(0), handles(3));
+        w.schedule(&mut at[1], 1, 10);
+        w.schedule(&mut at[2], 2, 20);
+        assert_eq!(w.cancel(&mut at[1], 1), Some(10));
+        assert_eq!(at[1], TimerHandle::NONE, "the handle is cleared");
+        assert_eq!(w.cancel(&mut at[1], 1), None);
         assert_eq!(w.fire(100), vec![2]);
+    }
+
+    /// An entry freed by a cancel or a fire goes to the next key armed, and
+    /// the old owner's handle, now stale, moves nothing: not the new
+    /// owner's deadline, not its key, not its place in the firing order.
+    #[test]
+    fn a_stale_handle_never_moves_the_new_owners_timer() {
+        for by_fire in [false, true] {
+            let (mut w, mut at) = (TimerWheel::new(0), handles(3));
+            w.schedule(&mut at[1], 1, 100);
+            let stale = at[1];
+            if by_fire {
+                assert_eq!(w.fire(100), vec![1]);
+            } else {
+                w.cancel(&mut at[1], 1);
+            }
+            w.schedule(&mut at[2], 2, 500);
+            assert_eq!(at[2], stale, "the freed entry is reused");
+            // Key 1's owner still holds the old handle.
+            let mut old = stale;
+            assert_eq!(w.deadline_of(old, 1), None);
+            assert_eq!(w.cancel(&mut old, 1), None);
+            assert_eq!(old, TimerHandle::NONE);
+            w.rekey(stale, 1, 77);
+            let mut old = stale;
+            w.schedule(&mut old, 1, 50);
+            assert_ne!(old, stale, "the old owner gets an entry of its own");
+            assert_eq!(w.deadline_of(at[2], 2), Some(500), "by fire: {by_fire}");
+            w.check_links().unwrap();
+            assert_eq!(w.fire(1_000), vec![1, 2]);
+        }
     }
 
     #[test]
     fn coarse_deadline_cascades_to_exact_fire() {
-        let mut w = TimerWheel::new(0);
+        let (mut w, mut at) = (TimerWheel::new(0), handles(2));
         // 10 s: parks at a high level; driving the wheel only at
         // next_event boundaries must still fire exactly once, not early.
         let deadline = 10_000_000_000u64;
-        w.schedule(1, deadline);
+        w.schedule(&mut at[1], 1, deadline);
         let mut fired_at = None;
         let mut hops = 0;
         while let Some(t) = w.next_event() {
@@ -555,11 +699,12 @@ mod tests {
         let rto = 16_700_000u64;
         let level4 = |t: u64| t >> 24 << 24;
         let (mut stale, mut caught) = (TimerWheel::new(0), TimerWheel::new(0));
+        let (mut at_stale, mut at_caught) = (TimerHandle::NONE, TimerHandle::NONE);
         let now = 1_000_000;
         let deadline = now + rto;
-        stale.schedule(1, deadline);
+        stale.schedule(&mut at_stale, 1, deadline);
         caught.catch_up(now);
-        caught.schedule(1, deadline);
+        caught.schedule(&mut at_caught, 1, deadline);
         assert_eq!(stale.next_event(), Some(level4(deadline)));
         assert_eq!(caught.next_event(), Some(deadline >> 18 << 18));
         assert!(level4(deadline) < deadline >> 18 << 18);
@@ -570,25 +715,25 @@ mod tests {
 
     #[test]
     fn past_deadlines_fire_immediately() {
-        let mut w = TimerWheel::new(5000);
-        w.schedule(9, 100); // already due
+        let (mut w, mut at) = (TimerWheel::new(5000), TimerHandle::NONE);
+        w.schedule(&mut at, 9, 100); // already due
         assert_eq!(w.next_event(), Some(100));
         assert_eq!(w.fire(5000), vec![9]);
     }
 
     #[test]
     fn same_deadline_fires_in_arm_order() {
-        let mut w = TimerWheel::new(0);
-        w.schedule(5, 777);
-        w.schedule(3, 777);
-        w.schedule(4, 777);
+        let (mut w, mut at) = (TimerWheel::new(0), handles(6));
+        w.schedule(&mut at[5], 5, 777);
+        w.schedule(&mut at[3], 3, 777);
+        w.schedule(&mut at[4], 4, 777);
         assert_eq!(w.fire(777), vec![5, 3, 4]);
     }
 
     #[test]
     fn huge_horizon_covered() {
-        let mut w = TimerWheel::new(0);
-        w.schedule(1, u64::MAX - 1);
+        let (mut w, mut at) = (TimerWheel::new(0), TimerHandle::NONE);
+        w.schedule(&mut at, 1, u64::MAX - 1);
         assert_eq!(w.fire(u64::MAX - 2), Vec::<u64>::new());
         assert_eq!(w.fire(u64::MAX), vec![1]);
     }
@@ -597,12 +742,12 @@ mod tests {
     fn dense_load_smoke() {
         // 100k timers with mixed horizons schedule, cancel and fire
         // without losing or duplicating anything.
-        let mut w = TimerWheel::new(0);
+        let (mut w, mut at) = (TimerWheel::new(0), handles(100_000));
         for k in 0..100_000u64 {
-            w.schedule(k, (k % 977) * 1_000_003 + 1);
+            w.schedule(&mut at[k as usize], k, (k % 977) * 1_000_003 + 1);
         }
         for k in (0..100_000u64).step_by(3) {
-            w.cancel(k);
+            w.cancel(&mut at[k as usize], k);
         }
         let mut fired = w.fire(u64::MAX);
         assert_eq!(fired.len(), 100_000 - 33_334);
@@ -610,5 +755,6 @@ mod tests {
         fired.dedup();
         assert_eq!(fired.len(), 100_000 - 33_334, "no duplicates");
         assert!(w.is_empty());
+        w.check_links().unwrap();
     }
 }

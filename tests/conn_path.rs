@@ -2,13 +2,14 @@
 //! whole life allocates in two `TcpStack`s — open, a 20 B request, a 20 B
 //! reply, close, TIME_WAIT run out — counted by an allocator that sees
 //! this thread only (`counting_alloc.rs`). It is `http_churn`'s TCP half:
-//! one connection per request.
+//! one connection per request. Beside it, the bytes a client stack keeps
+//! for each connection it holds in TIME_WAIT.
 //!
-//! The pin is an upper bound and moves down only, like `byte_path.rs`'s.
+//! The pins are upper bounds and move down only, like `byte_path.rs`'s.
 
 #[path = "counting_alloc.rs"]
 mod counting_alloc;
-use counting_alloc::COUNTS;
+use counting_alloc::{COUNTS, LIVE};
 use neat_net::TcpHeader;
 use neat_tcp::{SocketId, TcpConfig, TcpStack};
 use std::cell::Cell;
@@ -70,7 +71,13 @@ impl Pair {
     /// Fire every deadline, in time order, until none is armed (delayed
     /// ACKs, then TIME_WAIT).
     fn run_timers(&mut self) {
-        while let Some(t) = self.stacks.iter().filter_map(|s| s.next_timeout()).min() {
+        self.run_timers_until(u64::MAX);
+    }
+
+    /// Fire every deadline up to `end`, in time order.
+    fn run_timers_until(&mut self, end: u64) {
+        let next = |p: &Pair| p.stacks.iter().filter_map(|s| s.next_timeout()).min();
+        while let Some(t) = next(self).filter(|&t| t <= end) {
             self.now = self.now.max(t);
             for s in &mut self.stacks {
                 s.on_timer(self.now);
@@ -82,6 +89,18 @@ impl Pair {
     /// One connection's life; the client closes first, so TIME_WAIT is
     /// the client's.
     fn life(&mut self) {
+        self.reach_time_wait();
+        self.run_timers();
+        assert_eq!(
+            self.stacks.each_ref().map(|s| s.conn_count()),
+            [0, 0],
+            "both ends reaped"
+        );
+    }
+
+    /// One connection up to the client's TIME_WAIT: opened, a request and
+    /// a reply, both ends closed.
+    fn reach_time_wait(&mut self) {
         let mut buf = [0u8; 64];
         let conn = self.stacks[0]
             .connect(SERVER_IP, 80, self.now)
@@ -99,12 +118,6 @@ impl Pair {
         assert_eq!(self.stacks[1].recv(srv, &mut buf), Ok(0), "EOF");
         self.stacks[1].close(srv, self.now).expect("server close");
         self.pump();
-        self.run_timers();
-        assert_eq!(
-            self.stacks.each_ref().map(|s| s.conn_count()),
-            [0, 0],
-            "both ends reaped"
-        );
     }
 }
 
@@ -138,5 +151,51 @@ fn allocations_per_connection_are_pinned() {
     assert!(
         allocs <= MAX_ALLOCS_PER_CONN,
         "a connection allocates {allocs:.2} times (pin {MAX_ALLOCS_PER_CONN})"
+    );
+}
+
+/// The bytes the client stack keeps per connection it holds in TIME_WAIT:
+/// after 100 warm-up connections, 2 000 more, one after another, each
+/// left in TIME_WAIT 1 ms after the last (its delayed ACK fired, its
+/// 10 s deadline far off). Each retires into a record, so the client's
+/// slot table stays at one page, and what grows is the record table, the
+/// wheel's entries and the demux table, slack included: the thread's live
+/// bytes after the 2 000 less before, per connection. The server reaps
+/// each connection, and its tables stay at their warm-up size.
+///
+/// 368 216 B, 184.1 B each: the record table's 4 096 buckets of 49 B (100.4 B), the
+/// demux table's 4 096 of 25 B (51.2 B) and the wheel's 2 048 entries of
+/// 32 B (32.8 B). 470 580 B, 235.3 B each, while the wheel kept its
+/// entries in a hash map by key, 4 096 buckets of 41 B.
+#[test]
+fn bytes_per_time_wait_connection_are_pinned() {
+    const MAX_BYTES: i64 = 368_216;
+    const WARM: u32 = 100;
+    const HELD: u32 = 2_000;
+
+    let mut p = Pair::new();
+    for _ in 0..WARM {
+        p.life();
+    }
+    let before = LIVE.with(Cell::get).0;
+    for _ in 0..HELD {
+        p.reach_time_wait();
+        let end = p.now + 1_000_000;
+        p.run_timers_until(end);
+        p.now = end;
+    }
+    let after = LIVE.with(Cell::get).0;
+
+    assert_eq!(
+        p.stacks.each_ref().map(|s| s.conn_count()),
+        [HELD as usize, 0],
+        "the client holds every connection, the server none"
+    );
+    let bytes = after - before;
+    let per_conn = bytes as f64 / f64::from(HELD);
+    println!("conn path: {bytes} B kept for {HELD} TIME_WAIT connections, {per_conn:.1} B each");
+    assert!(
+        bytes <= MAX_BYTES,
+        "{HELD} TIME_WAIT connections keep {bytes} B (pin {MAX_BYTES})"
     );
 }

@@ -45,12 +45,13 @@ fn serve(tb: &mut Testbed, requests: u64) -> u64 {
 ///
 /// Each driver also pins the bytes a connection keeps: the thread's live
 /// bytes after the window less those of the booted testbed, per
-/// connection. Here 72 451 B, 65 536 of them the fd's failover tail (the
-/// last 64 KiB written); 113 457 B while that tail grew past its cap, to
-/// 104 KiB.
+/// connection. Here 72 265 B, 65 536 of them the fd's failover tail (the
+/// last 64 KiB written); 72 451 B while the timer wheels and the socket
+/// servers' connection tables were hash maps, 113 457 B while that tail
+/// grew past its cap, to 104 KiB.
 #[test]
 fn allocations_per_request_are_pinned() {
-    assert_allocations(NeatConfig::single(1), None, 4.0, 72_451);
+    assert_allocations(NeatConfig::single(1), None, 4.0, 72_265);
 }
 
 /// The same requests through two replicas that stream checkpoints to each
@@ -58,24 +59,26 @@ fn allocations_per_request_are_pinned() {
 /// touched a flow ships one delta, one buffer however many flows it
 /// carries, and the buddy overwrites its copy of a flow in place; 7.50
 /// (1 383 B) when each image was a buffer of its own and each delta a
-/// `Vec` of them. A connection keeps 75 889 B (116 895 B with the tail
-/// past its cap).
+/// `Vec` of them. A connection keeps 75 799 B (75 889 B with the wheels'
+/// and connection tables' hash maps, 116 895 B with the tail past its
+/// cap).
 #[test]
 fn allocations_per_replicated_request_are_pinned() {
     let cfg = NeatConfig::single(2).replicated();
-    assert_allocations(cfg, None, 5.5, 75_889);
+    assert_allocations(cfg, None, 5.5, 75_799);
 }
 
 /// The same keep-alive requests for a 100 000 B file, `http_bulk`'s reply:
 /// 14.50 allocations (304 972 B) per request, one for each frame built —
 /// the client's ACKs and requests, the server's TSO cuts — the `ConnData`
-/// payload and the reply. A connection keeps 211 796 B: 518 610 B while
+/// payload and the reply. A connection keeps 211 610 B (211 796 B with
+/// the wheels' and connection tables' hash maps): 518 610 B while
 /// the fd's tail grew to 195 KiB and the client's parser buffered every
 /// body it never reads (15.50 allocations then, the parser's cold state
 /// boxed once per reply).
 #[test]
 fn allocations_per_bulk_request_are_pinned() {
-    assert_allocations(NeatConfig::single(1), Some(100_000), 14.5, 211_796);
+    assert_allocations(NeatConfig::single(1), Some(100_000), 14.5, 211_610);
 }
 
 /// Warm a one-client keep-alive `Testbed` on `cfg` that serves a file of
