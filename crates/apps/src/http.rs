@@ -152,22 +152,36 @@ impl StreamParser {
     /// Pop the next complete request, if any.
     pub fn next_request(&mut self) -> Option<Request<'_>> {
         let end = self.head_len()?;
-        let mut lines = lines(self.consume(end));
-        let mut reqline = tokens(lines.next()?);
-        let method = text(reqline.next()?);
-        let path = text(reqline.next()?);
-        // HTTP/1.1 defaults to keep-alive; "Connection: close" overrides.
-        let mut keep_alive = reqline.next().is_none_or(|v| v.ends_with(b"1.1"));
-        for l in lines {
-            if let Some(v) = header(l, b"connection:") {
-                keep_alive = says_keep_alive(v);
+        request(self.consume(end))
+    }
+
+    /// The in-place way to read requests: feed `data`, and `serve` is
+    /// called with each request it completes, in order. A head that
+    /// arrives whole is read where it lies in `data`; the buffer holds
+    /// only a head cut across pushes. A head with no request line is
+    /// passed over. A parser is read either this way or through `push`
+    /// and `next_request`, never both.
+    pub fn push_requests(&mut self, mut data: &[u8], mut serve: impl FnMut(Request<'_>)) {
+        if !self.buf.is_empty() {
+            let Some(end) = self.head_end_in(data) else {
+                self.buf.extend_from_slice(data);
+                return;
+            };
+            self.buf.extend_from_slice(&data[..end]);
+            data = &data[end..];
+            if let Some(req) = request(&self.buf) {
+                serve(req);
             }
+            self.buf.clear();
         }
-        Some(Request {
-            method,
-            path,
-            keep_alive,
-        })
+        while let Some(at) = data.windows(4).position(|w| w == b"\r\n\r\n") {
+            let (head, rest) = data.split_at(at + 4);
+            if let Some(req) = request(head) {
+                serve(req);
+            }
+            data = rest;
+        }
+        self.buf.extend_from_slice(data);
     }
 
     /// Pop the next complete response (requires `Content-Length`). The
@@ -201,9 +215,10 @@ impl StreamParser {
     /// The head-only way to read responses: feed `data`, and `done` is
     /// called with each response it completes, in order, on the same push
     /// that would make [`Self::next_response`] return that response. Body
-    /// bytes are counted as they go by, never kept: the buffer holds only
-    /// a head that has not ended yet. A parser is read either this way or
-    /// through `push` and `next_response`, never both.
+    /// bytes are counted as they go by, never kept, and a head that
+    /// arrives whole is parsed where it lies: the buffer holds only a head
+    /// cut across pushes. A parser is read either this way or through
+    /// `push` and `next_response`, never both.
     pub fn push_counting(&mut self, mut data: &[u8], mut done: impl FnMut(ResponseSummary)) {
         loop {
             if let Some(Pending::Body(body)) = self.pending.as_deref_mut() {
@@ -225,10 +240,15 @@ impl StreamParser {
                 self.buf.extend_from_slice(data);
                 return;
             };
-            self.buf.extend_from_slice(&data[..end]);
+            let head = if self.buf.is_empty() {
+                response_head(&data[..end])
+            } else {
+                self.buf.extend_from_slice(&data[..end]);
+                let head = response_head(&self.buf);
+                self.buf.clear();
+                head
+            };
             data = &data[end..];
-            let head = response_head(&self.buf);
-            self.buf.clear();
             let body = ResponseHead {
                 body_start: data.len(),
                 body_end: head.body_end - head.body_start,
@@ -258,6 +278,27 @@ impl StreamParser {
             None => (data.windows(4).position(|w| w == b"\r\n\r\n")).map(|at| at + 4),
         }
     }
+}
+
+/// Parse a request head, terminator included; `None` without a method
+/// and a path.
+fn request(head: &[u8]) -> Option<Request<'_>> {
+    let mut lines = lines(head);
+    let mut reqline = tokens(lines.next()?);
+    let method = text(reqline.next()?);
+    let path = text(reqline.next()?);
+    // HTTP/1.1 defaults to keep-alive; "Connection: close" overrides.
+    let mut keep_alive = reqline.next().is_none_or(|v| v.ends_with(b"1.1"));
+    for l in lines {
+        if let Some(v) = header(l, b"connection:") {
+            keep_alive = says_keep_alive(v);
+        }
+    }
+    Some(Request {
+        method,
+        path,
+        keep_alive,
+    })
 }
 
 /// Parse a response head, terminator included.

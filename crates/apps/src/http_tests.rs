@@ -451,6 +451,89 @@ fn head_only_path_matches_the_owning_codec() {
     );
 }
 
+/// The in-place request path against `push` and `next_request` (called
+/// until it returns `None` with nothing consumed): on a stream of
+/// pipelined requests — `Connection: close`, HTTP/1.0, varied header
+/// case — mixed with garbage, cut anywhere, fed a byte at a time or cut
+/// inside every head terminator, each chunk yields the same requests and
+/// leaves the same bytes buffered, and what the in-place parser buffers
+/// is never a whole head.
+#[test]
+fn in_place_requests_match_push_and_next_request() {
+    use neat_util::check::{bytes, check, vec_of, Config};
+    use neat_util::{prop_assert, prop_assert_eq};
+    check(
+        "in_place_requests_match_push_and_next_request",
+        Config::default().cases(400),
+        |rng| {
+            (
+                vec_of(rng, 1..8, |r| {
+                    (r.gen_range(0usize..40), r.gen::<u8>(), bytes(r, 0..40))
+                }),
+                vec_of(rng, 0..24, |r| r.gen::<usize>()),
+                rng.gen_range(0u8..4),
+            )
+        },
+        |(pieces, cuts, how)| {
+            // A piece is a request, or (one in five) garbage: a hostile
+            // fragment or its own random bytes.
+            let mut well_formed = 0;
+            let mut stream = Vec::new();
+            for (kind, style, raw) in &pieces {
+                match kind % 5 {
+                    0 => stream.extend(HOSTILE.get(*kind / 5).copied().unwrap_or(raw)),
+                    _ => {
+                        well_formed += 1;
+                        stream.extend(message(false, *kind, *style));
+                    }
+                }
+            }
+            let mut cuts: Vec<usize> = match how {
+                // A byte at a time.
+                0 => (0..stream.len()).collect(),
+                // Inside every head terminator, one to three bytes in.
+                1 => (stream.windows(4).enumerate())
+                    .filter(|(_, w)| *w == b"\r\n\r\n")
+                    .zip(cuts.iter().cycle())
+                    .map(|((at, _), c)| at + 1 + c % 3)
+                    .collect(),
+                _ => cuts.iter().map(|c| c % (stream.len() + 1)).collect(),
+            };
+            cuts.extend([0, stream.len()]);
+            cuts.sort_unstable();
+            let (mut new, mut old) = (StreamParser::new(), StreamParser::new());
+            let mut served = 0;
+            for chunk in cuts.windows(2).map(|w| &stream[w[0]..w[1]]) {
+                let mut got = Vec::new();
+                new.push_requests(chunk, |r| {
+                    got.push((r.method.to_owned(), r.path.to_owned(), r.keep_alive))
+                });
+                old.push(chunk);
+                let mut want = Vec::new();
+                loop {
+                    let before = old.buffered();
+                    let popped = old
+                        .next_request()
+                        .map(|r| (r.method.to_owned(), r.path.to_owned(), r.keep_alive));
+                    match popped {
+                        Some(r) => want.push(r),
+                        None if old.buffered() == before => break,
+                        None => {}
+                    }
+                }
+                prop_assert_eq!(&got, &want);
+                prop_assert_eq!(new.buffered(), old.buffered());
+                prop_assert!(!new.buf.windows(4).any(|w| w == b"\r\n\r\n"));
+                served += got.len();
+            }
+            if well_formed == pieces.len() {
+                prop_assert_eq!((served, new.buffered()), (well_formed, 0));
+            }
+            Ok(())
+        },
+    );
+}
+
 /// Pieces a hostile peer would try, by index; anything past the list
 /// is the chunk's own random bytes.
 const HOSTILE: [&[u8]; 8] = [
@@ -466,8 +549,8 @@ const HOSTILE: [&[u8]; 8] = [
 
 /// Arbitrary bytes — request lines that are not UTF-8, lengths that
 /// overflow, 64 KiB of head with no terminator — never panic either
-/// parser, nor the head-only path, and none holds more than it was
-/// given.
+/// parser, nor the head-only path, nor the in-place request path, and
+/// none holds more than it was given.
 #[test]
 fn garbage_never_panics_and_is_never_amplified() {
     use neat_util::check::{bytes, check, vec_of, Config};
@@ -479,6 +562,7 @@ fn garbage_never_panics_and_is_never_amplified() {
         |chunks| {
             for response in [false, true] {
                 let (mut p, mut counting) = (StreamParser::new(), StreamParser::new());
+                let mut in_place = StreamParser::new();
                 let mut pushed = 0;
                 for (kind, raw) in &chunks {
                     let long_head = vec![b'a'; 64 << 10];
@@ -490,6 +574,8 @@ fn garbage_never_panics_and_is_never_amplified() {
                     pushed += chunk.len();
                     counting.push_counting(chunk, |_| {});
                     prop_assert!(counting.buffered() <= pushed);
+                    in_place.push_requests(chunk, |_| {});
+                    prop_assert!(in_place.buffered() <= pushed);
                     loop {
                         let before = p.buffered();
                         let popped = match response {

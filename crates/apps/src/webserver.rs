@@ -151,15 +151,12 @@ impl WebServerProc {
         self
     }
 
-    /// Serve the next complete request buffered on `fd`; `false` when
-    /// there is none, or the connection is closing. Nothing is copied but
-    /// the reply: the request is a view into the connection's parser.
-    fn serve_next(&mut self, ctx: &mut Ctx<'_, Msg>, fd: Fd) -> bool {
+    /// Serve `req`, read on `fd`, unless the connection is closing.
+    /// Nothing is copied but the reply: the request is a view into the
+    /// received bytes, or into the connection's parser if it was cut.
+    fn serve(&mut self, ctx: &mut Ctx<'_, Msg>, fd: Fd, req: http::Request<'_>) {
         let Some(st) = self.conns.get_mut(&fd).filter(|st| !st.closing) else {
-            return false;
-        };
-        let Some(req) = st.parser.next_request() else {
-            return false;
+            return;
         };
         // The calibrated per-request application work (parse, file lookup,
         // header build, logging, bookkeeping).
@@ -184,11 +181,11 @@ impl WebServerProc {
         } else if closing {
             let _ = self.lib.close(ctx, fd);
         }
-        true
     }
 
     /// Drain everything readable on `fd` through the pull API and serve
-    /// every complete pipelined request.
+    /// every complete pipelined request where it lies in the received
+    /// bytes.
     fn service_readable(&mut self, ctx: &mut Ctx<'_, Msg>, fd: Fd) {
         loop {
             match self.lib.recv(ctx, fd) {
@@ -204,8 +201,13 @@ impl WebServerProc {
                     if st.closing {
                         continue;
                     }
-                    st.parser.push(&data);
-                    while self.serve_next(ctx, fd) {}
+                    // The parser steps out of its record while the requests
+                    // it finds are served, and back in after.
+                    let mut parser = std::mem::take(&mut st.parser);
+                    parser.push_requests(&data, |req| self.serve(ctx, fd, req));
+                    if let Some(st) = self.conns.get_mut(&fd) {
+                        st.parser = parser;
+                    }
                 }
                 Err(SockErr::WouldBlock) => break,
                 Err(_) => return, // NotConnected / reset: Closed will clean up

@@ -10,6 +10,7 @@
 //! ssthresh, pacing) instead of probing fields.
 
 use crate::types::CongestionAlgo;
+use std::num::NonZeroU32;
 
 /// Everything a cumulative ACK tells the controller.
 #[derive(Debug, Clone, Copy)]
@@ -71,12 +72,88 @@ pub trait CongestionControl: std::fmt::Debug {
 }
 
 /// Build the controller selected by the stack config or a socket option.
-pub fn make(algo: CongestionAlgo, mss: u16) -> Box<dyn CongestionControl> {
+pub fn make(algo: CongestionAlgo, mss: u16) -> Controller {
     match algo {
-        CongestionAlgo::Reno => Box::new(Reno::new(mss)),
-        CongestionAlgo::Cubic => Box::new(Cubic::new(mss)),
-        CongestionAlgo::Bbr => Box::new(Bbr::new(mss)),
-        CongestionAlgo::Dctcp => Box::new(Dctcp::new(mss)),
+        CongestionAlgo::Reno => Controller::Reno(Reno::new(mss)),
+        CongestionAlgo::Cubic => Controller::Model(Box::new(Model::Cubic(Cubic::new(mss)))),
+        CongestionAlgo::Bbr => Controller::Model(Box::new(Model::Bbr(Bbr::new(mss)))),
+        CongestionAlgo::Dctcp => Controller::Model(Box::new(Model::Dctcp(Dctcp::new(mss)))),
+    }
+}
+
+/// The controller a socket holds: Reno in place, and the three
+/// model-based controllers behind one thin box, which only a socket that
+/// selects one of them allocates. 16 B, the size of the trait object it
+/// replaced: Reno's words are 32-bit and its last is never zero, so the
+/// box is told from Reno by that word alone.
+#[derive(Debug)]
+pub enum Controller {
+    Reno(Reno),
+    Model(Box<Model>),
+}
+
+/// The controllers a [`Controller`] keeps behind its box.
+#[derive(Debug)]
+pub enum Model {
+    Cubic(Cubic),
+    Bbr(Bbr),
+    Dctcp(Dctcp),
+}
+
+/// Call `$call` on the concrete controller `$c` inside `$cc`, reached
+/// through the box by `$deref` (`as_ref` or `as_mut`).
+macro_rules! dispatch {
+    ($cc:expr, $deref:ident, $c:ident => $call:expr) => {
+        match $cc {
+            Controller::Reno($c) => $call,
+            Controller::Model(m) => match m.$deref() {
+                Model::Cubic($c) => $call,
+                Model::Bbr($c) => $call,
+                Model::Dctcp($c) => $call,
+            },
+        }
+    };
+}
+
+impl Controller {
+    /// The heap bytes this controller holds: none for Reno, the box's
+    /// otherwise.
+    pub fn heap_bytes(&self) -> usize {
+        Controller::heap_bytes_of(self.algo())
+    }
+
+    /// What [`make`]`(algo, _)` will hold on the heap, before it is built.
+    pub fn heap_bytes_of(algo: CongestionAlgo) -> usize {
+        match algo {
+            CongestionAlgo::Reno => 0,
+            _ => std::mem::size_of::<Model>(),
+        }
+    }
+}
+
+impl CongestionControl for Controller {
+    fn algo(&self) -> CongestionAlgo {
+        dispatch!(self, as_ref, c => c.algo())
+    }
+
+    fn on_ack(&mut self, ev: &AckEvent) -> CcDecision {
+        dispatch!(self, as_mut, c => c.on_ack(ev))
+    }
+
+    fn on_loss(&mut self, now_ns: u64) -> CcDecision {
+        dispatch!(self, as_mut, c => c.on_loss(now_ns))
+    }
+
+    fn on_rto(&mut self, now_ns: u64) -> CcDecision {
+        dispatch!(self, as_mut, c => c.on_rto(now_ns))
+    }
+
+    fn on_app_limited(&mut self, now_ns: u64) {
+        dispatch!(self, as_mut, c => c.on_app_limited(now_ns))
+    }
+
+    fn decision(&self) -> CcDecision {
+        dispatch!(self, as_ref, c => c.decision())
     }
 }
 
@@ -86,28 +163,53 @@ fn initial_window(mss: usize) -> usize {
 }
 
 /// TCP Reno: slow start, congestion avoidance, fast recovery.
+///
+/// Its arithmetic is in `usize`, its state in 32-bit words (a window
+/// never nears 4 GiB): that is what lets a [`Controller`] hold it in
+/// place. `ssthresh` starts at `u32::MAX`, which reads as `usize::MAX / 2`.
 #[derive(Debug)]
+#[repr(C)]
 pub struct Reno {
-    mss: usize,
-    cwnd: usize,
-    ssthresh: usize,
+    cwnd: u32,
+    ssthresh: u32,
     /// Bytes accumulated toward the next +MSS in congestion avoidance.
-    avoid_acc: usize,
+    avoid_acc: u32,
+    /// The MSS plus one: never zero (a peer may announce an MSS of 0),
+    /// and last, where a [`Controller`] finds its niche.
+    mss_1: NonZeroU32,
+}
+
+/// A Reno word: `x`, capped below `u32::MAX`, the unset threshold.
+fn word(x: usize) -> u32 {
+    x.min(u32::MAX as usize - 1) as u32
 }
 
 impl Reno {
     pub fn new(mss: u16) -> Reno {
-        let mss = mss as usize;
         Reno {
-            mss,
-            cwnd: initial_window(mss),
-            ssthresh: usize::MAX / 2,
+            cwnd: word(initial_window(mss as usize)),
+            ssthresh: u32::MAX,
             avoid_acc: 0,
+            mss_1: NonZeroU32::MIN.saturating_add(u32::from(mss)),
         }
     }
 
+    fn mss(&self) -> usize {
+        (self.mss_1.get() - 1) as usize
+    }
+
     pub fn ssthresh(&self) -> usize {
-        self.ssthresh
+        match self.ssthresh {
+            u32::MAX => usize::MAX / 2,
+            t => t as usize,
+        }
+    }
+
+    /// Halve the window's threshold (floored at two segments) and clear
+    /// the avoidance count: the start of both loss responses.
+    fn cut(&mut self) {
+        self.ssthresh = word((self.cwnd as usize / 2).max(2 * self.mss()));
+        self.avoid_acc = 0;
     }
 }
 
@@ -117,38 +219,38 @@ impl CongestionControl for Reno {
     }
 
     fn on_ack(&mut self, ev: &AckEvent) -> CcDecision {
-        if self.cwnd < self.ssthresh {
+        let (cwnd, mss) = (self.cwnd as usize, self.mss());
+        if cwnd < self.ssthresh() {
             // Slow start: cwnd += min(acked, MSS) per ACK.
-            self.cwnd += ev.newly_acked.min(self.mss);
+            self.cwnd = word(cwnd + ev.newly_acked.min(mss));
         } else {
             // Congestion avoidance: +1 MSS per cwnd of data acked.
-            self.avoid_acc += ev.newly_acked;
-            if self.avoid_acc >= self.cwnd {
-                self.avoid_acc -= self.cwnd;
-                self.cwnd += self.mss;
+            let mut acc = self.avoid_acc as usize + ev.newly_acked;
+            if acc >= cwnd {
+                acc -= cwnd;
+                self.cwnd = word(cwnd + mss);
             }
+            self.avoid_acc = word(acc);
         }
         self.decision()
     }
 
     fn on_loss(&mut self, _now_ns: u64) -> CcDecision {
-        self.ssthresh = (self.cwnd / 2).max(2 * self.mss);
+        self.cut();
         self.cwnd = self.ssthresh;
-        self.avoid_acc = 0;
         self.decision()
     }
 
     fn on_rto(&mut self, _now_ns: u64) -> CcDecision {
-        self.ssthresh = (self.cwnd / 2).max(2 * self.mss);
-        self.cwnd = self.mss;
-        self.avoid_acc = 0;
+        self.cut();
+        self.cwnd = word(self.mss());
         self.decision()
     }
 
     fn decision(&self) -> CcDecision {
         CcDecision {
-            cwnd: self.cwnd,
-            ssthresh: self.ssthresh,
+            cwnd: self.cwnd as usize,
+            ssthresh: self.ssthresh(),
             pacing_gate: false,
         }
     }

@@ -285,3 +285,162 @@ fn factory_dispatches() {
         assert_eq!(cc.cwnd(), initial_window(MSS as usize), "{algo:?}");
     }
 }
+
+/// A socket holds its controller in the 16 B a trait object took: Reno
+/// in place, the other three behind one box.
+#[test]
+fn controller_size_is_pinned() {
+    assert!(std::mem::size_of::<Controller>() <= 16);
+    assert_eq!(make(CongestionAlgo::Reno, MSS).heap_bytes(), 0);
+    for algo in [
+        CongestionAlgo::Cubic,
+        CongestionAlgo::Bbr,
+        CongestionAlgo::Dctcp,
+    ] {
+        let held = make(algo, MSS).heap_bytes();
+        assert_eq!(held, std::mem::size_of::<Model>(), "{algo:?}");
+        assert_eq!(held, Controller::heap_bytes_of(algo), "{algo:?}");
+    }
+}
+
+/// Reno as it was before its state became 32-bit words: the oracle the
+/// held controller is compared with.
+#[derive(Debug)]
+struct WideReno {
+    mss: usize,
+    cwnd: usize,
+    ssthresh: usize,
+    avoid_acc: usize,
+}
+
+impl CongestionControl for WideReno {
+    fn algo(&self) -> CongestionAlgo {
+        CongestionAlgo::Reno
+    }
+
+    fn on_ack(&mut self, ev: &AckEvent) -> CcDecision {
+        if self.cwnd < self.ssthresh {
+            self.cwnd += ev.newly_acked.min(self.mss);
+        } else {
+            self.avoid_acc += ev.newly_acked;
+            if self.avoid_acc >= self.cwnd {
+                self.avoid_acc -= self.cwnd;
+                self.cwnd += self.mss;
+            }
+        }
+        self.decision()
+    }
+
+    fn on_loss(&mut self, _now_ns: u64) -> CcDecision {
+        self.ssthresh = (self.cwnd / 2).max(2 * self.mss);
+        self.cwnd = self.ssthresh;
+        self.avoid_acc = 0;
+        self.decision()
+    }
+
+    fn on_rto(&mut self, _now_ns: u64) -> CcDecision {
+        self.ssthresh = (self.cwnd / 2).max(2 * self.mss);
+        self.cwnd = self.mss;
+        self.avoid_acc = 0;
+        self.decision()
+    }
+
+    fn decision(&self) -> CcDecision {
+        CcDecision {
+            cwnd: self.cwnd,
+            ssthresh: self.ssthresh,
+            pacing_gate: false,
+        }
+    }
+}
+
+const ALGOS: [CongestionAlgo; 4] = [
+    CongestionAlgo::Reno,
+    CongestionAlgo::Cubic,
+    CongestionAlgo::Bbr,
+    CongestionAlgo::Dctcp,
+];
+
+/// The bare controller for `algo`, boxed as every socket's once was.
+fn bare(algo: CongestionAlgo, mss: u16) -> Box<dyn CongestionControl> {
+    match algo {
+        CongestionAlgo::Reno => {
+            let mss = mss as usize;
+            Box::new(WideReno {
+                mss,
+                cwnd: initial_window(mss),
+                ssthresh: usize::MAX / 2,
+                avoid_acc: 0,
+            })
+        }
+        CongestionAlgo::Cubic => Box::new(Cubic::new(mss)),
+        CongestionAlgo::Bbr => Box::new(Bbr::new(mss)),
+        CongestionAlgo::Dctcp => Box::new(Dctcp::new(mss)),
+    }
+}
+
+/// The held controller decides as the bare one does: over generated
+/// streams of ACKs (with and without RTT samples), losses, RTOs,
+/// app-limited marks and switches of algorithm (a switch to another
+/// algorithm restarts it, as `TcpSocket::set_congestion` does), every
+/// verdict, the standing decision and the algorithm agree, for MSS
+/// values from 0 (a peer may announce it) to 65 535.
+#[test]
+fn held_controller_decides_as_the_bare_one() {
+    use neat_util::check::{check, vec_of, Config};
+    use neat_util::prop_assert_eq;
+    const MSSES: [u16; 6] = [0, 1, 536, 1460, 9000, u16::MAX];
+    check(
+        "held_controller_decides_as_the_bare_one",
+        Config::default().cases(256),
+        |rng| {
+            (
+                rng.gen_range(0usize..MSSES.len()),
+                rng.gen_range(0usize..ALGOS.len()),
+                vec_of(rng, 1..300, |r| {
+                    (r.gen::<u8>(), r.gen_range(0u32..70_000), r.gen::<u32>())
+                }),
+            )
+        },
+        |(mss, algo, events)| {
+            let (mss, algo) = (MSSES[mss], ALGOS[algo]);
+            let mut held = make(algo, mss);
+            let mut oracle = bare(algo, mss);
+            let mut now = 0u64;
+            for (kind, bytes, gap) in events {
+                now += u64::from(gap % 4_000_000);
+                let ev = AckEvent {
+                    newly_acked: bytes as usize,
+                    rtt_sample: (kind & 8 != 0).then_some(u64::from(gap % 50_000_000)),
+                    now_ns: now,
+                };
+                let verdicts = match kind % 8 {
+                    0 => Some((held.on_loss(now), oracle.on_loss(now))),
+                    1 => Some((held.on_rto(now), oracle.on_rto(now))),
+                    2 => {
+                        held.on_app_limited(now);
+                        oracle.on_app_limited(now);
+                        None
+                    }
+                    3 => {
+                        let to = ALGOS[(kind >> 4) as usize % ALGOS.len()];
+                        if held.algo() != to {
+                            held = make(to, mss);
+                        }
+                        if oracle.algo() != to {
+                            oracle = bare(to, mss);
+                        }
+                        None
+                    }
+                    _ => Some((held.on_ack(&ev), oracle.on_ack(&ev))),
+                };
+                if let Some((h, o)) = verdicts {
+                    prop_assert_eq!(h, o);
+                }
+                prop_assert_eq!(held.decision(), oracle.decision());
+                prop_assert_eq!(held.algo(), oracle.algo());
+            }
+            Ok(())
+        },
+    );
+}

@@ -8,7 +8,8 @@
 //! * [`flow_control`] — the receive side: reassembly, receive buffer,
 //!   advertised window, ACK generation, zero-window probing.
 //! * [`congestion_control`] — the event-driven controller API plus the
-//!   Reno/CUBIC/BBR-style/DCTCP-style implementations.
+//!   Reno/CUBIC/BBR-style/DCTCP-style implementations, held by a socket
+//!   as a [`Controller`]: Reno in place, the other three boxed.
 //!
 //! Each component owns its state struct exclusively (see DESIGN.md's
 //! "TCP component map" for the field-by-field ownership table): every
@@ -27,7 +28,7 @@ pub mod conn_mgmt;
 pub mod flow_control;
 pub mod reliability;
 
-pub use congestion_control::{make, AckEvent, CcDecision, CongestionControl};
+pub use congestion_control::{make, AckEvent, CcDecision, CongestionControl, Controller};
 pub use conn_mgmt::ConnMgmt;
 pub use flow_control::FlowControl;
 pub use reliability::Reliability;

@@ -3,7 +3,7 @@
 //! retransmit), and Karn's-rule RTT sampling.
 
 use crate::buffer::SendBuffer;
-use crate::components::congestion_control::AckEvent;
+use crate::components::congestion_control::{AckEvent, CongestionControl};
 use crate::rto::RttEstimator;
 use crate::socket::TcpSocket;
 use crate::types::{SockEvent, TcpConfig, TcpError, TcpState, MAX_RETRIES, SEND_BUF};

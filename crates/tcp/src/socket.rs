@@ -14,7 +14,7 @@
 //! component's fields (CI's `tcp_owner_guard`; DESIGN.md's "TCP component
 //! map" has the ownership table and the rule).
 
-use crate::components::{self, CongestionControl, ConnMgmt, FlowControl, Reliability};
+use crate::components::{self, CongestionControl, ConnMgmt, Controller, FlowControl, Reliability};
 use crate::types::{CongestionAlgo, SockEvent, SocketId, TcpConfig, TcpError, TcpState};
 use neat_net::tcp::MSS;
 use neat_net::{SeqNum, TcpHeader};
@@ -22,10 +22,6 @@ use std::net::Ipv4Addr;
 
 /// The window-scale shift we advertise on SYN segments.
 pub(crate) const OUR_WSCALE: u8 = 7;
-
-/// Flat estimate for the boxed congestion-controller state (every
-/// controller is a handful of words; the box allocation dominates).
-const CC_BOX_BYTES: usize = 64;
 
 /// One end of a TCP connection: a thin coordinator over the four
 /// components, owning only identity and configuration.
@@ -49,8 +45,8 @@ pub struct TcpSocket {
     pub(crate) rel: Reliability,
     /// Flow control: receive path, windows, ACK generation.
     pub(crate) fc: FlowControl,
-    /// Congestion control: the event-driven controller.
-    pub(crate) cc: Box<dyn CongestionControl>,
+    /// Congestion control: the event-driven controller, Reno in place.
+    pub(crate) cc: Controller,
 
     /// Queued user-visible events, drained by the stack.
     pub events: Vec<SockEvent>,
@@ -63,14 +59,15 @@ pub struct TcpSocket {
 }
 
 impl TcpSocket {
-    /// A socket at `local`/`remote` in CLOSED: the opens and the
-    /// checkpoint decoder start here.
+    /// A socket at `local`/`remote` in CLOSED holding `cc`: the opens
+    /// (with `cfg`'s controller) and the checkpoint decoder start here.
     pub(crate) fn new(
         id: SocketId,
         cfg: &TcpConfig,
         iss: SeqNum,
         local: (Ipv4Addr, u16),
         remote: (Ipv4Addr, u16),
+        cc: Controller,
     ) -> TcpSocket {
         TcpSocket {
             id,
@@ -83,7 +80,7 @@ impl TcpSocket {
             cm: ConnMgmt::new(iss),
             rel: Reliability::new(iss, cfg),
             fc: FlowControl::new(),
-            cc: components::make(cfg.congestion, MSS),
+            cc,
             events: Vec::new(),
             error: None,
             accounted: 0,
@@ -94,15 +91,15 @@ impl TcpSocket {
     /// struct plus every heap allocation it owns (buffer *capacities*,
     /// not configured limits). A ring keeps its storage only while it
     /// holds a byte — the stack parks a drained one's — so a connection
-    /// at rest is the struct, the controller box and its assembler's and
-    /// event list's capacities.
+    /// at rest is the struct, its assembler's and event list's capacities
+    /// and the controller's box, which a Reno socket does not have.
     pub fn mem_bytes(&self) -> usize {
         std::mem::size_of::<TcpSocket>()
             + self.rel.send_buf.heap_bytes()
             + self.fc.recv_buf.heap_bytes()
             + self.fc.asm.heap_bytes()
             + self.events.capacity() * std::mem::size_of::<SockEvent>()
-            + CC_BOX_BYTES
+            + self.cc.heap_bytes()
     }
 
     /// Record `new` as the budget-accounted footprint, returning the
@@ -120,7 +117,8 @@ impl TcpSocket {
         iss: SeqNum,
         now: u64,
     ) -> TcpSocket {
-        let mut s = TcpSocket::new(id, cfg, iss, local, remote);
+        let cc = components::make(cfg.congestion, MSS);
+        let mut s = TcpSocket::new(id, cfg, iss, local, remote, cc);
         s.open(TcpState::SynSent, now);
         s
     }
@@ -136,7 +134,8 @@ impl TcpSocket {
         iss: SeqNum,
         now: u64,
     ) -> TcpSocket {
-        let mut s = TcpSocket::new(id, cfg, iss, local, remote);
+        let cc = components::make(cfg.congestion, MSS);
+        let mut s = TcpSocket::new(id, cfg, iss, local, remote, cc);
         // A passive open has no ACK to take `snd_wl2` from.
         s.take_peer_syn(syn, SeqNum(0));
         s.open(TcpState::SynReceived, now);

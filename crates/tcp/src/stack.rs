@@ -32,6 +32,7 @@
 
 use crate::budget::ConnBudget;
 use crate::buffer::fill;
+use crate::components::{CongestionControl, Controller};
 use crate::socket::TcpSocket;
 use crate::tcb::replicable;
 use crate::types::{CongestionAlgo, SockEvent, SocketId, TcpConfig, TcpError, TcpState};
@@ -79,10 +80,11 @@ impl StackObs {
     }
 }
 
-/// Rough first-touch footprint of a connection, used for budget
-/// admission before the socket exists.
-fn base_conn_cost() -> u64 {
-    (std::mem::size_of::<TcpSocket>() + 64) as u64
+/// First-touch footprint of a connection with `algo`'s controller, used
+/// for budget admission before the socket exists: the socket and what its
+/// controller holds on the heap.
+fn base_conn_cost(algo: CongestionAlgo) -> u64 {
+    (std::mem::size_of::<TcpSocket>() + Controller::heap_bytes_of(algo)) as u64
 }
 
 fn flow_of(s: &TcpSocket) -> FlowKey {
@@ -264,7 +266,7 @@ impl TcpStack {
         remote_port: u16,
         now: u64,
     ) -> Result<SocketId, TcpError> {
-        if !self.budget.admit(base_conn_cost()) {
+        if !self.budget.admit(base_conn_cost(self.cfg.congestion)) {
             return Err(TcpError::NoMemory);
         }
         self.timers.catch_up(now);
@@ -451,7 +453,7 @@ impl TcpStack {
                 // Backlog overflow, or out of connection memory or ids:
                 // shed the SYN (a retry will come).
                 let id = if l.syn_backlog + l.accept_q.len() >= self.cfg.backlog
-                    || !self.budget.admit(base_conn_cost())
+                    || !self.budget.admit(base_conn_cost(self.cfg.congestion))
                 {
                     None
                 } else {
@@ -747,7 +749,7 @@ impl TcpStack {
         if self.conns.contains_key(&flow) {
             return Some(Err(TcpError::AddrInUse));
         }
-        if !self.budget.admit(base_conn_cost()) {
+        if !self.budget.admit(base_conn_cost(sock.cc.algo())) {
             return Some(Err(TcpError::NoMemory));
         }
         let Some(id) = self.slots.alloc_conn_id() else {

@@ -11,9 +11,10 @@
 //! survives any number of hops unchanged.
 
 use crate::buffer::{RecvBuffer, SendBuffer};
-use crate::components;
+use crate::components::{self, CongestionControl};
 use crate::socket::TcpSocket;
 use crate::types::{CongestionAlgo, SocketId, TcpConfig, TcpState, RECV_BUF, SEND_BUF};
+use neat_net::tcp::MSS;
 use neat_net::SeqNum;
 use neat_util::bytes::Reader;
 use std::net::Ipv4Addr;
@@ -123,7 +124,10 @@ impl TcpSocket {
         let state = state_from_code(r.u8()?)?;
         let local = (Ipv4Addr::from(r.arr()?), r.u16()?);
         let remote = (Ipv4Addr::from(r.arr()?), r.u16()?);
-        let mut s = TcpSocket::new(id, cfg, r.seq()?, local, remote);
+        // Reno, which lives in place, holds the seat until the image's
+        // last byte names the controller: a restore boxes at most that one.
+        let reno = components::make(CongestionAlgo::Reno, MSS);
+        let mut s = TcpSocket::new(id, cfg, r.seq()?, local, remote, reno);
         s.cm.state = state;
         s.cm.irs = r.seq()?;
         s.rel.snd_nxt = r.seq()?;

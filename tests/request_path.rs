@@ -17,8 +17,11 @@ use std::cell::Cell;
 mod counting_alloc;
 use counting_alloc::{census, COUNTS, LIVE};
 
-/// The keep-alive connections of the one client.
+/// The connections the one client keeps open at once.
 const CONNS: usize = 4;
+
+/// Requests per connection for a keep-alive run: the whole run.
+const KEEP_ALIVE: u32 = u32::MAX;
 
 /// Run `tb` until its client has completed `requests` more requests,
 /// stopping within 100 ns of the completion that makes the count; returns
@@ -45,13 +48,14 @@ fn serve(tb: &mut Testbed, requests: u64) -> u64 {
 ///
 /// Each driver also pins the bytes a connection keeps: the thread's live
 /// bytes after the window less those of the booted testbed, per
-/// connection. Here 72 265 B, 65 536 of them the fd's failover tail (the
-/// last 64 KiB written); 72 451 B while the timer wheels and the socket
-/// servers' connection tables were hash maps, 113 457 B while that tail
-/// grew past its cap, to 104 KiB.
+/// connection. Here 72 040 B, 65 536 of them the fd's failover tail (the
+/// last 64 KiB written); 72 265 B while each socket boxed its congestion
+/// controller and both parsers copied the first head they read, 72 451 B
+/// while the timer wheels and the socket servers' connection tables were
+/// hash maps, 113 457 B while that tail grew past its cap, to 104 KiB.
 #[test]
 fn allocations_per_request_are_pinned() {
-    assert_allocations(NeatConfig::single(1), None, 4.0, 72_265);
+    assert_allocations(NeatConfig::single(1), None, KEEP_ALIVE, 4.0, 72_040);
 }
 
 /// The same requests through two replicas that stream checkpoints to each
@@ -59,36 +63,45 @@ fn allocations_per_request_are_pinned() {
 /// touched a flow ships one delta, one buffer however many flows it
 /// carries, and the buddy overwrites its copy of a flow in place; 7.50
 /// (1 383 B) when each image was a buffer of its own and each delta a
-/// `Vec` of them. A connection keeps 75 799 B (75 889 B with the wheels'
-/// and connection tables' hash maps, 116 895 B with the tail past its
-/// cap).
+/// `Vec` of them. A connection keeps 75 574 B (75 799 B with the
+/// controller boxes and the parsers' head copies, 75 889 B with the
+/// wheels' and connection tables' hash maps, 116 895 B with the tail past
+/// its cap).
 #[test]
 fn allocations_per_replicated_request_are_pinned() {
     let cfg = NeatConfig::single(2).replicated();
-    assert_allocations(cfg, None, 5.5, 75_799);
+    assert_allocations(cfg, None, KEEP_ALIVE, 5.5, 75_574);
 }
 
 /// The same keep-alive requests for a 100 000 B file, `http_bulk`'s reply:
 /// 14.50 allocations (304 972 B) per request, one for each frame built —
 /// the client's ACKs and requests, the server's TSO cuts — the `ConnData`
-/// payload and the reply. A connection keeps 211 610 B (211 796 B with
-/// the wheels' and connection tables' hash maps): 518 610 B while
-/// the fd's tail grew to 195 KiB and the client's parser buffered every
-/// body it never reads (15.50 allocations then, the parser's cold state
-/// boxed once per reply).
+/// payload and the reply. A connection keeps 211 375 B (211 610 B with
+/// the controller boxes and the parsers' head copies, 211 796 B with the
+/// wheels' and connection tables' hash maps): 518 610 B while the fd's
+/// tail grew to 195 KiB and the client's parser buffered every body it
+/// never reads (15.50 allocations then, the parser's cold state boxed
+/// once per reply).
 #[test]
 fn allocations_per_bulk_request_are_pinned() {
-    assert_allocations(NeatConfig::single(1), Some(100_000), 14.5, 211_610);
+    assert_allocations(
+        NeatConfig::single(1),
+        Some(100_000),
+        KEEP_ALIVE,
+        14.5,
+        211_375,
+    );
 }
 
-/// Warm a one-client keep-alive `Testbed` on `cfg` that serves a file of
-/// `reply` bytes (`None`: the paper's 20 B one), count what more requests
-/// allocate, and fail above `max_per_req`, naming the ten busiest
-/// allocation sites, or if a connection then keeps more than
-/// `max_live_per_conn` bytes.
+/// Warm a one-client `Testbed` on `cfg` that serves a file of `reply`
+/// bytes (`None`: the paper's 20 B one) over connections that each carry
+/// `requests_per_conn` requests, count what more requests allocate, and
+/// fail above `max_per_req`, naming the ten busiest allocation sites, or
+/// if a connection then keeps more than `max_live_per_conn` bytes.
 fn assert_allocations(
     cfg: NeatConfig,
     reply: Option<usize>,
+    requests_per_conn: u32,
     max_per_req: f64,
     max_live_per_conn: i64,
 ) {
@@ -96,7 +109,7 @@ fn assert_allocations(
     spec.clients = 1;
     spec.workload = Workload {
         conns_per_client: CONNS,
-        requests_per_conn: u32::MAX, // keep-alive for the whole run
+        requests_per_conn,
         ..Workload::default()
     };
     // Bulk requests are fewer: each moves 100 000 B through the stacks.
@@ -114,8 +127,15 @@ fn assert_allocations(
     // Warm means past the last one-off growth: each fd's retained tx tail
     // (`SocketLib::send`) grows for the last time to its 64 KiB cap, on
     // request 513 of its connection for 104 B replies, on the first for
-    // 100 000 B ones.
-    serve(&mut tb, 2 * requests);
+    // 100 000 B ones. With a connection per request, the web server's
+    // `served_by` (a pid per accepted connection) doubles at 4 096
+    // accepts, so the window starts past 6 000 and ends before 8 192.
+    let warm = match requests_per_conn {
+        1 => 3 * requests,
+        _ => 2 * requests,
+    };
+    serve(&mut tb, warm);
+    println!("warm at {:?}", tb.sim.now());
 
     let before = COUNTS.with(Cell::get);
     let done = serve(&mut tb, requests);
@@ -144,6 +164,20 @@ fn assert_allocations(
         live_per_conn <= max_live_per_conn,
         "a connection keeps {live_per_conn} B (pin {max_live_per_conn})"
     );
+}
+
+/// One request per connection, `http_churn`'s load (the paper's Fig. 12):
+/// each connection's whole life is in the window, opened, served and
+/// closed through both stacks. 11.00 (1 105 B) per request: the eight
+/// frames of a life (`FrameIo::ip_frame`), the `ConnData` payload, the
+/// fd's failover tail (`keep_tail`) and the reply. 15.00 while each
+/// socket boxed its Reno controller, the web server copied every request
+/// into its parser and httperf every response head into its own. The
+/// live bytes are the testbed's after 8 000 connections less at boot,
+/// per open connection: 186 185 B.
+#[test]
+fn allocations_per_short_connection_are_pinned() {
+    assert_allocations(NeatConfig::single(1), None, 1, 11.0, 186_185);
 }
 
 /// 50 000 of them are most of `peak_live_mb` @ `stack_conns`: the read
