@@ -7,6 +7,7 @@
 
 use crate::http;
 use neat::msg::Msg;
+use neat::security::AslrObserver;
 use neat::sockets::{CongestionAlgo, Fd, LibEvent, SockErr, SocketLib};
 use neat_sim::{calibration, Ctx, Event, ProcId, Process};
 use neat_util::FxHashMap;
@@ -59,9 +60,10 @@ pub struct WebMetrics {
     pub conns_accepted: u64,
     pub conns_lost_to_crash: u64,
     /// Raw pid of the stack replica that owned each accepted connection,
-    /// in accept order — the §3.8 layout-unpredictability measurement
-    /// stream (each replica (re)start has a fresh ASLR layout).
-    pub served_by: Vec<u64>,
+    /// in accept order, summarised as it arrives — the §3.8
+    /// layout-unpredictability measurement (each replica (re)start has a
+    /// fresh ASLR layout).
+    pub served_by: AslrObserver,
 }
 
 /// Per-connection server state.
@@ -250,7 +252,7 @@ impl Process<Msg> for WebServerProc {
                             m.conns_accepted += 1;
                             self.obs.conns_accepted.inc();
                             if let Some(pid) = self.lib.replica_of(fd) {
-                                m.served_by.push(pid.0);
+                                m.served_by.record(pid.0);
                                 let known = self.accepted_by.iter().find(|(r, _)| *r == pid);
                                 let counter = known.map(|(_, c)| *c).unwrap_or_else(|| {
                                     let c = neat_obs::counter(&format!("web.accepted.r{}", pid.0));

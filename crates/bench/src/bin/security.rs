@@ -34,9 +34,7 @@ fn observe(replicas: usize, crash_one: bool) -> (AslrObserver, usize) {
     tb.sim.run_until(tb.sim.now() + Time::from_millis(300));
     let mut obs = AslrObserver::new();
     for m in &tb.web_metrics {
-        for pid in &m.borrow().served_by {
-            obs.record(*pid);
-        }
+        obs.merge(&m.borrow().served_by);
     }
     let n = obs.len();
     (obs, n)

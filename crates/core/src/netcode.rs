@@ -4,12 +4,21 @@
 //! Both the single-component replica and the multi-component IP process
 //! embed a [`FrameIo`]; the httperf-side library stacks reuse it too. This
 //! is pure protocol code — the owning process charges the CPU costs.
+//!
+//! Every frame is written once, in the block it leaves in. A TCP segment
+//! goes from the send ring straight into its frame
+//! ([`FrameIo::send_segment`]), and a TCP frame whose payload is longer
+//! than one MSS is built with the room the NIC's TSO cut spreads it into
+//! (`neat_nic::tso::room`), so a super-segment is one block from the send
+//! ring to the wire.
 
 use neat_net::arp::{ArpCache, ArpOp, ArpPacket, ARP_LEN};
 use neat_net::ethernet::{EtherType, EthernetFrame, MacAddr, ETHERNET_HEADER_LEN};
 use neat_net::icmp::IcmpMessage;
 use neat_net::ipv4::{IpProtocol, Ipv4Header, IPV4_HEADER_LEN};
+use neat_net::tcp::TcpHeader;
 use neat_net::PktBuf;
+use neat_nic::tso;
 use neat_tcp::TcpStack;
 use neat_util::FxHashMap;
 use std::net::Ipv4Addr;
@@ -51,8 +60,6 @@ pub struct FrameIo {
     pending: FxHashMap<Ipv4Addr, Vec<PktBuf>>,
     /// Frames ready to go out on the wire (`PktBuf` handles from birth).
     out: Vec<PktBuf>,
-    /// The segment `send_tcp` is framing: one buffer for all of them.
-    seg: Vec<u8>,
     /// Last time an ARP request was sent per destination (rate limit).
     /// Only probed.
     last_arp_req: FxHashMap<Ipv4Addr, u64>,
@@ -71,7 +78,6 @@ impl FrameIo {
             arp: ArpCache::new(),
             pending: FxHashMap::default(),
             out: Vec::new(),
-            seg: Vec::new(),
             last_arp_req: FxHashMap::default(),
             rx_bad_checksum: 0,
             rx_not_for_us: 0,
@@ -156,15 +162,65 @@ impl FrameIo {
     /// Encapsulate and queue an IP packet to `dst`, resolving the MAC via
     /// ARP (packets queue while a request is outstanding, up to
     /// `MAX_PENDING_PER_DST`). The frame is built once, in place, in the
-    /// buffer it leaves in.
+    /// buffer it leaves in; a TCP frame with the room the NIC's TSO cut
+    /// spreads it into ([`tso::room`]).
     pub fn send_ip(&mut self, dst: Ipv4Addr, protocol: IpProtocol, payload: &[u8], now_ns: u64) {
+        let ip = Ipv4Header::new(self.ip, dst, protocol, payload.len());
+        let room = match protocol {
+            IpProtocol::Tcp => {
+                let data_off = usize::from(payload.get(12).map_or(0, |b| b >> 4)) * 4;
+                tso::room(payload.len().saturating_sub(data_off), tso::TSO_MSS)
+            }
+            _ => 0,
+        };
+        self.send_frame(dst, now_ns, |eth| {
+            ip_frame(eth, ip, payload.len(), room, |l4| {
+                l4.copy_from_slice(payload)
+            })
+        });
+    }
+
+    /// Frame one TCP segment to `dst` — `h` over the payload `data`, a
+    /// send ring's two halves — and queue it as [`Self::send_ip`] does.
+    /// The header, the payload and the checksum are written once, straight
+    /// into the frame's block.
+    pub fn send_segment(
+        &mut self,
+        dst: Ipv4Addr,
+        h: &TcpHeader,
+        (a, b): (&[u8], &[u8]),
+        now_ns: u64,
+    ) {
+        let src = self.ip;
+        let l4_len = h.header_len() + a.len() + b.len();
+        let ip = Ipv4Header::new(src, dst, IpProtocol::Tcp, l4_len);
+        let room = tso::room(a.len() + b.len(), tso::TSO_MSS);
+        self.send_frame(dst, now_ns, |eth| {
+            ip_frame(eth, ip, l4_len, room, |l4| h.emit_to(l4, &[a, b], src, dst))
+        });
+    }
+
+    /// Queue the frame `build` makes behind the Ethernet header it gets:
+    /// for the wire once `dst`'s MAC is known, else (the MAC zero) in
+    /// `dst`'s ARP queue, and ask for the MAC.
+    fn send_frame(
+        &mut self,
+        dst: Ipv4Addr,
+        now_ns: u64,
+        build: impl FnOnce(EthernetFrame) -> PktBuf,
+    ) {
+        let eth = |mac| EthernetFrame {
+            dst: mac,
+            src: self.mac,
+            ethertype: EtherType::Ipv4,
+        };
         if let Some(mac) = self.arp.lookup(dst, now_ns) {
-            self.out.push(self.ip_frame(mac, dst, protocol, payload));
+            self.out.push(build(eth(mac)));
             return;
         }
         if self.pending.get(&dst).map_or(0, Vec::len) < MAX_PENDING_PER_DST {
             // The destination MAC is filled in by `flush_pending`.
-            let f = self.ip_frame(MacAddr::ZERO, dst, protocol, payload);
+            let f = build(eth(MacAddr::ZERO));
             self.pending.entry(dst).or_default().push(f);
         } else {
             self.arp_queue_drops += 1;
@@ -183,26 +239,6 @@ impl FrameIo {
         }
     }
 
-    fn ip_frame(
-        &self,
-        mac: MacAddr,
-        dst: Ipv4Addr,
-        protocol: IpProtocol,
-        payload: &[u8],
-    ) -> PktBuf {
-        let eth = EthernetFrame {
-            dst: mac,
-            src: self.mac,
-            ethertype: EtherType::Ipv4,
-        };
-        let ip = Ipv4Header::new(self.ip, dst, protocol, payload.len());
-        PktBuf::build(L4_OFF + payload.len(), |f| {
-            eth.emit_header_to(f);
-            ip.emit_header_to(&mut f[ETHERNET_HEADER_LEN..]);
-            f[L4_OFF..].copy_from_slice(payload);
-        })
-    }
-
     fn arp_frame(&self, mac: MacAddr, arp: &ArpPacket) -> PktBuf {
         let eth = EthernetFrame {
             dst: mac,
@@ -216,16 +252,15 @@ impl FrameIo {
     }
 
     /// Frame and queue every segment `stack` owes the wire — the one TCP
-    /// drain loop of every process that owns both. `each` runs once per
-    /// segment, for the caller's model charges.
+    /// drain loop of every process that owns both — each emitted from the
+    /// send ring straight into its frame ([`Self::send_segment`]). `each`
+    /// runs once per segment, for the caller's model charges.
     pub fn send_tcp(&mut self, stack: &mut TcpStack, now_ns: u64, mut each: impl FnMut()) {
-        let mut seg = std::mem::take(&mut self.seg);
-        while let Some(dst) = stack.poll_transmit_into(now_ns, &mut seg) {
+        let mut frame = |dst, h: &TcpHeader, data: (&[u8], &[u8])| {
             each();
-            self.send_ip(dst, IpProtocol::Tcp, &seg, now_ns);
-            seg.clear();
-        }
-        self.seg = seg;
+            self.send_segment(dst, h, data, now_ns);
+        };
+        while stack.transmit_with(now_ns, &mut frame).is_some() {}
     }
 
     /// Patch the resolved MAC into each waiting frame, in place (a queued
@@ -256,6 +291,23 @@ impl FrameIo {
     pub fn pending_arp(&self) -> usize {
         self.pending.values().map(|v| v.len()).sum()
     }
+}
+
+/// An IPv4 frame behind `eth`: `ip`'s header, then the `l4_len` bytes of
+/// its payload written by `l4`, in a block `room` bytes longer than the
+/// frame.
+fn ip_frame(
+    eth: EthernetFrame,
+    ip: Ipv4Header,
+    l4_len: usize,
+    room: usize,
+    l4: impl FnOnce(&mut [u8]),
+) -> PktBuf {
+    PktBuf::build_with_room(L4_OFF + l4_len, room, |f| {
+        eth.emit_header_to(f);
+        ip.emit_header_to(&mut f[ETHERNET_HEADER_LEN..]);
+        l4(&mut f[L4_OFF..]);
+    })
 }
 
 #[cfg(test)]

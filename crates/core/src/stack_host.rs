@@ -10,22 +10,26 @@
 use crate::flow_repl::FlowRepl;
 use crate::sock_server::SockServer;
 use crate::{msg::Msg, replica::Role};
+use neat_net::tcp::TcpHeader;
 use neat_sim::{calibration, Ctx, ProcId, Time};
 use std::net::Ipv4Addr;
 
 /// What sits below TCP in one replica shape.
 pub trait WireSink {
-    /// Send one outbound TCP segment to `dst` and charge the layers below
-    /// TCP for it. `seg` is the host's one scratch buffer: a sink that
-    /// frames the segment reads it, a sink that ships it takes it. A sink
-    /// that owns the replica's loopback device hands back segments
-    /// addressed to the replica itself; the host feeds them straight into
-    /// its own TCP.
+    /// Send one outbound TCP segment between `addrs` (source, destination)
+    /// — the header `h` over the payload `data`, the two halves of the
+    /// send ring it lies in — and charge the layers below TCP for it. The
+    /// sink emits the segment once, where it goes next: a sink that frames
+    /// it writes it straight into the frame, a sink that ships it writes
+    /// the owned buffer it ships. A sink that owns the replica's loopback
+    /// device hands back, emitted, segments addressed to the replica
+    /// itself; the host feeds them straight into its own TCP.
     fn tx_segment(
         &mut self,
         ctx: &mut Ctx<'_, Msg>,
-        dst: Ipv4Addr,
-        seg: &mut Vec<u8>,
+        addrs: (Ipv4Addr, Ipv4Addr),
+        h: &TcpHeader,
+        data: (&[u8], &[u8]),
     ) -> Option<Vec<u8>>;
 
     /// End of a flush round: release what the sink queued. Runs after the
@@ -104,8 +108,6 @@ pub struct StackHost {
     /// The deadline the one pending stack timer stands for.
     timer: Option<u64>,
     timer_fires: TimerFires,
-    /// The segment a flush is handing to the wire: one buffer for all.
-    seg: Vec<u8>,
 }
 
 impl StackHost {
@@ -125,7 +127,6 @@ impl StackHost {
             flush_owed: false,
             timer: None,
             timer_fires: TimerFires::new("neat"),
-            seg: Vec::new(),
         }
     }
 
@@ -258,10 +259,13 @@ impl StackHost {
             // allows the loopback devices to be implemented by each of the
             // replicas") — no NIC, no driver, no other replica involved.
             let mut loopback = Vec::new();
-            while let Some(dst) = self.sock.stack.poll_transmit_into(now, &mut self.seg) {
+            let src = self.sock.stack.local_ip;
+            let mut tx = |dst, h: &TcpHeader, data: (&[u8], &[u8])| {
                 ctx.charge(calibration::TCP_TX_SEG);
-                loopback.extend(wire.tx_segment(ctx, dst, &mut self.seg));
-                self.seg.clear();
+                wire.tx_segment(ctx, (src, dst), h, data)
+            };
+            while let Some(back) = self.sock.stack.transmit_with(now, &mut tx) {
+                loopback.extend(back);
             }
             let had_loopback = !loopback.is_empty();
             for seg in loopback {

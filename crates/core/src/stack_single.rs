@@ -12,6 +12,7 @@ use crate::udp_comp::Udp;
 use crate::{msg::Msg, replica::Role};
 use neat_net::ethernet::MacAddr;
 use neat_net::ipv4::IpProtocol;
+use neat_net::tcp::TcpHeader;
 use neat_sim::{calibration, Ctx, Event, ProcId, Process};
 use std::net::Ipv4Addr;
 
@@ -26,15 +27,17 @@ impl WireSink for FrameWire {
     fn tx_segment(
         &mut self,
         ctx: &mut Ctx<'_, Msg>,
-        dst: Ipv4Addr,
-        seg: &mut Vec<u8>,
+        (src, dst): (Ipv4Addr, Ipv4Addr),
+        h: &TcpHeader,
+        (a, b): (&[u8], &[u8]),
     ) -> Option<Vec<u8>> {
         ctx.charge(calibration::IP_TX_PKT);
         if dst == self.io.ip {
-            return Some(std::mem::take(seg));
+            let mut seg = Vec::new();
+            h.emit_into(&mut seg, &[a, b], src, dst);
+            return Some(seg);
         }
-        self.io
-            .send_ip(dst, IpProtocol::Tcp, seg, ctx.now().as_nanos());
+        self.io.send_segment(dst, h, (a, b), ctx.now().as_nanos());
         None
     }
 

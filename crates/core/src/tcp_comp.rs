@@ -6,6 +6,7 @@
 
 use crate::stack_host::{StackHost, WireSink};
 use crate::{msg::Msg, replica::Role};
+use neat_net::tcp::TcpHeader;
 use neat_sim::{Ctx, Event, ProcId, Process};
 use std::net::Ipv4Addr;
 
@@ -18,16 +19,19 @@ impl WireSink for IpWire {
     fn tx_segment(
         &mut self,
         ctx: &mut Ctx<'_, Msg>,
-        dst: Ipv4Addr,
-        seg: &mut Vec<u8>,
+        (src, dst): (Ipv4Addr, Ipv4Addr),
+        h: &TcpHeader,
+        (a, b): (&[u8], &[u8]),
     ) -> Option<Vec<u8>> {
         if let Some(ip) = self.ip {
+            let mut payload = Vec::new();
+            h.emit_into(&mut payload, &[a, b], src, dst);
             ctx.send(
                 ip,
                 Msg::IpTx {
                     dst,
                     protocol: 6,
-                    payload: std::mem::take(seg),
+                    payload,
                 },
             );
         }

@@ -14,10 +14,12 @@
 //! `Rc::get_mut` — the only handle exists, so the write needs no `unsafe`
 //! and the bytes are never copied. [`PktBuf::from_vec`] is the adaptor for
 //! bytes that already exist elsewhere: it copies them into a fresh block.
-//! A producer that writes several frames at once builds them back to back
-//! into one grant and hands each out as a [`PktBuf::window`]: the TSO cut
-//! does, so a super-segment's wire frames share one block, which returns
-//! when the last of them drops.
+//! A block may be longer than its frame: [`PktBuf::build_with_room`]
+//! leaves room past the window, and [`PktBuf::widen_mut`] lets the only
+//! handle grow into it. The TSO cut spreads a super-segment in place that
+//! way, its wire frames back to back in the frame's own block, and hands
+//! each out as a [`PktBuf::window`]; the block returns when the last of
+//! them drops.
 //!
 //! Per-thread counters keep grant/return accounting so teardown can assert
 //! that no buffer leaked ([`assert_quiescent`]), and count every view that
@@ -79,27 +81,36 @@ impl PktBuf {
     /// allocation: `repeat_n` has an exact length, so the `Rc<[u8]>` is
     /// sized once, and the fresh `Rc` is the only handle `get_mut` needs.
     pub fn build(len: usize, fill: impl FnOnce(&mut [u8])) -> PktBuf {
-        let mut storage: Rc<[u8]> = iter::repeat_n(0, len).collect();
+        Self::build_with_room(len, 0, fill)
+    }
+
+    /// [`build`](Self::build) into a block `room` bytes longer than the
+    /// frame: the window is the first `len` bytes, and the room past it
+    /// stays zeroed for [`widen_mut`](Self::widen_mut).
+    pub fn build_with_room(len: usize, room: usize, fill: impl FnOnce(&mut [u8])) -> PktBuf {
+        let mut storage: Rc<[u8]> = iter::repeat_n(0, len + room).collect();
         if let Some(bytes) = Rc::get_mut(&mut storage) {
-            fill(bytes);
+            fill(&mut bytes[..len]);
         }
-        Self::grant(storage)
+        Self::grant(storage, len)
     }
 
     /// Grant a buffer holding a copy of `data` (tests and cold paths; the
     /// frame paths [`build`](Self::build) in place).
     pub fn from_vec(data: Vec<u8>) -> PktBuf {
-        Self::grant(Rc::from(data))
+        let len = data.len();
+        Self::grant(Rc::from(data), len)
     }
 
-    fn grant(storage: Rc<[u8]>) -> PktBuf {
+    /// Count a fresh block and hand out its first `len` bytes.
+    fn grant(storage: Rc<[u8]>, len: usize) -> PktBuf {
         assert!(storage.len() <= u32::MAX as usize, "a frame is under 4 GiB");
         with_state(|p| {
             p.stats.grants += 1;
             p.stats.outstanding += 1;
         });
         PktBuf {
-            len: storage.len() as u32,
+            len: len as u32,
             storage,
             off: 0,
         }
@@ -130,6 +141,20 @@ impl PktBuf {
     pub fn get_mut(&mut self) -> Option<&mut [u8]> {
         let window = self.off as usize..(self.off + self.len) as usize;
         Rc::get_mut(&mut self.storage).map(|b| &mut b[window])
+    }
+
+    /// Widen the window by `extra` bytes into the room past it and return
+    /// the widened bytes, writable: the in-place counterpart of copying
+    /// the frame into a longer block. `None`, the window unchanged, while
+    /// the storage is shared or holds fewer than `extra` bytes past it.
+    pub fn widen_mut(&mut self, extra: usize) -> Option<&mut [u8]> {
+        let (off, end) = (self.off as usize, (self.off + self.len) as usize + extra);
+        if end > self.storage.len() {
+            return None;
+        }
+        let bytes = Rc::get_mut(&mut self.storage)?;
+        self.len += extra as u32;
+        Some(&mut bytes[off..end])
     }
 
     pub fn len(&self) -> usize {
@@ -287,6 +312,32 @@ mod tests {
         l4.get_mut().unwrap().copy_from_slice(b"XYZ");
         assert_eq!(&l4[..], b"XYZ");
         drop(l4);
+        assert_quiescent();
+    }
+
+    #[test]
+    fn widen_mut_grows_the_only_handle_into_its_room() {
+        reset();
+        let mut f = PktBuf::build_with_room(3, 4, |b| b.copy_from_slice(b"abc"));
+        assert_eq!((&f[..], stats().grants), (&b"abc"[..], 1));
+        assert!(f.widen_mut(5).is_none(), "past the room");
+        let c = f.clone();
+        assert!(f.widen_mut(1).is_none(), "shared");
+        drop(c);
+        let w = f.widen_mut(4).unwrap();
+        assert_eq!(w, b"abc\0\0\0\0", "the room is zeroed");
+        w[3..].copy_from_slice(b"defg");
+        assert_eq!(&f[..], b"abcdefg");
+        assert!(f.widen_mut(1).is_none(), "the room is used up");
+        assert_eq!(stats().grants, 1, "widening grants nothing");
+        let mut tail = f.window(5, 2);
+        drop(f);
+        assert_eq!(
+            tail.widen_mut(0).unwrap(),
+            b"fg",
+            "a window ends where it ends"
+        );
+        drop(tail);
         assert_quiescent();
     }
 

@@ -284,13 +284,26 @@ impl TcpHeader {
     /// [`emit_into`](Self::emit_into) over the front of `out`, which holds
     /// at least the header, its options and `parts`.
     pub fn emit_to(&self, out: &mut [u8], parts: &[&[u8]], src: Ipv4Addr, dst: Ipv4Addr) {
-        let (h, mut at) = self.header();
-        out[..at].copy_from_slice(&h[..at]);
+        let mut at = self.header_len();
         for p in parts {
             out[at..at + p.len()].copy_from_slice(p);
             at += p.len();
         }
-        set_checksum(&mut out[..at], src, dst);
+        self.emit_over(&mut out[..at], src, dst);
+    }
+
+    /// Write the header and its options over the front of `seg`, whose
+    /// payload already lies behind them, and sum the whole of `seg` into
+    /// the checksum: [`emit_to`](Self::emit_to) with the payload in place.
+    pub fn emit_over(&self, seg: &mut [u8], src: Ipv4Addr, dst: Ipv4Addr) {
+        let (h, hlen) = self.header();
+        seg[..hlen].copy_from_slice(&h[..hlen]);
+        set_checksum(seg, src, dst);
+    }
+
+    /// Bytes the header and its options take on the wire.
+    pub fn header_len(&self) -> usize {
+        TCP_HEADER_LEN + 4 * (self.mss.is_some() as usize + self.window_scale.is_some() as usize)
     }
 
     /// The header and its NOP-padded options, checksum zero; and their
@@ -354,7 +367,8 @@ mod tests {
         assert_eq!(g.seq, SeqNum(1000));
         assert_eq!(g.ack, SeqNum(2000));
         assert!(g.flags.psh && g.flags.ack && !g.flags.syn);
-        assert_eq!(&bytes[range], b"GET / HTTP/1.1\r\n");
+        assert_eq!(&bytes[range.clone()], b"GET / HTTP/1.1\r\n");
+        assert_eq!(range.start, h.header_len());
     }
 
     #[test]
@@ -367,6 +381,7 @@ mod tests {
         assert_eq!(g.mss, Some(1460));
         assert_eq!(g.window_scale, Some(7));
         assert!(range.is_empty());
+        assert_eq!(bytes.len(), h.header_len());
     }
 
     #[test]

@@ -5,16 +5,12 @@ use crate::faults::{FaultInjector, FaultOutcome};
 use crate::link::LinkModel;
 use crate::queue::DescRing;
 use crate::steer::Steering;
-use crate::tso;
-use neat_net::tcp::MSS;
+use crate::tso::{self, TSO_MSS};
 use neat_net::{FlowKey, PktBuf};
 use neat_sim::Time;
 
 /// Descriptors per RX ring.
 const RING_SIZE: usize = 512;
-
-/// TSO segment size used when splitting oversized TX frames.
-const TSO_MSS: usize = MSS as usize;
 
 /// Static NIC configuration.
 #[derive(Debug, Clone)]
@@ -148,10 +144,12 @@ impl Nic {
             let t = LinkModel::ten_gbe().tx_time(f.len());
             each(f, t);
         };
-        if self.cfg.tso && tso::cut(&frame, TSO_MSS, &mut wire).is_some() {
-            self.stats.tso_splits += 1;
-        } else {
-            wire(frame);
+        if !self.cfg.tso {
+            return wire(frame);
+        }
+        match tso::cut(frame, TSO_MSS, &mut wire) {
+            Ok(()) => self.stats.tso_splits += 1,
+            Err(frame) => wire(frame),
         }
     }
 

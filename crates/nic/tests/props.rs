@@ -351,18 +351,119 @@ fn tso_cut_matches_reference_and_refuses_before_each() {
             let pos = pos % f.len();
             f[pos] ^= flip;
             let mut got = Vec::new();
-            let cut = neat_nic::tso::cut(&f, mss, |seg| got.push(seg.to_vec()));
+            let cut = neat_nic::tso::cut(f.clone().into(), mss, |seg| got.push(seg.to_vec()));
             let want = reference_split(&f, mss);
-            if cut.is_none() {
-                prop_assert!(got.is_empty(), "each called for a refused frame");
-                prop_assert_eq!(want, vec![f.clone()]);
-            } else {
-                prop_assert_eq!(got, want);
+            match &cut {
+                Err(back) => {
+                    prop_assert!(got.is_empty(), "each called for a refused frame");
+                    prop_assert_eq!(&back[..], &f[..], "a refused frame comes back as it was");
+                    prop_assert_eq!(want, vec![f.clone()]);
+                }
+                Ok(()) => prop_assert_eq!(got, want),
             }
             if flip != 0 && pos >= 14 {
-                prop_assert!(cut.is_none(), "byte {pos} ^ {flip:#x} not refused");
+                prop_assert!(cut.is_err(), "byte {pos} ^ {flip:#x} not refused");
             }
             Ok(())
+        },
+    );
+}
+
+/// The largest TCP payload one IPv4 frame carries: a 16-bit total length
+/// less the IPv4 and TCP headers.
+const MAX_PAYLOAD: usize = 0xFFFF - 20 - 20;
+
+/// One frame cut three ways: built with the room its cut adds (`room`),
+/// copied into a block of its own size (`from_vec`), and with a second
+/// handle held. Each way cuts exactly the reference's segments, which emit
+/// every chunk on its own; a cut in place grants nothing and the other two
+/// grant one block; the shared frame's bytes are unchanged. A payload
+/// within `mss` is handed back, as it was, with no grant.
+fn cut_three_ways(payload: &[u8], mss: usize, flags: TcpFlags) -> Result<(), String> {
+    use neat_net::pktbuf::{self, PktBuf};
+    let f = frame(0x0A00_0001, 9999, 80, flags, payload);
+    let want = reference_split(&f, mss);
+    let room = neat_nic::tso::room(payload.len(), mss);
+    let with_room = || PktBuf::build_with_room(f.len(), room, |b| b.copy_from_slice(&f));
+    let shared = with_room();
+    let keep = shared.clone();
+    for (kind, frame, grants) in [
+        ("with room", with_room(), 0),
+        ("without room", PktBuf::from_vec(f.clone()), 1),
+        ("shared", shared, 1),
+    ] {
+        let refused = payload.len() <= mss;
+        let before = pktbuf::stats().grants;
+        let mut got = Vec::new();
+        let cut = neat_nic::tso::cut(frame, mss, |seg| got.push(seg));
+        if let Err(back) = cut {
+            prop_assert!(refused, "{kind}: refused");
+            got.push(back);
+        }
+        let grants = if refused { 0 } else { grants };
+        prop_assert_eq!(pktbuf::stats().grants - before, grants, "{kind}: grants");
+        prop_assert_eq!(got.len(), want.len(), "{kind}: segment count");
+        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+            prop_assert!(g[..] == w[..], "{kind}: segment {i} differs");
+        }
+    }
+    prop_assert!(keep[..] == f[..], "the shared frame's bytes moved");
+    Ok(())
+}
+
+/// The cut, spread in place or after its copy, against the reference for
+/// payloads from 1 B to [`MAX_PAYLOAD`]: every MSS boundary ± 1 at the
+/// link's 1 460 B MSS with FIN and PSH both off and both on, then random
+/// lengths (half of them next to a boundary) at random and small odd MSS
+/// values with random FIN/PSH.
+#[test]
+fn tso_cut_in_place_matches_reference_for_every_kind_of_frame() {
+    let mss = neat_nic::tso::TSO_MSS;
+    for k in 1..=MAX_PAYLOAD / mss {
+        for len in [k * mss - 1, k * mss, k * mss + 1] {
+            for on in [false, true] {
+                let flags = TcpFlags {
+                    fin: on,
+                    psh: on,
+                    ack: true,
+                    ..TcpFlags::default()
+                };
+                let payload: Vec<u8> = (0..len).map(|i| (i * 7 + i / 251) as u8).collect();
+                cut_three_ways(&payload, mss, flags).unwrap();
+            }
+        }
+    }
+    check(
+        "tso_cut_in_place_matches_reference_for_every_kind_of_frame",
+        Config::default().cases(64),
+        |rng| {
+            let mss = match rng.gen_range(0u8..3) {
+                0 => mss,
+                1 => rng.gen_range(1usize..3000),
+                _ => 2 * rng.gen_range(0usize..32) + 1,
+            };
+            // Small MSS values cut many segments: keep their payloads short.
+            let max = if mss < 64 { 4000 } else { MAX_PAYLOAD };
+            let len = if rng.gen_bool(0.5) {
+                let k = rng.gen_range(1..=max / mss);
+                (k * mss + rng.gen_range(0usize..3))
+                    .saturating_sub(1)
+                    .clamp(1, max)
+            } else {
+                rng.gen_range(1..=max)
+            };
+            (len, mss, rng.gen::<u8>(), rng.gen::<u64>())
+        },
+        |(len, mss, flags, seed)| {
+            let mut payload = vec![0u8; len];
+            neat_util::Rng::seed_from_u64(seed).fill_bytes(&mut payload);
+            let flags = TcpFlags {
+                fin: flags & 1 != 0,
+                psh: flags & 2 != 0,
+                ack: true,
+                ..TcpFlags::default()
+            };
+            cut_three_ways(&payload, mss, flags)
         },
     );
 }

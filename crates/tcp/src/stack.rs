@@ -552,8 +552,9 @@ impl TcpStack {
     }
 
     /// Find the next segment owed and hand `f` its destination, header and
-    /// payload — the two halves of the owning send buffer's ring.
-    fn transmit_with<R>(
+    /// payload — the two halves of the owning send buffer's ring — for `f`
+    /// to emit wherever the segment goes (a frame, a message, a buffer).
+    pub fn transmit_with<R>(
         &mut self,
         now: u64,
         f: impl FnOnce(Ipv4Addr, &TcpHeader, (&[u8], &[u8])) -> R,

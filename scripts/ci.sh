@@ -299,15 +299,17 @@ if [ "$TIER2" = 1 ]; then
 
     run ./target/release/check_bench
 
-    # Determinism gate: the quick conn_scale, failover, fig12 and cc_compare
-    # profiles must be bit-stable — same seed, same JSON, byte for byte.
-    # Catches nondeterminism leaking into results (wall clock, map iteration
-    # order, uninitialised state). fig12 is the one-request-per-connection
-    # load, where seats and wheel entries are reused on every request;
-    # cc_compare is the one bench that runs each boxed controller (CUBIC,
-    # BBR, DCTCP).
-    echo "==> [tier2] conn_scale + failover + fig12 + cc_compare determinism gate (two runs, byte-identical)"
-    for b in conn_scale failover fig12 cc_compare; do
+    # Determinism gate: the quick conn_scale, failover, fig12, cc_compare,
+    # fig4_5 and security profiles must be bit-stable — same seed, same
+    # JSON, byte for byte. Catches nondeterminism leaking into results
+    # (wall clock, map iteration order, uninitialised state). fig12 is the
+    # one-request-per-connection load, where seats and wheel entries are
+    # reused on every request; cc_compare is the one bench that runs each
+    # boxed controller (CUBIC, BBR, DCTCP); fig4_5 sends every reply size
+    # through the NIC's TSO cut, which spreads a frame in its own block;
+    # security reads the web servers' merged layout summaries.
+    echo "==> [tier2] conn_scale + failover + fig12 + cc_compare + fig4_5 + security determinism gate (two runs, byte-identical)"
+    for b in conn_scale failover fig12 cc_compare fig4_5 security; do
         cp "results/BENCH_$b.json" "results/.${b}_run1.json"
         run env NEAT_BENCH_QUICK=1 "./target/release/$b" --quick
         if ! cmp -s "results/.${b}_run1.json" "results/BENCH_$b.json"; then

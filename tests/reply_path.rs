@@ -5,7 +5,9 @@
 //! `FrameIo::send_ip` → `Nic::host_tx` (TSO) → the client's `FrameIo` and
 //! `TcpStack` → `recv`, with the client's ACKs going back the same way,
 //! counted by an allocator that sees this thread only. Every frame buffer
-//! granted on the way is returned by the time the client has read it all.
+//! granted on the way is returned by the time the client has read it all,
+//! and the only buffers granted are the frames the two `FrameIo`s build:
+//! the NIC's TSO cuts each super-segment in its own frame's block.
 
 use crate::counting_alloc::COUNTS;
 use neat::config::NeatConfig;
@@ -39,6 +41,8 @@ pub struct Path {
     reorder: bool,
     /// Frames held back behind at least one later frame.
     pub reordered: u32,
+    /// Frames the two `FrameIo`s built and handed on.
+    built: u64,
 }
 
 impl Path {
@@ -57,6 +61,7 @@ impl Path {
             now: 0,
             reorder,
             reordered: 0,
+            built: 0,
         }
     }
 
@@ -80,6 +85,7 @@ impl Path {
         }
         let (mut moved, mut held, mut passed) = (false, None, false);
         for frame in self.srv_io.drain() {
+            self.built += 1;
             for (wire, _) in self.nic.host_tx(frame) {
                 if self.reorder && !moved {
                     held = Some(wire);
@@ -96,6 +102,7 @@ impl Path {
         }
         self.client_io.send_tcp(&mut self.client, now, || {});
         for frame in self.client_io.drain() {
+            self.built += 1;
             if let RxClass::Tcp { src, seg } = self.srv_io.classify_rx(&frame, now) {
                 self.srv.rx_segment(src, &seg, now);
             }
@@ -136,7 +143,7 @@ pub fn count_reply(reorder: bool) -> (u64, u64, Path) {
     let mut got = Vec::with_capacity(REPLY);
     let mut sip = [0u8; 16384];
 
-    let held = pktbuf::stats().outstanding;
+    let (held, grants, built) = (pktbuf::stats().outstanding, pktbuf::stats().grants, p.built);
     let before = COUNTS.with(Cell::get);
     p.srv.handle_app(APP, Msg::ConnSend { sock, data }, p.now);
     for _ in 0..64 {
@@ -154,7 +161,12 @@ pub fn count_reply(reorder: bool) -> (u64, u64, Path) {
     assert_eq!(
         pktbuf::stats().outstanding,
         held,
-        "a frame buffer outlived the reply (a TSO cut's grant lives until its last segment drops)"
+        "a frame buffer outlived the reply (a cut frame's block lives until its last segment drops)"
+    );
+    assert_eq!(
+        pktbuf::stats().grants - grants,
+        p.built - built,
+        "a buffer granted beyond the frames built: a TSO cut copied its frame"
     );
     (after.0 - before.0, after.1 - before.1, p)
 }

@@ -48,14 +48,15 @@ fn serve(tb: &mut Testbed, requests: u64) -> u64 {
 ///
 /// Each driver also pins the bytes a connection keeps: the thread's live
 /// bytes after the window less those of the booted testbed, per
-/// connection. Here 72 040 B, 65 536 of them the fd's failover tail (the
-/// last 64 KiB written); 72 265 B while each socket boxed its congestion
+/// connection. Here 72 023 B, 65 536 of them the fd's failover tail (the
+/// last 64 KiB written); 72 040 B while the stack host and each `FrameIo`
+/// kept a scratch segment buffer; 72 265 B while each socket boxed its congestion
 /// controller and both parsers copied the first head they read, 72 451 B
 /// while the timer wheels and the socket servers' connection tables were
 /// hash maps, 113 457 B while that tail grew past its cap, to 104 KiB.
 #[test]
 fn allocations_per_request_are_pinned() {
-    assert_allocations(NeatConfig::single(1), None, KEEP_ALIVE, 4.0, 72_040);
+    assert_allocations(NeatConfig::single(1), None, KEEP_ALIVE, 4.0, 72_023);
 }
 
 /// The same requests through two replicas that stream checkpoints to each
@@ -63,20 +64,24 @@ fn allocations_per_request_are_pinned() {
 /// touched a flow ships one delta, one buffer however many flows it
 /// carries, and the buddy overwrites its copy of a flow in place; 7.50
 /// (1 383 B) when each image was a buffer of its own and each delta a
-/// `Vec` of them. A connection keeps 75 574 B (75 799 B with the
-/// controller boxes and the parsers' head copies, 75 889 B with the
+/// `Vec` of them. A connection keeps 75 526 B (75 574 B with the scratch
+/// segment buffers, 75 799 B with the controller boxes and the parsers' head copies, 75 889 B with the
 /// wheels' and connection tables' hash maps, 116 895 B with the tail past
 /// its cap).
 #[test]
 fn allocations_per_replicated_request_are_pinned() {
     let cfg = NeatConfig::single(2).replicated();
-    assert_allocations(cfg, None, KEEP_ALIVE, 5.5, 75_574);
+    assert_allocations(cfg, None, KEEP_ALIVE, 5.5, 75_526);
 }
 
 /// The same keep-alive requests for a 100 000 B file, `http_bulk`'s reply:
-/// 14.50 allocations (304 972 B) per request, one for each frame built —
-/// the client's ACKs and requests, the server's TSO cuts — the `ConnData`
-/// payload and the reply. A connection keeps 211 375 B (211 610 B with
+/// 10.88 allocations (204 619 B) per request, one for each frame built —
+/// the client's ACKs and requests, the server's segments, each
+/// super-segment's frame with room for its TSO cut to spread in place —
+/// the `ConnData` payload and the reply; 14.50 (304 972 B) while each cut
+/// copied its frame into a block of its own. A connection keeps 193 787 B
+/// (211 375 B with the stack host's scratch segment buffer, which kept a
+/// super-segment's capacity; 211 610 B with
 /// the controller boxes and the parsers' head copies, 211 796 B with the
 /// wheels' and connection tables' hash maps): 518 610 B while the fd's
 /// tail grew to 195 KiB and the client's parser buffered every body it
@@ -88,8 +93,8 @@ fn allocations_per_bulk_request_are_pinned() {
         NeatConfig::single(1),
         Some(100_000),
         KEEP_ALIVE,
-        14.5,
-        211_375,
+        10.88,
+        193_787,
     );
 }
 
@@ -127,9 +132,9 @@ fn assert_allocations(
     // Warm means past the last one-off growth: each fd's retained tx tail
     // (`SocketLib::send`) grows for the last time to its 64 KiB cap, on
     // request 513 of its connection for 104 B replies, on the first for
-    // 100 000 B ones. With a connection per request, the web server's
-    // `served_by` (a pid per accepted connection) doubles at 4 096
-    // accepts, so the window starts past 6 000 and ends before 8 192.
+    // 100 000 B ones. With a connection per request the window starts
+    // past 6 000 accepts; it ended before 8 192 while the web server kept
+    // a pid per accepted connection in a list that doubled there.
     let warm = match requests_per_conn {
         1 => 3 * requests,
         _ => 2 * requests,
@@ -174,10 +179,12 @@ fn assert_allocations(
 /// socket boxed its Reno controller, the web server copied every request
 /// into its parser and httperf every response head into its own. The
 /// live bytes are the testbed's after 8 000 connections less at boot,
-/// per open connection: 186 185 B.
+/// per open connection: 169 792 B; 186 185 B while the web server kept
+/// every accepting replica's pid (8 B per connection, in a list that had
+/// doubled to 64 KiB) where it now keeps their running summary.
 #[test]
 fn allocations_per_short_connection_are_pinned() {
-    assert_allocations(NeatConfig::single(1), None, 1, 11.0, 186_185);
+    assert_allocations(NeatConfig::single(1), None, 1, 11.0, 169_792);
 }
 
 /// 50 000 of them are most of `peak_live_mb` @ `stack_conns`: the read
