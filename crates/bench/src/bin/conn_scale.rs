@@ -10,6 +10,10 @@
 //!   connection (the `ConnBudget` number exported through `neat-obs`);
 //! * `conn_scale_p99_us` — p99 request completion latency in virtual µs.
 //!
+//! A table beside them says where the server's bytes go, part by part
+//! ([`TcpStack::footprint`]), at half ramp and at the end, and how the
+//! parked ring storages compare with what the live connections hold.
+//!
 //! The client population is deliberately heterogeneous — the mixes that
 //! historically melt per-socket timer lists and linear demux scans:
 //!
@@ -35,6 +39,7 @@
 
 use neat_bench::{BenchReport, Table};
 use neat_net::TcpHeader;
+use neat_tcp::stack::Footprint;
 use neat_tcp::{SockEvent, SocketId, TcpConfig, TcpStack};
 use neat_util::{FxHashMap, Rng};
 use std::net::Ipv4Addr;
@@ -560,6 +565,7 @@ fn main() {
     let mut opened = 0usize;
     let mut now = 0u64;
     let mut mem_per_conn_half = 0.0f64;
+    let mut bytes_half = Footprint::default();
     let mut steady_sample: Vec<(u64, usize, f64)> = Vec::new();
 
     for tick in 0..total_ticks {
@@ -586,6 +592,7 @@ fn main() {
 
         if tick == ramp_ticks / 2 {
             mem_per_conn_half = server.stack.budget().bytes_per_conn();
+            bytes_half = server.stack.footprint();
         }
         if steady && (tick - warmup_ticks).is_multiple_of(50) {
             steady_sample.push((
@@ -656,6 +663,32 @@ fn main() {
         growth.row(&[tick.to_string(), conns.to_string(), format!("{bpc:.0}")]);
     }
     report.table(&growth);
+
+    let bytes_end = server.stack.footprint();
+    let mut by_part = Table::new(
+        "server bytes by part",
+        &["part", "@ half ramp (B)", "@ end (B)"],
+    );
+    for ((name, half), (_, end)) in bytes_half.parts().into_iter().zip(bytes_end.parts()) {
+        by_part.row(&[name.into(), half.to_string(), end.to_string()]);
+    }
+    let count = |f: &Footprint| f.spare_count.to_string();
+    by_part.row(&[
+        "spare storages (count)".into(),
+        count(&bytes_half),
+        count(&bytes_end),
+    ]);
+    // ROADMAP D's target reads here: parked ≤ ¼ of live at the end.
+    let parked_per_live = |f: &Footprint| {
+        let parked = (f.spare_send + f.spare_recv) as f64;
+        format!("{:.3}", parked / f.mem_bytes.max(1) as f64)
+    };
+    by_part.row(&[
+        "parked / live".into(),
+        parked_per_live(&bytes_half),
+        parked_per_live(&bytes_end),
+    ]);
+    report.table(&by_part);
 
     // The boundedness claim of the issue: per-conn memory must not grow
     // with the connection count. Half-ramp load is lighter per conn (less

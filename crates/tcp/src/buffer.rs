@@ -9,18 +9,19 @@
 //! A ring that holds no byte owns no storage either: the stack parks a
 //! drained ring's storage on its spare list for that direction and lends
 //! it to the next ring that needs one ([`SendBuffer::park`],
-//! [`SendBuffer::lend`] and their receive twins).
+//! [`SendBuffer::lend`] and their receive twins). A send ring is lent by
+//! fit ([`SendSpares`]); a receive ring takes the storage parked last.
 
 use neat_net::SeqNum;
 use std::collections::VecDeque;
 
-/// Give `ring` the storage parked last on `spares` if it has none;
-/// returns the bytes lent.
-fn lend(ring: &mut VecDeque<u8>, spares: &mut Vec<VecDeque<u8>>) -> usize {
+/// Give `ring` the storage `take` hands over if it has none; returns the
+/// bytes lent.
+fn lend(ring: &mut VecDeque<u8>, take: impl FnOnce() -> Option<VecDeque<u8>>) -> usize {
     if ring.capacity() != 0 {
         return 0;
     }
-    match spares.pop() {
+    match take() {
         Some(storage) => {
             *ring = storage;
             ring.capacity()
@@ -29,17 +30,121 @@ fn lend(ring: &mut VecDeque<u8>, spares: &mut Vec<VecDeque<u8>>) -> usize {
     }
 }
 
-/// Move `ring`'s storage, cleared, onto `spares` if it holds no byte and
-/// has any; returns the bytes parked.
-fn park(ring: &mut VecDeque<u8>, spares: &mut Vec<VecDeque<u8>>) -> usize {
+/// Hand `ring`'s storage, cleared, to `put` if it holds no byte and has
+/// any; returns the bytes parked.
+fn park(ring: &mut VecDeque<u8>, put: impl FnOnce(VecDeque<u8>)) -> usize {
     if !ring.is_empty() || ring.capacity() == 0 {
         return 0;
     }
     let mut storage = std::mem::take(ring);
     storage.clear();
     let bytes = storage.capacity();
-    spares.push(storage);
+    put(storage);
     bytes
+}
+
+/// Size classes of parked send storages: class `k` holds capacities in
+/// `[2^k, 2^(k+1))`, and the last every larger one too. A ring's storage
+/// is at least 8 B and grows to under twice the send buffer's cap.
+const CLASSES: usize = 18;
+
+/// The end of a class list.
+const NIL: u32 = u32::MAX;
+
+fn class_of(bytes: usize) -> usize {
+    (bytes.max(1).ilog2() as usize).min(CLASSES - 1)
+}
+
+/// The send rings' parked storages, by size class, so that a write is lent
+/// the smallest storage that holds it rather than whatever was parked
+/// last: a 597 B reply no longer sits in the 8 KiB storage a slow
+/// reader's reply left behind.
+///
+/// Each class is a LIFO list threaded through one table of entries. An
+/// entry a lend empties holds no storage and waits, on the vacant list,
+/// for the next park, so the table grows only when more storages are
+/// parked at once than ever before, and a warm stack's parks and lends
+/// allocate nothing. A storage waits as the `Vec` its empty ring converts
+/// to without a copy, so an entry and its link take the 32 B a plain
+/// list's `VecDeque` would, and the table grows by the same bytes.
+#[derive(Debug)]
+pub(crate) struct SendSpares {
+    /// Parked storages and vacant entries, each with the next entry of
+    /// its list.
+    entries: Vec<(Vec<u8>, u32)>,
+    /// Each class's storage parked last.
+    heads: [u32; CLASSES],
+    /// Entries that hold no storage.
+    vacant: u32,
+}
+
+impl SendSpares {
+    /// No storage parked, and room for `n` before the table grows.
+    pub(crate) fn with_room(n: usize) -> SendSpares {
+        SendSpares {
+            entries: Vec::with_capacity(n),
+            heads: [NIL; CLASSES],
+            vacant: NIL,
+        }
+    }
+
+    /// Park `storage` on top of its class.
+    fn push(&mut self, storage: VecDeque<u8>) {
+        let class = class_of(storage.capacity());
+        let entry = (Vec::from(storage), self.heads[class]);
+        self.heads[class] = match self.vacant {
+            NIL => {
+                self.entries.push(entry);
+                (self.entries.len() - 1) as u32
+            }
+            at => {
+                self.vacant = std::mem::replace(&mut self.entries[at as usize], entry).1;
+                at
+            }
+        };
+    }
+
+    /// Take the storage at entry `at` of `class`'s list, where `prev` is
+    /// the entry before it (`NIL` for the head); the entry turns vacant.
+    fn take(&mut self, class: usize, prev: u32, at: u32) -> VecDeque<u8> {
+        let vacant = (Vec::new(), self.vacant);
+        let (storage, next) = std::mem::replace(&mut self.entries[at as usize], vacant);
+        self.vacant = at;
+        match prev {
+            NIL => self.heads[class] = next,
+            _ => self.entries[prev as usize].1 = next,
+        }
+        VecDeque::from(storage)
+    }
+
+    /// A storage for a write of `want` bytes: the first on `want`'s own
+    /// class list that holds it, else the top of the next class up that
+    /// has one (every storage there holds it). When none holds it, the
+    /// top of the largest class below, which the ring then grows; `None`
+    /// only when nothing is parked.
+    fn lend(&mut self, want: usize) -> Option<VecDeque<u8>> {
+        let own = class_of(want);
+        let (mut prev, mut at) = (NIL, self.heads[own]);
+        while at != NIL {
+            let (storage, next) = &self.entries[at as usize];
+            if storage.capacity() >= want {
+                return Some(self.take(own, prev, at));
+            }
+            (prev, at) = (at, *next);
+        }
+        let parked = |c: &usize| self.heads[*c] != NIL;
+        let class = (own + 1..CLASSES)
+            .find(parked)
+            .or_else(|| (0..=own).rev().find(parked))?;
+        Some(self.take(class, NIL, self.heads[class]))
+    }
+
+    /// The parked storages' capacities, one per storage.
+    pub(crate) fn capacities(&self) -> impl Iterator<Item = usize> + '_ {
+        (self.entries.iter())
+            .map(|(storage, _)| storage.capacity())
+            .filter(|&bytes| bytes != 0)
+    }
 }
 
 /// A `read_with` visitor that copies the halves it is shown into `buf`,
@@ -145,22 +250,23 @@ impl SendBuffer {
         self.data.capacity()
     }
 
-    /// Take the storage parked last on `spares` if the ring has none;
-    /// returns the bytes lent.
-    pub(crate) fn lend(&mut self, spares: &mut Vec<VecDeque<u8>>) -> usize {
-        lend(&mut self.data, spares)
+    /// If the ring has no storage, take the parked one that best fits a
+    /// write of `len` bytes ([`SendSpares::lend`]); returns the bytes lent.
+    pub(crate) fn lend(&mut self, spares: &mut SendSpares, len: usize) -> usize {
+        let want = len.min(self.room());
+        lend(&mut self.data, || spares.lend(want))
     }
 
     /// Park the ring's storage on `spares` if it holds no byte; returns
     /// the bytes parked.
-    pub(crate) fn park(&mut self, spares: &mut Vec<VecDeque<u8>>) -> usize {
-        park(&mut self.data, spares)
+    pub(crate) fn park(&mut self, spares: &mut SendSpares) -> usize {
+        park(&mut self.data, |storage| spares.push(storage))
     }
 
     /// Discard every byte and park the storage: the connection is leaving.
-    pub(crate) fn release(&mut self, spares: &mut Vec<VecDeque<u8>>) -> usize {
+    pub(crate) fn release(&mut self, spares: &mut SendSpares) -> usize {
         self.data.clear();
-        park(&mut self.data, spares)
+        self.park(spares)
     }
 
     /// Bytes available at or beyond `seq`.
@@ -294,22 +400,24 @@ impl RecvBuffer {
     }
 
     /// Take the storage parked last on `spares` if the ring has none;
-    /// returns the bytes lent.
+    /// returns the bytes lent. A receive ring is lent before its first
+    /// segment lands and knows only that segment's length, so it is not
+    /// lent by fit.
     pub(crate) fn lend(&mut self, spares: &mut Vec<VecDeque<u8>>) -> usize {
-        lend(&mut self.data, spares)
+        lend(&mut self.data, || spares.pop())
     }
 
     /// Park the ring's storage on `spares` if it holds no byte, ready or
     /// held; returns the bytes parked.
     pub(crate) fn park(&mut self, spares: &mut Vec<VecDeque<u8>>) -> usize {
-        park(&mut self.data, spares)
+        park(&mut self.data, |storage| spares.push(storage))
     }
 
     /// Discard every byte and park the storage: the connection is leaving.
     pub(crate) fn release(&mut self, spares: &mut Vec<VecDeque<u8>>) -> usize {
         self.data.clear();
         self.ready = 0;
-        park(&mut self.data, spares)
+        self.park(spares)
     }
 
     /// The in-order bytes, as the ring's two halves in stream order.
@@ -390,6 +498,66 @@ mod tests {
         assert_eq!(s.peek(SeqNum(u32::MAX), 3), b"bcd");
         assert_eq!(s.ack_to(SeqNum(2)), 4);
         assert_eq!(s.peek(SeqNum(2), 2), b"ef");
+    }
+
+    /// Spares of exactly `caps` bytes, parked in that order.
+    fn spares(caps: &[usize]) -> SendSpares {
+        let mut spares = SendSpares::with_room(caps.len());
+        for &cap in caps {
+            spares.push(VecDeque::with_capacity(cap));
+        }
+        spares
+    }
+
+    /// A write takes the first storage of its class that holds it, else
+    /// the top of the next class up, else the top of the largest class
+    /// below; an emptied entry is refilled before the table grows.
+    #[test]
+    fn send_spares_lend_by_fit() {
+        let caps = |s: &SendSpares| {
+            let mut v: Vec<usize> = s.capacities().collect();
+            v.sort_unstable();
+            v
+        };
+        let mut s = spares(&[8_278, 597, 600, 20_000]);
+        let take = |s: &mut SendSpares, want| s.lend(want).map(|r| r.capacity());
+        assert_eq!(
+            take(&mut s, 598),
+            Some(600),
+            "597 is too small, 600 is in the class"
+        );
+        assert_eq!(take(&mut s, 597), Some(597));
+        assert_eq!(
+            take(&mut s, 100),
+            Some(8_278),
+            "the next class up that has one"
+        );
+        assert_eq!(caps(&s), [20_000]);
+        assert_eq!(
+            take(&mut s, 30_000),
+            Some(20_000),
+            "none holds it: the largest below"
+        );
+        assert_eq!(take(&mut s, 1), None);
+        assert_eq!(
+            std::mem::size_of_val(&s.entries[0]),
+            std::mem::size_of::<VecDeque<u8>>(),
+            "an entry is a plain list's"
+        );
+        let room = s.entries.capacity();
+        for cap in [64, 4_096, 64] {
+            s.push(VecDeque::with_capacity(cap));
+        }
+        assert_eq!(
+            (s.entries.len(), s.entries.capacity()),
+            (4, room),
+            "vacant entries reused"
+        );
+        assert_eq!(caps(&s), [64, 64, 4_096]);
+        assert_eq!(take(&mut s, 33), Some(64));
+        assert_eq!(take(&mut s, 33), Some(64));
+        assert_eq!(take(&mut s, 33), Some(4_096));
+        assert_eq!(s.capacities().count(), 0);
     }
 
     /// An in-order append: place at the mark, then move the mark over it.

@@ -2,8 +2,9 @@
 //! handshake (SYN/SYN-ACK emission, SYN-SENT processing), teardown
 //! (FIN exchange, TIME_WAIT), and the lifecycle timers.
 
+use crate::deadline::Deadline;
 use crate::socket::{TcpSocket, OUR_WSCALE};
-use crate::types::{SockEvent, SocketId, TcpError, TcpState};
+use crate::types::{SockEvent, SocketId, TcpConfig, TcpError, TcpState};
 use neat_net::tcp::MSS;
 use neat_net::{SeqNum, TcpFlags, TcpHeader};
 
@@ -24,8 +25,8 @@ pub struct ConnMgmt {
     pub(crate) fin_seq: Option<SeqNum>,
     /// Peer FIN consumed (sequence-wise).
     pub(crate) peer_fin_rcvd: bool,
-    pub(crate) time_wait_deadline: Option<u64>,
-    pub(crate) keepalive_deadline: Option<u64>,
+    pub(crate) time_wait_deadline: Deadline,
+    pub(crate) keepalive_deadline: Deadline,
 }
 
 impl ConnMgmt {
@@ -38,8 +39,8 @@ impl ConnMgmt {
             close_requested: false,
             fin_seq: None,
             peer_fin_rcvd: false,
-            time_wait_deadline: None,
-            keepalive_deadline: None,
+            time_wait_deadline: Deadline::UNARMED,
+            keepalive_deadline: Deadline::UNARMED,
         }
     }
 }
@@ -71,12 +72,13 @@ impl TcpSocket {
     }
 
     /// Either open completes: ESTABLISHED, the SYN acknowledged in
-    /// reliability, keepalive armed, `Connected` reported.
-    fn establish(&mut self, ack: SeqNum, now: u64) {
+    /// reliability, keepalive armed if `cfg` keeps connections alive,
+    /// `Connected` reported.
+    fn establish(&mut self, cfg: &TcpConfig, ack: SeqNum, now: u64) {
         self.cm.state = TcpState::Established;
         self.syn_acked(ack, now);
-        if self.cfg.keepalive_ns > 0 {
-            self.cm.keepalive_deadline = Some(now + self.cfg.keepalive_ns);
+        if cfg.keepalive_ns > 0 {
+            self.cm.keepalive_deadline = Deadline::at(now + cfg.keepalive_ns);
         }
         self.events.push(SockEvent::Connected(self.id));
     }
@@ -125,12 +127,12 @@ impl TcpSocket {
         }
         self.error = Some(err);
         self.stop_receive_timers();
-        self.cm.keepalive_deadline = None;
+        self.cm.keepalive_deadline = Deadline::UNARMED;
         self.finish(TcpState::Closed, event);
     }
 
-    fn enter_time_wait(&mut self, now: u64) {
-        self.cm.time_wait_deadline = Some(now + self.cfg.time_wait_ns);
+    fn enter_time_wait(&mut self, cfg: &TcpConfig, now: u64) {
+        self.cm.time_wait_deadline = Deadline::at(now + cfg.time_wait_ns);
         self.finish(TcpState::TimeWait, SockEvent::Closed);
     }
 
@@ -138,7 +140,7 @@ impl TcpSocket {
     /// entering TIME-WAIT) and leaving any other timer as it is. True when
     /// it fired; nothing else runs then.
     pub(crate) fn on_time_wait_timer(&mut self, now: u64) -> bool {
-        let fired = self.cm.time_wait_deadline.take_if(|d| now >= *d).is_some();
+        let fired = self.cm.time_wait_deadline.take_due(now);
         if fired {
             self.cm.state = TcpState::Closed;
         }
@@ -147,16 +149,14 @@ impl TcpSocket {
 
     /// The keepalive deadline: in ESTABLISHED, probe with a duplicate ACK
     /// and re-arm.
-    pub(crate) fn on_keepalive_timer(&mut self, now: u64) {
-        if self.cm.keepalive_deadline.is_some_and(|d| now >= d)
-            && self.cm.state == TcpState::Established
-        {
-            self.cm.keepalive_deadline = Some(now + self.cfg.keepalive_ns);
+    pub(crate) fn on_keepalive_timer(&mut self, cfg: &TcpConfig, now: u64) {
+        if self.cm.keepalive_deadline.due(now) && self.cm.state == TcpState::Established {
+            self.cm.keepalive_deadline = Deadline::at(now + cfg.keepalive_ns);
             self.owe_ack();
         }
     }
 
-    pub(crate) fn on_segment_syn_sent(&mut self, h: &TcpHeader, now: u64) {
+    pub(crate) fn on_segment_syn_sent(&mut self, cfg: &TcpConfig, h: &TcpHeader, now: u64) {
         if h.flags.ack && h.ack != self.cm.iss + 1 {
             // Unacceptable ACK; the stack sends the RST for us if needed.
             if !h.flags.rst {
@@ -177,7 +177,7 @@ impl TcpSocket {
         if h.flags.ack {
             // SYN-ACK: established; only this open forces an ACK out.
             self.syn_ack_received(h.ack);
-            self.establish(h.ack, now);
+            self.establish(cfg, h.ack, now);
             self.owe_ack();
         } else {
             // Simultaneous open: re-emit our SYN as a SYN-ACK.
@@ -189,19 +189,24 @@ impl TcpSocket {
     /// The ACK that completes a passive open (RFC 793 step 5 in
     /// SYN-RECEIVED). Returns false when the ACK is unacceptable and the
     /// rest of segment processing must be skipped.
-    pub(crate) fn establish_syn_received(&mut self, h: &TcpHeader, now: u64) -> bool {
+    pub(crate) fn establish_syn_received(
+        &mut self,
+        cfg: &TcpConfig,
+        h: &TcpHeader,
+        now: u64,
+    ) -> bool {
         if h.ack != self.cm.iss + 1 {
             // Unacceptable ACK in SYN-RECEIVED: ignore (stack RSTs).
             return false;
         }
         self.take_window(h, h.ack);
-        self.establish(h.ack, now);
+        self.establish(cfg, h.ack, now);
         true
     }
 
     /// RFC 793 step 8: peer FIN processing (in-order only; a FIN beyond a
     /// gap is re-ACKed so the peer retransmits).
-    pub(crate) fn process_fin(&mut self, h: &TcpHeader, payload: &[u8], now: u64) {
+    pub(crate) fn process_fin(&mut self, cfg: &TcpConfig, h: &TcpHeader, payload: &[u8], now: u64) {
         if !h.flags.fin {
             return;
         }
@@ -214,12 +219,12 @@ impl TcpSocket {
                 TcpState::Established => self.cm.state = TcpState::CloseWait,
                 TcpState::FinWait1 => {
                     if self.fin_acked() {
-                        self.enter_time_wait(now);
+                        self.enter_time_wait(cfg, now);
                     } else {
                         self.cm.state = TcpState::Closing;
                     }
                 }
-                TcpState::FinWait2 => self.enter_time_wait(now),
+                TcpState::FinWait2 => self.enter_time_wait(cfg, now),
                 _ => {}
             }
         } else if fin_seq - self.fc.rcv_nxt > 0 {
@@ -231,10 +236,10 @@ impl TcpSocket {
     /// Our FIN was acknowledged: the close handshake moves on. False once
     /// the connection has closed (LAST-ACK), ending the segment's
     /// processing.
-    pub(crate) fn our_fin_acked(&mut self, now: u64) -> bool {
+    pub(crate) fn our_fin_acked(&mut self, cfg: &TcpConfig, now: u64) -> bool {
         match self.cm.state {
             TcpState::FinWait1 => self.cm.state = TcpState::FinWait2,
-            TcpState::Closing => self.enter_time_wait(now),
+            TcpState::Closing => self.enter_time_wait(cfg, now),
             TcpState::LastAck => {
                 self.finish(TcpState::Closed, SockEvent::Closed);
                 return false;

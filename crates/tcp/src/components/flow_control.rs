@@ -4,8 +4,9 @@
 
 use crate::assembler::Assembler;
 use crate::buffer::{fill, RecvBuffer};
+use crate::deadline::Deadline;
 use crate::socket::{TcpSocket, OUR_WSCALE};
-use crate::types::{SockEvent, TcpError, RECV_BUF};
+use crate::types::{SockEvent, TcpConfig, TcpError, RECV_BUF};
 use neat_net::{SeqNum, TcpFlags, TcpHeader};
 use std::collections::VecDeque;
 
@@ -28,9 +29,9 @@ pub struct FlowControl {
     pub(crate) rcv_wscale: u8,
     /// Segments received since the last ACK we sent.
     pub(crate) ack_pending: u32,
-    pub(crate) ack_deadline: Option<u64>,
+    pub(crate) ack_deadline: Deadline,
     pub(crate) ack_now: bool,
-    pub(crate) probe_deadline: Option<u64>,
+    pub(crate) probe_deadline: Deadline,
 }
 
 impl FlowControl {
@@ -45,9 +46,9 @@ impl FlowControl {
             snd_wscale: 0,
             rcv_wscale: 0,
             ack_pending: 0,
-            ack_deadline: None,
+            ack_deadline: Deadline::UNARMED,
             ack_now: false,
-            probe_deadline: None,
+            probe_deadline: Deadline::UNARMED,
         }
     }
 }
@@ -171,7 +172,7 @@ impl TcpSocket {
     /// A segment carrying our ACK went out: no ACK is owed any more.
     pub(crate) fn ack_sent(&mut self) {
         self.fc.ack_pending = 0;
-        self.fc.ack_deadline = None;
+        self.fc.ack_deadline = Deadline::UNARMED;
         self.fc.ack_now = false;
     }
 
@@ -204,18 +205,24 @@ impl TcpSocket {
             self.take_window(h, h.ack);
             let new_wnd = self.fc.snd_wnd;
             if was_zero && new_wnd > 0 {
-                self.fc.probe_deadline = None;
+                self.fc.probe_deadline = Deadline::UNARMED;
             } else if new_wnd == 0 && self.rel.send_buf.len_from(self.rel.snd_nxt) > 0 {
-                self.fc.probe_deadline = Some(now + self.rel.rtt.rto());
+                self.fc.probe_deadline = Deadline::at(now + self.rel.rtt.rto());
             }
         }
     }
 
     /// RFC 793 step 7: payload delivery into the receive ring at its
     /// stream offset, in order or held by the assembler — plus the ACK
-    /// policy (every second segment, else delayed; immediate on
-    /// out-of-order).
-    pub(crate) fn process_payload(&mut self, h: &TcpHeader, payload: &[u8], now: u64) {
+    /// policy (every second segment, else delayed by `cfg`'s delay;
+    /// immediate on out-of-order).
+    pub(crate) fn process_payload(
+        &mut self,
+        cfg: &TcpConfig,
+        h: &TcpHeader,
+        payload: &[u8],
+        now: u64,
+    ) {
         if payload.is_empty() || !self.cm.state.can_recv() {
             return;
         }
@@ -232,10 +239,10 @@ impl TcpSocket {
         if h.seq != self.fc.rcv_nxt && !self.fc.asm.is_empty() {
             // Out-of-order: ACK immediately (fast-retransmit support).
             self.owe_ack();
-        } else if self.fc.ack_pending >= 2 || self.cfg.delayed_ack_ns == 0 {
+        } else if self.fc.ack_pending >= 2 || cfg.delayed_ack_ns == 0 {
             self.owe_ack();
         } else if self.fc.ack_deadline.is_none() {
-            self.fc.ack_deadline = Some(now + self.cfg.delayed_ack_ns);
+            self.fc.ack_deadline = Deadline::at(now + cfg.delayed_ack_ns);
         }
     }
 
@@ -250,19 +257,19 @@ impl TcpSocket {
     /// wait for it; a zero-window probe resends from `snd_una` and probes
     /// again an RTO (at least 1 ms) later.
     pub(crate) fn on_flow_timers(&mut self, now: u64) {
-        if self.fc.ack_deadline.take_if(|d| now >= *d).is_some() && self.fc.ack_pending > 0 {
+        if self.fc.ack_deadline.take_due(now) && self.fc.ack_pending > 0 {
             self.owe_ack();
         }
-        if self.fc.probe_deadline.is_some_and(|d| now >= d) {
-            self.fc.probe_deadline = Some(now + self.rel.rtt.rto().max(1_000_000));
+        if self.fc.probe_deadline.due(now) {
+            self.fc.probe_deadline = Deadline::at(now + self.rel.rtt.rto().max(1_000_000));
             self.retransmit_now();
         }
     }
 
     /// An abort stops the receive side's timers.
     pub(crate) fn stop_receive_timers(&mut self) {
-        self.fc.ack_deadline = None;
-        self.fc.probe_deadline = None;
+        self.fc.ack_deadline = Deadline::UNARMED;
+        self.fc.probe_deadline = Deadline::UNARMED;
     }
 
     /// Transmit step 4: a pure ACK if one is owed (forced or delayed-ACK

@@ -2,13 +2,13 @@
 //! RTO interaction with [`crate::rto`], dup-ack tracking (SACK-less fast
 //! retransmit), and Karn's-rule RTT sampling.
 
-use crate::buffer::SendBuffer;
+use crate::buffer::{SendBuffer, SendSpares};
 use crate::components::congestion_control::{AckEvent, CongestionControl};
+use crate::deadline::Deadline;
 use crate::rto::RttEstimator;
 use crate::socket::TcpSocket;
 use crate::types::{SockEvent, TcpConfig, TcpError, TcpState, MAX_RETRIES, SEND_BUF};
 use neat_net::{SeqNum, TcpFlags, TcpHeader};
-use std::collections::VecDeque;
 
 /// State owned by reliability: every byte that may need to be sent again
 /// and the timers/estimators that decide when.
@@ -17,7 +17,7 @@ pub struct Reliability {
     pub(crate) send_buf: SendBuffer,
     /// Next sequence number to send.
     pub(crate) snd_nxt: SeqNum,
-    pub(crate) rtx_deadline: Option<u64>,
+    pub(crate) rtx_deadline: Deadline,
     /// Retransmit one segment from snd_una on next poll.
     pub(crate) rtx_now: bool,
     pub(crate) rtt: RttEstimator,
@@ -32,7 +32,7 @@ impl Reliability {
         Reliability {
             send_buf: SendBuffer::new(iss + 1, SEND_BUF),
             snd_nxt: iss,
-            rtx_deadline: None,
+            rtx_deadline: Deadline::UNARMED,
             rtx_now: false,
             rtt: RttEstimator::new(cfg.initial_rto_ns),
             rtt_sample: None,
@@ -57,26 +57,26 @@ impl TcpSocket {
         Ok(n)
     }
 
-    /// Lend the send ring a storage parked on `spares` if it has none;
-    /// returns the bytes lent.
-    pub(crate) fn lend_send_ring(&mut self, spares: &mut Vec<VecDeque<u8>>) -> usize {
-        self.rel.send_buf.lend(spares)
+    /// Lend the send ring the parked storage that best fits a write of
+    /// `len` bytes if it has none; returns the bytes lent.
+    pub(crate) fn lend_send_ring(&mut self, spares: &mut SendSpares, len: usize) -> usize {
+        self.rel.send_buf.lend(spares, len)
     }
 
     /// Park the send ring's storage on `spares` if every byte in it has
     /// been acknowledged; returns the bytes parked.
-    pub(crate) fn park_send_ring(&mut self, spares: &mut Vec<VecDeque<u8>>) -> usize {
+    pub(crate) fn park_send_ring(&mut self, spares: &mut SendSpares) -> usize {
         self.rel.send_buf.park(spares)
     }
 
     /// The connection is leaving the stack: park the send ring's storage,
     /// whatever it holds; returns the bytes parked.
-    pub(crate) fn release_send_ring(&mut self, spares: &mut Vec<VecDeque<u8>>) -> usize {
+    pub(crate) fn release_send_ring(&mut self, spares: &mut SendSpares) -> usize {
         self.rel.send_buf.release(spares)
     }
 
     pub(crate) fn arm_rtx(&mut self, now: u64) {
-        self.rel.rtx_deadline = Some(now + self.rel.rtt.rto());
+        self.rel.rtx_deadline = Deadline::at(now + self.rel.rtt.rto());
     }
 
     /// Arm the retransmit timer unless it already runs.
@@ -87,7 +87,7 @@ impl TcpSocket {
     }
 
     pub(crate) fn stop_rtx(&mut self) {
-        self.rel.rtx_deadline = None;
+        self.rel.rtx_deadline = Deadline::UNARMED;
     }
 
     /// Resend one segment from `snd_una` (or the FIN, or the SYN-ACK) on
@@ -132,7 +132,7 @@ impl TcpSocket {
     /// The retransmit deadline: resend what is outstanding with the RTO
     /// backed off, or abort past [`MAX_RETRIES`].
     pub(crate) fn on_rtx_timer(&mut self, now: u64) {
-        if self.rel.rtx_deadline.is_none_or(|d| now < d) {
+        if !self.rel.rtx_deadline.due(now) {
             return;
         }
         // Anything outstanding? (data or FIN, or the SYN, which `snd_una`
@@ -178,7 +178,13 @@ impl TcpSocket {
     /// RFC 793 step 5 ACK processing in a synchronized state: cumulative
     /// ACK advance or dup-ack accounting. Returns false when the socket
     /// closed (LastAck) and the caller must stop processing the segment.
-    pub(crate) fn process_ack(&mut self, h: &TcpHeader, payload: &[u8], now: u64) -> bool {
+    pub(crate) fn process_ack(
+        &mut self,
+        cfg: &TcpConfig,
+        h: &TcpHeader,
+        payload: &[u8],
+        now: u64,
+    ) -> bool {
         let una_before = self.snd_una();
         let snd_end = self
             .cm
@@ -214,7 +220,7 @@ impl TcpSocket {
             } else {
                 self.stop_rtx();
             }
-            if fin_acked && !self.our_fin_acked(now) {
+            if fin_acked && !self.our_fin_acked(cfg, now) {
                 return false;
             }
         } else if h.ack == una_before {
@@ -259,8 +265,13 @@ impl TcpSocket {
 
     /// Transmit step 2: new data within the usable window, sized by the
     /// controller's [`CcDecision`](crate::components::CcDecision) — cwnd
-    /// caps the window, `pacing_gate` caps the burst at one MSS.
-    pub(crate) fn transmit_new_data(&mut self, now: u64) -> Option<(TcpHeader, usize)> {
+    /// caps the window, `pacing_gate` caps the burst at one MSS, and
+    /// `cfg` gives the GSO burst and whether Nagle holds a small segment.
+    pub(crate) fn transmit_new_data(
+        &mut self,
+        cfg: &TcpConfig,
+        now: u64,
+    ) -> Option<(TcpHeader, usize)> {
         let decision = self.cc.decision();
         let window = self.fc.snd_wnd.min(decision.cwnd);
         let in_flight = self.bytes_in_flight();
@@ -279,11 +290,11 @@ impl TcpSocket {
         let burst = if decision.pacing_gate {
             self.mss as usize
         } else {
-            self.cfg.gso_burst.max(self.mss as usize).min(61_440)
+            cfg.gso_burst.max(self.mss as usize).min(61_440)
         };
         let len = pending.min(usable).min(burst);
         // Nagle: hold sub-MSS segments while data is in flight.
-        if len == 0 || (self.cfg.nagle && in_flight > 0 && len < self.mss as usize) {
+        if len == 0 || (cfg.nagle && in_flight > 0 && len < self.mss as usize) {
             return None;
         }
         let h = self.ack_header(self.rel.snd_nxt, TcpFlags::psh_ack());

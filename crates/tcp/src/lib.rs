@@ -34,6 +34,7 @@ pub mod assembler;
 pub mod budget;
 pub mod buffer;
 pub mod components;
+mod deadline;
 pub mod rto;
 pub mod socket;
 pub mod stack;

@@ -212,14 +212,12 @@ impl Slots {
         self.pages.iter().flat_map(|page| page.iter().flatten())
     }
 
-    #[cfg(test)]
     pub(super) fn len(&self) -> usize {
         self.pages.len() * PAGE - self.free.len()
     }
 
     /// Bytes the table holds beyond its slots: empty seats, the free
     /// list's room and the page index.
-    #[cfg(test)]
     pub(super) fn slack_bytes(&self) -> usize {
         use std::mem::size_of;
         self.free.len() * size_of::<Option<Slot>>()

@@ -15,6 +15,7 @@
 //! map" has the ownership table and the rule).
 
 use crate::components::{self, CongestionControl, ConnMgmt, Controller, FlowControl, Reliability};
+use crate::deadline::Deadline;
 use crate::types::{CongestionAlgo, SockEvent, SocketId, TcpConfig, TcpError, TcpState};
 use neat_net::tcp::MSS;
 use neat_net::{SeqNum, TcpHeader};
@@ -24,11 +25,18 @@ use std::net::Ipv4Addr;
 pub(crate) const OUR_WSCALE: u8 = 7;
 
 /// One end of a TCP connection: a thin coordinator over the four
-/// components, owning only identity and configuration.
+/// components, owning only its identity.
+///
+/// It keeps no copy of its stack's [`TcpConfig`]: the stack-wide settings
+/// a stimulus reads (keepalive and TIME-WAIT durations, the delayed-ACK
+/// delay, Nagle, the GSO burst) are handed in with it — the `*_under`
+/// forms of [`Self::on_segment`], [`Self::on_timer`] and
+/// [`Self::poll_transmit`]. The plain forms run a socket on its own under
+/// the default settings. The constructors read only what a socket starts
+/// from: the controller and the initial RTO.
 #[derive(Debug)]
 pub struct TcpSocket {
     pub id: SocketId,
-    pub(crate) cfg: TcpConfig,
 
     pub local_ip: Ipv4Addr,
     pub local_port: u16,
@@ -59,8 +67,9 @@ pub struct TcpSocket {
 }
 
 impl TcpSocket {
-    /// A socket at `local`/`remote` in CLOSED holding `cc`: the opens
-    /// (with `cfg`'s controller) and the checkpoint decoder start here.
+    /// A socket at `local`/`remote` in CLOSED holding `cc`, its RTO at
+    /// `cfg`'s initial one: the opens (with `cfg`'s controller) and the
+    /// checkpoint decoder start here.
     pub(crate) fn new(
         id: SocketId,
         cfg: &TcpConfig,
@@ -71,7 +80,6 @@ impl TcpSocket {
     ) -> TcpSocket {
         TcpSocket {
             id,
-            cfg: cfg.clone(),
             local_ip: local.0,
             local_port: local.1,
             remote_ip: remote.0,
@@ -194,31 +202,42 @@ impl TcpSocket {
             self.cm.keepalive_deadline,
         ]
         .into_iter()
-        .flatten()
         .min()
+        .and_then(Deadline::get)
     }
 
-    /// Process timer expirations at `now`, handing each deadline to the
-    /// component that owns it.
+    /// [`Self::on_timer_under`] the default settings.
     pub fn on_timer(&mut self, now: u64) {
+        self.on_timer_under(&TcpConfig::DEFAULT, now);
+    }
+
+    /// Process timer expirations at `now` in a stack whose settings are
+    /// `cfg`, handing each deadline to the component that owns it.
+    pub fn on_timer_under(&mut self, cfg: &TcpConfig, now: u64) {
         if self.on_time_wait_timer(now) {
             return;
         }
         self.on_rtx_timer(now);
         self.on_flow_timers(now);
-        self.on_keepalive_timer(now);
+        self.on_keepalive_timer(cfg, now);
     }
 
     // ------------------------------------------------------------------
     // Segment arrival
     // ------------------------------------------------------------------
 
-    /// Handle one inbound segment addressed to this connection.
+    /// [`Self::on_segment_under`] the default settings.
     pub fn on_segment(&mut self, h: &TcpHeader, payload: &[u8], now: u64) {
+        self.on_segment_under(&TcpConfig::DEFAULT, h, payload, now);
+    }
+
+    /// Handle one inbound segment addressed to this connection, in a
+    /// stack whose settings are `cfg`.
+    pub fn on_segment_under(&mut self, cfg: &TcpConfig, h: &TcpHeader, payload: &[u8], now: u64) {
         match self.cm.state {
             TcpState::Closed => {}
-            TcpState::SynSent => self.on_segment_syn_sent(h, now),
-            _ => self.on_segment_synchronized(h, payload, now),
+            TcpState::SynSent => self.on_segment_syn_sent(cfg, h, now),
+            _ => self.on_segment_synchronized(cfg, h, payload, now),
         }
     }
 
@@ -226,7 +245,13 @@ impl TcpSocket {
     /// to its owning component: acceptability and windows to flow
     /// control, ACKs to reliability, RST/SYN/FIN to connection
     /// management.
-    fn on_segment_synchronized(&mut self, h: &TcpHeader, payload: &[u8], now: u64) {
+    fn on_segment_synchronized(
+        &mut self,
+        cfg: &TcpConfig,
+        h: &TcpHeader,
+        payload: &[u8],
+        now: u64,
+    ) {
         let seg_len = h.seq_len(payload.len());
 
         // Step 1: sequence acceptability (flow control).
@@ -259,10 +284,10 @@ impl TcpSocket {
         if !h.flags.ack {
             return;
         }
-        if self.cm.state == TcpState::SynReceived && !self.establish_syn_received(h, now) {
+        if self.cm.state == TcpState::SynReceived && !self.establish_syn_received(cfg, h, now) {
             return;
         }
-        if !self.process_ack(h, payload, now) {
+        if !self.process_ack(cfg, h, payload, now) {
             return;
         }
 
@@ -270,20 +295,30 @@ impl TcpSocket {
         self.process_window_update(h, now);
 
         // Step 7: payload (flow control).
-        self.process_payload(h, payload, now);
+        self.process_payload(cfg, h, payload, now);
 
         // Step 8: FIN (connection management).
-        self.process_fin(h, payload, now);
+        self.process_fin(cfg, h, payload, now);
     }
 
     // ------------------------------------------------------------------
     // Transmit path
     // ------------------------------------------------------------------
 
-    /// Produce the next segment to transmit, if any. Call repeatedly until
-    /// `None`. Payload is returned separately from the header.
+    /// [`Self::poll_transmit_under`] the default settings.
     pub fn poll_transmit(&mut self, now: u64) -> Option<(TcpHeader, Vec<u8>)> {
-        let (h, len) = self.poll_segment(now)?;
+        self.poll_transmit_under(&TcpConfig::DEFAULT, now)
+    }
+
+    /// Produce the next segment to transmit, if any, in a stack whose
+    /// settings are `cfg`. Call repeatedly until `None`. Payload is
+    /// returned separately from the header.
+    pub fn poll_transmit_under(
+        &mut self,
+        cfg: &TcpConfig,
+        now: u64,
+    ) -> Option<(TcpHeader, Vec<u8>)> {
+        let (h, len) = self.poll_segment(cfg, now)?;
         Some((h, self.rel.send_buf.peek(h.seq, len)))
     }
 
@@ -291,7 +326,7 @@ impl TcpSocket {
     /// stays in the send buffer, at `h.seq`, for the caller to copy once
     /// to where it is going. Each state routes to the component that owns
     /// the segment type.
-    pub(crate) fn poll_segment(&mut self, now: u64) -> Option<(TcpHeader, usize)> {
+    pub(crate) fn poll_segment(&mut self, cfg: &TcpConfig, now: u64) -> Option<(TcpHeader, usize)> {
         match self.cm.state {
             TcpState::Closed => self.transmit_rst(),
             TcpState::SynSent | TcpState::SynReceived => self.transmit_syn(now),
@@ -300,7 +335,7 @@ impl TcpSocket {
             // (connection management), then a pure ACK (flow control).
             _ => self
                 .rtx_transmit()
-                .or_else(|| self.transmit_new_data(now))
+                .or_else(|| self.transmit_new_data(cfg, now))
                 .or_else(|| self.transmit_fin(now))
                 .or_else(|| self.transmit_pure_ack()),
         }

@@ -509,8 +509,9 @@ const LAT: u64 = 100_000;
 /// so outside the check.
 pub(crate) struct Net {
     pub(crate) socks: [Option<TcpSocket>; 2],
-    /// While side 1 has no socket, the first SYN to reach it is accepted
-    /// with this config.
+    /// The settings both sides run under, handed in with every stimulus
+    /// as a stack would; while side 1 has no socket, the first SYN to
+    /// reach it is accepted with them too.
     listen: TcpConfig,
     /// In flight: (arrival, receiving side, header, payload).
     flight: Vec<(u64, usize, TcpHeader, Vec<u8>)>,
@@ -574,7 +575,7 @@ impl Net {
         for side in 0..2 {
             while let Some((h, p)) = self.socks[side]
                 .as_mut()
-                .and_then(|s| s.poll_transmit(self.now))
+                .and_then(|s| s.poll_transmit_under(&self.listen, self.now))
             {
                 let f = h.flags;
                 let flags = [f.fin, f.syn, f.rst, f.psh, f.ack, f.urg]
@@ -646,7 +647,7 @@ impl Net {
                         if accepts_ack(s, &h, p.len(), self.acked[to]) {
                             self.acked[to] = Some(h.ack);
                         }
-                        s.on_segment(&h, &p, next);
+                        s.on_segment_under(&self.listen, &h, &p, next);
                     }
                     None if h.flags.syn && !h.flags.ack => {
                         self.socks[1] = Some(TcpSocket::accept_from_syn(
@@ -664,7 +665,7 @@ impl Net {
             } else {
                 for s in self.socks.iter_mut().flatten() {
                     if s.next_timeout().is_some_and(|d| d <= next) {
-                        s.on_timer(next);
+                        s.on_timer_under(&self.listen, next);
                     }
                 }
             }

@@ -31,12 +31,13 @@
 //!   ([`Spares`]).
 
 use crate::budget::ConnBudget;
-use crate::buffer::fill;
+use crate::buffer::{fill, SendSpares};
 use crate::components::{CongestionControl, Controller};
 use crate::socket::TcpSocket;
 use crate::tcb::replicable;
 use crate::types::{CongestionAlgo, SockEvent, SocketId, TcpConfig, TcpError, TcpState};
 use crate::wheel::{TimerHandle, TimerWheel};
+pub use footprint::Footprint;
 use neat_net::{FlowKey, SeqNum, TcpFlags, TcpHeader};
 use neat_util::{FxHashMap, FxHashSet};
 use slots::{Slot, Slots};
@@ -45,6 +46,8 @@ use std::net::Ipv4Addr;
 use std::num::NonZeroU16;
 use time_wait::{TimeWait, TimeWaits};
 
+#[path = "footprint.rs"]
+mod footprint;
 #[path = "slots.rs"]
 mod slots;
 #[path = "time_wait.rs"]
@@ -91,15 +94,17 @@ fn flow_of(s: &TcpSocket) -> FlowKey {
     FlowKey::tcp(s.remote_ip, s.remote_port, s.local_ip, s.local_port)
 }
 
-/// Ring storages that drained rings parked, one LIFO list per direction,
-/// lent to the next ring of that direction that needs one. A storage is
-/// allocated only while its list is empty, so each list holds no more
-/// storages than rings of its direction were ever busy at once. Two lists,
-/// not one: requests and replies cross a stack in opposite directions, so
-/// a small request's ring does not take a bulk reply's storage.
+/// Ring storages that drained rings parked, one list per direction, lent
+/// to the next ring of that direction that needs one: a send ring the
+/// smallest that holds its write ([`SendSpares`]), a receive ring the one
+/// parked last. A storage is allocated only while its list is empty, so
+/// each list holds no more storages than rings of its direction were ever
+/// busy at once. Two lists, not one: requests and replies cross a stack
+/// in opposite directions, so a small request's ring does not take a bulk
+/// reply's storage.
 #[derive(Debug)]
 struct Spares {
-    send: Vec<VecDeque<u8>>,
+    send: SendSpares,
     recv: Vec<VecDeque<u8>>,
 }
 
@@ -108,7 +113,7 @@ impl Spares {
     /// first parks of a stack's life allocate nothing on the data path.
     fn new() -> Spares {
         Spares {
-            send: Vec::with_capacity(4),
+            send: SendSpares::with_room(4),
             recv: Vec::with_capacity(4),
         }
     }
@@ -322,7 +327,7 @@ impl TcpStack {
 
     pub fn send(&mut self, id: SocketId, data: &[u8]) -> Result<usize, TcpError> {
         let slot = self.slots.get_mut(id).ok_or(TcpError::NoSocket)?;
-        let lent = slot.sock.lend_send_ring(&mut self.spares.send);
+        let lent = slot.sock.lend_send_ring(&mut self.spares.send, data.len());
         self.budget.on_lend(lent);
         let r = slot.sock.send(data);
         if r.is_ok() {
@@ -508,7 +513,7 @@ impl TcpStack {
             let lent = slot.sock.lend_recv_ring(&mut self.spares.recv);
             self.budget.on_lend(lent);
         }
-        slot.sock.on_segment(h, payload, now);
+        slot.sock.on_segment_under(&self.cfg, h, payload, now);
         // Handshake completed on a backlog socket → accept queue
         // (CLOSE-WAIT: the completing ACK came with the peer's FIN).
         let open = matches!(
@@ -567,7 +572,7 @@ impl TcpStack {
         while let Some(id) = self.dirty.front().copied() {
             // A migrated-out connection may still be queued: skip it.
             if let Some(slot) = self.slots.get_mut(id) {
-                if let Some((h, len)) = slot.sock.poll_segment(now) {
+                if let Some((h, len)) = slot.sock.poll_segment(&self.cfg, now) {
                     self.obs.tx_segments.inc();
                     slot.arm_timer(&mut self.timers);
                     let payload = slot.sock.rel.send_buf.slices(h.seq, len);
@@ -620,7 +625,7 @@ impl TcpStack {
                 continue;
             };
             slot.lend_events(&mut self.sock_events);
-            slot.sock.on_timer(now);
+            slot.sock.on_timer_under(&self.cfg, now);
             slot.drain_events(&mut self.events, &mut self.sock_events);
             slot.mark_dirty(&mut self.dirty, &mut self.repl_dirty);
             slot.arm_timer(&mut self.timers);

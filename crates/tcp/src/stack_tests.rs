@@ -8,61 +8,6 @@ const CLIENT_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
 const SERVER_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
 const MS: u64 = 1_000_000;
 
-/// A stack's bytes by part (ROADMAP item D(a)): what its connections
-/// hold, and what it keeps beside them.
-#[derive(Debug, Default)]
-pub(crate) struct Footprint {
-    /// Socket structs, each with the stack's flags beside it, in its seat.
-    pub slots: usize,
-    /// What each socket owns on the heap besides its rings and assembler:
-    /// the controller box and the event list.
-    pub socket_heap: usize,
-    /// Demux entries.
-    pub demux: usize,
-    /// Retired TIME-WAIT connections' records.
-    pub time_waits: usize,
-    /// Room the slot, record and demux tables hold beyond their entries:
-    /// empty seats, the free-seat list and page index, and the maps' room.
-    pub table_slack: usize,
-    /// Live rings' storage, per direction.
-    pub send_rings: usize,
-    pub recv_rings: usize,
-    /// The part of `send_rings + recv_rings` in rings that hold no byte:
-    /// 0 while drained rings park their storage.
-    pub idle_rings: usize,
-    /// Parked storages, per direction, and how many there are.
-    pub spare_send: usize,
-    pub spare_recv: usize,
-    pub spare_count: usize,
-    /// Assemblers' range lists.
-    pub assembler: usize,
-    /// `TcpSocket::mem_bytes`, summed, and the records' bytes: what the
-    /// budget should hold.
-    pub mem_bytes: usize,
-    /// The timer wheel's per-key entries.
-    pub wheel: usize,
-}
-
-impl Footprint {
-    /// The parts, named, in the order EXPERIMENTS.md's table lists them.
-    pub(crate) fn parts(&self) -> [(&'static str, usize); 12] {
-        [
-            ("socket structs", self.slots),
-            ("controller boxes, event lists", self.socket_heap),
-            ("TIME-WAIT records", self.time_waits),
-            ("demux entries", self.demux),
-            ("table slack", self.table_slack),
-            ("send rings (live)", self.send_rings),
-            ("receive rings (live)", self.recv_rings),
-            ("  of which empty", self.idle_rings),
-            ("spare send storages", self.spare_send),
-            ("spare receive storages", self.spare_recv),
-            ("assemblers", self.assembler),
-            ("wheel entries", self.wheel),
-        ]
-    }
-}
-
 impl TcpStack {
     /// All live socket ids.
     pub(crate) fn socket_ids(&self) -> Vec<SocketId> {
@@ -85,44 +30,6 @@ impl TcpStack {
     /// A socket's (local, remote) ports.
     pub(crate) fn ports(&self, id: SocketId) -> Option<(u16, u16)> {
         self.sock(id).map(|s| (s.local_port, s.remote_port))
-    }
-
-    /// The stack's bytes, itemised.
-    pub(crate) fn footprint(&self) -> Footprint {
-        let slot = std::mem::size_of::<Option<Slot>>();
-        let entry = std::mem::size_of::<(FlowKey, SocketId)>();
-        let parked = |list: &Vec<VecDeque<u8>>| list.iter().map(|r| r.capacity()).sum::<usize>();
-        let records = self.time_waits.len() * time_wait::RECORD_BYTES;
-        let mut f = Footprint {
-            slots: self.slots.len() * slot,
-            time_waits: records,
-            demux: self.conns.len() * entry,
-            table_slack: self.slots.slack_bytes()
-                + (self.time_waits.capacity() - self.time_waits.len()) * time_wait::RECORD_BYTES
-                + (self.conns.capacity() - self.conns.len()) * entry,
-            spare_send: parked(&self.spares.send),
-            spare_recv: parked(&self.spares.recv),
-            spare_count: self.spares.send.len() + self.spares.recv.len(),
-            wheel: self.timers.entry_bytes(),
-            mem_bytes: records,
-            ..Footprint::default()
-        };
-        for s in self.slots.iter().map(|slot| &slot.sock) {
-            let (send, recv) = (s.rel.send_buf.heap_bytes(), s.fc.recv_buf.heap_bytes());
-            f.send_rings += send;
-            f.recv_rings += recv;
-            f.idle_rings += if s.rel.send_buf.is_empty() { send } else { 0 };
-            let held = !s.fc.recv_buf.is_empty() || !s.fc.asm.is_empty();
-            f.idle_rings += if held { 0 } else { recv };
-            f.assembler += s.fc.asm.heap_bytes();
-            f.mem_bytes += s.mem_bytes();
-            f.socket_heap += s.mem_bytes()
-                - std::mem::size_of::<TcpSocket>()
-                - send
-                - recv
-                - s.fc.asm.heap_bytes();
-        }
-        f
     }
 
     /// Every structure that names a connection agrees with the slot and
@@ -455,7 +362,7 @@ fn ephemeral_ports_unique() {
 /// `conn_scale_mem_per_conn_bytes` are built on. The pin moves down only.
 #[test]
 fn socket_size_is_pinned() {
-    assert_eq!(std::mem::size_of::<TcpSocket>(), 488);
+    assert_eq!(std::mem::size_of::<TcpSocket>(), 384);
 }
 
 /// A slot keeps its flags and its wheel handle in the 8 B that pad the
@@ -464,8 +371,8 @@ fn socket_size_is_pinned() {
 /// per record (`RECORD_BYTES`, in the `tcp.conn.*` gauges) can move.
 #[test]
 fn slot_and_record_sizes_are_pinned() {
-    assert_eq!(std::mem::size_of::<Slot>(), 496);
-    assert_eq!(std::mem::size_of::<Option<Slot>>(), 496);
+    assert_eq!(std::mem::size_of::<Slot>(), 392);
+    assert_eq!(std::mem::size_of::<Option<Slot>>(), 392);
     assert_eq!(time_wait::RECORD_BYTES, 48);
 }
 
@@ -631,6 +538,64 @@ fn idle_connections_own_no_ring() {
 /// Serials and seats run out into the `NoMemory` refusal, not a panic or
 /// a wrapped id: `connect` and `listen` fail, a SYN is shed, a checkpoint
 /// is refused, and what is open carries on.
+/// A send ring is lent the smallest parked storage that holds its write,
+/// not the one parked last (ROADMAP D(e)): with an 8 278 B and a 597 B
+/// storage parked, the 8 278 B one last, a 597 B write takes the 597 B
+/// storage and an 8 KiB write the 8 278 B one. The budget's parked bytes
+/// are the lists' capacities after every step.
+#[test]
+fn a_send_ring_is_lent_the_smallest_storage_that_holds_its_write() {
+    // A server that ACKs every segment at once: a ring drains in the same
+    // pump as its bytes go out.
+    let cfg = TcpConfig {
+        delayed_ack_ns: 0,
+        ..TcpConfig::default()
+    };
+    let mut c = TcpStack::new(CLIENT_IP, cfg.clone());
+    let mut s = TcpStack::new(SERVER_IP, cfg);
+    s.listen(80).unwrap();
+    let conns: Vec<SocketId> = (0..4)
+        .map(|_| c.connect(SERVER_IP, 80, 0).unwrap())
+        .collect();
+    pump(&mut c, &mut s, 0);
+    let ring = |c: &TcpStack, id| c.sock(id).unwrap().rel.send_buf.heap_bytes();
+    let parked = |c: &TcpStack| {
+        c.check_consistent();
+        let f = c.footprint();
+        assert_eq!(
+            c.budget().spare_bytes(),
+            (f.spare_send + f.spare_recv) as u64
+        );
+        f.spare_send
+    };
+    assert_eq!(parked(&c), 0);
+    // Both rings busy at once, so neither is lent the other's storage; the
+    // 597 B one-segment write is acknowledged first, so the 8 278 B
+    // storage parks last.
+    assert_eq!(c.send(conns[0], &[1; 597]), Ok(597));
+    assert_eq!(c.send(conns[1], &[1; 8_278]), Ok(8_278));
+    assert_eq!((ring(&c, conns[0]), ring(&c, conns[1])), (597, 8_278));
+    pump(&mut c, &mut s, MS);
+    assert_eq!((ring(&c, conns[0]), ring(&c, conns[1])), (0, 0));
+    assert_eq!(parked(&c), 597 + 8_278);
+    assert_eq!(c.send(conns[2], &[2; 597]), Ok(597));
+    assert_eq!(
+        ring(&c, conns[2]),
+        597,
+        "the 597 B write takes the 597 B storage"
+    );
+    assert_eq!(parked(&c), 8_278);
+    assert_eq!(c.send(conns[3], &[3; 8_192]), Ok(8_192));
+    assert_eq!(
+        ring(&c, conns[3]),
+        8_278,
+        "the 8 KiB write takes the 8 278 B storage"
+    );
+    assert_eq!(parked(&c), 0);
+    pump(&mut c, &mut s, 2 * MS);
+    assert_eq!(parked(&c), 597 + 8_278);
+}
+
 #[test]
 fn ids_run_out_into_no_memory() {
     let (mut c, mut s) = pair();

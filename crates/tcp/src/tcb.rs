@@ -12,6 +12,7 @@
 
 use crate::buffer::{RecvBuffer, SendBuffer};
 use crate::components::{self, CongestionControl};
+use crate::deadline::Deadline;
 use crate::socket::TcpSocket;
 use crate::types::{CongestionAlgo, SocketId, TcpConfig, TcpState, RECV_BUF, SEND_BUF};
 use neat_net::tcp::MSS;
@@ -90,7 +91,7 @@ impl TcpSocket {
         w.push(cm.peer_fin_rcvd as u8);
         w.push(cm.close_requested as u8);
         put_opt(w, cm.fin_seq.map(|s| s.0 as u64));
-        put_opt(w, rel.rtx_deadline);
+        put_opt(w, rel.rtx_deadline.get());
         w.push(rel.rtx_now as u8);
         w.extend(rel.retries.to_le_bytes());
         w.extend(rel.dup_acks.to_le_bytes());
@@ -100,11 +101,11 @@ impl TcpSocket {
         w.extend(rel.rtt.base_rto_ns.to_le_bytes());
         w.extend(rel.rtt.backoffs.to_le_bytes());
         w.extend(fc.ack_pending.to_le_bytes());
-        put_opt(w, fc.ack_deadline);
+        put_opt(w, fc.ack_deadline.get());
         w.push(fc.ack_now as u8);
-        put_opt(w, cm.time_wait_deadline);
-        put_opt(w, fc.probe_deadline);
-        put_opt(w, cm.keepalive_deadline);
+        put_opt(w, cm.time_wait_deadline.get());
+        put_opt(w, fc.probe_deadline.get());
+        put_opt(w, cm.keepalive_deadline.get());
         w.push(algo_code(self.cc.algo()));
     }
 
@@ -112,7 +113,7 @@ impl TcpSocket {
     /// for any input [`TcpSocket::checkpoint_into`] cannot have written —
     /// truncated, trailing bytes, bad version, state, algorithm, flag or
     /// option tag, a `fin_seq` past 32 bits, a ring longer than its
-    /// capacity. The deadlines in the image are absolute simulation times,
+    /// capacity, a deadline at the unarmed mark. The deadlines in the image are absolute simulation times,
     /// so a deadline that expired while the flow was in transit fires on
     /// the next timer tick — which is exactly the retransmission that
     /// re-synchronizes the peer after the migration gap.
@@ -145,7 +146,7 @@ impl TcpSocket {
         s.cm.peer_fin_rcvd = r.flag()?;
         s.cm.close_requested = r.flag()?;
         s.cm.fin_seq = r.opt()?.map(u32::try_from).transpose().ok()?.map(SeqNum);
-        s.rel.rtx_deadline = r.opt()?;
+        s.rel.rtx_deadline = r.deadline()?;
         s.rel.rtx_now = r.flag()?;
         s.rel.retries = r.u32()?;
         s.rel.dup_acks = r.u32()?;
@@ -155,11 +156,11 @@ impl TcpSocket {
         s.rel.rtt.base_rto_ns = r.u64()?;
         s.rel.rtt.backoffs = r.u32()?;
         s.fc.ack_pending = r.u32()?;
-        s.fc.ack_deadline = r.opt()?;
+        s.fc.ack_deadline = r.deadline()?;
         s.fc.ack_now = r.flag()?;
-        s.cm.time_wait_deadline = r.opt()?;
-        s.fc.probe_deadline = r.opt()?;
-        s.cm.keepalive_deadline = r.opt()?;
+        s.cm.time_wait_deadline = r.deadline()?;
+        s.fc.probe_deadline = r.deadline()?;
+        s.cm.keepalive_deadline = r.deadline()?;
         s.cc = components::make(algo_from_code(r.u8()?)?, s.mss);
         r.0.is_empty().then_some(s)
     }
@@ -241,6 +242,7 @@ trait ImageRead<'a> {
     fn seq(&mut self) -> Option<SeqNum>;
     fn flag(&mut self) -> Option<bool>;
     fn opt(&mut self) -> Option<Option<u64>>;
+    fn deadline(&mut self) -> Option<Deadline>;
     fn ring(&mut self) -> Option<&'a [u8]>;
 }
 
@@ -266,6 +268,14 @@ impl<'a> ImageRead<'a> for Reader<'a> {
             0 => Some(None),
             1 => Some(Some(self.u64()?)),
             _ => None,
+        }
+    }
+
+    /// An option whose value, if present, is an armed instant.
+    fn deadline(&mut self) -> Option<Deadline> {
+        match self.opt()? {
+            None => Some(Deadline::UNARMED),
+            Some(at) => Deadline::armed(at),
         }
     }
 

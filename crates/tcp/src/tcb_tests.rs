@@ -6,7 +6,7 @@
 use super::*;
 use crate::socket::tests::{cfg, established, pump};
 use neat_util::check::{check, vec_of, Config};
-use neat_util::prop_assert_eq;
+use neat_util::{prop_assert, prop_assert_eq};
 
 impl TcpSocket {
     /// One image on its own: [`TcpSocket::checkpoint_into`] an empty
@@ -35,10 +35,10 @@ fn scripted() -> [TcpSocket; 3] {
     s.rel.dup_acks = 2;
     s.fc.ack_pending = 3;
     s.cm.fin_seq = Some(s.rel.send_buf.end());
-    s.fc.ack_deadline = Some(7_000_001);
-    s.cm.time_wait_deadline = Some(7_000_002);
-    s.fc.probe_deadline = Some(7_000_003);
-    s.cm.keepalive_deadline = Some(7_000_004);
+    s.fc.ack_deadline = Deadline::at(7_000_001);
+    s.cm.time_wait_deadline = Deadline::at(7_000_002);
+    s.fc.probe_deadline = Deadline::at(7_000_003);
+    s.cm.keepalive_deadline = Deadline::at(7_000_004);
     let busy = s;
     let (mut c, mut s) = established();
     c.close(5_000_000);
@@ -210,4 +210,63 @@ fn held_bytes_stay_out_of_the_image() {
     assert_eq!(restored.fc.rcv_nxt, s.fc.rcv_nxt);
     let (a, b) = restored.fc.recv_buf.as_slices();
     assert_eq!([a, b].concat(), &data[..in_order]);
+}
+
+/// The five deadlines travel as options over the word a socket keeps
+/// them in (aim 3): every armed instant from 0 to the largest, and
+/// unarmed, decode to a socket that re-encodes to the same image. The
+/// unarmed mark itself as an armed value is refused — by the decoder, and
+/// so by `TcpStack::restore_conn`, whose `None` the socket server counts
+/// in `repl.decode_errors` like every other malformed image.
+#[test]
+fn deadlines_round_trip_and_the_unarmed_mark_is_refused() {
+    /// A value no other field of the scripted image carries.
+    const MARK: u64 = 0x0123_4567_89ab_cdef;
+    const VALUES: [Deadline; 4] = [
+        Deadline::UNARMED,
+        Deadline::at(0),
+        Deadline::at(1),
+        Deadline::at(u64::MAX - 1),
+    ];
+    let set = |s: &mut TcpSocket, k: usize, d: Deadline| match k {
+        0 => s.rel.rtx_deadline = d,
+        1 => s.fc.ack_deadline = d,
+        2 => s.cm.time_wait_deadline = d,
+        3 => s.fc.probe_deadline = d,
+        _ => s.cm.keepalive_deadline = d,
+    };
+    check(
+        "deadlines_round_trip_and_the_unarmed_mark_is_refused",
+        Config::default().cases(256),
+        |rng| {
+            (
+                rng.gen_range(0..5usize),
+                vec_of(rng, 5..6, |r| r.gen_range(0..4usize)),
+            )
+        },
+        |(marked, picks)| {
+            let [mut busy, ..] = scripted();
+            for (k, pick) in picks.into_iter().enumerate() {
+                set(&mut busy, k, VALUES[pick]);
+            }
+            let img = busy.checkpoint();
+            let back = TcpSocket::from_checkpoint(SocketId(1), &cfg(), &img);
+            prop_assert_eq!(back.map(|s| s.checkpoint()), Some(img));
+            // The reserved value where one deadline is armed.
+            set(&mut busy, marked, Deadline::at(MARK));
+            let mut img = busy.checkpoint();
+            let mark: Vec<u8> = [1].into_iter().chain(MARK.to_le_bytes()).collect();
+            let at = img
+                .windows(9)
+                .position(|w| w == mark)
+                .expect("the marked deadline")
+                + 1;
+            img[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+            prop_assert!(!decodes(&img), "the unarmed mark decoded");
+            let mut stack = crate::TcpStack::new(busy.local_ip, cfg());
+            prop_assert!(stack.restore_conn(&img).is_none());
+            prop_assert_eq!(stack.conn_count(), 0);
+            Ok(())
+        },
+    );
 }

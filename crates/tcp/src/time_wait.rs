@@ -133,10 +133,7 @@ impl TimeWaits {
     fn remove(&mut self, id: SocketId) {
         self.0.remove(&key(id));
     }
-}
 
-#[cfg(test)]
-impl TimeWaits {
     pub(super) fn len(&self) -> usize {
         self.0.len()
     }
@@ -144,7 +141,10 @@ impl TimeWaits {
     pub(super) fn capacity(&self) -> usize {
         self.0.capacity()
     }
+}
 
+#[cfg(test)]
+impl TimeWaits {
     pub(super) fn iter(&self) -> impl Iterator<Item = (SocketId, &TimeWait)> {
         (self.0.iter()).filter_map(|(&k, tw)| Some((id_of(k)?, tw)))
     }
@@ -165,11 +165,11 @@ impl TimeWait {
             s.cm.keepalive_deadline,
         ];
         let rings = s.rel.send_buf.heap_bytes() + s.fc.recv_buf.heap_bytes();
-        if !s.events.is_empty() || rings != 0 || others.iter().any(Option::is_some) {
+        if !s.events.is_empty() || rings != 0 || others.iter().any(|d| d.is_some()) {
             return None;
         }
         Some(TimeWait {
-            deadline: s.cm.time_wait_deadline?,
+            deadline: s.cm.time_wait_deadline.get()?,
             remote_ip: s.remote_ip,
             local_port: s.local_port,
             remote_port: s.remote_port,

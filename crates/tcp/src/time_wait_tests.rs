@@ -4,7 +4,7 @@
 //! the same thing.
 
 use super::*;
-use crate::buffer::RecvBuffer;
+use crate::buffer::{RecvBuffer, SendSpares};
 use crate::socket::tests::{cfg, Net};
 use crate::types::TcpConfig;
 use neat_util::check::{check, vec_of, Config, TestResult};
@@ -58,7 +58,7 @@ fn time_wait_socket((iss, req, reply, buf, both): Setup) -> (TcpSocket, u64) {
     let cap = [65_536, 4_096, 1_000, 0][usize::from(buf % 4)];
     sock.fc.recv_buf = RecvBuffer::new(cap);
     // What a stack does at the end of every stimulus: drained rings park.
-    sock.park_send_ring(&mut Vec::new());
+    sock.park_send_ring(&mut SendSpares::with_room(0));
     sock.park_recv_ring(&mut Vec::new());
     (sock, n.now)
 }
@@ -239,7 +239,7 @@ fn a_socket_with_another_deadline_does_not_retire() {
         ..cfg()
     };
     let client = TcpSocket::connect(SocketId(1), &ka, CLIENT, SERVER, SeqNum(1), 0);
-    let mut n = Net::new(0, client, None, cfg());
+    let mut n = Net::new(0, client, None, ka);
     n.advance_to(MS);
     n.user(0, |c| c.close(MS));
     n.advance_to(2 * MS);

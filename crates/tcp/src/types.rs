@@ -134,18 +134,24 @@ pub struct TcpConfig {
 
 impl Default for TcpConfig {
     fn default() -> TcpConfig {
-        TcpConfig {
-            time_wait_ns: 10_000_000_000,
-            delayed_ack_ns: 500_000, // 0.5 ms — LAN-scale
-            nagle: true,
-            congestion: CongestionAlgo::Reno,
-            initial_rto_ns: 200_000_000, // 200 ms before first RTT sample
-            backlog: 128,
-            keepalive_ns: 0,
-            gso_burst: 0,
-            conn_memory_limit: 0,
-        }
+        TcpConfig::DEFAULT
     }
+}
+
+impl TcpConfig {
+    /// The defaults, as a constant: a socket driven on its own reads its
+    /// stack-wide settings from here.
+    pub(crate) const DEFAULT: TcpConfig = TcpConfig {
+        time_wait_ns: 10_000_000_000,
+        delayed_ack_ns: 500_000, // 0.5 ms — LAN-scale
+        nagle: true,
+        congestion: CongestionAlgo::Reno,
+        initial_rto_ns: 200_000_000, // 200 ms before first RTT sample
+        backlog: 128,
+        keepalive_ns: 0,
+        gso_burst: 0,
+        conn_memory_limit: 0,
+    };
 }
 
 /// Non-blocking readiness snapshot for one socket, as the socket library's

@@ -441,17 +441,17 @@ impl TimerWheel {
             .sort_unstable_by_key(|&(deadline, seq, _)| (deadline, seq));
         fired.extend(self.due.drain(..).map(|(_, _, k)| k));
     }
+
+    /// Heap bytes of the entries, slack included.
+    pub(crate) fn entry_bytes(&self) -> usize {
+        self.entries.capacity() * std::mem::size_of::<Entry>()
+    }
 }
 
 #[cfg(test)]
 impl TimerWheel {
     /// One entry.
     pub(crate) const ENTRY_BYTES: usize = std::mem::size_of::<Entry>();
-
-    /// Heap bytes of the entries, slack included.
-    pub(crate) fn entry_bytes(&self) -> usize {
-        self.entries.capacity() * Self::ENTRY_BYTES
-    }
 
     /// Every armed entry: its handle and key.
     pub(crate) fn armed(&self) -> impl Iterator<Item = (TimerHandle, u64)> + '_ {

@@ -48,15 +48,17 @@ fn serve(tb: &mut Testbed, requests: u64) -> u64 {
 ///
 /// Each driver also pins the bytes a connection keeps: the thread's live
 /// bytes after the window less those of the booted testbed, per
-/// connection. Here 72 023 B, 65 536 of them the fd's failover tail (the
-/// last 64 KiB written); 72 040 B while the stack host and each `FrameIo`
+/// connection. Here 71 191 B, 65 536 of them the fd's failover tail (the
+/// last 64 KiB written); 72 023 B while each socket was 488 B, not 384
+/// (it kept a copy of its stack's config and `Option<u64>` deadlines),
+/// 72 040 B while the stack host and each `FrameIo`
 /// kept a scratch segment buffer; 72 265 B while each socket boxed its congestion
 /// controller and both parsers copied the first head they read, 72 451 B
 /// while the timer wheels and the socket servers' connection tables were
 /// hash maps, 113 457 B while that tail grew past its cap, to 104 KiB.
 #[test]
 fn allocations_per_request_are_pinned() {
-    assert_allocations(NeatConfig::single(1), None, KEEP_ALIVE, 4.0, 72_023);
+    assert_allocations(NeatConfig::single(1), None, KEEP_ALIVE, 4.0, 71_191);
 }
 
 /// The same requests through two replicas that stream checkpoints to each
@@ -64,14 +66,15 @@ fn allocations_per_request_are_pinned() {
 /// touched a flow ships one delta, one buffer however many flows it
 /// carries, and the buddy overwrites its copy of a flow in place; 7.50
 /// (1 383 B) when each image was a buffer of its own and each delta a
-/// `Vec` of them. A connection keeps 75 526 B (75 574 B with the scratch
+/// `Vec` of them. A connection keeps 74 278 B (75 526 B with 488 B
+/// sockets, 75 574 B with the scratch
 /// segment buffers, 75 799 B with the controller boxes and the parsers' head copies, 75 889 B with the
 /// wheels' and connection tables' hash maps, 116 895 B with the tail past
 /// its cap).
 #[test]
 fn allocations_per_replicated_request_are_pinned() {
     let cfg = NeatConfig::single(2).replicated();
-    assert_allocations(cfg, None, KEEP_ALIVE, 5.5, 75_526);
+    assert_allocations(cfg, None, KEEP_ALIVE, 5.5, 74_278);
 }
 
 /// The same keep-alive requests for a 100 000 B file, `http_bulk`'s reply:
@@ -79,8 +82,8 @@ fn allocations_per_replicated_request_are_pinned() {
 /// the client's ACKs and requests, the server's segments, each
 /// super-segment's frame with room for its TSO cut to spread in place —
 /// the `ConnData` payload and the reply; 14.50 (304 972 B) while each cut
-/// copied its frame into a block of its own. A connection keeps 193 787 B
-/// (211 375 B with the stack host's scratch segment buffer, which kept a
+/// copied its frame into a block of its own. A connection keeps 192 955 B
+/// (193 787 B with 488 B sockets, 211 375 B with the stack host's scratch segment buffer, which kept a
 /// super-segment's capacity; 211 610 B with
 /// the controller boxes and the parsers' head copies, 211 796 B with the
 /// wheels' and connection tables' hash maps): 518 610 B while the fd's
@@ -94,7 +97,7 @@ fn allocations_per_bulk_request_are_pinned() {
         Some(100_000),
         KEEP_ALIVE,
         10.88,
-        193_787,
+        192_955,
     );
 }
 
@@ -179,12 +182,12 @@ fn assert_allocations(
 /// socket boxed its Reno controller, the web server copied every request
 /// into its parser and httperf every response head into its own. The
 /// live bytes are the testbed's after 8 000 connections less at boot,
-/// per open connection: 169 792 B; 186 185 B while the web server kept
+/// per open connection: 168 960 B; 169 792 B with 488 B sockets, 186 185 B while the web server kept
 /// every accepting replica's pid (8 B per connection, in a list that had
 /// doubled to 64 KiB) where it now keeps their running summary.
 #[test]
 fn allocations_per_short_connection_are_pinned() {
-    assert_allocations(NeatConfig::single(1), None, 1, 11.0, 169_792);
+    assert_allocations(NeatConfig::single(1), None, 1, 11.0, 168_960);
 }
 
 /// 50 000 of them are most of `peak_live_mb` @ `stack_conns`: the read
