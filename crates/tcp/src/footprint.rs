@@ -13,7 +13,7 @@ use std::mem::size_of;
 
 /// A stack's bytes, itemised. Each part counts allocated capacity, not
 /// bytes in use.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
+#[derive(Debug, Default)]
 pub struct Footprint {
     /// Socket structs, each with the stack's flags beside it, in its seat.
     pub slots: usize,
